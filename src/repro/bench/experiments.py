@@ -79,6 +79,33 @@ def _model_ms(engine) -> float:
     return PLATFORM_2003.engine_seconds(engine) * _MS
 
 
+class _PerPairTester(HardwareSegmentTest):
+    """Decides a batch the paper-literal way: one submission per pair.
+
+    Steps 2.1-2.8 run once per candidate through the configured overlap
+    method's own buffer mechanism, never through the atlas - the reference
+    the batched verdicts are measured against.
+    """
+
+    def intersection_verdicts_batch(self, pairs):
+        return [self.intersection_verdict(a, b, w) for a, b, w in pairs]
+
+    def distance_verdicts_batch(self, pairs, d):
+        return [self.distance_verdict(a, b, w, d) for a, b, w in pairs]
+
+
+def per_pair_engine(config: HardwareConfig) -> HardwareEngine:
+    """A hardware engine whose hardware stage submits pair by pair.
+
+    Same staged refinement, same statistics; only the experiments that
+    measure what batching or a buffer mechanism costs (and the tests that
+    pin batched == per-pair) build one.
+    """
+    engine = HardwareEngine(config)
+    engine.hw = _PerPairTester(engine.config)
+    return engine
+
+
 # ---------------------------------------------------------------------------
 # Table 2
 # ---------------------------------------------------------------------------
@@ -1018,7 +1045,9 @@ def ablation_overlap_methods(
     logical operations, depth buffer, and stencil buffer as alternatives.
     All five must return identical join results; they differ in buffer
     traffic (e.g. the accumulation variant pays three glAccum transfers per
-    test, the depth variant needs an extra buffer clear).
+    test, the depth variant needs an extra buffer clear).  The mechanisms
+    only exist in the paper-literal per-pair test (the atlas has one), so
+    the join refines on a :func:`per_pair_engine`.
     """
     scale = get_scale(scale)
     ds_a = scale.load(pair[0], role="join")
@@ -1026,7 +1055,7 @@ def ablation_overlap_methods(
     rows: List[Tuple] = []
     reference = None
     for method in OVERLAP_METHODS:
-        engine = HardwareEngine(
+        engine = per_pair_engine(
             HardwareConfig(resolution=resolution, method=method)
         )
         start = time.perf_counter()
@@ -1269,9 +1298,9 @@ def batch_refine(
     """Tiled batched hardware refinement vs the per-pair loop.
 
     The batching counterpart of ``exec-parallel``: the same >= 2k-candidate
-    intersection join is refined by the hardware engine twice per
-    resolution - once with the per-pair hardware submission loop
-    (``use_batch=False``) and once through the tiled atlas path - plus a
+    intersection join is refined twice per resolution - once with the
+    hardware stage submitting pair by pair (:func:`per_pair_engine`) and
+    once through the tiled atlas, the pipelines' only path - plus a
     within-distance pass exercising the per-pair line widths.  Results and
     refinement statistics are asserted identical; the rows show what
     amortizing the fixed per-submission overhead (draw-call setup, clears,
@@ -1287,24 +1316,17 @@ def batch_refine(
     for resolution in resolutions:
         config = HardwareConfig(resolution=resolution)
         for op, runner in (
-            (
-                "intersect",
-                lambda e, use: IntersectionJoin(
-                    ds_a, ds_b, e, use_batch=use
-                ).run(),
-            ),
+            ("intersect", lambda e: IntersectionJoin(ds_a, ds_b, e).run()),
             (
                 "within_distance",
-                lambda e, use: WithinDistanceJoin(
-                    ds_a, ds_b, e, use_batch=use
-                ).run(d),
+                lambda e: WithinDistanceJoin(ds_a, ds_b, e).run(d),
             ),
         ):
-            serial_engine = HardwareEngine(config)
-            serial = runner(serial_engine, False)
+            serial_engine = per_pair_engine(config)
+            serial = runner(serial_engine)
             serial_ms = serial.cost.geometry_s * _MS
             batch_engine = HardwareEngine(config)
-            batched = runner(batch_engine, True)
+            batched = runner(batch_engine)
             assert batched.pairs == serial.pairs, "batched must match serial"
             assert batch_engine.stats == serial_engine.stats, (
                 "batched stats must match serial"

@@ -1,27 +1,25 @@
 """The paper's contribution: hardware-assisted refinement tests.
 
-Algorithm 3.1 (hybrid intersection test), its within-distance extension,
-the projection strategies of section 3.2, the ``sw_threshold`` adaptation of
+Algorithm 3.1 (hybrid intersection test), its within-distance and
+containment extensions - one staged implementation, :mod:`.refine` - the
+projection strategies of section 3.2, the ``sw_threshold`` adaptation of
 section 4.3, and the engine abstraction the query pipelines plug into.
 """
 
-from .batch import BATCH_OPS, refine_pairs_batched
 from .config import OVERLAP_METHODS, OVERLAP_THRESHOLD, HardwareConfig
-from .containment import hybrid_contains_properly, software_contains_properly
-from .distance import hybrid_within_distance, software_within_distance
 from .engine import HardwareEngine, RefinementEngine, SoftwareEngine, make_engine
 from .hardware_test import HardwareSegmentTest, HardwareVerdict
-from .intersection import hybrid_polygons_intersect, software_polygons_intersect
 from .platform import PLATFORM_2003, Platform2003
 from .projection import distance_window, intersection_window, union_window
+from .refine import OPS, refine_items
 from .stats import RefinementStats
 
 __all__ = [
-    "BATCH_OPS",
     "HardwareConfig",
     "HardwareEngine",
     "HardwareSegmentTest",
     "HardwareVerdict",
+    "OPS",
     "OVERLAP_METHODS",
     "OVERLAP_THRESHOLD",
     "PLATFORM_2003",
@@ -30,14 +28,8 @@ __all__ = [
     "RefinementStats",
     "SoftwareEngine",
     "distance_window",
-    "hybrid_contains_properly",
-    "hybrid_polygons_intersect",
-    "hybrid_within_distance",
     "intersection_window",
     "make_engine",
-    "refine_pairs_batched",
-    "software_contains_properly",
-    "software_polygons_intersect",
-    "software_within_distance",
+    "refine_items",
     "union_window",
 ]

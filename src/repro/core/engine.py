@@ -1,13 +1,16 @@
 """Refinement engines: pluggable geometry-comparison back ends.
 
-The query pipelines (:mod:`repro.query`) take an engine object and call it
-for every candidate pair that survives filtering.  Two engines implement the
+The query pipelines (:mod:`repro.query`) take an engine object and hand it
+the candidate pairs that survive filtering.  Two engines implement the
 paper's comparison:
 
 * :class:`SoftwareEngine` - the reference algorithms (restricted plane
   sweep; frontier-chain minDist);
 * :class:`HardwareEngine` - Algorithm 3.1 and its distance extension,
   backed by one simulated graphics pipeline per engine instance.
+
+Both run the same staged test (:mod:`repro.core.refine`) over whole
+candidate batches; the software engine simply has no hardware stage.
 
 Both engines accumulate :class:`~repro.core.stats.RefinementStats` so
 experiments can report work distribution alongside wall-clock time.
@@ -16,18 +19,15 @@ experiments can report work distribution alongside wall-clock time.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Any, List, Optional, Protocol, Sequence, Tuple
+from typing import Any, List, Optional, Protocol, Sequence
 
 from ..cache import CacheBundle, CacheConfig, default_cache_config
 from ..geometry.min_dist import MinDistStats
 from ..geometry.polygon import Polygon
 from ..geometry.sweep import SweepStats
-from .batch import refine_pairs_batched
 from .config import HardwareConfig
-from .containment import hybrid_contains_properly, software_contains_properly
-from .distance import hybrid_within_distance, software_within_distance
 from .hardware_test import HardwareSegmentTest
-from .intersection import hybrid_polygons_intersect, software_polygons_intersect
+from .refine import WorkItem, refine_items
 from .stats import RefinementStats
 
 
@@ -36,6 +36,15 @@ class RefinementEngine(Protocol):
 
     name: str
     stats: RefinementStats
+
+    def refine(
+        self,
+        op: str,
+        items: Sequence[WorkItem],
+        distance: Optional[float] = None,
+    ) -> List[Any]:
+        """Keys of the ``(key, a, b)`` items satisfying ``op``, in order."""
+        ...
 
     def polygons_intersect(self, a: Polygon, b: Polygon) -> bool:
         """Exact intersection predicate."""
@@ -53,57 +62,58 @@ class RefinementEngine(Protocol):
         ...
 
 
-class SoftwareEngine:
-    """Software-only refinement (the paper's baseline algorithms)."""
+class _StagedEngine:
+    """What both engines share: work counters, caches, and one code path.
 
-    #: No fixed per-test overhead to amortize: the software engine gains
-    #: nothing from batching, so pipelines keep their per-pair loop.
-    supports_batch = False
+    Every predicate is a :meth:`refine` call - the per-pair predicates are
+    batches of one - so an engine differs from the other only in whether
+    it owns a hardware tester.
+    """
 
-    def __init__(
-        self,
-        restrict_search_space: bool = True,
-        cache: Optional[CacheConfig] = None,
-    ) -> None:
-        self.name = "software"
-        self.restrict_search_space = restrict_search_space
+    #: The hardware stage; ``None`` means there is none.
+    hw: Optional[HardwareSegmentTest] = None
+    restrict_search_space = True
+
+    def __init__(self) -> None:
         self.stats = RefinementStats()
         self.sweep_stats = SweepStats()
         self.mindist_stats = MinDistStats()
-        #: Resolved once at construction (``None`` reads the process
-        #: default), so sharded workers rebuilt from a pickled spec can
-        #: never disagree with their coordinator.
-        self.cache_config = cache if cache is not None else default_cache_config()
-        self.caches = CacheBundle(self.cache_config)
+
+    def refine(
+        self,
+        op: str,
+        items: Sequence[WorkItem],
+        distance: Optional[float] = None,
+    ) -> List[Any]:
+        """Refine a candidate batch (:func:`~repro.core.refine.refine_items`).
+
+        ``op`` is ``"intersect"``, ``"within_distance"`` (requires
+        ``distance``), or ``"contains"``; ``items`` are ``(key, a, b)``
+        work units.  Returns the keys of matching pairs in item order.
+        Decisions and accumulated statistics do not depend on how a
+        candidate list is cut into calls - only the number of hardware
+        submissions (and therefore the fixed per-test overhead) does.
+        """
+        return refine_items(
+            op,
+            items,
+            distance,
+            self.hw,
+            self.stats,
+            self.sweep_stats,
+            self.mindist_stats,
+            self.restrict_search_space,
+            self.caches.predicate,
+        )
 
     def polygons_intersect(self, a: Polygon, b: Polygon) -> bool:
-        return software_polygons_intersect(
-            a,
-            b,
-            stats=self.stats,
-            sweep_stats=self.sweep_stats,
-            restrict_search_space=self.restrict_search_space,
-            cache=self.caches.predicate,
-        )
+        return bool(self.refine("intersect", [(0, a, b)]))
 
     def within_distance(self, a: Polygon, b: Polygon, d: float) -> bool:
-        return software_within_distance(
-            a,
-            b,
-            d,
-            stats=self.stats,
-            mindist_stats=self.mindist_stats,
-            cache=self.caches.predicate,
-        )
+        return bool(self.refine("within_distance", [(0, a, b)], distance=d))
 
     def contains_properly(self, a: Polygon, b: Polygon) -> bool:
-        return software_contains_properly(
-            a,
-            b,
-            stats=self.stats,
-            sweep_stats=self.sweep_stats,
-            cache=self.caches.predicate,
-        )
+        return bool(self.refine("contains", [(0, a, b)]))
 
     def reset_stats(self) -> None:
         self.stats.reset()
@@ -115,15 +125,29 @@ class SoftwareEngine:
         self.caches.reset()
 
 
-class HardwareEngine:
+class SoftwareEngine(_StagedEngine):
+    """Software-only refinement (the paper's baseline algorithms)."""
+
+    def __init__(
+        self,
+        restrict_search_space: bool = True,
+        cache: Optional[CacheConfig] = None,
+    ) -> None:
+        super().__init__()
+        self.name = "software"
+        self.restrict_search_space = restrict_search_space
+        #: Resolved once at construction (``None`` reads the process
+        #: default), so sharded workers rebuilt from a pickled spec can
+        #: never disagree with their coordinator.
+        self.cache_config = cache if cache is not None else default_cache_config()
+        self.caches = CacheBundle(self.cache_config)
+
+
+class HardwareEngine(_StagedEngine):
     """Hardware-assisted refinement (Algorithm 3.1 + distance extension)."""
 
-    #: The hardware engine amortizes its fixed per-test overhead by packing
-    #: many pair tests into one atlas submission; pipelines that see this
-    #: flag hand the engine whole candidate batches via :meth:`refine_batch`.
-    supports_batch = True
-
     def __init__(self, config: Optional[HardwareConfig] = None) -> None:
+        super().__init__()
         config = config if config is not None else HardwareConfig()
         if config.cache is None:
             # Pin the process default into the config so the engine (and any
@@ -133,83 +157,20 @@ class HardwareEngine:
         self.config = config
         self.name = f"hardware[{self.config.resolution}x{self.config.resolution}]"
         self.hw = HardwareSegmentTest(self.config)
-        self.caches = self.hw.caches
-        self.stats = RefinementStats()
-        self.sweep_stats = SweepStats()
-        self.mindist_stats = MinDistStats()
+
+    @property
+    def caches(self) -> CacheBundle:
+        """The tester's memoization layers (one bundle per GL context)."""
+        return self.hw.caches
 
     @property
     def gpu_counters(self):
         """Primitive-operation counters of the underlying pipeline."""
         return self.hw.pipeline.counters
 
-    def polygons_intersect(self, a: Polygon, b: Polygon) -> bool:
-        return hybrid_polygons_intersect(
-            a,
-            b,
-            self.hw,
-            stats=self.stats,
-            sweep_stats=self.sweep_stats,
-            cache=self.caches.predicate,
-        )
-
-    def within_distance(self, a: Polygon, b: Polygon, d: float) -> bool:
-        return hybrid_within_distance(
-            a,
-            b,
-            d,
-            self.hw,
-            stats=self.stats,
-            mindist_stats=self.mindist_stats,
-            cache=self.caches.predicate,
-        )
-
-    def contains_properly(self, a: Polygon, b: Polygon) -> bool:
-        return hybrid_contains_properly(
-            a,
-            b,
-            self.hw,
-            stats=self.stats,
-            sweep_stats=self.sweep_stats,
-            cache=self.caches.predicate,
-        )
-
-    def refine_batch(
-        self,
-        op: str,
-        items: Sequence[Tuple[Any, Polygon, Polygon]],
-        distance: Optional[float] = None,
-    ) -> List[Any]:
-        """Refine a whole candidate batch with batched hardware tests.
-
-        ``op`` is ``"intersect"``, ``"within_distance"`` (requires
-        ``distance``), or ``"contains"``; ``items`` are ``(key, a, b)``
-        work units.  Returns the keys of matching pairs in item order.
-        Decisions and accumulated statistics are bit-identical to calling
-        the corresponding per-pair predicate over ``items`` in order -
-        only the number of hardware submissions (and therefore the fixed
-        per-test overhead) changes.
-        """
-        return refine_pairs_batched(
-            self.hw,
-            op,
-            items,
-            distance=distance,
-            stats=self.stats,
-            sweep_stats=self.sweep_stats,
-            mindist_stats=self.mindist_stats,
-            predicate_cache=self.caches.predicate,
-        )
-
     def reset_stats(self) -> None:
-        self.stats.reset()
-        self.sweep_stats = SweepStats()
-        self.mindist_stats = MinDistStats()
+        super().reset_stats()
         self.gpu_counters.reset()
-
-    def reset_caches(self) -> None:
-        """Drop all memoized entries and tallies (configuration kept)."""
-        self.caches.reset()
 
 
 def make_engine(

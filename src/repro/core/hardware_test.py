@@ -284,64 +284,7 @@ class HardwareSegmentTest:
         unchanged, so the verdict list and RefinementStats stay
         bit-identical to the cache-off run.
         """
-        pairs = list(pairs)
-        if not pairs:
-            return []
-        registry = current_registry()
-        start = time.perf_counter() if registry is not None else 0.0
-        cache = self.verdict_cache
-        verdicts: List[Optional[HardwareVerdict]] = [None] * len(pairs)
-        if cache is not None:
-            keys: List[object] = [None] * len(pairs)
-            render_idx: List[int] = []
-            leader_of: dict = {}
-            followers: dict = {}
-            for k, (a, b, window) in enumerate(pairs):
-                key = cache.key(
-                    "intersect", self.config.method, a, b, window, 0.0,
-                    self.config.resolution,
-                )
-                keys[k] = key
-                verdict = cache.lookup("intersect", key)
-                if verdict is not None:
-                    verdicts[k] = verdict
-                    continue
-                leader = leader_of.get(key)
-                if leader is None:
-                    leader_of[key] = k
-                    render_idx.append(k)
-                else:
-                    followers.setdefault(leader, []).append(k)
-        else:
-            render_idx = list(range(len(pairs)))
-        if render_idx:
-            flags = self.tiled.overlap_flags(
-                [pairs[k][0].edges_array for k in render_idx],
-                [pairs[k][1].edges_array for k in render_idx],
-                [pairs[k][2] for k in render_idx],
-                widths_px=DEFAULT_AA_LINE_WIDTH,
-                cap_points=False,
-                threshold=OVERLAP_THRESHOLD,
-            )
-            for k, f in zip(render_idx, flags):
-                verdict = (
-                    HardwareVerdict.MAYBE if f else HardwareVerdict.DISJOINT
-                )
-                verdicts[k] = verdict
-                if cache is not None:
-                    cache.store("intersect", keys[k], verdict)
-                    for j in followers.get(k, ()):
-                        verdicts[j] = verdict
-        assert all(v is not None for v in verdicts)
-        if registry is not None:
-            registry.histogram("hw_batch_duration_s", op="intersect").observe(
-                time.perf_counter() - start
-            )
-            for (a, b, _), verdict in zip(pairs, verdicts):
-                self._observe_test(
-                    registry, "intersect", self.config.method, verdict, a, b
-                )
-        return verdicts  # type: ignore[return-value]
+        return self._verdicts_batch("intersect", list(pairs), 0.0, None)
 
     def distance_verdicts_batch(
         self, pairs: Sequence[PairWindow], d: float
@@ -361,8 +304,6 @@ class HardwareSegmentTest:
         if d < 0.0:
             raise ValueError("distance must be non-negative")
         pairs = list(pairs)
-        if not pairs:
-            return []
         # As in distance_verdict, delegating paths record in the delegate.
         if d == 0.0:
             return self.intersection_verdicts_batch(pairs)
@@ -370,23 +311,41 @@ class HardwareSegmentTest:
             return [
                 self.distance_field_verdict(a, b, w, d) for a, b, w in pairs
             ]
+        vw, vh = self.pipeline.width, self.pipeline.height
+        widths = [
+            float(max(1, math.ceil(d * uniform_window_scale(vw, vh, window))))
+            for _, _, window in pairs
+        ]
+        return self._verdicts_batch("within_distance", pairs, d, widths)
+
+    def _verdicts_batch(
+        self,
+        op: str,
+        pairs: List[PairWindow],
+        d: float,
+        widths: Optional[List[float]],
+    ) -> List[HardwareVerdict]:
+        """Cache lookup, leader/follower dedup, one atlas submission, metrics.
+
+        ``widths`` holds each pair's Equation (1) line width in pixels
+        (rendered with matching end-point caps); ``None`` renders every
+        pair at the default anti-aliased width, uncapped.
+        """
+        if not pairs:
+            return []
         registry = current_registry()
         start = time.perf_counter() if registry is not None else 0.0
         cache = self.verdict_cache
+        limits = self.config.limits
         verdicts: List[Optional[HardwareVerdict]] = [None] * len(pairs)
         keys: List[object] = [None] * len(pairs)
         render_idx: List[int] = []
-        widths: List[float] = []
         leader_of: dict = {}
         followers: dict = {}
-        limits = self.config.limits
-        vw, vh = self.pipeline.width, self.pipeline.height
         for k, (a, b, window) in enumerate(pairs):
-            scale = uniform_window_scale(vw, vh, window)
-            width_px = float(max(1, math.ceil(d * scale)))
-            if not (
-                limits.supports_line_width(width_px)
-                and limits.supports_point_size(width_px)
+            if widths is not None and not (
+                limits.supports_line_width(widths[k])
+                and limits.supports_point_size(widths[k])
             ):
                 # Decided by the width comparison alone - never cached, as
                 # in distance_verdict, so hw_line_width_overflow stays on
@@ -395,37 +354,41 @@ class HardwareSegmentTest:
                 if registry is not None:
                     registry.counter(
                         "hw_line_width_overflow",
-                        op="within_distance",
+                        op=op,
                         method=self.config.method,
                     ).inc()
                 continue
             if cache is not None:
                 key = cache.key(
-                    "within_distance", self.config.method, a, b, window, d,
+                    op, self.config.method, a, b, window, d,
                     self.config.resolution,
                 )
                 keys[k] = key
-                verdict = cache.lookup("within_distance", key)
+                verdict = cache.lookup(op, key)
                 if verdict is not None:
                     verdicts[k] = verdict
                     continue
-                leader = leader_of.get(key)
-                if leader is not None:
+                leader = leader_of.setdefault(key, k)
+                if leader != k:
                     # Duplicate key within the batch: the width is a pure
                     # function of (window, d), so sharing the leader's
                     # verdict is exact.
                     followers.setdefault(leader, []).append(k)
                     continue
-                leader_of[key] = k
             render_idx.append(k)
-            widths.append(width_px)
         if render_idx:
             flags = self.tiled.overlap_flags(
                 [pairs[k][0].edges_array for k in render_idx],
                 [pairs[k][1].edges_array for k in render_idx],
                 [pairs[k][2] for k in render_idx],
-                widths_px=np.asarray(widths, dtype=np.float64),
-                cap_points=True,
+                widths_px=(
+                    DEFAULT_AA_LINE_WIDTH
+                    if widths is None
+                    else np.asarray(
+                        [widths[k] for k in render_idx], dtype=np.float64
+                    )
+                ),
+                cap_points=widths is not None,
                 threshold=OVERLAP_THRESHOLD,
             )
             for k, f in zip(render_idx, flags):
@@ -434,17 +397,17 @@ class HardwareSegmentTest:
                 )
                 verdicts[k] = verdict
                 if cache is not None:
-                    cache.store("within_distance", keys[k], verdict)
+                    cache.store(op, keys[k], verdict)
                     for j in followers.get(k, ()):
                         verdicts[j] = verdict
         assert all(v is not None for v in verdicts)
         if registry is not None:
-            registry.histogram(
-                "hw_batch_duration_s", op="within_distance"
-            ).observe(time.perf_counter() - start)
+            registry.histogram("hw_batch_duration_s", op=op).observe(
+                time.perf_counter() - start
+            )
             for (a, b, _), verdict in zip(pairs, verdicts):
                 self._observe_test(
-                    registry, "within_distance", self.config.method, verdict, a, b
+                    registry, op, self.config.method, verdict, a, b
                 )
         return verdicts  # type: ignore[return-value]
 

@@ -54,9 +54,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from ..cache import CacheConfig
 from ..core.config import HardwareConfig
 from ..core.engine import HardwareEngine, RefinementEngine, SoftwareEngine
+from ..core.refine import OPS, WorkItem
 from ..core.stats import RefinementStats
 from ..geometry.min_dist import MinDistStats
-from ..geometry.polygon import Polygon
 from ..geometry.sweep import SweepStats
 from ..gpu.costmodel import CostCounters
 from ..obs.capture import CommandRecorder, current_recorder, use_recorder
@@ -64,14 +64,6 @@ from ..obs.context import RequestContext, current_context, use_context
 from ..obs.metrics import MetricsRegistry, current_registry, use_registry
 from .partition import partition_items, shard_count_for
 from .trace import current_tracer
-
-#: The refinement predicates a batch can evaluate, mapping to the
-#: :class:`~repro.core.engine.RefinementEngine` protocol methods.
-OPS = ("intersect", "within_distance", "contains")
-
-#: One unit of refinement work: an opaque result key (pair index, object
-#: id, ...) plus the two geometries to compare.
-WorkItem = Tuple[Any, Polygon, Polygon]
 
 
 @dataclass(frozen=True)
@@ -147,36 +139,6 @@ class BatchReport:
     worker_seconds: float = 0.0
 
 
-def _op_callable(engine: RefinementEngine, op: str, distance: Optional[float]):
-    if op == "intersect":
-        return lambda a, b: engine.polygons_intersect(a, b)
-    if op == "within_distance":
-        if distance is None:
-            raise ValueError("op 'within_distance' requires a distance")
-        return lambda a, b: engine.within_distance(a, b, distance)
-    if op == "contains":
-        return lambda a, b: engine.contains_properly(a, b)
-    raise ValueError(f"unknown op {op!r}; expected one of {OPS}")
-
-
-def _refine_with(
-    engine: RefinementEngine,
-    op: str,
-    distance: Optional[float],
-    items: Sequence[WorkItem],
-) -> List[Any]:
-    """Refine ``items`` with ``engine``; the shared serial/worker inner loop.
-
-    Engines advertising ``supports_batch`` get the whole shard at once so
-    their fixed per-test overhead amortizes (identical results and stats
-    either way); others run the per-pair predicate loop.
-    """
-    if getattr(engine, "supports_batch", False):
-        return engine.refine_batch(op, items, distance=distance)
-    predicate = _op_callable(engine, op, distance)
-    return [key for key, a, b in items if predicate(a, b)]
-
-
 # -- worker-side machinery ---------------------------------------------------
 
 _WORKER_ENGINE: Optional[RefinementEngine] = None
@@ -234,19 +196,14 @@ def _refine_shard(
         RequestContext(trace_id=trace_id) if trace_id is not None else None
     )
     start = time.perf_counter()
-    with use_context(shard_context):
-        if shard_recorder is not None:
-            with use_recorder(shard_recorder):
-                if shard_registry is not None:
-                    with use_registry(shard_registry):
-                        matches = _refine_with(engine, op, distance, items)
-                else:
-                    matches = _refine_with(engine, op, distance, items)
-        elif shard_registry is not None:
-            with use_registry(shard_registry):
-                matches = _refine_with(engine, op, distance, items)
-        else:
-            matches = _refine_with(engine, op, distance, items)
+    # ``None`` scopes nothing in: a shard that collects no metrics/capture
+    # must not write into state a forked worker inherited either.
+    with (
+        use_context(shard_context),
+        use_recorder(shard_recorder),
+        use_registry(shard_registry),
+    ):
+        matches = engine.refine(op, items, distance=distance)
     elapsed = time.perf_counter() - start
     counters = (
         engine.gpu_counters.snapshot()
@@ -412,7 +369,7 @@ class ParallelExecutor:
             # the instrumented layers; only the shard-shape histograms need
             # recording here.
             start = time.perf_counter()
-            matches = _refine_with(engine, op, distance, items)
+            matches = engine.refine(op, items, distance=distance)
             elapsed = time.perf_counter() - start
             report.matches.extend(matches)
             report.shards = 1

@@ -1,7 +1,6 @@
 """Query pipelines: the three query classes of the paper's evaluation,
 staged per Figure 8 with per-stage cost accounting."""
 
-from .buffer_selection import BufferSelectionResult, WithinDistanceSelection
 from .containment import ContainmentResult, ContainmentSelection
 from .costs import CostBreakdown
 from .join import IntersectionJoin, JoinResult
@@ -10,7 +9,6 @@ from .selection import IntersectionSelection, SelectionResult
 from .within_distance import WithinDistanceJoin, WithinDistanceResult
 
 __all__ = [
-    "BufferSelectionResult",
     "ContainmentResult",
     "ContainmentSelection",
     "CostBreakdown",
@@ -21,6 +19,5 @@ __all__ = [
     "NearestResult",
     "SelectionResult",
     "WithinDistanceJoin",
-    "WithinDistanceSelection",
     "WithinDistanceResult",
 ]

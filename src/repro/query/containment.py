@@ -6,7 +6,7 @@ selection, but here the interior filter is in its element: an object whose
 MBR is completely covered by interior tiles is *provably* inside the query
 polygon, and in the refinement step the hardware test can confirm
 containment outright (boundaries disjoint + a vertex inside, see
-:mod:`repro.core.containment`).
+:mod:`repro.core.refine`).
 """
 
 from __future__ import annotations
@@ -16,11 +16,11 @@ from typing import List, Optional
 
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
-from ..filters.interior import InteriorFilter
 from ..geometry.polygon import Polygon
 from ..index.str_pack import str_bulk_load
 from ..obs.instrument import observe_pipeline
 from .costs import CostBreakdown
+from .stages import geometry_stage, interior_stage
 
 
 @dataclass
@@ -66,25 +66,12 @@ class ContainmentSelection:
         positives: List[int] = []
         remaining = candidates
         if self.interior_level is not None:
-            with cost.time_stage("intermediate_filter"):
-                interior = InteriorFilter(query, self.interior_level)
-                remaining = []
-                for i in candidates:
-                    # Interior tiles lie in the open interior, so a covered
-                    # MBR certifies *proper* containment directly.
-                    if interior.covers(self.dataset.mbrs[i]):
-                        positives.append(i)
-                    else:
-                        remaining.append(i)
-            cost.filter_positives = len(positives)
+            positives, remaining = interior_stage(
+                query, self.interior_level, self.dataset.mbrs, candidates, cost
+            )
 
-        with cost.time_stage("geometry"):
-            for i in remaining:
-                cost.pairs_compared += 1
-                if self.engine.contains_properly(
-                    query, self.dataset.polygons[i]
-                ):
-                    positives.append(i)
+        items = [(i, query, self.dataset.polygons[i]) for i in remaining]
+        positives.extend(geometry_stage(self.engine, None, "contains", items, cost))
 
         positives.sort()
         cost.results = len(positives)

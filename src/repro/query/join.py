@@ -26,16 +26,12 @@ from typing import List, Optional, Tuple
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
 from ..exec.parallel import ParallelExecutor
-from ..filters.intervals import (
-    DEFAULT_INTERVAL_LEVEL,
-    IntervalIndex,
-    IntervalVerdict,
-    classify_intervals,
-)
+from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, IntervalIndex
 from ..filters.progressive import ConvexHullFilter
 from ..index.mbr_join import plane_sweep_mbr_join
 from ..obs.instrument import observe_pipeline
 from .costs import CostBreakdown
+from .stages import geometry_stage, interval_stage
 
 
 @dataclass
@@ -56,7 +52,6 @@ class IntersectionJoin:
         engine: RefinementEngine,
         use_hull_filter: bool = False,
         executor: Optional[ParallelExecutor] = None,
-        use_batch: bool = True,
         use_intervals: bool = False,
         interval_level: int = DEFAULT_INTERVAL_LEVEL,
     ) -> None:
@@ -74,12 +69,9 @@ class IntersectionJoin:
             else None
         )
         #: When set, the geometry stage refines candidate shards on the
-        #: executor's worker pool; results and stats are identical to the
-        #: serial loop (see :mod:`repro.exec.parallel`).
+        #: executor's worker pool; results and stats are identical to
+        #: refining on ``engine`` directly (see :mod:`repro.exec.parallel`).
         self.executor = executor
-        #: Batch the geometry stage through ``engine.refine_batch`` when the
-        #: engine supports it (identical results/stats; amortized overhead).
-        self.use_batch = use_batch
         self.hulls_a: ConvexHullFilter | None = None
         self.hulls_b: ConvexHullFilter | None = None
         if use_hull_filter:
@@ -107,46 +99,15 @@ class IntersectionJoin:
                     if self.hulls_a.may_intersect(i, self.hulls_b, j)
                 ]
 
-        results: List[Tuple[int, int]] = []
         polys_a = self.dataset_a.polygons
         polys_b = self.dataset_b.polygons
-
+        items = [((i, j), polys_a[i], polys_b[j]) for i, j in candidates]
+        results: List[Tuple[int, int]] = []
         if self.intervals is not None:
-            # Settle candidates with the precomputed encodings before the
-            # geometry dispatch: the serial, batched, and sharded paths
-            # then all refine the identical UNKNOWN set.
-            with cost.time_stage("intermediate_filter"):
-                undecided: List[Tuple[int, int]] = []
-                for i, j in candidates:
-                    verdict = classify_intervals(
-                        self.intervals.encode(polys_a[i]),
-                        self.intervals.encode(polys_b[j]),
-                    )
-                    if verdict is IntervalVerdict.INTERSECTING:
-                        results.append((i, j))
-                        cost.interval_hits += 1
-                    elif verdict is IntervalVerdict.DISJOINT:
-                        cost.interval_drops += 1
-                    else:
-                        undecided.append((i, j))
-                candidates = undecided
-
-        with cost.time_stage("geometry"):
-            if self.executor is not None:
-                items = [((i, j), polys_a[i], polys_b[j]) for i, j in candidates]
-                results.extend(
-                    self.executor.refine_pairs(self.engine, "intersect", items)
-                )
-                cost.pairs_compared += len(candidates)
-            elif self.use_batch and getattr(self.engine, "supports_batch", False):
-                items = [((i, j), polys_a[i], polys_b[j]) for i, j in candidates]
-                results.extend(self.engine.refine_batch("intersect", items))
-                cost.pairs_compared += len(candidates)
-            else:
-                for i, j in candidates:
-                    cost.pairs_compared += 1
-                    if self.engine.polygons_intersect(polys_a[i], polys_b[j]):
-                        results.append((i, j))
+            results, items = interval_stage(self.intervals, items, cost)
+        results.extend(
+            geometry_stage(self.engine, self.executor, "intersect", items, cost)
+        )
 
         results.sort()
         cost.results = len(results)

@@ -22,17 +22,12 @@ from typing import List, Optional
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
 from ..exec.parallel import ParallelExecutor
-from ..filters.interior import InteriorFilter
-from ..filters.intervals import (
-    DEFAULT_INTERVAL_LEVEL,
-    IntervalIndex,
-    IntervalVerdict,
-    classify_intervals,
-)
+from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, IntervalIndex
 from ..geometry.polygon import Polygon
 from ..index.str_pack import str_bulk_load
 from ..obs.instrument import observe_pipeline
 from .costs import CostBreakdown
+from .stages import geometry_stage, interior_stage, interval_stage
 
 
 @dataclass
@@ -56,7 +51,6 @@ class IntersectionSelection:
         engine: RefinementEngine,
         interior_level: Optional[int] = None,
         executor: Optional[ParallelExecutor] = None,
-        use_batch: bool = True,
         use_intervals: bool = False,
         interval_level: int = DEFAULT_INTERVAL_LEVEL,
     ) -> None:
@@ -65,8 +59,8 @@ class IntersectionSelection:
         self.dataset = dataset
         self.engine = engine
         self.interior_level = interior_level
-        #: Render-free second filter (off by default, like ``use_batch`` a
-        #: pure knob: results are bit-identical either way).  Dataset
+        #: Render-free second filter (off by default; a pure knob: results
+        #: are bit-identical either way).  Dataset
         #: encodings precompute here, at build time; query polygons encode
         #: on first sight and memoize by content digest.
         self.intervals: Optional[IntervalIndex] = (
@@ -75,13 +69,8 @@ class IntersectionSelection:
             else None
         )
         #: Optional parallel batch executor for the geometry stage
-        #: (identical results/stats to the serial loop).
+        #: (identical results/stats to refining on ``engine`` directly).
         self.executor = executor
-        #: Hand engines that support it (``engine.supports_batch``) whole
-        #: candidate batches so the fixed per-test hardware overhead
-        #: amortizes across pairs; results and stats are identical either
-        #: way, so this is purely a throughput knob.
-        self.use_batch = use_batch
         self.index = str_bulk_load(
             [(mbr, i) for i, mbr in enumerate(dataset.mbrs)]
         )
@@ -98,59 +87,17 @@ class IntersectionSelection:
         positives: List[int] = []
         remaining: List[int] = candidates
         if self.interior_level is not None:
-            with cost.time_stage("intermediate_filter"):
-                interior = InteriorFilter(query, self.interior_level)
-                remaining = []
-                for i in candidates:
-                    if interior.covers(self.dataset.mbrs[i]):
-                        positives.append(i)
-                    else:
-                        remaining.append(i)
-            cost.filter_positives = len(positives)
+            positives, remaining = interior_stage(
+                query, self.interior_level, self.dataset.mbrs, candidates, cost
+            )
 
+        items = [(i, query, self.dataset.polygons[i]) for i in remaining]
         if self.intervals is not None:
-            # The interval second filter: settle candidates in both
-            # directions with precomputed encodings, no rendering.  Runs
-            # before the geometry stage dispatch, so the serial, batched,
-            # and sharded paths all refine the identical UNKNOWN set.
-            with cost.time_stage("intermediate_filter"):
-                query_enc = self.intervals.encode(query)
-                undecided: List[int] = []
-                for i in remaining:
-                    verdict = classify_intervals(
-                        query_enc, self.intervals.encode(self.dataset.polygons[i])
-                    )
-                    if verdict is IntervalVerdict.INTERSECTING:
-                        positives.append(i)
-                        cost.interval_hits += 1
-                    elif verdict is IntervalVerdict.DISJOINT:
-                        cost.interval_drops += 1
-                    else:
-                        undecided.append(i)
-                remaining = undecided
-
-        with cost.time_stage("geometry"):
-            if self.executor is not None:
-                items = [
-                    (i, query, self.dataset.polygons[i]) for i in remaining
-                ]
-                positives.extend(
-                    self.executor.refine_pairs(self.engine, "intersect", items)
-                )
-                cost.pairs_compared += len(remaining)
-            elif self.use_batch and getattr(self.engine, "supports_batch", False):
-                items = [
-                    (i, query, self.dataset.polygons[i]) for i in remaining
-                ]
-                positives.extend(self.engine.refine_batch("intersect", items))
-                cost.pairs_compared += len(remaining)
-            else:
-                for i in remaining:
-                    cost.pairs_compared += 1
-                    if self.engine.polygons_intersect(
-                        query, self.dataset.polygons[i]
-                    ):
-                        positives.append(i)
+            hits, items = interval_stage(self.intervals, items, cost)
+            positives.extend(hits)
+        positives.extend(
+            geometry_stage(self.engine, self.executor, "intersect", items, cost)
+        )
 
         positives.sort()
         cost.results = len(positives)

@@ -25,6 +25,7 @@ from ..filters.progressive import ConvexHullFilter
 from ..index.mbr_join import plane_sweep_mbr_join
 from ..obs.instrument import observe_pipeline
 from .costs import CostBreakdown
+from .stages import geometry_stage
 
 
 @dataclass
@@ -47,17 +48,13 @@ class WithinDistanceJoin:
         use_one_object: bool = True,
         use_hull_filter: bool = False,
         executor: Optional[ParallelExecutor] = None,
-        use_batch: bool = True,
     ) -> None:
         self.dataset_a = dataset_a
         self.dataset_b = dataset_b
         self.engine = engine
         #: Optional parallel batch executor for the geometry stage
-        #: (identical results/stats to the serial loop).
+        #: (identical results/stats to refining on ``engine`` directly).
         self.executor = executor
-        #: Batch the geometry stage through ``engine.refine_batch`` when the
-        #: engine supports it (identical results/stats; amortized overhead).
-        self.use_batch = use_batch
         self.use_zero_object = use_zero_object
         self.use_one_object = use_one_object
         self.use_hull_filter = use_hull_filter
@@ -115,28 +112,13 @@ class WithinDistanceJoin:
                     remaining.append((i, j))
             cost.filter_positives = len(results)
 
-        with cost.time_stage("geometry"):
-            if self.executor is not None:
-                items = [((i, j), polys_a[i], polys_b[j]) for i, j in remaining]
-                results.extend(
-                    self.executor.refine_pairs(
-                        self.engine, "within_distance", items, distance=d
-                    )
-                )
-                cost.pairs_compared += len(remaining)
-            elif self.use_batch and getattr(self.engine, "supports_batch", False):
-                items = [((i, j), polys_a[i], polys_b[j]) for i, j in remaining]
-                results.extend(
-                    self.engine.refine_batch(
-                        "within_distance", items, distance=d
-                    )
-                )
-                cost.pairs_compared += len(remaining)
-            else:
-                for i, j in remaining:
-                    cost.pairs_compared += 1
-                    if self.engine.within_distance(polys_a[i], polys_b[j], d):
-                        results.append((i, j))
+        items = [((i, j), polys_a[i], polys_b[j]) for i, j in remaining]
+        results.extend(
+            geometry_stage(
+                self.engine, self.executor, "within_distance", items, cost,
+                distance=d,
+            )
+        )
 
         results.sort()
         cost.results = len(results)

@@ -29,8 +29,8 @@ serving layer adds no execution path of its own - it calls the exact
 pipeline objects (:class:`~repro.query.selection.IntersectionSelection`,
 :class:`~repro.query.join.IntersectionJoin`,
 :class:`~repro.query.within_distance.WithinDistanceJoin`) a batch caller
-would, with the backend (serial / batched / sharded) chosen by the
-workload config.
+would, with the backend (batched / sharded) chosen by the workload
+config.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from ..query.within_distance import WithinDistanceJoin
 from .schema import QueryRequest
 
 #: Geometry-stage backends a workload may select.
-BACKENDS = ("serial", "batched", "sharded")
+BACKENDS = ("batched", "sharded")
 
 
 @dataclass(frozen=True)
@@ -67,9 +67,9 @@ class WorkloadConfig:
     engine: str = "hardware"
     #: Hardware window resolution (ignored for the software engine).
     resolution: int = 8
-    #: Geometry-stage backend: "serial" (per-pair loop), "batched"
-    #: (atlas-packed hardware batches), or "sharded" (ParallelExecutor
-    #: over a process pool, per worker).
+    #: Geometry-stage backend: "batched" (the whole candidate list in one
+    #: ``engine.refine`` call) or "sharded" (ParallelExecutor over a
+    #: process pool, per worker).
     backend: str = "batched"
     #: Process-pool width for the "sharded" backend.
     shard_workers: int = 2
@@ -153,7 +153,6 @@ class ServingEngine:
         #: total across the pool; the health envelope's worker roster
         #: reports it as a liveness signal alongside the heartbeats).
         self.requests_served = 0
-        use_batch = config.backend == "batched"
         self.executor: Optional[ParallelExecutor] = (
             ParallelExecutor(workers=config.shard_workers)
             if config.backend == "sharded"
@@ -166,7 +165,6 @@ class ServingEngine:
             self.engine,
             interior_level=config.interior_level,
             executor=self.executor,
-            use_batch=use_batch,
             use_intervals=config.use_intervals,
             interval_level=config.interval_level,
         )
@@ -175,7 +173,6 @@ class ServingEngine:
             workload.join_b,
             self.engine,
             executor=self.executor,
-            use_batch=use_batch,
             use_intervals=config.use_intervals,
             interval_level=config.interval_level,
         )
@@ -184,7 +181,6 @@ class ServingEngine:
             workload.join_b,
             self.engine,
             executor=self.executor,
-            use_batch=use_batch,
         )
 
     def execute(self, request: QueryRequest) -> Tuple[List[Any], CostBreakdown]:

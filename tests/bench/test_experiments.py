@@ -11,6 +11,7 @@ import pytest
 from repro.bench import (
     ALL_EXPERIMENTS,
     ablation_minmax,
+    ablation_overlap_methods,
     ablation_projection,
     ablation_restricted_sweep,
     fig11_selection_resolution,
@@ -120,6 +121,15 @@ class TestAblations:
         readback = next(r for r in result.rows if r[0] == "readback")
         minmax = next(r for r in result.rows if r[0] == "minmax")
         assert readback[2] > minmax[2]  # modeled bus cost
+
+    def test_overlap_methods_differ_in_buffer_traffic(self):
+        # Regression: run through the atlas, every method printed the same
+        # accum_ops/buffer_clears row; the mechanisms only exist per pair.
+        result = ablation_overlap_methods(scale="tiny")
+        rows = {r[0]: r for r in result.rows}
+        assert len({r[3] for r in result.rows}) == 1  # identical hw_rejects
+        assert [m for m, r in rows.items() if r[4] > 0] == ["accum"]
+        assert rows["depth"][5] > rows["blend"][5]  # the extra depth clear
 
     def test_projection_focused_filters_more(self):
         result = ablation_projection(scale="tiny")

@@ -6,18 +6,19 @@ minDist step counts, wall time), never an answer: matched keys,
 :class:`~repro.core.stats.RefinementStats`, and the derived explain funnels
 must come out identical in every execution mode.  These tests compare
 cache-on engines against fresh cache-off engines over the same inputs - per
-overlap method, for all three predicates, through the serial per-pair loop,
-the batched path, and the sharded parallel executor - and check that
-repeating work actually registers cache hits.
+overlap method, for all three predicates, through the paper-literal
+per-pair tester, the batched path, and the sharded parallel executor - and
+check that repeating work actually registers cache hits.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.experiments import per_pair_engine
 from repro.cache import CacheConfig
 from repro.core import (
-    BATCH_OPS,
+    OPS,
     OVERLAP_METHODS,
     HardwareConfig,
     HardwareEngine,
@@ -47,20 +48,21 @@ def pair_lists(min_size=1, max_size=10):
     return st.lists(polygon_pairs_nearby(), min_size=min_size, max_size=max_size)
 
 
-def engine_pair(method="accum", resolution=8):
+def engine_pair(method="accum", resolution=8, make=HardwareEngine):
     """A (cache-off, cache-on) pair of otherwise identical engines."""
-    off = HardwareEngine(
+    off = make(
         HardwareConfig(
             resolution=resolution, method=method, cache=CacheConfig.disabled()
         )
     )
-    on = HardwareEngine(
+    on = make(
         HardwareConfig(resolution=resolution, method=method, cache=CacheConfig())
     )
     return off, on
 
 
 def serial_keys(engine, op, items, distance=DISTANCE):
+    """The per-pair predicates (one-item refine calls), in item order."""
     if op == "intersect":
         return [k for k, a, b in items if engine.polygons_intersect(a, b)]
     if op == "within_distance":
@@ -79,9 +81,9 @@ def duplicated_items(pairs, repeats=2):
 
 class TestSerialEquivalence:
     @settings(max_examples=20, deadline=None)
-    @given(pair_lists(), st.sampled_from(OVERLAP_METHODS), st.sampled_from(BATCH_OPS))
+    @given(pair_lists(), st.sampled_from(OVERLAP_METHODS), st.sampled_from(OPS))
     def test_cache_on_matches_cache_off(self, pairs, method, op):
-        off, on = engine_pair(method)
+        off, on = engine_pair(method, make=per_pair_engine)
         items = duplicated_items(pairs)
         expected = serial_keys(off, op, items)
         got = serial_keys(on, op, items)
@@ -89,7 +91,7 @@ class TestSerialEquivalence:
         assert on.stats == off.stats
 
     def test_repeats_register_verdict_hits(self):
-        _, on = engine_pair()
+        _, on = engine_pair(make=per_pair_engine)
         assert on.polygons_intersect(CROSS_H, CROSS_V)
         assert on.polygons_intersect(CROSS_H, CROSS_V)
         assert on.caches.stats()["verdict"].hits >= 1
@@ -98,8 +100,8 @@ class TestSerialEquivalence:
         # With verdict caching off the repeat re-runs the whole test, so
         # the per-polygon coverage masks come from the render cache; the
         # verdict must still match a cache-off engine exactly.
-        off, _ = engine_pair()
-        on = HardwareEngine(
+        off, _ = engine_pair(make=per_pair_engine)
+        on = per_pair_engine(
             HardwareConfig(
                 resolution=8,
                 cache=CacheConfig(verdicts=False, predicates=False),
@@ -113,7 +115,7 @@ class TestSerialEquivalence:
         assert on.stats == off.stats
 
     def test_distance_repeats_register_hits(self):
-        off, on = engine_pair()
+        off, on = engine_pair(make=per_pair_engine)
         far = Polygon.from_coords([(20, 0), (22, 0), (22, 2), (20, 2)])
         for engine in (off, on):
             assert engine.within_distance(CROSS_V, far, 16.0)
@@ -124,12 +126,12 @@ class TestSerialEquivalence:
 
 class TestBatchedEquivalence:
     @settings(max_examples=15, deadline=None)
-    @given(pair_lists(), st.sampled_from(OVERLAP_METHODS), st.sampled_from(BATCH_OPS))
+    @given(pair_lists(), st.sampled_from(OVERLAP_METHODS), st.sampled_from(OPS))
     def test_cache_on_matches_cache_off(self, pairs, method, op):
         off, on = engine_pair(method)
         items = duplicated_items(pairs)
-        expected = off.refine_batch(op, items, distance=DISTANCE)
-        got = on.refine_batch(op, items, distance=DISTANCE)
+        expected = off.refine(op, items, distance=DISTANCE)
+        got = on.refine(op, items, distance=DISTANCE)
         assert got == expected
         assert on.stats == off.stats
 
@@ -138,8 +140,8 @@ class TestBatchedEquivalence:
         # reach the atlas as a single rendered tile pair.
         off, on = engine_pair()
         items = [((k,), CROSS_H, CROSS_V) for k in range(5)]
-        expected = off.refine_batch("intersect", items)
-        got = on.refine_batch("intersect", items)
+        expected = off.refine("intersect", items)
+        got = on.refine("intersect", items)
         assert got == expected
         assert on.stats == off.stats
         assert on.gpu_counters.edges_rendered < off.gpu_counters.edges_rendered
@@ -147,11 +149,11 @@ class TestBatchedEquivalence:
     def test_batch_matches_serial_with_caching(self):
         # The three paths must agree with each other, not just pairwise
         # with their own cache-off twins.
-        _, on_serial = engine_pair()
+        _, on_serial = engine_pair(make=per_pair_engine)
         _, on_batch = engine_pair()
         items = duplicated_items([(CROSS_H, CROSS_V)], repeats=3)
         expected = serial_keys(on_serial, "intersect", items)
-        got = on_batch.refine_batch("intersect", items)
+        got = on_batch.refine("intersect", items)
         assert got == expected
         assert on_batch.stats == on_serial.stats
 
@@ -168,7 +170,7 @@ class TestShardedEquivalence:
     @given(
         pair_lists(min_size=8, max_size=10),
         st.sampled_from(OVERLAP_METHODS),
-        st.sampled_from(BATCH_OPS),
+        st.sampled_from(OPS),
     )
     def test_cache_on_matches_cache_off(self, executors, pairs, method, op):
         ex_off, ex_on = executors
@@ -230,8 +232,8 @@ class TestSelectionFunnels:
         off, on = engine_pair(resolution=32)
         registry_off = MetricsRegistry()
         registry_on = MetricsRegistry()
-        sel_off = IntersectionSelection(ds, off, use_batch=True)
-        sel_on = IntersectionSelection(ds, on, use_batch=True)
+        sel_off = IntersectionSelection(ds, off)
+        sel_on = IntersectionSelection(ds, on)
 
         with use_registry(registry_off):
             ids_off = [sel_off.run(q).ids for q in queries for _ in (0, 1)]

@@ -1,10 +1,12 @@
-"""Batched refinement must be bit-identical to the serial per-pair loop.
+"""One refinement path: how a candidate list is cut into calls never matters.
 
-The tentpole guarantee of the tiled hardware path: packing pair tests into
-one atlas submission changes *how many* hardware submissions happen, never
-a verdict, a matched key, or a statistics counter.  These tests compare the
-batched APIs against fresh serial runs over the same inputs - for every
-overlap method, for all three predicates, and through the query pipeline.
+``engine.refine`` packs every hardware-bound pair of a call into one atlas
+submission.  That changes *how many* hardware submissions happen, never a
+verdict, a matched key, or a statistics counter: one call over N items,
+N one-item calls (what the per-pair predicates are), and the paper-literal
+per-pair tester (:func:`repro.bench.experiments.per_pair_engine`) all
+agree - for every overlap method, for all three predicates, on both
+engines, and through the query pipeline.
 """
 
 import dataclasses
@@ -13,15 +15,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.experiments import per_pair_engine
 from repro.core import (
-    BATCH_OPS,
+    OPS,
     OVERLAP_METHODS,
     HardwareConfig,
     HardwareEngine,
     HardwareSegmentTest,
+    RefinementStats,
     SoftwareEngine,
     intersection_window,
-    refine_pairs_batched,
+    refine_items,
 )
 from repro.core.projection import distance_window
 from repro.datasets import (
@@ -30,11 +34,15 @@ from repro.datasets import (
     VertexCountModel,
     generate_layer,
 )
-from repro.geometry import Rect
+from repro.geometry import MinDistStats, Rect, SweepStats
 from repro.query import IntersectionSelection
 from tests.strategies import polygon_pairs_nearby
 
 DISTANCE = 1.5
+
+#: Counters of per-primitive work (as opposed to per-submission overhead):
+#: identical however the pairs are batched.
+PER_PRIMITIVE_COUNTERS = ("edges_rendered", "edges_clipped_away", "pixels_written")
 
 
 def pair_lists(min_size=1, max_size=12):
@@ -94,6 +102,7 @@ class TestVerdictEquivalence:
 
 
 def serial_keys(engine, op, items, distance):
+    """N one-item refine calls: the per-pair predicates, in item order."""
     if op == "intersect":
         return [k for k, a, b in items if engine.polygons_intersect(a, b)]
     if op == "within_distance":
@@ -101,15 +110,61 @@ def serial_keys(engine, op, items, distance):
     return [k for k, a, b in items if engine.contains_properly(a, b)]
 
 
+def assert_same_work(got, expected, counters=PER_PRIMITIVE_COUNTERS):
+    assert got.stats == expected.stats
+    assert got.sweep_stats == expected.sweep_stats
+    assert got.mindist_stats == expected.mindist_stats
+    if isinstance(got, HardwareEngine):
+        for name in counters:
+            assert getattr(got.gpu_counters, name) == getattr(
+                expected.gpu_counters, name
+            ), name
+
+
+class TestOneRefinementPath:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pair_lists(max_size=8),
+        st.sampled_from(OPS),
+        st.sampled_from(OVERLAP_METHODS),
+    )
+    def test_one_call_equals_one_item_calls_equals_per_pair_tester(
+        self, pairs, op, method
+    ):
+        items = [((k,), a, b) for k, (a, b) in enumerate(pairs)]
+        config = HardwareConfig(resolution=8, method=method)
+        whole, one_by_one = HardwareEngine(config), HardwareEngine(config)
+        reference = per_pair_engine(config)
+        keys = whole.refine(op, items, distance=DISTANCE)
+        assert serial_keys(one_by_one, op, items, DISTANCE) == keys
+        assert reference.refine(op, items, distance=DISTANCE) == keys
+        assert_same_work(one_by_one, whole)
+        # The atlas accumulates, so it writes the per-pair accum test's
+        # pixels; the depth/stencil mechanisms discard fragments per pair.
+        assert_same_work(
+            reference,
+            whole,
+            PER_PRIMITIVE_COUNTERS
+            if method == "accum"
+            else ("edges_rendered", "edges_clipped_away"),
+        )
+        assert reference.gpu_counters.tile_batches == 0
+
+        sw_whole, sw_one_by_one = SoftwareEngine(), SoftwareEngine()
+        assert sw_whole.refine(op, items, distance=DISTANCE) == keys
+        assert serial_keys(sw_one_by_one, op, items, DISTANCE) == keys
+        assert_same_work(sw_one_by_one, sw_whole)
+
+
 class TestEngineBatchEquivalence:
     @settings(max_examples=15, deadline=None)
-    @given(pair_lists(max_size=10), st.sampled_from(BATCH_OPS))
+    @given(pair_lists(max_size=10), st.sampled_from(OPS))
     def test_refine_batch_matches_serial(self, pairs, op):
         items = [((k,), a, b) for k, (a, b) in enumerate(pairs)]
         serial_engine = HardwareEngine()
         batch_engine = HardwareEngine()
         expected = serial_keys(serial_engine, op, items, DISTANCE)
-        got = batch_engine.refine_batch(op, items, distance=DISTANCE)
+        got = batch_engine.refine(op, items, distance=DISTANCE)
         assert got == expected
         assert batch_engine.stats == serial_engine.stats
         assert batch_engine.sweep_stats == serial_engine.sweep_stats
@@ -125,19 +180,19 @@ class TestEngineBatchEquivalence:
         serial_engine = HardwareEngine(config)
         batch_engine = HardwareEngine(config)
         expected = serial_keys(serial_engine, "intersect", items, None)
-        got = batch_engine.refine_batch("intersect", items)
+        got = batch_engine.refine("intersect", items)
         assert got == expected
         assert batch_engine.stats == serial_engine.stats
 
     def test_unknown_op_rejected(self):
-        engine = HardwareEngine()
-        with pytest.raises(ValueError):
-            engine.refine_batch("union", [])
+        for engine in (SoftwareEngine(), HardwareEngine()):
+            with pytest.raises(ValueError):
+                engine.refine("union", [])
 
     def test_within_distance_requires_distance(self):
-        engine = HardwareEngine()
-        with pytest.raises(ValueError):
-            engine.refine_batch("within_distance", [])
+        for engine in (SoftwareEngine(), HardwareEngine()):
+            with pytest.raises(ValueError):
+                engine.refine("within_distance", [])
 
     def test_refine_batch_per_pixel_counters_match_serial(self):
         ds_a, ds_b = _layers()
@@ -147,10 +202,10 @@ class TestEngineBatchEquivalence:
             for j, b in enumerate(ds_b.polygons)
             if a.mbr.intersects(b.mbr)
         ]
-        serial_engine = HardwareEngine()
+        serial_engine = per_pair_engine(HardwareConfig())
         batch_engine = HardwareEngine()
-        serial_keys(serial_engine, "intersect", items, None)
-        batch_engine.refine_batch("intersect", items)
+        serial_engine.refine("intersect", items)
+        batch_engine.refine("intersect", items)
         s, b = serial_engine.gpu_counters, batch_engine.gpu_counters
         # Per-primitive work is identical; only submission counts shrink.
         assert b.edges_rendered == s.edges_rendered
@@ -183,10 +238,10 @@ class TestPipelineBatchEquivalence:
     def test_selection_batched_matches_serial(self):
         ds, queries_ds = _layers()
         queries = queries_ds.polygons[:6]
-        serial_engine = HardwareEngine()
+        serial_engine = per_pair_engine(HardwareConfig())
         batch_engine = HardwareEngine()
-        serial = IntersectionSelection(ds, serial_engine, use_batch=False)
-        batched = IntersectionSelection(ds, batch_engine, use_batch=True)
+        serial = IntersectionSelection(ds, serial_engine)
+        batched = IntersectionSelection(ds, batch_engine)
         for q in queries:
             res_serial = serial.run(q)
             res_batched = batched.run(q)
@@ -194,16 +249,17 @@ class TestPipelineBatchEquivalence:
             assert res_batched.cost.pairs_compared == res_serial.cost.pairs_compared
         assert batch_engine.stats == serial_engine.stats
         assert batch_engine.sweep_stats == serial_engine.sweep_stats
+        assert serial_engine.gpu_counters.tile_batches == 0
 
-    def test_software_engine_ignores_use_batch(self):
+    def test_software_engine_takes_whole_batches(self):
         ds, queries_ds = _layers(count_a=20, count_b=20)
         engine = SoftwareEngine()
-        assert not engine.supports_batch
-        sel = IntersectionSelection(ds, engine, use_batch=True)
+        sel = IntersectionSelection(ds, engine)
         res = sel.run(queries_ds.polygons[0])
         assert res.cost.pairs_compared == res.cost.candidates_after_mbr
+        assert engine.stats.pairs_tested == res.cost.pairs_compared
 
-    def test_refine_pairs_batched_is_stats_optional(self):
+    def test_refine_items_matches_engine(self):
         ds_a, ds_b = _layers(count_a=10, count_b=10)
         hw = HardwareSegmentTest(HardwareConfig())
         items = [
@@ -211,7 +267,10 @@ class TestPipelineBatchEquivalence:
             for i, a in enumerate(ds_a.polygons)
             for j, b in enumerate(ds_b.polygons)
         ]
-        keys = refine_pairs_batched(hw, "intersect", items)
+        keys = refine_items(
+            "intersect", items, None, hw,
+            RefinementStats(), SweepStats(), MinDistStats(),
+        )
         engine = HardwareEngine()
         expected = serial_keys(engine, "intersect", items, None)
         assert keys == expected

@@ -3,15 +3,7 @@
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import (
-    HardwareConfig,
-    HardwareEngine,
-    HardwareSegmentTest,
-    RefinementStats,
-    SoftwareEngine,
-    hybrid_contains_properly,
-    software_contains_properly,
-)
+from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 from repro.geometry import (
     Polygon,
     PointLocation,
@@ -40,40 +32,40 @@ def reference(a, b):
 
 class TestSoftware:
     def test_contained(self):
-        assert software_contains_properly(BIG, INNER)
+        assert SoftwareEngine().contains_properly(BIG, INNER)
 
     def test_crossing_not_contained(self):
-        assert not software_contains_properly(BIG, CROSSING)
+        assert not SoftwareEngine().contains_properly(BIG, CROSSING)
 
     def test_touching_boundary_not_proper(self):
-        assert not software_contains_properly(BIG, TOUCHING)
+        assert not SoftwareEngine().contains_properly(BIG, TOUCHING)
 
     def test_self_not_contained(self):
-        assert not software_contains_properly(BIG, BIG)
+        assert not SoftwareEngine().contains_properly(BIG, BIG)
 
     def test_notch_not_contained_in_c_shape(self):
         # Inside the MBR, but in the concave notch (outside the region).
-        assert not software_contains_properly(C_SHAPE, IN_NOTCH)
+        assert not SoftwareEngine().contains_properly(C_SHAPE, IN_NOTCH)
 
     def test_mbr_prefilter(self):
-        stats = RefinementStats()
-        assert not software_contains_properly(INNER, BIG, stats=stats)
-        assert stats.pip_edges == 0  # rejected before any scan
+        sw = SoftwareEngine()
+        assert not sw.contains_properly(INNER, BIG)
+        assert sw.stats.pip_edges == 0  # rejected before any scan
 
 
 class TestHybrid:
     def test_hardware_confirms_positive_without_sweep(self):
-        hw = HardwareSegmentTest(HardwareConfig(resolution=16))
-        stats = RefinementStats()
-        assert hybrid_contains_properly(BIG, INNER, hw, stats=stats)
+        hw = HardwareEngine(HardwareConfig(resolution=16))
+        stats = hw.stats
+        assert hw.contains_properly(BIG, INNER)
         assert stats.hw_tests == 1
         assert stats.hw_rejects == 1  # the DISJOINT verdict = confirmation
         assert stats.sw_segment_tests == 0
 
     def test_threshold_bypass(self):
-        hw = HardwareSegmentTest(HardwareConfig(sw_threshold=1000))
-        stats = RefinementStats()
-        assert hybrid_contains_properly(BIG, INNER, hw, stats=stats)
+        hw = HardwareEngine(HardwareConfig(sw_threshold=1000))
+        stats = hw.stats
+        assert hw.contains_properly(BIG, INNER)
         assert stats.threshold_bypasses == 1
         assert stats.sw_segment_tests == 1
 
@@ -82,18 +74,18 @@ class TestHybrid:
     def test_hybrid_equals_software_equals_reference(self, outer, shrink, res):
         # Generate a candidate inner polygon by shrinking the outer one.
         inner = outer.scaled(1.0 / shrink)
-        hw = HardwareSegmentTest(HardwareConfig(resolution=res))
+        hw = HardwareEngine(HardwareConfig(resolution=res))
         expected = reference(outer, inner)
-        assert software_contains_properly(outer, inner) == expected
-        assert hybrid_contains_properly(outer, inner, hw) == expected
+        assert SoftwareEngine().contains_properly(outer, inner) == expected
+        assert hw.contains_properly(outer, inner) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(star_polygons(), star_polygons())
     def test_arbitrary_pairs_agree(self, a, b):
-        hw = HardwareSegmentTest(HardwareConfig(resolution=8))
+        hw = HardwareEngine(HardwareConfig(resolution=8))
         expected = reference(a, b)
-        assert software_contains_properly(a, b) == expected
-        assert hybrid_contains_properly(a, b, hw) == expected
+        assert SoftwareEngine().contains_properly(a, b) == expected
+        assert hw.contains_properly(a, b) == expected
 
 
 class TestEngineApi:

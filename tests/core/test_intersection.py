@@ -5,10 +5,9 @@ from hypothesis import strategies as st
 
 from repro.core import (
     HardwareConfig,
-    HardwareSegmentTest,
+    HardwareEngine,
     RefinementStats,
-    hybrid_polygons_intersect,
-    software_polygons_intersect,
+    SoftwareEngine,
 )
 from repro.geometry import (
     Polygon,
@@ -32,16 +31,18 @@ def reference(a, b):
 
 class TestSoftware:
     def test_known_cases(self):
-        assert software_polygons_intersect(SQUARE, SHIFTED)
-        assert software_polygons_intersect(SQUARE, INNER)
-        assert not software_polygons_intersect(SQUARE, FAR)
+        sw = SoftwareEngine()
+        assert sw.polygons_intersect(SQUARE, SHIFTED)
+        assert sw.polygons_intersect(SQUARE, INNER)
+        assert not sw.polygons_intersect(SQUARE, FAR)
 
     def test_stats(self):
-        stats = RefinementStats()
-        software_polygons_intersect(SQUARE, INNER, stats=stats)
+        sw = SoftwareEngine()
+        stats = sw.stats
+        sw.polygons_intersect(SQUARE, INNER)
         assert stats.pip_hits == 1
         assert stats.sw_segment_tests == 0  # containment short-circuits
-        software_polygons_intersect(SQUARE, SHIFTED, stats=stats)
+        sw.polygons_intersect(SQUARE, SHIFTED)
         assert stats.pairs_tested == 2
         assert stats.positives == 2
 
@@ -51,41 +52,41 @@ class TestHybridExactness:
     @given(polygon_pairs_nearby())
     def test_hybrid_equals_software_equals_reference(self, pair):
         a, b = pair
-        hw = HardwareSegmentTest(HardwareConfig(resolution=8))
+        hw = HardwareEngine(HardwareConfig(resolution=8))
         expected = reference(a, b)
-        assert software_polygons_intersect(a, b) == expected
-        assert hybrid_polygons_intersect(a, b, hw) == expected
+        assert SoftwareEngine().polygons_intersect(a, b) == expected
+        assert hw.polygons_intersect(a, b) == expected
 
     @settings(max_examples=60, deadline=None)
     @given(polygon_pairs_nearby(), st.sampled_from([1, 2, 16, 32]))
     def test_hybrid_exact_at_every_resolution(self, pair, res):
         a, b = pair
-        hw = HardwareSegmentTest(HardwareConfig(resolution=res))
-        assert hybrid_polygons_intersect(a, b, hw) == reference(a, b)
+        hw = HardwareEngine(HardwareConfig(resolution=res))
+        assert hw.polygons_intersect(a, b) == reference(a, b)
 
     @settings(max_examples=60, deadline=None)
     @given(polygon_pairs_nearby(), st.sampled_from([0, 4, 10, 10_000]))
     def test_hybrid_exact_at_every_threshold(self, pair, threshold):
         a, b = pair
-        hw = HardwareSegmentTest(
+        hw = HardwareEngine(
             HardwareConfig(resolution=8, sw_threshold=threshold)
         )
-        assert hybrid_polygons_intersect(a, b, hw) == reference(a, b)
+        assert hw.polygons_intersect(a, b) == reference(a, b)
 
 
 class TestWorkDistribution:
     def test_containment_resolved_by_pip(self):
-        hw = HardwareSegmentTest(HardwareConfig())
-        stats = RefinementStats()
-        assert hybrid_polygons_intersect(SQUARE, INNER, hw, stats=stats)
+        hw = HardwareEngine(HardwareConfig())
+        stats = hw.stats
+        assert hw.polygons_intersect(SQUARE, INNER)
         assert stats.pip_hits == 1
         assert stats.hw_tests == 0
         assert stats.sw_segment_tests == 0
 
     def test_disjoint_mbrs_resolved_without_any_test(self):
-        hw = HardwareSegmentTest(HardwareConfig())
-        stats = RefinementStats()
-        assert not hybrid_polygons_intersect(SQUARE, FAR, hw, stats=stats)
+        hw = HardwareEngine(HardwareConfig())
+        stats = hw.stats
+        assert not hw.polygons_intersect(SQUARE, FAR)
         assert stats.hw_tests == 0
         assert stats.sw_segment_tests == 0
 
@@ -93,33 +94,33 @@ class TestWorkDistribution:
         # Near-miss diagonal strips: hardware proves disjointness.
         a = Polygon.from_coords([(0, 0), (8, 0), (8, 8)])
         b = Polygon.from_coords([(0, 1), (7, 8), (0, 8)])
-        hw = HardwareSegmentTest(HardwareConfig(resolution=32))
-        stats = RefinementStats()
-        assert not hybrid_polygons_intersect(a, b, hw, stats=stats)
+        hw = HardwareEngine(HardwareConfig(resolution=32))
+        stats = hw.stats
+        assert not hw.polygons_intersect(a, b)
         assert stats.hw_tests == 1
         assert stats.hw_rejects == 1
         assert stats.sw_segment_tests == 0
 
     def test_threshold_bypass_counts(self):
-        hw = HardwareSegmentTest(HardwareConfig(sw_threshold=1000))
-        stats = RefinementStats()
+        hw = HardwareEngine(HardwareConfig(sw_threshold=1000))
+        stats = hw.stats
         # Crossing strips with no vertex containment: PIP misses, and the
         # threshold sends the pair straight to the software sweep.
         plus_a = Polygon.from_coords([(0, 1), (6, 1), (6, 2), (0, 2)])
         plus_b = Polygon.from_coords([(2, -2), (3, -2), (3, 4), (2, 4)])
-        assert hybrid_polygons_intersect(plus_a, plus_b, hw, stats=stats)
+        assert hw.polygons_intersect(plus_a, plus_b)
         assert stats.threshold_bypasses == 1
         assert stats.hw_tests == 0
         assert stats.sw_segment_tests == 1
 
     def test_overlap_goes_to_software_sweep(self):
-        hw = HardwareSegmentTest(HardwareConfig(resolution=8))
-        stats = RefinementStats()
+        hw = HardwareEngine(HardwareConfig(resolution=8))
+        stats = hw.stats
         # Boundaries cross: PIP misses (no vertex inside), hardware says
         # MAYBE, software sweep decides.
         plus_a = Polygon.from_coords([(0, 1), (6, 1), (6, 2), (0, 2)])
         plus_b = Polygon.from_coords([(2, -2), (3, -2), (3, 4), (2, 4)])
-        assert hybrid_polygons_intersect(plus_a, plus_b, hw, stats=stats)
+        assert hw.polygons_intersect(plus_a, plus_b)
         assert stats.hw_tests == 1
         assert stats.hw_rejects == 0
         assert stats.sw_segment_tests == 1

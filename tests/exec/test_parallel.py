@@ -10,6 +10,7 @@ import pickle
 
 import pytest
 
+from repro.bench.experiments import per_pair_engine
 from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 from repro.exec import EngineSpec, ParallelExecutor, Tracer, use_tracer
 from repro.geometry import Polygon
@@ -300,11 +301,9 @@ class TestBatchedShards:
     """Hardware shards run the tiled batched path inside each worker."""
 
     def test_workers_batch_and_match_per_pair_loop(self, dataset_a, dataset_b):
-        # Reference: the true per-pair predicate loop (batching disabled).
-        e_loop = HardwareEngine()
-        loop = IntersectionJoin(
-            dataset_a, dataset_b, e_loop, use_batch=False
-        ).run()
+        # Reference: the paper-literal tester, one submission per pair.
+        e_loop = per_pair_engine(HardwareConfig())
+        loop = IntersectionJoin(dataset_a, dataset_b, e_loop).run()
         e_parallel = HardwareEngine()
         with make_executor() as ex:
             parallel = IntersectionJoin(

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from repro.core import software_polygons_intersect
+from repro.core import SoftwareEngine
 from repro.filters import (
     IntervalApproximation,
     IntervalFilterStats,
@@ -195,7 +195,7 @@ class TestPairVerdicts:
             IntervalApproximation.build(pa, grid),
             IntervalApproximation.build(pb, grid),
         )
-        truth = software_polygons_intersect(pa, pb)
+        truth = SoftwareEngine().polygons_intersect(pa, pb)
         if verdict is IntervalVerdict.INTERSECTING:
             assert truth, "INTERSECTING must be a proof"
         elif verdict is IntervalVerdict.DISJOINT:

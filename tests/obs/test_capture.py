@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.bench.experiments import per_pair_engine
 from repro.core import OVERLAP_METHODS, HardwareConfig, HardwareEngine
 from repro.core.hardware_test import HardwareSegmentTest
 from repro.obs.capture import (
@@ -263,8 +264,7 @@ class TestQueryCaptureReplay:
             IntersectionJoin(
                 dataset_a,
                 dataset_b,
-                HardwareEngine(HardwareConfig(resolution=8)),
-                use_batch=False,
+                per_pair_engine(HardwareConfig(resolution=8)),
             ).run()
         cmds = {e["cmd"] for e in recorder.events}
         # The per-pair loop drives the full command vocabulary.

@@ -10,6 +10,7 @@ import json
 
 import pytest
 
+from repro.bench.experiments import per_pair_engine
 from repro.core import HardwareConfig, HardwareEngine
 from repro.exec import ParallelExecutor
 from repro.obs.__main__ import main as obs_main
@@ -160,7 +161,12 @@ class TestExplainRunConsistency:
     """Serial, batched, and sharded runs yield one and the same funnel."""
 
     def run_join(self, dataset_a, dataset_b, mode):
-        engine = hw_engine()
+        # "serial" is the paper-literal tester: one submission per pair.
+        engine = (
+            per_pair_engine(HardwareConfig(resolution=8))
+            if mode == "serial"
+            else hw_engine()
+        )
         if mode == "sharded":
             with ParallelExecutor(workers=2, min_inline_items=1) as ex:
                 result, funnel = explain_run(
@@ -174,9 +180,7 @@ class TestExplainRunConsistency:
             result, funnel = explain_run(
                 "join",
                 engine,
-                lambda: IntersectionJoin(
-                    dataset_a, dataset_b, engine, use_batch=(mode == "batched")
-                ).run(),
+                lambda: IntersectionJoin(dataset_a, dataset_b, engine).run(),
             )
         return engine, result, funnel
 
@@ -303,22 +307,22 @@ class TestFunnelsFromSnapshot:
 class TestLineWidthOverflow:
     """Satellite: the 10px-limit fallback is counted and surfaced."""
 
-    def overflow_run(self, dataset_a, dataset_b, use_batch):
+    def overflow_run(self, dataset_a, dataset_b, batched):
         # High resolution + a query distance comparable to the window makes
         # Equation (1)'s width exceed the 10px device limit (section 4.4).
-        engine = HardwareEngine(HardwareConfig(resolution=32))
+        # Both the atlas and the per-pair tester must count the fallback.
+        config = HardwareConfig(resolution=32)
+        engine = HardwareEngine(config) if batched else per_pair_engine(config)
         registry = MetricsRegistry()
         with use_registry(registry):
-            WithinDistanceJoin(
-                dataset_a, dataset_b, engine, use_batch=use_batch
-            ).run(25.0)
+            WithinDistanceJoin(dataset_a, dataset_b, engine).run(25.0)
         return engine, registry.snapshot()
 
-    @pytest.mark.parametrize("use_batch", [False, True])
+    @pytest.mark.parametrize("batched", [False, True])
     def test_overflow_counter_matches_fallbacks(
-        self, dataset_a, dataset_b, use_batch
+        self, dataset_a, dataset_b, batched
     ):
-        engine, snap = self.overflow_run(dataset_a, dataset_b, use_batch)
+        engine, snap = self.overflow_run(dataset_a, dataset_b, batched)
         assert engine.stats.width_limit_fallbacks > 0
         key = "hw_line_width_overflow{method=accum,op=within_distance}"
         assert snap["counters"][key] == engine.stats.width_limit_fallbacks

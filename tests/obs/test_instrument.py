@@ -9,6 +9,7 @@ excluded - they legitimately depend on how the candidate list is sliced.
 
 import pytest
 
+from repro.bench.experiments import per_pair_engine
 from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 from repro.core.hardware_test import HardwareSegmentTest, HardwareVerdict
 from repro.exec import ParallelExecutor
@@ -35,6 +36,11 @@ def hw_engine():
     return HardwareEngine(HardwareConfig(resolution=8))
 
 
+def per_pair_hw_engine():
+    """The "serial" reference: one hardware submission per pair."""
+    return per_pair_engine(HardwareConfig(resolution=8))
+
+
 def deterministic_view(snapshot):
     """The snapshot restricted to the batching/sharding-invariant families."""
 
@@ -55,11 +61,11 @@ def deterministic_view(snapshot):
     }
 
 
-def run_join(dataset_a, dataset_b, engine, executor=None, use_batch=True):
+def run_join(dataset_a, dataset_b, engine, executor=None):
     registry = MetricsRegistry()
     with use_registry(registry):
         result = IntersectionJoin(
-            dataset_a, dataset_b, engine, executor=executor, use_batch=use_batch
+            dataset_a, dataset_b, engine, executor=executor
         ).run()
     return result, registry.snapshot()
 
@@ -132,7 +138,7 @@ class TestPipelineFamilies:
 
     def test_tiled_batch_shape_metrics(self, dataset_a, dataset_b):
         engine = hw_engine()
-        _, snap = run_join(dataset_a, dataset_b, engine, use_batch=True)
+        _, snap = run_join(dataset_a, dataset_b, engine)
         tiles = snap["histograms"]["tiles_per_batch"]
         assert tiles["count"] == snap["counters"]["gpu{counter=tile_batches}"]
         assert tiles["sum"] == snap["counters"]["gpu{counter=tiles_packed}"]
@@ -145,9 +151,7 @@ class TestHardwareTestMetrics:
     def test_serial_records_durations(self, dataset_a, dataset_b):
         registry = MetricsRegistry()
         with use_registry(registry):
-            IntersectionJoin(
-                dataset_a, dataset_b, hw_engine(), use_batch=False
-            ).run()
+            IntersectionJoin(dataset_a, dataset_b, per_pair_hw_engine()).run()
         snap = registry.snapshot()
         hist = snap["histograms"]["hw_test_duration_s{method=accum,op=intersect}"]
         assert hist["count"] > 0
@@ -311,8 +315,8 @@ class TestLineWidthOverflowCounter:
 
 class TestBatchShardInvariance:
     def test_serial_vs_batched_identical(self, dataset_a, dataset_b):
-        _, serial = run_join(dataset_a, dataset_b, hw_engine(), use_batch=False)
-        _, batched = run_join(dataset_a, dataset_b, hw_engine(), use_batch=True)
+        _, serial = run_join(dataset_a, dataset_b, per_pair_hw_engine())
+        _, batched = run_join(dataset_a, dataset_b, hw_engine())
         assert deterministic_view(serial) == deterministic_view(batched)
 
     def test_serial_vs_parallel_identical(self, dataset_a, dataset_b):

@@ -1,11 +1,27 @@
-"""Tests for the within-distance selection (buffer query around a region)."""
+"""Buffer queries around one region: the selection form of section 4.4.
+
+A within-distance *selection* is the within-distance join against a
+one-polygon dataset, so that is how it runs - there is no separate
+selection pipeline to keep in step with the join.
+"""
 
 import pytest
 
 from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
-from repro.datasets import base_distance
+from repro.datasets import SpatialDataset, base_distance
 from repro.geometry import polygons_within_distance
-from repro.query import WithinDistanceSelection
+from repro.query import WithinDistanceJoin
+
+
+def buffer_selection(dataset, engine, query, d, **filters):
+    """(ids of ``dataset`` objects within ``d`` of ``query``, cost)."""
+    res = WithinDistanceJoin(
+        SpatialDataset("query", [query], world=dataset.world),
+        dataset,
+        engine,
+        **filters,
+    ).run(d)
+    return [j for _, j in res.pairs], res.cost
 
 
 def reference_ids(dataset, query, d):
@@ -29,66 +45,62 @@ def unit_d(dataset_a, dataset_b):
 class TestCorrectness:
     @pytest.mark.parametrize("factor", [0.0, 0.5, 2.0])
     def test_software_matches_reference(self, dataset_a, queries, unit_d, factor):
-        sel = WithinDistanceSelection(dataset_a, SoftwareEngine())
         d = unit_d * factor
         for q in queries:
-            assert sel.run(q, d).ids == reference_ids(dataset_a, q, d)
+            ids, _ = buffer_selection(dataset_a, SoftwareEngine(), q, d)
+            assert ids == reference_ids(dataset_a, q, d)
 
     def test_hardware_matches_reference(self, dataset_a, queries, unit_d):
-        sel = WithinDistanceSelection(
-            dataset_a, HardwareEngine(HardwareConfig(resolution=8))
-        )
+        engine = HardwareEngine(HardwareConfig(resolution=8))
         for q in queries:
-            assert sel.run(q, unit_d).ids == reference_ids(
-                dataset_a, q, unit_d
-            )
+            ids, _ = buffer_selection(dataset_a, engine, q, unit_d)
+            assert ids == reference_ids(dataset_a, q, unit_d)
 
     def test_field_mode_matches(self, dataset_a, queries, unit_d):
-        sel = WithinDistanceSelection(
-            dataset_a,
-            HardwareEngine(
-                HardwareConfig(resolution=8, distance_mode="field")
-            ),
+        engine = HardwareEngine(
+            HardwareConfig(resolution=8, distance_mode="field")
         )
         for q in queries:
-            assert sel.run(q, unit_d).ids == reference_ids(
-                dataset_a, q, unit_d
-            )
+            ids, _ = buffer_selection(dataset_a, engine, q, unit_d)
+            assert ids == reference_ids(dataset_a, q, unit_d)
 
     def test_rejects_negative_distance(self, dataset_a, queries):
-        sel = WithinDistanceSelection(dataset_a, SoftwareEngine())
         with pytest.raises(ValueError):
-            sel.run(queries[0], -1.0)
+            buffer_selection(dataset_a, SoftwareEngine(), queries[0], -1.0)
 
     def test_filters_do_not_change_results(self, dataset_a, queries, unit_d):
-        plain = WithinDistanceSelection(
-            dataset_a,
-            SoftwareEngine(),
-            use_zero_object=False,
-            use_one_object=False,
-        )
-        filtered = WithinDistanceSelection(dataset_a, SoftwareEngine())
         for q in queries:
-            assert plain.run(q, unit_d).ids == filtered.run(q, unit_d).ids
+            plain, _ = buffer_selection(
+                dataset_a,
+                SoftwareEngine(),
+                q,
+                unit_d,
+                use_zero_object=False,
+                use_one_object=False,
+            )
+            filtered, _ = buffer_selection(dataset_a, SoftwareEngine(), q, unit_d)
+            assert plain == filtered
 
 
 class TestBehaviour:
     def test_monotone_in_distance(self, dataset_a, queries, unit_d):
-        sel = WithinDistanceSelection(dataset_a, SoftwareEngine())
         q = queries[0]
-        small = set(sel.run(q, unit_d * 0.2).ids)
-        large = set(sel.run(q, unit_d * 2.0).ids)
-        assert small <= large
+        small, _ = buffer_selection(dataset_a, SoftwareEngine(), q, unit_d * 0.2)
+        large, _ = buffer_selection(dataset_a, SoftwareEngine(), q, unit_d * 2.0)
+        assert set(small) <= set(large)
 
     def test_one_object_filter_uses_query_geometry(
         self, dataset_a, queries, unit_d
     ):
-        sel = WithinDistanceSelection(dataset_a, SoftwareEngine())
-        res = sel.run(queries[0], unit_d * 2.0)
-        assert res.cost.filter_positives > 0
+        # The join retrieves the larger object of each pair - for a
+        # region query, almost always the query polygon.
+        _, cost = buffer_selection(
+            dataset_a, SoftwareEngine(), queries[0], unit_d * 2.0
+        )
+        assert cost.filter_positives > 0
         assert (
-            res.cost.filter_positives + res.cost.pairs_compared
-            == res.cost.candidates_after_mbr
+            cost.filter_positives + cost.pairs_compared
+            == cost.candidates_after_mbr
         )
 
     def test_zero_distance_equals_intersection_selection(
@@ -96,7 +108,7 @@ class TestBehaviour:
     ):
         from repro.query import IntersectionSelection
 
-        buffer_sel = WithinDistanceSelection(dataset_a, SoftwareEngine())
         inter_sel = IntersectionSelection(dataset_a, SoftwareEngine())
         for q in queries:
-            assert buffer_sel.run(q, 0.0).ids == inter_sel.run(q).ids
+            ids, _ = buffer_selection(dataset_a, SoftwareEngine(), q, 0.0)
+            assert ids == inter_sel.run(q).ids

@@ -57,6 +57,24 @@ class TestCorrectness:
         )
         assert sel.run(big_query).ids == reference_ids(dataset_a, big_query)
 
+    @pytest.mark.parametrize("level", [None, 4])
+    def test_hardware_equals_software_through_the_batched_stage(
+        self, dataset_a, big_query, level
+    ):
+        sw, hw = SoftwareEngine(), HardwareEngine(HardwareConfig(resolution=8))
+        got_sw = ContainmentSelection(dataset_a, sw, interior_level=level).run(
+            big_query
+        )
+        got_hw = ContainmentSelection(dataset_a, hw, interior_level=level).run(
+            big_query
+        )
+        assert got_hw.ids == got_sw.ids == reference_ids(dataset_a, big_query)
+        assert got_hw.cost.pairs_compared == got_sw.cost.pairs_compared
+        assert got_hw.cost.filter_positives == got_sw.cost.filter_positives
+        # One atlas submission sequence for the whole candidate list.
+        assert hw.stats.pairs_tested == got_hw.cost.pairs_compared
+        assert 0 < hw.gpu_counters.tile_batches < hw.stats.hw_tests
+
     def test_rejects_negative_level(self, dataset_a):
         with pytest.raises(ValueError):
             ContainmentSelection(dataset_a, SoftwareEngine(), interior_level=-1)

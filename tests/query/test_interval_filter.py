@@ -4,8 +4,8 @@ The filter sits between the MBR stage and refinement, so every pair it
 resolves is a pair the hardware never sees - but resolved pairs must be
 resolved *correctly* (the certificates are proofs, property-tested in
 ``tests/filters/test_intervals.py``) and the surviving UNKNOWN set is
-identical by construction across the serial, batched, and sharded
-geometry backends.  These tests pin all of that at the pipeline level:
+identical by construction across the serial (paper-literal, one hardware
+submission per pair), batched, and sharded geometry backends.  These tests pin all of that at the pipeline level:
 filter-on result ids equal filter-off ids; with the filter on, the
 refinement stats and explain funnels are bit-identical across backends
 and overlap methods; the funnel identities stay exact in both
@@ -14,6 +14,7 @@ configurations; and the filter actually cuts hardware tests on a join.
 
 import pytest
 
+from repro.bench.experiments import per_pair_engine
 from repro.core import OVERLAP_METHODS, HardwareConfig, HardwareEngine
 from repro.exec import ParallelExecutor
 from repro.obs.explain import explain_run, funnels_from_snapshot
@@ -24,8 +25,9 @@ RESOLUTION = 8
 LEVEL = 6
 
 
-def _engine(method="accum"):
-    return HardwareEngine(HardwareConfig(resolution=RESOLUTION, method=method))
+def _engine(method="accum", backend="serial"):
+    make = per_pair_engine if backend == "serial" else HardwareEngine
+    return make(HardwareConfig(resolution=RESOLUTION, method=method))
 
 
 @pytest.fixture(scope="module")
@@ -40,7 +42,6 @@ def _selection_pipeline(dataset, engine, backend, executor, use_intervals):
         dataset,
         engine,
         executor=executor if backend == "sharded" else None,
-        use_batch=backend == "batched",
         use_intervals=use_intervals,
         interval_level=LEVEL,
     )
@@ -52,7 +53,6 @@ def _join_pipeline(ds_a, ds_b, engine, backend, executor, use_intervals):
         ds_b,
         engine,
         executor=executor if backend == "sharded" else None,
-        use_batch=backend == "batched",
         use_intervals=use_intervals,
         interval_level=LEVEL,
     )
@@ -108,7 +108,7 @@ class TestBackendEquivalence:
         stats = {}
         snapshots = {}
         for backend in ("serial", "batched", "sharded"):
-            engine = _engine(method)
+            engine = _engine(method, backend)
             registry = MetricsRegistry()
             join = _join_pipeline(
                 dataset_a, dataset_b, engine, backend, shared_executor, True
@@ -133,7 +133,7 @@ class TestBackendEquivalence:
         stats = {}
         snapshots = {}
         for backend in ("serial", "batched", "sharded"):
-            engine = _engine()
+            engine = _engine(backend=backend)
             registry = MetricsRegistry()
             selection = _selection_pipeline(
                 dataset_a, engine, backend, shared_executor, True

@@ -36,7 +36,7 @@ def _direct(reference: ServingEngine, request: QueryRequest):
 
 
 class TestBitIdentityAcrossBackends:
-    @pytest.mark.parametrize("backend", ["serial", "batched"])
+    @pytest.mark.parametrize("backend", ["batched"])
     def test_all_ops_match_direct_calls(self, workload, reference, backend):
         svc = QueryService(
             workload=WorkloadConfig(backend=backend),
@@ -91,6 +91,11 @@ class TestBitIdentityAcrossBackends:
             WorkloadConfig(interval_level=13)
         with pytest.raises(ValueError, match="interval_level"):
             WorkloadConfig(interval_level=-1)
+
+    def test_serial_backend_is_gone(self):
+        # One refinement path: the per-pair loop is no longer selectable.
+        with pytest.raises(ValueError, match="unknown backend"):
+            WorkloadConfig(backend="serial")
 
     def test_sharded_backend_matches_direct_calls(self, workload, reference):
         svc = QueryService(
