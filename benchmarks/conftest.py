@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import get_scale
-from repro.exec.trace import JsonLinesExporter, Tracer, install
+from repro.obs import JsonLinesExporter, Tracer, use_tracer
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -36,7 +36,7 @@ def pytest_addoption(parser):
 
 @pytest.fixture(scope="session", autouse=True)
 def trace_session(request):
-    """Install a global tracer streaming spans to ``--trace-out``.
+    """Run the session under a tracer streaming spans to ``--trace-out``.
 
     Every :meth:`CostBreakdown.time_stage` call in every pipeline emits
     spans into it automatically (zero call-site changes); the parallel
@@ -48,11 +48,8 @@ def trace_session(request):
         return
     with JsonLinesExporter(path) as exporter:
         tracer = Tracer(exporter=exporter)
-        previous = install(tracer)
-        try:
+        with use_tracer(tracer):
             yield tracer
-        finally:
-            install(previous)
 
 
 @pytest.fixture(scope="session")

@@ -40,9 +40,10 @@ from .core import (
     make_engine,
 )
 from .datasets import SpatialDataset, base_distance
-from .exec import JsonLinesExporter, ParallelExecutor, Tracer, use_tracer
+from .exec import ParallelExecutor
 from .geometry import Point, Polygon, Rect, Segment
 from .gpu import DeviceLimits, GraphicsPipeline
+from .obs import JsonLinesExporter, Tracer, use_tracer
 from .query import (
     ContainmentSelection,
     CostBreakdown,

@@ -20,15 +20,16 @@ import sys
 import time
 
 from ..cache import CacheConfig, set_default_cache_config
-from ..obs.capture import CommandRecorder, use_recorder
+from ..obs.capture import CommandRecorder
 from ..obs.explain import funnels_from_snapshot, render_funnels, write_explain
-from ..obs.metrics import MetricsRegistry, use_registry
+from ..obs.metrics import MetricsRegistry
 from ..obs.runreport import (
     build_run_report,
     environment_fingerprint,
     experiment_entry,
     write_run_report,
 )
+from ..obs.scope import use_scope
 from .experiments import ALL_EXPERIMENTS
 from .scales import DEFAULT_SCALE, SCALES
 
@@ -129,7 +130,7 @@ def main(argv=None) -> int:
 
 def _run(args, names) -> int:
     # Metric collection is opt-in: with no artifact requested, no registry
-    # is installed and the instrumented layers stay on their zero-overhead
+    # is in scope and the instrumented layers stay on their zero-overhead
     # path.  Likewise capture: the flight recorder only exists (and only
     # costs anything) when --capture-out names a stream.
     collect = (
@@ -151,17 +152,7 @@ def _run(args, names) -> int:
         # only its own distributions; the run-level registry merges them.
         exp_registry = MetricsRegistry() if collect else None
         start = time.perf_counter()
-        if recorder is not None:
-            with use_recorder(recorder):
-                if exp_registry is not None:
-                    with use_registry(exp_registry):
-                        result = ALL_EXPERIMENTS[name](scale=args.scale)
-                else:
-                    result = ALL_EXPERIMENTS[name](scale=args.scale)
-        elif exp_registry is not None:
-            with use_registry(exp_registry):
-                result = ALL_EXPERIMENTS[name](scale=args.scale)
-        else:
+        with use_scope(registry=exp_registry, recorder=recorder):
             result = ALL_EXPERIMENTS[name](scale=args.scale)
         elapsed = time.perf_counter() - start
         if exp_registry is not None and run_registry is not None:

@@ -8,8 +8,8 @@ skewed joins: the hot keys are the recently-touched ones by construction).
 
 Hit/miss/eviction tallies are kept as plain integers on the cache itself
 (always, they are just increments) and additionally published into the
-process's :func:`~repro.obs.metrics.current_registry` when one is installed
-- the same zero-overhead-by-default pattern the rest of the instrumentation
+metrics registry of the ambient :func:`~repro.obs.scope.current_scope` when
+it has one - the same zero-overhead-by-default pattern the rest of the instrumentation
 uses.
 """
 
@@ -18,7 +18,7 @@ from __future__ import annotations
 from collections import OrderedDict
 from typing import Any, Hashable
 
-from ..obs.metrics import current_registry
+from ..obs.scope import current_scope
 
 #: Returned by :meth:`LruCache.get` on a miss; never a legal cached value
 #: (``None`` and ``False`` are legal - verdicts and predicate results).
@@ -80,8 +80,8 @@ class LruCache:
 
 
 def publish_lookup(label: str, op: str, hit: bool) -> None:
-    """Record one lookup outcome into the installed metrics registry."""
-    registry = current_registry()
+    """Record one lookup outcome into the ambient metrics registry."""
+    registry = current_scope().registry
     if registry is None:
         return
     name = "cache_hits" if hit else "cache_misses"
@@ -90,7 +90,7 @@ def publish_lookup(label: str, op: str, hit: bool) -> None:
 
 def publish_store(label: str, op: str, evicted: bool, occupancy: int) -> None:
     """Record one store (and its possible eviction) into the registry."""
-    registry = current_registry()
+    registry = current_scope().registry
     if registry is None:
         return
     if evicted:

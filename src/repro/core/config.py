@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from ..cache.config import CacheConfig, default_cache_config
-from ..gpu.raster_vector import RASTER_BACKENDS
 from ..gpu.state import DeviceLimits
 
 #: Accumulated gray level that marks a pixel touched by both polygons.  Both
@@ -54,12 +53,6 @@ class HardwareConfig:
     #: submission (:class:`~repro.gpu.tiled.TiledPipeline`); the effective
     #: capacity is also bounded by the device viewport limit.
     batch_tiles: int = 256
-    #: Which basic-rule rasterizers the pipeline runs: ``"vector"`` (NumPy
-    #: whole-draw-call kernels, the default) or ``"reference"`` (the
-    #: retained pure-Python spec loops).  Bit-identical results either way;
-    #: the reference backend exists for property tests, the vectorization
-    #: benchmark gate, and debugging.
-    raster_backend: str = "vector"
     #: Memoization layers (:mod:`repro.cache`).  ``None`` means "use the
     #: process default at engine construction time"
     #: (:func:`~repro.cache.config.default_cache_config`, all-off unless a
@@ -84,11 +77,6 @@ class HardwareConfig:
             raise ValueError(
                 f"resolution {self.resolution} exceeds device viewport limit "
                 f"{self.limits.max_viewport}"
-            )
-        if self.raster_backend not in RASTER_BACKENDS:
-            raise ValueError(
-                f"unknown raster backend {self.raster_backend!r}; "
-                f"choose from {RASTER_BACKENDS}"
             )
         if self.sw_threshold < 0:
             raise ValueError(f"sw_threshold must be >= 0, got {self.sw_threshold}")

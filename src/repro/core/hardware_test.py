@@ -41,7 +41,8 @@ from ..geometry.rect import Rect
 from ..gpu.pipeline import GraphicsPipeline, uniform_window_scale
 from ..gpu.state import DEFAULT_AA_LINE_WIDTH, EDGE_COLOR
 from ..gpu.tiled import TiledPipeline
-from ..obs.metrics import MetricsRegistry, current_registry
+from ..obs.metrics import MetricsRegistry
+from ..obs.scope import current_scope
 from .config import OVERLAP_THRESHOLD, HardwareConfig
 
 #: One batched test: the two polygons and the projection window to render.
@@ -75,7 +76,6 @@ class HardwareSegmentTest:
         self.pipeline = GraphicsPipeline(
             self.config.resolution,
             limits=self.config.limits,
-            raster_backend=self.config.raster_backend,
         )
         st = self.pipeline.state
         st.antialias = True  # step 2.1
@@ -115,7 +115,7 @@ class HardwareSegmentTest:
         b: Polygon,
         elapsed_s: Optional[float] = None,
     ) -> None:
-        """Record one per-pair test into the installed registry.
+        """Record one per-pair test into the ambient registry.
 
         Per-pair families (``hw_verdicts``, ``hw_test_edges``) are additive
         over pairs, so serial, batched, and shard-merged runs of the same
@@ -150,7 +150,7 @@ class HardwareSegmentTest:
         batched pairs), so cached and uncached runs report identical
         per-pair totals.
         """
-        registry = current_registry()
+        registry = current_scope().registry
         cache = self.verdict_cache
         key = None
         if cache is not None:
@@ -204,7 +204,7 @@ class HardwareSegmentTest:
             return self.distance_field_verdict(a, b, window, d)
         if d == 0.0:
             return self.intersection_verdict(a, b, window)
-        registry = current_registry()
+        registry = current_scope().registry
         self.pipeline.set_data_window(window)
         width_px = float(self.pipeline.line_width_for_distance(d))
         limits = self.config.limits
@@ -333,7 +333,7 @@ class HardwareSegmentTest:
         """
         if not pairs:
             return []
-        registry = current_registry()
+        registry = current_scope().registry
         start = time.perf_counter() if registry is not None else 0.0
         cache = self.verdict_cache
         limits = self.config.limits
@@ -425,7 +425,7 @@ class HardwareSegmentTest:
         """
         if d < 0.0:
             raise ValueError("distance must be non-negative")
-        registry = current_registry()
+        registry = current_scope().registry
         cache = self.verdict_cache
         key = None
         if cache is not None:

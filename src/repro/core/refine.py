@@ -29,7 +29,7 @@ at all).
 pairs, so one call over N items, N one-item calls, and any sharding of the
 items report identical totals; only the number of hardware submissions -
 the fixed per-test overhead ``sw_threshold`` exists to dodge - changes.
-Each hardware submission is a ``geometry.hw_batch`` span on the installed
+Each hardware submission is a ``geometry.hw_batch`` span on the ambient
 tracer (with the per-atlas ``gpu.tile_batch`` spans underneath).
 """
 
@@ -44,6 +44,7 @@ from ..geometry.min_dist import MinDistStats, min_boundary_distance
 from ..geometry.point_in_polygon import PointLocation, locate_point
 from ..geometry.polygon import Polygon
 from ..geometry.sweep import SweepStats, boundaries_intersect
+from ..obs.scope import current_scope
 from .hardware_test import HardwareSegmentTest, HardwareVerdict, PairWindow
 from .projection import distance_window, intersection_window
 from .stats import RefinementStats
@@ -120,15 +121,12 @@ def _hardware_verdicts(
     d: Optional[float],
 ) -> List[HardwareVerdict]:
     """One batched hardware call under a ``geometry.hw_batch`` span."""
-    # Imported lazily: repro.exec imports repro.core at module import time.
-    from ..exec.trace import current_tracer
-
     start = time.perf_counter()
     if op == "within_distance":
         verdicts = hw.distance_verdicts_batch(pairs, d)
     else:
         verdicts = hw.intersection_verdicts_batch(pairs)
-    tracer = current_tracer()
+    tracer = current_scope().tracer
     if tracer is not None:
         tracer.record(
             "geometry.hw_batch",

@@ -1,12 +1,10 @@
-"""Batch execution: candidate partitioning, parallel refinement, tracing.
+"""Batch execution: candidate partitioning and parallel refinement.
 
 The scale-out layer over the paper's pipelines.  MBR filtering produces a
 candidate-pair list; this package shards it (:mod:`~repro.exec.partition`),
 refines the shards on a pool of engine-owning worker processes
 (:mod:`~repro.exec.parallel`), and folds results, refinement statistics and
-GPU counters back into the same objects the serial path produces - plus a
-per-stage tracing layer (:mod:`~repro.exec.trace`) every pipeline emits
-into automatically.
+GPU counters back into the same objects the serial path produces.
 """
 
 from .parallel import (
@@ -17,28 +15,14 @@ from .parallel import (
     ShardResult,
 )
 from .partition import MIN_SHARD_SIZE, partition_items, shard_count_for
-from .trace import (
-    JsonLinesExporter,
-    Span,
-    Tracer,
-    current_tracer,
-    install,
-    use_tracer,
-)
 
 __all__ = [
     "BatchReport",
     "EngineSpec",
-    "JsonLinesExporter",
     "MIN_SHARD_SIZE",
     "OPS",
     "ParallelExecutor",
     "ShardResult",
-    "Span",
-    "Tracer",
-    "current_tracer",
-    "install",
     "partition_items",
     "shard_count_for",
-    "use_tracer",
 ]

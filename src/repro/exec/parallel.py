@@ -24,8 +24,8 @@ serial one -
   batched hardware path their totals depend on where shard boundaries cut
   the candidate list, exactly as they would across multiple real GPUs.);
 * per-shard wall-clock timings surface as child trace spans
-  (:mod:`repro.exec.trace`) under the enclosing pipeline stage;
-* when the coordinator has a :mod:`repro.obs.metrics` registry installed,
+  (:mod:`repro.obs.trace`) under the enclosing pipeline stage;
+* when the coordinator has a :mod:`repro.obs.metrics` registry in scope,
   each worker runs its shard under a fresh shard-local registry and ships
   the snapshot back in :attr:`ShardResult.metrics`; the coordinator merges
   the snapshots in.  Histogram merging is exact (Shewchuk partial sums),
@@ -34,7 +34,7 @@ serial one -
   merge order.  Batch-shape families (``tiles_per_batch``,
   ``atlas_occupancy``) depend on where shard boundaries cut the candidate
   list, exactly like the submission-side cost counters above;
-* when the coordinator has a :mod:`repro.obs.capture` recorder installed,
+* when the coordinator has a :mod:`repro.obs.capture` recorder in scope,
   each worker records its shard's GPU command stream into a fresh
   shard-local recorder and ships the events back in
   :attr:`ShardResult.capture`; the coordinator folds them in shard order
@@ -59,11 +59,11 @@ from ..core.stats import RefinementStats
 from ..geometry.min_dist import MinDistStats
 from ..geometry.sweep import SweepStats
 from ..gpu.costmodel import CostCounters
-from ..obs.capture import CommandRecorder, current_recorder, use_recorder
-from ..obs.context import RequestContext, current_context, use_context
-from ..obs.metrics import MetricsRegistry, current_registry, use_registry
+from ..obs.capture import CommandRecorder
+from ..obs.context import RequestContext
+from ..obs.metrics import MetricsRegistry
+from ..obs.scope import current_scope, use_scope
 from .partition import partition_items, shard_count_for
-from .trace import current_tracer
 
 
 @dataclass(frozen=True)
@@ -196,12 +196,15 @@ def _refine_shard(
         RequestContext(trace_id=trace_id) if trace_id is not None else None
     )
     start = time.perf_counter()
-    # ``None`` scopes nothing in: a shard that collects no metrics/capture
-    # must not write into state a forked worker inherited either.
-    with (
-        use_context(shard_context),
-        use_recorder(shard_recorder),
-        use_registry(shard_registry),
+    # Blank, not inherited: a fork-started worker holds a copy of the
+    # coordinator's scope, and must not record spans into that tracer (or
+    # stream them into its exporter's file), nor into a registry/recorder
+    # the shard was not asked to collect.
+    with use_scope(
+        blank=True,
+        registry=shard_registry,
+        recorder=shard_recorder,
+        request=shard_context,
     ):
         matches = engine.refine(op, items, distance=distance)
     elapsed = time.perf_counter() - start
@@ -344,9 +347,8 @@ class ParallelExecutor:
         if not items:
             return report.matches
 
-        tracer = current_tracer()
-        registry = current_registry()
-        context = current_context()
+        scope = current_scope()
+        tracer, registry, context = scope.tracer, scope.registry, scope.request
         # Spans from a per-request tracer are stamped already; otherwise an
         # active request context rides along as a span attribute so shard
         # records stay attributable under a shared (e.g. benchmark) tracer.
@@ -389,7 +391,7 @@ class ParallelExecutor:
 
         spec = EngineSpec.for_engine(engine)
         pool = self._pool_for(spec)
-        recorder = current_recorder()
+        recorder = scope.recorder
         collect_metrics = registry is not None
         collect_capture = recorder is not None
         trace_id = context.trace_id if context is not None else None

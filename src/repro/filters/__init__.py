@@ -19,7 +19,6 @@ from .intervals import (
     IntervalVerdict,
     classify_intervals,
 )
-from .mer import EnclosedRectangleFilter, MerStats, largest_true_rectangle
 from .progressive import ConvexHullFilter, HullFilterStats
 from .object_filters import (
     one_object_upper_bound,
@@ -30,7 +29,6 @@ from .object_filters import (
 __all__ = [
     "ConvexHullFilter",
     "DEFAULT_INTERVAL_LEVEL",
-    "EnclosedRectangleFilter",
     "HullFilterStats",
     "InteriorFilter",
     "IntervalApproximation",
@@ -38,9 +36,7 @@ __all__ = [
     "IntervalGrid",
     "IntervalIndex",
     "IntervalVerdict",
-    "MerStats",
     "classify_intervals",
-    "largest_true_rectangle",
     "one_object_upper_bound",
     "pair_distance_upper_bound",
     "zero_object_upper_bound",

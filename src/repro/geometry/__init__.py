@@ -8,7 +8,6 @@ polygon-distance algorithms.
 """
 
 from .avl import AVLTree
-from .clip import clip_polygon_to_rect, clip_segment_to_rect
 from .convex_hull import convex_hull, hull_polygon
 from .distance import (
     boundary_distance_brute_force,
@@ -51,7 +50,6 @@ from .segment import (
     segment_segment_max_distance,
 )
 from .shamos_hoey import any_segments_intersect, polygon_is_simple
-from .simplify import simplify_chain, simplify_polygon
 from .sweep import (
     SweepStats,
     boundaries_intersect,
@@ -73,8 +71,6 @@ __all__ = [
     "boundaries_intersect",
     "boundaries_intersect_brute_force",
     "boundary_distance_brute_force",
-    "clip_polygon_to_rect",
-    "clip_segment_to_rect",
     "collinear_overlap",
     "convex_hull",
     "cross",
@@ -102,6 +98,4 @@ __all__ = [
     "segment_segment_max_distance",
     "segments_intersect",
     "segments_intersect_properly",
-    "simplify_chain",
-    "simplify_polygon",
 ]

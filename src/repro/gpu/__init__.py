@@ -30,7 +30,6 @@ from .raster_polygon import (
     scanline_row_bounds,
 )
 from .raster_vector import (
-    RASTER_BACKENDS,
     lines_basic_coverage_mask,
     lines_basic_coverage_mask_reference,
     polygon_fill_coverage_mask,
@@ -56,7 +55,6 @@ __all__ = [
     "GpuCostModel",
     "GraphicsPipeline",
     "OVERLAP_COLOR",
-    "RASTER_BACKENDS",
     "RasterState",
     "TiledPipeline",
     "aa_rect_axes",

@@ -28,18 +28,12 @@ import numpy as np
 
 from ..cache.keys import window_key
 from ..geometry.rect import Rect
-from ..obs.capture import current_recorder
+from ..obs.scope import current_scope
 from .costmodel import CostCounters
 from .framebuffer import Framebuffer
 from .raster_bulk import edges_coverage_mask
 from .raster_point import rasterize_point_basic, rasterize_point_conservative
-from .raster_polygon import polygon_coverage_mask
-from .raster_vector import (
-    RASTER_BACKENDS,
-    lines_basic_coverage_mask,
-    lines_basic_coverage_mask_reference,
-    polygon_fill_coverage_mask,
-)
+from .raster_vector import lines_basic_coverage_mask, polygon_fill_coverage_mask
 from .state import DeviceLimits, RasterState
 
 Coords = Sequence[Tuple[float, float]]
@@ -81,20 +75,9 @@ class GraphicsPipeline:
         width: int,
         height: Optional[int] = None,
         limits: Optional[DeviceLimits] = None,
-        raster_backend: str = "vector",
     ) -> None:
         height = width if height is None else height
         self.limits = limits if limits is not None else DeviceLimits()
-        if raster_backend not in RASTER_BACKENDS:
-            raise ValueError(
-                f"unknown raster backend {raster_backend!r}; "
-                f"choose from {RASTER_BACKENDS}"
-            )
-        #: Which basic-rule rasterizers produce coverage masks: the NumPy
-        #: whole-draw-call kernels ("vector", the default) or the retained
-        #: pure-Python spec loops ("reference").  Bit-identical outputs;
-        #: the reference exists for property tests and the bench gate.
-        self.raster_backend = raster_backend
         if width < 1 or height < 1:
             raise ValueError("viewport must be at least 1x1")
         if width > self.limits.max_viewport or height > self.limits.max_viewport:
@@ -153,7 +136,7 @@ class GraphicsPipeline:
         self._offset4 = np.array(
             [window.xmin, window.ymin, window.xmin, window.ymin], dtype=np.float64
         )
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_set_window(self, window)
 
@@ -182,7 +165,7 @@ class GraphicsPipeline:
         self.fb.clear_color(value)
         self.counters.buffer_clears += 1
         self.counters.pixels_cleared += self.width * self.height
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_clear(self, "color", value)
 
@@ -190,7 +173,7 @@ class GraphicsPipeline:
         self.fb.clear_accum(value)
         self.counters.buffer_clears += 1
         self.counters.pixels_cleared += self.width * self.height
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_clear(self, "accum", value)
 
@@ -198,7 +181,7 @@ class GraphicsPipeline:
         self.fb.clear_stencil(value)
         self.counters.buffer_clears += 1
         self.counters.pixels_cleared += self.width * self.height
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_clear(self, "stencil", value)
 
@@ -206,28 +189,28 @@ class GraphicsPipeline:
         self.fb.clear_depth(value)
         self.counters.buffer_clears += 1
         self.counters.pixels_cleared += self.width * self.height
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_clear(self, "depth", value)
 
     def accum_add(self, scale: float = 1.0) -> None:
         self.fb.accum_add(scale)
         self.counters.accum_ops += 1
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_accum(self, "add", scale)
 
     def accum_load(self, scale: float = 1.0) -> None:
         self.fb.accum_load(scale)
         self.counters.accum_ops += 1
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_accum(self, "load", scale)
 
     def accum_return(self, scale: float = 1.0) -> None:
         self.fb.accum_return(scale)
         self.counters.accum_ops += 1
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_accum(self, "return", scale)
 
@@ -236,7 +219,7 @@ class GraphicsPipeline:
         self.counters.minmax_ops += 1
         self.counters.pixels_scanned += self.width * self.height
         result = self.fb.minmax(buffer)
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_minmax(self, buffer, result)
         return result
@@ -246,7 +229,7 @@ class GraphicsPipeline:
         self.counters.readback_ops += 1
         self.counters.pixels_transferred += self.width * self.height
         data = self.fb.read_pixels(buffer)
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_read_pixels(self, buffer, data)
         return data
@@ -296,7 +279,7 @@ class GraphicsPipeline:
             mask = cache.lookup(cache_key)
             if mask is not None:
                 self.counters.pixels_written += int(np.count_nonzero(mask))
-                recorder = current_recorder()
+                recorder = current_scope().recorder
                 if recorder is not None:
                     recorder.on_coverage_mask(self, edges_data, mask)
                 return mask
@@ -329,7 +312,7 @@ class GraphicsPipeline:
             self.counters.pixels_written += int(np.count_nonzero(mask))
         if cache_key is not None:
             cache.store(cache_key, mask)
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_coverage_mask(self, edges_data, mask)
         return mask
@@ -340,7 +323,7 @@ class GraphicsPipeline:
 
         self.counters.distance_field_pixels += self.width * self.height
         field = distance_field(mask)
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_distance_field(self, mask, field)
         return field
@@ -382,7 +365,7 @@ class GraphicsPipeline:
         self.state.validate(self.limits)
         self.counters.draw_calls += 1
         state = self.state
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_draw_edges(self, edges_data)
 
@@ -437,10 +420,6 @@ class GraphicsPipeline:
             )
             if cache_key is not None:
                 cache.store(cache_key, mask)
-        elif self.raster_backend == "reference":
-            mask = lines_basic_coverage_mask_reference(
-                (self.height, self.width), edges
-            )
         else:
             mask = lines_basic_coverage_mask((self.height, self.width), edges)
         self.counters.pixels_written += self._apply_fragment_ops(mask)
@@ -495,7 +474,7 @@ class GraphicsPipeline:
         self.state.validate(self.limits)
         self.counters.draw_calls += 1
         self.counters.points_rendered += 1
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_draw_point(self, x, y)
         wx, wy = self.data_to_window(x, y)
@@ -522,7 +501,7 @@ class GraphicsPipeline:
         if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
             raise ValueError("polygon needs at least 3 vertices")
         self.counters.draw_calls += 1
-        recorder = current_recorder()
+        recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_draw_polygon(self, coords)
 
@@ -554,8 +533,5 @@ class GraphicsPipeline:
         self.counters.edges_clipped_away += arr.shape[0] - kept
 
         # Rasterization stage: even-odd coverage mask of the whole draw.
-        if self.raster_backend == "reference":
-            mask = polygon_coverage_mask((self.height, self.width), window)
-        else:
-            mask = polygon_fill_coverage_mask((self.height, self.width), window)
+        mask = polygon_fill_coverage_mask((self.height, self.width), window)
         self.counters.pixels_written += self._apply_fragment_ops(mask)

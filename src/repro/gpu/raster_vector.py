@@ -38,13 +38,6 @@ from .raster_bulk import _pixel_centers, edges_coverage_mask
 from .raster_line import rasterize_line_basic
 from .raster_polygon import scanline_row_bounds
 
-#: Selectable rasterization backends of :class:`~repro.gpu.pipeline.
-#: GraphicsPipeline`: ``"vector"`` runs the NumPy whole-draw-call kernels,
-#: ``"reference"`` the retained pure-Python spec loops.  Both produce
-#: bit-identical masks, buffers, and counters; the reference exists for
-#: property tests, the vectorization benchmark gate, and debugging.
-RASTER_BACKENDS = ("vector", "reference")
-
 #: Cap on the (edge, pixel) float64 entries materialized per chunk of the
 #: diamond-exit kernel.  Smaller than raster_bulk's boolean budget because
 #: each entry carries several float64 temporaries.
@@ -174,7 +167,7 @@ def ring_boundary_coverage_mask(
 
 
 def lines_basic_coverage_mask_reference(shape, edges: np.ndarray) -> np.ndarray:
-    """The retained per-pixel loop as a mask producer (reference backend)."""
+    """The retained per-pixel loop as a mask producer (the test oracle)."""
     mask = np.zeros(shape, dtype=bool)
     for x0, y0, x1, y1 in np.asarray(edges, dtype=np.float64).reshape(-1, 4):
         rasterize_line_basic(mask, x0, y0, x1, y1, color=True)

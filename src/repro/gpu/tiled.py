@@ -35,8 +35,7 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..geometry.rect import Rect
-from ..obs.capture import current_recorder
-from ..obs.metrics import current_registry
+from ..obs.scope import current_scope
 from .framebuffer import Framebuffer
 from .pipeline import GraphicsPipeline, uniform_window_scale
 from .raster_bulk import edges_coverage_masks_grouped
@@ -126,9 +125,9 @@ class TiledPipeline:
                 threshold,
             )
             flags[start:stop] = sub_flags
-            recorder = current_recorder()
-            if recorder is not None:
-                recorder.on_tile_batch(
+            scope = current_scope()
+            if scope.recorder is not None:
+                scope.recorder.on_tile_batch(
                     self,
                     edges_a[start:stop],
                     edges_b[start:stop],
@@ -138,20 +137,15 @@ class TiledPipeline:
                     threshold,
                     sub_flags,
                 )
-            # Imported lazily: pulling repro.exec at module import time
-            # would cycle back into repro.core -> repro.gpu.
-            from ..exec.trace import current_tracer
-
-            tracer = current_tracer()
-            if tracer is not None:
-                tracer.record(
+            if scope.tracer is not None:
+                scope.tracer.record(
                     "gpu.tile_batch",
                     time.perf_counter() - began,
                     tiles=stop - start,
                     edges=edge_count,
                     atlas=f"{self.fb.width}x{self.fb.height}",
                 )
-            registry = current_registry()
+            registry = scope.registry
             if registry is not None:
                 # Batch-shape families: how full each atlas submission ran.
                 # A fleet of mostly-full batches means the fixed per-

@@ -4,12 +4,16 @@ The substrate the ROADMAP's "fast as the hardware allows" goal needs - you
 cannot keep a hot path fast without machine-readable evidence of where
 time goes and a gate that fails when it regresses.
 
+* :mod:`repro.obs.scope` - the ambient :class:`ObsScope` (tracer, metrics
+  registry, command recorder, request context) behind one ``ContextVar``:
+  every instrumented layer reads it with :func:`current_scope`, callers
+  set it with :func:`use_scope` (zero overhead when a facility is off);
+* :mod:`repro.obs.trace` - :class:`Tracer` / :class:`Span` /
+  :class:`JsonLinesExporter`, the per-stage span collector;
 * :mod:`repro.obs.metrics` - a :class:`MetricsRegistry` of counters,
-  gauges, and exactly-mergeable log-bucketed histograms, with a
-  process-global install point every instrumented layer reports into
-  (zero overhead when none is installed);
+  gauges, and exactly-mergeable log-bucketed histograms;
 * :mod:`repro.obs.report` - trace-tree analysis of
-  :mod:`repro.exec.trace` spans: per-stage rollups (self vs child time)
+  :mod:`repro.obs.trace` spans: per-stage rollups (self vs child time)
   and the critical path;
 * :mod:`repro.obs.runreport` - the versioned RunReport JSON artifact one
   benchmark run emits (``python -m repro.bench <exp> --report-out``);
@@ -36,15 +40,12 @@ from .capture import (
     CAPTURE_SCHEMA,
     CommandRecorder,
     ReplayResult,
-    current_recorder,
-    install_recorder,
     load_capture,
     replay_capture,
     replay_events,
-    use_recorder,
 )
 from .compare import Comparison, Finding, compare_reports
-from .context import RequestContext, current_context, new_trace_id, use_context
+from .context import RequestContext, new_trace_id
 from .explain import (
     EXPLAIN_SCHEMA,
     QueryFunnel,
@@ -54,16 +55,16 @@ from .explain import (
     render_funnels,
     write_explain,
 )
-from .metrics import (
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    current_registry,
-    install_registry,
-    use_registry,
-)
+from .metrics import Counter, Gauge, Histogram, MetricsRegistry
 from .report import TraceReport, analyze, load_spans, render_report
+from .scope import (
+    ObsScope,
+    current_scope,
+    use_recorder,
+    use_registry,
+    use_scope,
+    use_tracer,
+)
 from .slo import (
     ALERTS_SCHEMA,
     AlertLog,
@@ -94,6 +95,7 @@ from .runreport import (
     sections_from_snapshot,
     write_run_report,
 )
+from .trace import JsonLinesExporter, Span, Tracer
 
 __all__ = [
     "ALERTS_SCHEMA",
@@ -106,7 +108,9 @@ __all__ = [
     "Finding",
     "Gauge",
     "Histogram",
+    "JsonLinesExporter",
     "MetricsRegistry",
+    "ObsScope",
     "QueryFunnel",
     "RUN_REPORT_SCHEMA",
     "ReplayResult",
@@ -114,8 +118,10 @@ __all__ = [
     "SLOConfig",
     "SLObjective",
     "SLOTracker",
+    "Span",
     "TIMELINE_SCHEMA",
     "TraceReport",
+    "Tracer",
     "WindowConfig",
     "WindowedCounter",
     "WindowedHistogram",
@@ -123,16 +129,12 @@ __all__ = [
     "analyze",
     "build_run_report",
     "compare_reports",
-    "current_context",
+    "current_scope",
     "default_objectives",
-    "current_recorder",
-    "current_registry",
     "environment_fingerprint",
     "experiment_entry",
     "explain_run",
     "funnels_from_snapshot",
-    "install_recorder",
-    "install_registry",
     "load_alert_log",
     "load_capture",
     "load_run_report",
@@ -146,9 +148,10 @@ __all__ = [
     "sections_from_snapshot",
     "summarize_timeline",
     "timeline_from_spans",
-    "use_context",
     "use_recorder",
     "use_registry",
+    "use_scope",
+    "use_tracer",
     "write_explain",
     "write_run_report",
     "write_timeline",

@@ -1,8 +1,8 @@
 """GPU command-stream flight recorder and deterministic replayer.
 
 An apitrace/RenderDoc-style capture layer for the simulated pipeline: when
-a :class:`CommandRecorder` is installed (:func:`install_recorder` /
-:func:`use_recorder`), every :class:`~repro.gpu.pipeline.GraphicsPipeline`
+a :class:`CommandRecorder` is in scope (:func:`~repro.obs.scope.use_recorder`),
+every :class:`~repro.gpu.pipeline.GraphicsPipeline`
 operation - data-window sets, raster-state changes, buffer clears,
 accumulation transfers, draw calls, Minmax queries, readbacks - and every
 :class:`~repro.gpu.tiled.TiledPipeline` atlas submission is appended to an
@@ -14,8 +14,8 @@ digests (SHA-256 over dtype, shape, and raw bytes) compare at each Minmax,
 readback, coverage-mask, distance-field, and atlas event.
 
 Like :mod:`.metrics`, the recorder follows the zero-overhead-when-disabled
-pattern: instrumentation sites perform one global read and a ``None``
-check, so with no recorder installed the hot rendering path is unchanged.
+pattern: instrumentation sites perform one scope read and a ``None``
+check, so with no recorder in scope the hot rendering path is unchanged.
 Worker processes of :class:`~repro.exec.parallel.ParallelExecutor` record
 into fresh per-shard recorders whose event lists ship back with the shard
 result; :meth:`CommandRecorder.merge` folds them into the coordinator's
@@ -45,11 +45,11 @@ from __future__ import annotations
 
 import hashlib
 import json
-from contextlib import ExitStack, contextmanager
-from contextvars import ContextVar
-from typing import IO, Any, Dict, Iterator, List, Mapping, Optional, Sequence, Union
+from typing import IO, Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
+
+from .scope import use_scope
 
 #: Version tag of the capture event schema (bump on incompatible change).
 CAPTURE_SCHEMA = "repro.obs/capture@1"
@@ -176,7 +176,6 @@ class CommandRecorder:
             },
             state=state,
             window=_rect_list(pipeline.window),
-            raster_backend=pipeline.raster_backend,
         )
 
     def _sync_state(self, pid: str, pipeline: Any) -> None:
@@ -290,7 +289,6 @@ class CommandRecorder:
                     "max_point_size": limits.max_point_size,
                     "max_viewport": limits.max_viewport,
                 },
-                raster_backend=tiled.base.raster_backend,
             )
         widths_arr = np.asarray(widths, dtype=np.float64)
         self._emit(
@@ -394,55 +392,6 @@ def load_capture(path: str) -> List[Dict[str, Any]]:
     return events
 
 
-# -- the current recorder -----------------------------------------------------
-#
-# Same two-layer scheme as :mod:`repro.obs.metrics`: a scoped ContextVar
-# (token-restored, so concurrent / nested :func:`use_recorder` scopes
-# cannot stomp each other) over a process-global base install.  A scoped
-# explicit ``None`` suppresses capture inside the block - the replayer
-# relies on that to keep the replay itself out of any live capture.
-
-#: Sentinel distinguishing "no scoped override" from scoped ``None``.
-_UNSET: Any = object()
-
-_INSTALLED: Optional[CommandRecorder] = None
-_SCOPED: "ContextVar[Any]" = ContextVar("repro_obs_recorder", default=_UNSET)
-
-
-def current_recorder() -> Optional[CommandRecorder]:
-    """The installed recorder, or None when capture is off (the default)."""
-    scoped = _SCOPED.get()
-    if scoped is not _UNSET:
-        return scoped
-    return _INSTALLED
-
-
-def install_recorder(
-    recorder: Optional[CommandRecorder],
-) -> Optional[CommandRecorder]:
-    """Install ``recorder`` process-globally; returns the previous base."""
-    global _INSTALLED
-    previous = _INSTALLED
-    _INSTALLED = recorder
-    return previous
-
-
-@contextmanager
-def use_recorder(
-    recorder: Optional[CommandRecorder],
-) -> Iterator[Optional[CommandRecorder]]:
-    """Install ``recorder`` for the duration of a block (this context only).
-
-    Passing ``None`` explicitly disables capture inside the block, even
-    when a process-global recorder is installed.
-    """
-    token = _SCOPED.set(recorder)
-    try:
-        yield recorder
-    finally:
-        _SCOPED.reset(token)
-
-
 # -- the deterministic replayer ----------------------------------------------
 
 
@@ -481,17 +430,15 @@ def replay_events(
 ) -> ReplayResult:
     """Re-execute a capture against fresh pipelines; verify bit-identity.
 
-    Runs with recorder, metrics registry, and tracer uninstalled so the
-    replay itself is invisible to the observability layers.  Returns a
+    Runs under a blank observability scope, so the replay itself is
+    invisible to any live recorder, registry or tracer.  Returns a
     :class:`ReplayResult`; call :meth:`ReplayResult.assert_ok` to raise on
     the first summary of divergences.
     """
-    from ..exec.trace import use_tracer
     from ..geometry.rect import Rect
     from ..gpu.pipeline import GraphicsPipeline
     from ..gpu.state import DeviceLimits
     from ..gpu.tiled import TiledPipeline
-    from .metrics import use_registry
 
     result = ReplayResult()
     pipelines: Dict[str, Any] = result.pipelines
@@ -514,13 +461,7 @@ def replay_events(
             )
         return p
 
-    # Scoped suppression (not a global uninstall): the replay must be
-    # invisible to the observability layers without disturbing recorders /
-    # registries / tracers other threads are concurrently using.
-    with ExitStack() as stack:
-        stack.enter_context(use_recorder(None))
-        stack.enter_context(use_registry(None))
-        stack.enter_context(use_tracer(None))
+    with use_scope(blank=True):
         for event in events:
             cmd = event["cmd"]
             result.events_replayed += 1
@@ -529,9 +470,6 @@ def replay_events(
                     event["width"],
                     event["height"],
                     limits=DeviceLimits(**event["limits"]),
-                    # Captures predating the backend knob replay on the
-                    # default; both backends are bit-identical anyway.
-                    raster_backend=event.get("raster_backend", "vector"),
                 )
                 for name, value in event["state"].items():
                     setattr(p.state, name, value)
@@ -542,7 +480,6 @@ def replay_events(
                     event["tile_width"],
                     event["tile_height"],
                     limits=DeviceLimits(**event["limits"]),
-                    raster_backend=event.get("raster_backend", "vector"),
                 )
                 tp = TiledPipeline(base, max_tiles=event["max_tiles"])
                 check(event, "grid_cols", event["grid_cols"], tp.grid_cols)
@@ -660,11 +597,8 @@ __all__ = [
     "CommandRecorder",
     "ReplayResult",
     "array_digest",
-    "current_recorder",
-    "install_recorder",
     "load_capture",
     "replay_capture",
     "replay_events",
-    "use_recorder",
     "write_events",
 ]

@@ -10,13 +10,10 @@ checkout -> pipeline stages -> :class:`~repro.exec.parallel.ParallelExecutor`
 shards - so every span, slow-query record, and shard report can be joined
 back to the request that caused it.
 
-Scoping follows the same ContextVar discipline as
-:func:`repro.obs.metrics.use_registry` and
-:func:`repro.exec.trace.use_tracer`: :func:`use_context` is token-restored
-per thread / asyncio task, so concurrent requests can never observe each
-other's context.  Unlike those two there is **no process-global install**:
-a request context is meaningless outside the request that created it, so
-the only way to set one is the scoped form.
+The active context is the ``request`` field of the ambient
+:class:`~repro.obs.scope.ObsScope` (``use_scope(request=ctx)`` /
+``current_scope().request``), token-restored per thread / asyncio task,
+so concurrent requests can never observe each other's context.
 
 Crossing a process boundary (the sharded geometry backend) is explicit,
 exactly like the shard-local metric registries: the coordinator passes
@@ -31,10 +28,8 @@ from __future__ import annotations
 
 import time
 import uuid
-from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterator, Optional
+from typing import Any, Dict, Optional
 
 
 def new_trace_id() -> str:
@@ -93,38 +88,4 @@ class RequestContext:
         return out
 
 
-# -- the current context ------------------------------------------------------
-
-_CURRENT: "ContextVar[Optional[RequestContext]]" = ContextVar(
-    "repro_obs_request_context", default=None
-)
-
-
-def current_context() -> Optional[RequestContext]:
-    """The active request context, or None outside any request scope."""
-    return _CURRENT.get()
-
-
-@contextmanager
-def use_context(
-    context: Optional[RequestContext],
-) -> Iterator[Optional[RequestContext]]:
-    """Make ``context`` current for the duration of a block.
-
-    Token-restored per thread / asyncio task: concurrent requests each see
-    exactly their own context, and nested scopes unwind correctly.
-    Passing ``None`` explicitly clears the context inside the block.
-    """
-    token = _CURRENT.set(context)
-    try:
-        yield context
-    finally:
-        _CURRENT.reset(token)
-
-
-__all__ = [
-    "RequestContext",
-    "current_context",
-    "new_trace_id",
-    "use_context",
-]
+__all__ = ["RequestContext", "new_trace_id"]

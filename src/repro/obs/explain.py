@@ -203,7 +203,8 @@ class QueryFunnel:
         return doc
 
 
-def _fields(container: Any) -> Dict[str, Any]:
+def dataclass_values(container: Any) -> Dict[str, Any]:
+    """Field name -> current value of a (duck-typed) dataclass instance."""
     return {
         name: getattr(container, name)
         for name in type(container).__dataclass_fields__
@@ -250,7 +251,7 @@ def funnel_from_deltas(
         funnel.results = cost.results
         funnel.stage_seconds = {
             name[: -len("_s")]: value
-            for name, value in _fields(cost).items()
+            for name, value in dataclass_values(cost).items()
             if name.endswith("_s")
         }
     return funnel
@@ -287,10 +288,8 @@ def funnels_from_snapshot(
     """Reconstruct per-pipeline funnels from a metrics snapshot.
 
     Reads the ``funnel{pipeline=...,stage=...}`` counter family the
-    :class:`~repro.obs.instrument.PipelineObserver` publishes.  For
-    snapshots predating that family (or refinement loops driven without a
-    pipeline), falls back to synthesizing one ``(all)`` funnel from the
-    ``refinement{field=...}`` and ``cost_count{field=...}`` counters.
+    :class:`~repro.obs.instrument.PipelineObserver` publishes; a snapshot
+    without it yields no funnels.
     """
     counters: Mapping[str, Any] = snapshot.get("counters", {})
     funnels: Dict[str, QueryFunnel] = {}
@@ -305,28 +304,7 @@ def funnels_from_snapshot(
             continue
         funnel = funnels.setdefault(pipeline, QueryFunnel(pipeline=pipeline))
         setattr(funnel, stage, getattr(funnel, stage) + value)
-    if funnels:
-        return dict(sorted(funnels.items()))
-
-    refinement: Dict[str, float] = {}
-    cost_count: Dict[str, float] = {}
-    for key, value in counters.items():
-        name, labels = parse_key(key)
-        if name == "refinement":
-            refinement[dict(labels).get("field", "")] = value
-        elif name == "cost_count":
-            cost_count[dict(labels).get("field", "")] = value
-    if not refinement and not cost_count:
-        return {}
-    funnel = funnel_from_deltas("(all)", refinement)
-    if cost_count:
-        funnel.candidates = cost_count.get("candidates_after_mbr", 0)
-        funnel.interior_filter_hits = cost_count.get("filter_positives", 0)
-        funnel.interval_proven_intersecting = cost_count.get("interval_hits", 0)
-        funnel.interval_proven_disjoint = cost_count.get("interval_drops", 0)
-        funnel.refined = cost_count.get("pairs_compared", 0)
-        funnel.results = cost_count.get("results", 0)
-    return {"(all)": funnel}
+    return dict(sorted(funnels.items()))
 
 
 # -- rendering ---------------------------------------------------------------
@@ -430,6 +408,7 @@ __all__ = [
     "EXPLAIN_SCHEMA",
     "FUNNEL_STAGES",
     "QueryFunnel",
+    "dataclass_values",
     "explain_document",
     "explain_run",
     "funnel_from_deltas",

@@ -18,8 +18,9 @@ into metric-family increments:
 
 Deltas are computed from before/after field snapshots so a long-lived
 engine shared by many runs (``run_query_set``) attributes each run's work
-to that run.  Everything is gated on :func:`~repro.obs.metrics.current_registry`:
-with no registry installed, :func:`observe_pipeline` returns ``None`` and
+to that run.  Everything is gated on the ambient scope's registry
+(:func:`~repro.obs.scope.current_scope`):
+with none in scope, :func:`observe_pipeline` returns ``None`` and
 the pipelines skip the accounting entirely - the zero-overhead default.
 
 Stat containers are duck-typed through ``__dataclass_fields__`` so this
@@ -29,9 +30,11 @@ of :mod:`repro` and stays cycle-free.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Optional
 
-from .metrics import MetricsRegistry, current_registry
+from .explain import FUNNEL_STAGES, dataclass_values, funnel_from_deltas
+from .metrics import MetricsRegistry
+from .scope import current_scope
 
 #: CostBreakdown fields published as ``cost_count`` counters.
 COST_COUNT_FIELDS = (
@@ -42,13 +45,6 @@ COST_COUNT_FIELDS = (
     "pairs_compared",
     "results",
 )
-
-
-def _fields(container: Any) -> Dict[str, Any]:
-    return {
-        name: getattr(container, name)
-        for name in type(container).__dataclass_fields__
-    }
 
 
 class PipelineObserver:
@@ -62,9 +58,9 @@ class PipelineObserver:
         self.registry = registry
         self.pipeline = pipeline
         self.engine = engine
-        self._stats_before = _fields(engine.stats)
+        self._stats_before = dataclass_values(engine.stats)
         gpu = getattr(engine, "gpu_counters", None)
-        self._gpu_before = _fields(gpu) if gpu is not None else None
+        self._gpu_before = dataclass_values(gpu) if gpu is not None else None
 
     def finish(self, cost: Any) -> None:
         """Publish one finished run's cost breakdown and engine deltas."""
@@ -89,32 +85,12 @@ class PipelineObserver:
                 reg.counter("refinement", field=name).inc(delta)
         # The EXPLAIN ANALYZE funnel: every candidate of this run is
         # attributed to exactly one resolving stage (repro.obs.explain
-        # states and checks the identities).  Zero increments are skipped
-        # like everywhere else; absent keys read as zero downstream.
-        funnel = {
-            "candidates": cost.candidates_after_mbr,
-            "interior_filter_hits": cost.filter_positives,
-            "interval_proven_intersecting": getattr(cost, "interval_hits", 0),
-            "interval_proven_disjoint": getattr(cost, "interval_drops", 0),
-            "refined": cost.pairs_compared,
-            "prefilter_drops": deltas.get("prefilter_drops", 0),
-            "pip_resolved": deltas.get("pip_hits", 0),
-            "threshold_skipped": deltas.get("threshold_bypasses", 0),
-            "hw_proven_disjoint": deltas.get("hw_rejects", 0),
-            "hw_needs_sweep": (
-                deltas.get("hw_tests", 0)
-                - deltas.get("hw_rejects", 0)
-                - deltas.get("width_limit_fallbacks", 0)
-            ),
-            "hw_overflow_fallbacks": deltas.get("width_limit_fallbacks", 0),
-            "hw_false_positives": deltas.get("hw_false_positives", 0),
-            "sw_exact": (
-                deltas.get("sw_segment_tests", 0)
-                + deltas.get("sw_distance_tests", 0)
-            ),
-            "results": cost.results,
-        }
-        for stage, value in funnel.items():
+        # derives the stages and checks the identities).  Zero increments
+        # are skipped like everywhere else; absent keys read as zero
+        # downstream.
+        funnel = funnel_from_deltas(self.pipeline, deltas, cost)
+        for stage in FUNNEL_STAGES:
+            value = getattr(funnel, stage)
             if value:
                 reg.counter(
                     "funnel", pipeline=self.pipeline, stage=stage
@@ -129,7 +105,7 @@ class PipelineObserver:
 
 def observe_pipeline(pipeline: str, engine: Any) -> Optional[PipelineObserver]:
     """An observer for one run, or None when metrics are off (the default)."""
-    registry = current_registry()
+    registry = current_scope().registry
     if registry is None:
         return None
     return PipelineObserver(registry, pipeline, engine)

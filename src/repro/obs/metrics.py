@@ -22,11 +22,11 @@ substrate those layers now also report into:
   Prometheus text exposition (``# HELP`` / ``# TYPE`` lines, label
   values quoted and escaped per the exposition format).
 
-Like :mod:`repro.exec.trace`, a process-global *current registry*
-(:func:`current_registry` / :func:`install_registry` / :func:`use_registry`)
-lets instrumentation sites stay zero-overhead by default: when no registry
-is installed, the hot path performs one global read and a ``None`` check -
-no allocations, no dict lookups.
+Instrumentation sites find the registry of the run they belong to in the
+ambient :class:`~repro.obs.scope.ObsScope` (``current_scope().registry``)
+and stay zero-overhead by default: with no registry in scope, the hot path
+performs one ``ContextVar`` read and a ``None`` check - no allocations, no
+dict lookups.
 
 The module deliberately imports nothing from the rest of :mod:`repro`, so
 every layer (gpu, core, exec, query, bench) may depend on it without
@@ -38,9 +38,7 @@ from __future__ import annotations
 import json
 import math
 import threading
-from contextlib import contextmanager
-from contextvars import ContextVar
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
 
 #: Version tag of the snapshot schema (bump on incompatible change).
 SNAPSHOT_SCHEMA = "repro.obs/metrics@1"
@@ -554,69 +552,3 @@ def register_metric_help(name: str, help_text: str) -> None:
 
 def metric_help(name: str) -> str:
     return METRIC_HELP.get(name, f"repro metric family {name}.")
-
-
-# -- the current registry -----------------------------------------------------
-#
-# Two layers, consulted scoped-first:
-#
-# * a **scoped** ContextVar set by :func:`use_registry` - each thread /
-#   asyncio task restores exactly the value it shadowed (token-based
-#   reset), so nested scopes and concurrent requests cannot stomp each
-#   other the way a swap-a-global-and-swap-back protocol does (last
-#   writer used to win, leaking one request's registry into another);
-# * a **process-global** base set by :func:`install_registry` - the
-#   long-lived install (a serving process's registry, a benchmark run),
-#   visible to every thread that has no scoped override.
-#
-# The zero-overhead default is preserved: with nothing installed,
-# :func:`current_registry` is one ContextVar read, one global read, and a
-# None check - no allocations, no locks.
-
-#: Sentinel distinguishing "no scoped override" from an explicit scoped
-#: ``None`` (= metrics suppressed inside this scope).
-_UNSET: Any = object()
-
-_INSTALLED: Optional[MetricsRegistry] = None
-_SCOPED: "ContextVar[Any]" = ContextVar("repro_obs_registry", default=_UNSET)
-
-
-def current_registry() -> Optional[MetricsRegistry]:
-    """The installed registry, or None when metrics are off (the default)."""
-    scoped = _SCOPED.get()
-    if scoped is not _UNSET:
-        return scoped
-    return _INSTALLED
-
-
-def install_registry(
-    registry: Optional[MetricsRegistry],
-) -> Optional[MetricsRegistry]:
-    """Install ``registry`` process-globally; returns the previous base.
-
-    This is the long-lived install; scoped :func:`use_registry` blocks
-    shadow it without disturbing it.
-    """
-    global _INSTALLED
-    previous = _INSTALLED
-    _INSTALLED = registry
-    return previous
-
-
-@contextmanager
-def use_registry(
-    registry: Optional[MetricsRegistry],
-) -> Iterator[Optional[MetricsRegistry]]:
-    """Install ``registry`` for the duration of a block (this context only).
-
-    Scoped to the current thread / asyncio task via a ContextVar with
-    token-based restore: concurrent scopes are isolated and nested scopes
-    unwind correctly even when exits interleave.  Passing ``None``
-    explicitly suppresses metrics inside the block (shadowing any
-    process-global install).
-    """
-    token = _SCOPED.set(registry)
-    try:
-        yield registry
-    finally:
-        _SCOPED.reset(token)

@@ -1,6 +1,6 @@
 """Trace-tree analysis: per-stage rollups and the critical path.
 
-:mod:`repro.exec.trace` collects spans as a flat list (live) or as JSON
+:mod:`repro.obs.trace` collects spans as a flat list (live) or as JSON
 lines (exported).  This module rebuilds the parent tree and answers the
 questions the paper's per-stage cost figures ask of a run:
 

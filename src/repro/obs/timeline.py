@@ -6,7 +6,7 @@ which spans ran when, on which engine worker, against which refinement
 shard.  Rollup tables (:mod:`repro.obs.report`) answer "how much"; a
 timeline answers "when and beside what".
 
-This module converts the span JSONL written by :mod:`repro.exec.trace`
+This module converts the span JSONL written by :mod:`repro.obs.trace`
 (one span object per line - benchmark ``--trace-out`` files and the
 serving layer's per-request trace export alike) into the Chrome
 trace-event ("catapult") JSON format, loadable by ``chrome://tracing`` or
@@ -170,7 +170,7 @@ def write_timeline(
     """Convert ``spans`` and write the catapult JSON to ``target``.
 
     ``spans`` may be a path to a span JSONL file, an iterable of span
-    dicts, or live :class:`~repro.exec.trace.Span` objects.  Returns the
+    dicts, or live :class:`~repro.obs.trace.Span` objects.  Returns the
     document that was written.
     """
     if isinstance(spans, str):

@@ -11,11 +11,12 @@ observability layer for the query pipelines:
   managers parent automatically, and :meth:`Tracer.record` admits spans
   timed elsewhere (e.g. inside worker processes);
 * :class:`JsonLinesExporter` - streams finished spans to a file as one JSON
-  object per line;
-* :func:`install` / :func:`use_tracer` / :func:`current_tracer` - a
-  process-global current tracer, which is how
-  :meth:`repro.query.costs.CostBreakdown.time_stage` emits spans with zero
-  call-site changes in the pipelines.
+  object per line.
+
+Instrumentation finds the tracer of the run it belongs to in the ambient
+:class:`~repro.obs.scope.ObsScope` (``current_scope().tracer``), which is
+how :meth:`repro.query.costs.CostBreakdown.time_stage` emits spans with
+zero call-site changes in the pipelines.
 
 The module deliberately imports nothing from the rest of :mod:`repro`, so
 any layer (queries, engines, benchmarks) may depend on it without cycles.
@@ -32,7 +33,6 @@ from __future__ import annotations
 import json
 import time
 from contextlib import contextmanager
-from contextvars import ContextVar
 from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterator, List, Optional, Union
 
@@ -229,46 +229,3 @@ class Tracer:
     def find(self, name: str) -> List[Span]:
         """All finished spans with the given name."""
         return [s for s in self.spans if s.name == name]
-
-
-# -- the current tracer -------------------------------------------------------
-#
-# Same two-layer scheme as :mod:`repro.obs.metrics`: a scoped ContextVar
-# (token-restored, so concurrent / nested :func:`use_tracer` scopes cannot
-# stomp each other) over a process-global base :func:`install`.
-
-#: Sentinel distinguishing "no scoped override" from scoped ``None``.
-_UNSET: Any = object()
-
-_INSTALLED: Optional[Tracer] = None
-_SCOPED: "ContextVar[Any]" = ContextVar("repro_exec_tracer", default=_UNSET)
-
-
-def current_tracer() -> Optional[Tracer]:
-    """The installed tracer, or None when tracing is off (the default)."""
-    scoped = _SCOPED.get()
-    if scoped is not _UNSET:
-        return scoped
-    return _INSTALLED
-
-
-def install(tracer: Optional[Tracer]) -> Optional[Tracer]:
-    """Install ``tracer`` process-globally; returns the previous base."""
-    global _INSTALLED
-    previous = _INSTALLED
-    _INSTALLED = tracer
-    return previous
-
-
-@contextmanager
-def use_tracer(tracer: Optional[Tracer]) -> Iterator[Optional[Tracer]]:
-    """Install ``tracer`` for the duration of a block (this context only).
-
-    Passing ``None`` explicitly disables tracing inside the block, even
-    when a process-global tracer is installed.
-    """
-    token = _SCOPED.set(tracer)
-    try:
-        yield tracer
-    finally:
-        _SCOPED.reset(token)

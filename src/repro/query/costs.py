@@ -14,9 +14,7 @@ from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
 from typing import Iterator, Tuple
 
-from ..exec.trace import current_tracer
-from ..obs.context import current_context
-from ..obs.metrics import current_registry
+from ..obs.scope import current_scope
 
 
 @dataclass
@@ -88,13 +86,13 @@ class CostBreakdown:
     def time_stage(self, stage: str) -> Iterator[None]:
         """Accumulate wall-clock time into ``<stage>_s``.
 
-        When a tracer is installed (:mod:`repro.exec.trace`), a span named
-        after the stage is emitted as well, so every pipeline gets per-stage
-        tracing with no call-site changes.  Likewise, when a metrics
-        registry is installed (:mod:`repro.obs.metrics`), the stage time
-        accumulates into the ``stage_seconds{stage=...}`` counter and the
-        ``stage_duration_s{stage=...}`` histogram - and with neither
-        installed, the block costs two global reads and nothing else.
+        When the ambient scope (:mod:`repro.obs.scope`) has a tracer, a
+        span named after the stage is emitted as well, so every pipeline
+        gets per-stage tracing with no call-site changes.  Likewise, when
+        it has a metrics registry, the stage time accumulates into the
+        ``stage_seconds{stage=...}`` counter and the
+        ``stage_duration_s{stage=...}`` histogram - and with neither, the
+        block costs one scope read and nothing else.
         Only writable stage *fields* are accepted: read-only aggregates
         such as :attr:`total_s` are rejected up front with
         :class:`ValueError` rather than failing on ``setattr``.
@@ -104,8 +102,8 @@ class CostBreakdown:
             raise ValueError(
                 f"unknown stage {stage!r}; expected one of {self.stage_names()}"
             )
-        tracer = current_tracer()
-        registry = current_registry()
+        scope = current_scope()
+        tracer, registry = scope.tracer, scope.registry
         span = (
             tracer.span(stage, kind="stage")
             if tracer is not None
@@ -122,7 +120,7 @@ class CostBreakdown:
                 # deadline, mark stages that finished past it - the
                 # slow-query forensics log points at the first such span.
                 if live_span is not None:
-                    context = current_context()
+                    context = scope.request
                     if context is not None and context.expired():
                         live_span.attributes["over_deadline"] = True
                 if registry is not None:

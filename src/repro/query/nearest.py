@@ -66,7 +66,6 @@ class NearestNeighborQuery:
             self._pipeline = GraphicsPipeline(
                 hardware.resolution,
                 limits=hardware.limits,
-                raster_backend=hardware.raster_backend,
             )
 
     # -- software strategy ---------------------------------------------------

@@ -18,18 +18,17 @@ request's whole life:
    ``serve_request_duration_s`` histograms (per op); queue depth and
    inflight ride the ``serve_queue_depth`` / ``serve_inflight`` gauges.
 
-The service owns a :class:`~repro.obs.metrics.MetricsRegistry` and scopes
-it around execution with :func:`~repro.obs.metrics.use_registry`, so the
+The service owns a :class:`~repro.obs.metrics.MetricsRegistry` and puts it
+in every request's :func:`~repro.obs.scope.use_scope`, so the
 existing pipeline instrumentation (funnel counters, stage seconds,
 refinement stats) publishes into it from every worker thread concurrently -
 which is exactly the load that required making the registry thread-safe
-and the install contextvar-scoped.
+and the scope contextvar-held.
 
-Per-request observability rides the same submit path, always scoped and
-never process-global:
+Per-request observability rides the same submit path:
 
 * with **tracing** enabled (:class:`~repro.serve.tracing.TracingConfig`),
-  every request gets its *own* :class:`~repro.exec.trace.Tracer` - a
+  every request gets its *own* :class:`~repro.obs.trace.Tracer` - a
   ``request`` root span, a ``queue_wait`` span, an ``execute`` span under
   which the pipelines' :meth:`~repro.query.costs.CostBreakdown.time_stage`
   spans and the shard records of :mod:`repro.exec.parallel` parent - and
@@ -37,9 +36,9 @@ never process-global:
   Finished traces land in a bounded :class:`~repro.serve.tracing.TraceStore`
   exportable via :meth:`QueryService.export_traces`.
 * Tracer scoping is **unconditional**: a tracer is single-control-flow, so
-  every submit wraps itself in ``use_tracer(per_request_or_None)`` - a
-  scoped ``None`` shields concurrent serving threads from any ambient
-  process-global tracer that would interleave their spans.
+  every submit's scope names ``tracer=per_request_or_None`` - an explicit
+  ``None`` shields concurrent serving threads from a tracer their caller
+  has in scope, which would interleave their spans.
 * with a **slow-query log** (:class:`~repro.serve.slowlog.SlowLogConfig`),
   threshold-exceeding requests and every shed/timeout/error emit a JSONL
   forensics record (span tree, EXPLAIN funnel, cost stages, cache deltas,
@@ -59,9 +58,10 @@ import time
 from contextlib import nullcontext
 from typing import IO, Any, Dict, Optional, Tuple, Union
 
-from ..exec.trace import Tracer, use_tracer
-from ..obs.context import RequestContext, new_trace_id, use_context
-from ..obs.metrics import MetricsRegistry, use_registry
+from ..obs.context import RequestContext, new_trace_id
+from ..obs.metrics import MetricsRegistry
+from ..obs.scope import use_scope
+from ..obs.trace import Tracer
 from .admission import AdmissionConfig, AdmissionController
 from .engine import EnginePool, ServingWorkload, WorkloadConfig
 from .health import HealthConfig, ServiceHealth, build_health
@@ -144,11 +144,11 @@ class QueryService:
                     time.time() + timeout_s if timeout_s is not None else None
                 ),
             )
-        # Scoped even when tracing is off: a Tracer is single-control-flow,
-        # so concurrent serving threads must never share one.  The scoped
-        # per-request tracer - or an explicit None - shields this request
-        # from any ambient process-global tracer.
-        with use_context(context), use_tracer(tracer):
+        # The tracer is named even when tracing is off: a Tracer is
+        # single-control-flow, so concurrent serving threads must never
+        # share one.  The per-request tracer - or an explicit None -
+        # shields this request from a tracer the caller has in scope.
+        with use_scope(tracer=tracer, registry=self.registry, request=context):
             if tracer is not None:
                 with tracer.span("request", op=request.op) as root:
                     response, forensic = self._submit_core(
@@ -194,7 +194,6 @@ class QueryService:
         Returns the response plus the forensic artifacts (funnel, cost,
         cache deltas) gathered for the slow-query log along the way.
         """
-        reg = self.registry
         forensic: Dict[str, Any] = {}
         if self._closed.is_set():
             return (
@@ -223,7 +222,7 @@ class QueryService:
                 if tracer is not None
                 else nullcontext()
             )
-            with use_registry(reg), exec_span:
+            with exec_span:
                 if self.slowlog is not None:
                     results, cost, funnel, cache_delta = (
                         engine.execute_forensic(request)

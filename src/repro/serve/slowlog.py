@@ -109,7 +109,7 @@ def build_record(
     """Assemble one slowlog record from the request's artifacts.
 
     ``request``/``response`` are the serve schema types; ``spans`` are
-    live :class:`~repro.exec.trace.Span` objects or dicts; ``funnel`` is a
+    live :class:`~repro.obs.trace.Span` objects or dicts; ``funnel`` is a
     :class:`~repro.obs.explain.QueryFunnel` (its identity checks are
     re-run here and any violations stored - a slowlog whose funnels fail
     the Fig-13 identities is itself a bug report); ``cost`` a

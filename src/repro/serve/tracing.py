@@ -1,12 +1,12 @@
 """Per-request tracing for the serving layer: config and the trace store.
 
-:class:`~repro.exec.trace.Tracer` is single-control-flow by design - one
-tracer belongs to one request.  Installing one process-globally under the
-serve thread pool would interleave concurrent requests' spans through one
-shared parent stack (request B's stage spans parenting under request A's
-open span).  The serving layer therefore gives **every request its own
-tracer**, scoped with :func:`~repro.exec.trace.use_tracer` around the
-whole submit path, and collects the finished span trees here:
+:class:`~repro.obs.trace.Tracer` is single-control-flow by design - one
+tracer belongs to one request.  Sharing one across the serve thread pool
+would interleave concurrent requests' spans through one shared parent
+stack (request B's stage spans parenting under request A's open span).
+The serving layer therefore gives **every request its own tracer**, in the
+:func:`~repro.obs.scope.use_scope` around the whole submit path, and
+collects the finished span trees here:
 
 * :class:`TracingConfig` - whether tracing is on and how many finished
   request traces to retain;
@@ -29,7 +29,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import IO, Any, Deque, Dict, List, Union
 
-from ..exec.trace import Span
+from ..obs.trace import Span
 
 
 @dataclass(frozen=True)

@@ -32,7 +32,7 @@ from repro.datasets import (
 from repro.exec import ParallelExecutor
 from repro.geometry import Polygon, Rect
 from repro.obs.explain import funnels_from_snapshot
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, use_registry
 from repro.query import IntersectionSelection
 from tests.strategies import polygon_pairs_nearby
 

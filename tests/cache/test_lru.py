@@ -4,7 +4,7 @@ import pytest
 
 from repro.cache import MISSING, LruCache
 from repro.cache.lru import publish_lookup, publish_store
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, use_registry
 
 
 class TestLruBasics:

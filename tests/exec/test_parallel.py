@@ -6,15 +6,24 @@ sweep/minDist work counters, identical GPU primitive counters.  Timings are
 the only thing allowed to differ.
 """
 
+import json
 import pickle
 
 import pytest
 
 from repro.bench.experiments import per_pair_engine
 from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
-from repro.exec import EngineSpec, ParallelExecutor, Tracer, use_tracer
+from repro.exec import EngineSpec, ParallelExecutor
 from repro.geometry import Polygon
-from repro.obs.capture import CommandRecorder, replay_events, use_recorder
+from repro.obs import (
+    CommandRecorder,
+    JsonLinesExporter,
+    Tracer,
+    current_scope,
+    replay_events,
+    use_recorder,
+    use_tracer,
+)
 from repro.query import (
     IntersectionJoin,
     IntersectionSelection,
@@ -213,6 +222,32 @@ class TestShardTracing:
         names = {s.name for s in tracer.spans}
         assert {"mbr_filter", "geometry"} <= names
 
+    def test_workers_do_not_write_into_the_coordinators_trace(
+        self, tmp_path, dataset_a, dataset_b
+    ):
+        # A fork-started worker inherits the coordinator's scope, tracer
+        # and exporter file handle included; the shard must run blank.
+        path = tmp_path / "spans.jsonl"
+        engine = HardwareEngine(HardwareConfig(resolution=8))
+        with JsonLinesExporter(str(path)) as exporter:
+            tracer = Tracer(exporter=exporter)
+            with make_executor() as ex, use_tracer(tracer):
+                IntersectionJoin(
+                    dataset_a, dataset_b, engine, executor=ex
+                ).run()
+        assert ex.reports[-1].shards > 1
+        lines = [json.loads(line) for line in path.read_text().splitlines()]
+        assert len(lines) == len(tracer.spans)
+        ids = {line["span_id"] for line in lines}
+        assert len(ids) == len(lines)
+        assert all(
+            line["parent_id"] is None or line["parent_id"] in ids
+            for line in lines
+        )
+        assert not {"gpu.tile_batch", "geometry.hw_batch"} & {
+            line["name"] for line in lines
+        }
+
     def test_executor_reports(self, dataset_a, dataset_b):
         engine = SoftwareEngine()
         with make_executor() as ex:
@@ -292,9 +327,7 @@ class TestShardCapture:
             IntersectionJoin(dataset_a, dataset_b, engine, executor=ex).run()
         # Nothing installed: the coordinator recorder stays absent and the
         # run is indistinguishable from the pre-capture executor.
-        from repro.obs.capture import current_recorder
-
-        assert current_recorder() is None
+        assert current_scope().recorder is None
 
 
 class TestBatchedShards:

@@ -4,12 +4,11 @@ import io
 import json
 import time
 
-from repro.exec import (
+from repro.obs import (
     JsonLinesExporter,
     Span,
     Tracer,
-    current_tracer,
-    install,
+    current_scope,
     use_tracer,
 )
 from repro.query import CostBreakdown
@@ -195,22 +194,17 @@ class TestJsonLinesExport:
 
 class TestGlobalTracer:
     def test_default_is_off(self):
-        assert current_tracer() is None
+        assert current_scope().tracer is None
 
     def test_use_tracer_installs_and_restores(self):
         t = Tracer()
         with use_tracer(t):
-            assert current_tracer() is t
+            assert current_scope().tracer is t
             nested = Tracer()
             with use_tracer(nested):
-                assert current_tracer() is nested
-            assert current_tracer() is t
-        assert current_tracer() is None
-
-    def test_install_returns_previous(self):
-        t = Tracer()
-        assert install(t) is None
-        assert install(None) is t
+                assert current_scope().tracer is nested
+            assert current_scope().tracer is t
+        assert current_scope().tracer is None
 
     def test_time_stage_emits_spans_with_zero_call_site_changes(self):
         c = CostBreakdown()

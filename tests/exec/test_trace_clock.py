@@ -9,12 +9,7 @@ construction.
 
 import time
 
-from repro.exec.trace import (
-    Tracer,
-    current_tracer,
-    install,
-    use_tracer,
-)
+from repro.obs import Tracer, current_scope, use_tracer
 
 
 class TestClockConsistency:
@@ -59,23 +54,17 @@ class TestClockConsistency:
 
 
 class TestScopedTracer:
-    def setup_method(self):
-        self._previous = install(None)
-
-    def teardown_method(self):
-        install(self._previous)
-
     def test_nested_scopes_restore(self):
         outer, inner = Tracer(), Tracer()
         with use_tracer(outer):
             with use_tracer(inner):
-                assert current_tracer() is inner
-            assert current_tracer() is outer
-        assert current_tracer() is None
+                assert current_scope().tracer is inner
+            assert current_scope().tracer is outer
+        assert current_scope().tracer is None
 
     def test_scoped_none_suppresses_installed(self):
         base = Tracer()
-        install(base)
-        with use_tracer(None):
-            assert current_tracer() is None
-        assert current_tracer() is base
+        with use_tracer(base):
+            with use_tracer(None):
+                assert current_scope().tracer is None
+            assert current_scope().tracer is base

@@ -28,7 +28,6 @@ from hypothesis import strategies as st
 from repro.geometry import Rect
 from repro.gpu import (
     GraphicsPipeline,
-    RASTER_BACKENDS,
     lines_basic_coverage_mask,
     lines_basic_coverage_mask_reference,
     polygon_coverage_mask,
@@ -255,60 +254,6 @@ class TestScanlineRowBounds:
         got = polygon_fill_coverage_mask((8, 8), slab)
         assert not got[4].any()  # yc = 4.5 == ymax: excluded
         assert got[2].any() and got[3].any()
-
-
-def _run_draws(backend, fragment_setup):
-    """Execute one of each draw type under ``fragment_setup``.
-
-    Returns the full framebuffer planes plus the counters, so callers can
-    assert bit-identity across backends or across fragment-state setups.
-    """
-    pl = GraphicsPipeline(16, raster_backend=backend)
-    pl.set_data_window(Rect(0.0, 0.0, 16.0, 16.0))
-    pl.clear_color(0.0)
-    pl.clear_depth(0.5)
-    pl.clear_stencil(0)
-    fragment_setup(pl.state)
-
-    pl.state.antialias = False
-    pl.draw_polygon_edges([(1.2, 1.3), (11.7, 2.4), (9.1, 12.8)])
-    pl.draw_filled_polygon([(3.0, 3.0), (13.0, 4.0), (8.0, 13.0)])
-    pl.draw_point(5.3, 6.7)
-    pl.state.antialias = True
-    pl.draw_polygon_edges([(2.1, 2.2), (12.3, 3.1), (7.7, 11.9)])
-    return (
-        pl.fb.color.copy(),
-        pl.fb.depth.copy(),
-        pl.fb.stencil.copy(),
-        pl.counters,
-    )
-
-
-class TestBackendEquivalence:
-    """The two backends must be indistinguishable: buffers and counters."""
-
-    @pytest.mark.parametrize(
-        "setup",
-        [
-            lambda st: None,
-            lambda st: setattr(st, "blend", True),
-            lambda st: (setattr(st, "logic_op", "or"), setattr(st, "color", 3.0)),
-            lambda st: setattr(st, "stencil_op", "incr"),
-        ],
-        ids=["replace", "blend", "logic_or", "stencil"],
-    )
-    def test_bit_identical_buffers_and_counters(self, setup):
-        results = {b: _run_draws(b, setup) for b in RASTER_BACKENDS}
-        color_v, depth_v, stencil_v, counters_v = results["vector"]
-        color_r, depth_r, stencil_r, counters_r = results["reference"]
-        assert np.array_equal(color_v, color_r)
-        assert np.array_equal(depth_v, depth_r)
-        assert np.array_equal(stencil_v, stencil_r)
-        assert counters_v == counters_r
-
-    def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            GraphicsPipeline(8, raster_backend="cuda")
 
 
 class TestFragmentRouting:

@@ -17,11 +17,10 @@ from hypothesis import strategies as st
 from repro.bench.experiments import per_pair_engine
 from repro.core import OVERLAP_METHODS, HardwareConfig, HardwareEngine
 from repro.core.hardware_test import HardwareSegmentTest
-from repro.obs.capture import (
+from repro.obs import (
     CAPTURE_SCHEMA,
     CommandRecorder,
-    current_recorder,
-    install_recorder,
+    current_scope,
     load_capture,
     replay_capture,
     replay_events,
@@ -57,22 +56,13 @@ def record_pair_test(method, a, b, snapshot=True):
 
 class TestZeroOverheadDefault:
     def test_no_recorder_installed_by_default(self):
-        assert current_recorder() is None
+        assert current_scope().recorder is None
 
     def test_uninstalled_recorder_sees_nothing(self, dataset_a):
         recorder = CommandRecorder()  # created but never installed
         a, b = dataset_a.polygons[0], dataset_a.polygons[1]
         hw_test().intersection_verdict(a, b, pair_window(a, b))
         assert recorder.events == []
-
-    def test_install_returns_previous(self):
-        recorder = CommandRecorder()
-        assert install_recorder(recorder) is None
-        try:
-            assert current_recorder() is recorder
-        finally:
-            assert install_recorder(None) is recorder
-        assert current_recorder() is None
 
 
 class TestRecorderRing:
@@ -110,6 +100,15 @@ class TestPersistence:
         loaded = load_capture(str(path))
         assert loaded == json.loads(json.dumps(recorder.events))
         replay_events(loaded).assert_ok()
+
+    def test_capture_with_retired_init_key_still_replays(self, dataset_a):
+        # Captures written while ``raster_backend`` was a pipeline knob
+        # carry it on their init events.
+        a, b = dataset_a.polygons[0], dataset_a.polygons[1]
+        recorder, _ = record_pair_test("accum", a, b)
+        events = json.loads(json.dumps(recorder.events))
+        events[0]["raster_backend"] = "vector"
+        replay_events(events).assert_ok()
 
     def test_schema_header_written_and_checked(self, tmp_path):
         path = tmp_path / "cap.jsonl"

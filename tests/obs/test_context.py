@@ -5,12 +5,7 @@ import time
 
 import pytest
 
-from repro.obs.context import (
-    RequestContext,
-    current_context,
-    new_trace_id,
-    use_context,
-)
+from repro.obs import RequestContext, current_scope, new_trace_id, use_scope
 
 
 class TestTraceId:
@@ -70,25 +65,25 @@ class TestRequestContext:
 
 class TestScoping:
     def test_default_is_none(self):
-        assert current_context() is None
+        assert current_scope().request is None
 
     def test_use_context_restores(self):
         ctx = RequestContext.new()
-        with use_context(ctx):
-            assert current_context() is ctx
-        assert current_context() is None
+        with use_scope(request=ctx):
+            assert current_scope().request is ctx
+        assert current_scope().request is None
 
     def test_nested_scopes_unwind(self):
         outer, inner = RequestContext.new(), RequestContext.new()
-        with use_context(outer):
-            with use_context(inner):
-                assert current_context() is inner
-            assert current_context() is outer
+        with use_scope(request=outer):
+            with use_scope(request=inner):
+                assert current_scope().request is inner
+            assert current_scope().request is outer
 
     def test_explicit_none_clears(self):
-        with use_context(RequestContext.new()):
-            with use_context(None):
-                assert current_context() is None
+        with use_scope(request=RequestContext.new()):
+            with use_scope(request=None):
+                assert current_scope().request is None
 
     def test_threads_are_isolated(self):
         seen = {}
@@ -96,9 +91,9 @@ class TestScoping:
 
         def worker(name):
             ctx = RequestContext.new(attributes={"name": name})
-            with use_context(ctx):
+            with use_scope(request=ctx):
                 barrier.wait()  # both threads inside their scopes at once
-                seen[name] = current_context().trace_id
+                seen[name] = current_scope().request.trace_id
 
         threads = [
             threading.Thread(target=worker, args=(f"t{i}",)) for i in range(2)

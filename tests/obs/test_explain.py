@@ -14,7 +14,7 @@ from repro.bench.experiments import per_pair_engine
 from repro.core import HardwareConfig, HardwareEngine
 from repro.exec import ParallelExecutor
 from repro.obs.__main__ import main as obs_main
-from repro.obs.capture import CommandRecorder, use_recorder
+from repro.obs import CommandRecorder, use_recorder
 from repro.obs.explain import (
     EXPLAIN_SCHEMA,
     FUNNEL_STAGES,
@@ -26,7 +26,7 @@ from repro.obs.explain import (
     render_funnels,
     write_explain,
 )
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, use_registry
 from repro.query import (
     ContainmentSelection,
     IntersectionJoin,
@@ -263,44 +263,12 @@ class TestFunnelsFromSnapshot:
         for funnel in funnels.values():
             assert funnel.check() == []
 
-    def test_fallback_synthesizes_single_funnel(self):
-        snapshot = {
-            "counters": {
-                "refinement{field=pairs_tested}": 4,
-                "refinement{field=hw_tests}": 4,
-                "refinement{field=hw_rejects}": 1,
-                "refinement{field=sw_segment_tests}": 3,
-                "cost_count{field=candidates_after_mbr}": 4,
-                "cost_count{field=pairs_compared}": 4,
-                "cost_count{field=results}": 2,
-            }
-        }
-        funnels = funnels_from_snapshot(snapshot)
-        assert set(funnels) == {"(all)"}
-        assert funnels["(all)"].hw_needs_sweep == 3
-        assert funnels["(all)"].check() == []
-
-    def test_fallback_carries_interval_counters(self):
-        snapshot = {
-            "counters": {
-                "refinement{field=pairs_tested}": 4,
-                "refinement{field=hw_tests}": 4,
-                "refinement{field=hw_rejects}": 1,
-                "refinement{field=sw_segment_tests}": 3,
-                "cost_count{field=candidates_after_mbr}": 7,
-                "cost_count{field=interval_hits}": 2,
-                "cost_count{field=interval_drops}": 1,
-                "cost_count{field=pairs_compared}": 4,
-                "cost_count{field=results}": 4,
-            }
-        }
-        funnel = funnels_from_snapshot(snapshot)["(all)"]
-        assert funnel.interval_proven_intersecting == 2
-        assert funnel.interval_proven_disjoint == 1
-        assert funnel.check() == []
-
     def test_empty_snapshot_yields_no_funnels(self):
         assert funnels_from_snapshot({"counters": {}}) == {}
+        # Only the funnel family is read; nothing is synthesized from others.
+        assert funnels_from_snapshot(
+            {"counters": {"refinement{field=pairs_tested}": 4}}
+        ) == {}
         assert "no funnel metrics" in render_funnels({})
 
 

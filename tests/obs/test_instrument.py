@@ -15,7 +15,7 @@ from repro.core.hardware_test import HardwareSegmentTest, HardwareVerdict
 from repro.exec import ParallelExecutor
 from repro.geometry import Rect
 from repro.obs.instrument import observe_pipeline
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, use_registry
 from repro.query import IntersectionJoin, IntersectionSelection, WithinDistanceJoin
 
 #: Families whose totals must not depend on batching or sharding.

@@ -7,15 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import (
-    Histogram,
-    MetricsRegistry,
-    current_registry,
-    format_key,
-    install_registry,
-    parse_key,
-    use_registry,
-)
+from repro.obs import current_scope, use_registry
+from repro.obs.metrics import Histogram, MetricsRegistry, format_key, parse_key
 
 
 class TestCounter:
@@ -254,18 +247,13 @@ class TestKeys:
 
 class TestGlobalInstall:
     def test_default_is_none(self):
-        assert current_registry() is None
+        assert current_scope().registry is None
 
     def test_use_registry_restores(self):
         reg = MetricsRegistry()
         with use_registry(reg):
-            assert current_registry() is reg
-        assert current_registry() is None
-
-    def test_install_returns_previous(self):
-        reg = MetricsRegistry()
-        assert install_registry(reg) is None
-        assert install_registry(None) is reg
+            assert current_scope().registry is reg
+        assert current_scope().registry is None
 
 
 observations = st.lists(

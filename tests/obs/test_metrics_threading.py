@@ -11,12 +11,7 @@ import threading
 
 import pytest
 
-from repro.obs.metrics import (
-    MetricsRegistry,
-    current_registry,
-    install_registry,
-    use_registry,
-)
+from repro.obs import MetricsRegistry, current_scope, use_registry
 
 
 def _hammer(n_threads: int, per_thread: int, fn) -> None:
@@ -87,53 +82,22 @@ class TestThreadedUpdates:
 
 
 class TestScopedRegistry:
-    def setup_method(self):
-        self._previous = install_registry(None)
-
-    def teardown_method(self):
-        install_registry(self._previous)
-
     def test_nested_scopes_restore_in_order(self):
         outer, inner = MetricsRegistry(), MetricsRegistry()
         with use_registry(outer):
-            assert current_registry() is outer
+            assert current_scope().registry is outer
             with use_registry(inner):
-                assert current_registry() is inner
-            assert current_registry() is outer
-        assert current_registry() is None
+                assert current_scope().registry is inner
+            assert current_scope().registry is outer
+        assert current_scope().registry is None
 
     def test_scoped_none_suppresses_installed_base(self):
         base = MetricsRegistry()
-        install_registry(base)
-        assert current_registry() is base
-        with use_registry(None):
-            assert current_registry() is None
-        assert current_registry() is base
-
-    def test_install_is_global_scope_is_per_thread(self):
-        base = MetricsRegistry()
-        install_registry(base)
-        seen = {}
-
-        def worker(name: str) -> None:
-            # The base install is visible in every thread...
-            seen[name, "base"] = current_registry()
-            # ...but a scope opened here must not leak to other threads.
-            mine = MetricsRegistry()
-            with use_registry(mine):
-                seen[name, "scoped"] = current_registry()
-
-        threads = [
-            threading.Thread(target=worker, args=(f"t{i}",)) for i in range(4)
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        for i in range(4):
-            assert seen[f"t{i}", "base"] is base
-            assert seen[f"t{i}", "scoped"] is not base
-        assert current_registry() is base
+        with use_registry(base):
+            assert current_scope().registry is base
+            with use_registry(None):
+                assert current_scope().registry is None
+            assert current_scope().registry is base
 
     def test_threads_write_to_their_own_scoped_registries(self):
         registries = [MetricsRegistry() for _ in range(4)]
@@ -143,7 +107,7 @@ class TestScopedRegistry:
             with use_registry(registries[idx]):
                 barrier.wait()  # all four scopes open simultaneously
                 for _ in range(500):
-                    current_registry().counter("mine").inc()
+                    current_scope().registry.counter("mine").inc()
 
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(4)
@@ -156,11 +120,11 @@ class TestScopedRegistry:
             assert registry.counter("mine").value == 500
 
     def test_concurrent_scopes_do_not_stomp_on_exit(self):
-        # The old install/restore implementation was last-writer-wins:
-        # thread B's finally could reinstall thread A's registry after A
-        # had already exited.  With tokens, the process state is untouched.
+        # A swap-a-global-and-swap-back implementation is
+        # last-writer-wins: thread B's finally could reinstall thread A's
+        # registry after A had already exited.  With tokens, every other
+        # control flow's scope is untouched.
         base = MetricsRegistry()
-        install_registry(base)
         barrier = threading.Barrier(8)
 
         def worker() -> None:
@@ -170,11 +134,12 @@ class TestScopedRegistry:
             barrier.wait()
 
         _threads = [threading.Thread(target=worker) for _ in range(8)]
-        for t in _threads:
-            t.start()
-        for t in _threads:
-            t.join()
-        assert current_registry() is base
+        with use_registry(base):
+            for t in _threads:
+                t.start()
+            for t in _threads:
+                t.join()
+            assert current_scope().registry is base
 
 
 class TestHistogramSummary:

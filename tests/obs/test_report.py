@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.exec import JsonLinesExporter, Tracer
+from repro.obs import JsonLinesExporter, Tracer
 from repro.obs.__main__ import main as obs_main
 from repro.obs.report import (
     analyze,

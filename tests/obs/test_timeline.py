@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.exec.trace import JsonLinesExporter, Tracer
+from repro.obs import JsonLinesExporter, Tracer
 from repro.obs.__main__ import main as obs_main
 from repro.obs.timeline import (
     TIMELINE_SCHEMA,

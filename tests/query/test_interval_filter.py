@@ -18,7 +18,7 @@ from repro.bench.experiments import per_pair_engine
 from repro.core import OVERLAP_METHODS, HardwareConfig, HardwareEngine
 from repro.exec import ParallelExecutor
 from repro.obs.explain import explain_run, funnels_from_snapshot
-from repro.obs.metrics import MetricsRegistry, use_registry
+from repro.obs import MetricsRegistry, use_registry
 from repro.query import IntersectionJoin, IntersectionSelection
 
 RESOLUTION = 8

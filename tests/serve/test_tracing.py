@@ -1,18 +1,19 @@
 """Tests for per-request tracing through the serving stack.
 
-The hazard these tests exist for: :class:`~repro.exec.trace.Tracer` is
+The hazard these tests exist for: :class:`~repro.obs.trace.Tracer` is
 single-control-flow, but the service executes requests on many threads.
 Every submit must therefore run under its *own* scoped tracer (or a
-scoped ``None``), never a shared process-global one - otherwise
+scoped ``None``), never one shared with its caller - otherwise
 concurrent requests interleave their spans through one parent stack.
 """
 
+import contextvars
 import string
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.exec.trace import Tracer, install
+from repro.obs import Tracer, use_tracer
 from repro.serve import (
     AdmissionConfig,
     QueryRequest,
@@ -117,21 +118,27 @@ class TestConcurrencyHazard:
     def test_hammer_no_cross_request_span_leakage(self, traced_service):
         """Concurrent submits: each trace stays its own single-rooted tree.
 
-        A process-global tracer is installed for the duration, simulating
-        a benchmark harness left running around the service; the scoped
-        per-request tracers must shield every submit from it.
+        Every serving thread runs in a copy of a context that has an
+        ambient tracer in scope, simulating a benchmark harness left
+        running around the service (``asyncio.to_thread`` propagates the
+        caller's context the same way); the scoped per-request tracers
+        must shield every submit from it.
         """
         ambient = Tracer()
-        previous = install(ambient)
-        try:
-            requests = [
-                QueryRequest(op="selection", query_index=i % 5, request_id=str(i))
-                for i in range(24)
-            ]
-            with ThreadPoolExecutor(max_workers=8) as pool:
-                responses = list(pool.map(traced_service.submit, requests))
-        finally:
-            install(previous)
+        requests = [
+            QueryRequest(op="selection", query_index=i % 5, request_id=str(i))
+            for i in range(24)
+        ]
+        with use_tracer(ambient):
+            contexts = [contextvars.copy_context() for _ in requests]
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            responses = list(
+                pool.map(
+                    lambda ctx, request: ctx.run(traced_service.submit, request),
+                    contexts,
+                    requests,
+                )
+            )
 
         assert all(r.status == "ok" for r in responses)
         # The ambient tracer saw nothing: no request leaked spans into it.

@@ -1,0 +1,92 @@
+"""Import-layering rules of ``src/repro``, checked on the syntax tree.
+
+* no function-level import of ``repro.exec`` anywhere (that is how a cycle
+  gets dodged instead of removed);
+* the paper's own layers - geometry, gpu, core, filters, index, cache -
+  never import the scale-out (``repro.exec``) or serving (``repro.serve``)
+  layers above them;
+* the ambient scope, the tracer and the metrics registry import nothing
+  from the rest of ``repro`` at run time, so every layer may import them.
+"""
+
+import ast
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+LOWER_LAYERS = ("geometry", "gpu", "core", "filters", "index", "cache")
+LEAF_MODULES = ("obs/scope.py", "obs/trace.py", "obs/metrics.py")
+
+
+def _is_type_checking_block(node):
+    return (
+        isinstance(node, ast.If)
+        and isinstance(node.test, ast.Name)
+        and node.test.id == "TYPE_CHECKING"
+    )
+
+
+def _runtime_nodes(node):
+    """``node``'s descendants, skipping ``if TYPE_CHECKING:`` blocks."""
+    for child in ast.iter_child_nodes(node):
+        if _is_type_checking_block(child):
+            continue
+        yield child
+        yield from _runtime_nodes(child)
+
+
+def _imported(path, node):
+    """Absolute dotted names a run-time import statement under ``node`` names."""
+    package = path.relative_to(SRC).with_suffix("").parts[:-1]
+    for child in _runtime_nodes(node):
+        if isinstance(child, ast.Import):
+            yield from (alias.name for alias in child.names)
+        elif isinstance(child, ast.ImportFrom):
+            base = package[: len(package) - child.level + 1] if child.level else ()
+            module = ".".join((*base, *filter(None, [child.module])))
+            yield module
+            yield from (f"{module}.{alias.name}" for alias in child.names)
+
+
+def _modules():
+    for path in sorted((SRC / "repro").rglob("*.py")):
+        yield path, ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _within(name, package):
+    return name == package or name.startswith(package + ".")
+
+
+def test_no_function_level_import_of_repro_exec():
+    offenders = [
+        f"{path.relative_to(SRC)}:{func.lineno} imports {name}"
+        for path, tree in _modules()
+        for func in ast.walk(tree)
+        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for name in _imported(path, func)
+        if _within(name, "repro.exec")
+    ]
+    assert not offenders, offenders
+
+
+def test_lower_layers_do_not_import_exec_or_serve():
+    offenders = [
+        f"{path.relative_to(SRC)} imports {name}"
+        for path, tree in _modules()
+        if path.relative_to(SRC / "repro").parts[0] in LOWER_LAYERS
+        for name in _imported(path, tree)
+        if _within(name, "repro.exec") or _within(name, "repro.serve")
+    ]
+    assert not offenders, offenders
+
+
+def test_scope_trace_and_metrics_are_leaves():
+    offenders = [
+        f"{leaf} imports {name}"
+        for leaf in LEAF_MODULES
+        for name in _imported(
+            SRC / "repro" / leaf,
+            ast.parse((SRC / "repro" / leaf).read_text(encoding="utf-8")),
+        )
+        if _within(name, "repro")
+    ]
+    assert not offenders, offenders
