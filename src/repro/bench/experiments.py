@@ -1459,9 +1459,7 @@ def cache_effectiveness(
     skewed = SpatialDataset(
         "LANDO-SKEW",
         [
-            Polygon.from_coords(
-                [(v.x, v.y) for v in originals[i % len(originals)].vertices]
-            )
+            Polygon(originals[i % len(originals)].coords_array)
             for i in range(len(base_b.polygons))
         ],
         world=base_b.world,

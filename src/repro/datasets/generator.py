@@ -20,7 +20,9 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Tuple
+
+import numpy as np
 
 from ..geometry.point import Point
 from ..geometry.polygon import Polygon
@@ -93,7 +95,7 @@ def star_polygon(
     ]
     phases = [rng.uniform(0.0, 2.0 * math.pi) for _ in range(k_count)]
 
-    pts: List[Point] = []
+    pts: List[Tuple[float, float]] = []
     two_pi = 2.0 * math.pi
     for i in range(n_vertices):
         # Strictly increasing angles with bounded jitter keep the ring simple.
@@ -103,33 +105,35 @@ def star_polygon(
             for k, (a, ph) in enumerate(zip(amps, phases))
         )
         r = mean_radius * max(0.15, 1.0 + wobble)
-        pts.append(
-            Point(center.x + r * math.cos(theta), center.y + r * math.sin(theta))
-        )
-    return Polygon(pts)
+        pts.append((center.x + r * math.cos(theta), center.y + r * math.sin(theta)))
+    return Polygon.from_coords(pts)
 
 
 def _fractal_chain(
-    p: Point, q: Point, budget: int, roughness: float, rng: random.Random
-) -> List[Point]:
+    p: Tuple[float, float],
+    q: Tuple[float, float],
+    budget: int,
+    roughness: float,
+    rng: random.Random,
+) -> List[Tuple[float, float]]:
     """Fractal polyline from ``p`` (inclusive) to ``q`` (exclusive) with
     exactly ``budget`` interior points inserted by midpoint displacement."""
     if budget <= 0:
         return [p]
-    dx, dy = q.x - p.x, q.y - p.y
+    dx, dy = q[0] - p[0], q[1] - p[1]
     length = math.hypot(dx, dy)
     if length == 0.0:
         return [p] * (budget + 1)
     offset = rng.gauss(0.0, roughness * length * 0.5)
     limit = 0.4 * length
     offset = max(-limit, min(limit, offset))
-    mid = Point(
-        (p.x + q.x) * 0.5 - dy / length * offset,
-        (p.y + q.y) * 0.5 + dx / length * offset,
+    mid = (
+        (p[0] + q[0]) * 0.5 - dy / length * offset,
+        (p[1] + q[1]) * 0.5 + dx / length * offset,
     )
     interior = budget - 1
-    l1 = p.distance_to(mid)
-    l2 = mid.distance_to(q)
+    l1 = math.hypot(p[0] - mid[0], p[1] - mid[1])
+    l2 = math.hypot(mid[0] - q[0], mid[1] - q[1])
     b1 = round(interior * (l1 / (l1 + l2))) if (l1 + l2) > 0 else interior // 2
     b1 = max(0, min(interior, b1))
     return (
@@ -158,10 +162,11 @@ def fractalize_polygon(
     n = polygon.num_vertices
     if target_vertices <= n:
         return polygon
-    verts = list(polygon.vertices)
+    verts = polygon.coords()
     lengths = []
     for i in range(n):
-        lengths.append(verts[i].distance_to(verts[(i + 1) % n]))
+        (ax, ay), (bx, by) = verts[i], verts[(i + 1) % n]
+        lengths.append(math.hypot(ax - bx, ay - by))
     total_len = sum(lengths) or 1.0
     extra = target_vertices - n
     budgets = [int(extra * (l / total_len)) for l in lengths]
@@ -174,14 +179,14 @@ def fractalize_polygon(
     )
     for k in range(shortfall):
         budgets[remainders[k % n]] += 1
-    out: List[Point] = []
+    out: List[Tuple[float, float]] = []
     for i in range(n):
         out.extend(
             _fractal_chain(
                 verts[i], verts[(i + 1) % n], budgets[i], polygon_roughness(roughness), rng
             )
         )
-    return Polygon(out)
+    return Polygon.from_coords(out)
 
 
 def polygon_roughness(roughness: float) -> float:
@@ -210,14 +215,11 @@ def stretch_polygon(
     theta = angle if angle is not None else rng.uniform(0.0, math.pi)
     c, s = math.cos(theta), math.sin(theta)
     ctr = polygon.mbr.center
-    out = []
-    for p in polygon.vertices:
-        x = p.x - ctr.x
-        y = p.y - ctr.y
-        u = (c * x + s * y) * lam
-        v = (-s * x + c * y) / lam
-        out.append(Point(ctr.x + c * u - s * v, ctr.y + s * u + c * v))
-    return Polygon(out)
+    x = polygon.coords_array[:, 0] - ctr.x
+    y = polygon.coords_array[:, 1] - ctr.y
+    u = (c * x + s * y) * lam
+    v = (-s * x + c * y) / lam
+    return Polygon(np.column_stack((ctr.x + c * u - s * v, ctr.y + s * u + c * v)))
 
 
 def bowtie_twist(polygon: Polygon, rng: random.Random) -> Polygon:
@@ -229,14 +231,14 @@ def bowtie_twist(polygon: Polygon, rng: random.Random) -> Polygon:
     predicates in this library remain well-defined on the result (even-odd
     semantics).
     """
-    verts = list(polygon.vertices)
-    if len(verts) < 5:
+    n = polygon.num_vertices
+    if n < 5:
         return polygon
     last_attempt = polygon
     for _ in range(8):
-        i = rng.randrange(0, len(verts) - 1)
-        twisted = list(verts)
-        twisted[i], twisted[i + 1] = twisted[i + 1], twisted[i]
+        i = rng.randrange(0, n - 1)
+        twisted = polygon.coords_array.copy()
+        twisted[[i, i + 1]] = twisted[[i + 1, i]]
         last_attempt = Polygon(twisted)
         if not last_attempt.is_simple():
             return last_attempt

@@ -19,7 +19,8 @@ from __future__ import annotations
 from pathlib import Path
 from typing import List, Optional, Union
 
-from ..geometry.point import Point
+import numpy as np
+
 from ..geometry.polygon import Polygon
 from ..geometry.rect import Rect
 from .dataset import SpatialDataset
@@ -36,15 +37,15 @@ def save_dataset(dataset: SpatialDataset, path: Union[str, Path]) -> None:
         w = dataset.world
         f.write(f"world {w.xmin!r} {w.ymin!r} {w.xmax!r} {w.ymax!r}\n")
         for poly in dataset.polygons:
-            coords = " ".join(f"{p.x!r} {p.y!r}" for p in poly.vertices)
+            coords = " ".join(f"{x!r} {y!r}" for x, y in poly.coords())
             f.write(f"poly {poly.num_vertices} {coords}\n")
 
 
 def polygon_to_wkt(polygon: Polygon) -> str:
     """The polygon as a WKT ``POLYGON`` with one (closed) exterior ring."""
-    ring = ", ".join(f"{p.x!r} {p.y!r}" for p in polygon.vertices)
-    first = polygon.vertices[0]
-    return f"POLYGON (({ring}, {first.x!r} {first.y!r}))"
+    coords = polygon.coords()
+    ring = ", ".join(f"{x!r} {y!r}" for x, y in coords + coords[:1])
+    return f"POLYGON (({ring}))"
 
 
 def polygon_from_wkt(text: str) -> Polygon:
@@ -70,12 +71,12 @@ def polygon_from_wkt(text: str) -> Polygon:
         parts = token.split()
         if len(parts) != 2:
             raise ValueError(f"malformed WKT coordinate {token.strip()!r}")
-        pts.append(Point(float(parts[0]), float(parts[1])))
+        pts.append((float(parts[0]), float(parts[1])))
     if len(pts) >= 2 and pts[0] == pts[-1]:
         pts.pop()
     if len(pts) < 3:
         raise ValueError("WKT ring has fewer than 3 distinct points")
-    return Polygon(pts)
+    return Polygon.from_coords(pts)
 
 
 def save_dataset_wkt(dataset: SpatialDataset, path: Union[str, Path]) -> None:
@@ -135,11 +136,11 @@ def load_dataset(path: Union[str, Path]) -> SpatialDataset:
                         f"{path}:{lineno}: expected {2 * k} coordinates, "
                         f"got {len(values)}"
                     )
-                pts = [
-                    Point(float(values[2 * i]), float(values[2 * i + 1]))
-                    for i in range(k)
-                ]
-                polygons.append(Polygon(pts))
+                try:
+                    coords = np.array([float(v) for v in values]).reshape(k, 2)
+                    polygons.append(Polygon(coords))
+                except ValueError as exc:
+                    raise ValueError(f"{path}:{lineno}: {exc}") from exc
             else:
                 raise ValueError(f"{path}:{lineno}: unknown record {tag!r}")
     if not polygons:

@@ -24,7 +24,6 @@ this implementation.
 from __future__ import annotations
 
 import math
-from typing import Tuple
 
 import numpy as np
 
@@ -69,17 +68,15 @@ class InteriorFilter:
         """Number of tiles kept as the interior approximation."""
         return int(self.interior.sum())
 
-    def _to_tile_coords(self, x: float, y: float) -> Tuple[float, float]:
-        tx = (x - self.mbr.xmin) / self._tile_w if self._tile_w else 0.0
-        ty = (y - self.mbr.ymin) / self._tile_h if self._tile_h else 0.0
-        return tx, ty
-
     def _compute_interior(self) -> np.ndarray:
         n = self.tiles_per_side
-        arr = np.array(
-            [self._to_tile_coords(p.x, p.y) for p in self.query.vertices],
-            dtype=np.float64,
-        )
+        # Vertices in tile coordinates; a zero-extent axis maps to 0.
+        arr = np.zeros((self.query.num_vertices, 2), dtype=np.float64)
+        coords = self.query.coords_array
+        if self._tile_w:
+            arr[:, 0] = (coords[:, 0] - self.mbr.xmin) / self._tile_w
+        if self._tile_h:
+            arr[:, 1] = (coords[:, 1] - self.mbr.ymin) / self._tile_h
 
         # Tiles whose center is inside the polygon (even-odd fill) minus
         # tiles touched by the boundary (conservative footprint): both as

@@ -246,16 +246,9 @@ class IntervalApproximation:
         # Vertices in local cell coordinates of the footprint window; the
         # rasterizers clip to the buffer, so out-of-window (clipped)
         # geometry still marks every in-window cell it touches.
-        coords = np.array(
-            [
-                (
-                    (v.x - grid.world.xmin) / grid.cell_w - ix0,
-                    (v.y - grid.world.ymin) / grid.cell_h - iy0,
-                )
-                for v in polygon.vertices
-            ],
-            dtype=np.float64,
-        )
+        coords = (
+            polygon.coords_array - (grid.world.xmin, grid.world.ymin)
+        ) / (grid.cell_w, grid.cell_h) - (ix0, iy0)
         inside = polygon_fill_coverage_mask((height, width), coords)
         touched_mask = ring_boundary_coverage_mask(
             (height, width), coords, _BOUNDARY_FOOTPRINT

@@ -25,13 +25,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Optional
 
 from .distance import either_contains
 from .point import Point
 from .polygon import Polygon
 from .rect import Rect
 from .segment import point_segment_distance, segment_segment_distance
+from .sweep import _Edge, _flatten_edges
 
 
 @dataclass
@@ -54,43 +55,16 @@ class MinDistStats:
         self.early_exits += other.early_exits
 
 
-# Flattened edge record: (ax, ay, bx, by, xmin, ymin, xmax, ymax)
-_Edge = Tuple[float, float, float, float, float, float, float, float]
-
-
-def _flat_edges(polygon: Polygon) -> List[_Edge]:
-    out: List[_Edge] = []
-    verts = polygon.vertices
-    ax, ay = verts[-1].x, verts[-1].y
-    for v in verts:
-        bx, by = v.x, v.y
-        out.append(
-            (
-                ax,
-                ay,
-                bx,
-                by,
-                min(ax, bx),
-                min(ay, by),
-                max(ax, bx),
-                max(ay, by),
-            )
-        )
-        ax, ay = bx, by
-    return out
-
-
-def _rect_rect_distance(
-    axmin: float, aymin: float, axmax: float, aymax: float, r: Rect
-) -> float:
-    dx = max(axmin - r.xmax, 0.0, r.xmin - axmax)
-    dy = max(aymin - r.ymax, 0.0, r.ymin - aymax)
+def _edge_rect_distance(e: _Edge, r: Rect) -> float:
+    # Edge records are the sweep's: (xmin, xmax, ymin, ymax, ax, ay, bx, by).
+    dx = max(e[0] - r.xmax, 0.0, r.xmin - e[1])
+    dy = max(e[2] - r.ymax, 0.0, r.ymin - e[3])
     return math.hypot(dx, dy)
 
 
 def _edge_edge_mbr_distance(e: _Edge, f: _Edge) -> float:
-    dx = max(e[4] - f[6], 0.0, f[4] - e[6])
-    dy = max(e[5] - f[7], 0.0, f[5] - e[7])
+    dx = max(e[0] - f[1], 0.0, f[0] - e[1])
+    dy = max(e[2] - f[3], 0.0, f[2] - e[3])
     return math.hypot(dx, dy)
 
 
@@ -135,8 +109,8 @@ def min_boundary_distance(
     and ``use_extended_mbr`` toggle the two pruning stages for ablations;
     with both off the routine degenerates to the quadratic reference scan.
     """
-    edges_a = _flat_edges(a)
-    edges_b = _flat_edges(b)
+    edges_a = _flatten_edges(a, None)
+    edges_b = _flatten_edges(b, None)
     if stats is not None:
         stats.edge_pairs_total += len(edges_a) * len(edges_b)
         # Linear passes: flatten + initial bound scan both boundaries.
@@ -152,16 +126,8 @@ def min_boundary_distance(
 
     if use_frontier:
         # Frontier chains: edges that could possibly realize a distance <= upper.
-        edges_a = [
-            e
-            for e in edges_a
-            if _rect_rect_distance(e[4], e[5], e[6], e[7], b.mbr) <= upper
-        ]
-        edges_b = [
-            e
-            for e in edges_b
-            if _rect_rect_distance(e[4], e[5], e[6], e[7], a.mbr) <= upper
-        ]
+        edges_a = [e for e in edges_a if _edge_rect_distance(e, b.mbr) <= upper]
+        edges_b = [e for e in edges_b if _edge_rect_distance(e, a.mbr) <= upper]
     if use_extended_mbr:
         # Figure 9d: only the stretches of the frontier chains within the
         # other MBR extended by the pruning radius can matter.
@@ -171,18 +137,18 @@ def min_boundary_distance(
         edges_a = [
             e
             for e in edges_a
-            if e[4] <= ext_b.xmax
-            and ext_b.xmin <= e[6]
-            and e[5] <= ext_b.ymax
-            and ext_b.ymin <= e[7]
+            if e[0] <= ext_b.xmax
+            and ext_b.xmin <= e[1]
+            and e[2] <= ext_b.ymax
+            and ext_b.ymin <= e[3]
         ]
         edges_b = [
             e
             for e in edges_b
-            if e[4] <= ext_a.xmax
-            and ext_a.xmin <= e[6]
-            and e[5] <= ext_a.ymax
-            and ext_a.ymin <= e[7]
+            if e[0] <= ext_a.xmax
+            and ext_a.xmin <= e[1]
+            and e[2] <= ext_a.ymax
+            and ext_a.ymin <= e[3]
         ]
     if stats is not None:
         stats.frontier_pairs += len(edges_a) * len(edges_b)
@@ -191,15 +157,15 @@ def min_boundary_distance(
     tested = 0
     for e in edges_a:
         # Skip whole rows that cannot beat the running best.
-        if _rect_rect_distance(e[4], e[5], e[6], e[7], b.mbr) > best:
+        if _edge_rect_distance(e, b.mbr) > best:
             continue
-        pa = Point(e[0], e[1])
-        pb = Point(e[2], e[3])
+        pa = Point(e[4], e[5])
+        pb = Point(e[6], e[7])
         for f in edges_b:
             if _edge_edge_mbr_distance(e, f) > best:
                 continue
             tested += 1
-            d = segment_segment_distance(pa, pb, Point(f[0], f[1]), Point(f[2], f[3]))
+            d = segment_segment_distance(pa, pb, Point(f[4], f[5]), Point(f[6], f[7]))
             if d < best:
                 best = d
                 if best <= target:

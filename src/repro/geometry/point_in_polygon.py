@@ -11,6 +11,8 @@ from __future__ import annotations
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .point import Point
 from .predicates import on_segment
 
@@ -23,6 +25,12 @@ class PointLocation(Enum):
     BOUNDARY = "boundary"
 
 
+def ring_edges(coords: np.ndarray) -> np.ndarray:
+    """The closed ring of ``(n, 2)`` vertices as ``(n, 4)`` rows
+    ``[x0, y0, x1, y1]``; edge ``i`` runs from vertex ``i-1`` to vertex ``i``."""
+    return np.hstack([np.roll(coords, 1, axis=0), coords])
+
+
 def locate_point(p: Point, vertices: Sequence[Point]) -> PointLocation:
     """Classify ``p`` against the polygon given by ``vertices``.
 
@@ -32,32 +40,34 @@ def locate_point(p: Point, vertices: Sequence[Point]) -> PointLocation:
     times.  Points exactly on the boundary are reported as BOUNDARY, which
     the intersection test treats as intersecting (safe for spatial
     predicates).
+
+    ``Polygon.vertices`` is scanned in place through the polygon's cached
+    edge rows; any other sequence of points is converted first.  The scan is
+    whole-array, one float64 ufunc per product, difference and comparison of
+    the edge-by-edge formulation, so it decides exactly as that loop would.
     """
-    n = len(vertices)
-    if n < 3:
-        raise ValueError("polygon needs at least 3 vertices")
-    inside = False
+    edges = getattr(vertices, "edges_array", None)
+    if edges is None:
+        if len(vertices) < 3:
+            raise ValueError("polygon needs at least 3 vertices")
+        edges = ring_edges(np.array([(v.x, v.y) for v in vertices], dtype=np.float64))
     px, py = p.x, p.y
-    ax, ay = vertices[-1].x, vertices[-1].y
-    for v in vertices:
-        bx, by = v.x, v.y
-        # Boundary check first: exact on-edge points would otherwise depend
-        # on floating-point crossing arithmetic.
-        if (
-            min(ax, bx) <= px <= max(ax, bx)
-            and min(ay, by) <= py <= max(ay, by)
-            and (bx - ax) * (py - ay) == (by - ay) * (px - ax)
-        ):
+    ax, ay, bx, by = edges.T
+    run_rise = (bx - ax) * (py - ay)
+    rise_run = (by - ay) * (px - ax)
+    # Boundary first: an exact on-edge point must not depend on the crossing
+    # arithmetic.  Collinear with an edge's line and inside its box = on it.
+    collinear = run_rise == rise_run
+    if collinear.any():
+        starts, ends = edges[collinear, :2], edges[collinear, 2:]
+        in_box = (np.minimum(starts, ends) <= (px, py)) & ((px, py) <= np.maximum(starts, ends))
+        if in_box.all(axis=1).any():
             return PointLocation.BOUNDARY
-        # Half-open rule [ay, by): each non-horizontal edge is counted once,
-        # and vertices never double-count.
-        if (ay > py) != (by > py):
-            # x coordinate of the edge at height py, compared to px without
-            # division (sign-corrected by the edge direction).
-            t = (px - ax) * (by - ay) - (bx - ax) * (py - ay)
-            if (t < 0) != (by < ay):
-                inside = not inside
-        ax, ay = bx, by
+    # Half-open rule [ay, by): each non-horizontal edge is counted once, and
+    # vertices never double-count.  The edge's x at height py is compared to
+    # px without division (sign-corrected by the edge direction).
+    crossing = ((ay > py) != (by > py)) & ((rise_run - run_rise < 0) != (by < ay))
+    inside = np.count_nonzero(crossing) & 1
     return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
 
 

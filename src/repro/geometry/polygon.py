@@ -10,14 +10,59 @@ predicates that require simplicity say so explicitly, and
 from __future__ import annotations
 
 import hashlib
-from typing import Iterator, List, Sequence, Tuple
+from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
 from .point import Point
-from .point_in_polygon import PointLocation, locate_point
+from .point_in_polygon import PointLocation, locate_point, ring_edges
 from .rect import Rect
 from .segment import Segment
+
+
+class VertexView(Sequence[Point]):
+    """``Polygon.vertices``: the coordinate array read as ``Point`` objects.
+
+    Indexing builds just the points asked for.  A full iteration builds all
+    of them once and keeps them on the polygon, so the loops that walk
+    ``Point`` objects (the ``hypot``-based distance bounds) pay for the
+    objects on their first pass only.
+    """
+
+    __slots__ = ("_polygon",)
+
+    def __init__(self, polygon: "Polygon") -> None:
+        self._polygon = polygon
+
+    @property
+    def edges_array(self) -> np.ndarray:
+        """The polygon's cached edge rows: what ``locate_point`` scans."""
+        return self._polygon.edges_array
+
+    def __len__(self) -> int:
+        return len(self._polygon.coords_array)
+
+    def __getitem__(self, index):
+        points = self._polygon._points
+        if points is not None:
+            return points[index]
+        picked = self._polygon.coords_array[index].tolist()
+        if isinstance(index, slice):
+            return tuple(Point(x, y) for x, y in picked)
+        return Point(*picked)
+
+    def __iter__(self) -> Iterator[Point]:
+        return iter(self._polygon._all_points())
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, VertexView):
+            return self._polygon == other._polygon
+        if isinstance(other, (tuple, list)):
+            return self._polygon._all_points() == tuple(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"VertexView(<{len(self)} vertices>)"
 
 
 class Polygon:
@@ -26,55 +71,70 @@ class Polygon:
     The boundary is implicitly closed: an edge connects the last vertex back
     to the first.  Vertices are stored as given (no deduplication or
     reorientation) to stay faithful to how GIS sources deliver geometry.
+
+    The polygon *is* one C-contiguous, read-only float64 ``(n, 2)`` array,
+    the ``coords_array`` slot; every kernel reads that array or the edge rows
+    derived from it, and ``Point`` objects exist only where a caller asks
+    for them through :attr:`vertices` or :meth:`edges`.
     """
 
-    __slots__ = (
-        "_vertices",
-        "_mbr",
-        "_signed_area",
-        "_coords_array",
-        "_edges_array",
-        "_digest",
-    )
+    __slots__ = ("coords_array", "_edges_array", "_points", "_mbr", "_signed_area", "_digest")
 
-    def __init__(self, vertices: Sequence[Point]) -> None:
-        if len(vertices) < 3:
+    def __init__(
+        self, vertices: Union[np.ndarray, Iterable[Union[Point, Tuple[float, float]]]]
+    ) -> None:
+        if not isinstance(vertices, np.ndarray):
+            vertices = [(v.x, v.y) if isinstance(v, Point) else v for v in vertices]
+        # np.array copies, so a caller's array can never alias the polygon.
+        coords = np.array(vertices, dtype=np.float64, order="C")
+        if len(coords) < 3:
+            raise ValueError(f"polygon needs at least 3 vertices, got {len(coords)}")
+        if coords.ndim != 2 or coords.shape[1] != 2:
+            raise ValueError(f"polygon needs (n, 2) coordinates, got shape {coords.shape}")
+        finite = np.isfinite(coords)
+        if not finite.all():
+            index = int(np.flatnonzero(~finite.all(axis=1))[0])
             raise ValueError(
-                f"polygon needs at least 3 vertices, got {len(vertices)}"
+                f"polygon vertex {index} has a non-finite coordinate: "
+                f"{tuple(coords[index].tolist())}"
             )
-        object.__setattr__(self, "_vertices", tuple(vertices))
-        object.__setattr__(self, "_mbr", None)
-        object.__setattr__(self, "_signed_area", None)
-        object.__setattr__(self, "_coords_array", None)
-        object.__setattr__(self, "_edges_array", None)
-        object.__setattr__(self, "_digest", None)
+        coords.setflags(write=False)
+        object.__setattr__(self, "coords_array", coords)
+        for slot in self.__slots__[1:]:
+            object.__setattr__(self, slot, None)
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polygon is immutable")
 
     def __reduce__(self):
-        # Pickle as (class, vertices): the cached MBR/area/arrays rebuild
-        # lazily and deterministically on the receiving side.
-        return (Polygon, (list(self._vertices),))
+        # One buffer, not n Point reductions; the caches rebuild lazily and
+        # deterministically on the receiving side.
+        return (Polygon, (self.coords_array,))
 
     @staticmethod
     def from_coords(coords: Sequence[Tuple[float, float]]) -> "Polygon":
         """Build a polygon from ``[(x, y), ...]`` coordinate pairs."""
-        return Polygon([Point(x, y) for x, y in coords])
+        return Polygon(np.array(coords, dtype=np.float64))
 
     # -- basic accessors -----------------------------------------------------
 
     @property
-    def vertices(self) -> Tuple[Point, ...]:
-        return self._vertices
+    def vertices(self) -> VertexView:
+        return VertexView(self)
+
+    def _all_points(self) -> Tuple[Point, ...]:
+        if self._points is None:
+            points = tuple(Point(x, y) for x, y in self.coords_array.tolist())
+            object.__setattr__(self, "_points", points)
+        return self._points
 
     @property
     def num_vertices(self) -> int:
         """Vertex count: the complexity measure used throughout the paper."""
-        return len(self._vertices)
+        return len(self.coords_array)
 
     def __len__(self) -> int:
-        return len(self._vertices)
+        return len(self.coords_array)
 
     def __repr__(self) -> str:
         return f"Polygon(<{self.num_vertices} vertices>, mbr={self.mbr!r})"
@@ -82,25 +142,27 @@ class Polygon:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Polygon):
             return NotImplemented
-        return self._vertices == other._vertices
+        return np.array_equal(self.coords_array, other.coords_array)
 
     def __hash__(self) -> int:
-        return hash(self._vertices)
+        # ``+ 0.0`` folds -0.0 into 0.0: the two compare equal, so they must
+        # hash equal, which their raw bytes would not.
+        return hash((self.coords_array + 0.0).tobytes())
 
     @property
     def mbr(self) -> Rect:
         """Minimum bounding rectangle (cached)."""
         if self._mbr is None:
-            object.__setattr__(self, "_mbr", Rect.from_points(self._vertices))
+            # Column by column: numpy reduces a long 1-D column far faster
+            # than it reduces an (n, 2) array along its long axis.
+            x, y = self.coords_array.T
+            object.__setattr__(self, "_mbr", Rect(x.min(), y.min(), x.max(), y.max()))
         return self._mbr
 
     def edges(self) -> Iterator[Tuple[Point, Point]]:
         """Iterate boundary edges as ``(start, end)`` pairs, closing the ring."""
-        verts = self._vertices
-        prev = verts[-1]
-        for v in verts:
-            yield (prev, v)
-            prev = v
+        verts = self._all_points()
+        return zip(verts[-1:] + verts[:-1], verts)
 
     def edge_segments(self) -> List[Segment]:
         """Boundary edges as :class:`Segment` objects."""
@@ -108,23 +170,7 @@ class Polygon:
 
     def coords(self) -> List[Tuple[float, float]]:
         """Vertices as plain ``(x, y)`` tuples (for rasterization and IO)."""
-        return [(p.x, p.y) for p in self._vertices]
-
-    @property
-    def coords_array(self) -> np.ndarray:
-        """Vertices as a read-only ``(n, 2)`` float64 array (cached).
-
-        The hardware path transforms and rasterizes whole boundaries at
-        once; caching the array amortizes the conversion over the many
-        pairwise tests each polygon participates in.
-        """
-        if self._coords_array is None:
-            arr = np.array(
-                [(p.x, p.y) for p in self._vertices], dtype=np.float64
-            )
-            arr.setflags(write=False)
-            object.__setattr__(self, "_coords_array", arr)
-        return self._coords_array
+        return list(map(tuple, self.coords_array.tolist()))
 
     @property
     def edges_array(self) -> np.ndarray:
@@ -132,12 +178,11 @@ class Polygon:
         ``[x0, y0, x1, y1]`` rows, closing the ring (cached).
 
         Edge ``i`` runs from vertex ``i-1`` to vertex ``i``, matching
-        :meth:`edges`.  The hardware path transforms this array with two
-        vectorized operations per draw call instead of rebuilding it.
+        :meth:`edges`.  The point-in-polygon scan, the sweep's edge
+        flattening and the hardware path's draw calls all read these rows.
         """
         if self._edges_array is None:
-            coords = self.coords_array
-            arr = np.hstack([np.roll(coords, 1, axis=0), coords])
+            arr = ring_edges(self.coords_array)
             arr.setflags(write=False)
             object.__setattr__(self, "_edges_array", arr)
         return self._edges_array
@@ -159,16 +204,18 @@ class Polygon:
 
     # -- measures --------------------------------------------------------------
 
+    def _edge_crosses(self) -> np.ndarray:
+        """The shoelace term ``ax * by - bx * ay`` of every edge."""
+        e = self.edges_array
+        return e[:, 0] * e[:, 3] - e[:, 2] * e[:, 1]
+
     @property
     def signed_area(self) -> float:
         """Shoelace signed area; positive for counter-clockwise rings."""
         if self._signed_area is None:
-            verts = self._vertices
-            total = 0.0
-            ax, ay = verts[-1].x, verts[-1].y
-            for v in verts:
-                total += ax * v.y - v.x * ay
-                ax, ay = v.x, v.y
+            # cumsum adds strictly left to right, as the scalar loop did;
+            # np.sum's pairwise order would round differently.
+            total = float(np.cumsum(self._edge_crosses())[-1])
             object.__setattr__(self, "_signed_area", total * 0.5)
         return self._signed_area
 
@@ -189,30 +236,20 @@ class Polygon:
         """Area centroid; falls back to the vertex mean for zero-area rings."""
         a6 = self.signed_area * 6.0
         if a6 == 0.0:
-            n = self.num_vertices
-            return Point(
-                sum(p.x for p in self._vertices) / n,
-                sum(p.y for p in self._vertices) / n,
-            )
-        cx = cy = 0.0
-        verts = self._vertices
-        px, py = verts[-1].x, verts[-1].y
-        for v in verts:
-            w = px * v.y - v.x * py
-            cx += (px + v.x) * w
-            cy += (py + v.y) * w
-            px, py = v.x, v.y
-        return Point(cx / a6, cy / a6)
+            return Point(*(np.cumsum(self.coords_array, axis=0)[-1] / self.num_vertices))
+        e = self.edges_array
+        weighted = (e[:, :2] + e[:, 2:]) * self._edge_crosses()[:, None]
+        return Point(*(np.cumsum(weighted, axis=0)[-1] / a6))
 
     # -- topology ---------------------------------------------------------------
 
     def locate_point(self, p: Point) -> PointLocation:
         """Classify ``p`` as inside / outside / on the boundary."""
-        return locate_point(p, self._vertices)
+        return locate_point(p, self.vertices)
 
     def contains_point(self, p: Point) -> bool:
         """True when ``p`` is inside or on the boundary (even-odd rule)."""
-        return locate_point(p, self._vertices) is not PointLocation.OUTSIDE
+        return locate_point(p, self.vertices) is not PointLocation.OUTSIDE
 
     def is_simple(self) -> bool:
         """True when no two non-adjacent edges intersect and adjacent edges
@@ -229,19 +266,15 @@ class Polygon:
 
     def reversed(self) -> "Polygon":
         """Same ring with opposite orientation."""
-        return Polygon(tuple(reversed(self._vertices)))
+        return Polygon(self.coords_array[::-1])
 
     def translated(self, dx: float, dy: float) -> "Polygon":
-        return Polygon([Point(p.x + dx, p.y + dy) for p in self._vertices])
+        return Polygon(self.coords_array + (dx, dy))
 
     def scaled(self, factor: float, origin: Point | None = None) -> "Polygon":
         o = origin if origin is not None else self.mbr.center
-        return Polygon(
-            [
-                Point(o.x + (p.x - o.x) * factor, o.y + (p.y - o.y) * factor)
-                for p in self._vertices
-            ]
-        )
+        o = np.array(o.as_tuple())
+        return Polygon(o + (self.coords_array - o) * factor)
 
 
 def rect_to_polygon(rect: Rect) -> Polygon:

@@ -44,23 +44,12 @@ class Rect:
     @staticmethod
     def from_points(points: Iterable[Point]) -> "Rect":
         """Bounding rectangle of a non-empty point collection."""
-        it = iter(points)
-        try:
-            first = next(it)
-        except StopIteration:
-            raise ValueError("Rect.from_points requires at least one point") from None
-        xmin = xmax = first.x
-        ymin = ymax = first.y
-        for p in it:
-            if p.x < xmin:
-                xmin = p.x
-            elif p.x > xmax:
-                xmax = p.x
-            if p.y < ymin:
-                ymin = p.y
-            elif p.y > ymax:
-                ymax = p.y
-        return Rect(xmin, ymin, xmax, ymax)
+        pts = list(points)
+        if not pts:
+            raise ValueError("Rect.from_points requires at least one point")
+        xs = [p.x for p in pts]
+        ys = [p.y for p in pts]
+        return Rect(min(xs), min(ys), max(xs), max(ys))
 
     @staticmethod
     def union_all(rects: Sequence["Rect"]) -> "Rect":

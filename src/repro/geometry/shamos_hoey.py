@@ -191,11 +191,10 @@ def polygon_is_simple(polygon: Polygon) -> bool:
     endpoint, and nothing else may touch.  Repeated consecutive vertices
     (zero-length edges) make a polygon non-simple.
     """
-    verts = polygon.vertices
-    n = len(verts)
-    for i in range(n):
-        if verts[i] == verts[(i + 1) % n]:
-            return False
+    n = polygon.num_vertices
+    ax, ay, bx, by = polygon.edges_array.T
+    if ((ax == bx) & (ay == by)).any():
+        return False
 
     edges: List[Tuple[Point, Point]] = list(polygon.edges())
 

@@ -20,6 +20,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
+from .distance import either_contains
 from .point import Point
 from .polygon import Polygon
 from .predicates import segments_intersect
@@ -59,23 +62,22 @@ def _flatten_edges(
 
     The restriction keeps any edge whose own MBR intersects the window; every
     boundary crossing lies in the window (the intersection of the two object
-    MBRs), so restriction never loses a crossing.
+    MBRs), so restriction never loses a crossing.  Records leave as tuples of
+    Python floats: the sweep sorts and indexes them one at a time.
     """
-    out: List[_Edge] = []
+    ax, ay, bx, by = polygon.edges_array.T
+    xmin, xmax = np.minimum(ax, bx), np.maximum(ax, bx)
+    ymin, ymax = np.minimum(ay, by), np.maximum(ay, by)
+    columns = [xmin, xmax, ymin, ymax, ax, ay, bx, by]
     if window is not None:
-        wxmin, wymin, wxmax, wymax = window.as_tuple()
-    verts = polygon.vertices
-    ax, ay = verts[-1].x, verts[-1].y
-    for v in verts:
-        bx, by = v.x, v.y
-        xmin, xmax = (ax, bx) if ax <= bx else (bx, ax)
-        ymin, ymax = (ay, by) if ay <= by else (by, ay)
-        if window is None or (
-            xmin <= wxmax and wxmin <= xmax and ymin <= wymax and wymin <= ymax
-        ):
-            out.append((xmin, xmax, ymin, ymax, ax, ay, bx, by))
-        ax, ay = bx, by
-    return out
+        keep = np.flatnonzero(
+            (xmin <= window.xmax)
+            & (window.xmin <= xmax)
+            & (ymin <= window.ymax)
+            & (window.ymin <= ymax)
+        )
+        columns = [column[keep] for column in columns]
+    return list(zip(*[column.tolist() for column in columns]))
 
 
 def _edges_cross(e: _Edge, f: _Edge) -> bool:
@@ -180,11 +182,7 @@ def polygons_intersect(
     """
     if not a.mbr.intersects(b.mbr):
         return False
-    from .point_in_polygon import PointLocation, locate_point
-
-    if locate_point(a.vertices[0], b.vertices) is not PointLocation.OUTSIDE:
-        return True
-    if locate_point(b.vertices[0], a.vertices) is not PointLocation.OUTSIDE:
+    if either_contains(a, b):
         return True
     return boundaries_intersect(a, b, restrict_search_space, stats)
 

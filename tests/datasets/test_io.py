@@ -67,6 +67,24 @@ class TestErrors:
         with pytest.raises(ValueError, match="expected 6 coordinates"):
             load_dataset(p)
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_reports_line_and_vertex(self, tmp_path, bad):
+        p = tmp_path / "bad.ds"
+        p.write_text(
+            f"# repro-dataset v1\npoly 3 0 0 1 0 0 1\npoly 3 0 0 1 {bad} 0 1\n"
+        )
+        with pytest.raises(ValueError, match=r"bad\.ds:3: .*vertex 1 .*non-finite"):
+            load_dataset(p)
+
+    def test_unparsable_or_short_polygon_reports_line(self, tmp_path):
+        p = tmp_path / "bad.ds"
+        p.write_text("# repro-dataset v1\npoly 3 0 0 1 zero 0 1\n")
+        with pytest.raises(ValueError, match=r"bad\.ds:2: "):
+            load_dataset(p)
+        p.write_text("# repro-dataset v1\npoly 2 0 0 1 1\n")
+        with pytest.raises(ValueError, match=r"bad\.ds:2: .*at least 3 vertices"):
+            load_dataset(p)
+
     def test_unknown_record(self, tmp_path):
         p = tmp_path / "bad.ds"
         p.write_text("# repro-dataset v1\nblob 1 2\n")
@@ -152,4 +170,15 @@ class TestWkt:
         p = tmp_path / "bad.wkt"
         p.write_text("POLYGON ((0 0, 1 0, 0 1, 0 0))\nPOLYGON ((oops))\n")
         with pytest.raises(ValueError, match=":2:"):
+            load_dataset_wkt(p)
+
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_coordinate_reports_line_and_vertex(self, tmp_path, bad):
+        from repro.datasets import load_dataset_wkt
+
+        p = tmp_path / "bad.wkt"
+        p.write_text(
+            f"POLYGON ((0 0, 1 0, 0 1, 0 0))\nPOLYGON ((0 0, 1 0, 1 1, {bad} 1, 0 0))\n"
+        )
+        with pytest.raises(ValueError, match=r"bad\.wkt:2: .*vertex 3 .*non-finite"):
             load_dataset_wkt(p)

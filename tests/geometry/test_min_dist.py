@@ -16,11 +16,25 @@ from repro.geometry import (
     polygons_within_distance,
     polygons_within_distance_brute_force,
 )
-from tests.strategies import polygon_pairs_nearby, star_polygons
+from repro.geometry.sweep import _flatten_edges
+from tests.strategies import adversarial_rings, polygon_pairs_nearby, star_polygons
 
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 FAR = Polygon.from_coords([(10, 10), (12, 10), (12, 12), (10, 12)])
 INNER = Polygon.from_coords([(1, 1), (3, 1), (3, 3), (1, 3)])
+
+
+def _flat_edges_edge_by_edge(polygon):
+    """The scalar loop minDist used to flatten edges with, in its own layout
+    ``(ax, ay, bx, by, xmin, ymin, xmax, ymax)``; kept as the oracle."""
+    out = []
+    verts = list(polygon.vertices)
+    ax, ay = verts[-1].x, verts[-1].y
+    for v in verts:
+        bx, by = v.x, v.y
+        out.append((ax, ay, bx, by, min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
+        ax, ay = bx, by
+    return out
 
 
 class TestBruteForce:
@@ -98,6 +112,27 @@ class TestMinBoundaryDistance:
         approx = min_boundary_distance(a, b, early_exit_at=d)
         # The early-exit result decides the predicate identically.
         assert (approx <= d) == (exact <= d)
+
+
+class TestEdgeRecords:
+    """minDist reads the sweep's records; they must carry what its own
+    flattening loop computed."""
+
+    @given(st.one_of(adversarial_rings().map(Polygon), star_polygons()))
+    def test_records_carry_the_old_loops_values(self, poly):
+        records = _flatten_edges(poly, None)
+        old = _flat_edges_edge_by_edge(poly)
+        assert len(records) == len(old) == poly.num_vertices
+        for (xmin, xmax, ymin, ymax, *ends), o in zip(records, old):
+            assert tuple(ends) == o[:4]
+            assert (xmin, ymin, xmax, ymax) == o[4:]
+
+    @given(adversarial_rings().map(Polygon), adversarial_rings().map(Polygon))
+    def test_exact_on_adversarial_rings(self, a, b):
+        stats = MinDistStats()
+        assert min_boundary_distance(a, b, stats=stats) == boundary_distance_brute_force(a, b)
+        assert stats.edge_pairs_total == a.num_vertices * b.num_vertices
+        assert stats.edges_scanned == 2 * (a.num_vertices + b.num_vertices)
 
 
 class TestPolygonMinDistance:

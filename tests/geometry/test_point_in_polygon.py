@@ -2,15 +2,21 @@
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
-from repro.geometry import Point, PointLocation, locate_point
+from repro.geometry import Point, PointLocation, Polygon, locate_point
 from repro.geometry.point_in_polygon import (
     _debug_location_by_sampling,
     any_vertex_inside,
     point_in_polygon,
     point_strictly_in_polygon,
 )
-from tests.strategies import arbitrary_polygons, points, star_polygons
+from tests.strategies import (
+    arbitrary_polygons,
+    points,
+    rings_with_query_point,
+    star_polygons,
+)
 
 SQUARE = [Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)]
 # Concave "C" shape opening to the right.
@@ -25,6 +31,29 @@ C_SHAPE = [
     Point(0, 4),
 ]
 BOWTIE = [Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)]
+
+
+def _locate_point_edge_by_edge(p, vertices):
+    """The paper-literal scan ``locate_point`` used to be: one edge at a
+    time, returning at the first edge the point lies on.  Kept here as the
+    oracle for the whole-array kernel."""
+    inside = False
+    px, py = p.x, p.y
+    ax, ay = vertices[-1].x, vertices[-1].y
+    for v in vertices:
+        bx, by = v.x, v.y
+        if (
+            min(ax, bx) <= px <= max(ax, bx)
+            and min(ay, by) <= py <= max(ay, by)
+            and (bx - ax) * (py - ay) == (by - ay) * (px - ax)
+        ):
+            return PointLocation.BOUNDARY
+        if (ay > py) != (by > py):
+            t = (px - ax) * (by - ay) - (bx - ax) * (py - ay)
+            if (t < 0) != (by < ay):
+                inside = not inside
+        ax, ay = bx, by
+    return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
 
 
 class TestSquare:
@@ -114,3 +143,45 @@ class TestProperties:
         assert poly.contains_point(p) == (
             locate_point(p, poly.vertices) is not PointLocation.OUTSIDE
         )
+
+
+class TestKernelAgainstTheEdgeByEdgeScan:
+    """The NumPy kernel must decide exactly as the scalar loop it replaced."""
+
+    @given(rings_with_query_point())
+    def test_identical_location_on_the_adversarial_corpus(self, case):
+        ring, p = case
+        expected = _locate_point_edge_by_edge(p, ring)
+        assert locate_point(p, Polygon(ring).vertices) is expected
+        assert locate_point(p, ring) is expected  # a plain list is converted
+        assert Polygon(ring).locate_point(p) is expected
+
+    @given(st.one_of(star_polygons(), arbitrary_polygons()), points)
+    def test_identical_location_on_the_eighth_grid(self, poly, p):
+        assert locate_point(p, poly.vertices) is _locate_point_edge_by_edge(
+            p, poly.vertices
+        )
+
+    def test_half_open_rule_at_a_vertex_level_with_the_point(self):
+        # The ray from (0, 1) passes exactly through the vertex (2, 1).
+        spike = [Point(1, 0), Point(3, 0), Point(2, 1), Point(3, 2), Point(1, 2)]
+        for p in (Point(0, 1), Point(1.5, 1), Point(2.5, 1)):
+            assert locate_point(p, spike) is _locate_point_edge_by_edge(p, spike)
+        assert locate_point(Point(1.5, 1), spike) is PointLocation.INSIDE
+        assert locate_point(Point(2.5, 1), spike) is PointLocation.OUTSIDE
+
+    def test_level_with_a_horizontal_edge_but_beyond_it(self):
+        assert locate_point(Point(5, 0), SQUARE) is PointLocation.OUTSIDE
+        assert locate_point(Point(-1, 4), SQUARE) is PointLocation.OUTSIDE
+
+    def test_repeated_vertices_do_not_change_the_answer(self):
+        doubled = [v for v in SQUARE for _ in range(2)]
+        assert locate_point(Point(2, 2), doubled) is PointLocation.INSIDE
+        assert locate_point(Point(4, 4), doubled) is PointLocation.BOUNDARY
+
+    def test_near_1e15_every_product_rounds(self):
+        base = 1e15
+        ring = [Point(base + x, base + y) for x, y in ((0, 0), (3, 0.125), (2.875, 3), (0.125, 2))]
+        for dx, dy in ((1.5, 0.0625), (1, 1), (3, 0.125), (-1, 1), (2.875, 1.5)):
+            p = Point(base + dx, base + dy)
+            assert locate_point(p, ring) is _locate_point_edge_by_edge(p, ring)

@@ -1,5 +1,7 @@
 """Tests for the Polygon container and its measures."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -19,9 +21,40 @@ class TestConstruction:
         p = Polygon.from_coords([(0, 0), (1, 0), (0, 1)])
         assert p.vertices == (Point(0, 0), Point(1, 0), Point(0, 1))
 
+    def test_points_pairs_and_arrays_build_the_same_polygon(self):
+        pairs = [(0.0, 0.0), (1.0, 0.0), (0.0, 1.0)]
+        from_pairs = Polygon(pairs)
+        assert from_pairs == Polygon([Point(x, y) for x, y in pairs])
+        assert from_pairs == Polygon(np.array(pairs))
+        assert from_pairs == Polygon.from_coords(pairs)
+        assert from_pairs == Polygon(from_pairs.vertices)
+
+    def test_storage_is_one_private_read_only_float64_array(self):
+        source = np.array([(0, 0), (4, 0), (0, 4)], dtype=np.int64)
+        poly = Polygon(source)
+        source[0, 0] = 99
+        arr = poly.coords_array
+        assert arr.dtype == np.float64 and arr.shape == (3, 2)
+        assert arr.flags.c_contiguous and not arr.flags.writeable
+        assert arr[0, 0] == 0.0  # the caller's array is not aliased
+
+    @pytest.mark.parametrize("shape", [(4,), (3, 3), (2, 2, 2)])
+    def test_rejects_arrays_that_are_not_n_by_2(self, shape):
+        with pytest.raises(ValueError):
+            Polygon(np.zeros(shape))
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite_coordinates_naming_the_vertex(self, bad):
+        with pytest.raises(ValueError, match=r"vertex 2 .*non-finite"):
+            Polygon.from_coords([(0, 0), (1, 0), (1, bad), (bad, 1)])
+        with pytest.raises(ValueError, match=r"vertex 0 .*non-finite"):
+            Polygon([Point(bad, 0), Point(1, 0), Point(0, 1)])
+
     def test_immutable(self):
         with pytest.raises(AttributeError):
             SQUARE._mbr = None
+        with pytest.raises(AttributeError):
+            SQUARE.coords_array = np.zeros((3, 2))
 
     def test_len_and_num_vertices(self):
         assert len(SQUARE) == 4
@@ -32,6 +65,63 @@ class TestConstruction:
         assert SQUARE == other
         assert hash(SQUARE) == hash(other)
         assert SQUARE != SQUARE.reversed()
+        assert SQUARE != Polygon.from_coords([(0, 0), (4, 0), (4, 4)])
+
+    def test_negative_zero_is_equal_and_hashes_equal(self):
+        # Point.__eq__ always made the two rings equal; a hash over the raw
+        # coordinate bytes would tell them apart.
+        plus = Polygon.from_coords([(0.0, 0.0), (4.0, 0.0), (0.0, 4.0)])
+        minus = Polygon.from_coords([(-0.0, 0.0), (4.0, -0.0), (0.0, 4.0)])
+        assert plus == minus
+        assert hash(plus) == hash(minus)
+        assert len({plus, minus}) == 1
+        assert plus.vertices == minus.vertices
+
+    def test_pickle_ships_one_buffer(self):
+        n = 10_000
+        angles = np.linspace(0.0, 2.0 * np.pi, n, endpoint=False)
+        radii = 1.0 + 0.3 * np.sin(7.0 * angles)
+        poly = Polygon(np.column_stack((radii * np.cos(angles), radii * np.sin(angles))))
+        blob = pickle.dumps(poly)
+        assert len(blob) < 16 * n + 512
+        clone = pickle.loads(blob)
+        assert clone == poly
+        assert clone.digest == poly.digest
+        assert clone.mbr == poly.mbr
+        assert not clone.coords_array.flags.writeable
+
+
+class TestVerticesView:
+    def test_is_a_sequence_of_points(self):
+        verts = SQUARE.vertices
+        assert len(verts) == 4
+        assert verts[0] == Point(0, 0) and verts[-1] == Point(0, 4)
+        assert verts[1:3] == (Point(4, 0), Point(4, 4))
+        assert list(verts) == [Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4)]
+        assert list(reversed(verts))[0] == Point(0, 4)
+        assert Point(4, 4) in verts
+        with pytest.raises(IndexError):
+            verts[4]
+
+    def test_compares_with_tuples_lists_and_other_views(self):
+        expected = (Point(0, 0), Point(4, 0), Point(4, 4), Point(0, 4))
+        assert SQUARE.vertices == expected
+        assert SQUARE.vertices == list(expected)
+        assert SQUARE.vertices == Polygon(expected).vertices
+        assert SQUARE.vertices != expected[:3]
+        assert SQUARE.vertices != SQUARE.reversed().vertices
+
+    def test_indexing_builds_no_point_tuple_but_iterating_keeps_one(self):
+        poly = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
+        assert poly.vertices[0] == Point(0, 0)
+        assert poly._points is None
+        first_pass = list(poly.vertices)
+        assert all(a is b for a, b in zip(first_pass, poly.vertices))
+        assert poly.vertices[0] is first_pass[0]
+        assert [e[1] for e in poly.edges()] == first_pass
+
+    def test_view_exposes_the_polygons_edge_rows(self):
+        assert SQUARE.vertices.edges_array is SQUARE.edges_array
 
 
 class TestAccessors:

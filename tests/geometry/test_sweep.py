@@ -1,20 +1,60 @@
 """Tests for the red-blue boundary sweep (software segment intersection test)."""
 
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.geometry import (
     Polygon,
+    Rect,
     SweepStats,
     boundaries_intersect,
     boundaries_intersect_brute_force,
     polygons_intersect,
 )
-from tests.strategies import arbitrary_polygons, polygon_pairs_nearby, star_polygons
+from repro.geometry.sweep import _flatten_edges
+from tests.strategies import (
+    adversarial_rings,
+    arbitrary_polygons,
+    lattices,
+    polygon_pairs_nearby,
+    star_polygons,
+)
 
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 SHIFTED = Polygon.from_coords([(2, 2), (6, 2), (6, 6), (2, 6)])
 FAR = Polygon.from_coords([(10, 10), (12, 10), (12, 12), (10, 12)])
 INNER = Polygon.from_coords([(1, 1), (3, 1), (3, 3), (1, 3)])
+
+
+def _flatten_edges_edge_by_edge(polygon, window):
+    """The scalar loop ``_flatten_edges`` used to be, kept as its oracle."""
+    out = []
+    if window is not None:
+        wxmin, wymin, wxmax, wymax = window.as_tuple()
+    verts = list(polygon.vertices)
+    ax, ay = verts[-1].x, verts[-1].y
+    for v in verts:
+        bx, by = v.x, v.y
+        xmin, xmax = (ax, bx) if ax <= bx else (bx, ax)
+        ymin, ymax = (ay, by) if ay <= by else (by, ay)
+        if window is None or (
+            xmin <= wxmax and wxmin <= xmax and ymin <= wymax and wymin <= ymax
+        ):
+            out.append((xmin, xmax, ymin, ymax, ax, ay, bx, by))
+        ax, ay = bx, by
+    return out
+
+
+@st.composite
+def _rings_with_window(draw):
+    """Two adversarial rings and a window, all on one lattice, so edges end
+    exactly on the window's sides as often as inside or outside it."""
+    cells = draw(lattices)
+    a = Polygon(draw(adversarial_rings(cells)))
+    b = Polygon(draw(adversarial_rings(cells)))
+    xs = sorted((draw(cells), draw(cells)))
+    ys = sorted((draw(cells), draw(cells)))
+    return a, b, Rect(xs[0], ys[0], xs[1], ys[1])
 
 
 class TestBoundariesIntersect:
@@ -124,3 +164,39 @@ class TestPolygonsIntersect:
     def test_symmetric(self, pair):
         a, b = pair
         assert polygons_intersect(a, b) == polygons_intersect(b, a)
+
+
+class TestFlattenAgainstTheEdgeByEdgeLoop:
+    """The whole-array flattening must emit the scalar loop's records."""
+
+    @given(_rings_with_window())
+    def test_identical_records_with_and_without_a_window(self, case):
+        a, _, window = case
+        for w in (None, window, a.mbr):
+            records = _flatten_edges(a, w)
+            assert records == _flatten_edges_edge_by_edge(a, w)
+            # Plain Python floats in tuples: what sorted() and the sweep index.
+            assert all(type(r) is tuple and type(r[0]) is float for r in records)
+
+    @given(_rings_with_window())
+    def test_edges_after_restriction_counts_the_loops_survivors(self, case):
+        a, b, _ = case
+        restricted, unrestricted = SweepStats(), SweepStats()
+        hit = boundaries_intersect(a, b, True, restricted)
+        assert hit == boundaries_intersect(a, b, False, unrestricted)
+        assert hit == boundaries_intersect_brute_force(a, b)
+        assert unrestricted.edges_after_restriction == a.num_vertices + b.num_vertices
+        window = a.mbr.intersection(b.mbr)
+        expected = 0
+        if window is not None:
+            expected = len(_flatten_edges_edge_by_edge(a, window)) + len(
+                _flatten_edges_edge_by_edge(b, window)
+            )
+        assert restricted.edges_after_restriction == expected
+
+    def test_window_sides_are_closed(self):
+        # Edges that only touch the window's side or corner survive.
+        records = _flatten_edges(SQUARE, Rect(4, 4, 6, 6))
+        assert records == _flatten_edges_edge_by_edge(SQUARE, Rect(4, 4, 6, 6))
+        assert len(records) == 2
+        assert _flatten_edges(SQUARE, Rect(5, 5, 6, 6)) == []

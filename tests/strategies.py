@@ -100,3 +100,41 @@ def polygon_pairs_nearby(draw) -> Tuple[Polygon, Polygon]:
         target.x - b_center.x + shift_x, target.y - b_center.y + shift_y
     )
     return a, b
+
+
+#: Lattices ``offset + k * step`` that stress exact arithmetic in different
+#: ways: the 1/8 grid, half-integer pixel centres, and magnitudes near 1e15
+#: where one ulp is 1/8 and every product rounds.
+lattices = st.sampled_from(
+    [(0.0, 0.125), (0.5, 1.0), (0.0, 1.0), (1e15, 0.125), (-1e15, 0.25)]
+).map(lambda lattice: st.integers(-5, 5).map(lambda k: lattice[0] + k * lattice[1]))
+
+
+@st.composite
+def adversarial_rings(draw, cells=None, min_vertices: int = 3, max_vertices: int = 9):
+    """Raw vertex rings on one small lattice: bow-ties, repeated vertices,
+    collinear runs and horizontal edges (paper footnote 1) are the norm."""
+    if cells is None:
+        cells = draw(lattices)
+    n = draw(st.integers(min_vertices, max_vertices))
+    return [Point(draw(cells), draw(cells)) for _ in range(n)]
+
+
+@st.composite
+def rings_with_query_point(draw) -> Tuple[List[Point], Point]:
+    """An adversarial ring plus a query point placed where point-in-polygon
+    tests go wrong: on a vertex, on an edge, level with a vertex or with a
+    horizontal edge, or anywhere on the ring's own lattice."""
+    cells = draw(lattices)
+    ring = draw(adversarial_rings(cells))
+    i = draw(st.integers(0, len(ring) - 1))
+    kind = draw(st.sampled_from(["vertex", "edge", "level", "lattice", "lattice"]))
+    if kind == "vertex":
+        p = ring[i]
+    elif kind == "edge":
+        p = ring[i - 1].midpoint(ring[i])
+    elif kind == "level":
+        p = Point(draw(cells), ring[i].y)
+    else:
+        p = Point(draw(cells), draw(cells))
+    return ring, p
