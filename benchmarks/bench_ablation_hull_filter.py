@@ -1,15 +1,11 @@
 """Ablation: the pre-processed convex-hull filter (paper Table 1)."""
 
-from repro.bench import ablation_hull_filter
 
-
-def test_ablation_hull_filter(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: ablation_hull_filter(scale=bench_scale), rounds=1, iterations=1
-    )
-    record_result(result)
-    plain = next(r for r in result.rows if r[0] == "mbr-only")
-    hulls = next(r for r in result.rows if r[0] == "mbr+hulls")
+def test_ablation_hull_filter(run_recorded):
+    by_variant = {
+        r["variant"]: r for r in run_recorded("ablation-hull-filter").records()
+    }
+    plain, hulls = by_variant["mbr-only"], by_variant["mbr+hulls"]
     # Hull filtering refines fewer pairs, at a pre-processing price.
-    assert hulls[5] <= plain[5]
-    assert hulls[1] > plain[1]
+    assert hulls["pairs_refined"] <= plain["pairs_refined"]
+    assert hulls["preprocess_ms"] > plain["preprocess_ms"]

@@ -1,21 +1,19 @@
 """Ablation: minDist pruning stages on/off (paper section 4.1.1)."""
 
-from repro.bench import ablation_mindist_opts
 
-
-def test_ablation_mindist_opts(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: ablation_mindist_opts(scale=bench_scale), rounds=1, iterations=1
-    )
-    record_result(result)
-    by_variant = {r[0]: r for r in result.rows}
-    hits = {r[4] for r in result.rows}
+def test_ablation_mindist_opts(run_recorded):
+    rows = run_recorded("ablation-mindist").records()
+    by_variant = {r["variant"]: r for r in rows}
+    hits = {r["hits"] for r in rows}
     assert len(hits) == 1, "pruning must not change answers"
     # Paper: the optimizations cut the computational cost by 2-6x; here the
     # pruned edge-pair count is the stable indicator.
     assert (
-        by_variant["frontier+extended-mbr"][3]
-        <= by_variant["frontier-only"][3]
-        <= by_variant["no-pruning"][3]
+        by_variant["frontier+extended-mbr"]["edge_pairs_tested"]
+        <= by_variant["frontier-only"]["edge_pairs_tested"]
+        <= by_variant["no-pruning"]["edge_pairs_tested"]
     )
-    assert by_variant["frontier+extended-mbr"][2] < by_variant["no-pruning"][2]
+    assert (
+        by_variant["frontier+extended-mbr"]["model_ms"]
+        < by_variant["no-pruning"]["model_ms"]
+    )

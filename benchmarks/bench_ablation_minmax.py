@@ -1,16 +1,12 @@
 """Ablation: hardware Minmax vs glReadPixels readback (paper section 3.2)."""
 
-from repro.bench import ablation_minmax
 
-
-def test_ablation_minmax(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: ablation_minmax(scale=bench_scale), rounds=1, iterations=1
-    )
-    record_result(result)
-    minmax = next(r for r in result.rows if r[0] == "minmax")
-    readback = next(r for r in result.rows if r[0] == "readback")
-    assert minmax[3] == readback[3], "both searches must agree"
+def test_ablation_minmax(run_recorded):
+    by_variant = {
+        r["variant"]: r for r in run_recorded("ablation-minmax").records()
+    }
+    minmax, readback = by_variant["minmax"], by_variant["readback"]
+    assert minmax["overlaps"] == readback["overlaps"], "both searches must agree"
     # Paper: avoiding the bus transfer is essential; on the modeled 2003
     # platform readback costs several times the on-card Minmax scan.
-    assert readback[2] > 1.5 * minmax[2]
+    assert readback["model_ms"] > 1.5 * minmax["model_ms"]

@@ -1,19 +1,12 @@
 """Ablation: the five overlap-search buffer mechanisms (paper section 3)."""
 
-from repro.bench import ablation_overlap_methods
 
-
-def test_ablation_overlap_methods(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: ablation_overlap_methods(scale=bench_scale),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(result)
-    rejects = {r[3] for r in result.rows}
+def test_ablation_overlap_methods(run_recorded):
+    rows = run_recorded("ablation-overlap-methods").records()
+    rejects = {r["hw_rejects"] for r in rows}
     assert len(rejects) == 1, "all mechanisms filter identically"
-    by_method = {r[0]: r for r in result.rows}
+    by_method = {r["method"]: r for r in rows}
     # Only the accumulation variant pays glAccum transfers.
-    assert by_method["accum"][4] > 0
+    assert by_method["accum"]["accum_ops"] > 0
     for method in ("blend", "logic", "depth", "stencil"):
-        assert by_method[method][4] == 0
+        assert by_method[method]["accum_ops"] == 0

@@ -1,15 +1,13 @@
 """Ablation: MBR-intersection window vs full-scene window (paper fig 7)."""
 
-from repro.bench import ablation_projection
 
-
-def test_ablation_projection(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: ablation_projection(scale=bench_scale), rounds=1, iterations=1
-    )
-    record_result(result)
-    focused = next(r for r in result.rows if r[0] == "intersection-window")
-    naive = next(r for r in result.rows if r[0] == "union-window")
+def test_ablation_projection(run_recorded):
+    by_variant = {
+        r["variant"]: r for r in run_recorded("ablation-projection").records()
+    }
+    focused, naive = by_variant["intersection-window"], by_variant["union-window"]
     # Paper section 3.2: the focused window maximizes resolution
     # utilization, so it filters at least as many pairs.
-    assert focused[3] >= naive[3], "focused projection must filter more"
+    assert focused["reject_rate"] >= naive["reject_rate"], (
+        "focused projection must filter more"
+    )

@@ -1,18 +1,15 @@
 """Ablation: restricted search space on/off (paper section 4.1.1)."""
 
-from repro.bench import ablation_restricted_sweep
 
-
-def test_ablation_restricted_sweep(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: ablation_restricted_sweep(scale=bench_scale),
-        rounds=1,
-        iterations=1,
+def test_ablation_restricted_sweep(run_recorded):
+    by_variant = {
+        r["variant"]: r
+        for r in run_recorded("ablation-restricted-sweep").records()
+    }
+    restricted, full = by_variant["restricted"], by_variant["full"]
+    assert restricted["hits"] == full["hits"], "restriction must not change answers"
+    assert restricted["edges_swept"] < full["edges_swept"], (
+        "restriction must sweep fewer edges"
     )
-    record_result(result)
-    restricted = next(r for r in result.rows if r[0] == "restricted")
-    full = next(r for r in result.rows if r[0] == "full")
-    assert restricted[5] == full[5], "restriction must not change answers"
-    assert restricted[3] < full[3], "restriction must sweep fewer edges"
     # Paper: about 30-40% improvement in practice (modeled clock).
-    assert restricted[2] < full[2]
+    assert restricted["model_ms"] < full["model_ms"]

@@ -1,7 +1,7 @@
 """Parallel batch refinement (repro.exec) vs the serial geometry stage.
 
 Not a paper figure: this benchmark validates the scale-out layer.  The
-driver generates a >= 2k-candidate-pair intersection join, refines it
+experiment generates a >= 2k-candidate-pair intersection join, refines it
 serially and across worker pools, and asserts parallel results identical
 to serial; here we additionally check the speedup shape where the host
 hardware can express it.
@@ -12,21 +12,20 @@ spans of every query executed.
 
 import os
 
-from repro.bench import exec_parallel
 
-
-def test_exec_parallel(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: exec_parallel(scale=bench_scale), rounds=1, iterations=1
-    )
-    record_result(result)
-    rows = result.rows
+def test_exec_parallel(run_recorded):
+    rows = run_recorded("exec-parallel").records()
     # Workload floor: the executor must be measured on a real batch.
-    assert all(r[3] >= 2000 for r in rows), "candidate floor not met"
+    assert all(r["candidates"] >= 2000 for r in rows), "candidate floor not met"
     # Serial reference rows exist for both engines.
-    assert {r[0] for r in rows if r[1] == "serial"} == {"software", "hardware"}
+    assert {r["engine"] for r in rows if r["mode"] == "serial"} == {
+        "software",
+        "hardware",
+    }
     # The >= 1.5x speedup criterion is hardware-bound: only assert it where
     # the host actually has the CPUs to run 4 workers in parallel.
     if (os.cpu_count() or 1) >= 4:
-        speedups = [r[5] for r in rows if r[1] == "parallel" and r[2] == 4]
+        speedups = [
+            r["speedup"] for r in rows if r["mode"] == "parallel" and r["workers"] == 4
+        ]
         assert max(speedups) >= 1.5, f"expected >=1.5x with 4 workers: {rows}"

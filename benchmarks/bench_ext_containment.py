@@ -1,19 +1,12 @@
 """Extension: containment selection (paper Table 1, interior filter)."""
 
-from repro.bench import ext_containment
 
-
-def test_ext_containment(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: ext_containment(scale=bench_scale, resolutions=(8, 16)),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(result)
-    sw = next(r for r in result.rows if r[0] == "software")
-    for r in result.rows:
-        if r[0] != "hardware":
+def test_ext_containment(run_recorded):
+    rows = run_recorded("ext-containment").records()
+    sw = next(r for r in rows if r["engine"] == "software")
+    for r in rows:
+        if r["engine"] != "hardware":
             continue
         # Hardware-confirmed positives must reduce software sweeps.
-        assert r[5] <= sw[5]
-        assert r[4] >= 0
+        assert r["sw_sweeps"] <= sw["sw_sweeps"]
+        assert r["hw_confirmed"] >= 0

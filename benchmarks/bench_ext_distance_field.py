@@ -1,19 +1,16 @@
 """Extension: the distance-insensitive proximity filter (paper section 5)."""
 
-from repro.bench import ext_distance_field
 
-
-def test_ext_distance_field(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: ext_distance_field(scale=bench_scale, factors=(0.5, 2.0, 4.0)),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(result)
-    for r in result.rows:
-        assert r[5] == 0, "the field variant never hits the width limit"
+def test_ext_distance_field(run_recorded):
+    rows = run_recorded("ext-distance-field").records()
+    for r in rows:
+        assert r["field_fallbacks"] == 0, (
+            "the field variant never hits the width limit"
+        )
     # At large D the lines variant falls back (fallbacks > 0) while the
     # field variant keeps filtering.
-    large_d = result.rows[-1]
-    assert large_d[3] > 0, "lines variant should hit the limit at 32x32"
-    assert large_d[6] >= 0.0
+    large_d = rows[-1]
+    assert large_d["lines_fallbacks"] > 0, (
+        "lines variant should hit the limit at 32x32"
+    )
+    assert large_d["field_filter_rate"] >= 0.0

@@ -1,15 +1,8 @@
 """Extension: nearest neighbors via hardware Voronoi diagrams (paper sec. 5)."""
 
-from repro.bench import ext_voronoi_nn
 
-
-def test_ext_voronoi_nn(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: ext_voronoi_nn(scale=bench_scale, query_count=25),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(result)
-    hw = next(r for r in result.rows if r[0] == "hardware-voronoi")
+def test_ext_voronoi_nn(run_recorded):
+    rows = run_recorded("ext-voronoi-nn").records()
+    hw = next(r for r in rows if r["strategy"] == "hardware-voronoi")
     # The filter must prune: exact refinements < boundaries rendered.
-    assert hw[2] < hw[3]
+    assert hw["exact_distance_calls"] < hw["boundaries_rendered"]

@@ -1,21 +1,14 @@
 """Figure 10: selection cost breakdown vs interior-filter tiling level."""
 
-from repro.bench import fig10_selection_tiling
 
-
-def test_fig10_selection_tiling(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: fig10_selection_tiling(scale=bench_scale, levels=range(0, 6)),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(result)
+def test_fig10_selection_tiling(run_recorded):
+    rows = run_recorded("fig10").records()
     # Shape: MBR filtering is negligible next to geometry comparison, and
     # the interior filter's improvement is limited (paper: <10%).
-    for dataset in {row[0] for row in result.rows}:
-        rows = [r for r in result.rows if r[0] == dataset]
-        geometry = [r[4] for r in rows]
-        mbr = [r[2] for r in rows]
+    for dataset in {r["dataset"] for r in rows}:
+        series = [r for r in rows if r["dataset"] == dataset]
+        geometry = [r["geometry_ms"] for r in series]
+        mbr = [r["mbr_ms"] for r in series]
         assert max(mbr) < 0.25 * max(geometry), "MBR stage should be negligible"
         base = geometry[0]
         assert min(geometry) > 0.5 * base, (

@@ -1,21 +1,14 @@
 """Figure 15: within-distance geometry comparison by resolution."""
 
-from repro.bench import fig15_distance_resolution
 
-
-def test_fig15_distance_resolution(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: fig15_distance_resolution(scale=bench_scale),
-        rounds=1,
-        iterations=1,
-    )
-    record_result(result)
-    rows = result.rows
-    wp_hw = [r for r in rows if r[0] == "WATER|><|PRISM" and r[1] == "hardware"]
-    wp_sw = [r for r in rows if r[0] == "WATER|><|PRISM" and r[1] == "software"][0]
-    model = {r[2]: r[4] for r in wp_hw}
+def test_fig15_distance_resolution(run_recorded):
+    rows = run_recorded("fig15").records()
+    wp = [r for r in rows if r["join"] == "WATER|><|PRISM"]
+    wp_hw = [r for r in wp if r["engine"] == "hardware"]
+    wp_sw = next(r for r in wp if r["engine"] == "software")
+    model = {r["res"]: r["model_ms"] for r in wp_hw}
     # Shape: hardware wins clearly on the complex within-distance join
     # (paper: 60-81% cut) at mid resolutions.
-    assert min(model[4], model[8], model[16]) < wp_sw[4]
-    rates = [r[5] for r in wp_hw]
+    assert min(model[4], model[8], model[16]) < wp_sw["model_ms"]
+    rates = [r["hw_filter_rate"] for r in wp_hw]
     assert rates[-1] >= rates[0], "filter rate grows with resolution"

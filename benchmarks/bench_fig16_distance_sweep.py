@@ -1,15 +1,11 @@
 """Figure 16: hardware within-distance join across query distances."""
 
-from repro.bench import fig16_distance_sweep
 
-
-def test_fig16_distance_sweep(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: fig16_distance_sweep(scale=bench_scale), rounds=1, iterations=1
-    )
-    record_result(result)
-    wp = [r for r in result.rows if r[0] == "WATER|><|PRISM"]
-    improvements = [r[4] for r in wp]
+def test_fig16_distance_sweep(run_recorded):
+    rows = run_recorded("fig16").records()
+    improvements = [
+        r["improvement_%"] for r in rows if r["join"] == "WATER|><|PRISM"
+    ]
     # Shape: the hardware margin narrows as D grows (paper: 83% -> 74% for
     # WATER|><|PRISM, 43% -> ~0 for LANDC|><|LANDO).
     assert improvements[0] > improvements[-1], "margin must narrow with D"

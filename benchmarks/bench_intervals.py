@@ -2,42 +2,37 @@
 
 Not a paper figure: this benchmark gates the interval filter of
 repro.filters.intervals (Georgiadis et al.'s raster-interval object
-approximations grafted onto the paper's funnel).  The driver runs the
-LANDC |><| LANDO intersection join with the filter off and on, asserting
-bit-identical pairs and exact funnel identities in-driver; here we
+approximations grafted onto the paper's funnel).  The experiment runs the
+LANDC |><| LANDO intersection join with the filter off and on, requiring
+bit-identical pairs and exact funnel identities as it goes; here we
 additionally enforce the two acceptance criteria the filter exists for:
 the hardware test count must drop by at least 30%, and the per-pair
 interval test itself must be sub-millisecond at the default level.
 """
 
-from repro.bench import interval_filter
 
-
-def test_interval_filter(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: interval_filter(scale=bench_scale), rounds=1, iterations=1
-    )
-    record_result(result)
-    rows = result.rows
+def test_interval_filter(run_recorded):
+    rows = run_recorded("intervals").records()
     assert len(rows) == 2  # {intervals-off, intervals-on}
-
-    off = next(r for r in rows if r[0] == "intervals-off")
-    on = next(r for r in rows if r[0] == "intervals-on")
+    off, on = rows
+    assert (off["mode"], on["mode"]) == ("intervals-off", "intervals-on")
 
     # Both modes see the same MBR-surviving candidate set and - the
-    # driver asserts the pair lists themselves match - the same results.
-    assert on[1] == off[1]
-    assert on[8] == off[8]
+    # runner checks the pair lists themselves match - the same results.
+    assert on["candidates"] == off["candidates"]
+    assert on["results"] == off["results"]
 
     # The off mode never consults the interval index.
-    assert off[2] == 0 and off[3] == 0
+    assert off["interval_hits"] == 0 and off["interval_drops"] == 0
 
     # Acceptance: >= 30% fewer hardware tests with the filter on.  Every
     # interval-resolved pair is one the renderer never sees.
-    assert on[5] >= 30.0, f"expected >=30% hw_tests reduction: {on}"
-    assert on[4] < off[4]
-    assert on[2] + on[3] > 0, "the filter must resolve some pairs"
+    assert on["hw_reduction_%"] >= 30.0, f"expected >=30% hw_tests reduction: {on}"
+    assert on["hw_tests"] < off["hw_tests"]
+    assert on["interval_hits"] + on["interval_drops"] > 0, (
+        "the filter must resolve some pairs"
+    )
 
     # Acceptance: the pair test is pure integer interval algebra - it
     # must stay sub-millisecond even on the largest polygons.
-    assert result.params["pair_test_us"] < 1000.0, result.params
+    assert on["pair_test_us"] < 1000.0, on

@@ -1,15 +1,14 @@
 """Table 2: dataset generation and statistics."""
 
-from repro.bench import table2
 
-
-def test_table2_dataset_statistics(benchmark, bench_scale, record_result):
-    result = benchmark.pedantic(
-        lambda: table2(scale=bench_scale), rounds=1, iterations=1
-    )
-    record_result(result)
+def test_table2_dataset_statistics(run_recorded):
+    result = run_recorded("table2")
     # Shape assertions: the stand-ins must keep the paper's relative
     # complexity ordering (Table 2).
-    stats = {row[0]: row for row in result.rows}
-    assert stats["LANDC"][4] > 2 * stats["LANDO"][4], "LANDC must be more complex"
-    assert stats["WATER"][3] > 5 * stats["WATER"][4], "WATER needs a heavy tail"
+    stats = {r["dataset"]: r for r in result.records()}
+    assert stats["LANDC"]["mean_v"] > 2 * stats["LANDO"]["mean_v"], (
+        "LANDC must be more complex"
+    )
+    assert stats["WATER"]["max_v"] > 5 * stats["WATER"]["mean_v"], (
+        "WATER needs a heavy tail"
+    )

@@ -1,8 +1,10 @@
 """Shared configuration for the pytest-benchmark harness.
 
 Each ``bench_*.py`` file regenerates one table or figure of the paper via
-the drivers in :mod:`repro.bench.experiments`.  Benchmarks default to the
-``tiny`` scale so the whole suite finishes in a few minutes; set
+:func:`repro.bench.run_experiment`, with the experiment's registered default
+axes - the table ``python -m repro.bench <id>`` prints - and then asserts
+the paper's shape on it, reading cells by column name.  Benchmarks default
+to the ``tiny`` scale so the whole suite finishes in a few minutes; set
 ``REPRO_BENCH_SCALE=small`` (or ``medium``) for closer-to-paper workloads.
 
 The formatted experiment tables are printed at the end of the run and also
@@ -16,7 +18,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.bench import get_scale
+from repro.bench import get_scale, run_experiment
 from repro.obs import JsonLinesExporter, Tracer, use_tracer
 
 RESULTS_DIR = Path(__file__).parent / "results"
@@ -58,17 +60,22 @@ def bench_scale():
     return get_scale(os.environ.get("REPRO_BENCH_SCALE", "tiny"))
 
 
-@pytest.fixture(scope="session")
-def record_result():
-    """Write an ExperimentResult table to benchmarks/results/ and echo it."""
+@pytest.fixture
+def run_recorded(benchmark, bench_scale):
+    """Run one experiment by id; write its table to benchmarks/results/."""
 
-    def _record(result):
+    def _run(experiment_id):
+        result = benchmark.pedantic(
+            lambda: run_experiment(experiment_id, bench_scale),
+            rounds=1,
+            iterations=1,
+        )
         RESULTS_DIR.mkdir(exist_ok=True)
-        path = RESULTS_DIR / f"{result.experiment_id}.txt"
         text = result.format()
+        path = RESULTS_DIR / f"{experiment_id}.txt"
         path.write_text(text + "\n", encoding="utf-8")
         print()
         print(text)
         return result
 
-    return _record
+    return _run

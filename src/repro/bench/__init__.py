@@ -1,4 +1,4 @@
-"""Benchmark harness: drivers for every table and figure of the paper.
+"""Benchmark harness: one runner for every table and figure of the paper.
 
 Run from the command line::
 
@@ -6,34 +6,13 @@ Run from the command line::
     python -m repro.bench fig12 --scale small
     python -m repro.bench all --scale tiny
 
-or through pytest-benchmark (``pytest benchmarks/ --benchmark-only``).
+or through pytest-benchmark (``pytest benchmarks/ --benchmark-only``), or
+from code: ``run_experiment("fig12", "tiny", resolutions=(8,))``.
 """
 
-from .experiments import (
-    ALL_EXPERIMENTS,
-    ablation_hull_filter,
-    ablation_mindist_opts,
-    ablation_minmax,
-    ablation_overlap_methods,
-    ablation_projection,
-    ablation_restricted_sweep,
-    batch_refine,
-    cache_effectiveness,
-    fig10_selection_tiling,
-    exec_parallel,
-    fig11_selection_resolution,
-    fig12_join_resolution,
-    fig13_sw_threshold,
-    fig14_distance_software,
-    fig15_distance_resolution,
-    ext_containment,
-    ext_distance_field,
-    ext_voronoi_nn,
-    fig16_distance_sweep,
-    interval_filter,
-    table2,
-)
+from . import experiments  # noqa: F401  (declares every experiment)
 from .result import ExperimentResult
+from .runner import ALL_EXPERIMENTS, run_experiment
 from .scales import DEFAULT_SCALE, SCALES, Scale, get_scale
 
 __all__ = [
@@ -42,26 +21,6 @@ __all__ = [
     "ExperimentResult",
     "SCALES",
     "Scale",
-    "ablation_hull_filter",
-    "ablation_mindist_opts",
-    "ablation_minmax",
-    "ablation_overlap_methods",
-    "ablation_projection",
-    "ablation_restricted_sweep",
-    "batch_refine",
-    "cache_effectiveness",
-    "exec_parallel",
-    "fig10_selection_tiling",
-    "fig11_selection_resolution",
-    "fig12_join_resolution",
-    "fig13_sw_threshold",
-    "fig14_distance_software",
-    "fig15_distance_resolution",
-    "ext_containment",
-    "ext_distance_field",
-    "ext_voronoi_nn",
-    "fig16_distance_sweep",
     "get_scale",
-    "interval_filter",
-    "table2",
+    "run_experiment",
 ]

@@ -1,4 +1,4 @@
-"""Command-line entry point for the experiment drivers.
+"""Command-line entry point for the experiment runner.
 
 Examples::
 
@@ -19,7 +19,7 @@ import argparse
 import sys
 import time
 
-from ..cache import CacheConfig, set_default_cache_config
+from ..cache import CacheConfig
 from ..obs.capture import CommandRecorder
 from ..obs.explain import funnels_from_snapshot, render_funnels, write_explain
 from ..obs.metrics import MetricsRegistry
@@ -30,7 +30,7 @@ from ..obs.runreport import (
     write_run_report,
 )
 from ..obs.scope import use_scope
-from .experiments import ALL_EXPERIMENTS
+from .runner import ALL_EXPERIMENTS, run_experiment
 from .scales import DEFAULT_SCALE, SCALES
 
 
@@ -44,18 +44,12 @@ def main(argv=None) -> int:
         nargs="+",
         help="experiment id(s) (see 'list'), or 'list', or 'all'",
     )
-    cache_group = parser.add_mutually_exclusive_group()
-    cache_group.add_argument(
+    parser.add_argument(
         "--cache",
         action="store_true",
         help="enable the repro.cache memoization layers for every engine "
         "this run constructs (answers are unchanged; redundant work is "
         "skipped)",
-    )
-    cache_group.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="force memoization off (the default)",
     )
     parser.add_argument(
         "--scale",
@@ -63,39 +57,29 @@ def main(argv=None) -> int:
         choices=sorted(SCALES),
         help=f"workload scale preset (default: {DEFAULT_SCALE})",
     )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="also append formatted results to this file",
-    )
+    parser.add_argument("--out", help="also append formatted results to this file")
     parser.add_argument(
         "--report-out",
-        default=None,
         help="write a versioned RunReport JSON (rows + merged metrics + "
         "environment fingerprint; see repro.obs)",
     )
-    parser.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the run's merged metrics snapshot as JSON",
-    )
+    parser.add_argument("--metrics-out", help="write the run's merged metrics snapshot as JSON")
     parser.add_argument(
         "--capture-out",
-        default=None,
         help="record the GPU command stream to this JSONL capture "
         "(replayable via 'python -m repro.obs replay')",
     )
     parser.add_argument(
         "--explain-out",
-        default=None,
         help="write per-pipeline EXPLAIN ANALYZE funnels as JSON "
         "(implies metric collection)",
     )
     args = parser.parse_args(argv)
 
     if args.experiment == ["list"]:
-        for name in ALL_EXPERIMENTS:
-            print(name)
+        for name, declared in ALL_EXPERIMENTS.items():
+            axes = ", ".join(f"{k}={v!r}" for k, v in declared.axes.items())
+            print(f"{name}: {declared.title}\n    axes: {axes or '-'}")
         return 0
 
     if "all" in args.experiment:
@@ -111,39 +95,14 @@ def main(argv=None) -> int:
             )
             return 2
 
-    # The default-config switch is resolved by engines at construction, so
-    # setting it here covers every engine the drivers build without
-    # touching their signatures.  Restored on exit: main() is also called
-    # in-process by the tests.
-    if args.cache:
-        previous_cache = set_default_cache_config(CacheConfig())
-    elif args.no_cache:
-        previous_cache = set_default_cache_config(CacheConfig.disabled())
-    else:
-        previous_cache = None
-    try:
-        return _run(args, names)
-    finally:
-        if previous_cache is not None:
-            set_default_cache_config(previous_cache)
-
-
-def _run(args, names) -> int:
     # Metric collection is opt-in: with no artifact requested, no registry
     # is in scope and the instrumented layers stay on their zero-overhead
     # path.  Likewise capture: the flight recorder only exists (and only
     # costs anything) when --capture-out names a stream.
-    collect = (
-        args.report_out is not None
-        or args.metrics_out is not None
-        or args.explain_out is not None
-    )
+    collect = bool(args.report_out or args.metrics_out or args.explain_out)
     run_registry = MetricsRegistry() if collect else None
-    recorder = (
-        CommandRecorder(stream=args.capture_out)
-        if args.capture_out is not None
-        else None
-    )
+    recorder = CommandRecorder(stream=args.capture_out) if args.capture_out else None
+    cache = CacheConfig() if args.cache else CacheConfig.disabled()
     entries = []
 
     outputs = []
@@ -153,9 +112,9 @@ def _run(args, names) -> int:
         exp_registry = MetricsRegistry() if collect else None
         start = time.perf_counter()
         with use_scope(registry=exp_registry, recorder=recorder):
-            result = ALL_EXPERIMENTS[name](scale=args.scale)
+            result = run_experiment(name, args.scale, cache=cache)
         elapsed = time.perf_counter() - start
-        if exp_registry is not None and run_registry is not None:
+        if collect:
             snapshot = exp_registry.snapshot()
             run_registry.merge(snapshot)
             entries.append(experiment_entry(result, snapshot, elapsed))

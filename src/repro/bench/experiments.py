@@ -1,11 +1,12 @@
-"""Experiment drivers: one function per table/figure of the paper.
+"""Experiment declarations: one per table/figure of the paper.
 
-Each driver regenerates the rows/series of its table or figure at a chosen
-:mod:`~repro.bench.scales` preset and returns an
-:class:`~repro.bench.result.ExperimentResult` whose ``paper_expectation``
-records the qualitative shape the paper reports.  ``python -m repro.bench``
-runs them from the command line; ``benchmarks/`` wraps them for
-pytest-benchmark; EXPERIMENTS.md records paper-vs-measured.
+Each declaration regenerates the rows/series of its table or figure at a
+chosen :mod:`~repro.bench.scales` preset: the :func:`~.runner.experiment`
+decorator records the id, title, columns and the qualitative shape the
+paper reports (``paper_expectation``); the decorated generator yields the
+rows, working only through the :class:`~.runner.RunContext` it is handed.
+``python -m repro.bench`` runs them from the command line; ``benchmarks/``
+wraps them for pytest-benchmark; EXPERIMENTS.md records paper-vs-measured.
 
 Every hardware-vs-software comparison reports **two clocks** (see
 :mod:`repro.core.platform`):
@@ -24,21 +25,19 @@ query set, exactly as the paper does (section 4.1.2).
 from __future__ import annotations
 
 import os
-import time
-from typing import Dict, Iterable, List, Sequence, Tuple
+import random
+from typing import List, Tuple
 
 from ..cache import CacheConfig
 from ..core import (
     OVERLAP_METHODS,
-    PLATFORM_2003,
     HardwareConfig,
     HardwareEngine,
     HardwareSegmentTest,
     HardwareVerdict,
-    SoftwareEngine,
 )
 from ..core.projection import intersection_window, union_window
-from ..datasets import SpatialDataset, base_distance
+from ..datasets import CATALOG, SpatialDataset, base_distance
 from ..exec import ParallelExecutor
 from ..filters.intervals import (
     DEFAULT_INTERVAL_LEVEL,
@@ -46,37 +45,28 @@ from ..filters.intervals import (
     classify_intervals,
 )
 from ..geometry import (
+    Point,
     Polygon,
-    SweepStats,
     boundaries_intersect,
     polygons_within_distance,
 )
 from ..gpu import GpuCostModel
 from ..index import plane_sweep_mbr_join
 from ..obs.explain import explain_run
-from ..query import IntersectionJoin, IntersectionSelection, WithinDistanceJoin
-from .result import ExperimentResult
-from .scales import DEFAULT_SCALE, Scale, get_scale
+from ..query import (
+    ContainmentSelection,
+    IntersectionJoin,
+    IntersectionSelection,
+    NearestNeighborQuery,
+    WithinDistanceJoin,
+)
+from .runner import MS, exact, experiment, saving_pct, speedup, wall
 
 RESOLUTIONS = (1, 2, 4, 8, 16, 32)
 DISTANCE_FACTORS = (0.1, 0.5, 1.0, 2.0, 4.0)
 JOIN_PAIRS = (("LANDC", "LANDO"), ("WATER", "PRISM"))
 SELECTION_DATASETS = ("WATER", "PRISM")
-
-_MS = 1000.0
-
-
-def _params(scale: Scale, role: str, datasets: Sequence[str], **extra) -> Dict[str, object]:
-    out: Dict[str, object] = {"scale": scale.name, "v_scale": scale.v_scale}
-    for name in datasets:
-        out[f"n_scale[{name}]"] = scale.n_scale(name, role)
-    out.update(extra)
-    return out
-
-
-def _model_ms(engine) -> float:
-    """Modeled 2003-platform milliseconds of an engine's recorded work."""
-    return PLATFORM_2003.engine_seconds(engine) * _MS
+SW_THRESHOLDS = (0, 50, 100, 200, 300, 500, 700, 900, 1200, 1500)
 
 
 class _PerPairTester(HardwareSegmentTest):
@@ -106,525 +96,356 @@ def per_pair_engine(config: HardwareConfig) -> HardwareEngine:
     return engine
 
 
-# ---------------------------------------------------------------------------
-# Table 2
-# ---------------------------------------------------------------------------
+def _join(ds_a, ds_b, **options):
+    """One intersection join as work for whichever engine is handed to it."""
+    return lambda engine: IntersectionJoin(ds_a, ds_b, engine, **options).run()
 
 
-def table2(scale=DEFAULT_SCALE) -> ExperimentResult:
+def _within(ds_a, ds_b, d):
+    """Likewise, one within-distance join at distance ``d``."""
+    return lambda engine: WithinDistanceJoin(ds_a, ds_b, engine).run(d)
+
+
+def _resolution_columns(workload, *also):
+    """The columns of the software-vs-hardware-by-resolution figures (11, 12, 15)."""
+    return (
+        exact(workload),
+        exact("engine"),
+        exact("res"),
+        wall("wall_ms"),
+        exact("model_ms"),
+        exact("hw_filter_rate"),
+        *map(exact, also),
+        exact("model_speedup"),
+    )
+
+
+def _resolution_rows(label, runs, per=1, also=()):
+    """Their rows: the software run's, then one per hardware resolution.
+
+    ``per`` divides both clocks (a selection reports the average per query);
+    ``also`` names the :class:`~repro.core.stats.RefinementStats` counters
+    under the further columns.
+    """
+    sw, *hw_runs = runs
+    dashes = ("-",) * (1 + len(also))
+    yield (label, "software", "-", sw.geometry_ms / per, sw.model_ms / per, *dashes, "-")
+    for hw in hw_runs:
+        yield (
+            label,
+            "hardware",
+            hw.engine.config.resolution,
+            hw.geometry_ms / per,
+            hw.model_ms / per,
+            round(hw.engine.stats.hw_filter_rate, 3),
+            *(getattr(hw.engine.stats, name) for name in also),
+            speedup(sw.model_ms / per, hw.model_ms / per),
+        )
+
+
+@experiment(
+    "table2",
+    title="Statistics of the polygon datasets (scaled stand-ins)",
+    columns=(
+        exact("dataset"),
+        exact("N"),
+        exact("min_v"),
+        exact("max_v"),
+        exact("mean_v"),
+        exact("paper_N"),
+        exact("paper_min"),
+        exact("paper_max"),
+        exact("paper_mean"),
+    ),
+    paper_expectation=(
+        "Five real GIS layers; LANDC/PRISM/WATER are complex (high mean "
+        "vertex counts with heavy-tailed maxima), LANDO is simple (mean "
+        "20), STATES50 has 31 large polygons."
+    ),
+)
+def table2(ctx):
     """Table 2: dataset statistics (synthetic stand-ins vs. paper targets)."""
-    scale = get_scale(scale)
-    from ..datasets import CATALOG
-
-    rows: List[Tuple] = []
     for name, entry in CATALOG.items():
-        ds = scale.load(name, role="join")
-        stats = ds.stats()
-        rows.append(
-            (
-                name,
-                stats.count,
-                stats.min_vertices,
-                stats.max_vertices,
-                round(stats.mean_vertices, 1),
-                entry.count,
-                entry.vmin,
-                entry.vmax,
-                entry.vmean,
-            )
+        stats = ctx.load(name).stats()
+        yield (
+            name,
+            stats.count,
+            stats.min_vertices,
+            stats.max_vertices,
+            round(stats.mean_vertices, 1),
+            entry.count,
+            entry.vmin,
+            entry.vmax,
+            entry.vmean,
         )
-    return ExperimentResult(
-        experiment_id="table2",
-        title="Statistics of the polygon datasets (scaled stand-ins)",
-        params=_params(scale, "join", [r[0] for r in rows]),
-        columns=(
-            "dataset",
-            "N",
-            "min_v",
-            "max_v",
-            "mean_v",
-            "paper_N",
-            "paper_min",
-            "paper_max",
-            "paper_mean",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Five real GIS layers; LANDC/PRISM/WATER are complex (high mean "
-            "vertex counts with heavy-tailed maxima), LANDO is simple (mean "
-            "20), STATES50 has 31 large polygons."
-        ),
-    )
 
 
-# ---------------------------------------------------------------------------
-# Figure 10: selection cost breakdown vs interior-filter tiling level
-# ---------------------------------------------------------------------------
-
-
-def fig10_selection_tiling(
-    scale=DEFAULT_SCALE,
-    datasets: Sequence[str] = SELECTION_DATASETS,
-    levels: Iterable[int] = range(0, 7),
-) -> ExperimentResult:
+@experiment(
+    "fig10",
+    title="Intersection selection cost breakdown vs tiling level (software)",
+    columns=(
+        exact("dataset"),
+        exact("level"),
+        wall("mbr_ms"),
+        wall("interior_ms"),
+        wall("geometry_ms"),
+        wall("total_ms"),
+        exact("filter_pos"),
+        exact("results"),
+    ),
+    paper_expectation=(
+        "MBR filtering is negligible (~1 ms); geometry comparison "
+        "dominates; higher tiling levels reduce geometry cost by <10% "
+        "(the filter only catches containment positives, which the "
+        "point-in-polygon step handles cheaply anyway) while the "
+        "interior-filter overhead grows, so total cost eventually rises."
+    ),
+)
+def fig10(ctx, datasets=SELECTION_DATASETS, levels=range(0, 7)):
     """Figure 10: software-only selection cost per interior-filter level."""
-    scale = get_scale(scale)
-    queries = scale.load("STATES50", role="selection").polygons
-    rows: List[Tuple] = []
+    queries = ctx.queries()
+    ctx.params["queries"] = "STATES50"
+    ctx.notes.append("wall-clock stage times (software-only experiment)")
     for name in datasets:
-        ds = scale.load(name, role="selection")
+        ds = ctx.load(name, role="selection")
         for level in levels:
-            engine = SoftwareEngine()
-            selection = IntersectionSelection(ds, engine, interior_level=level)
-            cost = selection.run_query_set(list(queries))
-            rows.append(
-                (
-                    name,
-                    level,
-                    cost.mbr_filter_s * _MS,
-                    cost.intermediate_filter_s * _MS,
-                    cost.geometry_s * _MS,
-                    cost.total_s * _MS,
-                    cost.filter_positives,
-                    cost.results,
-                )
+            selection = IntersectionSelection(ds, ctx.software(), interior_level=level)
+            cost = selection.run_query_set(queries)
+            yield (
+                name,
+                level,
+                cost.mbr_filter_s * MS,
+                cost.intermediate_filter_s * MS,
+                cost.geometry_s * MS,
+                cost.total_s * MS,
+                cost.filter_positives,
+                cost.results,
             )
-    return ExperimentResult(
-        experiment_id="fig10",
-        title="Intersection selection cost breakdown vs tiling level (software)",
-        params=_params(scale, "selection", datasets, queries="STATES50"),
-        columns=(
-            "dataset",
-            "level",
-            "mbr_ms",
-            "interior_ms",
-            "geometry_ms",
-            "total_ms",
-            "filter_pos",
-            "results",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "MBR filtering is negligible (~1 ms); geometry comparison "
-            "dominates; higher tiling levels reduce geometry cost by <10% "
-            "(the filter only catches containment positives, which the "
-            "point-in-polygon step handles cheaply anyway) while the "
-            "interior-filter overhead grows, so total cost eventually rises."
-        ),
-        notes=["wall-clock stage times (software-only experiment)"],
-    )
 
 
-# ---------------------------------------------------------------------------
-# Figure 11: selection geometry comparison, software vs hardware
-# ---------------------------------------------------------------------------
-
-
-def fig11_selection_resolution(
-    scale=DEFAULT_SCALE,
-    datasets: Sequence[str] = SELECTION_DATASETS,
-    resolutions: Sequence[int] = RESOLUTIONS,
-) -> ExperimentResult:
+@experiment(
+    "fig11",
+    title="Selection geometry comparison: software vs hardware by resolution",
+    columns=_resolution_columns("dataset"),
+    paper_expectation=(
+        "Hardware cost first falls with resolution (more near-miss pairs "
+        "filtered) then rises (per-pixel overhead); best around 16x16; "
+        "cost reduced 42-56% for WATER and 46-64% for PRISM; even a 1x1 "
+        "window filters some pairs."
+    ),
+)
+def fig11(ctx, datasets=SELECTION_DATASETS, resolutions=RESOLUTIONS):
     """Figure 11: selection geometry-comparison cost vs window resolution."""
-    scale = get_scale(scale)
-    queries = list(scale.load("STATES50", role="selection").polygons)
-    rows: List[Tuple] = []
+    queries = ctx.queries()
+    ctx.params["queries"] = "STATES50"
+
+    def select(engine):
+        selection = IntersectionSelection(ds, engine)
+        return [selection.run(q) for q in queries]
+
     for name in datasets:
-        ds = scale.load(name, role="selection")
-        sw = SoftwareEngine()
-        sw_cost = IntersectionSelection(ds, sw).run_query_set(queries)
-        sw_model = _model_ms(sw) / len(queries)
-        rows.append(
-            (name, "software", "-", sw_cost.geometry_s * _MS, sw_model, "-", "-")
+        ds = ctx.load(name, role="selection")
+        runs = ctx.sweep(
+            ctx.software_then_hardware(resolutions),
+            select,
+            answer=lambda results: [r.ids for r in results],
         )
-        for res in resolutions:
-            hw = HardwareEngine(HardwareConfig(resolution=res))
-            cost = IntersectionSelection(ds, hw).run_query_set(queries)
-            hw_model = _model_ms(hw) / len(queries)
-            rows.append(
-                (
-                    name,
-                    "hardware",
-                    res,
-                    cost.geometry_s * _MS,
-                    hw_model,
-                    round(hw.stats.hw_filter_rate, 3),
-                    round(sw_model / hw_model, 2) if hw_model else "-",
-                )
-            )
-    return ExperimentResult(
-        experiment_id="fig11",
-        title="Selection geometry comparison: software vs hardware by resolution",
-        params=_params(scale, "selection", datasets, queries="STATES50"),
-        columns=(
-            "dataset",
-            "engine",
-            "res",
-            "wall_ms",
-            "model_ms",
-            "hw_filter_rate",
-            "model_speedup",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Hardware cost first falls with resolution (more near-miss pairs "
-            "filtered) then rises (per-pixel overhead); best around 16x16; "
-            "cost reduced 42-56% for WATER and 46-64% for PRISM; even a 1x1 "
-            "window filters some pairs."
-        ),
-    )
+        yield from _resolution_rows(name, runs, per=len(queries))
 
 
-# ---------------------------------------------------------------------------
-# Figure 12: intersection join, software vs hardware by resolution
-# ---------------------------------------------------------------------------
-
-
-def fig12_join_resolution(
-    scale=DEFAULT_SCALE,
-    pairs: Sequence[Tuple[str, str]] = JOIN_PAIRS,
-    resolutions: Sequence[int] = RESOLUTIONS,
-) -> ExperimentResult:
+@experiment(
+    "fig12",
+    title="Intersection join geometry comparison by resolution",
+    columns=_resolution_columns("join"),
+    paper_expectation=(
+        "Cost falls then rises with resolution; 68-80% reduction for "
+        "WATER|><|PRISM (up to 4.8x speedup), at best 38% for "
+        "LANDC|><|LANDO, where high resolutions can make hardware "
+        "*worse* than software (simple polygons, fixed per-test "
+        "overhead)."
+    ),
+)
+def fig12(ctx, pairs=JOIN_PAIRS, resolutions=RESOLUTIONS):
     """Figure 12: intersection join geometry cost vs window resolution."""
-    scale = get_scale(scale)
-    rows: List[Tuple] = []
-    for name_a, name_b in pairs:
-        ds_a = scale.load(name_a, role="join")
-        ds_b = scale.load(name_b, role="join")
-        label = f"{name_a}|><|{name_b}"
-        sw = SoftwareEngine()
-        sw_res = IntersectionJoin(ds_a, ds_b, sw).run()
-        sw_model = _model_ms(sw)
-        rows.append(
-            (label, "software", "-", sw_res.cost.geometry_s * _MS, sw_model, "-", "-")
-        )
-        for res in resolutions:
-            hw = HardwareEngine(HardwareConfig(resolution=res))
-            hw_res = IntersectionJoin(ds_a, ds_b, hw).run()
-            assert hw_res.pairs == sw_res.pairs, "engines must agree exactly"
-            hw_model = _model_ms(hw)
-            rows.append(
-                (
-                    label,
-                    "hardware",
-                    res,
-                    hw_res.cost.geometry_s * _MS,
-                    hw_model,
-                    round(hw.stats.hw_filter_rate, 3),
-                    round(sw_model / hw_model, 2) if hw_model else "-",
-                )
-            )
-    return ExperimentResult(
-        experiment_id="fig12",
-        title="Intersection join geometry comparison by resolution",
-        params=_params(scale, "join", {n for p in pairs for n in p}),
-        columns=(
-            "join",
-            "engine",
-            "res",
-            "wall_ms",
-            "model_ms",
-            "hw_filter_rate",
-            "model_speedup",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Cost falls then rises with resolution; 68-80% reduction for "
-            "WATER|><|PRISM (up to 4.8x speedup), at best 38% for "
-            "LANDC|><|LANDO, where high resolutions can make hardware "
-            "*worse* than software (simple polygons, fixed per-test "
-            "overhead)."
-        ),
-    )
+    for pair in pairs:
+        ds_a, ds_b, label = ctx.load_pair(pair)
+        runs = ctx.sweep(ctx.software_then_hardware(resolutions), _join(ds_a, ds_b))
+        yield from _resolution_rows(label, runs)
 
 
-# ---------------------------------------------------------------------------
-# Figure 13: the sw_threshold sweep
-# ---------------------------------------------------------------------------
-
-
-def fig13_sw_threshold(
-    scale=DEFAULT_SCALE,
-    pair: Tuple[str, str] = ("LANDC", "LANDO"),
-    resolutions: Sequence[int] = (8, 16),
-    thresholds: Sequence[int] = (0, 50, 100, 200, 300, 500, 700, 900, 1200, 1500),
-) -> ExperimentResult:
+@experiment(
+    "fig13",
+    title="Effect of sw_threshold on hybrid intersection join",
+    columns=(
+        exact("join"),
+        exact("engine"),
+        exact("res"),
+        exact("threshold"),
+        wall("wall_ms"),
+        exact("model_ms"),
+        exact("bypasses"),
+    ),
+    paper_expectation=(
+        "Cost improves as the threshold grows to an optimum (~900 at "
+        "16x16, ~300 at 8x8 on the paper's platform), then slowly "
+        "degrades toward the software curve; a wide range of thresholds "
+        "is near-optimal (within ~12%)."
+    ),
+)
+def fig13(ctx, pair=("LANDC", "LANDO"), resolutions=(8, 16), thresholds=SW_THRESHOLDS):
     """Figure 13: effect of the software threshold on the hybrid join."""
-    scale = get_scale(scale)
-    ds_a = scale.load(pair[0], role="join")
-    ds_b = scale.load(pair[1], role="join")
-    label = f"{pair[0]}|><|{pair[1]}"
-    sw = SoftwareEngine()
-    sw_res = IntersectionJoin(ds_a, ds_b, sw).run()
-    sw_model = _model_ms(sw)
-    rows: List[Tuple] = [
-        (label, "software", "-", "-", sw_res.cost.geometry_s * _MS, sw_model, "-")
+    ds_a, ds_b, label = ctx.load_pair(pair)
+    ctx.params["pair"] = label
+    engines = [ctx.software()] + [
+        ctx.hardware(resolution=res, sw_threshold=threshold)
+        for res in resolutions
+        for threshold in thresholds
     ]
-    for res in resolutions:
-        for threshold in thresholds:
-            hw = HardwareEngine(
-                HardwareConfig(resolution=res, sw_threshold=threshold)
-            )
-            hw_res = IntersectionJoin(ds_a, ds_b, hw).run()
-            assert hw_res.pairs == sw_res.pairs
-            rows.append(
-                (
-                    label,
-                    "hardware",
-                    res,
-                    threshold,
-                    hw_res.cost.geometry_s * _MS,
-                    _model_ms(hw),
-                    hw.stats.threshold_bypasses,
-                )
-            )
-    return ExperimentResult(
-        experiment_id="fig13",
-        title="Effect of sw_threshold on hybrid intersection join",
-        params=_params(scale, "join", pair, pair=label),
-        columns=(
-            "join",
-            "engine",
-            "res",
-            "threshold",
-            "wall_ms",
-            "model_ms",
-            "bypasses",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Cost improves as the threshold grows to an optimum (~900 at "
-            "16x16, ~300 at 8x8 on the paper's platform), then slowly "
-            "degrades toward the software curve; a wide range of thresholds "
-            "is near-optimal (within ~12%)."
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 14: software within-distance join cost vs query distance
-# ---------------------------------------------------------------------------
-
-
-def fig14_distance_software(
-    scale=DEFAULT_SCALE,
-    pairs: Sequence[Tuple[str, str]] = JOIN_PAIRS,
-    factors: Sequence[float] = DISTANCE_FACTORS,
-) -> ExperimentResult:
-    """Figure 14: software within-distance join, cost breakdown vs D."""
-    scale = get_scale(scale)
-    rows: List[Tuple] = []
-    for name_a, name_b in pairs:
-        ds_a = scale.load(name_a, role="join")
-        ds_b = scale.load(name_b, role="join")
-        label = f"{name_a}|><|{name_b}"
-        base_d = base_distance(ds_a, ds_b)
-        for factor in factors:
-            engine = SoftwareEngine()
-            join = WithinDistanceJoin(ds_a, ds_b, engine)
-            res = join.run(base_d * factor)
-            c = res.cost
-            rows.append(
-                (
-                    label,
-                    factor,
-                    c.mbr_filter_s * _MS,
-                    c.intermediate_filter_s * _MS,
-                    c.geometry_s * _MS,
-                    c.total_s * _MS,
-                    _model_ms(engine),
-                    c.filter_positives,
-                    c.results,
-                )
-            )
-    return ExperimentResult(
-        experiment_id="fig14",
-        title="Within-distance join (software): cost breakdown vs distance",
-        params=_params(
-            scale, "join", {n for p in pairs for n in p}, factors=list(factors)
-        ),
-        columns=(
-            "join",
-            "D/BaseD",
-            "mbr_ms",
-            "filters_ms",
-            "geometry_ms",
-            "total_ms",
-            "model_geom_ms",
-            "filter_pos",
-            "results",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Within-distance joins cost more than intersection joins; "
-            "despite aggressive 0/1-Object filtering the geometry comparison "
-            "still dominates the total cost."
-        ),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Figure 15: within-distance geometry comparison, sw vs hw by resolution
-# ---------------------------------------------------------------------------
-
-
-def fig15_distance_resolution(
-    scale=DEFAULT_SCALE,
-    pairs: Sequence[Tuple[str, str]] = JOIN_PAIRS,
-    resolutions: Sequence[int] = RESOLUTIONS,
-    factor: float = 1.0,
-) -> ExperimentResult:
-    """Figure 15: within-distance geometry cost vs resolution at D=BaseD."""
-    scale = get_scale(scale)
-    rows: List[Tuple] = []
-    for name_a, name_b in pairs:
-        ds_a = scale.load(name_a, role="join")
-        ds_b = scale.load(name_b, role="join")
-        label = f"{name_a}|><|{name_b}"
-        d = base_distance(ds_a, ds_b) * factor
-        sw = SoftwareEngine()
-        sw_res = WithinDistanceJoin(ds_a, ds_b, sw).run(d)
-        sw_model = _model_ms(sw)
-        rows.append(
-            (
-                label,
-                "software",
-                "-",
-                sw_res.cost.geometry_s * _MS,
-                sw_model,
-                "-",
-                "-",
-                "-",
-            )
+    sw, *hw_runs = ctx.sweep(engines, _join(ds_a, ds_b))
+    yield (label, "software", "-", "-", sw.geometry_ms, sw.model_ms, "-")
+    for hw in hw_runs:
+        yield (
+            label,
+            "hardware",
+            hw.engine.config.resolution,
+            hw.engine.config.sw_threshold,
+            hw.geometry_ms,
+            hw.model_ms,
+            hw.engine.stats.threshold_bypasses,
         )
-        for res in resolutions:
-            hw = HardwareEngine(HardwareConfig(resolution=res, sw_threshold=0))
-            hw_res = WithinDistanceJoin(ds_a, ds_b, hw).run(d)
-            assert hw_res.pairs == sw_res.pairs
-            hw_model = _model_ms(hw)
-            rows.append(
-                (
-                    label,
-                    "hardware",
-                    res,
-                    hw_res.cost.geometry_s * _MS,
-                    hw_model,
-                    round(hw.stats.hw_filter_rate, 3),
-                    hw.stats.width_limit_fallbacks,
-                    round(sw_model / hw_model, 2) if hw_model else "-",
-                )
-            )
-    return ExperimentResult(
-        experiment_id="fig15",
-        title="Within-distance geometry comparison by resolution (D = BaseD)",
-        params=_params(
-            scale, "join", {n for p in pairs for n in p}, factor=factor
-        ),
-        columns=(
-            "join",
-            "engine",
-            "res",
-            "wall_ms",
-            "model_ms",
-            "hw_filter_rate",
-            "width_fallbacks",
-            "model_speedup",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Same falling-then-rising shape as intersection; widened lines "
-            "are costlier to render, so hardware barely beats software for "
-            "LANDC|><|LANDO but cuts 60-81% (up to 5.9x) for WATER|><|PRISM."
-        ),
-    )
 
 
-# ---------------------------------------------------------------------------
-# Figure 16: hardware within-distance join across query distances
-# ---------------------------------------------------------------------------
-
-
-def fig16_distance_sweep(
-    scale=DEFAULT_SCALE,
-    pairs: Sequence[Tuple[str, str]] = JOIN_PAIRS,
-    factors: Sequence[float] = DISTANCE_FACTORS,
-    resolution: int = 8,
-    sw_threshold: int = 500,
-) -> ExperimentResult:
-    """Figure 16: hardware vs software as D grows (8x8, threshold 500)."""
-    scale = get_scale(scale)
-    rows: List[Tuple] = []
-    for name_a, name_b in pairs:
-        ds_a = scale.load(name_a, role="join")
-        ds_b = scale.load(name_b, role="join")
-        label = f"{name_a}|><|{name_b}"
+@experiment(
+    "fig14",
+    title="Within-distance join (software): cost breakdown vs distance",
+    columns=(
+        exact("join"),
+        exact("D/BaseD"),
+        wall("mbr_ms"),
+        wall("filters_ms"),
+        wall("geometry_ms"),
+        wall("total_ms"),
+        exact("model_geom_ms"),
+        exact("filter_pos"),
+        exact("results"),
+    ),
+    paper_expectation=(
+        "Within-distance joins cost more than intersection joins; "
+        "despite aggressive 0/1-Object filtering the geometry comparison "
+        "still dominates the total cost."
+    ),
+)
+def fig14(ctx, pairs=JOIN_PAIRS, factors=DISTANCE_FACTORS):
+    """Figure 14: software within-distance join, cost breakdown vs D."""
+    ctx.params["factors"] = list(factors)
+    for pair in pairs:
+        ds_a, ds_b, label = ctx.load_pair(pair)
         base_d = base_distance(ds_a, ds_b)
         for factor in factors:
-            d = base_d * factor
-            sw = SoftwareEngine()
-            sw_res = WithinDistanceJoin(ds_a, ds_b, sw).run(d)
-            sw_model = _model_ms(sw)
-            hw = HardwareEngine(
-                HardwareConfig(resolution=resolution, sw_threshold=sw_threshold)
+            run = ctx.run(ctx.software(), _within(ds_a, ds_b, base_d * factor))
+            c = run.result.cost
+            yield (
+                label,
+                factor,
+                c.mbr_filter_s * MS,
+                c.intermediate_filter_s * MS,
+                c.geometry_s * MS,
+                c.total_s * MS,
+                run.model_ms,
+                c.filter_positives,
+                c.results,
             )
-            hw_res = WithinDistanceJoin(ds_a, ds_b, hw).run(d)
-            assert hw_res.pairs == sw_res.pairs
-            hw_model = _model_ms(hw)
-            improvement = (
-                (1.0 - hw_model / sw_model) * 100.0 if sw_model else 0.0
+
+
+@experiment(
+    "fig15",
+    title="Within-distance geometry comparison by resolution (D = BaseD)",
+    columns=_resolution_columns("join", "width_fallbacks"),
+    paper_expectation=(
+        "Same falling-then-rising shape as intersection; widened lines "
+        "are costlier to render, so hardware barely beats software for "
+        "LANDC|><|LANDO but cuts 60-81% (up to 5.9x) for WATER|><|PRISM."
+    ),
+)
+def fig15(ctx, pairs=JOIN_PAIRS, resolutions=RESOLUTIONS, factor=1.0):
+    """Figure 15: within-distance geometry cost vs resolution at D=BaseD."""
+    ctx.params["factor"] = factor
+    for pair in pairs:
+        ds_a, ds_b, label = ctx.load_pair(pair)
+        runs = ctx.sweep(
+            ctx.software_then_hardware(resolutions, sw_threshold=0),
+            _within(ds_a, ds_b, base_distance(ds_a, ds_b) * factor),
+        )
+        yield from _resolution_rows(label, runs, also=("width_limit_fallbacks",))
+
+
+@experiment(
+    "fig16",
+    title="Within-distance join vs query distance (hardware 8x8, threshold 500)",
+    columns=(
+        exact("join"),
+        exact("D/BaseD"),
+        exact("sw_model_ms"),
+        exact("hw_model_ms"),
+        exact("improvement_%"),
+        exact("width_fallbacks"),
+        exact("results"),
+    ),
+    paper_expectation=(
+        "The hardware margin narrows as D grows (thicker lines cost "
+        "more; Equation-1 widths beyond the 10px device limit force "
+        "software fallback): LANDC|><|LANDO improvement shrinks from "
+        "43% to ~0, WATER|><|PRISM from 83% to 74%."
+    ),
+)
+def fig16(ctx, pairs=JOIN_PAIRS, factors=DISTANCE_FACTORS, resolution=8, sw_threshold=500):
+    """Figure 16: hardware vs software as D grows (8x8, threshold 500)."""
+    ctx.params.update(resolution=resolution, sw_threshold=sw_threshold)
+    for pair in pairs:
+        ds_a, ds_b, label = ctx.load_pair(pair)
+        base_d = base_distance(ds_a, ds_b)
+        for factor in factors:
+            sw, hw = ctx.sweep(
+                (ctx.software(), ctx.hardware(resolution=resolution, sw_threshold=sw_threshold)),
+                _within(ds_a, ds_b, base_d * factor),
             )
-            rows.append(
-                (
-                    label,
-                    factor,
-                    sw_model,
-                    hw_model,
-                    round(improvement, 1),
-                    hw.stats.width_limit_fallbacks,
-                    len(sw_res.pairs),
-                )
+            yield (
+                label,
+                factor,
+                sw.model_ms,
+                hw.model_ms,
+                saving_pct(sw.model_ms, hw.model_ms),
+                hw.engine.stats.width_limit_fallbacks,
+                len(sw.result.pairs),
             )
-    return ExperimentResult(
-        experiment_id="fig16",
-        title="Within-distance join vs query distance (hardware 8x8, threshold 500)",
-        params=_params(
-            scale,
-            "join",
-            {n for p in pairs for n in p},
-            resolution=resolution,
-            sw_threshold=sw_threshold,
-        ),
-        columns=(
-            "join",
-            "D/BaseD",
-            "sw_model_ms",
-            "hw_model_ms",
-            "improvement_%",
-            "width_fallbacks",
-            "results",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "The hardware margin narrows as D grows (thicker lines cost "
-            "more; Equation-1 widths beyond the 10px device limit force "
-            "software fallback): LANDC|><|LANDO improvement shrinks from "
-            "43% to ~0, WATER|><|PRISM from 83% to 74%."
-        ),
-    )
 
 
-# ---------------------------------------------------------------------------
-# Extension: the distance-insensitive test (section 5 future work)
-# ---------------------------------------------------------------------------
-
-
+@experiment(
+    "ext-distance-field",
+    title="Within-distance filter: widened lines vs distance field",
+    columns=(
+        exact("join"),
+        exact("D/BaseD"),
+        exact("lines_model_ms"),
+        exact("lines_fallbacks"),
+        exact("field_model_ms"),
+        exact("field_fallbacks"),
+        exact("field_filter_rate"),
+    ),
+    paper_expectation=(
+        "Section 5: 'We are currently working on a new approach that is "
+        "insensitive to query distances.'  The field variant should show "
+        "zero width-limit fallbacks at every D and a cost that does not "
+        "blow up with the distance, where the line variant degrades."
+    ),
+)
 def ext_distance_field(
-    scale=DEFAULT_SCALE,
-    pair: Tuple[str, str] = ("WATER", "PRISM"),
-    factors: Sequence[float] = DISTANCE_FACTORS,
-    resolution: int = 32,
-    sw_threshold: int = 500,
-) -> ExperimentResult:
+    ctx,
+    pair=("WATER", "PRISM"),
+    factors=DISTANCE_FACTORS,
+    resolution=32,
+    sw_threshold=500,
+):
     """Section 5's announced future work: widened lines vs. distance field.
 
     The published widened-line test degrades as D grows and reverts to
@@ -633,81 +454,47 @@ def ext_distance_field(
     once and evaluates a field, so its cost is independent of D and no
     fallback ever occurs.
     """
-    scale = get_scale(scale)
-    ds_a = scale.load(pair[0], role="join")
-    ds_b = scale.load(pair[1], role="join")
-    label = f"{pair[0]}|><|{pair[1]}"
+    ds_a, ds_b, label = ctx.load_pair(pair)
+    ctx.params.update(pair=label, resolution=resolution, sw_threshold=sw_threshold)
     base_d = base_distance(ds_a, ds_b)
-    rows: List[Tuple] = []
     for factor in factors:
-        d = base_d * factor
-        reference = None
-        per_mode = {}
-        for mode in ("lines", "field"):
-            engine = HardwareEngine(
-                HardwareConfig(
-                    resolution=resolution,
-                    sw_threshold=sw_threshold,
-                    distance_mode=mode,
-                )
-            )
-            result = WithinDistanceJoin(ds_a, ds_b, engine).run(d)
-            if reference is None:
-                reference = result.pairs
-            assert result.pairs == reference, "modes must agree exactly"
-            per_mode[mode] = (
-                _model_ms(engine),
-                engine.stats.width_limit_fallbacks,
-                engine.stats.hw_filter_rate,
-            )
-        rows.append(
+        lines, field = ctx.sweep(
             (
-                label,
-                factor,
-                per_mode["lines"][0],
-                per_mode["lines"][1],
-                per_mode["field"][0],
-                per_mode["field"][1],
-                round(per_mode["field"][2], 3),
-            )
+                ctx.hardware(resolution=resolution, sw_threshold=sw_threshold, distance_mode=mode)
+                for mode in ("lines", "field")
+            ),
+            _within(ds_a, ds_b, base_d * factor),
         )
-    return ExperimentResult(
-        experiment_id="ext-distance-field",
-        title="Within-distance filter: widened lines vs distance field",
-        params=_params(
-            scale, "join", pair, pair=label, resolution=resolution,
-            sw_threshold=sw_threshold,
-        ),
-        columns=(
-            "join",
-            "D/BaseD",
-            "lines_model_ms",
-            "lines_fallbacks",
-            "field_model_ms",
-            "field_fallbacks",
-            "field_filter_rate",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Section 5: 'We are currently working on a new approach that is "
-            "insensitive to query distances.'  The field variant should show "
-            "zero width-limit fallbacks at every D and a cost that does not "
-            "blow up with the distance, where the line variant degrades."
-        ),
-    )
+        yield (
+            label,
+            factor,
+            lines.model_ms,
+            lines.engine.stats.width_limit_fallbacks,
+            field.model_ms,
+            field.engine.stats.width_limit_fallbacks,
+            round(field.engine.stats.hw_filter_rate, 3),
+        )
 
 
-# ---------------------------------------------------------------------------
-# Extension: containment selection (Table 1's second interior-filter target)
-# ---------------------------------------------------------------------------
-
-
-def ext_containment(
-    scale=DEFAULT_SCALE,
-    dataset: str = "WATER",
-    resolutions: Sequence[int] = (4, 8, 16, 32),
-    interior_level: int = 4,
-) -> ExperimentResult:
+@experiment(
+    "ext-containment",
+    title="Containment selection: hardware-confirmed positives",
+    columns=(
+        exact("engine"),
+        exact("res"),
+        wall("wall_ms"),
+        exact("model_ms"),
+        exact("hw_confirmed"),
+        exact("sw_sweeps"),
+    ),
+    paper_expectation=(
+        "Table 1: the interior filter targets intersection AND "
+        "containment.  For containment the hardware's clean miss is a "
+        "positive proof, so software sweeps drop for contained objects "
+        "too - a stronger version of the intersection result."
+    ),
+)
+def ext_containment(ctx, dataset="WATER", resolutions=(4, 8, 16, 32), interior_level=4):
     """Containment selection: objects strictly inside each STATES50 query.
 
     Table 1 lists the interior filter's query types as "Intersection and
@@ -716,75 +503,44 @@ def ext_containment(
     (boundaries disjoint + vertex inside => contained), so the hardware
     saves software sweeps on positives and negatives alike.
     """
-    from ..query import ContainmentSelection
+    queries = ctx.queries()
+    ds = ctx.load(dataset, role="selection")
+    ctx.params.update(dataset=dataset, queries="STATES50", interior_level=interior_level)
 
-    scale = get_scale(scale)
-    queries = list(scale.load("STATES50", role="selection").polygons)
-    ds = scale.load(dataset, role="selection")
-
-    def run(engine) -> Tuple[List[List[int]], float, float]:
-        start = time.perf_counter()
+    def select(engine) -> List[List[int]]:
         sel = ContainmentSelection(ds, engine, interior_level=interior_level)
-        answers = [sel.run(q).ids for q in queries]
-        wall = time.perf_counter() - start
-        return answers, wall * _MS, _model_ms(engine)
+        return [sel.run(q).ids for q in queries]
 
-    sw = SoftwareEngine()
-    reference, sw_wall, sw_model = run(sw)
-    rows: List[Tuple] = [
-        ("software", "-", sw_wall, sw_model, "-", sw.stats.sw_segment_tests)
-    ]
-    for res in resolutions:
-        hw = HardwareEngine(HardwareConfig(resolution=res))
-        answers, wall, model = run(hw)
-        assert answers == reference, "containment engines must agree"
-        rows.append(
-            (
-                "hardware",
-                res,
-                wall,
-                model,
-                hw.stats.hw_rejects,
-                hw.stats.sw_segment_tests,
-            )
+    sw, *hw_runs = ctx.sweep(ctx.software_then_hardware(resolutions), select)
+    yield ("software", "-", sw.wall_ms, sw.model_ms, "-", sw.engine.stats.sw_segment_tests)
+    for hw in hw_runs:
+        yield (
+            "hardware",
+            hw.engine.config.resolution,
+            hw.wall_ms,
+            hw.model_ms,
+            hw.engine.stats.hw_rejects,
+            hw.engine.stats.sw_segment_tests,
         )
-    return ExperimentResult(
-        experiment_id="ext-containment",
-        title="Containment selection: hardware-confirmed positives",
-        params=_params(
-            scale, "selection", (dataset,), dataset=dataset,
-            queries="STATES50", interior_level=interior_level,
-        ),
-        columns=(
-            "engine",
-            "res",
-            "wall_ms",
-            "model_ms",
-            "hw_confirmed",
-            "sw_sweeps",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Table 1: the interior filter targets intersection AND "
-            "containment.  For containment the hardware's clean miss is a "
-            "positive proof, so software sweeps drop for contained objects "
-            "too - a stronger version of the intersection result."
-        ),
-    )
 
 
-# ---------------------------------------------------------------------------
-# Extension: nearest neighbors via hardware Voronoi diagrams (section 5)
-# ---------------------------------------------------------------------------
-
-
-def ext_voronoi_nn(
-    scale=DEFAULT_SCALE,
-    dataset: str = "WATER",
-    query_count: int = 40,
-    k: int = 1,
-    resolution: int = 32,
-) -> ExperimentResult:
+@experiment(
+    "ext-voronoi-nn",
+    title="Nearest neighbors: best-first R-tree vs hardware Voronoi filter",
+    columns=(
+        exact("strategy"),
+        wall("wall_ms"),
+        exact("exact_distance_calls"),
+        exact("boundaries_rendered"),
+    ),
+    paper_expectation=(
+        "Section 5: 'explore other spatial operations such as nearest "
+        "neighbor queries using hardware calculated Voronoi diagrams "
+        "[12]'.  Identical answers; the Voronoi filter trades exact "
+        "edge scans for fixed-resolution boundary renders."
+    ),
+)
+def ext_voronoi_nn(ctx, dataset="WATER", query_count=40, k=1, resolution=32):
     """Section 5's other future-work item: NN queries with hardware Voronoi.
 
     Compares the best-first R-tree search (software baseline) against the
@@ -795,14 +551,9 @@ def ext_voronoi_nn(
     quantity is how many exact point-to-polygon distance computations each
     strategy pays, since those scan every edge of complex polygons.
     """
-    import random as _random
-
-    from ..geometry import Point
-    from ..query import NearestNeighborQuery
-
-    scale = get_scale(scale)
-    ds = scale.load(dataset, role="selection")
-    rng = _random.Random(2003)
+    ds = ctx.load(dataset, role="selection")
+    ctx.params.update(dataset=dataset, queries=query_count, k=k, resolution=resolution)
+    rng = random.Random(2003)
     world = ds.world
     queries = [
         Point(
@@ -811,234 +562,174 @@ def ext_voronoi_nn(
         )
         for _ in range(query_count)
     ]
-
-    software = NearestNeighborQuery(ds)
-    start = time.perf_counter()
-    sw_exact = 0
-    sw_answers = []
-    for q in queries:
-        res = software.run_software(q, k=k)
-        sw_exact += res.exact_distance_calls
-        sw_answers.append([d for d, _ in res.neighbors])
-    sw_wall = time.perf_counter() - start
-
-    hardware = NearestNeighborQuery(
-        ds, hardware=HardwareConfig(resolution=resolution)
+    # A NearestNeighborQuery answers by the strategy it was built for.
+    voronoi = NearestNeighborQuery(ds, hardware=ctx.config(resolution=resolution))
+    sw, hw = ctx.sweep(
+        (NearestNeighborQuery(ds), voronoi),
+        lambda nn: [nn.run(q, k=k) for q in queries],
+        answer=lambda results: [[d for d, _ in r.neighbors] for r in results],
     )
-    start = time.perf_counter()
-    hw_exact = 0
-    hw_rendered = 0
-    for q, expected in zip(queries, sw_answers):
-        res = hardware.run_hardware(q, k=k)
-        hw_exact += res.exact_distance_calls
-        hw_rendered += res.candidates_rendered
-        got = [d for d, _ in res.neighbors]
-        assert all(
-            abs(x - y) < 1e-9 for x, y in zip(got, expected)
-        ), "strategies must agree"
-    hw_wall = time.perf_counter() - start
-
-    rows = [
-        ("software", sw_wall * _MS, sw_exact, "-"),
-        ("hardware-voronoi", hw_wall * _MS, hw_exact, hw_rendered),
-    ]
-    return ExperimentResult(
-        experiment_id="ext-voronoi-nn",
-        title="Nearest neighbors: best-first R-tree vs hardware Voronoi filter",
-        params=_params(
-            scale, "selection", (dataset,), dataset=dataset,
-            queries=query_count, k=k, resolution=resolution,
-        ),
-        columns=("strategy", "wall_ms", "exact_distance_calls", "boundaries_rendered"),
-        rows=rows,
-        paper_expectation=(
-            "Section 5: 'explore other spatial operations such as nearest "
-            "neighbor queries using hardware calculated Voronoi diagrams "
-            "[12]'.  Identical answers; the Voronoi filter trades exact "
-            "edge scans for fixed-resolution boundary renders."
-        ),
-    )
+    sw_exact = sum(r.exact_distance_calls for r in sw.result)
+    hw_exact = sum(r.exact_distance_calls for r in hw.result)
+    hw_rendered = sum(r.candidates_rendered for r in hw.result)
+    yield ("software", sw.wall_ms, sw_exact, "-")
+    yield ("hardware-voronoi", hw.wall_ms, hw_exact, hw_rendered)
 
 
-# ---------------------------------------------------------------------------
-# Ablations (design choices the paper calls out)
-# ---------------------------------------------------------------------------
+def _candidate_polygon_pairs(ds_a, ds_b, d=0.0):
+    """The polygon pairs whose MBRs come within ``d`` of each other."""
+    candidates = plane_sweep_mbr_join(ds_a.mbrs, ds_b.mbrs, distance=d)
+    return [(ds_a.polygons[i], ds_b.polygons[j]) for i, j in candidates]
 
 
-def _candidate_polygon_pairs(
-    ds_a: SpatialDataset, ds_b: SpatialDataset, d: float = 0.0
-) -> List[Tuple]:
-    return [
-        (ds_a.polygons[i], ds_b.polygons[j])
-        for i, j in plane_sweep_mbr_join(ds_a.mbrs, ds_b.mbrs, distance=d)
-    ]
-
-
-def ablation_restricted_sweep(
-    scale=DEFAULT_SCALE, pair: Tuple[str, str] = ("LANDC", "LANDO")
-) -> ExperimentResult:
+@experiment(
+    "ablation-restricted-sweep",
+    title="Plane sweep with vs without restricted search space",
+    columns=(
+        exact("variant"),
+        wall("wall_ms"),
+        exact("model_ms"),
+        exact("edges_swept"),
+        exact("candidate_tests"),
+        exact("hits"),
+    ),
+    paper_expectation=(
+        "Restricting the sweep to edges intersecting both MBRs gives "
+        "about 30-40% practical improvement without changing complexity."
+    ),
+)
+def ablation_restricted_sweep(ctx, pair=("LANDC", "LANDO")):
     """Restricted search space on/off (paper section 4.1.1: 30-40% better)."""
-    scale = get_scale(scale)
-    ds_a = scale.load(pair[0], role="join")
-    ds_b = scale.load(pair[1], role="join")
+    ds_a, ds_b, label = ctx.load_pair(pair)
+    ctx.params["pair"] = label
     candidates = _candidate_polygon_pairs(ds_a, ds_b)
-    rows: List[Tuple] = []
-    for restricted in (True, False):
-        stats = SweepStats()
-        start = time.perf_counter()
-        hits = 0
-        for a, b in candidates:
-            if boundaries_intersect(a, b, restricted, stats):
-                hits += 1
-        elapsed = time.perf_counter() - start
-        model_us = (
-            stats.edges_considered * PLATFORM_2003.cpu_scan_edge_us
-            + stats.edges_after_restriction * PLATFORM_2003.cpu_sweep_build_us
-            + stats.edges_processed * PLATFORM_2003.cpu_sweep_edge_us
-            + stats.candidate_tests * PLATFORM_2003.cpu_segment_test_us
+
+    # The bare sweep, not the engine's staged test: the software engine
+    # carries the variant's knob and is the ledger the sweep counts into,
+    # so the one price list (Run.model_ms) applies.
+    def sweep(engine) -> int:
+        return sum(
+            boundaries_intersect(a, b, engine.restrict_search_space, engine.sweep_stats)
+            for a, b in candidates
         )
-        rows.append(
-            (
-                "restricted" if restricted else "full",
-                elapsed * _MS,
-                model_us / 1000.0,
-                stats.edges_after_restriction,
-                stats.candidate_tests,
-                hits,
-            )
+
+    engines = (ctx.software(restrict_search_space=restricted) for restricted in (True, False))
+    for run in ctx.sweep(engines, sweep):
+        yield (
+            "restricted" if run.engine.restrict_search_space else "full",
+            run.wall_ms,
+            run.model_ms,
+            run.engine.sweep_stats.edges_after_restriction,
+            run.engine.sweep_stats.candidate_tests,
+            run.result,
         )
-    return ExperimentResult(
-        experiment_id="ablation-restricted-sweep",
-        title="Plane sweep with vs without restricted search space",
-        params=_params(scale, "join", pair, pair=f"{pair[0]}|><|{pair[1]}"),
-        columns=(
-            "variant",
-            "wall_ms",
-            "model_ms",
-            "edges_swept",
-            "candidate_tests",
-            "hits",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Restricting the sweep to edges intersecting both MBRs gives "
-            "about 30-40% practical improvement without changing complexity."
-        ),
-    )
 
 
-def ablation_mindist_opts(
-    scale=DEFAULT_SCALE,
-    pair: Tuple[str, str] = ("WATER", "PRISM"),
-    factor: float = 1.0,
-) -> ExperimentResult:
+@experiment(
+    "ablation-mindist",
+    title="minDist pruning stages on/off (within-distance predicate)",
+    columns=(
+        exact("variant"),
+        wall("wall_ms"),
+        exact("model_ms"),
+        exact("edge_pairs_tested"),
+        exact("hits"),
+    ),
+    paper_expectation=(
+        "The extended-MBR chain clipping reduces computational cost by "
+        "a factor of 2 to 6 on top of the frontier chains."
+    ),
+)
+def ablation_mindist_opts(ctx, pair=("WATER", "PRISM"), factor=1.0):
     """minDist optimizations on/off (paper section 4.1.1: 2-6x reduction)."""
-    scale = get_scale(scale)
-    ds_a = scale.load(pair[0], role="join")
-    ds_b = scale.load(pair[1], role="join")
+    ds_a, ds_b, label = ctx.load_pair(pair)
+    ctx.params.update(pair=label, factor=factor)
     d = base_distance(ds_a, ds_b) * factor
     candidates = _candidate_polygon_pairs(ds_a, ds_b, d)
-    rows: List[Tuple] = []
-    from ..geometry import MinDistStats
+    variants = {
+        "frontier+extended-mbr": dict(use_frontier=True, use_extended_mbr=True),
+        "frontier-only": dict(use_frontier=True, use_extended_mbr=False),
+        "no-pruning": dict(use_frontier=False, use_extended_mbr=False),
+    }
 
-    for frontier, extended, label in (
-        (True, True, "frontier+extended-mbr"),
-        (True, False, "frontier-only"),
-        (False, False, "no-pruning"),
-    ):
-        stats = MinDistStats()
-        start = time.perf_counter()
-        hits = 0
-        for a, b in candidates:
-            if polygons_within_distance(
-                a, b, d, use_frontier=frontier, use_extended_mbr=extended,
-                stats=stats,
-            ):
-                hits += 1
-        elapsed = time.perf_counter() - start
-        model_us = (
-            stats.edges_scanned * PLATFORM_2003.cpu_mindist_edge_us
-            + stats.pairs_tested * PLATFORM_2003.cpu_mindist_pair_us
+    # The bare predicate; the software engine is the ledger it counts into.
+    def min_dist(pruning):
+        return lambda engine: sum(
+            polygons_within_distance(a, b, d, stats=engine.mindist_stats, **pruning)
+            for a, b in candidates
         )
-        rows.append(
-            (label, elapsed * _MS, model_us / 1000.0, stats.pairs_tested, hits)
-        )
-    return ExperimentResult(
-        experiment_id="ablation-mindist",
-        title="minDist pruning stages on/off (within-distance predicate)",
-        params=_params(
-            scale, "join", pair, pair=f"{pair[0]}|><|{pair[1]}", factor=factor
-        ),
-        columns=("variant", "wall_ms", "model_ms", "edge_pairs_tested", "hits"),
-        rows=rows,
-        paper_expectation=(
-            "The extended-MBR chain clipping reduces computational cost by "
-            "a factor of 2 to 6 on top of the frontier chains."
-        ),
-    )
+
+    runs = ctx.compare(ctx.run(ctx.software(), min_dist(p)) for p in variants.values())
+    for variant, run in zip(variants, runs):
+        pairs_tested = run.engine.mindist_stats.pairs_tested
+        yield (variant, run.wall_ms, run.model_ms, pairs_tested, run.result)
 
 
-def ablation_minmax(
-    scale=DEFAULT_SCALE,
-    pair: Tuple[str, str] = ("LANDC", "LANDO"),
-    resolution: int = 16,
-) -> ExperimentResult:
+@experiment(
+    "ablation-minmax",
+    title="Buffer search: hardware Minmax vs glReadPixels readback",
+    columns=(
+        exact("variant"),
+        wall("wall_ms"),
+        exact("model_ms"),
+        exact("overlaps"),
+    ),
+    paper_expectation=(
+        "Minmax avoids moving pixels over the video/AGP/memory buses; "
+        "with thousands-to-millions of tests per query the saving is "
+        "essential (section 3.2)."
+    ),
+)
+def ablation_minmax(ctx, pair=("LANDC", "LANDO"), resolution=16):
     """Hardware Minmax vs full-buffer readback (paper section 3.2)."""
-    scale = get_scale(scale)
-    ds_a = scale.load(pair[0], role="join")
-    ds_b = scale.load(pair[1], role="join")
+    ds_a, ds_b, label = ctx.load_pair(pair)
+    ctx.params.update(pair=label, resolution=resolution)
     candidates = [
         (a, b, intersection_window(a.mbr, b.mbr))
         for a, b in _candidate_polygon_pairs(ds_a, ds_b)
     ]
     candidates = [(a, b, w) for a, b, w in candidates if w is not None]
 
-    hw = HardwareSegmentTest(HardwareConfig(resolution=resolution))
-    start = time.perf_counter()
-    overlaps_minmax = sum(
-        hw.intersection_verdict(a, b, w) is HardwareVerdict.MAYBE
-        for a, b, w in candidates
+    def minmax(engine) -> int:
+        return sum(
+            engine.hw.intersection_verdict(a, b, w) is HardwareVerdict.MAYBE
+            for a, b, w in candidates
+        )
+
+    def readback(engine) -> int:
+        # overlap_image: the full readback through the bus
+        return sum(
+            bool(engine.hw.overlap_image(a, b, w).max() >= 0.75)
+            for a, b, w in candidates
+        )
+
+    runs = ctx.compare(
+        ctx.run(ctx.hardware(resolution=resolution), search)
+        for search in (minmax, readback)
     )
-    minmax_time = time.perf_counter() - start
-    minmax_model = PLATFORM_2003.hardware_seconds(hw.pipeline.counters) * _MS
-
-    hw2 = HardwareSegmentTest(HardwareConfig(resolution=resolution))
-    start = time.perf_counter()
-    overlaps_readback = 0
-    for a, b, w in candidates:
-        image = hw2.overlap_image(a, b, w)  # full readback through the bus
-        if image.max() >= 0.75:
-            overlaps_readback += 1
-    readback_time = time.perf_counter() - start
-    readback_model = PLATFORM_2003.hardware_seconds(hw2.pipeline.counters) * _MS
-
-    assert overlaps_minmax == overlaps_readback
-    rows = [
-        ("minmax", minmax_time * _MS, minmax_model, overlaps_minmax),
-        ("readback", readback_time * _MS, readback_model, overlaps_readback),
-    ]
-    return ExperimentResult(
-        experiment_id="ablation-minmax",
-        title="Buffer search: hardware Minmax vs glReadPixels readback",
-        params=_params(
-            scale, "join", pair, pair=f"{pair[0]}|><|{pair[1]}",
-            resolution=resolution,
-        ),
-        columns=("variant", "wall_ms", "model_ms", "overlaps"),
-        rows=rows,
-        paper_expectation=(
-            "Minmax avoids moving pixels over the video/AGP/memory buses; "
-            "with thousands-to-millions of tests per query the saving is "
-            "essential (section 3.2)."
-        ),
-    )
+    for variant, run in zip(("minmax", "readback"), runs):
+        yield (variant, run.wall_ms, run.model_ms, run.result)
 
 
-def ablation_overlap_methods(
-    scale=DEFAULT_SCALE,
-    pair: Tuple[str, str] = ("LANDC", "LANDO"),
-    resolution: int = 8,
-) -> ExperimentResult:
+@experiment(
+    "ablation-overlap-methods",
+    title="Overlap search via accum / blend / logic / depth / stencil",
+    columns=(
+        exact("method"),
+        wall("wall_ms"),
+        exact("model_ms"),
+        exact("hw_rejects"),
+        exact("accum_ops"),
+        exact("buffer_clears"),
+    ),
+    paper_expectation=(
+        "Section 3: several buffer mechanisms implement the same overlap "
+        "search; results are identical, costs differ only in buffer "
+        "traffic (the accumulation path pays glAccum transfers, which "
+        "were a slow path on consumer cards)."
+    ),
+)
+def ablation_overlap_methods(ctx, pair=("LANDC", "LANDO"), resolution=8):
     """The five overlap-search implementations of section 3, compared.
 
     The paper picks the accumulation buffer; Hoff et al. list blending,
@@ -1049,107 +740,84 @@ def ablation_overlap_methods(
     only exist in the paper-literal per-pair test (the atlas has one), so
     the join refines on a :func:`per_pair_engine`.
     """
-    scale = get_scale(scale)
-    ds_a = scale.load(pair[0], role="join")
-    ds_b = scale.load(pair[1], role="join")
-    rows: List[Tuple] = []
-    reference = None
-    for method in OVERLAP_METHODS:
-        engine = per_pair_engine(
-            HardwareConfig(resolution=resolution, method=method)
-        )
-        start = time.perf_counter()
-        result = IntersectionJoin(ds_a, ds_b, engine).run()
-        elapsed = time.perf_counter() - start
-        if reference is None:
-            reference = result.pairs
-        assert result.pairs == reference, f"{method} changed the join result"
-        c = engine.gpu_counters
-        rows.append(
-            (
-                method,
-                elapsed * _MS,
-                _model_ms(engine),
-                engine.stats.hw_rejects,
-                c.accum_ops,
-                c.buffer_clears,
-            )
-        )
-    return ExperimentResult(
-        experiment_id="ablation-overlap-methods",
-        title="Overlap search via accum / blend / logic / depth / stencil",
-        params=_params(
-            scale, "join", pair, pair=f"{pair[0]}|><|{pair[1]}",
-            resolution=resolution,
-        ),
-        columns=(
-            "method",
-            "wall_ms",
-            "model_ms",
-            "hw_rejects",
-            "accum_ops",
-            "buffer_clears",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Section 3: several buffer mechanisms implement the same overlap "
-            "search; results are identical, costs differ only in buffer "
-            "traffic (the accumulation path pays glAccum transfers, which "
-            "were a slow path on consumer cards)."
-        ),
+    ds_a, ds_b, label = ctx.load_pair(pair)
+    ctx.params.update(pair=label, resolution=resolution)
+    engines = (
+        per_pair_engine(ctx.config(resolution=resolution, method=method))
+        for method in OVERLAP_METHODS
     )
+    for run in ctx.sweep(engines, _join(ds_a, ds_b)):
+        yield (
+            run.engine.config.method,
+            run.wall_ms,
+            run.model_ms,
+            run.engine.stats.hw_rejects,
+            run.engine.gpu_counters.accum_ops,
+            run.engine.gpu_counters.buffer_clears,
+        )
 
 
-def ablation_projection(
-    scale=DEFAULT_SCALE,
-    pair: Tuple[str, str] = ("LANDC", "LANDO"),
-    resolution: int = 8,
-) -> ExperimentResult:
+@experiment(
+    "ablation-projection",
+    title="Projection strategy: MBR-intersection window vs full-scene window",
+    columns=(
+        exact("variant"),
+        exact("tested"),
+        exact("hw_rejects"),
+        exact("reject_rate"),
+        wall("wall_ms"),
+    ),
+    paper_expectation=(
+        "Projecting the MBR intersection maximizes window-resolution "
+        "utilization and avoids rendering unnecessary edges (section "
+        "3.2), so it filters strictly more pairs than a full-scene "
+        "window at the same resolution."
+    ),
+)
+def ablation_projection(ctx, pair=("LANDC", "LANDO"), resolution=8):
     """Focused (Fig 7a) vs naive full-scene projection window."""
-    scale = get_scale(scale)
-    ds_a = scale.load(pair[0], role="join")
-    ds_b = scale.load(pair[1], role="join")
+    ds_a, ds_b, label = ctx.load_pair(pair)
+    ctx.params.update(pair=label, resolution=resolution)
     pairs = _candidate_polygon_pairs(ds_a, ds_b)
-    rows: List[Tuple] = []
-    for variant in ("intersection-window", "union-window"):
-        hw = HardwareSegmentTest(HardwareConfig(resolution=resolution))
-        rejects = 0
-        tested = 0
-        start = time.perf_counter()
-        for a, b in pairs:
-            if variant == "intersection-window":
-                window = intersection_window(a.mbr, b.mbr)
-                if window is None:
-                    continue
-            else:
-                window = union_window(a.mbr, b.mbr)
-            tested += 1
-            if hw.intersection_verdict(a, b, window) is HardwareVerdict.DISJOINT:
-                rejects += 1
-        elapsed = time.perf_counter() - start
+    for variant, window_of in (
+        ("intersection-window", intersection_window),
+        ("union-window", union_window),
+    ):
+
+        def project(engine) -> Tuple[int, int]:
+            windows = [(a, b, window_of(a.mbr, b.mbr)) for a, b in pairs]
+            tested = [(a, b, w) for a, b, w in windows if w is not None]
+            rejects = sum(
+                engine.hw.intersection_verdict(a, b, w) is HardwareVerdict.DISJOINT
+                for a, b, w in tested
+            )
+            return len(tested), rejects
+
+        run = ctx.run(ctx.hardware(resolution=resolution), project)
+        tested, rejects = run.result
         rate = rejects / tested if tested else 0.0
-        rows.append((variant, tested, rejects, round(rate, 3), elapsed * _MS))
-    return ExperimentResult(
-        experiment_id="ablation-projection",
-        title="Projection strategy: MBR-intersection window vs full-scene window",
-        params=_params(
-            scale, "join", pair, pair=f"{pair[0]}|><|{pair[1]}",
-            resolution=resolution,
-        ),
-        columns=("variant", "tested", "hw_rejects", "reject_rate", "wall_ms"),
-        rows=rows,
-        paper_expectation=(
-            "Projecting the MBR intersection maximizes window-resolution "
-            "utilization and avoids rendering unnecessary edges (section "
-            "3.2), so it filters strictly more pairs than a full-scene "
-            "window at the same resolution."
-        ),
-    )
+        yield (variant, tested, rejects, round(rate, 3), run.wall_ms)
 
 
-def ablation_hull_filter(
-    scale=DEFAULT_SCALE, pair: Tuple[str, str] = ("WATER", "PRISM")
-) -> ExperimentResult:
+@experiment(
+    "ablation-hull-filter",
+    title="Geometric (convex hull) filter vs runtime-only filtering",
+    columns=(
+        exact("variant"),
+        wall("preprocess_ms"),
+        wall("filter_ms"),
+        wall("geometry_wall_ms"),
+        exact("geometry_model_ms"),
+        exact("pairs_refined"),
+    ),
+    paper_expectation=(
+        "Table 1 / introduction: pre-processing filters cut refinement "
+        "work but cost pre-computation and storage, and cannot serve "
+        "intermediate results - the reasons the paper's runtime "
+        "hardware filter avoids them."
+    ),
+)
+def ablation_hull_filter(ctx, pair=("WATER", "PRISM")):
     """Table 1's geometric filter (convex hulls) vs the runtime-only pipeline.
 
     The hull filter needs pre-processing (one hull per object) - the
@@ -1158,58 +826,44 @@ def ablation_hull_filter(
     measures what the hulls buy on top of MBR filtering, with the software
     engine doing the refinement.
     """
-    scale = get_scale(scale)
-    ds_a = scale.load(pair[0], role="join")
-    ds_b = scale.load(pair[1], role="join")
-    label = f"{pair[0]}|><|{pair[1]}"
-    rows: List[Tuple] = []
-    reference = None
-    for use_hulls, name in ((False, "mbr-only"), (True, "mbr+hulls")):
-        engine = SoftwareEngine()
-        start = time.perf_counter()
-        join = IntersectionJoin(ds_a, ds_b, engine, use_hull_filter=use_hulls)
-        build_s = time.perf_counter() - start
-        result = join.run()
-        if reference is None:
-            reference = result.pairs
-        assert result.pairs == reference
-        rows.append(
-            (
-                name,
-                build_s * _MS,
-                result.cost.intermediate_filter_s * _MS,
-                result.cost.geometry_s * _MS,
-                _model_ms(engine),
-                result.cost.pairs_compared,
-            )
+    ds_a, ds_b, label = ctx.load_pair(pair)
+    ctx.params["pair"] = label
+    # Timed in two steps: building the join (the hulls), then running it.
+    builds = [
+        ctx.run(ctx.software(), lambda e: IntersectionJoin(ds_a, ds_b, e, use_hull_filter=hulls))
+        for hulls in (False, True)
+    ]
+    runs = ctx.compare(ctx.run(build.engine, lambda e: build.result.run()) for build in builds)
+    for name, build, run in zip(("mbr-only", "mbr+hulls"), builds, runs):
+        yield (
+            name,
+            build.wall_ms,
+            run.result.cost.intermediate_filter_s * MS,
+            run.geometry_ms,
+            run.model_ms,
+            run.result.cost.pairs_compared,
         )
-    return ExperimentResult(
-        experiment_id="ablation-hull-filter",
-        title="Geometric (convex hull) filter vs runtime-only filtering",
-        params=_params(scale, "join", pair, pair=label),
-        columns=(
-            "variant",
-            "preprocess_ms",
-            "filter_ms",
-            "geometry_wall_ms",
-            "geometry_model_ms",
-            "pairs_refined",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Table 1 / introduction: pre-processing filters cut refinement "
-            "work but cost pre-computation and storage, and cannot serve "
-            "intermediate results - the reasons the paper's runtime "
-            "hardware filter avoids them."
-        ),
-    )
 
 
-def exec_parallel(
-    scale=DEFAULT_SCALE,
-    worker_counts: Sequence[int] = (2, 4),
-    min_candidates: int = 2000,
-) -> ExperimentResult:
+@experiment(
+    "exec-parallel",
+    title="Parallel batch refinement vs serial geometry stage",
+    columns=(
+        exact("engine"),
+        exact("mode"),
+        exact("workers"),
+        exact("candidates"),
+        wall("geometry_wall_ms"),
+        wall("speedup"),
+    ),
+    paper_expectation=(
+        "Tsitsigkos et al. (1908.11740): refinement of filter-and-"
+        "refine spatial joins parallelizes near-linearly under simple "
+        "candidate partitioning; expect >= 1.5x geometry-stage speedup "
+        "with 4 workers on hosts with >= 4 CPUs."
+    ),
+)
+def exec_parallel(ctx, worker_counts=(2, 4), min_candidates=2000):
     """Parallel batch refinement vs the serial loop (repro.exec).
 
     Generates a synthetic intersection-join workload with at least
@@ -1223,78 +877,54 @@ def exec_parallel(
     legitimately show <= 1x (noted in the result), which is why the row set
     always includes the serial reference.
     """
-    scale = get_scale(scale)
-    host_cpus = os.cpu_count() or 1
-    factor = {"tiny": 1.0, "small": 2.0, "medium": 4.0}.get(scale.name, 1.0)
-    ds_a, ds_b = _exec_parallel_layers(factor, min_candidates)
-    candidates = len(plane_sweep_mbr_join(ds_a.mbrs, ds_b.mbrs))
-    rows: List[Tuple] = []
-    for engine_kind, make in (
-        ("software", SoftwareEngine),
-        ("hardware", HardwareEngine),
-    ):
-        serial_engine = make()
-        serial = IntersectionJoin(ds_a, ds_b, serial_engine).run()
-        serial_ms = serial.cost.geometry_s * _MS
-        rows.append((engine_kind, "serial", 1, candidates, serial_ms, 1.0))
-        for workers in worker_counts:
-            engine = make()
-            with ParallelExecutor(workers=workers) as executor:
-                result = IntersectionJoin(
-                    ds_a, ds_b, engine, executor=executor
-                ).run()
-            assert result.pairs == serial.pairs, "parallel must match serial"
-            assert engine.stats == serial_engine.stats, "stats must merge exactly"
-            wall_ms = result.cost.geometry_s * _MS
-            rows.append(
-                (
-                    engine_kind,
-                    "parallel",
-                    workers,
-                    candidates,
-                    wall_ms,
-                    round(serial_ms / wall_ms, 2) if wall_ms else float("inf"),
-                )
-            )
-    notes = []
-    if host_cpus < max(worker_counts):
-        notes.append(
-            f"host has {host_cpus} CPU(s); speedups for worker counts above "
-            "that are bounded by the hardware, not the executor"
-        )
-    return ExperimentResult(
-        experiment_id="exec-parallel",
-        title="Parallel batch refinement vs serial geometry stage",
-        params={
-            "scale": scale.name,
-            "candidates": candidates,
-            "host_cpus": host_cpus,
-        },
-        columns=(
-            "engine",
-            "mode",
-            "workers",
-            "candidates",
-            "geometry_wall_ms",
-            "speedup",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Tsitsigkos et al. (1908.11740): refinement of filter-and-"
-            "refine spatial joins parallelizes near-linearly under simple "
-            "candidate partitioning; expect >= 1.5x geometry-stage speedup "
-            "with 4 workers on hosts with >= 4 CPUs."
-        ),
-        notes=notes,
+    ds_a, ds_b, candidates = ctx.generated_join(min_candidates)
+    ctx.notes.append(
+        f"host has {os.cpu_count() or 1} CPU(s); speedups for worker counts above "
+        "that are bounded by the hardware, not the executor"
     )
 
+    def serial_then_pools(make):
+        yield ctx.run(make(), _join(ds_a, ds_b))
+        for workers in worker_counts:
+            with ParallelExecutor(workers=workers) as executor:
+                yield ctx.run(make(), _join(ds_a, ds_b, executor=executor))
 
-def batch_refine(
-    scale=DEFAULT_SCALE,
-    resolutions: Sequence[int] = (8, 16),
-    min_candidates: int = 2000,
-    distance_factor: float = 0.5,
-) -> ExperimentResult:
+    for kind, make in (("software", ctx.software), ("hardware", ctx.hardware)):
+        serial, *pools = ctx.compare(serial_then_pools(make), stats=True)
+        yield (kind, "serial", 1, candidates, serial.geometry_ms, 1.0)
+        for workers, run in zip(worker_counts, pools):
+            yield (
+                kind,
+                "parallel",
+                workers,
+                candidates,
+                run.geometry_ms,
+                speedup(serial.geometry_ms, run.geometry_ms),
+            )
+
+
+@experiment(
+    "batch-refine",
+    title="Tiled batched hardware refinement vs per-pair submissions",
+    columns=(
+        exact("resolution"),
+        exact("op"),
+        exact("mode"),
+        exact("candidates"),
+        wall("geometry_wall_ms"),
+        wall("speedup"),
+        exact("draw_calls"),
+        exact("tile_batches"),
+    ),
+    paper_expectation=(
+        "Section 4.3's fixed per-test overhead is what sw_threshold "
+        "dodges; batching amortizes it instead (cf. 3DPipe's pipelined "
+        "spatial join).  Expect >= 1.5x geometry-stage speedup at "
+        "resolution 8 on >= 2k candidate pairs, with draw calls "
+        "collapsing from two per pair to two per atlas sub-batch."
+    ),
+)
+def batch_refine(ctx, resolutions=(8, 16), min_candidates=2000, distance_factor=0.5):
     """Tiled batched hardware refinement vs the per-pair loop.
 
     The batching counterpart of ``exec-parallel``: the same >= 2k-candidate
@@ -1307,83 +937,54 @@ def batch_refine(
     accumulation transfers, Minmax round-trips) buys in geometry-stage
     wall time.
     """
-    scale = get_scale(scale)
-    factor = {"tiny": 1.0, "small": 2.0, "medium": 4.0}.get(scale.name, 1.0)
-    ds_a, ds_b = _exec_parallel_layers(factor, min_candidates)
-    candidates = len(plane_sweep_mbr_join(ds_a.mbrs, ds_b.mbrs))
+    ds_a, ds_b, candidates = ctx.generated_join(min_candidates)
     d = base_distance(ds_a, ds_b) * distance_factor
-    rows: List[Tuple] = []
+    ctx.params["distance"] = round(d, 3)
     for resolution in resolutions:
-        config = HardwareConfig(resolution=resolution)
-        for op, runner in (
-            ("intersect", lambda e: IntersectionJoin(ds_a, ds_b, e).run()),
-            (
-                "within_distance",
-                lambda e: WithinDistanceJoin(ds_a, ds_b, e).run(d),
-            ),
+        for op, work in (
+            ("intersect", _join(ds_a, ds_b)),
+            ("within_distance", _within(ds_a, ds_b, d)),
         ):
-            serial_engine = per_pair_engine(config)
-            serial = runner(serial_engine)
-            serial_ms = serial.cost.geometry_s * _MS
-            batch_engine = HardwareEngine(config)
-            batched = runner(batch_engine)
-            assert batched.pairs == serial.pairs, "batched must match serial"
-            assert batch_engine.stats == serial_engine.stats, (
-                "batched stats must match serial"
+            engines = (
+                per_pair_engine(ctx.config(resolution=resolution)),
+                ctx.hardware(resolution=resolution),
             )
-            wall_ms = batched.cost.geometry_s * _MS
-            for mode, ms, engine in (
-                ("per-pair", serial_ms, serial_engine),
-                ("batched", wall_ms, batch_engine),
-            ):
-                counters = engine.gpu_counters
-                rows.append(
-                    (
-                        resolution,
-                        op,
-                        mode,
-                        candidates,
-                        ms,
-                        round(serial_ms / ms, 2) if ms else float("inf"),
-                        counters.draw_calls,
-                        counters.tile_batches,
-                    )
+            per_pair, batched = ctx.sweep(engines, work, stats=True)
+            for mode, run in (("per-pair", per_pair), ("batched", batched)):
+                yield (
+                    resolution,
+                    op,
+                    mode,
+                    candidates,
+                    run.geometry_ms,
+                    speedup(per_pair.geometry_ms, run.geometry_ms),
+                    run.engine.gpu_counters.draw_calls,
+                    run.engine.gpu_counters.tile_batches,
                 )
-    return ExperimentResult(
-        experiment_id="batch-refine",
-        title="Tiled batched hardware refinement vs per-pair submissions",
-        params={
-            "scale": scale.name,
-            "candidates": candidates,
-            "distance": round(d, 3),
-        },
-        columns=(
-            "resolution",
-            "op",
-            "mode",
-            "candidates",
-            "geometry_wall_ms",
-            "speedup",
-            "draw_calls",
-            "tile_batches",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Section 4.3's fixed per-test overhead is what sw_threshold "
-            "dodges; batching amortizes it instead (cf. 3DPipe's pipelined "
-            "spatial join).  Expect >= 1.5x geometry-stage speedup at "
-            "resolution 8 on >= 2k candidate pairs, with draw calls "
-            "collapsing from two per pair to two per atlas sub-batch."
-        ),
-    )
 
 
-def cache_effectiveness(
-    scale=DEFAULT_SCALE,
-    resolution: int = 16,
-    repeats: int = 2,
-    skew_factor: int = 4,
-) -> ExperimentResult:
+@experiment(
+    "cache",
+    title="Verdict/render/predicate memoization on repeated and skewed work",
+    columns=(
+        exact("workload"),
+        exact("mode"),
+        exact("abstract_cost"),
+        exact("reduction_%"),
+        exact("cache_hits"),
+        exact("hit_rate"),
+        exact("results"),
+    ),
+    paper_expectation=(
+        "Section 4.3 attributes the hardware's break-even point to a "
+        "fixed per-test cost; memoization removes that cost entirely "
+        "for repeated test identities.  Expect >= 30% abstract "
+        "geometry-cost reduction on the repeated query set (second "
+        "pass nearly free) and a reduction tracking the duplication "
+        "ratio on the skewed join, with zero change in answers."
+    ),
+)
+def cache_effectiveness(ctx, resolution=16, repeats=2, skew_factor=4):
     """Verdict/render/predicate memoization on repeated and skewed work.
 
     Two workloads where real deployments redecide identical questions: a
@@ -1397,64 +998,20 @@ def cache_effectiveness(
     :class:`~repro.gpu.costmodel.GpuCostModel` over recorded operation
     counters, so the saving is platform-independent) plus hit tallies.
     """
-    scale = get_scale(scale)
-    model = GpuCostModel()
-    rows: List[Tuple] = []
-
-    def run_modes(workload: str, runner) -> None:
-        reference = None
-        reference_stats = None
-        off_cost = None
-        for mode, cache in (
-            ("cache-off", CacheConfig.disabled()),
-            ("cache-on", CacheConfig()),
-        ):
-            engine = HardwareEngine(
-                HardwareConfig(resolution=resolution, cache=cache)
-            )
-            answers, results = runner(engine)
-            if reference is None:
-                reference, reference_stats = answers, engine.stats
-            else:
-                assert answers == reference, "caching changed an answer"
-                assert engine.stats == reference_stats, (
-                    "caching changed RefinementStats"
-                )
-            cost = model.evaluate(engine.gpu_counters)
-            if off_cost is None:
-                off_cost = cost
-            reduction = (1.0 - cost / off_cost) * 100.0 if off_cost else 0.0
-            totals = engine.caches.totals()
-            rows.append(
-                (
-                    workload,
-                    mode,
-                    round(cost, 1),
-                    round(reduction, 1),
-                    totals.hits,
-                    round(totals.hit_rate, 3),
-                    results,
-                )
-            )
-
     # Workload 1: the STATES50 query set answered `repeats` times over.
-    ds = scale.load("WATER", role="selection")
-    queries = list(scale.load("STATES50", role="selection").polygons)
+    ds = ctx.load("WATER", role="selection")
+    ctx.params.update(resolution=resolution, repeats=repeats, skew_factor=skew_factor)
+    queries = ctx.queries()
 
-    def run_selection(engine):
+    def run_selection(engine) -> List[List[int]]:
         selection = IntersectionSelection(ds, engine)
-        answers = [
-            selection.run(q).ids for _ in range(repeats) for q in queries
-        ]
-        return answers, sum(len(ids) for ids in answers)
-
-    run_modes(f"selection x{repeats}", run_selection)
+        return [selection.run(q).ids for _ in range(repeats) for q in queries]
 
     # Workload 2: layer B's content repeats; rebuilt from raw coordinates
     # so the duplicates are distinct objects that only the content digests
     # can recognize as equal.
-    ds_a = scale.load("LANDC", role="join")
-    base_b = scale.load("LANDO", role="join")
+    ds_a = ctx.load("LANDC", record=False)
+    base_b = ctx.load("LANDO", record=False)
     originals = base_b.polygons[: max(1, len(base_b.polygons) // skew_factor)]
     skewed = SpatialDataset(
         "LANDO-SKEW",
@@ -1464,50 +1021,56 @@ def cache_effectiveness(
         ],
         world=base_b.world,
     )
-
-    def run_join(engine):
-        result = IntersectionJoin(ds_a, skewed, engine).run()
-        return result.pairs, len(result.pairs)
-
-    run_modes(f"join skew x{skew_factor}", run_join)
-
-    return ExperimentResult(
-        experiment_id="cache",
-        title="Verdict/render/predicate memoization on repeated and skewed work",
-        params=_params(
-            scale,
-            "selection",
-            ("WATER",),
-            resolution=resolution,
-            repeats=repeats,
-            skew_factor=skew_factor,
-        ),
-        columns=(
-            "workload",
-            "mode",
-            "abstract_cost",
-            "reduction_%",
-            "cache_hits",
-            "hit_rate",
-            "results",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Section 4.3 attributes the hardware's break-even point to a "
-            "fixed per-test cost; memoization removes that cost entirely "
-            "for repeated test identities.  Expect >= 30% abstract "
-            "geometry-cost reduction on the repeated query set (second "
-            "pass nearly free) and a reduction tracking the duplication "
-            "ratio on the skewed join, with zero change in answers."
-        ),
-    )
+    model = GpuCostModel()
+    for workload, work, count in (
+        (f"selection x{repeats}", run_selection, lambda answers: sum(map(len, answers))),
+        (f"join skew x{skew_factor}", _join(ds_a, skewed), lambda result: len(result.pairs)),
+    ):
+        engines = (
+            ctx.hardware(resolution=resolution, cache=cache)
+            for cache in (CacheConfig.disabled(), CacheConfig())
+        )
+        off, on = ctx.sweep(engines, work, stats=True)
+        off_cost = model.evaluate(off.engine.gpu_counters)
+        for mode, run in (("cache-off", off), ("cache-on", on)):
+            cost = model.evaluate(run.engine.gpu_counters)
+            totals = run.engine.caches.totals()
+            yield (
+                workload,
+                mode,
+                round(cost, 1),
+                saving_pct(off_cost, cost),
+                totals.hits,
+                round(totals.hit_rate, 3),
+                count(run.result),
+            )
 
 
-def interval_filter(
-    scale=DEFAULT_SCALE,
-    resolution: int = 8,
-    level: int = DEFAULT_INTERVAL_LEVEL,
-) -> ExperimentResult:
+@experiment(
+    "intervals",
+    title="Raster-interval second filter on the intersection join",
+    columns=(
+        exact("mode"),
+        exact("candidates"),
+        exact("interval_hits"),
+        exact("interval_drops"),
+        exact("hw_tests"),
+        exact("hw_reduction_%"),
+        wall("wall_ms"),
+        exact("model_ms"),
+        exact("results"),
+        wall("pair_test_us"),
+    ),
+    paper_expectation=(
+        "Georgiadis et al.: precomputed interval encodings on a "
+        "pair-common grid decide most MBR-surviving pairs with pure "
+        "integer interval algebra, so the hardware test only sees the "
+        "genuinely ambiguous ones.  Expect >= 30% fewer hw_tests at "
+        "level 8 with bit-identical join results and exact funnel "
+        "identities in both configurations."
+    ),
+)
+def interval_filter(ctx, resolution=8, level=DEFAULT_INTERVAL_LEVEL):
     """The raster-interval second filter on the paper-style join.
 
     Runs LANDC |><| LANDO twice on otherwise identical hardware engines -
@@ -1517,49 +1080,29 @@ def interval_filter(
     precomputed interval encodings settled without rendering and what
     that removed from the hardware test's workload (``hw_tests``).  The
     per-pair interval test itself is timed on the two heaviest polygons
-    (``pair_test_us`` in the params): a sorted-run ``searchsorted`` merge,
+    (the ``pair_test_us`` cell): a sorted-run ``searchsorted`` merge,
     microseconds at level 8 - cheap enough to sit in front of every
     refinement candidate.
     """
-    scale = get_scale(scale)
-    ds_a = scale.load("LANDC", role="join")
-    ds_b = scale.load("LANDO", role="join")
-    rows: List[Tuple] = []
-    reference_pairs = None
-    off_hw_tests = 0
-    for mode, use in (("intervals-off", False), ("intervals-on", True)):
-        engine = HardwareEngine(HardwareConfig(resolution=resolution))
-        join = IntersectionJoin(
-            ds_a, ds_b, engine, use_intervals=use, interval_level=level
-        )
-        start = time.perf_counter()
-        result, funnel = explain_run("join", engine, join.run)
-        wall_ms = (time.perf_counter() - start) * _MS
-        violations = funnel.check()
-        assert not violations, f"funnel identities violated: {violations}"
-        hw_tests = engine.stats.hw_tests
-        if reference_pairs is None:
-            reference_pairs, off_hw_tests = result.pairs, hw_tests
-        else:
-            assert result.pairs == reference_pairs, (
-                "interval filter changed the join answer"
+    ds_a, ds_b, _ = ctx.load_pair(("LANDC", "LANDO"))
+    ctx.params.update(resolution=resolution, level=level)
+
+    def explained(use_intervals: bool):
+        def work(engine):
+            join = IntersectionJoin(
+                ds_a, ds_b, engine, use_intervals=use_intervals, interval_level=level
             )
-        reduction = (
-            (1.0 - hw_tests / off_hw_tests) * 100.0 if off_hw_tests else 0.0
-        )
-        rows.append(
-            (
-                mode,
-                int(result.cost.candidates_after_mbr),
-                int(result.cost.interval_hits),
-                int(result.cost.interval_drops),
-                hw_tests,
-                round(reduction, 1),
-                round(wall_ms, 1),
-                round(_model_ms(engine), 1),
-                len(result.pairs),
-            )
-        )
+            result, funnel = explain_run("join", engine, join.run)
+            violations = funnel.check()
+            if violations:
+                raise AssertionError(f"funnel identities violated: {violations}")
+            return result
+
+        return work
+
+    off, on = ctx.compare(
+        ctx.run(ctx.hardware(resolution=resolution), explained(use)) for use in (False, True)
+    )
 
     # Per-pair cost of the vectorized interval merge, measured on the two
     # heaviest (most-vertex, hence most-run) polygons of the workload.
@@ -1567,100 +1110,23 @@ def interval_filter(
     enc_a = index.encode(max(ds_a.polygons, key=lambda p: p.num_vertices))
     enc_b = index.encode(max(ds_b.polygons, key=lambda p: p.num_vertices))
     reps = 512
-    start = time.perf_counter()
-    for _ in range(reps):
-        classify_intervals(enc_a, enc_b)
-    pair_test_us = (time.perf_counter() - start) / reps * 1e6
+    timed = ctx.run(None, lambda _: [classify_intervals(enc_a, enc_b) for _ in range(reps)])
+    pair_test_us = timed.wall_ms / reps * 1000.0
 
-    return ExperimentResult(
-        experiment_id="intervals",
-        title="Raster-interval second filter on the intersection join",
-        params=_params(
-            scale,
-            "join",
-            ("LANDC", "LANDO"),
-            resolution=resolution,
-            level=level,
-            pair_test_us=round(pair_test_us, 2),
-        ),
-        columns=(
-            "mode",
-            "candidates",
-            "interval_hits",
-            "interval_drops",
-            "hw_tests",
-            "hw_reduction_%",
-            "wall_ms",
-            "model_ms",
-            "results",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "Georgiadis et al.: precomputed interval encodings on a "
-            "pair-common grid decide most MBR-surviving pairs with pure "
-            "integer interval algebra, so the hardware test only sees the "
-            "genuinely ambiguous ones.  Expect >= 30% fewer hw_tests at "
-            "level 8 with bit-identical join results and exact funnel "
-            "identities in both configurations."
-        ),
-    )
-
-
-def _exec_parallel_layers(
-    factor: float, min_candidates: int
-) -> Tuple[SpatialDataset, SpatialDataset]:
-    """Two generated layers sized to produce >= ``min_candidates`` pairs."""
-    from ..datasets import GeneratorConfig, VertexCountModel, generate_layer
-    from ..geometry import Rect
-
-    count_a, count_b = int(170 * factor), int(210 * factor)
-    for attempt in range(4):
-        world = Rect(0.0, 0.0, 100.0, 100.0)
-        config = dict(
-            world=world,
-            vertex_model=VertexCountModel(vmin=4, vmax=80, mean=18.0),
-            coverage=1.3,
-            cluster_count=7,
-            cluster_spread=0.12,
-            roughness=0.35,
+    for mode, run, pair_us in (
+        ("intervals-off", off, "-"),
+        ("intervals-on", on, round(pair_test_us, 2)),
+    ):
+        cost = run.result.cost
+        yield (
+            mode,
+            int(cost.candidates_after_mbr),
+            int(cost.interval_hits),
+            int(cost.interval_drops),
+            run.engine.stats.hw_tests,
+            saving_pct(off.engine.stats.hw_tests, run.engine.stats.hw_tests),
+            round(run.wall_ms, 1),
+            round(run.model_ms, 1),
+            len(run.result.pairs),
+            pair_us,
         )
-        ds_a = SpatialDataset(
-            "EXEC-A",
-            generate_layer(GeneratorConfig(count=count_a, **config), seed=211),
-            world=world,
-        )
-        ds_b = SpatialDataset(
-            "EXEC-B",
-            generate_layer(GeneratorConfig(count=count_b, **config), seed=212),
-            world=world,
-        )
-        if len(plane_sweep_mbr_join(ds_a.mbrs, ds_b.mbrs)) >= min_candidates:
-            return ds_a, ds_b
-        count_a, count_b = count_a * 2, count_b * 2
-    return ds_a, ds_b
-
-
-#: All drivers by experiment id (used by the CLI and the benchmarks).
-ALL_EXPERIMENTS = {
-    "table2": table2,
-    "fig10": fig10_selection_tiling,
-    "fig11": fig11_selection_resolution,
-    "fig12": fig12_join_resolution,
-    "fig13": fig13_sw_threshold,
-    "fig14": fig14_distance_software,
-    "fig15": fig15_distance_resolution,
-    "fig16": fig16_distance_sweep,
-    "ablation-restricted-sweep": ablation_restricted_sweep,
-    "ablation-mindist": ablation_mindist_opts,
-    "ext-distance-field": ext_distance_field,
-    "ext-containment": ext_containment,
-    "ext-voronoi-nn": ext_voronoi_nn,
-    "ablation-hull-filter": ablation_hull_filter,
-    "ablation-minmax": ablation_minmax,
-    "ablation-overlap-methods": ablation_overlap_methods,
-    "ablation-projection": ablation_projection,
-    "exec-parallel": exec_parallel,
-    "batch-refine": batch_refine,
-    "cache": cache_effectiveness,
-    "intervals": interval_filter,
-}

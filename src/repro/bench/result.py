@@ -1,9 +1,10 @@
 """Experiment result container and text formatting.
 
-Every experiment driver returns an :class:`ExperimentResult`: an id tied to
+Every experiment run returns an :class:`ExperimentResult`: an id tied to
 the paper's table/figure, the parameters used (including dataset scale
-factors, so reported numbers are reproducible), column names, data rows, and
-the paper's qualitative expectation for comparison in EXPERIMENTS.md.
+factors, so reported numbers are reproducible), column names (and which of
+them are exact, i.e. equal in every run), data rows, and the paper's
+qualitative expectation for comparison in EXPERIMENTS.md.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import Any, Dict, List, Sequence, Tuple
 
 @dataclass
 class ExperimentResult:
-    """Structured output of one experiment driver."""
+    """Structured output of one experiment run."""
 
     experiment_id: str
     title: str
@@ -23,23 +24,24 @@ class ExperimentResult:
     rows: List[Tuple[Any, ...]]
     paper_expectation: str = ""
     notes: List[str] = field(default_factory=list)
+    #: The columns whose cells are deterministic (the rest are timings).
+    exact_columns: Sequence[str] = ()
+
+    def records(self) -> List[Dict[str, Any]]:
+        """The rows as ``{column: cell}`` mappings, for reads by name."""
+        return [dict(zip(self.columns, row)) for row in self.rows]
 
     def format(self) -> str:
         """Render the result as an aligned text table (paper-style rows)."""
         header = [str(c) for c in self.columns]
         body = [[_fmt(v) for v in row] for row in self.rows]
-        widths = [
-            max(len(header[i]), *(len(r[i]) for r in body)) if body else len(header[i])
-            for i in range(len(header))
-        ]
+        widths = [max(map(len, cells)) for cells in zip(header, *body)]
         lines = [
             f"== {self.experiment_id}: {self.title} ==",
             "params: " + ", ".join(f"{k}={v}" for k, v in self.params.items()),
-            "  ".join(h.ljust(w) for h, w in zip(header, widths)),
-            "  ".join("-" * w for w in widths),
         ]
-        for r in body:
-            lines.append("  ".join(v.ljust(w) for v, w in zip(r, widths)))
+        for cells in (header, ["-" * w for w in widths], *body):
+            lines.append("  ".join(c.ljust(w) for c, w in zip(cells, widths)))
         if self.paper_expectation:
             lines.append(f"paper: {self.paper_expectation}")
         for note in self.notes:

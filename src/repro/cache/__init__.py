@@ -34,7 +34,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .config import CacheConfig, default_cache_config, set_default_cache_config
+from .config import CacheConfig
 from .keys import window_key
 from .lru import MISSING, LruCache
 from .predicate import PredicateCache
@@ -117,7 +117,5 @@ __all__ = [
     "PredicateCache",
     "RenderCache",
     "VerdictCache",
-    "default_cache_config",
-    "set_default_cache_config",
     "window_key",
 ]

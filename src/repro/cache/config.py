@@ -1,16 +1,17 @@
-"""Cache configuration and the process-wide default.
+"""Cache configuration.
 
 A :class:`CacheConfig` travels on :class:`~repro.core.config.HardwareConfig`
 (and on engine constructors directly) so every engine - serial, batched, or
 rebuilt inside a pool worker - knows exactly which caches to run and how
 large.  It is frozen, hashable, and picklable: the parallel executor ships
-the *resolved* configuration to workers, so a worker never consults its own
-process default (which would silently differ from the coordinator's).
+the engine's configuration to workers, so coordinator and workers cannot
+disagree about memoization.
 
 Caching defaults to **off**: the caches only remove redundant work, but
 off-by-default keeps every existing experiment and baseline bit-identical
 unless a run opts in (``python -m repro.bench ... --cache``, or an explicit
-``CacheConfig`` on the engine).
+``CacheConfig`` on the engine).  There is no process-wide default to
+mutate: an engine built without a cache argument has every layer off.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ class CacheConfig:
 
     @classmethod
     def disabled(cls) -> "CacheConfig":
-        """The all-off configuration (the process default)."""
+        """The all-off configuration (what an unconfigured engine runs)."""
         return cls(verdicts=False, renders=False, predicates=False)
 
     @property
@@ -48,27 +49,4 @@ class CacheConfig:
         return self.verdicts or self.renders or self.predicates
 
 
-#: The process default, used whenever ``HardwareConfig.cache`` (or an
-#: engine's ``cache`` argument) is left as None.
-_DEFAULT = CacheConfig.disabled()
-
-
-def default_cache_config() -> CacheConfig:
-    """The configuration unconfigured engines resolve to at construction."""
-    return _DEFAULT
-
-
-def set_default_cache_config(config: CacheConfig) -> CacheConfig:
-    """Replace the process default; returns the previous one.
-
-    Engines resolve the default **once, at construction** - changing it
-    never affects already-built engines.  This is the hook behind the
-    ``--cache`` / ``--no-cache`` CLI flags.
-    """
-    global _DEFAULT
-    previous = _DEFAULT
-    _DEFAULT = config
-    return previous
-
-
-__all__ = ["CacheConfig", "default_cache_config", "set_default_cache_config"]
+__all__ = ["CacheConfig"]

@@ -15,9 +15,8 @@ The three knobs the paper's evaluation sweeps:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
-from ..cache.config import CacheConfig, default_cache_config
+from ..cache.config import CacheConfig
 from ..gpu.state import DeviceLimits
 
 #: Accumulated gray level that marks a pixel touched by both polygons.  Both
@@ -53,12 +52,9 @@ class HardwareConfig:
     #: submission (:class:`~repro.gpu.tiled.TiledPipeline`); the effective
     #: capacity is also bounded by the device viewport limit.
     batch_tiles: int = 256
-    #: Memoization layers (:mod:`repro.cache`).  ``None`` means "use the
-    #: process default at engine construction time"
-    #: (:func:`~repro.cache.config.default_cache_config`, all-off unless a
-    #: run opts in); callers needing a pinned behavior pass an explicit
-    #: :class:`~repro.cache.config.CacheConfig` - see :meth:`resolved_cache`.
-    cache: Optional[CacheConfig] = None
+    #: Memoization layers (:mod:`repro.cache`); all-off unless the caller
+    #: passes an enabled :class:`~repro.cache.config.CacheConfig`.
+    cache: CacheConfig = CacheConfig.disabled()
 
     def __post_init__(self) -> None:
         if self.method not in OVERLAP_METHODS:
@@ -86,12 +82,3 @@ class HardwareConfig:
     def use_hardware_for(self, total_vertices: int) -> bool:
         """Section 4.3: hardware only pays off above the software threshold."""
         return total_vertices > self.sw_threshold
-
-    def resolved_cache(self) -> CacheConfig:
-        """The effective cache configuration for engines built from this.
-
-        The process default is read here, once per construction site, so a
-        worker rebuilt from a pickled resolved config can never disagree
-        with its coordinator.
-        """
-        return self.cache if self.cache is not None else default_cache_config()

@@ -18,10 +18,9 @@ experiments can report work distribution alongside wall-clock time.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Any, List, Optional, Protocol, Sequence
 
-from ..cache import CacheBundle, CacheConfig, default_cache_config
+from ..cache import CacheBundle, CacheConfig
 from ..geometry.min_dist import MinDistStats
 from ..geometry.polygon import Polygon
 from ..geometry.sweep import SweepStats
@@ -131,16 +130,13 @@ class SoftwareEngine(_StagedEngine):
     def __init__(
         self,
         restrict_search_space: bool = True,
-        cache: Optional[CacheConfig] = None,
+        cache: CacheConfig = CacheConfig.disabled(),
     ) -> None:
         super().__init__()
         self.name = "software"
         self.restrict_search_space = restrict_search_space
-        #: Resolved once at construction (``None`` reads the process
-        #: default), so sharded workers rebuilt from a pickled spec can
-        #: never disagree with their coordinator.
-        self.cache_config = cache if cache is not None else default_cache_config()
-        self.caches = CacheBundle(self.cache_config)
+        self.cache_config = cache
+        self.caches = CacheBundle(cache)
 
 
 class HardwareEngine(_StagedEngine):
@@ -148,13 +144,7 @@ class HardwareEngine(_StagedEngine):
 
     def __init__(self, config: Optional[HardwareConfig] = None) -> None:
         super().__init__()
-        config = config if config is not None else HardwareConfig()
-        if config.cache is None:
-            # Pin the process default into the config so the engine (and any
-            # worker rebuilt from its pickled config) has one resolved cache
-            # behavior for its whole lifetime.
-            config = replace(config, cache=default_cache_config())
-        self.config = config
+        self.config = config if config is not None else HardwareConfig()
         self.name = f"hardware[{self.config.resolution}x{self.config.resolution}]"
         self.hw = HardwareSegmentTest(self.config)
 

@@ -82,11 +82,10 @@ class HardwareSegmentTest:
         st.blend = False
         st.color = EDGE_COLOR
         self._tiled: Optional[TiledPipeline] = None
-        #: Memoization layers (:mod:`repro.cache`), resolved once here so a
-        #: tester's behavior is pinned at construction.  The verdict cache
+        #: Memoization layers (:mod:`repro.cache`).  The verdict cache
         #: short-circuits whole tests; the render cache (installed on the
         #: pipeline) reuses per-boundary coverage masks inside a test.
-        self.caches = CacheBundle(self.config.resolved_cache())
+        self.caches = CacheBundle(self.config.cache)
         self.verdict_cache = self.caches.verdict
         self.pipeline.render_cache = self.caches.render
 

@@ -70,17 +70,15 @@ from .partition import partition_items, shard_count_for
 class EngineSpec:
     """A picklable recipe for rebuilding an engine inside a worker.
 
-    Always carries the *resolved* cache configuration (the hardware
-    engine pins it into its :class:`HardwareConfig` at construction; the
-    software engine's resolved config rides in :attr:`cache`), so a worker
-    never consults its own process default - coordinator and workers
-    cannot disagree about memoization.
+    Carries the engine's cache configuration (inside the hardware
+    engine's :class:`HardwareConfig`; in :attr:`cache` for the software
+    engine), so coordinator and workers cannot disagree about memoization.
     """
 
     kind: str  # "software" | "hardware"
     restrict_search_space: bool = True
     config: Optional[HardwareConfig] = None
-    cache: Optional[CacheConfig] = None
+    cache: CacheConfig = CacheConfig.disabled()
 
     @classmethod
     def for_engine(cls, engine: RefinementEngine) -> "EngineSpec":

@@ -11,6 +11,10 @@ walks two :mod:`~repro.obs.runreport` artifacts and reports:
   primitive counters, and non-timing metric families are deterministic
   for a fixed workload, so they must match exactly (or within
   ``--counter-tolerance`` when comparing across library versions);
+* **table mismatches** - every cell of a column the baseline lists in
+  ``exact_columns`` (counts, modeled milliseconds, rates) must equal the
+  baseline's bit for bit, whatever the tolerances; a baseline written
+  before that key existed gates only the row count;
 * **structural mismatches** - experiments or metric series missing from
   the current report.
 
@@ -148,6 +152,33 @@ class _Comparer:
                 )
             )
 
+    def exact_cells(
+        self, path: str, baseline: Mapping[str, Any], current: Mapping[str, Any]
+    ) -> None:
+        """The baseline's ``exact_columns``, cell by cell, with ``==``."""
+        base_columns = baseline.get("columns", [])
+        cur_columns = current.get("columns", [])
+        for column in baseline.get("exact_columns", ()):
+            if column not in cur_columns:
+                self.findings.append(
+                    Finding("mismatch", f"{path}.columns", column, None, "missing")
+                )
+                continue
+            i, j = base_columns.index(column), cur_columns.index(column)
+            for n, (base_row, cur_row) in enumerate(
+                zip(baseline.get("rows", []), current.get("rows", []))
+            ):
+                if base_row[i] != cur_row[j]:
+                    self.findings.append(
+                        Finding(
+                            "mismatch",
+                            f"{path}.rows[{n}].{column}",
+                            base_row[i],
+                            cur_row[j],
+                            "exact cell changed",
+                        )
+                    )
+
     # -- section comparisons ----------------------------------------------
 
     def _pairs(
@@ -271,6 +302,7 @@ def compare_reports(
             base_exp.get("row_count"),
             cur_exp.get("row_count"),
         )
+        cmp.exact_cells(prefix, base_exp, cur_exp)
         cmp.numeric_section(
             f"{prefix}.cost_breakdown",
             base_exp.get("cost_breakdown", {}),

@@ -6,7 +6,8 @@ single versioned artifact a CI gate can diff - not a scatter of formatted
 tables.  A RunReport captures, per experiment:
 
 * the :class:`~repro.bench.result.ExperimentResult` rows (id, title,
-  params, columns, rows);
+  params, columns, rows) and which columns are *exact* - deterministic
+  cells the regression gate compares bit for bit;
 * the merged per-stage cost breakdown, refinement statistics and GPU
   primitive counters, reconstructed from the run's metric families
   (``stage_seconds``, ``cost_count``, ``refinement``, ``gpu``);
@@ -147,6 +148,7 @@ def experiment_entry(
         "title": result.title,
         "params": _to_jsonable(result.params),
         "columns": list(result.columns),
+        "exact_columns": list(result.exact_columns),
         "rows": _to_jsonable(result.rows),
         "row_count": len(result.rows),
         "wall_s": wall_s,

@@ -1,26 +1,49 @@
-"""Smoke and shape tests for the experiment drivers (tiny workloads).
+"""Smoke and shape tests for the experiment runner (tiny workloads).
 
-These are correctness tests of the *harness*: every driver must run, return
-well-formed rows, and satisfy the invariants that do not depend on workload
-size (engines agree, counters monotone, both clocks populated).  Paper-shape
-assertions live in benchmarks/.
+These are correctness tests of the *harness*: every declared experiment must
+run through ``run_experiment``, return well-formed rows, and satisfy the
+invariants that do not depend on workload size (engines agree, exact cells
+repeat, counters monotone, both clocks populated).  Paper-shape assertions
+live in benchmarks/.
 """
+
+import functools
 
 import pytest
 
-from repro.bench import (
-    ALL_EXPERIMENTS,
-    ablation_minmax,
-    ablation_overlap_methods,
-    ablation_projection,
-    ablation_restricted_sweep,
-    fig11_selection_resolution,
-    fig12_join_resolution,
-    fig13_sw_threshold,
-    fig16_distance_sweep,
-    table2,
-)
+from repro.bench import ALL_EXPERIMENTS, run_experiment
 from repro.bench.result import ExperimentResult
+from repro.bench.runner import RunContext, exact, wall
+from repro.cache import CacheConfig
+
+#: Axes that keep each experiment to a second or two at tiny scale; an id
+#: missing here runs its registered defaults.
+REDUCED_AXES = {
+    "fig10": dict(datasets=("PRISM",), levels=(0, 3)),
+    "fig11": dict(datasets=("PRISM",), resolutions=(4, 16)),
+    "fig12": dict(pairs=(("LANDC", "LANDO"),), resolutions=(2, 8)),
+    "fig13": dict(resolutions=(8,), thresholds=(0, 100, 10_000)),
+    "fig14": dict(pairs=(("LANDC", "LANDO"),), factors=(0.5, 1.0)),
+    "fig15": dict(pairs=(("LANDC", "LANDO"),), resolutions=(8,)),
+    "fig16": dict(pairs=(("LANDC", "LANDO"),), factors=(0.5, 2.0)),
+    "ext-distance-field": dict(pair=("LANDC", "LANDO"), factors=(1.0,)),
+    "ext-containment": dict(resolutions=(8,)),
+    "ext-voronoi-nn": dict(query_count=8),
+    "ablation-mindist": dict(pair=("LANDC", "LANDO")),
+    "ablation-minmax": dict(resolution=8),
+    "exec-parallel": dict(worker_counts=(2,)),
+    "batch-refine": dict(resolutions=(8,)),
+}
+
+
+@functools.lru_cache(maxsize=None)
+def tiny(experiment_id: str) -> ExperimentResult:
+    """One reduced-axes run per id, shared by every test below."""
+    return run_experiment(experiment_id, "tiny", **REDUCED_AXES.get(experiment_id, {}))
+
+
+def records(experiment_id: str):
+    return tiny(experiment_id).records()
 
 
 class TestRegistry:
@@ -49,93 +72,131 @@ class TestRegistry:
             "intervals",
         }
         assert set(ALL_EXPERIMENTS) == expected
+        assert set(REDUCED_AXES) <= expected
+
+    def test_reduced_axes_are_declared_axes(self):
+        for experiment_id, axes in REDUCED_AXES.items():
+            assert set(axes) <= set(ALL_EXPERIMENTS[experiment_id].axes)
+
+    def test_unknown_axis_is_refused(self):
+        with pytest.raises(TypeError):
+            run_experiment("table2", "tiny", resolutions=(8,))
+
+
+@pytest.mark.parametrize("experiment_id", sorted(ALL_EXPERIMENTS))
+class TestEveryExperiment:
+    def test_rows_match_the_declared_columns(self, experiment_id):
+        result = tiny(experiment_id)
+        declared = ALL_EXPERIMENTS[experiment_id]
+        assert isinstance(result, ExperimentResult)
+        assert result.experiment_id == experiment_id
+        assert tuple(result.columns) == declared.columns
+        assert all(isinstance(c, (exact, wall)) for c in declared.columns)
+        assert result.rows
+        for row in result.rows:
+            assert len(row) == len(result.columns)
+        assert "params:" in result.format()
+
+    def test_exact_cells_repeat(self, experiment_id):
+        # Catches a timing declared exact; the second run also exercises
+        # the runner's own engines-agree checks once more.
+        first = tiny(experiment_id)
+        again = run_experiment(
+            experiment_id, "tiny", **REDUCED_AXES.get(experiment_id, {})
+        )
+        assert again.params == first.params
+        assert len(again.rows) == len(first.rows)
+        for before, after in zip(first.records(), again.records()):
+            for column in first.exact_columns:
+                assert after[column] == before[column], column
 
 
 class TestTable2:
     def test_rows_and_format(self):
-        result = table2(scale="tiny")
-        assert isinstance(result, ExperimentResult)
+        result = tiny("table2")
         assert len(result.rows) == 5
         text = result.format()
         assert "LANDC" in text and "paper_mean" in text
         assert "params:" in text
 
     def test_row_width_matches_columns(self):
-        result = table2(scale="tiny")
+        result = tiny("table2")
         for row in result.rows:
             assert len(row) == len(result.columns)
 
 
 class TestJoinDrivers:
     def test_fig12_speedup_columns_populated(self):
-        result = fig12_join_resolution(
-            scale="tiny", pairs=(("LANDC", "LANDO"),), resolutions=(2, 8)
-        )
-        hw_rows = [r for r in result.rows if r[1] == "hardware"]
+        hw_rows = [r for r in records("fig12") if r["engine"] == "hardware"]
         assert len(hw_rows) == 2
         for r in hw_rows:
-            assert r[3] > 0.0  # wall_ms
-            assert r[4] > 0.0  # model_ms
-            assert 0.0 <= r[5] <= 1.0  # filter rate
+            assert r["wall_ms"] > 0.0
+            assert r["model_ms"] > 0.0
+            assert 0.0 <= r["hw_filter_rate"] <= 1.0
 
     def test_fig13_bypasses_monotone(self):
-        result = fig13_sw_threshold(
-            scale="tiny", resolutions=(8,), thresholds=(0, 100, 10_000)
-        )
-        hw = [r for r in result.rows if r[1] == "hardware"]
-        bypasses = [r[6] for r in hw]
+        hw = [r for r in records("fig13") if r["engine"] == "hardware"]
+        bypasses = [r["bypasses"] for r in hw]
         assert bypasses == sorted(bypasses)
         # At a huge threshold everything bypasses: no hardware tests remain.
         assert bypasses[-1] > 0
 
     def test_fig16_improvement_consistent(self):
-        result = fig16_distance_sweep(
-            scale="tiny", pairs=(("WATER", "PRISM"),), factors=(0.5, 2.0)
-        )
-        for r in result.rows:
-            expected = (1.0 - r[3] / r[2]) * 100.0
-            assert r[4] == pytest.approx(expected, abs=0.1)
+        for r in records("fig16"):
+            expected = (1.0 - r["hw_model_ms"] / r["sw_model_ms"]) * 100.0
+            assert r["improvement_%"] == pytest.approx(expected, abs=0.1)
 
 
 class TestSelectionDriver:
     def test_fig11_rows_shape(self):
-        result = fig11_selection_resolution(
-            scale="tiny", datasets=("PRISM",), resolutions=(4, 16)
-        )
-        engines = [r[1] for r in result.rows]
-        assert engines == ["software", "hardware", "hardware"]
-        rates = [r[5] for r in result.rows if r[1] == "hardware"]
+        rows = records("fig11")
+        assert [r["engine"] for r in rows] == ["software", "hardware", "hardware"]
+        rates = [r["hw_filter_rate"] for r in rows if r["engine"] == "hardware"]
         assert rates[1] >= rates[0]  # finer window filters no less
 
 
 class TestAblations:
     def test_restricted_sweep_identical_hits(self):
-        result = ablation_restricted_sweep(scale="tiny")
-        hits = {r[5] for r in result.rows}
-        assert len(hits) == 1
+        assert len({r["hits"] for r in records("ablation-restricted-sweep")}) == 1
 
     def test_minmax_agrees(self):
-        result = ablation_minmax(scale="tiny", resolution=8)
-        overlaps = {r[3] for r in result.rows}
-        assert len(overlaps) == 1
-        readback = next(r for r in result.rows if r[0] == "readback")
-        minmax = next(r for r in result.rows if r[0] == "minmax")
-        assert readback[2] > minmax[2]  # modeled bus cost
+        rows = {r["variant"]: r for r in records("ablation-minmax")}
+        assert rows["minmax"]["overlaps"] == rows["readback"]["overlaps"]
+        # modeled bus cost
+        assert rows["readback"]["model_ms"] > rows["minmax"]["model_ms"]
 
     def test_overlap_methods_differ_in_buffer_traffic(self):
         # Regression: run through the atlas, every method printed the same
         # accum_ops/buffer_clears row; the mechanisms only exist per pair.
-        result = ablation_overlap_methods(scale="tiny")
-        rows = {r[0]: r for r in result.rows}
-        assert len({r[3] for r in result.rows}) == 1  # identical hw_rejects
-        assert [m for m, r in rows.items() if r[4] > 0] == ["accum"]
-        assert rows["depth"][5] > rows["blend"][5]  # the extra depth clear
+        rows = {r["method"]: r for r in records("ablation-overlap-methods")}
+        assert len({r["hw_rejects"] for r in rows.values()}) == 1
+        assert [m for m, r in rows.items() if r["accum_ops"] > 0] == ["accum"]
+        # the extra depth clear
+        assert rows["depth"]["buffer_clears"] > rows["blend"]["buffer_clears"]
 
     def test_projection_focused_filters_more(self):
-        result = ablation_projection(scale="tiny")
-        focused = next(r for r in result.rows if r[0] == "intersection-window")
-        naive = next(r for r in result.rows if r[0] == "union-window")
-        assert focused[2] >= naive[2]
+        rows = {r["variant"]: r for r in records("ablation-projection")}
+        assert (
+            rows["intersection-window"]["hw_rejects"]
+            >= rows["union-window"]["hw_rejects"]
+        )
+
+
+class TestTheCompareLoop:
+    def test_a_changed_answer_is_refused(self):
+        ctx = RunContext("tiny", CacheConfig.disabled())
+        runs = [ctx.run(ctx.software(), lambda e: answer) for answer in ([1], [2])]
+        with pytest.raises(AssertionError, match="answers differ"):
+            ctx.compare(runs)
+
+    def test_changed_stats_are_refused_only_when_claimed(self):
+        ctx = RunContext("tiny", CacheConfig.disabled())
+        same, counted = ctx.software(), ctx.software()
+        counted.stats.pairs_tested += 1
+        runs = [ctx.run(engine, lambda e: [1]) for engine in (same, counted)]
+        assert len(ctx.compare(runs)) == 2
+        with pytest.raises(AssertionError, match="RefinementStats differ"):
+            ctx.compare(runs, stats=True)
 
 
 class TestCli:
@@ -145,6 +206,9 @@ class TestCli:
         assert main(["list"]) == 0
         out = capsys.readouterr().out
         assert "fig12" in out and "table2" in out
+        # id, title and the default axes
+        assert "Intersection join geometry comparison by resolution" in out
+        assert "resolutions=(1, 2, 4, 8, 16, 32)" in out
 
     def test_unknown_experiment(self, capsys):
         from repro.bench.__main__ import main
@@ -165,18 +229,26 @@ class TestCli:
         out = capsys.readouterr().out
         assert "paper_mean" in out and "minmax" in out
 
-    def test_cache_flags_are_exclusive(self, capsys):
+    def test_cache_flag_reaches_the_runs_engines_and_no_others(self, capsys, tmp_path):
+        import json
+
         from repro.bench.__main__ import main
+        from repro.core import HardwareEngine, SoftwareEngine
 
-        with pytest.raises(SystemExit):
-            main(["table2", "--cache", "--no-cache"])
+        def cache_counters(*flags):
+            out = tmp_path / "metrics.json"
+            argv = ["ext-containment", "--scale", "tiny", "--metrics-out", str(out)]
+            assert main(argv + list(flags)) == 0
+            counters = json.loads(out.read_text())["counters"]
+            return {k for k in counters if k.startswith("cache_")}
 
-    def test_cache_flag_sets_and_restores_default(self, capsys):
-        from repro.cache import CacheConfig, default_cache_config
-        from repro.bench.__main__ import main
-
-        assert default_cache_config() == CacheConfig.disabled()
-        assert main(["ablation-minmax", "--scale", "tiny", "--cache"]) == 0
-        # Restored on exit so in-process callers (tests, notebooks) are
-        # never left with a silently different process default.
-        assert default_cache_config() == CacheConfig.disabled()
+        # Both the software and the hardware engines of the run carry it...
+        assert {
+            "cache_misses{cache=predicate,op=sweep}",
+            "cache_misses{cache=verdict,op=intersect}",
+        } <= cache_counters("--cache")
+        # ...and nothing outlives the run: the next run, and an engine built
+        # without a cache argument, have every layer off.
+        assert cache_counters() == set()
+        assert HardwareEngine().caches.stats() == {}
+        assert SoftwareEngine().caches.stats() == {}

@@ -11,8 +11,6 @@ from repro.cache import (
     PredicateCache,
     RenderCache,
     VerdictCache,
-    default_cache_config,
-    set_default_cache_config,
 )
 from repro.core import HardwareVerdict
 from repro.geometry import Polygon, Rect
@@ -129,15 +127,19 @@ class TestCacheConfig:
         ).any_enabled
 
     def test_default_is_disabled(self):
-        assert default_cache_config() == CacheConfig.disabled()
+        # An engine built without a cache argument has every layer off,
+        # whatever ran before it: there is no process default to inherit.
+        from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 
-    def test_set_default_returns_previous(self):
-        previous = set_default_cache_config(CacheConfig())
-        try:
-            assert default_cache_config() == CacheConfig()
-        finally:
-            assert set_default_cache_config(previous) == CacheConfig()
-        assert default_cache_config() == previous
+        assert HardwareConfig().cache == CacheConfig.disabled()
+        cached = [
+            SoftwareEngine(cache=CacheConfig()),
+            HardwareEngine(HardwareConfig(cache=CacheConfig())),
+        ]
+        assert all(e.caches.stats() for e in cached)
+        for engine in (SoftwareEngine(), HardwareEngine(), HardwareEngine(HardwareConfig())):
+            assert engine.caches.config == CacheConfig.disabled()
+            assert engine.caches.stats() == {}
 
 
 class TestCacheBundle:

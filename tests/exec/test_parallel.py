@@ -90,11 +90,10 @@ class TestEngineSpec:
         engine = HardwareEngine(config)
         rebuilt = EngineSpec.for_engine(engine).build()
         assert isinstance(rebuilt, HardwareEngine)
-        # The engine pins the process-default cache config at construction
-        # (cache=None resolves to it), so the rebuilt worker engine matches
-        # the coordinator's *resolved* config, never its own default.
+        # The cache choice rides inside the config, so the rebuilt worker
+        # engine cannot disagree with the coordinator's.
         assert rebuilt.config == engine.config
-        assert rebuilt.config.cache is not None
+        assert rebuilt.config.cache == engine.config.cache
         assert rebuilt.config.resolution == config.resolution
         assert rebuilt.config.sw_threshold == config.sw_threshold
 

@@ -2,9 +2,13 @@
 
 import copy
 import json
+import math
+from pathlib import Path
 
 import pytest
 
+from repro.bench import ALL_EXPERIMENTS, run_experiment
+from repro.bench.runner import exact
 from repro.obs.__main__ import main as obs_main
 from repro.obs.compare import Finding, compare_reports
 from repro.obs.metrics import MetricsRegistry
@@ -131,6 +135,72 @@ class TestCompare:
     def test_negative_tolerance_rejected(self):
         with pytest.raises(ValueError):
             compare_reports(make_report(), make_report(), tolerance=-0.1)
+
+
+class TestExactCells:
+    """The gate reads the tables, not their length."""
+
+    #: The CI tolerances: generous for timings and counters, none for cells.
+    GATE = dict(tolerance=5.0, counter_tolerance=0.02)
+
+    @pytest.fixture(scope="class")
+    def figure(self):
+        result = run_experiment("ablation-minmax", "tiny", resolution=8)
+        entry = experiment_entry(result, MetricsRegistry().snapshot(), wall_s=0.1)
+        return build_run_report([entry], {}, scale="tiny", environment={})
+
+    def cell(self, report, row, column):
+        entry = report["experiments"][0]
+        return entry["rows"][row], entry["columns"].index(column)
+
+    def test_entry_lists_the_exact_columns(self, figure):
+        assert figure["experiments"][0]["exact_columns"] == [
+            "variant",
+            "model_ms",
+            "overlaps",
+        ]
+
+    def test_one_changed_exact_cell_fails(self, figure):
+        current = copy.deepcopy(figure)
+        row, j = self.cell(current, 1, "model_ms")
+        row[j] = math.nextafter(row[j], math.inf)  # one ulp
+        comparison = compare_reports(figure, current, **self.GATE)
+        assert [f.path for f in comparison.failures] == [
+            "experiments[ablation-minmax].rows[1].model_ms"
+        ]
+
+    def test_a_changed_wall_cell_passes(self, figure):
+        current = copy.deepcopy(figure)
+        row, j = self.cell(current, 0, "wall_ms")
+        row[j] *= 3.0
+        assert compare_reports(figure, current, **self.GATE).ok
+
+    def test_a_vanished_exact_column_fails(self, figure):
+        current = copy.deepcopy(figure)
+        entry = current["experiments"][0]
+        entry["columns"][entry["columns"].index("overlaps")] = "renamed"
+        comparison = compare_reports(figure, current, **self.GATE)
+        assert any(f.baseline == "overlaps" for f in comparison.failures)
+
+    def test_a_baseline_without_the_key_gates_as_before(self, figure):
+        # Artifacts written before the key existed still load and compare.
+        old = copy.deepcopy(figure)
+        del old["experiments"][0]["exact_columns"]
+        current = copy.deepcopy(figure)
+        row, j = self.cell(current, 1, "model_ms")
+        row[j] += 1.0
+        assert compare_reports(old, current, **self.GATE).ok
+
+    def test_committed_baseline_gates_every_experiment(self):
+        root = Path(__file__).resolve().parents[2]
+        with open(root / "benchmarks/baselines/run-report-tiny.json") as f:
+            baseline = json.load(f)
+        entries = {e["experiment_id"]: e for e in baseline["experiments"]}
+        assert set(entries) == set(ALL_EXPERIMENTS)
+        for experiment_id, declared in ALL_EXPERIMENTS.items():
+            assert entries[experiment_id]["exact_columns"] == [
+                c for c in declared.columns if isinstance(c, exact)
+            ]
 
 
 class TestCli:
