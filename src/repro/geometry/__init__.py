@@ -2,12 +2,11 @@
 
 Everything the refinement step needs, implemented from scratch: primitive
 types (:class:`Point`, :class:`Rect`, :class:`Segment`, :class:`Polygon`),
-exact predicates, the ray-crossing point-in-polygon test, red-blue boundary
-sweeps, the Shamos-Hoey simplicity sweep, and both reference and optimized
-polygon-distance algorithms.
+exact predicates, the ray-crossing point-in-polygon test, the boundary
+plane sweep (red-blue for intersection, single-set for simplicity), and both
+reference and optimized polygon-distance algorithms.
 """
 
-from .avl import AVLTree
 from .convex_hull import convex_hull, hull_polygon
 from .distance import (
     boundary_distance_brute_force,
@@ -49,16 +48,16 @@ from .segment import (
     segment_segment_distance,
     segment_segment_max_distance,
 )
-from .shamos_hoey import any_segments_intersect, polygon_is_simple
 from .sweep import (
     SweepStats,
+    any_segments_intersect,
     boundaries_intersect,
     boundaries_intersect_brute_force,
+    polygon_is_simple,
     polygons_intersect,
 )
 
 __all__ = [
-    "AVLTree",
     "MinDistStats",
     "Orientation",
     "Point",

@@ -255,10 +255,10 @@ class Polygon:
         """True when no two non-adjacent edges intersect and adjacent edges
         meet only at their shared endpoint.
 
-        Delegates to the Shamos-Hoey sweep; imported lazily to avoid a module
-        cycle (the sweep operates on polygons' edges).
+        Delegates to the single-set plane sweep; imported lazily to avoid a
+        module cycle (the sweep operates on polygons' edges).
         """
-        from .shamos_hoey import polygon_is_simple
+        from .sweep import polygon_is_simple
 
         return polygon_is_simple(self)
 

@@ -1,4 +1,4 @@
-"""Red-blue segment intersection detection for polygon boundaries.
+"""Plane-sweep segment intersection detection for polygon boundaries.
 
 This is the "Software Segment Intersection Test" of the paper (section 3.1),
 with the *restricted search space* optimization of section 4.1.1: only edges
@@ -13,23 +13,30 @@ a neighbor-only Shamos-Hoey status walk, this formulation is insensitive to
 the degeneracies real GIS polygons exhibit (shared endpoints, collinear
 edges, self-intersections of non-simple rings) because every candidate pair
 gets the exact closed-segment test.
+
+The same sweep over a single set of segments (:func:`any_segments_intersect`)
+decides polygon simplicity (:func:`polygon_is_simple`, the paper's footnote
+1); like the red-blue form it costs O(n * active) when many edges span the
+sweep line at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from .distance import either_contains
 from .point import Point
 from .polygon import Polygon
-from .predicates import segments_intersect
+from .predicates import on_segment, segments_intersect
 from .rect import Rect
 
 # Flattened edge record: (xmin, xmax, ymin, ymax, ax, ay, bx, by)
 _Edge = Tuple[float, float, float, float, float, float, float, float]
+
+IgnorePair = Callable[[int, int], bool]
 
 
 @dataclass
@@ -185,6 +192,79 @@ def polygons_intersect(
     if either_contains(a, b):
         return True
     return boundaries_intersect(a, b, restrict_search_space, stats)
+
+
+def any_segments_intersect(
+    segments: Sequence[Tuple[Point, Point]],
+    ignore: Optional[IgnorePair] = None,
+) -> Optional[Tuple[int, int]]:
+    """Return the indices of one intersecting pair, or None when none intersect.
+
+    ``ignore(i, j)`` may exempt specific pairs (it is consulted with the
+    original indices into ``segments``, in either order).  Zero-length
+    segments are treated as points and participate normally.
+    """
+    # (xmin, xmax, ymin, ymax, index), swept in xmin order like the red-blue
+    # form, with one active list: every arrival meets every earlier survivor.
+    arrivals = sorted(
+        (min(p.x, q.x), max(p.x, q.x), min(p.y, q.y), max(p.y, q.y), i)
+        for i, (p, q) in enumerate(segments)
+    )
+    active: List[Tuple[float, float, float, float, int]] = []
+    for arrival in arrivals:
+        x, _, ymin, ymax, i = arrival
+        kept = []
+        for other in active:
+            if other[1] < x:
+                continue
+            kept.append(other)
+            j = other[4]
+            if (
+                other[2] <= ymax
+                and ymin <= other[3]
+                and not (ignore is not None and ignore(i, j))
+                and segments_intersect(*segments[i], *segments[j])
+            ):
+                return (i, j)
+        kept.append(arrival)
+        active = kept
+    return None
+
+
+def polygon_is_simple(polygon: Polygon) -> bool:
+    """Simplicity check per the paper's footnote 1.
+
+    A polygon is simple when its boundary neither self-intersects nor visits
+    any vertex more than twice: adjacent edges may share exactly their common
+    endpoint, and nothing else may touch.  Repeated consecutive vertices
+    (zero-length edges) make a polygon non-simple.
+    """
+    n = polygon.num_vertices
+    ax, ay, bx, by = polygon.edges_array.T
+    if ((ax == bx) & (ay == by)).any():
+        return False
+
+    edges: List[Tuple[Point, Point]] = list(polygon.edges())
+
+    def adjacent_ok(i: int, j: int) -> bool:
+        """Exempt adjacent edges - but only if they touch at just the shared
+        vertex.  A fold-back (far endpoint on the neighbor) is detected here
+        and reported as a conflict by *not* exempting the pair."""
+        if (j + 1) % n == i:
+            i, j = j, i
+        elif (i + 1) % n != j:
+            return False
+        # Edge i is (a, v), edge j is (v, b); conflict beyond v?
+        a, v = edges[i]
+        v2, b = edges[j]
+        assert v == v2
+        if on_segment(b, a, v) and b != v:
+            return False
+        if on_segment(a, v, b) and a != v:
+            return False
+        return True
+
+    return any_segments_intersect(edges, ignore=adjacent_ok) is None
 
 
 def boundaries_intersect_brute_force(a: Polygon, b: Polygon) -> bool:

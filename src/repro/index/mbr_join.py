@@ -1,17 +1,11 @@
-"""MBR join algorithms: the filtering stage of spatial joins.
+"""The MBR join: the filtering stage of spatial joins.
 
 Figure 8's first stage for joins produces candidate *pairs* whose MBRs
 intersect (intersection join) or lie within distance D (within-distance
-join).  Two algorithms are provided:
-
-* :func:`plane_sweep_mbr_join` - sort both MBR sets by xmin and sweep,
-  the classic in-memory MBR join; distance joins sweep with rectangles
-  conceptually expanded by D.
-* :func:`rtree_sync_join` - synchronized depth-first traversal of two
-  R-trees, included as the index-based alternative.
-
-Both return identical pair sets (asserted by the property tests); the
-pipelines default to the plane sweep, which needs no index build.
+join).  :func:`plane_sweep_mbr_join` is the one algorithm: sort both MBR
+sets by xmin and sweep, the classic in-memory MBR join, which needs no index
+build; distance joins sweep with rectangles conceptually expanded by D.
+:func:`nested_loop_mbr_join` is its quadratic oracle in the property tests.
 """
 
 from __future__ import annotations
@@ -19,7 +13,6 @@ from __future__ import annotations
 from typing import List, Sequence, Tuple
 
 from ..geometry.rect import Rect
-from .rtree import RTree, RTreeNode
 
 
 def plane_sweep_mbr_join(
@@ -55,46 +48,6 @@ def plane_sweep_mbr_join(
                 out.append((idx, other_idx) if side == 0 else (other_idx, idx))
         active[1 - side] = kept
         active[side].append((idx, rect))
-    return out
-
-
-def rtree_sync_join(
-    tree_a: RTree, tree_b: RTree, distance: float = 0.0
-) -> List[Tuple[object, object]]:
-    """Oid pairs from a synchronized traversal of two R-trees."""
-    if distance < 0.0:
-        raise ValueError("distance must be non-negative")
-    out: List[Tuple[object, object]] = []
-    if tree_a.root.mbr is None or tree_b.root.mbr is None:
-        return out
-
-    stack: List[Tuple[RTreeNode, RTreeNode]] = [(tree_a.root, tree_b.root)]
-    while stack:
-        node_a, node_b = stack.pop()
-        if node_a.mbr is None or node_b.mbr is None:
-            continue
-        if not node_a.mbr.within_distance(node_b.mbr, distance):
-            continue
-        if node_a.is_leaf and node_b.is_leaf:
-            for mbr_a, oid_a in node_a.entries:
-                for mbr_b, oid_b in node_b.entries:
-                    if mbr_a.within_distance(mbr_b, distance):
-                        out.append((oid_a, oid_b))
-        elif node_a.is_leaf:
-            for mbr_b, child_b in node_b.entries:
-                if node_a.mbr.within_distance(mbr_b, distance):
-                    stack.append((node_a, child_b))  # type: ignore[arg-type]
-        elif node_b.is_leaf:
-            for mbr_a, child_a in node_a.entries:
-                if mbr_a.within_distance(node_b.mbr, distance):
-                    stack.append((child_a, node_b))  # type: ignore[arg-type]
-        else:
-            for mbr_a, child_a in node_a.entries:
-                if not mbr_a.within_distance(node_b.mbr, distance):
-                    continue
-                for mbr_b, child_b in node_b.entries:
-                    if mbr_a.within_distance(mbr_b, distance):
-                        stack.append((child_a, child_b))  # type: ignore[arg-type]
     return out
 
 

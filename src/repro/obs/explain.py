@@ -10,6 +10,8 @@ funnel, with every candidate attributed to exactly one resolving stage:
 
 ``candidates``
     pairs admitted by the MBR/index stage (``cost.candidates_after_mbr``);
+``hull_proven_disjoint``
+    dropped by the convex-hull geometric filter (``cost.hull_drops``);
 ``interior_filter_hits``
     resolved by the intermediate (interior) filter before refinement;
 ``interval_proven_intersecting``
@@ -24,6 +26,9 @@ funnel, with every candidate attributed to exactly one resolving stage:
     rejected by the refinement-local MBR/locate prefilter;
 ``pip_resolved``
     resolved positively by the point-in-polygon step (Algorithm 3.1.1);
+``sw_direct``
+    sent straight to software because the engine has no hardware stage
+    (the software baseline); zero for a hardware engine;
 ``threshold_skipped``
     sent straight to software because ``n + m <= sw_threshold``;
 ``hw_proven_disjoint``
@@ -47,11 +52,11 @@ Three identities tie the stages together, and :meth:`QueryFunnel.check`
 enforces them (``python -m repro.obs explain`` exits non-zero on any
 violation):
 
-* ``candidates == interior_filter_hits + interval_proven_intersecting
-  + interval_proven_disjoint + refined``
+* ``candidates == hull_proven_disjoint + interior_filter_hits
+  + interval_proven_intersecting + interval_proven_disjoint + refined``
 * ``refined == prefilter_drops + pip_resolved + hw_proven_disjoint
   + sw_exact``
-* ``sw_exact == threshold_skipped + hw_needs_sweep
+* ``sw_exact == sw_direct + threshold_skipped + hw_needs_sweep
   + hw_overflow_fallbacks``
 
 Like the rest of :mod:`repro.obs`, this module imports nothing from the
@@ -75,6 +80,7 @@ EXPLAIN_SCHEMA = "repro.obs/explain@1"
 #: Funnel stage names, in report order.
 FUNNEL_STAGES = (
     "candidates",
+    "hull_proven_disjoint",
     "interior_filter_hits",
     "interval_proven_intersecting",
     "interval_proven_disjoint",
@@ -83,6 +89,7 @@ FUNNEL_STAGES = (
     "pip_resolved",
     "hw_proven_disjoint",
     "sw_exact",
+    "sw_direct",
     "threshold_skipped",
     "hw_needs_sweep",
     "hw_overflow_fallbacks",
@@ -115,12 +122,14 @@ class QueryFunnel:
 
     pipeline: str
     candidates: float = 0
+    hull_proven_disjoint: float = 0
     interior_filter_hits: float = 0
     interval_proven_intersecting: float = 0
     interval_proven_disjoint: float = 0
     refined: float = 0
     prefilter_drops: float = 0
     pip_resolved: float = 0
+    sw_direct: float = 0
     threshold_skipped: float = 0
     hw_proven_disjoint: float = 0
     hw_needs_sweep: float = 0
@@ -154,11 +163,12 @@ class QueryFunnel:
         """Violated funnel identities (empty when the funnel is exact)."""
         identities: Tuple[Tuple[str, float, float], ...] = (
             (
-                "candidates == interior_filter_hits"
+                "candidates == hull_proven_disjoint + interior_filter_hits"
                 " + interval_proven_intersecting"
                 " + interval_proven_disjoint + refined",
                 self.candidates,
-                self.interior_filter_hits
+                self.hull_proven_disjoint
+                + self.interior_filter_hits
                 + self.interval_proven_intersecting
                 + self.interval_proven_disjoint
                 + self.refined,
@@ -173,10 +183,11 @@ class QueryFunnel:
                 + self.sw_exact,
             ),
             (
-                "sw_exact == threshold_skipped + hw_needs_sweep"
+                "sw_exact == sw_direct + threshold_skipped + hw_needs_sweep"
                 " + hw_overflow_fallbacks",
                 self.sw_exact,
-                self.threshold_skipped
+                self.sw_direct
+                + self.threshold_skipped
                 + self.hw_needs_sweep
                 + self.hw_overflow_fallbacks,
             ),
@@ -212,21 +223,29 @@ def dataclass_values(container: Any) -> Dict[str, Any]:
 
 
 def funnel_from_deltas(
-    pipeline: str, deltas: Mapping[str, float], cost: Optional[Any] = None
+    pipeline: str,
+    deltas: Mapping[str, float],
+    cost: Optional[Any] = None,
+    engine: Optional[Any] = None,
 ) -> QueryFunnel:
     """Build a funnel from RefinementStats deltas (and an optional cost).
 
     Without a :class:`~repro.query.costs.CostBreakdown`, the refinement
     loop *is* the whole funnel: candidates equal the pairs tested and no
-    interior-filter stage exists.
+    interior-filter stage exists.  ``engine`` is the engine the deltas came
+    from: one whose ``hw`` is ``None`` has no hardware stage, so its exact
+    tests are ``sw_direct`` - read off the engine, never a residual, which
+    keeps the third identity as strict as before for hardware runs.
     """
     refined = deltas.get("pairs_tested", 0)
+    sw_exact = deltas.get("sw_segment_tests", 0) + deltas.get("sw_distance_tests", 0)
     funnel = QueryFunnel(
         pipeline=pipeline,
         candidates=refined,
         refined=refined,
         prefilter_drops=deltas.get("prefilter_drops", 0),
         pip_resolved=deltas.get("pip_hits", 0),
+        sw_direct=sw_exact if engine is not None and engine.hw is None else 0,
         threshold_skipped=deltas.get("threshold_bypasses", 0),
         hw_proven_disjoint=deltas.get("hw_rejects", 0),
         hw_needs_sweep=(
@@ -236,14 +255,12 @@ def funnel_from_deltas(
         ),
         hw_overflow_fallbacks=deltas.get("width_limit_fallbacks", 0),
         hw_false_positives=deltas.get("hw_false_positives", 0),
-        sw_exact=(
-            deltas.get("sw_segment_tests", 0)
-            + deltas.get("sw_distance_tests", 0)
-        ),
+        sw_exact=sw_exact,
         results=deltas.get("positives", 0),
     )
     if cost is not None:
         funnel.candidates = cost.candidates_after_mbr
+        funnel.hull_proven_disjoint = getattr(cost, "hull_drops", 0)
         funnel.interior_filter_hits = cost.filter_positives
         funnel.interval_proven_intersecting = getattr(cost, "interval_hits", 0)
         funnel.interval_proven_disjoint = getattr(cost, "interval_drops", 0)
@@ -276,7 +293,7 @@ def explain_run(
         for name, start in before.items()
     }
     cost = getattr(result, "cost", None)
-    return result, funnel_from_deltas(pipeline, deltas, cost)
+    return result, funnel_from_deltas(pipeline, deltas, cost, engine)
 
 
 # -- building funnels from recorded metric snapshots -------------------------
@@ -325,6 +342,7 @@ def render_funnel(funnel: QueryFunnel) -> str:
         lines.append(f"{indent}{label} {pad} {shown:>10} {_pct(value, of)}")
 
     row("  ", "candidates after MBR/index", f.candidates, f.candidates)
+    row("    ", "hull proven disjoint", f.hull_proven_disjoint, f.candidates)
     row("    ", "interior filter hits", f.interior_filter_hits, f.candidates)
     row(
         "    ",
@@ -343,6 +361,7 @@ def render_funnel(funnel: QueryFunnel) -> str:
     row("      ", "PIP resolved", f.pip_resolved, f.refined)
     row("      ", "hw proven disjoint", f.hw_proven_disjoint, f.refined)
     row("      ", "exact software tests", f.sw_exact, f.refined)
+    row("        ", "no hardware stage", f.sw_direct, f.sw_exact)
     row("        ", "sw_threshold skipped", f.threshold_skipped, f.sw_exact)
     row("        ", "hw needs sweep", f.hw_needs_sweep, f.sw_exact)
     row(

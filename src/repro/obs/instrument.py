@@ -39,6 +39,7 @@ from .scope import current_scope
 #: CostBreakdown fields published as ``cost_count`` counters.
 COST_COUNT_FIELDS = (
     "candidates_after_mbr",
+    "hull_drops",
     "filter_positives",
     "interval_hits",
     "interval_drops",
@@ -88,7 +89,7 @@ class PipelineObserver:
         # derives the stages and checks the identities).  Zero increments
         # are skipped like everywhere else; absent keys read as zero
         # downstream.
-        funnel = funnel_from_deltas(self.pipeline, deltas, cost)
+        funnel = funnel_from_deltas(self.pipeline, deltas, cost, self.engine)
         for stage in FUNNEL_STAGES:
             value = getattr(funnel, stage)
             if value:

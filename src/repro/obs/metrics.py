@@ -246,6 +246,14 @@ class Histogram:
             "p99": self.quantile(0.99),
         }
 
+    @classmethod
+    def from_snapshot(cls, snap: Mapping[str, Any]) -> "Histogram":
+        """The histogram one snapshot entry describes, read by the same
+        code :meth:`MetricsRegistry.merge` folds shard snapshots with."""
+        hist = cls()
+        hist._merge_snapshot(snap)
+        return hist
+
     def _merge(self, other: "Histogram") -> None:
         self._merge_snapshot(other._snapshot())
 

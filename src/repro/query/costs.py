@@ -28,6 +28,8 @@ class CostBreakdown:
     # Counts are ints for a single query; a :meth:`scaled` query-set mean
     # holds float averages in the same fields.
     candidates_after_mbr: float = 0
+    #: Candidates the convex-hull geometric filter proved disjoint.
+    hull_drops: float = 0
     filter_positives: float = 0
     #: Candidates the interval filter proved INTERSECTING (positives
     #: without refinement) / DISJOINT (dropped without refinement).
@@ -47,6 +49,7 @@ class CostBreakdown:
         self.intermediate_filter_s += other.intermediate_filter_s
         self.geometry_s += other.geometry_s
         self.candidates_after_mbr += other.candidates_after_mbr
+        self.hull_drops += other.hull_drops
         self.filter_positives += other.filter_positives
         self.interval_hits += other.interval_hits
         self.interval_drops += other.interval_drops
@@ -66,6 +69,7 @@ class CostBreakdown:
             intermediate_filter_s=self.intermediate_filter_s * factor,
             geometry_s=self.geometry_s * factor,
             candidates_after_mbr=self.candidates_after_mbr * factor,
+            hull_drops=self.hull_drops * factor,
             filter_positives=self.filter_positives * factor,
             interval_hits=self.interval_hits * factor,
             interval_drops=self.interval_drops * factor,

@@ -98,6 +98,7 @@ class IntersectionJoin:
                     for i, j in candidates
                     if self.hulls_a.may_intersect(i, self.hulls_b, j)
                 ]
+            cost.hull_drops = cost.candidates_after_mbr - len(candidates)
 
         polys_a = self.dataset_a.polygons
         polys_b = self.dataset_b.polygons

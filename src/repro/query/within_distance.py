@@ -88,6 +88,7 @@ class WithinDistanceJoin:
                     for i, j in candidates
                     if self.hulls_a.may_be_within(i, self.hulls_b, j, d)
                 ]
+            cost.hull_drops = cost.candidates_after_mbr - len(candidates)
 
         results: List[Tuple[int, int]] = []
         remaining: List[Tuple[int, int]] = candidates

@@ -25,7 +25,7 @@ import json
 import time
 from typing import Any, Dict, List, Mapping, Optional
 
-from ..obs.metrics import parse_key
+from ..obs.metrics import Histogram, parse_key
 from .server import send_envelope
 
 #: ANSI "clear screen, cursor home" the live loop repaints with.
@@ -71,29 +71,8 @@ def _cumulative_by_op(
         if name != "serve_request_duration_s":
             continue
         op = dict(labels).get("op", "?")
-        out.setdefault(op, {"requests": 0, "ok": 0})["hist"] = hist
+        out.setdefault(op, {"requests": 0, "ok": 0})["hist"] = Histogram.from_snapshot(hist)
     return out
-
-
-def _hist_quantile(hist: Mapping[str, Any], q: float) -> float:
-    """Conservative quantile from a snapshot histogram (mirrors Histogram)."""
-    import math
-
-    count = hist.get("count", 0)
-    if not count:
-        return 0.0
-    rank = max(1, math.ceil(q * count))
-    cumulative = hist.get("zeros", 0)
-    if rank <= cumulative:
-        return 0.0
-    hmax = hist.get("max", 0.0)
-    for e_str, n in sorted(
-        hist.get("buckets", {}).items(), key=lambda kv: int(kv[0])
-    ):
-        cumulative += n
-        if rank <= cumulative:
-            return min(2.0 ** int(e_str), hmax)
-    return hmax
 
 
 def render(doc: Mapping[str, Any], now: Optional[float] = None) -> str:
@@ -141,14 +120,14 @@ def render(doc: Mapping[str, Any], now: Optional[float] = None) -> str:
                 and dict(parse_key(key)[1]).get("op") == op
             )
             cum = cumulative.get(op, {})
-            hist = cum.get("hist", {})
+            hist = cum.get("hist", Histogram())
             lines.append(
                 f"{op:<16} {rate:>7.2f}"
                 f" {_fmt_ms(win.get('p50', 0.0))} {_fmt_ms(win.get('p95', 0.0))}"
                 f" {_fmt_ms(win.get('p99', 0.0))} | {cum.get('requests', 0):>7}"
-                f" {_fmt_ms(_hist_quantile(hist, 0.50))}"
-                f" {_fmt_ms(_hist_quantile(hist, 0.95))}"
-                f" {_fmt_ms(_hist_quantile(hist, 0.99))}"
+                f" {_fmt_ms(hist.quantile(0.50))}"
+                f" {_fmt_ms(hist.quantile(0.95))}"
+                f" {_fmt_ms(hist.quantile(0.99))}"
             )
 
     # SLO burn rates and alerts.

@@ -1,4 +1,4 @@
-"""Tests for the Shamos-Hoey detection sweep and polygon simplicity."""
+"""Tests for the single-set detection sweep and polygon simplicity."""
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -7,10 +7,11 @@ from repro.geometry import (
     Point,
     Polygon,
     any_segments_intersect,
+    on_segment,
     polygon_is_simple,
     segments_intersect,
 )
-from tests.strategies import segments, star_polygons
+from tests.strategies import adversarial_rings, segments, star_polygons
 
 
 def brute_force_pair(segs):
@@ -19,6 +20,25 @@ def brute_force_pair(segs):
             if segments_intersect(*segs[i], *segs[j]):
                 return (i, j)
     return None
+
+
+def simple_by_definition(polygon):
+    """The O(n^2) definition of simplicity: no zero-length edge, adjacent
+    edges meet only at their shared vertex, no other pair of edges touches."""
+    edges = list(polygon.edges())
+    n = len(edges)
+    if any(a == b for a, b in edges):
+        return False
+    for i in range(n):
+        for j in range(i + 1, n):
+            if not segments_intersect(*edges[i], *edges[j]):
+                continue
+            if j != i + 1 and not (i == 0 and j == n - 1):
+                return False
+            (a, v), (_, b) = (edges[i], edges[j]) if j == i + 1 else (edges[j], edges[i])
+            if (on_segment(b, a, v) and b != v) or (on_segment(a, v, b) and a != v):
+                return False
+    return True
 
 
 class TestDetection:
@@ -133,26 +153,11 @@ class TestPolygonSimplicity:
         verts = list(poly.vertices)
         verts[0], verts[1] = verts[1], verts[0]
         twisted = Polygon(verts)
-        got = twisted.is_simple()
+        assert twisted.is_simple() == simple_by_definition(twisted)
 
-        # Brute-force reference for simplicity.
-        edges = list(twisted.edges())
-        n = len(edges)
-        expected = True
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not segments_intersect(*edges[i], *edges[j]):
-                    continue
-                if j == i + 1 or (i == 0 and j == n - 1):
-                    a, v = edges[i] if j == i + 1 else edges[j]
-                    v2, b = edges[j] if j == i + 1 else edges[i]
-                    from repro.geometry import on_segment
-
-                    bad = (on_segment(b, a, v) and b != v) or (
-                        on_segment(a, v, b) and a != v
-                    )
-                    if bad:
-                        expected = False
-                else:
-                    expected = False
-        assert got == expected
+    @given(adversarial_rings().map(Polygon))
+    def test_equals_the_quadratic_definition_on_adversarial_rings(self, poly):
+        # Bow-ties, repeated vertices and collinear runs on the 1/8 grid,
+        # half-integer and +-1e15 lattices: the oracle the status-tree sweep
+        # used to be.
+        assert polygon_is_simple(poly) == simple_by_definition(poly)

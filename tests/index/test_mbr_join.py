@@ -1,16 +1,11 @@
-"""Tests for the MBR join algorithms (filtering stage of spatial joins)."""
+"""Tests for the MBR join (filtering stage of spatial joins)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect
-from repro.index import (
-    nested_loop_mbr_join,
-    plane_sweep_mbr_join,
-    rtree_sync_join,
-    str_bulk_load,
-)
+from repro.index import nested_loop_mbr_join, plane_sweep_mbr_join
 from tests.strategies import rects
 
 rect_lists = st.lists(rects(), min_size=0, max_size=40)
@@ -54,33 +49,3 @@ class TestPlaneSweep:
         got = sorted(plane_sweep_mbr_join(a, b, distance=d))
         expected = sorted(nested_loop_mbr_join(a, b, distance=d))
         assert got == expected
-
-
-class TestRTreeSyncJoin:
-    def test_empty_tree(self):
-        t1 = str_bulk_load([])
-        t2 = str_bulk_load([(Rect(0, 0, 1, 1), 0)])
-        assert rtree_sync_join(t1, t2) == []
-
-    def test_rejects_negative_distance(self):
-        t = str_bulk_load([(Rect(0, 0, 1, 1), 0)])
-        with pytest.raises(ValueError):
-            rtree_sync_join(t, t, distance=-0.5)
-
-    @settings(max_examples=50)
-    @given(rect_lists, rect_lists, distances)
-    def test_matches_nested_loop(self, a, b, d):
-        tree_a = str_bulk_load([(r, i) for i, r in enumerate(a)], max_entries=4)
-        tree_b = str_bulk_load([(r, j) for j, r in enumerate(b)], max_entries=4)
-        got = sorted(rtree_sync_join(tree_a, tree_b, distance=d))
-        expected = sorted(nested_loop_mbr_join(a, b, distance=d))
-        assert got == expected
-
-    @settings(max_examples=30)
-    @given(rect_lists, rect_lists)
-    def test_agrees_with_plane_sweep(self, a, b):
-        tree_a = str_bulk_load([(r, i) for i, r in enumerate(a)], max_entries=4)
-        tree_b = str_bulk_load([(r, j) for j, r in enumerate(b)], max_entries=4)
-        assert sorted(rtree_sync_join(tree_a, tree_b)) == sorted(
-            plane_sweep_mbr_join(a, b)
-        )

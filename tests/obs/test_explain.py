@@ -11,7 +11,7 @@ import json
 import pytest
 
 from repro.bench.experiments import per_pair_engine
-from repro.core import HardwareConfig, HardwareEngine
+from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 from repro.exec import ParallelExecutor
 from repro.obs.__main__ import main as obs_main
 from repro.obs import CommandRecorder, use_recorder
@@ -77,10 +77,12 @@ class TestQueryFunnelUnits:
 
     def test_each_identity_detected_when_broken(self):
         for stage, fragment in (
+            ("hull_proven_disjoint", "candidates =="),
             ("interior_filter_hits", "candidates =="),
             ("interval_proven_intersecting", "candidates =="),
             ("interval_proven_disjoint", "candidates =="),
             ("pip_resolved", "refined =="),
+            ("sw_direct", "sw_exact =="),
             ("threshold_skipped", "sw_exact =="),
         ):
             funnel = self.balanced()
@@ -227,6 +229,53 @@ class TestExplainRunConsistency:
         _, first = explain_run("join", engine, run)
         _, second = explain_run("join", engine, run)
         assert comparable(first) == comparable(second)
+
+
+class TestEveryCandidateHasAStage:
+    """Software-engine runs and hull-filtered runs close the identities."""
+
+    def test_software_and_hardware_runs_share_one_funnel(
+        self, dataset_a, dataset_b
+    ):
+        # Experiments run one pipeline on both engines under one registry.
+        registry = MetricsRegistry()
+        software = SoftwareEngine()
+        with use_registry(registry):
+            IntersectionJoin(dataset_a, dataset_b, software).run()
+            IntersectionJoin(dataset_a, dataset_b, hw_engine()).run()
+        funnel = funnels_from_snapshot(registry.snapshot())["join"]
+        assert funnel.check() == []
+        assert funnel.sw_direct == software.stats.sw_segment_tests > 0
+        assert funnel.sw_direct < funnel.sw_exact
+
+    def test_hull_filter_drops_are_a_stage(self, dataset_a, dataset_b):
+        engine = hw_engine()
+        join = IntersectionJoin(dataset_a, dataset_b, engine, use_hull_filter=True)
+        within = WithinDistanceJoin(dataset_a, dataset_b, engine, use_hull_filter=True)
+        for pipeline, run in (
+            ("join", join.run),
+            ("within_distance_join", lambda: within.run(1.5)),
+        ):
+            result, funnel = explain_run(pipeline, engine, run)
+            assert funnel.check() == []
+            assert funnel.hull_proven_disjoint == result.cost.hull_drops > 0
+            assert funnel.hull_proven_disjoint == funnel.candidates - funnel.refined
+
+    def test_hardware_engine_violation_is_still_reported(
+        self, dataset_a, dataset_b
+    ):
+        # An exact test no hardware outcome accounts for must not be
+        # absorbed by ``sw_direct``: that stage is zero for a hardware engine.
+        engine = hw_engine()
+
+        def run():
+            result = IntersectionJoin(dataset_a, dataset_b, engine).run()
+            engine.stats.sw_segment_tests += 1
+            return result
+
+        _, funnel = explain_run("join", engine, run)
+        assert funnel.sw_direct == 0
+        assert any("sw_exact ==" in v for v in funnel.check())
 
 
 class TestFunnelsFromSnapshot:

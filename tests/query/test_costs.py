@@ -42,6 +42,7 @@ class TestCostBreakdown:
             intermediate_filter_s=0.002,
             geometry_s=0.100,
             candidates_after_mbr=40,
+            hull_drops=4,
             filter_positives=6,
             pairs_compared=34,
             results=10,
@@ -51,6 +52,7 @@ class TestCostBreakdown:
             intermediate_filter_s=0.004,
             geometry_s=0.300,
             candidates_after_mbr=80,
+            hull_drops=2,
             filter_positives=10,
             pairs_compared=70,
             results=30,
@@ -63,6 +65,7 @@ class TestCostBreakdown:
         assert mean.intermediate_filter_s == pytest.approx(0.003)
         assert mean.geometry_s == pytest.approx(0.200)
         assert mean.candidates_after_mbr == pytest.approx(60.0)
+        assert mean.hull_drops == pytest.approx(3.0)
         assert mean.filter_positives == pytest.approx(8.0)
         assert mean.pairs_compared == pytest.approx(52.0)
         assert mean.results == pytest.approx(20.0)

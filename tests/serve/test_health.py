@@ -335,3 +335,79 @@ class TestTopDashboard:
         assert "[DEGRADED]" in frame
         assert "!!" in frame
         assert "burn_fast" in frame
+
+    def test_render_of_a_fixed_snapshot_is_pinned(self):
+        # The cumulative columns are Histogram.quantile over the snapshot
+        # entries: zero bucket, six log buckets, clamping to max (40 ms), and
+        # an op with requests but no latency histogram.
+        doc = {
+            "health": {
+                "verdict": "degraded",
+                "degraded_reasons": ["SLO burn-rate alert firing: availability"],
+                "queue_depth": 3,
+                "max_queue": 64,
+                "inflight": 2,
+                "windowed": True,
+                "window": {
+                    "window_s": 2.0,
+                    "counters": {
+                        "serve_window_requests{op=selection,status=ok}": {"rate": 20.5},
+                        "serve_window_requests{op=selection,status=shed}": {"rate": 0.5},
+                        "serve_window_requests{op=join,status=ok}": {"rate": 1.5},
+                    },
+                    "histograms": {
+                        "serve_window_request_duration_s{op=selection}": {
+                            "p50": 0.03125, "p95": 0.04, "p99": 0.04
+                        },
+                        "serve_window_request_duration_s{op=join}": {
+                            "p50": 2.0, "p95": 2.0, "p99": 2.0
+                        },
+                    },
+                },
+                "slo": {
+                    "availability": {
+                        "state": "firing", "burn_fast": 4.35, "burn_slow": 4.35, "budget": 0.01
+                    }
+                },
+                "firing_alerts": ["availability"],
+                "alert_log": {"events": 1},
+                "workers": [{"worker": 0, "requests_served": 45, "last_seen_s_ago": 0.25}],
+            },
+            "metrics": {
+                "counters": {
+                    "serve_requests{op=selection,status=ok}": 41,
+                    "serve_requests{op=selection,status=shed}": 1,
+                    "serve_requests{op=join,status=ok}": 3,
+                    "serve_requests{op=within_distance,status=error}": 1,
+                },
+                "histograms": {
+                    # One zero, then 40 observations spread over six buckets.
+                    "serve_request_duration_s{op=selection}": {
+                        "count": 41, "zeros": 1, "min": 0.0, "max": 0.04,
+                        "buckets": {"-9": 1, "-8": 2, "-7": 4, "-6": 8, "-5": 16, "-4": 9},
+                        "sum": 0.82, "sum_parts": [0.82],
+                    },
+                    "serve_request_duration_s{op=join}": {
+                        "count": 3, "zeros": 0, "min": 2.0, "max": 2.0,
+                        "buckets": {"2": 3}, "sum": 6.0, "sum_parts": [6.0],
+                    },
+                },
+            },
+        }
+        assert render(doc).split("\n") == [
+            "repro.serve  [DEGRADED]",
+            "  !! SLO burn-rate alert firing: availability",
+            "queue 3/64   inflight 2   windowed on",
+            "",
+            "op                rate/s    w_p50    w_p95    w_p99 |   total    c_p50    c_p95    c_p99  (2s window, latencies ms)",
+            "join                1.50   2000.0   2000.0   2000.0 |       3   2000.0   2000.0   2000.0",
+            "selection          21.00     31.2     40.0     40.0 |      42     31.2     40.0     40.0",
+            "within_distance     0.00      0.0      0.0      0.0 |       1      0.0      0.0      0.0",
+            "",
+            "SLO              state    burn_fast burn_slow  budget",
+            "availability     firing        4.35      4.35   0.010",
+            "alerts firing: availability   (log: 1 event(s))",
+            "",
+            "worker     served  last seen",
+            "0              45     0.2s ago",
+        ]
