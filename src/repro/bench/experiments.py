@@ -965,7 +965,7 @@ def batch_refine(ctx, resolutions=(8, 16), min_candidates=2000, distance_factor=
 
 @experiment(
     "cache",
-    title="Verdict/render/predicate memoization on repeated and skewed work",
+    title="Verdict/predicate memoization on repeated and skewed work",
     columns=(
         exact("workload"),
         exact("mode"),
@@ -985,7 +985,7 @@ def batch_refine(ctx, resolutions=(8, 16), min_candidates=2000, distance_factor=
     ),
 )
 def cache_effectiveness(ctx, resolution=16, repeats=2, skew_factor=4):
-    """Verdict/render/predicate memoization on repeated and skewed work.
+    """Verdict/predicate memoization on repeated and skewed work.
 
     Two workloads where real deployments redecide identical questions: a
     selection query set evaluated ``repeats`` times (a hot recurring query)

@@ -1,32 +1,32 @@
-"""Memoization for the refinement stack (verdicts, renders, predicates).
+"""Memoization for the refinement stack: two memo tables, one switch.
 
-Real spatial workloads redecide the same things constantly: a selection
-renders its one query polygon against thousands of candidates, a skewed
-join meets the same geometry pair (by content, not by Python identity)
-again and again, and benchmark query sets repeat whole queries.  This
-package removes that redundancy without ever changing an answer:
+Real spatial workloads redecide the same things constantly: a skewed join
+meets the same geometry pair (by content, not by Python identity) again
+and again, and benchmark query sets repeat whole queries.  This package
+removes that redundancy without ever changing an answer.  An engine with
+caching on holds two :class:`~repro.cache.lru.MemoCache` tables:
 
-* :class:`~repro.cache.verdict.VerdictCache` - hardware test verdicts
-  keyed by (op, method, polygon digests, window bytes, D, resolution);
-* :class:`~repro.cache.render.RenderCache` - per-polygon edge coverage
-  masks keyed by (digest, window bytes, line width, caps, viewport);
-* :class:`~repro.cache.predicate.PredicateCache` - exact software
-  decisions (plane sweep, minDist threshold) keyed by digests + params.
+* ``verdict`` - hardware test verdicts under
+  :func:`~repro.cache.keys.verdict_key` (op, method, polygon digests,
+  window bytes, D, resolution).  Only DISJOINT/MAYBE are stored:
+  UNSUPPORTED is a width comparison with no rendering to save;
+* ``predicate`` - exact software decisions (plane sweep, ``minDist <= D``)
+  keyed by digests + parameters.  The early exit changes the reported
+  distance, never which side of ``D`` it falls on, so the boolean memoizes.
 
-Every cached value is a deterministic pure function of its key, so
-cache-on runs are bit-identical to cache-off runs in results,
-:class:`~repro.core.stats.RefinementStats`, and the derived explain
-funnels; only the work executed (GPU cost counters, sweep/minDist step
-counts, wall time) shrinks.  Configuration rides on
-:class:`~repro.cache.config.CacheConfig` (off by default; see
-``--cache`` on ``python -m repro.bench``); lookups publish
-``cache_hits`` / ``cache_misses`` / ``cache_evictions{cache,op}`` counters
-and a ``cache_occupancy{cache}`` gauge into the installed metrics
-registry.
+Every cached value is a deterministic pure function of its key, and
+:class:`~repro.core.stats.RefinementStats` counts decisions *requested*,
+which a hit still is - so cache-on runs are bit-identical to cache-off
+runs in results, RefinementStats, and the derived explain funnels; only
+the work executed (GPU cost counters, sweep/minDist step counts, wall
+time) shrinks.  :class:`CacheConfig` is the switch (off by default; see
+``--cache`` on ``python -m repro.bench``); lookups publish ``cache_hits``
+/ ``cache_misses`` / ``cache_evictions{cache,op}`` counters and a
+``cache_occupancy{cache}`` gauge into the ambient metrics registry.
 
 This package imports nothing from :mod:`repro.core`, :mod:`repro.gpu`, or
-:mod:`repro.geometry` - keys and values are opaque here - so every layer
-of the stack can use it without cycles.
+:mod:`repro.geometry` - keys and values are opaque here - and the
+simulated card (:mod:`repro.gpu`) imports nothing from here.
 """
 
 from __future__ import annotations
@@ -34,12 +34,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from .config import CacheConfig
-from .keys import window_key
-from .lru import MISSING, LruCache
-from .predicate import PredicateCache
-from .render import RenderCache
-from .verdict import VerdictCache
+from .keys import verdict_key, window_key
+from .lru import MISSING, LruCache, MemoCache
+
+#: Entries each memo table may retain before evicting least-recently-used.
+CAPACITY = 4096
+
+
+@dataclass(frozen=True)
+class CacheConfig:
+    """Whether an engine memoizes.
+
+    Travels on :class:`~repro.core.config.HardwareConfig` (and on the
+    software engine's constructor), frozen and picklable, so an engine
+    rebuilt inside a pool worker cannot disagree with its coordinator.
+    There is no process-wide default: an engine built without one runs
+    :meth:`disabled`, which keeps every baseline bit-identical unless a
+    run opts in.
+    """
+
+    enabled: bool = True
+
+    @classmethod
+    def disabled(cls) -> "CacheConfig":
+        """Memoization off (what an unconfigured engine runs)."""
+        return cls(enabled=False)
 
 
 @dataclass
@@ -60,46 +79,41 @@ class CacheStats:
 
 
 class CacheBundle:
-    """The per-engine set of caches built from one :class:`CacheConfig`.
+    """The per-engine memo tables built from one :class:`CacheConfig`.
 
-    Disabled layers are ``None`` so call sites can gate on a single
-    attribute test (the zero-overhead path when caching is off).
+    Both are ``None`` when caching is off so call sites can gate on a
+    single attribute test (the zero-overhead path).
     """
 
-    __slots__ = ("config", "verdict", "render", "predicate")
+    __slots__ = ("config", "verdict", "predicate")
 
     def __init__(self, config: CacheConfig) -> None:
         self.config = config
-        self.verdict: Optional[VerdictCache] = (
-            VerdictCache(config.verdict_capacity) if config.verdicts else None
+        on = config.enabled
+        self.verdict: Optional[MemoCache] = (
+            MemoCache("verdict", CAPACITY) if on else None
         )
-        self.render: Optional[RenderCache] = (
-            RenderCache(config.render_capacity) if config.renders else None
+        self.predicate: Optional[MemoCache] = (
+            MemoCache("predicate", CAPACITY) if on else None
         )
-        self.predicate: Optional[PredicateCache] = (
-            PredicateCache(config.predicate_capacity) if config.predicates else None
-        )
+
+    def _tables(self):
+        return (self.verdict, self.predicate) if self.config.enabled else ()
 
     def reset(self) -> None:
-        """Drop all cached entries and tallies (capacities unchanged)."""
-        for cache in (self.verdict, self.render, self.predicate):
-            if cache is not None:
-                cache.clear()
+        """Drop all cached entries and tallies."""
+        for cache in self._tables():
+            cache.clear()
 
     def stats(self) -> Dict[str, CacheStats]:
-        """Per-cache tallies, keyed by cache label, enabled caches only."""
-        out: Dict[str, CacheStats] = {}
-        for label, cache in (
-            ("verdict", self.verdict),
-            ("render", self.render),
-            ("predicate", self.predicate),
-        ):
-            if cache is not None:
-                out[label] = CacheStats(cache.hits, cache.misses, cache.evictions)
-        return out
+        """Per-cache tallies, keyed by cache label; empty when off."""
+        return {
+            cache.label: CacheStats(cache.hits, cache.misses, cache.evictions)
+            for cache in self._tables()
+        }
 
     def totals(self) -> CacheStats:
-        """Summed tallies across the enabled caches."""
+        """Summed tallies across both tables."""
         total = CacheStats()
         for stats in self.stats().values():
             total.hits += stats.hits
@@ -109,13 +123,13 @@ class CacheBundle:
 
 
 __all__ = [
+    "CAPACITY",
     "CacheBundle",
     "CacheConfig",
     "CacheStats",
     "LruCache",
     "MISSING",
-    "PredicateCache",
-    "RenderCache",
-    "VerdictCache",
+    "MemoCache",
+    "verdict_key",
     "window_key",
 ]

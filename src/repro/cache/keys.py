@@ -1,7 +1,7 @@
-"""Canonical cache-key material: window bytes and polygon digests.
+"""Canonical cache-key material: window bytes, polygon digests, test identity.
 
 Cache keys must satisfy one property: **equal key implies bit-identical
-cached computation**.  Both helpers here are exact, not approximate:
+cached computation**.  The ingredients here are exact, not approximate:
 
 * :func:`window_key` serializes a projection window's four float64
   coordinates byte for byte, collapsing IEEE ``-0.0`` onto ``+0.0`` first.
@@ -16,11 +16,17 @@ cached computation**.  Both helpers here are exact, not approximate:
   duplicate geometries of a skewed join) hash equal, which is precisely
   what makes the caches effective across objects, not just across repeated
   Python references.
+* :func:`verdict_key` is the full identity of one hardware test.  The
+  simulated pipeline is deterministic and shares no state across tests, so
+  a verdict is a pure function of (operation, overlap method, the two
+  boundaries, the projection window, the query distance, the window
+  resolution) - exactly that tuple.
 """
 
 from __future__ import annotations
 
 import struct
+from typing import Hashable, Tuple
 
 _PACK4 = struct.Struct("<4d").pack
 
@@ -39,4 +45,12 @@ def window_key(window) -> bytes:
     )
 
 
-__all__ = ["window_key"]
+def verdict_key(
+    op: str, method: str, a, b, window, d: float, resolution: int
+) -> Tuple[Hashable, ...]:
+    """The identity of one hardware test; ``a``/``b`` are Polygon-likes
+    with ``digest``, ``window`` a Rect-like."""
+    return (op, method, a.digest, b.digest, window_key(window), float(d), resolution)
+
+
+__all__ = ["verdict_key", "window_key"]

@@ -1,4 +1,4 @@
-"""A bounded LRU mapping: the storage layer shared by every cache kind.
+"""A bounded LRU mapping, and the labelled memo table built on it.
 
 The cache subsystem never caps correctness - every cached value is a
 deterministic function of its key - so the only policy decision is *what to
@@ -16,7 +16,7 @@ uses.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable
 
 from ..obs.scope import current_scope
 
@@ -98,4 +98,39 @@ def publish_store(label: str, op: str, evicted: bool, occupancy: int) -> None:
     registry.gauge("cache_occupancy", cache=label).set(occupancy)
 
 
-__all__ = ["LruCache", "MISSING", "publish_lookup", "publish_store"]
+class MemoCache(LruCache):
+    """One labelled memo table: an :class:`LruCache` that publishes.
+
+    Keys are namespaced by ``op``; every lookup and store lands in the
+    ``cache_hits|misses|evictions{cache=label,op}`` counters and the
+    ``cache_occupancy{cache=label}`` gauge of the ambient registry.
+    ``None`` and ``False`` are legal values, so a miss is :data:`MISSING`.
+    """
+
+    __slots__ = ("label",)
+
+    def __init__(self, label: str, capacity: int) -> None:
+        super().__init__(capacity)
+        self.label = label
+
+    def lookup(self, op: str, key: Hashable) -> Any:
+        """The value stored under ``(op, key)``, or :data:`MISSING`."""
+        value = self.get((op, key))
+        publish_lookup(self.label, op, hit=value is not MISSING)
+        return value
+
+    def store(self, op: str, key: Hashable, value: Any) -> None:
+        evicted = self.put((op, key), value)
+        publish_store(self.label, op, evicted, len(self))
+
+    def memo(self, op: str, key: Hashable, compute: Callable[[], Any]) -> Any:
+        """The value under ``(op, key)``, calling ``compute()`` (and
+        storing its result) only on a miss."""
+        value = self.lookup(op, key)
+        if value is MISSING:
+            value = compute()
+            self.store(op, key, value)
+        return value
+
+
+__all__ = ["LruCache", "MISSING", "MemoCache", "publish_lookup", "publish_store"]

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from ..cache.config import CacheConfig
+from ..cache import CacheConfig
 from ..gpu.state import DeviceLimits
 
 #: Accumulated gray level that marks a pixel touched by both polygons.  Both
@@ -52,8 +52,8 @@ class HardwareConfig:
     #: submission (:class:`~repro.gpu.tiled.TiledPipeline`); the effective
     #: capacity is also bounded by the device viewport limit.
     batch_tiles: int = 256
-    #: Memoization layers (:mod:`repro.cache`); all-off unless the caller
-    #: passes an enabled :class:`~repro.cache.config.CacheConfig`.
+    #: Memoization (:mod:`repro.cache`); off unless the caller passes an
+    #: enabled :class:`~repro.cache.CacheConfig`.
     cache: CacheConfig = CacheConfig.disabled()
 
     def __post_init__(self) -> None:

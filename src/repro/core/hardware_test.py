@@ -24,6 +24,13 @@ distance ``D`` (line width and point caps from Equation 1) yields the
 distance filter; when the required width exceeds the device's anti-aliased
 line-width limit, the test reports "unsupported" and the caller falls back
 to software (section 4.4).
+
+Every entry point - one pair or a batch, intersection or distance, widened
+lines or the distance field - is one routine,
+:meth:`HardwareSegmentTest._verdicts` (width limit, verdict memo, in-batch
+dedup, per-pair metrics), handed one of two renderers: one atlas
+submission for the batch entry points, or pair by pair through the
+configured method's own buffers for the per-pair ones.
 """
 
 from __future__ import annotations
@@ -35,13 +42,12 @@ from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cache import CacheBundle
+from ..cache import MISSING, CacheBundle, verdict_key
 from ..geometry.polygon import Polygon
 from ..geometry.rect import Rect
 from ..gpu.pipeline import GraphicsPipeline, uniform_window_scale
 from ..gpu.state import DEFAULT_AA_LINE_WIDTH, EDGE_COLOR
 from ..gpu.tiled import TiledPipeline
-from ..obs.metrics import MetricsRegistry
 from ..obs.scope import current_scope
 from .config import OVERLAP_THRESHOLD, HardwareConfig
 
@@ -82,12 +88,9 @@ class HardwareSegmentTest:
         st.blend = False
         st.color = EDGE_COLOR
         self._tiled: Optional[TiledPipeline] = None
-        #: Memoization layers (:mod:`repro.cache`).  The verdict cache
-        #: short-circuits whole tests; the render cache (installed on the
-        #: pipeline) reuses per-boundary coverage masks inside a test.
+        #: Memo tables (:mod:`repro.cache`): ``verdict`` short-circuits
+        #: whole tests here, ``predicate`` serves the software stage.
         self.caches = CacheBundle(self.config.cache)
-        self.verdict_cache = self.caches.verdict
-        self.pipeline.render_cache = self.caches.render
 
     @property
     def tiled(self) -> TiledPipeline:
@@ -102,38 +105,6 @@ class HardwareSegmentTest:
             )
         return self._tiled
 
-    # -- metrics ----------------------------------------------------------
-
-    def _observe_test(
-        self,
-        registry: MetricsRegistry,
-        op: str,
-        method: str,
-        verdict: HardwareVerdict,
-        a: Polygon,
-        b: Polygon,
-        elapsed_s: Optional[float] = None,
-    ) -> None:
-        """Record one per-pair test into the ambient registry.
-
-        Per-pair families (``hw_verdicts``, ``hw_test_edges``) are additive
-        over pairs, so serial, batched, and shard-merged runs of the same
-        workload report identical totals.  The duration histogram is the
-        per-test cost distribution Figure 13's threshold argument is about;
-        it is only fed when a render actually ran for this single pair
-        (``elapsed_s`` is None for UNSUPPORTED short-circuits and for pairs
-        inside an atlas batch, whose cost is shared and lands in
-        ``hw_batch_duration_s`` instead).
-        """
-        if elapsed_s is not None:
-            registry.histogram(
-                "hw_test_duration_s", op=op, method=method
-            ).observe(elapsed_s)
-        registry.counter("hw_verdicts", op=op, verdict=verdict.value).inc()
-        registry.histogram("hw_test_edges", op=op).observe(
-            a.num_vertices + b.num_vertices
-        )
-
     # -- public API -------------------------------------------------------
 
     def intersection_verdict(
@@ -141,46 +112,18 @@ class HardwareSegmentTest:
     ) -> HardwareVerdict:
         """Hardware segment intersection test over ``window`` (Figure 7a).
 
-        Never returns UNSUPPORTED: the default sqrt(2) line width is always
-        within device limits.  With the verdict cache enabled, a repeated
-        (pair, window) test replays its memoized verdict without rendering;
-        the ``hw_verdicts`` / ``hw_test_edges`` accounting still runs per
-        test (only the per-render duration histogram is skipped, as for
-        batched pairs), so cached and uncached runs report identical
-        per-pair totals.
+        Rendered through the configured overlap method's own buffers
+        (section 3's five mechanisms).  Never returns UNSUPPORTED: the
+        default sqrt(2) line width is always within device limits.  With
+        caching on, a repeated (pair, window) test replays its memoized
+        verdict without rendering; the ``hw_verdicts`` / ``hw_test_edges``
+        accounting still runs per test, so cached and uncached runs report
+        identical per-pair totals.
         """
-        registry = current_scope().registry
-        cache = self.verdict_cache
-        key = None
-        if cache is not None:
-            key = cache.key(
-                "intersect", self.config.method, a, b, window, 0.0,
-                self.config.resolution,
-            )
-            verdict = cache.lookup("intersect", key)
-            if verdict is not None:
-                if registry is not None:
-                    self._observe_test(
-                        registry, "intersect", self.config.method, verdict, a, b
-                    )
-                return verdict
-        start = time.perf_counter() if registry is not None else 0.0
-        verdict = self._render_and_search(
-            a, b, window, line_width_px=DEFAULT_AA_LINE_WIDTH, cap_points=False
-        )
-        if registry is not None:
-            self._observe_test(
-                registry,
-                "intersect",
-                self.config.method,
-                verdict,
-                a,
-                b,
-                time.perf_counter() - start,
-            )
-        if key is not None:
-            cache.store("intersect", key, verdict)
-        return verdict
+        return self._verdicts(
+            "intersect", self.config.method, [(a, b, window)], 0.0, None,
+            self._render_each,
+        )[0]
 
     def distance_verdict(
         self, a: Polygon, b: Polygon, window: Rect, d: float
@@ -195,220 +138,7 @@ class HardwareSegmentTest:
         4.4).  In ``"field"`` mode the distance-insensitive test is used
         instead and UNSUPPORTED never occurs.
         """
-        if d < 0.0:
-            raise ValueError("distance must be non-negative")
-        # Delegating paths record in the delegate, never here: one test,
-        # one ``hw_verdicts`` increment, whichever entry point ran it.
-        if self.config.distance_mode == "field" and d > 0.0:
-            return self.distance_field_verdict(a, b, window, d)
-        if d == 0.0:
-            return self.intersection_verdict(a, b, window)
-        registry = current_scope().registry
-        self.pipeline.set_data_window(window)
-        width_px = float(self.pipeline.line_width_for_distance(d))
-        limits = self.config.limits
-        if not (
-            limits.supports_line_width(width_px)
-            and limits.supports_point_size(width_px)
-        ):
-            if registry is not None:
-                registry.counter(
-                    "hw_line_width_overflow",
-                    op="within_distance",
-                    method=self.config.method,
-                ).inc()
-                self._observe_test(
-                    registry,
-                    "within_distance",
-                    self.config.method,
-                    HardwareVerdict.UNSUPPORTED,
-                    a,
-                    b,
-                )
-            return HardwareVerdict.UNSUPPORTED
-        # Only supported tests reach the cache: UNSUPPORTED is decided by
-        # the width comparison above with no rendering to save, and caching
-        # it would fork the ``hw_line_width_overflow`` accounting.
-        cache = self.verdict_cache
-        key = None
-        if cache is not None:
-            key = cache.key(
-                "within_distance", self.config.method, a, b, window, d,
-                self.config.resolution,
-            )
-            verdict = cache.lookup("within_distance", key)
-            if verdict is not None:
-                if registry is not None:
-                    self._observe_test(
-                        registry, "within_distance", self.config.method,
-                        verdict, a, b,
-                    )
-                return verdict
-        start = time.perf_counter() if registry is not None else 0.0
-        verdict = self._render_and_search(
-            a, b, window, line_width_px=width_px, cap_points=True
-        )
-        if registry is not None:
-            self._observe_test(
-                registry,
-                "within_distance",
-                self.config.method,
-                verdict,
-                a,
-                b,
-                time.perf_counter() - start,
-            )
-        if key is not None:
-            cache.store("within_distance", key, verdict)
-        return verdict
-
-    def intersection_verdicts_batch(
-        self, pairs: Sequence[PairWindow]
-    ) -> List[HardwareVerdict]:
-        """Batched hardware segment intersection tests: K verdicts at once.
-
-        Packs every pair's window as one tile of the atlas
-        (:class:`~repro.gpu.tiled.TiledPipeline`), rasterizes all first
-        boundaries in one bulk draw call, all second boundaries in a
-        second, and reduces per tile.  Verdicts are bit-identical to
-        calling :meth:`intersection_verdict` per pair, for every
-        configured overlap method - all of section 3's implementations
-        reduce to "some pixel covered by both boundaries", which is what
-        the per-tile Minmax detects.  Never returns UNSUPPORTED.
-
-        With the verdict cache enabled, previously-decided pairs replay
-        their verdicts, and duplicate keys *within* the batch render once
-        (the later occurrences become followers of the first); only the
-        remaining misses reach the atlas.  Per-pair accounting is
-        unchanged, so the verdict list and RefinementStats stay
-        bit-identical to the cache-off run.
-        """
-        return self._verdicts_batch("intersect", list(pairs), 0.0, None)
-
-    def distance_verdicts_batch(
-        self, pairs: Sequence[PairWindow], d: float
-    ) -> List[HardwareVerdict]:
-        """Batched within-distance tests at distance ``d``.
-
-        Each pair's projection assigns its own Equation (1) line width;
-        pairs whose width exceeds the device limit get UNSUPPORTED (they
-        never reach the atlas), the rest render in one batch with per-tile
-        widths and end-point caps.  Verdicts are bit-identical to
-        per-pair :meth:`distance_verdict` calls.  ``"field"`` mode has no
-        widened lines to batch and runs the distance-insensitive test per
-        pair.  With the verdict cache enabled, supported pairs replay
-        cached verdicts and within-batch duplicates render once, exactly
-        as in :meth:`intersection_verdicts_batch`.
-        """
-        if d < 0.0:
-            raise ValueError("distance must be non-negative")
-        pairs = list(pairs)
-        # As in distance_verdict, delegating paths record in the delegate.
-        if d == 0.0:
-            return self.intersection_verdicts_batch(pairs)
-        if self.config.distance_mode == "field":
-            return [
-                self.distance_field_verdict(a, b, w, d) for a, b, w in pairs
-            ]
-        vw, vh = self.pipeline.width, self.pipeline.height
-        widths = [
-            float(max(1, math.ceil(d * uniform_window_scale(vw, vh, window))))
-            for _, _, window in pairs
-        ]
-        return self._verdicts_batch("within_distance", pairs, d, widths)
-
-    def _verdicts_batch(
-        self,
-        op: str,
-        pairs: List[PairWindow],
-        d: float,
-        widths: Optional[List[float]],
-    ) -> List[HardwareVerdict]:
-        """Cache lookup, leader/follower dedup, one atlas submission, metrics.
-
-        ``widths`` holds each pair's Equation (1) line width in pixels
-        (rendered with matching end-point caps); ``None`` renders every
-        pair at the default anti-aliased width, uncapped.
-        """
-        if not pairs:
-            return []
-        registry = current_scope().registry
-        start = time.perf_counter() if registry is not None else 0.0
-        cache = self.verdict_cache
-        limits = self.config.limits
-        verdicts: List[Optional[HardwareVerdict]] = [None] * len(pairs)
-        keys: List[object] = [None] * len(pairs)
-        render_idx: List[int] = []
-        leader_of: dict = {}
-        followers: dict = {}
-        for k, (a, b, window) in enumerate(pairs):
-            if widths is not None and not (
-                limits.supports_line_width(widths[k])
-                and limits.supports_point_size(widths[k])
-            ):
-                # Decided by the width comparison alone - never cached, as
-                # in distance_verdict, so hw_line_width_overflow stays on
-                # one path.
-                verdicts[k] = HardwareVerdict.UNSUPPORTED
-                if registry is not None:
-                    registry.counter(
-                        "hw_line_width_overflow",
-                        op=op,
-                        method=self.config.method,
-                    ).inc()
-                continue
-            if cache is not None:
-                key = cache.key(
-                    op, self.config.method, a, b, window, d,
-                    self.config.resolution,
-                )
-                keys[k] = key
-                verdict = cache.lookup(op, key)
-                if verdict is not None:
-                    verdicts[k] = verdict
-                    continue
-                leader = leader_of.setdefault(key, k)
-                if leader != k:
-                    # Duplicate key within the batch: the width is a pure
-                    # function of (window, d), so sharing the leader's
-                    # verdict is exact.
-                    followers.setdefault(leader, []).append(k)
-                    continue
-            render_idx.append(k)
-        if render_idx:
-            flags = self.tiled.overlap_flags(
-                [pairs[k][0].edges_array for k in render_idx],
-                [pairs[k][1].edges_array for k in render_idx],
-                [pairs[k][2] for k in render_idx],
-                widths_px=(
-                    DEFAULT_AA_LINE_WIDTH
-                    if widths is None
-                    else np.asarray(
-                        [widths[k] for k in render_idx], dtype=np.float64
-                    )
-                ),
-                cap_points=widths is not None,
-                threshold=OVERLAP_THRESHOLD,
-            )
-            for k, f in zip(render_idx, flags):
-                verdict = (
-                    HardwareVerdict.MAYBE if f else HardwareVerdict.DISJOINT
-                )
-                verdicts[k] = verdict
-                if cache is not None:
-                    cache.store(op, keys[k], verdict)
-                    for j in followers.get(k, ()):
-                        verdicts[j] = verdict
-        assert all(v is not None for v in verdicts)
-        if registry is not None:
-            registry.histogram("hw_batch_duration_s", op=op).observe(
-                time.perf_counter() - start
-            )
-            for (a, b, _), verdict in zip(pairs, verdicts):
-                self._observe_test(
-                    registry, op, self.config.method, verdict, a, b
-                )
-        return verdicts  # type: ignore[return-value]
+        return self._distance_verdicts([(a, b, window)], d, self._render_each)[0]
 
     def distance_field_verdict(
         self, a: Polygon, b: Polygon, window: Rect, d: float
@@ -424,36 +154,234 @@ class HardwareSegmentTest:
         """
         if d < 0.0:
             raise ValueError("distance must be non-negative")
+        return self._verdicts(
+            "within_distance", "field", [(a, b, window)], d, None,
+            self._render_each,
+        )[0]
+
+    def intersection_verdicts_batch(
+        self, pairs: Sequence[PairWindow]
+    ) -> List[HardwareVerdict]:
+        """Batched hardware segment intersection tests: K verdicts at once.
+
+        Packs every pair's window as one tile of the atlas
+        (:class:`~repro.gpu.tiled.TiledPipeline`), rasterizes all first
+        boundaries in one bulk draw call, all second boundaries in a
+        second, and reduces per tile.  Verdicts are bit-identical to
+        calling :meth:`intersection_verdict` per pair, for every
+        configured overlap method - all of section 3's implementations
+        reduce to "some pixel covered by both boundaries", which is what
+        the per-tile Minmax detects.  Never returns UNSUPPORTED.
+
+        With caching on, previously-decided pairs replay their verdicts,
+        and duplicate keys *within* the batch render once (the later
+        occurrences become followers of the first); only the remaining
+        misses reach the atlas.  Per-pair accounting is unchanged, so the
+        verdict list and RefinementStats stay bit-identical to the
+        cache-off run.
+        """
+        return self._verdicts(
+            "intersect", self.config.method, list(pairs), 0.0, None,
+            self._render_atlas,
+        )
+
+    def distance_verdicts_batch(
+        self, pairs: Sequence[PairWindow], d: float
+    ) -> List[HardwareVerdict]:
+        """Batched within-distance tests at distance ``d``.
+
+        Each pair's projection assigns its own Equation (1) line width;
+        pairs whose width exceeds the device limit get UNSUPPORTED (they
+        never reach the atlas), the rest render in one batch with per-tile
+        widths and end-point caps.  Verdicts are bit-identical to
+        per-pair :meth:`distance_verdict` calls.  ``"field"`` mode has no
+        widened lines to batch and runs the distance-insensitive test per
+        pair.
+        """
+        return self._distance_verdicts(list(pairs), d, self._render_atlas)
+
+    def _distance_verdicts(
+        self, pairs: List[PairWindow], d: float, render: Callable
+    ) -> List[HardwareVerdict]:
+        """What a within-distance test is, for one pair or many: the
+        intersection test at ``d == 0`` (recorded as one, under
+        ``op=intersect``), the field test in ``"field"`` mode, else lines
+        widened per pair by Equation (1)."""
+        if d < 0.0:
+            raise ValueError("distance must be non-negative")
+        if d == 0.0:
+            return self._verdicts(
+                "intersect", self.config.method, pairs, d, None, render
+            )
+        if self.config.distance_mode == "field":
+            return [
+                self.distance_field_verdict(a, b, w, d) for a, b, w in pairs
+            ]
+        widths = [float(self.required_line_width(w, d)) for _, _, w in pairs]
+        return self._verdicts(
+            "within_distance", self.config.method, pairs, d, widths, render
+        )
+
+    def required_line_width(self, window: Rect, d: float) -> int:
+        """Pixel width Equation (1) assigns to distance ``d`` under ``window``:
+        ``ceil(d * scale)`` of the window's own projection, at least 1."""
+        pl = self.pipeline
+        return max(1, math.ceil(d * uniform_window_scale(pl.width, pl.height, window)))
+
+    # -- the one verdict routine -------------------------------------------
+
+    def _verdicts(
+        self,
+        op: str,
+        method: str,
+        pairs: List[PairWindow],
+        d: float,
+        widths: Optional[List[float]],
+        render: Callable[..., List[HardwareVerdict]],
+    ) -> List[HardwareVerdict]:
+        """Width limit, memo lookup, in-batch dedup, ``render``, metrics.
+
+        ``widths`` holds each pair's Equation (1) line width in pixels
+        (rendered with matching end-point caps); ``None`` renders every
+        pair at the default anti-aliased width, uncapped.  ``render(op,
+        method, pairs, d, widths)`` decides the pairs no earlier step
+        settled: :meth:`_render_atlas` or :meth:`_render_each`.
+
+        Per-pair families (``hw_verdicts``, ``hw_test_edges``) are additive
+        over pairs, so per-pair, batched, cached, and shard-merged runs of
+        the same workload report identical totals.  An atlas submission's
+        cost is shared by its pairs and lands in ``hw_batch_duration_s``;
+        the per-pair renderer times each render it actually runs into
+        ``hw_test_duration_s`` (Figure 13's per-test cost distribution).
+        """
+        if not pairs:
+            return []
         registry = current_scope().registry
-        cache = self.verdict_cache
-        key = None
-        if cache is not None:
-            key = cache.key(
-                "within_distance", "field", a, b, window, d,
-                self.config.resolution,
-            )
-            verdict = cache.lookup("within_distance", key)
-            if verdict is not None:
+        start = time.perf_counter()
+        cache = self.caches.verdict
+        limits = self.config.limits
+        verdicts: List[Optional[HardwareVerdict]] = [None] * len(pairs)
+        keys: List[object] = [None] * len(pairs)
+        render_idx: List[int] = []
+        leader_of: dict = {}
+        followers: dict = {}
+        for k, (a, b, window) in enumerate(pairs):
+            if widths is not None and not (
+                limits.supports_line_width(widths[k])
+                and limits.supports_point_size(widths[k])
+            ):
+                # Decided by the width comparison alone, with no rendering
+                # to save - never cached, so hw_line_width_overflow stays
+                # on this one path.
+                verdicts[k] = HardwareVerdict.UNSUPPORTED
                 if registry is not None:
-                    self._observe_test(
-                        registry, "within_distance", "field", verdict, a, b
-                    )
-                return verdict
-        start = time.perf_counter() if registry is not None else 0.0
-        verdict = self._distance_field_impl(a, b, window, d)
-        if registry is not None:
-            self._observe_test(
-                registry,
-                "within_distance",
-                "field",
-                verdict,
-                a,
-                b,
-                time.perf_counter() - start,
+                    registry.counter(
+                        "hw_line_width_overflow", op=op, method=method
+                    ).inc()
+                continue
+            if cache is not None:
+                key = keys[k] = verdict_key(
+                    op, method, a, b, window, d, self.config.resolution
+                )
+                verdict = cache.lookup(op, key)
+                if verdict is not MISSING:
+                    verdicts[k] = verdict
+                    continue
+                leader = leader_of.setdefault(key, k)
+                if leader != k:
+                    # Duplicate key within the batch: the width is a pure
+                    # function of (window, d), so sharing the leader's
+                    # verdict is exact.
+                    followers.setdefault(leader, []).append(k)
+                    continue
+            render_idx.append(k)
+        if render_idx:
+            rendered = render(
+                op,
+                method,
+                [pairs[k] for k in render_idx],
+                d,
+                None if widths is None else [widths[k] for k in render_idx],
             )
-        if key is not None:
-            cache.store("within_distance", key, verdict)
-        return verdict
+            for k, verdict in zip(render_idx, rendered):
+                verdicts[k] = verdict
+                if cache is not None:
+                    cache.store(op, keys[k], verdict)
+                    for j in followers.get(k, ()):
+                        verdicts[j] = verdict
+        if registry is not None:
+            # Bound methods are equal, never identical, across accesses.
+            if render == self._render_atlas:
+                registry.histogram("hw_batch_duration_s", op=op).observe(
+                    time.perf_counter() - start
+                )
+            for (a, b, _), verdict in zip(pairs, verdicts):
+                registry.counter(
+                    "hw_verdicts", op=op, verdict=verdict.value
+                ).inc()
+                registry.histogram("hw_test_edges", op=op).observe(
+                    a.num_vertices + b.num_vertices
+                )
+        return verdicts  # type: ignore[return-value]
+
+    # -- the two renderers -------------------------------------------------
+
+    def _render_atlas(
+        self,
+        op: str,
+        method: str,
+        pairs: List[PairWindow],
+        d: float,
+        widths: Optional[List[float]],
+    ) -> List[HardwareVerdict]:
+        """Every pair as one tile of one atlas submission."""
+        flags = self.tiled.overlap_flags(
+            [a.edges_array for a, _, _ in pairs],
+            [b.edges_array for _, b, _ in pairs],
+            [window for _, _, window in pairs],
+            widths_px=(
+                DEFAULT_AA_LINE_WIDTH
+                if widths is None
+                else np.asarray(widths, dtype=np.float64)
+            ),
+            cap_points=widths is not None,
+            threshold=OVERLAP_THRESHOLD,
+        )
+        return [
+            HardwareVerdict.MAYBE if f else HardwareVerdict.DISJOINT
+            for f in flags
+        ]
+
+    def _render_each(
+        self,
+        op: str,
+        method: str,
+        pairs: List[PairWindow],
+        d: float,
+        widths: Optional[List[float]],
+    ) -> List[HardwareVerdict]:
+        """Pair by pair: steps 2.1-2.8 through ``method``'s own buffers, or
+        the distance-field test, each timed into ``hw_test_duration_s``."""
+        registry = current_scope().registry
+        verdicts = []
+        for k, (a, b, window) in enumerate(pairs):
+            start = time.perf_counter()
+            if method == "field":
+                verdict = self._distance_field_impl(a, b, window, d)
+            elif widths is None:
+                verdict = self._render_and_search(
+                    a, b, window, DEFAULT_AA_LINE_WIDTH, cap_points=False
+                )
+            else:
+                verdict = self._render_and_search(
+                    a, b, window, widths[k], cap_points=True
+                )
+            if registry is not None:
+                registry.histogram(
+                    "hw_test_duration_s", op=op, method=method
+                ).observe(time.perf_counter() - start)
+            verdicts.append(verdict)
+        return verdicts
 
     def _distance_field_impl(
         self, a: Polygon, b: Polygon, window: Rect, d: float
@@ -467,10 +395,10 @@ class HardwareSegmentTest:
         st.point_size = DEFAULT_AA_LINE_WIDTH
         st.cap_points = False
         st.reset_fragment_ops()
-        mask_a = pl.render_coverage_mask(a.edges_array, key=a.digest)
+        mask_a = pl.render_coverage_mask(a.edges_array)
         if not mask_a.any():
             return HardwareVerdict.DISJOINT
-        mask_b = pl.render_coverage_mask(b.edges_array, key=b.digest)
+        mask_b = pl.render_coverage_mask(b.edges_array)
         if not mask_b.any():
             return HardwareVerdict.DISJOINT
         field = pl.compute_distance_field(mask_a)
@@ -478,11 +406,6 @@ class HardwareSegmentTest:
         if min_px > pl.distance_to_pixels(d) + CENTER_DISTANCE_SLACK:
             return HardwareVerdict.DISJOINT
         return HardwareVerdict.MAYBE
-
-    def required_line_width(self, window: Rect, d: float) -> int:
-        """Pixel width Equation (1) assigns to distance ``d`` under ``window``."""
-        self.pipeline.set_data_window(window)
-        return self.pipeline.line_width_for_distance(d)
 
     # -- render-and-search, in the five variants of section 3 ------------------
 
@@ -525,10 +448,10 @@ class HardwareSegmentTest:
         pl.state.color = EDGE_COLOR
         pl.clear_color()  # step 2.2
         pl.clear_accum()
-        pl.draw_edges_array(a.edges_array, key=a.digest)  # step 2.3
+        pl.draw_edges_array(a.edges_array)  # step 2.3
         pl.accum_add()  # step 2.4
         pl.clear_color()
-        pl.draw_edges_array(b.edges_array, key=b.digest)  # step 2.5
+        pl.draw_edges_array(b.edges_array)  # step 2.5
         pl.accum_add()  # step 2.6
         pl.accum_return()  # step 2.7
         _, max_value = pl.minmax("color")  # step 2.8 via hardware Minmax
@@ -542,8 +465,8 @@ class HardwareSegmentTest:
         st.color = EDGE_COLOR
         st.blend = True
         pl.clear_color()
-        pl.draw_edges_array(a.edges_array, key=a.digest)
-        pl.draw_edges_array(b.edges_array, key=b.digest)
+        pl.draw_edges_array(a.edges_array)
+        pl.draw_edges_array(b.edges_array)
         _, max_value = pl.minmax("color")
         return max_value >= OVERLAP_THRESHOLD
 
@@ -555,9 +478,9 @@ class HardwareSegmentTest:
         st.logic_op = "or"
         pl.clear_color()
         st.color = 1.0
-        pl.draw_edges_array(a.edges_array, key=a.digest)
+        pl.draw_edges_array(a.edges_array)
         st.color = 2.0
-        pl.draw_edges_array(b.edges_array, key=b.digest)
+        pl.draw_edges_array(b.edges_array)
         _, max_value = pl.minmax("color")
         return max_value >= 3.0
 
@@ -572,12 +495,12 @@ class HardwareSegmentTest:
         st.color_write = False
         st.depth_write = True
         st.depth_value = 0.5
-        pl.draw_edges_array(a.edges_array, key=a.digest)
+        pl.draw_edges_array(a.edges_array)
         st.color_write = True
         st.depth_write = False
         st.depth_test = "equal"
         st.color = 1.0
-        pl.draw_edges_array(b.edges_array, key=b.digest)
+        pl.draw_edges_array(b.edges_array)
         _, max_value = pl.minmax("color")
         return max_value >= 1.0
 
@@ -589,8 +512,8 @@ class HardwareSegmentTest:
         pl.clear_stencil(0)
         st.color_write = False
         st.stencil_op = "incr"
-        pl.draw_edges_array(a.edges_array, key=a.digest)
-        pl.draw_edges_array(b.edges_array, key=b.digest)
+        pl.draw_edges_array(a.edges_array)
+        pl.draw_edges_array(b.edges_array)
         _, max_value = pl.minmax("stencil")
         return max_value >= 2.0
 

@@ -38,7 +38,7 @@ from __future__ import annotations
 import time
 from typing import Any, List, Optional, Sequence, Tuple
 
-from ..cache import PredicateCache
+from ..cache import MemoCache
 from ..geometry.distance import either_contains
 from ..geometry.min_dist import MinDistStats, min_boundary_distance
 from ..geometry.point_in_polygon import PointLocation, locate_point
@@ -146,7 +146,7 @@ def refine_items(
     sweep_stats: SweepStats,
     mindist_stats: MinDistStats,
     restrict_search_space: bool = True,
-    cache: Optional[PredicateCache] = None,
+    cache: Optional[MemoCache] = None,
 ) -> List[Any]:
     """Decide ``op`` for every ``(key, a, b)`` item; return matching keys.
 

@@ -15,7 +15,11 @@ the technique:
 * *per-buffer operations* - color/accumulation buffer clears, glAccum-style
   transfers, the Minmax readback, and full glReadPixels readback.
 
-Every operation updates :class:`~repro.gpu.costmodel.CostCounters`, enabling
+Each stage is written once: :func:`clip_keep` is the clipping test of every
+draw (edge draws, fill accounting, and the atlas's bulk draws in
+:mod:`repro.gpu.tiled`), and :meth:`GraphicsPipeline._edge_coverage` is the
+transform/clip/rasterize body under both edge-draw entry points.  Every
+operation updates :class:`~repro.gpu.costmodel.CostCounters`, enabling
 deterministic ablation benchmarks alongside wall-clock measurements.
 """
 
@@ -26,7 +30,6 @@ from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cache.keys import window_key
 from ..geometry.rect import Rect
 from ..obs.scope import current_scope
 from .costmodel import CostCounters
@@ -62,6 +65,25 @@ def uniform_window_scale(width: int, height: int, window: Rect) -> float:
     return min(sx, sy)
 
 
+def clip_keep(edges: np.ndarray, pad, width: int, height: int) -> np.ndarray:
+    """The clipping stage: which window-space edges can touch the viewport.
+
+    ``edges`` is ``(E, 4)`` (x0 y0 x1 y1); an edge survives when its
+    bounding box, grown by ``pad`` pixels (scalar, or one per edge) for
+    the widened footprint, meets the ``width x height`` pixel grid.
+    """
+    x_lo = np.minimum(edges[:, 0], edges[:, 2])
+    x_hi = np.maximum(edges[:, 0], edges[:, 2])
+    y_lo = np.minimum(edges[:, 1], edges[:, 3])
+    y_hi = np.maximum(edges[:, 1], edges[:, 3])
+    return (
+        (x_hi >= -pad)
+        & (x_lo <= width + pad)
+        & (y_hi >= -pad)
+        & (y_lo <= height + pad)
+    )
+
+
 class GraphicsPipeline:
     """A reusable rendering context of fixed resolution.
 
@@ -88,14 +110,6 @@ class GraphicsPipeline:
         self.fb = Framebuffer(width, height)
         self.state = RasterState()
         self.counters = CostCounters()
-        #: Optional :class:`~repro.cache.render.RenderCache` of per-draw
-        #: conservative coverage masks.  ``None`` (the default) disables
-        #: memoization; installers (:class:`~repro.core.hardware_test.
-        #: HardwareSegmentTest`) set it from their resolved CacheConfig.
-        #: Only keyed draw calls consult it, and fragment operations always
-        #: replay live, so cached renders leave buffers and returned masks
-        #: bit-identical to uncached ones.
-        self.render_cache = None
         # Identity-ish projection until a window is set.
         self._window = Rect(0.0, 0.0, float(width), float(height))
         self._scale = 1.0
@@ -161,58 +175,41 @@ class GraphicsPipeline:
 
     # -- buffer operations ---------------------------------------------------
 
-    def clear_color(self, value: float = 0.0) -> None:
-        self.fb.clear_color(value)
+    def _clear(self, buffer: str, value: float) -> None:
+        getattr(self.fb, f"clear_{buffer}")(value)
         self.counters.buffer_clears += 1
         self.counters.pixels_cleared += self.width * self.height
         recorder = current_scope().recorder
         if recorder is not None:
-            recorder.on_clear(self, "color", value)
+            recorder.on_clear(self, buffer, value)
+
+    def clear_color(self, value: float = 0.0) -> None:
+        self._clear("color", value)
 
     def clear_accum(self, value: float = 0.0) -> None:
-        self.fb.clear_accum(value)
-        self.counters.buffer_clears += 1
-        self.counters.pixels_cleared += self.width * self.height
-        recorder = current_scope().recorder
-        if recorder is not None:
-            recorder.on_clear(self, "accum", value)
+        self._clear("accum", value)
 
     def clear_stencil(self, value: int = 0) -> None:
-        self.fb.clear_stencil(value)
-        self.counters.buffer_clears += 1
-        self.counters.pixels_cleared += self.width * self.height
-        recorder = current_scope().recorder
-        if recorder is not None:
-            recorder.on_clear(self, "stencil", value)
+        self._clear("stencil", value)
 
     def clear_depth(self, value: float = 1.0) -> None:
-        self.fb.clear_depth(value)
-        self.counters.buffer_clears += 1
-        self.counters.pixels_cleared += self.width * self.height
+        self._clear("depth", value)
+
+    def _accum(self, op: str, scale: float) -> None:
+        getattr(self.fb, f"accum_{op}")(scale)
+        self.counters.accum_ops += 1
         recorder = current_scope().recorder
         if recorder is not None:
-            recorder.on_clear(self, "depth", value)
+            recorder.on_accum(self, op, scale)
 
     def accum_add(self, scale: float = 1.0) -> None:
-        self.fb.accum_add(scale)
-        self.counters.accum_ops += 1
-        recorder = current_scope().recorder
-        if recorder is not None:
-            recorder.on_accum(self, "add", scale)
+        self._accum("add", scale)
 
     def accum_load(self, scale: float = 1.0) -> None:
-        self.fb.accum_load(scale)
-        self.counters.accum_ops += 1
-        recorder = current_scope().recorder
-        if recorder is not None:
-            recorder.on_accum(self, "load", scale)
+        self._accum("load", scale)
 
     def accum_return(self, scale: float = 1.0) -> None:
-        self.fb.accum_return(scale)
-        self.counters.accum_ops += 1
-        recorder = current_scope().recorder
-        if recorder is not None:
-            recorder.on_accum(self, "return", scale)
+        self._accum("return", scale)
 
     def minmax(self, buffer: str = "color") -> Tuple[float, float]:
         """Hardware Minmax: min/max of a buffer without a bus transfer."""
@@ -236,82 +233,45 @@ class GraphicsPipeline:
 
     # -- draw calls -----------------------------------------------------------
 
-    def _render_cache_key(self, key: object):
-        """The full memoization key for one keyed draw call.
+    def _edge_coverage(self, edges_data: np.ndarray) -> np.ndarray:
+        """One edge draw's coverage mask (its fragment set).
 
-        The conservative coverage mask of a boundary is a pure function of
-        its edge content (``key``, the polygon digest), the projected
-        window, the widened line footprint, and the viewport - exactly
-        these components.  Fragment-op state (color, blend, logic, depth,
-        stencil) is deliberately absent: those stages replay live on every
-        draw, cached or not.
+        The stages every ``(E, 4)`` data-space edge draw goes through:
+        validate the state, count the call, transform (the projection is
+        affine, so edges map to window space in two array operations),
+        clip away edges whose widened footprint cannot touch the viewport,
+        and rasterize the survivors under the current anti-aliasing rule.
         """
         state = self.state
-        return (
-            key,
-            window_key(self._window),
-            float(state.line_width),
-            bool(state.cap_points),
-            self.height,
-            self.width,
+        state.validate(self.limits)
+        self.counters.draw_calls += 1
+        edges = (edges_data - self._offset4) * self._scale  # (E, 4): x0 y0 x1 y1
+        pad = max(state.line_width, state.point_size) + 1.0
+        keep = clip_keep(edges, pad, self.width, self.height)
+        kept = int(np.count_nonzero(keep))
+        self.counters.edges_rendered += kept
+        self.counters.edges_clipped_away += edges.shape[0] - kept
+        shape = (self.height, self.width)
+        if kept == 0:
+            return np.zeros(shape, dtype=bool)
+        if kept != edges.shape[0]:
+            edges = edges[keep]
+        if not state.antialias:
+            return lines_basic_coverage_mask(shape, edges)
+        return edges_coverage_mask(
+            shape, edges, width_px=state.line_width, cap_points=state.cap_points
         )
 
-    def render_coverage_mask(
-        self, edges_data: np.ndarray, key: object = None
-    ) -> np.ndarray:
+    def render_coverage_mask(self, edges_data: np.ndarray) -> np.ndarray:
         """Render a boundary and return its conservative coverage mask.
 
         Used by the distance-field test: the draw call goes through the
         normal transform/clip/rasterize stages (and is counted as such),
         but the caller receives the fragment mask instead of a buffer
-        write.  When ``key`` identifies the boundary's content and a
-        render cache is installed, a repeated (content, window, footprint)
-        render returns the memoized mask without transforming or
-        rasterizing.
+        write.
         """
-        self.state.validate(self.limits)
-        self.counters.draw_calls += 1
-        state = self.state
-        cache = self.render_cache
-        cache_key = None
-        if cache is not None and key is not None:
-            cache_key = self._render_cache_key(key)
-            mask = cache.lookup(cache_key)
-            if mask is not None:
-                self.counters.pixels_written += int(np.count_nonzero(mask))
-                recorder = current_scope().recorder
-                if recorder is not None:
-                    recorder.on_coverage_mask(self, edges_data, mask)
-                return mask
-        edges = (edges_data - self._offset4) * self._scale
-        pad = max(state.line_width, state.point_size) + 1.0
-        x_lo = np.minimum(edges[:, 0], edges[:, 2])
-        x_hi = np.maximum(edges[:, 0], edges[:, 2])
-        y_lo = np.minimum(edges[:, 1], edges[:, 3])
-        y_hi = np.maximum(edges[:, 1], edges[:, 3])
-        keep = (
-            (x_hi >= -pad)
-            & (x_lo <= self.width + pad)
-            & (y_hi >= -pad)
-            & (y_lo <= self.height + pad)
-        )
-        kept = int(np.count_nonzero(keep))
-        self.counters.edges_rendered += kept
-        self.counters.edges_clipped_away += edges.shape[0] - kept
-        if kept == 0:
-            mask = np.zeros((self.height, self.width), dtype=bool)
-        else:
-            if kept != edges.shape[0]:
-                edges = edges[keep]
-            mask = edges_coverage_mask(
-                (self.height, self.width),
-                edges,
-                width_px=state.line_width,
-                cap_points=state.cap_points,
-            )
-            self.counters.pixels_written += int(np.count_nonzero(mask))
-        if cache_key is not None:
-            cache.store(cache_key, mask)
+        mask = self._edge_coverage(edges_data)
+        self.counters.pixels_written += int(np.count_nonzero(mask))
         recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_coverage_mask(self, edges_data, mask)
@@ -327,7 +287,6 @@ class GraphicsPipeline:
         if recorder is not None:
             recorder.on_distance_field(self, mask, field)
         return field
-
 
     def draw_polygon_edges(self, coords: Coords, closed: bool = True) -> None:
         """Render a vertex chain as line segments under the current state.
@@ -347,81 +306,19 @@ class GraphicsPipeline:
             ends = arr[1:]
         self.draw_edges_array(np.hstack([starts, ends]))
 
-    def draw_edges_array(self, edges_data: np.ndarray, key: object = None) -> None:
+    def draw_edges_array(self, edges_data: np.ndarray) -> None:
         """Render an ``(E, 4)`` array of data-space segments.
 
         The vectorized equivalent of :meth:`draw_polygon_edges` for callers
-        that cache edge arrays (``Polygon.edges_array``); the transform is
-        affine, so edges map to window space in two array operations.
-
-        When ``key`` identifies the segment content (the owning polygon's
-        digest) and a render cache is installed, a repeated anti-aliased
-        (content, window, footprint) draw replays its memoized coverage
-        mask: the transform/clip/rasterize stages are skipped, while the
-        per-fragment operations (depth, stencil, blend, logic, color
-        write) run live against the current buffers, so the resulting
-        buffer contents are bit-identical to an uncached draw.
+        that cache edge arrays (``Polygon.edges_array``).  Both
+        rasterization rules produce the draw call's coverage mask, so
+        every draw type flows through the same per-fragment pipeline
+        (depth, stencil, blend, logic, color write).
         """
-        self.state.validate(self.limits)
-        self.counters.draw_calls += 1
-        state = self.state
         recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_draw_edges(self, edges_data)
-
-        cache = self.render_cache
-        cache_key = None
-        if cache is not None and key is not None and state.antialias:
-            cache_key = self._render_cache_key(key)
-            mask = cache.lookup(cache_key)
-            if mask is not None:
-                self.counters.pixels_written += self._apply_fragment_ops(mask)
-                return
-
-        # Transformation stage.
-        edges = (edges_data - self._offset4) * self._scale  # (E, 4): x0 y0 x1 y1
-
-        # Clipping stage: reject edges whose widened footprint cannot touch
-        # the viewport.
-        pad = max(state.line_width, state.point_size) + 1.0
-        x_lo = np.minimum(edges[:, 0], edges[:, 2])
-        x_hi = np.maximum(edges[:, 0], edges[:, 2])
-        y_lo = np.minimum(edges[:, 1], edges[:, 3])
-        y_hi = np.maximum(edges[:, 1], edges[:, 3])
-        keep = (
-            (x_hi >= -pad)
-            & (x_lo <= self.width + pad)
-            & (y_hi >= -pad)
-            & (y_lo <= self.height + pad)
-        )
-        kept = int(np.count_nonzero(keep))
-        self.counters.edges_rendered += kept
-        self.counters.edges_clipped_away += edges.shape[0] - kept
-        if kept == 0:
-            if cache_key is not None:
-                cache.store(
-                    cache_key, np.zeros((self.height, self.width), dtype=bool)
-                )
-            return
-        if kept != edges.shape[0]:
-            edges = edges[keep]
-
-        # Rasterization stage: both rules produce the draw call's coverage
-        # mask (its fragment set), so every draw type flows through the
-        # same per-fragment pipeline.  Historically the basic path wrote
-        # fb.color directly, silently skipping depth/stencil/blend/logic
-        # state that only the anti-aliased path honored.
-        if state.antialias:
-            mask = edges_coverage_mask(
-                (self.height, self.width),
-                edges,
-                width_px=state.line_width,
-                cap_points=state.cap_points,
-            )
-            if cache_key is not None:
-                cache.store(cache_key, mask)
-        else:
-            mask = lines_basic_coverage_mask((self.height, self.width), edges)
+        mask = self._edge_coverage(edges_data)
         self.counters.pixels_written += self._apply_fragment_ops(mask)
 
     def _apply_fragment_ops(self, mask: np.ndarray) -> int:
@@ -516,19 +413,9 @@ class GraphicsPipeline:
         # an edge far outside the viewport can bound interior that covers
         # it (hardware would clip-and-retessellate; the even-odd parity
         # over in-buffer pixel centers is equivalent).
-        starts = np.roll(window, 1, axis=0)
-        pad = 1.0  # fill coverage reaches < 1 px beyond an edge's bbox
-        x_lo = np.minimum(starts[:, 0], window[:, 0])
-        x_hi = np.maximum(starts[:, 0], window[:, 0])
-        y_lo = np.minimum(starts[:, 1], window[:, 1])
-        y_hi = np.maximum(starts[:, 1], window[:, 1])
-        keep = (
-            (x_hi >= -pad)
-            & (x_lo <= self.width + pad)
-            & (y_hi >= -pad)
-            & (y_lo <= self.height + pad)
-        )
-        kept = int(np.count_nonzero(keep))
+        edges = np.hstack([np.roll(window, 1, axis=0), window])
+        # Fill coverage reaches < 1 px beyond an edge's bbox.
+        kept = int(np.count_nonzero(clip_keep(edges, 1.0, self.width, self.height)))
         self.counters.edges_rendered += kept
         self.counters.edges_clipped_away += arr.shape[0] - kept
 

@@ -37,7 +37,7 @@ import numpy as np
 from ..geometry.rect import Rect
 from ..obs.scope import current_scope
 from .framebuffer import Framebuffer
-from .pipeline import GraphicsPipeline, uniform_window_scale
+from .pipeline import GraphicsPipeline, clip_keep, uniform_window_scale
 from .raster_bulk import edges_coverage_masks_grouped
 
 #: Gray level each boundary is rendered with (Algorithm 3.1's 0.5).
@@ -265,19 +265,9 @@ class TiledPipeline:
         )
         edges = (stacked - offsets[gid]) * scales[gid, None]
 
-        # Clipping stage, per tile-local viewport (identical test to
-        # GraphicsPipeline.draw_edges_array).
+        # Clipping stage, per tile-local viewport.
         pad = pads[gid] if isinstance(pads, np.ndarray) and pads.ndim else pads
-        x_lo = np.minimum(edges[:, 0], edges[:, 2])
-        x_hi = np.maximum(edges[:, 0], edges[:, 2])
-        y_lo = np.minimum(edges[:, 1], edges[:, 3])
-        y_hi = np.maximum(edges[:, 1], edges[:, 3])
-        keep = (
-            (x_hi >= -pad)
-            & (x_lo <= self.tile_width + pad)
-            & (y_hi >= -pad)
-            & (y_lo <= self.tile_height + pad)
-        )
+        keep = clip_keep(edges, pad, self.tile_width, self.tile_height)
         kept = int(np.count_nonzero(keep))
         counters.edges_rendered += kept
         counters.edges_clipped_away += total - kept

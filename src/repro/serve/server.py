@@ -71,7 +71,7 @@ class ServeFrontend:
     async def start(self) -> Tuple[str, int]:
         """Bind and listen; returns the bound (host, port)."""
         self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port
+            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -101,12 +101,10 @@ class ServeFrontend:
             while not self._shutdown.is_set():
                 try:
                     line = await reader.readline()
-                except (ConnectionError, asyncio.LimitOverrunError):
+                except ValueError:  # how readline() reports a line over its limit
+                    await self._send(writer, _error("request line too long"))
                     break
                 if not line:
-                    break
-                if len(line) > MAX_LINE_BYTES:
-                    await self._send(writer, _error("request line too long"))
                     break
                 text = line.decode("utf-8", errors="replace").strip()
                 if not text:
@@ -116,6 +114,8 @@ class ServeFrontend:
                 if reply.get("kind") == "shutdown-ack":
                     self._shutdown.set()
                     break
+        except ConnectionError:
+            pass  # the client went away mid-read or mid-reply: nobody to answer
         finally:
             try:
                 writer.close()

@@ -1,16 +1,17 @@
-"""Tests for the cache kinds, the per-engine bundle, and configuration."""
+"""Tests for the memo table, the verdict key, the per-engine bundle, and
+the on/off configuration."""
 
 import pickle
 
-import numpy as np
 import pytest
 
 from repro.cache import (
+    CAPACITY,
+    MISSING,
     CacheBundle,
     CacheConfig,
-    PredicateCache,
-    RenderCache,
-    VerdictCache,
+    MemoCache,
+    verdict_key,
 )
 from repro.core import HardwareVerdict
 from repro.geometry import Polygon, Rect
@@ -22,71 +23,46 @@ def _polygons():
     return a, b
 
 
-class TestVerdictCache:
+class TestVerdictKey:
     def test_key_is_content_based(self):
         a, b = _polygons()
         window = Rect(0.0, 0.0, 10.0, 10.0)
-        k1 = VerdictCache.key("intersect", "accum", a, b, window, 0.0, 32)
+        k1 = verdict_key("intersect", "accum", a, b, window, 0.0, 32)
         a2 = Polygon.from_coords([(0, 4), (10, 4), (10, 6), (0, 6)])
-        k2 = VerdictCache.key("intersect", "accum", a2, b, window, 0.0, 32)
+        k2 = verdict_key("intersect", "accum", a2, b, window, 0.0, 32)
         assert k1 == k2
 
     def test_key_separates_every_parameter(self):
         a, b = _polygons()
         w = Rect(0.0, 0.0, 10.0, 10.0)
-        base = VerdictCache.key("intersect", "accum", a, b, w, 0.0, 32)
-        assert base != VerdictCache.key("distance", "accum", a, b, w, 0.0, 32)
-        assert base != VerdictCache.key("intersect", "blend", a, b, w, 0.0, 32)
-        assert base != VerdictCache.key("intersect", "accum", b, a, w, 0.0, 32)
-        assert base != VerdictCache.key(
+        base = verdict_key("intersect", "accum", a, b, w, 0.0, 32)
+        assert base != verdict_key("distance", "accum", a, b, w, 0.0, 32)
+        assert base != verdict_key("intersect", "blend", a, b, w, 0.0, 32)
+        assert base != verdict_key("intersect", "accum", b, a, w, 0.0, 32)
+        assert base != verdict_key(
             "intersect", "accum", a, b, Rect(0, 0, 10, 11), 0.0, 32
         )
-        assert base != VerdictCache.key("intersect", "accum", a, b, w, 1.5, 32)
-        assert base != VerdictCache.key("intersect", "accum", a, b, w, 0.0, 64)
+        assert base != verdict_key("intersect", "accum", a, b, w, 1.5, 32)
+        assert base != verdict_key("intersect", "accum", a, b, w, 0.0, 64)
 
+
+class TestMemoCache:
     def test_lookup_miss_then_hit(self):
         a, b = _polygons()
-        cache = VerdictCache(capacity=8)
-        key = VerdictCache.key("intersect", "accum", a, b, a.mbr, 0.0, 32)
-        assert cache.lookup("intersect", key) is None
+        cache = MemoCache("verdict", capacity=8)
+        key = verdict_key("intersect", "accum", a, b, a.mbr, 0.0, 32)
+        assert cache.lookup("intersect", key) is MISSING
         cache.store("intersect", key, HardwareVerdict.MAYBE)
         assert cache.lookup("intersect", key) is HardwareVerdict.MAYBE
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
         cache.clear()
         assert len(cache) == 0
-        assert cache.lookup("intersect", key) is None
+        assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
+        assert cache.lookup("intersect", key) is MISSING
 
-
-class TestRenderCache:
-    def test_store_copies_and_freezes(self):
-        cache = RenderCache(capacity=4)
-        mask = np.zeros((4, 4), dtype=np.float64)
-        mask[1, 2] = 0.5
-        cache.store(("k",), mask)
-        mask[1, 2] = 99.0  # caller mutation must not reach the cache
-        cached = cache.lookup(("k",))
-        assert cached[1, 2] == 0.5
-        assert not cached.flags.writeable
-        with pytest.raises(ValueError):
-            cached[0, 0] = 1.0
-
-    def test_miss_returns_none(self):
-        cache = RenderCache(capacity=4)
-        assert cache.lookup(("absent",)) is None
-        assert cache.misses == 1
-
-    def test_eviction_tally(self):
-        cache = RenderCache(capacity=1)
-        cache.store(("a",), np.zeros((2, 2)))
-        cache.store(("b",), np.zeros((2, 2)))
-        assert cache.evictions == 1
-        assert cache.lookup(("a",)) is None
-
-
-class TestPredicateCache:
     def test_memo_computes_once(self):
-        cache = PredicateCache(capacity=8)
+        cache = MemoCache("predicate", capacity=8)
         calls = []
 
         def compute():
@@ -99,7 +75,7 @@ class TestPredicateCache:
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_ops_namespace_keys(self):
-        cache = PredicateCache(capacity=8)
+        cache = MemoCache("predicate", capacity=8)
         assert cache.memo("sweep", ("x",), lambda: 1) == 1
         assert cache.memo("mindist", ("x",), lambda: 2) == 2
         assert len(cache) == 2
@@ -109,22 +85,14 @@ class TestCacheConfig:
     def test_frozen_hashable_picklable(self):
         config = CacheConfig()
         with pytest.raises(AttributeError):
-            config.verdicts = False
+            config.enabled = False
         assert hash(config) == hash(CacheConfig())
         assert pickle.loads(pickle.dumps(config)) == config
 
-    def test_capacity_validation(self):
-        for name in ("verdict_capacity", "render_capacity", "predicate_capacity"):
-            with pytest.raises(ValueError):
-                CacheConfig(**{name: 0})
-
     def test_disabled_and_any_enabled(self):
-        off = CacheConfig.disabled()
-        assert not off.any_enabled
-        assert CacheConfig().any_enabled
-        assert CacheConfig(
-            verdicts=False, renders=False, predicates=True
-        ).any_enabled
+        assert not CacheConfig.disabled().enabled
+        assert CacheConfig().enabled
+        assert CacheConfig.disabled() == CacheConfig(enabled=False)
 
     def test_default_is_disabled(self):
         # An engine built without a cache argument has every layer off,
@@ -146,40 +114,30 @@ class TestCacheBundle:
     def test_disabled_layers_are_none(self):
         bundle = CacheBundle(CacheConfig.disabled())
         assert bundle.verdict is None
-        assert bundle.render is None
         assert bundle.predicate is None
         assert bundle.stats() == {}
         assert bundle.totals().total == 0
         bundle.reset()  # no-op, must not raise
 
     def test_enabled_layers_and_capacities(self):
-        config = CacheConfig(
-            verdict_capacity=7, render_capacity=5, predicate_capacity=3
-        )
+        config = CacheConfig()
         bundle = CacheBundle(config)
-        assert bundle.verdict is not None
-        assert bundle.render is not None
-        assert bundle.predicate is not None
+        assert bundle.verdict.capacity == CAPACITY
+        assert bundle.predicate.capacity == CAPACITY
+        assert bundle.verdict is not bundle.predicate
         assert bundle.config is config
-
-    def test_partial_enablement(self):
-        bundle = CacheBundle(CacheConfig(verdicts=True, renders=False, predicates=False))
-        assert bundle.verdict is not None
-        assert bundle.render is None
-        assert bundle.predicate is None
-        assert set(bundle.stats()) == {"verdict"}
+        assert set(bundle.stats()) == {"verdict", "predicate"}
 
     def test_stats_and_totals_aggregate(self):
         bundle = CacheBundle(CacheConfig())
         bundle.predicate.memo("sweep", ("x",), lambda: True)
         bundle.predicate.memo("sweep", ("x",), lambda: True)
-        key = ("k",)
-        assert bundle.render.lookup(key) is None
+        assert bundle.verdict.lookup("intersect", ("k",)) is MISSING
         stats = bundle.stats()
         assert stats["predicate"].hits == 1
         assert stats["predicate"].misses == 1
         assert stats["predicate"].hit_rate == 0.5
-        assert stats["render"].misses == 1
+        assert stats["verdict"].misses == 1
         totals = bundle.totals()
         assert (totals.hits, totals.misses) == (1, 2)
 

@@ -22,6 +22,8 @@ from repro.core import (
     OVERLAP_METHODS,
     HardwareConfig,
     HardwareEngine,
+    HardwareSegmentTest,
+    HardwareVerdict,
 )
 from repro.datasets import (
     GeneratorConfig,
@@ -96,24 +98,6 @@ class TestSerialEquivalence:
         assert on.polygons_intersect(CROSS_H, CROSS_V)
         assert on.caches.stats()["verdict"].hits >= 1
 
-    def test_render_cache_hits_when_verdicts_disabled(self):
-        # With verdict caching off the repeat re-runs the whole test, so
-        # the per-polygon coverage masks come from the render cache; the
-        # verdict must still match a cache-off engine exactly.
-        off, _ = engine_pair(make=per_pair_engine)
-        on = per_pair_engine(
-            HardwareConfig(
-                resolution=8,
-                cache=CacheConfig(verdicts=False, predicates=False),
-            )
-        )
-        for _ in range(2):
-            assert on.polygons_intersect(
-                CROSS_H, CROSS_V
-            ) == off.polygons_intersect(CROSS_H, CROSS_V)
-        assert on.caches.stats()["render"].hits >= 2
-        assert on.stats == off.stats
-
     def test_distance_repeats_register_hits(self):
         off, on = engine_pair(make=per_pair_engine)
         far = Polygon.from_coords([(20, 0), (22, 0), (22, 2), (20, 2)])
@@ -156,6 +140,63 @@ class TestBatchedEquivalence:
         got = on_batch.refine("intersect", items)
         assert got == expected
         assert on_batch.stats == on_serial.stats
+
+
+    @pytest.mark.parametrize("cache", [CacheConfig.disabled(), CacheConfig()])
+    @pytest.mark.parametrize("d", [0.0, 16.0])
+    def test_entry_points_publish_the_same_families(self, cache, d):
+        # One verdict routine under both: the per-pair entry points and the
+        # batch entry points must account for the same pair list
+        # identically - over-limit widths and repeated pairs included -
+        # and differ only in which duration family the renders land in.
+        far = Polygon.from_coords([(20, 0), (22, 0), (22, 2), (20, 2)])
+        wide, narrow = Rect(0.0, 0.0, 40.0, 40.0), Rect(0.0, 0.0, 10.0, 10.0)
+        pairs = [
+            (CROSS_H, CROSS_V, wide),
+            (CROSS_V, far, wide),
+            (CROSS_H, CROSS_V, narrow),  # d=16 at 0.8 px/unit: 13 px > 10
+            (CROSS_H, CROSS_V, wide),  # repeats the first
+        ]
+        config = HardwareConfig(resolution=8, cache=cache)
+        each, batch = MetricsRegistry(), MetricsRegistry()
+        with use_registry(each):
+            hw = HardwareSegmentTest(config)
+            one_by_one = [hw.distance_verdict(a, b, w, d) for a, b, w in pairs]
+        with use_registry(batch):
+            at_once = HardwareSegmentTest(config).distance_verdicts_batch(pairs, d)
+        assert at_once == one_by_one
+        unsupported = one_by_one.count(HardwareVerdict.UNSUPPORTED)
+        assert unsupported == (1 if d else 0)
+
+        def hw_families(registry):
+            snap = registry.snapshot()
+            return {
+                key: value
+                for key, value in {**snap["counters"], **snap["histograms"]}.items()
+                if key.startswith("hw_")
+            }
+
+        durations = ("hw_test_duration_s", "hw_batch_duration_s")
+        per_pair, batched = hw_families(each), hw_families(batch)
+        shared = {k: v for k, v in per_pair.items() if not k.startswith(durations)}
+        assert shared == {
+            k: v for k, v in batched.items() if not k.startswith(durations)
+        }
+        assert {key.split("{")[0] for key in shared} == {
+            "hw_verdicts",
+            "hw_test_edges",
+            *(["hw_line_width_overflow"] if d else []),
+        }
+        op = "within_distance" if d else "intersect"
+        # One timed render per pair that is neither over the limit nor (with
+        # caching on) a repeat; one shared duration per submission.
+        renders = len(pairs) - unsupported - (1 if cache.enabled else 0)
+        assert {k: v["count"] for k, v in per_pair.items() if k.startswith(durations)} == {
+            f"hw_test_duration_s{{method=accum,op={op}}}": renders
+        }
+        assert {k: v["count"] for k, v in batched.items() if k.startswith(durations)} == {
+            f"hw_batch_duration_s{{op={op}}}": 1
+        }
 
 
 @pytest.fixture(scope="module")

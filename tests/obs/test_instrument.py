@@ -194,9 +194,9 @@ class TestHardwareTestMetrics:
 
 
 class TestDistanceFieldObservation:
-    """Regression: every distance-field entry point routes through
-    ``_observe_test`` exactly once per pair - the field verdict must never
-    bypass the observation hook, whichever API level invoked it."""
+    """Regression: every distance-field entry point is observed exactly
+    once per pair - the field verdict must never bypass the per-pair
+    accounting, whichever API level invoked it."""
 
     def setup_method(self):
         self.a = _triangle(0.0, 0.0)

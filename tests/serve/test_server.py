@@ -2,6 +2,8 @@
 
 import asyncio
 import json
+import socket
+import struct
 import threading
 
 from repro.serve import ServeFrontend, send_envelope
@@ -9,10 +11,17 @@ from repro.serve.server import MAX_LINE_BYTES
 
 
 def _with_frontend(service, client_fn):
-    """Run the frontend in an event loop, the client in a thread."""
-    results = {}
+    """Run the frontend in an event loop, the client in a thread.
+
+    Whatever reaches the loop's exception handler (an unhandled exception
+    in a connection task, say) is collected under ``"loop_errors"``.
+    """
+    results = {"loop_errors": []}
 
     async def main():
+        asyncio.get_running_loop().set_exception_handler(
+            lambda loop, context: results["loop_errors"].append(context)
+        )
         frontend = ServeFrontend(service)
         host, port = await frontend.start()
         thread = threading.Thread(
@@ -22,9 +31,21 @@ def _with_frontend(service, client_fn):
         await asyncio.wait_for(frontend.serve_until_shutdown(), timeout=60)
         await frontend.stop()
         thread.join()
+        # Let connection tasks end on their own: asyncio.run() would cancel
+        # them, and a cancelled one lands in the exception handler too.
+        others = asyncio.all_tasks() - {asyncio.current_task()}
+        if others:
+            await asyncio.wait(others, timeout=30)
 
     asyncio.run(main())
     return results
+
+
+def _raw_line(host, port, line):
+    """Send one raw line on a fresh connection; the reply line, parsed."""
+    with socket.create_connection((host, port), timeout=30) as conn:
+        conn.sendall(line)
+        return json.loads(conn.makefile().readline())
 
 
 class TestProtocol:
@@ -92,11 +113,7 @@ class TestErrors:
     def test_bad_json_and_bad_request(self, service):
         def client(host, port):
             out = {}
-            import socket
-
-            with socket.create_connection((host, port), timeout=30) as conn:
-                conn.sendall(b"this is not json\n")
-                out["bad_json"] = json.loads(conn.makefile().readline())
+            out["bad_json"] = _raw_line(host, port, b"this is not json\n")
             out["bad_kind"] = send_envelope(host, port, {"kind": "dance"})
             out["bad_request"] = send_envelope(
                 host, port, {"kind": "query", "request": {"op": "nope"}}
@@ -129,6 +146,82 @@ class TestErrors:
         res = _with_frontend(service, client)
         assert res["reply"]["kind"] == "response"
         assert res["reply"]["response"]["status"] == "error"
+
+
+class TestFrontEndFaults:
+    """Front-end faults end in answers, not tracebacks."""
+
+    def test_line_over_the_stream_default_is_served(self, service):
+        # 70 000 bytes: over asyncio's 64 KiB default reader limit, a
+        # fifteenth of what the server says it accepts.
+        line = json.dumps({"kind": "ping", "pad": "x" * 70_000}).encode() + b"\n"
+
+        def client(host, port):
+            out = {"reply": _raw_line(host, port, line)}
+            send_envelope(host, port, {"kind": "shutdown"})
+            return out
+
+        res = _with_frontend(service, client)
+        assert res["reply"] == {"kind": "pong"}
+        assert res["loop_errors"] == []
+
+    def test_line_over_the_limit_gets_the_error_envelope(self, service):
+        def client(host, port):
+            out = {}
+            out["oversize"] = _raw_line(
+                host, port, b"x" * (MAX_LINE_BYTES + 1) + b"\n"
+            )
+            out["after"] = send_envelope(host, port, {"kind": "ping"})
+            send_envelope(host, port, {"kind": "shutdown"})
+            return out
+
+        res = _with_frontend(service, client)
+        assert res["oversize"]["kind"] == "error"
+        assert "too long" in res["oversize"]["error"]
+        assert res["after"] == {"kind": "pong"}
+        assert res["loop_errors"] == []
+
+    def test_client_reset_before_the_reply(self, service):
+        def settled():
+            counters = service.metrics_snapshot()["counters"]
+            return {
+                key: value
+                for key, value in counters.items()
+                if key.startswith("serve_requests{")
+            }
+
+        before = settled()
+        query = {"kind": "query", "request": {"op": "within_distance", "distance": 1.0}}
+
+        def client(host, port):
+            conn = socket.create_connection((host, port), timeout=30)
+            conn.sendall(json.dumps(query).encode() + b"\n")
+            # SO_LINGER with a zero timeout: close() sends RST, not FIN.
+            conn.setsockopt(
+                socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0)
+            )
+            conn.close()
+            # The reset query holds an engine; this one queues behind it
+            # or beside it, and either way is answered after the reset.
+            out = {"after": send_envelope(host, port, query)}
+            send_envelope(host, port, {"kind": "shutdown"})
+            return out
+
+        res = _with_frontend(service, client)
+        assert res["after"]["response"]["status"] == "ok"
+        assert res["loop_errors"] == []
+        # Both arrivals were settled exactly once, in a known status.
+        moved = {
+            key: value - before.get(key, 0)
+            for key, value in settled().items()
+            if value != before.get(key, 0)
+        }
+        assert sum(moved.values()) == 2
+        assert all(
+            key.split("status=")[1].rstrip("}") in ("ok", "shed", "timeout", "error")
+            for key in moved
+        )
+        assert service.health()["verdict"] == "ready"
 
 
 class TestConcurrentConnections:

@@ -5,6 +5,8 @@
 * the paper's own layers - geometry, gpu, core, filters, index, cache -
   never import the scale-out (``repro.exec``) or serving (``repro.serve``)
   layers above them;
+* the simulated card (``repro.gpu``) knows nothing about memoization
+  (``repro.cache``);
 * the ambient scope, the tracer and the metrics registry import nothing
   from the rest of ``repro`` at run time, so every layer may import them.
 """
@@ -75,6 +77,17 @@ def test_lower_layers_do_not_import_exec_or_serve():
         if path.relative_to(SRC / "repro").parts[0] in LOWER_LAYERS
         for name in _imported(path, tree)
         if _within(name, "repro.exec") or _within(name, "repro.serve")
+    ]
+    assert not offenders, offenders
+
+
+def test_gpu_does_not_import_cache():
+    offenders = [
+        f"{path.relative_to(SRC)} imports {name}"
+        for path, tree in _modules()
+        if path.relative_to(SRC / "repro").parts[0] == "gpu"
+        for name in _imported(path, tree)
+        if _within(name, "repro.cache")
     ]
     assert not offenders, offenders
 
