@@ -337,7 +337,9 @@ class HardwareSegmentTest:
         """Every pair as one tile of one atlas submission."""
         flags = self.tiled.overlap_flags(
             [a.edges_array for a, _, _ in pairs],
+            [a.edge_bounds for a, _, _ in pairs],
             [b.edges_array for _, b, _ in pairs],
+            [b.edge_bounds for _, b, _ in pairs],
             [window for _, _, window in pairs],
             widths_px=(
                 DEFAULT_AA_LINE_WIDTH

@@ -25,6 +25,7 @@ from .min_dist import (
 from .point import Point
 from .point_in_polygon import (
     PointLocation,
+    edge_bounds,
     locate_point,
     point_in_polygon,
     point_strictly_in_polygon,
@@ -73,6 +74,7 @@ __all__ = [
     "collinear_overlap",
     "convex_hull",
     "cross",
+    "edge_bounds",
     "either_contains",
     "hull_polygon",
     "locate_point",

@@ -31,6 +31,19 @@ def ring_edges(coords: np.ndarray) -> np.ndarray:
     return np.hstack([np.roll(coords, 1, axis=0), coords])
 
 
+def edge_bounds(edges: np.ndarray) -> np.ndarray:
+    """Bounding boxes of ``(n, 4)`` edge rows as a ``(4, n)`` float64 array,
+    rows ``xmin, ymin, xmax, ymax``: one contiguous row per box side, so a
+    comparison against a window side streams exactly the row it needs."""
+    ax, ay, bx, by = edges.T
+    bounds = np.empty((4, len(edges)), dtype=np.float64)
+    np.minimum(ax, bx, out=bounds[0])
+    np.minimum(ay, by, out=bounds[1])
+    np.maximum(ax, bx, out=bounds[2])
+    np.maximum(ay, by, out=bounds[3])
+    return bounds
+
+
 def locate_point(p: Point, vertices: Sequence[Point]) -> PointLocation:
     """Classify ``p`` against the polygon given by ``vertices``.
 

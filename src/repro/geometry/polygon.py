@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from .point import Point
-from .point_in_polygon import PointLocation, locate_point, ring_edges
+from .point_in_polygon import PointLocation, edge_bounds, locate_point, ring_edges
 from .rect import Rect
 from .segment import Segment
 
@@ -78,7 +78,10 @@ class Polygon:
     for them through :attr:`vertices` or :meth:`edges`.
     """
 
-    __slots__ = ("coords_array", "_edges_array", "_points", "_mbr", "_signed_area", "_digest")
+    __slots__ = (
+        "coords_array", "_edges_array", "_edge_bounds",
+        "_points", "_mbr", "_signed_area", "_digest",
+    )
 
     def __init__(
         self, vertices: Union[np.ndarray, Iterable[Union[Point, Tuple[float, float]]]]
@@ -186,6 +189,21 @@ class Polygon:
             arr.setflags(write=False)
             object.__setattr__(self, "_edges_array", arr)
         return self._edges_array
+
+    @property
+    def edge_bounds(self) -> np.ndarray:
+        """Each edge's bounding box as a read-only ``(4, n)`` array, rows
+        ``xmin, ymin, xmax, ymax`` over :attr:`edges_array` (cached).
+
+        The second derived array: the sweep's search-space restriction and
+        the atlas's clipping stage both test these rows against a window
+        instead of recomputing the four min/max passes on every call.
+        """
+        if self._edge_bounds is None:
+            arr = edge_bounds(self.edges_array)
+            arr.setflags(write=False)
+            object.__setattr__(self, "_edge_bounds", arr)
+        return self._edge_bounds
 
     @property
     def digest(self) -> bytes:

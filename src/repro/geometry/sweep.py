@@ -73,8 +73,7 @@ def _flatten_edges(
     Python floats: the sweep sorts and indexes them one at a time.
     """
     ax, ay, bx, by = polygon.edges_array.T
-    xmin, xmax = np.minimum(ax, bx), np.maximum(ax, bx)
-    ymin, ymax = np.minimum(ay, by), np.maximum(ay, by)
+    xmin, ymin, xmax, ymax = polygon.edge_bounds
     columns = [xmin, xmax, ymin, ymax, ax, ay, bx, by]
     if window is not None:
         keep = np.flatnonzero(

@@ -19,11 +19,7 @@ from .raster_line import (
     rasterize_line_basic,
 )
 from .raster_point import rasterize_point_basic, rasterize_point_conservative
-from .raster_bulk import (
-    edges_coverage_mask,
-    edges_coverage_masks_grouped,
-    rasterize_edges_bulk,
-)
+from .raster_bulk import edges_coverage_mask, edges_coverage_masks_grouped
 from .raster_polygon import (
     polygon_coverage_mask,
     rasterize_polygon_evenodd,
@@ -66,7 +62,6 @@ __all__ = [
     "lines_basic_coverage_mask",
     "lines_basic_coverage_mask_reference",
     "min_center_distance",
-    "rasterize_edges_bulk",
     "site_distances_at",
     "within_pixel_distance",
     "polygon_coverage_mask",

@@ -17,7 +17,8 @@ the technique:
 
 Each stage is written once: :func:`clip_keep` is the clipping test of every
 draw (edge draws, fill accounting, and the atlas's bulk draws in
-:mod:`repro.gpu.tiled`), and :meth:`GraphicsPipeline._edge_coverage` is the
+:mod:`repro.gpu.tiled`, which first skip what :func:`cull_box` proves it
+would reject), and :meth:`GraphicsPipeline._edge_coverage` is the
 transform/clip/rasterize body under both edge-draw entry points.  Every
 operation updates :class:`~repro.gpu.costmodel.CostCounters`, enabling
 deterministic ablation benchmarks alongside wall-clock measurements.
@@ -81,6 +82,33 @@ def clip_keep(edges: np.ndarray, pad, width: int, height: int) -> np.ndarray:
         & (x_lo <= width + pad)
         & (y_hi >= -pad)
         & (y_lo <= height + pad)
+    )
+
+
+def cull_box(
+    xmin: float, ymin: float, scale: float, pad: float, width: int, height: int
+) -> Tuple[float, float, float, float]:
+    """Data-space box ``(lo_x, lo_y, hi_x, hi_y)`` outside which
+    :func:`clip_keep` provably rejects, for the projection ``(v - min) * scale``.
+
+    An edge with ``xmax < lo_x`` or ``xmin > hi_x`` (likewise in y) need not
+    be transformed at all.  Each side starts one pixel beyond the clip limit
+    and is *verified* by pushing it through the very expression edge
+    coordinates go through: it must itself fail the clip comparison.
+    Correctly rounded subtraction and multiplication by a positive scale are
+    monotone, so every coordinate beyond a verified side fails too - no error
+    analysis, no tolerance.  A side that does not verify (a pixel below one
+    ulp of the window, an overflowed scale) is infinite: no cull there.
+    """
+    reach = (pad + 1.0) / scale
+    lo_x, lo_y = xmin - reach, ymin - reach
+    hi_x = xmin + (width + pad + 1.0) / scale
+    hi_y = ymin + (height + pad + 1.0) / scale
+    return (
+        lo_x if (lo_x - xmin) * scale < -pad else -math.inf,
+        lo_y if (lo_y - ymin) * scale < -pad else -math.inf,
+        hi_x if (hi_x - xmin) * scale > width + pad else math.inf,
+        hi_y if (hi_y - ymin) * scale > height + pad else math.inf,
     )
 
 

@@ -5,7 +5,9 @@ parallel; a per-edge Python loop would misrepresent the cost structure the
 paper exploits (per-edge setup is cheap, per-pixel work is parallel).  This
 module rasterizes *all* edges of a draw call with numpy broadcasting: one
 separating-axis test evaluated for every (edge, pixel) pair, chunked to
-bound memory.
+bound memory.  The (pixel, edge) cube is laid out ``(H, W, E)`` - edges on
+the contiguous axis - so each ufunc's inner loop runs a whole chunk of
+edges instead of one tile row.
 
 Semantics are identical to
 :func:`repro.gpu.raster_line.rasterize_line_aa_conservative` applied per
@@ -73,27 +75,6 @@ def edges_coverage_mask(
     return mask
 
 
-def rasterize_edges_bulk(
-    buffer: np.ndarray,
-    edges: np.ndarray,
-    width_px: float,
-    color: float = 1.0,
-    cap_points: bool = False,
-) -> int:
-    """Color pixels covered by any edge's conservative AA footprint.
-
-    ``edges`` is an ``(E, 4)`` float array of window-space segments
-    ``[x0, y0, x1, y1]``.  Returns the number of pixels written (pixels
-    covered by several edges count once - blending is disabled, writes are
-    idempotent).
-    """
-    mask = edges_coverage_mask(buffer.shape, edges, width_px, cap_points)
-    written = int(np.count_nonzero(mask))
-    if written:
-        buffer[mask] = color
-    return written
-
-
 def edges_coverage_masks_grouped(
     shape,
     edges: np.ndarray,
@@ -146,6 +127,7 @@ def edges_coverage_masks_grouped(
         hv_edges = (widths * 0.5)[gid]
         hv_scalar = 0.0
     chunk = max(1, _CHUNK_BUDGET // (height * width))
+    by_pixel = masks.transpose(1, 2, 0)  # the kernel's (H, W, group) layout
     for start in range(0, n_edges, chunk):
         stop = min(start + chunk, n_edges)
         ids = gid[start:stop]
@@ -154,8 +136,8 @@ def edges_coverage_masks_grouped(
         # Edges arrive grouped, so equal-id runs are contiguous: one
         # reduceat ORs each run, then the run masks fold into the output.
         first = np.flatnonzero(np.r_[True, ids[1:] != ids[:-1]])
-        partial = np.logical_or.reduceat(hits, first, axis=0)
-        masks[ids[first]] |= partial
+        partial = np.logical_or.reduceat(hits, first, axis=2)
+        by_pixel[:, :, ids[first]] |= partial
     return masks
 
 
@@ -167,7 +149,7 @@ def _chunk_mask(
     cap_points: bool,
 ) -> np.ndarray:
     """Footprint mask (H, W) for one chunk of edges."""
-    return _chunk_hits(e, cx, cy, hv, cap_points).any(axis=0)
+    return _chunk_hits(e, cx, cy, hv, cap_points).any(axis=2)
 
 
 def _chunk_hits(
@@ -177,16 +159,13 @@ def _chunk_hits(
     hv,
     cap_points: bool,
 ) -> np.ndarray:
-    """Per-edge footprint hits (E, H, W) for one chunk of edges.
+    """Per-edge footprint hits (H, W, E) for one chunk of edges.
 
     ``hv`` (the half line width) is a scalar or an (E,) array; per-edge
     widths are what let one bulk call rasterize tiles whose projections
     assign different pixel widths to the same query distance.
     """
-    x0 = e[:, 0]
-    y0 = e[:, 1]
-    x1 = e[:, 2]
-    y1 = e[:, 3]
+    x0, y0, x1, y1 = np.ascontiguousarray(e.T)
     dx = x1 - x0
     dy = y1 - y0
     length = np.hypot(dx, dy)
@@ -202,37 +181,33 @@ def _chunk_hits(
     # half-extent projects identically on the u and v axes.
     cell = 0.5 * (aux + auy)
 
-    # Broadcast layout: edges on axis 0, rows on axis 1, columns on axis 2.
-    gx = cx[None, None, :] - ((x0 + x1) * 0.5)[:, None, None]  # (E, 1, W)
-    gy = cy[None, :, None] - ((y0 + y1) * 0.5)[:, None, None]  # (E, H, 1)
-
-    ux3 = ux[:, None, None]
-    uy3 = uy[:, None, None]
-    hit = (
-        (np.abs(gx) <= (hu * aux + hv * auy + 0.5 + COVERAGE_EPS)[:, None, None])
-        & (np.abs(gy) <= (hu * auy + hv * aux + 0.5 + COVERAGE_EPS)[:, None, None])
-        & (np.abs(gx * ux3 + gy * uy3) <= (hu + cell + COVERAGE_EPS)[:, None, None])
-        & (np.abs(gy * ux3 - gx * uy3) <= (hv + cell + COVERAGE_EPS)[:, None, None])
-    )
+    # Broadcast layout: rows on axis 0, columns on axis 1, edges on the
+    # contiguous axis 2, so every ufunc's inner loop runs the whole chunk.
+    # Whatever depends on one pixel coordinate only is a (W, E) or (H, E)
+    # plane, combined into the (H, W, E) cube by broadcast.
+    gx = cx[:, None] - (x0 + x1) * 0.5  # (W, E)
+    gy = cy[:, None] - (y0 + y1) * 0.5  # (H, E)
+    work = np.empty((cy.shape[0], cx.shape[0], e.shape[0]), dtype=np.float64)
+    np.add((gx * ux)[None, :, :], (gy * uy)[:, None, :], out=work)
+    hit = np.abs(work, out=work) <= hu + cell + COVERAGE_EPS
+    np.subtract((gy * ux)[:, None, :], (gx * uy)[None, :, :], out=work)
+    hit &= np.abs(work, out=work) <= hv + cell + COVERAGE_EPS
+    hit &= (np.abs(gx) <= hu * aux + hv * auy + 0.5 + COVERAGE_EPS)[None, :, :]
+    hit &= (np.abs(gy) <= hu * auy + hv * aux + 0.5 + COVERAGE_EPS)[:, None, :]
     if any_degenerate:
         # Degenerate edges fall back to the end-point square unconditionally.
-        hit &= ~degenerate[:, None, None]
+        hit &= ~degenerate
 
     if cap_points or any_degenerate:
         half = hv + 0.5 + COVERAGE_EPS
-        half3 = half[:, None, None] if isinstance(half, np.ndarray) else half
+        cap = (np.abs(cx[:, None] - x0) <= half)[None, :, :] & (
+            np.abs(cy[:, None] - y0) <= half
+        )[:, None, :]
         if cap_points:
-            cap = (
-                (np.abs(cx[None, None, :] - x0[:, None, None]) <= half3)
-                & (np.abs(cy[None, :, None] - y0[:, None, None]) <= half3)
-            ) | (
-                (np.abs(cx[None, None, :] - x1[:, None, None]) <= half3)
-                & (np.abs(cy[None, :, None] - y1[:, None, None]) <= half3)
-            )
+            cap |= (np.abs(cx[:, None] - x1) <= half)[None, :, :] & (
+                np.abs(cy[:, None] - y1) <= half
+            )[:, None, :]
         else:
-            cap = (
-                (np.abs(cx[None, None, :] - x0[:, None, None]) <= half3)
-                & (np.abs(cy[None, :, None] - y0[:, None, None]) <= half3)
-            ) & degenerate[:, None, None]
+            cap &= degenerate
         hit |= cap
     return hit

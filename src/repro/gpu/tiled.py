@@ -12,6 +12,10 @@ that batching layer for the simulated card:
 * each tile carries its own viewport transform (the pair's projection
   window, exactly as :meth:`~repro.gpu.pipeline.GraphicsPipeline.set_data_window`
   would compute it);
+* the clipping stage starts in data space: only the edges whose box meets
+  the tile's verified :func:`~repro.gpu.pipeline.cull_box` are projected
+  and shown to :func:`~repro.gpu.pipeline.clip_keep` - against a large
+  feature nearly all of a submission lies outside the pair's window;
 * the edges of *all* pairs' first boundaries are rasterized in one bulk
   call (:func:`~repro.gpu.raster_bulk.edges_coverage_masks_grouped`), then
   all second boundaries likewise;
@@ -37,7 +41,7 @@ import numpy as np
 from ..geometry.rect import Rect
 from ..obs.scope import current_scope
 from .framebuffer import Framebuffer
-from .pipeline import GraphicsPipeline, clip_keep, uniform_window_scale
+from .pipeline import GraphicsPipeline, clip_keep, cull_box, uniform_window_scale
 from .raster_bulk import edges_coverage_masks_grouped
 
 #: Gray level each boundary is rendered with (Algorithm 3.1's 0.5).
@@ -86,7 +90,9 @@ class TiledPipeline:
     def overlap_flags(
         self,
         edges_a: Sequence[np.ndarray],
+        bounds_a: Sequence[np.ndarray],
         edges_b: Sequence[np.ndarray],
+        bounds_b: Sequence[np.ndarray],
         windows: Sequence[Rect],
         widths_px,
         cap_points: bool,
@@ -95,15 +101,19 @@ class TiledPipeline:
         """One overlap verdict per pair: ``True`` iff boundaries share a pixel.
 
         ``edges_a[k]`` / ``edges_b[k]`` are the two boundaries' ``(E, 4)``
-        data-space edge arrays, ``windows[k]`` the pair's projection window,
-        and ``widths_px`` the rendered line width (scalar, or one per pair
-        for distance tests whose projections differ).  Pairs are packed
-        ``capacity`` tiles at a time; each sub-batch is one atlas
-        submission traced as a ``gpu.tile_batch`` span.
+        data-space edge arrays, ``bounds_a[k]`` / ``bounds_b[k]`` their
+        ``(4, E)`` edge boxes (:func:`repro.geometry.edge_bounds`; a
+        polygon caches its own), ``windows[k]`` the pair's projection
+        window, and ``widths_px`` the rendered line width (scalar, or one
+        per pair for distance tests whose projections differ).  Pairs are
+        packed ``capacity`` tiles at a time; each sub-batch is one atlas
+        submission traced as a ``gpu.tile_batch`` span, which ends before a
+        command recorder in scope lists and digests the submission (the
+        caller's ``hw_batch_duration_s`` wraps this whole call, hook included).
         """
         n = len(windows)
-        if not (len(edges_a) == len(edges_b) == n):
-            raise ValueError("edges_a, edges_b, and windows must align")
+        if {len(edges_a), len(bounds_a), len(edges_b), len(bounds_b)} != {n}:
+            raise ValueError("edges, bounds, and windows must align")
         widths = np.asarray(widths_px, dtype=np.float64)
         if widths.ndim not in (0, 1):
             raise ValueError("widths_px must be a scalar or a 1-d array")
@@ -118,12 +128,15 @@ class TiledPipeline:
             began = time.perf_counter()
             sub_flags, edge_count = self._run_batch(
                 edges_a[start:stop],
+                bounds_a[start:stop],
                 edges_b[start:stop],
+                bounds_b[start:stop],
                 windows[start:stop],
                 w,
                 cap_points,
                 threshold,
             )
+            elapsed = time.perf_counter() - began
             flags[start:stop] = sub_flags
             scope = current_scope()
             if scope.recorder is not None:
@@ -140,7 +153,7 @@ class TiledPipeline:
             if scope.tracer is not None:
                 scope.tracer.record(
                     "gpu.tile_batch",
-                    time.perf_counter() - began,
+                    elapsed,
                     tiles=stop - start,
                     edges=edge_count,
                     atlas=f"{self.fb.width}x{self.fb.height}",
@@ -163,7 +176,9 @@ class TiledPipeline:
     def _run_batch(
         self,
         edges_a: Sequence[np.ndarray],
+        bounds_a: Sequence[np.ndarray],
         edges_b: Sequence[np.ndarray],
+        bounds_b: Sequence[np.ndarray],
         windows: Sequence[Rect],
         widths,
         cap_points: bool,
@@ -172,26 +187,27 @@ class TiledPipeline:
         """Render one atlas batch (<= capacity pairs) and reduce per tile."""
         k = len(windows)
         counters = self.base.counters
+        pads = widths + 1.0
         # Per-tile viewport transforms, exactly as set_data_window computes
-        # them for the per-pair path.
-        scales = np.array(
-            [
-                uniform_window_scale(self.tile_width, self.tile_height, w)
-                for w in windows
-            ],
-            dtype=np.float64,
-        )
-        offsets = np.array(
-            [[w.xmin, w.ymin, w.xmin, w.ymin] for w in windows],
-            dtype=np.float64,
-        )
-        pads = (widths if isinstance(widths, np.ndarray) else np.float64(widths)) + 1.0
+        # them for the per-pair path, and the data-space box outside which
+        # each tile's clip rejects.  Python floats: a batch is often a few
+        # tiles, where a dozen array calls would cost more than the loop.
+        scales, offsets, boxes = [], [], []
+        for w, pad in zip(windows, np.broadcast_to(pads, k).tolist()):
+            scale = uniform_window_scale(self.tile_width, self.tile_height, w)
+            scales.append(scale)
+            offsets.append((w.xmin, w.ymin, w.xmin, w.ymin))
+            boxes.append(
+                cull_box(w.xmin, w.ymin, scale, pad, self.tile_width, self.tile_height)
+            )
+        scales = np.array(scales, dtype=np.float64)
+        offsets = np.array(offsets, dtype=np.float64)
 
         masks_a = self._bulk_rasterize(
-            edges_a, scales, offsets, pads, widths, cap_points
+            edges_a, bounds_a, boxes, scales, offsets, pads, widths, cap_points
         )
         masks_b = self._bulk_rasterize(
-            edges_b, scales, offsets, pads, widths, cap_points
+            edges_b, bounds_b, boxes, scales, offsets, pads, widths, cap_points
         )
         edge_count = sum(int(e.shape[0]) for e in edges_a) + sum(
             int(e.shape[0]) for e in edges_b
@@ -237,6 +253,8 @@ class TiledPipeline:
     def _bulk_rasterize(
         self,
         edge_sets: Sequence[np.ndarray],
+        bound_sets: Sequence[np.ndarray],
+        boxes: Sequence[Tuple[float, float, float, float]],
         scales: np.ndarray,
         offsets: np.ndarray,
         pads,
@@ -245,41 +263,46 @@ class TiledPipeline:
     ) -> np.ndarray:
         """One bulk draw call over all tiles' edges -> (K, th, tw) masks.
 
-        Transform and clip run per edge with that edge's tile projection -
-        elementwise the same float operations the per-pair pipeline
-        performs - then every surviving edge rasterizes in one grouped
-        coverage pass.
+        Of each tile's submitted edges only those whose box meets the
+        tile's :func:`cull_box` are gathered at all: the rest provably fail
+        the clip.  Transform and clip then run per gathered edge with that
+        edge's tile projection - elementwise the same float operations the
+        per-pair pipeline performs - and every surviving edge rasterizes in
+        one grouped coverage pass.  The counters speak of *submitted*
+        edges, so they cannot tell the cull happened.
         """
         k = len(edge_sets)
         counters = self.base.counters
         counters.draw_calls += 1
-        counts = np.array([e.shape[0] for e in edge_sets], dtype=np.intp)
-        total = int(counts.sum())
-        if total == 0:
-            return np.zeros(
-                (k, self.tile_height, self.tile_width), dtype=bool
+        shape = (k, self.tile_height, self.tile_width)
+        total = 0
+        near_sets, counts = [], []
+        for e, b, (lo_x, lo_y, hi_x, hi_y) in zip(edge_sets, bound_sets, boxes):
+            total += e.shape[0]
+            near = (
+                (b[2] >= lo_x) & (b[0] <= hi_x) & (b[3] >= lo_y) & (b[1] <= hi_y)
+            ).nonzero()[0]
+            counts.append(near.shape[0])
+            near_sets.append(
+                e if near.shape[0] == e.shape[0] else e.take(near, axis=0)
             )
         gid = np.repeat(np.arange(k, dtype=np.intp), counts)
-        stacked = np.concatenate(
-            [e for e in edge_sets if e.shape[0]], axis=0
-        )
-        edges = (stacked - offsets[gid]) * scales[gid, None]
+        # (take gathers rows several times faster than fancy indexing.)
+        edges = np.concatenate(near_sets, axis=0) - offsets.take(gid, axis=0)
+        edges *= scales.take(gid)[:, None]
 
-        # Clipping stage, per tile-local viewport.
-        pad = pads[gid] if isinstance(pads, np.ndarray) and pads.ndim else pads
+        # Clipping stage proper, per tile-local viewport.
+        pad = pads.take(gid) if pads.ndim else pads
         keep = clip_keep(edges, pad, self.tile_width, self.tile_height)
         kept = int(np.count_nonzero(keep))
         counters.edges_rendered += kept
         counters.edges_clipped_away += total - kept
         if kept == 0:
-            return np.zeros(
-                (k, self.tile_height, self.tile_width), dtype=bool
-            )
-        kept_sizes = np.bincount(gid[keep], minlength=k)
+            return np.zeros(shape, dtype=bool)
         masks = edges_coverage_masks_grouped(
-            (self.tile_height, self.tile_width),
-            edges[keep],
-            kept_sizes,
+            shape[1:],
+            edges.compress(keep, axis=0),
+            np.bincount(gid.compress(keep), minlength=k),
             widths,
             cap_points=cap_points,
         )

@@ -435,6 +435,7 @@ def replay_events(
     :class:`ReplayResult`; call :meth:`ReplayResult.assert_ok` to raise on
     the first summary of divergences.
     """
+    from ..geometry.point_in_polygon import edge_bounds
     from ..geometry.rect import Rect
     from ..gpu.pipeline import GraphicsPipeline
     from ..gpu.state import DeviceLimits
@@ -555,15 +556,15 @@ def replay_events(
             elif cmd == "tile_batch":
                 tp = pipe(event)
                 widths = event["widths"]
+                edges_a, edges_b = (
+                    [np.asarray(e, dtype=np.float64).reshape(-1, 4) for e in event[side]]
+                    for side in ("edges_a", "edges_b")
+                )
                 flags = tp.overlap_flags(
-                    [
-                        np.asarray(e, dtype=np.float64).reshape(-1, 4)
-                        for e in event["edges_a"]
-                    ],
-                    [
-                        np.asarray(e, dtype=np.float64).reshape(-1, 4)
-                        for e in event["edges_b"]
-                    ],
+                    edges_a,
+                    [edge_bounds(e) for e in edges_a],
+                    edges_b,
+                    [edge_bounds(e) for e in edges_b],
                     [Rect(*w) for w in event["windows"]],
                     widths_px=(
                         np.asarray(widths, dtype=np.float64)

@@ -11,6 +11,7 @@ engines, and through the query pipeline.
 
 import dataclasses
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -34,7 +35,7 @@ from repro.datasets import (
     VertexCountModel,
     generate_layer,
 )
-from repro.geometry import MinDistStats, Rect, SweepStats
+from repro.geometry import MinDistStats, Polygon, Rect, SweepStats
 from repro.query import IntersectionSelection
 from tests.strategies import polygon_pairs_nearby
 
@@ -121,6 +122,29 @@ def assert_same_work(got, expected, counters=PER_PRIMITIVE_COUNTERS):
             ), name
 
 
+def giant_and_small_pairs():
+    """One 6 000-vertex ring against 40 small polygons inside its MBR, most
+    of them near its boundary: the join-against-a-giant-feature shape, where
+    nearly every submitted edge lies outside the pair's window."""
+    rng = np.random.default_rng(19)
+    angles = np.linspace(0.0, 2.0 * np.pi, 6000, endpoint=False)
+    radii = 20.0 + 2.0 * np.sin(9.0 * angles) + 0.2 * np.sin(301.0 * angles)
+    giant = Polygon(np.column_stack((radii * np.cos(angles), radii * np.sin(angles))))
+    pairs = []
+    for k in range(40):
+        if k % 4 == 0:
+            cx, cy = rng.uniform(-21.0, 21.0, 2)
+        else:
+            rho, phi = rng.uniform(17.0, 23.0), rng.uniform(0.0, 2.0 * np.pi)
+            cx, cy = rho * np.cos(phi), rho * np.sin(phi)
+        n = int(rng.integers(5, 12))
+        theta = np.sort(rng.uniform(0.0, 2.0 * np.pi, n))
+        r = rng.uniform(0.3, 1.5, n)
+        small = Polygon(np.column_stack((cx + r * np.cos(theta), cy + r * np.sin(theta))))
+        pairs.append((giant, small))
+    return pairs
+
+
 class TestOneRefinementPath:
     @settings(max_examples=60, deadline=None)
     @given(
@@ -131,6 +155,17 @@ class TestOneRefinementPath:
     def test_one_call_equals_one_item_calls_equals_per_pair_tester(
         self, pairs, op, method
     ):
+        self.check(pairs, op, method)
+
+    @pytest.mark.parametrize("op", OPS)
+    def test_giant_feature_against_many_small_ones(self, op):
+        engine = self.check(giant_and_small_pairs(), op, "accum")
+        assert engine.stats.hw_tests >= 12
+        counters = engine.gpu_counters
+        assert counters.edges_clipped_away > 10 * counters.edges_rendered > 0
+
+    @staticmethod
+    def check(pairs, op, method):
         items = [((k,), a, b) for k, (a, b) in enumerate(pairs)]
         config = HardwareConfig(resolution=8, method=method)
         whole, one_by_one = HardwareEngine(config), HardwareEngine(config)
@@ -154,6 +189,7 @@ class TestOneRefinementPath:
         assert sw_whole.refine(op, items, distance=DISTANCE) == keys
         assert serial_keys(sw_one_by_one, op, items, DISTANCE) == keys
         assert_same_work(sw_one_by_one, sw_whole)
+        return whole
 
 
 class TestEngineBatchEquivalence:

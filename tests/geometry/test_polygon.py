@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from repro.geometry import Point, Polygon, Rect, rect_to_polygon
+from repro.geometry import Point, Polygon, Rect, edge_bounds, rect_to_polygon
 from tests.strategies import star_polygons
 
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
@@ -159,6 +159,29 @@ class TestAccessors:
             assert tuple(row) == (a.x, a.y, b.x, b.y)
         with pytest.raises(ValueError):
             arr[0, 0] = 99.0
+
+    def test_edge_bounds_are_the_edge_rows_boxes(self):
+        # A repeated vertex gives a zero-length edge: its box is a point.
+        ring = Polygon.from_coords([(0, 0), (4, 1), (4, 1), (-2, 3), (1, -5)])
+        bounds = ring.edge_bounds
+        assert bounds.shape == (4, 5) and bounds.dtype == np.float64
+        assert np.array_equal(bounds, edge_bounds(ring.edges_array))
+        for (xmin, ymin, xmax, ymax), (a, b) in zip(bounds.T, ring.edges()):
+            assert (xmin, ymin) == (min(a.x, b.x), min(a.y, b.y))
+            assert (xmax, ymax) == (max(a.x, b.x), max(a.y, b.y))
+        assert tuple(bounds[:, 2]) == (4.0, 1.0, 4.0, 1.0)
+        assert ring.edge_bounds is bounds
+        assert all(row.flags.c_contiguous for row in bounds)
+        with pytest.raises(ValueError):
+            bounds[0, 0] = 99.0
+
+    def test_edge_bounds_rebuild_lazily_after_pickling(self):
+        ring = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
+        expected = ring.edge_bounds
+        clone = pickle.loads(pickle.dumps(ring))
+        assert clone._edge_bounds is None
+        assert np.array_equal(clone.edge_bounds, expected)
+        assert clone._edge_bounds is not None
 
 
 class TestMeasures:

@@ -1,17 +1,26 @@
 """Tests for the tiled batch-rendering layer (atlas packing, verdicts)."""
 
+import math
+import time
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import repro.gpu.tiled as tiled_module
 from repro.core import OVERLAP_THRESHOLD
-from repro.geometry import Rect
+from repro.geometry import Rect, edge_bounds
 from repro.gpu import (
     DeviceLimits,
     GraphicsPipeline,
     TiledPipeline,
     atlas_layout,
 )
+from repro.gpu.pipeline import clip_keep, cull_box, uniform_window_scale
 from repro.gpu.state import DEFAULT_AA_LINE_WIDTH
+from repro.obs import Tracer, use_scope
+from tests.strategies import lattices
 
 SQUARE_EDGES = np.array(
     [
@@ -45,7 +54,9 @@ def make_tiled(resolution=8, max_tiles=256, limits=None):
 def overlap(tiled, edges_a, edges_b, windows):
     return tiled.overlap_flags(
         edges_a,
+        [edge_bounds(e) for e in edges_a],
         edges_b,
+        [edge_bounds(e) for e in edges_b],
         windows,
         widths_px=DEFAULT_AA_LINE_WIDTH,
         cap_points=False,
@@ -168,7 +179,9 @@ class TestOverlapFlags:
         thin_then_wide = np.array([1.5, 8.0])
         flags = tiled.overlap_flags(
             [gap_a, gap_a],
+            [edge_bounds(gap_a)] * 2,
             [gap_b, gap_b],
+            [edge_bounds(gap_b)] * 2,
             [WINDOW, WINDOW],
             widths_px=thin_then_wide,
             cap_points=True,
@@ -183,12 +196,36 @@ class TestOverlapFlags:
         with pytest.raises(ValueError):
             tiled.overlap_flags(
                 [SQUARE_EDGES],
+                [edge_bounds(SQUARE_EDGES)],
                 [BAR_EDGES],
+                [edge_bounds(BAR_EDGES)],
                 [WINDOW],
                 widths_px=np.array([1.0, 2.0]),
                 cap_points=False,
                 threshold=OVERLAP_THRESHOLD,
             )
+
+
+class TestTileBatchSpan:
+    def test_span_times_the_card_not_the_recorder(self):
+        # A command recorder lists and digests every submitted edge; that
+        # is capture cost, not gpu.tile_batch time.
+        class SlowRecorder:
+            atlas_max = None
+
+            def on_tile_batch(self, tiled, *args):
+                time.sleep(0.05)
+                self.atlas_max = float(tiled.fb.color.max())
+
+        recorder, tracer = SlowRecorder(), Tracer()
+        tiled = make_tiled()
+        with use_scope(recorder=recorder, tracer=tracer):
+            overlap(tiled, [SQUARE_EDGES], [BAR_EDGES], [WINDOW])
+        (span,) = tracer.find("gpu.tile_batch")
+        assert span.duration_s < 0.05
+        assert span.attributes["edges"] == 8
+        # The hook still runs after the batch: it saw the accumulated atlas.
+        assert recorder.atlas_max == 1.0
 
 
 class TestAtlasInspection:
@@ -216,3 +253,138 @@ class TestAtlasInspection:
         tiled = make_tiled(resolution=8, max_tiles=4)
         with pytest.raises(IndexError):
             tiled.tile_image(tiled.capacity)
+
+
+# -- the data-space cull in front of the clip --------------------------------
+
+
+@st.composite
+def threshold_tiles(draw):
+    """One tile - ``(window, width_px, edges_a, edges_b)`` - on one lattice.
+
+    Edge endpoints sit on the lattice or *at* a threshold the clipping
+    stage decides by: each side of the tile's cull box and each data-space
+    coordinate the clip limit itself maps back to, exactly and one
+    ``nextafter`` either way.
+    """
+    cells = draw(lattices)
+    xs, ys = sorted([draw(cells), draw(cells)]), sorted([draw(cells), draw(cells)])
+    window = Rect(xs[0], ys[0], xs[1], ys[1])
+    width = draw(st.sampled_from([DEFAULT_AA_LINE_WIDTH, 1.0, 3.0, 5.0]))
+    pad = width + 1.0
+    scale = uniform_window_scale(8, 8, window)
+    box = cull_box(window.xmin, window.ymin, scale, pad, 8, 8)
+    exact = (
+        window.xmin - pad / scale,
+        window.ymin - pad / scale,
+        window.xmin + (8 + pad) / scale,
+        window.ymin + (8 + pad) / scale,
+    )
+    thresholds = [[], []]  # x, y
+    for sides in (box, exact):
+        for side, t in enumerate(sides):
+            if math.isfinite(t):
+                thresholds[side % 2] += [
+                    t, math.nextafter(t, -math.inf), math.nextafter(t, math.inf)
+                ]
+    x = st.one_of(cells, st.sampled_from(thresholds[0])) if thresholds[0] else cells
+    y = st.one_of(cells, st.sampled_from(thresholds[1])) if thresholds[1] else cells
+    edge_lists = st.lists(st.tuples(x, y, x, y), min_size=0, max_size=8).map(
+        lambda rows: np.array(rows, dtype=np.float64).reshape(-1, 4)
+    )
+    return window, width, draw(edge_lists), draw(edge_lists)
+
+
+class TestCullBeforeTransform:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(threshold_tiles(), min_size=1, max_size=4),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_cull_keeps_what_the_clip_keeps(self, tiles, per_tile_widths, caps):
+        windows = [t[0] for t in tiles]
+        widths = [t[1] if per_tile_widths else tiles[0][1] for t in tiles]
+        sides = [t[2] for t in tiles], [t[3] for t in tiles]
+
+        # The oracle: transform and clip *every* submitted edge, tile by
+        # tile through the per-pair pipeline.
+        expected_draws = [[], []]
+        expected_flags = []
+        totals = dict(edges_rendered=0, edges_clipped_away=0, pixels_written=0)
+        for k, (window, width) in enumerate(zip(windows, widths)):
+            pl = GraphicsPipeline(8)
+            pl.state.line_width = pl.state.point_size = width
+            pl.state.cap_points = caps
+            pl.set_data_window(window)
+            origin = np.array([window.xmin, window.ymin] * 2)
+            masks = []
+            for side, draws in zip(sides, expected_draws):
+                masks.append(pl.render_coverage_mask(side[k]))
+                edges = (side[k] - origin) * pl.scale
+                draws.append(edges[clip_keep(edges, width + 1.0, 8, 8)])
+            expected_flags.append(bool((masks[0] & masks[1]).any()))
+            for name in totals:
+                totals[name] += getattr(pl.counters, name)
+
+        rasterized = []
+        spied = tiled_module.edges_coverage_masks_grouped
+
+        def spy(shape, edges, group_sizes, *args, **kwargs):
+            rasterized.append((edges, list(group_sizes)))
+            return spied(shape, edges, group_sizes, *args, **kwargs)
+
+        tiled = make_tiled()
+        tiled_module.edges_coverage_masks_grouped = spy
+        try:
+            flags = tiled.overlap_flags(
+                sides[0],
+                [edge_bounds(e) for e in sides[0]],
+                sides[1],
+                [edge_bounds(e) for e in sides[1]],
+                windows,
+                widths_px=np.array(widths) if per_tile_widths else widths[0],
+                cap_points=caps,
+                threshold=OVERLAP_THRESHOLD,
+            )
+        finally:
+            tiled_module.edges_coverage_masks_grouped = spied
+
+        assert flags.tolist() == expected_flags
+        for name, value in totals.items():
+            assert getattr(tiled.counters, name) == value, name
+        # Same edges, same order, same window coordinates reach the
+        # rasterizer (a draw whose edges are all clipped never calls it).
+        expected = [
+            (np.concatenate(draws), [len(d) for d in draws])
+            for draws in expected_draws
+            if sum(len(d) for d in draws)
+        ]
+        assert len(rasterized) == len(expected)
+        for (got, got_sizes), (want, want_sizes) in zip(rasterized, expected):
+            assert np.array_equal(got, want)
+            assert got_sizes == want_sizes
+
+    def test_unverifiable_side_is_not_culled(self, monkeypatch):
+        # At x ~ 1e15 a pixel is below an ulp: no data-space x threshold can
+        # be shown to fail the clip, so x culls nothing; y still does.
+        window = Rect(1e15, 0.0, 1e15 + 0.125, 0.125)
+        scale = uniform_window_scale(8, 8, window)
+        pad = DEFAULT_AA_LINE_WIDTH + 1.0
+        lo_x, lo_y, hi_x, hi_y = cull_box(window.xmin, window.ymin, scale, pad, 8, 8)
+        assert (lo_x, hi_x) == (-math.inf, math.inf)
+        assert math.isfinite(lo_y) and math.isfinite(hi_y)
+
+        far_x = np.array([[1e15 - 64.0, 0.0625, 1e15 - 32.0, 0.0625]])
+        far_y = np.array([[1e15, 40.0, 1e15 + 0.125, 50.0]])
+        clipped = []
+        monkeypatch.setattr(
+            tiled_module,
+            "clip_keep",
+            lambda edges, *args: clipped.append(len(edges)) or clip_keep(edges, *args),
+        )
+        tiled = make_tiled()
+        assert overlap(tiled, [far_x], [far_y], [window]).tolist() == [False]
+        assert clipped == [1, 0]  # far_x reached the clip; far_y never did
+        assert tiled.counters.edges_clipped_away == 2
+        assert tiled.counters.edges_rendered == 0
