@@ -37,11 +37,10 @@ from .core import (
     RefinementEngine,
     RefinementStats,
     SoftwareEngine,
-    make_engine,
 )
 from .datasets import SpatialDataset, base_distance
 from .exec import ParallelExecutor
-from .geometry import Point, Polygon, Rect, Segment
+from .geometry import Point, Polygon, Rect
 from .gpu import DeviceLimits, GraphicsPipeline
 from .obs import JsonLinesExporter, Tracer, use_tracer
 from .query import (
@@ -76,7 +75,6 @@ __all__ = [
     "Rect",
     "RefinementEngine",
     "RefinementStats",
-    "Segment",
     "SoftwareEngine",
     "SpatialDataset",
     "Tracer",
@@ -84,6 +82,5 @@ __all__ = [
     "__version__",
     "base_distance",
     "datasets",
-    "make_engine",
     "use_tracer",
 ]

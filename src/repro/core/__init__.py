@@ -7,7 +7,7 @@ section 4.3, and the engine abstraction the query pipelines plug into.
 """
 
 from .config import OVERLAP_METHODS, OVERLAP_THRESHOLD, HardwareConfig
-from .engine import HardwareEngine, RefinementEngine, SoftwareEngine, make_engine
+from .engine import HardwareEngine, RefinementEngine, SoftwareEngine
 from .hardware_test import HardwareSegmentTest, HardwareVerdict
 from .platform import PLATFORM_2003, Platform2003
 from .projection import distance_window, intersection_window, union_window
@@ -29,7 +29,6 @@ __all__ = [
     "SoftwareEngine",
     "distance_window",
     "intersection_window",
-    "make_engine",
     "refine_items",
     "union_window",
 ]

@@ -161,24 +161,3 @@ class HardwareEngine(_StagedEngine):
     def reset_stats(self) -> None:
         super().reset_stats()
         self.gpu_counters.reset()
-
-
-def make_engine(
-    kind: str, config: Optional[HardwareConfig] = None
-) -> RefinementEngine:
-    """Factory: ``"software"`` or ``"hardware"`` (with optional config).
-
-    A :class:`HardwareConfig` only parameterizes the hardware engine;
-    supplying one with ``kind="software"`` is a configuration error (the
-    run would silently measure the default software path), so it raises.
-    """
-    if kind == "software":
-        if config is not None:
-            raise ValueError(
-                "make_engine('software') does not accept a HardwareConfig; "
-                "the software engine has no hardware parameters"
-            )
-        return SoftwareEngine()
-    if kind == "hardware":
-        return HardwareEngine(config)
-    raise ValueError(f"unknown engine kind {kind!r}; expected software|hardware")

@@ -6,7 +6,7 @@ and boundary irregularity, all of which the generators match (Table 2
 statistics) at configurable scale.
 """
 
-from .catalog import CATALOG, CONUS, WYOMING, CatalogEntry, dataset_names, load
+from .catalog import CATALOG, CONUS, WYOMING, CatalogEntry, load
 from .dataset import DatasetStats, SpatialDataset, base_distance
 from .generator import (
     GeneratorConfig,
@@ -35,7 +35,6 @@ __all__ = [
     "WYOMING",
     "base_distance",
     "bowtie_twist",
-    "dataset_names",
     "generate_layer",
     "load",
     "load_dataset",

@@ -146,11 +146,6 @@ CATALOG: Dict[str, CatalogEntry] = {
 }
 
 
-def dataset_names() -> list[str]:
-    """The five Table 2 dataset names."""
-    return list(CATALOG)
-
-
 def load(
     name: str,
     n_scale: float = 1.0,

@@ -22,7 +22,6 @@ from .intervals import (
 from .progressive import ConvexHullFilter, HullFilterStats
 from .object_filters import (
     one_object_upper_bound,
-    pair_distance_upper_bound,
     zero_object_upper_bound,
 )
 
@@ -38,6 +37,5 @@ __all__ = [
     "IntervalVerdict",
     "classify_intervals",
     "one_object_upper_bound",
-    "pair_distance_upper_bound",
     "zero_object_upper_bound",
 ]

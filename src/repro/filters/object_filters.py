@@ -73,23 +73,3 @@ def one_object_upper_bound(retrieved: Polygon, other_mbr: Rect) -> float:
         if side_best < best:
             best = side_best
     return best
-
-
-def pair_distance_upper_bound(
-    a: Polygon | None,
-    a_mbr: Rect,
-    b: Polygon | None,
-    b_mbr: Rect,
-) -> float:
-    """The tightest bound available from whatever geometry is at hand.
-
-    ``None`` polygons mean "not retrieved"; with both absent this is the
-    0-Object filter, with one present the 1-Object filter, and with both
-    present the better of the two 1-Object directions.
-    """
-    best = zero_object_upper_bound(a_mbr, b_mbr)
-    if a is not None:
-        best = min(best, one_object_upper_bound(a, b_mbr))
-    if b is not None:
-        best = min(best, one_object_upper_bound(b, a_mbr))
-    return best

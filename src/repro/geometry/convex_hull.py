@@ -35,16 +35,3 @@ def convex_hull(points: Sequence[Point]) -> List[Point]:
     upper = build(list(reversed(unique)))
     hull = lower[:-1] + upper[:-1]
     return hull if len(hull) >= 2 else unique[:2]
-
-
-def hull_polygon(points: Sequence[Point]):
-    """Convex hull as a :class:`~repro.geometry.polygon.Polygon`.
-
-    Raises ValueError for degenerate inputs with fewer than 3 hull vertices.
-    """
-    from .polygon import Polygon
-
-    hull = convex_hull(points)
-    if len(hull) < 3:
-        raise ValueError("input points are collinear; hull is degenerate")
-    return Polygon(hull)

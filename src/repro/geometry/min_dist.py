@@ -182,17 +182,6 @@ def min_boundary_distance(
     return best
 
 
-def polygon_min_distance(
-    a: Polygon,
-    b: Polygon,
-    stats: Optional[MinDistStats] = None,
-) -> float:
-    """Exact region-to-region distance (0 for intersecting polygons)."""
-    if a.mbr.intersects(b.mbr) and either_contains(a, b):
-        return 0.0
-    return min_boundary_distance(a, b, stats=stats)
-
-
 def polygons_within_distance(
     a: Polygon,
     b: Polygon,

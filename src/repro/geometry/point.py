@@ -79,19 +79,9 @@ class Point:
         """Z component of the 3D cross product (signed parallelogram area)."""
         return self.x * other.y - self.y * other.x
 
-    def norm(self) -> float:
-        """Euclidean length of the vector."""
-        return math.hypot(self.x, self.y)
-
     def distance_to(self, other: "Point") -> float:
         """Euclidean distance to ``other``."""
         return math.hypot(self.x - other.x, self.y - other.y)
-
-    def squared_distance_to(self, other: "Point") -> float:
-        """Squared Euclidean distance (avoids the sqrt in hot loops)."""
-        dx = self.x - other.x
-        dy = self.y - other.y
-        return dx * dx + dy * dy
 
     def midpoint(self, other: "Point") -> "Point":
         """Point halfway between this point and ``other``."""

@@ -89,26 +89,6 @@ def point_in_polygon(p: Point, vertices: Sequence[Point]) -> bool:
     return locate_point(p, vertices) is not PointLocation.OUTSIDE
 
 
-def point_strictly_in_polygon(p: Point, vertices: Sequence[Point]) -> bool:
-    """True only when ``p`` is in the open interior of the polygon."""
-    return locate_point(p, vertices) is PointLocation.INSIDE
-
-
-def any_vertex_inside(
-    candidates: Sequence[Point], vertices: Sequence[Point]
-) -> bool:
-    """True when any of ``candidates`` lies inside/on the polygon.
-
-    Algorithm 3.1 step 1 tests one vertex; testing against boundary-degenerate
-    configurations is the caller's concern.  This helper exists for the
-    containment direction of the intersection test where any single vertex
-    witness suffices.
-    """
-    return any(
-        locate_point(c, vertices) is not PointLocation.OUTSIDE for c in candidates
-    )
-
-
 def _debug_location_by_sampling(p: Point, vertices: Sequence[Point]) -> PointLocation:
     """Reference implementation used in tests: explicit on-segment scan plus
     a second independent crossing formulation."""

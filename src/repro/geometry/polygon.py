@@ -17,7 +17,6 @@ import numpy as np
 from .point import Point
 from .point_in_polygon import PointLocation, edge_bounds, locate_point, ring_edges
 from .rect import Rect
-from .segment import Segment
 
 
 class VertexView(Sequence[Point]):
@@ -167,10 +166,6 @@ class Polygon:
         verts = self._all_points()
         return zip(verts[-1:] + verts[:-1], verts)
 
-    def edge_segments(self) -> List[Segment]:
-        """Boundary edges as :class:`Segment` objects."""
-        return [Segment(a, b) for a, b in self.edges()]
-
     def coords(self) -> List[Tuple[float, float]]:
         """Vertices as plain ``(x, y)`` tuples (for rasterization and IO)."""
         return list(map(tuple, self.coords_array.tolist()))
@@ -293,8 +288,3 @@ class Polygon:
         o = origin if origin is not None else self.mbr.center
         o = np.array(o.as_tuple())
         return Polygon(o + (self.coords_array - o) * factor)
-
-
-def rect_to_polygon(rect: Rect) -> Polygon:
-    """The rectangle as a counter-clockwise polygon."""
-    return Polygon(rect.corners())

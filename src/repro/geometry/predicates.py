@@ -1,8 +1,9 @@
 """Low-level geometric predicates.
 
 These are the building blocks of every exact test in the refinement step:
-orientation of point triples, point-on-segment, and segment-segment
-intersection (both proper and improper).  All predicates are tolerance-free:
+orientation of point triples (the sign of :func:`cross`), point-on-segment,
+and the closed segment-segment intersection test, in which endpoint touches
+and collinear overlaps count.  All predicates are tolerance-free:
 they use the sign of the cross product directly, which is exact whenever the
 inputs are representable without rounding (integers, dyadic rationals) and is
 the conventional formulation used by the plane-sweep literature the paper
@@ -11,18 +12,7 @@ builds on [3].
 
 from __future__ import annotations
 
-from enum import IntEnum
-from typing import Optional, Tuple
-
 from .point import Point
-
-
-class Orientation(IntEnum):
-    """Turn direction of the point triple ``(a, b, c)``."""
-
-    CLOCKWISE = -1
-    COLLINEAR = 0
-    COUNTERCLOCKWISE = 1
 
 
 def cross(o: Point, a: Point, b: Point) -> float:
@@ -31,16 +21,6 @@ def cross(o: Point, a: Point, b: Point) -> float:
     Positive when ``a, b`` make a counter-clockwise turn around ``o``.
     """
     return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-def orientation(a: Point, b: Point, c: Point) -> Orientation:
-    """Orientation of the ordered triple ``(a, b, c)``."""
-    v = cross(a, b, c)
-    if v > 0.0:
-        return Orientation.COUNTERCLOCKWISE
-    if v < 0.0:
-        return Orientation.CLOCKWISE
-    return Orientation.COLLINEAR
 
 
 def on_segment(p: Point, a: Point, b: Point) -> bool:
@@ -83,72 +63,3 @@ def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     if d4 == 0 and on_segment(q2, p1, p2):
         return True
     return False
-
-
-def segments_intersect_properly(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
-    """True only when the segments cross at a single interior point.
-
-    Endpoint touches and collinear overlaps are *not* proper intersections.
-    The ray-crossing point-in-polygon algorithm counts proper crossings.
-    """
-    d1 = cross(q1, q2, p1)
-    d2 = cross(q1, q2, p2)
-    d3 = cross(p1, p2, q1)
-    d4 = cross(p1, p2, q2)
-    return ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
-        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
-    )
-
-
-def segment_intersection_point(
-    p1: Point, p2: Point, q1: Point, q2: Point
-) -> Optional[Point]:
-    """A witness intersection point of the two closed segments, or None.
-
-    For proper crossings the unique crossing point is returned.  For improper
-    contacts (endpoint touch, collinear overlap) one witness point of the
-    intersection set is returned.  Callers that only need a boolean should use
-    :func:`segments_intersect`, which avoids the division.
-    """
-    r = p2 - p1
-    s = q2 - q1
-    denom = r.cross(s)
-    qp = q1 - p1
-    if denom != 0.0:
-        t = qp.cross(s) / denom
-        u = qp.cross(r) / denom
-        if 0.0 <= t <= 1.0 and 0.0 <= u <= 1.0:
-            return Point(p1.x + t * r.x, p1.y + t * r.y)
-        return None
-    # Parallel segments: intersection only possible when collinear.
-    if qp.cross(r) != 0.0:
-        return None
-    for candidate in (q1, q2, p1, p2):
-        if on_segment(candidate, p1, p2) and on_segment(candidate, q1, q2):
-            return candidate
-    return None
-
-
-def collinear_overlap(
-    p1: Point, p2: Point, q1: Point, q2: Point
-) -> Optional[Tuple[Point, Point]]:
-    """The shared sub-segment of two collinear segments, or None.
-
-    Returns a (possibly degenerate) pair of endpoints when the segments are
-    collinear and their projections overlap.
-    """
-    r = p2 - p1
-    if r.cross(q2 - q1) != 0.0 or r.cross(q1 - p1) != 0.0:
-        return None
-    # Parameterize along the dominant axis of p1p2 to order the endpoints.
-    if abs(r.x) >= abs(r.y):
-        key = lambda pt: pt.x  # noqa: E731 - tiny local selector
-    else:
-        key = lambda pt: pt.y  # noqa: E731
-    lo_p, hi_p = sorted((p1, p2), key=key)
-    lo_q, hi_q = sorted((q1, q2), key=key)
-    lo = lo_p if key(lo_p) >= key(lo_q) else lo_q
-    hi = hi_p if key(hi_p) <= key(hi_q) else hi_q
-    if key(lo) > key(hi):
-        return None
-    return (lo, hi)

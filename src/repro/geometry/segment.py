@@ -1,74 +1,16 @@
-"""Line segments and segment metric computations.
+"""Segment metric computations.
 
-Segments are the unit of work for both the software plane sweep and the
+A segment is a pair of :class:`Point` endpoints (or, on the array paths, one
+row of ``Polygon.edges_array``); there is no segment object.  Segments are
+the unit of work for both the software plane sweep and the
 hardware rasterization path (the paper renders polygons as chains of
 segments, never as filled polygons, to avoid triangulation).
 """
 
 from __future__ import annotations
 
-import math
-from typing import Iterator
-
 from .point import Point
 from .predicates import segments_intersect
-from .rect import Rect
-
-
-class Segment:
-    """A closed line segment between two points."""
-
-    __slots__ = ("p0", "p1")
-
-    def __init__(self, p0: Point, p1: Point) -> None:
-        object.__setattr__(self, "p0", p0)
-        object.__setattr__(self, "p1", p1)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError("Segment is immutable")
-
-    def __reduce__(self):
-        # Explicit pickle support for the slotted immutable (see Point).
-        return (Segment, (self.p0, self.p1))
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Segment):
-            return NotImplemented
-        return self.p0 == other.p0 and self.p1 == other.p1
-
-    def __hash__(self) -> int:
-        return hash((self.p0, self.p1))
-
-    def __repr__(self) -> str:
-        return f"Segment({self.p0!r}, {self.p1!r})"
-
-    def __iter__(self) -> Iterator[Point]:
-        yield self.p0
-        yield self.p1
-
-    @property
-    def length(self) -> float:
-        return self.p0.distance_to(self.p1)
-
-    @property
-    def mbr(self) -> Rect:
-        return Rect(
-            min(self.p0.x, self.p1.x),
-            min(self.p0.y, self.p1.y),
-            max(self.p0.x, self.p1.x),
-            max(self.p0.y, self.p1.y),
-        )
-
-    @property
-    def midpoint(self) -> Point:
-        return self.p0.midpoint(self.p1)
-
-    def reversed(self) -> "Segment":
-        return Segment(self.p1, self.p0)
-
-    def intersects(self, other: "Segment") -> bool:
-        """Closed-segment intersection (endpoint contact counts)."""
-        return segments_intersect(self.p0, self.p1, other.p0, other.p1)
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> float:
@@ -101,35 +43,3 @@ def segment_segment_distance(p1: Point, p2: Point, q1: Point, q2: Point) -> floa
         point_segment_distance(q1, p1, p2),
         point_segment_distance(q2, p1, p2),
     )
-
-
-def segment_segment_max_distance(p1: Point, p2: Point, q1: Point, q2: Point) -> float:
-    """Maximum distance between points of two closed segments.
-
-    The distance function is convex over the product of the segments, so the
-    maximum lies at a pair of endpoints.  Used by the 0-Object filter to
-    derive distance upper bounds from MBR edges.
-    """
-    return max(
-        p1.distance_to(q1),
-        p1.distance_to(q2),
-        p2.distance_to(q1),
-        p2.distance_to(q2),
-    )
-
-
-def segment_rect_distance(a: Point, b: Point, rect: Rect) -> float:
-    """Minimum distance between the closed segment ``ab`` and ``rect``."""
-    if rect.contains_point(a) or rect.contains_point(b):
-        return 0.0
-    corners = rect.corners()
-    best = math.inf
-    for i in range(4):
-        c0 = corners[i]
-        c1 = corners[(i + 1) % 4]
-        d = segment_segment_distance(a, b, c0, c1)
-        if d < best:
-            best = d
-            if best == 0.0:
-                break
-    return best

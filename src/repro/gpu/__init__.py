@@ -10,7 +10,7 @@ this substitution preserves the paper's correctness and cost-shape claims.
 """
 
 from .costmodel import DOCUMENTED_FREE, CostCounters, GpuCostModel
-from .distance_field import distance_field, min_center_distance, within_pixel_distance
+from .distance_field import distance_field
 from .framebuffer import Framebuffer
 from .pipeline import GraphicsPipeline
 from .raster_line import (
@@ -31,7 +31,7 @@ from .raster_vector import (
     polygon_fill_coverage_mask,
     ring_boundary_coverage_mask,
 )
-from .tiled import TiledPipeline, atlas_layout
+from .tiled import TiledPipeline
 from .voronoi import discrete_voronoi, site_distances_at
 from .state import (
     DEFAULT_AA_LINE_WIDTH,
@@ -54,16 +54,13 @@ __all__ = [
     "RasterState",
     "TiledPipeline",
     "aa_rect_axes",
-    "atlas_layout",
     "discrete_voronoi",
     "distance_field",
     "edges_coverage_mask",
     "edges_coverage_masks_grouped",
     "lines_basic_coverage_mask",
     "lines_basic_coverage_mask_reference",
-    "min_center_distance",
     "site_distances_at",
-    "within_pixel_distance",
     "polygon_coverage_mask",
     "polygon_fill_coverage_mask",
     "rasterize_line_aa_conservative",

@@ -44,34 +44,3 @@ def distance_field(mask: np.ndarray) -> np.ndarray:
     if not mask.any():
         return np.full(mask.shape, np.inf, dtype=np.float64)
     return distance_transform_edt(~mask)
-
-
-def min_center_distance(mask_a: np.ndarray, mask_b: np.ndarray) -> float:
-    """Minimum center-to-center distance between two coverage masks.
-
-    Returns +inf when either mask is empty (no boundary present in the
-    window - the conservative renders prove the boundaries cannot meet
-    there).
-    """
-    if mask_a.shape != mask_b.shape:
-        raise ValueError(
-            f"mask shapes differ: {mask_a.shape} vs {mask_b.shape}"
-        )
-    if not mask_a.any() or not mask_b.any():
-        return float("inf")
-    field = distance_field(mask_a)
-    return float(field[mask_b].min())
-
-
-def within_pixel_distance(
-    mask_a: np.ndarray, mask_b: np.ndarray, d_pixels: float
-) -> bool:
-    """Conservative test: could the underlying boundaries be within
-    ``d_pixels``?
-
-    False is a proof of separation; True means "maybe" (the exact software
-    test must decide).
-    """
-    if d_pixels < 0.0:
-        raise ValueError("distance must be non-negative")
-    return min_center_distance(mask_a, mask_b) <= d_pixels + CENTER_DISTANCE_SLACK

@@ -63,10 +63,6 @@ class Framebuffer:
         """glAccum(GL_RETURN, scale): color = accum * scale (step 2.7)."""
         np.multiply(self.accum, np.float32(scale), out=self.color)
 
-    def accum_mult(self, scale: float) -> None:
-        """glAccum(GL_MULT, scale): accum *= scale."""
-        self.accum *= np.float32(scale)
-
     # -- readback ---------------------------------------------------------------
 
     def minmax(self, buffer: str = "color") -> Tuple[float, float]:

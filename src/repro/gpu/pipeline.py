@@ -193,14 +193,6 @@ class GraphicsPipeline:
         """Convert a data-space distance to pixels under the projection."""
         return d * self._scale
 
-    def line_width_for_distance(self, d: float) -> int:
-        """Equation (1): the integral pixel width for query distance ``d``.
-
-        ``LineWidth = PointWidth = ceil(d * n / max(w, h)) = ceil(d * scale)``,
-        rounded up so the rendered footprint never under-covers the distance.
-        """
-        return max(1, math.ceil(self.distance_to_pixels(d)))
-
     # -- buffer operations ---------------------------------------------------
 
     def _clear(self, buffer: str, value: float) -> None:

@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -330,16 +330,4 @@ class TiledPipeline:
         ]
 
 
-def atlas_layout(
-    resolution: int, max_tiles: int = 256, max_viewport: Optional[int] = None
-) -> Tuple[int, int]:
-    """(cols, rows) of the atlas grid a TiledPipeline would allocate."""
-    limit = max_viewport if max_viewport is not None else 2048
-    max_side = max(1, limit // resolution)
-    side = max(1, math.isqrt(max_tiles))
-    cols = min(side, max_side)
-    rows = min(max(1, -(-max_tiles // cols)), max_side)
-    return cols, rows
-
-
-__all__: List[str] = ["TiledPipeline", "atlas_layout"]
+__all__: List[str] = ["TiledPipeline"]

@@ -1,10 +1,12 @@
-"""R-tree spatial index (Guttman).
+"""R-tree spatial index (static, STR-packed).
 
 The paper's filtering step "uses the minimal bounding rectangles (MBRs) of
 the objects and spatial indexes such as R-tree [1] to quickly determine a
-set of candidate results".  This is a from-scratch Guttman R-tree with
-quadratic split for dynamic inserts; bulk loading via Sort-Tile-Recursive
-lives in :mod:`repro.index.str_pack`.
+set of candidate results".  Datasets never change during an experiment, so
+the tree is static: Sort-Tile-Recursive bulk loading
+(:func:`repro.index.str_pack.str_bulk_load`) packs it once, and this module
+holds the node layout, the queries and the structural diagnostics.  Nothing
+is added to or removed from a built tree.
 
 Entries are ``(Rect, object id)``; the index never touches geometry, exactly
 like the filtering stage of Figure 8.
@@ -12,8 +14,7 @@ like the filtering stage of Figure 8.
 
 from __future__ import annotations
 
-import math
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Optional, Tuple
 
 from ..geometry.rect import Rect
 
@@ -36,27 +37,16 @@ class RTreeNode:
 
 
 class RTree:
-    """Dynamic R-tree over ``(Rect, oid)`` entries.
+    """Static R-tree over ``(Rect, oid)`` entries.
 
-    ``max_entries`` is the node fan-out M; ``min_entries`` defaults to the
-    conventional 40% of M.
+    ``max_entries`` is the node fan-out M.  A directly constructed tree is
+    empty; :func:`repro.index.str_pack.str_bulk_load` builds populated ones.
     """
 
-    def __init__(
-        self,
-        max_entries: int = DEFAULT_MAX_ENTRIES,
-        min_entries: Optional[int] = None,
-    ) -> None:
+    def __init__(self, max_entries: int = DEFAULT_MAX_ENTRIES) -> None:
         if max_entries < 2:
             raise ValueError("max_entries must be >= 2")
         self.max_entries = max_entries
-        self.min_entries = (
-            min_entries if min_entries is not None else max(1, (max_entries * 2) // 5)
-        )
-        if not 1 <= self.min_entries <= self.max_entries // 2:
-            raise ValueError(
-                f"min_entries must be in [1, {max_entries // 2}], got {self.min_entries}"
-            )
         self.root = RTreeNode(is_leaf=True)
         self._size = 0
 
@@ -117,219 +107,6 @@ class RTree:
             else:
                 stack.extend(child for _, child in node.entries)  # type: ignore[misc]
 
-    # -- insertion ------------------------------------------------------------
-
-    def insert(self, mbr: Rect, oid: object) -> None:
-        """Insert one entry (Guttman's ChooseLeaf + quadratic split)."""
-        path: List[RTreeNode] = []
-        leaf = self._choose_leaf(self.root, mbr, path)
-        leaf.entries.append((mbr, oid))
-        self._size += 1
-        self._adjust_tree(leaf, path)
-
-    def _choose_leaf(
-        self, node: RTreeNode, mbr: Rect, path: List[RTreeNode]
-    ) -> RTreeNode:
-        while not node.is_leaf:
-            path.append(node)
-            best = None
-            best_growth = math.inf
-            best_area = math.inf
-            for entry_mbr, child in node.entries:
-                grown = entry_mbr.union(mbr)
-                growth = grown.area - entry_mbr.area
-                if growth < best_growth or (
-                    growth == best_growth and entry_mbr.area < best_area
-                ):
-                    best = child
-                    best_growth = growth
-                    best_area = entry_mbr.area
-            node = best  # type: ignore[assignment]
-        return node
-
-    def _adjust_tree(self, node: RTreeNode, path: List[RTreeNode]) -> None:
-        node.recompute_mbr()
-        split: Optional[RTreeNode] = None
-        if len(node.entries) > self.max_entries:
-            node, split = self._split_node(node)
-        while path:
-            parent = path.pop()
-            # Refresh the entry MBR for the (possibly split) child.
-            self._refresh_child(parent, node)
-            if split is not None:
-                parent.entries.append((split.mbr, split))  # type: ignore[arg-type]
-                split = None
-            parent.recompute_mbr()
-            if len(parent.entries) > self.max_entries:
-                parent, split = self._split_node(parent)
-            node = parent
-        if split is not None:
-            # Root was split: grow the tree.
-            new_root = RTreeNode(is_leaf=False)
-            new_root.entries = [(node.mbr, node), (split.mbr, split)]  # type: ignore[list-item]
-            new_root.recompute_mbr()
-            self.root = new_root
-
-    @staticmethod
-    def _refresh_child(parent: RTreeNode, child: RTreeNode) -> None:
-        for i, (_mbr, c) in enumerate(parent.entries):
-            if c is child:
-                parent.entries[i] = (child.mbr, child)  # type: ignore[assignment]
-                return
-        raise AssertionError("child not found in parent during adjust")
-
-    def _split_node(self, node: RTreeNode) -> Tuple[RTreeNode, RTreeNode]:
-        """Guttman's quadratic split."""
-        entries = node.entries
-        seed_a, seed_b = self._pick_seeds(entries)
-        group_a: List[Tuple[Rect, object]] = [entries[seed_a]]
-        group_b: List[Tuple[Rect, object]] = [entries[seed_b]]
-        mbr_a = entries[seed_a][0]
-        mbr_b = entries[seed_b][0]
-        rest = [e for i, e in enumerate(entries) if i not in (seed_a, seed_b)]
-
-        while rest:
-            # Force-assign when one group must absorb the remainder to reach
-            # min_entries.
-            if len(group_a) + len(rest) == self.min_entries:
-                group_a.extend(rest)
-                mbr_a = Rect.union_all([e[0] for e in group_a])
-                rest = []
-                break
-            if len(group_b) + len(rest) == self.min_entries:
-                group_b.extend(rest)
-                mbr_b = Rect.union_all([e[0] for e in group_b])
-                rest = []
-                break
-            # PickNext: entry with the greatest preference difference.
-            best_idx = 0
-            best_diff = -1.0
-            for i, (mbr, _oid) in enumerate(rest):
-                d_a = mbr_a.union(mbr).area - mbr_a.area
-                d_b = mbr_b.union(mbr).area - mbr_b.area
-                diff = abs(d_a - d_b)
-                if diff > best_diff:
-                    best_diff = diff
-                    best_idx = i
-            entry = rest.pop(best_idx)
-            d_a = mbr_a.union(entry[0]).area - mbr_a.area
-            d_b = mbr_b.union(entry[0]).area - mbr_b.area
-            if d_a < d_b or (d_a == d_b and len(group_a) <= len(group_b)):
-                group_a.append(entry)
-                mbr_a = mbr_a.union(entry[0])
-            else:
-                group_b.append(entry)
-                mbr_b = mbr_b.union(entry[0])
-
-        node.entries = group_a
-        node.recompute_mbr()
-        sibling = RTreeNode(is_leaf=node.is_leaf)
-        sibling.entries = group_b
-        sibling.recompute_mbr()
-        return node, sibling
-
-    @staticmethod
-    def _pick_seeds(entries: Sequence[Tuple[Rect, object]]) -> Tuple[int, int]:
-        """The pair wasting the most area when grouped together."""
-        best = (0, 1)
-        best_waste = -math.inf
-        for i in range(len(entries)):
-            for j in range(i + 1, len(entries)):
-                union = entries[i][0].union(entries[j][0])
-                waste = union.area - entries[i][0].area - entries[j][0].area
-                if waste > best_waste:
-                    best_waste = waste
-                    best = (i, j)
-        return best
-
-    # -- deletion -------------------------------------------------------------
-
-    def delete(self, mbr: Rect, oid: object) -> bool:
-        """Remove one entry matching ``(mbr, oid)`` (Guttman's Delete).
-
-        Returns False when no such entry exists.  Underfull nodes are
-        condensed: their surviving entries are re-inserted, and the tree
-        height shrinks when the root is left with a single child.
-        """
-        path: List[RTreeNode] = []
-        leaf = self._find_leaf(self.root, mbr, oid, path)
-        if leaf is None:
-            return False
-        for idx, (entry_mbr, entry_oid) in enumerate(leaf.entries):
-            if entry_mbr == mbr and (entry_oid is oid or entry_oid == oid):
-                del leaf.entries[idx]  # exactly one entry, even with duplicates
-                break
-        self._size -= 1
-        self._condense_tree(leaf, path)
-        # Shrink the root while it is a lone-child inner node.
-        while not self.root.is_leaf and len(self.root.entries) == 1:
-            self.root = self.root.entries[0][1]  # type: ignore[assignment]
-        if not self.root.entries:
-            self.root = RTreeNode(is_leaf=True)
-        return True
-
-    def _find_leaf(
-        self,
-        node: RTreeNode,
-        mbr: Rect,
-        oid: object,
-        path: List[RTreeNode],
-    ) -> Optional[RTreeNode]:
-        if node.is_leaf:
-            for entry_mbr, entry_oid in node.entries:
-                if entry_mbr == mbr and (entry_oid is oid or entry_oid == oid):
-                    return node
-            return None
-        for entry_mbr, child in node.entries:
-            if entry_mbr.contains_rect(mbr):
-                path.append(node)
-                result = self._find_leaf(child, mbr, oid, path)  # type: ignore[arg-type]
-                if result is not None:
-                    return result
-                path.pop()
-        return None
-
-    def _condense_tree(self, node: RTreeNode, path: List[RTreeNode]) -> None:
-        orphans: List[Tuple[Rect, object]] = []
-        orphan_nodes: List[RTreeNode] = []
-        while path:
-            parent = path.pop()
-            if len(node.entries) < self.min_entries and self._size > 0:
-                # Eliminate the underfull node; re-insert its survivors.
-                parent.entries = [e for e in parent.entries if e[1] is not node]
-                if node.is_leaf:
-                    orphans.extend(node.entries)
-                else:
-                    orphan_nodes.extend(
-                        child for _, child in node.entries  # type: ignore[misc]
-                    )
-            else:
-                node.recompute_mbr()
-                self._refresh_child(parent, node)
-            parent.recompute_mbr()
-            node = parent
-        node.recompute_mbr()
-
-        for orphan_mbr, orphan_oid in orphans:
-            self._size -= 1  # insert() re-increments
-            self.insert(orphan_mbr, orphan_oid)
-        for subtree in orphan_nodes:
-            for entry_mbr, entry_oid in self._collect_entries(subtree):
-                self._size -= 1
-                self.insert(entry_mbr, entry_oid)
-
-    @staticmethod
-    def _collect_entries(node: RTreeNode) -> List[Tuple[Rect, object]]:
-        out: List[Tuple[Rect, object]] = []
-        stack = [node]
-        while stack:
-            cur = stack.pop()
-            if cur.is_leaf:
-                out.extend(cur.entries)
-            else:
-                stack.extend(child for _, child in cur.entries)  # type: ignore[misc]
-        return out
-
     # -- diagnostics ---------------------------------------------------------------
 
     def height(self) -> int:
@@ -340,18 +117,15 @@ class RTree:
             h += 1
         return h
 
-    def check_invariants(self, check_fill: bool = False) -> None:
+    def check_invariants(self) -> None:
         """Raise AssertionError when structural invariants are violated.
 
-        ``check_fill`` additionally enforces Guttman's minimum fill, which
-        holds for insertion-built trees but not for STR-packed ones (their
-        last node per level may be underfull by construction).
+        No minimum fill is enforced: the last STR-packed node of a level
+        may be underfull by construction.
         """
 
-        def walk(node: RTreeNode, depth: int, is_root: bool) -> int:
+        def walk(node: RTreeNode, depth: int) -> int:
             assert len(node.entries) <= self.max_entries, "overfull node"
-            if check_fill and not is_root and self._size > self.max_entries:
-                assert len(node.entries) >= self.min_entries, "underfull node"
             if node.entries:
                 assert node.mbr == Rect.union_all(
                     [e[0] for e in node.entries]
@@ -362,9 +136,9 @@ class RTree:
             for mbr, child in node.entries:
                 assert isinstance(child, RTreeNode)
                 assert mbr == child.mbr, "entry MBR differs from child MBR"
-                depths.add(walk(child, depth + 1, False))
+                depths.add(walk(child, depth + 1))
             assert len(depths) == 1, "leaves at different depths"
             return depths.pop()
 
-        walk(self.root, 0, True)
+        walk(self.root, 0)
         assert self._size == sum(1 for _ in self.all_entries()), "size drift"

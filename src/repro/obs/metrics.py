@@ -553,10 +553,5 @@ METRIC_HELP: Dict[str, str] = {
 }
 
 
-def register_metric_help(name: str, help_text: str) -> None:
-    """Attach an exposition ``# HELP`` string to a metric family."""
-    METRIC_HELP[name] = help_text
-
-
 def metric_help(name: str) -> str:
     return METRIC_HELP.get(name, f"repro metric family {name}.")

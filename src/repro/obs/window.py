@@ -26,9 +26,9 @@ the windowed view without touching the exact substrate:
   ``health`` envelope embeds.
 
 Because per-epoch histograms are the exactly-mergeable log-bucketed kind,
-windowed shards merge the same way cumulative ones do: merging two
-windowed histograms (same config, same clock) epoch by epoch is
-indistinguishable from one instrument having observed both streams.
+a window's statistics are one fold of its live buckets
+(:meth:`WindowedHistogram.merged`), indistinguishable from one histogram
+having observed only the in-window stream.
 """
 
 from __future__ import annotations
@@ -123,14 +123,6 @@ class WindowedCounter(_Windowed):
         """Events per second over the window span."""
         return self.total() / self.config.window_s
 
-    def merge(self, other: "WindowedCounter") -> None:
-        """Fold another shard's window in, epoch by epoch (same config)."""
-        _check_mergeable(self.config, other.config)
-        for epoch, amount in other._live():
-            with self._lock:
-                self._retire(self.config.epoch())
-                self._buckets[epoch] = self._buckets.get(epoch, 0) + amount
-
     def snapshot(self) -> Dict[str, Any]:
         return {
             "window_s": self.config.window_s,
@@ -181,25 +173,6 @@ class WindowedHistogram(_Windowed):
         out["rate"] = out["count"] / self.config.window_s
         out["window_s"] = self.config.window_s
         return out
-
-    def merge(self, other: "WindowedHistogram") -> None:
-        """Fold another shard's window in, epoch by epoch (same config)."""
-        _check_mergeable(self.config, other.config)
-        for epoch, hist in other._live():
-            with self._lock:
-                self._retire(self.config.epoch())
-                bucket = self._buckets.get(epoch)
-                if bucket is None:
-                    bucket = self._buckets[epoch] = Histogram()
-            bucket._merge(hist)
-
-
-def _check_mergeable(a: WindowConfig, b: WindowConfig) -> None:
-    if (a.width_s, a.buckets) != (b.width_s, b.buckets):
-        raise ValueError(
-            "cannot merge windows with different shapes: "
-            f"{a.width_s}s x {a.buckets} vs {b.width_s}s x {b.buckets}"
-        )
 
 
 WindowedInstrument = Union[WindowedCounter, WindowedHistogram]

@@ -23,8 +23,8 @@ Layers (each its own module):
 * :mod:`~repro.serve.health` - windowed per-op telemetry, SLO burn-rate
   alerting, worker heartbeats, and the ``health`` envelope verdict;
 * :mod:`~repro.serve.server` - the asyncio TCP JSON-lines front-end;
-* :mod:`~repro.serve.loadgen` - open-loop and closed-loop load
-  generators emitting RunReports for CI gating;
+* :mod:`~repro.serve.loadgen` - the open-loop load generator emitting
+  RunReports for CI gating;
 * :mod:`~repro.serve.top` - the live terminal dashboard polling
   ``metrics`` + ``health`` (``python -m repro.serve top``).
 """
@@ -37,9 +37,7 @@ from .loadgen import (
     LoadgenConfig,
     LoadResult,
     build_schedule,
-    run_closed_loop,
     run_open_loop,
-    run_sweep,
 )
 from .health import HealthConfig, ServiceHealth, build_health
 from .schema import (
@@ -100,10 +98,8 @@ __all__ = [
     "fetch_snapshot",
     "load_slowlog",
     "render",
-    "run_closed_loop",
     "run_open_loop",
     "run_server",
-    "run_sweep",
     "run_top",
     "send_envelope",
     "summarize_slowlog",

@@ -5,7 +5,6 @@ Examples::
     python -m repro.serve serve --port 8753 --workers 2
     python -m repro.serve loadgen --rate 6 --duration 30 --report-out run.json
     python -m repro.serve loadgen --trace-out spans.jsonl --slowlog-out slow.jsonl
-    python -m repro.serve sweep --levels 1,2,4 --iterations 20
     python -m repro.serve slowlog slow.jsonl --top 5
     python -m repro.serve ping --port 8753 --timeout 5
     python -m repro.serve serve --windowed --alerts-out alerts.jsonl
@@ -27,7 +26,7 @@ from ..obs.runreport import write_run_report
 from ..obs.slo import default_objectives
 from .admission import AdmissionConfig
 from .engine import BACKENDS, WorkloadConfig
-from .loadgen import LoadgenConfig, LoadResult, run_open_loop, run_sweep
+from .loadgen import LoadgenConfig, LoadResult, run_open_loop
 from .health import HealthConfig
 from .server import run_server, send_envelope
 from .service import QueryService
@@ -322,24 +321,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "--seed", type=int, default=2003, help="schedule RNG seed"
     )
 
-    p_sweep = sub.add_parser(
-        "sweep", help="closed-loop saturation sweep over concurrency levels"
-    )
-    _add_service_args(p_sweep)
-    _add_output_args(p_sweep)
-    p_sweep.add_argument(
-        "--levels",
-        default="1,2,4",
-        help="comma-separated concurrency levels (default: 1,2,4)",
-    )
-    p_sweep.add_argument(
-        "--iterations",
-        type=int,
-        default=20,
-        help="requests per client per level (default: 20)",
-    )
-    p_sweep.add_argument("--seed", type=int, default=2003)
-
     p_ping = sub.add_parser("ping", help="liveness-check a running server")
     p_ping.add_argument("--host", default="127.0.0.1")
     p_ping.add_argument("--port", type=int, default=8753)
@@ -431,23 +412,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 LoadgenConfig(
                     rate=args.rate, duration_s=args.duration, seed=args.seed
                 ),
-            )
-        finally:
-            service.close()
-        _emit(load, args)
-        _emit_forensics(service, args)
-        return 0
-
-    if args.command == "sweep":
-        try:
-            levels = [int(x) for x in args.levels.split(",") if x.strip()]
-        except ValueError:
-            print(f"bad --levels {args.levels!r}", file=sys.stderr)
-            return 2
-        service = _build_service(args)
-        try:
-            load = run_sweep(
-                service, levels, iterations=args.iterations, seed=args.seed
             )
         finally:
             service.close()

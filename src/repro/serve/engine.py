@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import queue
 import threading
-from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import Any, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..bench.scales import get_scale
 from ..cache import CacheConfig
@@ -295,17 +294,6 @@ class EnginePool:
 
     def release(self, engine: ServingEngine) -> None:
         self._free.put(engine)
-
-    @contextmanager
-    def engine(
-        self, timeout: Optional[float] = None
-    ) -> Iterator[Optional[ServingEngine]]:
-        engine = self.acquire(timeout)
-        try:
-            yield engine
-        finally:
-            if engine is not None:
-                self.release(engine)
 
     def worker_stats(self) -> List[Dict[str, Any]]:
         """One roster row per pool engine (the health envelope's base)."""

@@ -1,19 +1,16 @@
-"""Load generators: open-loop arrival processes and closed-loop sweeps.
+"""Load generator: the open-loop arrival process.
 
-Two complementary shapes, the standard pair for serving evaluation:
+Requests arrive on a fixed schedule (``rate`` per second for
+``duration_s``) regardless of how the server is doing, the way real
+traffic does (:func:`run_open_loop`).  The schedule is built **before**
+the run from a seeded RNG, so two runs with the same config issue the
+byte-identical request sequence - which is what lets CI gate the
+resulting RunReport's counters exactly.  The complementary closed loop
+(each client keeps exactly one request outstanding, driven to
+saturation) is not here: ``benchmarks/perf/served.py`` drives it from
+outside the process, over the real socket, as the ``serve-sel`` workload.
 
-* **open loop** (:func:`run_open_loop`) - requests arrive on a fixed
-  schedule (``rate`` per second for ``duration_s``) regardless of how the
-  server is doing, the way real traffic does.  The schedule is built
-  **before** the run from a seeded RNG, so two runs with the same config
-  issue the byte-identical request sequence - which is what lets CI gate
-  the resulting RunReport's counters exactly;
-* **closed loop** (:func:`run_closed_loop` / :func:`run_sweep`) - a fixed
-  set of client threads each keep exactly one request outstanding.
-  Sweeping the concurrency level traces the throughput curve to
-  saturation (it plateaus at the engine-pool width).
-
-Both runners enforce the accounting invariant the service promises:
+The runner enforces the accounting invariant the service promises:
 **every scheduled request yields exactly one terminal response** -
 ``ok + shed + timeout + error == scheduled``.  A violation raises
 :class:`LoadAccountingError` instead of being quietly summarized; "zero
@@ -31,7 +28,6 @@ from __future__ import annotations
 
 import math
 import random
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -323,144 +319,6 @@ def run_open_loop(
     )
 
 
-# -- closed loop -------------------------------------------------------------
-
-
-def run_closed_loop(
-    service: QueryService,
-    concurrency: int,
-    iterations: int,
-    seed: int = 2003,
-    mix: Optional[Mapping[str, float]] = None,
-) -> Tuple[List[QueryResponse], float]:
-    """``concurrency`` clients, each keeping one request outstanding.
-
-    Every client issues ``iterations`` requests back-to-back from its own
-    seeded stream.  Returns (responses, wall seconds).
-    """
-    if concurrency < 1:
-        raise ValueError(f"concurrency must be >= 1, got {concurrency}")
-    if iterations < 1:
-        raise ValueError(f"iterations must be >= 1, got {iterations}")
-    config = LoadgenConfig(
-        rate=float(iterations),
-        duration_s=1.0,
-        seed=seed,
-        mix=dict(mix) if mix is not None else dict(DEFAULT_MIX),
-    )
-    all_responses: List[List[QueryResponse]] = [[] for _ in range(concurrency)]
-    all_ops: List[List[str]] = [[] for _ in range(concurrency)]
-
-    def client(idx: int) -> None:
-        # Offsets are ignored: a closed-loop client never waits to send.
-        schedule = build_schedule(
-            service.workload,
-            LoadgenConfig(
-                rate=config.rate,
-                duration_s=config.duration_s,
-                seed=config.seed + idx,
-                mix=config.mix,
-            ),
-        )
-        for item in schedule:
-            all_ops[idx].append(item.request.op)
-            all_responses[idx].append(service.submit(item.request))
-
-    threads = [
-        threading.Thread(target=client, args=(i,), name=f"loadgen-client-{i}")
-        for i in range(concurrency)
-    ]
-    start = time.perf_counter()
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    wall_s = time.perf_counter() - start
-
-    ops = [op for per_client in all_ops for op in per_client]
-    responses = [r for per_client in all_responses for r in per_client]
-    _account(ops, responses)  # raises on any unreported request
-    return responses, wall_s
-
-
-def run_sweep(
-    service: QueryService,
-    levels: Sequence[int],
-    iterations: int = 20,
-    seed: int = 2003,
-    mix: Optional[Mapping[str, float]] = None,
-) -> LoadResult:
-    """Closed-loop saturation sweep over concurrency levels.
-
-    Throughput rises with concurrency until the engine pool is saturated
-    (every engine busy), then plateaus - the knee locates the service's
-    capacity at this workload.
-    """
-    if not levels:
-        raise ValueError("levels must name at least one concurrency level")
-    rows = []
-    all_ops: List[str] = []
-    all_responses: List[QueryResponse] = []
-    sweep_start = time.perf_counter()
-    for level in levels:
-        responses, wall_s = run_closed_loop(
-            service, level, iterations, seed=seed, mix=mix
-        )
-        lat = sorted(r.total_s for r in responses if r.ok)
-        rows.append(
-            (
-                level,
-                len(responses),
-                sum(1 for r in responses if r.ok),
-                len(responses) / wall_s if wall_s > 0 else 0.0,
-                exact_quantile(lat, 0.50) * 1e3,
-                exact_quantile(lat, 0.95) * 1e3,
-                exact_quantile(lat, 0.99) * 1e3,
-                wall_s,
-            )
-        )
-        all_responses.extend(responses)
-        all_ops.extend(r.op for r in responses)
-    wall_s = time.perf_counter() - sweep_start
-
-    stats = _account(all_ops, all_responses)
-    result = ExperimentResult(
-        experiment_id="serve-closed-loop-sweep",
-        title="Closed-loop saturation sweep: throughput vs. concurrency",
-        params={
-            "scale": service.workload_config.scale,
-            "engine": service.workload_config.engine,
-            "backend": service.workload_config.backend,
-            "workers": service.pool.size,
-            "levels": list(levels),
-            "iterations_per_client": iterations,
-            "seed": seed,
-        },
-        columns=(
-            "concurrency",
-            "requests",
-            "ok",
-            "throughput_rps",
-            "p50_ms",
-            "p95_ms",
-            "p99_ms",
-            "wall_s",
-        ),
-        rows=rows,
-        paper_expectation=(
-            "throughput scales with offered concurrency until the engine "
-            "pool saturates, then plateaus at pool-width utilization"
-        ),
-    )
-    return LoadResult(
-        result=result,
-        responses=all_responses,
-        stats=stats,
-        wall_s=wall_s,
-        metrics_snapshot=service.metrics_snapshot(),
-    )
-
-
 __all__ = [
     "DEFAULT_MIX",
     "DISTANCE_FACTORS",
@@ -472,7 +330,5 @@ __all__ = [
     "ScheduledRequest",
     "build_schedule",
     "exact_quantile",
-    "run_closed_loop",
     "run_open_loop",
-    "run_sweep",
 ]

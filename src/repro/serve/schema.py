@@ -72,17 +72,18 @@ class QueryRequest:
                 f"unknown op {self.op!r}; expected one of {SERVE_OPS}"
             )
         if self.op == "selection":
-            if self.query_index is None or self.query_index < 0:
+            # type(), not isinstance(): JSON true would pass as index 1.
+            if type(self.query_index) is not int or self.query_index < 0:
                 raise ValueError(
-                    "selection requires query_index >= 0 "
+                    "selection requires an integer query_index >= 0 "
                     f"(got {self.query_index!r})"
                 )
         elif self.query_index is not None:
             raise ValueError(f"op {self.op!r} does not take query_index")
         if self.op == "within_distance":
-            if self.distance is None or not self.distance >= 0.0:
+            if type(self.distance) not in (int, float) or not self.distance >= 0.0:
                 raise ValueError(
-                    "within_distance requires distance >= 0 "
+                    "within_distance requires a numeric distance >= 0 "
                     f"(got {self.distance!r})"
                 )
         elif self.distance is not None:
@@ -106,6 +107,10 @@ class QueryRequest:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "QueryRequest":
+        if not isinstance(data, Mapping):
+            raise ValueError(
+                f"request must be a JSON object, got {type(data).__name__}"
+            )
         schema = data.get("schema", REQUEST_SCHEMA)
         if schema != REQUEST_SCHEMA:
             raise ValueError(

@@ -19,12 +19,7 @@ from repro.core import (
 )
 from repro.core.projection import distance_window
 from repro.geometry import Polygon, boundary_distance_brute_force
-from repro.gpu.distance_field import (
-    CENTER_DISTANCE_SLACK,
-    distance_field,
-    min_center_distance,
-    within_pixel_distance,
-)
+from repro.gpu.distance_field import distance_field
 from tests.strategies import polygon_pairs_nearby
 
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
@@ -47,37 +42,6 @@ class TestDistanceField:
     def test_rejects_non_boolean(self):
         with pytest.raises(ValueError):
             distance_field(np.zeros((2, 2), dtype=np.float32))
-
-    def test_min_center_distance(self):
-        a = np.zeros((8, 8), dtype=bool)
-        b = np.zeros((8, 8), dtype=bool)
-        a[0, 0] = True
-        b[0, 5] = True
-        assert min_center_distance(a, b) == 5.0
-
-    def test_min_center_distance_empty(self):
-        a = np.zeros((4, 4), dtype=bool)
-        b = np.ones((4, 4), dtype=bool)
-        assert min_center_distance(a, b) == float("inf")
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            min_center_distance(
-                np.zeros((2, 2), dtype=bool), np.zeros((3, 3), dtype=bool)
-            )
-
-    def test_within_pixel_distance_slack(self):
-        a = np.zeros((8, 8), dtype=bool)
-        b = np.zeros((8, 8), dtype=bool)
-        a[0, 0] = True
-        b[0, 5] = True  # centers 5 px apart
-        assert within_pixel_distance(a, b, 5.0 - CENTER_DISTANCE_SLACK + 0.01)
-        assert not within_pixel_distance(a, b, 5.0 - CENTER_DISTANCE_SLACK - 0.01)
-
-    def test_negative_distance_rejected(self):
-        a = np.ones((2, 2), dtype=bool)
-        with pytest.raises(ValueError):
-            within_pixel_distance(a, a, -1.0)
 
 
 class TestFieldVerdict:

@@ -1,10 +1,9 @@
 """Tests for the refinement engine abstraction."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine, make_engine
+from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 from repro.geometry import Polygon
 from tests.strategies import polygon_pairs_nearby
 
@@ -13,23 +12,17 @@ SHIFTED = Polygon.from_coords([(2, 2), (6, 2), (6, 6), (2, 6)])
 
 
 class TestFactory:
+    """Engines are built by their constructors; reports key on ``name``."""
+
     def test_software(self):
-        e = make_engine("software")
-        assert isinstance(e, SoftwareEngine)
-        assert e.name == "software"
+        assert SoftwareEngine().name == "software"
 
     def test_hardware_default_config(self):
-        e = make_engine("hardware")
-        assert isinstance(e, HardwareEngine)
-        assert e.name == "hardware[8x8]"
+        assert HardwareEngine().name == "hardware[8x8]"
 
     def test_hardware_custom_config(self):
-        e = make_engine("hardware", HardwareConfig(resolution=16))
+        e = HardwareEngine(HardwareConfig(resolution=16))
         assert e.name == "hardware[16x16]"
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            make_engine("quantum")
 
 
 class TestStatsLifecycle:
@@ -68,15 +61,3 @@ class TestEngineAgreement:
         hw = HardwareEngine(HardwareConfig(resolution=8, sw_threshold=12))
         assert sw.polygons_intersect(a, b) == hw.polygons_intersect(a, b)
         assert sw.within_distance(a, b, d) == hw.within_distance(a, b, d)
-
-
-class TestSoftwareConfigRejected:
-    """Regression: a HardwareConfig passed with kind='software' used to be
-    silently dropped, so benchmark runs measured the wrong engine."""
-
-    def test_software_with_config_raises(self):
-        with pytest.raises(ValueError, match="software"):
-            make_engine("software", HardwareConfig(resolution=16))
-
-    def test_software_with_none_config_ok(self):
-        assert isinstance(make_engine("software", None), SoftwareEngine)

@@ -2,12 +2,12 @@
 
 import pytest
 
-from repro.datasets import CATALOG, CONUS, WYOMING, dataset_names, load
+from repro.datasets import CATALOG, CONUS, WYOMING, load
 
 
 class TestCatalogContents:
     def test_five_datasets(self):
-        assert dataset_names() == ["LANDC", "LANDO", "STATES50", "PRISM", "WATER"]
+        assert list(CATALOG) == ["LANDC", "LANDO", "STATES50", "PRISM", "WATER"]
 
     def test_table2_statistics_recorded(self):
         """The catalog must carry the paper's Table 2 numbers verbatim."""

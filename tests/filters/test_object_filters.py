@@ -4,11 +4,7 @@ import math
 
 from hypothesis import given, settings
 
-from repro.filters import (
-    one_object_upper_bound,
-    pair_distance_upper_bound,
-    zero_object_upper_bound,
-)
+from repro.filters import one_object_upper_bound, zero_object_upper_bound
 from repro.geometry import Polygon, Rect, polygon_distance_brute_force
 from tests.strategies import polygon_pairs_nearby, rects, star_polygons
 
@@ -76,26 +72,3 @@ class TestOneObject:
         bound = one_object_upper_bound(poly, poly.mbr)
         diag = math.hypot(poly.mbr.width, poly.mbr.height)
         assert 0.0 <= bound <= diag + 1e-9
-
-
-class TestCombined:
-    @settings(max_examples=60)
-    @given(polygon_pairs_nearby())
-    def test_pair_bound_is_tightest_available(self, pair):
-        a, b = pair
-        zero = zero_object_upper_bound(a.mbr, b.mbr)
-        assert pair_distance_upper_bound(None, a.mbr, None, b.mbr) == zero
-        with_one = pair_distance_upper_bound(a, a.mbr, None, b.mbr)
-        assert with_one <= zero + 1e-12
-        with_both = pair_distance_upper_bound(a, a.mbr, b, b.mbr)
-        assert with_both <= with_one + 1e-12
-
-    @settings(max_examples=60)
-    @given(polygon_pairs_nearby())
-    def test_all_variants_remain_upper_bounds(self, pair):
-        a, b = pair
-        true_d = polygon_distance_brute_force(a, b)
-        for pa in (None, a):
-            for pb in (None, b):
-                bound = pair_distance_upper_bound(pa, a.mbr, pb, b.mbr)
-                assert bound >= true_d - 1e-9

@@ -1,10 +1,9 @@
 """Tests for the monotone-chain convex hull."""
 
-import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Point, convex_hull, cross, hull_polygon, point_in_polygon
+from repro.geometry import Point, Polygon, convex_hull, cross, point_in_polygon
 from tests.strategies import points
 
 
@@ -34,12 +33,8 @@ class TestKnownCases:
         assert convex_hull([Point(1, 1)]) == [Point(1, 1)]
         assert len(convex_hull([Point(0, 0), Point(1, 1)])) == 2
 
-    def test_hull_polygon_degenerate_raises(self):
-        with pytest.raises(ValueError):
-            hull_polygon([Point(0, 0), Point(1, 1), Point(2, 2)])
-
     def test_hull_polygon_is_ccw(self):
-        poly = hull_polygon([Point(0, 0), Point(3, 0), Point(3, 3), Point(0, 3)])
+        poly = Polygon(convex_hull([Point(0, 0), Point(3, 0), Point(3, 3), Point(0, 3)]))
         assert poly.is_ccw
 
 

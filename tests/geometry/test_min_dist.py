@@ -12,7 +12,6 @@ from repro.geometry import (
     boundary_distance_brute_force,
     min_boundary_distance,
     polygon_distance_brute_force,
-    polygon_min_distance,
     polygons_within_distance,
     polygons_within_distance_brute_force,
 )
@@ -133,25 +132,6 @@ class TestEdgeRecords:
         assert min_boundary_distance(a, b, stats=stats) == boundary_distance_brute_force(a, b)
         assert stats.edge_pairs_total == a.num_vertices * b.num_vertices
         assert stats.edges_scanned == 2 * (a.num_vertices + b.num_vertices)
-
-
-class TestPolygonMinDistance:
-    def test_contained_is_zero(self):
-        assert polygon_min_distance(SQUARE, INNER) == 0.0
-
-    def test_disjoint_value(self):
-        assert polygon_min_distance(SQUARE, FAR) == math.hypot(6, 6)
-
-    @settings(max_examples=100)
-    @given(polygon_pairs_nearby())
-    def test_matches_brute_force(self, pair):
-        a, b = pair
-        assert math.isclose(
-            polygon_min_distance(a, b),
-            polygon_distance_brute_force(a, b),
-            rel_tol=1e-9,
-            abs_tol=1e-12,
-        )
 
 
 class TestWithinDistance:

@@ -1,7 +1,5 @@
 """Unit tests for the Point primitive."""
 
-import math
-
 import pytest
 from hypothesis import given
 
@@ -62,15 +60,8 @@ class TestArithmetic:
 
 
 class TestMetric:
-    def test_norm(self):
-        assert Point(3, 4).norm() == 5.0
-
     def test_distance_345(self):
         assert Point(0, 0).distance_to(Point(3, 4)) == 5.0
-
-    def test_squared_distance_matches(self):
-        a, b = Point(1, 2), Point(4, 6)
-        assert a.squared_distance_to(b) == 25.0
 
     def test_midpoint(self):
         assert Point(0, 0).midpoint(Point(2, 4)) == Point(1, 2)
@@ -78,12 +69,6 @@ class TestMetric:
     @given(points, points)
     def test_distance_symmetric(self, a, b):
         assert a.distance_to(b) == b.distance_to(a)
-
-    @given(points, points)
-    def test_squared_distance_consistent(self, a, b):
-        assert math.isclose(
-            a.distance_to(b) ** 2, a.squared_distance_to(b), abs_tol=1e-9
-        )
 
     @given(points)
     def test_distance_to_self_is_zero(self, p):

@@ -7,9 +7,7 @@ from hypothesis import strategies as st
 from repro.geometry import Point, PointLocation, Polygon, locate_point
 from repro.geometry.point_in_polygon import (
     _debug_location_by_sampling,
-    any_vertex_inside,
     point_in_polygon,
-    point_strictly_in_polygon,
 )
 from tests.strategies import (
     arbitrary_polygons,
@@ -105,14 +103,6 @@ class TestHelpers:
 
     def test_point_in_polygon_includes_boundary(self):
         assert point_in_polygon(Point(0, 0), SQUARE)
-        assert not point_strictly_in_polygon(Point(0, 0), SQUARE)
-        assert point_strictly_in_polygon(Point(2, 2), SQUARE)
-
-    def test_any_vertex_inside(self):
-        inner = [Point(1, 1), Point(2, 1), Point(2, 2)]
-        assert any_vertex_inside(inner, SQUARE)
-        outer = [Point(10, 10), Point(11, 10), Point(11, 11)]
-        assert not any_vertex_inside(outer, SQUARE)
 
 
 class TestProperties:

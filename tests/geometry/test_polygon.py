@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 
-from repro.geometry import Point, Polygon, Rect, edge_bounds, rect_to_polygon
+from repro.geometry import Point, Polygon, Rect, edge_bounds
 from tests.strategies import star_polygons
 
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
@@ -136,11 +136,6 @@ class TestAccessors:
         for k in range(4):
             assert edges[k][1] == edges[(k + 1) % 4][0]
 
-    def test_edge_segments(self):
-        segs = SQUARE.edge_segments()
-        assert len(segs) == 4
-        assert segs[0].p0 == Point(0, 4)
-
     def test_coords(self):
         assert SQUARE.coords() == [(0, 0), (4, 0), (4, 4), (0, 4)]
 
@@ -228,7 +223,7 @@ class TestDerived:
         assert grown.mbr == Rect(0, 0, 8, 8)
 
     def test_rect_to_polygon(self):
-        poly = rect_to_polygon(Rect(0, 0, 2, 3))
+        poly = Polygon(Rect(0, 0, 2, 3).corners())
         assert poly.area == 6.0
         assert poly.is_ccw
 

@@ -2,38 +2,23 @@
 
 from hypothesis import given
 
-from repro.geometry import (
-    Orientation,
-    Point,
-    collinear_overlap,
-    cross,
-    on_segment,
-    orientation,
-    segment_intersection_point,
-    segments_intersect,
-    segments_intersect_properly,
-)
+from repro.geometry import Point, cross, on_segment, segments_intersect
 from tests.strategies import points, segments
 
 
 class TestOrientation:
+    """The orientation of a point triple is the sign of :func:`cross`; on the
+    strategies' 1/8 grid the product is exact, so the symmetries hold with
+    ``==`` on the value, not just on its sign."""
+
     def test_counterclockwise(self):
-        assert (
-            orientation(Point(0, 0), Point(1, 0), Point(1, 1))
-            is Orientation.COUNTERCLOCKWISE
-        )
+        assert cross(Point(0, 0), Point(1, 0), Point(1, 1)) > 0
 
     def test_clockwise(self):
-        assert (
-            orientation(Point(0, 0), Point(1, 1), Point(1, 0))
-            is Orientation.CLOCKWISE
-        )
+        assert cross(Point(0, 0), Point(1, 1), Point(1, 0)) < 0
 
     def test_collinear(self):
-        assert (
-            orientation(Point(0, 0), Point(1, 1), Point(2, 2))
-            is Orientation.COLLINEAR
-        )
+        assert cross(Point(0, 0), Point(1, 1), Point(2, 2)) == 0
 
     def test_cross_sign_matches(self):
         assert cross(Point(0, 0), Point(1, 0), Point(0, 1)) > 0
@@ -41,11 +26,11 @@ class TestOrientation:
 
     @given(points, points, points)
     def test_reversal_flips_orientation(self, a, b, c):
-        assert orientation(a, b, c) == -orientation(c, b, a)
+        assert cross(a, b, c) == -cross(c, b, a)
 
     @given(points, points, points)
     def test_cyclic_shift_preserves_orientation(self, a, b, c):
-        assert orientation(a, b, c) == orientation(b, c, a)
+        assert cross(a, b, c) == cross(b, c, a)
 
 
 class TestOnSegment:
@@ -70,22 +55,13 @@ class TestOnSegment:
 class TestSegmentsIntersect:
     def test_proper_crossing(self):
         assert segments_intersect(Point(0, 0), Point(2, 2), Point(0, 2), Point(2, 0))
-        assert segments_intersect_properly(
-            Point(0, 0), Point(2, 2), Point(0, 2), Point(2, 0)
-        )
 
     def test_t_junction_improper(self):
         # q1q2 ends on the interior of p1p2.
         assert segments_intersect(Point(0, 0), Point(4, 0), Point(2, 0), Point(2, 3))
-        assert not segments_intersect_properly(
-            Point(0, 0), Point(4, 0), Point(2, 0), Point(2, 3)
-        )
 
     def test_shared_endpoint_improper(self):
         assert segments_intersect(Point(0, 0), Point(1, 1), Point(1, 1), Point(2, 0))
-        assert not segments_intersect_properly(
-            Point(0, 0), Point(1, 1), Point(1, 1), Point(2, 0)
-        )
 
     def test_collinear_overlap_counts(self):
         assert segments_intersect(Point(0, 0), Point(3, 0), Point(2, 0), Point(5, 0))
@@ -120,68 +96,3 @@ class TestSegmentsIntersect:
         assert segments_intersect(*s1, *s2) == segments_intersect(
             s1[1], s1[0], s2[1], s2[0]
         )
-
-    @given(segments(), segments())
-    def test_proper_implies_improper(self, s1, s2):
-        if segments_intersect_properly(*s1, *s2):
-            assert segments_intersect(*s1, *s2)
-
-
-class TestIntersectionPoint:
-    def test_proper_crossing_point(self):
-        p = segment_intersection_point(
-            Point(0, 0), Point(2, 2), Point(0, 2), Point(2, 0)
-        )
-        assert p == Point(1, 1)
-
-    def test_disjoint_returns_none(self):
-        assert (
-            segment_intersection_point(
-                Point(0, 0), Point(1, 0), Point(0, 1), Point(1, 1)
-            )
-            is None
-        )
-
-    def test_collinear_overlap_returns_witness(self):
-        p = segment_intersection_point(
-            Point(0, 0), Point(3, 0), Point(2, 0), Point(5, 0)
-        )
-        assert p is not None
-        assert on_segment(p, Point(0, 0), Point(3, 0))
-        assert on_segment(p, Point(2, 0), Point(5, 0))
-
-    @given(segments(), segments())
-    def test_witness_iff_intersect(self, s1, s2):
-        witness = segment_intersection_point(*s1, *s2)
-        intersects = segments_intersect(*s1, *s2)
-        assert (witness is not None) == intersects
-        if witness is not None:
-            # The witness must (approximately) lie on both segments.
-            from repro.geometry import point_segment_distance
-
-            assert point_segment_distance(witness, *s1) < 1e-6
-            assert point_segment_distance(witness, *s2) < 1e-6
-
-
-class TestCollinearOverlap:
-    def test_overlap_extent(self):
-        got = collinear_overlap(Point(0, 0), Point(3, 0), Point(2, 0), Point(5, 0))
-        assert got == (Point(2, 0), Point(3, 0))
-
-    def test_touching_endpoint_degenerate_overlap(self):
-        got = collinear_overlap(Point(0, 0), Point(2, 0), Point(2, 0), Point(4, 0))
-        assert got == (Point(2, 0), Point(2, 0))
-
-    def test_vertical_overlap(self):
-        got = collinear_overlap(Point(1, 0), Point(1, 4), Point(1, 3), Point(1, 6))
-        assert got == (Point(1, 3), Point(1, 4))
-
-    def test_non_collinear_returns_none(self):
-        assert collinear_overlap(
-            Point(0, 0), Point(2, 0), Point(0, 1), Point(2, 1)
-        ) is None
-
-    def test_collinear_disjoint_returns_none(self):
-        assert collinear_overlap(
-            Point(0, 0), Point(1, 0), Point(2, 0), Point(3, 0)
-        ) is None

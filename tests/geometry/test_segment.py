@@ -1,50 +1,14 @@
-"""Unit and property tests for segments and segment metrics."""
+"""Unit and property tests for segment metrics."""
 
-import math
-
-import pytest
 from hypothesis import given
 
 from repro.geometry import (
     Point,
-    Rect,
-    Segment,
     point_segment_distance,
-    segment_rect_distance,
     segment_segment_distance,
-    segment_segment_max_distance,
     segments_intersect,
 )
-from tests.strategies import points, rects, segments
-
-
-class TestSegment:
-    def test_length_and_midpoint(self):
-        s = Segment(Point(0, 0), Point(3, 4))
-        assert s.length == 5.0
-        assert s.midpoint == Point(1.5, 2)
-
-    def test_mbr(self):
-        s = Segment(Point(3, 1), Point(0, 4))
-        assert s.mbr == Rect(0, 1, 3, 4)
-
-    def test_reversed(self):
-        s = Segment(Point(0, 0), Point(1, 2))
-        assert s.reversed() == Segment(Point(1, 2), Point(0, 0))
-
-    def test_immutable(self):
-        s = Segment(Point(0, 0), Point(1, 1))
-        with pytest.raises(AttributeError):
-            s.p0 = Point(2, 2)
-
-    def test_intersects_delegates(self):
-        a = Segment(Point(0, 0), Point(2, 2))
-        b = Segment(Point(0, 2), Point(2, 0))
-        assert a.intersects(b)
-
-    def test_iter_unpack(self):
-        p0, p1 = Segment(Point(1, 2), Point(3, 4))
-        assert (p0, p1) == (Point(1, 2), Point(3, 4))
+from tests.strategies import points, segments
 
 
 class TestPointSegmentDistance:
@@ -106,53 +70,8 @@ class TestSegmentSegmentDistance:
         assert (d == 0.0) == segments_intersect(*s1, *s2)
 
     @given(segments(), segments())
-    def test_min_le_max(self, s1, s2):
-        assert segment_segment_distance(*s1, *s2) <= segment_segment_max_distance(
-            *s1, *s2
-        ) + 1e-9
-
-    @given(segments(), segments())
     def test_lower_bounds_endpoint_distances(self, s1, s2):
         d = segment_segment_distance(*s1, *s2)
         for p in s1:
             for q in s2:
                 assert d <= p.distance_to(q) + 1e-9
-
-
-class TestSegmentMaxDistance:
-    def test_known_value(self):
-        assert (
-            segment_segment_max_distance(
-                Point(0, 0), Point(1, 0), Point(4, 4), Point(7, 4)
-            )
-            == math.hypot(7, 4)
-        )
-
-    @given(segments(), segments())
-    def test_attained_at_endpoints(self, s1, s2):
-        m = segment_segment_max_distance(*s1, *s2)
-        endpoint_dists = [p.distance_to(q) for p in s1 for q in s2]
-        assert m == max(endpoint_dists)
-
-
-class TestSegmentRectDistance:
-    def test_segment_inside(self):
-        r = Rect(0, 0, 10, 10)
-        assert segment_rect_distance(Point(1, 1), Point(2, 2), r) == 0.0
-
-    def test_segment_crossing(self):
-        r = Rect(0, 0, 2, 2)
-        assert segment_rect_distance(Point(-1, 1), Point(3, 1), r) == 0.0
-
-    def test_segment_beside(self):
-        r = Rect(0, 0, 2, 2)
-        assert segment_rect_distance(Point(4, 0), Point(4, 2), r) == 2.0
-
-    def test_segment_diagonal_from_corner(self):
-        r = Rect(0, 0, 1, 1)
-        assert segment_rect_distance(Point(4, 5), Point(7, 5), r) == 5.0
-
-    @given(segments(), rects())
-    def test_zero_when_endpoint_inside(self, s, r):
-        if r.contains_point(s[0]) or r.contains_point(s[1]):
-            assert segment_rect_distance(*s, r) == 0.0

@@ -76,12 +76,6 @@ class TestAccumOps:
         fb.accum_return(scale=2.0)
         assert fb.color[0, 0] == 1.0
 
-    def test_accum_mult(self):
-        fb = Framebuffer(1, 1)
-        fb.accum[0, 0] = 0.5
-        fb.accum_mult(4.0)
-        assert fb.accum[0, 0] == 2.0
-
     def test_algorithm_31_sequence(self):
         """The exact buffer choreography of Algorithm 3.1 steps 2.2-2.8."""
         fb = Framebuffer(4, 4)

@@ -51,15 +51,6 @@ class TestProjection:
         pl.set_data_window(Rect(0, 0, 4, 4))
         assert pl.distance_to_pixels(1.0) == 4.0
 
-    def test_equation_1_line_width(self):
-        """LineWidth = ceil(D * n / max(w, h))."""
-        pl = GraphicsPipeline(8)
-        pl.set_data_window(Rect(0, 0, 10, 5))
-        # D = 1.3 -> 1.3 * 8 / 10 = 1.04 -> ceil = 2
-        assert pl.line_width_for_distance(1.3) == 2
-        # Tiny distances still get a 1-pixel-wide line (conservative floor).
-        assert pl.line_width_for_distance(1e-9) == 1
-
 
 class TestDrawAndCounters:
     def test_draw_updates_counters(self):

@@ -15,7 +15,6 @@ from repro.gpu import (
     DeviceLimits,
     GraphicsPipeline,
     TiledPipeline,
-    atlas_layout,
 )
 from repro.gpu.pipeline import clip_keep, cull_box, uniform_window_scale
 from repro.gpu.state import DEFAULT_AA_LINE_WIDTH
@@ -90,18 +89,6 @@ class TestConstruction:
         base = GraphicsPipeline(8)
         tiled = TiledPipeline(base)
         assert tiled.counters is base.counters
-
-
-class TestAtlasLayout:
-    def test_layout_matches_pipeline(self):
-        cols, rows = atlas_layout(8, 256, 2048)
-        tiled = make_tiled(resolution=8, max_tiles=256)
-        assert (cols, rows) == (tiled.grid_cols, tiled.grid_rows)
-        assert cols * rows == tiled.capacity
-
-    def test_layout_respects_viewport(self):
-        cols, rows = atlas_layout(8, 256, 32)
-        assert cols * 8 <= 32 and rows * 8 <= 32
 
 
 class TestOverlapFlags:

@@ -1,4 +1,4 @@
-"""Tests for the Guttman R-tree."""
+"""Tests for the static R-tree (queries and diagnostics of packed trees)."""
 
 import random
 
@@ -7,8 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect
-from repro.index import RTree
+from repro.index import RTree, str_bulk_load
 from tests.strategies import rects
+
+
+def packed(rect_list, max_entries=4):
+    return str_bulk_load(list(zip(rect_list, range(len(rect_list)))), max_entries)
 
 
 def linear_search(entries, query):
@@ -27,8 +31,7 @@ class TestBasics:
         assert t.search_within_distance(Rect(0, 0, 1, 1), 5.0) == []
 
     def test_single_entry(self):
-        t = RTree()
-        t.insert(Rect(0, 0, 2, 2), "a")
+        t = str_bulk_load([(Rect(0, 0, 2, 2), "a")])
         assert t.search(Rect(1, 1, 3, 3)) == ["a"]
         assert t.search(Rect(5, 5, 6, 6)) == []
 
@@ -36,70 +39,38 @@ class TestBasics:
         with pytest.raises(ValueError):
             RTree(max_entries=1)
         with pytest.raises(ValueError):
-            RTree(max_entries=8, min_entries=5)
-        with pytest.raises(ValueError):
             RTree().search_within_distance(Rect(0, 0, 1, 1), -1.0)
 
     def test_duplicate_rects_allowed(self):
-        t = RTree()
-        for k in range(10):
-            t.insert(Rect(0, 0, 1, 1), k)
+        t = packed([Rect(0, 0, 1, 1)] * 10)
         assert sorted(t.search(Rect(0, 0, 1, 1))) == list(range(10))
 
     def test_all_entries_iterates_everything(self):
-        t = RTree(max_entries=4)
         rng = random.Random(3)
         n = 50
-        for k in range(n):
-            x, y = rng.uniform(0, 100), rng.uniform(0, 100)
-            t.insert(Rect(x, y, x + 1, y + 1), k)
+        corners = [(rng.uniform(0, 100), rng.uniform(0, 100)) for _ in range(n)]
+        t = packed([Rect(x, y, x + 1, y + 1) for x, y in corners])
         assert sorted(oid for _, oid in t.all_entries()) == list(range(n))
 
 
-class TestSplitsAndStructure:
+class TestStructure:
     def test_grows_beyond_one_node(self):
-        t = RTree(max_entries=4)
-        for k in range(20):
-            t.insert(Rect(k, 0, k + 0.5, 1), k)
+        t = packed([Rect(k, 0, k + 0.5, 1) for k in range(20)])
         assert t.height() >= 2
-        t.check_invariants(check_fill=True)
-
-    def test_many_inserts_keep_invariants(self):
-        t = RTree(max_entries=6)
-        rng = random.Random(11)
-        for k in range(300):
-            x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
-            t.insert(Rect(x, y, x + rng.uniform(0, 20), y + rng.uniform(0, 20)), k)
-            if k % 50 == 0:
-                t.check_invariants(check_fill=True)
-        t.check_invariants(check_fill=True)
-        assert len(t) == 300
-
-    def test_clustered_inserts(self):
-        t = RTree(max_entries=4)
-        # Pathological: all rects identical.
-        for k in range(64):
-            t.insert(Rect(5, 5, 6, 6), k)
-        t.check_invariants(check_fill=True)
-        assert len(t.search(Rect(5.5, 5.5, 5.6, 5.6))) == 64
+        t.check_invariants()
 
     def test_height_logarithmic(self):
-        t = RTree(max_entries=16)
         rng = random.Random(5)
-        for k in range(1000):
-            x, y = rng.uniform(0, 1000), rng.uniform(0, 1000)
-            t.insert(Rect(x, y, x + 1, y + 1), k)
-        assert t.height() <= 5
+        corners = [(rng.uniform(0, 1000), rng.uniform(0, 1000)) for _ in range(1000)]
+        t = packed([Rect(x, y, x + 1, y + 1) for x, y in corners], max_entries=16)
+        assert t.height() == 3  # ceil(log16(1000)): packed levels are full
 
 
 class TestQueriesAgainstLinearScan:
     @settings(max_examples=40)
     @given(st.lists(rects(), min_size=1, max_size=60), rects())
     def test_window_query(self, entries, query):
-        t = RTree(max_entries=4)
-        for i, r in enumerate(entries):
-            t.insert(r, i)
-        assert sorted(t.search(query)) == linear_search(entries, query)
+        assert sorted(packed(entries).search(query)) == linear_search(entries, query)
 
     @settings(max_examples=40)
     @given(
@@ -108,88 +79,13 @@ class TestQueriesAgainstLinearScan:
         st.floats(min_value=0.0, max_value=10.0),
     )
     def test_distance_query(self, entries, query, d):
-        t = RTree(max_entries=4)
-        for i, r in enumerate(entries):
-            t.insert(r, i)
-        assert sorted(t.search_within_distance(query, d)) == linear_within(
-            entries, query, d
-        )
+        assert sorted(
+            packed(entries).search_within_distance(query, d)
+        ) == linear_within(entries, query, d)
 
     @settings(max_examples=25)
     @given(st.lists(rects(), min_size=1, max_size=80))
     def test_invariants_hold(self, entries):
-        t = RTree(max_entries=4)
-        for i, r in enumerate(entries):
-            t.insert(r, i)
-        t.check_invariants(check_fill=True)
-
-
-class TestDeletion:
-    def test_delete_missing_returns_false(self):
-        t = RTree()
-        t.insert(Rect(0, 0, 1, 1), "a")
-        assert not t.delete(Rect(0, 0, 1, 1), "b")
-        assert not t.delete(Rect(5, 5, 6, 6), "a")
-        assert len(t) == 1
-
-    def test_delete_single(self):
-        t = RTree()
-        t.insert(Rect(0, 0, 1, 1), "a")
-        assert t.delete(Rect(0, 0, 1, 1), "a")
-        assert len(t) == 0
-        assert t.search(Rect(-1, -1, 2, 2)) == []
-
-    def test_delete_one_of_duplicates(self):
-        t = RTree()
-        t.insert(Rect(0, 0, 1, 1), "x")
-        t.insert(Rect(0, 0, 1, 1), "x")
-        assert t.delete(Rect(0, 0, 1, 1), "x")
-        assert len(t) == 1
-        assert t.search(Rect(0, 0, 1, 1)) == ["x"]
-
-    def test_delete_shrinks_tree(self):
-        t = RTree(max_entries=4)
-        entries = [(Rect(float(i), 0, i + 0.5, 1), i) for i in range(64)]
-        for r, oid in entries:
-            t.insert(r, oid)
-        tall = t.height()
-        for r, oid in entries[:60]:
-            assert t.delete(r, oid)
+        t = packed(entries)
         t.check_invariants()
-        assert t.height() <= tall
-        assert len(t) == 4
-        assert sorted(t.search(Rect(0, 0, 100, 2))) == [60, 61, 62, 63]
-
-    def test_delete_then_reinsert(self):
-        t = RTree(max_entries=4)
-        r = Rect(3, 3, 4, 4)
-        t.insert(r, "v")
-        assert t.delete(r, "v")
-        t.insert(r, "v")
-        assert t.search(r) == ["v"]
-
-    @settings(max_examples=30)
-    @given(st.lists(rects(), min_size=1, max_size=50), st.data())
-    def test_interleaved_model(self, rect_list, data):
-        """Random insert/delete sequences must match a dict model."""
-        t = RTree(max_entries=4)
-        alive = {}
-        for i, r in enumerate(rect_list):
-            t.insert(r, i)
-            alive[i] = r
-        victims = data.draw(
-            st.lists(
-                st.sampled_from(sorted(alive)),
-                max_size=len(alive),
-                unique=True,
-            )
-        )
-        for oid in victims:
-            assert t.delete(alive[oid], oid)
-            del alive[oid]
-            t.check_invariants()
-        assert len(t) == len(alive)
-        probe = Rect(-4, -4, 4, 4)
-        assert sorted(t.search(probe)) == sorted(
-            oid for oid, r in alive.items() if r.intersects(probe)
-        )
+        assert len(t) == len(entries)

@@ -216,12 +216,12 @@ class TestRegistry:
         # The raw control character never leaks into the exposition.
         assert "\nrest" not in text.replace("\\n", "")
 
-    def test_prometheus_help_lines_escape_newlines(self):
-        from repro.obs.metrics import register_metric_help
+    def test_prometheus_help_lines_escape_newlines(self, monkeypatch):
+        from repro.obs.metrics import METRIC_HELP
 
         reg = MetricsRegistry()
         reg.counter("weird_family").inc()
-        register_metric_help("weird_family", "line one\nline two \\ slash")
+        monkeypatch.setitem(METRIC_HELP, "weird_family", "line one\nline two \\ slash")
         text = reg.prometheus_text()
         assert "# HELP weird_family line one\\nline two \\\\ slash" in text
 

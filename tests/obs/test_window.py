@@ -73,26 +73,6 @@ class TestWindowedCounter:
         with pytest.raises(ValueError):
             c.inc(-1)
 
-    def test_merge_requires_same_shape(self):
-        clock = FakeClock()
-        a = WindowedCounter(_config(clock, width_s=1.0))
-        b = WindowedCounter(_config(clock, width_s=2.0))
-        with pytest.raises(ValueError):
-            a.merge(b)
-
-    def test_shard_merge_is_epoch_aligned(self):
-        clock = FakeClock()
-        a = WindowedCounter(_config(clock, buckets=2))
-        b = WindowedCounter(_config(clock, buckets=2))
-        a.inc(1)
-        b.inc(10)
-        clock.advance(1.0)
-        b.inc(100)
-        a.merge(b)
-        assert a.total() == 111
-        clock.advance(1.0)  # the epoch-0 contributions retire together
-        assert a.total() == 100
-
 
 class TestWindowedHistogram:
     def test_quantiles_over_window_only(self):
@@ -169,28 +149,6 @@ class TestBitIdenticalProperty:
         in_window = [v for e, v in log if e >= oldest]
         assert wh.merged()._snapshot() == _fresh_from(in_window)._snapshot()
         assert wh.count() == len(in_window)
-
-    @settings(max_examples=100, deadline=None)
-    @given(_windowed_runs(), st.integers(min_value=2, max_value=4))
-    def test_shard_merge_equals_single_instrument(self, run, shards):
-        """Sharded observation + merge is indistinguishable from one
-        instrument having seen the whole stream (same clock)."""
-        width, buckets, steps = run
-        clock = FakeClock()
-        cfg = WindowConfig(width_s=width, buckets=buckets, clock=clock)
-        parts = [WindowedHistogram(cfg) for _ in range(shards)]
-        whole = WindowedHistogram(cfg)
-        i = 0
-        for advance, values in steps:
-            clock.advance(advance)
-            for v in values:
-                parts[i % shards].observe(v)
-                whole.observe(v)
-                i += 1
-        target = parts[0]
-        for other in parts[1:]:
-            target.merge(other)
-        assert target.merged()._snapshot() == whole.merged()._snapshot()
 
     @settings(max_examples=100, deadline=None)
     @given(

@@ -14,9 +14,7 @@ from repro.serve.loadgen import (
     _account,
     build_schedule,
     exact_quantile,
-    run_closed_loop,
     run_open_loop,
-    run_sweep,
 )
 from repro.serve.schema import QueryResponse
 
@@ -149,27 +147,3 @@ class TestOpenLoop:
             one_run(), one_run(), tolerance=100.0
         )  # huge timing tolerance: only determinism is under test
         assert comparison.ok, comparison.format()
-
-
-class TestClosedLoop:
-    def test_closed_loop_accounts_everything(self, service):
-        responses, wall_s = run_closed_loop(
-            service, concurrency=3, iterations=4, seed=11
-        )
-        assert len(responses) == 12
-        assert all(r.status == "ok" for r in responses)
-        assert wall_s > 0
-
-    def test_sweep_rows_per_level(self, service):
-        load = run_sweep(service, [1, 2], iterations=3, seed=12)
-        assert load.result.experiment_id == "serve-closed-loop-sweep"
-        assert len(load.result.rows) == 2
-        assert load.result.rows[0][0] == 1
-        assert load.result.rows[1][0] == 2
-        # level * iterations requests per row
-        assert load.result.rows[0][1] == 3
-        assert load.result.rows[1][1] == 6
-
-    def test_sweep_requires_levels(self, service):
-        with pytest.raises(ValueError, match="levels"):
-            run_sweep(service, [], iterations=2)

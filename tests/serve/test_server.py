@@ -6,6 +6,8 @@ import socket
 import struct
 import threading
 
+import pytest
+
 from repro.serve import ServeFrontend, send_envelope
 from repro.serve.server import MAX_LINE_BYTES
 
@@ -41,11 +43,44 @@ def _with_frontend(service, client_fn):
     return results
 
 
-def _raw_line(host, port, line):
-    """Send one raw line on a fresh connection; the reply line, parsed."""
+def _raw_lines(host, port, *lines):
+    """Send raw lines on one fresh connection; one parsed reply per line."""
     with socket.create_connection((host, port), timeout=30) as conn:
-        conn.sendall(line)
-        return json.loads(conn.makefile().readline())
+        reader = conn.makefile()
+        replies = []
+        for line in lines:
+            conn.sendall(line)
+            replies.append(json.loads(reader.readline()))
+        return replies
+
+
+def _raw_line(host, port, line):
+    return _raw_lines(host, port, line)[0]
+
+
+def _line(envelope):
+    return json.dumps(envelope).encode() + b"\n"
+
+
+def _settled(service):
+    """The ``serve_requests{op,status}`` counters: one tick per settled arrival."""
+    counters = service.metrics_snapshot()["counters"]
+    return {k: v for k, v in counters.items() if k.startswith("serve_requests{")}
+
+
+def _served(service):
+    return sum(row["requests_served"] for row in service.pool.worker_stats())
+
+
+#: Requests whose *types* are wrong, and what the refusal must name: each is
+#: turned away at the door, before any engine is checked out.
+MALFORMED_REQUESTS = {
+    "non-object": ([1, 2], "JSON object"),
+    "float-index": ({"op": "selection", "query_index": 1.5}, "query_index"),
+    "bool-index": ({"op": "selection", "query_index": True}, "query_index"),
+    "string-index": ({"op": "selection", "query_index": "3"}, "query_index"),
+    "bool-distance": ({"op": "within_distance", "distance": True}, "distance"),
+}
 
 
 class TestProtocol:
@@ -182,15 +217,7 @@ class TestFrontEndFaults:
         assert res["loop_errors"] == []
 
     def test_client_reset_before_the_reply(self, service):
-        def settled():
-            counters = service.metrics_snapshot()["counters"]
-            return {
-                key: value
-                for key, value in counters.items()
-                if key.startswith("serve_requests{")
-            }
-
-        before = settled()
+        before = _settled(service)
         query = {"kind": "query", "request": {"op": "within_distance", "distance": 1.0}}
 
         def client(host, port):
@@ -213,7 +240,7 @@ class TestFrontEndFaults:
         # Both arrivals were settled exactly once, in a known status.
         moved = {
             key: value - before.get(key, 0)
-            for key, value in settled().items()
+            for key, value in _settled(service).items()
             if value != before.get(key, 0)
         }
         assert sum(moved.values()) == 2
@@ -221,6 +248,76 @@ class TestFrontEndFaults:
             key.split("status=")[1].rstrip("}") in ("ok", "shed", "timeout", "error")
             for key in moved
         )
+        assert service.health()["verdict"] == "ready"
+
+    @pytest.mark.parametrize(
+        "request_body, field", MALFORMED_REQUESTS.values(), ids=MALFORMED_REQUESTS
+    )
+    def test_mistyped_request_is_refused_at_the_door(
+        self, service, request_body, field
+    ):
+        before, served = _settled(service), _served(service)
+        good = {"kind": "query", "request": {"op": "selection", "query_index": 0}}
+
+        def client(host, port):
+            bad, after = _raw_lines(
+                host,
+                port,
+                _line({"kind": "query", "request": request_body}),
+                _line(good),  # the same connection stays usable
+            )
+            send_envelope(host, port, {"kind": "shutdown"})
+            return {"bad": bad, "after": after}
+
+        res = _with_frontend(service, client)
+        assert res["bad"]["kind"] == "error"
+        assert res["bad"]["error"].startswith("bad request: ")
+        assert field in res["bad"]["error"]
+        assert res["after"]["response"]["status"] == "ok"
+        assert res["loop_errors"] == []
+        # Two lines arrived, one was admitted: exactly that one checked out
+        # an engine and was settled, as ok.
+        assert _served(service) == served + 1
+        ok_key = "serve_requests{op=selection,status=ok}"
+        assert _settled(service) == {**before, ok_key: before.get(ok_key, 0) + 1}
+        assert service.health()["verdict"] == "ready"
+
+    def test_non_utf8_line_gets_the_error_envelope(self, service):
+        before = _settled(service)
+
+        def client(host, port):
+            bad, after = _raw_lines(
+                host, port, b'\xff\xfe{"kind": "ping"}\n', _line({"kind": "ping"})
+            )
+            send_envelope(host, port, {"kind": "shutdown"})
+            return {"bad": bad, "after": after}
+
+        res = _with_frontend(service, client)
+        assert res["bad"]["kind"] == "error"
+        assert "invalid JSON" in res["bad"]["error"]
+        assert res["after"] == {"kind": "pong"}
+        assert res["loop_errors"] == []
+        assert _settled(service) == before
+        assert service.health()["verdict"] == "ready"
+
+    def test_truncated_line_then_half_close(self, service):
+        before = _settled(service)
+
+        def client(host, port):
+            with socket.create_connection((host, port), timeout=30) as conn:
+                conn.sendall(b'{"kind": "pi')
+                conn.shutdown(socket.SHUT_WR)
+                reader = conn.makefile()
+                out = {"reply": json.loads(reader.readline()), "rest": reader.read()}
+            send_envelope(host, port, {"kind": "shutdown"})
+            return out
+
+        res = _with_frontend(service, client)
+        assert res["reply"]["kind"] == "error"
+        assert "invalid JSON" in res["reply"]["error"]
+        assert res["rest"] == ""  # answered once, then closed quietly
+        assert res["loop_errors"] == []
+        assert _settled(service) == before
         assert service.health()["verdict"] == "ready"
 
 

@@ -175,13 +175,18 @@ class TestObservationOnly:
 
 class TestLoadgen:
     def test_closed_loop_every_response_carries_trace_id(self, traced_service):
-        from repro.serve import run_closed_loop
+        """Four clients, each keeping one request outstanding: concurrent
+        submits each come back with their own trace id."""
 
-        responses, _ = run_closed_loop(
-            traced_service, concurrency=4, iterations=2, seed=7
-        )
+        def client(idx):
+            request = QueryRequest(op="selection", query_index=idx % 3)
+            return [traced_service.submit(request) for _ in range(2)]
+
+        with ThreadPoolExecutor(max_workers=4) as pool:
+            responses = [r for batch in pool.map(client, range(4)) for r in batch]
         assert len(responses) == 8
         assert all(_is_trace_id(r.trace_id) for r in responses)
+        assert len({r.trace_id for r in responses}) == 8
 
 
 class TestTraceStoreExport:
