@@ -1,54 +1,31 @@
-"""Vectorization gate: the NumPy basic-rule kernels vs the spec loops.
+"""Vectorization gate: the NumPy even-odd fill kernel vs its scanline oracle.
 
-Not a paper figure: this benchmark gates the tentpole of the mask-kernel
-rewrite.  The diamond-exit line rasterizer and the even-odd polygon fill
-were per-pixel Python loops - the wrong cost shape for a hardware
-simulation and the remaining host hot path under the fig11/fig12
-resolution sweeps and the interval-index builds.  The vectorized kernels
-must stay at least ``MIN_SPEEDUP`` x faster than the retained reference
-loops on a representative workload, and (asserted here, not just in the
-property suite) bit-identical on that same workload.
+Not a paper figure: this benchmark gates the fill half of the mask-kernel
+rewrite.  The even-odd polygon fill was a per-scanline Python loop - the
+wrong cost shape for the interior/interval index builds, which rasterize
+every object's footprint once.  The vectorized kernel must stay at least
+``MIN_SPEEDUP`` x faster than the retained reference loop on a
+representative workload, and (asserted here, not just in the property
+suite) bit-identical on that same workload.
 
-The workload mirrors where the kernels actually run hot: many small
-draw calls (the refinement step's 8x8..32x32 windows) plus a few large
-fills (the level-8 interval-index build windows).
+The workload mirrors where the kernel runs hot: the level-8
+interval-index build windows.
 """
 
 import time
 
 import numpy as np
 
-from repro.gpu import (
-    lines_basic_coverage_mask,
-    lines_basic_coverage_mask_reference,
-    polygon_coverage_mask,
-    polygon_fill_coverage_mask,
-)
+from repro.gpu import polygon_coverage_mask, polygon_fill_coverage_mask
 
-#: Required wall-clock advantage of the vectorized kernels.  Measured
-#: advantage is far larger (hundreds of x on the fill, tens on the
-#: lines); 3x keeps the gate meaningful yet immune to CI host noise.
+#: Required wall-clock advantage of the vectorized kernel.  Measured
+#: advantage is far larger (hundreds of x); 3x keeps the gate meaningful
+#: yet immune to CI host noise.
 MIN_SPEEDUP = 3.0
-
-#: (buffer side, edge count) of the line draw calls - refinement-sized
-#: windows up to the fig11/fig12 sweep's largest resolution.
-LINE_CASES = [(8, 24), (16, 24), (32, 48)]
 
 #: (buffer side, vertex count) of the fill draw calls - interior/interval
 #: index builds rasterize polygon footprints this size and larger.
 FILL_CASES = [(32, 24), (64, 48), (128, 64)]
-
-
-def _line_workload():
-    rng = np.random.default_rng(11)
-    return [
-        (
-            (n, n),
-            rng.uniform(-2.0, n + 2.0, size=(e, 4)),
-        )
-        for n, e in LINE_CASES
-        for _ in range(6)
-    ]
 
 
 def _fill_workload():
@@ -84,37 +61,19 @@ def _time(fn, cases, repeats=3):
 
 
 def _measure():
-    lines = _line_workload()
     fills = _fill_workload()
-    # Warm both implementations (allocator growth, cached pixel centers).
-    _time(lines_basic_coverage_mask, lines[:2], repeats=1)
-    _time(lines_basic_coverage_mask_reference, lines[:2], repeats=1)
-
-    vec_line_s, vec_line_masks = _time(lines_basic_coverage_mask, lines)
-    ref_line_s, ref_line_masks = _time(lines_basic_coverage_mask_reference, lines)
     vec_fill_s, vec_fill_masks = _time(polygon_fill_coverage_mask, fills)
     ref_fill_s, ref_fill_masks = _time(polygon_coverage_mask, fills)
 
-    for got, want in zip(vec_line_masks, ref_line_masks):
-        assert np.array_equal(got, want), "line kernels diverged"
     for got, want in zip(vec_fill_masks, ref_fill_masks):
         assert np.array_equal(got, want), "fill kernels diverged"
-    return vec_line_s, ref_line_s, vec_fill_s, ref_fill_s
+    return vec_fill_s, ref_fill_s
 
 
 def test_raster_vector_speedup(benchmark):
-    vec_line_s, ref_line_s, vec_fill_s, ref_fill_s = benchmark.pedantic(
-        _measure, rounds=1, iterations=1
-    )
-    line_speedup = ref_line_s / vec_line_s
+    vec_fill_s, ref_fill_s = benchmark.pedantic(_measure, rounds=1, iterations=1)
     fill_speedup = ref_fill_s / vec_fill_s
-    benchmark.extra_info["line_speedup"] = round(line_speedup, 2)
     benchmark.extra_info["fill_speedup"] = round(fill_speedup, 2)
-    assert line_speedup >= MIN_SPEEDUP, (
-        f"diamond-exit vectorization regressed: reference {ref_line_s:.4f}s,"
-        f" vector {vec_line_s:.4f}s, speedup {line_speedup:.1f}x"
-        f" < required {MIN_SPEEDUP}x"
-    )
     assert fill_speedup >= MIN_SPEEDUP, (
         f"even-odd fill vectorization regressed: reference {ref_fill_s:.4f}s,"
         f" vector {vec_fill_s:.4f}s, speedup {fill_speedup:.1f}x"

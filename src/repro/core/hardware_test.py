@@ -83,8 +83,8 @@ class HardwareSegmentTest:
             self.config.resolution,
             limits=self.config.limits,
         )
+        # Step 2.1 needs no call: the pipeline draws anti-aliased lines only.
         st = self.pipeline.state
-        st.antialias = True  # step 2.1
         st.blend = False
         st.color = EDGE_COLOR
         self._tiled: Optional[TiledPipeline] = None

@@ -5,13 +5,14 @@ each complex polygon with a simple convex geometry (convex hull, n-corner,
 maximum enclosing rectangle) computed in a pre-processing step, and test
 the approximations before touching the real geometries.
 
-Because every polygon is contained in its convex hull:
+Because every polygon is contained in its convex hull, disjoint hulls prove
+the polygons disjoint: :meth:`ConvexHullFilter.may_intersect`, swept by the
+``ablation-hull-filter`` experiment on the intersection join.  (The distance
+form, ``dist(hull_a, hull_b) > D`` implies ``dist(a, b) > D``, is not
+implemented: the within-distance join filters with the 0/1-Object bounds.)
 
-* hulls disjoint                 => polygons disjoint (intersection filter);
-* ``dist(hull_a, hull_b) > D``   => ``dist(a, b) > D`` (distance filter).
-
-Both are *negative* filters - the complement of the interior filter's
-positive answers - and, per the paper's Table 1 discussion, they require
+The filter is *negative* - the complement of the interior filter's
+positive answers - and, per the paper's Table 1 discussion, it requires
 pre-computation (here: one convex hull per object, built when the filter is
 constructed), which is exactly the update-cost trade-off the hardware
 technique avoids.
@@ -23,7 +24,6 @@ from dataclasses import dataclass
 from typing import List, Sequence
 
 from ..geometry.convex_hull import convex_hull
-from ..geometry.min_dist import min_boundary_distance
 from ..geometry.polygon import Polygon
 from ..geometry.sweep import polygons_intersect
 
@@ -41,8 +41,8 @@ class HullFilterStats:
 class ConvexHullFilter:
     """Pre-computed convex hulls for a collection of polygons.
 
-    The filter answers "could these two polygons possibly intersect / be
-    within D?" from the hulls alone.  A False is proof; a True decides
+    The filter answers "could these two polygons possibly intersect?"
+    from the hulls alone.  A False is proof; a True decides
     nothing (the refinement step still runs).
     """
 
@@ -73,30 +73,6 @@ class ConvexHullFilter:
         self.stats.tests += 1
         self.stats.hull_vertices += ha.num_vertices + hb.num_vertices
         if polygons_intersect(ha, hb):
-            return True
-        self.stats.rejected += 1
-        return False
-
-    def may_be_within(
-        self,
-        index: int,
-        other: "ConvexHullFilter",
-        other_index: int,
-        d: float,
-    ) -> bool:
-        """False only when even the hulls are farther apart than ``d``."""
-        if d < 0.0:
-            raise ValueError("distance must be non-negative")
-        ha = self.hulls[index]
-        hb = other.hulls[other_index]
-        self.stats.tests += 1
-        self.stats.hull_vertices += ha.num_vertices + hb.num_vertices
-        if not ha.mbr.within_distance(hb.mbr, d):
-            self.stats.rejected += 1
-            return False
-        if polygons_intersect(ha, hb):
-            return True
-        if min_boundary_distance(ha, hb, early_exit_at=d) <= d:
             return True
         self.stats.rejected += 1
         return False

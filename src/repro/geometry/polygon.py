@@ -241,10 +241,6 @@ class Polygon:
         return self.signed_area > 0.0
 
     @property
-    def perimeter(self) -> float:
-        return sum(a.distance_to(b) for a, b in self.edges())
-
-    @property
     def centroid(self) -> Point:
         """Area centroid; falls back to the vertex mean for zero-area rings."""
         a6 = self.signed_area * 6.0

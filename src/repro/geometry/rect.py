@@ -8,7 +8,7 @@ the rendering window (paper section 3.2).
 from __future__ import annotations
 
 import math
-from typing import Iterable, Iterator, List, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 from .point import Point
 
@@ -40,16 +40,6 @@ class Rect:
         return (Rect, (self.xmin, self.ymin, self.xmax, self.ymax))
 
     # -- construction -----------------------------------------------------
-
-    @staticmethod
-    def from_points(points: Iterable[Point]) -> "Rect":
-        """Bounding rectangle of a non-empty point collection."""
-        pts = list(points)
-        if not pts:
-            raise ValueError("Rect.from_points requires at least one point")
-        xs = [p.x for p in pts]
-        ys = [p.y for p in pts]
-        return Rect(min(xs), min(ys), max(xs), max(ys))
 
     @staticmethod
     def union_all(rects: Sequence["Rect"]) -> "Rect":
@@ -99,10 +89,6 @@ class Rect:
     @property
     def area(self) -> float:
         return self.width * self.height
-
-    @property
-    def perimeter(self) -> float:
-        return 2.0 * (self.width + self.height)
 
     @property
     def center(self) -> Point:

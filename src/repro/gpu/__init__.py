@@ -1,12 +1,15 @@
 """Simulated graphics hardware.
 
 A software stand-in for the OpenGL pipeline + consumer graphics card the
-paper runs on (GeForce4 Ti4600): frame buffers (color + accumulation),
-viewport projection, the OpenGL-spec point / line / anti-aliased-line /
-polygon rasterization rules of the paper's section 2.2, the hardware Minmax
-readback of section 3.2, and the device limits (maximum anti-aliased line
-width) whose effects section 4.4 measures.  See DESIGN.md section 2 for why
-this substitution preserves the paper's correctness and cost-shape claims.
+paper runs on (GeForce4 Ti4600), simulating what Algorithm 3.1 asks of it:
+frame buffers (color + accumulation; stencil + depth for section 3's other
+overlap searches), viewport projection, one draw - line-segment arrays under
+the OpenGL-spec anti-aliased rule of section 2.2.2, widened and capped for
+the distance test - the hardware Minmax readback of section 3.2, and the
+device limits (maximum anti-aliased line width) whose effects section 4.4
+measures.  Polygon fill (section 2.2.3) is not a draw: it serves the
+once-per-object filter builds (:mod:`.raster_vector`).  See DESIGN.md
+section 2 for why this substitution preserves the paper's claims.
 """
 
 from .costmodel import DOCUMENTED_FREE, CostCounters, GpuCostModel
@@ -16,21 +19,15 @@ from .pipeline import GraphicsPipeline
 from .raster_line import (
     aa_rect_axes,
     rasterize_line_aa_conservative,
-    rasterize_line_basic,
+    rasterize_point_conservative,
 )
-from .raster_point import rasterize_point_basic, rasterize_point_conservative
 from .raster_bulk import edges_coverage_mask, edges_coverage_masks_grouped
 from .raster_polygon import (
     polygon_coverage_mask,
     rasterize_polygon_evenodd,
     scanline_row_bounds,
 )
-from .raster_vector import (
-    lines_basic_coverage_mask,
-    lines_basic_coverage_mask_reference,
-    polygon_fill_coverage_mask,
-    ring_boundary_coverage_mask,
-)
+from .raster_vector import polygon_fill_coverage_mask, ring_boundary_coverage_mask
 from .tiled import TiledPipeline
 from .voronoi import discrete_voronoi, site_distances_at
 from .state import (
@@ -58,14 +55,10 @@ __all__ = [
     "distance_field",
     "edges_coverage_mask",
     "edges_coverage_masks_grouped",
-    "lines_basic_coverage_mask",
-    "lines_basic_coverage_mask_reference",
     "site_distances_at",
     "polygon_coverage_mask",
     "polygon_fill_coverage_mask",
     "rasterize_line_aa_conservative",
-    "rasterize_line_basic",
-    "rasterize_point_basic",
     "rasterize_point_conservative",
     "rasterize_polygon_evenodd",
     "ring_boundary_coverage_mask",

@@ -22,7 +22,6 @@ class CostCounters:
     draw_calls: int = 0
     edges_rendered: int = 0
     edges_clipped_away: int = 0
-    points_rendered: int = 0
     pixels_written: int = 0
     buffer_clears: int = 0
     pixels_cleared: int = 0
@@ -94,9 +93,6 @@ class GpuCostModel:
 
     cost_draw_call: float = 20.0
     cost_edge: float = 4.0
-    #: Per rendered point: vertex setup comparable to an edge's (the
-    #: widened end-point caps of the distance test are drawn as points).
-    cost_point: float = 4.0
     cost_pixel_write: float = 1.0
     cost_clear_pixel: float = 0.25
     cost_accum_op: float = 5.0
@@ -118,7 +114,6 @@ class GpuCostModel:
         return (
             counters.draw_calls * self.cost_draw_call
             + counters.edges_rendered * self.cost_edge
-            + counters.points_rendered * self.cost_point
             + counters.pixels_written * self.cost_pixel_write
             + counters.pixels_cleared * self.cost_clear_pixel
             + counters.accum_ops * self.cost_accum_op

@@ -55,10 +55,6 @@ class Framebuffer:
         """glAccum(GL_ACCUM, scale): accum += color * scale."""
         self.accum += self.color * np.float32(scale)
 
-    def accum_load(self, scale: float = 1.0) -> None:
-        """glAccum(GL_LOAD, scale): accum = color * scale."""
-        np.multiply(self.color, np.float32(scale), out=self.accum)
-
     def accum_return(self, scale: float = 1.0) -> None:
         """glAccum(GL_RETURN, scale): color = accum * scale (step 2.7)."""
         np.multiply(self.accum, np.float32(scale), out=self.color)

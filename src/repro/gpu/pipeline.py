@@ -1,8 +1,9 @@
 """The simulated rendering pipeline: viewport transform, draw calls, readback.
 
 This is the stand-in for the OpenGL context + graphics card of the paper's
-experiments.  It reproduces the pipeline stages of Figure 2 that matter for
-the technique:
+experiments.  It draws the one primitive Algorithm 3.1 submits - arrays of
+line segments, anti-aliased (step 2.1) - and reproduces the pipeline stages
+of Figure 2 that matter for the technique:
 
 * *transformation* - an affine, uniform-scale projection of a data-space
   window onto the pixel grid (section 3.2's projection strategies give the
@@ -10,24 +11,26 @@ the technique:
   converts data distances to pixel widths exactly);
 * *clipping* - edges entirely outside the viewport are rejected before
   rasterization, like the hardware's clipping stage;
-* *rasterization* - the point/line/polygon rasterizers of this package,
-  honoring the current :class:`~repro.gpu.state.RasterState`;
+* *rasterization* - the anti-aliased footprint kernel of
+  :mod:`repro.gpu.raster_bulk`, honoring the current
+  :class:`~repro.gpu.state.RasterState`;
 * *per-buffer operations* - color/accumulation buffer clears, glAccum-style
   transfers, the Minmax readback, and full glReadPixels readback.
 
 Each stage is written once: :func:`clip_keep` is the clipping test of every
-draw (edge draws, fill accounting, and the atlas's bulk draws in
-:mod:`repro.gpu.tiled`, which first skip what :func:`cull_box` proves it
-would reject), and :meth:`GraphicsPipeline._edge_coverage` is the
-transform/clip/rasterize body under both edge-draw entry points.  Every
-operation updates :class:`~repro.gpu.costmodel.CostCounters`, enabling
+draw (edge draws here and the atlas's bulk draws in :mod:`repro.gpu.tiled`,
+which first skip what :func:`cull_box` proves it would reject), and
+:meth:`GraphicsPipeline._edge_coverage` is the transform/clip/rasterize body
+under the one draw entry point (:meth:`GraphicsPipeline.draw_edges_array`)
+and the one mask entry point (:meth:`GraphicsPipeline.render_coverage_mask`).
+Every operation updates :class:`~repro.gpu.costmodel.CostCounters`, enabling
 deterministic ablation benchmarks alongside wall-clock measurements.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -36,11 +39,7 @@ from ..obs.scope import current_scope
 from .costmodel import CostCounters
 from .framebuffer import Framebuffer
 from .raster_bulk import edges_coverage_mask
-from .raster_point import rasterize_point_basic, rasterize_point_conservative
-from .raster_vector import lines_basic_coverage_mask, polygon_fill_coverage_mask
 from .state import DeviceLimits, RasterState
-
-Coords = Sequence[Tuple[float, float]]
 
 
 def uniform_window_scale(width: int, height: int, window: Rect) -> float:
@@ -225,9 +224,6 @@ class GraphicsPipeline:
     def accum_add(self, scale: float = 1.0) -> None:
         self._accum("add", scale)
 
-    def accum_load(self, scale: float = 1.0) -> None:
-        self._accum("load", scale)
-
     def accum_return(self, scale: float = 1.0) -> None:
         self._accum("return", scale)
 
@@ -260,7 +256,7 @@ class GraphicsPipeline:
         validate the state, count the call, transform (the projection is
         affine, so edges map to window space in two array operations),
         clip away edges whose widened footprint cannot touch the viewport,
-        and rasterize the survivors under the current anti-aliasing rule.
+        and rasterize the survivors' conservative anti-aliased footprint.
         """
         state = self.state
         state.validate(self.limits)
@@ -276,8 +272,6 @@ class GraphicsPipeline:
             return np.zeros(shape, dtype=bool)
         if kept != edges.shape[0]:
             edges = edges[keep]
-        if not state.antialias:
-            return lines_basic_coverage_mask(shape, edges)
         return edges_coverage_mask(
             shape, edges, width_px=state.line_width, cap_points=state.cap_points
         )
@@ -308,32 +302,15 @@ class GraphicsPipeline:
             recorder.on_distance_field(self, mask, field)
         return field
 
-    def draw_polygon_edges(self, coords: Coords, closed: bool = True) -> None:
-        """Render a vertex chain as line segments under the current state.
-
-        This is how Algorithm 3.1 renders polygons: as chains of segments,
-        never as filled polygons, avoiding software triangulation.  Edges
-        wholly outside the viewport (after widening) are clipped away.
-        """
-        arr = np.asarray(coords, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 2:
-            raise ValueError("coords must be an (n >= 2, 2) vertex sequence")
-        if closed:
-            starts = np.roll(arr, 1, axis=0)
-            ends = arr
-        else:
-            starts = arr[:-1]
-            ends = arr[1:]
-        self.draw_edges_array(np.hstack([starts, ends]))
-
     def draw_edges_array(self, edges_data: np.ndarray) -> None:
         """Render an ``(E, 4)`` array of data-space segments.
 
-        The vectorized equivalent of :meth:`draw_polygon_edges` for callers
-        that cache edge arrays (``Polygon.edges_array``).  Both
-        rasterization rules produce the draw call's coverage mask, so
-        every draw type flows through the same per-fragment pipeline
-        (depth, stencil, blend, logic, color write).
+        This is how Algorithm 3.1 renders polygons: as chains of segments
+        (``Polygon.edges_array``), never as filled polygons, avoiding
+        software triangulation.  Edges wholly outside the viewport (after
+        widening) are clipped away; the draw call's coverage mask flows
+        through the per-fragment pipeline (depth, stencil, blend, logic,
+        color write).
         """
         recorder = current_scope().recorder
         if recorder is not None:
@@ -379,66 +356,3 @@ class GraphicsPipeline:
             else:
                 fb.color[mask] = state.color
         return written
-
-    def draw_point(self, x: float, y: float) -> None:
-        """Render a single point under the current state.
-
-        The point's coverage mask (one truncated pixel, or the wide
-        conservative square) goes through :meth:`_apply_fragment_ops`
-        like every other draw, so depth/stencil/blend/logic/color-mask
-        state applies to points too.
-        """
-        self.state.validate(self.limits)
-        self.counters.draw_calls += 1
-        self.counters.points_rendered += 1
-        recorder = current_scope().recorder
-        if recorder is not None:
-            recorder.on_draw_point(self, x, y)
-        wx, wy = self.data_to_window(x, y)
-        mask = np.zeros((self.height, self.width), dtype=bool)
-        if self.state.antialias and self.state.point_size > 1.0:
-            rasterize_point_conservative(
-                mask, wx, wy, self.state.point_size, color=True
-            )
-        else:
-            rasterize_point_basic(mask, wx, wy, color=True)
-        self.counters.pixels_written += self._apply_fragment_ops(mask)
-
-    def draw_filled_polygon(self, coords: Coords) -> None:
-        """Render a filled polygon (convex or not, via even-odd fill).
-
-        Real hardware only fills convex polygons; the paper's technique
-        avoids filling entirely.  The simulation offers it for completeness
-        (visualizations, the interior-filter reference path).  Like edge
-        draws, the fill produces a coverage mask that flows through
-        :meth:`_apply_fragment_ops` under the current state.
-        """
-        self.state.validate(self.limits)
-        arr = np.asarray(coords, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != 2 or arr.shape[0] < 3:
-            raise ValueError("polygon needs at least 3 vertices")
-        self.counters.draw_calls += 1
-        recorder = current_scope().recorder
-        if recorder is not None:
-            recorder.on_draw_polygon(self, coords)
-
-        # Transformation stage (vectorized; bit-identical to per-vertex
-        # data_to_window).
-        window = (arr - self._offset4[:2]) * self._scale
-
-        # Clipping stage *accounting*: edges whose footprint cannot touch
-        # the viewport count as clipped away, exactly like the edge path,
-        # preserving the submitted == rendered + clipped-away identity
-        # across draw types.  The fill itself still sees every vertex -
-        # an edge far outside the viewport can bound interior that covers
-        # it (hardware would clip-and-retessellate; the even-odd parity
-        # over in-buffer pixel centers is equivalent).
-        edges = np.hstack([np.roll(window, 1, axis=0), window])
-        # Fill coverage reaches < 1 px beyond an edge's bbox.
-        kept = int(np.count_nonzero(clip_keep(edges, 1.0, self.width, self.height)))
-        self.counters.edges_rendered += kept
-        self.counters.edges_clipped_away += arr.shape[0] - kept
-
-        # Rasterization stage: even-odd coverage mask of the whole draw.
-        mask = polygon_fill_coverage_mask((self.height, self.width), window)
-        self.counters.pixels_written += self._apply_fragment_ops(mask)

@@ -1,13 +1,13 @@
-"""Line segment rasterization (OpenGL spec rules, paper section 2.2.2).
+"""Anti-aliased line rasterization (OpenGL spec rules, paper section 2.2.2).
 
-Two rasterizers:
+The spec's *basic* line rule is the diamond exit: a pixel is colored when
+the segment intersects the open diamond ``R_f`` around the pixel center and
+does not end inside it.  As the paper illustrates (Figure 3d), short or
+unluckily placed segments simply disappear under it - which is exactly why
+step 2.1 of Algorithm 3.1 enables anti-aliasing, and why the basic rule is
+not implemented.  This module is the scalar oracle of the one rule the
+simulated card draws with:
 
-* :func:`rasterize_line_basic` - the *diamond-exit* rule.  A pixel is colored
-  when the segment intersects the open diamond ``R_f`` around the pixel
-  center and the segment's end point is not inside that diamond.  As the
-  paper illustrates (Figure 3d), short or unluckily placed segments can
-  simply disappear - which is exactly why the hardware test cannot use basic
-  lines.
 * :func:`rasterize_line_aa_conservative` - anti-aliased lines with blending
   disabled.  The OpenGL spec defines the AA footprint as the bounding
   rectangle of the segment with width ``w`` (two edges parallel to the
@@ -18,11 +18,17 @@ Two rasterizers:
   pixel whose cell intersects the rectangle is colored*.  The paper uses
   width sqrt(2) (the pixel diagonal) for intersection tests and
   Equation (1)'s widened lines for distance tests.
+* :func:`rasterize_point_conservative` - wide points used as end-point caps
+  for widened line segments in the distance test (section 3.1, Figure 6):
+  every pixel whose cell intersects the ``size x size`` square centered on
+  the point is colored.  The square cap covers the disc cap of the same
+  diameter, preserving the conservative no-false-negative guarantee.
 
 The conservative rasterizer implements an exact separating-axis test between
 the oriented rectangle and each pixel cell, vectorized over the rectangle's
 bounding box, so the cost is proportional to the bounding-box pixel count -
-the same scaling a hardware rasterizer exhibits.
+the same scaling a hardware rasterizer exhibits.  Draws go through
+:mod:`repro.gpu.raster_bulk`, the whole-draw-call form of the same test.
 """
 
 from __future__ import annotations
@@ -32,8 +38,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .raster_point import point_conservative_range, rasterize_point_conservative
-
 #: Slack added to every coverage comparison.  Rounding in the unit-vector
 #: computation can push an exact boundary touch (rect corner on cell corner)
 #: one ulp past the closed-inequality limit; inflating the footprint by a
@@ -42,66 +46,43 @@ from .raster_point import point_conservative_range, rasterize_point_conservative
 COVERAGE_EPS = 1e-7
 
 
-def _l1_distance_point_to_segment(
-    cx: float, cy: float, x0: float, y0: float, x1: float, y1: float
-) -> float:
-    """Minimum L1 (Manhattan) distance from ``(cx, cy)`` to segment.
+def point_conservative_range(
+    shape, x: float, y: float, size: float
+) -> "tuple[int, int, int, int] | None":
+    """Clipped inclusive pixel range ``(i0, i1, j0, j1)`` of a square cap.
 
-    The L1 distance along the segment is piecewise linear in the parameter t,
-    so the minimum is attained at t in {0, 1} or where the segment crosses
-    the vertical/horizontal lines through the center.
+    ``None`` when the footprint misses the buffer entirely.  Shared by
+    :func:`rasterize_point_conservative` and the distinct-pixel counting
+    of capped anti-aliased lines, so both agree on the exact footprint.
     """
-    dx = x1 - x0
-    dy = y1 - y0
-    candidates = [0.0, 1.0]
-    if dx != 0.0:
-        candidates.append((cx - x0) / dx)
-    if dy != 0.0:
-        candidates.append((cy - y0) / dy)
-    best = math.inf
-    for t in candidates:
-        if t < 0.0:
-            t = 0.0
-        elif t > 1.0:
-            t = 1.0
-        d = abs(x0 + t * dx - cx) + abs(y0 + t * dy - cy)
-        if d < best:
-            best = d
-    return best
+    if size < 0.0:
+        raise ValueError("point size must be non-negative")
+    height, width = shape
+    half = size * 0.5
+    # Closed cell [i, i+1] intersects the closed square [x-half, x+half]
+    # iff i <= x+half and i+1 >= x-half.
+    i0 = max(math.ceil(x - half - 1.0 - COVERAGE_EPS), 0)
+    i1 = min(math.floor(x + half + COVERAGE_EPS), width - 1)
+    j0 = max(math.ceil(y - half - 1.0 - COVERAGE_EPS), 0)
+    j1 = min(math.floor(y + half + COVERAGE_EPS), height - 1)
+    if i0 > i1 or j0 > j1:
+        return None
+    return i0, i1, j0, j1
 
 
-def rasterize_line_basic(
-    buffer: np.ndarray,
-    x0: float,
-    y0: float,
-    x1: float,
-    y1: float,
-    color: float = 1.0,
+def rasterize_point_conservative(
+    buffer: np.ndarray, x: float, y: float, size: float, color: float = 1.0
 ) -> int:
-    """Diamond-exit-rule rasterization of segment ``(x0,y0)-(x1,y1)``.
+    """Color every pixel whose cell touches the square of side ``size`` at ``(x, y)``.
 
-    Returns the number of pixels written.  Following the spec: pixel ``f`` is
-    produced iff the segment intersects the open diamond ``R_f`` and the end
-    point ``(x1, y1)`` does not lie inside ``R_f`` (the segment must *exit*
-    the diamond).
+    Returns the number of pixels written.
     """
-    height, width = buffer.shape
-    i0 = max(math.floor(min(x0, x1)) - 1, 0)
-    i1 = min(math.floor(max(x0, x1)) + 1, width - 1)
-    j0 = max(math.floor(min(y0, y1)) - 1, 0)
-    j1 = min(math.floor(max(y0, y1)) + 1, height - 1)
-    written = 0
-    for j in range(j0, j1 + 1):
-        cy = j + 0.5
-        for i in range(i0, i1 + 1):
-            cx = i + 0.5
-            if _l1_distance_point_to_segment(cx, cy, x0, y0, x1, y1) >= 0.5:
-                continue  # segment misses the open diamond
-            if abs(x1 - cx) + abs(y1 - cy) < 0.5:
-                continue  # end point inside the diamond: no exit, no pixel
-            buffer[j, i] = color
-            written += 1
-    return written
+    rng = point_conservative_range(buffer.shape, x, y, size)
+    if rng is None:
+        return 0
+    i0, i1, j0, j1 = rng
+    buffer[j0 : j1 + 1, i0 : i1 + 1] = color
+    return (i1 - i0 + 1) * (j1 - j0 + 1)
 
 
 def aa_rect_axes(

@@ -13,9 +13,11 @@ tile without double-writing or gaps.
 
 The paper deliberately avoids filled polygons in the hardware test (concave
 polygons would need software triangulation - the motivating observation of
-section 3); this rasterizer exists because the substrate is a *general*
-OpenGL simulation: the interior filter's tile visualization, the examples,
-and several tests use it, and it documents what the technique avoids.
+section 3), and so does the simulated card: no draw call fills.  The rule
+lives on where the related work keeps it, in the once-per-object filter
+builds - :func:`repro.gpu.raster_vector.polygon_fill_coverage_mask` decides
+the interior cells of the interior filter and the raster interval index -
+and this scanline loop is that kernel's property-tested reference.
 """
 
 from __future__ import annotations

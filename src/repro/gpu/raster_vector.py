@@ -1,28 +1,29 @@
-"""Vectorized (whole-draw-call) basic-line and polygon-fill kernels.
+"""The two index-build kernels: ring boundary footprint, even-odd fill.
 
-The OpenGL-spec *basic* rasterization rules (diamond-exit lines, section
-2.2.2; pixel-center even-odd polygon fill, section 2.2.3) were originally
-implemented as pure-Python per-pixel loops (:func:`repro.gpu.raster_line.
-rasterize_line_basic`, :func:`repro.gpu.raster_polygon.
-rasterize_polygon_evenodd`).  Those loops are the wrong cost shape for a
-hardware simulation - a real rasterizer evaluates the rule for every
-(primitive, pixel) pair in parallel - and they were the remaining host
-hot path under the fig11/fig12 resolution sweeps and the interval-index
-builds (ROADMAP item 2).
+Neither kernel is a draw of the simulated card - at query time the card
+draws anti-aliased edge arrays and nothing else
+(:mod:`repro.gpu.pipeline`).  Both run once per object, when a filter is
+*built*: the interior filter (:mod:`repro.filters.interior`) and the raster
+interval index (:mod:`repro.filters.intervals`) rasterize each polygon over
+its own cell grid, the way the related work rasterizes at index time and
+joins lists at query time.
 
-This module re-states both rules as NumPy-vectorized *coverage-mask
-producers*, mirroring :mod:`repro.gpu.raster_bulk` for anti-aliased
-lines: a kernel consumes a whole draw call and returns the boolean
-fragment set, which the pipeline then feeds through the per-fragment
-operations (depth, stencil, blend, logic op, color mask).  Producing
-masks rather than buffer writes is what lets *every* draw type share one
-fragment pipeline - previously the basic paths wrote the color buffer
-directly and silently skipped all fragment state.
+* :func:`ring_boundary_coverage_mask` - the conservative anti-aliased
+  footprint of a closed ring, evaluated arc by arc through
+  :func:`~repro.gpu.raster_bulk.edges_coverage_mask`, the one footprint
+  kernel (so the cells a build marks as boundary are the pixels a query-time
+  draw of the same ring would color).
+* :func:`polygon_fill_coverage_mask` - the OpenGL pixel-center even-odd
+  polygon fill (section 2.2.3), which decides a build's interior cells.
 
-The retained pure-Python loops are the property-tested references: the
-hypothesis suite in ``tests/gpu/test_raster_vector.py`` pins the
-vectorized kernels bit-identical to them (same float expressions, same
-comparison directions, evaluated in the same order), the way
+Both are NumPy-vectorized *coverage-mask producers*, mirroring
+:mod:`repro.gpu.raster_bulk`: a kernel consumes a whole ring and returns
+the boolean cell set.  The fill's retained pure-Python scanline loop
+(:func:`repro.gpu.raster_polygon.rasterize_polygon_evenodd`) is its
+property-tested reference: the hypothesis suite in
+``tests/gpu/test_raster_vector.py`` pins the vectorized kernel
+bit-identical to it (same float expressions, same comparison directions,
+evaluated in the same order), the way
 :func:`~repro.gpu.raster_bulk.edges_coverage_mask` is validated against
 the serial anti-aliased rasterizer.
 """
@@ -34,14 +35,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from .raster_bulk import _pixel_centers, edges_coverage_mask
-from .raster_line import rasterize_line_basic
+from .raster_bulk import edges_coverage_mask
 from .raster_polygon import scanline_row_bounds
-
-#: Cap on the (edge, pixel) float64 entries materialized per chunk of the
-#: diamond-exit kernel.  Smaller than raster_bulk's boolean budget because
-#: each entry carries several float64 temporaries.
-_DIAMOND_CHUNK_BUDGET = 1 << 18
 
 #: Consecutive ring edges per localized chunk of
 #: :func:`ring_boundary_coverage_mask`.  Ring edges are spatially contiguous
@@ -50,79 +45,6 @@ _DIAMOND_CHUNK_BUDGET = 1 << 18
 #: smaller ones pay more per-chunk setup (32 measured best on level-8
 #: interval-index builds).
 _RING_GROUP = 32
-
-
-def lines_basic_coverage_mask(shape, edges: np.ndarray) -> np.ndarray:
-    """Diamond-exit coverage mask of a whole draw call's segments.
-
-    ``edges`` is an ``(E, 4)`` float array of window-space segments
-    ``[x0, y0, x1, y1]``.  A pixel is set iff, for some edge, the segment
-    intersects the open L1 diamond of radius 0.5 around the pixel center
-    and the segment's end point lies outside that diamond (the segment
-    must *exit* the diamond) - exactly the per-pixel rule of
-    :func:`~repro.gpu.raster_line.rasterize_line_basic`, evaluated with
-    the same float64 expressions so the masks are bit-identical.
-    """
-    height, width = shape
-    edges = np.asarray(edges, dtype=np.float64)
-    if edges.ndim != 2 or edges.shape[1] != 4:
-        raise ValueError(f"edges must be (E, 4), got {edges.shape}")
-    mask = np.zeros((height, width), dtype=bool)
-    n_edges = edges.shape[0]
-    if n_edges == 0:
-        return mask
-    cx, cy = _pixel_centers(height, width)
-    chunk = max(1, _DIAMOND_CHUNK_BUDGET // (height * width))
-    for start in range(0, n_edges, chunk):
-        mask |= _diamond_chunk(edges[start : start + chunk], cx, cy)
-    return mask
-
-
-def _diamond_chunk(e: np.ndarray, cx: np.ndarray, cy: np.ndarray) -> np.ndarray:
-    """Diamond-exit hits of one chunk of edges, reduced over the chunk.
-
-    The L1 distance from a center to the segment is piecewise linear in
-    the parameter t, so its minimum is attained at t in {0, 1} or where
-    the segment crosses the vertical/horizontal line through the center -
-    the same four candidates the reference loop evaluates, computed with
-    the same arithmetic (``x0 + t*dx``, never ``x1`` directly) so every
-    comparison against the 0.5 radius resolves identically.
-    """
-    x0 = e[:, 0][:, None, None]
-    y0 = e[:, 1][:, None, None]
-    x1 = e[:, 2][:, None, None]
-    y1 = e[:, 3][:, None, None]
-    dx = x1 - x0
-    dy = y1 - y0
-    cxr = cx[None, None, :]  # (1, 1, W)
-    cyr = cy[None, :, None]  # (1, H, 1)
-
-    # Candidate t = 0.
-    best = np.abs(x0 - cxr) + np.abs(y0 - cyr)  # (E, H, W)
-    # Candidate t = 1 (1.0 * dx == dx exactly, so x0 + dx matches the
-    # reference's x0 + t*dx rounding).
-    np.minimum(best, np.abs(x0 + dx - cxr) + np.abs(y0 + dy - cyr), out=best)
-    # Crossing of the vertical line through the center.  Where dx == 0 the
-    # reference omits this candidate; substituting t = 0 duplicates an
-    # existing candidate, leaving the minimum unchanged.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        tx = (cxr - x0) / dx  # (E, 1, W)
-    tx = np.where(dx == 0.0, 0.0, tx)
-    np.clip(tx, 0.0, 1.0, out=tx)
-    np.minimum(
-        best, np.abs(x0 + tx * dx - cxr) + np.abs(y0 + tx * dy - cyr), out=best
-    )
-    # Crossing of the horizontal line through the center.
-    with np.errstate(divide="ignore", invalid="ignore"):
-        ty = (cyr - y0) / dy  # (E, H, 1)
-    ty = np.where(dy == 0.0, 0.0, ty)
-    np.clip(ty, 0.0, 1.0, out=ty)
-    np.minimum(
-        best, np.abs(x0 + ty * dx - cxr) + np.abs(y0 + ty * dy - cyr), out=best
-    )
-
-    exits = np.abs(x1 - cxr) + np.abs(y1 - cyr) >= 0.5
-    return ((best < 0.5) & exits).any(axis=0)
 
 
 def ring_boundary_coverage_mask(
@@ -163,14 +85,6 @@ def ring_boundary_coverage_mask(
         shifted = e - np.array([bx0, by0, bx0, by0], dtype=np.float64)
         sub = edges_coverage_mask((by1 - by0, bx1 - bx0), shifted, width_px)
         mask[by0:by1, bx0:bx1] |= sub
-    return mask
-
-
-def lines_basic_coverage_mask_reference(shape, edges: np.ndarray) -> np.ndarray:
-    """The retained per-pixel loop as a mask producer (the test oracle)."""
-    mask = np.zeros(shape, dtype=bool)
-    for x0, y0, x1, y1 in np.asarray(edges, dtype=np.float64).reshape(-1, 4):
-        rasterize_line_basic(mask, x0, y0, x1, y1, color=True)
     return mask
 
 

@@ -1,10 +1,11 @@
 """Rendering state and device limits for the simulated pipeline.
 
 Mirrors the slice of OpenGL state the paper's technique touches: line width,
-point size, anti-aliasing, blending, and current color - plus the device
-limits that shape the algorithms (the 10-pixel maximum anti-aliased line
-width on the paper's GeForce4 platform forces the software fallback for
-large query distances, section 4.4).
+point size, blending, and current color - plus the device limits that shape
+the algorithms (the 10-pixel maximum anti-aliased line width on the paper's
+GeForce4 platform forces the software fallback for large query distances,
+section 4.4).  Anti-aliasing is not a state bit: the card is constructed
+with it on (Algorithm 3.1 step 2.1) and draws nothing else.
 """
 
 from __future__ import annotations
@@ -55,7 +56,6 @@ class RasterState:
 
     line_width: float = DEFAULT_AA_LINE_WIDTH
     point_size: float = DEFAULT_AA_LINE_WIDTH
-    antialias: bool = True
     #: Additive blending (glBlendFunc(GL_ONE, GL_ONE)): each draw call adds
     #: its color to the covered pixels instead of replacing them.
     blend: bool = False
@@ -91,7 +91,7 @@ class RasterState:
 
     def validate(self, limits: DeviceLimits) -> None:
         """Raise ValueError when the state exceeds the device limits."""
-        if self.antialias and not limits.supports_line_width(self.line_width):
+        if not limits.supports_line_width(self.line_width):
             raise ValueError(
                 f"AA line width {self.line_width} exceeds device limit "
                 f"{limits.max_aa_line_width}"

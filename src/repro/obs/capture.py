@@ -33,8 +33,11 @@ Capture semantics worth knowing:
   preceded, within the capture, by a clear of that plane, which holds for
   every overlap-search method in :mod:`repro.core.hardware_test`;
 * events are self-contained (edge arrays are stored as nested float
-  lists, which round-trip JSON bit-exactly), so a capture saved with
-  :meth:`CommandRecorder.save` replays in a different process.
+  lists, which round-trip JSON bit-exactly), so a capture streamed to a
+  file or written with :func:`write_events` replays in a different process;
+* a capture file is outside data: the replayer executes only commands the
+  recorder can emit (:func:`_check_event`) and reports anything else as an
+  *error* - a third outcome beside MATCH and DIVERGED.
 
 The module imports only the standard library and numpy at module level;
 the replayer imports the gpu layer lazily, keeping :mod:`repro.obs` free
@@ -52,7 +55,36 @@ import numpy as np
 from .scope import use_scope
 
 #: Version tag of the capture event schema (bump on incompatible change).
-CAPTURE_SCHEMA = "repro.obs/capture@1"
+#: ``@1`` also carried point and filled-polygon draw commands and an
+#: anti-aliasing raster-state key - draws and a bit the card no longer has.
+CAPTURE_SCHEMA = "repro.obs/capture@2"
+
+#: The planes a ``buffer`` field may name; the transfers an ``accum`` may.
+_PLANES = ("color", "accum", "stencil", "depth")
+_ACCUM_OPS = ("add", "return")
+
+#: Every command the recorder can emit, with the fields its replay reads.
+_EVENT_FIELDS = {
+    "init": ("pid", "width", "height", "limits", "state", "window"),
+    "tiled_init": (
+        "pid", "tile_width", "tile_height", "max_tiles", "grid_cols",
+        "grid_rows", "limits",
+    ),
+    "state": ("pid", "set"),
+    "set_window": ("pid", "window"),
+    "clear": ("pid", "buffer", "value"),
+    "accum": ("pid", "op", "scale"),
+    "minmax": ("pid", "buffer", "result", "digest"),
+    "read_pixels": ("pid", "buffer", "digest"),
+    "draw_edges": ("pid", "edges"),
+    "coverage_mask": ("pid", "edges", "mask_digest"),
+    "distance_field": ("pid", "mask_digest", "field_digest"),
+    "tile_batch": (
+        "pid", "windows", "widths", "cap_points", "threshold", "edges_a",
+        "edges_b", "flags", "atlas_digest",
+    ),
+    "fb_snapshot": ("pid", "digests"),
+}
 
 #: How many coverage masks the replayer retains per pipeline for
 #: distance-field input lookup (the field test needs at most the last two).
@@ -220,20 +252,6 @@ class CommandRecorder:
         self._sync_state(pid, pipeline)
         self._emit("draw_edges", pid=pid, edges=_edges_list(edges_data))
 
-    def on_draw_point(self, pipeline: Any, x: float, y: float) -> None:
-        pid = self._pid(pipeline)
-        self._sync_state(pid, pipeline)
-        self._emit("draw_point", pid=pid, x=float(x), y=float(y))
-
-    def on_draw_polygon(self, pipeline: Any, coords) -> None:
-        pid = self._pid(pipeline)
-        self._sync_state(pid, pipeline)
-        self._emit(
-            "draw_polygon",
-            pid=pid,
-            coords=[[float(x), float(y)] for x, y in coords],
-        )
-
     def on_coverage_mask(
         self, pipeline: Any, edges_data: np.ndarray, mask: np.ndarray
     ) -> None:
@@ -315,12 +333,11 @@ class CommandRecorder:
             "fb_snapshot",
             pid=self._pid(pipeline),
             digests={
-                plane: array_digest(getattr(fb, plane))
-                for plane in ("color", "accum", "stencil", "depth")
+                plane: array_digest(getattr(fb, plane)) for plane in _PLANES
             },
         )
 
-    # -- merge / persistence ----------------------------------------------
+    # -- merge --------------------------------------------------------------
 
     def merge(
         self, events: Sequence[Mapping[str, Any]], origin: Optional[str] = None
@@ -355,10 +372,6 @@ class CommandRecorder:
             overflow = len(self.events) - self.max_events
             del self.events[:overflow]
             self.dropped += overflow
-
-    def save(self, path: str) -> None:
-        """Write the in-memory events as a JSONL capture file."""
-        write_events(path, self.events)
 
 
 def write_events(path: str, events: Sequence[Mapping[str, Any]]) -> None:
@@ -425,6 +438,44 @@ class ReplayResult:
         )
 
 
+def _check_event(index: int, event: Any, state_defaults: Any) -> str:
+    """Validate one event of an outside capture; return its command.
+
+    Only what the recorder can emit runs: a known command with the fields
+    its replay reads, planes and transfers from the fixed vocabularies, and
+    raster-state fields the state has.  Else ``ValueError("seq N: ...")``.
+    """
+    if not isinstance(event, Mapping):
+        raise ValueError(f"seq {index}: event is not a JSON object: {event!r}")
+    where = f"seq {event.get('seq', index)}"
+    cmd = event.get("cmd")
+    fields = _EVENT_FIELDS.get(cmd) if isinstance(cmd, str) else None
+    if fields is None:
+        raise ValueError(f"{where}: unknown capture command {cmd!r}")
+    missing = [name for name in fields if name not in event]
+    if missing:
+        raise ValueError(f"{where}: {cmd} event lacks {', '.join(missing)}")
+    for name, allowed in (("buffer", _PLANES), ("op", _ACCUM_OPS)):
+        if name in fields and event[name] not in allowed:
+            raise ValueError(
+                f"{where}: unknown {name} {event[name]!r}; expected one of {allowed}"
+            )
+    if cmd in ("init", "state"):
+        values = event["state" if cmd == "init" else "set"]
+        if not isinstance(values, Mapping):
+            raise ValueError(f"{where}: {cmd} raster state is not an object")
+        for name, value in values.items():
+            if name not in type(state_defaults).__dataclass_fields__:
+                raise ValueError(f"{where}: unknown raster-state field {name!r}")
+            # A value has its field's type: bool, float (or a JSON integer),
+            # or - the optional op names, None by default - a string or null.
+            default = getattr(state_defaults, name)
+            wanted = (str, type(None)) if default is None else type(default)
+            if not isinstance(value, wanted) and (wanted, type(value)) != (float, int):
+                raise ValueError(f"{where}: raster-state field {name} cannot be {value!r}")
+    return cmd
+
+
 def replay_events(
     events: Sequence[Mapping[str, Any]],
 ) -> ReplayResult:
@@ -433,12 +484,14 @@ def replay_events(
     Runs under a blank observability scope, so the replay itself is
     invisible to any live recorder, registry or tracer.  Returns a
     :class:`ReplayResult`; call :meth:`ReplayResult.assert_ok` to raise on
-    the first summary of divergences.
+    the first summary of divergences.  Each event is validated
+    (:func:`_check_event`) before it runs; a malformed one raises
+    :class:`ValueError` naming its sequence number.
     """
     from ..geometry.point_in_polygon import edge_bounds
     from ..geometry.rect import Rect
     from ..gpu.pipeline import GraphicsPipeline
-    from ..gpu.state import DeviceLimits
+    from ..gpu.state import DeviceLimits, RasterState
     from ..gpu.tiled import TiledPipeline
 
     result = ReplayResult()
@@ -462,129 +515,127 @@ def replay_events(
             )
         return p
 
+    state_defaults = RasterState()
     with use_scope(blank=True):
-        for event in events:
-            cmd = event["cmd"]
-            result.events_replayed += 1
-            if cmd == "init":
-                p = GraphicsPipeline(
-                    event["width"],
-                    event["height"],
-                    limits=DeviceLimits(**event["limits"]),
-                )
-                for name, value in event["state"].items():
-                    setattr(p.state, name, value)
-                p.set_data_window(Rect(*event["window"]))
-                pipelines[event["pid"]] = p
-            elif cmd == "tiled_init":
-                base = GraphicsPipeline(
-                    event["tile_width"],
-                    event["tile_height"],
-                    limits=DeviceLimits(**event["limits"]),
-                )
-                tp = TiledPipeline(base, max_tiles=event["max_tiles"])
-                check(event, "grid_cols", event["grid_cols"], tp.grid_cols)
-                check(event, "grid_rows", event["grid_rows"], tp.grid_rows)
-                pipelines[event["pid"]] = tp
-            elif cmd == "state":
-                p = pipe(event)
-                for name, value in event["set"].items():
-                    setattr(p.state, name, value)
-            elif cmd == "set_window":
-                pipe(event).set_data_window(Rect(*event["window"]))
-            elif cmd == "clear":
-                getattr(pipe(event), f"clear_{event['buffer']}")(event["value"])
-            elif cmd == "accum":
-                getattr(pipe(event), f"accum_{event['op']}")(event["scale"])
-            elif cmd == "draw_edges":
-                pipe(event).draw_edges_array(
-                    np.asarray(event["edges"], dtype=np.float64).reshape(-1, 4)
-                )
-            elif cmd == "draw_point":
-                pipe(event).draw_point(event["x"], event["y"])
-            elif cmd == "draw_polygon":
-                pipe(event).draw_filled_polygon(
-                    [(x, y) for x, y in event["coords"]]
-                )
-            elif cmd == "coverage_mask":
-                p = pipe(event)
-                mask = p.render_coverage_mask(
-                    np.asarray(event["edges"], dtype=np.float64).reshape(-1, 4)
-                )
-                check(event, "mask_digest", event["mask_digest"], array_digest(mask))
-                cache = mask_cache.setdefault(event["pid"], {})
-                cache[array_digest(mask)] = mask
-                while len(cache) > _MASK_CACHE:
-                    cache.pop(next(iter(cache)))
-            elif cmd == "distance_field":
-                p = pipe(event)
-                mask = mask_cache.get(event["pid"], {}).get(event["mask_digest"])
-                if mask is None:
-                    result.mismatches.append(
-                        f"seq {event.get('seq')}: distance_field input mask "
-                        f"{event['mask_digest'][:12]}... not among replayed "
-                        "coverage masks"
+        try:
+            for index, event in enumerate(events):
+                cmd = _check_event(index, event, state_defaults)
+                result.events_replayed += 1
+                if cmd == "init":
+                    p = GraphicsPipeline(
+                        event["width"],
+                        event["height"],
+                        limits=DeviceLimits(**event["limits"]),
                     )
-                    continue
-                field = p.compute_distance_field(mask)
-                check(
-                    event, "field_digest", event["field_digest"], array_digest(field)
-                )
-            elif cmd == "minmax":
-                p = pipe(event)
-                lo, hi = p.minmax(event["buffer"])
-                check(event, "result", list(event["result"]), [lo, hi])
-                check(
-                    event,
-                    "digest",
-                    event["digest"],
-                    array_digest(p.fb._plane(event["buffer"])),
-                )
-            elif cmd == "read_pixels":
-                p = pipe(event)
-                data = p.read_pixels(event["buffer"])
-                check(event, "digest", event["digest"], array_digest(data))
-            elif cmd == "fb_snapshot":
-                p = pipe(event)
-                for plane, digest in event["digests"].items():
+                    for name, value in event["state"].items():
+                        setattr(p.state, name, value)
+                    p.set_data_window(Rect(*event["window"]))
+                    pipelines[event["pid"]] = p
+                elif cmd == "tiled_init":
+                    base = GraphicsPipeline(
+                        event["tile_width"],
+                        event["tile_height"],
+                        limits=DeviceLimits(**event["limits"]),
+                    )
+                    tp = TiledPipeline(base, max_tiles=event["max_tiles"])
+                    check(event, "grid_cols", event["grid_cols"], tp.grid_cols)
+                    check(event, "grid_rows", event["grid_rows"], tp.grid_rows)
+                    pipelines[event["pid"]] = tp
+                elif cmd == "state":
+                    p = pipe(event)
+                    for name, value in event["set"].items():
+                        setattr(p.state, name, value)
+                elif cmd == "set_window":
+                    pipe(event).set_data_window(Rect(*event["window"]))
+                elif cmd == "clear":
+                    getattr(pipe(event), f"clear_{event['buffer']}")(event["value"])
+                elif cmd == "accum":
+                    getattr(pipe(event), f"accum_{event['op']}")(event["scale"])
+                elif cmd == "draw_edges":
+                    pipe(event).draw_edges_array(
+                        np.asarray(event["edges"], dtype=np.float64).reshape(-1, 4)
+                    )
+                elif cmd == "coverage_mask":
+                    p = pipe(event)
+                    mask = p.render_coverage_mask(
+                        np.asarray(event["edges"], dtype=np.float64).reshape(-1, 4)
+                    )
+                    check(event, "mask_digest", event["mask_digest"], array_digest(mask))
+                    cache = mask_cache.setdefault(event["pid"], {})
+                    cache[array_digest(mask)] = mask
+                    while len(cache) > _MASK_CACHE:
+                        cache.pop(next(iter(cache)))
+                elif cmd == "distance_field":
+                    p = pipe(event)
+                    mask = mask_cache.get(event["pid"], {}).get(event["mask_digest"])
+                    if mask is None:
+                        result.mismatches.append(
+                            f"seq {event.get('seq')}: distance_field input mask "
+                            f"{event['mask_digest'][:12]}... not among replayed "
+                            "coverage masks"
+                        )
+                        continue
+                    field = p.compute_distance_field(mask)
+                    check(
+                        event, "field_digest", event["field_digest"], array_digest(field)
+                    )
+                elif cmd == "minmax":
+                    p = pipe(event)
+                    lo, hi = p.minmax(event["buffer"])
+                    check(event, "result", list(event["result"]), [lo, hi])
                     check(
                         event,
-                        f"digests[{plane}]",
-                        digest,
-                        array_digest(getattr(p.fb, plane)),
+                        "digest",
+                        event["digest"],
+                        array_digest(p.fb._plane(event["buffer"])),
                     )
-            elif cmd == "tile_batch":
-                tp = pipe(event)
-                widths = event["widths"]
-                edges_a, edges_b = (
-                    [np.asarray(e, dtype=np.float64).reshape(-1, 4) for e in event[side]]
-                    for side in ("edges_a", "edges_b")
-                )
-                flags = tp.overlap_flags(
-                    edges_a,
-                    [edge_bounds(e) for e in edges_a],
-                    edges_b,
-                    [edge_bounds(e) for e in edges_b],
-                    [Rect(*w) for w in event["windows"]],
-                    widths_px=(
-                        np.asarray(widths, dtype=np.float64)
-                        if isinstance(widths, list)
-                        else widths
-                    ),
-                    cap_points=event["cap_points"],
-                    threshold=event["threshold"],
-                )
-                check(event, "flags", event["flags"], [bool(f) for f in flags])
-                check(
-                    event,
-                    "atlas_digest",
-                    event["atlas_digest"],
-                    array_digest(tp.fb.color),
-                )
-            else:
-                raise ValueError(
-                    f"seq {event.get('seq')}: unknown capture command {cmd!r}"
-                )
+                elif cmd == "read_pixels":
+                    p = pipe(event)
+                    data = p.read_pixels(event["buffer"])
+                    check(event, "digest", event["digest"], array_digest(data))
+                elif cmd == "fb_snapshot":
+                    p = pipe(event)
+                    for plane, digest in event["digests"].items():
+                        check(
+                            event,
+                            f"digests[{plane}]",
+                            digest,
+                            array_digest(getattr(p.fb, plane)),
+                        )
+                elif cmd == "tile_batch":
+                    tp = pipe(event)
+                    widths = event["widths"]
+                    edges_a, edges_b = (
+                        [np.asarray(e, dtype=np.float64).reshape(-1, 4) for e in event[side]]
+                        for side in ("edges_a", "edges_b")
+                    )
+                    flags = tp.overlap_flags(
+                        edges_a,
+                        [edge_bounds(e) for e in edges_a],
+                        edges_b,
+                        [edge_bounds(e) for e in edges_b],
+                        [Rect(*w) for w in event["windows"]],
+                        widths_px=(
+                            np.asarray(widths, dtype=np.float64)
+                            if isinstance(widths, list)
+                            else widths
+                        ),
+                        cap_points=event["cap_points"],
+                        threshold=event["threshold"],
+                    )
+                    check(event, "flags", event["flags"], [bool(f) for f in flags])
+                    check(
+                        event,
+                        "atlas_digest",
+                        event["atlas_digest"],
+                        array_digest(tp.fb.color),
+                    )
+        except (TypeError, KeyError, IndexError, AttributeError) as exc:
+            # A known command with values that are not: wrong types, short lists.
+            raise ValueError(
+                f"seq {event.get('seq', index)}: malformed {event.get('cmd')} "
+                f"event: {exc!r}"
+            ) from exc
     return result
 
 

@@ -446,10 +446,6 @@ class MetricsRegistry:
         registry.merge(snap)
         return registry
 
-    @classmethod
-    def from_json(cls, text: str) -> "MetricsRegistry":
-        return cls.from_snapshot(json.loads(text))
-
     def prometheus_text(self) -> str:
         """Prometheus text exposition, safe to scrape.
 

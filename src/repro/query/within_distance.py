@@ -21,7 +21,6 @@ from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
 from ..exec.parallel import ParallelExecutor
 from ..filters.object_filters import one_object_upper_bound, zero_object_upper_bound
-from ..filters.progressive import ConvexHullFilter
 from ..index.mbr_join import plane_sweep_mbr_join
 from ..obs.instrument import observe_pipeline
 from .costs import CostBreakdown
@@ -44,9 +43,6 @@ class WithinDistanceJoin:
         dataset_a: SpatialDataset,
         dataset_b: SpatialDataset,
         engine: RefinementEngine,
-        use_zero_object: bool = True,
-        use_one_object: bool = True,
-        use_hull_filter: bool = False,
         executor: Optional[ParallelExecutor] = None,
     ) -> None:
         self.dataset_a = dataset_a
@@ -55,16 +51,6 @@ class WithinDistanceJoin:
         #: Optional parallel batch executor for the geometry stage
         #: (identical results/stats to refining on ``engine`` directly).
         self.executor = executor
-        self.use_zero_object = use_zero_object
-        self.use_one_object = use_one_object
-        self.use_hull_filter = use_hull_filter
-        self.hulls_a: ConvexHullFilter | None = None
-        self.hulls_b: ConvexHullFilter | None = None
-        if use_hull_filter:
-            # Pre-processed negative filter (Table 1's geometric filter):
-            # hulls farther apart than D prove the pair negative.
-            self.hulls_a = ConvexHullFilter(dataset_a.polygons)
-            self.hulls_b = ConvexHullFilter(dataset_b.polygons)
 
     def run(self, d: float) -> WithinDistanceResult:
         if d < 0.0:
@@ -80,38 +66,25 @@ class WithinDistanceJoin:
             candidates = plane_sweep_mbr_join(mbrs_a, mbrs_b, distance=d)
         cost.candidates_after_mbr = len(candidates)
 
-        if self.use_hull_filter:
-            assert self.hulls_a is not None and self.hulls_b is not None
-            with cost.time_stage("intermediate_filter"):
-                candidates = [
-                    (i, j)
-                    for i, j in candidates
-                    if self.hulls_a.may_be_within(i, self.hulls_b, j, d)
-                ]
-            cost.hull_drops = cost.candidates_after_mbr - len(candidates)
-
         results: List[Tuple[int, int]] = []
-        remaining: List[Tuple[int, int]] = candidates
-        if self.use_zero_object or self.use_one_object:
-            with cost.time_stage("intermediate_filter"):
-                remaining = []
-                for i, j in candidates:
-                    ra, rb = mbrs_a[i], mbrs_b[j]
-                    if self.use_zero_object and zero_object_upper_bound(ra, rb) <= d:
-                        results.append((i, j))
-                        continue
-                    if self.use_one_object:
-                        # Retrieve the larger object (by MBR area), as the
-                        # paper does; its geometry tightens the bound.
-                        if ra.area >= rb.area:
-                            bound = one_object_upper_bound(polys_a[i], rb)
-                        else:
-                            bound = one_object_upper_bound(polys_b[j], ra)
-                        if bound <= d:
-                            results.append((i, j))
-                            continue
-                    remaining.append((i, j))
-            cost.filter_positives = len(results)
+        remaining: List[Tuple[int, int]] = []
+        with cost.time_stage("intermediate_filter"):
+            for i, j in candidates:
+                ra, rb = mbrs_a[i], mbrs_b[j]
+                if zero_object_upper_bound(ra, rb) <= d:
+                    results.append((i, j))
+                    continue
+                # Retrieve the larger object (by MBR area), as the
+                # paper does; its geometry tightens the bound.
+                if ra.area >= rb.area:
+                    bound = one_object_upper_bound(polys_a[i], rb)
+                else:
+                    bound = one_object_upper_bound(polys_b[j], ra)
+                if bound <= d:
+                    results.append((i, j))
+                    continue
+                remaining.append((i, j))
+        cost.filter_positives = len(results)
 
         items = [((i, j), polys_a[i], polys_b[j]) for i, j in remaining]
         results.extend(

@@ -50,7 +50,6 @@ def make_executor() -> ParallelExecutor:
 PER_PRIMITIVE_COUNTERS = (
     "edges_rendered",
     "edges_clipped_away",
-    "points_rendered",
     "pixels_written",
     "tiles_packed",
     "distance_field_pixels",

@@ -1,6 +1,5 @@
 """Tests for the convex-hull progressive filter (Brinkhoff-style, Table 1)."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -9,7 +8,6 @@ from repro.filters import ConvexHullFilter
 from repro.geometry import (
     Polygon,
     point_in_polygon,
-    polygon_distance_brute_force,
     polygons_intersect,
 )
 from tests.strategies import polygon_pairs_nearby, star_polygons
@@ -69,28 +67,6 @@ class TestIntersectionFilter:
         fb = ConvexHullFilter([b])
         if polygons_intersect(a, b):
             assert fa.may_intersect(0, fb, 0)
-
-
-class TestDistanceFilter:
-    def test_rejects_far_pairs(self):
-        fa = ConvexHullFilter([C_SHAPE])
-        fb = ConvexHullFilter([FAR])
-        assert not fa.may_be_within(0, fb, 0, 1.0)
-
-    def test_negative_distance_rejected(self):
-        f = ConvexHullFilter([C_SHAPE])
-        with pytest.raises(ValueError):
-            f.may_be_within(0, f, 0, -1.0)
-
-    @settings(max_examples=80)
-    @given(polygon_pairs_nearby(), st.integers(0, 24))
-    def test_never_rejects_true_within_pairs(self, pair, d_quarters):
-        a, b = pair
-        d = d_quarters / 4.0
-        fa = ConvexHullFilter([a])
-        fb = ConvexHullFilter([b])
-        if polygon_distance_brute_force(a, b) <= d:
-            assert fa.may_be_within(0, fb, 0, d)
 
 
 class TestJoinIntegration:

@@ -191,9 +191,6 @@ class TestMeasures:
     def test_area_abs(self):
         assert SQUARE.reversed().area == 16.0
 
-    def test_perimeter(self):
-        assert SQUARE.perimeter == 16.0
-
     def test_centroid_square(self):
         assert SQUARE.centroid == Point(2, 2)
 

@@ -21,14 +21,6 @@ class TestConstruction:
         assert r.area == 0.0
         assert r.width == 0.0
 
-    def test_from_points(self):
-        r = Rect.from_points([Point(1, 5), Point(-2, 0), Point(3, 3)])
-        assert r == Rect(-2, 0, 3, 5)
-
-    def test_from_points_empty_raises(self):
-        with pytest.raises(ValueError):
-            Rect.from_points([])
-
     def test_union_all(self):
         r = Rect.union_all([Rect(0, 0, 1, 1), Rect(2, -1, 3, 0.5)])
         assert r == Rect(0, -1, 3, 1)
@@ -49,7 +41,6 @@ class TestMeasures:
         assert r.width == 4.0
         assert r.height == 3.0
         assert r.area == 12.0
-        assert r.perimeter == 14.0
         assert r.center == Point(2, 1.5)
 
     def test_corners_ccw_from_lower_left(self):

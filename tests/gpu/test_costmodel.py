@@ -79,14 +79,6 @@ class TestCostModel:
         readback = model.evaluate(CostCounters(pixels_transferred=100))
         assert fill < sweep < readback
 
-    def test_points_rendered_are_charged(self):
-        """Regression: the distance test's end-point caps (points_rendered)
-        evaluated to zero cost, understating widened-line workloads."""
-        model = GpuCostModel()
-        cost = model.evaluate(CostCounters(points_rendered=5))
-        assert cost == 5 * model.cost_point
-        assert cost > 0.0
-
     def test_every_counter_charged_or_documented_free(self):
         """The charged/free partition of CostCounters is total: a newly
         added counter must either contribute to evaluate() or be listed in

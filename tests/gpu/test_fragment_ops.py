@@ -8,7 +8,7 @@ depth write/test pair.
 import numpy as np
 import pytest
 
-from repro.geometry import Rect
+from repro.geometry import Polygon, Rect
 from repro.gpu import GraphicsPipeline
 
 SQUARE = [(1.0, 1.0), (6.0, 1.0), (6.0, 6.0), (1.0, 6.0)]
@@ -26,8 +26,8 @@ class TestBlending:
         pl = pipeline()
         pl.state.blend = True
         pl.state.color = 0.5
-        pl.draw_polygon_edges(SQUARE)
-        pl.draw_polygon_edges(OTHER)
+        pl.draw_edges_array(Polygon(SQUARE).edges_array)
+        pl.draw_edges_array(Polygon(OTHER).edges_array)
         assert pl.fb.color.max() == pytest.approx(1.0)
 
     def test_single_draw_writes_once_despite_blend(self):
@@ -37,14 +37,14 @@ class TestBlending:
         pl.state.blend = True
         pl.state.color = 0.5
         bowtie = [(1.0, 1.0), (6.0, 6.0), (6.0, 1.0), (1.0, 6.0)]
-        pl.draw_polygon_edges(bowtie)
+        pl.draw_edges_array(Polygon(bowtie).edges_array)
         assert pl.fb.color.max() == pytest.approx(0.5)
 
     def test_blend_off_overwrites(self):
         pl = pipeline()
         pl.state.color = 0.5
-        pl.draw_polygon_edges(SQUARE)
-        pl.draw_polygon_edges(OTHER)
+        pl.draw_edges_array(Polygon(SQUARE).edges_array)
+        pl.draw_edges_array(Polygon(OTHER).edges_array)
         assert pl.fb.color.max() == pytest.approx(0.5)
 
 
@@ -53,9 +53,9 @@ class TestLogicOp:
         pl = pipeline()
         pl.state.logic_op = "or"
         pl.state.color = 1.0
-        pl.draw_polygon_edges(SQUARE)
+        pl.draw_edges_array(Polygon(SQUARE).edges_array)
         pl.state.color = 2.0
-        pl.draw_polygon_edges(OTHER)
+        pl.draw_edges_array(Polygon(OTHER).edges_array)
         values = set(np.unique(pl.fb.color))
         assert values <= {0.0, 1.0, 2.0, 3.0}
         assert 3.0 in values  # overlap pixels carry both bits
@@ -64,7 +64,7 @@ class TestLogicOp:
         pl = pipeline()
         pl.state.logic_op = "xor"
         with pytest.raises(ValueError):
-            pl.draw_polygon_edges(SQUARE)
+            pl.draw_edges_array(Polygon(SQUARE).edges_array)
 
 
 class TestStencil:
@@ -72,8 +72,8 @@ class TestStencil:
         pl = pipeline()
         pl.state.color_write = False
         pl.state.stencil_op = "incr"
-        pl.draw_polygon_edges(SQUARE)
-        pl.draw_polygon_edges(OTHER)
+        pl.draw_edges_array(Polygon(SQUARE).edges_array)
+        pl.draw_edges_array(Polygon(OTHER).edges_array)
         assert pl.fb.stencil.max() == 2
         assert pl.fb.color.max() == 0.0  # color mask honored
 
@@ -82,14 +82,14 @@ class TestStencil:
         pl.fb.stencil[:] = 255
         pl.state.stencil_op = "incr"
         pl.state.color_write = False
-        pl.draw_polygon_edges(SQUARE)
+        pl.draw_edges_array(Polygon(SQUARE).edges_array)
         assert pl.fb.stencil.max() == 255
 
     def test_unsupported_op_raises(self):
         pl = pipeline()
         pl.state.stencil_op = "decr"
         with pytest.raises(ValueError):
-            pl.draw_polygon_edges(SQUARE)
+            pl.draw_edges_array(Polygon(SQUARE).edges_array)
 
 
 class TestDepth:
@@ -98,7 +98,7 @@ class TestDepth:
         pl.state.color_write = False
         pl.state.depth_write = True
         pl.state.depth_value = 0.5
-        pl.draw_polygon_edges(SQUARE)
+        pl.draw_edges_array(Polygon(SQUARE).edges_array)
         assert (pl.fb.depth == np.float32(0.5)).any()
         assert pl.fb.color.max() == 0.0
 
@@ -108,13 +108,13 @@ class TestDepth:
         pl.state.color_write = False
         pl.state.depth_write = True
         pl.state.depth_value = 0.5
-        pl.draw_polygon_edges(SQUARE)
+        pl.draw_edges_array(Polygon(SQUARE).edges_array)
         # Pass 2: draw OTHER with GL_EQUAL - only overlap survives.
         pl.state.color_write = True
         pl.state.depth_write = False
         pl.state.depth_test = "equal"
         pl.state.color = 1.0
-        pl.draw_polygon_edges(OTHER)
+        pl.draw_edges_array(Polygon(OTHER).edges_array)
         assert pl.fb.color.max() == 1.0
         # Where OTHER did not cross SQUARE's fragments, nothing was written.
         colored = int((pl.fb.color > 0).sum())
@@ -125,14 +125,14 @@ class TestDepth:
         pl = pipeline()
         pl.state.depth_test = "less"
         with pytest.raises(ValueError):
-            pl.draw_polygon_edges(SQUARE)
+            pl.draw_edges_array(Polygon(SQUARE).edges_array)
 
     def test_depth_test_counts_surviving_fragments_only(self):
         pl = pipeline()
         pl.state.depth_test = "equal"
         pl.state.depth_value = 0.25  # nothing marked at 0.25
         before = pl.counters.pixels_written
-        pl.draw_polygon_edges(SQUARE)
+        pl.draw_edges_array(Polygon(SQUARE).edges_array)
         assert pl.counters.pixels_written == before
 
 

@@ -57,13 +57,6 @@ class TestAccumOps:
         fb.accum_add(scale=0.5)
         assert fb.accum[0, 0] == 0.25
 
-    def test_accum_load_overwrites(self):
-        fb = Framebuffer(1, 1)
-        fb.accum[0, 0] = 9.0
-        fb.color[0, 0] = 0.5
-        fb.accum_load()
-        assert fb.accum[0, 0] == 0.5
-
     def test_accum_return_writes_color(self):
         fb = Framebuffer(1, 1)
         fb.accum[0, 0] = 0.75

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.geometry import Rect
+from repro.geometry import Polygon, Rect
 from repro.gpu import DeviceLimits, GraphicsPipeline
 from repro.gpu.pipeline import uniform_window_scale
 
@@ -56,7 +56,7 @@ class TestDrawAndCounters:
     def test_draw_updates_counters(self):
         pl = GraphicsPipeline(8)
         pl.set_data_window(Rect(0, 0, 8, 8))
-        pl.draw_polygon_edges([(1, 1), (6, 1), (6, 6), (1, 6)])
+        pl.draw_edges_array(Polygon([(1, 1), (6, 1), (6, 6), (1, 6)]).edges_array)
         assert pl.counters.draw_calls == 1
         assert pl.counters.edges_rendered == 4
         assert pl.counters.pixels_written > 0
@@ -65,7 +65,8 @@ class TestDrawAndCounters:
         pl = GraphicsPipeline(8)
         pl.set_data_window(Rect(0, 0, 8, 8))
         # Square far outside the window.
-        pl.draw_polygon_edges([(100, 100), (105, 100), (105, 105), (100, 105)])
+        far = Polygon([(100, 100), (105, 100), (105, 105), (100, 105)])
+        pl.draw_edges_array(far.edges_array)
         assert pl.counters.edges_rendered == 0
         assert pl.counters.edges_clipped_away == 4
         assert pl.fb.color.sum() == 0.0
@@ -73,14 +74,14 @@ class TestDrawAndCounters:
     def test_open_chain_has_n_minus_1_edges(self):
         pl = GraphicsPipeline(8)
         pl.set_data_window(Rect(0, 0, 8, 8))
-        pl.draw_polygon_edges([(1, 1), (6, 1), (6, 6)], closed=False)
+        pl.draw_edges_array(np.array([[1.0, 1.0, 6.0, 1.0], [6.0, 1.0, 6.0, 6.0]]))
         assert pl.counters.edges_rendered + pl.counters.edges_clipped_away == 2
 
     def test_draw_edges_array_equivalent_to_coords(self):
         coords = [(1.0, 1.0), (6.0, 1.0), (6.0, 6.0), (1.0, 6.0)]
         pl1 = GraphicsPipeline(8)
         pl1.set_data_window(Rect(0, 0, 8, 8))
-        pl1.draw_polygon_edges(coords)
+        pl1.draw_edges_array(Polygon(coords).edges_array)
         pl2 = GraphicsPipeline(8)
         pl2.set_data_window(Rect(0, 0, 8, 8))
         arr = np.array(coords)
@@ -91,7 +92,7 @@ class TestDrawAndCounters:
     def test_bad_coords_rejected(self):
         pl = GraphicsPipeline(8)
         with pytest.raises(ValueError):
-            pl.draw_polygon_edges([(1, 1)])
+            pl.draw_edges_array(np.array([[1.0, 1.0]]))  # vertices, not edges
 
     def test_minmax_counts_scanned_pixels(self):
         pl = GraphicsPipeline(4)
@@ -112,37 +113,19 @@ class TestDrawAndCounters:
         assert pl.counters.buffer_clears == 2
         assert pl.counters.pixels_cleared == 32
 
-    def test_draw_point_basic_and_wide(self):
-        pl = GraphicsPipeline(8)
-        pl.set_data_window(Rect(0, 0, 8, 8))
-        pl.state.point_size = 1.0
-        pl.draw_point(3.3, 4.7)
-        assert pl.fb.color[4, 3] == pl.state.color
-        pl.state.point_size = 3.0
-        pl.draw_point(3.5, 4.5)
-        assert pl.counters.points_rendered == 2
-
-    def test_draw_filled_polygon(self):
-        pl = GraphicsPipeline(8)
-        pl.set_data_window(Rect(0, 0, 8, 8))
-        pl.state.color = 1.0
-        pl.draw_filled_polygon([(1, 1), (5, 1), (5, 5), (1, 5)])
-        assert pl.fb.color[2, 2] == 1.0
-        assert pl.fb.color[6, 6] == 0.0
-
 
 class TestDeviceLimits:
     def test_aa_width_limit_enforced(self):
         pl = GraphicsPipeline(8)
         pl.state.line_width = 11.0  # above the GeForce4-era limit of 10
         with pytest.raises(ValueError):
-            pl.draw_polygon_edges([(0, 0), (1, 0), (1, 1)])
+            pl.draw_edges_array(Polygon([(0, 0), (1, 0), (1, 1)]).edges_array)
 
     def test_point_size_limit_enforced(self):
         pl = GraphicsPipeline(8)
         pl.state.point_size = 20.0
         with pytest.raises(ValueError):
-            pl.draw_polygon_edges([(0, 0), (1, 0), (1, 1)])
+            pl.draw_edges_array(Polygon([(0, 0), (1, 0), (1, 1)]).edges_array)
 
     def test_custom_limits(self):
         limits = DeviceLimits(max_aa_line_width=64.0, max_point_size=64.0)
@@ -150,7 +133,7 @@ class TestDeviceLimits:
         pl.state.line_width = 32.0
         pl.state.point_size = 32.0
         pl.set_data_window(Rect(0, 0, 8, 8))
-        pl.draw_polygon_edges([(0, 0), (4, 0), (4, 4)])  # must not raise
+        pl.draw_edges_array(Polygon([(0, 0), (4, 0), (4, 4)]).edges_array)  # must not raise
 
     def test_supports_line_width(self):
         limits = DeviceLimits()
@@ -230,25 +213,3 @@ class TestNonSquareProjection:
         mask_b = pl.render_coverage_mask(edges_b)
         assert (mask_a & mask_b).any()
         assert pl.counters.edges_clipped_away == 0
-
-
-class TestDrawFilledPolygonValidation:
-    """Regression: draw_filled_polygon must honor the device limits."""
-
-    def test_rejects_state_over_limits(self):
-        pl = GraphicsPipeline(8)
-        pl.set_data_window(Rect(0, 0, 8, 8))
-        pl.state.point_size = 20.0  # over DeviceLimits.max_point_size
-        with pytest.raises(ValueError):
-            pl.draw_filled_polygon([(1, 1), (6, 1), (6, 6)])
-        # Rejected up front: no draw call was counted, nothing rendered.
-        assert pl.counters.draw_calls == 0
-        assert pl.fb.color.sum() == 0.0
-
-    def test_valid_state_still_draws(self):
-        pl = GraphicsPipeline(8)
-        pl.set_data_window(Rect(0, 0, 8, 8))
-        pl.state.color = 1.0
-        pl.draw_filled_polygon([(1, 1), (6, 1), (6, 6), (1, 6)])
-        assert pl.counters.draw_calls == 1
-        assert pl.fb.color.sum() > 0.0

@@ -1,4 +1,4 @@
-"""Tests for line rasterization: the diamond-exit rule and conservative AA.
+"""Tests for line rasterization: the conservative anti-aliased footprint.
 
 The AA conservativeness property here is the correctness foundation of the
 whole paper: *every pixel whose cell the segment touches is colored*, hence
@@ -12,8 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, segments_intersect
-from repro.gpu import rasterize_line_aa_conservative, rasterize_line_basic
-from repro.gpu.raster_line import _l1_distance_point_to_segment
+from repro.gpu import rasterize_line_aa_conservative
 
 coords = st.floats(
     min_value=0.0, max_value=16.0, allow_nan=False, allow_infinity=False
@@ -23,62 +22,6 @@ widths = st.floats(min_value=0.25, max_value=4.0)
 
 def buf(n=16):
     return np.zeros((n, n), dtype=np.float32)
-
-
-class TestL1Distance:
-    def test_point_on_segment(self):
-        assert _l1_distance_point_to_segment(1, 1, 0, 0, 2, 2) == 0.0
-
-    def test_axis_aligned_offset(self):
-        assert _l1_distance_point_to_segment(1, 2, 0, 0, 2, 0) == 2.0
-
-    def test_beyond_endpoint(self):
-        assert _l1_distance_point_to_segment(4, 1, 0, 0, 2, 0) == 3.0
-
-    def test_degenerate_segment(self):
-        assert _l1_distance_point_to_segment(1, 1, 0, 0, 0, 0) == 2.0
-
-
-class TestDiamondExit:
-    def test_horizontal_line_colors_crossed_diamonds(self):
-        b = buf(8)
-        # Through pixel centers of row 3: exits diamonds of pixels 1..5,
-        # except the one containing the end point.
-        rasterize_line_basic(b, 1.0, 3.5, 6.0, 3.5)
-        assert b[3, 1] == 1.0
-        assert b[3, 5] == 1.0
-        # End point (6.0, 3.5) is on the boundary of pixel 6's diamond
-        # (|6.0-6.5| = 0.5, not < 0.5), so the segment exits pixel 5.
-        assert b[3, 6] == 0.0
-
-    def test_figure_3d_short_segment_disappears(self):
-        """A segment that never exits any diamond produces no pixels."""
-        b = buf(4)
-        # Entirely between diamonds: hugs the corner region of 4 cells.
-        written = rasterize_line_basic(b, 1.95, 1.05, 2.05, 1.95)
-        assert written == 0
-
-    def test_segment_ending_inside_diamond_not_colored(self):
-        b = buf(4)
-        rasterize_line_basic(b, 0.5, 0.5, 2.5, 2.5)
-        # End point sits exactly at pixel (2,2)'s diamond center: no exit.
-        assert b[2, 2] == 0.0
-        assert b[0, 0] == 1.0
-
-    def test_direction_matters(self):
-        """Reversing a segment moves which end pixel is dropped."""
-        b1, b2 = buf(8), buf(8)
-        rasterize_line_basic(b1, 1.5, 1.5, 5.5, 1.5)
-        rasterize_line_basic(b2, 5.5, 1.5, 1.5, 1.5)
-        assert b1[1, 1] == 1.0 and b1[1, 5] == 0.0
-        assert b2[1, 5] == 1.0 and b2[1, 1] == 0.0
-
-    def test_connected_chain_colors_joints_once(self):
-        """Diamond-exit rule: shared chain vertices are not double-colored."""
-        b = buf(8)
-        total = rasterize_line_basic(b, 0.5, 0.5, 3.5, 0.5)
-        total += rasterize_line_basic(b, 3.5, 0.5, 6.5, 0.5)
-        assert total == int(b.sum())  # no pixel written twice
 
 
 class TestConservativeAA:

@@ -1,10 +1,10 @@
-"""Tests for point rasterization rules (paper section 2.2.1)."""
+"""Tests for the wide end-point caps of the distance test (paper section 3.1, Figure 6)."""
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.gpu import rasterize_point_basic, rasterize_point_conservative
+from repro.gpu import rasterize_point_conservative
 
 coords = st.floats(
     min_value=-4.0, max_value=12.0, allow_nan=False, allow_infinity=False
@@ -13,38 +13,6 @@ coords = st.floats(
 
 def buf(n=8):
     return np.zeros((n, n), dtype=np.float32)
-
-
-class TestBasicRule:
-    def test_truncation_rule(self):
-        b = buf(3)
-        assert rasterize_point_basic(b, 1.7, 1.2) == 1
-        assert b[1, 1] == 1.0
-        assert b.sum() == 1.0
-
-    def test_figure_3b_same_pixel(self):
-        """Points (1.1, 1.1) and (1.9, 1.9) color the same center pixel."""
-        b1, b2 = buf(3), buf(3)
-        rasterize_point_basic(b1, 1.1, 1.1)
-        rasterize_point_basic(b2, 1.9, 1.9)
-        assert b1[1, 1] == 1.0
-        assert np.array_equal(b1, b2)
-
-    def test_exact_integer_coordinates(self):
-        b = buf(3)
-        rasterize_point_basic(b, 1.0, 2.0)
-        assert b[2, 1] == 1.0
-
-    def test_outside_clipped(self):
-        b = buf(3)
-        assert rasterize_point_basic(b, -0.5, 1.0) == 0
-        assert rasterize_point_basic(b, 1.0, 3.0) == 0
-        assert b.sum() == 0.0
-
-    def test_custom_color(self):
-        b = buf(2)
-        rasterize_point_basic(b, 0.5, 0.5, color=0.5)
-        assert b[0, 0] == np.float32(0.5)
 
 
 class TestConservativeRule:

@@ -1,23 +1,20 @@
 """Bit-identity and fragment-routing tests for the vectorized kernels.
 
-The vectorized basic-line (diamond-exit) and polygon-fill (even-odd)
-kernels exist purely for performance; their coverage masks must equal the
-retained pure-Python spec loops *bit for bit* - every comparison against
-the 0.5 diamond radius and every half-open span boundary must resolve the
-same way.  The adversarial families here aim at exactly those boundaries:
+The vectorized polygon-fill (even-odd) kernel exists purely for
+performance; its coverage mask must equal the retained pure-Python spec
+loop *bit for bit* - every half-open span boundary must resolve the same
+way.  The adversarial families here aim at exactly those boundaries:
 
-* half-integer coordinates put pixel centers exactly on diamond corners
-  and span edges (the reference's ``ceil``/``floor`` tie cases);
+* half-integer coordinates put pixel centers exactly on span edges (the
+  reference's ``ceil``/``floor`` tie cases);
 * degenerate segments and repeated vertices (dirty GIS rings);
 * geometry entirely or partially off the buffer (clipping interplay);
 * non-square buffers (row/column transposition bugs).
 
-The fragment-routing tests pin the tentpole property: *every* draw type
-(basic lines, anti-aliased lines, filled polygons, points) flows through
-the same per-fragment pipeline, so depth/stencil/blend/logic/color-mask
-state behaves identically regardless of which rasterizer produced the
-fragments.  Historically the basic paths wrote ``fb.color`` directly and
-silently ignored all of that state.
+The fragment-routing tests pin that the card's one draw - anti-aliased
+edge arrays - flows through the per-fragment pipeline, so
+depth/stencil/blend/logic/color-mask state applies to the fragments the
+rasterizer produced.
 """
 
 import numpy as np
@@ -25,11 +22,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.geometry import Rect
+from repro.geometry import Polygon, Rect
 from repro.gpu import (
     GraphicsPipeline,
-    lines_basic_coverage_mask,
-    lines_basic_coverage_mask_reference,
     polygon_coverage_mask,
     polygon_fill_coverage_mask,
     rasterize_line_aa_conservative,
@@ -82,14 +77,6 @@ def brute_force_evenodd(shape, vertices):
 
 
 class TestValidation:
-    def test_lines_bad_shape(self):
-        with pytest.raises(ValueError):
-            lines_basic_coverage_mask((4, 4), np.zeros((3, 3)))
-
-    def test_lines_empty(self):
-        mask = lines_basic_coverage_mask((4, 6), np.empty((0, 4)))
-        assert mask.shape == (4, 6) and not mask.any()
-
     def test_polygon_too_few_vertices(self):
         with pytest.raises(ValueError):
             polygon_fill_coverage_mask((4, 4), np.zeros((2, 2)))
@@ -97,42 +84,6 @@ class TestValidation:
     def test_polygon_bad_shape(self):
         with pytest.raises(ValueError):
             polygon_fill_coverage_mask((4, 4), np.zeros((4, 3)))
-
-
-class TestLinesBitIdentity:
-    @settings(max_examples=300, deadline=None)
-    @given(shape=shapes, edges=edge_lists)
-    def test_matches_reference(self, shape, edges):
-        got = lines_basic_coverage_mask(shape, edges)
-        want = lines_basic_coverage_mask_reference(shape, edges)
-        assert np.array_equal(got, want)
-
-    def test_degenerate_segment_is_empty(self):
-        # A zero-length segment never exits any diamond: no pixels.
-        edges = np.array([[3.5, 3.5, 3.5, 3.5]])
-        assert not lines_basic_coverage_mask((8, 8), edges).any()
-        assert not lines_basic_coverage_mask_reference((8, 8), edges).any()
-
-    def test_endpoint_inside_diamond_suppresses_pixel(self):
-        # The diamond-exit rule: the end point's own diamond is not lit.
-        edges = np.array([[0.5, 2.5, 4.4, 2.5]])
-        got = lines_basic_coverage_mask((8, 8), edges)
-        want = lines_basic_coverage_mask_reference((8, 8), edges)
-        assert np.array_equal(got, want)
-        assert not got[2, 4]  # end point (4.4, 2.5) is inside pixel 4's diamond
-
-    def test_off_buffer_segment(self):
-        edges = np.array([[-10.0, -10.0, -5.0, -8.0]])
-        assert not lines_basic_coverage_mask((6, 6), edges).any()
-
-    def test_many_edges_chunking(self):
-        # Exceed the chunk size to exercise the chunked OR-reduction.
-        rng = np.random.default_rng(7)
-        edges = rng.uniform(-2.0, 10.0, size=(300, 4))
-        shape = (32, 32)  # 300 * 1024 > _DIAMOND_CHUNK_BUDGET
-        got = lines_basic_coverage_mask(shape, edges)
-        want = lines_basic_coverage_mask_reference(shape, edges)
-        assert np.array_equal(got, want)
 
 
 class TestPolygonBitIdentity:
@@ -257,9 +208,9 @@ class TestScanlineRowBounds:
 
 
 class TestFragmentRouting:
-    """Every draw type honors the full fragment pipeline (the tentpole)."""
+    """The edge draw honors the full fragment pipeline."""
 
-    @pytest.mark.parametrize("draw", ["basic_lines", "fill", "point", "aa_lines"])
+    @pytest.mark.parametrize("draw", ["aa_lines"])
     def test_color_write_false_writes_nothing(self, draw):
         pl = GraphicsPipeline(16)
         pl.set_data_window(Rect(0.0, 0.0, 16.0, 16.0))
@@ -270,7 +221,7 @@ class TestFragmentRouting:
         # Fragments still count as written (they ran the pipeline).
         assert pl.counters.pixels_written > 0
 
-    @pytest.mark.parametrize("draw", ["basic_lines", "fill", "point", "aa_lines"])
+    @pytest.mark.parametrize("draw", ["aa_lines"])
     def test_depth_test_discards_everything(self, draw):
         pl = GraphicsPipeline(16)
         pl.set_data_window(Rect(0.0, 0.0, 16.0, 16.0))
@@ -282,7 +233,7 @@ class TestFragmentRouting:
         assert not pl.fb.color.any()
         assert pl.counters.pixels_written == 0
 
-    @pytest.mark.parametrize("draw", ["basic_lines", "fill", "point", "aa_lines"])
+    @pytest.mark.parametrize("draw", ["aa_lines"])
     def test_stencil_increments_once_per_fragment(self, draw):
         pl = GraphicsPipeline(16)
         pl.set_data_window(Rect(0.0, 0.0, 16.0, 16.0))
@@ -296,7 +247,7 @@ class TestFragmentRouting:
         assert set(np.unique(pl.fb.stencil)) <= {0, 1}
         assert int(pl.fb.stencil.sum()) == pl.counters.pixels_written
 
-    @pytest.mark.parametrize("draw", ["basic_lines", "fill", "point", "aa_lines"])
+    @pytest.mark.parametrize("draw", ["aa_lines"])
     def test_blend_accumulates(self, draw):
         pl = GraphicsPipeline(16)
         pl.set_data_window(Rect(0.0, 0.0, 16.0, 16.0))
@@ -309,7 +260,7 @@ class TestFragmentRouting:
         assert covered.any()
         assert np.allclose(pl.fb.color[covered], 1.0)
 
-    @pytest.mark.parametrize("draw", ["basic_lines", "fill", "point", "aa_lines"])
+    @pytest.mark.parametrize("draw", ["aa_lines"])
     def test_logic_or_sets_bits(self, draw):
         pl = GraphicsPipeline(16)
         pl.set_data_window(Rect(0.0, 0.0, 16.0, 16.0))
@@ -327,70 +278,18 @@ class TestFragmentRouting:
 
     @staticmethod
     def _draw(pl, kind):
-        if kind == "basic_lines":
-            pl.state.antialias = False
-            pl.draw_polygon_edges([(1.2, 1.3), (11.7, 2.4), (9.1, 12.8)])
-        elif kind == "fill":
-            pl.draw_filled_polygon([(3.0, 3.0), (13.0, 4.0), (8.0, 13.0)])
-        elif kind == "point":
-            pl.state.antialias = False
-            pl.draw_point(5.3, 6.7)
-        else:
-            pl.state.antialias = True
-            pl.draw_polygon_edges([(2.1, 2.2), (12.3, 3.1), (7.7, 11.9)])
+        assert kind == "aa_lines"
+        pl.draw_edges_array(
+            Polygon([(2.1, 2.2), (12.3, 3.1), (7.7, 11.9)]).edges_array
+        )
 
 
 class TestCounterIdentities:
-    def test_fill_clipping_identity(self):
-        # Satellite: draw_filled_polygon used to bump edges_rendered by the
-        # vertex count with no clipping stage, breaking the identity
-        # submitted == rendered + clipped_away that edge draws maintain.
-        pl = GraphicsPipeline(8)
-        pl.set_data_window(Rect(0.0, 0.0, 8.0, 8.0))
-        # The (-50,-50)-(-60,-50) edge lies entirely off-viewport.
-        coords = [
-            (1.0, 1.0),
-            (6.0, 1.0),
-            (6.0, 6.0),
-            (1.0, 6.0),
-            (-50.0, -50.0),
-            (-60.0, -50.0),
-        ]
-        pl.draw_filled_polygon(coords)
-        c = pl.counters
-        assert c.edges_rendered + c.edges_clipped_away == len(coords)
-        assert c.edges_clipped_away == 1
-
-    def test_fill_all_edges_in_viewport(self):
-        pl = GraphicsPipeline(8)
-        pl.set_data_window(Rect(0.0, 0.0, 8.0, 8.0))
-        pl.draw_filled_polygon([(1.0, 1.0), (6.0, 1.0), (6.0, 6.0), (1.0, 6.0)])
-        c = pl.counters
-        assert c.edges_rendered == 4
-        assert c.edges_clipped_away == 0
-
-    def test_fill_offscreen_edges_still_fill_interior(self):
-        # Clipping is accounting only: a polygon larger than the viewport
-        # has every edge clipped away yet fills every pixel.
-        pl = GraphicsPipeline(8)
-        pl.set_data_window(Rect(0.0, 0.0, 8.0, 8.0))
-        pl.draw_filled_polygon(
-            [(-100.0, -100.0), (100.0, -100.0), (100.0, 100.0), (-100.0, 100.0)]
-        )
-        c = pl.counters
-        assert c.edges_clipped_away == 4
-        assert c.edges_rendered == 0
-        assert (pl.fb.color > 0.0).all()
-        assert c.pixels_written == 64
-
     def test_pixels_written_is_distinct_fragments_for_every_type(self):
         # Uniform semantics: pixels_written counts the distinct fragments
-        # that survived fragment ops, for every draw type.
-        for kind in ("basic_lines", "fill", "point", "aa_lines"):
-            pl = GraphicsPipeline(16)
-            pl.set_data_window(Rect(0.0, 0.0, 16.0, 16.0))
-            pl.clear_color(0.0)
-            TestFragmentRouting._draw(pl, kind)
-            assert pl.counters.pixels_written == int(
-                np.count_nonzero(pl.fb.color)
-            ), kind
+        # that survived fragment ops.
+        pl = GraphicsPipeline(16)
+        pl.set_data_window(Rect(0.0, 0.0, 16.0, 16.0))
+        pl.clear_color(0.0)
+        TestFragmentRouting._draw(pl, "aa_lines")
+        assert pl.counters.pixels_written == int(np.count_nonzero(pl.fb.color))

@@ -26,6 +26,8 @@ from repro.obs import (
     replay_events,
     use_recorder,
 )
+from repro.obs.__main__ import main as obs_main
+from repro.obs.capture import write_events
 from repro.query import IntersectionJoin, IntersectionSelection
 
 from ..strategies import polygon_pairs_nearby
@@ -52,6 +54,42 @@ def record_pair_test(method, a, b, snapshot=True):
         if snapshot:
             recorder.snapshot_framebuffer(test.pipeline)
     return recorder, verdict
+
+
+class HookSpy(CommandRecorder):
+    """Notes every ``on_*`` hook the pipelines fetch from the recorder."""
+
+    def __init__(self):
+        super().__init__()
+        self.fired = set()
+
+    def __getattribute__(self, name):
+        if name.startswith("on_"):
+            object.__getattribute__(self, "fired").add(name)
+        return object.__getattribute__(self, name)
+
+
+def test_every_capture_hook_is_fired_by_a_hardware_path(dataset_a, dataset_b):
+    """The recorder's vocabulary is what the hardware paths issue, no more.
+
+    A hook stays only while some entry point of the hardware test reaches
+    it; the replayer dispatching a command, or another hook naming it, is
+    not traffic - which a static name search cannot tell apart.
+    """
+    a, b = dataset_a.polygons[0], dataset_b.polygons[0]
+    window = pair_window(a, b)
+    d = window.width / 16.0  # half a pixel at resolution 8: within the limit
+    spy = HookSpy()
+    with use_recorder(spy):
+        for method in OVERLAP_METHODS:
+            hw_test(method).intersection_verdict(a, b, window)
+        test = hw_test()
+        test.overlap_image(a, b, window)
+        assert test.distance_verdict(a, b, window, d).value != "unsupported"
+        test.distance_field_verdict(a, b, window, d)
+        test.intersection_verdicts_batch([(a, b, window)])
+    assert spy.fired == {n for n in vars(CommandRecorder) if n.startswith("on_")}
+    replay_events(spy.events).assert_ok()
 
 
 class TestZeroOverheadDefault:
@@ -96,7 +134,7 @@ class TestPersistence:
         a, b = dataset_a.polygons[0], dataset_a.polygons[1]
         recorder, _ = record_pair_test("accum", a, b)
         path = tmp_path / "cap.jsonl"
-        recorder.save(str(path))
+        write_events(str(path), recorder.events)
         loaded = load_capture(str(path))
         assert loaded == json.loads(json.dumps(recorder.events))
         replay_events(loaded).assert_ok()
@@ -112,7 +150,7 @@ class TestPersistence:
 
     def test_schema_header_written_and_checked(self, tmp_path):
         path = tmp_path / "cap.jsonl"
-        CommandRecorder().save(str(path))
+        write_events(str(path), CommandRecorder().events)
         first = path.read_text().splitlines()[0]
         assert json.loads(first) == {"schema": CAPTURE_SCHEMA}
         path.write_text('{"schema": "repro.obs/capture@99"}\n')
@@ -196,6 +234,56 @@ class TestReplayDivergence:
             replay_events([{"seq": 0, "cmd": "warp_drive"}])
 
 
+_HEADER = {"schema": CAPTURE_SCHEMA}
+_INIT = {
+    "seq": 0, "cmd": "init", "pid": "p0", "width": 8, "height": 8,
+    "limits": {"max_aa_line_width": 10.0, "max_point_size": 10.0, "max_viewport": 2048},
+    "state": {}, "window": [0.0, 0.0, 8.0, 8.0],
+}
+
+
+@pytest.mark.parametrize(
+    "lines, complaint",
+    [
+        ([_HEADER, {"cmd": "init"}], "init event lacks pid, width"),
+        (
+            [_HEADER, _INIT, {"cmd": "clear", "pid": "p0", "buffer": "nope", "value": 0}],
+            "seq 1: unknown buffer 'nope'",
+        ),
+        (
+            [_HEADER, _INIT, {"cmd": "accum", "pid": "p0", "op": "__init__", "scale": 1}],
+            "seq 1: unknown op '__init__'",
+        ),
+        ([_HEADER, [1, 2]], "seq 0: event is not a JSON object"),
+        (
+            [_HEADER, {**_INIT, "state": {"bogus": 1, "line_width": "wide"}}],
+            "unknown raster-state field 'bogus'",
+        ),
+        ([_HEADER, {**_INIT, "state": {"line_width": "wide"}}], "cannot be 'wide'"),
+        ([_HEADER, {**_INIT, "width": "8"}], "seq 0: malformed init event"),
+        (
+            [{"schema": "repro.obs/capture@1"}, _INIT],
+            f"'repro.obs/capture@1' is not {CAPTURE_SCHEMA!r}",
+        ),
+    ],
+    ids=[
+        "missing-fields", "unknown-buffer", "unknown-accum-op", "not-an-object",
+        "unknown-state-key", "state-value-type", "field-value-type", "schema-1",
+    ],
+)
+def test_replay_cli_reports_a_malformed_capture_as_an_error(
+    tmp_path, capsys, lines, complaint
+):
+    """A capture is outside data: *error* (exit 2) is a third outcome beside
+    MATCH and DIVERGED - never a traceback, never a silent MATCH."""
+    path = tmp_path / "bad.jsonl"
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+    assert obs_main(["replay", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and complaint in captured.err
+    assert "MATCH" not in captured.out
+
+
 @pytest.mark.parametrize("method", OVERLAP_METHODS)
 class TestCaptureReplayAllMethods:
     """Satellite: capture -> replay bit-identity across every overlap method.
@@ -251,7 +339,7 @@ class TestQueryCaptureReplay:
             result = selection.run(query)
         assert recorder.events  # the query actually reached the hardware
         path = tmp_path / "selection.jsonl"
-        recorder.save(str(path))
+        write_events(str(path), recorder.events)
         replay = replay_capture(str(path))
         replay.assert_ok()
         assert replay.checks > 0

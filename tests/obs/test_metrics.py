@@ -181,7 +181,7 @@ class TestRegistry:
         reg.counter("runs", kind="join").inc(3)
         reg.gauge("capacity").set(256)
         reg.histogram("dur", stage="geometry").observe(0.125)
-        clone = MetricsRegistry.from_json(reg.to_json())
+        clone = MetricsRegistry.from_snapshot(json.loads(reg.to_json()))
         assert clone.snapshot() == reg.snapshot()
 
     def test_merge_rejects_foreign_schema(self):

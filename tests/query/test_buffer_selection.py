@@ -13,13 +13,12 @@ from repro.geometry import polygons_within_distance
 from repro.query import WithinDistanceJoin
 
 
-def buffer_selection(dataset, engine, query, d, **filters):
+def buffer_selection(dataset, engine, query, d):
     """(ids of ``dataset`` objects within ``d`` of ``query``, cost)."""
     res = WithinDistanceJoin(
         SpatialDataset("query", [query], world=dataset.world),
         dataset,
         engine,
-        **filters,
     ).run(d)
     return [j for _, j in res.pairs], res.cost
 
@@ -67,19 +66,6 @@ class TestCorrectness:
     def test_rejects_negative_distance(self, dataset_a, queries):
         with pytest.raises(ValueError):
             buffer_selection(dataset_a, SoftwareEngine(), queries[0], -1.0)
-
-    def test_filters_do_not_change_results(self, dataset_a, queries, unit_d):
-        for q in queries:
-            plain, _ = buffer_selection(
-                dataset_a,
-                SoftwareEngine(),
-                q,
-                unit_d,
-                use_zero_object=False,
-                use_one_object=False,
-            )
-            filtered, _ = buffer_selection(dataset_a, SoftwareEngine(), q, unit_d)
-            assert plain == filtered
 
 
 class TestBehaviour:

@@ -36,20 +36,6 @@ class TestCorrectness:
         res = WithinDistanceJoin(dataset_a, dataset_b, engine).run(d)
         assert res.pairs == reference_pairs(dataset_a, dataset_b, d)
 
-    def test_filters_do_not_change_results(self, dataset_a, dataset_b, base_d):
-        d = base_d
-        with_filters = WithinDistanceJoin(
-            dataset_a, dataset_b, SoftwareEngine()
-        ).run(d)
-        without = WithinDistanceJoin(
-            dataset_a,
-            dataset_b,
-            SoftwareEngine(),
-            use_zero_object=False,
-            use_one_object=False,
-        ).run(d)
-        assert with_filters.pairs == without.pairs
-
     def test_zero_distance_equals_intersection_join(self, dataset_a, dataset_b):
         from repro.query import IntersectionJoin
 
@@ -78,47 +64,3 @@ class TestFilterBehaviour:
         small = set(join.run(base_d * 0.1).pairs)
         large = set(join.run(base_d * 2.0).pairs)
         assert small <= large
-
-    def test_zero_object_only(self, dataset_a, dataset_b, base_d):
-        join = WithinDistanceJoin(
-            dataset_a, dataset_b, SoftwareEngine(), use_one_object=False
-        )
-        res = join.run(base_d)
-        assert res.pairs == reference_pairs(dataset_a, dataset_b, base_d)
-
-    def test_one_object_only(self, dataset_a, dataset_b, base_d):
-        join = WithinDistanceJoin(
-            dataset_a, dataset_b, SoftwareEngine(), use_zero_object=False
-        )
-        res = join.run(base_d)
-        assert res.pairs == reference_pairs(dataset_a, dataset_b, base_d)
-
-    def test_one_object_filter_tightens_zero_object(
-        self, dataset_a, dataset_b, base_d
-    ):
-        both = WithinDistanceJoin(dataset_a, dataset_b, SoftwareEngine()).run(
-            base_d
-        )
-        zero_only = WithinDistanceJoin(
-            dataset_a, dataset_b, SoftwareEngine(), use_one_object=False
-        ).run(base_d)
-        assert both.cost.filter_positives >= zero_only.cost.filter_positives
-
-
-class TestHullFilter:
-    def test_hull_filter_does_not_change_results(self, dataset_a, dataset_b, base_d):
-        plain = WithinDistanceJoin(dataset_a, dataset_b, SoftwareEngine()).run(
-            base_d
-        )
-        with_hulls = WithinDistanceJoin(
-            dataset_a, dataset_b, SoftwareEngine(), use_hull_filter=True
-        ).run(base_d)
-        assert with_hulls.pairs == plain.pairs
-
-    def test_hull_filter_rejects_some_pairs(self, dataset_a, dataset_b, base_d):
-        join = WithinDistanceJoin(
-            dataset_a, dataset_b, SoftwareEngine(), use_hull_filter=True
-        )
-        join.run(base_d * 0.1)
-        assert join.hulls_a is not None
-        assert join.hulls_a.stats.rejected > 0

@@ -18,7 +18,6 @@ from repro.serve import (
     QueryRequest,
     QueryService,
     ServingEngine,
-    ServingWorkload,
     WorkloadConfig,
     canonical_results,
 )
