@@ -152,7 +152,7 @@ class HardwareSegmentTest:
         lines are drawn, so the device line-width limit is irrelevant, and
         the rendering cost does not grow with ``d``.
         """
-        if d < 0.0:
+        if not d >= 0.0:
             raise ValueError("distance must be non-negative")
         return self._verdicts(
             "within_distance", "field", [(a, b, window)], d, None,
@@ -207,7 +207,7 @@ class HardwareSegmentTest:
         intersection test at ``d == 0`` (recorded as one, under
         ``op=intersect``), the field test in ``"field"`` mode, else lines
         widened per pair by Equation (1)."""
-        if d < 0.0:
+        if not d >= 0.0:
             raise ValueError("distance must be non-negative")
         if d == 0.0:
             return self._verdicts(

@@ -42,7 +42,7 @@ def distance_window(mbr_a: Rect, mbr_b: Rect, d: float) -> Rect:
     window - so rendering both boundaries into this window preserves every
     witness.
     """
-    if d < 0.0:
+    if not d >= 0.0:
         raise ValueError("distance must be non-negative")
     smaller = mbr_a if mbr_a.area <= mbr_b.area else mbr_b
     return smaller.expand(d)

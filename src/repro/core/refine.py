@@ -161,7 +161,7 @@ def refine_items(
     if within:
         if distance is None:
             raise ValueError("op 'within_distance' requires a distance")
-        if distance < 0.0:
+        if not distance >= 0.0:
             raise ValueError("distance must be non-negative")
     contains = op == "contains"
 

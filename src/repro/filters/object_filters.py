@@ -20,34 +20,43 @@ positive result and skips geometry comparison entirely (paper section
 
 Both bounds are proven upper bounds (property-tested against the exact
 distance), so filter positives are always true positives.
+
+Neither walks ``Point`` objects.  The 0-Object bound takes ``math.hypot``
+once per distinct corner pair; the 1-Object bound ranks every (side, vertex)
+entry by squared distance over the coordinate array and takes ``math.hypot``
+only on the entries the squares cannot separate from the minimum
+(:mod:`repro.geometry.hypot_order`), so its value is the vertex loop's.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from ..geometry.hypot_order import hypot_min_candidates
 from ..geometry.polygon import Polygon
 from ..geometry.rect import Rect
 
 
+#: Which x side and which y side (0 = min, 1 = max) each MBR corner takes,
+#: counter-clockwise from (xmin, ymin) as ``Rect.corners`` lists them.
+_CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+
+
 def zero_object_upper_bound(a: Rect, b: Rect) -> float:
     """Upper bound on the distance between objects with MBRs ``a`` and ``b``."""
-    ca = a.corners()
+    # 16 side pairs, but only 16 distinct corner pairs between them.
     cb = b.corners()
+    between = [[math.hypot(p.x - q.x, p.y - q.y) for q in cb] for p in a.corners()]
     best = math.inf
     for i in range(4):
-        a0 = ca[i]
-        a1 = ca[(i + 1) % 4]
+        row0 = between[i]
+        row1 = between[(i + 1) % 4]
         for j in range(4):
-            b0 = cb[j]
-            b1 = cb[(j + 1) % 4]
+            k = (j + 1) % 4
             # Max distance between the two sides = max endpoint pair.
-            side_max = max(
-                a0.distance_to(b0),
-                a0.distance_to(b1),
-                a1.distance_to(b0),
-                a1.distance_to(b1),
-            )
+            side_max = max(row0[j], row0[k], row1[j], row1[k])
             if side_max < best:
                 best = side_max
     return best
@@ -57,19 +66,31 @@ def one_object_upper_bound(retrieved: Polygon, other_mbr: Rect) -> float:
     """Upper bound using the retrieved polygon against the other object's MBR.
 
     Never looser than necessary: for degenerate MBRs (point or segment) the
-    side iteration still works because ``Rect.corners`` repeats coincident
-    corners.
+    side iteration still works because coincident corners repeat.
     """
-    corners = other_mbr.corners()
+    r = other_mbr
+    x, y = retrieved.coords_array.T
+    with np.errstate(over="ignore"):
+        dxs = (x - r.xmin, x - r.xmax)
+        dys = (y - r.ymin, y - r.ymax)
+        x_squares = [d * d for d in dxs]
+        y_squares = [d * d for d in dys]
+        # squared[c, i]: vertex i to corner c, the first corner repeated to
+        # close the ring.  Side j joins corners j and j + 1, and an entry's
+        # bound is the larger of its two corner distances.
+        squared = np.empty((5, len(x)))
+        for c, (cx, cy) in enumerate(_CORNERS + _CORNERS[:1]):
+            np.add(x_squares[cx], y_squares[cy], out=squared[c])
+        side_max = np.maximum(squared[:4], squared[1:])
+
+    def to_corner(c: int, i: int) -> float:
+        cx, cy = _CORNERS[c % 4]
+        return math.hypot(dxs[cx][i], dys[cy][i])
+
     best = math.inf
-    for j in range(4):
-        b0 = corners[j]
-        b1 = corners[(j + 1) % 4]
-        side_best = math.inf
-        for p in retrieved.vertices:
-            bound = max(p.distance_to(b0), p.distance_to(b1))
-            if bound < side_best:
-                side_best = bound
-        if side_best < best:
-            best = side_best
+    for entry in hypot_min_candidates(side_max).tolist():
+        j, i = divmod(entry, len(x))
+        bound = max(to_corner(j, i), to_corner(j + 1, i))
+        if bound < best:
+            best = bound
     return best

@@ -10,22 +10,36 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
+from .hypot_order import first_min_hypot
 from .point import Point
 from .point_in_polygon import PointLocation, locate_point
 from .polygon import Polygon
-from .segment import point_segment_distance, segment_segment_distance
+from .segment import segment_segment_distance
 
 
 def point_to_boundary_distance(p: Point, polygon: Polygon) -> float:
-    """Minimum distance from ``p`` to the polygon's boundary."""
-    best = math.inf
-    for a, b in polygon.edges():
-        d = point_segment_distance(p, a, b)
-        if d < best:
-            best = d
-            if best == 0.0:
-                break
-    return best
+    """Minimum distance from ``p`` to the polygon's boundary.
+
+    :func:`~repro.geometry.segment.point_segment_distance` over every edge
+    row at once: the projection parameter, its clamp and the closest point
+    are that function's operations, one float64 ufunc each, and the minimum
+    over ``p - closest`` takes ``math.hypot`` on the tie set only
+    (:mod:`repro.geometry.hypot_order`), so the value is the edge loop's.
+    """
+    px, py = p.x, p.y
+    ax, ay, bx, by = polygon.edges_array.T
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        abx = bx - ax
+        aby = by - ay
+        denom = abx * abx + aby * aby
+        t = ((px - ax) * abx + (py - ay) * aby) / denom
+        at_a = (denom == 0.0) | (t <= 0.0)
+        at_b = t >= 1.0
+        dx = px - np.where(at_a, ax, np.where(at_b, bx, ax + t * abx))
+        dy = py - np.where(at_a, ay, np.where(at_b, by, ay + t * aby))
+    return first_min_hypot(dx, dy)[1]
 
 
 def point_to_polygon_distance(p: Point, polygon: Polygon) -> float:
@@ -84,7 +98,7 @@ def polygon_distance_brute_force(a: Polygon, b: Polygon) -> float:
 
 def polygons_within_distance_brute_force(a: Polygon, b: Polygon, d: float) -> bool:
     """Reference within-distance predicate: ``distance(a, b) <= d``."""
-    if d < 0.0:
+    if not d >= 0.0:
         raise ValueError("distance must be non-negative")
     if a.mbr.min_distance(b.mbr) > d:
         return False

@@ -16,23 +16,29 @@ version of the minDist algorithm by Chan [4]", which
 The frontier chain here is derived from a cheap upper bound: a linear pass
 finds the vertex of each polygon nearest the other's MBR and scores it
 against the other boundary, and every edge whose MBR cannot beat that bound
-is excluded.  Edge pairs are then compared best-first with MBR-distance
-pruning, which preserves exactness while usually touching a small fraction
-of the quadratic pair space.
+is excluded.  Both passes and both chain filters are array kernels that
+rank by squared distance and take ``math.hypot`` only where the squares do
+not decide (:mod:`repro.geometry.hypot_order`), so the bound and the chains
+are the scalar loops'.  Edge pairs are then compared best-first with
+MBR-distance pruning, which preserves exactness while usually touching a
+small fraction of the quadratic pair space.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import List, Optional
 
-from .distance import either_contains
+import numpy as np
+
+from .distance import either_contains, point_to_boundary_distance
+from .hypot_order import first_min_hypot, hypot_at_most
 from .point import Point
 from .polygon import Polygon
 from .rect import Rect
-from .segment import point_segment_distance, segment_segment_distance
-from .sweep import _Edge, _flatten_edges
+from .segment import segment_segment_distance
+from .sweep import _Edge, _edge_records
 
 
 @dataclass
@@ -68,29 +74,47 @@ def _edge_edge_mbr_distance(e: _Edge, f: _Edge) -> float:
     return math.hypot(dx, dy)
 
 
+def _gaps_to_rect(xmin, ymin, xmax, ymax, r: Rect):
+    """Axis gaps ``dx, dy`` between each box of the four columns and ``r``:
+    what ``Rect.distance_to_point`` (a point is a box with ``min == max``) and
+    ``_edge_rect_distance`` hand to ``math.hypot``."""
+    dx = np.maximum(np.maximum(xmin - r.xmax, 0.0), r.xmin - xmax)
+    dy = np.maximum(np.maximum(ymin - r.ymax, 0.0), r.ymin - ymax)
+    return dx, dy
+
+
 def _initial_upper_bound(a: Polygon, b: Polygon) -> float:
     """Distance from the vertex of ``a`` nearest ``b``'s MBR to ``b``'s boundary.
 
     Linear in ``len(a) + len(b)`` and usually tight enough to shrink the
     frontier chains to short stretches of boundary.
     """
-    b_mbr = b.mbr
-    best_vertex: Optional[Point] = None
-    best_rect_d = math.inf
-    for v in a.vertices:
-        d = b_mbr.distance_to_point(v)
-        if d < best_rect_d:
-            best_rect_d = d
-            best_vertex = v
-    assert best_vertex is not None
-    bound = math.inf
-    for qa, qb in b.edges():
-        d = point_segment_distance(best_vertex, qa, qb)
-        if d < bound:
-            bound = d
-            if bound == 0.0:
-                break
-    return bound
+    x, y = a.coords_array.T
+    nearest, _ = first_min_hypot(*_gaps_to_rect(x, y, x, y, b.mbr))
+    assert nearest >= 0
+    return point_to_boundary_distance(a.vertices[nearest], b)
+
+
+def _chain(
+    polygon: Polygon, other_mbr: Rect, upper: Optional[float], radius: Optional[float]
+) -> List[_Edge]:
+    """Edge records of ``polygon`` that survive the chain filters against the
+    other polygon's MBR, in boundary order.
+
+    ``upper`` keeps the frontier chain - edges whose box could realize a
+    distance ``<= upper``, i.e. ``_edge_rect_distance(e, other_mbr) <= upper``
+    over the ``edge_bounds`` rows; ``radius`` keeps the stretches inside the
+    other MBR extended by it (Figure 9d).  ``None`` switches a filter off.
+    """
+    xmin, ymin, xmax, ymax = polygon.edge_bounds
+    keep = None
+    if upper is not None:
+        keep = hypot_at_most(*_gaps_to_rect(xmin, ymin, xmax, ymax, other_mbr), upper)
+    if radius is not None:
+        ext = other_mbr.expand(radius)
+        in_ext = (xmin <= ext.xmax) & (ext.xmin <= xmax) & (ymin <= ext.ymax) & (ext.ymin <= ymax)
+        keep = in_ext if keep is None else keep & in_ext
+    return _edge_records(polygon, None if keep is None else np.flatnonzero(keep))
 
 
 def min_boundary_distance(
@@ -109,12 +133,10 @@ def min_boundary_distance(
     and ``use_extended_mbr`` toggle the two pruning stages for ablations;
     with both off the routine degenerates to the quadratic reference scan.
     """
-    edges_a = _flatten_edges(a, None)
-    edges_b = _flatten_edges(b, None)
     if stats is not None:
-        stats.edge_pairs_total += len(edges_a) * len(edges_b)
+        stats.edge_pairs_total += a.num_vertices * b.num_vertices
         # Linear passes: flatten + initial bound scan both boundaries.
-        stats.edges_scanned += 2 * (len(edges_a) + len(edges_b))
+        stats.edges_scanned += 2 * (a.num_vertices + b.num_vertices)
 
     upper = _initial_upper_bound(a, b)
     upper = min(upper, _initial_upper_bound(b, a))
@@ -124,32 +146,15 @@ def min_boundary_distance(
             stats.early_exits += 1
         return upper
 
-    if use_frontier:
-        # Frontier chains: edges that could possibly realize a distance <= upper.
-        edges_a = [e for e in edges_a if _edge_rect_distance(e, b.mbr) <= upper]
-        edges_b = [e for e in edges_b if _edge_rect_distance(e, a.mbr) <= upper]
+    # Frontier chains: edges that could possibly realize a distance <= upper.
+    frontier = upper if use_frontier else None
+    radius = None
     if use_extended_mbr:
         # Figure 9d: only the stretches of the frontier chains within the
         # other MBR extended by the pruning radius can matter.
         radius = upper if early_exit_at is None else min(upper, early_exit_at)
-        ext_b = b.mbr.expand(radius)
-        ext_a = a.mbr.expand(radius)
-        edges_a = [
-            e
-            for e in edges_a
-            if e[0] <= ext_b.xmax
-            and ext_b.xmin <= e[1]
-            and e[2] <= ext_b.ymax
-            and ext_b.ymin <= e[3]
-        ]
-        edges_b = [
-            e
-            for e in edges_b
-            if e[0] <= ext_a.xmax
-            and ext_a.xmin <= e[1]
-            and e[2] <= ext_a.ymax
-            and ext_a.ymin <= e[3]
-        ]
+    edges_a = _chain(a, b.mbr, frontier, radius)
+    edges_b = _chain(b, a.mbr, frontier, radius)
     if stats is not None:
         stats.frontier_pairs += len(edges_a) * len(edges_b)
 
@@ -195,7 +200,7 @@ def polygons_within_distance(
     MBR prefilter, containment check, then frontier-chain minDist with both
     optimizations (early exit at ``d``; extended-MBR chain clipping).
     """
-    if d < 0.0:
+    if not d >= 0.0:
         raise ValueError("distance must be non-negative")
     if not a.mbr.within_distance(b.mbr, d):
         return False

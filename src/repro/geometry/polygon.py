@@ -23,9 +23,8 @@ class VertexView(Sequence[Point]):
     """``Polygon.vertices``: the coordinate array read as ``Point`` objects.
 
     Indexing builds just the points asked for.  A full iteration builds all
-    of them once and keeps them on the polygon, so the loops that walk
-    ``Point`` objects (the ``hypot``-based distance bounds) pay for the
-    objects on their first pass only.
+    of them once and keeps them on the polygon, so a loop that walks
+    ``Point`` objects pays for the objects on its first pass only.
     """
 
     __slots__ = ("_polygon",)
@@ -190,9 +189,10 @@ class Polygon:
         """Each edge's bounding box as a read-only ``(4, n)`` array, rows
         ``xmin, ymin, xmax, ymax`` over :attr:`edges_array` (cached).
 
-        The second derived array: the sweep's search-space restriction and
-        the atlas's clipping stage both test these rows against a window
-        instead of recomputing the four min/max passes on every call.
+        The second derived array: the sweep's search-space restriction, the
+        atlas's clipping stage and ``minDist``'s chain filters all test these
+        rows against a window instead of recomputing the four min/max passes
+        on every call.
         """
         if self._edge_bounds is None:
             arr = edge_bounds(self.edges_array)

@@ -62,6 +62,20 @@ class SweepStats:
         self.intersections_found += other.intersections_found
 
 
+def _edge_records(polygon: Polygon, keep: Optional[np.ndarray]) -> List[_Edge]:
+    """Edge records of ``polygon``: all of them, or the rows ``keep`` indexes.
+
+    Records leave as tuples of Python floats: the sweep and ``minDist`` sort
+    and index them one at a time.
+    """
+    ax, ay, bx, by = polygon.edges_array.T
+    xmin, ymin, xmax, ymax = polygon.edge_bounds
+    columns = [xmin, xmax, ymin, ymax, ax, ay, bx, by]
+    if keep is not None:
+        columns = [column[keep] for column in columns]
+    return list(zip(*[column.tolist() for column in columns]))
+
+
 def _flatten_edges(
     polygon: Polygon, window: Optional[Rect]
 ) -> List[_Edge]:
@@ -69,21 +83,18 @@ def _flatten_edges(
 
     The restriction keeps any edge whose own MBR intersects the window; every
     boundary crossing lies in the window (the intersection of the two object
-    MBRs), so restriction never loses a crossing.  Records leave as tuples of
-    Python floats: the sweep sorts and indexes them one at a time.
+    MBRs), so restriction never loses a crossing.
     """
-    ax, ay, bx, by = polygon.edges_array.T
+    if window is None:
+        return _edge_records(polygon, None)
     xmin, ymin, xmax, ymax = polygon.edge_bounds
-    columns = [xmin, xmax, ymin, ymax, ax, ay, bx, by]
-    if window is not None:
-        keep = np.flatnonzero(
-            (xmin <= window.xmax)
-            & (window.xmin <= xmax)
-            & (ymin <= window.ymax)
-            & (window.ymin <= ymax)
-        )
-        columns = [column[keep] for column in columns]
-    return list(zip(*[column.tolist() for column in columns]))
+    keep = np.flatnonzero(
+        (xmin <= window.xmax)
+        & (window.xmin <= xmax)
+        & (ymin <= window.ymax)
+        & (window.ymin <= ymax)
+    )
+    return _edge_records(polygon, keep)
 
 
 def _edges_cross(e: _Edge, f: _Edge) -> bool:

@@ -26,7 +26,7 @@ def plane_sweep_mbr_join(
     ``O(n log n + k)``-ish time via an x-sweep with lazily pruned active
     lists.
     """
-    if distance < 0.0:
+    if not distance >= 0.0:
         raise ValueError("distance must be non-negative")
     events: List[Tuple[float, int, int, Rect]] = []
     for i, r in enumerate(mbrs_a):
@@ -57,7 +57,7 @@ def nested_loop_mbr_join(
     distance: float = 0.0,
 ) -> List[Tuple[int, int]]:
     """Quadratic reference join used by the property-based tests."""
-    if distance < 0.0:
+    if not distance >= 0.0:
         raise ValueError("distance must be non-negative")
     return [
         (i, j)

@@ -79,7 +79,7 @@ class RTree:
         The MBR distance lower-bounds the object distance, so this is the
         MBR-filtering stage of the within-distance join (section 4.1.1).
         """
-        if d < 0.0:
+        if not d >= 0.0:
             raise ValueError("distance must be non-negative")
         out: List[object] = []
         if self.root.mbr is None:

@@ -53,7 +53,7 @@ class WithinDistanceJoin:
         self.executor = executor
 
     def run(self, d: float) -> WithinDistanceResult:
-        if d < 0.0:
+        if not d >= 0.0:
             raise ValueError("distance must be non-negative")
         cost = CostBreakdown()
         obs = observe_pipeline("within_distance_join", self.engine)

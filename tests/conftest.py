@@ -13,7 +13,10 @@
 
 import os
 
+import pytest
 from hypothesis import settings
+
+from repro.geometry import hypot_order
 
 settings.register_profile(
     "repro",
@@ -22,3 +25,10 @@ settings.register_profile(
     print_blob=True,
 )
 settings.load_profile("repro")
+
+
+@pytest.fixture
+def no_slack(monkeypatch):
+    """The mutant of the ``hypot_order`` exactness argument: rank by squares
+    alone (``SLACK = 1.0``).  The literal inversion cases must fail under it."""
+    monkeypatch.setattr(hypot_order, "SLACK", 1.0)

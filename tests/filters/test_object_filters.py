@@ -2,14 +2,75 @@
 
 import math
 
+import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.filters import one_object_upper_bound, zero_object_upper_bound
 from repro.geometry import Polygon, Rect, polygon_distance_brute_force
-from tests.strategies import polygon_pairs_nearby, rects, star_polygons
+from tests.strategies import HYPOT_FAR as FAR_VERTEX
+from tests.strategies import HYPOT_NEAR as NEAR_VERTEX
+from tests.strategies import (
+    adversarial_rings,
+    lattices,
+    polygon_pairs_nearby,
+    rects,
+    star_polygons,
+)
 
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 FAR = Polygon.from_coords([(10, 10), (12, 10), (12, 12), (10, 12)])
+
+ORIGIN_MBR = Rect(0.0, 0.0, 0.0, 0.0)
+
+
+def zero_object_side_pair_loop(a: Rect, b: Rect) -> float:
+    """The 16 side pairs x 4 ``Point.distance_to`` calls
+    ``zero_object_upper_bound`` used to be, kept as its oracle."""
+    ca = a.corners()
+    cb = b.corners()
+    best = math.inf
+    for i in range(4):
+        a0 = ca[i]
+        a1 = ca[(i + 1) % 4]
+        for j in range(4):
+            b0 = cb[j]
+            b1 = cb[(j + 1) % 4]
+            side_max = max(
+                a0.distance_to(b0),
+                a0.distance_to(b1),
+                a1.distance_to(b0),
+                a1.distance_to(b1),
+            )
+            if side_max < best:
+                best = side_max
+    return best
+
+
+def one_object_vertex_loop(retrieved: Polygon, other_mbr: Rect) -> float:
+    """The side-by-side walk over ``Point`` vertices
+    ``one_object_upper_bound`` used to be, kept as its oracle."""
+    corners = other_mbr.corners()
+    best = math.inf
+    for j in range(4):
+        b0 = corners[j]
+        b1 = corners[(j + 1) % 4]
+        side_best = math.inf
+        for p in retrieved.vertices:
+            bound = max(p.distance_to(b0), p.distance_to(b1))
+            if bound < side_best:
+                side_best = bound
+        if side_best < best:
+            best = side_best
+    return best
+
+
+@st.composite
+def lattice_rects(draw, cells) -> Rect:
+    """A rect on the lattice; point and segment MBRs come up by themselves
+    (eleven cells a side)."""
+    x1, x2, y1, y2 = (draw(cells) for _ in range(4))
+    return Rect(min(x1, x2), min(y1, y2), max(x1, x2), max(y1, y2))
 
 
 class TestZeroObject:
@@ -47,6 +108,19 @@ class TestZeroObject:
             zero_object_upper_bound(a, b), zero_object_upper_bound(b, a)
         )
 
+    @given(st.data())
+    def test_equals_the_side_pair_loop(self, data):
+        cells = data.draw(lattices)
+        a = data.draw(st.one_of(rects(), lattice_rects(cells)))
+        b = data.draw(st.one_of(rects(), lattice_rects(cells)))
+        assert zero_object_upper_bound(a, b) == zero_object_side_pair_loop(a, b)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_equals_the_loop_where_squares_would_under_or_overflow(self, scale):
+        a = Rect(0.0, 0.0, 2.0 * scale, 1.0 * scale)
+        b = Rect(5.0 * scale, 3.0 * scale, 6.0 * scale, 7.0 * scale)
+        assert zero_object_upper_bound(a, b) == zero_object_side_pair_loop(a, b)
+
 
 class TestOneObject:
     def test_known_case(self):
@@ -72,3 +146,38 @@ class TestOneObject:
         bound = one_object_upper_bound(poly, poly.mbr)
         diag = math.hypot(poly.mbr.width, poly.mbr.height)
         assert 0.0 <= bound <= diag + 1e-9
+
+    @given(st.data())
+    def test_equals_the_vertex_loop(self, data):
+        """Values, not verdicts: float equality with the scalar loop, on
+        star polygons and on raw lattice rings (repeated vertices, so many
+        exactly tied entries) against lattice MBRs that are often a point
+        or a segment, and against the ring's own MBR (a vertex on every
+        side: the minimum sits on the other boundary)."""
+        cells = data.draw(lattices)
+        poly = data.draw(st.one_of(star_polygons(), adversarial_rings(cells).map(Polygon)))
+        mbr = data.draw(st.one_of(rects(), lattice_rects(cells), st.just(poly.mbr)))
+        assert one_object_upper_bound(poly, mbr) == one_object_vertex_loop(poly, mbr)
+
+    @given(adversarial_rings().map(Polygon), st.integers(0, 8))
+    def test_a_vertex_on_the_point_mbr_bounds_at_zero(self, poly, i):
+        x, y = poly.coords_array[i % poly.num_vertices].tolist()
+        assert one_object_upper_bound(poly, Rect(x, y, x, y)) == 0.0
+
+    def test_squared_order_and_hypot_order_invert(self):
+        # Against a point MBR the bound is the nearest vertex's distance.
+        poly = Polygon.from_coords([FAR_VERTEX, NEAR_VERTEX, (5.0, 5.0)])
+        assert one_object_vertex_loop(poly, ORIGIN_MBR) == math.hypot(*NEAR_VERTEX)
+        assert one_object_upper_bound(poly, ORIGIN_MBR) == math.hypot(*NEAR_VERTEX)
+
+    def test_mutant_without_slack_fails_the_inverted_case(self, no_slack):
+        poly = Polygon.from_coords([FAR_VERTEX, NEAR_VERTEX, (5.0, 5.0)])
+        assert one_object_upper_bound(poly, ORIGIN_MBR) == math.hypot(*FAR_VERTEX)
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_equals_the_loop_where_squares_under_or_overflow(self, scale):
+        poly = Polygon.from_coords(
+            [(3.0 * scale, 5.0 * scale), (3.0 * scale, 4.0 * scale), (9.0 * scale, 1.0 * scale)]
+        )
+        for mbr in (ORIGIN_MBR, Rect(0.0, 0.0, scale, 2.0 * scale)):
+            assert one_object_upper_bound(poly, mbr) == one_object_vertex_loop(poly, mbr)

@@ -8,15 +8,33 @@ from hypothesis import strategies as st
 
 from repro.geometry import (
     MinDistStats,
+    Point,
     Polygon,
     boundary_distance_brute_force,
     min_boundary_distance,
+    point_segment_distance,
+    point_to_boundary_distance,
     polygon_distance_brute_force,
     polygons_within_distance,
     polygons_within_distance_brute_force,
+    segment_segment_distance,
+)
+from repro.geometry.min_dist import (
+    _chain,
+    _edge_edge_mbr_distance,
+    _edge_rect_distance,
+    _initial_upper_bound,
 )
 from repro.geometry.sweep import _flatten_edges
-from tests.strategies import adversarial_rings, polygon_pairs_nearby, star_polygons
+from tests.strategies import HYPOT_FAR as FAR_VERTEX
+from tests.strategies import HYPOT_NEAR as NEAR_VERTEX
+from tests.strategies import (
+    adversarial_rings,
+    lattices,
+    polygon_pairs_nearby,
+    rings_with_query_point,
+    star_polygons,
+)
 
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 FAR = Polygon.from_coords([(10, 10), (12, 10), (12, 12), (10, 12)])
@@ -34,6 +52,108 @@ def _flat_edges_edge_by_edge(polygon):
         out.append((ax, ay, bx, by, min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
         ax, ay = bx, by
     return out
+
+
+def point_to_boundary_edge_loop(p, polygon):
+    """The edge-by-edge walk ``point_to_boundary_distance`` used to be (and
+    ``_initial_upper_bound`` repeated), kept as the kernel's oracle."""
+    best = math.inf
+    for a, b in polygon.edges():
+        d = point_segment_distance(p, a, b)
+        if d < best:
+            best = d
+            if best == 0.0:
+                break
+    return best
+
+
+def initial_upper_bound_loop(a, b):
+    """``_initial_upper_bound`` as two ``Point`` loops, kept as its oracle."""
+    b_mbr = b.mbr
+    best_vertex = None
+    best_rect_d = math.inf
+    for v in a.vertices:
+        d = b_mbr.distance_to_point(v)
+        if d < best_rect_d:
+            best_rect_d = d
+            best_vertex = v
+    assert best_vertex is not None
+    return point_to_boundary_edge_loop(best_vertex, b)
+
+
+def _box_meets(e, ext):
+    return e[0] <= ext.xmax and ext.xmin <= e[1] and e[2] <= ext.ymax and ext.ymin <= e[3]
+
+
+def min_boundary_distance_loops(
+    a, b, early_exit_at=None, use_frontier=True, use_extended_mbr=True, stats=None
+):
+    """``min_boundary_distance`` with its seed and both chain filters as
+    loops over every edge record, kept as the oracle for the value and for
+    every ``MinDistStats`` counter.  The best-first pair loop is the one the
+    routine still runs."""
+    edges_a = _flatten_edges(a, None)
+    edges_b = _flatten_edges(b, None)
+    if stats is not None:
+        stats.edge_pairs_total += len(edges_a) * len(edges_b)
+        stats.edges_scanned += 2 * (len(edges_a) + len(edges_b))
+    upper = min(initial_upper_bound_loop(a, b), initial_upper_bound_loop(b, a))
+    target = early_exit_at if early_exit_at is not None else -math.inf
+    if upper <= target:
+        if stats is not None:
+            stats.early_exits += 1
+        return upper
+    if use_frontier:
+        edges_a = [e for e in edges_a if _edge_rect_distance(e, b.mbr) <= upper]
+        edges_b = [e for e in edges_b if _edge_rect_distance(e, a.mbr) <= upper]
+    if use_extended_mbr:
+        radius = upper if early_exit_at is None else min(upper, early_exit_at)
+        edges_a = [e for e in edges_a if _box_meets(e, b.mbr.expand(radius))]
+        edges_b = [e for e in edges_b if _box_meets(e, a.mbr.expand(radius))]
+    if stats is not None:
+        stats.frontier_pairs += len(edges_a) * len(edges_b)
+    best = upper
+    tested = 0
+    for e in edges_a:
+        if _edge_rect_distance(e, b.mbr) > best:
+            continue
+        pa = Point(e[4], e[5])
+        pb = Point(e[6], e[7])
+        for f in edges_b:
+            if _edge_edge_mbr_distance(e, f) > best:
+                continue
+            tested += 1
+            d = segment_segment_distance(pa, pb, Point(f[4], f[5]), Point(f[6], f[7]))
+            if d < best:
+                best = d
+                if best <= target:
+                    if stats is not None:
+                        stats.pairs_tested += tested
+                        stats.early_exits += 1
+                    return best
+                if best == 0.0:
+                    if stats is not None:
+                        stats.pairs_tested += tested
+                    return 0.0
+    if stats is not None:
+        stats.pairs_tested += tested
+    return best
+
+
+ORIGIN = Point(0.0, 0.0)
+#: A legal, fully degenerate ring: its MBR is the point (0, 0).
+ORIGIN_RING = Polygon.from_coords([(0.0, 0.0)] * 3)
+
+
+def spike(tip):
+    """Two vertices beyond ``tip`` (as seen from the origin) and the tip
+    between them: the point of both edges nearest the origin is ``tip``."""
+    x, y = tip
+    return [(2 * x - 0.1 * y, 2 * y + 0.1 * x), tip, (2 * x + 0.1 * y, 2 * y - 0.1 * x)]
+
+
+#: Nearest the origin at ``NEAR_VERTEX`` by ``hypot``, at ``FAR_VERTEX`` by squares.
+TWO_SPIKES = Polygon.from_coords(spike(FAR_VERTEX) + spike(NEAR_VERTEX))
 
 
 class TestBruteForce:
@@ -111,6 +231,140 @@ class TestMinBoundaryDistance:
         approx = min_boundary_distance(a, b, early_exit_at=d)
         # The early-exit result decides the predicate identically.
         assert (approx <= d) == (exact <= d)
+
+
+class TestKernelsEqualTheirLoops:
+    """Values, not verdicts: each array kernel against the scalar loop it
+    replaced, with float equality."""
+
+    @given(rings_with_query_point())
+    def test_point_to_boundary_on_adversarial_rings(self, ring_and_point):
+        # Query points on a vertex or an edge make the minimum exactly zero.
+        ring, p = ring_and_point
+        poly = Polygon(ring)
+        assert point_to_boundary_distance(p, poly) == point_to_boundary_edge_loop(p, poly)
+
+    @given(star_polygons(), st.integers(-200, 200), st.integers(-200, 200))
+    def test_point_to_boundary_on_star_polygons(self, poly, x, y):
+        p = Point(x / 8.0, y / 8.0)
+        assert point_to_boundary_distance(p, poly) == point_to_boundary_edge_loop(p, poly)
+
+    @given(st.data())
+    def test_initial_upper_bound(self, data):
+        # One lattice for both rings: shared vertices (a zero minimum) and
+        # exactly tied vertices are the norm; MBRs are often segments.
+        cells = data.draw(lattices)
+        a = Polygon(data.draw(adversarial_rings(cells)))
+        b = Polygon(data.draw(adversarial_rings(cells)))
+        assert _initial_upper_bound(a, b) == initial_upper_bound_loop(a, b)
+        assert _initial_upper_bound(b, a) == initial_upper_bound_loop(b, a)
+
+    @given(polygon_pairs_nearby())
+    def test_initial_upper_bound_on_nearby_pairs(self, pair):
+        a, b = pair
+        assert _initial_upper_bound(a, b) == initial_upper_bound_loop(a, b)
+
+    @given(polygon_pairs_nearby(), st.sampled_from(["at", "under", "over", "none"]),
+           st.booleans(), st.booleans())
+    def test_value_and_counters(self, pair, where, use_frontier, use_extended_mbr):
+        """``early_exit_at`` at, one ulp under and one ulp over the seed
+        bound: the value and all five counters are the oracle's."""
+        a, b = pair
+        seed = min(initial_upper_bound_loop(a, b), initial_upper_bound_loop(b, a))
+        early = {
+            "at": seed,
+            "under": math.nextafter(seed, -math.inf),
+            "over": math.nextafter(seed, math.inf),
+            "none": None,
+        }[where]
+        got, expected = MinDistStats(), MinDistStats()
+        kwargs = dict(
+            early_exit_at=early, use_frontier=use_frontier, use_extended_mbr=use_extended_mbr
+        )
+        assert min_boundary_distance(a, b, stats=got, **kwargs) == min_boundary_distance_loops(
+            a, b, stats=expected, **kwargs
+        )
+        assert got == expected
+
+    @given(adversarial_rings().map(Polygon), adversarial_rings().map(Polygon))
+    def test_value_and_counters_on_adversarial_rings(self, a, b):
+        got, expected = MinDistStats(), MinDistStats()
+        assert min_boundary_distance(a, b, stats=got) == min_boundary_distance_loops(
+            a, b, stats=expected
+        )
+        assert got == expected
+
+
+class TestSquaredOrderAndHypotOrderInvert:
+    """The regime the slack exists for, built into a polygon against a
+    point MBR per kernel; the ``SLACK = 1.0`` mutant must get each wrong."""
+
+    def test_nearest_vertex_to_the_mbr(self):
+        a = Polygon.from_coords([FAR_VERTEX, NEAR_VERTEX, (5.0, 5.0)])
+        assert initial_upper_bound_loop(a, ORIGIN_RING) == math.hypot(*NEAR_VERTEX)
+        assert _initial_upper_bound(a, ORIGIN_RING) == math.hypot(*NEAR_VERTEX)
+
+    def test_mutant_picks_the_wrong_vertex(self, no_slack):
+        a = Polygon.from_coords([FAR_VERTEX, NEAR_VERTEX, (5.0, 5.0)])
+        assert _initial_upper_bound(a, ORIGIN_RING) == math.hypot(*FAR_VERTEX)
+
+    def test_point_to_boundary(self):
+        assert point_to_boundary_edge_loop(ORIGIN, TWO_SPIKES) == math.hypot(*NEAR_VERTEX)
+        assert point_to_boundary_distance(ORIGIN, TWO_SPIKES) == math.hypot(*NEAR_VERTEX)
+
+    def test_mutant_picks_the_wrong_edge(self, no_slack):
+        assert point_to_boundary_distance(ORIGIN, TWO_SPIKES) == math.hypot(*FAR_VERTEX)
+
+    def frontier_by_loop(self):
+        # Each spike's two edge boxes have their corner nearest the origin
+        # at the tip.  FAR_VERTEX is not within hypot(NEAR_VERTEX), though
+        # its square is within the squared bound - and NEAR_VERTEX's is not.
+        upper = math.hypot(*NEAR_VERTEX)
+        mbr = ORIGIN_RING.mbr
+        records = _flatten_edges(TWO_SPIKES, None)
+        return upper, [e for e in records if _edge_rect_distance(e, mbr) <= upper]
+
+    def test_frontier_chain(self):
+        upper, expected = self.frontier_by_loop()
+        assert [e[4:] for e in expected] == [
+            (*spike(NEAR_VERTEX)[0], *NEAR_VERTEX),
+            (*NEAR_VERTEX, *spike(NEAR_VERTEX)[2]),
+        ]
+        assert _chain(TWO_SPIKES, ORIGIN_RING.mbr, upper, None) == expected
+
+    def test_mutant_keeps_the_wrong_spike(self, no_slack):
+        upper, expected = self.frontier_by_loop()
+        assert _chain(TWO_SPIKES, ORIGIN_RING.mbr, upper, None) != expected
+
+
+class TestWhereSquaresUnderOrOverflow:
+    """Offsets of 1e-170 square to zero and coordinates of 1e160 to inf:
+    the ranking decides nothing there and the kernels still equal the loops."""
+
+    @pytest.mark.parametrize("scale", [1e-170, 1e160])
+    def test_scaled_pair(self, scale):
+        a = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)]).scaled(scale, ORIGIN)
+        b = Polygon.from_coords([(7, 1), (9, 2), (8, 5), (6, 3)]).scaled(scale, ORIGIN)
+        for p, q in ((a, b), (b, a)):
+            assert _initial_upper_bound(p, q) == initial_upper_bound_loop(p, q)
+            for v in p.vertices:
+                assert point_to_boundary_distance(v, q) == point_to_boundary_edge_loop(v, q)
+        got, expected = MinDistStats(), MinDistStats()
+        assert min_boundary_distance(a, b, stats=got) == min_boundary_distance_loops(
+            a, b, stats=expected
+        )
+        assert got == expected
+
+    def test_tiny_offsets_from_a_large_coordinate_free_origin(self):
+        # The seed is ~1e-170 (its square underflows) between unit-size rings.
+        a = Polygon.from_coords([(0, 0), (1, 0), (1, 1), (0, 1)])
+        b = Polygon.from_coords([(-1, 0.5), (-1e-170, 0.5), (-1, 1)])
+        got, expected = MinDistStats(), MinDistStats()
+        assert min_boundary_distance(a, b, stats=got) == min_boundary_distance_loops(
+            a, b, stats=expected
+        )
+        assert got == expected
+        assert min_boundary_distance(a, b) == 1e-170
 
 
 class TestEdgeRecords:
