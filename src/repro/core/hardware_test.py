@@ -222,11 +222,19 @@ class HardwareSegmentTest:
             "within_distance", self.config.method, pairs, d, widths, render
         )
 
-    def required_line_width(self, window: Rect, d: float) -> int:
+    def required_line_width(self, window: Rect, d: float) -> float:
         """Pixel width Equation (1) assigns to distance ``d`` under ``window``:
-        ``ceil(d * scale)`` of the window's own projection, at least 1."""
+        ``ceil(d * scale)`` of the window's own projection, at least 1.
+
+        A non-finite ``d * scale`` (an infinite ``d`` projects an infinite
+        window at scale 0, and ``inf * 0`` is NaN) is ``inf``: wider than
+        any device draws, so the width limit sends the pair to software.
+        """
         pl = self.pipeline
-        return max(1, math.ceil(d * uniform_window_scale(pl.width, pl.height, window)))
+        width = d * uniform_window_scale(pl.width, pl.height, window)
+        if not math.isfinite(width):
+            return math.inf
+        return max(1, math.ceil(width))
 
     # -- the one verdict routine -------------------------------------------
 

@@ -15,7 +15,14 @@ from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 import numpy as np
 
 from .point import Point
-from .point_in_polygon import PointLocation, edge_bounds, locate_point, ring_edges
+from .point_in_polygon import (
+    EdgeSlabs,
+    PointLocation,
+    edge_bounds,
+    edge_slabs,
+    locate_point,
+    ring_edges,
+)
 from .rect import Rect
 
 
@@ -33,9 +40,9 @@ class VertexView(Sequence[Point]):
         self._polygon = polygon
 
     @property
-    def edges_array(self) -> np.ndarray:
-        """The polygon's cached edge rows: what ``locate_point`` scans."""
-        return self._polygon.edges_array
+    def edge_slabs(self) -> EdgeSlabs:
+        """The polygon's cached edge slabs: what ``locate_point`` scans."""
+        return self._polygon.edge_slabs
 
     def __len__(self) -> int:
         return len(self._polygon.coords_array)
@@ -77,8 +84,8 @@ class Polygon:
     """
 
     __slots__ = (
-        "coords_array", "_edges_array", "_edge_bounds",
-        "_points", "_mbr", "_signed_area", "_digest",
+        "coords_array", "_edges_array", "_edge_bounds", "_edge_slabs",
+        "_sweep_records", "_points", "_mbr", "_signed_area", "_digest",
     )
 
     def __init__(
@@ -175,8 +182,8 @@ class Polygon:
         ``[x0, y0, x1, y1]`` rows, closing the ring (cached).
 
         Edge ``i`` runs from vertex ``i-1`` to vertex ``i``, matching
-        :meth:`edges`.  The point-in-polygon scan, the sweep's edge
-        flattening and the hardware path's draw calls all read these rows.
+        :meth:`edges`.  The hardware path's draw calls read these rows;
+        the point-in-polygon slabs and the sweep records are built from them.
         """
         if self._edges_array is None:
             arr = ring_edges(self.coords_array)
@@ -189,16 +196,44 @@ class Polygon:
         """Each edge's bounding box as a read-only ``(4, n)`` array, rows
         ``xmin, ymin, xmax, ymax`` over :attr:`edges_array` (cached).
 
-        The second derived array: the sweep's search-space restriction, the
-        atlas's clipping stage and ``minDist``'s chain filters all test these
-        rows against a window instead of recomputing the four min/max passes
-        on every call.
+        The second derived array: the atlas's clipping stage and
+        ``minDist``'s chain filters test these rows against a window instead
+        of recomputing the four min/max passes on every call.
         """
         if self._edge_bounds is None:
             arr = edge_bounds(self.edges_array)
             arr.setflags(write=False)
             object.__setattr__(self, "_edge_bounds", arr)
         return self._edge_bounds
+
+    @property
+    def edge_slabs(self) -> EdgeSlabs:
+        """:attr:`edges_array` bucketed into ``isqrt(n)`` horizontal slabs
+        (cached): ``locate_point`` scans only the slab its ray starts in."""
+        if self._edge_slabs is None:
+            object.__setattr__(self, "_edge_slabs", edge_slabs(self.edges_array))
+        return self._edge_slabs
+
+    @property
+    def sweep_records(self) -> np.ndarray:
+        """The red-blue sweep's edge records as a read-only ``(8, n)`` array,
+        rows ``xmin, xmax, ymin, ymax, ax, ay, bx, by``, with the records
+        (columns) in the order ``sorted()`` puts those tuples - ties in
+        boundary order (cached).
+
+        ``np.lexsort`` is stable and, like tuple comparison, holds ``-0.0``
+        and ``0.0`` equal, so one sort here stands for the ``sorted()`` every
+        sweep used to run; any column subset is still in that order.
+        """
+        if self._sweep_records is None:
+            xmin, ymin, xmax, ymax = self.edge_bounds
+            ax, ay, bx, by = self.edges_array.T
+            records = np.stack([xmin, xmax, ymin, ymax, ax, ay, bx, by])
+            # lexsort's primary key is its last.
+            records = records.take(np.lexsort(records[::-1]), axis=1)
+            records.setflags(write=False)
+            object.__setattr__(self, "_sweep_records", records)
+        return self._sweep_records
 
     @property
     def digest(self) -> bytes:

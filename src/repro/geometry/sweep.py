@@ -33,8 +33,9 @@ from .polygon import Polygon
 from .predicates import on_segment, segments_intersect
 from .rect import Rect
 
-# Flattened edge record: (xmin, xmax, ymin, ymax, ax, ay, bx, by)
-_Edge = Tuple[float, float, float, float, float, float, float, float]
+# Edge record (xmin, xmax, ymin, ymax, ax, ay, bx, by) of Python floats: a
+# tuple from _edge_records, a list from a Polygon.sweep_records column.
+_Edge = Sequence[float]
 
 IgnorePair = Callable[[int, int], bool]
 
@@ -63,10 +64,10 @@ class SweepStats:
 
 
 def _edge_records(polygon: Polygon, keep: Optional[np.ndarray]) -> List[_Edge]:
-    """Edge records of ``polygon``: all of them, or the rows ``keep`` indexes.
-
-    Records leave as tuples of Python floats: the sweep and ``minDist`` sort
-    and index them one at a time.
+    """Edge records of ``polygon`` in boundary order: all of them, or the
+    rows ``keep`` indexes - ``minDist``'s chains, whose pair loop counts in
+    that order.  Records leave as tuples of Python floats, indexed one at a
+    time.
     """
     ax, ay, bx, by = polygon.edges_array.T
     xmin, ymin, xmax, ymax = polygon.edge_bounds
@@ -76,25 +77,20 @@ def _edge_records(polygon: Polygon, keep: Optional[np.ndarray]) -> List[_Edge]:
     return list(zip(*[column.tolist() for column in columns]))
 
 
-def _flatten_edges(
-    polygon: Polygon, window: Optional[Rect]
-) -> List[_Edge]:
-    """Edge records of ``polygon``, optionally restricted to ``window``.
+def _restricted(records: np.ndarray, window: Rect) -> np.ndarray:
+    """The columns of ``(8, n)`` sweep records whose edge box meets ``window``.
 
-    The restriction keeps any edge whose own MBR intersects the window; every
-    boundary crossing lies in the window (the intersection of the two object
-    MBRs), so restriction never loses a crossing.
+    Every boundary crossing lies in the window (the intersection of the two
+    object MBRs), so restriction never loses a crossing.
     """
-    if window is None:
-        return _edge_records(polygon, None)
-    xmin, ymin, xmax, ymax = polygon.edge_bounds
-    keep = np.flatnonzero(
+    xmin, xmax, ymin, ymax = records[:4]
+    keep = (
         (xmin <= window.xmax)
         & (window.xmin <= xmax)
         & (ymin <= window.ymax)
         & (window.ymin <= ymax)
     )
-    return _edge_records(polygon, keep)
+    return records.compress(keep, axis=1)
 
 
 def _edges_cross(e: _Edge, f: _Edge) -> bool:
@@ -106,32 +102,49 @@ def _edges_cross(e: _Edge, f: _Edge) -> bool:
     )
 
 
-def red_blue_intersection(
-    red: Sequence[_Edge],
-    blue: Sequence[_Edge],
+def boundaries_intersect(
+    a: Polygon,
+    b: Polygon,
+    restrict_search_space: bool = True,
     stats: Optional[SweepStats] = None,
 ) -> bool:
-    """True when any red edge intersects any blue edge (closed segments).
+    """True when the boundaries of ``a`` and ``b`` share at least one point.
 
-    Both inputs must be edge records from :func:`_flatten_edges`; they are
-    sorted here, so callers may pass them in any order.
+    With ``restrict_search_space`` (the default, as in the paper), only edges
+    intersecting the common MBR window are swept.  Containment (one polygon
+    strictly inside the other) is invisible to this test by design; the
+    point-in-polygon step of the full intersection test covers it.
+
+    Each polygon's records arrive presorted (``Polygon.sweep_records``) and
+    the restriction keeps that order, so red (``a``) and blue (``b``) merge
+    into the event sequence with one stable sort on ``xmin``: equal keys
+    keep red before blue, then each colour's own order.
     """
-    if not red or not blue:
+    if stats is not None:
+        stats.edges_considered += a.num_vertices + b.num_vertices
+    red, blue = a.sweep_records, b.sweep_records
+    if restrict_search_space:
+        window = a.mbr.intersection(b.mbr)
+        if window is None:
+            return False
+        red, blue = _restricted(red, window), _restricted(blue, window)
+    n_red = red.shape[1]
+    if stats is not None:
+        stats.edges_after_restriction += n_red + blue.shape[1]
+    if not n_red or not blue.shape[1]:
         return False
-    red_sorted = sorted(red)
-    blue_sorted = sorted(blue)
+    records = np.concatenate([red, blue], axis=1)
+    order = np.argsort(records[0], kind="stable")
+    events: List[_Edge] = records.take(order, axis=1).T.tolist()
+    colors: List[bool] = (order >= n_red).tolist()  # True: blue
 
     # Active sets: lists pruned lazily as the sweep advances.  Each arriving
     # edge is checked against the other color's active list.
     active: List[List[_Edge]] = [[], []]
-    events: List[Tuple[_Edge, int]] = [(e, 0) for e in red_sorted]
-    events += [(e, 1) for e in blue_sorted]
-    events.sort(key=lambda item: item[0][0])
-
     tests = 0
     processed = 0
     try:
-        for edge, color in events:
+        for edge, color in zip(events, colors):
             processed += 1
             x = edge[0]
             others = active[1 - color]
@@ -156,33 +169,6 @@ def red_blue_intersection(
         if stats is not None:
             stats.candidate_tests += tests
             stats.edges_processed += processed
-
-
-def boundaries_intersect(
-    a: Polygon,
-    b: Polygon,
-    restrict_search_space: bool = True,
-    stats: Optional[SweepStats] = None,
-) -> bool:
-    """True when the boundaries of ``a`` and ``b`` share at least one point.
-
-    With ``restrict_search_space`` (the default, as in the paper), only edges
-    intersecting the common MBR window are swept.  Containment (one polygon
-    strictly inside the other) is invisible to this test by design; the
-    point-in-polygon step of the full intersection test covers it.
-    """
-    if stats is not None:
-        stats.edges_considered += a.num_vertices + b.num_vertices
-    window: Optional[Rect] = None
-    if restrict_search_space:
-        window = a.mbr.intersection(b.mbr)
-        if window is None:
-            return False
-    red = _flatten_edges(a, window)
-    blue = _flatten_edges(b, window)
-    if stats is not None:
-        stats.edges_after_restriction += len(red) + len(blue)
-    return red_blue_intersection(red, blue, stats)
 
 
 def polygons_intersect(

@@ -25,7 +25,7 @@ from repro.geometry.min_dist import (
     _edge_rect_distance,
     _initial_upper_bound,
 )
-from repro.geometry.sweep import _flatten_edges
+from repro.geometry.sweep import _edge_records
 from tests.strategies import HYPOT_FAR as FAR_VERTEX
 from tests.strategies import HYPOT_NEAR as NEAR_VERTEX
 from tests.strategies import (
@@ -92,8 +92,8 @@ def min_boundary_distance_loops(
     loops over every edge record, kept as the oracle for the value and for
     every ``MinDistStats`` counter.  The best-first pair loop is the one the
     routine still runs."""
-    edges_a = _flatten_edges(a, None)
-    edges_b = _flatten_edges(b, None)
+    edges_a = _edge_records(a, None)
+    edges_b = _edge_records(b, None)
     if stats is not None:
         stats.edge_pairs_total += len(edges_a) * len(edges_b)
         stats.edges_scanned += 2 * (len(edges_a) + len(edges_b))
@@ -321,7 +321,7 @@ class TestSquaredOrderAndHypotOrderInvert:
         # its square is within the squared bound - and NEAR_VERTEX's is not.
         upper = math.hypot(*NEAR_VERTEX)
         mbr = ORIGIN_RING.mbr
-        records = _flatten_edges(TWO_SPIKES, None)
+        records = _edge_records(TWO_SPIKES, None)
         return upper, [e for e in records if _edge_rect_distance(e, mbr) <= upper]
 
     def test_frontier_chain(self):
@@ -373,7 +373,7 @@ class TestEdgeRecords:
 
     @given(st.one_of(adversarial_rings().map(Polygon), star_polygons()))
     def test_records_carry_the_old_loops_values(self, poly):
-        records = _flatten_edges(poly, None)
+        records = _edge_records(poly, None)
         old = _flat_edges_edge_by_edge(poly)
         assert len(records) == len(old) == poly.num_vertices
         for (xmin, xmax, ymin, ymax, *ends), o in zip(records, old):

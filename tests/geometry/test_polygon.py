@@ -120,8 +120,8 @@ class TestVerticesView:
         assert poly.vertices[0] is first_pass[0]
         assert [e[1] for e in poly.edges()] == first_pass
 
-    def test_view_exposes_the_polygons_edge_rows(self):
-        assert SQUARE.vertices.edges_array is SQUARE.edges_array
+    def test_view_exposes_the_polygons_edge_slabs(self):
+        assert SQUARE.vertices.edge_slabs is SQUARE.edge_slabs
 
 
 class TestAccessors:
@@ -177,6 +177,19 @@ class TestAccessors:
         assert clone._edge_bounds is None
         assert np.array_equal(clone.edge_bounds, expected)
         assert clone._edge_bounds is not None
+
+    def test_slabs_and_sweep_records_are_cached_read_only_and_not_pickled(self):
+        ring = Polygon.from_coords([(0, 0), (4, 1), (4, 1), (-2, 3), (1, -5)])
+        slabs, records = ring.edge_slabs, ring.sweep_records
+        assert ring.edge_slabs is slabs and ring.sweep_records is records
+        assert records.shape == (8, 5) and records.dtype == np.float64
+        for array in (slabs.rows, records):
+            with pytest.raises(ValueError):
+                array[0, 0] = 99.0
+        clone = pickle.loads(pickle.dumps(ring))
+        assert clone._edge_slabs is None and clone._sweep_records is None
+        assert np.array_equal(clone.sweep_records, records)
+        assert np.array_equal(clone.edge_slabs.rows, slabs.rows)
 
 
 class TestMeasures:

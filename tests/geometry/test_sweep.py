@@ -1,5 +1,9 @@
 """Tests for the red-blue boundary sweep (software segment intersection test)."""
 
+from typing import List, Optional
+
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -11,7 +15,8 @@ from repro.geometry import (
     boundaries_intersect_brute_force,
     polygons_intersect,
 )
-from repro.geometry.sweep import _flatten_edges
+from repro.geometry import sweep
+from repro.geometry.sweep import _edges_cross, _restricted
 from tests.strategies import (
     adversarial_rings,
     arbitrary_polygons,
@@ -27,7 +32,8 @@ INNER = Polygon.from_coords([(1, 1), (3, 1), (3, 3), (1, 3)])
 
 
 def _flatten_edges_edge_by_edge(polygon, window):
-    """The scalar loop ``_flatten_edges`` used to be, kept as its oracle."""
+    """Edge records flattened one edge at a time, in boundary order and
+    restricted to ``window``: the oracle for the sweep's records."""
     out = []
     if window is not None:
         wxmin, wymin, wxmax, wymax = window.as_tuple()
@@ -43,6 +49,61 @@ def _flatten_edges_edge_by_edge(polygon, window):
             out.append((xmin, xmax, ymin, ymax, ax, ay, bx, by))
         ax, ay = bx, by
     return out
+
+
+def red_blue_intersection(red, blue, stats=None):
+    """The sweep over per-call records: ``sorted()`` per colour, then a
+    stable ``list.sort`` on ``xmin`` over red followed by blue.  The oracle
+    for the presorted path's verdict and every counter."""
+    if not red or not blue:
+        return False
+    events = [(e, 0) for e in sorted(red)] + [(e, 1) for e in sorted(blue)]
+    events.sort(key=lambda item: item[0][0])
+    active: List[list] = [[], []]
+    tests = processed = 0
+    try:
+        for edge, color in events:
+            processed += 1
+            others = active[1 - color]
+            if others:
+                kept = []
+                for other in others:
+                    if other[1] < edge[0]:
+                        continue
+                    kept.append(other)
+                    if other[2] <= edge[3] and edge[2] <= other[3]:
+                        tests += 1
+                        if _edges_cross(edge, other):
+                            if stats is not None:
+                                stats.intersections_found += 1
+                            return True
+                active[1 - color] = kept
+            active[color].append(edge)
+        return False
+    finally:
+        if stats is not None:
+            stats.candidate_tests += tests
+            stats.edges_processed += processed
+
+
+def boundaries_intersect_by_loops(a, b, restrict, stats: Optional[SweepStats] = None):
+    """``boundaries_intersect`` over records flattened and sorted per call."""
+    if stats is not None:
+        stats.edges_considered += a.num_vertices + b.num_vertices
+    window = None
+    if restrict:
+        window = a.mbr.intersection(b.mbr)
+        if window is None:
+            return False
+    red = _flatten_edges_edge_by_edge(a, window)
+    blue = _flatten_edges_edge_by_edge(b, window)
+    if stats is not None:
+        stats.edges_after_restriction += len(red) + len(blue)
+    return red_blue_intersection(red, blue, stats)
+
+
+def _columns(records):
+    return [tuple(r) for r in records.T.tolist()]
 
 
 @st.composite
@@ -167,16 +228,17 @@ class TestPolygonsIntersect:
 
 
 class TestFlattenAgainstTheEdgeByEdgeLoop:
-    """The whole-array flattening must emit the scalar loop's records."""
+    """The cached records, restricted per call, must be the scalar loop's
+    records in the order ``sorted()`` gives them."""
 
     @given(_rings_with_window())
     def test_identical_records_with_and_without_a_window(self, case):
         a, _, window = case
         for w in (None, window, a.mbr):
-            records = _flatten_edges(a, w)
-            assert records == _flatten_edges_edge_by_edge(a, w)
-            # Plain Python floats in tuples: what sorted() and the sweep index.
-            assert all(type(r) is tuple and type(r[0]) is float for r in records)
+            records = a.sweep_records if w is None else _restricted(a.sweep_records, w)
+            assert _columns(records) == sorted(_flatten_edges_edge_by_edge(a, w))
+            # Plain Python floats: what the sweep's loop compares.
+            assert all(type(v) is float for row in records.tolist() for v in row)
 
     @given(_rings_with_window())
     def test_edges_after_restriction_counts_the_loops_survivors(self, case):
@@ -196,7 +258,87 @@ class TestFlattenAgainstTheEdgeByEdgeLoop:
 
     def test_window_sides_are_closed(self):
         # Edges that only touch the window's side or corner survive.
-        records = _flatten_edges(SQUARE, Rect(4, 4, 6, 6))
-        assert records == _flatten_edges_edge_by_edge(SQUARE, Rect(4, 4, 6, 6))
-        assert len(records) == 2
-        assert _flatten_edges(SQUARE, Rect(5, 5, 6, 6)) == []
+        records = _restricted(SQUARE.sweep_records, Rect(4, 4, 6, 6))
+        assert _columns(records) == sorted(_flatten_edges_edge_by_edge(SQUARE, Rect(4, 4, 6, 6)))
+        assert records.shape == (8, 2)
+        assert _restricted(SQUARE.sweep_records, Rect(5, 5, 6, 6)).shape == (8, 0)
+
+
+#: Two lattice triangles whose sweeps meet equal ``xmin`` keys across
+#: colours: the event order on those ties decides how many candidate tests
+#: run before the first crossing (1 in the loops' order, 2 with blue first).
+TIE_RED = Polygon.from_coords([(0, 1), (2, 4), (2, 3)])
+TIE_BLUE = Polygon.from_coords([(1, 0), (1, 2), (3, 0)])
+
+
+class _BlueFirstOnTies:
+    """``numpy`` as the sweep sees it, except that ``argsort`` hands equal
+    keys back last-first: blue before red, each colour reversed."""
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    @staticmethod
+    def argsort(keys, kind=None):
+        return len(keys) - 1 - np.argsort(keys[::-1], kind="stable")
+
+
+@pytest.fixture
+def blue_first_on_ties(monkeypatch):
+    """The mutant of the merge-order argument: the event sort loses its
+    stability, so ties no longer leave red first in ``sorted()`` order."""
+    monkeypatch.setattr(sweep, "np", _BlueFirstOnTies())
+
+
+class TestPresortedSweepAgainstTheLoops:
+    """Verdict and every ``SweepStats`` counter, restricted or not, equal the
+    sweep over records flattened and sorted per call."""
+
+    @staticmethod
+    def assert_same(a, b):
+        for restrict in (True, False):
+            got, expected = SweepStats(), SweepStats()
+            assert boundaries_intersect(a, b, restrict, got) == boundaries_intersect_by_loops(
+                a, b, restrict, expected
+            )
+            assert got == expected
+
+    @given(_rings_with_window())
+    def test_adversarial_rings(self, case):
+        a, b, _ = case
+        self.assert_same(a, b)
+        self.assert_same(b, a)
+
+    @settings(max_examples=150)
+    @given(polygon_pairs_nearby())
+    def test_nearby_star_polygons(self, pair):
+        self.assert_same(*pair)
+
+    @given(arbitrary_polygons(), arbitrary_polygons())
+    def test_nonsimple_rings(self, a, b):
+        self.assert_same(a, b)
+
+    def test_equal_xmin_ties_across_colours(self):
+        self.assert_same(TIE_RED, TIE_BLUE)
+        self.assert_same(TIE_BLUE, TIE_RED)
+        # Every edge starts at x = 0: the whole merge is one tie.
+        fan = Polygon.from_coords([(0, 0), (4, 1), (0, 2), (3, 3), (0, 4)])
+        self.assert_same(fan, fan.translated(0, 1))
+
+    def test_duplicated_edges(self):
+        twice = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 0), (4, 0), (4, 4)])
+        repeated = Polygon.from_coords([(1, -1), (1, -1), (3, 5), (3, 5), (2, 6)])
+        self.assert_same(twice, repeated)
+        self.assert_same(twice, twice)
+
+    def test_negative_and_positive_zero(self):
+        pos = Polygon.from_coords([(0.0, 0.0), (2.0, 1.0), (0.0, 2.0), (-1.0, 1.0)])
+        neg = Polygon.from_coords([(-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0), (-0.0, 3.0)])
+        self.assert_same(pos, neg)
+        self.assert_same(neg, pos)
+
+    def test_mutant_changes_candidate_tests(self, blue_first_on_ties):
+        got, expected = SweepStats(), SweepStats()
+        assert boundaries_intersect(TIE_RED, TIE_BLUE, True, got)
+        assert boundaries_intersect_by_loops(TIE_RED, TIE_BLUE, True, expected)
+        assert (got.candidate_tests, expected.candidate_tests) == (2, 1)

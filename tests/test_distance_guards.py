@@ -3,7 +3,8 @@
 ``d < 0.0`` lets NaN through (every comparison with NaN is false) and the
 pipelines then answer it - an empty join, a ``False`` predicate - where the
 serving front door (``serve/schema.py``) already refuses it.  Every guard is
-``not d >= 0.0``; ``inf`` stays a legal distance.
+``not d >= 0.0``; ``inf`` stays a legal distance, and on the hardware engine
+it is a width-limit fallback (section 4.4), not a crash.
 """
 
 import math
@@ -19,6 +20,7 @@ from repro.geometry import (
     polygons_within_distance_brute_force,
 )
 from repro.index import nested_loop_mbr_join, plane_sweep_mbr_join, str_bulk_load
+from repro.obs import MetricsRegistry, use_registry
 from repro.query import WithinDistanceJoin
 
 A = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
@@ -65,3 +67,30 @@ def test_an_infinite_distance_is_still_answered():
     assert polygons_within_distance(A, B, math.inf)
     assert polygons_within_distance_brute_force(A, B, math.inf)
     assert plane_sweep_mbr_join([A.mbr], [B.mbr], distance=math.inf) == [(0, 0)]
+
+
+#: Each hardware entry point at ``d = inf``: the call, and how many pairs
+#: reach the width limit.  The join's 0-Object bound is finite, so at
+#: ``inf`` it settles every candidate before the hardware stage.
+INFINITE = {
+    "engine.within_distance": (lambda e: e.within_distance(A, B, math.inf), 1),
+    "engine.refine": (lambda e: e.refine("within_distance", ITEMS, distance=math.inf), 1),
+    "WithinDistanceJoin.run": (lambda e: join(e).run(math.inf).pairs, 0),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(INFINITE))
+def test_an_infinite_distance_is_a_width_limit_fallback_on_the_hardware_engine(entry):
+    # Equation (1)'s width for an infinite distance is inf * 0 = NaN, which
+    # used to reach math.ceil and raise.
+    call, fallbacks = INFINITE[entry]
+    engine = HardwareEngine(HardwareConfig(resolution=8))
+    registry = MetricsRegistry()
+    with use_registry(registry):
+        answer = call(engine)
+    assert answer == call(SoftwareEngine())
+    assert answer
+    assert engine.stats.width_limit_fallbacks == fallbacks
+    assert engine.stats.hw_tests == fallbacks
+    key = "hw_line_width_overflow{method=accum,op=within_distance}"
+    assert registry.snapshot()["counters"].get(key, 0) == fallbacks
