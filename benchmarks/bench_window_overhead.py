@@ -33,7 +33,7 @@ ALTERNATING_REPEATS = 5
 
 def _build(windowed: bool) -> QueryService:
     return QueryService(
-        workload=WorkloadConfig(scale="tiny", backend="batched"),
+        workload=WorkloadConfig(scale="tiny"),
         workers=1,
         warm=True,
         health=HealthConfig() if windowed else None,

@@ -41,8 +41,9 @@ def trace_session(request):
     """Run the session under a tracer streaming spans to ``--trace-out``.
 
     Every :meth:`CostBreakdown.time_stage` call in every pipeline emits
-    spans into it automatically (zero call-site changes); the parallel
-    executor adds per-shard child spans.  No-op when the option is unset.
+    spans into it automatically (zero call-site changes); the hardware
+    stage adds ``geometry.hw_batch`` and ``gpu.tile_batch`` child spans.
+    No-op when the option is unset.
     """
     path = request.config.getoption("--trace-out")
     if not path:

@@ -39,7 +39,6 @@ from .core import (
     SoftwareEngine,
 )
 from .datasets import SpatialDataset, base_distance
-from .exec import ParallelExecutor
 from .geometry import Point, Polygon, Rect
 from .gpu import DeviceLimits, GraphicsPipeline
 from .obs import JsonLinesExporter, Tracer, use_tracer
@@ -69,7 +68,6 @@ __all__ = [
     "NearestNeighborQuery",
     "OVERLAP_METHODS",
     "PLATFORM_2003",
-    "ParallelExecutor",
     "Point",
     "Polygon",
     "Rect",

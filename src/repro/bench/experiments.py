@@ -24,7 +24,6 @@ query set, exactly as the paper does (section 4.1.2).
 
 from __future__ import annotations
 
-import os
 import random
 from typing import List, Tuple
 
@@ -38,7 +37,6 @@ from ..core import (
 )
 from ..core.projection import intersection_window, union_window
 from ..datasets import CATALOG, SpatialDataset, base_distance
-from ..exec import ParallelExecutor
 from ..filters.intervals import (
     DEFAULT_INTERVAL_LEVEL,
     IntervalIndex,
@@ -96,9 +94,9 @@ def per_pair_engine(config: HardwareConfig) -> HardwareEngine:
     return engine
 
 
-def _join(ds_a, ds_b, **options):
+def _join(ds_a, ds_b):
     """One intersection join as work for whichever engine is handed to it."""
-    return lambda engine: IntersectionJoin(ds_a, ds_b, engine, **options).run()
+    return lambda engine: IntersectionJoin(ds_a, ds_b, engine).run()
 
 
 def _within(ds_a, ds_b, d):
@@ -846,64 +844,6 @@ def ablation_hull_filter(ctx, pair=("WATER", "PRISM")):
 
 
 @experiment(
-    "exec-parallel",
-    title="Parallel batch refinement vs serial geometry stage",
-    columns=(
-        exact("engine"),
-        exact("mode"),
-        exact("workers"),
-        exact("candidates"),
-        wall("geometry_wall_ms"),
-        wall("speedup"),
-    ),
-    paper_expectation=(
-        "Tsitsigkos et al. (1908.11740): refinement of filter-and-"
-        "refine spatial joins parallelizes near-linearly under simple "
-        "candidate partitioning; expect >= 1.5x geometry-stage speedup "
-        "with 4 workers on hosts with >= 4 CPUs."
-    ),
-)
-def exec_parallel(ctx, worker_counts=(2, 4), min_candidates=2000):
-    """Parallel batch refinement vs the serial loop (repro.exec).
-
-    Generates a synthetic intersection-join workload with at least
-    ``min_candidates`` MBR candidate pairs, refines it serially and on
-    :class:`~repro.exec.ParallelExecutor` pools of increasing size, and
-    reports geometry-stage wall time and speedup per engine.  Result pairs
-    and merged statistics are asserted identical between every parallel run
-    and its serial reference - parallelism must never change an answer.
-
-    Speedup is hardware-bound: on a single-CPU host the parallel rows
-    legitimately show <= 1x (noted in the result), which is why the row set
-    always includes the serial reference.
-    """
-    ds_a, ds_b, candidates = ctx.generated_join(min_candidates)
-    ctx.notes.append(
-        f"host has {os.cpu_count() or 1} CPU(s); speedups for worker counts above "
-        "that are bounded by the hardware, not the executor"
-    )
-
-    def serial_then_pools(make):
-        yield ctx.run(make(), _join(ds_a, ds_b))
-        for workers in worker_counts:
-            with ParallelExecutor(workers=workers) as executor:
-                yield ctx.run(make(), _join(ds_a, ds_b, executor=executor))
-
-    for kind, make in (("software", ctx.software), ("hardware", ctx.hardware)):
-        serial, *pools = ctx.compare(serial_then_pools(make), stats=True)
-        yield (kind, "serial", 1, candidates, serial.geometry_ms, 1.0)
-        for workers, run in zip(worker_counts, pools):
-            yield (
-                kind,
-                "parallel",
-                workers,
-                candidates,
-                run.geometry_ms,
-                speedup(serial.geometry_ms, run.geometry_ms),
-            )
-
-
-@experiment(
     "batch-refine",
     title="Tiled batched hardware refinement vs per-pair submissions",
     columns=(
@@ -927,11 +867,11 @@ def exec_parallel(ctx, worker_counts=(2, 4), min_candidates=2000):
 def batch_refine(ctx, resolutions=(8, 16), min_candidates=2000, distance_factor=0.5):
     """Tiled batched hardware refinement vs the per-pair loop.
 
-    The batching counterpart of ``exec-parallel``: the same >= 2k-candidate
-    intersection join is refined twice per resolution - once with the
-    hardware stage submitting pair by pair (:func:`per_pair_engine`) and
-    once through the tiled atlas, the pipelines' only path - plus a
-    within-distance pass exercising the per-pair line widths.  Results and
+    A >= 2k-candidate intersection join is refined twice per resolution -
+    once with the hardware stage submitting pair by pair
+    (:func:`per_pair_engine`) and once through the tiled atlas, the
+    pipelines' only path - plus a within-distance pass exercising the
+    per-pair line widths.  Results and
     refinement statistics are asserted identical; the rows show what
     amortizing the fixed per-submission overhead (draw-call setup, clears,
     accumulation transfers, Minmax round-trips) buys in geometry-stage

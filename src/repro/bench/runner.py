@@ -208,7 +208,7 @@ class RunContext:
         join result's pairs, any other result as it is, unless told
         otherwise) and, with ``stats``, exactly its
         :class:`~repro.core.stats.RefinementStats` - hardware, batching,
-        sharding, caching and filtering may change cost, never a result.
+        caching and filtering may change cost, never a result.
         """
         done: List[Run] = []
         for run in runs:

@@ -46,11 +46,9 @@ class CacheConfig:
     """Whether an engine memoizes.
 
     Travels on :class:`~repro.core.config.HardwareConfig` (and on the
-    software engine's constructor), frozen and picklable, so an engine
-    rebuilt inside a pool worker cannot disagree with its coordinator.
-    There is no process-wide default: an engine built without one runs
-    :meth:`disabled`, which keeps every baseline bit-identical unless a
-    run opts in.
+    software engine's constructor), frozen.  There is no process-wide
+    default: an engine built without one runs :meth:`disabled`, which
+    keeps every baseline bit-identical unless a run opts in.
     """
 
     enabled: bool = True
@@ -99,11 +97,6 @@ class CacheBundle:
 
     def _tables(self):
         return (self.verdict, self.predicate) if self.config.enabled else ()
-
-    def reset(self) -> None:
-        """Drop all cached entries and tallies."""
-        for cache in self._tables():
-            cache.clear()
 
     def stats(self) -> Dict[str, CacheStats]:
         """Per-cache tallies, keyed by cache label; empty when off."""

@@ -71,13 +71,6 @@ class LruCache:
             return True
         return False
 
-    def clear(self) -> None:
-        """Drop all entries *and* the hit/miss/eviction tallies."""
-        self._entries.clear()
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
-
 
 def publish_lookup(label: str, op: str, hit: bool) -> None:
     """Record one lookup outcome into the ambient metrics registry."""

@@ -119,10 +119,6 @@ class _StagedEngine:
         self.sweep_stats = SweepStats()
         self.mindist_stats = MinDistStats()
 
-    def reset_caches(self) -> None:
-        """Drop all memoized entries and tallies (configuration kept)."""
-        self.caches.reset()
-
 
 class SoftwareEngine(_StagedEngine):
     """Software-only refinement (the paper's baseline algorithms)."""

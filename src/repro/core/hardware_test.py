@@ -256,8 +256,8 @@ class HardwareSegmentTest:
         settled: :meth:`_render_atlas` or :meth:`_render_each`.
 
         Per-pair families (``hw_verdicts``, ``hw_test_edges``) are additive
-        over pairs, so per-pair, batched, cached, and shard-merged runs of
-        the same workload report identical totals.  An atlas submission's
+        over pairs, so per-pair, batched and cached runs of the same
+        workload report identical totals.  An atlas submission's
         cost is shared by its pairs and lands in ``hw_batch_duration_s``;
         the per-pair renderer times each render it actually runs into
         ``hw_test_duration_s`` (Figure 13's per-test cost distribution).

@@ -26,8 +26,8 @@ placed a vertex of ``b`` inside ``a``, so ``b`` is contained with no sweep
 at all).
 
 :class:`~repro.core.stats.RefinementStats` counters are additive over
-pairs, so one call over N items, N one-item calls, and any sharding of the
-items report identical totals; only the number of hardware submissions -
+pairs, so one call over N items and N one-item calls report identical
+totals; only the number of hardware submissions -
 the fixed per-test overhead ``sw_threshold`` exists to dodge - changes.
 Each hardware submission is a ``geometry.hw_batch`` span on the ambient
 tracer (with the per-atlas ``gpu.tile_batch`` spans underneath).

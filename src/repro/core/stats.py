@@ -45,10 +45,6 @@ class RefinementStats:
     #: Pairs answered positive overall.
     positives: int = 0
 
-    def merge(self, other: "RefinementStats") -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
     def reset(self) -> None:
         for name in self.__dataclass_fields__:
             setattr(self, name, 0)

@@ -53,13 +53,6 @@ class MinDistStats:
     pairs_tested: int = 0
     early_exits: int = 0
 
-    def merge(self, other: "MinDistStats") -> None:
-        self.edge_pairs_total += other.edge_pairs_total
-        self.edges_scanned += other.edges_scanned
-        self.frontier_pairs += other.frontier_pairs
-        self.pairs_tested += other.pairs_tested
-        self.early_exits += other.early_exits
-
 
 def _edge_rect_distance(e: _Edge, r: Rect) -> float:
     # Edge records are the sweep's: (xmin, xmax, ymin, ymax, ax, ay, bx, by).

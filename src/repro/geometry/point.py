@@ -30,8 +30,8 @@ class Point:
 
     def __reduce__(self):
         # Slotted immutables need explicit pickle support (the default
-        # protocol restores state through the blocked __setattr__); worker
-        # processes of repro.exec receive geometry this way.
+        # protocol restores state through the blocked __setattr__); copy,
+        # deepcopy and pickle all go through it.
         return (Point, (self.x, self.y))
 
     # -- value semantics -------------------------------------------------

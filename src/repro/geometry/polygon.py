@@ -116,7 +116,7 @@ class Polygon:
 
     def __reduce__(self):
         # One buffer, not n Point reductions; the caches rebuild lazily and
-        # deterministically on the receiving side.
+        # deterministically on the copy.
         return (Polygon, (self.coords_array,))
 
     @staticmethod

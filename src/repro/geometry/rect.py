@@ -36,7 +36,7 @@ class Rect:
         raise AttributeError("Rect is immutable")
 
     def __reduce__(self):
-        # Explicit pickle support for the slotted immutable (see Point).
+        # Explicit copy/pickle support for the slotted immutable (see Point).
         return (Rect, (self.xmin, self.ymin, self.xmax, self.ymax))
 
     # -- construction -----------------------------------------------------

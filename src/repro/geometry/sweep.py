@@ -55,13 +55,6 @@ class SweepStats:
     candidate_tests: int = 0
     intersections_found: int = 0
 
-    def merge(self, other: "SweepStats") -> None:
-        self.edges_considered += other.edges_considered
-        self.edges_after_restriction += other.edges_after_restriction
-        self.edges_processed += other.edges_processed
-        self.candidate_tests += other.candidate_tests
-        self.intersections_found += other.intersections_found
-
 
 def _edge_records(polygon: Polygon, keep: Optional[np.ndarray]) -> List[_Edge]:
     """Edge records of ``polygon`` in boundary order: all of them, or the

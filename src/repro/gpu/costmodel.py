@@ -46,10 +46,6 @@ class CostCounters:
         for name in self.__dataclass_fields__:
             setattr(self, name, 0)
 
-    def merge(self, other: "CostCounters") -> None:
-        for name in self.__dataclass_fields__:
-            setattr(self, name, getattr(self, name) + getattr(other, name))
-
     def snapshot(self) -> "CostCounters":
         return CostCounters(
             **{name: getattr(self, name) for name in self.__dataclass_fields__}

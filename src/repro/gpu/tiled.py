@@ -165,8 +165,8 @@ class TiledPipeline:
                 # submission price (section 4.3) is well amortized; lots of
                 # fractional tail batches means capacity is mis-sized for
                 # the candidate stream.  These depend on how the caller
-                # slices the candidate list, so sharded runs may bucket
-                # them differently than serial ones (see repro.exec.parallel).
+                # slices the candidate list, so per-pair calls bucket them
+                # differently than one batched call.
                 registry.histogram("tiles_per_batch").observe(stop - start)
                 registry.histogram("atlas_occupancy").observe(
                     (stop - start) / self.capacity

@@ -25,9 +25,9 @@ time goes and a gate that fails when it regresses.
   filter/refine pipeline (``python -m repro.obs explain report.json``);
 * :mod:`repro.obs.context` - the per-request :class:`RequestContext`
   (trace id, attributes, optional deadline) propagated through the
-  serving stack and across the shard-pool boundary;
+  serving stack;
 * :mod:`repro.obs.timeline` - Chrome trace-event export of span files
-  with worker/shard lanes (``python -m repro.obs timeline trace.jsonl``);
+  with one lane per engine worker (``python -m repro.obs timeline trace.jsonl``);
 * :mod:`repro.obs.window` - rolling-window views (epoch-aligned rings of
   the exact histograms/counters, injectable clock) for "happening now"
   telemetry the cumulative registry cannot express;

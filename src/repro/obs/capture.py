@@ -16,11 +16,6 @@ readback, coverage-mask, distance-field, and atlas event.
 Like :mod:`.metrics`, the recorder follows the zero-overhead-when-disabled
 pattern: instrumentation sites perform one scope read and a ``None``
 check, so with no recorder in scope the hot rendering path is unchanged.
-Worker processes of :class:`~repro.exec.parallel.ParallelExecutor` record
-into fresh per-shard recorders whose event lists ship back with the shard
-result; :meth:`CommandRecorder.merge` folds them into the coordinator's
-stream with deterministic pipeline ids (assigned in first-seen order, the
-same shard order every run).
 
 Capture semantics worth knowing:
 
@@ -336,42 +331,6 @@ class CommandRecorder:
                 plane: array_digest(getattr(fb, plane)) for plane in _PLANES
             },
         )
-
-    # -- merge --------------------------------------------------------------
-
-    def merge(
-        self, events: Sequence[Mapping[str, Any]], origin: Optional[str] = None
-    ) -> None:
-        """Fold a shard's event stream into this recorder.
-
-        Pipeline ids are remapped onto this recorder's namespace in
-        first-seen order, so merging shard captures in shard order yields
-        deterministic ids run to run.  ``origin`` (e.g. ``"shard3"``) tags
-        every merged event so provenance survives the remap.  Each merged
-        pid's stream stays contiguous and self-contained, so a merged
-        capture replays exactly like the shards would separately.
-        """
-        remap: Dict[str, str] = {}
-        for event in events:
-            out = dict(event)
-            old = out.get("pid")
-            if old is not None:
-                new = remap.get(old)
-                if new is None:
-                    new = f"p{self._next_pid}"
-                    self._next_pid += 1
-                    remap[old] = new
-                out["pid"] = new
-            if origin is not None:
-                out["origin"] = origin
-            out["seq"] = self._next_seq
-            self._next_seq += 1
-            self.events.append(out)
-            self._write_stream(out)
-        if self.max_events is not None and len(self.events) > self.max_events:
-            overflow = len(self.events) - self.max_events
-            del self.events[:overflow]
-            self.dropped += overflow
 
 
 def write_events(path: str, events: Sequence[Mapping[str, Any]]) -> None:

@@ -6,19 +6,13 @@ the adaptive-routing work needs (ROADMAP item 4, after Kipf et al.'s
 stages this query paid for, on which engine worker, against which
 deadline.  A :class:`RequestContext` is the identity that survives the
 whole journey - TCP front-end -> :meth:`QueryService.submit` -> engine
-checkout -> pipeline stages -> :class:`~repro.exec.parallel.ParallelExecutor`
-shards - so every span, slow-query record, and shard report can be joined
-back to the request that caused it.
+checkout -> pipeline stages - so every span and slow-query record can be
+joined back to the request that caused it.
 
 The active context is the ``request`` field of the ambient
 :class:`~repro.obs.scope.ObsScope` (``use_scope(request=ctx)`` /
 ``current_scope().request``), token-restored per thread / asyncio task,
 so concurrent requests can never observe each other's context.
-
-Crossing a process boundary (the sharded geometry backend) is explicit,
-exactly like the shard-local metric registries: the coordinator passes
-``ctx.trace_id`` in the task tuple and the worker re-enters a context
-built from it (:mod:`repro.exec.parallel`).
 
 The module deliberately imports nothing from the rest of :mod:`repro`, so
 any layer may depend on it without cycles.
@@ -54,18 +48,6 @@ class RequestContext:
     #: Propagated as metadata: pipelines do not preempt themselves, but
     #: spans and slow-query records mark work finishing past it.
     deadline_unix_s: Optional[float] = None
-
-    @classmethod
-    def new(
-        cls,
-        attributes: Optional[Dict[str, Any]] = None,
-        deadline_unix_s: Optional[float] = None,
-    ) -> "RequestContext":
-        return cls(
-            trace_id=new_trace_id(),
-            attributes=dict(attributes) if attributes else {},
-            deadline_unix_s=deadline_unix_s,
-        )
 
     def remaining_s(self) -> Optional[float]:
         """Seconds until the deadline (negative = past it); None if unset."""

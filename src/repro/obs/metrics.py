@@ -29,8 +29,7 @@ performs one ``ContextVar`` read and a ``None`` check - no allocations, no
 dict lookups.
 
 The module deliberately imports nothing from the rest of :mod:`repro`, so
-every layer (gpu, core, exec, query, bench) may depend on it without
-cycles.
+every layer (gpu, core, query, bench) may depend on it without cycles.
 """
 
 from __future__ import annotations
@@ -128,8 +127,7 @@ class Gauge:
     """A last-set value.
 
     Merge semantics take the **maximum** of the two values (the only
-    order-independent choice without timestamps); the gauges recorded here
-    (atlas capacity, worker counts) are identical across shards anyway.
+    order-independent choice without timestamps).
 
     Thread-safe: :meth:`add` (the delta form the serving layer uses for
     queue-depth / inflight tracking) and merge are read-modify-writes.
@@ -166,8 +164,8 @@ class Histogram:
 
     ``sum`` is accumulated as exact non-overlapping partials, so the
     reported total is the correctly-rounded exact sum of all observations -
-    identical whether a stream was observed in one process or split across
-    shards and merged, in any merge order.
+    identical whether a stream was observed into one histogram or split
+    across per-experiment registries and merged, in any merge order.
     """
 
     __slots__ = ("count", "zeros", "buckets", "_partials", "min", "max", "_lock")
@@ -249,7 +247,7 @@ class Histogram:
     @classmethod
     def from_snapshot(cls, snap: Mapping[str, Any]) -> "Histogram":
         """The histogram one snapshot entry describes, read by the same
-        code :meth:`MetricsRegistry.merge` folds shard snapshots with."""
+        code :meth:`MetricsRegistry.merge` folds snapshots with."""
         hist = cls()
         hist._merge_snapshot(snap)
         return hist
@@ -265,7 +263,7 @@ class Histogram:
                 # Exact partials in canonical form: floats round-trip through
                 # JSON bit-exactly (shortest repr), so a snapshot merge is as
                 # exact as a live one, and equal histograms - however their
-                # observations were sharded or merge-ordered - snapshot
+                # observations were split or merge-ordered - snapshot
                 # identically.
                 "sum_parts": _canonical_partials(self._partials),
                 "zeros": self.zeros,
@@ -411,9 +409,10 @@ class MetricsRegistry:
         """Fold another registry (or a snapshot of one) into this registry.
 
         Counter values add, gauge values take the max, histograms merge
-        exactly (see :class:`Histogram`) - all order-independent, so a
-        coordinator may merge shard snapshots in any order and end up with
-        the same state bit for bit.
+        exactly (see :class:`Histogram`) - all order-independent, so
+        ``python -m repro.bench`` folds its per-experiment registries into
+        the run-level one in any order and ends up with the same state bit
+        for bit.
         """
         snap = other.snapshot() if isinstance(other, MetricsRegistry) else other
         schema = snap.get("schema")

@@ -7,10 +7,7 @@ questions the paper's per-stage cost figures ask of a run:
 * **rollups** - per span name: call count, total time, *self* time (total
   minus direct children) and child time.  Self time is what the stage
   itself cost; a stage whose children carry nearly all its time is pure
-  orchestration.  Parallel shard spans recorded under a stage may sum to
-  more than the stage's wall time - their self-time share is reported as
-  measured (a negative stage self time is the signature of parallelism,
-  not an error);
+  orchestration.  Self time is reported as measured, never clamped;
 * **critical path** - from the heaviest root down through the heaviest
   child at each level: the chain of spans an optimizer must shorten to
   shorten the run.

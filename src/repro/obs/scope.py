@@ -19,9 +19,9 @@ asyncio tasks never observe each other's facilities; a new thread starts
 from the blank scope, an asyncio task from a copy of its creator's.
 Keyword arguments override the named facilities and inherit the rest
 (an explicit ``None`` switches one off); ``blank=True`` inherits nothing,
-which is what code that must be invisible to, or isolated from, its
-caller's observability uses - capture replay, a pool worker refining a
-shard in a forked copy of the coordinator's context.
+which is what code that must be invisible to its caller's observability
+uses - capture replay, whose re-executed commands must not be recorded,
+traced or counted as the run's own.
 
 Nothing here is process-global: a scope ends with its ``with`` block.
 

@@ -2,9 +2,9 @@
 
 The 3DPipe-style pipelining planned for the raster stages (ROADMAP item 2)
 and the serve-layer concurrency work both need *stage-overlap* visibility:
-which spans ran when, on which engine worker, against which refinement
-shard.  Rollup tables (:mod:`repro.obs.report`) answer "how much"; a
-timeline answers "when and beside what".
+which spans ran when, and on which engine worker.  Rollup tables
+(:mod:`repro.obs.report`) answer "how much"; a timeline answers "when and
+beside what".
 
 This module converts the span JSONL written by :mod:`repro.obs.trace`
 (one span object per line - benchmark ``--trace-out`` files and the
@@ -16,9 +16,8 @@ https://ui.perfetto.dev:
   the root span's ``worker`` attribute (the serving layer stamps it on
   every request root); spans from traces without worker attribution share
   one ``main`` lane, so batch benchmark traces work too;
-* within a worker, the request/stage spans ride thread lane 0 and each
-  **refinement shard** gets its own thread lane (``shard`` attribute + 1),
-  so shard overlap under a stage is visible as parallel bars;
+* within a worker, the request/stage spans ride one thread lane
+  (``requests``), nested by their parent links;
 * span attributes and the ``trace_id`` ride in ``args``, so clicking a
   bar shows the request it belonged to.
 
@@ -33,7 +32,7 @@ Exposed on the command line as ``python -m repro.obs timeline trace.jsonl
 from __future__ import annotations
 
 import json
-from typing import IO, Any, Dict, Iterable, List, Tuple, Union
+from typing import IO, Any, Dict, Iterable, List, Union
 
 from .report import SpanNode, build_tree, load_spans
 
@@ -81,7 +80,6 @@ def timeline_from_spans(spans: Iterable[Any]) -> Dict[str, Any]:
     )
 
     pids: Dict[str, int] = {}
-    threads: Dict[Tuple[int, int], str] = {}
     events: List[Dict[str, Any]] = []
 
     def pid_for(label: str) -> int:
@@ -89,15 +87,9 @@ def timeline_from_spans(spans: Iterable[Any]) -> Dict[str, Any]:
             pids[label] = len(pids) + 1
         return pids[label]
 
-    def emit(node: SpanNode, pid: int, tid: int) -> None:
+    def emit(node: SpanNode, pid: int) -> None:
         span = node.span
         attrs = span.get("attributes") or {}
-        shard = attrs.get("shard")
-        if shard is not None and span.get("name", "").endswith(".shard"):
-            tid = int(shard) + 1
-            threads.setdefault((pid, tid), f"shard {shard}")
-        else:
-            threads.setdefault((pid, tid), "requests" if tid == 0 else f"lane {tid}")
         events.append(
             {
                 "name": span.get("name", "(unnamed)"),
@@ -106,15 +98,15 @@ def timeline_from_spans(spans: Iterable[Any]) -> Dict[str, Any]:
                 "ts": (float(span.get("start_unix_s", t0)) - t0) * 1e6,
                 "dur": float(span.get("duration_s", 0.0)) * 1e6,
                 "pid": pid,
-                "tid": tid,
+                "tid": 0,
                 "args": _span_args(span),
             }
         )
         for child in node.children:
-            emit(child, pid, tid)
+            emit(child, pid)
 
     for root in report.roots:
-        emit(root, pid_for(_lane_label(root)), 0)
+        emit(root, pid_for(_lane_label(root)))
 
     meta_events: List[Dict[str, Any]] = []
     for label, pid in sorted(pids.items(), key=lambda kv: kv[1]):
@@ -129,18 +121,18 @@ def timeline_from_spans(spans: Iterable[Any]) -> Dict[str, Any]:
         meta_events.append(
             {"name": "process_sort_index", "ph": "M", "pid": pid, "args": {"sort_index": pid}}
         )
-    for (pid, tid), label in sorted(threads.items()):
+    for pid in sorted(pids.values()):
         meta_events.append(
             {
                 "name": "thread_name",
                 "ph": "M",
                 "pid": pid,
-                "tid": tid,
-                "args": {"name": label},
+                "tid": 0,
+                "args": {"name": "requests"},
             }
         )
         meta_events.append(
-            {"name": "thread_sort_index", "ph": "M", "pid": pid, "tid": tid, "args": {"sort_index": tid}}
+            {"name": "thread_sort_index", "ph": "M", "pid": pid, "tid": 0, "args": {"sort_index": 0}}
         )
 
     return {

@@ -5,11 +5,11 @@ Modern Hardware") makes per-stage cost *visibility* the prerequisite for
 tuning filter parameters at run time.  This module provides that
 observability layer for the query pipelines:
 
-* :class:`Span` - one timed operation (a pipeline stage, or a refinement
-  shard inside a stage), with a parent link so traces form a tree;
+* :class:`Span` - one timed operation (a pipeline stage, or a hardware
+  batch inside a stage), with a parent link so traces form a tree;
 * :class:`Tracer` - collects spans; nested ``tracer.span(...)`` context
   managers parent automatically, and :meth:`Tracer.record` admits spans
-  timed elsewhere (e.g. inside worker processes);
+  timed elsewhere (e.g. a serve request's queue wait);
 * :class:`JsonLinesExporter` - streams finished spans to a file as one JSON
   object per line.
 
@@ -23,9 +23,9 @@ any layer (queries, engines, benchmarks) may depend on it without cycles.
 
 Span JSON schema (one line per span)::
 
-    {"span_id": 3, "parent_id": 2, "name": "geometry.shard",
+    {"span_id": 3, "parent_id": 2, "name": "geometry.hw_batch",
      "start_unix_s": 1754400000.123, "duration_s": 0.0421,
-     "attributes": {"shard": 1, "pairs": 512}}
+     "attributes": {"op": "intersect", "pairs": 512}}
 """
 
 from __future__ import annotations
@@ -113,8 +113,6 @@ class Tracer:
     """Collects spans; optionally streams them through an exporter.
 
     Not thread-safe by design: one tracer belongs to one control flow.
-    Worker processes do not carry a tracer - they report shard timings back
-    to the coordinating process, which records them via :meth:`record`.
     """
 
     def __init__(
@@ -172,10 +170,10 @@ class Tracer:
         start_unix_s: Optional[float] = None,
         **attributes: Any,
     ) -> Span:
-        """Record a span timed externally (e.g. inside a pool worker).
+        """Record a span timed externally (e.g. a hardware batch).
 
         The span parents to the currently open span of *this* tracer, which
-        is how per-shard child spans land under their pipeline stage.
+        is how externally timed child spans land under their pipeline stage.
 
         When no ``start_unix_s`` is given, the span is assumed to have just
         ended, so its start is *now minus the duration* - recording the end

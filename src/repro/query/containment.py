@@ -71,7 +71,7 @@ class ContainmentSelection:
             )
 
         items = [(i, query, self.dataset.polygons[i]) for i in remaining]
-        positives.extend(geometry_stage(self.engine, None, "contains", items, cost))
+        positives.extend(geometry_stage(self.engine, "contains", items, cost))
 
         positives.sort()
         cost.results = len(positives)

@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple
 
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
-from ..exec.parallel import ParallelExecutor
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, IntervalIndex
 from ..filters.progressive import ConvexHullFilter
 from ..index.mbr_join import plane_sweep_mbr_join
@@ -51,7 +50,6 @@ class IntersectionJoin:
         dataset_b: SpatialDataset,
         engine: RefinementEngine,
         use_hull_filter: bool = False,
-        executor: Optional[ParallelExecutor] = None,
         use_intervals: bool = False,
         interval_level: int = DEFAULT_INTERVAL_LEVEL,
     ) -> None:
@@ -68,10 +66,6 @@ class IntersectionJoin:
             if use_intervals
             else None
         )
-        #: When set, the geometry stage refines candidate shards on the
-        #: executor's worker pool; results and stats are identical to
-        #: refining on ``engine`` directly (see :mod:`repro.exec.parallel`).
-        self.executor = executor
         self.hulls_a: ConvexHullFilter | None = None
         self.hulls_b: ConvexHullFilter | None = None
         if use_hull_filter:
@@ -106,9 +100,7 @@ class IntersectionJoin:
         results: List[Tuple[int, int]] = []
         if self.intervals is not None:
             results, items = interval_stage(self.intervals, items, cost)
-        results.extend(
-            geometry_stage(self.engine, self.executor, "intersect", items, cost)
-        )
+        results.extend(geometry_stage(self.engine, "intersect", items, cost))
 
         results.sort()
         cost.results = len(results)

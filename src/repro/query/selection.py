@@ -21,7 +21,6 @@ from typing import List, Optional
 
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
-from ..exec.parallel import ParallelExecutor
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, IntervalIndex
 from ..geometry.polygon import Polygon
 from ..index.str_pack import str_bulk_load
@@ -50,7 +49,6 @@ class IntersectionSelection:
         dataset: SpatialDataset,
         engine: RefinementEngine,
         interior_level: Optional[int] = None,
-        executor: Optional[ParallelExecutor] = None,
         use_intervals: bool = False,
         interval_level: int = DEFAULT_INTERVAL_LEVEL,
     ) -> None:
@@ -68,9 +66,6 @@ class IntersectionSelection:
             if use_intervals
             else None
         )
-        #: Optional parallel batch executor for the geometry stage
-        #: (identical results/stats to refining on ``engine`` directly).
-        self.executor = executor
         self.index = str_bulk_load(
             [(mbr, i) for i, mbr in enumerate(dataset.mbrs)]
         )
@@ -95,9 +90,7 @@ class IntersectionSelection:
         if self.intervals is not None:
             hits, items = interval_stage(self.intervals, items, cost)
             positives.extend(hits)
-        positives.extend(
-            geometry_stage(self.engine, self.executor, "intersect", items, cost)
-        )
+        positives.extend(geometry_stage(self.engine, "intersect", items, cost))
 
         positives.sort()
         cost.results = len(positives)

@@ -15,7 +15,6 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.engine import RefinementEngine
 from ..core.refine import WorkItem
-from ..exec.parallel import ParallelExecutor
 from ..filters.interior import InteriorFilter
 from ..filters.intervals import IntervalIndex, IntervalVerdict
 from ..geometry.polygon import Polygon
@@ -75,23 +74,14 @@ def interval_stage(
 
 def geometry_stage(
     engine: RefinementEngine,
-    executor: Optional[ParallelExecutor],
     op: str,
     items: Sequence[WorkItem],
     cost: CostBreakdown,
     distance: Optional[float] = None,
 ) -> List[Any]:
-    """Refine ``items``; return the keys satisfying ``op``, in item order.
-
-    With an executor the items are sharded across its worker pool and the
-    shard statistics fold back into ``engine``; either way the whole batch
-    goes through ``engine.refine`` semantics, with identical results and
-    statistics.
-    """
+    """Refine ``items`` in one ``engine.refine`` call under the
+    ``geometry`` stage; return the keys satisfying ``op``, in item order."""
     with cost.time_stage("geometry"):
-        if executor is not None:
-            keys = executor.refine_pairs(engine, op, items, distance=distance)
-        else:
-            keys = engine.refine(op, items, distance=distance)
+        keys = engine.refine(op, items, distance=distance)
     cost.pairs_compared += len(items)
     return keys

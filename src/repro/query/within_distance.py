@@ -15,11 +15,10 @@ The paper's third query class (section 4.4).  Stages per Figure 8:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
-from ..exec.parallel import ParallelExecutor
 from ..filters.object_filters import one_object_upper_bound, zero_object_upper_bound
 from ..index.mbr_join import plane_sweep_mbr_join
 from ..obs.instrument import observe_pipeline
@@ -43,14 +42,10 @@ class WithinDistanceJoin:
         dataset_a: SpatialDataset,
         dataset_b: SpatialDataset,
         engine: RefinementEngine,
-        executor: Optional[ParallelExecutor] = None,
     ) -> None:
         self.dataset_a = dataset_a
         self.dataset_b = dataset_b
         self.engine = engine
-        #: Optional parallel batch executor for the geometry stage
-        #: (identical results/stats to refining on ``engine`` directly).
-        self.executor = executor
 
     def run(self, d: float) -> WithinDistanceResult:
         if not d >= 0.0:
@@ -88,10 +83,7 @@ class WithinDistanceJoin:
 
         items = [((i, j), polys_a[i], polys_b[j]) for i, j in remaining]
         results.extend(
-            geometry_stage(
-                self.engine, self.executor, "within_distance", items, cost,
-                distance=d,
-            )
+            geometry_stage(self.engine, "within_distance", items, cost, distance=d)
         )
 
         results.sort()

@@ -30,7 +30,7 @@ Layers (each its own module):
 """
 
 from .admission import AdmissionConfig, AdmissionController
-from .engine import BACKENDS, EnginePool, ServingEngine, ServingWorkload, WorkloadConfig
+from .engine import EnginePool, ServingEngine, ServingWorkload, WorkloadConfig
 from .loadgen import (
     DEFAULT_MIX,
     LoadAccountingError,
@@ -66,7 +66,6 @@ from .tracing import TraceStore, TracingConfig
 __all__ = [
     "AdmissionConfig",
     "AdmissionController",
-    "BACKENDS",
     "DEFAULT_MIX",
     "EnginePool",
     "HEALTH_SCHEMA",

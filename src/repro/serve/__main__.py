@@ -25,7 +25,7 @@ from ..filters.intervals import DEFAULT_INTERVAL_LEVEL
 from ..obs.runreport import write_run_report
 from ..obs.slo import default_objectives
 from .admission import AdmissionConfig
-from .engine import BACKENDS, WorkloadConfig
+from .engine import WorkloadConfig
 from .loadgen import LoadgenConfig, LoadResult, run_open_loop
 from .health import HealthConfig
 from .server import run_server, send_envelope
@@ -49,12 +49,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         help="refinement engine kind (default: hardware)",
     )
     parser.add_argument(
-        "--backend",
-        default="batched",
-        choices=BACKENDS,
-        help="geometry-stage backend (default: batched)",
-    )
-    parser.add_argument(
         "--resolution",
         type=int,
         default=8,
@@ -65,12 +59,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=2,
         help="engine-pool width: persistent engines (default: 2)",
-    )
-    parser.add_argument(
-        "--shard-workers",
-        type=int,
-        default=2,
-        help="process-pool width per engine for --backend sharded (default: 2)",
     )
     parser.add_argument(
         "--intervals",
@@ -198,8 +186,6 @@ def _build_service(args: argparse.Namespace) -> QueryService:
         scale=args.scale,
         engine=args.engine,
         resolution=args.resolution,
-        backend=args.backend,
-        shard_workers=args.shard_workers,
         cache=CacheConfig() if args.cache else CacheConfig.disabled(),
         use_intervals=args.intervals,
         interval_level=args.interval_level,
@@ -395,8 +381,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             timeout=timeout,
         )
 
-    if args.command == "serve":
+    try:
         service = _build_service(args)
+    except ValueError as exc:
+        # An out-of-range service flag is a usage error, not a crash.
+        (p_serve if args.command == "serve" else p_load).error(str(exc))
+
+    if args.command == "serve":
         try:
             run_server(service, host=args.host, port=args.port)
         finally:
@@ -404,23 +395,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             _emit_forensics(service, args)
         return 0
 
-    if args.command == "loadgen":
-        service = _build_service(args)
-        try:
-            load = run_open_loop(
-                service,
-                LoadgenConfig(
-                    rate=args.rate, duration_s=args.duration, seed=args.seed
-                ),
-            )
-        finally:
-            service.close()
-        _emit(load, args)
-        _emit_forensics(service, args)
-        return 0
-
-    parser.error(f"unknown command {args.command!r}")
-    return 2
+    try:
+        load = run_open_loop(
+            service,
+            LoadgenConfig(rate=args.rate, duration_s=args.duration, seed=args.seed),
+        )
+    finally:
+        service.close()
+    _emit(load, args)
+    _emit_forensics(service, args)
+    return 0
 
 
 if __name__ == "__main__":

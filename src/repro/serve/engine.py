@@ -8,8 +8,8 @@ queries:
 * datasets are loaded once per process (:class:`ServingWorkload`) and
   shared read-only by every worker;
 * each worker owns one :class:`ServingEngine`: a private refinement
-  engine (one simulated GL context per worker, the same
-  one-context-per-thread rule :mod:`repro.exec.parallel` mirrors), the
+  engine (one simulated GL context per worker, the
+  one-context-per-thread rule real drivers impose), the
   STR-packed R-tree of the selection pipeline pre-built at startup, and
   the :mod:`repro.cache` layers resolved from the workload's
   :class:`~repro.cache.CacheConfig` - warm across requests instead of
@@ -29,8 +29,7 @@ serving layer adds no execution path of its own - it calls the exact
 pipeline objects (:class:`~repro.query.selection.IntersectionSelection`,
 :class:`~repro.query.join.IntersectionJoin`,
 :class:`~repro.query.within_distance.WithinDistanceJoin`) a batch caller
-would, with the backend (batched / sharded) chosen by the workload
-config.
+would.
 """
 
 from __future__ import annotations
@@ -45,16 +44,12 @@ from ..cache import CacheConfig
 from ..core.config import HardwareConfig
 from ..core.engine import HardwareEngine, RefinementEngine, SoftwareEngine
 from ..datasets import base_distance
-from ..exec.parallel import ParallelExecutor
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL
 from ..query.costs import CostBreakdown
 from ..query.join import IntersectionJoin
 from ..query.selection import IntersectionSelection
 from ..query.within_distance import WithinDistanceJoin
 from .schema import QueryRequest
-
-#: Geometry-stage backends a workload may select.
-BACKENDS = ("batched", "sharded")
 
 
 @dataclass(frozen=True)
@@ -66,12 +61,6 @@ class WorkloadConfig:
     engine: str = "hardware"
     #: Hardware window resolution (ignored for the software engine).
     resolution: int = 8
-    #: Geometry-stage backend: "batched" (the whole candidate list in one
-    #: ``engine.refine`` call) or "sharded" (ParallelExecutor over a
-    #: process pool, per worker).
-    backend: str = "batched"
-    #: Process-pool width for the "sharded" backend.
-    shard_workers: int = 2
     #: Memoization layers, resolved here - never from the process default -
     #: so every pool engine is built with the same pinned behavior.
     cache: CacheConfig = CacheConfig.disabled()
@@ -87,14 +76,6 @@ class WorkloadConfig:
         if self.engine not in ("hardware", "software"):
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected hardware|software"
-            )
-        if self.backend not in BACKENDS:
-            raise ValueError(
-                f"unknown backend {self.backend!r}; expected one of {BACKENDS}"
-            )
-        if self.shard_workers < 1:
-            raise ValueError(
-                f"shard_workers must be >= 1, got {self.shard_workers}"
             )
         if not 0 <= self.interval_level <= 12:
             raise ValueError(
@@ -130,7 +111,6 @@ class ServingWorkload:
         return {
             "scale": self.config.scale,
             "engine": self.config.engine,
-            "backend": self.config.backend,
             "use_intervals": self.config.use_intervals,
             "selection_objects": len(self.selection_data.polygons),
             "query_set": len(self.queries),
@@ -152,18 +132,12 @@ class ServingEngine:
         #: total across the pool; the health envelope's worker roster
         #: reports it as a liveness signal alongside the heartbeats).
         self.requests_served = 0
-        self.executor: Optional[ParallelExecutor] = (
-            ParallelExecutor(workers=config.shard_workers)
-            if config.backend == "sharded"
-            else None
-        )
         # Pipelines are built once: the selection R-tree packs here, at
         # startup, and is reused by every request this engine serves.
         self.selection = IntersectionSelection(
             workload.selection_data,
             self.engine,
             interior_level=config.interior_level,
-            executor=self.executor,
             use_intervals=config.use_intervals,
             interval_level=config.interval_level,
         )
@@ -171,16 +145,10 @@ class ServingEngine:
             workload.join_a,
             workload.join_b,
             self.engine,
-            executor=self.executor,
             use_intervals=config.use_intervals,
             interval_level=config.interval_level,
         )
-        self.within = WithinDistanceJoin(
-            workload.join_a,
-            workload.join_b,
-            self.engine,
-            executor=self.executor,
-        )
+        self.within = WithinDistanceJoin(workload.join_a, workload.join_b, self.engine)
 
     def execute(self, request: QueryRequest) -> Tuple[List[Any], CostBreakdown]:
         """Run one validated request; returns (results, cost breakdown).
@@ -252,10 +220,6 @@ class ServingEngine:
         if self.workload.queries:
             self.execute(QueryRequest(op="selection", query_index=0))
 
-    def close(self) -> None:
-        if self.executor is not None:
-            self.executor.close()
-
 
 class EnginePool:
     """A fixed set of :class:`ServingEngine` workers, checked out per request."""
@@ -303,14 +267,11 @@ class EnginePool:
         ]
 
     def close(self) -> None:
-        """Stop handing out engines and release worker resources."""
+        """Stop handing out engines."""
         self._closed.set()
-        for engine in self.engines:
-            engine.close()
 
 
 __all__ = [
-    "BACKENDS",
     "EnginePool",
     "ServingEngine",
     "ServingWorkload",

@@ -293,7 +293,6 @@ def run_open_loop(
         params={
             "scale": service.workload_config.scale,
             "engine": service.workload_config.engine,
-            "backend": service.workload_config.backend,
             "workers": service.pool.size,
             "max_queue": service.admission_config.max_queue,
             "timeout_s": service.admission_config.timeout_s,

@@ -31,10 +31,10 @@ Per-request observability rides the same submit path:
   every request gets its *own* :class:`~repro.obs.trace.Tracer` - a
   ``request`` root span, a ``queue_wait`` span, an ``execute`` span under
   which the pipelines' :meth:`~repro.query.costs.CostBreakdown.time_stage`
-  spans and the shard records of :mod:`repro.exec.parallel` parent - and
-  the response echoes the ``trace_id`` (client-supplied or minted).
-  Finished traces land in a bounded :class:`~repro.serve.tracing.TraceStore`
-  exportable via :meth:`QueryService.export_traces`.
+  spans parent - and the response echoes the ``trace_id``
+  (client-supplied or minted).  Finished traces land in a bounded
+  :class:`~repro.serve.tracing.TraceStore` exportable via
+  :meth:`QueryService.export_traces`.
 * Tracer scoping is **unconditional**: a tracer is single-control-flow, so
   every submit's scope names ``tracer=per_request_or_None`` - an explicit
   ``None`` shields concurrent serving threads from a tracer their caller

@@ -31,7 +31,6 @@ REDUCED_AXES = {
     "ext-voronoi-nn": dict(query_count=8),
     "ablation-mindist": dict(pair=("LANDC", "LANDO")),
     "ablation-minmax": dict(resolution=8),
-    "exec-parallel": dict(worker_counts=(2,)),
     "batch-refine": dict(resolutions=(8,)),
 }
 
@@ -66,7 +65,6 @@ class TestRegistry:
             "ablation-minmax",
             "ablation-overlap-methods",
             "ablation-projection",
-            "exec-parallel",
             "batch-refine",
             "cache",
             "intervals",

@@ -56,10 +56,6 @@ class TestMemoCache:
         assert cache.lookup("intersect", key) is HardwareVerdict.MAYBE
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
-        cache.clear()
-        assert len(cache) == 0
-        assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
-        assert cache.lookup("intersect", key) is MISSING
 
     def test_memo_computes_once(self):
         cache = MemoCache("predicate", capacity=8)
@@ -117,7 +113,6 @@ class TestCacheBundle:
         assert bundle.predicate is None
         assert bundle.stats() == {}
         assert bundle.totals().total == 0
-        bundle.reset()  # no-op, must not raise
 
     def test_enabled_layers_and_capacities(self):
         config = CacheConfig()
@@ -140,10 +135,3 @@ class TestCacheBundle:
         assert stats["verdict"].misses == 1
         totals = bundle.totals()
         assert (totals.hits, totals.misses) == (1, 2)
-
-    def test_reset_clears_entries_and_tallies(self):
-        bundle = CacheBundle(CacheConfig())
-        bundle.predicate.memo("sweep", ("x",), lambda: True)
-        bundle.reset()
-        assert bundle.totals().total == 0
-        assert len(bundle.predicate) == 0

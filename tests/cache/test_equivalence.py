@@ -7,8 +7,8 @@ minDist step counts, wall time), never an answer: matched keys,
 must come out identical in every execution mode.  These tests compare
 cache-on engines against fresh cache-off engines over the same inputs - per
 overlap method, for all three predicates, through the paper-literal
-per-pair tester, the batched path, and the sharded parallel executor - and
-check that repeating work actually registers cache hits.
+per-pair tester and the batched path - and check that repeating work
+actually registers cache hits.
 """
 
 import pytest
@@ -31,7 +31,6 @@ from repro.datasets import (
     VertexCountModel,
     generate_layer,
 )
-from repro.exec import ParallelExecutor
 from repro.geometry import Polygon, Rect
 from repro.obs.explain import funnels_from_snapshot
 from repro.obs import MetricsRegistry, use_registry
@@ -141,7 +140,6 @@ class TestBatchedEquivalence:
         assert got == expected
         assert on_batch.stats == on_serial.stats
 
-
     @pytest.mark.parametrize("cache", [CacheConfig.disabled(), CacheConfig()])
     @pytest.mark.parametrize("d", [0.0, 16.0])
     def test_entry_points_publish_the_same_families(self, cache, d):
@@ -197,47 +195,6 @@ class TestBatchedEquivalence:
         assert {k: v["count"] for k, v in batched.items() if k.startswith(durations)} == {
             f"hw_batch_duration_s{{op={op}}}": 1
         }
-
-
-@pytest.fixture(scope="module")
-def executors():
-    with ParallelExecutor(workers=2, min_inline_items=1) as ex_off:
-        with ParallelExecutor(workers=2, min_inline_items=1) as ex_on:
-            yield ex_off, ex_on
-
-
-class TestShardedEquivalence:
-    @settings(max_examples=6, deadline=None)
-    @given(
-        pair_lists(min_size=8, max_size=10),
-        st.sampled_from(OVERLAP_METHODS),
-        st.sampled_from(OPS),
-    )
-    def test_cache_on_matches_cache_off(self, executors, pairs, method, op):
-        ex_off, ex_on = executors
-        off, on = engine_pair(method)
-        # >= 32 items so shard_count_for actually cuts multiple shards.
-        items = duplicated_items(pairs, repeats=4)
-        expected = ex_off.refine_pairs(off, op, items, distance=DISTANCE)
-        got = ex_on.refine_pairs(on, op, items, distance=DISTANCE)
-        assert got == expected
-        assert on.stats == off.stats
-
-    def test_sharded_matches_serial_answers(self, executors):
-        _, ex_on = executors
-        serial = HardwareEngine(HardwareConfig(cache=CacheConfig()))
-        sharded = HardwareEngine(HardwareConfig(cache=CacheConfig()))
-        ds_a, ds_b = _layers(count_a=8, count_b=8)
-        items = [
-            ((i, j), a, b)
-            for i, a in enumerate(ds_a.polygons)
-            for j, b in enumerate(ds_b.polygons)
-            if a.mbr.intersects(b.mbr)
-        ]
-        expected = serial_keys(serial, "intersect", items)
-        got = ex_on.refine_pairs(sharded, "intersect", items)
-        assert got == expected
-        assert sharded.stats == serial.stats
 
 
 def _layers(count_a=30, count_b=30):

@@ -65,8 +65,8 @@ class TestPolygonDigest:
         assert p.digest is p.digest  # computed once, then reused
 
     def test_digest_survives_pickling(self):
-        # The parallel executor ships polygons to workers; digests must
-        # agree across the pickle boundary or sharded caches never hit.
+        # A digest is a function of the vertex bytes alone, so a copy made
+        # through __reduce__ (pickle, copy, deepcopy) keys the same entries.
         p = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
         digest = p.digest
         clone = pickle.loads(pickle.dumps(p))

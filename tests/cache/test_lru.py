@@ -83,17 +83,6 @@ class TestEvictionOrder:
         assert cache.get("b") == 2
         assert cache.evictions == 1
 
-    def test_clear_drops_entries_and_tallies(self):
-        cache = LruCache(2)
-        cache.put("a", 1)
-        cache.get("a")
-        cache.get("x")
-        cache.put("b", 2)
-        cache.put("c", 3)
-        cache.clear()
-        assert len(cache) == 0
-        assert (cache.hits, cache.misses, cache.evictions) == (0, 0, 0)
-
 
 class TestMetricsPublishing:
     def test_publish_without_registry_is_a_noop(self):

@@ -28,17 +28,17 @@ class TestTracer:
     def test_record_parents_to_open_span(self):
         t = Tracer()
         with t.span("geometry") as stage:
-            shard = t.record("geometry.shard", 0.25, shard=3, pairs=100)
-        assert shard.parent_id == stage.span_id
-        assert shard.duration_s == 0.25
-        assert shard.attributes == {"shard": 3, "pairs": 100}
+            batch = t.record("geometry.hw_batch", 0.25, op="intersect", pairs=100)
+        assert batch.parent_id == stage.span_id
+        assert batch.duration_s == 0.25
+        assert batch.attributes == {"op": "intersect", "pairs": 100}
 
     def test_record_default_start_is_now_minus_duration(self):
         # A span recorded without an explicit start just *ended*: its start
         # must be backdated by its duration, not stamped at the end time.
         t = Tracer()
         before = time.time()
-        span = t.record("geometry.shard", 0.5)
+        span = t.record("geometry.hw_batch", 0.5)
         after = time.time()
         assert before - 0.5 <= span.start_unix_s <= after - 0.5
         assert span.start_unix_s + span.duration_s <= after
@@ -110,7 +110,7 @@ class TestJsonLinesExport:
     def test_export_round_trips(self):
         t = Tracer()
         with t.span("mbr_filter", kind="stage"):
-            t.record("geometry.shard", 0.1, shard=0)
+            t.record("geometry.hw_batch", 0.1, pairs=1)
         buf = io.StringIO()
         t.export(buf)
         lines = buf.getvalue().strip().splitlines()

@@ -40,15 +40,15 @@ class TestClockConsistency:
         tracer = Tracer()
         with tracer.span("stage"):
             time.sleep(0.01)
-            tracer.record("stage.shard", duration_s=0.005)
+            tracer.record("stage.batch", duration_s=0.005)
         stage = tracer.find("stage")[0]
-        shard = tracer.find("stage.shard")[0]
-        assert shard.parent_id == stage.span_id
-        # The shard interval nests inside the stage interval (small
+        batch = tracer.find("stage.batch")[0]
+        assert batch.parent_id == stage.span_id
+        # The batch interval nests inside the stage interval (small
         # tolerance for bookkeeping between the clock reads).
-        assert shard.start_unix_s >= stage.start_unix_s - 1e-3
+        assert batch.start_unix_s >= stage.start_unix_s - 1e-3
         assert (
-            shard.start_unix_s + shard.duration_s
+            batch.start_unix_s + batch.duration_s
             <= stage.start_unix_s + stage.duration_s + 1e-3
         )
 

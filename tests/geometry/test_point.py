@@ -1,5 +1,8 @@
 """Unit tests for the Point primitive."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -17,6 +20,12 @@ class TestConstruction:
         p = Point(1.0, 2.0)
         with pytest.raises(AttributeError):
             p.x = 3.0
+
+    def test_copies_despite_immutability(self):
+        # __reduce__ rebuilds through the constructor, not __setattr__.
+        p = Point(1.5, -2.0)
+        for clone in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert clone == p
 
     def test_repr_round_numbers(self):
         assert repr(Point(1.5, -2.0)) == "Point(1.5, -2)"

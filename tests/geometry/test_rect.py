@@ -1,6 +1,8 @@
 """Unit and property tests for Rect (MBR) operations."""
 
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import given
@@ -33,6 +35,11 @@ class TestConstruction:
         r = Rect(0, 0, 1, 1)
         with pytest.raises(AttributeError):
             r.xmin = -1
+
+    def test_copies_despite_immutability(self):
+        r = Rect(0, -1, 2.5, 3)
+        for clone in (copy.copy(r), copy.deepcopy(r), pickle.loads(pickle.dumps(r))):
+            assert clone == r
 
 
 class TestMeasures:

@@ -10,14 +10,6 @@ class TestCounters:
         assert c.draw_calls == 0
         assert c.pixels_written == 0
 
-    def test_merge(self):
-        a = CostCounters(draw_calls=1, edges_rendered=5)
-        b = CostCounters(draw_calls=2, pixels_written=7)
-        a.merge(b)
-        assert a.draw_calls == 3
-        assert a.edges_rendered == 5
-        assert a.pixels_written == 7
-
     def test_snapshot_is_independent(self):
         a = CostCounters(minmax_ops=4)
         snap = a.snapshot()

@@ -179,32 +179,6 @@ class TestPersistence:
         replay_capture(str(path)).assert_ok()
 
 
-class TestMerge:
-    def test_merge_remaps_pids_and_tags_origin(self, dataset_a):
-        a, b = dataset_a.polygons[0], dataset_a.polygons[1]
-        shard, _ = record_pair_test("accum", a, b)
-        coordinator = CommandRecorder()
-        coordinator.merge(shard.events, origin="shard0")
-        coordinator.merge(shard.events, origin="shard1")
-        assert all(e["origin"] == "shard0" for e in coordinator.events[: len(shard.events)])
-        assert all(e["origin"] == "shard1" for e in coordinator.events[len(shard.events):])
-        pids = {e["pid"] for e in coordinator.events if "pid" in e}
-        assert pids == {"p0", "p1"}  # first-seen order, deterministic
-        seqs = [e["seq"] for e in coordinator.events]
-        assert seqs == list(range(len(coordinator.events)))
-
-    def test_merged_capture_replays(self, dataset_a, dataset_b):
-        a, b = dataset_a.polygons[0], dataset_b.polygons[0]
-        shard0, _ = record_pair_test("accum", a, b)
-        shard1, _ = record_pair_test("stencil", b, a)
-        coordinator = CommandRecorder()
-        coordinator.merge(shard0.events, origin="shard0")
-        coordinator.merge(shard1.events, origin="shard1")
-        result = replay_events(coordinator.events)
-        result.assert_ok()
-        assert set(result.pipelines) == {"p0", "p1"}
-
-
 class TestReplayDivergence:
     """A tampered capture must be *reported*, not silently accepted."""
 

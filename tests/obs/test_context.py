@@ -18,32 +18,29 @@ class TestTraceId:
         assert len({new_trace_id() for _ in range(1000)}) == 1000
 
 
-class TestRequestContext:
-    def test_new_mints_id_and_copies_attributes(self):
-        attrs = {"op": "join"}
-        ctx = RequestContext.new(attributes=attrs)
-        attrs["op"] = "mutated"
-        assert ctx.attributes == {"op": "join"}
-        assert ctx.trace_id
+def _context(**fields):
+    return RequestContext(trace_id=new_trace_id(), **fields)
 
+
+class TestRequestContext:
     def test_frozen(self):
-        ctx = RequestContext.new()
+        ctx = _context()
         with pytest.raises(AttributeError):
             ctx.trace_id = "other"
 
     def test_no_deadline(self):
-        ctx = RequestContext.new()
+        ctx = _context()
         assert ctx.remaining_s() is None
         assert not ctx.expired()
 
     def test_deadline_in_future(self):
-        ctx = RequestContext.new(deadline_unix_s=time.time() + 60)
+        ctx = _context(deadline_unix_s=time.time() + 60)
         remaining = ctx.remaining_s()
         assert remaining is not None and 0 < remaining <= 60
         assert not ctx.expired()
 
     def test_deadline_in_past(self):
-        ctx = RequestContext.new(deadline_unix_s=time.time() - 1)
+        ctx = _context(deadline_unix_s=time.time() - 1)
         assert ctx.expired()
 
     def test_to_dict(self):
@@ -60,7 +57,7 @@ class TestRequestContext:
         assert ctx.attributes["op"] == "selection"
 
     def test_to_dict_omits_unset_deadline(self):
-        assert "deadline_unix_s" not in RequestContext.new().to_dict()
+        assert "deadline_unix_s" not in _context().to_dict()
 
 
 class TestScoping:
@@ -68,20 +65,20 @@ class TestScoping:
         assert current_scope().request is None
 
     def test_use_context_restores(self):
-        ctx = RequestContext.new()
+        ctx = _context()
         with use_scope(request=ctx):
             assert current_scope().request is ctx
         assert current_scope().request is None
 
     def test_nested_scopes_unwind(self):
-        outer, inner = RequestContext.new(), RequestContext.new()
+        outer, inner = _context(), _context()
         with use_scope(request=outer):
             with use_scope(request=inner):
                 assert current_scope().request is inner
             assert current_scope().request is outer
 
     def test_explicit_none_clears(self):
-        with use_scope(request=RequestContext.new()):
+        with use_scope(request=_context()):
             with use_scope(request=None):
                 assert current_scope().request is None
 
@@ -90,7 +87,7 @@ class TestScoping:
         barrier = threading.Barrier(2)
 
         def worker(name):
-            ctx = RequestContext.new(attributes={"name": name})
+            ctx = _context(attributes={"name": name})
             with use_scope(request=ctx):
                 barrier.wait()  # both threads inside their scopes at once
                 seen[name] = current_scope().request.trace_id

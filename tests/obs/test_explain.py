@@ -2,8 +2,8 @@
 
 The funnel is only worth printing if it is *exact*: every stage count must
 agree with the engine's RefinementStats, the identities must hold for
-serial, batched, and shard-merged execution of the same query set, and the
-three execution modes must produce the same funnel.
+serial and batched execution of the same query set, and the two execution
+modes must produce the same funnel.
 """
 
 import json
@@ -12,7 +12,6 @@ import pytest
 
 from repro.bench.experiments import per_pair_engine
 from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
-from repro.exec import ParallelExecutor
 from repro.obs.__main__ import main as obs_main
 from repro.obs import CommandRecorder, use_recorder
 from repro.obs.capture import write_events
@@ -161,7 +160,7 @@ def comparable(funnel):
 
 
 class TestExplainRunConsistency:
-    """Serial, batched, and sharded runs yield one and the same funnel."""
+    """Serial and batched runs yield one and the same funnel."""
 
     def run_join(self, dataset_a, dataset_b, mode):
         # "serial" is the paper-literal tester: one submission per pair.
@@ -170,24 +169,14 @@ class TestExplainRunConsistency:
             if mode == "serial"
             else hw_engine()
         )
-        if mode == "sharded":
-            with ParallelExecutor(workers=2, min_inline_items=1) as ex:
-                result, funnel = explain_run(
-                    "join",
-                    engine,
-                    lambda: IntersectionJoin(
-                        dataset_a, dataset_b, engine, executor=ex
-                    ).run(),
-                )
-        else:
-            result, funnel = explain_run(
-                "join",
-                engine,
-                lambda: IntersectionJoin(dataset_a, dataset_b, engine).run(),
-            )
+        result, funnel = explain_run(
+            "join",
+            engine,
+            lambda: IntersectionJoin(dataset_a, dataset_b, engine).run(),
+        )
         return engine, result, funnel
 
-    @pytest.mark.parametrize("mode", ["serial", "batched", "sharded"])
+    @pytest.mark.parametrize("mode", ["serial", "batched"])
     def test_funnel_matches_refinement_stats(self, dataset_a, dataset_b, mode):
         engine, result, funnel = self.run_join(dataset_a, dataset_b, mode)
         assert_funnel_matches_stats(funnel, engine.stats)
@@ -199,9 +188,9 @@ class TestExplainRunConsistency:
     def test_modes_agree_exactly(self, dataset_a, dataset_b):
         funnels = [
             comparable(self.run_join(dataset_a, dataset_b, mode)[2])
-            for mode in ("serial", "batched", "sharded")
+            for mode in ("serial", "batched")
         ]
-        assert funnels[0] == funnels[1] == funnels[2]
+        assert funnels[0] == funnels[1]
 
     def test_within_distance_and_containment_funnels(
         self, dataset_a, dataset_b

@@ -1,10 +1,9 @@
 """End-to-end instrumentation tests: pipelines publishing into a registry.
 
 The load-bearing guarantee: per-pair metric families are *bit-identical*
-between a serial run, a batched run, and a shard-merged parallel run of the
-same workload.  Batch-shape families (``tiles_per_batch``,
-``atlas_occupancy``, ``shard_*``, submission-side ``gpu`` counters) are
-excluded - they legitimately depend on how the candidate list is sliced.
+between a serial (per-pair) run and a batched run of the same workload.
+Batch-shape families (``tiles_per_batch``, ``atlas_occupancy``,
+submission-side ``gpu`` counters) are excluded - they legitimately depend on how the candidate list is sliced.
 """
 
 import pytest
@@ -12,13 +11,12 @@ import pytest
 from repro.bench.experiments import per_pair_engine
 from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 from repro.core.hardware_test import HardwareSegmentTest, HardwareVerdict
-from repro.exec import ParallelExecutor
 from repro.geometry import Rect
 from repro.obs.instrument import observe_pipeline
 from repro.obs import MetricsRegistry, use_registry
-from repro.query import IntersectionJoin, IntersectionSelection, WithinDistanceJoin
+from repro.query import IntersectionJoin, IntersectionSelection
 
-#: Families whose totals must not depend on batching or sharding.
+#: Families whose totals must not depend on batching.
 DETERMINISTIC_COUNTER_FAMILIES = (
     "hw_verdicts",
     "refinement",
@@ -42,7 +40,7 @@ def per_pair_hw_engine():
 
 
 def deterministic_view(snapshot):
-    """The snapshot restricted to the batching/sharding-invariant families."""
+    """The snapshot restricted to the batching-invariant families."""
 
     def keep(key, families):
         return key.split("{")[0] in families
@@ -61,12 +59,10 @@ def deterministic_view(snapshot):
     }
 
 
-def run_join(dataset_a, dataset_b, engine, executor=None):
+def run_join(dataset_a, dataset_b, engine):
     registry = MetricsRegistry()
     with use_registry(registry):
-        result = IntersectionJoin(
-            dataset_a, dataset_b, engine, executor=executor
-        ).run()
+        result = IntersectionJoin(dataset_a, dataset_b, engine).run()
     return result, registry.snapshot()
 
 
@@ -318,44 +314,6 @@ class TestBatchShardInvariance:
         _, serial = run_join(dataset_a, dataset_b, per_pair_hw_engine())
         _, batched = run_join(dataset_a, dataset_b, hw_engine())
         assert deterministic_view(serial) == deterministic_view(batched)
-
-    def test_serial_vs_parallel_identical(self, dataset_a, dataset_b):
-        _, serial = run_join(dataset_a, dataset_b, hw_engine())
-        with ParallelExecutor(workers=2, min_inline_items=1) as executor:
-            _, parallel = run_join(
-                dataset_a, dataset_b, hw_engine(), executor=executor
-            )
-        assert deterministic_view(serial) == deterministic_view(parallel)
-
-    def test_shard_layout_does_not_change_totals(self, dataset_a, dataset_b):
-        snaps = []
-        for workers in (2, 3):
-            with ParallelExecutor(workers=workers, min_inline_items=1) as ex:
-                _, snap = run_join(dataset_a, dataset_b, hw_engine(), executor=ex)
-            snaps.append(deterministic_view(snap))
-        assert snaps[0] == snaps[1]
-
-    def test_parallel_within_distance(self, dataset_a, dataset_b):
-        d = 1.5
-        registry_serial = MetricsRegistry()
-        with use_registry(registry_serial):
-            WithinDistanceJoin(dataset_a, dataset_b, hw_engine()).run(d)
-        with ParallelExecutor(workers=2, min_inline_items=1) as executor:
-            registry_parallel = MetricsRegistry()
-            with use_registry(registry_parallel):
-                WithinDistanceJoin(
-                    dataset_a, dataset_b, hw_engine(), executor=executor
-                ).run(d)
-        assert deterministic_view(registry_serial.snapshot()) == (
-            deterministic_view(registry_parallel.snapshot())
-        )
-
-    def test_shard_histograms_recorded(self, dataset_a, dataset_b):
-        with ParallelExecutor(workers=2, min_inline_items=1) as executor:
-            _, snap = run_join(dataset_a, dataset_b, hw_engine(), executor=executor)
-        shard_pairs = snap["histograms"]["shard_pairs{stage=geometry}"]
-        assert shard_pairs["count"] >= 2
-        assert shard_pairs["sum"] == snap["counters"]["cost_count{field=pairs_compared}"]
 
 
 def _triangle(x: float, y: float):

@@ -31,8 +31,8 @@ SAMPLE = [
     span(1, "query", 1.0),
     span(2, "mbr_filter", 0.2, parent_id=1),
     span(3, "geometry", 0.7, parent_id=1),
-    span(4, "geometry.shard", 0.4, parent_id=3, shard=0),
-    span(5, "geometry.shard", 0.25, parent_id=3, shard=1),
+    span(4, "geometry.hw_batch", 0.4, parent_id=3),
+    span(5, "geometry.hw_batch", 0.25, parent_id=3),
 ]
 
 
@@ -77,7 +77,7 @@ class TestTree:
 
     def test_rollups_aggregate_by_name(self):
         report = build_tree(SAMPLE)
-        rollup = {r.name: r for r in report.rollups}["geometry.shard"]
+        rollup = {r.name: r for r in report.rollups}["geometry.hw_batch"]
         assert rollup.calls == 2
         assert rollup.total_s == pytest.approx(0.65)
         assert rollup.min_s == pytest.approx(0.25)
@@ -90,7 +90,7 @@ class TestTree:
         assert [n.name for n in report.critical_path] == [
             "query",
             "geometry",
-            "geometry.shard",
+            "geometry.hw_batch",
         ]
         assert report.critical_path[-1].duration_s == pytest.approx(0.4)
 
@@ -115,7 +115,7 @@ class TestRendering:
         assert "per-stage rollup" in text
         assert "critical path" in text
         assert "span tree" in text
-        assert "geometry.shard" in text
+        assert "geometry.hw_batch" in text
 
     def test_rollup_limit(self):
         text = render_rollups(build_tree(SAMPLE), limit=1)
@@ -124,11 +124,11 @@ class TestRendering:
 
 
 class TestTopSelf:
-    # Self times in SAMPLE: geometry.shard 0.65, mbr_filter 0.2,
+    # Self times in SAMPLE: geometry.hw_batch 0.65, mbr_filter 0.2,
     # query 0.1 (1.0 - 0.9 of children), geometry 0.05 (0.7 - 0.65).
     def test_ranked_by_self_time_not_total(self):
         lines = render_top_self(build_tree(SAMPLE), 3).splitlines()
-        assert lines[0].startswith("1. geometry.shard")
+        assert lines[0].startswith("1. geometry.hw_batch")
         assert lines[1].startswith("2. mbr_filter")
         # "query" has the largest *total* but only 0.1 s of self time.
         assert lines[2].startswith("3. query")

@@ -30,8 +30,8 @@ REQUEST_TRACE = [
     span(1, "request", 100.0, 1.0, worker=1, op="join", trace_id="abc"),
     span(2, "execute", 100.1, 0.9, parent_id=1, trace_id="abc"),
     span(3, "geometry", 100.2, 0.7, parent_id=2, trace_id="abc"),
-    span(4, "geometry.shard", 100.2, 0.4, parent_id=3, shard=0, trace_id="abc"),
-    span(5, "geometry.shard", 100.2, 0.3, parent_id=3, shard=1, trace_id="abc"),
+    span(4, "geometry.hw_batch", 100.2, 0.4, parent_id=3, trace_id="abc"),
+    span(5, "gpu.tile_batch", 100.2, 0.3, parent_id=4, trace_id="abc"),
 ]
 
 
@@ -48,19 +48,7 @@ class TestLanes:
             if e["name"] == "process_name"
         }
         assert names == {"engine worker 1"}
-
-    def test_shards_get_own_thread_lanes(self):
-        doc = timeline_from_spans(REQUEST_TRACE)
-        shard_events = [e for e in events(doc) if e["name"] == "geometry.shard"]
-        assert sorted(e["tid"] for e in shard_events) == [1, 2]
-        thread_names = {
-            (e["tid"], e["args"]["name"])
-            for e in events(doc, ph="M")
-            if e["name"] == "thread_name"
-        }
-        assert (0, "requests") in thread_names
-        assert (1, "shard 0") in thread_names
-        assert (2, "shard 1") in thread_names
+        assert {e["tid"] for e in events(doc)} == {0}
 
     def test_workerless_spans_share_main_lane(self):
         doc = timeline_from_spans([span(1, "query", 50.0, 0.5)])

@@ -5,7 +5,8 @@ resolves is a pair the hardware never sees - but resolved pairs must be
 resolved *correctly* (the certificates are proofs, property-tested in
 ``tests/filters/test_intervals.py``) and the surviving UNKNOWN set is
 identical by construction across the serial (paper-literal, one hardware
-submission per pair), batched, and sharded geometry backends.  These tests pin all of that at the pipeline level:
+submission per pair) and batched geometry paths.  These tests pin all of
+that at the pipeline level:
 filter-on result ids equal filter-off ids; with the filter on, the
 refinement stats and explain funnels are bit-identical across backends
 and overlap methods; the funnel identities stay exact in both
@@ -16,7 +17,6 @@ import pytest
 
 from repro.bench.experiments import per_pair_engine
 from repro.core import OVERLAP_METHODS, HardwareConfig, HardwareEngine
-from repro.exec import ParallelExecutor
 from repro.obs.explain import explain_run, funnels_from_snapshot
 from repro.obs import MetricsRegistry, use_registry
 from repro.query import IntersectionJoin, IntersectionSelection
@@ -30,29 +30,20 @@ def _engine(method="accum", backend="serial"):
     return make(HardwareConfig(resolution=RESOLUTION, method=method))
 
 
-@pytest.fixture(scope="module")
-def shared_executor():
-    executor = ParallelExecutor(workers=2)
-    yield executor
-    executor.close()
-
-
-def _selection_pipeline(dataset, engine, backend, executor, use_intervals):
+def _selection_pipeline(dataset, engine, use_intervals):
     return IntersectionSelection(
         dataset,
         engine,
-        executor=executor if backend == "sharded" else None,
         use_intervals=use_intervals,
         interval_level=LEVEL,
     )
 
 
-def _join_pipeline(ds_a, ds_b, engine, backend, executor, use_intervals):
+def _join_pipeline(ds_a, ds_b, engine, use_intervals):
     return IntersectionJoin(
         ds_a,
         ds_b,
         engine,
-        executor=executor if backend == "sharded" else None,
         use_intervals=use_intervals,
         interval_level=LEVEL,
     )
@@ -61,21 +52,21 @@ def _join_pipeline(ds_a, ds_b, engine, backend, executor, use_intervals):
 class TestAnswersUnchanged:
     def test_selection_ids_identical(self, dataset_a, dataset_b):
         queries = dataset_b.polygons[:8]
-        off = _selection_pipeline(dataset_a, _engine(), "serial", None, False)
-        on = _selection_pipeline(dataset_a, _engine(), "serial", None, True)
+        off = _selection_pipeline(dataset_a, _engine(), False)
+        on = _selection_pipeline(dataset_a, _engine(), True)
         for query in queries:
             assert on.run(query).ids == off.run(query).ids
 
     def test_join_pairs_identical(self, dataset_a, dataset_b):
-        off = _join_pipeline(dataset_a, dataset_b, _engine(), "serial", None, False)
-        on = _join_pipeline(dataset_a, dataset_b, _engine(), "serial", None, True)
+        off = _join_pipeline(dataset_a, dataset_b, _engine(), False)
+        on = _join_pipeline(dataset_a, dataset_b, _engine(), True)
         assert on.run().pairs == off.run().pairs
 
     def test_join_funnel_identities_both_configs(self, dataset_a, dataset_b):
         for use_intervals in (False, True):
             engine = _engine()
             join = _join_pipeline(
-                dataset_a, dataset_b, engine, "serial", None, use_intervals
+                dataset_a, dataset_b, engine, use_intervals
             )
             _, funnel = explain_run("join", engine, join.run)
             assert not funnel.check(), funnel.check()
@@ -91,7 +82,7 @@ class TestAnswersUnchanged:
         for use_intervals in (False, True):
             engine = _engine()
             selection = _selection_pipeline(
-                dataset_a, engine, "serial", None, use_intervals
+                dataset_a, engine, use_intervals
             )
             _, funnel = explain_run(
                 "selection", engine, lambda: selection.run(query)
@@ -102,71 +93,71 @@ class TestAnswersUnchanged:
 class TestBackendEquivalence:
     @pytest.mark.parametrize("method", OVERLAP_METHODS)
     def test_join_stats_and_funnels_identical(
-        self, dataset_a, dataset_b, shared_executor, method
+        self, dataset_a, dataset_b, method
     ):
         pairs = {}
         stats = {}
         snapshots = {}
-        for backend in ("serial", "batched", "sharded"):
+        for backend in ("serial", "batched"):
             engine = _engine(method, backend)
             registry = MetricsRegistry()
             join = _join_pipeline(
-                dataset_a, dataset_b, engine, backend, shared_executor, True
+                dataset_a, dataset_b, engine, True
             )
             with use_registry(registry):
                 pairs[backend] = join.run().pairs
             stats[backend] = engine.stats
             snapshots[backend] = registry.snapshot()
-        assert pairs["serial"] == pairs["batched"] == pairs["sharded"]
-        assert stats["serial"] == stats["batched"] == stats["sharded"]
+        assert pairs["serial"] == pairs["batched"]
+        assert stats["serial"] == stats["batched"]
         funnels = {
             backend: funnels_from_snapshot(snap)
             for backend, snap in snapshots.items()
         }
-        assert funnels["serial"] == funnels["batched"] == funnels["sharded"]
+        assert funnels["serial"] == funnels["batched"]
 
     def test_selection_stats_and_funnels_identical(
-        self, dataset_a, dataset_b, shared_executor
+        self, dataset_a, dataset_b
     ):
         queries = dataset_b.polygons[:5]
         ids = {}
         stats = {}
         snapshots = {}
-        for backend in ("serial", "batched", "sharded"):
+        for backend in ("serial", "batched"):
             engine = _engine(backend=backend)
             registry = MetricsRegistry()
             selection = _selection_pipeline(
-                dataset_a, engine, backend, shared_executor, True
+                dataset_a, engine, True
             )
             with use_registry(registry):
                 ids[backend] = [selection.run(q).ids for q in queries]
             stats[backend] = engine.stats
             snapshots[backend] = registry.snapshot()
-        assert ids["serial"] == ids["batched"] == ids["sharded"]
-        assert stats["serial"] == stats["batched"] == stats["sharded"]
+        assert ids["serial"] == ids["batched"]
+        assert stats["serial"] == stats["batched"]
         funnels = {
             backend: funnels_from_snapshot(snap)
             for backend, snap in snapshots.items()
         }
-        assert funnels["serial"] == funnels["batched"] == funnels["sharded"]
+        assert funnels["serial"] == funnels["batched"]
 
 
 class TestWorkReduction:
     def test_join_hw_tests_drop(self, dataset_a, dataset_b):
         off_engine = _engine()
         _join_pipeline(
-            dataset_a, dataset_b, off_engine, "serial", None, False
+            dataset_a, dataset_b, off_engine, False
         ).run()
         on_engine = _engine()
         result = _join_pipeline(
-            dataset_a, dataset_b, on_engine, "serial", None, True
+            dataset_a, dataset_b, on_engine, True
         ).run()
         assert on_engine.stats.hw_tests < off_engine.stats.hw_tests
         assert result.cost.interval_hits + result.cost.interval_drops > 0
 
     def test_interval_costs_zero_when_off(self, dataset_a, dataset_b):
         result = _join_pipeline(
-            dataset_a, dataset_b, _engine(), "serial", None, False
+            dataset_a, dataset_b, _engine(), False
         ).run()
         assert result.cost.interval_hits == 0
         assert result.cost.interval_drops == 0

@@ -1,5 +1,6 @@
 """The serving determinism property: responses are bit-identical to
-direct engine calls, for every backend, under concurrency.
+direct engine calls, with or without the interval filter, under
+concurrency.
 
 This is the acceptance property of the serving layer: admission,
 pooling, and threading may change *when* a query runs and *which* engine
@@ -35,10 +36,9 @@ def _direct(reference: ServingEngine, request: QueryRequest):
 
 
 class TestBitIdentityAcrossBackends:
-    @pytest.mark.parametrize("backend", ["batched"])
-    def test_all_ops_match_direct_calls(self, workload, reference, backend):
+    def test_all_ops_match_direct_calls(self, workload, reference):
         svc = QueryService(
-            workload=WorkloadConfig(backend=backend),
+            workload=WorkloadConfig(),
             workers=2,
             admission=AdmissionConfig(max_queue=1000),
         )
@@ -58,7 +58,7 @@ class TestBitIdentityAcrossBackends:
                 assert resp.status == "ok"
                 assert canonical_results(resp.results) == _direct(
                     reference, request
-                ), f"backend={backend} request={request}"
+                ), f"request={request}"
         finally:
             svc.close()
 
@@ -92,31 +92,9 @@ class TestBitIdentityAcrossBackends:
             WorkloadConfig(interval_level=-1)
 
     def test_serial_backend_is_gone(self):
-        # One refinement path: the per-pair loop is no longer selectable.
-        with pytest.raises(ValueError, match="unknown backend"):
+        # One refinement path: no geometry backend is selectable at all.
+        with pytest.raises(TypeError, match="backend"):
             WorkloadConfig(backend="serial")
-
-    def test_sharded_backend_matches_direct_calls(self, workload, reference):
-        svc = QueryService(
-            workload=WorkloadConfig(backend="sharded", shard_workers=2),
-            workers=1,
-            admission=AdmissionConfig(max_queue=1000),
-        )
-        try:
-            for request in (
-                QueryRequest(op="selection", query_index=0),
-                QueryRequest(op="join"),
-                QueryRequest(
-                    op="within_distance", distance=workload.base_distance
-                ),
-            ):
-                resp = svc.submit(request)
-                assert resp.status == "ok"
-                assert canonical_results(resp.results) == _direct(
-                    reference, request
-                )
-        finally:
-            svc.close()
 
 
 class TestBitIdentityUnderConcurrency:

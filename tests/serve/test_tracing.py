@@ -19,7 +19,6 @@ from repro.serve import (
     QueryRequest,
     QueryService,
     TracingConfig,
-    WorkloadConfig,
     canonical_results,
 )
 
@@ -95,23 +94,6 @@ class TestSpanTrees:
         assert all(
             s.parent_id in ids for s in trace if s.parent_id is not None
         )
-
-    def test_sharded_backend_carries_trace_id_into_shard_spans(self):
-        svc = QueryService(
-            workload=WorkloadConfig(backend="sharded", shard_workers=2),
-            workers=1,
-            tracing=TracingConfig(enabled=True),
-        )
-        try:
-            response = svc.submit(QueryRequest(op="join"))
-            assert response.status == "ok"
-            trace = svc.traces.traces()[-1]
-            shard_spans = [s for s in trace if s.name.endswith(".shard")]
-            assert shard_spans, "sharded geometry must emit shard spans"
-            assert all(s.trace_id == response.trace_id for s in shard_spans)
-            assert {s.attributes.get("shard") for s in shard_spans} >= {0, 1}
-        finally:
-            svc.close()
 
 
 class TestConcurrencyHazard:

