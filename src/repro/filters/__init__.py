@@ -13,7 +13,6 @@ from .interior import InteriorFilter
 from .intervals import (
     DEFAULT_INTERVAL_LEVEL,
     IntervalApproximation,
-    IntervalFilterStats,
     IntervalGrid,
     IntervalIndex,
     IntervalVerdict,
@@ -31,7 +30,6 @@ __all__ = [
     "HullFilterStats",
     "InteriorFilter",
     "IntervalApproximation",
-    "IntervalFilterStats",
     "IntervalGrid",
     "IntervalIndex",
     "IntervalVerdict",

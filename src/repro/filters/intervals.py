@@ -37,19 +37,18 @@ untouched cells (uniformly inside or outside, so the center decides).
 Both soundness arguments are property-tested against the exact software
 predicate in ``tests/filters/test_intervals.py``.
 
-The pair test itself is a vectorized merge of two sorted half-open run
-lists (``searchsorted`` twice per direction), replacing the retired
-``raster_approx.classify_pair`` O(tiles_a x tiles_b) Python loop; at the
-default level 8 it runs in microseconds (asserted by
-``benchmarks/bench_intervals.py``).
+The pair test is a vectorized merge of sorted half-open run lists (two
+``searchsorted`` calls), replacing the retired ``raster_approx`` O(tiles_a
+x tiles_b) Python loop.  :class:`IntervalIndex` packs every encoding into
+one row-keyed run list per list kind, so a whole candidate list is one
+such merge per kind (Georgiadis et al.'s list-against-list join).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
-from typing import TYPE_CHECKING, Dict, Iterable, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,6 +66,11 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
 #: Default grid refinement: 2^8 x 2^8 cells over the shared world.
 DEFAULT_INTERVAL_LEVEL = 8
 
+#: Largest cell coordinate rasterized: the footprint test's rounding (~2^24 *
+#: 2^-51) stays inside ``COVERAGE_EPS`` (1e-7).  Beyond it (from ~1e152 the
+#: fill's products overflow) a polygon's cells are all PARTIAL.
+_MAX_CELL_COORD = 2.0**24
+
 _EMPTY_RUNS = (
     np.zeros(0, dtype=np.int64),
     np.zeros(0, dtype=np.int64),
@@ -81,18 +85,13 @@ class IntervalVerdict(Enum):
     UNKNOWN = "unknown"
 
 
-@dataclass
-class IntervalFilterStats:
-    """Outcome counters for a batch of pair classifications."""
+_VERDICTS = np.array(list(IntervalVerdict), dtype=object)
 
-    tests: int = 0
-    disjoint: int = 0
-    intersecting: int = 0
 
-    @property
-    def resolved(self) -> int:
-        """Pairs the filter settled without refinement."""
-        return self.disjoint + self.intersecting
+def check_interval_level(level: object, name: str = "level") -> None:
+    """Refuse a grid level that is not a (non-bool) ``int`` in [0, 12]."""
+    if isinstance(level, bool) or not isinstance(level, int) or not 0 <= level <= 12:
+        raise ValueError(f"{name} must be in [0, 12], got {level!r}")
 
 
 class IntervalGrid:
@@ -107,8 +106,7 @@ class IntervalGrid:
     __slots__ = ("world", "level", "cells_per_side", "cell_w", "cell_h")
 
     def __init__(self, world: Rect, level: int = DEFAULT_INTERVAL_LEVEL) -> None:
-        if not 0 <= level <= 12:
-            raise ValueError(f"level must be in [0, 12], got {level}")
+        check_interval_level(level)
         self.world = world
         self.level = level
         n = 2**level
@@ -143,15 +141,16 @@ class IntervalGrid:
         exactly that bug, masked by an upstream ``mbr.intersects`` guard.
         Flooring first and rejecting empty ranges *before* clamping makes
         the answer correct with no guard at all (regression-tested with
-        boundary-straddling windows).
+        boundary-straddling windows).  Quotients are clamped to ``[-1, n]``
+        first, so a finite window far outside cannot overflow to ``inf``.
         """
         if self.degenerate:
             return None
         n = self.cells_per_side
-        ix0 = math.floor((window.xmin - self.world.xmin) / self.cell_w)
-        ix1 = math.floor((window.xmax - self.world.xmin) / self.cell_w)
-        iy0 = math.floor((window.ymin - self.world.ymin) / self.cell_h)
-        iy1 = math.floor((window.ymax - self.world.ymin) / self.cell_h)
+        ix0 = math.floor(min(max((window.xmin - self.world.xmin) / self.cell_w, -1.0), n))
+        ix1 = math.floor(min(max((window.xmax - self.world.xmin) / self.cell_w, -1.0), n))
+        iy0 = math.floor(min(max((window.ymin - self.world.ymin) / self.cell_h, -1.0), n))
+        iy1 = math.floor(min(max((window.ymax - self.world.ymin) / self.cell_h, -1.0), n))
         if ix1 < 0 or iy1 < 0 or ix0 > n - 1 or iy0 > n - 1:
             return None
         return (max(ix0, 0), max(iy0, 0), min(ix1, n - 1), min(iy1, n - 1))
@@ -179,24 +178,18 @@ def _runs_from_ids(ids: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
 
 
 def _runs_overlap(
-    starts_a: np.ndarray,
-    ends_a: np.ndarray,
-    starts_b: np.ndarray,
-    ends_b: np.ndarray,
-) -> bool:
-    """True when any run ``[sa, ea)`` shares a cell with any ``[sb, eb)``.
+    starts_q: np.ndarray, ends_q: np.ndarray, starts: np.ndarray, ends: np.ndarray
+) -> np.ndarray:
+    """Per query run ``[sq, eq)``: does it share a cell with a run ``[s, e)``?
 
-    Both run lists are sorted and pairwise disjoint, so for each a-run the
-    b-runs that can overlap it form a contiguous index range: those with
-    ``eb > sa`` (first index via one searchsorted) and ``sb < ea`` (count
-    via the other).  Linear-logarithmic, fully vectorized - this *is* the
-    sorted-interval merge the paper's filter lives on.
+    The runs are sorted and disjoint, so those meeting ``[sq, eq)`` are the
+    index range ``[lo, hi)``: ``lo`` counts runs with ``e <= sq`` (a run
+    ending *at* ``sq`` lacks cell ``sq``), ``hi`` those with ``s < eq``.
+    The filter's one merge rule; the query runs need no order.
     """
-    if starts_a.size == 0 or starts_b.size == 0:
-        return False
-    lo = np.searchsorted(ends_b, starts_a, side="right")
-    hi = np.searchsorted(starts_b, ends_a, side="left")
-    return bool((hi > lo).any())
+    lo = np.searchsorted(ends, starts_q, side="right")
+    hi = np.searchsorted(starts, ends_q, side="left")
+    return hi > lo
 
 
 class IntervalApproximation:
@@ -246,13 +239,18 @@ class IntervalApproximation:
         # Vertices in local cell coordinates of the footprint window; the
         # rasterizers clip to the buffer, so out-of-window (clipped)
         # geometry still marks every in-window cell it touches.
-        coords = (
-            polygon.coords_array - (grid.world.xmin, grid.world.ymin)
-        ) / (grid.cell_w, grid.cell_h) - (ix0, iy0)
-        inside = polygon_fill_coverage_mask((height, width), coords)
-        touched_mask = ring_boundary_coverage_mask(
-            (height, width), coords, _BOUNDARY_FOOTPRINT
-        )
+        with np.errstate(over="ignore"):
+            coords = (
+                polygon.coords_array - (grid.world.xmin, grid.world.ymin)
+            ) / (grid.cell_w, grid.cell_h) - (ix0, iy0)
+        if np.abs(coords).max() <= _MAX_CELL_COORD:
+            inside = polygon_fill_coverage_mask((height, width), coords)
+            touched_mask = ring_boundary_coverage_mask(
+                (height, width), coords, _BOUNDARY_FOOTPRINT
+            )
+        else:  # every cell PARTIAL: sound, where no cells is a false DISJOINT
+            inside = np.zeros((height, width), dtype=bool)
+            touched_mask = ~inside
         full_mask = inside & ~touched_mask
         n = grid.cells_per_side
         js, is_ = np.nonzero(full_mask | touched_mask)
@@ -297,28 +295,72 @@ def _expand_runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
 
 
 def classify_intervals(
-    a: IntervalApproximation,
-    b: IntervalApproximation,
-    stats: Optional[IntervalFilterStats] = None,
+    a: IntervalApproximation, b: IntervalApproximation
 ) -> IntervalVerdict:
     """Compare two interval encodings (both certificates are proofs)."""
     if a.grid is not b.grid and a.grid != b.grid:
         raise ValueError(
             f"approximations must share a grid: {a.grid!r} vs {b.grid!r}"
         )
-    if stats is not None:
-        stats.tests += 1
-    if _runs_overlap(a.full_starts, a.full_ends, b.full_starts, b.full_ends):
-        if stats is not None:
-            stats.intersecting += 1
+    if _runs_overlap(a.full_starts, a.full_ends, b.full_starts, b.full_ends).any():
         return IntervalVerdict.INTERSECTING
     if not (a.clipped and b.clipped) and not _runs_overlap(
         a.starts, a.ends, b.starts, b.ends
-    ):
-        if stats is not None:
-            stats.disjoint += 1
+    ).any():
         return IntervalVerdict.DISJOINT
     return IntervalVerdict.UNKNOWN
+
+
+def _reserve(array: np.ndarray, size: int) -> np.ndarray:
+    """``array``, or a copy with twice the room if it holds < ``size``."""
+    room = array.shape[-1]
+    if size <= room:
+        return array
+    grown = np.empty(array.shape[:-1] + (max(size, 2 * room),), array.dtype)
+    grown[..., :room] = array
+    return grown
+
+
+class _PackedRuns:
+    """One list kind (non-EMPTY or FULL) of every encoding of an index.
+
+    CSR: row ``r``'s runs are columns ``offsets[r]:offsets[r + 1]`` of
+    ``keyed`` (starts, ends), plus ``r * stride``, the grid's cell count.
+    Runs lie in ``[0, stride]``, so all rows form one sorted disjoint list.
+    """
+
+    def __init__(self, stride: int) -> None:
+        self.stride = stride
+        self.rows = self.size = 0
+        self.offsets = np.zeros(1, dtype=np.int64)
+        self.keyed = np.empty((2, 0), dtype=np.int64)
+
+    def append(self, starts: np.ndarray, ends: np.ndarray) -> None:
+        row, size = self.rows, self.size
+        self.rows, self.size = row + 1, size + starts.size
+        self.keyed = _reserve(self.keyed, self.size)
+        self.keyed[:, size : self.size] = (starts, ends)
+        self.keyed[:, size : self.size] += row * self.stride
+        self.offsets = _reserve(self.offsets, self.rows + 1)
+        self.offsets[self.rows] = self.size
+
+    def overlaps(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+        """Per pair ``k``: do rows ``rows_a[k]``, ``rows_b[k]`` share a cell?
+        Gathers the shorter row's runs, moved to the other row's keys."""
+        offsets = self.offsets
+        count_a = offsets.take(rows_a + 1) - offsets.take(rows_a)
+        count_b = offsets.take(rows_b + 1) - offsets.take(rows_b)
+        a_shorter = count_a <= count_b
+        counts = np.minimum(count_a, count_b)
+        pair = np.repeat(np.arange(counts.size), counts)
+        # Gathered run i of pair k is run i - (runs gathered before k) of its row.
+        first = offsets.take(np.where(a_shorter, rows_a, rows_b)) - np.cumsum(counts)
+        index = np.arange(pair.size) + np.repeat(first + counts, counts)
+        shift = np.where(a_shorter, rows_b - rows_a, rows_a - rows_b) * self.stride
+        shift = np.repeat(shift, counts)
+        starts, ends = self.keyed[:, : self.size]
+        found = _runs_overlap(starts.take(index) + shift, ends.take(index) + shift, starts, ends)
+        return np.bincount(pair.compress(found), minlength=counts.size) > 0
 
 
 class IntervalIndex:
@@ -328,18 +370,22 @@ class IntervalIndex:
     (the same SHA-256 content key :mod:`repro.cache` uses), so duplicated
     geometry content - skewed layers, repeated queries - encodes exactly
     once, and a query polygon seen twice reuses its encoding across runs.
+    Each encoding is a row, in first-seen order, of two packed run stores.
     """
 
     def __init__(self, grid: IntervalGrid) -> None:
         self.grid = grid
-        self._by_digest: Dict[str, IntervalApproximation] = {}
+        self._rows: Dict[str, int] = {}
+        self._encodings: List[IntervalApproximation] = []
+        self._any = _PackedRuns(grid.cells_per_side**2)
+        self._full = _PackedRuns(grid.cells_per_side**2)
+        self._clipped = np.zeros(0, dtype=bool)
 
     @classmethod
     def for_datasets(
         cls,
         datasets: Sequence["SpatialDataset"],
         level: int = DEFAULT_INTERVAL_LEVEL,
-        precompute: bool = True,
     ) -> "IntervalIndex":
         """An index on the union world of ``datasets``, pre-encoding all.
 
@@ -353,43 +399,62 @@ class IntervalIndex:
             raise ValueError("IntervalIndex needs at least one dataset")
         world = Rect.union_all([ds.world for ds in datasets])
         index = cls(IntervalGrid(world, level))
-        if precompute:
-            for ds in datasets:
-                index.encode_all(ds.polygons)
+        for ds in datasets:
+            for polygon in ds.polygons:
+                index.encode(polygon)
         return index
 
     def __len__(self) -> int:
-        return len(self._by_digest)
+        return len(self._encodings)
 
     def encode(self, polygon: Polygon) -> IntervalApproximation:
         """The polygon's encoding on this index's grid (memoized)."""
-        digest = polygon.digest
-        encoding = self._by_digest.get(digest)
-        if encoding is None:
+        return self._encodings[self._row(polygon)]
+
+    def _row(self, polygon: Polygon) -> int:
+        row = self._rows.get(polygon.digest)
+        if row is None:
             encoding = IntervalApproximation.build(polygon, self.grid)
-            self._by_digest[digest] = encoding
-        return encoding
+            row = self._rows[polygon.digest] = len(self._encodings)
+            self._encodings.append(encoding)
+            self._any.append(encoding.starts, encoding.ends)
+            self._full.append(encoding.full_starts, encoding.full_ends)
+            self._clipped = _reserve(self._clipped, row + 1)
+            self._clipped[row] = encoding.clipped
+        return row
 
-    def encode_all(self, polygons: Iterable[Polygon]) -> None:
-        for polygon in polygons:
-            self.encode(polygon)
-
-    def classify(
-        self,
-        a: Polygon,
-        b: Polygon,
-        stats: Optional[IntervalFilterStats] = None,
-    ) -> IntervalVerdict:
-        """Classify one polygon pair through the cached encodings."""
-        return classify_intervals(self.encode(a), self.encode(b), stats)
+    def classify_batch(
+        self, pairs: Sequence[Tuple[Polygon, Polygon]]
+    ) -> List[IntervalVerdict]:
+        """``[classify_intervals(encode(a), encode(b)) for a, b in pairs]``:
+        FULL runs, then non-EMPTY runs of pairs not INTERSECTING and not
+        both clipped, one merge each.  Equal by construction: with ``M`` the
+        cell count, a query run ``[s, e)`` (``0 <= s < e <= M``) of one side
+        is searched as ``[s + t*M, e + t*M)``, ``t`` the other side's row, in
+        the keyed store, one sorted list of disjoint half-open runs.  A row
+        ``r < t`` run ends at or before ``(r + 1)*M <= s + t*M``, a row ``r >
+        t`` one starts at or after ``r*M >= e + t*M``: neither overlaps it
+        (touching is not sharing a cell).  Row ``t``'s runs, shifted by the
+        same ``t*M``, overlap it iff they do unshifted: the per-pair merge,
+        which is symmetric in the side gathered.
+        """
+        rows = np.fromiter((self._row(p) for ab in pairs for p in ab), np.int64, 2 * len(pairs))
+        rows_a, rows_b = rows[0::2], rows[1::2]
+        # Codes index _VERDICTS: 0 DISJOINT, 1 INTERSECTING, 2 UNKNOWN.
+        codes = np.where(self._full.overlaps(rows_a, rows_b), 1, 2)
+        both_clipped = self._clipped.take(rows_a) & self._clipped.take(rows_b)
+        open_ = np.flatnonzero((codes == 2) & ~both_clipped)
+        meet = self._any.overlaps(rows_a.take(open_), rows_b.take(open_))
+        codes[open_.compress(~meet)] = 0
+        return _VERDICTS.take(codes).tolist()
 
 
 __all__ = [
     "DEFAULT_INTERVAL_LEVEL",
     "IntervalApproximation",
-    "IntervalFilterStats",
     "IntervalGrid",
     "IntervalIndex",
     "IntervalVerdict",
+    "check_interval_level",
     "classify_intervals",
 ]

@@ -54,15 +54,15 @@ def interval_stage(
     """Settle intersection candidates with the precomputed encodings.
 
     Returns (keys proven INTERSECTING, items still UNKNOWN); DISJOINT
-    items are dropped.  Render-free, and run before the geometry stage so
-    every way of cutting the candidates into engine calls refines the
-    identical UNKNOWN set.
+    items are dropped.  Render-free, one batch classify for the whole
+    list, and run before the geometry stage so every way of cutting the
+    candidates into engine calls refines the identical UNKNOWN set.
     """
     hits: List[Any] = []
     undecided: List[WorkItem] = []
     with cost.time_stage("intermediate_filter"):
-        for item in items:
-            verdict = intervals.classify(item[1], item[2])
+        verdicts = intervals.classify_batch([item[1:] for item in items])
+        for item, verdict in zip(items, verdicts):
             if verdict is IntervalVerdict.INTERSECTING:
                 hits.append(item[0])
             elif verdict is IntervalVerdict.UNKNOWN:

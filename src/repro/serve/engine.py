@@ -44,7 +44,7 @@ from ..cache import CacheConfig
 from ..core.config import HardwareConfig
 from ..core.engine import HardwareEngine, RefinementEngine, SoftwareEngine
 from ..datasets import base_distance
-from ..filters.intervals import DEFAULT_INTERVAL_LEVEL
+from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, check_interval_level
 from ..query.costs import CostBreakdown
 from ..query.join import IntersectionJoin
 from ..query.selection import IntersectionSelection
@@ -77,10 +77,7 @@ class WorkloadConfig:
             raise ValueError(
                 f"unknown engine {self.engine!r}; expected hardware|software"
             )
-        if not 0 <= self.interval_level <= 12:
-            raise ValueError(
-                f"interval_level must be in [0, 12], got {self.interval_level}"
-            )
+        check_interval_level(self.interval_level, "interval_level")
 
     def build_engine(self) -> RefinementEngine:
         if self.engine == "software":

@@ -4,26 +4,30 @@ Ports the retired ``raster_approx`` three-state classification tests onto
 the interval layer (same fixtures, same soundness claims), then adds what
 the interval representation itself must guarantee: the floor-based cell
 range (the ``int()`` truncation regression), run compression agreeing
-with brute-force cell sets, the clipped-pair escape hatch, and the
-digest-memoized index.
+with brute-force cell sets, the clipped-pair escape hatch, the
+digest-memoized index, and its batch classify against the per-pair test
+(the oracle) with two named mutants of the row-keyed merge.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core import SoftwareEngine
+from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
+from repro.datasets.dataset import SpatialDataset
 from repro.filters import (
     IntervalApproximation,
-    IntervalFilterStats,
     IntervalGrid,
     IntervalIndex,
     IntervalVerdict,
     classify_intervals,
 )
+from repro.filters import intervals
 from repro.filters.intervals import _runs_overlap
 from repro.geometry import Polygon, Rect
-from tests.strategies import polygon_pairs_nearby, star_polygons
+from repro.query import IntersectionSelection
+from tests.strategies import adversarial_rings, polygon_pairs_nearby, star_polygons
 
 SQUARE = Polygon.from_coords([(0, 0), (8, 0), (8, 8), (0, 8)])
 OVERLAPPING = Polygon.from_coords([(4, 4), (12, 4), (12, 12), (4, 12)])
@@ -37,16 +41,21 @@ IN_NOTCH = Polygon.from_coords([(4, 3), (7, 3), (7, 5), (4, 5)])
 FIXTURE_WORLD = Rect(0.0, 0.0, 24.0, 24.0)
 
 
+def square(x: float, y: float, side: float) -> Polygon:
+    return Polygon.from_coords([(x, y), (x + side, y), (x + side, y + side), (x, y + side)])
+
+
 def grid_for(polygon: Polygon, level: int) -> IntervalGrid:
     return IntervalGrid(polygon.mbr, level=level)
 
 
 class TestGrid:
     def test_level_validation(self):
-        with pytest.raises(ValueError):
-            IntervalGrid(FIXTURE_WORLD, level=-1)
-        with pytest.raises(ValueError):
-            IntervalGrid(FIXTURE_WORLD, level=13)
+        """Only a non-bool int in [0, 12]: 8.5 made 362.04 cells per side
+        and float cell ids; True passed as level 1."""
+        for level in (-1, 13, 8.5, 8.0, True, False, "8", None):
+            with pytest.raises(ValueError):
+                IntervalGrid(FIXTURE_WORLD, level=level)
 
     def test_cell_range_rejects_window_outside(self):
         """The int() truncation regression: a window strictly left of /
@@ -61,6 +70,15 @@ class TestGrid:
         assert grid.cell_range(Rect(-0.5, -0.5, 0.5, 0.5)) == (0, 0, 0, 0)
         assert grid.cell_range(Rect(7.5, 7.5, 99.0, 99.0)) == (7, 7, 7, 7)
         assert grid.cell_range(Rect(-9.0, -9.0, 99.0, 99.0)) == (0, 0, 7, 7)
+
+    def test_cell_range_of_a_finite_window_far_outside(self):
+        """Quotients that overflow to +-inf are clamped before flooring
+        (math.floor(inf) raised OverflowError)."""
+        grid = IntervalGrid(Rect(0.0, 0.0, 1.0, 1.0), level=3)
+        assert grid.cell_range(Rect(-3e307, -3e307, 3e307, 3e307)) == (0, 0, 7, 7)
+        assert grid.cell_range(Rect(-1e308, -1e308, 1.7e308, 1.7e308)) == (0, 0, 7, 7)
+        assert grid.cell_range(Rect(-1.7e308, 0.0, -1e308, 1.0)) is None
+        assert grid.cell_range(Rect(1e308, 1e308, 1.7e308, 1.7e308)) is None
 
     def test_degenerate_world_has_no_cells(self):
         grid = IntervalGrid(Rect(0.0, 0.0, 0.0, 8.0), level=3)
@@ -120,8 +138,18 @@ class TestClassification:
                     set(a.cell_ids().tolist()) & set(b.cell_ids().tolist())
                 )
                 assert (
-                    _runs_overlap(a.starts, a.ends, b.starts, b.ends) == brute
+                    _runs_overlap(a.starts, a.ends, b.starts, b.ends).any() == brute
                 )
+
+    @pytest.mark.parametrize("side", [6e307, 3e152, 2.0**25])
+    def test_polygon_beyond_the_rasterizers_range_is_all_partial(self, side):
+        """Cell coordinates that overflow (6e307), that the fill's products
+        overflow on (3e152 gave an empty encoding: a false DISJOINT), or
+        beyond 2^24 encode every cell of the clamped range as PARTIAL."""
+        huge = square(-side / 2, -side / 2, side)
+        grid = IntervalGrid(Rect(0.0, 0.0, 3.0, 3.0), level=3)
+        approx = IntervalApproximation.build(huge, grid)
+        assert approx.cell_count == 64 and approx.full_cell_count == 0
 
     def test_run_compression_round_trips(self):
         grid = grid_for(C_SHAPE, 4)
@@ -142,9 +170,7 @@ class TestPairVerdicts:
     def test_overlapping_squares_confirmed(self, grid):
         a = IntervalApproximation.build(SQUARE, grid)
         b = IntervalApproximation.build(OVERLAPPING, grid)
-        stats = IntervalFilterStats()
-        assert classify_intervals(a, b, stats) is IntervalVerdict.INTERSECTING
-        assert stats.intersecting == 1 and stats.resolved == 1
+        assert classify_intervals(a, b) is IntervalVerdict.INTERSECTING
 
     def test_far_pair_disjoint(self, grid):
         a = IntervalApproximation.build(SQUARE, grid)
@@ -223,14 +249,171 @@ class TestIndex:
 
     def test_classify_through_index(self):
         index = IntervalIndex(IntervalGrid(FIXTURE_WORLD, level=4))
-        stats = IntervalFilterStats()
-        assert (
-            index.classify(SQUARE, OVERLAPPING, stats)
-            is IntervalVerdict.INTERSECTING
-        )
-        assert index.classify(SQUARE, FAR, stats) is IntervalVerdict.DISJOINT
-        assert stats.tests == 2 and stats.resolved == 2
+        assert index.classify_batch([(SQUARE, OVERLAPPING), (SQUARE, FAR)]) == [
+            IntervalVerdict.INTERSECTING,
+            IntervalVerdict.DISJOINT,
+        ]
+        assert index.classify_batch([]) == []
 
     def test_for_datasets_requires_data(self):
         with pytest.raises(ValueError):
             IntervalIndex.for_datasets([])
+
+
+class TestFarQueries:
+    """A finite query far larger than the grid: intervals on == off."""
+
+    DATA = SpatialDataset(
+        "three", [square(0, 0, 1), square(1.5, 0.2, 1.2), square(0.3, 2, 0.9)]
+    )
+
+    @pytest.mark.parametrize(
+        "query",
+        [
+            square(-3e307, -3e307, 6e307),
+            Polygon.from_coords(
+                [(-1e308, -1e308), (1.7e308, -1e308), (1.7e308, 1.7e308), (-1e308, 1.7e308)]
+            ),
+        ],
+    )
+    @pytest.mark.parametrize(
+        "make_engine",
+        [SoftwareEngine, lambda: HardwareEngine(HardwareConfig())],
+        ids=["software", "hardware"],
+    )
+    def test_intervals_on_equals_off(self, query, make_engine):
+        def ids(use_intervals):
+            selection = IntersectionSelection(
+                self.DATA, make_engine(), use_intervals=use_intervals
+            )
+            return selection.run(query).ids
+
+        assert ids(True) == ids(False) == [0, 1, 2]
+
+
+def per_pair(grid, pairs):
+    """The oracle: each pair through :func:`classify_intervals` on
+    encodings built independently of any index."""
+    return [
+        classify_intervals(
+            IntervalApproximation.build(a, grid), IntervalApproximation.build(b, grid)
+        )
+        for a, b in pairs
+    ]
+
+
+@st.composite
+def candidate_lists(draw):
+    """An index world, its polygons and a candidate list over them.
+
+    The world is the union of the first few polygons' MBRs, so later ones
+    may be clipped or lie entirely outside (an empty encoding); index
+    pairs repeat and pair polygons with themselves."""
+    polygons = list(draw(polygon_pairs_nearby()))
+    polygons += draw(st.lists(star_polygons(), max_size=3))
+    polygons += [Polygon(r) for r in draw(st.lists(adversarial_rings(), max_size=2))]
+    k = draw(st.integers(1, len(polygons)))
+    world = Rect.union_all([p.mbr for p in polygons[:k]])
+    if draw(st.booleans()):
+        polygons.append(polygons[0].translated(3 * world.width + 40, 0.0))
+    n = len(polygons) - 1
+    pairs = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=24))
+    level = draw(st.sampled_from([0, 1, 3, 8]))
+    return IntervalGrid(world, level), [(polygons[i], polygons[j]) for i, j in pairs]
+
+
+class TestBatchEqualsPerPair:
+    @settings(max_examples=80, deadline=None)
+    @given(candidate_lists(), st.booleans())
+    def test_batch_equals_the_per_pair_loop(self, case, prebuilt):
+        grid, pairs = case
+        index = IntervalIndex(grid)
+        if prebuilt:
+            # Rows in reverse first-seen order, packed before the batch.
+            for a, b in reversed(pairs):
+                index.encode(b)
+                index.encode(a)
+        assert index.classify_batch(pairs) == per_pair(grid, pairs)
+
+    @settings(max_examples=30, deadline=None)
+    @given(candidate_lists())
+    def test_batches_append_rows(self, case):
+        """Classifying a list in pieces (rows appended batch by batch, the
+        store growing) answers what one batch answers."""
+        grid, pairs = case
+        index = IntervalIndex(grid)
+        pieces = [index.classify_batch(pairs[i : i + 3]) for i in range(0, len(pairs), 3)]
+        assert sum(pieces, []) == per_pair(grid, pairs)
+        assert len(index) == len({p.digest for pair in pairs for p in pair})
+
+
+# Row-keyed merge literal, on a 4 x 4 grid of unit cells (M = 16 cells):
+# row 0 holds a run ending at cell M, row 2 one starting at cell 0, and
+# row 1 two runs touching neither corner.  Every pair is disjoint.
+CORNER_HIGH = square(3.25, 3.25, 0.5)  # cell 15: run [15, 16)
+COLUMN = Polygon.from_coords([(1.25, 0.25), (1.75, 0.25), (1.75, 1.75), (1.25, 1.75)])
+CORNER_LOW = square(0.25, 0.25, 0.5)  # cell 0: run [0, 1)
+ROW_PAIRS = [
+    (CORNER_LOW, COLUMN),  # keyed [16, 17) meets row 0's end at 16
+    (COLUMN, CORNER_LOW),
+    (CORNER_HIGH, COLUMN),  # keyed [31, 32) meets row 2's start at 32
+    (COLUMN, CORNER_HIGH),
+]
+
+
+def row_keyed_index() -> IntervalIndex:
+    index = IntervalIndex(IntervalGrid(Rect(0.0, 0.0, 4.0, 4.0), level=2))
+    for polygon in (CORNER_HIGH, COLUMN, CORNER_LOW):
+        index.encode(polygon)
+    return index
+
+
+def _ends_searched_left(starts_q, ends_q, starts, ends):
+    lo = np.searchsorted(ends, starts_q, side="left")
+    hi = np.searchsorted(starts, ends_q, side="left")
+    return hi > lo
+
+
+@pytest.fixture
+def ends_searched_left(monkeypatch):
+    """Mutant of the half-open merge: a keyed run ending exactly where a
+    query run starts counts as overlapping it - across a row boundary,
+    the previous row's last cell."""
+    monkeypatch.setattr(intervals, "_runs_overlap", _ends_searched_left)
+
+
+@pytest.fixture
+def keyed_by_m_minus_1(monkeypatch):
+    """Mutant of the row key: rows ``M - 1`` apart overlap by one cell."""
+
+    class KeyedByMMinus1(intervals._PackedRuns):
+        def __init__(self, stride):
+            super().__init__(stride - 1)
+
+    monkeypatch.setattr(intervals, "_PackedRuns", KeyedByMMinus1)
+
+
+class TestRowBoundary:
+    def test_literal_runs(self):
+        index = row_keyed_index()
+        assert index.encode(CORNER_HIGH).starts.tolist() == [15]
+        assert index.encode(CORNER_HIGH).ends.tolist() == [16]
+        assert index.encode(COLUMN).starts.tolist() == [1, 5]
+        assert index.encode(CORNER_LOW).ends.tolist() == [1]
+
+    def test_runs_touching_across_a_row_boundary_never_match(self):
+        index = row_keyed_index()
+        expected = [IntervalVerdict.DISJOINT] * len(ROW_PAIRS)
+        assert per_pair(index.grid, ROW_PAIRS) == expected
+        assert index.classify_batch(ROW_PAIRS) == expected
+
+    def test_mutant_ends_searched_left_matches_across_the_boundary(
+        self, ends_searched_left
+    ):
+        assert row_keyed_index().classify_batch(ROW_PAIRS)[0] is IntervalVerdict.UNKNOWN
+
+    def test_mutant_keyed_by_m_minus_1_matches_across_the_boundary(
+        self, keyed_by_m_minus_1
+    ):
+        verdicts = row_keyed_index().classify_batch(ROW_PAIRS)
+        assert verdicts[0] is verdicts[2] is IntervalVerdict.UNKNOWN

@@ -86,10 +86,9 @@ class TestBitIdentityAcrossBackends:
             svc.close()
 
     def test_interval_level_validated(self):
-        with pytest.raises(ValueError, match="interval_level"):
-            WorkloadConfig(interval_level=13)
-        with pytest.raises(ValueError, match="interval_level"):
-            WorkloadConfig(interval_level=-1)
+        for level in (13, -1, 8.5, True):
+            with pytest.raises(ValueError, match="interval_level"):
+                WorkloadConfig(interval_level=level)
 
     def test_serial_backend_is_gone(self):
         # One refinement path: no geometry backend is selectable at all.
