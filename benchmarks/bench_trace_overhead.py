@@ -14,13 +14,7 @@ and on-with-slowlog.
 
 import time
 
-from repro.serve import (
-    QueryRequest,
-    QueryService,
-    SlowLogConfig,
-    TracingConfig,
-    WorkloadConfig,
-)
+from repro.serve import QueryRequest, QueryService, SlowLogConfig, WorkloadConfig
 
 #: Relative overhead budget (0.10 = +10%).
 OVERHEAD_BUDGET = 0.10
@@ -36,7 +30,7 @@ def _build(tracing: bool, slowlog: bool) -> QueryService:
         workload=WorkloadConfig(scale="tiny"),
         workers=1,
         warm=True,
-        tracing=TracingConfig(enabled=tracing),
+        trace=tracing,
         slowlog=SlowLogConfig(threshold_s=1e9) if slowlog else None,
     )
 

@@ -48,7 +48,6 @@ from ..geometry import (
     boundaries_intersect,
     polygons_within_distance,
 )
-from ..gpu import GpuCostModel
 from ..index import plane_sweep_mbr_join
 from ..obs.explain import explain_run
 from ..query import (
@@ -909,7 +908,7 @@ def batch_refine(ctx, resolutions=(8, 16), min_candidates=2000, distance_factor=
     columns=(
         exact("workload"),
         exact("mode"),
-        exact("abstract_cost"),
+        exact("model_ms"),
         exact("reduction_%"),
         exact("cache_hits"),
         exact("hit_rate"),
@@ -918,8 +917,8 @@ def batch_refine(ctx, resolutions=(8, 16), min_candidates=2000, distance_factor=
     paper_expectation=(
         "Section 4.3 attributes the hardware's break-even point to a "
         "fixed per-test cost; memoization removes that cost entirely "
-        "for repeated test identities.  Expect >= 30% abstract "
-        "geometry-cost reduction on the repeated query set (second "
+        "for repeated test identities.  Expect >= 30% modeled "
+        "refinement-time reduction on the repeated query set (second "
         "pass nearly free) and a reduction tracking the duplication "
         "ratio on the skewed join, with zero change in answers."
     ),
@@ -934,9 +933,10 @@ def cache_effectiveness(ctx, resolution=16, repeats=2, skew_factor=4):
     object identities).  Each runs twice - caches off, then on - on
     otherwise identical hardware engines.  Answers and
     :class:`~repro.core.stats.RefinementStats` are asserted bit-identical;
-    the rows report the abstract GPU cost (the deterministic
-    :class:`~repro.gpu.costmodel.GpuCostModel` over recorded operation
-    counters, so the saving is platform-independent) plus hit tallies.
+    the rows report the modeled 2003-platform refinement time every other
+    experiment reports (:attr:`~repro.bench.runner.Run.model_ms`: recorded
+    operation counts times :class:`~repro.core.platform.Platform2003`
+    prices, so the saving is host-independent) plus hit tallies.
     """
     # Workload 1: the STATES50 query set answered `repeats` times over.
     ds = ctx.load("WATER", role="selection")
@@ -961,7 +961,6 @@ def cache_effectiveness(ctx, resolution=16, repeats=2, skew_factor=4):
         ],
         world=base_b.world,
     )
-    model = GpuCostModel()
     for workload, work, count in (
         (f"selection x{repeats}", run_selection, lambda answers: sum(map(len, answers))),
         (f"join skew x{skew_factor}", _join(ds_a, skewed), lambda result: len(result.pairs)),
@@ -971,15 +970,13 @@ def cache_effectiveness(ctx, resolution=16, repeats=2, skew_factor=4):
             for cache in (CacheConfig.disabled(), CacheConfig())
         )
         off, on = ctx.sweep(engines, work, stats=True)
-        off_cost = model.evaluate(off.engine.gpu_counters)
         for mode, run in (("cache-off", off), ("cache-on", on)):
-            cost = model.evaluate(run.engine.gpu_counters)
             totals = run.engine.caches.totals()
             yield (
                 workload,
                 mode,
-                round(cost, 1),
-                saving_pct(off_cost, cost),
+                run.model_ms,
+                saving_pct(off.model_ms, run.model_ms),
                 totals.hits,
                 round(totals.hit_rate, 3),
                 count(run.result),

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 from ..geometry.min_dist import MinDistStats
 from ..geometry.sweep import SweepStats
-from ..gpu.costmodel import CostCounters
+from ..gpu.counters import CostCounters
 from .stats import RefinementStats
 
 
@@ -110,7 +110,16 @@ class Platform2003:
     # -- GPU-side model ---------------------------------------------------------
 
     def hardware_seconds(self, counters: CostCounters) -> float:
-        """Modeled GPU+driver time of the counted rendering work."""
+        """Modeled GPU+driver time of the counted rendering work.
+
+        Every :class:`~repro.gpu.counters.CostCounters` field is charged
+        here except four, each free for a reason: ``buffer_clears`` (the
+        per-clear overhead is negligible next to ``pixels_cleared``; it
+        only sizes a buffer for ``accum_ops``), ``minmax_ops`` (subsumed
+        by ``pixels_scanned``), and ``tile_batches`` / ``tiles_packed``
+        (batching shape; a batch's work is in the primitive counters it
+        increments).  ``tests/gpu/test_costmodel.py`` pins the partition.
+        """
         us = (
             counters.draw_calls * self.gpu_draw_call_us
             # Every submitted edge is transformed, including those the

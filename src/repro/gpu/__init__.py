@@ -12,7 +12,7 @@ once-per-object filter builds (:mod:`.raster_vector`).  See DESIGN.md
 section 2 for why this substitution preserves the paper's claims.
 """
 
-from .costmodel import DOCUMENTED_FREE, CostCounters, GpuCostModel
+from .counters import CostCounters
 from .distance_field import distance_field
 from .framebuffer import Framebuffer
 from .pipeline import GraphicsPipeline
@@ -41,11 +41,9 @@ from .state import (
 __all__ = [
     "CostCounters",
     "DEFAULT_AA_LINE_WIDTH",
-    "DOCUMENTED_FREE",
     "DeviceLimits",
     "EDGE_COLOR",
     "Framebuffer",
-    "GpuCostModel",
     "GraphicsPipeline",
     "OVERLAP_COLOR",
     "RasterState",

@@ -23,7 +23,7 @@ which first skip what :func:`cull_box` proves it would reject), and
 :meth:`GraphicsPipeline._edge_coverage` is the transform/clip/rasterize body
 under the one draw entry point (:meth:`GraphicsPipeline.draw_edges_array`)
 and the one mask entry point (:meth:`GraphicsPipeline.render_coverage_mask`).
-Every operation updates :class:`~repro.gpu.costmodel.CostCounters`, enabling
+Every operation updates :class:`~repro.gpu.counters.CostCounters`, enabling
 deterministic ablation benchmarks alongside wall-clock measurements.
 """
 
@@ -36,7 +36,7 @@ import numpy as np
 
 from ..geometry.rect import Rect
 from ..obs.scope import current_scope
-from .costmodel import CostCounters
+from .counters import CostCounters
 from .framebuffer import Framebuffer
 from .raster_bulk import edges_coverage_mask
 from .state import DeviceLimits, RasterState

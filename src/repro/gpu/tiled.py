@@ -55,7 +55,7 @@ class TiledPipeline:
     defines the tile size; the atlas is a ``grid_cols x grid_rows`` grid of
     such tiles, bounded by the device viewport limit and ``max_tiles``.
     All primitive-operation accounting lands in the *base* pipeline's
-    :class:`~repro.gpu.costmodel.CostCounters`, so engines report one
+    :class:`~repro.gpu.counters.CostCounters`, so engines report one
     consistent cost stream whether they test pairs one by one or batched.
     """
 

@@ -32,8 +32,11 @@ time goes and a gate that fails when it regresses.
   the exact histograms/counters, injectable clock) for "happening now"
   telemetry the cumulative registry cannot express;
 * :mod:`repro.obs.slo` - SLO objectives, error-budget burn rates over
-  fast/slow windows, the firing/resolved alert state machine, and the
-  bounded JSONL-exportable alert log (``repro.obs/alerts@1``).
+  fast/slow windows, and the firing/resolved alert state machine whose
+  transitions (``repro.obs/alerts@1``) land in a record log;
+* :mod:`repro.obs.records` - the one bounded, counted, JSONL-exportable
+  :class:`RecordLog` every retained serve record lives in, and
+  :func:`read_jsonl`, the one reader of every JSONL artifact.
 """
 
 from .capture import (
@@ -56,6 +59,7 @@ from .explain import (
     write_explain,
 )
 from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .records import RecordLog, read_jsonl
 from .report import TraceReport, analyze, load_spans, render_report
 from .scope import (
     ObsScope,
@@ -67,7 +71,6 @@ from .scope import (
 )
 from .slo import (
     ALERTS_SCHEMA,
-    AlertLog,
     SLOConfig,
     SLObjective,
     SLOTracker,
@@ -99,7 +102,6 @@ from .trace import JsonLinesExporter, Span, Tracer
 
 __all__ = [
     "ALERTS_SCHEMA",
-    "AlertLog",
     "CAPTURE_SCHEMA",
     "CommandRecorder",
     "Comparison",
@@ -114,6 +116,7 @@ __all__ = [
     "QueryFunnel",
     "RUN_REPORT_SCHEMA",
     "ReplayResult",
+    "RecordLog",
     "RequestContext",
     "SLOConfig",
     "SLObjective",
@@ -140,6 +143,7 @@ __all__ = [
     "load_run_report",
     "load_spans",
     "new_trace_id",
+    "read_jsonl",
     "render_funnel",
     "render_funnels",
     "render_report",

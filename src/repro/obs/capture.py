@@ -47,6 +47,7 @@ from typing import IO, Any, Dict, List, Mapping, Optional, Sequence, Union
 
 import numpy as np
 
+from .records import read_jsonl
 from .scope import use_scope
 
 #: Version tag of the capture event schema (bump on incompatible change).
@@ -342,25 +343,16 @@ def write_events(path: str, events: Sequence[Mapping[str, Any]]) -> None:
 
 
 def load_capture(path: str) -> List[Dict[str, Any]]:
-    """Load a JSONL capture file, validating the schema header."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ValueError(f"{path}:{lineno}: not JSON: {exc}") from exc
-            if lineno == 1 and "schema" in obj and "cmd" not in obj:
-                if obj["schema"] != CAPTURE_SCHEMA:
-                    raise ValueError(
-                        f"{path}: capture schema {obj['schema']!r} is not "
-                        f"{CAPTURE_SCHEMA!r}"
-                    )
-                continue
-            events.append(obj)
+    """Load a JSONL capture file, validating its schema header line."""
+    events = read_jsonl(path)
+    first = events[0] if events else None
+    if isinstance(first, dict) and "schema" in first and "cmd" not in first:
+        if first["schema"] != CAPTURE_SCHEMA:
+            raise ValueError(
+                f"{path}: capture schema {first['schema']!r} is not "
+                f"{CAPTURE_SCHEMA!r}"
+            )
+        del events[0]
     return events
 
 

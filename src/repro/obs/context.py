@@ -60,14 +60,5 @@ class RequestContext:
         remaining = self.remaining_s()
         return remaining is not None and remaining < 0.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        out: Dict[str, Any] = {
-            "trace_id": self.trace_id,
-            "attributes": dict(self.attributes),
-        }
-        if self.deadline_unix_s is not None:
-            out["deadline_unix_s"] = self.deadline_unix_s
-        return out
-
 
 __all__ = ["RequestContext", "new_trace_id"]

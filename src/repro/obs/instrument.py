@@ -11,7 +11,7 @@ into metric-family increments:
 * ``refinement{field=...}`` - the engine's
   :class:`~repro.core.stats.RefinementStats` *delta* over the run;
 * ``gpu{counter=...}`` - the hardware engine's
-  :class:`~repro.gpu.costmodel.CostCounters` delta over the run;
+  :class:`~repro.gpu.counters.CostCounters` delta over the run;
 * ``funnel{pipeline=..., stage=...}`` - the EXPLAIN ANALYZE funnel: how
   many candidates entered the run and which stage resolved each of them
   (see :mod:`repro.obs.explain` for the stage identities).

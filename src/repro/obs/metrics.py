@@ -3,7 +3,7 @@
 The repo's telemetry was previously fragmented across ad-hoc containers
 (:class:`~repro.query.costs.CostBreakdown`,
 :class:`~repro.core.stats.RefinementStats`,
-:class:`~repro.gpu.costmodel.CostCounters`, tracer spans) with no
+:class:`~repro.gpu.counters.CostCounters`, tracer spans) with no
 distributions and no single mergeable artifact.  This module is the common
 substrate those layers now also report into:
 
@@ -18,7 +18,7 @@ substrate those layers now also report into:
   indistinguishable from observing the concatenated stream - in any order;
 * :class:`MetricsRegistry` - named instruments with label support
   (``registry.histogram("hw_test_duration_s", method="accum")``),
-  snapshot / merge / reset, a JSON exporter, and a scrape-safe
+  snapshot / merge, a JSON exporter, and a scrape-safe
   Prometheus text exposition (``# HELP`` / ``# TYPE`` lines, label
   values quoted and escaped per the exposition format).
 
@@ -127,10 +127,8 @@ class Gauge:
     """A last-set value.
 
     Merge semantics take the **maximum** of the two values (the only
-    order-independent choice without timestamps).
-
-    Thread-safe: :meth:`add` (the delta form the serving layer uses for
-    queue-depth / inflight tracking) and merge are read-modify-writes.
+    order-independent choice without timestamps); the merge is a locked
+    read-modify-write.
     """
 
     __slots__ = ("value", "_lock")
@@ -142,11 +140,6 @@ class Gauge:
     def set(self, value: Union[int, float]) -> None:
         with self._lock:
             self.value = value
-
-    def add(self, delta: Union[int, float]) -> None:
-        """Adjust the gauge by ``delta`` (atomic, may go up or down)."""
-        with self._lock:
-            self.value += delta
 
     def _merge_value(self, value: Union[int, float]) -> None:
         with self._lock:
@@ -342,7 +335,7 @@ class MetricsRegistry:
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Instrument] = {}
         # Guards instrument creation and whole-registry operations
-        # (snapshot/merge/reset); the instruments themselves carry their
+        # (snapshot/merge); the instruments themselves carry their
         # own locks for value updates, so hot-path increments never
         # contend on the registry.
         self._lock = threading.RLock()
@@ -373,14 +366,7 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get(Histogram, name, labels)  # type: ignore[return-value]
 
-    def __len__(self) -> int:
-        return len(self._metrics)
-
-    def __bool__(self) -> bool:
-        # An empty registry is still an installed registry.
-        return True
-
-    # -- snapshot / merge / reset -----------------------------------------
+    # -- snapshot / merge -------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-able, versioned snapshot of every instrument."""
@@ -430,20 +416,10 @@ class MetricsRegistry:
                 else:
                     metric._merge_value(value)
 
-    def reset(self) -> None:
-        with self._lock:
-            self._metrics.clear()
-
     # -- exporters ---------------------------------------------------------
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
-
-    @classmethod
-    def from_snapshot(cls, snap: Mapping[str, Any]) -> "MetricsRegistry":
-        registry = cls()
-        registry.merge(snap)
-        return registry
 
     def prometheus_text(self) -> str:
         """Prometheus text exposition, safe to scrape.

@@ -17,34 +17,26 @@ Exposed on the command line as ``python -m repro.obs report trace.jsonl``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterable, List, Optional, Sequence, Union
+
+from .records import read_jsonl
 
 SpanDict = Dict[str, Any]
 
 _REQUIRED_SPAN_KEYS = ("span_id", "name", "duration_s")
 
 
+def _span_problem(span: Any) -> Optional[str]:
+    if not isinstance(span, dict):
+        return "span is not a JSON object"
+    missing = [k for k in _REQUIRED_SPAN_KEYS if k not in span]
+    return f"span missing keys {missing}" if missing else None
+
+
 def load_spans(source: Union[str, IO[str]]) -> List[SpanDict]:
     """Read spans from a JSON-lines file (path or open text file)."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as f:
-            return load_spans(f)
-    spans: List[SpanDict] = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            span = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: not valid JSON ({exc})") from None
-        missing = [k for k in _REQUIRED_SPAN_KEYS if k not in span]
-        if missing:
-            raise ValueError(f"line {lineno}: span missing keys {missing}")
-        spans.append(span)
-    return spans
+    return read_jsonl(source, _span_problem)
 
 
 def _as_dicts(spans: Iterable[Any]) -> List[SpanDict]:

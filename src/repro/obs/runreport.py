@@ -91,7 +91,7 @@ def sections_from_snapshot(snapshot: Mapping[str, Any]) -> Dict[str, Dict[str, A
     Returns ``cost_breakdown`` (stage seconds as ``<stage>_s`` plus the
     candidate-count fields), ``refinement_stats``
     (:class:`~repro.core.stats.RefinementStats` fields) and
-    ``gpu_counters`` (:class:`~repro.gpu.costmodel.CostCounters` fields),
+    ``gpu_counters`` (:class:`~repro.gpu.counters.CostCounters` fields),
     merged across every pipeline run of the snapshot.
     """
     cost: Dict[str, Any] = {}

@@ -20,9 +20,10 @@ SRE workbook pages on) over :mod:`repro.obs.window` rings:
   the slow window says "not just a blip") and *resolves* when the fast
   window drops back under (recovery is visible immediately; the slow
   window alone never holds an alert up once the bleeding stops);
-* :class:`AlertLog` - a bounded, JSONL-exportable record of every
-  firing/resolved transition (``repro.obs/alerts@1``), kept queryable
-  after the fact instead of vanishing with the process.
+* the **alert log** - every firing/resolved transition
+  (``repro.obs/alerts@1``) in a bounded, JSONL-exportable
+  :class:`~repro.obs.records.RecordLog`, kept queryable after the fact
+  instead of vanishing with the process.
 
 Everything here is deterministic given the clock: the serving layer's
 clock-controlled tests drive an induced error burst through
@@ -31,23 +32,13 @@ firing -> resolved and assert the exact transition sequence.
 
 from __future__ import annotations
 
-import json
+import math
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import (
-    IO,
-    Any,
-    Deque,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
+from .records import RecordLog, read_jsonl, schema_check
 from .window import Clock, WindowConfig, WindowedCounter
 
 #: Version tag of the alert-event schema (bump on incompatible change).
@@ -88,7 +79,7 @@ class SLObjective:
                 f" got {self.target!r}"
             )
         if self.kind == "latency":
-            if self.threshold_s is None or self.threshold_s <= 0:
+            if self.threshold_s is None or not self.threshold_s > 0:
                 raise ValueError(
                     f"latency objectives need threshold_s > 0,"
                     f" got {self.threshold_s!r}"
@@ -143,9 +134,10 @@ class SLOConfig:
     min_events: int = 1
 
     def __post_init__(self) -> None:
-        if self.burn_threshold <= 0:
+        if not 0 < self.burn_threshold < math.inf:
             raise ValueError(
-                f"burn_threshold must be positive, got {self.burn_threshold}"
+                "burn_threshold must be positive and finite,"
+                f" got {self.burn_threshold}"
             )
         if self.min_events < 1:
             raise ValueError(f"min_events must be >= 1, got {self.min_events}")
@@ -178,66 +170,9 @@ class SLOConfig:
         )
 
 
-class AlertLog:
-    """Bounded, exportable record of alert transitions (never silent)."""
-
-    def __init__(self, max_events: int = 10_000) -> None:
-        if max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        self.max_events = max_events
-        self._events: Deque[Dict[str, Any]] = deque(maxlen=max_events)
-        self._lock = threading.Lock()
-        self.added = 0
-        self.evicted = 0
-
-    def append(self, event: Dict[str, Any]) -> None:
-        with self._lock:
-            if len(self._events) == self.max_events:
-                self.evicted += 1
-            self._events.append(event)
-            self.added += 1
-
-    def events(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return list(self._events)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._events)
-
-    def export(self, target: Union[str, IO[str]]) -> int:
-        """Write retained events as JSON lines; returns the event count."""
-        events = self.events()
-
-        def write_all(f: IO[str]) -> None:
-            for event in events:
-                f.write(json.dumps(event, sort_keys=True) + "\n")
-
-        if isinstance(target, str):
-            with open(target, "w", encoding="utf-8") as f:
-                write_all(f)
-        else:
-            write_all(target)
-        return len(events)
-
-
-def load_alert_log(path: str) -> List[Dict[str, Any]]:
-    """Parse an :class:`AlertLog` JSONL export, validating the schema."""
-    events: List[Dict[str, Any]] = []
-    with open(path, "r", encoding="utf-8") as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.strip()
-            if not line:
-                continue
-            event = json.loads(line)
-            schema = event.get("schema")
-            if schema != ALERTS_SCHEMA:
-                raise ValueError(
-                    f"{path}:{lineno}: unsupported alert schema {schema!r};"
-                    f" expected {ALERTS_SCHEMA!r}"
-                )
-            events.append(event)
-    return events
+def load_alert_log(source: Union[str, IO[str]]) -> List[Dict[str, Any]]:
+    """Read an alert-log JSONL export, validating every record's schema."""
+    return read_jsonl(source, schema_check("alert", ALERTS_SCHEMA))
 
 
 class _ObjectiveState:
@@ -276,7 +211,6 @@ class SLOTracker:
         self,
         objectives: Sequence[SLObjective],
         config: Optional[SLOConfig] = None,
-        alert_log: Optional[AlertLog] = None,
     ) -> None:
         if not objectives:
             raise ValueError("SLOTracker needs at least one objective")
@@ -284,13 +218,10 @@ class SLOTracker:
         if len(set(names)) != len(names):
             raise ValueError(f"objective names must be unique, got {names}")
         self.config = config if config is not None else SLOConfig()
-        self.alert_log = alert_log if alert_log is not None else AlertLog()
+        #: Every firing/resolved transition, oldest first.
+        self.alert_log = RecordLog()
         self._states = [_ObjectiveState(o, self.config) for o in objectives]
         self._lock = threading.Lock()
-
-    @property
-    def objectives(self) -> List[SLObjective]:
-        return [s.objective for s in self._states]
 
     def record(self, op: str, status: str, latency_s: float) -> List[Dict[str, Any]]:
         """Account one request outcome; returns any alert transitions."""
@@ -402,7 +333,6 @@ def default_objectives(
 __all__ = [
     "ALERTS_SCHEMA",
     "ALERT_STATES",
-    "AlertLog",
     "SLOConfig",
     "SLObjective",
     "SLOTracker",

@@ -33,6 +33,7 @@ having observed only the in-window stream.
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from dataclasses import dataclass, field
@@ -59,8 +60,10 @@ class WindowConfig:
     clock: Clock = field(default=time.monotonic, repr=False)
 
     def __post_init__(self) -> None:
-        if self.width_s <= 0:
-            raise ValueError(f"width_s must be positive, got {self.width_s}")
+        if not 0 < self.width_s < math.inf:
+            raise ValueError(
+                f"width_s must be positive and finite, got {self.width_s}"
+            )
         if self.buckets < 1:
             raise ValueError(f"buckets must be >= 1, got {self.buckets}")
 
@@ -157,16 +160,6 @@ class WindowedHistogram(_Windowed):
             out._merge(bucket)
         return out
 
-    def count(self) -> int:
-        return sum(b.count for _, b in self._live())
-
-    def rate(self) -> float:
-        """Observations per second over the window span."""
-        return self.count() / self.config.window_s
-
-    def quantile(self, q: float) -> float:
-        return self.merged().quantile(q)
-
     def summary(self) -> Dict[str, float]:
         """The merged histogram's summary plus the windowed rate."""
         out = self.merged().summary()
@@ -215,9 +208,6 @@ class WindowedRegistry:
 
     def histogram(self, name: str, **labels: Any) -> WindowedHistogram:
         return self._get(WindowedHistogram, name, labels)
-
-    def __len__(self) -> int:
-        return len(self._metrics)
 
     def summary(self) -> Dict[str, Any]:
         """JSON-able live view: every family's windowed aggregate now."""

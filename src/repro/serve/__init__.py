@@ -15,9 +15,8 @@ Layers (each its own module):
 * :mod:`~repro.serve.admission` - bounded queueing with explicit shed
   and timeout outcomes;
 * :mod:`~repro.serve.service` - the thread-safe core gluing those
-  together and accounting every request into the metrics registry;
-* :mod:`~repro.serve.tracing` - per-request tracer policy and the
-  bounded store of finished request span trees;
+  together, accounting every request into the metrics registry and
+  retaining per-request span trees when tracing is on;
 * :mod:`~repro.serve.slowlog` - slow-query forensics records (span tree,
   EXPLAIN funnel, cost stages, cache deltas) and their offline summary;
 * :mod:`~repro.serve.health` - windowed per-op telemetry, SLO burn-rate
@@ -56,12 +55,10 @@ from .top import fetch_snapshot, render, run_top
 from .slowlog import (
     SLOWLOG_SCHEMA,
     SlowLogConfig,
-    SlowQueryLog,
     build_record,
     load_slowlog,
     summarize_slowlog,
 )
-from .tracing import TraceStore, TracingConfig
 
 __all__ = [
     "AdmissionConfig",
@@ -86,9 +83,6 @@ __all__ = [
     "ServingEngine",
     "ServingWorkload",
     "SlowLogConfig",
-    "SlowQueryLog",
-    "TraceStore",
-    "TracingConfig",
     "WorkloadConfig",
     "build_health",
     "build_record",

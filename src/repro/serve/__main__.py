@@ -32,7 +32,6 @@ from .server import run_server, send_envelope
 from .service import QueryService
 from .slowlog import SlowLogConfig, load_slowlog, summarize_slowlog
 from .top import run_top
-from .tracing import TracingConfig
 
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
@@ -191,7 +190,6 @@ def _build_service(args: argparse.Namespace) -> QueryService:
         interval_level=args.interval_level,
     )
     admission = AdmissionConfig(max_queue=args.max_queue, timeout_s=args.timeout)
-    tracing = TracingConfig(enabled=args.trace or args.trace_out is not None)
     slowlog = (
         SlowLogConfig(threshold_s=args.slow_threshold, path=args.slowlog_out)
         if args.slowlog_out is not None
@@ -215,7 +213,7 @@ def _build_service(args: argparse.Namespace) -> QueryService:
         workers=args.workers,
         admission=admission,
         warm=args.warm,
-        tracing=tracing,
+        trace=args.trace or args.trace_out is not None,
         slowlog=slowlog,
         health=health,
     )
@@ -272,7 +270,7 @@ def _emit_forensics(service: QueryService, args: argparse.Namespace) -> None:
         )
     if getattr(args, "slowlog_out", None) and service.slowlog is not None:
         print(
-            f"{service.slowlog.logged} slow-query record(s) appended to"
+            f"{service.slowlog.added} slow-query record(s) appended to"
             f" {args.slowlog_out}"
         )
     if getattr(args, "alerts_out", None) and service.health_monitor is not None:

@@ -41,7 +41,7 @@ class AdmissionConfig:
     def __post_init__(self) -> None:
         if self.max_queue < 0:
             raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
-        if self.timeout_s is not None and self.timeout_s <= 0:
+        if self.timeout_s is not None and not self.timeout_s > 0:
             raise ValueError(
                 f"timeout_s must be positive (or None), got {self.timeout_s}"
             )

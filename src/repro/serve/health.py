@@ -29,18 +29,13 @@ front-end serves and ``python -m repro.serve top`` renders:
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..obs.metrics import MetricsRegistry
-from ..obs.slo import (
-    AlertLog,
-    SLOConfig,
-    SLObjective,
-    SLOTracker,
-    default_objectives,
-)
+from ..obs.slo import SLOConfig, SLObjective, SLOTracker, default_objectives
 from ..obs.window import WindowConfig, WindowedRegistry
 from .schema import HEALTH_SCHEMA
 
@@ -65,16 +60,14 @@ class HealthConfig:
     objectives: Tuple[SLObjective, ...] = field(
         default_factory=default_objectives
     )
-    #: Alert transitions retained in the bounded log.
-    max_alert_events: int = 10_000
     #: The seconds source every window reads (injectable for tests).
     clock: Callable[[], float] = field(default=time.monotonic, repr=False)
 
     def __post_init__(self) -> None:
-        if self.window_width_s <= 0:
-            raise ValueError(
-                f"window_width_s must be positive, got {self.window_width_s}"
-            )
+        for name in ("window_width_s", "slo_fast_s", "slo_slow_s", "burn_threshold"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         if self.window_buckets < 1:
             raise ValueError(
                 f"window_buckets must be >= 1, got {self.window_buckets}"
@@ -109,7 +102,6 @@ class ServiceHealth:
                 burn_threshold=config.burn_threshold,
                 min_events=config.min_events,
             ),
-            alert_log=AlertLog(config.max_alert_events),
         )
         #: worker id -> clock() of the last outcome that worker served.
         self._heartbeats: Dict[int, float] = {}
@@ -148,10 +140,6 @@ class ServiceHealth:
             worker: {"last_seen_s_ago": max(0.0, now - at), "last_seen_at": at}
             for worker, at in sorted(self._heartbeats.items())
         }
-
-    def export_alerts(self, target: Any) -> int:
-        """Write the alert log as JSONL; returns the event count."""
-        return self.slo.alert_log.export(target)
 
 
 def build_health(

@@ -164,10 +164,6 @@ class QueryResponse:
             )
 
     @property
-    def ok(self) -> bool:
-        return self.status == "ok"
-
-    @property
     def result_count(self) -> Optional[int]:
         return len(self.results) if self.results is not None else None
 

@@ -27,22 +27,23 @@ and the scope contextvar-held.
 
 Per-request observability rides the same submit path:
 
-* with **tracing** enabled (:class:`~repro.serve.tracing.TracingConfig`),
+* with **tracing** on (``QueryService(trace=True)``),
   every request gets its *own* :class:`~repro.obs.trace.Tracer` - a
   ``request`` root span, a ``queue_wait`` span, an ``execute`` span under
   which the pipelines' :meth:`~repro.query.costs.CostBreakdown.time_stage`
   spans parent - and the response echoes the ``trace_id``
-  (client-supplied or minted).  Finished traces land in a bounded
-  :class:`~repro.serve.tracing.TraceStore` exportable via
-  :meth:`QueryService.export_traces`.
+  (client-supplied or minted).  Each finished trace is one record (its
+  span dicts) of a bounded :class:`~repro.obs.records.RecordLog`,
+  exportable as flat span JSONL via :meth:`QueryService.export_traces`.
 * Tracer scoping is **unconditional**: a tracer is single-control-flow, so
   every submit's scope names ``tracer=per_request_or_None`` - an explicit
   ``None`` shields concurrent serving threads from a tracer their caller
   has in scope, which would interleave their spans.
 * with a **slow-query log** (:class:`~repro.serve.slowlog.SlowLogConfig`),
-  threshold-exceeding requests and every shed/timeout/error emit a JSONL
+  threshold-exceeding requests and every shed/timeout/error add a JSONL
   forensics record (span tree, EXPLAIN funnel, cost stages, cache deltas,
-  queue-wait split) via the per-request
+  queue-wait split) to a second :class:`~repro.obs.records.RecordLog`,
+  gathered via the per-request
   :meth:`~repro.serve.engine.ServingEngine.execute_forensic` path.
 * with **windowed health** (:class:`~repro.serve.health.HealthConfig`),
   every outcome also lands in rolling per-op latency/outcome windows and
@@ -53,21 +54,22 @@ Per-request observability rides the same submit path:
 from __future__ import annotations
 
 import asyncio
+import json
 import threading
 import time
 from contextlib import nullcontext
-from typing import IO, Any, Dict, Optional, Tuple, Union
+from typing import IO, Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..obs.context import RequestContext, new_trace_id
 from ..obs.metrics import MetricsRegistry
+from ..obs.records import RecordLog
 from ..obs.scope import use_scope
 from ..obs.trace import Tracer
 from .admission import AdmissionConfig, AdmissionController
 from .engine import EnginePool, ServingWorkload, WorkloadConfig
 from .health import HealthConfig, ServiceHealth, build_health
 from .schema import QueryRequest, QueryResponse
-from .slowlog import SlowLogConfig, SlowQueryLog, build_record
-from .tracing import TraceStore, TracingConfig
+from .slowlog import SlowLogConfig, build_record
 
 
 class QueryService:
@@ -80,7 +82,7 @@ class QueryService:
         admission: Optional[AdmissionConfig] = None,
         registry: Optional[MetricsRegistry] = None,
         warm: bool = False,
-        tracing: Optional[TracingConfig] = None,
+        trace: bool = False,
         slowlog: Optional[SlowLogConfig] = None,
         health: Optional[HealthConfig] = None,
     ) -> None:
@@ -89,11 +91,16 @@ class QueryService:
             admission if admission is not None else AdmissionConfig()
         )
         self.registry = registry if registry is not None else MetricsRegistry()
-        self.tracing = tracing if tracing is not None else TracingConfig.disabled()
-        #: Finished per-request span trees (only filled when tracing is on).
-        self.traces = TraceStore(self.tracing.max_requests)
-        self.slowlog: Optional[SlowQueryLog] = (
-            SlowQueryLog(slowlog) if slowlog is not None else None
+        #: Trace every request (one tracer per request, trace_id echoed on
+        #: the response).  Off by default: the no-tracer fast path stays
+        #: the zero-overhead default the batch layers rely on.
+        self.trace = trace
+        #: One record per finished request: its span dicts (tracing only).
+        self.traces = RecordLog()
+        self.slowlog_config = slowlog
+        #: Slow-query records, appended to ``slowlog.path`` as they arrive.
+        self.slowlog: Optional[RecordLog] = (
+            RecordLog(slowlog.path) if slowlog is not None else None
         )
         #: Windowed telemetry + SLO burn-rate monitor (None = off, the
         #: default: the submit path then pays one None check and the
@@ -130,7 +137,7 @@ class QueryService:
         request cannot take down a serving thread.
         """
         start = time.perf_counter()
-        tracing_on = self.tracing.enabled
+        tracing_on = self.trace
         forensics = tracing_on or self.slowlog is not None
         trace_id = (request.trace_id or new_trace_id()) if forensics else None
         tracer = Tracer(trace_id=trace_id) if tracing_on else None
@@ -161,17 +168,17 @@ class QueryService:
                 response, forensic = self._submit_core(request, start, tracer)
         if trace_id is not None:
             response.trace_id = trace_id
+        spans: Sequence[Dict[str, Any]] = ()
         if tracer is not None:
-            self.traces.add(tracer.spans)
-        slowlog = self.slowlog
-        if slowlog is not None and slowlog.should_log(
-            response.status, response.total_s
-        ):
-            slowlog.record(
+            spans = [span.to_dict() for span in tracer.spans]
+            self.traces.append(spans)
+        slow = self.slowlog_config
+        if slow is not None and slow.should_log(response.status, response.total_s):
+            self.slowlog.append(  # type: ignore[union-attr]
                 build_record(
                     request,
                     response,
-                    spans=tracer.spans if tracer is not None else (),
+                    spans=spans,
                     funnel=forensic.get("funnel"),
                     cost=forensic.get("cost"),
                     cache_delta=forensic.get("cache_delta"),
@@ -266,10 +273,26 @@ class QueryService:
         """Write every retained request trace as span JSONL; returns count.
 
         The output is the flat span format ``python -m repro.obs report``
-        and ``python -m repro.obs timeline`` consume (ids namespaced per
-        trace, every span stamped with its request's trace_id).
+        and ``python -m repro.obs timeline`` consume.  Every request's
+        tracer numbered its spans from 1, so ids are namespaced per trace
+        (``"<trace_id>:<span_id>"``): parent links still resolve within
+        each request, but two requests' spans never alias each other in
+        downstream tree rebuilds.
         """
-        return self.traces.export(target)
+        if isinstance(target, str):
+            with open(target, "w", encoding="utf-8") as f:
+                return self.export_traces(f)
+        count = 0
+        for spans in self.traces.records():
+            for span in spans:
+                doc = dict(span)
+                prefix = doc["trace_id"]
+                doc["span_id"] = f"{prefix}:{doc['span_id']}"
+                if doc["parent_id"] is not None:
+                    doc["parent_id"] = f"{prefix}:{doc['parent_id']}"
+                target.write(json.dumps(doc, sort_keys=True) + "\n")
+                count += 1
+        return count
 
     async def asubmit(
         self,
@@ -331,7 +354,7 @@ class QueryService:
             workers=self.pool.size,
             max_queue=self.admission_config.max_queue,
             timeout_s=self.admission_config.timeout_s,
-            tracing=self.tracing.enabled,
+            tracing=self.trace,
             slowlog=self.slowlog is not None,
             windowed=self.health_monitor is not None,
         )
@@ -372,7 +395,7 @@ class QueryService:
                 "alert export requires the service to run with health"
                 " tracking enabled (HealthConfig)"
             )
-        return self.health_monitor.export_alerts(target)
+        return self.health_monitor.slo.alert_log.export(target)
 
     def close(self) -> None:
         """Refuse new work and release engine resources (idempotent)."""

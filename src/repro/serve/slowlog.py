@@ -16,21 +16,19 @@ assign blame:
   :class:`~repro.query.costs.CostBreakdown` stage seconds, and the
   cache hit/miss deltas of the serving engine across the request.
 
-Records are JSON lines (schema-tagged ``repro.serve/slowlog@1``),
-appended live under a lock so concurrent worker threads never interleave
-partial lines, and mirrored in a bounded in-memory ring for tests and the
-``metrics``-style introspection paths.  ``python -m repro.serve slowlog
-FILE --top K`` summarizes a log offline.
+Records are JSON lines (schema-tagged ``repro.serve/slowlog@1``) kept in
+the service's :class:`~repro.obs.records.RecordLog`, which appends each
+one to the ``--slowlog-out`` file as it arrives.
+``python -m repro.serve slowlog FILE --top K`` summarizes a log offline.
 """
 
 from __future__ import annotations
 
-import json
-import threading
 import time
-from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, Optional, Sequence, Union
+from typing import IO, Any, Dict, List, Optional, Sequence, Union
+
+from ..obs.records import read_jsonl, schema_check
 
 #: Version tag of one slowlog record (bump on incompatible change).
 SLOWLOG_SCHEMA = "repro.serve/slowlog@1"
@@ -46,54 +44,16 @@ class SlowLogConfig:
     threshold_s: float = 0.25
     #: Append records to this JSONL path (``None`` = in-memory only).
     path: Optional[str] = None
-    #: Records retained in memory (oldest evicted first).
-    max_records: int = 1_000
 
     def __post_init__(self) -> None:
-        if self.threshold_s < 0:
+        if not self.threshold_s >= 0:
             raise ValueError(
                 f"threshold_s must be >= 0, got {self.threshold_s}"
             )
-        if self.max_records < 1:
-            raise ValueError(
-                f"max_records must be >= 1, got {self.max_records}"
-            )
-
-
-class SlowQueryLog:
-    """Thread-safe sink for slow-query records (JSONL file + ring)."""
-
-    def __init__(self, config: SlowLogConfig) -> None:
-        self.config = config
-        self._records: Deque[Dict[str, Any]] = deque(maxlen=config.max_records)
-        self._lock = threading.Lock()
-        self.logged = 0
 
     def should_log(self, status: str, total_s: float) -> bool:
         """Non-ok outcomes always; ok outcomes beyond the threshold."""
-        if status != "ok":
-            return True
-        return total_s >= self.config.threshold_s
-
-    def record(self, entry: Dict[str, Any]) -> None:
-        """Append one record (already built by :func:`build_record`)."""
-        line = json.dumps(entry, sort_keys=True)
-        with self._lock:
-            self._records.append(entry)
-            self.logged += 1
-            if self.config.path is not None:
-                # Append under the lock: concurrent worker threads must
-                # never interleave partial JSON lines.
-                with open(self.config.path, "a", encoding="utf-8") as f:
-                    f.write(line + "\n")
-
-    def records(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return list(self._records)
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._records)
+        return status != "ok" or total_s >= self.threshold_s
 
 
 def build_record(
@@ -109,7 +69,7 @@ def build_record(
     """Assemble one slowlog record from the request's artifacts.
 
     ``request``/``response`` are the serve schema types; ``spans`` are
-    live :class:`~repro.obs.trace.Span` objects or dicts; ``funnel`` is a
+    the request's span dicts; ``funnel`` is a
     :class:`~repro.obs.explain.QueryFunnel` (its identity checks are
     re-run here and any violations stored - a slowlog whose funnels fail
     the Fig-13 identities is itself a bug report); ``cost`` a
@@ -133,14 +93,11 @@ def build_record(
     if queue_depth is not None:
         record["queue_depth"] = queue_depth
     if spans:
-        span_dicts = [
-            s if isinstance(s, dict) else s.to_dict() for s in spans
-        ]
-        record["spans"] = span_dicts
+        record["spans"] = list(spans)
         record["over_deadline_stages"] = sorted(
             {
                 s["name"]
-                for s in span_dicts
+                for s in spans
                 if (s.get("attributes") or {}).get("over_deadline")
             }
         )
@@ -160,28 +117,9 @@ def build_record(
 # -- offline analysis ---------------------------------------------------------
 
 
-def load_slowlog(source: Union[str, Any]) -> List[Dict[str, Any]]:
+def load_slowlog(source: Union[str, IO[str]]) -> List[Dict[str, Any]]:
     """Read slowlog records from a JSONL path or open text file."""
-    if isinstance(source, str):
-        with open(source, "r", encoding="utf-8") as f:
-            return load_slowlog(f)
-    records: List[Dict[str, Any]] = []
-    for lineno, line in enumerate(source, start=1):
-        line = line.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ValueError(f"line {lineno}: not valid JSON ({exc})") from None
-        schema = record.get("schema")
-        if schema != SLOWLOG_SCHEMA:
-            raise ValueError(
-                f"line {lineno}: unsupported slowlog schema {schema!r};"
-                f" expected {SLOWLOG_SCHEMA!r}"
-            )
-        records.append(record)
-    return records
+    return read_jsonl(source, schema_check("slowlog", SLOWLOG_SCHEMA))
 
 
 def summarize_slowlog(
@@ -243,7 +181,6 @@ def summarize_slowlog(
 __all__ = [
     "SLOWLOG_SCHEMA",
     "SlowLogConfig",
-    "SlowQueryLog",
     "build_record",
     "load_slowlog",
     "summarize_slowlog",

@@ -1,6 +1,24 @@
-"""Tests for operation counters and the abstract GPU cost model."""
+"""Tests for the operation counters and the GPU clock that prices them.
 
-from repro.gpu import DOCUMENTED_FREE, CostCounters, GpuCostModel
+There is one GPU price list: :meth:`Platform2003.hardware_seconds`, the
+modeled clock every experiment reports.
+"""
+
+from dataclasses import fields
+
+import pytest
+
+from repro.core.platform import PLATFORM_2003, Platform2003
+from repro.gpu import CostCounters
+
+#: Counters ``hardware_seconds`` does not charge, with the reason its
+#: docstring gives (a sized buffer, so ``accum_ops`` is charged per pixel).
+DOCUMENTED_FREE = {"buffer_clears", "minmax_ops", "tile_batches", "tiles_packed"}
+SIZED_BUFFER = CostCounters(buffer_clears=1, pixels_cleared=64)
+
+
+def gpu_seconds(platform=PLATFORM_2003, **counts):
+    return platform.hardware_seconds(CostCounters(**counts))
 
 
 class TestCounters:
@@ -19,65 +37,62 @@ class TestCounters:
 
 class TestCostModel:
     def test_zero_counters_zero_cost(self):
-        assert GpuCostModel().evaluate(CostCounters()) == 0.0
+        assert gpu_seconds() == 0.0
 
     def test_linear_in_each_counter(self):
-        model = GpuCostModel()
-        base = GpuCostModel().evaluate(CostCounters(pixels_written=1))
-        assert model.evaluate(CostCounters(pixels_written=10)) == 10 * base
+        for name in CostCounters.__dataclass_fields__:
+            one = gpu_seconds(**{name: 1})
+            assert gpu_seconds(**{name: 10}) == pytest.approx(10 * one), name
 
     def test_readback_dominates_minmax(self):
-        """The model must encode the paper's bus-transfer argument: moving a
+        """The clock must encode the paper's bus-transfer argument: moving a
         pixel across the buses costs far more than scanning it on-card."""
-        model = GpuCostModel()
-        minmax_cost = model.evaluate(CostCounters(pixels_scanned=100))
-        readback_cost = model.evaluate(CostCounters(pixels_transferred=100))
+        minmax_cost = gpu_seconds(pixels_scanned=100)
+        readback_cost = gpu_seconds(pixels_transferred=100)
         assert readback_cost > 10 * minmax_cost
 
     def test_evaluate_combines_all(self):
-        model = GpuCostModel(
-            cost_draw_call=1.0,
-            cost_edge=1.0,
-            cost_pixel_write=1.0,
-            cost_clear_pixel=1.0,
-            cost_accum_op=1.0,
-            cost_minmax_pixel=1.0,
-            cost_readback_pixel=1.0,
-            cost_distance_field_pixel=1.0,
+        unit = Platform2003(
+            **{f.name: 1.0 for f in fields(Platform2003) if f.name.startswith("gpu_")}
         )
-        counters = CostCounters(
+        counters = dict(
             draw_calls=1,
             edges_rendered=2,
-            pixels_written=3,
-            pixels_cleared=4,
-            accum_ops=5,
+            edges_clipped_away=3,
+            pixels_written=4,
+            buffer_clears=2,
+            pixels_cleared=10,
+            accum_ops=3,
             pixels_scanned=6,
-            pixels_transferred=7,
             distance_field_pixels=8,
+            readback_ops=1,
+            pixels_transferred=7,
         )
-        assert model.evaluate(counters) == 36.0
+        # 1 + (2 + 3) + 4 + 10 + 6 + 8 + 7 + 1, plus 3 accum ops over
+        # 10 / 2 = 5-pixel buffers.
+        assert gpu_seconds(unit, **counters) == 57.0 * 1e-6
 
     def test_distance_field_pixels_are_charged(self):
         """Regression: distance-field sweep pixels were silently free."""
-        model = GpuCostModel()
-        cost = model.evaluate(CostCounters(distance_field_pixels=100))
-        assert cost == 100 * model.cost_distance_field_pixel
+        cost = gpu_seconds(distance_field_pixels=100)
+        assert cost == pytest.approx(100 * PLATFORM_2003.gpu_distance_field_pixel_us * 1e-6)
         assert cost > 0.0
 
     def test_distance_field_dearer_than_fill_cheaper_than_readback(self):
-        model = GpuCostModel()
-        fill = model.evaluate(CostCounters(pixels_written=100))
-        sweep = model.evaluate(CostCounters(distance_field_pixels=100))
-        readback = model.evaluate(CostCounters(pixels_transferred=100))
+        fill = gpu_seconds(pixels_written=100)
+        sweep = gpu_seconds(distance_field_pixels=100)
+        readback = gpu_seconds(pixels_transferred=100)
         assert fill < sweep < readback
 
     def test_every_counter_charged_or_documented_free(self):
         """The charged/free partition of CostCounters is total: a newly
-        added counter must either contribute to evaluate() or be listed in
+        added counter must either move the GPU clock or be listed in
         DOCUMENTED_FREE with a rationale - it cannot be silently free."""
-        model = GpuCostModel()
+        base = PLATFORM_2003.hardware_seconds(SIZED_BUFFER)
         for name in CostCounters.__dataclass_fields__:
-            cost = model.evaluate(CostCounters(**{name: 1}))
+            counters = SIZED_BUFFER.snapshot()
+            setattr(counters, name, getattr(counters, name) + 1)
+            cost = PLATFORM_2003.hardware_seconds(counters) - base
             if name in DOCUMENTED_FREE:
                 assert cost == 0.0, f"{name} is documented free yet charged"
             else:

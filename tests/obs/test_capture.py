@@ -162,7 +162,7 @@ class TestPersistence:
         path.write_text(
             json.dumps({"schema": CAPTURE_SCHEMA}) + "\nnot json\n"
         )
-        with pytest.raises(ValueError, match=r":2: not JSON"):
+        with pytest.raises(ValueError, match=r":2: not valid JSON"):
             load_capture(str(path))
 
     def test_streaming_capture_replayable(self, tmp_path, dataset_a):

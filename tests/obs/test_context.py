@@ -43,22 +43,6 @@ class TestRequestContext:
         ctx = _context(deadline_unix_s=time.time() - 1)
         assert ctx.expired()
 
-    def test_to_dict(self):
-        ctx = RequestContext(
-            trace_id="abc", attributes={"op": "selection"}, deadline_unix_s=5.0
-        )
-        doc = ctx.to_dict()
-        assert doc == {
-            "trace_id": "abc",
-            "attributes": {"op": "selection"},
-            "deadline_unix_s": 5.0,
-        }
-        doc["attributes"]["op"] = "mutated"
-        assert ctx.attributes["op"] == "selection"
-
-    def test_to_dict_omits_unset_deadline(self):
-        assert "deadline_unix_s" not in _context().to_dict()
-
 
 class TestScoping:
     def test_default_is_none(self):

@@ -43,17 +43,6 @@ class TestThreadedUpdates:
         _hammer(8, 1000, lambda: registry.counter("hits", op="x").inc())
         assert registry.counter("hits", op="x").value == 8 * 1000
 
-    def test_gauge_add_is_atomic(self):
-        registry = MetricsRegistry()
-        gauge = registry.gauge("inflight")
-
-        def up_down() -> None:
-            gauge.add(1)
-            gauge.add(-1)
-
-        _hammer(8, 2000, up_down)
-        assert gauge.value == 0
-
     def test_histogram_observations_all_land(self):
         registry = MetricsRegistry()
         hist = registry.histogram("latency")

@@ -52,7 +52,7 @@ class TestLoadSpans:
         assert len(spans) == 1
 
     def test_rejects_bad_json(self):
-        with pytest.raises(ValueError, match="line 1"):
+        with pytest.raises(ValueError, match="<stream>:1: not valid JSON"):
             load_spans(io.StringIO("not json\n"))
 
     def test_rejects_missing_keys(self):

@@ -4,9 +4,9 @@ import io
 
 import pytest
 
+from repro.obs.records import MAX_RECORDS, RecordLog
 from repro.obs.slo import (
     ALERTS_SCHEMA,
-    AlertLog,
     SLOConfig,
     SLObjective,
     SLOTracker,
@@ -39,7 +39,6 @@ def _tracker(clock, objectives=None, burn_threshold=2.0, min_events=1):
             burn_threshold=burn_threshold,
             min_events=min_events,
         ),
-        alert_log=AlertLog(100),
     )
 
 
@@ -71,6 +70,21 @@ class TestSLObjective:
 
 
 class TestSLOConfig:
+    @pytest.mark.parametrize("burn_threshold", [float("nan"), float("inf"), 0.0])
+    def test_burn_threshold_must_be_positive_and_finite(self, burn_threshold):
+        # NaN compares false, so it silently disabled alerting.
+        with pytest.raises(ValueError, match="burn_threshold"):
+            SLOConfig.scaled(2.0, 12.0, clock=FakeClock(), burn_threshold=burn_threshold)
+
+    @pytest.mark.parametrize("fast_s", [float("nan"), float("inf")])
+    def test_window_spans_must_be_finite(self, fast_s):
+        with pytest.raises(ValueError, match="width_s"):
+            SLOConfig.scaled(fast_s, 12.0, clock=FakeClock())
+
+    def test_nan_latency_threshold_refused(self):
+        with pytest.raises(ValueError, match="threshold_s > 0"):
+            SLObjective(name="l", kind="latency", target=0.9, threshold_s=float("nan"))
+
     def test_fast_must_be_shorter(self):
         clock = FakeClock()
         with pytest.raises(ValueError):
@@ -112,7 +126,7 @@ class TestStateMachine:
         assert t.firing() == []
 
         # The log kept the full story, in order.
-        log = [e["transition"] for e in t.alert_log.events()]
+        log = [e["transition"] for e in t.alert_log.records()]
         assert log == ["firing", "resolved"]
 
     def test_slow_window_guards_against_blips(self):
@@ -186,13 +200,15 @@ class TestStateMachine:
 
 class TestAlertLog:
     def test_bounded_with_eviction_accounting(self):
-        log = AlertLog(max_events=2)
-        for i in range(5):
-            log.append({"schema": ALERTS_SCHEMA, "i": i})
-        assert len(log) == 2
-        assert log.added == 5
-        assert log.evicted == 3
-        assert [e["i"] for e in log.events()] == [3, 4]
+        """The tracker's transitions live in the bounded record log whose
+        counts the health envelope reports as ``alert_log``."""
+        t = _tracker(FakeClock())
+        for i in range(MAX_RECORDS + 3):
+            t.alert_log.append({"schema": ALERTS_SCHEMA, "i": i})
+        assert len(t.alert_log) == MAX_RECORDS
+        assert t.alert_log.added == MAX_RECORDS + 3
+        assert t.alert_log.evicted == 3
+        assert t.alert_log.records()[0]["i"] == 3
 
     def test_export_and_load_round_trip(self, tmp_path):
         clock = FakeClock()
@@ -212,7 +228,7 @@ class TestAlertLog:
         assert events[1]["at_s"] == 3.0
 
     def test_export_to_stream(self):
-        log = AlertLog()
+        log = RecordLog()
         log.append({"schema": ALERTS_SCHEMA, "transition": "firing"})
         buf = io.StringIO()
         assert log.export(buf) == 1

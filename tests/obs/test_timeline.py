@@ -65,7 +65,7 @@ class TestLanes:
             span(1, "request", 100.0, 1.0, worker=1, trace_id="b"),
         ]
         # build_tree keys nodes by span_id, so distinct requests must use
-        # namespaced ids (what TraceStore.export emits).
+        # namespaced ids (what QueryService.export_traces emits).
         spans[0]["span_id"] = "a:1"
         spans[1]["span_id"] = "b:1"
         doc = timeline_from_spans(spans)

@@ -87,6 +87,14 @@ class TestHealthConfig:
         with pytest.raises(ValueError):
             HealthConfig(objectives=())
 
+    @pytest.mark.parametrize(
+        "field", ["window_width_s", "slo_fast_s", "slo_slow_s", "burn_threshold"]
+    )
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    def test_non_finite_values_refused(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be positive and finite"):
+            HealthConfig(**{field: value})
+
 
 class TestBuildHealth:
     def test_without_monitor_still_answers(self):
@@ -167,7 +175,7 @@ class TestAcceptanceScenario:
         # -- the alert log kept the whole story, exportable ----------------
         transitions = [
             (e["slo"], e["transition"])
-            for e in h.monitor.slo.alert_log.events()
+            for e in h.monitor.slo.alert_log.records()
         ]
         assert sorted(t for t in transitions if t[1] == "firing") == [
             ("availability", "firing"),
@@ -178,7 +186,7 @@ class TestAcceptanceScenario:
             ("latency", "resolved"),
         ]
         path = str(tmp_path / "alerts.jsonl")
-        assert h.monitor.export_alerts(path) == 4
+        assert h.monitor.slo.alert_log.export(path) == 4
         assert len(load_alert_log(path)) == 4
 
     def test_alert_resolves_on_poll_without_new_traffic(self):

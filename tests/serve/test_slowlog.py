@@ -4,13 +4,12 @@ import json
 
 import pytest
 
+from repro.obs.records import MAX_RECORDS
 from repro.serve import (
     AdmissionConfig,
     QueryRequest,
     QueryService,
     SlowLogConfig,
-    SlowQueryLog,
-    TracingConfig,
     load_slowlog,
     summarize_slowlog,
 )
@@ -21,25 +20,34 @@ class TestPolicy:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SlowLogConfig(threshold_s=-1.0)
+        # NaN compares false with everything: it would log no ok request.
         with pytest.raises(ValueError):
-            SlowLogConfig(max_records=0)
+            SlowLogConfig(threshold_s=float("nan"))
+        # inf keeps a meaning: log only the non-ok outcomes.
+        assert not SlowLogConfig(threshold_s=float("inf")).should_log("ok", 1e300)
 
     def test_non_ok_always_logged(self):
-        log = SlowQueryLog(SlowLogConfig(threshold_s=100.0))
+        config = SlowLogConfig(threshold_s=100.0)
         for status in ("shed", "timeout", "error"):
-            assert log.should_log(status, 0.0)
+            assert config.should_log(status, 0.0)
 
     def test_ok_logged_only_beyond_threshold(self):
-        log = SlowQueryLog(SlowLogConfig(threshold_s=0.5))
-        assert not log.should_log("ok", 0.1)
-        assert log.should_log("ok", 0.5)
+        config = SlowLogConfig(threshold_s=0.5)
+        assert not config.should_log("ok", 0.1)
+        assert config.should_log("ok", 0.5)
 
-    def test_ring_is_bounded(self):
-        log = SlowQueryLog(SlowLogConfig(max_records=2))
-        for i in range(5):
-            log.record({"i": i})
-        assert log.logged == 5
-        assert [r["i"] for r in log.records()] == [3, 4]
+    def test_ring_is_bounded(self, tmp_path):
+        """The in-memory ring evicts; the --slowlog-out file keeps every record."""
+        path = tmp_path / "slow.jsonl"
+        svc = QueryService(workers=1, slowlog=SlowLogConfig(path=str(path)))
+        try:
+            for i in range(MAX_RECORDS + 3):
+                svc.slowlog.append({"schema": "repro.serve/slowlog@1", "i": i})
+            assert len(svc.slowlog) == MAX_RECORDS
+            assert svc.slowlog.evicted == 3
+            assert [r["i"] for r in load_slowlog(str(path))] == list(range(MAX_RECORDS + 3))
+        finally:
+            svc.close()
 
 
 @pytest.fixture(scope="module")
@@ -47,7 +55,7 @@ def forensic_service(tmp_path_factory):
     path = tmp_path_factory.mktemp("slowlog") / "slow.jsonl"
     svc = QueryService(
         workers=1,
-        tracing=TracingConfig(enabled=True),
+        trace=True,
         # threshold 0: every request is "slow", so ok requests log too.
         slowlog=SlowLogConfig(threshold_s=0.0, path=str(path)),
     )
@@ -99,7 +107,7 @@ class TestRecords:
         svc, path = forensic_service
         svc.submit(QueryRequest(op="join"))
         records = load_slowlog(path)
-        assert len(records) == svc.slowlog.logged
+        assert len(records) == svc.slowlog.added
         assert all(r["schema"] == "repro.serve/slowlog@1" for r in records)
 
     def test_shed_is_logged_without_execution_artifacts(self):

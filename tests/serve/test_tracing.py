@@ -18,7 +18,6 @@ from repro.serve import (
     AdmissionConfig,
     QueryRequest,
     QueryService,
-    TracingConfig,
     canonical_results,
 )
 
@@ -28,7 +27,7 @@ def traced_service():
     svc = QueryService(
         workers=2,
         admission=AdmissionConfig(max_queue=10_000),
-        tracing=TracingConfig(enabled=True),
+        trace=True,
     )
     yield svc
     svc.close()
@@ -58,8 +57,8 @@ class TestTraceIds:
             QueryRequest(op="selection", query_index=0, trace_id="cafe0123")
         )
         assert response.trace_id == "cafe0123"
-        last_trace = traced_service.traces.traces()[-1]
-        assert all(s.trace_id == "cafe0123" for s in last_trace)
+        last_trace = traced_service.traces.records()[-1]
+        assert all(s["trace_id"] == "cafe0123" for s in last_trace)
 
     def test_error_response_carries_trace_id(self, traced_service):
         response = traced_service.submit(
@@ -81,18 +80,18 @@ class TestSpanTrees:
         response = traced_service.submit(
             QueryRequest(op="selection", query_index=1)
         )
-        trace = traced_service.traces.traces()[-1]
-        assert all(s.trace_id == response.trace_id for s in trace)
-        roots = [s for s in trace if s.parent_id is None]
-        assert [r.name for r in roots] == ["request"]
-        assert roots[0].attributes["status"] == "ok"
-        assert roots[0].attributes["worker"] == response.worker
-        names = {s.name for s in trace}
+        trace = traced_service.traces.records()[-1]
+        assert all(s["trace_id"] == response.trace_id for s in trace)
+        roots = [s for s in trace if s["parent_id"] is None]
+        assert [r["name"] for r in roots] == ["request"]
+        assert roots[0]["attributes"]["status"] == "ok"
+        assert roots[0]["attributes"]["worker"] == response.worker
+        names = {s["name"] for s in trace}
         assert {"request", "queue_wait", "execute", "mbr_filter"} <= names
         # Every parent link resolves within this request's own spans.
-        ids = {s.span_id for s in trace}
+        ids = {s["span_id"] for s in trace}
         assert all(
-            s.parent_id in ids for s in trace if s.parent_id is not None
+            s["parent_id"] in ids for s in trace if s["parent_id"] is not None
         )
 
 
@@ -130,12 +129,12 @@ class TestConcurrencyHazard:
         assert len(set(trace_ids)) == len(trace_ids)
         # No span ever parented under another request's span: each stored
         # trace is homogeneous in trace_id and rooted exactly once.
-        for trace in traced_service.traces.traces():
-            assert len({s.trace_id for s in trace}) == 1
-            assert sum(1 for s in trace if s.parent_id is None) == 1
-            ids = {s.span_id for s in trace}
+        for trace in traced_service.traces.records():
+            assert len({s["trace_id"] for s in trace}) == 1
+            assert sum(1 for s in trace if s["parent_id"] is None) == 1
+            ids = {s["span_id"] for s in trace}
             assert all(
-                s.parent_id in ids for s in trace if s.parent_id is not None
+                s["parent_id"] in ids for s in trace if s["parent_id"] is not None
             )
 
 
@@ -177,7 +176,7 @@ class TestTraceStoreExport:
         traced_service.submit(QueryRequest(op="selection", query_index=1))
         out = tmp_path / "spans.jsonl"
         count = traced_service.export_traces(str(out))
-        assert count == len(traced_service.traces.spans())
+        assert count == sum(map(len, traced_service.traces.records()))
         from repro.obs.report import load_spans
 
         docs = load_spans(str(out))
