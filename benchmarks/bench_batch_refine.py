@@ -5,10 +5,8 @@ experiment refines the same >= 2k-candidate intersection join (and a
 within-distance pass) with per-pair hardware submissions and with the
 tiled atlas path; the runner raises unless results and statistics are
 identical.  Here we assert what batching is for and what is exact - the
-submission counts - and only the *direction* of the wall clock, summed
-over the sweep: a row's ratio depends on who else is on the host
-(within-distance at resolution 8 read 1.5x-2.4x over twenty runs on a
-shared two-vCPU host, and 1.31x once under load; EXPERIMENTS.md carries
+submission counts.  The geometry wall columns are reported, not gated:
+their ratio depends on who else is on the host (EXPERIMENTS.md carries
 the ranges).
 
 Run with ``--trace-out spans.jsonl`` to capture the per-batch
@@ -46,11 +44,3 @@ def test_batch_refine(run_recorded, bench_scale):
             assert (
                 per_pair["draw_calls"], row["draw_calls"], row["tile_batches"]
             ) == TINY_SUBMISSIONS[row["op"]]
-    # And it pays: over the whole sweep the batched geometry stage is the
-    # faster one.  (Summed, not row by row: a host stall during one row is
-    # enough to flip that row's ratio - 16x16 intersect has read 0.9.)
-    wall = {
-        mode: sum(r["geometry_wall_ms"] for r in rows if r["mode"] == mode)
-        for mode in ("per-pair", "batched")
-    }
-    assert wall["batched"] < wall["per-pair"], f"batching slower than per-pair: {wall}"

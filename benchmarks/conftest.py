@@ -1,4 +1,4 @@
-"""Shared configuration for the pytest-benchmark harness.
+"""Shared configuration for the benchmark wrappers.
 
 Each ``bench_*.py`` file regenerates one table or figure of the paper via
 :func:`repro.bench.run_experiment`, with the experiment's registered default
@@ -62,15 +62,11 @@ def bench_scale():
 
 
 @pytest.fixture
-def run_recorded(benchmark, bench_scale):
+def run_recorded(bench_scale):
     """Run one experiment by id; write its table to benchmarks/results/."""
 
     def _run(experiment_id):
-        result = benchmark.pedantic(
-            lambda: run_experiment(experiment_id, bench_scale),
-            rounds=1,
-            iterations=1,
-        )
+        result = run_experiment(experiment_id, bench_scale)
         RESULTS_DIR.mkdir(exist_ok=True)
         text = result.format()
         path = RESULTS_DIR / f"{experiment_id}.txt"

@@ -6,8 +6,8 @@ Run from the command line::
     python -m repro.bench fig12 --scale small
     python -m repro.bench all --scale tiny
 
-or through pytest-benchmark (``pytest benchmarks/ --benchmark-only``), or
-from code: ``run_experiment("fig12", "tiny", resolutions=(8,))``.
+or through the pytest wrappers (``pytest benchmarks/bench_*.py``), or from
+code: ``run_experiment("fig12", "tiny", resolutions=(8,))``.
 """
 
 from . import experiments  # noqa: F401  (declares every experiment)

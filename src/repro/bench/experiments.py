@@ -6,7 +6,7 @@ decorator records the id, title, columns and the qualitative shape the
 paper reports (``paper_expectation``); the decorated generator yields the
 rows, working only through the :class:`~.runner.RunContext` it is handed.
 ``python -m repro.bench`` runs them from the command line; ``benchmarks/``
-wraps them for pytest-benchmark; EXPERIMENTS.md records paper-vs-measured.
+wraps them as pytest shape checks; EXPERIMENTS.md records paper-vs-measured.
 
 Every hardware-vs-software comparison reports **two clocks** (see
 :mod:`repro.core.platform`):

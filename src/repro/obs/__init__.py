@@ -17,7 +17,7 @@ time goes and a gate that fails when it regresses.
   and the critical path;
 * :mod:`repro.obs.runreport` - the versioned RunReport JSON artifact one
   benchmark run emits (``python -m repro.bench <exp> --report-out``);
-* :mod:`repro.obs.compare` - regression gating between two RunReports
+* :mod:`repro.obs.compare` - the exact gate between two RunReports
   (``python -m repro.obs compare baseline.json current.json``);
 * :mod:`repro.obs.capture` - the GPU command-stream flight recorder and
   its deterministic replayer (``python -m repro.obs replay cap.jsonl``);

@@ -5,7 +5,7 @@ Examples::
     python -m repro.obs report trace.jsonl
     python -m repro.obs report trace.jsonl --tree --limit 20 --top 5
     python -m repro.obs timeline trace.jsonl --out timeline.json
-    python -m repro.obs compare baseline.json current.json --tolerance 0.25
+    python -m repro.obs compare baseline.json current.json
     python -m repro.obs explain run-report.json --json explain.json
     python -m repro.obs replay capture.jsonl
 """
@@ -16,7 +16,7 @@ import argparse
 import json
 import sys
 
-from .compare import DEFAULT_TIMING_FLOOR_S, compare_reports
+from .compare import compare_reports
 from .explain import funnels_from_snapshot, render_funnels, write_explain
 from .report import analyze, render_report
 from .runreport import RUN_REPORT_SCHEMA, load_run_report
@@ -55,13 +55,7 @@ def _cmd_compare(args: argparse.Namespace) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    comparison = compare_reports(
-        baseline,
-        current,
-        tolerance=args.tolerance,
-        counter_tolerance=args.counter_tolerance,
-        timing_floor_s=args.timing_floor,
-    )
+    comparison = compare_reports(baseline, current)
     print(comparison.format())
     return 0 if comparison.ok else 1
 
@@ -166,29 +160,10 @@ def main(argv=None) -> int:
     timeline.set_defaults(func=_cmd_timeline)
 
     compare = sub.add_parser(
-        "compare", help="diff two RunReports; exit 1 on regression"
+        "compare", help="diff two RunReports; exit 1 on any deterministic drift"
     )
     compare.add_argument("baseline", help="baseline RunReport JSON")
     compare.add_argument("current", help="current RunReport JSON")
-    compare.add_argument(
-        "--tolerance",
-        type=float,
-        default=0.25,
-        help="relative slack for timings (default 0.25 = +25%%)",
-    )
-    compare.add_argument(
-        "--counter-tolerance",
-        type=float,
-        default=0.0,
-        help="relative slack for counters (default 0 = exact)",
-    )
-    compare.add_argument(
-        "--timing-floor",
-        type=float,
-        default=DEFAULT_TIMING_FLOOR_S,
-        help="absolute seconds added to every timing limit "
-        f"(default {DEFAULT_TIMING_FLOOR_S})",
-    )
     compare.set_defaults(func=_cmd_compare)
 
     explain = sub.add_parser(

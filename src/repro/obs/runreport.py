@@ -18,9 +18,9 @@ plus a run-level merged metrics snapshot and an **environment
 fingerprint** (python/numpy versions, platform, git sha, scale preset) so
 two reports are comparable only when they should be.
 
-``repro.obs.compare`` diffs two RunReports and exits nonzero on
-regression; ``python -m repro.bench <exp> --report-out r.json`` produces
-them.
+``repro.obs.compare`` diffs two RunReports and exits nonzero on any
+deterministic drift; ``python -m repro.bench <exp> --report-out r.json``
+produces them.
 """
 
 from __future__ import annotations

@@ -20,8 +20,8 @@ best-effort stat.
 Results are packaged the same way the benchmark drivers package theirs -
 an :class:`~repro.bench.result.ExperimentResult` plus the service's
 metrics snapshot, folded into a versioned RunReport - so
-``python -m repro.obs compare`` gates serving-latency regressions with
-the machinery that already gates the batch benchmarks.
+``python -m repro.obs compare`` gates a serving run's counts with the
+machinery that already gates the batch benchmarks.
 """
 
 from __future__ import annotations

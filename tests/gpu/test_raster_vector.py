@@ -130,6 +130,19 @@ class TestPolygonBitIdentity:
         got = polygon_fill_coverage_mask((8, 8), ring)
         assert np.array_equal(got, polygon_coverage_mask((8, 8), ring))
 
+    def test_index_build_stars(self):
+        # Twelve fixed star polygons the size the interior/interval index
+        # builds fill: (buffer side, vertex count) per group of four.
+        rng = np.random.default_rng(13)
+        for n, v in [(32, 24), (64, 48), (128, 64)]:
+            for _ in range(4):
+                angles = np.sort(rng.uniform(0.0, 2.0 * np.pi, size=v))
+                radii = rng.uniform(0.2, 0.55, size=v) * n
+                rays = np.stack([np.cos(angles), np.sin(angles)], axis=1)
+                star = n / 2.0 + radii[:, None] * rays
+                got = polygon_fill_coverage_mask((n, n), star)
+                assert np.array_equal(got, polygon_coverage_mask((n, n), star))
+
 
 class TestRingBoundary:
     """The localized ring-boundary kernel vs the serial AA loop.

@@ -143,7 +143,5 @@ class TestOpenLoop:
             finally:
                 svc.close()
 
-        comparison = compare_reports(
-            one_run(), one_run(), tolerance=100.0
-        )  # huge timing tolerance: only determinism is under test
+        comparison = compare_reports(one_run(), one_run())
         assert comparison.ok, comparison.format()

@@ -35,6 +35,7 @@ KEPT = {
     "nested_loop_mbr_join": "oracle for the plane-sweep MBR join",
     "linear_nearest": "oracle for the R-tree best-first nearest-neighbour search",
     "rasterize_line_aa_conservative": "oracle for the bulk and vector coverage kernels",
+    "polygon_coverage_mask": "oracle for the even-odd fill kernel (polygon_fill_coverage_mask)",
     "load_dataset": "outside-data door",
     "save_dataset": "outside-data door",
     "load_dataset_wkt": "outside-data door",
