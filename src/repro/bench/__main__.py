@@ -10,7 +10,6 @@ Examples::
     python -m repro.bench all --scale small --out results.txt
     python -m repro.bench table2 --scale tiny --report-out run.json
     python -m repro.bench table2 --scale tiny --capture-out cap.jsonl
-    python -m repro.bench table2 --scale tiny --explain-out explain.json
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import time
 
 from ..cache import CacheConfig
 from ..obs.capture import CommandRecorder
-from ..obs.explain import funnels_from_snapshot, render_funnels, write_explain
 from ..obs.metrics import MetricsRegistry
 from ..obs.runreport import (
     build_run_report,
@@ -60,19 +58,13 @@ def main(argv=None) -> int:
     parser.add_argument("--out", help="also append formatted results to this file")
     parser.add_argument(
         "--report-out",
-        help="write a versioned RunReport JSON (rows + merged metrics + "
-        "environment fingerprint; see repro.obs)",
+        help="write a versioned RunReport JSON (rows + per-experiment metrics "
+        "+ environment fingerprint; explain and gate it with repro.obs)",
     )
-    parser.add_argument("--metrics-out", help="write the run's merged metrics snapshot as JSON")
     parser.add_argument(
         "--capture-out",
         help="record the GPU command stream to this JSONL capture "
         "(replayable via 'python -m repro.obs replay')",
-    )
-    parser.add_argument(
-        "--explain-out",
-        help="write per-pipeline EXPLAIN ANALYZE funnels as JSON "
-        "(implies metric collection)",
     )
     args = parser.parse_args(argv)
 
@@ -95,12 +87,10 @@ def main(argv=None) -> int:
             )
             return 2
 
-    # Metric collection is opt-in: with no artifact requested, no registry
+    # Metric collection is opt-in: with no report requested, no registry
     # is in scope and the instrumented layers stay on their zero-overhead
     # path.  Likewise capture: the flight recorder only exists (and only
     # costs anything) when --capture-out names a stream.
-    collect = bool(args.report_out or args.metrics_out or args.explain_out)
-    run_registry = MetricsRegistry() if collect else None
     recorder = CommandRecorder(stream=args.capture_out) if args.capture_out else None
     cache = CacheConfig() if args.cache else CacheConfig.disabled()
     entries = []
@@ -108,16 +98,14 @@ def main(argv=None) -> int:
     outputs = []
     for name in names:
         # One fresh registry per experiment so each report entry carries
-        # only its own distributions; the run-level registry merges them.
-        exp_registry = MetricsRegistry() if collect else None
+        # only its own metrics; a reader merges the entries for run totals.
+        exp_registry = MetricsRegistry() if args.report_out else None
         start = time.perf_counter()
         with use_scope(registry=exp_registry, recorder=recorder):
             result = run_experiment(name, args.scale, cache=cache)
         elapsed = time.perf_counter() - start
-        if collect:
-            snapshot = exp_registry.snapshot()
-            run_registry.merge(snapshot)
-            entries.append(experiment_entry(result, snapshot, elapsed))
+        if exp_registry is not None:
+            entries.append(experiment_entry(result, exp_registry.snapshot(), elapsed))
         text = result.format() + f"\n(driver wall time: {elapsed:.1f} s)\n"
         print(text)
         outputs.append(text)
@@ -133,30 +121,14 @@ def main(argv=None) -> int:
     if args.out:
         with open(args.out, "a", encoding="utf-8") as f:
             f.write("\n".join(outputs) + "\n")
-    if run_registry is not None:
-        merged = run_registry.snapshot()
-        if args.report_out:
-            report = build_run_report(
-                entries,
-                merged,
-                scale=args.scale,
-                environment=environment_fingerprint(scale=args.scale),
-            )
-            write_run_report(args.report_out, report)
-            print(f"run report written to {args.report_out}")
-        if args.metrics_out:
-            with open(args.metrics_out, "w", encoding="utf-8") as f:
-                f.write(run_registry.to_json(indent=2))
-                f.write("\n")
-            print(f"metrics snapshot written to {args.metrics_out}")
-        if args.explain_out:
-            funnels = funnels_from_snapshot(merged)
-            doc = write_explain(args.explain_out, funnels, source="repro.bench")
-            print(render_funnels(funnels))
-            print(f"explain JSON written to {args.explain_out}")
-            if not doc["ok"]:
-                print("funnel identity violation(s) detected", file=sys.stderr)
-                return 1
+    if args.report_out:
+        report = build_run_report(
+            entries,
+            scale=args.scale,
+            environment=environment_fingerprint(scale=args.scale),
+        )
+        write_run_report(args.report_out, report)
+        print(f"run report written to {args.report_out}")
     return 0
 
 

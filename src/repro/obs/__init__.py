@@ -95,7 +95,6 @@ from .runreport import (
     environment_fingerprint,
     experiment_entry,
     load_run_report,
-    sections_from_snapshot,
     write_run_report,
 )
 from .trace import JsonLinesExporter, Span, Tracer
@@ -149,7 +148,6 @@ __all__ = [
     "render_report",
     "replay_capture",
     "replay_events",
-    "sections_from_snapshot",
     "summarize_timeline",
     "timeline_from_spans",
     "use_recorder",

@@ -13,13 +13,24 @@ Examples::
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .compare import compare_reports
 from .explain import funnels_from_snapshot, render_funnels, write_explain
 from .report import analyze, render_report
-from .runreport import RUN_REPORT_SCHEMA, load_run_report
+from .runreport import load_run_report
+
+
+def _at_least(minimum: int):
+    """An argparse type: an integer count no smaller than ``minimum``."""
+
+    def count(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    return count
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -62,39 +73,25 @@ def _cmd_compare(args: argparse.Namespace) -> int:
 
 def _cmd_explain(args: argparse.Namespace) -> int:
     try:
-        with open(args.artifact, "r", encoding="utf-8") as f:
-            artifact = json.load(f)
+        report = load_run_report(args.report)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if artifact.get("schema") == RUN_REPORT_SCHEMA:
-        if args.experiment is not None:
-            matches = [
-                e
-                for e in artifact.get("experiments", [])
-                if e.get("experiment_id") == args.experiment
-            ]
-            if not matches:
-                known = [
-                    e.get("experiment_id")
-                    for e in artifact.get("experiments", [])
-                ]
-                print(
-                    f"error: no experiment {args.experiment!r} in report"
-                    f" (have: {known})",
-                    file=sys.stderr,
-                )
-                return 2
-            snapshot = matches[0].get("metrics", {})
-        else:
-            snapshot = artifact.get("metrics", {})
-    else:
-        # A bare MetricsRegistry snapshot (counters/gauges/histograms).
-        snapshot = artifact
-    funnels = funnels_from_snapshot(snapshot)
+    entries = report.get("experiments", [])
+    if args.experiment is not None:
+        known = [e.get("experiment_id") for e in entries]
+        entries = [e for e in entries if e.get("experiment_id") == args.experiment]
+        if not entries:
+            print(
+                f"error: no experiment {args.experiment!r} in report"
+                f" (have: {known})",
+                file=sys.stderr,
+            )
+            return 2
+    funnels = funnels_from_snapshot(*(e.get("metrics", {}) for e in entries))
     print(render_funnels(funnels))
     if args.json is not None:
-        doc = write_explain(args.json, funnels, source=args.artifact)
+        doc = write_explain(args.json, funnels, source=args.report)
         print(f"explain JSON written to {args.json}")
     else:
         doc = {"ok": not [v for f in funnels.values() for v in f.check()]}
@@ -134,7 +131,10 @@ def main(argv=None) -> int:
         "--tree", action="store_true", help="also print the span tree"
     )
     report.add_argument(
-        "--limit", type=int, default=None, help="rollup rows to show (default all)"
+        "--limit",
+        type=_at_least(1),
+        default=None,
+        help="rollup rows to show (default all)",
     )
     report.add_argument(
         "--top",
@@ -167,17 +167,13 @@ def main(argv=None) -> int:
     compare.set_defaults(func=_cmd_compare)
 
     explain = sub.add_parser(
-        "explain",
-        help="EXPLAIN ANALYZE funnel from a RunReport or metrics snapshot",
+        "explain", help="EXPLAIN ANALYZE funnels from a RunReport"
     )
-    explain.add_argument(
-        "artifact",
-        help="RunReport JSON (--report-out) or metrics snapshot (--metrics-out)",
-    )
+    explain.add_argument("report", help="RunReport JSON (--report-out)")
     explain.add_argument(
         "--experiment",
         default=None,
-        help="explain one experiment's metrics instead of the merged run",
+        help="explain one experiment's entry instead of every entry merged",
     )
     explain.add_argument(
         "--json", default=None, help="also write the explain document here"
@@ -192,7 +188,7 @@ def main(argv=None) -> int:
         "capture", help="JSONL capture written by --capture-out"
     )
     replay.add_argument(
-        "--limit", type=int, default=20, help="mismatch lines to print"
+        "--limit", type=_at_least(0), default=20, help="mismatch lines to print"
     )
     replay.set_defaults(func=_cmd_replay)
 

@@ -1,23 +1,24 @@
 """RunReport gating: diff two run artifacts, fail on any deterministic drift.
 
 ``python -m repro.obs compare baseline.json current.json`` walks two
-:mod:`~repro.obs.runreport` artifacts and reports:
+:mod:`~repro.obs.runreport` artifacts entry by entry and reports:
 
-* **value mismatches** - candidate counts, refinement statistics, GPU
-  primitive counters and every metric family are deterministic for a
-  fixed workload, so each must equal the baseline's (NaN matches NaN);
-* **table mismatches** - every cell of a column the baseline lists in
-  ``exact_columns`` (counts, modeled milliseconds, rates) must equal the
-  baseline's bit for bit; a baseline written before that key existed
-  gates only the row count;
+* **value mismatches** - every entry's metric families (candidate counts,
+  refinement statistics, GPU primitive counters, funnels, distributions)
+  are deterministic for a fixed workload, so each must equal the
+  baseline's (NaN matches NaN);
+* **table mismatches** - the row count, and every cell of a column the
+  baseline lists in ``exact_columns`` (counts, modeled milliseconds,
+  rates), must equal the baseline's bit for bit; a baseline written
+  before that key existed gates only the row count;
 * **structural mismatches** - an experiment or key present in one report
   only, whichever one.
 
-Wall-clock values - ``*_s`` cost-breakdown fields, ``*_seconds``
-counters, ``*_duration_s`` histograms - are checked for presence only (a
-timing histogram also on its sample count): host time is judged by the
-benchmark ledger, never here.  There is nothing to set.  Environment
-fingerprint differences are the only warnings.
+Wall-clock values - keys named ``*_s``, such as the ``*_duration_s``
+histograms - are checked for presence only (a timing histogram also on
+its sample count): host time is judged by the benchmark ledger, never
+here.  There is nothing to set.  Environment fingerprint differences are
+the only warnings.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, List, Mapping, Tuple
 
-#: Key-name suffixes that mark a value as a wall-clock timing.
-_TIMING_SUFFIXES = ("_s", "_seconds")
+#: Key-name suffix that marks a value as a wall-clock timing.
+_TIMING_SUFFIX = "_s"
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,7 @@ class Comparison:
 
 def _is_timing(key: str) -> bool:
     """True for a wall-clock key (a metric key's labels are ignored)."""
-    return key.partition("{")[0].endswith(_TIMING_SUFFIXES)
+    return key.partition("{")[0].endswith(_TIMING_SUFFIX)
 
 
 def _same(baseline: Any, current: Any) -> bool:
@@ -199,19 +200,15 @@ def compare_reports(baseline: Mapping[str, Any], current: Mapping[str, Any]) -> 
     ):
         compared += 1
         prefix = f"experiments[{exp_id}]"
-        cmp.value(f"{prefix}.row_count", base_exp.get("row_count"), cur_exp.get("row_count"))
+        cmp.value(
+            f"{prefix}.len(rows)",
+            len(base_exp.get("rows", [])),
+            len(cur_exp.get("rows", [])),
+        )
         cmp.exact_cells(prefix, base_exp, cur_exp)
-        for section in ("cost_breakdown", "refinement_stats", "gpu_counters"):
-            cmp.section(
-                f"{prefix}.{section}", base_exp.get(section, {}), cur_exp.get(section, {})
-            )
         cmp.metrics_snapshot(
             f"{prefix}.metrics", base_exp.get("metrics", {}), cur_exp.get("metrics", {})
         )
-
-    cmp.metrics_snapshot(
-        "metrics", baseline.get("metrics", {}), current.get("metrics", {})
-    )
     return Comparison(findings=cmp.findings, experiments_compared=compared)
 
 

@@ -69,7 +69,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
 
 from .metrics import parse_key
@@ -118,7 +118,7 @@ def _close(a: float, b: float) -> bool:
 
 @dataclass
 class QueryFunnel:
-    """One query pipeline's funnel: stage counts plus stage timings."""
+    """One query pipeline's funnel: the stage counts."""
 
     pipeline: str
     candidates: float = 0
@@ -137,9 +137,6 @@ class QueryFunnel:
     hw_false_positives: float = 0
     sw_exact: float = 0
     results: float = 0
-    #: Per-stage wall-clock attribution (``mbr_filter``/``intermediate_
-    #: filter``/``geometry`` seconds) when a CostBreakdown was available.
-    stage_seconds: Dict[str, float] = field(default_factory=dict)
 
     @property
     def hw_tests(self) -> float:
@@ -209,8 +206,6 @@ class QueryFunnel:
             doc[stage] = getattr(self, stage)
         doc["hw_tests"] = self.hw_tests
         doc["hw_false_positive_rate"] = self.hw_false_positive_rate
-        if self.stage_seconds:
-            doc["stage_seconds"] = dict(self.stage_seconds)
         return doc
 
 
@@ -266,11 +261,6 @@ def funnel_from_deltas(
         funnel.interval_proven_disjoint = getattr(cost, "interval_drops", 0)
         funnel.refined = cost.pairs_compared
         funnel.results = cost.results
-        funnel.stage_seconds = {
-            name[: -len("_s")]: value
-            for name, value in dataclass_values(cost).items()
-            if name.endswith("_s")
-        }
     return funnel
 
 
@@ -300,27 +290,28 @@ def explain_run(
 
 
 def funnels_from_snapshot(
-    snapshot: Mapping[str, Any],
+    *snapshots: Mapping[str, Any],
 ) -> Dict[str, QueryFunnel]:
-    """Reconstruct per-pipeline funnels from a metrics snapshot.
+    """Reconstruct per-pipeline funnels from metrics snapshots.
 
     Reads the ``funnel{pipeline=...,stage=...}`` counter family the
-    :class:`~repro.obs.instrument.PipelineObserver` publishes; a snapshot
+    :class:`~repro.obs.instrument.PipelineObserver` publishes, summed over
+    every snapshot given (a RunReport's entries merge this way); a snapshot
     without it yields no funnels.
     """
-    counters: Mapping[str, Any] = snapshot.get("counters", {})
     funnels: Dict[str, QueryFunnel] = {}
-    for key, value in counters.items():
-        name, labels = parse_key(key)
-        if name != "funnel":
-            continue
-        label_map = dict(labels)
-        pipeline = label_map.get("pipeline", "(unknown)")
-        stage = label_map.get("stage")
-        if stage not in FUNNEL_STAGES:
-            continue
-        funnel = funnels.setdefault(pipeline, QueryFunnel(pipeline=pipeline))
-        setattr(funnel, stage, getattr(funnel, stage) + value)
+    for snapshot in snapshots:
+        for key, value in snapshot.get("counters", {}).items():
+            name, labels = parse_key(key)
+            if name != "funnel":
+                continue
+            label_map = dict(labels)
+            pipeline = label_map.get("pipeline", "(unknown)")
+            stage = label_map.get("stage")
+            if stage not in FUNNEL_STAGES:
+                continue
+            funnel = funnels.setdefault(pipeline, QueryFunnel(pipeline=pipeline))
+            setattr(funnel, stage, getattr(funnel, stage) + value)
     return dict(sorted(funnels.items()))
 
 
@@ -376,13 +367,6 @@ def render_funnel(funnel: QueryFunnel) -> str:
         f" {int(f.hw_false_positives)} false positive(s)"
         f" ({100.0 * f.hw_false_positive_rate:.1f}% of MAYBE verdicts)"
     )
-    if f.stage_seconds:
-        total = sum(f.stage_seconds.values())
-        attribution = ", ".join(
-            f"{stage}={seconds:.6f}s ({_pct(seconds, total).strip()})"
-            for stage, seconds in f.stage_seconds.items()
-        )
-        lines.append(f"  cost: {attribution}")
     violations = f.check()
     for violation in violations:
         lines.append(f"  IDENTITY VIOLATED: {violation}")
@@ -400,7 +384,7 @@ def render_funnels(funnels: Mapping[str, QueryFunnel]) -> str:
 def explain_document(
     funnels: Mapping[str, QueryFunnel], source: Optional[str] = None
 ) -> Dict[str, Any]:
-    """The versioned JSON artifact ``--json`` / ``--explain-out`` write."""
+    """The versioned JSON artifact ``python -m repro.obs explain --json`` writes."""
     violations = [v for f in funnels.values() for v in f.check()]
     doc: Dict[str, Any] = {
         "schema": EXPLAIN_SCHEMA,

@@ -4,17 +4,18 @@ The query pipelines each produce a :class:`~repro.query.costs.CostBreakdown`
 and drive a stats-accumulating engine; this module turns one pipeline run
 into metric-family increments:
 
-* ``pipeline_runs{pipeline=...}`` - run counter;
-* ``cost_count{field=...}`` - the breakdown's candidate-count fields,
-  merged across runs (the per-run distributions land in the
-  ``candidates_after_mbr`` / ``pairs_compared`` histograms, per pipeline);
+* ``candidates_after_mbr{pipeline=...}`` / ``pairs_compared{pipeline=...}``
+  - per-run distributions of the breakdown's counts (a histogram's
+  ``count`` is the pipeline's run count);
 * ``refinement{field=...}`` - the engine's
   :class:`~repro.core.stats.RefinementStats` *delta* over the run;
 * ``gpu{counter=...}`` - the hardware engine's
   :class:`~repro.gpu.counters.CostCounters` delta over the run;
 * ``funnel{pipeline=..., stage=...}`` - the EXPLAIN ANALYZE funnel: how
   many candidates entered the run and which stage resolved each of them
-  (see :mod:`repro.obs.explain` for the stage identities).
+  (see :mod:`repro.obs.explain` for the stage identities); it carries the
+  breakdown's candidate counts (``candidates``, ``refined``, ``results``
+  and the filter stages).
 
 Deltas are computed from before/after field snapshots so a long-lived
 engine shared by many runs (``run_query_set``) attributes each run's work
@@ -36,17 +37,6 @@ from .explain import FUNNEL_STAGES, dataclass_values, funnel_from_deltas
 from .metrics import MetricsRegistry
 from .scope import current_scope
 
-#: CostBreakdown fields published as ``cost_count`` counters.
-COST_COUNT_FIELDS = (
-    "candidates_after_mbr",
-    "hull_drops",
-    "filter_positives",
-    "interval_hits",
-    "interval_drops",
-    "pairs_compared",
-    "results",
-)
-
 
 class PipelineObserver:
     """Captures an engine's stat state at run start; publishes the delta."""
@@ -66,11 +56,6 @@ class PipelineObserver:
     def finish(self, cost: Any) -> None:
         """Publish one finished run's cost breakdown and engine deltas."""
         reg = self.registry
-        reg.counter("pipeline_runs", pipeline=self.pipeline).inc()
-        for field in COST_COUNT_FIELDS:
-            value = getattr(cost, field, 0)
-            if value:
-                reg.counter("cost_count", field=field).inc(value)
         reg.histogram("candidates_after_mbr", pipeline=self.pipeline).observe(
             cost.candidates_after_mbr
         )
@@ -112,4 +97,4 @@ def observe_pipeline(pipeline: str, engine: Any) -> Optional[PipelineObserver]:
     return PipelineObserver(registry, pipeline, engine)
 
 
-__all__ = ["COST_COUNT_FIELDS", "PipelineObserver", "observe_pipeline"]
+__all__ = ["PipelineObserver", "observe_pipeline"]

@@ -395,10 +395,9 @@ class MetricsRegistry:
         """Fold another registry (or a snapshot of one) into this registry.
 
         Counter values add, gauge values take the max, histograms merge
-        exactly (see :class:`Histogram`) - all order-independent, so
-        ``python -m repro.bench`` folds its per-experiment registries into
-        the run-level one in any order and ends up with the same state bit
-        for bit.
+        exactly (see :class:`Histogram`) - all order-independent, so a
+        RunReport's per-experiment snapshots fold into the run's totals in
+        any order and end up with the same state bit for bit.
         """
         snap = other.snapshot() if isinstance(other, MetricsRegistry) else other
         schema = snap.get("schema")
@@ -512,15 +511,11 @@ METRIC_HELP: Dict[str, str] = {
     "serve_queue_capacity": "Admission queue bound (arrivals beyond it shed).",
     "serve_workers": "Engine-pool width of the service.",
     "serve_slow_requests": "Requests captured by the slow-query log.",
-    "serve_windowed_observations": (
-        "Outcomes recorded by the windowed health monitor (cumulative mirror)."
-    ),
     "funnel": "EXPLAIN funnel stage counts by pipeline.",
     "cache_hits": "Cache hits by cache layer and op.",
     "cache_misses": "Cache misses by cache layer and op.",
     "cache_evictions": "Cache evictions by cache layer and op.",
     "hw_verdicts": "Hardware refinement verdicts by op/method/verdict.",
-    "stage_seconds": "Wall-clock seconds by pipeline stage.",
 }
 
 

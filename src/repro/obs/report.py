@@ -171,7 +171,7 @@ def render_rollups(report: TraceReport, limit: Optional[int] = None) -> str:
             _ms(r.min_s if r.calls else 0.0),
             _ms(r.max_s),
         )
-        for r in report.rollups[: limit if limit else None]
+        for r in report.rollups[:limit]
     ]
     header = ("name", "calls", "total_ms", "self_ms", "child_ms", "min_ms", "max_ms")
     widths = [

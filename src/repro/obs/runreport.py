@@ -8,15 +8,14 @@ tables.  A RunReport captures, per experiment:
 * the :class:`~repro.bench.result.ExperimentResult` rows (id, title,
   params, columns, rows) and which columns are *exact* - deterministic
   cells the regression gate compares bit for bit;
-* the merged per-stage cost breakdown, refinement statistics and GPU
-  primitive counters, reconstructed from the run's metric families
-  (``stage_seconds``, ``cost_count``, ``refinement``, ``gpu``);
 * the full :class:`~repro.obs.metrics.MetricsRegistry` snapshot of the
   experiment (distributions included);
 
-plus a run-level merged metrics snapshot and an **environment
-fingerprint** (python/numpy versions, platform, git sha, scale preset) so
-two reports are comparable only when they should be.
+plus an **environment fingerprint** (python/numpy versions, platform, git
+sha, scale preset) so two reports are comparable only when they should be.
+Every number is recorded once: a run's totals are the exact
+:meth:`~repro.obs.metrics.MetricsRegistry.merge` of its entries'
+snapshots, so the report does not store them a second time.
 
 ``repro.obs.compare`` diffs two RunReports and exits nonzero on any
 deterministic drift; ``python -m repro.bench <exp> --report-out r.json``
@@ -32,16 +31,8 @@ import sys
 import time
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
-from .metrics import parse_key
-
 #: Version tag of the run-report schema (bump on incompatible change).
-RUN_REPORT_SCHEMA = "repro.obs/run-report@1"
-
-#: Metric families folded into the typed report sections.
-STAGE_SECONDS_FAMILY = "stage_seconds"
-COST_COUNT_FAMILY = "cost_count"
-REFINEMENT_FAMILY = "refinement"
-GPU_FAMILY = "gpu"
+RUN_REPORT_SCHEMA = "repro.obs/run-report@2"
 
 
 # -- environment fingerprint -------------------------------------------------
@@ -82,39 +73,6 @@ def environment_fingerprint(**extra: Any) -> Dict[str, Any]:
     return fingerprint
 
 
-# -- snapshot -> typed sections ----------------------------------------------
-
-
-def sections_from_snapshot(snapshot: Mapping[str, Any]) -> Dict[str, Dict[str, Any]]:
-    """Rebuild the legacy stat containers from a metrics snapshot.
-
-    Returns ``cost_breakdown`` (stage seconds as ``<stage>_s`` plus the
-    candidate-count fields), ``refinement_stats``
-    (:class:`~repro.core.stats.RefinementStats` fields) and
-    ``gpu_counters`` (:class:`~repro.gpu.counters.CostCounters` fields),
-    merged across every pipeline run of the snapshot.
-    """
-    cost: Dict[str, Any] = {}
-    refinement: Dict[str, Any] = {}
-    gpu: Dict[str, Any] = {}
-    for key, value in snapshot.get("counters", {}).items():
-        name, labels = parse_key(key)
-        d = dict(labels)
-        if name == STAGE_SECONDS_FAMILY and "stage" in d:
-            cost[d["stage"] + "_s"] = value
-        elif name == COST_COUNT_FAMILY and "field" in d:
-            cost[d["field"]] = value
-        elif name == REFINEMENT_FAMILY and "field" in d:
-            refinement[d["field"]] = value
-        elif name == GPU_FAMILY and "counter" in d:
-            gpu[d["counter"]] = value
-    return {
-        "cost_breakdown": cost,
-        "refinement_stats": refinement,
-        "gpu_counters": gpu,
-    }
-
-
 # -- report assembly ---------------------------------------------------------
 
 
@@ -143,24 +101,20 @@ def experiment_entry(
     :class:`~repro.bench.result.ExperimentResult` fields so this module
     never imports the bench layer.
     """
-    entry: Dict[str, Any] = {
+    return {
         "experiment_id": result.experiment_id,
         "title": result.title,
         "params": _to_jsonable(result.params),
         "columns": list(result.columns),
         "exact_columns": list(result.exact_columns),
         "rows": _to_jsonable(result.rows),
-        "row_count": len(result.rows),
         "wall_s": wall_s,
         "metrics": _to_jsonable(metrics_snapshot),
     }
-    entry.update(sections_from_snapshot(metrics_snapshot))
-    return entry
 
 
 def build_run_report(
     entries: Sequence[Mapping[str, Any]],
-    merged_metrics: Mapping[str, Any],
     scale: Optional[str] = None,
     environment: Optional[Mapping[str, Any]] = None,
 ) -> Dict[str, Any]:
@@ -173,7 +127,6 @@ def build_run_report(
         "created_unix_s": time.time(),
         "environment": _to_jsonable(env),
         "experiments": [dict(e) for e in entries],
-        "metrics": _to_jsonable(merged_metrics),
     }
 
 
@@ -202,6 +155,5 @@ __all__: List[str] = [
     "environment_fingerprint",
     "experiment_entry",
     "load_run_report",
-    "sections_from_snapshot",
     "write_run_report",
 ]

@@ -93,8 +93,7 @@ class CostBreakdown:
         When the ambient scope (:mod:`repro.obs.scope`) has a tracer, a
         span named after the stage is emitted as well, so every pipeline
         gets per-stage tracing with no call-site changes.  Likewise, when
-        it has a metrics registry, the stage time accumulates into the
-        ``stage_seconds{stage=...}`` counter and the
+        it has a metrics registry, the stage time is observed into the
         ``stage_duration_s{stage=...}`` histogram - and with neither, the
         block costs one scope read and nothing else.
         Only writable stage *fields* are accepted: read-only aggregates
@@ -128,7 +127,6 @@ class CostBreakdown:
                     if context is not None and context.expired():
                         live_span.attributes["over_deadline"] = True
                 if registry is not None:
-                    registry.counter("stage_seconds", stage=stage).inc(elapsed)
                     registry.histogram("stage_duration_s", stage=stage).observe(
                         elapsed
                     )

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from typing import List, Optional
 
@@ -180,6 +181,24 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _positive_s(text: str) -> float:
+    """An argparse type: seconds that are positive and finite."""
+    value = float(text)
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
+    return value
+
+
+def _timeout_s(text: str) -> float:
+    """An argparse type: a socket timeout, finite and >= 0 (0 = forever)."""
+    value = float(text)
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(
+            f"must be finite and >= 0 (0 = wait forever), got {text}"
+        )
+    return value
+
+
 def _build_service(args: argparse.Namespace) -> QueryService:
     workload = WorkloadConfig(
         scale=args.scale,
@@ -227,11 +246,6 @@ def _add_output_args(parser: argparse.ArgumentParser) -> None:
         "'python -m repro.obs compare')",
     )
     parser.add_argument(
-        "--metrics-out",
-        default=None,
-        help="write the service's metrics snapshot as JSON",
-    )
-    parser.add_argument(
         "--out",
         default=None,
         help="also append the formatted result table to this file",
@@ -253,11 +267,6 @@ def _emit(load: LoadResult, args: argparse.Namespace) -> None:
     if args.report_out:
         write_run_report(args.report_out, load.run_report(scale=args.scale))
         print(f"run report written to {args.report_out}")
-    if args.metrics_out:
-        with open(args.metrics_out, "w", encoding="utf-8") as f:
-            json.dump(load.metrics_snapshot, f, indent=2, sort_keys=True)
-            f.write("\n")
-        print(f"metrics snapshot written to {args.metrics_out}")
 
 
 def _emit_forensics(service: QueryService, args: argparse.Namespace) -> None:
@@ -310,7 +319,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_ping.add_argument("--port", type=int, default=8753)
     p_ping.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout_s,
         default=30.0,
         help="socket timeout in seconds; 0 = wait forever (default: 30)",
     )
@@ -322,7 +331,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     p_top.add_argument("--port", type=int, default=8753)
     p_top.add_argument(
         "--interval",
-        type=float,
+        type=_positive_s,
         default=2.0,
         help="seconds between polls in the live loop (default: 2)",
     )
@@ -338,7 +347,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     p_top.add_argument(
         "--timeout",
-        type=float,
+        type=_timeout_s,
         default=30.0,
         help="socket timeout in seconds; 0 = wait forever (default: 30)",
     )
@@ -379,10 +388,16 @@ def main(argv: Optional[List[str]] = None) -> int:
             timeout=timeout,
         )
 
+    load_config = None
     try:
+        # An out-of-range load or service flag is a usage error, not a
+        # crash; the load is checked first, before a service is built.
+        if args.command == "loadgen":
+            load_config = LoadgenConfig(
+                rate=args.rate, duration_s=args.duration, seed=args.seed
+            )
         service = _build_service(args)
     except ValueError as exc:
-        # An out-of-range service flag is a usage error, not a crash.
         (p_serve if args.command == "serve" else p_load).error(str(exc))
 
     if args.command == "serve":
@@ -394,10 +409,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0
 
     try:
-        load = run_open_loop(
-            service,
-            LoadgenConfig(rate=args.rate, duration_s=args.duration, seed=args.seed),
-        )
+        load = run_open_loop(service, load_config)
     finally:
         service.close()
     _emit(load, args)

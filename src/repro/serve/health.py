@@ -16,11 +16,9 @@ front-end serves and ``python -m repro.serve top`` renders:
   :meth:`~repro.serve.service.QueryService.submit` reports every outcome
   into: windowed ``serve_window_request_duration_s{op}`` /
   ``serve_window_requests{op,status}`` families alongside the cumulative
-  ones, the :class:`~repro.obs.slo.SLOTracker`, per-worker heartbeats,
-  and one deterministic cumulative counter
-  (``serve_windowed_observations{op,status}``) published into the
-  service registry so the CI baseline can assert the windowed layer
-  observed every request;
+  ones, the :class:`~repro.obs.slo.SLOTracker` and per-worker
+  heartbeats.  It publishes nothing into the service registry: turning
+  health on leaves the CI-gated snapshot unchanged;
 * :func:`build_health` - the envelope itself: a ``ready``/``degraded``
   verdict (degraded while any SLO alert fires or admission is at the
   shed point), queue depth / inflight, per-op windowed p50/p95/p99 and
@@ -34,7 +32,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..obs.metrics import MetricsRegistry
 from ..obs.slo import SLOConfig, SLObjective, SLOTracker, default_objectives
 from ..obs.window import WindowConfig, WindowedRegistry
 from .schema import HEALTH_SCHEMA
@@ -79,13 +76,8 @@ class HealthConfig:
 class ServiceHealth:
     """The per-service monitor every submit outcome reports into."""
 
-    def __init__(
-        self,
-        config: HealthConfig,
-        registry: Optional[MetricsRegistry] = None,
-    ) -> None:
+    def __init__(self, config: HealthConfig) -> None:
         self.config = config
-        self.registry = registry
         self.windows = WindowedRegistry(
             WindowConfig(
                 width_s=config.window_width_s,
@@ -123,12 +115,6 @@ class ServiceHealth:
             ).observe(total_s)
         if worker is not None:
             self._heartbeats[worker] = self.config.clock()
-        if self.registry is not None:
-            # Deterministic cumulative mirror: proves (in the exact-gated
-            # baseline) that the windowed layer saw every request.
-            self.registry.counter(
-                "serve_windowed_observations", op=op, status=status
-            ).inc()
         self.slo.record(op, status, total_s)
 
     # -- views -------------------------------------------------------------

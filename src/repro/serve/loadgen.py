@@ -73,10 +73,10 @@ class LoadgenConfig:
     mix: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
 
     def __post_init__(self) -> None:
-        if self.rate <= 0:
-            raise ValueError(f"rate must be positive, got {self.rate}")
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        for name in ("rate", "duration_s"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {value}")
         unknown = set(self.mix) - set(SERVE_OPS)
         if unknown:
             raise ValueError(f"unknown op(s) in mix: {sorted(unknown)}")
@@ -249,7 +249,6 @@ class LoadResult:
         entry = experiment_entry(self.result, self.metrics_snapshot, self.wall_s)
         return build_run_report(
             [entry],
-            self.metrics_snapshot,
             scale=scale,
             environment=environment_fingerprint(scale=scale),
         )

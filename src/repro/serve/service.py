@@ -103,12 +103,10 @@ class QueryService:
             RecordLog(slowlog.path) if slowlog is not None else None
         )
         #: Windowed telemetry + SLO burn-rate monitor (None = off, the
-        #: default: the submit path then pays one None check and the
-        #: registry snapshot stays bit-identical to a health-free build).
+        #: default: the submit path then pays one None check).  On or off,
+        #: it adds nothing to the registry snapshot.
         self.health_monitor: Optional[ServiceHealth] = (
-            ServiceHealth(health, registry=self.registry)
-            if health is not None
-            else None
+            ServiceHealth(health) if health is not None else None
         )
         self.workload = ServingWorkload(self.workload_config)
         self.pool = EnginePool(self.workload, workers, warm=warm)

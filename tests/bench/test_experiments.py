@@ -234,11 +234,11 @@ class TestCli:
         from repro.core import HardwareEngine, SoftwareEngine
 
         def cache_counters(*flags):
-            out = tmp_path / "metrics.json"
-            argv = ["ext-containment", "--scale", "tiny", "--metrics-out", str(out)]
+            out = tmp_path / "run.json"
+            argv = ["ext-containment", "--scale", "tiny", "--report-out", str(out)]
             assert main(argv + list(flags)) == 0
-            counters = json.loads(out.read_text())["counters"]
-            return {k for k in counters if k.startswith("cache_")}
+            (entry,) = json.loads(out.read_text())["experiments"]
+            return {k for k in entry["metrics"]["counters"] if k.startswith("cache_")}
 
         # Both the software and the hardware engines of the run carry it...
         assert {

@@ -258,6 +258,14 @@ def test_replay_cli_reports_a_malformed_capture_as_an_error(
     assert "MATCH" not in captured.out
 
 
+def test_replay_cli_refuses_a_negative_limit(tmp_path, capsys):
+    # Passed to the slice, a negative bound would drop the last lines silently.
+    with pytest.raises(SystemExit) as exc:
+        obs_main(["replay", str(tmp_path / "cap.jsonl"), "--limit", "-1"])
+    assert exc.value.code == 2
+    assert "argument --limit: must be >= 0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("method", OVERLAP_METHODS)
 class TestCaptureReplayAllMethods:
     """Satellite: capture -> replay bit-identity across every overlap method.

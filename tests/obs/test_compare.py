@@ -17,13 +17,26 @@ from tests.obs.test_runreport import make_result, make_snapshot
 
 
 def make_report():
-    snap = make_snapshot()
     return build_run_report(
-        [experiment_entry(make_result(), snap, wall_s=1.0)],
-        snap,
+        [experiment_entry(make_result(), make_snapshot(), wall_s=1.0)],
         scale="tiny",
         environment={"python": "3.11.0", "numpy": "1.26.0", "scale": "tiny"},
     )
+
+
+def scale_timings(report, factor):
+    """Every wall-clock value of the report's first entry, times factor."""
+    entry = report["experiments"][0]
+    entry["wall_s"] *= factor
+    for key, hist in entry["metrics"]["histograms"].items():
+        if key.startswith("stage_duration_s"):
+            for field in ("sum", "min", "max"):
+                hist[field] *= factor
+            hist["sum_parts"] = [part * factor for part in hist["sum_parts"]]
+
+
+def counters(report):
+    return report["experiments"][0]["metrics"]["counters"]
 
 
 class TestFinding:
@@ -44,11 +57,7 @@ class TestCompare:
         # Wall time is judged by the benchmark ledger, not by this gate.
         baseline = make_report()
         current = copy.deepcopy(baseline)
-        current["experiments"][0]["cost_breakdown"]["geometry_s"] *= 10.0
-        for snapshot in (current["metrics"], current["experiments"][0]["metrics"]):
-            for key in snapshot["counters"]:
-                if key.startswith("stage_seconds"):
-                    snapshot["counters"][key] *= 10.0
+        scale_timings(current, 10.0)
         comparison = compare_reports(baseline, current)
         assert comparison.ok, comparison.format()
         assert comparison.findings == []
@@ -56,13 +65,13 @@ class TestCompare:
     def test_faster_never_fails(self):
         baseline = make_report()
         current = copy.deepcopy(baseline)
-        current["experiments"][0]["cost_breakdown"]["geometry_s"] *= 0.1
+        scale_timings(current, 0.1)
         assert compare_reports(baseline, current).ok
 
     def test_counter_mismatch_fails(self):
         baseline = make_report()
         current = copy.deepcopy(baseline)
-        current["experiments"][0]["refinement_stats"]["hw_tests"] += 1
+        counters(current)["refinement{field=hw_tests}"] += 1
         comparison = compare_reports(baseline, current)
         assert not comparison.ok
         assert any("hw_tests" in f.path for f in comparison.failures)
@@ -75,22 +84,35 @@ class TestCompare:
     def test_nan_matches_only_nan(self, nan_sides, ok):
         reports = [make_report(), make_report()]
         for i in nan_sides:
-            reports[i]["experiments"][0]["refinement_stats"]["hw_tests"] = math.nan
+            counters(reports[i])["refinement{field=hw_tests}"] = math.nan
         comparison = compare_reports(*reports)
         assert [f.path for f in comparison.failures] == (
-            [] if ok else ["experiments[fig12].refinement_stats.hw_tests"]
+            []
+            if ok
+            else ["experiments[fig12].metrics.counters.refinement{field=hw_tests}"]
         )
 
     @pytest.mark.parametrize(
-        "section, key", [("gpu_counters", "new_counter"), ("cost_breakdown", "new_stage_s")]
+        "section, key",
+        [("counters", "gpu{counter=new_counter}"), ("histograms", "new_stage_s")],
     )
     def test_key_only_in_current_fails(self, section, key):
         baseline = make_report()
         current = copy.deepcopy(baseline)
-        current["experiments"][0][section][key] = 0.5
+        current["experiments"][0]["metrics"][section][key] = 0.5
         comparison = compare_reports(baseline, current)
         assert [(f.path, f.detail) for f in comparison.failures] == [
-            (f"experiments[fig12].{section}.{key}", "not in baseline")
+            (f"experiments[fig12].metrics.{section}.{key}", "not in baseline")
+        ]
+
+    def test_a_dropped_row_fails(self):
+        # make_report's table declares no exact column: only its length gates.
+        baseline = make_report()
+        current = copy.deepcopy(baseline)
+        current["experiments"][0]["rows"].pop()
+        comparison = compare_reports(baseline, current)
+        assert [f.path for f in comparison.failures] == [
+            "experiments[fig12].len(rows)"
         ]
 
     def test_missing_experiment_fails(self):
@@ -122,17 +144,21 @@ class TestCompare:
     def test_non_timing_histogram_gates_on_content(self):
         baseline = make_report()
         current = copy.deepcopy(baseline)
-        hist = current["metrics"]["histograms"]["pairs_compared{pipeline=join}"]
+        hist = current["experiments"][0]["metrics"]["histograms"][
+            "pairs_compared{pipeline=join}"
+        ]
         hist["sum"] += 1.0
         assert not compare_reports(baseline, current).ok
 
     def test_timing_histogram_gates_on_count_only(self):
         reg = MetricsRegistry()
         reg.histogram("stage_duration_s", stage="geometry").observe(0.5)
-        snap = reg.snapshot()
-        baseline = build_run_report([], snap, scale="tiny")
+        entry = experiment_entry(make_result(), reg.snapshot(), wall_s=1.0)
+        baseline = build_run_report([entry], scale="tiny")
         current = copy.deepcopy(baseline)
-        hist = current["metrics"]["histograms"]["stage_duration_s{stage=geometry}"]
+        hist = current["experiments"][0]["metrics"]["histograms"][
+            "stage_duration_s{stage=geometry}"
+        ]
         hist["sum"] *= 10  # slower, same call count: not a gate failure
         assert compare_reports(baseline, current).ok
         hist["count"] += 1
@@ -146,7 +172,7 @@ class TestExactCells:
     def figure(self):
         result = run_experiment("ablation-minmax", "tiny", resolution=8)
         entry = experiment_entry(result, MetricsRegistry().snapshot(), wall_s=0.1)
-        return build_run_report([entry], {}, scale="tiny", environment={})
+        return build_run_report([entry], scale="tiny", environment={})
 
     def cell(self, report, row, column):
         entry = report["experiments"][0]
@@ -227,7 +253,7 @@ class TestCli:
     def test_counter_mismatch_exit_one(self, tmp_path, capsys):
         baseline = make_report()
         current = copy.deepcopy(baseline)
-        current["experiments"][0]["refinement_stats"]["hw_tests"] += 1
+        counters(current)["refinement{field=hw_tests}"] += 1
         self.write(tmp_path / "a.json", baseline)
         self.write(tmp_path / "b.json", current)
         code = obs_main(

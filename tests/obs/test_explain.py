@@ -27,11 +27,13 @@ from repro.obs.explain import (
     write_explain,
 )
 from repro.obs import MetricsRegistry, use_registry
+from repro.obs.runreport import build_run_report, experiment_entry, write_run_report
 from repro.query import (
     ContainmentSelection,
     IntersectionJoin,
     WithinDistanceJoin,
 )
+from tests.obs.test_runreport import make_result
 
 
 def hw_engine(**kwargs):
@@ -107,7 +109,8 @@ class TestQueryFunnelUnits:
         for stage in FUNNEL_STAGES:
             assert stage in doc
         assert doc["hw_tests"] == 4
-        assert "stage_seconds" not in doc  # empty timings are omitted
+        derived = {"pipeline", "hw_tests", "hw_false_positive_rate"}
+        assert set(doc) == derived | set(FUNNEL_STAGES)
 
     def test_render_reports_ok_or_violation(self):
         ok = render_funnel(self.balanced())
@@ -153,12 +156,6 @@ def assert_funnel_matches_stats(funnel, stats):
     assert funnel.check() == []
 
 
-def comparable(funnel):
-    doc = funnel.to_dict()
-    doc.pop("stage_seconds", None)  # timings legitimately differ
-    return doc
-
-
 class TestExplainRunConsistency:
     """Serial and batched runs yield one and the same funnel."""
 
@@ -183,11 +180,10 @@ class TestExplainRunConsistency:
         assert funnel.candidates == result.cost.candidates_after_mbr
         assert funnel.refined == result.cost.pairs_compared
         assert funnel.results == len(result.pairs)
-        assert funnel.stage_seconds  # cost attribution came along
 
     def test_modes_agree_exactly(self, dataset_a, dataset_b):
         funnels = [
-            comparable(self.run_join(dataset_a, dataset_b, mode)[2])
+            self.run_join(dataset_a, dataset_b, mode)[2].to_dict()
             for mode in ("serial", "batched")
         ]
         assert funnels[0] == funnels[1]
@@ -218,7 +214,7 @@ class TestExplainRunConsistency:
         run = lambda: IntersectionJoin(dataset_a, dataset_b, engine).run()  # noqa: E731
         _, first = explain_run("join", engine, run)
         _, second = explain_run("join", engine, run)
-        assert comparable(first) == comparable(second)
+        assert first == second
 
 
 class TestEveryCandidateHasAStage:
@@ -281,9 +277,9 @@ class TestFunnelsFromSnapshot:
         assert set(funnels) == {"join"}
         funnel = funnels["join"]
         assert_funnel_matches_stats(funnel, engine.stats)
-        assert funnel.candidates == snap["counters"][
-            "cost_count{field=candidates_after_mbr}"
-        ]
+        assert funnel.candidates == snap["histograms"][
+            "candidates_after_mbr{pipeline=join}"
+        ]["sum"]
 
     def test_two_pipelines_stay_separate(self, dataset_a, dataset_b):
         def run():
@@ -356,18 +352,25 @@ class TestExplainDocument:
 
 
 class TestCli:
-    def metrics_file(self, tmp_path, dataset_a, dataset_b):
-        registry = MetricsRegistry()
-        with use_registry(registry):
-            IntersectionJoin(dataset_a, dataset_b, hw_engine()).run()
-        path = tmp_path / "metrics.json"
-        path.write_text(registry.to_json(indent=2))
+    def report_file(self, tmp_path, runs):
+        """A RunReport with one entry per (experiment id -> query run)."""
+        entries = []
+        for experiment_id, run in runs.items():
+            registry = MetricsRegistry()
+            with use_registry(registry):
+                run()
+            entries.append(
+                experiment_entry(make_result(experiment_id), registry.snapshot(), 0.1)
+            )
+        path = tmp_path / "report.json"
+        write_run_report(str(path), build_run_report(entries, environment={}))
         return path
 
-    def test_explain_cli_on_snapshot(
-        self, tmp_path, capsys, dataset_a, dataset_b
-    ):
-        path = self.metrics_file(tmp_path, dataset_a, dataset_b)
+    def test_explain_cli_on_report(self, tmp_path, capsys, dataset_a, dataset_b):
+        path = self.report_file(
+            tmp_path,
+            {"j": lambda: IntersectionJoin(dataset_a, dataset_b, hw_engine()).run()},
+        )
         out = tmp_path / "explain.json"
         assert obs_main(["explain", str(path), "--json", str(out)]) == 0
         printed = capsys.readouterr().out
@@ -375,10 +378,53 @@ class TestCli:
         assert "funnel identities: OK" in printed
         assert json.loads(out.read_text())["ok"] is True
 
+    def test_explain_merges_every_entry(self, tmp_path, capsys, dataset_a, dataset_b):
+        # The report stores no run totals: explain merges the entries, and
+        # the per-experiment funnels add up to the merged ones stage by stage.
+        def join_and_distance():
+            IntersectionJoin(dataset_a, dataset_b, SoftwareEngine()).run()
+            WithinDistanceJoin(dataset_a, dataset_b, hw_engine()).run(1.5)
+
+        path = self.report_file(
+            tmp_path,
+            {
+                "a": lambda: IntersectionJoin(dataset_a, dataset_b, hw_engine()).run(),
+                "b": join_and_distance,
+            },
+        )
+
+        def funnels(*experiment):
+            out = tmp_path / "explain.json"
+            argv = ["explain", str(path), "--json", str(out), *experiment]
+            assert obs_main(argv) == 0
+            return json.loads(out.read_text())["funnels"]
+
+        merged = funnels()
+        a = funnels("--experiment", "a")
+        b = funnels("--experiment", "b")
+        registry = MetricsRegistry()
+        for entry in json.loads(path.read_text())["experiments"]:
+            registry.merge(entry["metrics"])
+        assert merged == {
+            name: funnel.to_dict()
+            for name, funnel in funnels_from_snapshot(registry.snapshot()).items()
+        }
+        assert set(merged) == {"join", "within_distance_join"} == set(a) | set(b)
+        for pipeline, funnel in merged.items():
+            for stage in FUNNEL_STAGES:
+                parts = [f[pipeline][stage] for f in (a, b) if pipeline in f]
+                assert funnel[stage] == sum(parts), (pipeline, stage)
+        assert merged["join"]["sw_direct"] == b["join"]["sw_direct"] > 0
+
     def test_explain_cli_rejects_funnel_free_artifact(self, tmp_path, capsys):
-        path = tmp_path / "empty.json"
-        path.write_text('{"counters": {}}')
+        path = self.report_file(tmp_path, {"idle": lambda: None})
         assert obs_main(["explain", str(path)]) == 2
+
+    def test_explain_cli_refuses_a_bare_snapshot(self, tmp_path, capsys):
+        path = tmp_path / "metrics.json"
+        path.write_text(json.dumps(MetricsRegistry().snapshot()))
+        assert obs_main(["explain", str(path)]) == 2
+        assert "unsupported run-report schema" in capsys.readouterr().err
 
     def test_explain_cli_missing_file(self, tmp_path, capsys):
         assert obs_main(["explain", str(tmp_path / "nope.json")]) == 2

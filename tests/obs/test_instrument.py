@@ -20,8 +20,7 @@ from repro.query import IntersectionJoin, IntersectionSelection
 DETERMINISTIC_COUNTER_FAMILIES = (
     "hw_verdicts",
     "refinement",
-    "cost_count",
-    "pipeline_runs",
+    "funnel",
 )
 DETERMINISTIC_HISTOGRAM_FAMILIES = (
     "hw_test_edges",
@@ -80,15 +79,22 @@ class TestPipelineFamilies:
         engine = hw_engine()
         result, snap = run_join(dataset_a, dataset_b, engine)
         counters = snap["counters"]
-        assert counters["pipeline_runs{pipeline=join}"] == 1
         assert (
-            counters["cost_count{field=pairs_compared}"]
+            counters["funnel{pipeline=join,stage=refined}"]
             == result.cost.pairs_compared
         )
-        assert counters["cost_count{field=results}"] == len(result.pairs)
+        assert counters["funnel{pipeline=join,stage=results}"] == len(result.pairs)
         assert counters["refinement{field=hw_tests}"] == engine.stats.hw_tests
         assert counters["gpu{counter=draw_calls}"] > 0
+        # Each count is published once: no family restates another.
+        assert {k.partition("{")[0] for k in counters} == {
+            "funnel",
+            "gpu",
+            "hw_verdicts",
+            "refinement",
+        }
         # One run, one observation per distribution.
+        assert snap["histograms"]["candidates_after_mbr{pipeline=join}"]["count"] == 1
         assert snap["histograms"]["pairs_compared{pipeline=join}"]["count"] == 1
         assert (
             snap["histograms"]["candidates_after_mbr{pipeline=join}"]["sum"]
@@ -97,14 +103,14 @@ class TestPipelineFamilies:
 
     def test_stage_timings_match_cost_breakdown(self, dataset_a, dataset_b):
         result, snap = run_join(dataset_a, dataset_b, SoftwareEngine())
-        counters = snap["counters"]
-        assert counters["stage_seconds{stage=mbr_filter}"] == pytest.approx(
+        hists = snap["histograms"]
+        assert hists["stage_duration_s{stage=mbr_filter}"]["sum"] == pytest.approx(
             result.cost.mbr_filter_s
         )
-        assert counters["stage_seconds{stage=geometry}"] == pytest.approx(
+        assert hists["stage_duration_s{stage=geometry}"]["sum"] == pytest.approx(
             result.cost.geometry_s
         )
-        assert snap["histograms"]["stage_duration_s{stage=geometry}"]["count"] == 1
+        assert hists["stage_duration_s{stage=geometry}"]["count"] == 1
 
     def test_observer_publishes_deltas_not_cumulative(self, dataset_a):
         # One long-lived engine across two runs: each run's entry must carry

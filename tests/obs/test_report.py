@@ -171,3 +171,13 @@ class TestCli:
         out = capsys.readouterr().out
         assert "== top 1 by self time ==" in out
         assert "1. slow" in out
+
+    @pytest.mark.parametrize("limit", ["0", "-1"])
+    def test_report_limit_must_be_positive(self, tmp_path, capsys, limit):
+        # Passed to the slice, 0 would print every row and -1 drop the last.
+        path = tmp_path / "spans.jsonl"
+        Tracer(JsonLinesExporter(str(path))).record("stage", 0.02)
+        with pytest.raises(SystemExit) as exc:
+            obs_main(["report", str(path), "--limit", limit])
+        assert exc.value.code == 2
+        assert "argument --limit: must be >= 1" in capsys.readouterr().err

@@ -1,4 +1,4 @@
-"""Tests for the RunReport artifact: sections, assembly, round-trip."""
+"""Tests for the RunReport artifact: entries, assembly, round-trip."""
 
 import pytest
 
@@ -10,7 +10,6 @@ from repro.obs.runreport import (
     environment_fingerprint,
     experiment_entry,
     load_run_report,
-    sections_from_snapshot,
     write_run_report,
 )
 
@@ -27,9 +26,9 @@ def make_result(exp_id="fig12"):
 
 def make_snapshot():
     reg = MetricsRegistry()
-    reg.counter("stage_seconds", stage="mbr_filter").inc(0.125)
-    reg.counter("stage_seconds", stage="geometry").inc(1.5)
-    reg.counter("cost_count", field="pairs_compared").inc(420)
+    reg.histogram("stage_duration_s", stage="mbr_filter").observe(0.125)
+    reg.histogram("stage_duration_s", stage="geometry").observe(1.5)
+    reg.counter("funnel", pipeline="join", stage="refined").inc(420)
     reg.counter("refinement", field="hw_tests").inc(300)
     reg.counter("gpu", counter="draw_calls").inc(600)
     reg.counter("unrelated").inc(7)
@@ -47,33 +46,26 @@ class TestEnvironmentFingerprint:
         assert "platform" in env
 
 
-class TestSections:
-    def test_families_fold_into_typed_sections(self):
-        sections = sections_from_snapshot(make_snapshot())
-        assert sections["cost_breakdown"] == {
-            "mbr_filter_s": 0.125,
-            "geometry_s": 1.5,
-            "pairs_compared": 420,
-        }
-        assert sections["refinement_stats"] == {"hw_tests": 300}
-        assert sections["gpu_counters"] == {"draw_calls": 600}
-
-    def test_unrelated_families_ignored(self):
-        sections = sections_from_snapshot(make_snapshot())
-        for section in sections.values():
-            assert "unrelated" not in section
-
-
 class TestExperimentEntry:
     def test_carries_rows_sections_and_metrics(self):
         snap = make_snapshot()
         entry = experiment_entry(make_result(), snap, wall_s=2.5)
         assert entry["experiment_id"] == "fig12"
-        assert entry["row_count"] == 2
         assert entry["rows"] == [[32, 0.5], [64, 0.7]]
         assert entry["wall_s"] == 2.5
-        assert entry["cost_breakdown"]["geometry_s"] == 1.5
-        assert entry["metrics"]["counters"]["gpu{counter=draw_calls}"] == 600
+        assert entry["metrics"] == snap
+        # Every number once: nothing the rows or the snapshot determine
+        # is stored beside them.
+        assert set(entry) == {
+            "experiment_id",
+            "title",
+            "params",
+            "columns",
+            "exact_columns",
+            "rows",
+            "wall_s",
+            "metrics",
+        }
 
     def test_params_jsonable(self):
         entry = experiment_entry(make_result(), make_snapshot(), wall_s=0.1)
@@ -85,19 +77,29 @@ class TestRoundTrip:
         snap = make_snapshot()
         report = build_run_report(
             [experiment_entry(make_result(), snap, wall_s=1.0)],
-            snap,
             scale="tiny",
         )
         assert report["schema"] == RUN_REPORT_SCHEMA
         assert report["environment"]["scale"] == "tiny"
+        assert set(report) == {"schema", "created_unix_s", "environment", "experiments"}
         path = tmp_path / "run.json"
         write_run_report(str(path), report)
         loaded = load_run_report(str(path))
         assert loaded["experiments"][0]["experiment_id"] == "fig12"
-        assert loaded["metrics"]["counters"] == report["metrics"]["counters"]
+        assert loaded["experiments"][0]["metrics"] == snap
 
     def test_load_rejects_foreign_schema(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text('{"schema": "other/thing@9"}')
         with pytest.raises(ValueError, match="unsupported run-report schema"):
             load_run_report(str(path))
+
+    def test_load_refuses_a_v1_report(self, tmp_path):
+        # An @1 report carries copies an @2 reader would not gate; the
+        # refusal names both schemas so the fix is evident.
+        path = tmp_path / "old.json"
+        path.write_text('{"schema": "repro.obs/run-report@1", "experiments": []}')
+        with pytest.raises(ValueError) as exc:
+            load_run_report(str(path))
+        assert "repro.obs/run-report@1" in str(exc.value)
+        assert "repro.obs/run-report@2" in str(exc.value)

@@ -1,4 +1,4 @@
-"""The serve CLI refuses an out-of-range service flag as a usage error."""
+"""The serve CLI refuses an out-of-range flag as a usage error (exit 2)."""
 
 import os
 
@@ -37,4 +37,49 @@ def test_bad_service_flag_exits_2_with_message(command, case, capsys):
     assert exit_info.value.code == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Traceback" not in err
+
+
+#: loadgen's own flags: checked before a service is built.
+BAD_LOAD_FLAGS = {
+    "rate-negative": (["--rate", "-1"], "rate"),
+    "rate-nan": (["--rate", "nan"], "rate"),
+    "rate-inf": (["--rate", "inf"], "rate"),
+    "duration-0": (["--duration", "0"], "duration_s"),
+    "duration-inf": (["--duration", "inf"], "duration_s"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_LOAD_FLAGS))
+def test_bad_load_flag_exits_2_with_message(case, capsys):
+    flags, message = BAD_LOAD_FLAGS[case]
+    with pytest.raises(SystemExit) as exit_info:
+        serve_main(["loadgen", *flags])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"{message} must be positive and finite" in err
+    assert "Traceback" not in err
+
+
+#: Client flags: refused while parsing, before any connection is made.
+#: ``--port 1`` has no listener, so a flag that slipped through would
+#: come back as a return code rather than a usage error.
+BAD_CLIENT_FLAGS = {
+    "ping-timeout-negative": (["ping", "--timeout", "-1"], "--timeout"),
+    "ping-timeout-nan": (["ping", "--timeout", "nan"], "--timeout"),
+    "top-timeout-negative": (["top", "--once", "--timeout", "-1"], "--timeout"),
+    "top-interval-0": (["top", "--once", "--interval", "0"], "--interval"),
+    "top-interval-negative": (["top", "--once", "--interval", "-1"], "--interval"),
+    "top-interval-nan": (["top", "--once", "--interval", "nan"], "--interval"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_CLIENT_FLAGS))
+def test_bad_client_flag_exits_2_naming_the_flag(case, capsys):
+    argv, flag = BAD_CLIENT_FLAGS[case]
+    with pytest.raises(SystemExit) as exit_info:
+        serve_main([*argv, "--port", "1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}:" in err
     assert "Traceback" not in err

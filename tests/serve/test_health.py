@@ -38,7 +38,7 @@ class FakeClock:
         self.now += dt
 
 
-def _monitor(clock, registry=None):
+def _monitor(clock):
     """A tightly-scaled monitor: 2 s telemetry window, 2 s / 12 s SLO."""
     config = HealthConfig(
         window_width_s=1.0,
@@ -47,7 +47,7 @@ def _monitor(clock, registry=None):
         slo_slow_s=12.0,
         clock=clock,
     )
-    return ServiceHealth(config, registry=registry)
+    return ServiceHealth(config)
 
 
 class _Harness:
@@ -55,7 +55,7 @@ class _Harness:
 
     def __init__(self, clock):
         self.registry = MetricsRegistry()
-        self.monitor = _monitor(clock, registry=self.registry)
+        self.monitor = _monitor(clock)
 
     def record(self, status, total_s, op="selection", worker=0):
         self.registry.counter("serve_requests", op=op, status=status).inc()
@@ -214,10 +214,11 @@ class TestServiceIntegration:
 
     @pytest.fixture(scope="class")
     def windowed_service(self):
+        # A clock that never moves keeps every request in the window.
         svc = QueryService(
             workers=1,
             admission=AdmissionConfig(max_queue=100),
-            health=HealthConfig(),
+            health=HealthConfig(clock=FakeClock()),
         )
         yield svc
         svc.close()
@@ -241,20 +242,24 @@ class TestServiceIntegration:
         assert "last_seen_s_ago" in entry
 
     def test_windowed_observations_mirror_counter(self, windowed_service):
-        # The deterministic cumulative mirror proves the windowed layer
-        # saw every request the cumulative layer counted.
-        snap = windowed_service.metrics_snapshot()
+        # Under the frozen clock the windowed outcome counters' totals
+        # cover the service's whole life, so they must equal what the
+        # cumulative registry counted: the windowed layer saw every request.
+        svc = windowed_service
+        svc.submit(QueryRequest(op="selection", query_index=0))
+        svc.submit(QueryRequest(op="selection", query_index=99_999))  # error
         served = {
             k.split("{", 1)[1]: v
-            for k, v in snap["counters"].items()
+            for k, v in svc.metrics_snapshot()["counters"].items()
             if k.startswith("serve_requests{")
         }
-        mirrored = {
-            k.split("{", 1)[1]: v
-            for k, v in snap["counters"].items()
-            if k.startswith("serve_windowed_observations{")
+        windowed = {
+            k.split("{", 1)[1]: v["total"]
+            for k, v in svc.health()["window"]["counters"].items()
+            if k.startswith("serve_window_requests{")
         }
-        assert mirrored == served
+        assert {"op=selection,status=ok}", "op=selection,status=error}"} <= set(served)
+        assert windowed == served
 
     def test_describe_reports_windowed(self, windowed_service, service):
         assert windowed_service.describe()["windowed"] is True
@@ -280,6 +285,26 @@ class TestOffByDefault:
         doc = service.health()
         assert doc["windowed"] is False
         assert doc["verdict"] == "ready"
+
+    def test_health_on_adds_no_key_to_the_gated_registry(self):
+        """The converse: windowing on leaves the registry's keys as off."""
+
+        def keys(health):
+            svc = QueryService(
+                workers=1, admission=AdmissionConfig(max_queue=100), health=health
+            )
+            try:
+                svc.submit(QueryRequest(op="selection", query_index=0))
+                svc.submit(QueryRequest(op="selection", query_index=99_999))
+                snap = svc.metrics_snapshot()
+            finally:
+                svc.close()
+            return {
+                section: set(snap[section])
+                for section in ("counters", "gauges", "histograms")
+            }
+
+        assert keys(HealthConfig(clock=FakeClock())) == keys(None)
 
 
 class TestTopDashboard:

@@ -110,13 +110,10 @@ class TestAccounting:
             svc.close()
 
     def test_pipeline_metrics_flow_into_service_registry(self, service):
-        before = service.metrics_snapshot()["counters"].get(
-            "cost_count{field=pairs_compared}", 0
-        )
+        key = "funnel{pipeline=join,stage=refined}"
+        before = service.metrics_snapshot()["counters"].get(key, 0)
         service.submit(QueryRequest(op="join"))
-        after = service.metrics_snapshot()["counters"][
-            "cost_count{field=pairs_compared}"
-        ]
+        after = service.metrics_snapshot()["counters"][key]
         assert after > before
 
     def test_gauges_drain_to_zero_after_concurrent_burst(self):
