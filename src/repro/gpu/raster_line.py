@@ -127,7 +127,7 @@ def rasterize_line_aa_conservative(
     set semantics as the mask-based bulk path, so serial and bulk
     ``pixels_written`` accounting agree per edge.
     """
-    if width_px <= 0.0:
+    if not width_px > 0.0:  # NaN fails too
         raise ValueError("line width must be positive")
     height, buf_width = buffer.shape
     if x0 == x1 and y0 == y1:

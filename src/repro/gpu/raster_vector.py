@@ -54,7 +54,8 @@ def ring_boundary_coverage_mask(
 
     Semantically this is :func:`~repro.gpu.raster_bulk.edges_coverage_mask`
     over the ring's closing-edge array, but with the opposite cost shape:
-    the whole-buffer kernel evaluates every (edge, pixel) pair, which is
+    the whole-buffer kernel tests every edge against every row of the
+    buffer and each admitted row across its full width, which is
     right for the refinement step's tiny viewports and wrong for the
     interior/interval index builds, where hundreds of short edges cross a
     footprint window of tens of thousands of cells.  Here consecutive
