@@ -16,30 +16,46 @@ from .hypot_order import first_min_hypot
 from .point import Point
 from .point_in_polygon import PointLocation, locate_point
 from .polygon import Polygon
-from .segment import segment_segment_distance
+from .segment import OVERFLOW_SHIFT, segment_segment_distance
+
+
+def segment_offsets(px, py, ax, ay, bx, by):
+    """``p`` minus the point of the closed segment ``ab`` nearest it, as
+    ``(dx, dy)`` arrays: what :func:`~repro.geometry.segment.point_segment_distance`
+    hands to ``math.hypot``, for every broadcast entry at once.
+
+    The projection parameter, its clamp and the closest point are that
+    function's operations in its operand order, one float64 ufunc each, and
+    an overflowing ``ab . ab`` takes its scaled path, so each offset is the
+    scalar's bit for bit.
+    """
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        abx = bx - ax
+        aby = by - ay
+        pax = px - ax
+        pay = py - ay
+        denom = abx * abx + aby * aby
+        t = (pax * abx + pay * aby) / denom
+        huge = denom == np.inf
+        if huge.any():
+            sx, sy, qx, qy = (np.ldexp(v, -OVERFLOW_SHIFT) for v in (abx, aby, pax, pay))
+            t = np.where(huge, (qx * sx + qy * sy) / (sx * sx + sy * sy), t)
+        at_a = (denom == 0.0) | (t <= 0.0)
+        at_b = t >= 1.0
+        dx = px - np.where(at_a, ax, np.where(at_b, bx, ax + t * abx))
+        dy = py - np.where(at_a, ay, np.where(at_b, by, ay + t * aby))
+    return dx, dy
 
 
 def point_to_boundary_distance(p: Point, polygon: Polygon) -> float:
     """Minimum distance from ``p`` to the polygon's boundary.
 
-    :func:`~repro.geometry.segment.point_segment_distance` over every edge
-    row at once: the projection parameter, its clamp and the closest point
-    are that function's operations, one float64 ufunc each, and the minimum
-    over ``p - closest`` takes ``math.hypot`` on the tie set only
+    :func:`segment_offsets` over every edge row at once, and the minimum
+    over them takes ``math.hypot`` on the tie set only
     (:mod:`repro.geometry.hypot_order`), so the value is the edge loop's.
     """
-    px, py = p.x, p.y
     ax, ay, bx, by = polygon.edges_array.T
-    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        abx = bx - ax
-        aby = by - ay
-        denom = abx * abx + aby * aby
-        t = ((px - ax) * abx + (py - ay) * aby) / denom
-        at_a = (denom == 0.0) | (t <= 0.0)
-        at_b = t >= 1.0
-        dx = px - np.where(at_a, ax, np.where(at_b, bx, ax + t * abx))
-        dy = py - np.where(at_a, ay, np.where(at_b, by, ay + t * aby))
-    return first_min_hypot(dx, dy)[1]
+    return first_min_hypot(*segment_offsets(p.x, p.y, ax, ay, bx, by))[1]
 
 
 def point_to_polygon_distance(p: Point, polygon: Polygon) -> float:

@@ -1,7 +1,8 @@
 """Ordering ``math.hypot`` values from their squares: the exactness argument.
 
 The distance bounds (Chan's 0/1-Object filters, ``minDist``'s seed and
-frontier filters) are minima, or ``<=`` tests, over
+frontier filters) and ``minDist``'s pair kernel (its row, box and segment
+distances) are minima, or ``<=`` tests, over
 ``math.hypot(dx, dy)`` of many ``(dx, dy)``.  The differences are plain IEEE
 operations NumPy reproduces bit for bit; only ``hypot`` is not (``np.hypot``
 and ``math.hypot`` may differ in the last ulp).  A minimum does not need it:
@@ -99,3 +100,39 @@ def hypot_at_most(dx: np.ndarray, dy: np.ndarray, bound: float) -> np.ndarray:
     for i, x, y in zip(band.tolist(), dx.take(band).tolist(), dy.take(band).tolist()):
         inside[i] = math.hypot(x, y) <= bound
     return inside
+
+
+def hypots(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``math.hypot`` of every entry of two 1-D arrays, as a float64 array."""
+    return np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=np.float64)
+
+
+def min_hypot_columns(dx: np.ndarray, dy: np.ndarray) -> np.ndarray:
+    """``min(map(math.hypot, dx[:, j], dy[:, j]))`` for every column ``j``
+    of two ``(k, m)`` arrays: the builtin ``min``, whose first NaN wins.
+
+    The argmin of each column's squares is evaluated, and so is every
+    member of its band whose ``(|dx|, |dy|)`` differs from the argmin's:
+    equal magnitudes give an equal ``hypot``, and that is how almost every
+    band member ties (the endpoint-to-endpoint offsets of two disjoint
+    segments, seen from either end).  A column whose minimum square is
+    outside ``[2**-960, 2**960]`` or NaN is evaluated whole, in order.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = dx * dx + dy * dy
+    cols = np.arange(squares.shape[1])
+    first = squares.argmin(axis=0)
+    s_min = squares[first, cols]
+    mx, my = np.abs(dx), np.abs(dy)
+    fx, fy = mx[first, cols], my[first, cols]
+    out = hypots(fx, fy)
+    sure = (_TINY <= s_min) & (s_min <= _HUGE)
+    band = (squares <= s_min * SLACK) & ((mx != fx) | (my != fy)) & sure
+    band_cols = np.nonzero(band)[1]
+    for j, x, y in zip(band_cols.tolist(), mx[band].tolist(), my[band].tolist()):
+        d = math.hypot(x, y)
+        if d < out[j]:
+            out[j] = d
+    for j in np.flatnonzero(~sure).tolist():
+        out[j] = min(map(math.hypot, dx[:, j].tolist(), dy[:, j].tolist()))
+    return out

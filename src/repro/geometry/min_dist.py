@@ -21,24 +21,45 @@ rank by squared distance and take ``math.hypot`` only where the squares do
 not decide (:mod:`repro.geometry.hypot_order`), so the bound and the chains
 are the scalar loops'.  Edge pairs are then compared best-first with
 MBR-distance pruning, which preserves exactness while usually touching a
-small fraction of the quadratic pair space.
+small fraction of the quadratic pair space.  That comparison is one array
+kernel (:func:`_pair_search`) that computes the segment distances of a
+proven superset of the pairs the best-first loop would test and replays
+the loop's running best, test count and exit over them (:func:`_replay`).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .distance import either_contains, point_to_boundary_distance
-from .hypot_order import first_min_hypot, hypot_at_most
-from .point import Point
+from .distance import either_contains, point_to_boundary_distance, segment_offsets
+from .hypot_order import first_min_hypot, hypot_at_most, hypots, min_hypot_columns
 from .polygon import Polygon
+from .predicates import segments_intersect_arrays
 from .rect import Rect
-from .segment import segment_segment_distance
-from .sweep import _Edge, _edge_records
+
+#: Edge pairs per chunk of the pair kernel: rows of the first chain are
+#: taken ``_PAIR_BUDGET // len(second chain)`` at a time, so its
+#: ``(rows, columns)`` planes stay bounded when both chains are long (the
+#: ablations without pruning, larger scales).
+_PAIR_BUDGET = 1 << 16
+
+#: The four ``point_segment_distance(point, a, b)`` calls of
+#: ``segment_segment_distance`` (``p1``, ``p2`` against ``q1q2``, then
+#: ``q1``, ``q2`` against ``p1p2``) as rows of the endpoints
+#: ``p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y``: one tuple per argument
+#: coordinate ``px, py, ax, ay, bx, by``, one entry per call.
+_FOUR_CALLS = (
+    (0, 2, 4, 6),
+    (1, 3, 5, 7),
+    (4, 4, 0, 0),
+    (5, 5, 1, 1),
+    (6, 6, 2, 2),
+    (7, 7, 3, 3),
+)
 
 
 @dataclass
@@ -54,26 +75,18 @@ class MinDistStats:
     early_exits: int = 0
 
 
-def _edge_rect_distance(e: _Edge, r: Rect) -> float:
-    # Edge records are the sweep's: (xmin, xmax, ymin, ymax, ax, ay, bx, by).
-    dx = max(e[0] - r.xmax, 0.0, r.xmin - e[1])
-    dy = max(e[2] - r.ymax, 0.0, r.ymin - e[3])
-    return math.hypot(dx, dy)
-
-
-def _edge_edge_mbr_distance(e: _Edge, f: _Edge) -> float:
-    dx = max(e[0] - f[1], 0.0, f[0] - e[1])
-    dy = max(e[2] - f[3], 0.0, f[2] - e[3])
-    return math.hypot(dx, dy)
+def _box_gaps(xmin, ymin, xmax, ymax, oxmin, oymin, oxmax, oymax):
+    """Axis gaps ``dx, dy`` between boxes and other boxes (broadcast): what
+    ``max(xmin - oxmax, 0.0, oxmin - xmax)`` and its ``y`` twin hand to
+    ``math.hypot`` for a point (a box with ``min == max``) against a
+    ``Rect``, an edge box against an MBR and an edge box against another."""
+    dx = np.maximum(np.maximum(xmin - oxmax, 0.0), oxmin - xmax)
+    dy = np.maximum(np.maximum(ymin - oymax, 0.0), oymin - ymax)
+    return dx, dy
 
 
 def _gaps_to_rect(xmin, ymin, xmax, ymax, r: Rect):
-    """Axis gaps ``dx, dy`` between each box of the four columns and ``r``:
-    what ``Rect.distance_to_point`` (a point is a box with ``min == max``) and
-    ``_edge_rect_distance`` hand to ``math.hypot``."""
-    dx = np.maximum(np.maximum(xmin - r.xmax, 0.0), r.xmin - xmax)
-    dy = np.maximum(np.maximum(ymin - r.ymax, 0.0), r.ymin - ymax)
-    return dx, dy
+    return _box_gaps(xmin, ymin, xmax, ymax, r.xmin, r.ymin, r.xmax, r.ymax)
 
 
 def _initial_upper_bound(a: Polygon, b: Polygon) -> float:
@@ -90,16 +103,19 @@ def _initial_upper_bound(a: Polygon, b: Polygon) -> float:
 
 def _chain(
     polygon: Polygon, other_mbr: Rect, upper: Optional[float], radius: Optional[float]
-) -> List[_Edge]:
-    """Edge records of ``polygon`` that survive the chain filters against the
-    other polygon's MBR, in boundary order.
+) -> np.ndarray:
+    """The edges of ``polygon`` that survive the chain filters against the
+    other polygon's MBR, as an ``(8, k)`` array in boundary order: rows
+    ``xmin, ymin, xmax, ymax`` (:attr:`Polygon.edge_bounds`) then
+    ``ax, ay, bx, by`` (:attr:`Polygon.edges_array`).
 
     ``upper`` keeps the frontier chain - edges whose box could realize a
-    distance ``<= upper``, i.e. ``_edge_rect_distance(e, other_mbr) <= upper``
-    over the ``edge_bounds`` rows; ``radius`` keeps the stretches inside the
-    other MBR extended by it (Figure 9d).  ``None`` switches a filter off.
+    distance ``<= upper`` from ``other_mbr``; ``radius`` keeps the stretches
+    inside the other MBR extended by it (Figure 9d).  ``None`` switches a
+    filter off.
     """
-    xmin, ymin, xmax, ymax = polygon.edge_bounds
+    xmin, ymin, xmax, ymax = bounds = polygon.edge_bounds
+    columns = np.concatenate((bounds, polygon.edges_array.T))
     keep = None
     if upper is not None:
         keep = hypot_at_most(*_gaps_to_rect(xmin, ymin, xmax, ymax, other_mbr), upper)
@@ -107,7 +123,111 @@ def _chain(
         ext = other_mbr.expand(radius)
         in_ext = (xmin <= ext.xmax) & (ext.xmin <= xmax) & (ymin <= ext.ymax) & (ext.ymin <= ymax)
         keep = in_ext if keep is None else keep & in_ext
-    return _edge_records(polygon, None if keep is None else np.flatnonzero(keep))
+    return columns if keep is None else columns.compress(keep, axis=1)
+
+
+def _segment_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``segment_segment_distance`` of each column of two ``(4, m)`` edge
+    arrays (rows ``ax, ay, bx, by``): zero where ``segments_intersect``
+    says so, else the builtin ``min`` of its four point-segment distances,
+    in its order."""
+    ends = np.concatenate((p, q))
+    crossing = segments_intersect_arrays(*ends)
+    gx, gy = segment_offsets(*(ends.take(rows, axis=0) for rows in _FOUR_CALLS))
+    d = min_hypot_columns(gx, gy)
+    d[crossing] = 0.0
+    return d
+
+
+def _replay(
+    row: np.ndarray,
+    row_h: np.ndarray,
+    box_h: np.ndarray,
+    d: np.ndarray,
+    best: float,
+    target: float,
+) -> Tuple[float, int, bool]:
+    """The best-first pair loop's contract over candidate pairs in loop
+    order: ``(best, tested, exited)``.
+
+    Entry ``i`` is one pair: its row ``row[i]`` (non-decreasing), that
+    row's distance to the other MBR ``row_h[i]``, its box distance
+    ``box_h[i]`` and its segment distance ``d[i]``.  The loop skips a row
+    whose distance is ``> best`` at the row's start, tests a pair whose box
+    distance is ``<= best``, takes ``d < best`` as the new best, and exits
+    at the first new best ``<= target`` or ``== 0.0``.
+
+    Assume every pair could lower the best: the best before each pair is
+    then a prefix minimum, ``fmin`` because a NaN ``d`` never lowers it,
+    and the tested set, the exit and the count follow.  The assumption is
+    checked: the first untested pair with ``d`` below the best before it
+    is where it breaks.  Everything before that pair is exact, so the pair
+    is dropped (``d = inf``) and the rest recomputed - a fixpoint that ends
+    because each round drops a later pair.
+    """
+    head = np.ones(row.size, dtype=bool)
+    np.not_equal(row[1:], row[:-1], out=head[1:])
+    heads = np.flatnonzero(head)
+    of_head = np.cumsum(head) - 1
+    d = d.copy()
+    while True:
+        running = np.fmin.accumulate(np.concatenate(([best], d)))
+        before = running[:-1]
+        row_ok = row_h.take(heads) <= before.take(heads)
+        tested = row_ok.take(of_head) & (box_h <= before)
+        lowers = d < before
+        exits = np.flatnonzero(tested & lowers & ((d <= target) | (d == 0.0)))
+        end = int(exits[0]) if exits.size else d.size
+        broken = np.flatnonzero(~tested[:end] & lowers[:end])
+        if broken.size:
+            d[broken[0]] = math.inf
+            continue
+        if exits.size:
+            return float(d[end]), int(np.count_nonzero(tested[: end + 1])), True
+        return float(running[-1]), int(np.count_nonzero(tested)), False
+
+
+def _pair_search(
+    ca: np.ndarray, cb: np.ndarray, b_mbr: Rect, best: float, target: float
+) -> Tuple[float, int, bool]:
+    """What the best-first loop over the chains' edge pairs returns:
+    ``(best, tested, exited)`` (see :func:`_replay`).
+
+    Chunk by chunk of rows, with ``best`` as it stands at the chunk's start,
+    the pairs whose box distance is within ``best`` are found exactly
+    (``hypot_at_most``).  The best only falls, so these pairs are a
+    superset of the ones the loop tests.  Their segment distances are
+    computed as arrays, and :func:`_replay` picks out what the loop does
+    with them.
+    """
+    tested = 0
+    nb = cb.shape[1]
+    if nb == 0:
+        return best, tested, False
+    box_b = cb[:4]
+    step = max(1, _PAIR_BUDGET // nb)
+    for start in range(0, ca.shape[1], step):
+        rows = ca[:, start : start + step]
+        dx, dy = _box_gaps(*rows[:4, :, None], *box_b)
+        dx, dy = dx.ravel(), dy.ravel()
+        pairs = np.flatnonzero(hypot_at_most(dx, dy, best))
+        if pairs.size == 0:
+            continue
+        row, col = np.divmod(pairs, nb)
+        edges_a = rows.take(row, axis=1)
+        value, n, exited = _replay(
+            row,
+            hypots(*_gaps_to_rect(*edges_a[:4], b_mbr)),
+            hypots(dx.take(pairs), dy.take(pairs)),
+            _segment_distances(edges_a[4:], cb[4:].take(col, axis=1)),
+            best,
+            target,
+        )
+        tested += n
+        if exited:
+            return value, tested, True
+        best = value
+    return best, tested, False
 
 
 def min_boundary_distance(
@@ -146,37 +266,16 @@ def min_boundary_distance(
         # Figure 9d: only the stretches of the frontier chains within the
         # other MBR extended by the pruning radius can matter.
         radius = upper if early_exit_at is None else min(upper, early_exit_at)
-    edges_a = _chain(a, b.mbr, frontier, radius)
-    edges_b = _chain(b, a.mbr, frontier, radius)
+    chain_a = _chain(a, b.mbr, frontier, radius)
+    chain_b = _chain(b, a.mbr, frontier, radius)
     if stats is not None:
-        stats.frontier_pairs += len(edges_a) * len(edges_b)
+        stats.frontier_pairs += chain_a.shape[1] * chain_b.shape[1]
 
-    best = upper
-    tested = 0
-    for e in edges_a:
-        # Skip whole rows that cannot beat the running best.
-        if _edge_rect_distance(e, b.mbr) > best:
-            continue
-        pa = Point(e[4], e[5])
-        pb = Point(e[6], e[7])
-        for f in edges_b:
-            if _edge_edge_mbr_distance(e, f) > best:
-                continue
-            tested += 1
-            d = segment_segment_distance(pa, pb, Point(f[4], f[5]), Point(f[6], f[7]))
-            if d < best:
-                best = d
-                if best <= target:
-                    if stats is not None:
-                        stats.pairs_tested += tested
-                        stats.early_exits += 1
-                    return best
-                if best == 0.0:
-                    if stats is not None:
-                        stats.pairs_tested += tested
-                    return 0.0
+    best, tested, exited = _pair_search(chain_a, chain_b, b.mbr, upper, target)
     if stats is not None:
         stats.pairs_tested += tested
+        if exited and best <= target:
+            stats.early_exits += 1
     return best
 
 

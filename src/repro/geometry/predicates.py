@@ -12,6 +12,8 @@ builds on [3].
 
 from __future__ import annotations
 
+import numpy as np
+
 from .point import Point
 
 
@@ -63,3 +65,47 @@ def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
     if d4 == 0 and on_segment(q2, p1, p2):
         return True
     return False
+
+
+def _cross_arrays(ox, oy, ax, ay, bx, by):
+    return (ax - ox) * (by - oy) - (ay - oy) * (bx - ox)
+
+
+def _in_box_arrays(px, py, ax, ay, bx, by):
+    # on_segment's bounding-box half; its collinearity half is the caller's
+    # ``d == 0`` (the same cross product).
+    return (
+        (np.minimum(ax, bx) <= px)
+        & (px <= np.maximum(ax, bx))
+        & (np.minimum(ay, by) <= py)
+        & (py <= np.maximum(ay, by))
+    )
+
+
+def segments_intersect_arrays(p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y) -> np.ndarray:
+    """:func:`segments_intersect` of every entry of the coordinate arrays.
+
+    The same float64 subtractions, products and comparisons in the same
+    order, so each verdict is the scalar one bit for bit - including the
+    ones rounding makes (nearly collinear segments whose boxes are apart can
+    read as crossing).  The ``on_segment`` box tests run only on entries
+    whose cross product is exactly zero.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        d1 = _cross_arrays(q1x, q1y, q2x, q2y, p1x, p1y)
+        d2 = _cross_arrays(q1x, q1y, q2x, q2y, p2x, p2y)
+        d3 = _cross_arrays(p1x, p1y, p2x, p2y, q1x, q1y)
+        d4 = _cross_arrays(p1x, p1y, p2x, p2y, q2x, q2y)
+    hit = (((d1 > 0) & (d2 < 0)) | ((d1 < 0) & (d2 > 0))) & (
+        ((d3 > 0) & (d4 < 0)) | ((d3 < 0) & (d4 > 0))
+    )
+    for d, point, seg in (
+        (d1, (p1x, p1y), (q1x, q1y, q2x, q2y)),
+        (d2, (p2x, p2y), (q1x, q1y, q2x, q2y)),
+        (d3, (q1x, q1y), (p1x, p1y, p2x, p2y)),
+        (d4, (q2x, q2y), (p1x, p1y, p2x, p2y)),
+    ):
+        on = np.flatnonzero(d == 0)
+        if on.size:
+            hit[on] |= _in_box_arrays(*(v.take(on) for v in (*point, *seg)))
+    return hit

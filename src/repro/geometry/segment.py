@@ -9,8 +9,21 @@ segments, never as filled polygons, to avoid triangulation).
 
 from __future__ import annotations
 
+import math
+
 from .point import Point
 from .predicates import segments_intersect
+
+#: ``ab . ab`` overflows for an edge longer than about 1.34e154.  The
+#: projection parameter is then computed from ``ab`` and ``p - a`` both
+#: scaled by ``2**-OVERFLOW_SHIFT``: an exact power of two, so the ratio is
+#: the same, and after it every square and product is finite (a component
+#: of at most ``2**1024`` becomes at most ``2**424``).
+OVERFLOW_SHIFT = 600
+
+
+def _scaled(v: Point) -> Point:
+    return Point(math.ldexp(v.x, -OVERFLOW_SHIFT), math.ldexp(v.y, -OVERFLOW_SHIFT))
 
 
 def point_segment_distance(p: Point, a: Point, b: Point) -> float:
@@ -19,7 +32,11 @@ def point_segment_distance(p: Point, a: Point, b: Point) -> float:
     denom = ab.dot(ab)
     if denom == 0.0:
         return p.distance_to(a)
-    t = (p - a).dot(ab) / denom
+    if denom == math.inf:
+        ab_s = _scaled(ab)
+        t = _scaled(p - a).dot(ab_s) / ab_s.dot(ab_s)
+    else:
+        t = (p - a).dot(ab) / denom
     if t <= 0.0:
         return p.distance_to(a)
     if t >= 1.0:

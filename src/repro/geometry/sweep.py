@@ -34,7 +34,7 @@ from .predicates import on_segment, segments_intersect
 from .rect import Rect
 
 # Edge record (xmin, xmax, ymin, ymax, ax, ay, bx, by) of Python floats: a
-# tuple from _edge_records, a list from a Polygon.sweep_records column.
+# list from a Polygon.sweep_records column.
 _Edge = Sequence[float]
 
 IgnorePair = Callable[[int, int], bool]
@@ -54,20 +54,6 @@ class SweepStats:
     edges_processed: int = 0
     candidate_tests: int = 0
     intersections_found: int = 0
-
-
-def _edge_records(polygon: Polygon, keep: Optional[np.ndarray]) -> List[_Edge]:
-    """Edge records of ``polygon`` in boundary order: all of them, or the
-    rows ``keep`` indexes - ``minDist``'s chains, whose pair loop counts in
-    that order.  Records leave as tuples of Python floats, indexed one at a
-    time.
-    """
-    ax, ay, bx, by = polygon.edges_array.T
-    xmin, ymin, xmax, ymax = polygon.edge_bounds
-    columns = [xmin, xmax, ymin, ymax, ax, ay, bx, by]
-    if keep is not None:
-        columns = [column[keep] for column in columns]
-    return list(zip(*[column.tolist() for column in columns]))
 
 
 def _restricted(records: np.ndarray, window: Rect) -> np.ndarray:

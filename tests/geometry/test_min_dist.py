@@ -1,7 +1,12 @@
 """Tests for polygon distances: brute-force references and frontier-chain minDist."""
 
+import inspect
 import math
+import sys
+import types
+from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,14 +23,11 @@ from repro.geometry import (
     polygons_within_distance,
     polygons_within_distance_brute_force,
     segment_segment_distance,
+    segments_intersect,
 )
-from repro.geometry.min_dist import (
-    _chain,
-    _edge_edge_mbr_distance,
-    _edge_rect_distance,
-    _initial_upper_bound,
-)
-from repro.geometry.sweep import _edge_records
+from repro.geometry.distance import segment_offsets
+from repro.geometry import hypot_order, min_dist
+from repro.geometry.min_dist import _chain, _initial_upper_bound
 from tests.strategies import HYPOT_FAR as FAR_VERTEX
 from tests.strategies import HYPOT_NEAR as NEAR_VERTEX
 from tests.strategies import (
@@ -39,6 +41,33 @@ from tests.strategies import (
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 FAR = Polygon.from_coords([(10, 10), (12, 10), (12, 12), (10, 12)])
 INNER = Polygon.from_coords([(1, 1), (3, 1), (3, 3), (1, 3)])
+
+
+def _edge_records(polygon):
+    """Every edge of ``polygon`` in boundary order as a tuple
+    ``(xmin, xmax, ymin, ymax, ax, ay, bx, by)``: the record the pair loop
+    below reads."""
+    ax, ay, bx, by = polygon.edges_array.T
+    xmin, ymin, xmax, ymax = polygon.edge_bounds
+    columns = [xmin, xmax, ymin, ymax, ax, ay, bx, by]
+    return list(zip(*[column.tolist() for column in columns]))
+
+
+def chain_records(columns):
+    """A ``_chain`` array's columns as ``_edge_records`` tuples."""
+    return [tuple(c) for c in columns[[0, 2, 1, 3, 4, 5, 6, 7]].T.tolist()]
+
+
+def _edge_rect_distance(e, r):
+    dx = max(e[0] - r.xmax, 0.0, r.xmin - e[1])
+    dy = max(e[2] - r.ymax, 0.0, r.ymin - e[3])
+    return math.hypot(dx, dy)
+
+
+def _edge_edge_mbr_distance(e, f):
+    dx = max(e[0] - f[1], 0.0, f[0] - e[1])
+    dy = max(e[2] - f[3], 0.0, f[2] - e[3])
+    return math.hypot(dx, dy)
 
 
 def _flat_edges_edge_by_edge(polygon):
@@ -88,12 +117,12 @@ def _box_meets(e, ext):
 def min_boundary_distance_loops(
     a, b, early_exit_at=None, use_frontier=True, use_extended_mbr=True, stats=None
 ):
-    """``min_boundary_distance`` with its seed and both chain filters as
-    loops over every edge record, kept as the oracle for the value and for
-    every ``MinDistStats`` counter.  The best-first pair loop is the one the
-    routine still runs."""
-    edges_a = _edge_records(a, None)
-    edges_b = _edge_records(b, None)
+    """``min_boundary_distance`` with its seed, both chain filters and the
+    best-first pair loop as loops over every edge record, kept as the oracle
+    for the value and for every ``MinDistStats`` counter.  The pair loop is
+    the one the routine ran until the pair kernel replaced it."""
+    edges_a = _edge_records(a)
+    edges_b = _edge_records(b)
     if stats is not None:
         stats.edge_pairs_total += len(edges_a) * len(edges_b)
         stats.edges_scanned += 2 * (len(edges_a) + len(edges_b))
@@ -321,7 +350,7 @@ class TestSquaredOrderAndHypotOrderInvert:
         # its square is within the squared bound - and NEAR_VERTEX's is not.
         upper = math.hypot(*NEAR_VERTEX)
         mbr = ORIGIN_RING.mbr
-        records = _edge_records(TWO_SPIKES, None)
+        records = _edge_records(TWO_SPIKES)
         return upper, [e for e in records if _edge_rect_distance(e, mbr) <= upper]
 
     def test_frontier_chain(self):
@@ -330,11 +359,11 @@ class TestSquaredOrderAndHypotOrderInvert:
             (*spike(NEAR_VERTEX)[0], *NEAR_VERTEX),
             (*NEAR_VERTEX, *spike(NEAR_VERTEX)[2]),
         ]
-        assert _chain(TWO_SPIKES, ORIGIN_RING.mbr, upper, None) == expected
+        assert chain_records(_chain(TWO_SPIKES, ORIGIN_RING.mbr, upper, None)) == expected
 
     def test_mutant_keeps_the_wrong_spike(self, no_slack):
         upper, expected = self.frontier_by_loop()
-        assert _chain(TWO_SPIKES, ORIGIN_RING.mbr, upper, None) != expected
+        assert chain_records(_chain(TWO_SPIKES, ORIGIN_RING.mbr, upper, None)) != expected
 
 
 class TestWhereSquaresUnderOrOverflow:
@@ -368,15 +397,16 @@ class TestWhereSquaresUnderOrOverflow:
 
 
 class TestEdgeRecords:
-    """minDist reads the sweep's records; they must carry what its own
-    flattening loop computed."""
+    """minDist's edge records are the columns of its chains, cut from the
+    polygon's cached arrays; with both filters off they must carry what its
+    own flattening loop computed, in boundary order."""
 
     @given(st.one_of(adversarial_rings().map(Polygon), star_polygons()))
     def test_records_carry_the_old_loops_values(self, poly):
-        records = _edge_records(poly, None)
+        columns = _chain(poly, poly.mbr, None, None)
         old = _flat_edges_edge_by_edge(poly)
-        assert len(records) == len(old) == poly.num_vertices
-        for (xmin, xmax, ymin, ymax, *ends), o in zip(records, old):
+        assert columns.shape == (8, poly.num_vertices) == (8, len(old))
+        for (xmin, ymin, xmax, ymax, *ends), o in zip(columns.T.tolist(), old):
             assert tuple(ends) == o[:4]
             assert (xmin, ymin, xmax, ymax) == o[4:]
 
@@ -386,6 +416,236 @@ class TestEdgeRecords:
         assert min_boundary_distance(a, b, stats=stats) == boundary_distance_brute_force(a, b)
         assert stats.edge_pairs_total == a.num_vertices * b.num_vertices
         assert stats.edges_scanned == 2 * (a.num_vertices + b.num_vertices)
+
+
+#: Nearly collinear edges whose boxes are 0.02 apart, yet whose rounded
+#: cross products read as a proper crossing: ``segments_intersect`` says
+#: True and the loop takes 0.0.  A kernel that ran the crossing test only on
+#: pairs with zero box gaps would return their endpoint distance instead.
+ROUNDED_CROSSING = (
+    (2.7181066959490896, -1.7266770190427043),
+    (1.7973260033928469, -0.6679582561546921),
+    (1.7769064486921016, -0.6444797385594977),
+    (1.6707590790984816, -0.5224309024702142),
+)
+
+#: Two edges a parallel 0.6504… apart: of their four endpoint offsets the
+#: smallest square (the third, ``q1`` against ``p``) has the larger
+#: ``hypot`` (…674 against …673 for the second), so the pair's distance is
+#: taken from the band, not from the argmin of squares.
+INVERTED_PAIR = (
+    (0.377, 1.142),
+    (-0.16133136128567938, 2.0047796664935236),
+    (-0.3557079307431169, 1.0874821232257497),
+    (-0.8940392920287963, 1.9502617897192738),
+)
+
+#: An edge longer than ~1.34e154, whose squared length overflows.
+BIG = Polygon.from_coords([(0, 0), (1e300, 0), (1, 1e300)])
+TRI = Polygon.from_coords([(7, -1), (9, -2), (8, -5)])
+
+
+def replay_loop(row, row_h, box_h, d, best, target):
+    """The best-first loop's control flow over per-pair values in loop
+    order, kept as the oracle of ``min_dist._replay``."""
+    tested, current, skip = 0, None, False
+    for r, rh, bh, x in zip(row, row_h, box_h, d):
+        if r != current:
+            current, skip = r, rh > best
+        if skip or bh > best:
+            continue
+        tested += 1
+        if x < best:
+            best = x
+            if best <= target or best == 0.0:
+                return best, tested, True
+    return best, tested, False
+
+
+NAN, INF = math.nan, math.inf
+
+#: ``(row, row_h, box_h, d, best, target)`` no geometry produces.
+REPLAY_CASES = {
+    # Untested (box 12 > 10) but d = 1 below the best: the fixpoint drops it.
+    "untested_pair_below_its_box": ([0, 0], [0, 0], [12, 5], [1, 7], 10, -INF),
+    "untested_pair_then_exit": ([0, 0, 0], [0, 0, 0], [12, 5, 5], [1, 7, 3], 10, 4),
+    "nan_distances": ([0, 0, 1], [0, 0, 1], [1, 2, 3], [NAN, 5, 4], 10, -INF),
+    "nan_first_then_zero": ([0, 0], [0, 0], [1, 1], [NAN, 0.0], 10, -INF),
+    # Row 1 is skipped (9.5 > 9 once row 0 lowered the best) though its
+    # pair's box is within the starting best; then its d is below too.
+    "skipped_row_holds_a_member": ([0, 1, 2], [0, 9.5, 2], [3, 9.6, 2.5], [9, 12, 8], 10, -INF),
+    "skipped_row_below_the_best": ([0, 1, 2], [0, 9.5, 2], [3, 9.6, 2.5], [9, 3, 8], 10, -INF),
+    "box_equal_to_best": ([0], [5], [10], [4], 10, -INF),
+    "row_equal_to_best": ([0, 0], [10, 10], [10, 3], [11, 4], 10, -INF),
+    "exit_at_target": ([0, 0, 0], [1, 1, 1], [1, 1, 1], [8, 5, 1], 10, 6),
+    "exit_at_zero": ([0, 0, 0], [1, 1, 1], [1, 1, 1], [8, 0.0, 1], 10, -INF),
+    "no_improvement": ([0, 1], [1, 1], [1, 1], [10, 11], 10, 2),
+    "empty": ([], [], [], [], 10, 3),
+}
+
+
+def check_replay(case):
+    row, row_h, box_h, d, best, target = REPLAY_CASES[case]
+    columns = [np.array(v, dtype=np.float64) for v in (row_h, box_h, d)]
+    got = min_dist._replay(np.array(row, dtype=np.int64), *columns, best, target)
+    assert got == replay_loop(row, row_h, box_h, d, best, target)
+
+
+def check_inverted_pair():
+    p1, p2, q1, q2 = INVERTED_PAIR
+    p = np.array([[p1[0]], [p1[1]], [p2[0]], [p2[1]]])
+    q = np.array([[q1[0]], [q1[1]], [q2[0]], [q2[1]]])
+    expected = segment_segment_distance(*(Point(*v) for v in INVERTED_PAIR))
+    assert min_dist._segment_distances(p, q).tolist() == [expected]
+
+
+class TestReplay:
+    """``_replay`` against the loop's control flow on the same arrays."""
+
+    @pytest.mark.parametrize("case", sorted(REPLAY_CASES))
+    def test_case_equals_the_loop(self, case):
+        check_replay(case)
+
+    @given(st.data())
+    def test_random_arrays_equal_the_loop(self, data):
+        values = st.sampled_from([0.0, 1.0, 2.0, 3.0, 5.0, 8.0, 13.0, NAN, INF])
+        n = data.draw(st.integers(0, 12))
+        row = sorted(data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n)))
+        per_row = data.draw(st.lists(st.sampled_from([0.0, 2.0, 5.0, 9.0]), min_size=4, max_size=4))
+        box_h = data.draw(st.lists(values.filter(lambda v: v == v), min_size=n, max_size=n))
+        d = data.draw(st.lists(values, min_size=n, max_size=n))
+        best = data.draw(st.sampled_from([5.0, 9.0, INF]))
+        target = data.draw(st.sampled_from([-INF, 0.0, 2.0, 5.0]))
+        row_h = [per_row[r] for r in row]
+        columns = [np.array(v, dtype=np.float64) for v in (row_h, box_h, d)]
+        got = min_dist._replay(np.array(row, dtype=np.int64), *columns, best, target)
+        assert got == replay_loop(row, row_h, box_h, d, best, target)
+
+
+class TestPairKernel:
+    def test_distances_of_the_inverted_pair(self):
+        check_inverted_pair()
+
+    def test_mutant_without_slack_takes_the_argmin(self, no_slack):
+        with pytest.raises(AssertionError):
+            check_inverted_pair()
+
+    def test_rounded_crossing_of_apart_boxes(self):
+        p1, p2, q1, q2 = ROUNDED_CROSSING
+        assert segments_intersect(*(Point(*v) for v in ROUNDED_CROSSING))
+        a = Polygon.from_coords([p1, p2, (3.5, -0.5)])
+        b = Polygon.from_coords([q1, q2, (0.5, -1.0)])
+        for p, q in ((a, b), (b, a)):
+            got, expected = MinDistStats(), MinDistStats()
+            assert min_boundary_distance(p, q, stats=got) == 0.0
+            assert min_boundary_distance_loops(p, q, stats=expected) == 0.0
+            assert got == expected
+
+    def test_square_and_far_counters(self):
+        # The seed is the corner-to-corner distance, which the pair of edges
+        # at those corners meets with a box distance equal to it.
+        got, expected = MinDistStats(), MinDistStats()
+        assert min_dist.min_boundary_distance(SQUARE, FAR, stats=got) == math.hypot(6, 6)
+        min_boundary_distance_loops(SQUARE, FAR, stats=expected)
+        assert got == expected
+
+    @settings(max_examples=60)
+    @given(
+        st.one_of(polygon_pairs_nearby(), st.tuples(*[adversarial_rings().map(Polygon)] * 2)),
+        st.sampled_from([None, 0.0, 0.5, 2.0]),
+    )
+    def test_one_row_per_chunk_changes_nothing(self, pair, early):
+        a, b = pair
+        for use_frontier in (True, False):
+            for use_extended_mbr in (True, False):
+                kwargs = dict(
+                    early_exit_at=early,
+                    use_frontier=use_frontier,
+                    use_extended_mbr=use_extended_mbr,
+                )
+                whole, chunked = MinDistStats(), MinDistStats()
+                value = min_boundary_distance(a, b, stats=whole, **kwargs)
+                with mock.patch.object(min_dist, "_PAIR_BUDGET", 1):
+                    assert min_boundary_distance(a, b, stats=chunked, **kwargs) == value
+                assert chunked == whole
+
+
+class TestOverflowingEdge:
+    """``ab . ab`` overflows to inf for an edge longer than ~1.34e154; the
+    projection used to clamp to the edge's start (7.07… here, not 1.0)."""
+
+    def test_point_segment_distance(self):
+        assert point_segment_distance(Point(7, -1), Point(0, 0), Point(1e300, 0)) == 1.0
+
+    def test_boundary_distances(self):
+        assert point_to_boundary_distance(Point(7, -1), BIG) == 1.0
+        assert boundary_distance_brute_force(BIG, TRI) == 1.0
+        assert min_boundary_distance(BIG, TRI) == 1.0
+        assert min_boundary_distance(TRI, BIG) == 1.0
+
+    def test_within_distance(self):
+        assert polygons_within_distance(BIG, TRI, 2.0)
+        assert polygons_within_distance_brute_force(BIG, TRI, 2.0)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e150, 1e155, 1e300])
+    def test_offsets_equal_the_scalar(self, scale):
+        rng = np.random.default_rng(7)
+        px, py, ax, ay, bx, by = rng.uniform(-1.0, 1.0, size=(6, 400)) * scale
+        dx, dy = segment_offsets(px, py, ax, ay, bx, by)
+        for i in range(400):
+            expected = point_segment_distance(
+                Point(px[i], py[i]), Point(ax[i], ay[i]), Point(bx[i], by[i])
+            )
+            assert math.hypot(dx[i], dy[i]) == expected
+
+
+#: Named mutants of the pair kernel: (module, source text, replacement,
+#: the check that must fail under it).
+MUTANTS = {
+    "minimum_not_fmin": (
+        min_dist,
+        "np.fmin.accumulate",
+        "np.minimum.accumulate",
+        lambda: check_replay("nan_distances"),
+    ),
+    "box_strict": (
+        min_dist,
+        "(box_h <= before)",
+        "(box_h < before)",
+        lambda: check_replay("box_equal_to_best"),
+    ),
+    "consistency_unchecked": (
+        min_dist,
+        "        if broken.size:\n",
+        "        if False:\n",
+        lambda: check_replay("untested_pair_below_its_box"),
+    ),
+    "band_by_argmin_only": (
+        hypot_order,
+        "band = (squares <= s_min * SLACK) & ((mx != fx) | (my != fy)) & sure",
+        "band = np.zeros(squares.shape, dtype=bool)",
+        check_inverted_pair,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MUTANTS))
+def test_named_mutant_is_killed(name, monkeypatch):
+    """The module's source with one named edit, exec'd fresh; every
+    function of it ``min_dist`` names replaces that name for the check."""
+    module, old, new, check = MUTANTS[name]
+    check()
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, f"{name}: edit site not unique"
+    edited = types.ModuleType(f"{module.__name__}_{name}")
+    edited.__package__ = "repro.geometry"
+    monkeypatch.setitem(sys.modules, edited.__name__, edited)  # for @dataclass
+    exec(compile(source.replace(old, new), edited.__name__, "exec"), edited.__dict__)
+    for key, value in vars(edited).items():
+        if isinstance(value, types.FunctionType) and hasattr(min_dist, key):
+            monkeypatch.setattr(min_dist, key, value)
+    with pytest.raises(AssertionError):
+        check()
 
 
 class TestWithinDistance:
