@@ -1,14 +1,16 @@
-"""Brute-force polygon distance reference implementations.
+"""Point-to-polygon distances and the vertex containment test.
 
-These quadratic algorithms define the ground truth the optimized
-frontier-chain ``minDist`` (:mod:`repro.geometry.min_dist`) and the hardware
-distance test must agree with.  The paper quotes their ``O(n x m)`` worst
-case as the motivation for hardware acceleration of distance predicates.
+``point_to_boundary_distance`` and ``point_to_polygon_distance`` are the
+refinement predicates of nearest-neighbour queries (minDist seeds with the
+first); ``either_contains`` settles the region-distance-zero cases.  The
+quadratic brute-force polygon distances that minDist
+(:mod:`repro.geometry.min_dist`) and the hardware distance test must agree
+with are test oracles, in ``tests/oracles/geometry.py``; the paper quotes
+their ``O(n x m)`` worst case as the motivation for hardware acceleration of
+distance predicates.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -16,13 +18,20 @@ from .hypot_order import first_min_hypot
 from .point import Point
 from .point_in_polygon import PointLocation, locate_point
 from .polygon import Polygon
-from .segment import OVERFLOW_SHIFT, segment_segment_distance
+
+#: ``ab . ab`` overflows for an edge longer than about 1.34e154.  The
+#: projection parameter is then computed from ``ab`` and ``p - a`` both
+#: scaled by ``2**-OVERFLOW_SHIFT``: an exact power of two, so the ratio is
+#: the same, and after it every square and product is finite (a component
+#: of at most ``2**1024`` becomes at most ``2**424``).
+OVERFLOW_SHIFT = 600
 
 
 def segment_offsets(px, py, ax, ay, bx, by):
     """``p`` minus the point of the closed segment ``ab`` nearest it, as
-    ``(dx, dy)`` arrays: what :func:`~repro.geometry.segment.point_segment_distance`
-    hands to ``math.hypot``, for every broadcast entry at once.
+    ``(dx, dy)`` arrays: what the scalar point-segment distance of
+    ``tests/oracles/geometry.py`` hands to ``math.hypot``, for every
+    broadcast entry at once.
 
     The projection parameter, its clamp and the closest point are that
     function's operations in its operand order, one float64 ufunc each, and
@@ -70,20 +79,6 @@ def point_to_polygon_distance(p: Point, polygon: Polygon) -> float:
     return point_to_boundary_distance(p, polygon)
 
 
-def boundary_distance_brute_force(a: Polygon, b: Polygon) -> float:
-    """Minimum distance between the two boundaries, by exhaustive edge pairs."""
-    best = math.inf
-    edges_b = list(b.edges())
-    for pa, pb in a.edges():
-        for qa, qb in edges_b:
-            d = segment_segment_distance(pa, pb, qa, qb)
-            if d < best:
-                best = d
-                if best == 0.0:
-                    return 0.0
-    return best
-
-
 def either_contains(a: Polygon, b: Polygon) -> bool:
     """True when one polygon's interior contains a vertex of the other.
 
@@ -99,23 +94,3 @@ def either_contains(a: Polygon, b: Polygon) -> bool:
     if not a.mbr.contains_point(vb):
         return False
     return locate_point(vb, a.vertices) is not PointLocation.OUTSIDE
-
-
-def polygon_distance_brute_force(a: Polygon, b: Polygon) -> float:
-    """Minimum distance between the polygons viewed as closed regions.
-
-    Zero when the regions intersect (including containment); otherwise the
-    minimum boundary-to-boundary distance.
-    """
-    if a.mbr.intersects(b.mbr) and either_contains(a, b):
-        return 0.0
-    return boundary_distance_brute_force(a, b)
-
-
-def polygons_within_distance_brute_force(a: Polygon, b: Polygon, d: float) -> bool:
-    """Reference within-distance predicate: ``distance(a, b) <= d``."""
-    if not d >= 0.0:
-        raise ValueError("distance must be non-negative")
-    if a.mbr.min_distance(b.mbr) > d:
-        return False
-    return polygon_distance_brute_force(a, b) <= d

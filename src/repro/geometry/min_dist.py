@@ -47,9 +47,10 @@ from .rect import Rect
 #: ablations without pruning, larger scales).
 _PAIR_BUDGET = 1 << 16
 
-#: The four ``point_segment_distance(point, a, b)`` calls of
-#: ``segment_segment_distance`` (``p1``, ``p2`` against ``q1q2``, then
-#: ``q1``, ``q2`` against ``p1p2``) as rows of the endpoints
+#: The four ``point_segment_distance(point, a, b)`` calls of the scalar
+#: ``segment_segment_distance`` in ``tests/oracles/geometry.py`` (``p1``,
+#: ``p2`` against ``q1q2``, then ``q1``, ``q2`` against ``p1p2``) as rows
+#: of the endpoints
 #: ``p1x, p1y, p2x, p2y, q1x, q1y, q2x, q2y``: one tuple per argument
 #: coordinate ``px, py, ax, ay, bx, by``, one entry per call.
 _FOUR_CALLS = (

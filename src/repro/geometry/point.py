@@ -8,7 +8,6 @@ operations the geometry kernels need.
 
 from __future__ import annotations
 
-import math
 from typing import Iterator, Tuple
 
 
@@ -71,17 +70,9 @@ class Point:
     def __neg__(self) -> "Point":
         return Point(-self.x, -self.y)
 
-    def dot(self, other: "Point") -> float:
-        """Dot product with ``other``."""
-        return self.x * other.x + self.y * other.y
-
     def cross(self, other: "Point") -> float:
         """Z component of the 3D cross product (signed parallelogram area)."""
         return self.x * other.y - self.y * other.x
-
-    def distance_to(self, other: "Point") -> float:
-        """Euclidean distance to ``other``."""
-        return math.hypot(self.x - other.x, self.y - other.y)
 
     def midpoint(self, other: "Point") -> "Point":
         """Point halfway between this point and ``other``."""

@@ -15,7 +15,6 @@ from typing import List, Sequence
 import numpy as np
 
 from .point import Point
-from .predicates import on_segment
 
 
 class PointLocation(Enum):
@@ -162,26 +161,3 @@ def locate_point(p: Point, vertices: Sequence[Point]) -> PointLocation:
     crossing = ((ay > py) != (by > py)) & ((rise_run - run_rise < 0) != (by < ay))
     inside = np.count_nonzero(crossing) & 1
     return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
-
-
-def point_in_polygon(p: Point, vertices: Sequence[Point]) -> bool:
-    """True when ``p`` is inside or on the boundary of the polygon."""
-    return locate_point(p, vertices) is not PointLocation.OUTSIDE
-
-
-def _debug_location_by_sampling(p: Point, vertices: Sequence[Point]) -> PointLocation:
-    """Reference implementation used in tests: explicit on-segment scan plus
-    a second independent crossing formulation."""
-    n = len(vertices)
-    for i in range(n):
-        if on_segment(p, vertices[i], vertices[(i + 1) % n]):
-            return PointLocation.BOUNDARY
-    crossings = 0
-    for i in range(n):
-        a = vertices[i]
-        b = vertices[(i + 1) % n]
-        if (a.y <= p.y < b.y) or (b.y <= p.y < a.y):
-            x_at = a.x + (p.y - a.y) * (b.x - a.x) / (b.y - a.y)
-            if x_at > p.x:
-                crossings += 1
-    return PointLocation.INSIDE if crossings % 2 == 1 else PointLocation.OUTSIDE

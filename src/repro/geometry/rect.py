@@ -192,10 +192,13 @@ class Rect:
         return math.hypot(dx, dy)
 
     def within_distance(self, other: "Rect", d: float) -> bool:
-        """True when ``min_distance(other) <= d`` (cheap, no sqrt)."""
-        dx = max(self.xmin - other.xmax, 0.0, other.xmin - self.xmax)
-        dy = max(self.ymin - other.ymax, 0.0, other.ymin - self.ymax)
-        return dx * dx + dy * dy <= d * d
+        """True when ``min_distance(other) <= d``.
+
+        Decided on :meth:`min_distance` itself, so the guard and the MBR
+        distance minDist and the exact tests compare against agree at ties
+        (a squared comparison rounds differently from ``hypot``).
+        """
+        return self.min_distance(other) <= d
 
     def as_tuple(self) -> Tuple[float, float, float, float]:
         return (self.xmin, self.ymin, self.xmax, self.ymax)

@@ -240,13 +240,3 @@ def polygon_is_simple(polygon: Polygon) -> bool:
         return True
 
     return any_segments_intersect(edges, ignore=adjacent_ok) is None
-
-
-def boundaries_intersect_brute_force(a: Polygon, b: Polygon) -> bool:
-    """Quadratic reference test used by the property-based test suite."""
-    edges_b = list(b.edges())
-    for pa, pb in a.edges():
-        for qa, qb in edges_b:
-            if segments_intersect(pa, pb, qa, qb):
-                return True
-    return False

@@ -8,26 +8,23 @@ the OpenGL-spec anti-aliased rule of section 2.2.2, widened and capped for
 the distance test - the hardware Minmax readback of section 3.2, and the
 device limits (maximum anti-aliased line width) whose effects section 4.4
 measures.  Polygon fill (section 2.2.3) is not a draw: it serves the
-once-per-object filter builds (:mod:`.raster_vector`).  See DESIGN.md
-section 2 for why this substitution preserves the paper's claims.
+once-per-object filter builds (:mod:`.raster_vector`).  The scalar
+reference rasterizers the kernels are held to (per-edge anti-aliased line,
+wide point, scanline even-odd fill) are test oracles and live in
+``tests/oracles/raster.py``.  See DESIGN.md section 2 for why this
+substitution preserves the paper's claims.
 """
 
 from .counters import CostCounters
 from .distance_field import distance_field
 from .framebuffer import Framebuffer
 from .pipeline import GraphicsPipeline
-from .raster_line import (
-    aa_rect_axes,
-    rasterize_line_aa_conservative,
-    rasterize_point_conservative,
-)
 from .raster_bulk import edges_coverage_mask, edges_coverage_masks_grouped
-from .raster_polygon import (
-    polygon_coverage_mask,
-    rasterize_polygon_evenodd,
+from .raster_vector import (
+    polygon_fill_coverage_mask,
+    ring_boundary_coverage_mask,
     scanline_row_bounds,
 )
-from .raster_vector import polygon_fill_coverage_mask, ring_boundary_coverage_mask
 from .tiled import TiledPipeline
 from .voronoi import discrete_voronoi, site_distances_at
 from .state import (
@@ -48,17 +45,12 @@ __all__ = [
     "OVERLAP_COLOR",
     "RasterState",
     "TiledPipeline",
-    "aa_rect_axes",
     "discrete_voronoi",
     "distance_field",
     "edges_coverage_mask",
     "edges_coverage_masks_grouped",
     "site_distances_at",
-    "polygon_coverage_mask",
     "polygon_fill_coverage_mask",
-    "rasterize_line_aa_conservative",
-    "rasterize_point_conservative",
-    "rasterize_polygon_evenodd",
     "ring_boundary_coverage_mask",
     "scanline_row_bounds",
 ]

@@ -1,5 +1,22 @@
 """Vectorized (whole-draw-call) conservative AA line rasterization.
 
+The rule is the OpenGL spec's anti-aliased line with blending disabled
+(paper section 2.2.2).  The spec's *basic* line rule is the diamond exit: a
+pixel is colored when the segment intersects the open diamond around the
+pixel center and does not end inside it, and as the paper illustrates
+(Figure 3d) short or unluckily placed segments simply disappear under it -
+which is why step 2.1 of Algorithm 3.1 enables anti-aliasing, and why the
+basic rule is not implemented.  The spec defines the AA footprint as the
+bounding rectangle of the segment with width ``w`` (two edges parallel to
+the segment at distance ``w/2``, two perpendicular edges through the end
+points); every pixel with non-zero coverage is touched, and with blending
+disabled it receives the full line color (Figure 4d).  That gives the
+guarantee Algorithm 3.1 relies on: *every pixel whose cell intersects the
+rectangle is colored*.  The paper uses width sqrt(2) (the pixel diagonal)
+for intersection tests and Equation (1)'s widened lines for distance tests,
+whose end points are capped by wide points (section 3.1, Figure 6): a
+``w x w`` square, which covers the disc cap of the same diameter.
+
 Real graphics hardware rasterizes the thousands of edges of a draw call in
 parallel; a per-edge Python loop would misrepresent the cost structure the
 paper exploits (per-edge setup is cheap, per-pixel work is parallel).  This
@@ -21,11 +38,11 @@ placed on the rows their own row test admits.  One ``bitwise_or.reduceat``
 folds each group's contiguous run of edges, and one ``unpackbits`` expands
 the result to ``(G, H, W)``.
 
-Semantics are identical to
-:func:`repro.gpu.raster_line.rasterize_line_aa_conservative` applied per
-edge (the equivalence is property-tested): a pixel is colored iff its closed
-unit cell intersects the width-``w`` bounding rectangle of some edge, or -
-with ``cap_points`` - the ``w x w`` end-point square of some edge.
+A pixel is colored iff its closed unit cell intersects the width-``w``
+bounding rectangle of some edge, or - with ``cap_points`` - the ``w x w``
+end-point square of some edge: the per-edge rasterizer of
+``tests/oracles/raster.py`` applied edge by edge, which the tests hold it
+to.
 Degenerate (zero-length) edges always use the square footprint, which
 covers the disc of radius ``w/2`` and preserves conservativeness.
 """
@@ -37,7 +54,12 @@ from typing import Tuple
 
 import numpy as np
 
-from .raster_line import COVERAGE_EPS
+#: Slack added to every coverage comparison.  Rounding in the unit-vector
+#: computation can push an exact boundary touch (rect corner on cell corner)
+#: one ulp past the closed-inequality limit; inflating the footprint by a
+#: hair keeps the rasterization conservative under floating point.  Extra
+#: pixels only ever add false *positives*, which the software step resolves.
+COVERAGE_EPS = 1e-7
 
 #: Cap on the entries of each float intermediate: a chunk's ``(row, edge)``
 #: planes hold at most this many, and so does each ``(column, admitted

@@ -16,16 +16,26 @@ joins lists at query time.
 * :func:`polygon_fill_coverage_mask` - the OpenGL pixel-center even-odd
   polygon fill (section 2.2.3), which decides a build's interior cells.
 
+The spec's two polygon rules, which the fill follows:
+
+1. a pixel is colored only when its center lies inside the polygon;
+2. a pixel whose center lies exactly on a shared edge of two polygons is
+   colored exactly once.
+
+Rule 2 is obtained with the standard half-open crossing convention: an edge
+spanning ``[ymin, ymax)`` contributes a crossing, and fill spans are
+half-open ``[x_enter, x_exit)`` in pixel-center space, so abutting polygons
+tile without double-writing or gaps.  The even-odd rule is also how
+non-simple GIS rings are conventionally interpreted.
+
 Both are NumPy-vectorized *coverage-mask producers*, mirroring
 :mod:`repro.gpu.raster_bulk`: a kernel consumes a whole ring and returns
-the boolean cell set.  The fill's retained pure-Python scanline loop
-(:func:`repro.gpu.raster_polygon.rasterize_polygon_evenodd`) is its
-property-tested reference: the hypothesis suite in
-``tests/gpu/test_raster_vector.py`` pins the vectorized kernel
-bit-identical to it (same float expressions, same comparison directions,
-evaluated in the same order), the way
-:func:`~repro.gpu.raster_bulk.edges_coverage_mask` is validated against
-the serial anti-aliased rasterizer.
+the boolean cell set.  The pure-Python scanline loop in
+``tests/oracles/raster.py`` is the fill's reference: the tests pin the
+vectorized kernel bit-identical to it (same float expressions, same
+comparison directions, evaluated in the same order), the way
+:func:`~repro.gpu.raster_bulk.edges_coverage_mask` is held to the
+per-edge anti-aliased rasterizer there.
 """
 
 from __future__ import annotations
@@ -36,7 +46,6 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .raster_bulk import edges_coverage_mask
-from .raster_polygon import scanline_row_bounds
 
 #: Consecutive ring edges per localized chunk of
 #: :func:`ring_boundary_coverage_mask`.  Ring edges are spatially contiguous
@@ -89,14 +98,32 @@ def ring_boundary_coverage_mask(
     return mask
 
 
+def scanline_row_bounds(ymin: float, ymax: float, height: int) -> Tuple[int, int]:
+    """Tight clipped row range whose scanlines a fill can cross.
+
+    A scanline ``yc = j + 0.5`` can carry a crossing only when
+    ``ymin <= yc < ymax`` (the half-open crossing rule), so the tight row
+    range is ``ceil(ymin - 0.5) .. floor(ymax - 0.5)``, with the upper
+    bound stepped down once when ``ymax - 0.5`` lands exactly on a row
+    (``yc == ymax`` is excluded by the half-open rule).  Returns an
+    inclusive ``(j_min, j_max)``; empty when ``j_min > j_max``.
+    """
+    j_min = max(math.ceil(ymin - 0.5), 0)
+    top = ymax - 0.5
+    j_max = math.floor(top)
+    if j_max == top:  # yc would equal ymax exactly: excluded, step down
+        j_max -= 1
+    return j_min, min(j_max, height - 1)
+
+
 def polygon_fill_coverage_mask(
     shape, vertices: Sequence[Tuple[float, float]]
 ) -> np.ndarray:
     """Even-odd pixel-center coverage mask of one filled polygon.
 
-    Bit-identical to :func:`~repro.gpu.raster_polygon.
-    rasterize_polygon_evenodd` (the property-tested reference) but with
-    no per-scanline Python loop.  The scanline fill's sorted half-open
+    Bit-identical to the scanline loop of ``tests/oracles/raster.py``
+    (the property-tested reference) but with no per-scanline Python
+    loop.  The scanline fill's sorted half-open
     spans ``[x_enter, x_exit)`` are re-stated as parity toggles: every
     crossing of scanline ``j`` at ``x`` flips all pixels of that row from
     column ``ceil(x - 0.5)`` rightward (the same ``ceil``/``floor``

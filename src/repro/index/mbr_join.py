@@ -5,7 +5,7 @@ intersect (intersection join) or lie within distance D (within-distance
 join).  :func:`plane_sweep_mbr_join` is the one algorithm: sort both MBR
 sets by xmin and sweep, the classic in-memory MBR join, which needs no index
 build; distance joins sweep with rectangles conceptually expanded by D.
-:func:`nested_loop_mbr_join` is its quadratic oracle in the property tests.
+Its quadratic oracle is the nested loop in ``tests/oracles/index.py``.
 """
 
 from __future__ import annotations
@@ -38,10 +38,12 @@ def plane_sweep_mbr_join(
     active: List[List[Tuple[int, Rect]]] = [[], []]
     out: List[Tuple[int, int]] = []
     for xmin, side, idx, rect in events:
-        cutoff = xmin - distance
         kept: List[Tuple[int, Rect]] = []
         for other_idx, other in active[1 - side]:
-            if other.xmax < cutoff:
+            # The within test's own x gap, rounded as it rounds it: a pair
+            # pruned here fails that test, and since ``xmin`` only grows
+            # (and rounding is monotone) so does every later pair of it.
+            if xmin - other.xmax > distance:
                 continue
             kept.append((other_idx, other))
             if other.within_distance(rect, distance):
@@ -49,19 +51,3 @@ def plane_sweep_mbr_join(
         active[1 - side] = kept
         active[side].append((idx, rect))
     return out
-
-
-def nested_loop_mbr_join(
-    mbrs_a: Sequence[Rect],
-    mbrs_b: Sequence[Rect],
-    distance: float = 0.0,
-) -> List[Tuple[int, int]]:
-    """Quadratic reference join used by the property-based tests."""
-    if not distance >= 0.0:
-        raise ValueError("distance must be non-negative")
-    return [
-        (i, j)
-        for i, a in enumerate(mbrs_a)
-        for j, b in enumerate(mbrs_b)
-        if a.within_distance(b, distance)
-    ]

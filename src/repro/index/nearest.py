@@ -88,19 +88,3 @@ def rtree_nearest(
                 heap, (child_bound, next(counter), node.is_leaf, child)
             )
     return results
-
-
-def linear_nearest(
-    oids: List[object],
-    distance_fn: DistanceFn,
-    k: int = 1,
-) -> List[Tuple[float, object]]:
-    """Brute-force reference: exact distance to every object."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    # Key on distance alone (see rtree_nearest): ids may not be orderable,
-    # and stable sort keeps equal-distance ids in input order.
-    scored = sorted(
-        ((distance_fn(oid), oid) for oid in oids), key=lambda pair: pair[0]
-    )
-    return scored[:k]

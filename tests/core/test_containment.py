@@ -7,9 +7,9 @@ from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 from repro.geometry import (
     Polygon,
     PointLocation,
-    boundaries_intersect_brute_force,
     locate_point,
 )
+from tests.oracles.geometry import boundaries_intersect_brute_force
 from tests.strategies import star_polygons
 
 BIG = Polygon.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])

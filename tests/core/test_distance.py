@@ -4,7 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
-from repro.geometry import Polygon, polygons_within_distance_brute_force
+from repro.geometry import Polygon
+from tests.oracles.geometry import polygons_within_distance_brute_force
 from tests.strategies import polygon_pairs_nearby
 
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])

@@ -18,7 +18,8 @@ from repro.core import (
     SoftwareEngine,
 )
 from repro.core.projection import distance_window
-from repro.geometry import Polygon, boundary_distance_brute_force
+from repro.geometry import Polygon
+from tests.oracles.geometry import boundary_distance_brute_force
 from repro.gpu.distance_field import distance_field
 from tests.strategies import polygon_pairs_nearby
 

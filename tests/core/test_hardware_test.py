@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 
 from repro.core import HardwareConfig, HardwareSegmentTest, HardwareVerdict
 from repro.core.projection import distance_window, intersection_window
-from repro.geometry import (
-    Polygon,
+from repro.geometry import Polygon
+from tests.oracles.geometry import (
     boundaries_intersect_brute_force,
     boundary_distance_brute_force,
 )

@@ -9,10 +9,8 @@ from repro.core import (
     RefinementStats,
     SoftwareEngine,
 )
-from repro.geometry import (
-    Polygon,
-    boundaries_intersect_brute_force,
-)
+from repro.geometry import Polygon
+from tests.oracles.geometry import boundaries_intersect_brute_force
 from tests.strategies import polygon_pairs_nearby
 
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])

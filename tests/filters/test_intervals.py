@@ -27,7 +27,8 @@ from repro.filters import intervals
 from repro.filters.intervals import _runs_overlap
 from repro.geometry import Polygon, Rect
 from repro.query import IntersectionSelection
-from tests.strategies import adversarial_rings, polygon_pairs_nearby, star_polygons
+from tests.oracles.raster import classify_pairs_one_by_one
+from tests.strategies import candidate_lists, polygon_pairs_nearby, star_polygons
 
 SQUARE = Polygon.from_coords([(0, 0), (8, 0), (8, 8), (0, 8)])
 OVERLAPPING = Polygon.from_coords([(4, 4), (12, 4), (12, 12), (4, 12)])
@@ -291,37 +292,6 @@ class TestFarQueries:
         assert ids(True) == ids(False) == [0, 1, 2]
 
 
-def per_pair(grid, pairs):
-    """The oracle: each pair through :func:`classify_intervals` on
-    encodings built independently of any index."""
-    return [
-        classify_intervals(
-            IntervalApproximation.build(a, grid), IntervalApproximation.build(b, grid)
-        )
-        for a, b in pairs
-    ]
-
-
-@st.composite
-def candidate_lists(draw):
-    """An index world, its polygons and a candidate list over them.
-
-    The world is the union of the first few polygons' MBRs, so later ones
-    may be clipped or lie entirely outside (an empty encoding); index
-    pairs repeat and pair polygons with themselves."""
-    polygons = list(draw(polygon_pairs_nearby()))
-    polygons += draw(st.lists(star_polygons(), max_size=3))
-    polygons += [Polygon(r) for r in draw(st.lists(adversarial_rings(), max_size=2))]
-    k = draw(st.integers(1, len(polygons)))
-    world = Rect.union_all([p.mbr for p in polygons[:k]])
-    if draw(st.booleans()):
-        polygons.append(polygons[0].translated(3 * world.width + 40, 0.0))
-    n = len(polygons) - 1
-    pairs = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=24))
-    level = draw(st.sampled_from([0, 1, 3, 8]))
-    return IntervalGrid(world, level), [(polygons[i], polygons[j]) for i, j in pairs]
-
-
 class TestBatchEqualsPerPair:
     @settings(max_examples=80, deadline=None)
     @given(candidate_lists(), st.booleans())
@@ -333,7 +303,7 @@ class TestBatchEqualsPerPair:
             for a, b in reversed(pairs):
                 index.encode(b)
                 index.encode(a)
-        assert index.classify_batch(pairs) == per_pair(grid, pairs)
+        assert index.classify_batch(pairs) == classify_pairs_one_by_one(grid, pairs)
 
     @settings(max_examples=30, deadline=None)
     @given(candidate_lists())
@@ -343,7 +313,7 @@ class TestBatchEqualsPerPair:
         grid, pairs = case
         index = IntervalIndex(grid)
         pieces = [index.classify_batch(pairs[i : i + 3]) for i in range(0, len(pairs), 3)]
-        assert sum(pieces, []) == per_pair(grid, pairs)
+        assert sum(pieces, []) == classify_pairs_one_by_one(grid, pairs)
         assert len(index) == len({p.digest for pair in pairs for p in pair})
 
 
@@ -404,7 +374,7 @@ class TestRowBoundary:
     def test_runs_touching_across_a_row_boundary_never_match(self):
         index = row_keyed_index()
         expected = [IntervalVerdict.DISJOINT] * len(ROW_PAIRS)
-        assert per_pair(index.grid, ROW_PAIRS) == expected
+        assert classify_pairs_one_by_one(index.grid, ROW_PAIRS) == expected
         assert index.classify_batch(ROW_PAIRS) == expected
 
     def test_mutant_ends_searched_left_matches_across_the_boundary(

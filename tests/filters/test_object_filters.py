@@ -7,7 +7,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.filters import one_object_upper_bound, zero_object_upper_bound
-from repro.geometry import Polygon, Rect, polygon_distance_brute_force
+from repro.geometry import Polygon, Rect
+from tests.oracles.geometry import (
+    one_object_vertex_loop,
+    polygon_distance_brute_force,
+    zero_object_side_pair_loop,
+)
 from tests.strategies import HYPOT_FAR as FAR_VERTEX
 from tests.strategies import HYPOT_NEAR as NEAR_VERTEX
 from tests.strategies import (
@@ -22,47 +27,6 @@ SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 FAR = Polygon.from_coords([(10, 10), (12, 10), (12, 12), (10, 12)])
 
 ORIGIN_MBR = Rect(0.0, 0.0, 0.0, 0.0)
-
-
-def zero_object_side_pair_loop(a: Rect, b: Rect) -> float:
-    """The 16 side pairs x 4 ``Point.distance_to`` calls
-    ``zero_object_upper_bound`` used to be, kept as its oracle."""
-    ca = a.corners()
-    cb = b.corners()
-    best = math.inf
-    for i in range(4):
-        a0 = ca[i]
-        a1 = ca[(i + 1) % 4]
-        for j in range(4):
-            b0 = cb[j]
-            b1 = cb[(j + 1) % 4]
-            side_max = max(
-                a0.distance_to(b0),
-                a0.distance_to(b1),
-                a1.distance_to(b0),
-                a1.distance_to(b1),
-            )
-            if side_max < best:
-                best = side_max
-    return best
-
-
-def one_object_vertex_loop(retrieved: Polygon, other_mbr: Rect) -> float:
-    """The side-by-side walk over ``Point`` vertices
-    ``one_object_upper_bound`` used to be, kept as its oracle."""
-    corners = other_mbr.corners()
-    best = math.inf
-    for j in range(4):
-        b0 = corners[j]
-        b1 = corners[(j + 1) % 4]
-        side_best = math.inf
-        for p in retrieved.vertices:
-            bound = max(p.distance_to(b0), p.distance_to(b1))
-            if bound < side_best:
-                side_best = bound
-        if side_best < best:
-            best = side_best
-    return best
 
 
 @st.composite

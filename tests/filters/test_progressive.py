@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from repro.core import SoftwareEngine
 from repro.filters import ConvexHullFilter
 from repro.geometry import (
+    PointLocation,
     Polygon,
-    point_in_polygon,
     polygons_intersect,
 )
+from tests.oracles.geometry import locate_point_by_sampling
 from tests.strategies import polygon_pairs_nearby, star_polygons
 
 C_SHAPE = Polygon.from_coords(
@@ -24,7 +25,7 @@ class TestHullConstruction:
         f = ConvexHullFilter([C_SHAPE])
         hull = f.hull(0)
         for v in C_SHAPE.vertices:
-            assert point_in_polygon(v, hull.vertices)
+            assert locate_point_by_sampling(v, hull.vertices) is not PointLocation.OUTSIDE
 
     def test_hull_is_simpler(self):
         f = ConvexHullFilter([C_SHAPE])
@@ -41,7 +42,7 @@ class TestHullConstruction:
         f = ConvexHullFilter([poly])
         hull = f.hull(0)
         for v in poly.vertices:
-            assert point_in_polygon(v, hull.vertices)
+            assert locate_point_by_sampling(v, hull.vertices) is not PointLocation.OUTSIDE
 
 
 class TestIntersectionFilter:

@@ -3,7 +3,8 @@
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry import Point, Polygon, convex_hull, cross, point_in_polygon
+from repro.geometry import Point, PointLocation, Polygon, convex_hull, cross
+from tests.oracles.geometry import locate_point_by_sampling
 from tests.strategies import points
 
 
@@ -55,7 +56,7 @@ class TestProperties:
         if len(hull) < 3:
             return
         for p in pts:
-            assert point_in_polygon(p, hull)
+            assert locate_point_by_sampling(p, hull) is not PointLocation.OUTSIDE
 
     @given(st.lists(points, min_size=3, max_size=40))
     def test_hull_vertices_are_input_points(self, pts):

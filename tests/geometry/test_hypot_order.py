@@ -16,18 +16,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry.hypot_order import first_min_hypot, hypot_at_most
+from tests.oracles.geometry import first_min_hypot_loop
 from tests.strategies import HYPOT_FAR as FAR
 from tests.strategies import HYPOT_NEAR as NEAR
 from tests.strategies import lattices
-
-
-def first_min_hypot_loop(dx, dy):
-    best_i, best = -1, math.inf
-    for i, (x, y) in enumerate(zip(dx, dy)):
-        d = math.hypot(x, y)
-        if d < best:
-            best_i, best = i, d
-    return best_i, best
 
 
 def columns(*pairs):

@@ -1,8 +1,6 @@
 """Tests for polygon distances: brute-force references and frontier-chain minDist."""
 
-import inspect
 import math
-import sys
 import types
 from unittest import mock
 
@@ -15,19 +13,27 @@ from repro.geometry import (
     MinDistStats,
     Point,
     Polygon,
-    boundary_distance_brute_force,
     min_boundary_distance,
-    point_segment_distance,
     point_to_boundary_distance,
-    polygon_distance_brute_force,
     polygons_within_distance,
-    polygons_within_distance_brute_force,
-    segment_segment_distance,
     segments_intersect,
 )
 from repro.geometry.distance import segment_offsets
 from repro.geometry import hypot_order, min_dist
 from repro.geometry.min_dist import _chain, _initial_upper_bound
+from tests.oracles.geometry import (
+    _edge_records,
+    _edge_rect_distance,
+    boundary_distance_brute_force,
+    initial_upper_bound_loop,
+    min_boundary_distance_loops,
+    point_segment_distance,
+    point_to_boundary_edge_loop,
+    polygon_distance_brute_force,
+    polygons_within_distance_brute_force,
+    segment_segment_distance,
+)
+from tests.oracles.mutants import mutant
 from tests.strategies import HYPOT_FAR as FAR_VERTEX
 from tests.strategies import HYPOT_NEAR as NEAR_VERTEX
 from tests.strategies import (
@@ -43,31 +49,9 @@ FAR = Polygon.from_coords([(10, 10), (12, 10), (12, 12), (10, 12)])
 INNER = Polygon.from_coords([(1, 1), (3, 1), (3, 3), (1, 3)])
 
 
-def _edge_records(polygon):
-    """Every edge of ``polygon`` in boundary order as a tuple
-    ``(xmin, xmax, ymin, ymax, ax, ay, bx, by)``: the record the pair loop
-    below reads."""
-    ax, ay, bx, by = polygon.edges_array.T
-    xmin, ymin, xmax, ymax = polygon.edge_bounds
-    columns = [xmin, xmax, ymin, ymax, ax, ay, bx, by]
-    return list(zip(*[column.tolist() for column in columns]))
-
-
 def chain_records(columns):
     """A ``_chain`` array's columns as ``_edge_records`` tuples."""
     return [tuple(c) for c in columns[[0, 2, 1, 3, 4, 5, 6, 7]].T.tolist()]
-
-
-def _edge_rect_distance(e, r):
-    dx = max(e[0] - r.xmax, 0.0, r.xmin - e[1])
-    dy = max(e[2] - r.ymax, 0.0, r.ymin - e[3])
-    return math.hypot(dx, dy)
-
-
-def _edge_edge_mbr_distance(e, f):
-    dx = max(e[0] - f[1], 0.0, f[0] - e[1])
-    dy = max(e[2] - f[3], 0.0, f[2] - e[3])
-    return math.hypot(dx, dy)
 
 
 def _flat_edges_edge_by_edge(polygon):
@@ -81,92 +65,6 @@ def _flat_edges_edge_by_edge(polygon):
         out.append((ax, ay, bx, by, min(ax, bx), min(ay, by), max(ax, bx), max(ay, by)))
         ax, ay = bx, by
     return out
-
-
-def point_to_boundary_edge_loop(p, polygon):
-    """The edge-by-edge walk ``point_to_boundary_distance`` used to be (and
-    ``_initial_upper_bound`` repeated), kept as the kernel's oracle."""
-    best = math.inf
-    for a, b in polygon.edges():
-        d = point_segment_distance(p, a, b)
-        if d < best:
-            best = d
-            if best == 0.0:
-                break
-    return best
-
-
-def initial_upper_bound_loop(a, b):
-    """``_initial_upper_bound`` as two ``Point`` loops, kept as its oracle."""
-    b_mbr = b.mbr
-    best_vertex = None
-    best_rect_d = math.inf
-    for v in a.vertices:
-        d = b_mbr.distance_to_point(v)
-        if d < best_rect_d:
-            best_rect_d = d
-            best_vertex = v
-    assert best_vertex is not None
-    return point_to_boundary_edge_loop(best_vertex, b)
-
-
-def _box_meets(e, ext):
-    return e[0] <= ext.xmax and ext.xmin <= e[1] and e[2] <= ext.ymax and ext.ymin <= e[3]
-
-
-def min_boundary_distance_loops(
-    a, b, early_exit_at=None, use_frontier=True, use_extended_mbr=True, stats=None
-):
-    """``min_boundary_distance`` with its seed, both chain filters and the
-    best-first pair loop as loops over every edge record, kept as the oracle
-    for the value and for every ``MinDistStats`` counter.  The pair loop is
-    the one the routine ran until the pair kernel replaced it."""
-    edges_a = _edge_records(a)
-    edges_b = _edge_records(b)
-    if stats is not None:
-        stats.edge_pairs_total += len(edges_a) * len(edges_b)
-        stats.edges_scanned += 2 * (len(edges_a) + len(edges_b))
-    upper = min(initial_upper_bound_loop(a, b), initial_upper_bound_loop(b, a))
-    target = early_exit_at if early_exit_at is not None else -math.inf
-    if upper <= target:
-        if stats is not None:
-            stats.early_exits += 1
-        return upper
-    if use_frontier:
-        edges_a = [e for e in edges_a if _edge_rect_distance(e, b.mbr) <= upper]
-        edges_b = [e for e in edges_b if _edge_rect_distance(e, a.mbr) <= upper]
-    if use_extended_mbr:
-        radius = upper if early_exit_at is None else min(upper, early_exit_at)
-        edges_a = [e for e in edges_a if _box_meets(e, b.mbr.expand(radius))]
-        edges_b = [e for e in edges_b if _box_meets(e, a.mbr.expand(radius))]
-    if stats is not None:
-        stats.frontier_pairs += len(edges_a) * len(edges_b)
-    best = upper
-    tested = 0
-    for e in edges_a:
-        if _edge_rect_distance(e, b.mbr) > best:
-            continue
-        pa = Point(e[4], e[5])
-        pb = Point(e[6], e[7])
-        for f in edges_b:
-            if _edge_edge_mbr_distance(e, f) > best:
-                continue
-            tested += 1
-            d = segment_segment_distance(pa, pb, Point(f[4], f[5]), Point(f[6], f[7]))
-            if d < best:
-                best = d
-                if best <= target:
-                    if stats is not None:
-                        stats.pairs_tested += tested
-                        stats.early_exits += 1
-                    return best
-                if best == 0.0:
-                    if stats is not None:
-                        stats.pairs_tested += tested
-                    return 0.0
-    if stats is not None:
-        stats.pairs_tested += tested
-    return best
 
 
 ORIGIN = Point(0.0, 0.0)
@@ -635,12 +533,7 @@ def test_named_mutant_is_killed(name, monkeypatch):
     function of it ``min_dist`` names replaces that name for the check."""
     module, old, new, check = MUTANTS[name]
     check()
-    source = inspect.getsource(module)
-    assert source.count(old) == 1, f"{name}: edit site not unique"
-    edited = types.ModuleType(f"{module.__name__}_{name}")
-    edited.__package__ = "repro.geometry"
-    monkeypatch.setitem(sys.modules, edited.__name__, edited)  # for @dataclass
-    exec(compile(source.replace(old, new), edited.__name__, "exec"), edited.__dict__)
+    edited = mutant(module, old, new)
     for key, value in vars(edited).items():
         if isinstance(value, types.FunctionType) and hasattr(min_dist, key):
             monkeypatch.setattr(min_dist, key, value)

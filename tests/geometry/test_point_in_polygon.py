@@ -9,12 +9,8 @@ from hypothesis import strategies as st
 
 from repro.geometry import Point, PointLocation, Polygon, locate_point
 from repro.geometry import polygon as polygon_module
-from repro.geometry.point_in_polygon import (
-    EdgeSlabs,
-    _debug_location_by_sampling,
-    edge_slabs,
-    point_in_polygon,
-)
+from repro.geometry.point_in_polygon import EdgeSlabs, edge_slabs
+from tests.oracles.geometry import locate_point_by_sampling, locate_point_edge_by_edge
 from tests.strategies import (
     adversarial_rings,
     arbitrary_polygons,
@@ -37,29 +33,6 @@ C_SHAPE = [
     Point(0, 4),
 ]
 BOWTIE = [Point(0, 0), Point(2, 2), Point(2, 0), Point(0, 2)]
-
-
-def _locate_point_edge_by_edge(p, vertices):
-    """The paper-literal scan ``locate_point`` used to be: one edge at a
-    time, returning at the first edge the point lies on.  Kept here as the
-    oracle for the whole-array kernel."""
-    inside = False
-    px, py = p.x, p.y
-    ax, ay = vertices[-1].x, vertices[-1].y
-    for v in vertices:
-        bx, by = v.x, v.y
-        if (
-            min(ax, bx) <= px <= max(ax, bx)
-            and min(ay, by) <= py <= max(ay, by)
-            and (bx - ax) * (py - ay) == (by - ay) * (px - ax)
-        ):
-            return PointLocation.BOUNDARY
-        if (ay > py) != (by > py):
-            t = (px - ax) * (by - ay) - (bx - ax) * (py - ay)
-            if (t < 0) != (by < ay):
-                inside = not inside
-        ax, ay = bx, by
-    return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
 
 
 class TestSquare:
@@ -110,19 +83,19 @@ class TestHelpers:
             locate_point(Point(0, 0), [Point(0, 0), Point(1, 1)])
 
     def test_point_in_polygon_includes_boundary(self):
-        assert point_in_polygon(Point(0, 0), SQUARE)
+        assert Polygon(SQUARE).contains_point(Point(0, 0))
 
 
 class TestProperties:
     @given(star_polygons(), points)
     def test_matches_reference_on_simple(self, poly, p):
-        assert locate_point(p, poly.vertices) == _debug_location_by_sampling(
+        assert locate_point(p, poly.vertices) == locate_point_by_sampling(
             p, poly.vertices
         )
 
     @given(arbitrary_polygons(), points)
     def test_matches_reference_on_arbitrary(self, poly, p):
-        assert locate_point(p, poly.vertices) == _debug_location_by_sampling(
+        assert locate_point(p, poly.vertices) == locate_point_by_sampling(
             p, poly.vertices
         )
 
@@ -149,14 +122,14 @@ class TestKernelAgainstTheEdgeByEdgeScan:
     @given(rings_with_query_point())
     def test_identical_location_on_the_adversarial_corpus(self, case):
         ring, p = case
-        expected = _locate_point_edge_by_edge(p, ring)
+        expected = locate_point_edge_by_edge(p, ring)
         assert locate_point(p, Polygon(ring).vertices) is expected
         assert locate_point(p, ring) is expected  # a plain list is converted
         assert Polygon(ring).locate_point(p) is expected
 
     @given(st.one_of(star_polygons(), arbitrary_polygons()), points)
     def test_identical_location_on_the_eighth_grid(self, poly, p):
-        assert locate_point(p, poly.vertices) is _locate_point_edge_by_edge(
+        assert locate_point(p, poly.vertices) is locate_point_edge_by_edge(
             p, poly.vertices
         )
 
@@ -164,7 +137,7 @@ class TestKernelAgainstTheEdgeByEdgeScan:
         # The ray from (0, 1) passes exactly through the vertex (2, 1).
         spike = [Point(1, 0), Point(3, 0), Point(2, 1), Point(3, 2), Point(1, 2)]
         for p in (Point(0, 1), Point(1.5, 1), Point(2.5, 1)):
-            assert locate_point(p, spike) is _locate_point_edge_by_edge(p, spike)
+            assert locate_point(p, spike) is locate_point_edge_by_edge(p, spike)
         assert locate_point(Point(1.5, 1), spike) is PointLocation.INSIDE
         assert locate_point(Point(2.5, 1), spike) is PointLocation.OUTSIDE
 
@@ -182,7 +155,7 @@ class TestKernelAgainstTheEdgeByEdgeScan:
         ring = [Point(base + x, base + y) for x, y in ((0, 0), (3, 0.125), (2.875, 3), (0.125, 2))]
         for dx, dy in ((1.5, 0.0625), (1, 1), (3, 0.125), (-1, 1), (2.875, 1.5)):
             p = Point(base + dx, base + dy)
-            assert locate_point(p, ring) is _locate_point_edge_by_edge(p, ring)
+            assert locate_point(p, ring) is locate_point_edge_by_edge(p, ring)
 
 
 def _locate_point_full_scan(p, polygon):

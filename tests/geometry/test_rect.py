@@ -118,6 +118,16 @@ class TestMetric:
         assert a.within_distance(b, 3.0)
         assert not a.within_distance(b, 2.99)
 
+    def test_within_distance_at_its_own_min_distance(self):
+        """A gap whose squares round up past ``d * d`` while ``hypot``
+        gives exactly ``d``: the guard answers what ``min_distance`` says."""
+        a = Rect(0, 0, 1, 1)
+        b = Rect(77.37982415147164, 26.514351883684775, 78.37982415147164, 27.514351883684775)
+        d = a.min_distance(b)
+        assert d == 80.52862652159304
+        assert a.within_distance(b, d) and b.within_distance(a, d)
+        assert not a.within_distance(b, math.nextafter(d, 0.0))
+
 
 class TestProperties:
     @given(rects(), rects())

@@ -1,7 +1,5 @@
 """Tests for the red-blue boundary sweep (software segment intersection test)."""
 
-from typing import List, Optional
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,11 +10,15 @@ from repro.geometry import (
     Rect,
     SweepStats,
     boundaries_intersect,
-    boundaries_intersect_brute_force,
     polygons_intersect,
 )
 from repro.geometry import sweep
-from repro.geometry.sweep import _edges_cross, _restricted
+from repro.geometry.sweep import _restricted
+from tests.oracles.geometry import (
+    _flatten_edges_edge_by_edge,
+    boundaries_intersect_brute_force,
+    boundaries_intersect_by_loops,
+)
 from tests.strategies import (
     adversarial_rings,
     arbitrary_polygons,
@@ -29,77 +31,6 @@ SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 SHIFTED = Polygon.from_coords([(2, 2), (6, 2), (6, 6), (2, 6)])
 FAR = Polygon.from_coords([(10, 10), (12, 10), (12, 12), (10, 12)])
 INNER = Polygon.from_coords([(1, 1), (3, 1), (3, 3), (1, 3)])
-
-
-def _flatten_edges_edge_by_edge(polygon, window):
-    """Edge records flattened one edge at a time, in boundary order and
-    restricted to ``window``: the oracle for the sweep's records."""
-    out = []
-    if window is not None:
-        wxmin, wymin, wxmax, wymax = window.as_tuple()
-    verts = list(polygon.vertices)
-    ax, ay = verts[-1].x, verts[-1].y
-    for v in verts:
-        bx, by = v.x, v.y
-        xmin, xmax = (ax, bx) if ax <= bx else (bx, ax)
-        ymin, ymax = (ay, by) if ay <= by else (by, ay)
-        if window is None or (
-            xmin <= wxmax and wxmin <= xmax and ymin <= wymax and wymin <= ymax
-        ):
-            out.append((xmin, xmax, ymin, ymax, ax, ay, bx, by))
-        ax, ay = bx, by
-    return out
-
-
-def red_blue_intersection(red, blue, stats=None):
-    """The sweep over per-call records: ``sorted()`` per colour, then a
-    stable ``list.sort`` on ``xmin`` over red followed by blue.  The oracle
-    for the presorted path's verdict and every counter."""
-    if not red or not blue:
-        return False
-    events = [(e, 0) for e in sorted(red)] + [(e, 1) for e in sorted(blue)]
-    events.sort(key=lambda item: item[0][0])
-    active: List[list] = [[], []]
-    tests = processed = 0
-    try:
-        for edge, color in events:
-            processed += 1
-            others = active[1 - color]
-            if others:
-                kept = []
-                for other in others:
-                    if other[1] < edge[0]:
-                        continue
-                    kept.append(other)
-                    if other[2] <= edge[3] and edge[2] <= other[3]:
-                        tests += 1
-                        if _edges_cross(edge, other):
-                            if stats is not None:
-                                stats.intersections_found += 1
-                            return True
-                active[1 - color] = kept
-            active[color].append(edge)
-        return False
-    finally:
-        if stats is not None:
-            stats.candidate_tests += tests
-            stats.edges_processed += processed
-
-
-def boundaries_intersect_by_loops(a, b, restrict, stats: Optional[SweepStats] = None):
-    """``boundaries_intersect`` over records flattened and sorted per call."""
-    if stats is not None:
-        stats.edges_considered += a.num_vertices + b.num_vertices
-    window = None
-    if restrict:
-        window = a.mbr.intersection(b.mbr)
-        if window is None:
-            return False
-    red = _flatten_edges_edge_by_edge(a, window)
-    blue = _flatten_edges_edge_by_edge(b, window)
-    if stats is not None:
-        stats.edges_after_restriction += len(red) + len(blue)
-    return red_blue_intersection(red, blue, stats)
 
 
 def _columns(records):

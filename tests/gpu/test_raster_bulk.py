@@ -3,14 +3,12 @@
 The bulk path exists purely for performance (one vectorized pass per draw
 call).  Its footprint must match the per-edge rasterizer - the semantic
 oracle - edge for edge, and the whole-draw dense ``(H, W, E)``
-separating-axis cube - the differential oracle kept here - bit for bit over
-a seeded corpus of draws.  Named mutants of the kernel's source must each
-be told apart from the cube.
+separating-axis cube - the differential oracle - bit for bit over a seeded
+corpus of draws (both in ``tests/oracles/raster.py``).  Named mutants of
+the kernel's source must each be told apart from the cube.
 """
 
-import inspect
 import math
-import types
 from unittest import mock
 
 import numpy as np
@@ -19,9 +17,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.gpu.raster_bulk as raster_bulk
-from repro.gpu import rasterize_line_aa_conservative
-from repro.gpu.raster_bulk import edges_coverage_mask, edges_coverage_masks_grouped
-from repro.gpu.raster_line import COVERAGE_EPS
+from repro.gpu.raster_bulk import COVERAGE_EPS, edges_coverage_mask, edges_coverage_masks_grouped
+from tests.oracles.mutants import mutant
+from tests.oracles.raster import cube_masks, draw_edges, rasterize_line_aa_conservative
 
 coords = st.floats(
     min_value=-4.0, max_value=20.0, allow_nan=False, allow_infinity=False
@@ -30,67 +28,6 @@ edges_strategy = st.lists(
     st.tuples(coords, coords, coords, coords), min_size=1, max_size=12
 ).map(lambda rows: np.array(rows, dtype=np.float64))
 widths = st.floats(min_value=0.25, max_value=6.0)
-
-
-def reference(edges, shape, width, cap_points):
-    b = np.zeros(shape, dtype=np.float32)
-    for x0, y0, x1, y1 in edges:
-        rasterize_line_aa_conservative(
-            b, x0, y0, x1, y1, width_px=width, cap_points=cap_points
-        )
-    return b > 0
-
-
-def cube_masks(shape, edges, sizes, widths_px, cap_points):
-    """The dense whole-draw oracle: every (row, column, edge) cell of the
-    separating-axis test in one ``(H, W, E)`` array, folded per group."""
-    height, width = shape
-    sizes = np.asarray(sizes, dtype=np.intp)
-    masks = np.zeros((sizes.shape[0], height, width), dtype=bool)
-    if edges.shape[0] == 0:
-        return masks
-    w = np.asarray(widths_px, dtype=np.float64)
-    hv = w * 0.5 if w.ndim == 0 else np.repeat(w * 0.5, sizes)
-    cx = np.arange(width, dtype=np.float64) + 0.5
-    cy = np.arange(height, dtype=np.float64) + 0.5
-    x0, y0, x1, y1 = np.ascontiguousarray(edges.T)
-    dx = x1 - x0
-    dy = y1 - y0
-    length = np.hypot(dx, dy)
-    degenerate = length == 0.0
-    safe_len = np.where(degenerate, 1.0, length)
-    ux = dx / safe_len
-    uy = dy / safe_len
-    aux = np.abs(ux)
-    auy = np.abs(uy)
-    hu = length * 0.5
-    cell = 0.5 * (aux + auy)
-    gx = cx[:, None] - (x0 + x1) * 0.5  # (W, E)
-    gy = cy[:, None] - (y0 + y1) * 0.5  # (H, E)
-    along = (gx * ux)[None, :, :] + (gy * uy)[:, None, :]
-    across = (gy * ux)[:, None, :] - (gx * uy)[None, :, :]
-    hit = np.abs(along) <= hu + cell + COVERAGE_EPS
-    hit &= np.abs(across) <= hv + cell + COVERAGE_EPS
-    hit &= (np.abs(gx) <= hu * aux + hv * auy + 0.5 + COVERAGE_EPS)[None, :, :]
-    hit &= (np.abs(gy) <= hu * auy + hv * aux + 0.5 + COVERAGE_EPS)[:, None, :]
-    hit &= ~degenerate
-    half = hv + 0.5 + COVERAGE_EPS
-    cap = (np.abs(cx[:, None] - x0) <= half)[None, :, :] & (
-        np.abs(cy[:, None] - y0) <= half
-    )[:, None, :]
-    if cap_points:
-        cap |= (np.abs(cx[:, None] - x1) <= half)[None, :, :] & (
-            np.abs(cy[:, None] - y1) <= half
-        )[:, None, :]
-    else:
-        cap &= degenerate
-    hit |= cap
-    filled = sizes > 0
-    starts = np.cumsum(sizes) - sizes
-    masks[filled] = np.logical_or.reduceat(
-        hit, starts[filled], axis=2
-    ).transpose(2, 0, 1)
-    return masks
 
 
 def corpus(n, seed=0):
@@ -200,32 +137,32 @@ class TestEquivalence:
     def test_single_diagonal(self):
         edges = np.array([[0.5, 0.5, 6.5, 4.5]])
         got = edges_coverage_mask((8, 8), edges, 1.5)
-        assert np.array_equal(got, reference(edges, (8, 8), 1.5, False))
+        assert np.array_equal(got, draw_edges((8, 8), edges, 1.5, False))
 
     def test_degenerate_edge(self):
         edges = np.array([[3.0, 3.0, 3.0, 3.0]])
         got = edges_coverage_mask((8, 8), edges, 2.0)
-        assert np.array_equal(got, reference(edges, (8, 8), 2.0, False))
+        assert np.array_equal(got, draw_edges((8, 8), edges, 2.0, False))
 
     def test_mixed_degenerate_and_regular(self):
         edges = np.array(
             [[3.0, 3.0, 3.0, 3.0], [0.0, 0.0, 7.0, 7.0], [5.0, 1.0, 5.0, 1.0]]
         )
         got = edges_coverage_mask((8, 8), edges, 1.0)
-        assert np.array_equal(got, reference(edges, (8, 8), 1.0, False))
+        assert np.array_equal(got, draw_edges((8, 8), edges, 1.0, False))
 
     def test_written_counts_union_once(self):
         # Two identical edges: pixels counted once.
         edges = np.array([[1.0, 1.0, 6.0, 1.0], [1.0, 1.0, 6.0, 1.0]])
         written = np.count_nonzero(edges_coverage_mask((8, 8), edges, 1.0))
-        assert written == int(reference(edges[:1], (8, 8), 1.0, False).sum())
+        assert written == int(draw_edges((8, 8), edges[:1], 1.0, False).sum())
 
     @settings(max_examples=150)
     @given(edges_strategy, widths, st.booleans())
     def test_matches_per_edge_reference(self, edges, width, caps):
         shape = (16, 16)
         got = edges_coverage_mask(shape, edges, width, cap_points=caps)
-        expected = reference(edges, shape, width, caps)
+        expected = draw_edges(shape, edges, width, caps)
         assert np.array_equal(got, expected)
         assert np.count_nonzero(got) == int(expected.sum())
 
@@ -274,7 +211,7 @@ class TestAgainstTheCube:
         shape, e, sizes, w, caps = draw
         got = edges_coverage_masks_grouped(shape, e, sizes, w, caps)
         assert np.array_equal(got, cube_masks(shape, e, sizes, w, caps))
-        assert np.array_equal(got[0], reference(e, shape, w, caps))
+        assert np.array_equal(got[0], draw_edges(shape, e, w, caps))
         assert np.count_nonzero(got[0][on_bound]) == hits
 
 
@@ -303,20 +240,9 @@ MUTANTS = {
 }
 
 
-def mutant(name):
-    """``raster_bulk`` with one named edit applied to its source."""
-    old, new = MUTANTS[name]
-    source = inspect.getsource(raster_bulk)
-    assert source.count(old) == 1, f"{name}: edit site not unique"
-    module = types.ModuleType(f"repro.gpu.raster_bulk_{name}")
-    module.__package__ = "repro.gpu"
-    exec(compile(source.replace(old, new), module.__name__, "exec"), module.__dict__)
-    return module
-
-
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_named_mutant_is_killed(name):
-    draw = mutant(name).edges_coverage_masks_grouped
+    draw = mutant(raster_bulk, *MUTANTS[name]).edges_coverage_masks_grouped
     for shape, e, sizes, w, caps in [*(d for d, _, _ in LITERALS), *corpus(300)]:
         if not np.array_equal(
             draw(shape, e, sizes, w, caps), cube_masks(shape, e, sizes, w, caps)

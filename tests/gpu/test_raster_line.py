@@ -12,7 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Point, segments_intersect
-from repro.gpu import rasterize_line_aa_conservative
+from tests.oracles.geometry import point_segment_distance
+from tests.oracles.raster import rasterize_line_aa_conservative
 
 coords = st.floats(
     min_value=0.0, max_value=16.0, allow_nan=False, allow_infinity=False
@@ -100,8 +101,6 @@ class TestConservativeAA:
         b = np.zeros((n, n), dtype=np.float32)
         rasterize_line_aa_conservative(b, x0, y0, x1, y1, width_px=w)
         js, is_ = np.nonzero(b)
-        from repro.geometry import point_segment_distance
-
         reach = (w / 2.0) * math.sqrt(2.0) + math.sqrt(0.5) + 1e-9
         for j, i in zip(js, is_):
             center = Point(i + 0.5, j + 0.5)

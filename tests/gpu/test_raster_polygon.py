@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 
 from repro.geometry import Point, PointLocation, locate_point
-from repro.gpu import polygon_coverage_mask, rasterize_polygon_evenodd
+from tests.oracles.raster import polygon_coverage_mask, rasterize_polygon_evenodd
 from tests.strategies import star_polygons
 
 

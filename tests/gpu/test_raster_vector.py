@@ -23,14 +23,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Polygon, Rect
+from repro.geometry.point_in_polygon import ring_edges
 from repro.gpu import (
     GraphicsPipeline,
-    polygon_coverage_mask,
     polygon_fill_coverage_mask,
-    rasterize_line_aa_conservative,
     ring_boundary_coverage_mask,
     scanline_row_bounds,
 )
+from tests.oracles.raster import brute_force_evenodd, draw_edges, polygon_coverage_mask
 
 # Half-integer coordinates in [-4, 12]: pixel centers land exactly on
 # diamond boundaries and span edges, the reference's tie-break cases.
@@ -48,32 +48,6 @@ edge_lists = st.lists(
 vertex_lists = st.lists(
     st.tuples(coords, coords), min_size=3, max_size=10
 ).map(lambda rows: np.array(rows, dtype=np.float64))
-
-
-def brute_force_evenodd(shape, vertices):
-    """Per-pixel even-odd test straight from the half-open span rule.
-
-    A center ``cx`` lies in the half-open span ``[x_enter, x_exit)`` iff
-    an odd number of scanline crossings satisfy ``cross_x <= cx`` - an
-    independent formulation of the rule both implementations encode as
-    sorted spans / parity toggles.
-    """
-    height, width = shape
-    vs = np.asarray(vertices, dtype=np.float64)
-    out = np.zeros(shape, dtype=bool)
-    n = len(vs)
-    for j in range(height):
-        yc = j + 0.5
-        crossings = []
-        for k in range(n):
-            x0, y0 = vs[k]
-            x1, y1 = vs[(k + 1) % n]
-            if (y0 > yc) != (y1 > yc):
-                crossings.append(x0 + (yc - y0) * (x1 - x0) / (y1 - y0))
-        for i in range(width):
-            cx = i + 0.5
-            out[j, i] = sum(1 for c in crossings if c <= cx) % 2 == 1
-    return out
 
 
 class TestValidation:
@@ -155,14 +129,7 @@ class TestRingBoundary:
 
     @staticmethod
     def serial(shape, arr, width_px):
-        buf = np.zeros(shape, dtype=np.float32)
-        prev = arr[-1]
-        for cur in arr:
-            rasterize_line_aa_conservative(
-                buf, prev[0], prev[1], cur[0], cur[1], width_px=width_px
-            )
-            prev = cur
-        return buf > 0.0
+        return draw_edges(shape, ring_edges(np.asarray(arr, dtype=np.float64)), width_px)
 
     @settings(max_examples=200, deadline=None)
     @given(

@@ -5,7 +5,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.geometry import Rect
-from repro.index import nested_loop_mbr_join, plane_sweep_mbr_join
+from repro.index import plane_sweep_mbr_join
+from tests.oracles.index import nested_loop_mbr_join
 from tests.strategies import rects
 
 rect_lists = st.lists(rects(), min_size=0, max_size=40)
@@ -32,6 +33,15 @@ class TestPlaneSweep:
         b = [Rect(3, 0, 4, 1)]
         assert plane_sweep_mbr_join(a, b, distance=2.0) == [(0, 0)]
         assert plane_sweep_mbr_join(a, b, distance=1.5) == []
+
+    def test_gap_equal_to_the_distance_is_kept_in_both_orders(self):
+        """The active list's prune rounds as the within test does: an x gap
+        of exactly ``d`` stays a candidate."""
+        a, b = Rect(0.0, 0.0, 0.1, 1.0), Rect(1.2999999999999998, 0.0, 2.3, 1.0)
+        d = b.xmin - a.xmax
+        assert a.within_distance(b, d)
+        assert plane_sweep_mbr_join([a], [b], distance=d) == [(0, 0)]
+        assert plane_sweep_mbr_join([b], [a], distance=d) == [(0, 0)]
 
     def test_rejects_negative_distance(self):
         with pytest.raises(ValueError):

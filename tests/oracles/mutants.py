@@ -1,0 +1,29 @@
+"""One source-mutant builder for the named mutants of the test suite."""
+
+from __future__ import annotations
+
+import inspect
+import sys
+import types
+
+
+def mutant(module: types.ModuleType, old: str, new: str) -> types.ModuleType:
+    """``module`` executed afresh from its source with the one occurrence of
+    ``old`` replaced by ``new``.
+
+    The result is a new module of the same package (relative imports
+    resolve to the real modules); ``module`` itself is untouched.  It is
+    registered in ``sys.modules`` while it executes, because ``@dataclass``
+    looks its class's module up there.
+    """
+    source = inspect.getsource(module)
+    assert source.count(old) == 1, f"edit site not unique in {module.__name__}: {old!r}"
+    name = f"{module.__name__}__mutant"
+    edited = types.ModuleType(name)
+    edited.__package__ = module.__package__
+    sys.modules[name] = edited
+    try:
+        exec(compile(source.replace(old, new), name, "exec"), edited.__dict__)
+    finally:
+        del sys.modules[name]
+    return edited

@@ -15,6 +15,7 @@ from typing import List, Tuple
 
 from hypothesis import strategies as st
 
+from repro.filters import IntervalGrid
 from repro.geometry import Point, Polygon, Rect
 
 #: Coordinates are multiples of 1/8 in [-16, 16]: exactly representable,
@@ -145,3 +146,23 @@ def rings_with_query_point(draw) -> Tuple[List[Point], Point]:
     else:
         p = Point(draw(cells), draw(cells))
     return ring, p
+
+
+@st.composite
+def candidate_lists(draw):
+    """An index world, its polygons and a candidate list over them.
+
+    The world is the union of the first few polygons' MBRs, so later ones
+    may be clipped or lie entirely outside (an empty encoding); index
+    pairs repeat and pair polygons with themselves."""
+    polygons = list(draw(polygon_pairs_nearby()))
+    polygons += draw(st.lists(star_polygons(), max_size=3))
+    polygons += [Polygon(r) for r in draw(st.lists(adversarial_rings(), max_size=2))]
+    k = draw(st.integers(1, len(polygons)))
+    world = Rect.union_all([p.mbr for p in polygons[:k]])
+    if draw(st.booleans()):
+        polygons.append(polygons[0].translated(3 * world.width + 40, 0.0))
+    n = len(polygons) - 1
+    pairs = draw(st.lists(st.tuples(st.integers(0, n), st.integers(0, n)), max_size=24))
+    level = draw(st.sampled_from([0, 1, 3, 8]))
+    return IntervalGrid(world, level), [(polygons[i], polygons[j]) for i, j in pairs]

@@ -17,11 +17,12 @@ from repro.geometry import (
     Polygon,
     Rect,
     polygons_within_distance,
-    polygons_within_distance_brute_force,
 )
-from repro.index import nested_loop_mbr_join, plane_sweep_mbr_join, str_bulk_load
+from repro.index import plane_sweep_mbr_join, str_bulk_load
 from repro.obs import MetricsRegistry, use_registry
 from repro.query import WithinDistanceJoin
+from tests.oracles.geometry import polygons_within_distance_brute_force
+from tests.oracles.index import nested_loop_mbr_join
 
 A = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 B = Polygon.from_coords([(10, 10), (12, 10), (12, 12), (10, 12)])

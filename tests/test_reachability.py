@@ -11,11 +11,12 @@ name, import or identifier-shaped string - in that traffic outside its own
 body.  (Name-level: an attribute name says nothing about its class, so a
 member no traffic *issues* can still pass by sharing a name; the hook spy in
 ``tests/obs/test_capture.py`` is the dynamic check.)  What nothing reaches
-stays only with a reason in ``KEPT``, of three kinds: "oracle for <what>"
-(tests compare other code against it), "outside-data door" (it carries or
-validates data that crosses the program's edge) and "read by tests of <what>"
-(an inspection aid tests of other code look through).  A ``KEPT`` entry that
-has become reached, or names nothing, fails too.
+stays only with a reason in ``KEPT``, of two kinds: "outside-data door" (it
+carries or validates data that crosses the program's edge) and "read by tests
+of <what>" (an inspection aid tests of other code look through).  A reference
+implementation that tests compare other code against is not kept here: it
+lives in ``tests/oracles/``.  A ``KEPT`` entry that has become reached, or
+names nothing, fails too.
 """
 
 import ast
@@ -29,13 +30,6 @@ FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
 DEFINITIONS = (*FUNCTIONS, ast.ClassDef)
 
 KEPT = {
-    "boundaries_intersect_brute_force": "oracle for the red-blue boundary sweep",
-    "polygons_within_distance_brute_force": "oracle for minDist's within-distance test",
-    "point_in_polygon": "oracle for hull containment (convex_hull, ConvexHullFilter)",
-    "nested_loop_mbr_join": "oracle for the plane-sweep MBR join",
-    "linear_nearest": "oracle for the R-tree best-first nearest-neighbour search",
-    "rasterize_line_aa_conservative": "oracle for the bulk and vector coverage kernels",
-    "polygon_coverage_mask": "oracle for the even-odd fill kernel (polygon_fill_coverage_mask)",
     "load_dataset": "outside-data door",
     "save_dataset": "outside-data door",
     "load_dataset_wkt": "outside-data door",
@@ -129,8 +123,8 @@ def test_every_public_definition_is_reached_or_kept_with_a_reason():
     unexplained, stale = _audit(KEPT)
     assert not unexplained, f"no traffic reaches, and KEPT does not explain: {unexplained}"
     assert not stale, f"KEPT entries that are reached or no longer defined: {stale}"
-    reasons = ("oracle for ", "outside-data door", "read by tests of ")
-    assert all(r.startswith(reasons) and r not in reasons[::2] for r in KEPT.values())
+    reasons = ("outside-data door", "read by tests of ")
+    assert all(r == reasons[0] or (r.startswith(reasons[1]) and r != reasons[1]) for r in KEPT.values())
     assert sum("." in key for key in KEPT) <= 22
 
 
