@@ -45,7 +45,7 @@ import numpy as np
 from ..cache import MISSING, CacheBundle, verdict_key
 from ..geometry.polygon import Polygon
 from ..geometry.rect import Rect
-from ..gpu.pipeline import GraphicsPipeline, uniform_window_scale
+from ..gpu.pipeline import GraphicsPipeline, window_columns, window_scales
 from ..gpu.state import DEFAULT_AA_LINE_WIDTH, EDGE_COLOR
 from ..gpu.tiled import TiledPipeline
 from ..obs.scope import current_scope
@@ -217,24 +217,26 @@ class HardwareSegmentTest:
             return [
                 self.distance_field_verdict(a, b, w, d) for a, b, w in pairs
             ]
-        widths = [float(self.required_line_width(w, d)) for _, _, w in pairs]
+        widths = self.required_line_widths([w for _, _, w in pairs], d)
         return self._verdicts(
             "within_distance", self.config.method, pairs, d, widths, render
         )
 
-    def required_line_width(self, window: Rect, d: float) -> float:
-        """Pixel width Equation (1) assigns to distance ``d`` under ``window``:
-        ``ceil(d * scale)`` of the window's own projection, at least 1.
+    def required_line_widths(self, windows: Sequence[Rect], d: float) -> List[float]:
+        """Pixel width Equation (1) assigns to distance ``d`` under each
+        window: ``ceil(d * scale)`` of the window's own projection, at least
+        1, from the scales the atlas projects its tiles with.
 
         A non-finite ``d * scale`` (an infinite ``d`` projects an infinite
         window at scale 0, and ``inf * 0`` is NaN) is ``inf``: wider than
         any device draws, so the width limit sends the pair to software.
         """
         pl = self.pipeline
-        width = d * uniform_window_scale(pl.width, pl.height, window)
-        if not math.isfinite(width):
-            return math.inf
-        return max(1, math.ceil(width))
+        with np.errstate(invalid="ignore", over="ignore"):
+            widths = d * window_scales(pl.width, pl.height, window_columns(windows))
+        return np.where(
+            np.isfinite(widths), np.maximum(1.0, np.ceil(widths)), math.inf
+        ).tolist()
 
     # -- the one verdict routine -------------------------------------------
 
@@ -344,10 +346,8 @@ class HardwareSegmentTest:
     ) -> List[HardwareVerdict]:
         """Every pair as one tile of one atlas submission."""
         flags = self.tiled.overlap_flags(
-            [a.edges_array for a, _, _ in pairs],
-            [a.edge_bounds for a, _, _ in pairs],
-            [b.edges_array for _, b, _ in pairs],
-            [b.edge_bounds for _, b, _ in pairs],
+            [a.edge_row for a, _, _ in pairs],
+            [b.edge_row for _, b, _ in pairs],
             [window for _, _, window in pairs],
             widths_px=(
                 DEFAULT_AA_LINE_WIDTH
@@ -406,9 +406,13 @@ class HardwareSegmentTest:
         st.cap_points = False
         st.reset_fragment_ops()
         mask_a = pl.render_coverage_mask(a.edges_array)
+        if pl.unplaced_edges:
+            return HardwareVerdict.MAYBE
         if not mask_a.any():
             return HardwareVerdict.DISJOINT
         mask_b = pl.render_coverage_mask(b.edges_array)
+        if pl.unplaced_edges:
+            return HardwareVerdict.MAYBE
         if not mask_b.any():
             return HardwareVerdict.DISJOINT
         field = pl.compute_distance_field(mask_a)
@@ -439,7 +443,8 @@ class HardwareSegmentTest:
         if search is None:
             search = self._SEARCHES[self.config.method]
         try:
-            overlap = search(self, a, b)
+            # An unplaced edge leaves the test to the software step.
+            overlap = search(self, a, b) or pl.unplaced_edges > 0
         finally:
             # Restore the full raster state, not just the fragment ops: a
             # widened distance test must not leak its line width, point

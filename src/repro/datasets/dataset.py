@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
-from ..geometry.polygon import Polygon
+from ..geometry.polygon import Polygon, pack_polygons
 from ..geometry.rect import Rect
 
 
@@ -47,6 +47,9 @@ class SpatialDataset:
         self.polygons: List[Polygon] = list(polygons)
         self.mbrs: List[Rect] = [p.mbr for p in self.polygons]
         self.world = world if world is not None else Rect.union_all(self.mbrs)
+        # Every polygon's edges in one packed store (each polygon's
+        # ``edge_row``): the atlas batch reads these columns.
+        pack_polygons(self.polygons)
 
     def __len__(self) -> int:
         return len(self.polygons)

@@ -14,15 +14,9 @@ from typing import Iterable, Iterator, List, Sequence, Tuple, Union
 
 import numpy as np
 
+from .edge_store import EdgeStore
 from .point import Point
-from .point_in_polygon import (
-    EdgeSlabs,
-    PointLocation,
-    edge_bounds,
-    edge_slabs,
-    locate_point,
-    ring_edges,
-)
+from .point_in_polygon import EdgeSlabs, PointLocation, edge_slabs, locate_point
 from .rect import Rect
 
 
@@ -84,7 +78,7 @@ class Polygon:
     """
 
     __slots__ = (
-        "coords_array", "_edges_array", "_edge_bounds", "_edge_slabs",
+        "coords_array", "_edge_row", "_edges_array", "_edge_bounds", "_edge_slabs",
         "_sweep_records", "_points", "_mbr", "_signed_area", "_digest",
     )
 
@@ -177,33 +171,45 @@ class Polygon:
         return list(map(tuple, self.coords_array.tolist()))
 
     @property
+    def edge_row(self) -> Tuple[EdgeStore, int]:
+        """``(store, row)``: where this polygon's edges live.
+
+        A dataset packs its polygons into one :class:`EdgeStore`
+        (:func:`pack_polygons`); a polygon that belongs to no dataset gets a
+        one-row store on first use.  The atlas batch reads the store's
+        columns, not the polygon."""
+        if self._edge_row is None:
+            pack_polygons([self])
+        return self._edge_row
+
+    @property
     def edges_array(self) -> np.ndarray:
         """Boundary edges as a read-only ``(n, 4)`` array of
-        ``[x0, y0, x1, y1]`` rows, closing the ring (cached).
+        ``[x0, y0, x1, y1]`` rows, closing the ring (cached): a view into
+        :attr:`edge_row`'s store.
 
         Edge ``i`` runs from vertex ``i-1`` to vertex ``i``, matching
         :meth:`edges`.  The hardware path's draw calls read these rows;
         the point-in-polygon slabs and the sweep records are built from them.
         """
         if self._edges_array is None:
-            arr = ring_edges(self.coords_array)
-            arr.setflags(write=False)
-            object.__setattr__(self, "_edges_array", arr)
+            store, row = self.edge_row
+            object.__setattr__(self, "_edges_array", store.edges_of(row))
         return self._edges_array
 
     @property
     def edge_bounds(self) -> np.ndarray:
         """Each edge's bounding box as a read-only ``(4, n)`` array, rows
-        ``xmin, ymin, xmax, ymax`` over :attr:`edges_array` (cached).
+        ``xmin, ymin, xmax, ymax`` over :attr:`edges_array` (cached): a view
+        into :attr:`edge_row`'s store.
 
-        The second derived array: the atlas's clipping stage and
-        ``minDist``'s chain filters test these rows against a window instead
-        of recomputing the four min/max passes on every call.
+        ``minDist``'s chain filters and the sweep records test these rows
+        against a window instead of recomputing the four min/max passes on
+        every call.
         """
         if self._edge_bounds is None:
-            arr = edge_bounds(self.edges_array)
-            arr.setflags(write=False)
-            object.__setattr__(self, "_edge_bounds", arr)
+            store, row = self.edge_row
+            object.__setattr__(self, "_edge_bounds", store.bounds_of(row))
         return self._edge_bounds
 
     @property
@@ -319,3 +325,21 @@ class Polygon:
         o = origin if origin is not None else self.mbr.center
         o = np.array(o.as_tuple())
         return Polygon(o + (self.coords_array - o) * factor)
+
+
+def pack_polygons(polygons: Sequence[Polygon]) -> None:
+    """Put every polygon of ``polygons`` into one :class:`EdgeStore`.
+
+    If they all live in one store already (a reordering of another
+    dataset), nothing moves.  Otherwise a new store holds them as rows, in
+    order; each polygon's :attr:`~Polygon.edge_row` moves to it and its edge
+    caches become views into it, so the polygon keeps no second copy.
+    """
+    stores = {p._edge_row[0] if p._edge_row else None for p in polygons}
+    if len(stores) == 1 and None not in stores:
+        return
+    store = EdgeStore.of_rings([p.coords_array for p in polygons])
+    for row, polygon in enumerate(polygons):
+        object.__setattr__(polygon, "_edge_row", (store, row))
+        object.__setattr__(polygon, "_edges_array", None)
+        object.__setattr__(polygon, "_edge_bounds", None)

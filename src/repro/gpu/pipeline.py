@@ -19,7 +19,7 @@ of Figure 2 that matter for the technique:
 
 Each stage is written once: :func:`clip_keep` is the clipping test of every
 draw (edge draws here and the atlas's bulk draws in :mod:`repro.gpu.tiled`,
-which first skip what :func:`cull_box` proves it would reject), and
+which first skip what :func:`cull_boxes` proves it would reject), and
 :meth:`GraphicsPipeline._edge_coverage` is the transform/clip/rasterize body
 under the one draw entry point (:meth:`GraphicsPipeline.draw_edges_array`)
 and the one mask entry point (:meth:`GraphicsPipeline.render_coverage_mask`).
@@ -30,10 +30,12 @@ deterministic ablation benchmarks alongside wall-clock measurements.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
+from ..geometry.edge_store import boxes_meet
+from ..geometry.point_in_polygon import edge_bounds
 from ..geometry.rect import Rect
 from ..obs.scope import current_scope
 from .counters import CostCounters
@@ -65,6 +67,28 @@ def uniform_window_scale(width: int, height: int, window: Rect) -> float:
     return min(sx, sy)
 
 
+def window_columns(windows: Sequence[Rect]) -> np.ndarray:
+    """Windows as one ``(4, k)`` array, rows ``xmin, ymin, xmax, ymax``."""
+    return np.array(
+        [(w.xmin, w.ymin, w.xmax, w.ymax) for w in windows], dtype=np.float64
+    ).reshape(-1, 4).T
+
+
+def window_scales(width: int, height: int, windows: np.ndarray) -> np.ndarray:
+    """:func:`uniform_window_scale` of many windows at once.
+
+    ``windows`` is ``(4, k)``, rows ``xmin, ymin, xmax, ymax``.  Every
+    value is the scalar function's: the same operands in the same order,
+    and ``min``'s and ``max``'s tie rule (the first argument wins)."""
+    xmin, ymin, xmax, ymax = windows
+    w = xmax - xmin
+    h = ymax - ymin
+    with np.errstate(divide="ignore", over="ignore"):
+        sx = np.where(w > 0.0, width / w, math.inf)
+        sy = np.where(h > 0.0, height / h, math.inf)
+    return np.where(np.where(h > w, h, w) <= 0.0, 1.0, np.where(sy < sx, sy, sx))
+
+
 def clip_keep(edges: np.ndarray, pad, width: int, height: int) -> np.ndarray:
     """The clipping stage: which window-space edges can touch the viewport.
 
@@ -84,11 +108,12 @@ def clip_keep(edges: np.ndarray, pad, width: int, height: int) -> np.ndarray:
     )
 
 
-def cull_box(
-    xmin: float, ymin: float, scale: float, pad: float, width: int, height: int
-) -> Tuple[float, float, float, float]:
-    """Data-space box ``(lo_x, lo_y, hi_x, hi_y)`` outside which
-    :func:`clip_keep` provably rejects, for the projection ``(v - min) * scale``.
+def cull_boxes(
+    xmin: np.ndarray, ymin: np.ndarray, scale: np.ndarray, pad, width: int, height: int
+) -> np.ndarray:
+    """Data-space boxes outside which :func:`clip_keep` provably rejects,
+    for the projections ``(v - min) * scale``: a ``(4, k)`` array, rows
+    ``lo_x, lo_y, hi_x, hi_y``, one column per tile.
 
     An edge with ``xmax < lo_x`` or ``xmin > hi_x`` (likewise in y) need not
     be transformed at all.  Each side starts one pixel beyond the clip limit
@@ -99,16 +124,17 @@ def cull_box(
     analysis, no tolerance.  A side that does not verify (a pixel below one
     ulp of the window, an overflowed scale) is infinite: no cull there.
     """
-    reach = (pad + 1.0) / scale
-    lo_x, lo_y = xmin - reach, ymin - reach
-    hi_x = xmin + (width + pad + 1.0) / scale
-    hi_y = ymin + (height + pad + 1.0) / scale
-    return (
-        lo_x if (lo_x - xmin) * scale < -pad else -math.inf,
-        lo_y if (lo_y - ymin) * scale < -pad else -math.inf,
-        hi_x if (hi_x - xmin) * scale > width + pad else math.inf,
-        hi_y if (hi_y - ymin) * scale > height + pad else math.inf,
-    )
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        reach = (pad + 1.0) / scale
+        lo_x, lo_y = xmin - reach, ymin - reach
+        hi_x = xmin + (width + pad + 1.0) / scale
+        hi_y = ymin + (height + pad + 1.0) / scale
+        return np.stack([
+            np.where((lo_x - xmin) * scale < -pad, lo_x, -math.inf),
+            np.where((lo_y - ymin) * scale < -pad, lo_y, -math.inf),
+            np.where((hi_x - xmin) * scale > width + pad, hi_x, math.inf),
+            np.where((hi_y - ymin) * scale > height + pad, hi_y, math.inf),
+        ])
 
 
 class GraphicsPipeline:
@@ -141,6 +167,11 @@ class GraphicsPipeline:
         self._window = Rect(0.0, 0.0, float(width), float(height))
         self._scale = 1.0
         self._offset4 = np.zeros(4, dtype=np.float64)
+        #: Edges drawn since the last :meth:`set_data_window` that the
+        #: transform could not place: inside the window's :func:`cull_boxes` box,
+        #: with a window coordinate that is not finite.  A test that drew
+        #: one is not decided by the raster.
+        self.unplaced_edges = 0
 
     # -- projection ----------------------------------------------------------
 
@@ -177,6 +208,7 @@ class GraphicsPipeline:
         self._offset4 = np.array(
             [window.xmin, window.ymin, window.xmin, window.ymin], dtype=np.float64
         )
+        self.unplaced_edges = 0
         recorder = current_scope().recorder
         if recorder is not None:
             recorder.on_set_window(self, window)
@@ -261,9 +293,22 @@ class GraphicsPipeline:
         state = self.state
         state.validate(self.limits)
         self.counters.draw_calls += 1
-        edges = (edges_data - self._offset4) * self._scale  # (E, 4): x0 y0 x1 y1
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges = (edges_data - self._offset4) * self._scale  # (E, 4): x0 y0 x1 y1
         pad = max(state.line_width, state.point_size) + 1.0
         keep = clip_keep(edges, pad, self.width, self.height)
+        if not np.isfinite(edges).all():
+            placed = np.isfinite(edges).all(axis=1)
+            # An edge the transform cannot place never reaches the raster;
+            # counted if the atlas's cull would have let it in.
+            w = self._window
+            box = cull_boxes(
+                np.array([w.xmin]), np.array([w.ymin]), np.array([self._scale]),
+                pad, self.width, self.height,
+            )
+            near = boxes_meet(edge_bounds(edges_data), box)
+            self.unplaced_edges += int(np.count_nonzero(near & ~placed))
+            keep &= placed
         kept = int(np.count_nonzero(keep))
         self.counters.edges_rendered += kept
         self.counters.edges_clipped_away += edges.shape[0] - kept

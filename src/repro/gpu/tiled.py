@@ -13,9 +13,13 @@ that batching layer for the simulated card:
   window, exactly as :meth:`~repro.gpu.pipeline.GraphicsPipeline.set_data_window`
   would compute it);
 * the clipping stage starts in data space: only the edges whose box meets
-  the tile's verified :func:`~repro.gpu.pipeline.cull_box` are projected
+  the tile's verified :func:`~repro.gpu.pipeline.cull_boxes` box are projected
   and shown to :func:`~repro.gpu.pipeline.clip_keep` - against a large
   feature nearly all of a submission lies outside the pair's window;
+* a batch reads edge columns, not polygons: each side is a list of
+  ``(store, row)`` of an :class:`~repro.geometry.edge_store.EdgeStore`, the
+  per-tile transforms and cull boxes are array expressions, each store
+  culls its tiles in one call, and the drawn edges are one ``take``;
 * the edges of *all* pairs' first boundaries are rasterized in one bulk
   call (:func:`~repro.gpu.raster_bulk.edges_coverage_masks_grouped`), then
   all second boundaries likewise;
@@ -34,15 +38,25 @@ from __future__ import annotations
 
 import math
 import time
-from typing import List, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
+from ..geometry.edge_store import EdgeStore
 from ..geometry.rect import Rect
 from ..obs.scope import current_scope
 from .framebuffer import Framebuffer
-from .pipeline import GraphicsPipeline, clip_keep, cull_box, uniform_window_scale
+from .pipeline import (
+    GraphicsPipeline,
+    clip_keep,
+    cull_boxes,
+    window_columns,
+    window_scales,
+)
 from .raster_bulk import edges_coverage_masks_grouped
+
+#: One boundary of a pair: ``(store, row)`` (``Polygon.edge_row``).
+EdgeRow = Tuple[EdgeStore, int]
 
 #: Gray level each boundary is rendered with (Algorithm 3.1's 0.5).
 _EDGE_COLOR = np.float32(0.5)
@@ -89,10 +103,8 @@ class TiledPipeline:
 
     def overlap_flags(
         self,
-        edges_a: Sequence[np.ndarray],
-        bounds_a: Sequence[np.ndarray],
-        edges_b: Sequence[np.ndarray],
-        bounds_b: Sequence[np.ndarray],
+        sides_a: Sequence[EdgeRow],
+        sides_b: Sequence[EdgeRow],
         windows: Sequence[Rect],
         widths_px,
         cap_points: bool,
@@ -100,20 +112,22 @@ class TiledPipeline:
     ) -> np.ndarray:
         """One overlap verdict per pair: ``True`` iff boundaries share a pixel.
 
-        ``edges_a[k]`` / ``edges_b[k]`` are the two boundaries' ``(E, 4)``
-        data-space edge arrays, ``bounds_a[k]`` / ``bounds_b[k]`` their
-        ``(4, E)`` edge boxes (:func:`repro.geometry.edge_bounds`; a
-        polygon caches its own), ``windows[k]`` the pair's projection
-        window, and ``widths_px`` the rendered line width (scalar, or one
-        per pair for distance tests whose projections differ).  Pairs are
-        packed ``capacity`` tiles at a time; each sub-batch is one atlas
-        submission traced as a ``gpu.tile_batch`` span, which ends before a
-        command recorder in scope lists and digests the submission (the
-        caller's ``hw_batch_duration_s`` wraps this whole call, hook included).
+        ``sides_a[k]`` / ``sides_b[k]`` are the two boundaries as ``(store,
+        row)`` of an :class:`~repro.geometry.edge_store.EdgeStore` (a
+        polygon's :attr:`~repro.geometry.Polygon.edge_row`), ``windows[k]``
+        the pair's projection window, and ``widths_px`` the rendered line
+        width (scalar, or one per pair for distance tests whose projections
+        differ).  A pair is also ``True`` - not decided by the raster - when
+        an edge its tile's cull lets in has a window coordinate that is not
+        finite.  Pairs are packed ``capacity`` tiles at a time; each
+        sub-batch is one atlas submission traced as a ``gpu.tile_batch``
+        span, which ends before a command recorder in scope lists and
+        digests the submission (the caller's ``hw_batch_duration_s`` wraps
+        this whole call, hook included).
         """
         n = len(windows)
-        if {len(edges_a), len(bounds_a), len(edges_b), len(bounds_b)} != {n}:
-            raise ValueError("edges, bounds, and windows must align")
+        if {len(sides_a), len(sides_b)} != {n}:
+            raise ValueError("sides and windows must align")
         widths = np.asarray(widths_px, dtype=np.float64)
         if widths.ndim not in (0, 1):
             raise ValueError("widths_px must be a scalar or a 1-d array")
@@ -121,17 +135,16 @@ class TiledPipeline:
             raise ValueError(
                 f"widths_px has {widths.shape[0]} entries for {n} pairs"
             )
+        bounds = window_columns(windows)
         flags = np.zeros(n, dtype=bool)
         for start in range(0, n, self.capacity):
             stop = min(start + self.capacity, n)
             w = widths if widths.ndim == 0 else widths[start:stop]
             began = time.perf_counter()
             sub_flags, edge_count = self._run_batch(
-                edges_a[start:stop],
-                bounds_a[start:stop],
-                edges_b[start:stop],
-                bounds_b[start:stop],
-                windows[start:stop],
+                sides_a[start:stop],
+                sides_b[start:stop],
+                bounds[:, start:stop],
                 w,
                 cap_points,
                 threshold,
@@ -142,8 +155,8 @@ class TiledPipeline:
             if scope.recorder is not None:
                 scope.recorder.on_tile_batch(
                     self,
-                    edges_a[start:stop],
-                    edges_b[start:stop],
+                    [store.edges_of(row) for store, row in sides_a[start:stop]],
+                    [store.edges_of(row) for store, row in sides_b[start:stop]],
                     windows[start:stop],
                     w,
                     cap_points,
@@ -175,42 +188,34 @@ class TiledPipeline:
 
     def _run_batch(
         self,
-        edges_a: Sequence[np.ndarray],
-        bounds_a: Sequence[np.ndarray],
-        edges_b: Sequence[np.ndarray],
-        bounds_b: Sequence[np.ndarray],
-        windows: Sequence[Rect],
+        sides_a: Sequence[EdgeRow],
+        sides_b: Sequence[EdgeRow],
+        windows: np.ndarray,
         widths,
         cap_points: bool,
         threshold: float,
     ) -> Tuple[np.ndarray, int]:
-        """Render one atlas batch (<= capacity pairs) and reduce per tile."""
-        k = len(windows)
+        """Render one atlas batch (<= capacity pairs) and reduce per tile.
+
+        ``windows`` is ``(4, k)``, rows ``xmin, ymin, xmax, ymax``.
+        """
+        k = windows.shape[1]
         counters = self.base.counters
         pads = widths + 1.0
         # Per-tile viewport transforms, exactly as set_data_window computes
         # them for the per-pair path, and the data-space box outside which
-        # each tile's clip rejects.  Python floats: a batch is often a few
-        # tiles, where a dozen array calls would cost more than the loop.
-        scales, offsets, boxes = [], [], []
-        for w, pad in zip(windows, np.broadcast_to(pads, k).tolist()):
-            scale = uniform_window_scale(self.tile_width, self.tile_height, w)
-            scales.append(scale)
-            offsets.append((w.xmin, w.ymin, w.xmin, w.ymin))
-            boxes.append(
-                cull_box(w.xmin, w.ymin, scale, pad, self.tile_width, self.tile_height)
-            )
-        scales = np.array(scales, dtype=np.float64)
-        offsets = np.array(offsets, dtype=np.float64)
+        # each tile's clip rejects.
+        scales = window_scales(self.tile_width, self.tile_height, windows)
+        boxes = cull_boxes(
+            windows[0], windows[1], scales, pads, self.tile_width, self.tile_height
+        )
+        offsets = windows.take([0, 1, 0, 1], axis=0).T
 
-        masks_a = self._bulk_rasterize(
-            edges_a, bounds_a, boxes, scales, offsets, pads, widths, cap_points
+        masks_a, unplaced_a, count_a = self._bulk_rasterize(
+            sides_a, boxes, scales, offsets, pads, widths, cap_points
         )
-        masks_b = self._bulk_rasterize(
-            edges_b, bounds_b, boxes, scales, offsets, pads, widths, cap_points
-        )
-        edge_count = sum(int(e.shape[0]) for e in edges_a) + sum(
-            int(e.shape[0]) for e in edges_b
+        masks_b, unplaced_b, count_b = self._bulk_rasterize(
+            sides_b, boxes, scales, offsets, pads, widths, cap_points
         )
 
         # Atlas assembly: clear once for the whole batch, then the two
@@ -248,57 +253,55 @@ class TiledPipeline:
         counters.pixels_scanned += self.fb.width * self.fb.height
         counters.tile_batches += 1
         counters.tiles_packed += k
-        return tile_max >= np.float32(threshold), edge_count
+        flags = (tile_max >= np.float32(threshold)) | unplaced_a | unplaced_b
+        return flags, count_a + count_b
 
     def _bulk_rasterize(
         self,
-        edge_sets: Sequence[np.ndarray],
-        bound_sets: Sequence[np.ndarray],
-        boxes: Sequence[Tuple[float, float, float, float]],
+        side: Sequence[EdgeRow],
+        boxes: np.ndarray,
         scales: np.ndarray,
         offsets: np.ndarray,
         pads,
         widths,
         cap_points: bool,
-    ) -> np.ndarray:
-        """One bulk draw call over all tiles' edges -> (K, th, tw) masks.
+    ) -> Tuple[np.ndarray, np.ndarray, int]:
+        """One bulk draw call over all tiles' edges: ``(K, th, tw)`` masks,
+        the tiles with an unplaced edge, and the count of submitted edges.
 
         Of each tile's submitted edges only those whose box meets the
-        tile's :func:`cull_box` are gathered at all: the rest provably fail
-        the clip.  Transform and clip then run per gathered edge with that
-        edge's tile projection - elementwise the same float operations the
-        per-pair pipeline performs - and every surviving edge rasterizes in
-        one grouped coverage pass.  The counters speak of *submitted*
-        edges, so they cannot tell the cull happened.
+        tile's cull box are gathered at all (:meth:`EdgeStore.cull`): the
+        rest provably fail the clip.  Transform and clip then run per
+        gathered edge with that edge's tile projection - elementwise the
+        same float operations the per-pair pipeline performs - and every
+        surviving edge rasterizes in one grouped coverage pass.  A gathered
+        edge whose window coordinates are not finite is not drawn; its
+        tile is unplaced.  The counters speak of *submitted* edges, so
+        they cannot tell the cull happened.
         """
-        k = len(edge_sets)
+        k = len(side)
         counters = self.base.counters
         counters.draw_calls += 1
         shape = (k, self.tile_height, self.tile_width)
-        total = 0
-        near_sets, counts = [], []
-        for e, b, (lo_x, lo_y, hi_x, hi_y) in zip(edge_sets, bound_sets, boxes):
-            total += e.shape[0]
-            near = (
-                (b[2] >= lo_x) & (b[0] <= hi_x) & (b[3] >= lo_y) & (b[1] <= hi_y)
-            ).nonzero()[0]
-            counts.append(near.shape[0])
-            near_sets.append(
-                e if near.shape[0] == e.shape[0] else e.take(near, axis=0)
-            )
-        gid = np.repeat(np.arange(k, dtype=np.intp), counts)
+        gid, edges, total = _gather(side, boxes)
         # (take gathers rows several times faster than fancy indexing.)
-        edges = np.concatenate(near_sets, axis=0) - offsets.take(gid, axis=0)
-        edges *= scales.take(gid)[:, None]
+        with np.errstate(over="ignore", invalid="ignore"):
+            edges -= offsets.take(gid, axis=0)
+            edges *= scales.take(gid)[:, None]
 
         # Clipping stage proper, per tile-local viewport.
         pad = pads.take(gid) if pads.ndim else pads
         keep = clip_keep(edges, pad, self.tile_width, self.tile_height)
+        unplaced = np.zeros(k, dtype=bool)
+        if not np.isfinite(edges).all():
+            placed = np.isfinite(edges).all(axis=1)
+            unplaced[gid.compress(~placed)] = True
+            keep &= placed
         kept = int(np.count_nonzero(keep))
         counters.edges_rendered += kept
         counters.edges_clipped_away += total - kept
         if kept == 0:
-            return np.zeros(shape, dtype=bool)
+            return np.zeros(shape, dtype=bool), unplaced, total
         masks = edges_coverage_masks_grouped(
             shape[1:],
             edges.compress(keep, axis=0),
@@ -307,7 +310,7 @@ class TiledPipeline:
             cap_points=cap_points,
         )
         counters.pixels_written += int(np.count_nonzero(masks))
-        return masks
+        return masks, unplaced, total
 
     # -- introspection ----------------------------------------------------
 
@@ -328,6 +331,33 @@ class TiledPipeline:
             row * self.tile_height : (row + 1) * self.tile_height,
             col * self.tile_width : (col + 1) * self.tile_width,
         ]
+
+
+def _gather(side: Sequence[EdgeRow], boxes: np.ndarray) -> Tuple[np.ndarray, np.ndarray, int]:
+    """``(tile, edges, submitted)``: the data-space edges of every tile's side
+    whose box meets its cull box (``boxes[:, tile]``), tile by tile and in
+    row order within a tile, and how many edges the side submitted.
+
+    Tiles are grouped by store; each store culls its tiles in one call.
+    """
+    tiles_of: Dict[EdgeStore, List[int]] = {}
+    for t, (store, _) in enumerate(side):
+        tiles_of.setdefault(store, []).append(t)
+    rows = np.fromiter((row for _, row in side), dtype=np.intp, count=len(side))
+    tiles, parts, submitted = [], [], 0
+    for store, group in tiles_of.items():
+        group = np.array(group, dtype=np.intp)
+        group_rows = rows.take(group)
+        submitted += int(store.edge_counts(group_rows).sum())
+        tile, edge = store.cull(group_rows, boxes.take(group, axis=1))
+        tiles.append(group.take(tile))
+        parts.append(store.edges.take(edge, axis=0))
+    if len(parts) == 1:
+        return tiles[0], parts[0], submitted
+    tile = np.concatenate(tiles)
+    # A tile belongs to one group, so a stable sort restores tile order.
+    order = np.argsort(tile, kind="stable")
+    return tile.take(order), np.concatenate(parts).take(order, axis=0), submitted
 
 
 __all__: List[str] = ["TiledPipeline"]

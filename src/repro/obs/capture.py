@@ -439,7 +439,7 @@ def replay_events(
     (:func:`_check_event`) before it runs; a malformed one raises
     :class:`ValueError` naming its sequence number.
     """
-    from ..geometry.point_in_polygon import edge_bounds
+    from ..geometry.edge_store import EdgeStore
     from ..geometry.rect import Rect
     from ..gpu.pipeline import GraphicsPipeline
     from ..gpu.state import DeviceLimits, RasterState
@@ -560,11 +560,10 @@ def replay_events(
                         [np.asarray(e, dtype=np.float64).reshape(-1, 4) for e in event[side]]
                         for side in ("edges_a", "edges_b")
                     )
+                    store_a, store_b = EdgeStore.of_edges(edges_a), EdgeStore.of_edges(edges_b)
                     flags = tp.overlap_flags(
-                        edges_a,
-                        [edge_bounds(e) for e in edges_a],
-                        edges_b,
-                        [edge_bounds(e) for e in edges_b],
+                        [(store_a, k) for k in range(len(edges_a))],
+                        [(store_b, k) for k in range(len(edges_b))],
                         [Rect(*w) for w in event["windows"]],
                         widths_px=(
                             np.asarray(widths, dtype=np.float64)

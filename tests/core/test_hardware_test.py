@@ -129,7 +129,7 @@ class TestDistanceVerdict:
 
         w = Rect(0, 0, 10, 5)
         # ceil(2.6 * 8 / 10) = ceil(2.08) = 3
-        assert hw.required_line_width(w, 2.6) == 3
+        assert hw.required_line_widths([w], 2.6) == [3.0]
 
     @settings(max_examples=100, deadline=None)
     @given(polygon_pairs_nearby(), st.integers(1, 24))
@@ -202,7 +202,7 @@ class TestRasterStateRestoration:
         w = distance_window(SQUARE.mbr, SHIFTED.mbr, 2.0)
         # A positive distance within device limits widens the lines and
         # enables point caps inside the test ...
-        assert hw.required_line_width(w, 2.0) > 1
+        assert hw.required_line_widths([w], 2.0)[0] > 1
         verdict = hw.distance_verdict(SQUARE, SHIFTED, w, 2.0)
         assert verdict is not HardwareVerdict.UNSUPPORTED
         # ... but none of it may leak out.
@@ -224,3 +224,69 @@ class TestRasterStateRestoration:
         hw.intersection_verdict(SQUARE, SHIFTED, intersection_window(SQUARE.mbr, SHIFTED.mbr))
         assert (st.line_width, st.point_size, st.cap_points, st.color) == saved
         assert st.color_write is True and st.stencil_op is None
+
+
+# -- edges the viewport transform cannot place -------------------------------
+
+TINY = 1e-308
+#: Boundaries crossing at (0, TINY) and (TINY, 0); both window extents are
+#: below 8 / DBL_MAX, so the window's scale is infinite.
+INF_SCALE = (
+    Polygon.from_coords([(-1, -1), (TINY, -1), (TINY, TINY), (-1, TINY)]),
+    Polygon.from_coords([(1, 0), (1, 1), (0, 1), (0, 0)]),
+)
+
+
+def _long_edge_through(t):
+    """The square ``[0, t]^2`` and a triangle whose long edge crosses it at
+    ``y = t / 2``: at a scale of ``8 / t`` that edge's ends overflow."""
+    return (
+        Polygon.from_coords([(-1e8, t / 2), (1e8, t / 2), (0, 1e8)]),
+        Polygon.from_coords([(t, 0), (t, t), (0, t), (0, 0)]),
+    )
+
+
+class TestUnplacedEdges:
+    """A tile whose culled-in edges have a window coordinate that is not
+    finite is not decided by the raster: MAYBE, so the software step
+    decides."""
+
+    @pytest.mark.parametrize(
+        "pair",
+        [INF_SCALE, _long_edge_through(1e-300), _long_edge_through(1e-290)],
+        ids=["infinite-scale", "overflowing-edge", "finite-edge"],
+    )
+    @pytest.mark.parametrize("method", ["accum", "blend", "logic", "depth", "stencil"])
+    def test_crossing_boundaries_are_never_disjoint(self, pair, method):
+        from repro.core import HardwareEngine, SoftwareEngine
+
+        a, b = pair
+        assert SoftwareEngine().refine("intersect", [(0, a, b)]) == [0]
+        config = HardwareConfig(resolution=8, method=method)
+        assert HardwareEngine(config).refine("intersect", [(0, a, b)]) == [0]
+        hw = HardwareSegmentTest(config)
+        w = intersection_window(a.mbr, b.mbr)
+        assert hw.intersection_verdict(a, b, w) is HardwareVerdict.MAYBE
+        assert hw.intersection_verdicts_batch([(a, b, w)]) == [HardwareVerdict.MAYBE]
+
+    def test_distance_field_is_not_decided_by_the_raster(self):
+        a, b = INF_SCALE
+        hw = make_test(distance_mode="field")
+        w = intersection_window(a.mbr, b.mbr)
+        assert hw.distance_field_verdict(a, b, w, 0.5) is HardwareVerdict.MAYBE
+
+    def test_an_unplaced_edge_outside_the_cull_box_decides_nothing(self):
+        """A far edge that overflows is culled by the atlas, so the per-pair
+        pipeline must not count it either: verdicts and counters agree."""
+        t = 1e-300
+        square = Polygon.from_coords([(t, 0), (t, t), (0, t), (0, 0)])
+        far = Polygon.from_coords([(1e9, 1e9), (2e9, 1e9), (2e9, 2e9)])
+        w = intersection_window(square.mbr, square.mbr)
+        per_pair, batch = make_test(), make_test()
+        assert per_pair.intersection_verdict(square, far, w) is HardwareVerdict.DISJOINT
+        assert per_pair.pipeline.unplaced_edges == 0
+        assert batch.intersection_verdicts_batch([(square, far, w)]) == [HardwareVerdict.DISJOINT]
+        for name in ("edges_rendered", "edges_clipped_away"):
+            assert getattr(per_pair.pipeline.counters, name) == getattr(
+                batch.pipeline.counters, name
+            ), name

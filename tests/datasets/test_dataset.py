@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.datasets import DatasetStats, SpatialDataset, base_distance
@@ -39,6 +40,32 @@ class TestContainer:
     def test_repr(self, small_dataset):
         assert "S" in repr(small_dataset)
         assert "3" in repr(small_dataset)
+
+
+class TestEdgeStore:
+    def test_polygon_edges_are_views_into_the_dataset_store(self):
+        loose = square(0, 0, 2)
+        own = loose.edges_array  # a one-row store of its own, first
+        ds = SpatialDataset("S", [loose, square(5, 5, 4), square(1, 8, 1)])
+        store = ds[0].edge_row[0]
+        for row, polygon in enumerate(ds):
+            assert polygon.edge_row == (store, row)
+            assert np.shares_memory(polygon.edges_array, store.edges)
+            assert np.shares_memory(polygon.edge_bounds, store.bounds)
+        assert np.array_equal(ds[0].edges_array, own)
+        assert not ds[0].edges_array.flags.writeable
+
+    def test_a_reordering_keeps_the_store(self, small_dataset):
+        store = small_dataset[0].edge_row[0]
+        shuffled = SpatialDataset("R", small_dataset.polygons[::-1])
+        assert [p.edge_row for p in shuffled] == [(store, 2), (store, 1), (store, 0)]
+
+    def test_a_mixed_dataset_packs_a_new_store(self, small_dataset):
+        old = small_dataset[0].edge_row[0]
+        mixed = SpatialDataset("M", [small_dataset[0], square(20, 20, 1)])
+        store = mixed[0].edge_row[0]
+        assert store is not old
+        assert [p.edge_row for p in mixed] == [(store, 0), (store, 1)]
 
 
 class TestStats:

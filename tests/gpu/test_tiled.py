@@ -10,15 +10,17 @@ from hypothesis import strategies as st
 
 import repro.gpu.tiled as tiled_module
 from repro.core import OVERLAP_THRESHOLD
-from repro.geometry import Rect, edge_bounds
+from repro.geometry import Rect
+from repro.geometry.edge_store import EdgeStore
 from repro.gpu import (
     DeviceLimits,
     GraphicsPipeline,
     TiledPipeline,
 )
-from repro.gpu.pipeline import clip_keep, cull_box, uniform_window_scale
+from repro.gpu.pipeline import clip_keep, cull_boxes, uniform_window_scale
 from repro.gpu.state import DEFAULT_AA_LINE_WIDTH
 from repro.obs import Tracer, use_scope
+from tests.oracles.raster import tile_transform_loop
 from tests.strategies import lattices
 
 SQUARE_EDGES = np.array(
@@ -50,12 +52,16 @@ def make_tiled(resolution=8, max_tiles=256, limits=None):
     return TiledPipeline(base, max_tiles=max_tiles)
 
 
+def rows(edge_sets):
+    """One store holding ``edge_sets``, as ``(store, row)`` sides."""
+    store = EdgeStore.of_edges(edge_sets)
+    return [(store, k) for k in range(len(edge_sets))]
+
+
 def overlap(tiled, edges_a, edges_b, windows):
     return tiled.overlap_flags(
-        edges_a,
-        [edge_bounds(e) for e in edges_a],
-        edges_b,
-        [edge_bounds(e) for e in edges_b],
+        rows(edges_a),
+        rows(edges_b),
         windows,
         widths_px=DEFAULT_AA_LINE_WIDTH,
         cap_points=False,
@@ -165,10 +171,8 @@ class TestOverlapFlags:
         gap_b = np.array([[5.0, 1.0, 5.0, 7.0]])
         thin_then_wide = np.array([1.5, 8.0])
         flags = tiled.overlap_flags(
-            [gap_a, gap_a],
-            [edge_bounds(gap_a)] * 2,
-            [gap_b, gap_b],
-            [edge_bounds(gap_b)] * 2,
+            rows([gap_a, gap_a]),
+            rows([gap_b, gap_b]),
             [WINDOW, WINDOW],
             widths_px=thin_then_wide,
             cap_points=True,
@@ -182,10 +186,8 @@ class TestOverlapFlags:
             overlap(tiled, [SQUARE_EDGES], [BAR_EDGES, BAR_EDGES], [WINDOW])
         with pytest.raises(ValueError):
             tiled.overlap_flags(
-                [SQUARE_EDGES],
-                [edge_bounds(SQUARE_EDGES)],
-                [BAR_EDGES],
-                [edge_bounds(BAR_EDGES)],
+                rows([SQUARE_EDGES]),
+                rows([BAR_EDGES]),
                 [WINDOW],
                 widths_px=np.array([1.0, 2.0]),
                 cap_points=False,
@@ -265,8 +267,7 @@ def threshold_tiles(draw):
     window = Rect(xs[0], ys[0], xs[1], ys[1])
     width = draw(st.sampled_from([DEFAULT_AA_LINE_WIDTH, 1.0, 3.0, 5.0]))
     pad = width + 1.0
-    scale = uniform_window_scale(8, 8, window)
-    box = cull_box(window.xmin, window.ymin, scale, pad, 8, 8)
+    (scale,), (box,) = tile_transform_loop(8, 8, [window], [pad])
     exact = (
         window.xmin - pad / scale,
         window.ymin - pad / scale,
@@ -331,10 +332,8 @@ class TestCullBeforeTransform:
         tiled_module.edges_coverage_masks_grouped = spy
         try:
             flags = tiled.overlap_flags(
-                sides[0],
-                [edge_bounds(e) for e in sides[0]],
-                sides[1],
-                [edge_bounds(e) for e in sides[1]],
+                rows(sides[0]),
+                rows(sides[1]),
                 windows,
                 widths_px=np.array(widths) if per_tile_widths else widths[0],
                 cap_points=caps,
@@ -364,7 +363,9 @@ class TestCullBeforeTransform:
         window = Rect(1e15, 0.0, 1e15 + 0.125, 0.125)
         scale = uniform_window_scale(8, 8, window)
         pad = DEFAULT_AA_LINE_WIDTH + 1.0
-        lo_x, lo_y, hi_x, hi_y = cull_box(window.xmin, window.ymin, scale, pad, 8, 8)
+        lo_x, lo_y, hi_x, hi_y = cull_boxes(
+            np.array([window.xmin]), np.array([window.ymin]), np.array([scale]), pad, 8, 8
+        )[:, 0]
         assert (lo_x, hi_x) == (-math.inf, math.inf)
         assert math.isfinite(lo_y) and math.isfinite(hi_y)
 

@@ -5,11 +5,13 @@ from __future__ import annotations
 import inspect
 import sys
 import types
+from typing import Tuple
 
 
-def mutant(module: types.ModuleType, old: str, new: str) -> types.ModuleType:
+def mutant(module: types.ModuleType, old: str, new: str, *more: Tuple[str, str]) -> types.ModuleType:
     """``module`` executed afresh from its source with the one occurrence of
-    ``old`` replaced by ``new``.
+    ``old`` replaced by ``new`` (and likewise each further ``(old, new)``
+    pair of ``more``).
 
     The result is a new module of the same package (relative imports
     resolve to the real modules); ``module`` itself is untouched.  It is
@@ -17,13 +19,15 @@ def mutant(module: types.ModuleType, old: str, new: str) -> types.ModuleType:
     looks its class's module up there.
     """
     source = inspect.getsource(module)
-    assert source.count(old) == 1, f"edit site not unique in {module.__name__}: {old!r}"
+    for old, new in ((old, new), *more):
+        assert source.count(old) == 1, f"edit site not unique in {module.__name__}: {old!r}"
+        source = source.replace(old, new)
     name = f"{module.__name__}__mutant"
     edited = types.ModuleType(name)
     edited.__package__ = module.__package__
     sys.modules[name] = edited
     try:
-        exec(compile(source.replace(old, new), name, "exec"), edited.__dict__)
+        exec(compile(source, name, "exec"), edited.__dict__)
     finally:
         del sys.modules[name]
     return edited

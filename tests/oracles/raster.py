@@ -12,6 +12,8 @@ Each public function here is registered with its production twin in
   ``(H, W, E)`` cube of the same test over a whole grouped draw;
 * the even-odd polygon fill (section 2.2.3) as a scanline loop of sorted
   half-open spans, and as a per-pixel parity count;
+* the atlas batch's per-tile projections and its cull, one tile at a time
+  in Python floats;
 * the interval filter's pair verdicts, one pair at a time.
 """
 
@@ -23,6 +25,8 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.filters import IntervalApproximation, classify_intervals
+from repro.geometry import edge_bounds
+from repro.gpu.pipeline import uniform_window_scale
 from repro.gpu.raster_bulk import COVERAGE_EPS
 from repro.gpu.raster_vector import scanline_row_bounds
 
@@ -298,6 +302,55 @@ def brute_force_evenodd(shape, vertices) -> np.ndarray:
             cx = i + 0.5
             out[j, i] = sum(1 for c in crossings if c <= cx) % 2 == 1
     return out
+
+
+# -- the atlas batch ---------------------------------------------------------
+
+
+def _cull_box(
+    xmin: float, ymin: float, scale: float, pad: float, width: int, height: int
+) -> Tuple[float, float, float, float]:
+    """One tile's cull box ``(lo_x, lo_y, hi_x, hi_y)`` in Python floats:
+    each side one pixel beyond the clip limit, kept only if pushing it
+    through ``(v - min) * scale`` fails the clip comparison, else
+    infinite."""
+    reach = (pad + 1.0) / scale
+    lo_x, lo_y = xmin - reach, ymin - reach
+    hi_x = xmin + (width + pad + 1.0) / scale
+    hi_y = ymin + (height + pad + 1.0) / scale
+    return (
+        lo_x if (lo_x - xmin) * scale < -pad else -math.inf,
+        lo_y if (lo_y - ymin) * scale < -pad else -math.inf,
+        hi_x if (hi_x - xmin) * scale > width + pad else math.inf,
+        hi_y if (hi_y - ymin) * scale > height + pad else math.inf,
+    )
+
+
+def tile_transform_loop(width, height, windows, pads):
+    """``(scales, boxes)``: each tile's viewport scale and the data-space
+    box its clip rejects outside, one tile at a time through the per-pair
+    pipeline's ``uniform_window_scale`` and :func:`_cull_box`."""
+    scales, boxes = [], []
+    for window, pad in zip(windows, pads):
+        scale = uniform_window_scale(width, height, window)
+        scales.append(scale)
+        boxes.append(_cull_box(window.xmin, window.ymin, scale, pad, width, height))
+    return scales, boxes
+
+
+def cull_loop(edge_sets, boxes):
+    """``(tile, edges)``: tile by tile, the edges of ``edge_sets[k]`` whose
+    box meets ``boxes[k]`` (``lo_x, lo_y, hi_x, hi_y``) - one box test, one
+    ``nonzero`` and one ``take`` per tile."""
+    tiles, near_sets = [], []
+    for k, (edges, (lo_x, lo_y, hi_x, hi_y)) in enumerate(zip(edge_sets, boxes)):
+        b = edge_bounds(edges)
+        near = ((b[2] >= lo_x) & (b[0] <= hi_x) & (b[3] >= lo_y) & (b[1] <= hi_y)).nonzero()[0]
+        tiles.append(np.full(near.shape[0], k, dtype=np.intp))
+        near_sets.append(edges.take(near, axis=0))
+    return np.concatenate([np.empty(0, dtype=np.intp), *tiles]), np.concatenate(
+        [np.empty((0, 4)), *near_sets]
+    )
 
 
 # -- interval filter ---------------------------------------------------------

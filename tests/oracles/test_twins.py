@@ -48,8 +48,11 @@ from repro.geometry import (
 from repro.geometry import min_dist
 from repro.geometry.distance import segment_offsets
 from repro.geometry.hypot_order import first_min_hypot
+from repro.geometry.edge_store import EdgeStore
 from repro.gpu import polygon_fill_coverage_mask
+from repro.gpu.pipeline import cull_boxes, window_columns, window_scales
 from repro.gpu.raster_bulk import edges_coverage_mask, edges_coverage_masks_grouped
+from repro.gpu.tiled import _gather
 from repro.index import plane_sweep_mbr_join, rtree_nearest, str_bulk_load
 from repro.query import IntersectionJoin, WithinDistanceJoin
 from tests.oracles import geometry, index, raster
@@ -169,6 +172,48 @@ def grouped_draws(draw):
     return draw(shapes), edges, sizes, np.asarray(w, dtype=np.float64), draw(st.booleans())
 
 
+#: Windows whose scale overflows (extents below 8 / DBL_MAX), whose pixel is
+#: near one ulp, and whose extent is zero on one axis or both.
+ODD_WINDOWS = (
+    Rect(0.0, 0.0, 1e-308, 1e-308),
+    Rect(0.0, 0.0, 1e-300, 2e-300),
+    Rect(1e15, 0.0, 1e15 + 0.125, 0.125),
+    Rect(1.0, 2.0, 1.0, 5.0),
+    Rect(3.0, 3.0, 3.0, 3.0),
+)
+
+
+@st.composite
+def tile_windows(draw):
+    """``(width, height, windows, pads)`` of one atlas batch."""
+    height, width = draw(shapes)
+    windows = draw(
+        st.lists(st.one_of(rects(), st.sampled_from(ODD_WINDOWS)), min_size=1, max_size=6)
+    )
+    pads = draw(st.lists(widths, min_size=len(windows), max_size=len(windows)))
+    return width, height, windows, [w + 1.0 for w in pads]
+
+
+@st.composite
+def culled_tiles(draw):
+    """``(edge_sets, boxes)``: up to five tiles of up to 80 edges on one
+    lattice (rows of several 32-edge blocks), each with a cull box whose
+    sides sit on the lattice, one ``nextafter`` off it, or at infinity."""
+    cells = draw(lattices)
+    grid = sorted(set(draw(st.lists(cells, min_size=2, max_size=11))))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    on_grid = st.sampled_from(grid).flatmap(
+        lambda v: st.sampled_from([v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)])
+    )
+    lo, hi = st.one_of(on_grid, st.just(-math.inf)), st.one_of(on_grid, st.just(math.inf))
+    edge_sets, boxes = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        n = draw(st.sampled_from([0, 3, 31, 32, 33, 80]))
+        edge_sets.append(rng.choice(grid, size=(n, 4)))
+        boxes.append((draw(lo), draw(lo), draw(hi), draw(hi)))
+    return edge_sets, boxes
+
+
 # -- comparisons -------------------------------------------------------------
 
 
@@ -243,6 +288,33 @@ def _fill_mask(oracle, twin, args):
     mask = twin(shape, vertices)
     assert np.array_equal(buffer > 0, mask)
     assert written == np.count_nonzero(mask)
+
+
+def _tile_transforms(oracle, twin, args):
+    width, height, windows, pads = args
+    bounds = window_columns(windows)
+    scales = twin(width, height, bounds)
+    boxes = cull_boxes(bounds[0], bounds[1], scales, np.array(pads), width, height)
+    expected_scales, expected_boxes = oracle(width, height, windows, pads)
+    assert scales.tolist() == expected_scales
+    assert boxes.T.tolist() == [list(box) for box in expected_boxes]
+
+
+def _gathered(oracle, twin, args):
+    """One store, and the tiles alternating between two stores: the batch
+    groups tiles by store and must still return them in tile order."""
+    edge_sets, boxes = args
+    expected_tile, expected_edges = oracle(edge_sets, boxes)
+    one = EdgeStore.of_edges(edge_sets)
+    two = EdgeStore.of_edges(edge_sets[0::2]), EdgeStore.of_edges(edge_sets[1::2])
+    for side in (
+        [(one, k) for k in range(len(edge_sets))],
+        [(two[k % 2], k // 2) for k in range(len(edge_sets))],
+    ):
+        tile, edges, submitted = twin(side, np.array(boxes, dtype=np.float64).T)
+        assert tile.tolist() == expected_tile.tolist()
+        assert np.array_equal(edges, expected_edges)
+        assert submitted == sum(len(e) for e in edge_sets)
 
 
 def _batch_classify(oracle, twin, args):
@@ -467,6 +539,28 @@ TWINS = {
             st.tuples(shapes, fill_vertices),
             (((8, 8), SQUARE.coords_array), ((8, 8), ZERO_AREA.coords_array)),
             _same_mask,
+        ),
+        Twin(
+            raster.tile_transform_loop,
+            window_scales,
+            tile_windows(),
+            tuple((8, 8, [w, Rect(0.0, 0.0, 8.0, 8.0)], [2.5, 9.0]) for w in ODD_WINDOWS),
+            _tile_transforms,
+        ),
+        Twin(
+            raster.cull_loop,
+            _gather,
+            culled_tiles(),
+            (
+                # An empty tile, a tile whose last block alone meets its box,
+                # and a box open on every side.
+                (
+                    [np.empty((0, 4)), np.arange(280.0).reshape(70, 4), SQUARE.edges_array],
+                    [(0.0, 0.0, 1.0, 1.0), (272.0, 273.0, 300.0, 300.0),
+                     (-math.inf, -math.inf, math.inf, math.inf)],
+                ),
+            ),
+            _gathered,
         ),
         Twin(
             raster.classify_pairs_one_by_one,

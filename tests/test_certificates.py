@@ -10,7 +10,10 @@ running one literal against the edited module:
    footprint's bound;
 2. interval "no shared cell" - every cell the boundary touches is encoded:
    PARTIAL cells whose centre lies outside the polygon encoded as EMPTY
-   turn an intersecting pair DISJOINT;
+   turn an intersecting pair DISJOINT; and it proves nothing when both
+   encodings are clipped to the world: without that guard, in the per-pair
+   and the batched classifier, two polygons that meet only outside the
+   world read DISJOINT;
 3. the interior filter's cover - the closed tile range of the object's
    MBR: a half-open range (``<`` for ``<=`` at the upper tile edge) stops
    an MBR side lying on a tile edge from reaching the tile beyond it.  That
@@ -62,6 +65,22 @@ def touched_cells_are_encoded(module):
     assert module.classify_intervals(a, b) is not module.IntervalVerdict.DISJOINT
 
 
+#: Two rectangles that stick out of the 4 x 4 world and overlap only outside
+#: it (x 4.5-6, y 0.2-0.4).
+OUTSIDE_A = Polygon.from_coords([(3.2, 0.2), (6, 0.2), (6, 0.4), (3.2, 0.4)])
+OUTSIDE_B = Polygon.from_coords([(4.5, 0.1), (7, 0.1), (7, 0.5), (4.5, 0.5)])
+
+
+def both_clipped_pair_is_unknown(module):
+    grid = module.IntervalGrid(Rect(0.0, 0.0, 4.0, 4.0), level=2)
+    a = module.IntervalApproximation.build(OUTSIDE_A, grid)
+    b = module.IntervalApproximation.build(OUTSIDE_B, grid)
+    assert a.clipped and b.clipped
+    unknown = module.IntervalVerdict.UNKNOWN
+    assert module.classify_intervals(a, b) is unknown
+    assert module.IntervalIndex(grid).classify_batch([(OUTSIDE_A, OUTSIDE_B)]) == [unknown]
+
+
 #: At level 2 the square's interior tiles are the centre 2 x 2, [1, 3]^2.
 QUERY = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 
@@ -83,30 +102,44 @@ def one_object_bound_is_an_upper_bound(module):
     assert module.one_object_upper_bound(NEAR, CUT_CORNER.mbr) >= true_d
 
 
-#: Named mutant -> (module, source text, replacement, the check that kills it).
+#: Named mutant -> (module, its ``(source text, replacement)`` edits, the
+#: check that kills it).
 MUTANTS = {
     "footprint_shrunk_by_an_ulp": (
         raster_bulk,
-        "hv = widths * 0.5 if widths.ndim == 0",
-        "hv = np.nextafter(widths * 0.5, 0.0) if widths.ndim == 0",
+        [(
+            "hv = widths * 0.5 if widths.ndim == 0",
+            "hv = np.nextafter(widths * 0.5, 0.0) if widths.ndim == 0",
+        )],
         footprint_reaches_its_bound,
     ),
     "partial_cell_encoded_empty": (
         intervals,
-        "js, is_ = np.nonzero(full_mask | touched_mask)",
-        "js, is_ = np.nonzero(full_mask | (touched_mask & inside))",
+        [(
+            "js, is_ = np.nonzero(full_mask | touched_mask)",
+            "js, is_ = np.nonzero(full_mask | (touched_mask & inside))",
+        )],
         touched_cells_are_encoded,
+    ),
+    "both_clipped_guard_dropped": (
+        intervals,
+        [("not (a.clipped and b.clipped) and ", ""), (" & ~both_clipped", "")],
+        both_clipped_pair_is_unknown,
     ),
     "cover_upper_tile_half_open": (
         interior,
-        "ix1 = min(max(math.floor((mbr.xmax - self.mbr.xmin) / self._tile_w), 0), n - 1)",
-        "ix1 = min(max(math.ceil((mbr.xmax - self.mbr.xmin) / self._tile_w) - 1, 0), n - 1)",
+        [(
+            "ix1 = min(max(math.floor((mbr.xmax - self.mbr.xmin) / self._tile_w), 0), n - 1)",
+            "ix1 = min(max(math.ceil((mbr.xmax - self.mbr.xmin) / self._tile_w) - 1, 0), n - 1)",
+        )],
         cover_is_the_closed_tile_range,
     ),
     "one_object_corner_omitted": (
         object_filters,
-        "bound = max(to_corner(j, i), to_corner(j + 1, i))",
-        "bound = to_corner(j, i)",
+        [(
+            "bound = max(to_corner(j, i), to_corner(j + 1, i))",
+            "bound = to_corner(j, i)",
+        )],
         one_object_bound_is_an_upper_bound,
     ),
 }
@@ -114,10 +147,10 @@ MUTANTS = {
 
 @pytest.mark.parametrize("name", sorted(MUTANTS))
 def test_certificate_mutant_is_killed(name):
-    module, old, new, check = MUTANTS[name]
+    module, edits, check = MUTANTS[name]
     check(module)
     with pytest.raises(AssertionError):
-        check(mutant(module, old, new))
+        check(mutant(module, *edits[0], *edits[1:]))
 
 
 def test_the_one_object_literal_needs_both_corners():
