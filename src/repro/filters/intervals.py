@@ -54,6 +54,7 @@ import numpy as np
 
 from ..geometry.polygon import Polygon
 from ..geometry.rect import Rect
+from ..geometry.runs import expand_runs
 from ..gpu.raster_vector import (
     polygon_fill_coverage_mask,
     ring_boundary_coverage_mask,
@@ -279,19 +280,11 @@ class IntervalApproximation:
 
     def cell_ids(self) -> np.ndarray:
         """All non-EMPTY cell ids, expanded (for tests and diagnostics)."""
-        return _expand_runs(self.starts, self.ends)
+        return expand_runs(self.starts, self.ends - self.starts)[1]
 
     def full_cell_ids(self) -> np.ndarray:
         """All FULL cell ids, expanded (for tests and diagnostics)."""
-        return _expand_runs(self.full_starts, self.full_ends)
-
-
-def _expand_runs(starts: np.ndarray, ends: np.ndarray) -> np.ndarray:
-    if starts.size == 0:
-        return np.zeros(0, dtype=np.int64)
-    return np.concatenate(
-        [np.arange(s, e, dtype=np.int64) for s, e in zip(starts, ends)]
-    )
+        return expand_runs(self.full_starts, self.full_ends - self.full_starts)[1]
 
 
 def classify_intervals(
@@ -352,10 +345,9 @@ class _PackedRuns:
         count_b = offsets.take(rows_b + 1) - offsets.take(rows_b)
         a_shorter = count_a <= count_b
         counts = np.minimum(count_a, count_b)
-        pair = np.repeat(np.arange(counts.size), counts)
-        # Gathered run i of pair k is run i - (runs gathered before k) of its row.
-        first = offsets.take(np.where(a_shorter, rows_a, rows_b)) - np.cumsum(counts)
-        index = np.arange(pair.size) + np.repeat(first + counts, counts)
+        pair, index = expand_runs(
+            offsets.take(np.where(a_shorter, rows_a, rows_b)), counts
+        )
         shift = np.where(a_shorter, rows_b - rows_a, rows_a - rows_b) * self.stride
         shift = np.repeat(shift, counts)
         starts, ends = self.keyed[:, : self.size]

@@ -28,6 +28,7 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from .point_in_polygon import edge_bounds
+from .runs import expand_runs
 
 #: Edges per block box (16 and 64 cull slower on the join workloads).
 BLOCK = 32
@@ -40,15 +41,6 @@ def boxes_meet(boxes: np.ndarray, cull: np.ndarray) -> np.ndarray:
     xmin, ymin, xmax, ymax = boxes
     lo_x, lo_y, hi_x, hi_y = cull
     return (xmax >= lo_x) & (xmin <= hi_x) & (ymax >= lo_y) & (ymin <= hi_y)
-
-
-def _expand(starts: np.ndarray, counts: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Run ``i`` is ``starts[i] .. starts[i] + counts[i] - 1``: ``(run, index)``
-    of every member, runs in order."""
-    run = np.repeat(np.arange(counts.size), counts)
-    # Member j of run i is j - (members before run i) past its start.
-    index = np.arange(run.size) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
-    return run, index
 
 
 class EdgeStore:
@@ -117,11 +109,11 @@ class EdgeStore:
         order within a tile - one block test over the rows' block ranges,
         then one edge test over the blocks that pass."""
         first = self.block_offsets.take(rows)
-        tile, block = _expand(first, self.block_offsets.take(rows + 1) - first)
+        tile, block = expand_runs(first, self.block_offsets.take(rows + 1) - first)
         near = boxes_meet(self.block_boxes.take(block, axis=1), boxes.take(tile, axis=1))
         tile, block = tile.compress(near), block.compress(near)
         start = self.block_edges.take(block)
-        run, edge = _expand(start, self.block_edges.take(block + 1) - start)
+        run, edge = expand_runs(start, self.block_edges.take(block + 1) - start)
         tile = tile.take(run)
         near = boxes_meet(self.bounds.take(edge, axis=1), boxes.take(tile, axis=1))
         return tile.compress(near), edge.compress(near)

@@ -15,6 +15,7 @@ from typing import List, Sequence
 import numpy as np
 
 from .point import Point
+from .runs import expand_runs
 
 
 class PointLocation(Enum):
@@ -94,10 +95,8 @@ def edge_slabs(edges: np.ndarray) -> EdgeSlabs:
     first, last = (
         np.clip(np.floor((y - y0) / height), 0, k - 1).astype(np.intp) for y in (lo, hi)
     )
-    spans = last - first + 1
-    edge_of = np.repeat(np.arange(n), spans)
     # Entry j of edge i sits in slab first[i] + j.
-    slab_of = np.arange(len(edge_of)) + np.repeat(first - (np.cumsum(spans) - spans), spans)
+    edge_of, slab_of = expand_runs(first, last - first + 1)
     order = np.argsort(slab_of, kind="stable")
     offsets = np.concatenate([[0], np.cumsum(np.bincount(slab_of, minlength=k))])
     rows = edges.take(edge_of.take(order), axis=0)

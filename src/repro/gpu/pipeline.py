@@ -44,29 +44,6 @@ from .raster_bulk import edges_coverage_mask
 from .state import DeviceLimits, RasterState
 
 
-def uniform_window_scale(width: int, height: int, window: Rect) -> float:
-    """The uniform (isotropic) scale projecting ``window`` into a viewport.
-
-    The scale is the largest uniform one that maps the *entire* window
-    inside the ``width x height`` pixel grid: per axis the window extent
-    must fit its viewport dimension, so the binding axis decides.  Using
-    ``max(width, height) / max-span`` instead (the historical formula) can
-    push part of the window outside a non-square viewport; pixels lost
-    there are lost for both rendered boundaries, so the hardware test could
-    miss an overlap and report a false DISJOINT - breaking the paper's
-    no-false-negative guarantee.  Degenerate (zero-extent) axes impose no
-    constraint; a fully degenerate window maps to the first pixel at scale
-    1.  For square viewports this is bit-identical to the historical
-    formula (division is monotone in the divisor).
-    """
-    span = max(window.width, window.height)
-    if span <= 0.0:
-        return 1.0
-    sx = width / window.width if window.width > 0.0 else math.inf
-    sy = height / window.height if window.height > 0.0 else math.inf
-    return min(sx, sy)
-
-
 def window_columns(windows: Sequence[Rect]) -> np.ndarray:
     """Windows as one ``(4, k)`` array, rows ``xmin, ymin, xmax, ymax``."""
     return np.array(
@@ -75,11 +52,23 @@ def window_columns(windows: Sequence[Rect]) -> np.ndarray:
 
 
 def window_scales(width: int, height: int, windows: np.ndarray) -> np.ndarray:
-    """:func:`uniform_window_scale` of many windows at once.
+    """The uniform (isotropic) scale projecting each window into a viewport.
 
-    ``windows`` is ``(4, k)``, rows ``xmin, ymin, xmax, ymax``.  Every
-    value is the scalar function's: the same operands in the same order,
-    and ``min``'s and ``max``'s tie rule (the first argument wins)."""
+    ``windows`` is ``(4, k)``, rows ``xmin, ymin, xmax, ymax``.  A scale
+    is the largest uniform one that maps the *entire* window inside the
+    ``width x height`` pixel grid: per axis the window extent must fit its
+    viewport dimension, so the binding axis decides.  Using
+    ``max(width, height) / max-span`` instead (the historical formula) can
+    push part of the window outside a non-square viewport; pixels lost
+    there are lost for both rendered boundaries, so the hardware test could
+    miss an overlap and report a false DISJOINT - breaking the paper's
+    no-false-negative guarantee.  Degenerate (zero-extent) axes impose no
+    constraint; a fully degenerate window maps to the first pixel at scale
+    1.  For square viewports this is bit-identical to the historical
+    formula (division is monotone in the divisor).  Every value equals the
+    scalar loop's in ``tests/oracles/raster.py``: the same operands in the
+    same order, and ``min``'s and ``max``'s tie rule (the first argument
+    wins)."""
     xmin, ymin, xmax, ymax = windows
     w = xmax - xmin
     h = ymax - ymin
@@ -197,14 +186,17 @@ class GraphicsPipeline:
         """Project ``window`` onto the viewport with uniform scale.
 
         The window's binding side spans its viewport dimension and the whole
-        window maps inside the pixel grid (:func:`uniform_window_scale`);
+        window maps inside the pixel grid (:func:`window_scales` of one
+        window);
         uniform scaling means a data-space distance D maps to ``D * scale``
         pixels in every direction, which Equation (1) relies on.  Degenerate
         (zero-extent) windows are legal - they arise when two MBRs touch
         along an edge or corner - and map everything to the first pixel.
         """
         self._window = window
-        self._scale = uniform_window_scale(self.width, self.height, window)
+        self._scale = float(
+            window_scales(self.width, self.height, window_columns([window]))[0]
+        )
         self._offset4 = np.array(
             [window.xmin, window.ymin, window.xmin, window.ymin], dtype=np.float64
         )

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from .explain import FUNNEL_STAGES, dataclass_values, funnel_from_deltas
+from .explain import FUNNEL_STAGES, QueryFunnel, dataclass_values, funnel_from_deltas
 from .metrics import MetricsRegistry
 from .scope import current_scope
 
@@ -53,8 +53,9 @@ class PipelineObserver:
         gpu = getattr(engine, "gpu_counters", None)
         self._gpu_before = dataclass_values(gpu) if gpu is not None else None
 
-    def finish(self, cost: Any) -> None:
-        """Publish one finished run's cost breakdown and engine deltas."""
+    def finish(self, cost: Any) -> QueryFunnel:
+        """Publish one finished run's cost breakdown and engine deltas;
+        returns the run's funnel (the pipelines hand it to their caller)."""
         reg = self.registry
         reg.histogram("candidates_after_mbr", pipeline=self.pipeline).observe(
             cost.candidates_after_mbr
@@ -87,6 +88,7 @@ class PipelineObserver:
                 delta = getattr(gpu, name) - before
                 if delta:
                     reg.counter("gpu", counter=name).inc(delta)
+        return funnel
 
 
 def observe_pipeline(pipeline: str, engine: Any) -> Optional[PipelineObserver]:

@@ -8,8 +8,7 @@ distributions and no single mergeable artifact.  This module is the common
 substrate those layers now also report into:
 
 * :class:`Counter` - monotonically accumulating value (int or float);
-* :class:`Gauge` - last-set value (merge takes the maximum, which is
-  order-independent);
+* :class:`Gauge` - last-set value;
 * :class:`Histogram` - **log-bucketed** distribution with *fixed* bucket
   boundaries (powers of two, derived from the value's binary exponent), so
   two histograms of the same family always share boundaries and merge
@@ -18,7 +17,7 @@ substrate those layers now also report into:
   indistinguishable from observing the concatenated stream - in any order;
 * :class:`MetricsRegistry` - named instruments with label support
   (``registry.histogram("hw_test_duration_s", method="accum")``),
-  snapshot / merge, a JSON exporter, and a scrape-safe
+  a snapshot, a JSON exporter, and a scrape-safe
   Prometheus text exposition (``# HELP`` / ``# TYPE`` lines, label
   values quoted and escaped per the exposition format).
 
@@ -116,20 +115,9 @@ class Counter:
         with self._lock:
             self.value += amount
 
-    def _merge_value(self, value: Union[int, float]) -> None:
-        if value < 0:
-            raise ValueError(f"counters cannot merge negative {value!r}")
-        with self._lock:
-            self.value += value
-
 
 class Gauge:
-    """A last-set value.
-
-    Merge semantics take the **maximum** of the two values (the only
-    order-independent choice without timestamps); the merge is a locked
-    read-modify-write.
-    """
+    """A last-set value."""
 
     __slots__ = ("value", "_lock")
 
@@ -140,10 +128,6 @@ class Gauge:
     def set(self, value: Union[int, float]) -> None:
         with self._lock:
             self.value = value
-
-    def _merge_value(self, value: Union[int, float]) -> None:
-        with self._lock:
-            self.value = max(self.value, value)
 
 
 class Histogram:
@@ -158,7 +142,7 @@ class Histogram:
     ``sum`` is accumulated as exact non-overlapping partials, so the
     reported total is the correctly-rounded exact sum of all observations -
     identical whether a stream was observed into one histogram or split
-    across per-experiment registries and merged, in any merge order.
+    across window buckets and merged, in any merge order.
     """
 
     __slots__ = ("count", "zeros", "buckets", "_partials", "min", "max", "_lock")
@@ -239,8 +223,8 @@ class Histogram:
 
     @classmethod
     def from_snapshot(cls, snap: Mapping[str, Any]) -> "Histogram":
-        """The histogram one snapshot entry describes, read by the same
-        code :meth:`MetricsRegistry.merge` folds snapshots with."""
+        """The histogram one snapshot entry describes (``serve top`` reads
+        the server's histograms this way)."""
         hist = cls()
         hist._merge_snapshot(snap)
         return hist
@@ -288,7 +272,6 @@ class Histogram:
 Instrument = Union[Counter, Gauge, Histogram]
 
 _KIND_NAMES = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
-_KIND_CLASSES = {"counters": Counter, "gauges": Gauge, "histograms": Histogram}
 
 
 # -- the registry ------------------------------------------------------------
@@ -334,8 +317,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Instrument] = {}
-        # Guards instrument creation and whole-registry operations
-        # (snapshot/merge); the instruments themselves carry their
+        # Guards instrument creation and the snapshot's copy of the
+        # instrument table; the instruments themselves carry their
         # own locks for value updates, so hot-path increments never
         # contend on the registry.
         self._lock = threading.RLock()
@@ -366,7 +349,7 @@ class MetricsRegistry:
     def histogram(self, name: str, **labels: Any) -> Histogram:
         return self._get(Histogram, name, labels)  # type: ignore[return-value]
 
-    # -- snapshot / merge -------------------------------------------------
+    # -- snapshot ---------------------------------------------------------
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-able, versioned snapshot of every instrument."""
@@ -390,30 +373,6 @@ class MetricsRegistry:
             "gauges": gauges,
             "histograms": histograms,
         }
-
-    def merge(self, other: Union["MetricsRegistry", Mapping[str, Any]]) -> None:
-        """Fold another registry (or a snapshot of one) into this registry.
-
-        Counter values add, gauge values take the max, histograms merge
-        exactly (see :class:`Histogram`) - all order-independent, so a
-        RunReport's per-experiment snapshots fold into the run's totals in
-        any order and end up with the same state bit for bit.
-        """
-        snap = other.snapshot() if isinstance(other, MetricsRegistry) else other
-        schema = snap.get("schema")
-        if schema != SNAPSHOT_SCHEMA:
-            raise ValueError(
-                f"cannot merge snapshot with schema {schema!r};"
-                f" expected {SNAPSHOT_SCHEMA!r}"
-            )
-        for section, cls in _KIND_CLASSES.items():
-            for skey, value in snap[section].items():
-                name, labels = parse_key(skey)
-                metric = self._get(cls, name, dict(labels))
-                if isinstance(metric, Histogram):
-                    metric._merge_snapshot(value)
-                else:
-                    metric._merge_value(value)
 
     # -- exporters ---------------------------------------------------------
 

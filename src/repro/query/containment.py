@@ -18,6 +18,7 @@ from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
 from ..geometry.polygon import Polygon
 from ..index.str_pack import str_bulk_load
+from ..obs.explain import QueryFunnel
 from ..obs.instrument import observe_pipeline
 from .costs import CostBreakdown
 from .stages import geometry_stage, interior_stage
@@ -29,6 +30,8 @@ class ContainmentResult:
 
     ids: List[int]
     cost: CostBreakdown
+    #: The run's EXPLAIN funnel (None when no metrics registry is in scope).
+    funnel: Optional[QueryFunnel] = None
 
 
 class ContainmentSelection:
@@ -75,6 +78,5 @@ class ContainmentSelection:
 
         positives.sort()
         cost.results = len(positives)
-        if obs is not None:
-            obs.finish(cost)
-        return ContainmentResult(ids=positives, cost=cost)
+        funnel = obs.finish(cost) if obs is not None else None
+        return ContainmentResult(ids=positives, cost=cost, funnel=funnel)

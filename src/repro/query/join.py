@@ -28,6 +28,7 @@ from ..datasets.dataset import SpatialDataset
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, IntervalIndex
 from ..filters.progressive import ConvexHullFilter
 from ..index.mbr_join import plane_sweep_mbr_join
+from ..obs.explain import QueryFunnel
 from ..obs.instrument import observe_pipeline
 from .costs import CostBreakdown
 from .stages import geometry_stage, interval_stage
@@ -39,6 +40,8 @@ class JoinResult:
 
     pairs: List[Tuple[int, int]]
     cost: CostBreakdown
+    #: The run's EXPLAIN funnel (None when no metrics registry is in scope).
+    funnel: Optional[QueryFunnel] = None
 
 
 class IntersectionJoin:
@@ -104,6 +107,5 @@ class IntersectionJoin:
 
         results.sort()
         cost.results = len(results)
-        if obs is not None:
-            obs.finish(cost)
-        return JoinResult(pairs=results, cost=cost)
+        funnel = obs.finish(cost) if obs is not None else None
+        return JoinResult(pairs=results, cost=cost, funnel=funnel)

@@ -24,6 +24,7 @@ from ..datasets.dataset import SpatialDataset
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, IntervalIndex
 from ..geometry.polygon import Polygon
 from ..index.str_pack import str_bulk_load
+from ..obs.explain import QueryFunnel
 from ..obs.instrument import observe_pipeline
 from .costs import CostBreakdown
 from .stages import geometry_stage, interior_stage, interval_stage
@@ -35,6 +36,8 @@ class SelectionResult:
 
     ids: List[int]
     cost: CostBreakdown
+    #: The run's EXPLAIN funnel (None when no metrics registry is in scope).
+    funnel: Optional[QueryFunnel] = None
 
 
 class IntersectionSelection:
@@ -94,9 +97,8 @@ class IntersectionSelection:
 
         positives.sort()
         cost.results = len(positives)
-        if obs is not None:
-            obs.finish(cost)
-        return SelectionResult(ids=positives, cost=cost)
+        funnel = obs.finish(cost) if obs is not None else None
+        return SelectionResult(ids=positives, cost=cost, funnel=funnel)
 
     def run_query_set(self, queries: List[Polygon]) -> CostBreakdown:
         """Run all queries and return the *average* cost per query.

@@ -15,12 +15,13 @@ The paper's third query class (section 4.4).  Stages per Figure 8:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import List, Optional, Tuple
 
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
 from ..filters.object_filters import one_object_upper_bound, zero_object_upper_bound
 from ..index.mbr_join import plane_sweep_mbr_join
+from ..obs.explain import QueryFunnel
 from ..obs.instrument import observe_pipeline
 from .costs import CostBreakdown
 from .stages import geometry_stage
@@ -32,6 +33,8 @@ class WithinDistanceResult:
 
     pairs: List[Tuple[int, int]]
     cost: CostBreakdown
+    #: The run's EXPLAIN funnel (None when no metrics registry is in scope).
+    funnel: Optional[QueryFunnel] = None
 
 
 class WithinDistanceJoin:
@@ -88,6 +91,5 @@ class WithinDistanceJoin:
 
         results.sort()
         cost.results = len(results)
-        if obs is not None:
-            obs.finish(cost)
-        return WithinDistanceResult(pairs=results, cost=cost)
+        funnel = obs.finish(cost) if obs is not None else None
+        return WithinDistanceResult(pairs=results, cost=cost, funnel=funnel)

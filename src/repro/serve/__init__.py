@@ -2,7 +2,7 @@
 
 The batch layers answer "how fast is one query"; this package answers
 "how many concurrent clients can a process sustain, at what latency".
-It is deliberately thin - persistent engines + admission control +
+It is deliberately thin - persistent engines behind one admission gate +
 accounting - because the serving determinism property requires that it
 adds **no execution path of its own**: every response is bit-identical
 to a direct engine call.
@@ -11,9 +11,8 @@ Layers (each its own module):
 
 * :mod:`~repro.serve.schema` - versioned request/response wire types;
 * :mod:`~repro.serve.engine` - the persistent per-worker engines, warm
-  pipelines, and the checkout pool;
-* :mod:`~repro.serve.admission` - bounded queueing with explicit shed
-  and timeout outcomes;
+  pipelines, and the pool that is the one admission gate (run on a free
+  engine, wait in a bounded queue, or an explicit shed/timeout);
 * :mod:`~repro.serve.service` - the thread-safe core gluing those
   together, accounting every request into the metrics registry and
   retaining per-request span trees when tracing is on;
@@ -28,8 +27,14 @@ Layers (each its own module):
   ``metrics`` + ``health`` (``python -m repro.serve top``).
 """
 
-from .admission import AdmissionConfig, AdmissionController
-from .engine import EnginePool, ServingEngine, ServingWorkload, WorkloadConfig
+from .engine import (
+    AdmissionConfig,
+    EnginePool,
+    Execution,
+    ServingEngine,
+    ServingWorkload,
+    WorkloadConfig,
+)
 from .loadgen import (
     DEFAULT_MIX,
     LoadAccountingError,
@@ -62,9 +67,9 @@ from .slowlog import (
 
 __all__ = [
     "AdmissionConfig",
-    "AdmissionController",
     "DEFAULT_MIX",
     "EnginePool",
+    "Execution",
     "HEALTH_SCHEMA",
     "HealthConfig",
     "LoadAccountingError",

@@ -25,8 +25,7 @@ from ..cache import CacheConfig
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL
 from ..obs.runreport import write_run_report
 from ..obs.slo import default_objectives
-from .admission import AdmissionConfig
-from .engine import WorkloadConfig
+from .engine import AdmissionConfig, WorkloadConfig
 from .loadgen import LoadgenConfig, LoadResult, run_open_loop
 from .health import HealthConfig
 from .server import run_server, send_envelope
@@ -84,7 +83,9 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         "--max-queue",
         type=int,
         default=64,
-        help="admission queue bound; arrivals beyond it are shed (default: 64)",
+        help="requests that may wait for an engine; arrivals beyond it are "
+        "shed, and 0 means a request runs only on a free engine and never "
+        "waits (default: 64)",
     )
     parser.add_argument(
         "--timeout",

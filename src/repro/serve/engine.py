@@ -14,9 +14,10 @@ queries:
   the :mod:`repro.cache` layers resolved from the workload's
   :class:`~repro.cache.CacheConfig` - warm across requests instead of
   rebuilt per query;
-* :class:`EnginePool` hands engines to requests one-at-a-time (engines
-  accumulate stats and own mutable pipeline state, so an engine serves
-  exactly one request at a time).
+* :class:`EnginePool` is the service's one admission gate: it decides
+  whether each request runs on a free engine, waits, is shed or times out,
+  and hands engines out one request at a time (engines accumulate stats
+  and own mutable pipeline state).
 
 The three resident pipelines mirror the paper's query classes on the same
 layers the benchmarks use: selection of STATES50 boundaries against the
@@ -34,10 +35,11 @@ would.
 
 from __future__ import annotations
 
-import queue
 import threading
+import time
+from collections import deque
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from ..bench.scales import get_scale
 from ..cache import CacheConfig
@@ -45,11 +47,44 @@ from ..core.config import HardwareConfig
 from ..core.engine import HardwareEngine, RefinementEngine, SoftwareEngine
 from ..datasets import base_distance
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, check_interval_level
+from ..obs.explain import QueryFunnel
+from ..obs.metrics import MetricsRegistry
 from ..query.costs import CostBreakdown
 from ..query.join import IntersectionJoin
 from ..query.selection import IntersectionSelection
 from ..query.within_distance import WithinDistanceJoin
 from .schema import QueryRequest
+
+
+@dataclass(frozen=True)
+class AdmissionConfig:
+    """Queue bound and deadline of one service (``--max-queue``/``--timeout``)."""
+
+    #: Requests allowed to wait for an engine (beyond the ones executing);
+    #: 0 = a request runs only on a free engine and never waits.
+    max_queue: int = 64
+    #: Seconds after arrival a request may still get an engine before it
+    #: times out (``None`` = wait forever; fine for closed-loop clients).
+    timeout_s: Optional[float] = None
+
+    def __post_init__(self) -> None:
+        if self.max_queue < 0:
+            raise ValueError(f"max_queue must be >= 0, got {self.max_queue}")
+        if self.timeout_s is not None and not self.timeout_s > 0:
+            raise ValueError(
+                f"timeout_s must be positive (or None), got {self.timeout_s}"
+            )
+
+
+class Execution(NamedTuple):
+    """One executed request: its answer and its measurement."""
+
+    results: List[Any]
+    cost: CostBreakdown
+    #: The EXPLAIN funnel the pipeline's observer published for this run.
+    funnel: Optional[QueryFunnel]
+    #: Hit/miss/eviction movement of each enabled cache layer (label keyed).
+    cache_delta: Dict[str, Dict[str, int]]
 
 
 @dataclass(frozen=True)
@@ -147,14 +182,20 @@ class ServingEngine:
         )
         self.within = WithinDistanceJoin(workload.join_a, workload.join_b, self.engine)
 
-    def execute(self, request: QueryRequest) -> Tuple[List[Any], CostBreakdown]:
-        """Run one validated request; returns (results, cost breakdown).
+    def execute(self, request: QueryRequest) -> Execution:
+        """Run one validated request: its results and its measurement.
 
         The result payload is exactly what the underlying pipeline
         returns - the serving layer never re-orders or re-encodes it -
-        so responses stay bit-identical to direct engine calls.
+        so responses stay bit-identical to direct engine calls.  The
+        funnel is the one the pipeline's observer published (the
+        service's registry is in scope); the cache deltas are safe to
+        attribute to this request alone because the pool checks an
+        engine out to exactly one request at a time.
         """
         self.requests_served += 1
+        caches_before = self.engine.caches.stats()
+        res: Any
         if request.op == "selection":
             assert request.query_index is not None
             if request.query_index >= len(self.workload.queries):
@@ -163,54 +204,25 @@ class ServingEngine:
                     f"(resident query set has {len(self.workload.queries)})"
                 )
             res = self.selection.run(self.workload.queries[request.query_index])
-            return res.ids, res.cost
-        if request.op == "join":
+            results = res.ids
+        elif request.op == "join":
             res = self.join.run()
-            return res.pairs, res.cost
-        if request.op == "within_distance":
+            results = res.pairs
+        elif request.op == "within_distance":
             assert request.distance is not None
             res = self.within.run(request.distance)
-            return res.pairs, res.cost
-        raise ValueError(f"unknown op {request.op!r}")
-
-    def execute_forensic(
-        self, request: QueryRequest
-    ) -> Tuple[List[Any], CostBreakdown, Any, Dict[str, Dict[str, int]]]:
-        """Run one request with per-request EXPLAIN and cache attribution.
-
-        Returns ``(results, cost, funnel, cache_delta)``.  The funnel is
-        the engine's RefinementStats *delta* across this request and the
-        cache delta the hit/miss/eviction movement of each enabled cache
-        layer - both safe to attribute to this request alone because the
-        pool checks an engine out to exactly one request at a time.
-        Results are the same object :meth:`execute` would return: the
-        forensic path only reads counters around the call.
-        """
-        from ..obs.explain import explain_run
-
-        cache_before = {
-            label: (s.hits, s.misses, s.evictions)
-            for label, s in self.engine.caches.stats().items()
-        }
-        captured: Dict[str, Any] = {}
-
-        def run() -> Any:
-            results, cost = self.execute(request)
-            captured["results"] = results
-            # explain_run reads ``result.cost``; hand it a shim since
-            # execute() returns a tuple, not a pipeline result object.
-            return type("_Run", (), {"cost": cost})()
-
-        shim, funnel = explain_run(request.op, self.engine, run)
+            results = res.pairs
+        else:
+            raise ValueError(f"unknown op {request.op!r}")
         cache_delta = {
             label: {
-                "hits": s.hits - cache_before.get(label, (0, 0, 0))[0],
-                "misses": s.misses - cache_before.get(label, (0, 0, 0))[1],
-                "evictions": s.evictions - cache_before.get(label, (0, 0, 0))[2],
+                "hits": s.hits - caches_before[label].hits,
+                "misses": s.misses - caches_before[label].misses,
+                "evictions": s.evictions - caches_before[label].evictions,
             }
             for label, s in self.engine.caches.stats().items()
         }
-        return captured["results"], shim.cost, funnel, cache_delta
+        return Execution(results, res.cost, res.funnel, cache_delta)
 
     def warm(self) -> None:
         """Prime the caches/pipelines with one cheap request per op."""
@@ -219,42 +231,105 @@ class ServingEngine:
 
 
 class EnginePool:
-    """A fixed set of :class:`ServingEngine` workers, checked out per request."""
+    """The pool's engines and the one gate in front of them.
+
+    Every request calls :meth:`acquire` once and gets one decision, taken
+    under one condition variable that sees the whole state:
+
+    * **run** - an engine is free: the request checks it out at once;
+    * **wait** - fewer than ``max_queue`` others are waiting: it waits
+      for a :meth:`release`;
+    * **shed** - otherwise it is refused at once;
+    * **timeout** - it has no engine by ``arrival + timeout_s``.
+
+    Execution itself is never preempted: a checked-out engine serves its
+    one request to completion (engines accumulate stats and own mutable
+    pipeline state).  The ``serve_queue_depth`` and ``serve_inflight``
+    gauges are set under the same lock as the state they report, so they
+    land in the order of the state changes and read exactly 0 after a
+    drained run - a property the CI regression baseline relies on.
+    """
 
     def __init__(
         self,
         workload: ServingWorkload,
         size: int,
+        admission: AdmissionConfig,
+        registry: MetricsRegistry,
         warm: bool = False,
     ) -> None:
         if size < 1:
             raise ValueError(f"pool size must be >= 1, got {size}")
         self.workload = workload
         self.size = size
+        self.admission = admission
         self.engines = [ServingEngine(i, workload) for i in range(size)]
-        self._free: "queue.Queue[ServingEngine]" = queue.Queue()
-        for engine in self.engines:
-            if warm:
+        if warm:
+            for engine in self.engines:
                 engine.warm()
-            self._free.put(engine)
-        self._closed = threading.Event()
+        self._free: Deque[ServingEngine] = deque(self.engines)
+        self._waiting = 0
+        self._closed = False
+        self._cond = threading.Condition()
+        self._depth_gauge = registry.gauge("serve_queue_depth")
+        self._inflight_gauge = registry.gauge("serve_inflight")
 
-    def acquire(self, timeout: Optional[float]) -> Optional[ServingEngine]:
-        """Check out an engine, waiting up to ``timeout`` seconds.
+    def _publish(self) -> None:
+        self._depth_gauge.set(self._waiting)
+        self._inflight_gauge.set(self.inflight)
 
-        Returns ``None`` on timeout or after :meth:`close`.
+    def acquire(
+        self, arrival: float
+    ) -> Tuple[Optional[ServingEngine], Optional[str]]:
+        """Decide one request that arrived at ``arrival`` (``time.perf_counter()``).
+
+        Returns ``(engine, None)`` - run on it, then :meth:`release` it -
+        or ``(None, refusal)`` with refusal ``"shed"``, ``"timeout"`` or
+        ``"closed"``.
         """
-        if self._closed.is_set():
-            return None
-        try:
-            if timeout is not None and timeout <= 0:
-                return self._free.get_nowait()
-            return self._free.get(timeout=timeout)
-        except queue.Empty:
-            return None
+        timeout_s = self.admission.timeout_s
+        with self._cond:
+            if not self._free and not self._closed:
+                if self._waiting >= self.admission.max_queue:
+                    return None, "shed"
+                self._waiting += 1
+                self._publish()
+                self._cond.wait_for(
+                    lambda: self._free or self._closed,
+                    None
+                    if timeout_s is None
+                    else max(0.0, arrival + timeout_s - time.perf_counter()),
+                )
+                self._waiting -= 1
+            if self._closed:
+                engine, refusal = None, "closed"
+            elif self._free:
+                engine, refusal = self._free.popleft(), None
+            else:
+                engine, refusal = None, "timeout"
+            self._publish()
+        return engine, refusal
 
     def release(self, engine: ServingEngine) -> None:
-        self._free.put(engine)
+        with self._cond:
+            self._free.append(engine)
+            self._publish()
+            self._cond.notify()
+
+    @property
+    def queue_depth(self) -> int:
+        """Requests waiting for an engine."""
+        return self._waiting
+
+    @property
+    def inflight(self) -> int:
+        """Engines checked out."""
+        return self.size - len(self._free)
+
+    @property
+    def closed(self) -> bool:
+        """Refusing every request (after :meth:`close`)."""
+        return self._closed
 
     def worker_stats(self) -> List[Dict[str, Any]]:
         """One roster row per pool engine (the health envelope's base)."""
@@ -264,12 +339,16 @@ class EnginePool:
         ]
 
     def close(self) -> None:
-        """Stop handing out engines."""
-        self._closed.set()
+        """Refuse every request from now on, waiting ones included."""
+        with self._cond:
+            self._closed = True
+            self._cond.notify_all()
 
 
 __all__ = [
+    "AdmissionConfig",
     "EnginePool",
+    "Execution",
     "ServingEngine",
     "ServingWorkload",
     "WorkloadConfig",

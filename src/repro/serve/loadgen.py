@@ -54,6 +54,10 @@ DEFAULT_MIX: Mapping[str, float] = {
 #: within-distance request draws from.
 DISTANCE_FACTORS: Tuple[float, ...] = (0.5, 1.0, 2.0)
 
+#: Upper bound on the client threads (they are sized to the service's
+#: capacity below it).
+MAX_CLIENT_THREADS = 256
+
 
 class LoadAccountingError(RuntimeError):
     """A scheduled request did not come back as exactly one response."""
@@ -260,7 +264,6 @@ class LoadResult:
 def run_open_loop(
     service: QueryService,
     config: Optional[LoadgenConfig] = None,
-    max_client_threads: int = 256,
 ) -> LoadResult:
     """Drive the service with a fixed-arrival-rate schedule.
 
@@ -271,7 +274,7 @@ def run_open_loop(
     """
     config = config if config is not None else LoadgenConfig()
     schedule = build_schedule(service.workload, config)
-    workers = max(1, min(len(schedule), service.capacity, max_client_threads))
+    workers = max(1, min(len(schedule), service.capacity, MAX_CLIENT_THREADS))
     start = time.perf_counter()
     with ThreadPoolExecutor(max_workers=workers) as pool:
         futures = []
@@ -323,6 +326,7 @@ __all__ = [
     "LoadAccountingError",
     "LoadResult",
     "LoadgenConfig",
+    "MAX_CLIENT_THREADS",
     "OpStats",
     "OP_COLUMNS",
     "ScheduledRequest",

@@ -45,6 +45,10 @@ KINDS = ("query", "metrics", "health", "describe", "ping", "shutdown")
 #: Refuse single lines beyond this size (a malformed client, not a query).
 MAX_LINE_BYTES = 1 << 20
 
+#: Upper bound on the query offload threads (they are sized to the
+#: service's capacity below it).
+MAX_OFFLOAD_THREADS = 128
+
 
 class ServeFrontend:
     """One TCP listener bound to one :class:`QueryService`."""
@@ -54,14 +58,13 @@ class ServeFrontend:
         service: QueryService,
         host: str = "127.0.0.1",
         port: int = 0,
-        max_offload_threads: int = 128,
     ) -> None:
         self.service = service
         self.host = host
         self.port = port
         self._server: Optional[asyncio.AbstractServer] = None
         self._executor = ThreadPoolExecutor(
-            max_workers=max(1, min(service.capacity, max_offload_threads)),
+            max_workers=max(1, min(service.capacity, MAX_OFFLOAD_THREADS)),
             thread_name_prefix="serve-exec",
         )
         self._shutdown = asyncio.Event()
@@ -209,4 +212,11 @@ def send_envelope(
     return json.loads(buf.decode("utf-8"))
 
 
-__all__ = ["KINDS", "MAX_LINE_BYTES", "ServeFrontend", "run_server", "send_envelope"]
+__all__ = [
+    "KINDS",
+    "MAX_LINE_BYTES",
+    "MAX_OFFLOAD_THREADS",
+    "ServeFrontend",
+    "run_server",
+    "send_envelope",
+]

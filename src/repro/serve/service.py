@@ -1,18 +1,17 @@
-"""The query service: admission, engine checkout, execution, accounting.
+"""The query service: the pool's decision, execution, accounting.
 
 :class:`QueryService` is the thread-safe core both front-ends share - the
 asyncio TCP server (:mod:`repro.serve.server`) and the in-process load
 generators (:mod:`repro.serve.loadgen`).  One :meth:`submit` call is one
 request's whole life:
 
-1. **admission** - refused immediately (``shed``) when the wait queue is
-   full;
-2. **engine checkout** - block until a pool engine frees up, bounded by
-   the admission deadline (``timeout``);
-3. **execution** - the checked-out :class:`~repro.serve.engine.ServingEngine`
-   runs the exact batch-path pipeline; results are bit-identical to a
-   direct engine call;
-4. **accounting** - every outcome increments
+1. **decision** - the :class:`~repro.serve.engine.EnginePool` runs the
+   request on a free engine, lets it wait, sheds it (the wait queue is
+   full) or times it out (no engine by its deadline);
+2. **execution** - the checked-out :class:`~repro.serve.engine.ServingEngine`
+   runs the exact batch-path pipeline, the same way for every request;
+   results are bit-identical to a direct engine call;
+3. **accounting** - every outcome increments
    ``serve_requests{op,status}``; latency splits land in the
    ``serve_wait_duration_s`` / ``serve_exec_duration_s`` /
    ``serve_request_duration_s`` histograms (per op); queue depth and
@@ -42,9 +41,9 @@ Per-request observability rides the same submit path:
 * with a **slow-query log** (:class:`~repro.serve.slowlog.SlowLogConfig`),
   threshold-exceeding requests and every shed/timeout/error add a JSONL
   forensics record (span tree, EXPLAIN funnel, cost stages, cache deltas,
-  queue-wait split) to a second :class:`~repro.obs.records.RecordLog`,
-  gathered via the per-request
-  :meth:`~repro.serve.engine.ServingEngine.execute_forensic` path.
+  queue-wait split) to a second :class:`~repro.obs.records.RecordLog`;
+  the funnel and cache deltas are the ones every execution returns (the
+  pipeline observer's funnel), so logging adds no execution path.
 * with **windowed health** (:class:`~repro.serve.health.HealthConfig`),
   every outcome also lands in rolling per-op latency/outcome windows and
   the SLO burn-rate tracker, surfaced live through :meth:`QueryService.health`
@@ -55,7 +54,6 @@ from __future__ import annotations
 
 import asyncio
 import json
-import threading
 import time
 from contextlib import nullcontext
 from typing import IO, Any, Dict, Optional, Sequence, Tuple, Union
@@ -65,8 +63,13 @@ from ..obs.metrics import MetricsRegistry
 from ..obs.records import RecordLog
 from ..obs.scope import use_scope
 from ..obs.trace import Tracer
-from .admission import AdmissionConfig, AdmissionController
-from .engine import EnginePool, ServingWorkload, WorkloadConfig
+from .engine import (
+    AdmissionConfig,
+    EnginePool,
+    Execution,
+    ServingWorkload,
+    WorkloadConfig,
+)
 from .health import HealthConfig, ServiceHealth, build_health
 from .schema import QueryRequest, QueryResponse
 from .slowlog import SlowLogConfig, build_record
@@ -109,11 +112,9 @@ class QueryService:
             ServiceHealth(health) if health is not None else None
         )
         self.workload = ServingWorkload(self.workload_config)
-        self.pool = EnginePool(self.workload, workers, warm=warm)
-        self.admission = AdmissionController(
-            self.admission_config, registry=self.registry
+        self.pool = EnginePool(
+            self.workload, workers, self.admission_config, self.registry, warm=warm
         )
-        self._closed = threading.Event()
         reg = self.registry
         reg.gauge("serve_workers").set(workers)
         reg.gauge("serve_queue_capacity").set(self.admission_config.max_queue)
@@ -156,14 +157,14 @@ class QueryService:
         with use_scope(tracer=tracer, registry=self.registry, request=context):
             if tracer is not None:
                 with tracer.span("request", op=request.op) as root:
-                    response, forensic = self._submit_core(
+                    response, execution = self._submit_core(
                         request, start, tracer
                     )
                     root.attributes["status"] = response.status
                     if response.worker is not None:
                         root.attributes["worker"] = response.worker
             else:
-                response, forensic = self._submit_core(request, start, tracer)
+                response, execution = self._submit_core(request, start, tracer)
         if trace_id is not None:
             response.trace_id = trace_id
         spans: Sequence[Dict[str, Any]] = ()
@@ -177,10 +178,8 @@ class QueryService:
                     request,
                     response,
                     spans=spans,
-                    funnel=forensic.get("funnel"),
-                    cost=forensic.get("cost"),
-                    cache_delta=forensic.get("cache_delta"),
-                    queue_depth=self.admission.queue_depth,
+                    execution=execution,
+                    queue_depth=self.pool.queue_depth,
                 )
             )
             self.registry.counter(
@@ -193,33 +192,23 @@ class QueryService:
         request: QueryRequest,
         start: float,
         tracer: Optional[Tracer],
-    ) -> Tuple[QueryResponse, Dict[str, Any]]:
-        """Admission -> engine checkout -> execution -> accounting.
+    ) -> Tuple[QueryResponse, Optional[Execution]]:
+        """The pool's decision -> execution -> accounting.
 
-        Returns the response plus the forensic artifacts (funnel, cost,
-        cache deltas) gathered for the slow-query log along the way.
+        Returns the response and, for a request that ran to completion,
+        its :class:`~repro.serve.engine.Execution` (the slow-query log
+        reads its cost, funnel and cache deltas).
         """
-        forensic: Dict[str, Any] = {}
-        if self._closed.is_set():
-            return (
-                self._finish(request, "error", start, error="service is closed"),
-                forensic,
-            )
-        if not self.admission.try_admit():
-            return self._finish(request, "shed", start), forensic
-
-        engine = self.pool.acquire(self.admission_config.timeout_s)
+        engine, refusal = self.pool.acquire(start)
         wait_s = time.perf_counter() - start
+        if refusal == "closed":
+            return self._finish(request, "error", start, error="service is closed"), None
+        if refusal == "shed":
+            return self._finish(request, "shed", start), None
         if tracer is not None:
             tracer.record("queue_wait", wait_s)
         if engine is None:
-            self.admission.abandon_queue()
-            return (
-                self._finish(request, "timeout", start, wait_s=wait_s),
-                forensic,
-            )
-
-        self.admission.start_execution()
+            return self._finish(request, "timeout", start, wait_s=wait_s), None
         try:
             exec_start = time.perf_counter()
             exec_span = (
@@ -228,14 +217,7 @@ class QueryService:
                 else nullcontext()
             )
             with exec_span:
-                if self.slowlog is not None:
-                    results, cost, funnel, cache_delta = (
-                        engine.execute_forensic(request)
-                    )
-                    forensic["funnel"] = funnel
-                    forensic["cache_delta"] = cache_delta
-                else:
-                    results, cost = engine.execute(request)
+                execution = engine.execute(request)
             exec_s = time.perf_counter() - exec_start
         except Exception as exc:
             return (
@@ -247,24 +229,22 @@ class QueryService:
                     worker=engine.worker_id,
                     error=f"{type(exc).__name__}: {exc}",
                 ),
-                forensic,
+                None,
             )
         finally:
-            self.admission.finish_execution()
             self.pool.release(engine)
-        forensic["cost"] = cost
         return (
             self._finish(
                 request,
                 "ok",
                 start,
-                results=results,
+                results=execution.results,
                 wait_s=wait_s,
                 exec_s=exec_s,
                 worker=engine.worker_id,
-                attributes={"pairs_compared": cost.pairs_compared},
+                attributes={"pairs_compared": execution.cost.pairs_compared},
             ),
-            forensic,
+            execution,
         )
 
     def export_traces(self, target: Union[str, IO[str]]) -> int:
@@ -375,11 +355,11 @@ class QueryService:
         """
         return build_health(
             self.health_monitor,
-            queue_depth=self.admission.queue_depth,
-            inflight=self.admission.inflight,
+            queue_depth=self.pool.queue_depth,
+            inflight=self.pool.inflight,
             max_queue=self.admission_config.max_queue,
             workers=self.pool.worker_stats(),
-            closed=self._closed.is_set(),
+            closed=self.pool.closed,
         )
 
     def export_alerts(self, target: Union[str, IO[str]]) -> int:
@@ -396,8 +376,7 @@ class QueryService:
         return self.health_monitor.slo.alert_log.export(target)
 
     def close(self) -> None:
-        """Refuse new work and release engine resources (idempotent)."""
-        self._closed.set()
+        """Refuse new and waiting work (idempotent)."""
         self.pool.close()
 
     def __enter__(self) -> "QueryService":

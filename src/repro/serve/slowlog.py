@@ -61,19 +61,18 @@ def build_record(
     response: Any,
     *,
     spans: Sequence[Any] = (),
-    funnel: Optional[Any] = None,
-    cost: Optional[Any] = None,
-    cache_delta: Optional[Dict[str, Dict[str, int]]] = None,
+    execution: Optional[Any] = None,
     queue_depth: Optional[int] = None,
 ) -> Dict[str, Any]:
     """Assemble one slowlog record from the request's artifacts.
 
     ``request``/``response`` are the serve schema types; ``spans`` are
-    the request's span dicts; ``funnel`` is a
-    :class:`~repro.obs.explain.QueryFunnel` (its identity checks are
-    re-run here and any violations stored - a slowlog whose funnels fail
-    the Fig-13 identities is itself a bug report); ``cost`` a
-    :class:`~repro.query.costs.CostBreakdown`.
+    the request's span dicts; ``execution`` is the request's
+    :class:`~repro.serve.engine.Execution` (``None`` when it never ran):
+    its :class:`~repro.query.costs.CostBreakdown`, its cache deltas and
+    its :class:`~repro.obs.explain.QueryFunnel`, whose identity checks
+    are re-run here and any violations stored - a slowlog whose funnels
+    fail the Fig-13 identities is itself a bug report.
     """
     record: Dict[str, Any] = {
         "schema": SLOWLOG_SCHEMA,
@@ -101,16 +100,16 @@ def build_record(
                 if (s.get("attributes") or {}).get("over_deadline")
             }
         )
-    if funnel is not None:
-        record["funnel"] = funnel.to_dict()
-        record["funnel_violations"] = funnel.check()
-    if cost is not None:
+    if execution is not None:
+        if execution.funnel is not None:
+            record["funnel"] = execution.funnel.to_dict()
+            record["funnel_violations"] = execution.funnel.check()
+        cost = execution.cost
         record["cost"] = {
             name: getattr(cost, name)
             for name in type(cost).__dataclass_fields__
         }
-    if cache_delta is not None:
-        record["cache_delta"] = cache_delta
+        record["cache_delta"] = execution.cache_delta
     return record
 
 

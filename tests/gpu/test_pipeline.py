@@ -7,7 +7,6 @@ import pytest
 
 from repro.geometry import Polygon, Rect
 from repro.gpu import DeviceLimits, GraphicsPipeline
-from repro.gpu.pipeline import uniform_window_scale
 
 
 class TestConstruction:
@@ -196,7 +195,9 @@ class TestNonSquareProjection:
         # bit-identical on the square viewports every existing result used.
         for res in (1, 4, 8, 32):
             for window in [Rect(0, 0, 10, 5), Rect(-2, 1, 3, 9), Rect(0, 0, 7, 7)]:
-                got = uniform_window_scale(res, res, window)
+                pl = GraphicsPipeline(res, res)
+                pl.set_data_window(window)
+                got = pl.scale
                 historical = res / max(window.width, window.height)
                 assert got == historical
 

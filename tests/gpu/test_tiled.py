@@ -17,10 +17,10 @@ from repro.gpu import (
     GraphicsPipeline,
     TiledPipeline,
 )
-from repro.gpu.pipeline import clip_keep, cull_boxes, uniform_window_scale
+from repro.gpu.pipeline import clip_keep, cull_boxes
 from repro.gpu.state import DEFAULT_AA_LINE_WIDTH
 from repro.obs import Tracer, use_scope
-from tests.oracles.raster import tile_transform_loop
+from tests.oracles.raster import tile_transform_loop, uniform_window_scale
 from tests.strategies import lattices
 
 SQUARE_EDGES = np.array(

@@ -402,12 +402,12 @@ class TestCli:
         merged = funnels()
         a = funnels("--experiment", "a")
         b = funnels("--experiment", "b")
-        registry = MetricsRegistry()
-        for entry in json.loads(path.read_text())["experiments"]:
-            registry.merge(entry["metrics"])
+        entries = json.loads(path.read_text())["experiments"]
         assert merged == {
             name: funnel.to_dict()
-            for name, funnel in funnels_from_snapshot(registry.snapshot()).items()
+            for name, funnel in funnels_from_snapshot(
+                *(entry["metrics"] for entry in entries)
+            ).items()
         }
         assert set(merged) == {"join", "within_distance_join"} == set(a) | set(b)
         for pipeline, funnel in merged.items():

@@ -26,7 +26,6 @@ import numpy as np
 
 from repro.filters import IntervalApproximation, classify_intervals
 from repro.geometry import edge_bounds
-from repro.gpu.pipeline import uniform_window_scale
 from repro.gpu.raster_bulk import COVERAGE_EPS
 from repro.gpu.raster_vector import scanline_row_bounds
 
@@ -307,6 +306,18 @@ def brute_force_evenodd(shape, vertices) -> np.ndarray:
 # -- the atlas batch ---------------------------------------------------------
 
 
+def uniform_window_scale(width: int, height: int, window) -> float:
+    """The uniform scale projecting ``window`` into a ``width x height``
+    viewport, in Python floats: the binding axis decides, a degenerate
+    axis imposes no constraint, a fully degenerate window gets scale 1."""
+    span = max(window.width, window.height)
+    if span <= 0.0:
+        return 1.0
+    sx = width / window.width if window.width > 0.0 else math.inf
+    sy = height / window.height if window.height > 0.0 else math.inf
+    return min(sx, sy)
+
+
 def _cull_box(
     xmin: float, ymin: float, scale: float, pad: float, width: int, height: int
 ) -> Tuple[float, float, float, float]:
@@ -328,8 +339,8 @@ def _cull_box(
 
 def tile_transform_loop(width, height, windows, pads):
     """``(scales, boxes)``: each tile's viewport scale and the data-space
-    box its clip rejects outside, one tile at a time through the per-pair
-    pipeline's ``uniform_window_scale`` and :func:`_cull_box`."""
+    box its clip rejects outside, one tile at a time through
+    :func:`uniform_window_scale` and :func:`_cull_box`."""
     scales, boxes = [], []
     for window, pad in zip(windows, pads):
         scale = uniform_window_scale(width, height, window)

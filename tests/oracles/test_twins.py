@@ -50,7 +50,7 @@ from repro.geometry.distance import segment_offsets
 from repro.geometry.hypot_order import first_min_hypot
 from repro.geometry.edge_store import EdgeStore
 from repro.gpu import polygon_fill_coverage_mask
-from repro.gpu.pipeline import cull_boxes, window_columns, window_scales
+from repro.gpu.pipeline import GraphicsPipeline, cull_boxes, window_columns, window_scales
 from repro.gpu.raster_bulk import edges_coverage_mask, edges_coverage_masks_grouped
 from repro.gpu.tiled import _gather
 from repro.index import plane_sweep_mbr_join, rtree_nearest, str_bulk_load
@@ -300,6 +300,14 @@ def _tile_transforms(oracle, twin, args):
     assert boxes.T.tolist() == [list(box) for box in expected_boxes]
 
 
+def _pipeline_scale(oracle, twin, args):
+    """The per-pair pipeline's projection scale after ``set_data_window``."""
+    (height, width), window = args
+    pipeline = GraphicsPipeline(width, height)
+    twin(pipeline, window)
+    assert pipeline.scale == oracle(width, height, window)
+
+
 def _gathered(oracle, twin, args):
     """One store, and the tiles alternating between two stores: the batch
     groups tiles by store and must still return them in tile order."""
@@ -546,6 +554,13 @@ TWINS = {
             tile_windows(),
             tuple((8, 8, [w, Rect(0.0, 0.0, 8.0, 8.0)], [2.5, 9.0]) for w in ODD_WINDOWS),
             _tile_transforms,
+        ),
+        Twin(
+            raster.uniform_window_scale,
+            GraphicsPipeline.set_data_window,
+            st.tuples(shapes, st.one_of(rects(), st.sampled_from(ODD_WINDOWS))),
+            tuple(((4, 8), w) for w in (*ODD_WINDOWS, Rect(0.0, 0.0, 8.0, 8.0))),
+            _pipeline_scale,
         ),
         Twin(
             raster.cull_loop,

@@ -31,8 +31,7 @@ def reference(workload):
 
 
 def _direct(reference: ServingEngine, request: QueryRequest):
-    results, _ = reference.execute(request)
-    return canonical_results(results)
+    return canonical_results(reference.execute(request).results)
 
 
 class TestBitIdentityAcrossBackends:

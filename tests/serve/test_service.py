@@ -1,6 +1,7 @@
 """QueryService behavior: statuses, accounting, metrics, lifecycle."""
 
 import threading
+import time
 
 import pytest
 
@@ -59,10 +60,72 @@ class TestBackpressure:
         try:
             # With a zero-length queue and the single engine checked out,
             # every arrival is shed before doing any work.
-            engine = svc.pool.acquire(None)
+            engine, _ = svc.pool.acquire(time.perf_counter())
             resp = svc.submit(QueryRequest(op="join"))
             assert resp.status == "shed"
             svc.pool.release(engine)
+        finally:
+            svc.close()
+
+    def test_zero_queue_runs_on_an_idle_engine(self):
+        # A zero-length queue refuses only what would have to wait: an
+        # idle service answers every sequential request.
+        svc = QueryService(workers=2, admission=AdmissionConfig(max_queue=0))
+        try:
+            statuses = [
+                svc.submit(QueryRequest(op="selection", query_index=i)).status
+                for i in range(4)
+            ]
+            assert statuses == ["ok"] * 4
+            assert (svc.pool.queue_depth, svc.pool.inflight) == (0, 0)
+        finally:
+            svc.close()
+
+    def test_burst_gets_ok_shed_and_timeout_all_accounted(self, monkeypatch):
+        # One engine, one queue slot, a short deadline.  The first arrival
+        # of a burst runs (its execution is held until the others are
+        # answered), one more waits and times out, the rest are shed - and
+        # every arrival is accounted exactly once.
+        svc = QueryService(
+            workers=1, admission=AdmissionConfig(max_queue=1, timeout_s=0.2)
+        )
+        try:
+            engine = svc.pool.engines[0]
+            execute, release = engine.execute, threading.Event()
+
+            def held_execute(request):
+                release.wait(10.0)
+                return execute(request)
+
+            monkeypatch.setattr(engine, "execute", held_execute)
+            arrivals = 6
+            barrier = threading.Barrier(arrivals)
+            responses = []
+
+            def client():
+                barrier.wait()
+                responses.append(svc.submit(QueryRequest(op="join")))
+
+            burst = [threading.Thread(target=client) for _ in range(arrivals)]
+            for t in burst:
+                t.start()
+            deadline = time.monotonic() + 10.0
+            while len(responses) < arrivals - 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            release.set()
+            for t in burst:
+                t.join(timeout=10.0)
+                assert not t.is_alive()
+            statuses = sorted(r.status for r in responses)
+            assert statuses.count("ok") == 1
+            assert statuses.count("timeout") >= 1
+            assert statuses.count("shed") >= 1
+            counters = svc.metrics_snapshot()["counters"]
+            counted = sum(
+                counters.get(f"serve_requests{{op=join,status={status}}}", 0)
+                for status in ("ok", "shed", "timeout", "error")
+            )
+            assert counted == len(responses) == arrivals
         finally:
             svc.close()
 
@@ -72,12 +135,12 @@ class TestBackpressure:
             admission=AdmissionConfig(max_queue=4, timeout_s=0.05),
         )
         try:
-            engine = svc.pool.acquire(None)  # hold the only engine
+            engine, _ = svc.pool.acquire(time.perf_counter())  # hold the only engine
             resp = svc.submit(QueryRequest(op="join"))
             assert resp.status == "timeout"
             assert resp.wait_s >= 0.05
             # The abandoned queue slot is returned.
-            assert svc.admission.queue_depth == 0
+            assert svc.pool.queue_depth == 0
             svc.pool.release(engine)
             # And the service still works afterwards.
             assert svc.submit(QueryRequest(op="join")).status == "ok"

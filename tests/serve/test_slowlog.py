@@ -1,14 +1,17 @@
 """Tests for slow-query forensics: capture policy, record contents, CLI."""
 
 import json
+import time
 
 import pytest
 
+from repro.obs.explain import explain_run
 from repro.obs.records import MAX_RECORDS
 from repro.serve import (
     AdmissionConfig,
     QueryRequest,
     QueryService,
+    ServingEngine,
     SlowLogConfig,
     load_slowlog,
     summarize_slowlog,
@@ -117,7 +120,10 @@ class TestRecords:
             slowlog=SlowLogConfig(threshold_s=100.0),
         )
         try:
+            # Hold the only engine: with nowhere to wait, the join is shed.
+            engine, _ = svc.pool.acquire(time.perf_counter())
             response = svc.submit(QueryRequest(op="join"))
+            svc.pool.release(engine)
             assert response.status == "shed"
             record = svc.slowlog.records()[-1]
             assert record["status"] == "shed"
@@ -137,6 +143,43 @@ class TestRecords:
                 QueryRequest(op="selection", query_index=0)
             ).status == "ok"
             assert len(svc.slowlog) == 0
+        finally:
+            svc.close()
+
+
+class TestFunnelIdentity:
+    def test_slowlog_funnel_equals_explain_run_on_a_fresh_engine(self):
+        """Every request's slowlog funnel - the one its pipeline's observer
+        published - equals ``explain_run``'s funnel of the same request on
+        a fresh engine, stage by stage and label by label."""
+        svc = QueryService(workers=1, slowlog=SlowLogConfig(threshold_s=0.0))
+        workload = svc.workload
+        requests = [QueryRequest(op="selection", query_index=i) for i in range(6)]
+        requests += [
+            QueryRequest(op="join"),
+            QueryRequest(op="within_distance", distance=workload.base_distance),
+        ]
+        try:
+            for request in requests:
+                assert svc.submit(request).status == "ok"
+                record = svc.slowlog.records()[-1]
+                fresh = ServingEngine(0, workload)
+                pipeline, run = {
+                    "selection": (
+                        "selection",
+                        lambda: fresh.selection.run(
+                            workload.queries[request.query_index]
+                        ),
+                    ),
+                    "join": ("join", fresh.join.run),
+                    "within_distance": (
+                        "within_distance_join",
+                        lambda: fresh.within.run(request.distance),
+                    ),
+                }[request.op]
+                _, funnel = explain_run(pipeline, fresh.engine, run)
+                assert record["funnel"] == funnel.to_dict(), request
+                assert record["funnel_violations"] == []
         finally:
             svc.close()
 
