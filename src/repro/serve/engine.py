@@ -14,10 +14,10 @@ queries:
   the :mod:`repro.cache` layers resolved from the workload's
   :class:`~repro.cache.CacheConfig` - warm across requests instead of
   rebuilt per query;
-* :class:`EnginePool` is the service's one admission gate: it decides
-  whether each request runs on a free engine, waits, is shed or times out,
-  and hands engines out one request at a time (engines accumulate stats
-  and own mutable pipeline state).
+* :class:`EnginePool` is the service's one admission gate: it decides at
+  arrival whether each request runs on a free engine, queues or is shed,
+  times a queued one out, and hands engines out one request at a time
+  (engines accumulate stats and own mutable pipeline state).
 
 The three resident pipelines mirror the paper's query classes on the same
 layers the benchmarks use: selection of STATES50 boundaries against the
@@ -233,14 +233,27 @@ class ServingEngine:
 class EnginePool:
     """The pool's engines and the one gate in front of them.
 
-    Every request calls :meth:`acquire` once and gets one decision, taken
-    under one condition variable that sees the whole state:
+    Every request gets one decision at its arrival, from :meth:`admit`,
+    taken under one condition variable that sees the whole state and
+    never blocking:
 
-    * **run** - an engine is free: the request checks it out at once;
-    * **wait** - fewer than ``max_queue`` others are waiting: it waits
-      for a :meth:`release`;
+    * **run** - an engine is free and no queued request is owed it: the
+      request checks it out at once;
+    * **queued** - fewer than ``max_queue`` others are waiting: it takes a
+      queue slot, then waits in :meth:`wait` for a :meth:`release`;
     * **shed** - otherwise it is refused at once;
-    * **timeout** - it has no engine by ``arrival + timeout_s``.
+
+    and a queued request that has no engine by ``arrival + timeout_s``
+    gets a **timeout** from :meth:`wait`.  Splitting the decision from the
+    wait lets an event loop decide at arrival and park only queued
+    requests on a thread.
+
+    A released engine goes to a queued request before any later arrival:
+    :meth:`admit` hands out an engine only while free engines outnumber
+    the queued requests.  Without that, an arrival decided on an event
+    loop could take the engine a woken waiter was about to get, then sit
+    behind parked waiters in a bounded thread pool with no thread ever
+    free to run it - and so never release the engine they wait for.
 
     Execution itself is never preempted: a checked-out engine serves its
     one request to completion (engines accumulate stats and own mutable
@@ -278,29 +291,45 @@ class EnginePool:
         self._depth_gauge.set(self._waiting)
         self._inflight_gauge.set(self.inflight)
 
-    def acquire(
-        self, arrival: float
-    ) -> Tuple[Optional[ServingEngine], Optional[str]]:
-        """Decide one request that arrived at ``arrival`` (``time.perf_counter()``).
+    def admit(self) -> Tuple[Optional[ServingEngine], Optional[str]]:
+        """Decide one request at its arrival, without blocking.
 
         Returns ``(engine, None)`` - run on it, then :meth:`release` it -
-        or ``(None, refusal)`` with refusal ``"shed"``, ``"timeout"`` or
+        ``(None, "queued")`` - it holds a queue slot: call :meth:`wait` -
+        or ``(None, refusal)`` with refusal ``"shed"`` or ``"closed"``.
+        """
+        with self._cond:
+            if self._closed:
+                return None, "closed"
+            if len(self._free) > self._waiting:
+                engine = self._free.popleft()
+                self._publish()
+                return engine, None
+            if self._waiting >= self.admission.max_queue:
+                return None, "shed"
+            self._waiting += 1
+            self._publish()
+        return None, "queued"
+
+    def wait(
+        self, arrival: float
+    ) -> Tuple[Optional[ServingEngine], Optional[str]]:
+        """Wait for an engine for a request :meth:`admit` queued at
+        ``arrival`` (``time.perf_counter()``); gives up its queue slot.
+
+        Returns ``(engine, None)`` or ``(None, refusal)`` with refusal
+        ``"timeout"`` (no engine by ``arrival + timeout_s``) or
         ``"closed"``.
         """
         timeout_s = self.admission.timeout_s
         with self._cond:
-            if not self._free and not self._closed:
-                if self._waiting >= self.admission.max_queue:
-                    return None, "shed"
-                self._waiting += 1
-                self._publish()
-                self._cond.wait_for(
-                    lambda: self._free or self._closed,
-                    None
-                    if timeout_s is None
-                    else max(0.0, arrival + timeout_s - time.perf_counter()),
-                )
-                self._waiting -= 1
+            self._cond.wait_for(
+                lambda: self._free or self._closed,
+                None
+                if timeout_s is None
+                else max(0.0, arrival + timeout_s - time.perf_counter()),
+            )
+            self._waiting -= 1
             if self._closed:
                 engine, refusal = None, "closed"
             elif self._free:

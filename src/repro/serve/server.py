@@ -21,9 +21,12 @@ Envelope kinds:
 * ``ping`` - liveness (answers ``pong``);
 * ``shutdown`` - acknowledge, then stop accepting connections.
 
-The event loop only parses and routes; every query is offloaded to a
-thread pool sized to the service's :attr:`~repro.serve.service.QueryService.capacity`
-via :meth:`~repro.serve.service.QueryService.asubmit`, so slow pipeline
+The event loop parses, routes and takes each query's admission decision
+at its arrival (:meth:`~repro.serve.service.QueryService.asubmit`, which
+states the dispatch rule): a refusal is answered on the loop, a selection
+the MBR filter settled on its last run executes there on a free engine,
+and every other query runs on a thread pool sized to the service's
+:attr:`~repro.serve.service.QueryService.capacity`.  So slow pipeline
 work never blocks other connections' admission (which is how a shed
 response can overtake a long-running query on the same socket server).
 """

@@ -2,12 +2,14 @@
 
 :class:`QueryService` is the thread-safe core both front-ends share - the
 asyncio TCP server (:mod:`repro.serve.server`) and the in-process load
-generators (:mod:`repro.serve.loadgen`).  One :meth:`submit` call is one
-request's whole life:
+generators (:mod:`repro.serve.loadgen`).  One :meth:`submit` call - or
+one :meth:`asubmit` await on an event loop - is one request's whole life:
 
-1. **decision** - the :class:`~repro.serve.engine.EnginePool` runs the
-   request on a free engine, lets it wait, sheds it (the wait queue is
-   full) or times it out (no engine by its deadline);
+1. **decision** - at arrival the :class:`~repro.serve.engine.EnginePool`
+   runs the request on a free engine, queues it or sheds it (the wait
+   queue is full); a queued request times out with no engine by its
+   deadline.  :meth:`asubmit` takes this decision on the loop thread and
+   states the one rule that picks the thread a request executes on;
 2. **execution** - the checked-out :class:`~repro.serve.engine.ServingEngine`
    runs the exact batch-path pipeline, the same way for every request;
    results are bit-identical to a direct engine call;
@@ -56,7 +58,7 @@ import asyncio
 import json
 import time
 from contextlib import nullcontext
-from typing import IO, Any, Dict, Optional, Sequence, Tuple, Union
+from typing import IO, Any, Dict, Optional, Sequence, Set, Tuple, Union
 
 from ..obs.context import RequestContext, new_trace_id
 from ..obs.metrics import MetricsRegistry
@@ -67,6 +69,7 @@ from .engine import (
     AdmissionConfig,
     EnginePool,
     Execution,
+    ServingEngine,
     ServingWorkload,
     WorkloadConfig,
 )
@@ -115,6 +118,12 @@ class QueryService:
         self.pool = EnginePool(
             self.workload, workers, self.admission_config, self.registry, warm=warm
         )
+        #: The dispatch rule's input (:meth:`asubmit`): resident query
+        #: indices whose last completed selection found no MBR candidate.
+        #: The resident data is read-only, so an index's candidate count
+        #: never changes and the set only grows (``add`` and ``in`` are
+        #: each atomic under the GIL).
+        self._settled_by_mbr: Set[int] = set()
         reg = self.registry
         reg.gauge("serve_workers").set(workers)
         reg.gauge("serve_queue_capacity").set(self.admission_config.max_queue)
@@ -136,6 +145,64 @@ class QueryService:
         request cannot take down a serving thread.
         """
         start = time.perf_counter()
+        return self._serve(request, start, self.pool.admit())
+
+    async def asubmit(
+        self,
+        request: QueryRequest,
+        executor: Any = None,
+    ) -> QueryResponse:
+        """Decide one request on the event loop at its arrival, then serve it.
+
+        The pool's decision (:meth:`~repro.serve.engine.EnginePool.admit`)
+        is taken here, on the loop thread, so shed, timeout, ``wait_s``
+        and ``total_s`` all count from arrival.  A request refused at
+        arrival (shed, closed) executes nothing and is answered here.
+
+        The one dispatch rule: a request **executes on the loop thread**
+        iff (1) it is a ``selection``, (2) the last completed run of the
+        same resident ``query_index`` on this service had
+        ``cost.candidates_after_mbr == 0`` - the MBR filter settled it -
+        and (3) the pool handed it a free engine at arrival.  Every other
+        admitted request runs on ``executor``: with its engine already
+        checked out, or waiting for one in the pool.  Both placements
+        serve through the same code as :meth:`submit`, so a request placed
+        on the loop - like a refused one - also does its accounting there,
+        including the slow-query log's append to its file (one short line,
+        under a lock the executor threads take for theirs too).
+
+        ``executor`` should be sized to the service's :attr:`capacity` so
+        the offload pool is never the bottleneck (the TCP front-end does
+        this, up to a cap).  A smaller one is slower, never stuck: the
+        pool gives a released engine to a queued request before a later
+        arrival, so a request that holds an engine is never queued behind
+        threads parked waiting for one.
+        """
+        start = time.perf_counter()
+        admitted = self.pool.admit()
+        engine, outcome = admitted
+        refused = engine is None and outcome != "queued"
+        settled = (
+            request.op == "selection"
+            and request.query_index in self._settled_by_mbr
+        )
+        if refused or (engine is not None and settled):
+            return self._serve(request, start, admitted)
+        loop = asyncio.get_running_loop()
+        # Shielded: the request already holds an engine or a queue slot,
+        # so a cancelled caller must not cancel it before a thread runs it.
+        return await asyncio.shield(
+            loop.run_in_executor(executor, self._serve, request, start, admitted)
+        )
+
+    def _serve(
+        self,
+        request: QueryRequest,
+        start: float,
+        admitted: Tuple[Optional[ServingEngine], Optional[str]],
+    ) -> QueryResponse:
+        """One request's life after its arrival decision: scope,
+        tracing, execution, accounting, slow-query log."""
         tracing_on = self.trace
         forensics = tracing_on or self.slowlog is not None
         trace_id = (request.trace_id or new_trace_id()) if forensics else None
@@ -147,7 +214,9 @@ class QueryService:
                 trace_id=trace_id,  # type: ignore[arg-type]
                 attributes={"op": request.op},
                 deadline_unix_s=(
-                    time.time() + timeout_s if timeout_s is not None else None
+                    time.time() - (time.perf_counter() - start) + timeout_s
+                    if timeout_s is not None
+                    else None
                 ),
             )
         # The tracer is named even when tracing is off: a Tracer is
@@ -158,13 +227,15 @@ class QueryService:
             if tracer is not None:
                 with tracer.span("request", op=request.op) as root:
                     response, execution = self._submit_core(
-                        request, start, tracer
+                        request, start, tracer, admitted
                     )
                     root.attributes["status"] = response.status
                     if response.worker is not None:
                         root.attributes["worker"] = response.worker
             else:
-                response, execution = self._submit_core(request, start, tracer)
+                response, execution = self._submit_core(
+                    request, start, tracer, admitted
+                )
         if trace_id is not None:
             response.trace_id = trace_id
         spans: Sequence[Dict[str, Any]] = ()
@@ -192,14 +263,20 @@ class QueryService:
         request: QueryRequest,
         start: float,
         tracer: Optional[Tracer],
+        admitted: Tuple[Optional[ServingEngine], Optional[str]],
     ) -> Tuple[QueryResponse, Optional[Execution]]:
-        """The pool's decision -> execution -> accounting.
+        """The arrival decision (a queued request waits here) ->
+        execution -> accounting.
 
         Returns the response and, for a request that ran to completion,
         its :class:`~repro.serve.engine.Execution` (the slow-query log
-        reads its cost, funnel and cache deltas).
+        reads its cost, funnel and cache deltas).  A finished selection
+        also updates the dispatch rule's input: whether the MBR filter
+        settled its ``query_index``.
         """
-        engine, refusal = self.pool.acquire(start)
+        engine, refusal = admitted
+        if refusal == "queued":
+            engine, refusal = self.pool.wait(start)
         wait_s = time.perf_counter() - start
         if refusal == "closed":
             return self._finish(request, "error", start, error="service is closed"), None
@@ -233,6 +310,8 @@ class QueryService:
             )
         finally:
             self.pool.release(engine)
+        if request.op == "selection" and not execution.cost.candidates_after_mbr:
+            self._settled_by_mbr.add(request.query_index)
         return (
             self._finish(
                 request,
@@ -271,19 +350,6 @@ class QueryService:
                 target.write(json.dumps(doc, sort_keys=True) + "\n")
                 count += 1
         return count
-
-    async def asubmit(
-        self,
-        request: QueryRequest,
-        executor: Any = None,
-    ) -> QueryResponse:
-        """Asyncio facade: run :meth:`submit` on a thread-pool executor.
-
-        ``executor`` should be sized to the service's :attr:`capacity` so
-        the offload pool is never the bottleneck (the front-ends do this).
-        """
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(executor, self.submit, request)
 
     # -- bookkeeping ------------------------------------------------------
 

@@ -33,8 +33,11 @@ def pool_of(workload):
     return build
 
 
-def _acquire(pool):
-    return pool.acquire(time.perf_counter())
+def _acquire(pool, arrival=None):
+    """One request's whole decision: admit it, then wait if it was queued."""
+    arrival = time.perf_counter() if arrival is None else arrival
+    engine, outcome = pool.admit()
+    return pool.wait(arrival) if outcome == "queued" else (engine, outcome)
 
 
 def _until(predicate):
@@ -65,7 +68,39 @@ def _waiters(pool, n):
 
 class TestAdmissionController:
     """The pool as the service's admission controller: every run, wait,
-    shed and timeout decision is taken by :meth:`EnginePool.acquire`."""
+    shed and timeout decision is taken by :meth:`EnginePool.admit` at
+    arrival and, for a queued request, :meth:`EnginePool.wait`."""
+
+    def test_admit_decides_without_blocking(self, pool_of):
+        pool = pool_of(size=1, max_queue=1)
+        held, outcome = pool.admit()
+        assert held is not None and outcome is None
+        # Busy with a free slot: queued at once, the slot already counted.
+        assert pool.admit() == (None, "queued")
+        assert (pool.queue_depth, pool.inflight) == (1, 1)
+        assert pool.admit() == (None, "shed")  # the slot is taken
+        pool.release(held)
+        assert pool.wait(time.perf_counter()) == (held, None)
+        assert (pool.queue_depth, pool.inflight) == (0, 1)
+        pool.release(held)
+
+    def test_released_engine_goes_to_the_queued_request(self, pool_of):
+        pool = pool_of(size=1, max_queue=2)
+        held, _ = pool.admit()
+        assert pool.admit() == (None, "queued")
+        pool.release(held)
+        # The free engine is owed to the queued request: a later arrival
+        # queues behind it instead of taking it.
+        assert pool.admit() == (None, "queued")
+        assert (pool.queue_depth, pool.inflight) == (2, 0)
+        now = time.perf_counter()
+        assert pool.wait(now) == (held, None)
+        pool.release(held)
+        assert pool.wait(now) == (held, None)
+        pool.release(held)
+        # Nobody is queued any more: an arrival takes a free engine at once.
+        assert pool.admit() == (held, None)
+        pool.release(held)
 
     def test_sheds_beyond_queue_bound(self, pool_of):
         pool = pool_of(size=1, max_queue=2)
@@ -106,7 +141,7 @@ class TestAdmissionController:
         pool = pool_of(size=1, max_queue=1, timeout_s=0.05)
         held, _ = _acquire(pool)
         start = time.perf_counter()
-        assert pool.acquire(start) == (None, "timeout")
+        assert _acquire(pool, start) == (None, "timeout")
         assert time.perf_counter() - start >= 0.05
         # The timed-out request left the queue: the next one waits
         # (and times out) instead of being shed.
@@ -119,7 +154,7 @@ class TestAdmissionController:
         held, _ = _acquire(pool)
         # Arrived a second ago: its deadline has passed, so it does not wait.
         start = time.perf_counter()
-        assert pool.acquire(start - 1.0) == (None, "timeout")
+        assert _acquire(pool, start - 1.0) == (None, "timeout")
         assert time.perf_counter() - start < 0.5
         pool.release(held)
 

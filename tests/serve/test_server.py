@@ -5,10 +5,11 @@ import json
 import socket
 import struct
 import threading
+import time
 
 import pytest
 
-from repro.serve import ServeFrontend, send_envelope
+from repro.serve import AdmissionConfig, QueryService, ServeFrontend, send_envelope
 from repro.serve.server import MAX_LINE_BYTES
 
 
@@ -70,6 +71,47 @@ def _settled(service):
 
 def _served(service):
     return sum(row["requests_served"] for row in service.pool.worker_stats())
+
+
+JOIN = {"kind": "query", "request": {"op": "join"}}
+
+
+@pytest.fixture
+def held_service(monkeypatch):
+    """A one-engine service whose engine blocks in ``execute`` until released.
+
+    Returns ``(service, entered, release)``: ``entered`` is set once a
+    request holds the engine, ``release`` lets it go on.
+    """
+    services = []
+
+    def build(**admission):
+        svc = QueryService(workers=1, admission=AdmissionConfig(**admission))
+        services.append(svc)
+        engine = svc.pool.engines[0]
+        execute, entered, release = engine.execute, threading.Event(), threading.Event()
+
+        def held_execute(request):
+            entered.set()
+            release.wait(10.0)
+            return execute(request)
+
+        monkeypatch.setattr(engine, "execute", held_execute)
+        return svc, entered, release
+
+    yield build
+    for svc in services:
+        svc.close()
+
+
+def _holding(host, port, out, entered):
+    """Send a join from a thread and wait until it holds the engine."""
+    holder = threading.Thread(
+        target=lambda: out.update(held=send_envelope(host, port, JOIN))
+    )
+    holder.start()
+    out["entered"] = entered.wait(10.0)
+    return holder
 
 
 #: Requests whose *types* are wrong, and what the refusal must name: each is
@@ -350,6 +392,101 @@ class TestConcurrentConnections:
         assert all(
             r["response"]["status"] == "ok" for r in res["replies"]
         )
+
+
+class TestArrivalAdmission:
+    """The front-end decides each query at its arrival on the loop, so
+    shed, timeout, ``wait_s`` and ``total_s`` count from arrival."""
+
+    def test_busy_engine_sheds_at_arrival(self, held_service):
+        svc, entered, release = held_service(max_queue=0, timeout_s=0.2)
+
+        def client(host, port):
+            out = {}
+            holder = _holding(host, port, out, entered)
+            try:
+                out["second"] = send_envelope(host, port, JOIN)
+            finally:
+                release.set()
+                holder.join(10.0)
+                send_envelope(host, port, {"kind": "shutdown"})
+            return out
+
+        res = _with_frontend(svc, client)
+        assert res["entered"]
+        assert res["held"]["response"]["status"] == "ok"
+        second = res["second"]["response"]
+        assert second["status"] == "shed"
+        assert second["wait_s"] == 0.0
+        assert _settled(svc) == {
+            "serve_requests{op=join,status=ok}": 1,
+            "serve_requests{op=join,status=shed}": 1,
+        }
+        assert res["loop_errors"] == []
+
+    def test_waiter_times_out_at_arrival_plus_timeout(self, held_service):
+        svc, entered, release = held_service(max_queue=1, timeout_s=0.2)
+
+        def client(host, port):
+            out = {}
+            holder = _holding(host, port, out, entered)
+            waiter = threading.Thread(
+                target=lambda: out.update(second=send_envelope(host, port, JOIN))
+            )
+            try:
+                waiter.start()
+                deadline = time.monotonic() + 10.0
+                while svc.pool.queue_depth == 0 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+                out["third"] = send_envelope(host, port, JOIN)  # the slot is taken
+                waiter.join(10.0)
+            finally:
+                release.set()
+                holder.join(10.0)
+                send_envelope(host, port, {"kind": "shutdown"})
+            return out
+
+        res = _with_frontend(svc, client)
+        assert res["held"]["response"]["status"] == "ok"
+        second = res["second"]["response"]
+        assert second["status"] == "timeout"
+        assert second["total_s"] >= second["wait_s"] >= 0.2
+        assert res["third"]["response"]["status"] == "shed"
+        assert _settled(svc) == {
+            "serve_requests{op=join,status=ok}": 1,
+            "serve_requests{op=join,status=timeout}": 1,
+            "serve_requests{op=join,status=shed}": 1,
+        }
+        assert res["loop_errors"] == []
+
+    def test_loop_answers_while_an_offloaded_query_holds_the_engine(
+        self, held_service
+    ):
+        svc, entered, release = held_service()
+
+        def client(host, port):
+            out = {}
+            holder = _holding(host, port, out, entered)
+            try:
+                for kind in ("ping", "health", "describe"):
+                    out[kind] = send_envelope(host, port, {"kind": kind})
+            finally:
+                release.set()
+                holder.join(10.0)
+                send_envelope(host, port, {"kind": "shutdown"})
+            return out
+
+        res = _with_frontend(svc, client)
+        assert res["ping"] == {"kind": "pong"}
+        assert res["health"]["health"]["inflight"] == 1
+        assert res["describe"]["info"]["workers"] == 1
+        assert res["held"]["response"]["status"] == "ok"
+        settled = _settled(svc)
+        assert sum(settled.values()) == 1  # ok + shed + timeout + error == arrivals
+        assert settled == {"serve_requests{op=join,status=ok}": 1}
+        gauges = svc.metrics_snapshot()["gauges"]
+        assert (gauges["serve_inflight"], gauges["serve_queue_depth"]) == (0, 0)
+        assert res["loop_errors"] == []
 
 
 def test_max_line_bytes_constant_is_sane():

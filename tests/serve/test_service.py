@@ -1,7 +1,10 @@
 """QueryService behavior: statuses, accounting, metrics, lifecycle."""
 
+import asyncio
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -9,6 +12,8 @@ from repro.serve import (
     AdmissionConfig,
     QueryRequest,
     QueryService,
+    ServingEngine,
+    SlowLogConfig,
 )
 
 
@@ -60,7 +65,7 @@ class TestBackpressure:
         try:
             # With a zero-length queue and the single engine checked out,
             # every arrival is shed before doing any work.
-            engine, _ = svc.pool.acquire(time.perf_counter())
+            engine, _ = svc.pool.admit()
             resp = svc.submit(QueryRequest(op="join"))
             assert resp.status == "shed"
             svc.pool.release(engine)
@@ -135,7 +140,7 @@ class TestBackpressure:
             admission=AdmissionConfig(max_queue=4, timeout_s=0.05),
         )
         try:
-            engine, _ = svc.pool.acquire(time.perf_counter())  # hold the only engine
+            engine, _ = svc.pool.admit()  # hold the only engine
             resp = svc.submit(QueryRequest(op="join"))
             assert resp.status == "timeout"
             assert resp.wait_s >= 0.05
@@ -206,19 +211,249 @@ class TestAccounting:
         assert "serve_request_duration_s" in text
 
 
+def _mbr_candidates(workload):
+    """Each resident selection's MBR candidate count, from a direct pipeline run."""
+    selection = ServingEngine(0, workload).selection
+    return [selection.run(q).cost.candidates_after_mbr for q in workload.queries]
+
+
+@pytest.fixture
+def execute_threads(monkeypatch):
+    """Every ``ServingEngine.execute`` call as ``(op, query_index, thread id)``."""
+    calls = []
+    execute = ServingEngine.execute
+
+    def recording(self, request):
+        calls.append((request.op, request.query_index, threading.get_ident()))
+        return execute(self, request)
+
+    monkeypatch.setattr(ServingEngine, "execute", recording)
+    return calls
+
+
+def _on_loop(calls, loop_thread):
+    return [(op, index) for op, index, thread in calls if thread == loop_thread]
+
+
+def _tree(spans):
+    """A trace's shape: ``(name, parent name)`` of every span, timings aside."""
+    names = {span["span_id"]: span["name"] for span in spans}
+    return sorted((span["name"], names.get(span["parent_id"])) for span in spans)
+
+
+class TestDispatchRule:
+    """``QueryService.asubmit``'s one rule: a selection executes on the loop
+    thread iff its last run found no MBR candidate and an engine is free."""
+
+    def test_only_settled_selections_run_on_the_loop(self, workload, execute_threads):
+        counts = _mbr_candidates(workload)
+        settled = counts.index(0)
+        dear = next(i for i, count in enumerate(counts) if count)
+        requests = [
+            QueryRequest(op="selection", query_index=settled),
+            QueryRequest(op="selection", query_index=dear),
+            QueryRequest(op="join"),
+            QueryRequest(op="within_distance", distance=workload.base_distance),
+        ]
+        svc = QueryService(workers=1)
+        try:
+
+            async def run():
+                statuses = [
+                    (await svc.asubmit(request)).status
+                    for _ in range(3)
+                    for request in requests
+                ]
+                return statuses, threading.get_ident()
+
+            statuses, loop_thread = asyncio.run(run())
+        finally:
+            svc.close()
+        assert statuses == ["ok"] * 12
+        assert len(execute_threads) == 12
+        # The first run of the settled selection is offloaded (nothing is
+        # known about it yet); its second and third run on the loop.
+        assert _on_loop(execute_threads, loop_thread) == [("selection", settled)] * 2
+
+    def test_settled_selection_offloads_when_no_engine_is_free(
+        self, workload, execute_threads
+    ):
+        settled = _mbr_candidates(workload).index(0)
+        request = QueryRequest(op="selection", query_index=settled)
+        # The deadline bounds the wait a loop-thread placement would block
+        # the loop for (the release below could then never run).
+        svc = QueryService(
+            workers=1, admission=AdmissionConfig(max_queue=1, timeout_s=5.0)
+        )
+        try:
+
+            async def run():
+                await svc.asubmit(request)  # learns the MBR filter settles it
+                held, _ = svc.pool.admit()
+                waiting = asyncio.ensure_future(svc.asubmit(request))
+                while svc.pool.queue_depth == 0 and not waiting.done():
+                    await asyncio.sleep(0.001)
+                svc.pool.release(held)
+                return (await waiting).status, threading.get_ident()
+
+            status, loop_thread = asyncio.run(run())
+        finally:
+            svc.close()
+        assert status == "ok"
+        assert len(execute_threads) == 2
+        assert _on_loop(execute_threads, loop_thread) == []
+        assert (svc.pool.queue_depth, svc.pool.inflight) == (0, 0)
+
+    def test_cancelled_caller_still_settles_its_checked_out_request(self):
+        # The join checks its engine out on the loop; its caller is
+        # cancelled before the executor's only thread is free to run it.
+        # The request still runs and releases the engine.
+        svc = QueryService(workers=1)
+        executor = ThreadPoolExecutor(max_workers=1)
+        gate = threading.Event()
+        try:
+            blocker = executor.submit(gate.wait, 10.0)
+
+            async def run():
+                task = asyncio.ensure_future(
+                    svc.asubmit(QueryRequest(op="join"), executor)
+                )
+                await asyncio.sleep(0)  # the task admits and hands off
+                assert svc.pool.inflight == 1
+                task.cancel()
+                with pytest.raises(asyncio.CancelledError):
+                    await task
+
+            asyncio.run(run())
+            gate.set()
+            assert blocker.result(10.0)
+        finally:
+            gate.set()
+            executor.shutdown(wait=True)
+            svc.close()
+        counters = svc.metrics_snapshot()["counters"]
+        assert counters["serve_requests{op=join,status=ok}"] == 1
+        assert (svc.pool.queue_depth, svc.pool.inflight) == (0, 0)
+
+    def test_small_executor_never_strands_a_checked_out_engine(self):
+        # One offload thread, a queue longer than that and no deadline.
+        # The first queued join parks the only thread in the pool's wait
+        # and a second queues behind it.  The engine is released and a
+        # third join decided on the loop before the woken waiter can take
+        # the lock back: were the free engine handed to that late arrival,
+        # its execution would queue behind the parked thread, which waits
+        # for the very engine it holds - for ever.
+        svc = QueryService(workers=1, admission=AdmissionConfig(max_queue=3))
+        executor = ThreadPoolExecutor(max_workers=1)
+        join = QueryRequest(op="join")
+        try:
+
+            async def run():
+                held, _ = svc.pool.admit()
+                queued = [
+                    asyncio.ensure_future(svc.asubmit(join, executor))
+                    for _ in range(2)
+                ]
+                while svc.pool.queue_depth < 2:
+                    await asyncio.sleep(0.001)
+                with svc.pool._cond:  # the woken waiter cannot take it yet
+                    svc.pool.release(held)
+                    late = asyncio.ensure_future(svc.asubmit(join, executor))
+                    await asyncio.sleep(0)  # the late join is decided here
+                return await asyncio.wait_for(asyncio.gather(*queued, late), 10.0)
+
+            responses = asyncio.run(run())
+        finally:
+            svc.close()  # wakes any stranded waiter, so shutdown returns
+            executor.shutdown(wait=True)
+        assert [r.status for r in responses] == ["ok"] * 3
+        counters = svc.metrics_snapshot()["counters"]
+        assert counters["serve_requests{op=join,status=ok}"] == 3
+        assert (svc.pool.queue_depth, svc.pool.inflight) == (0, 0)
+
+    def test_concurrent_arrivals_are_each_settled_once(self, workload):
+        # Many more arrivals than engines and queue slots, on both
+        # placements at once, with threads switching inside the pool's
+        # reach: every arrival is settled exactly once and the gauges drain.
+        counts = _mbr_candidates(workload)
+        indices = list(range(len(counts))) * 3
+        svc = QueryService(workers=2, admission=AdmissionConfig(max_queue=4))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+
+            async def run():
+                for i in indices:  # learn each selection once
+                    await svc.asubmit(QueryRequest(op="selection", query_index=i))
+                burst = [
+                    svc.asubmit(QueryRequest(op="selection", query_index=i))
+                    for i in indices
+                ] + [svc.asubmit(QueryRequest(op="join")) for _ in range(4)]
+                return await asyncio.wait_for(asyncio.gather(*burst), 60.0)
+
+            responses = asyncio.run(run())
+            direct = {
+                i: svc.submit(QueryRequest(op="selection", query_index=i)).results
+                for i in set(indices)
+            }
+        finally:
+            sys.setswitchinterval(interval)
+            svc.close()
+        counters = svc.metrics_snapshot()["counters"]
+        settled = sum(
+            counters.get(f"serve_requests{{op={op},status={status}}}", 0)
+            for op in ("selection", "join")
+            for status in ("ok", "shed", "timeout", "error")
+        )
+        assert settled == 2 * len(indices) + 4 + len(direct)
+        assert {r.status for r in responses} <= {"ok", "shed"}
+        for i, resp in zip(indices, responses):
+            if resp.status == "ok":
+                assert resp.results == direct[i]
+        gauges = svc.metrics_snapshot()["gauges"]
+        assert (gauges["serve_queue_depth"], gauges["serve_inflight"]) == (0, 0)
+
+
 class TestAsyncFacade:
-    def test_asubmit_matches_submit(self, service):
-        import asyncio
+    def test_asubmit_matches_submit(self, workload, execute_threads):
+        counts = _mbr_candidates(workload)
+        settled = counts.index(0)
+        dear = next(i for i, count in enumerate(counts) if count)
+        # Offloaded, on the loop, offloaded.
+        requests = [
+            QueryRequest(op="selection", query_index=settled),
+            QueryRequest(op="selection", query_index=settled),
+            QueryRequest(op="selection", query_index=dear),
+        ]
+        svc = QueryService(
+            workers=2, trace=True, slowlog=SlowLogConfig(threshold_s=0.0)
+        )
+        try:
 
-        async def run():
-            return await service.asubmit(
-                QueryRequest(op="selection", query_index=2)
-            )
+            async def run():
+                responses = [await svc.asubmit(request) for request in requests]
+                return responses, threading.get_ident()
 
-        resp = asyncio.run(run())
-        direct = service.submit(QueryRequest(op="selection", query_index=2))
-        assert resp.status == "ok"
-        assert resp.results == direct.results
+            served, loop_thread = asyncio.run(run())
+            placements = _on_loop(execute_threads, loop_thread)
+            direct = [svc.submit(request) for request in requests]
+        finally:
+            svc.close()
+        assert placements == [("selection", settled)]
+        for resp, want in zip(served, direct):
+            assert resp.status == want.status == "ok"
+            assert resp.results == want.results
+        traces = svc.traces.records()
+        records = svc.slowlog.records()
+        assert len(traces) == len(records) == 2 * len(requests)
+        for i in range(len(requests)):
+            placed, synced = traces[i], traces[i + len(requests)]
+            assert _tree(placed) == _tree(synced)
+            assert {"request", "queue_wait", "execute", "mbr_filter"} <= {
+                name for name, _ in _tree(placed)
+            }
+            assert records[i]["funnel"] == records[i + len(requests)]["funnel"]
+            assert records[i]["funnel_violations"] == []
 
 
 class TestWarm:

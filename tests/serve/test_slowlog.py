@@ -1,7 +1,6 @@
 """Tests for slow-query forensics: capture policy, record contents, CLI."""
 
 import json
-import time
 
 import pytest
 
@@ -121,7 +120,7 @@ class TestRecords:
         )
         try:
             # Hold the only engine: with nowhere to wait, the join is shed.
-            engine, _ = svc.pool.acquire(time.perf_counter())
+            engine, _ = svc.pool.admit()
             response = svc.submit(QueryRequest(op="join"))
             svc.pool.release(engine)
             assert response.status == "shed"
