@@ -49,7 +49,8 @@ from ..geometry import (
     polygons_within_distance,
 )
 from ..index import plane_sweep_mbr_join
-from ..obs.explain import explain_run
+from ..obs.metrics import MetricsRegistry
+from ..obs.scope import current_scope, use_registry
 from ..query import (
     ContainmentSelection,
     IntersectionJoin,
@@ -1011,8 +1012,9 @@ def interval_filter(ctx, resolution=8, level=DEFAULT_INTERVAL_LEVEL):
     """The raster-interval second filter on the paper-style join.
 
     Runs LANDC |><| LANDO twice on otherwise identical hardware engines -
-    intervals off, then on - through :func:`~repro.obs.explain.explain_run`
-    so every row carries a checked EXPLAIN funnel.  Join pairs are
+    intervals off, then on - and checks each run's EXPLAIN funnel
+    (``result.funnel``, published into the run's registry, or into a
+    private one when none is in scope).  Join pairs are
     asserted bit-identical; the rows report how many candidates the
     precomputed interval encodings settled without rendering and what
     that removed from the hardware test's workload (``hw_tests``).  The
@@ -1029,8 +1031,10 @@ def interval_filter(ctx, resolution=8, level=DEFAULT_INTERVAL_LEVEL):
             join = IntersectionJoin(
                 ds_a, ds_b, engine, use_intervals=use_intervals, interval_level=level
             )
-            result, funnel = explain_run("join", engine, join.run)
-            violations = funnel.check()
+            registry = current_scope().registry
+            with use_registry(registry if registry is not None else MetricsRegistry()):
+                result = join.run()
+            violations = result.funnel.check()
             if violations:
                 raise AssertionError(f"funnel identities violated: {violations}")
             return result

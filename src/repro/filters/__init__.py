@@ -7,9 +7,10 @@ hardware-assisted refinement step.  The interval filter
 (:mod:`repro.filters.intervals`) is the pre-processed family: per-polygon
 sorted-interval encodings on a pair-common grid, built once per dataset,
 deciding candidate pairs with pure interval algebra before any rendering.
+The paper's interior filter is one such encoding of the query polygon on
+a grid over its own MBR (:meth:`IntervalApproximation.covers`).
 """
 
-from .interior import InteriorFilter
 from .intervals import (
     DEFAULT_INTERVAL_LEVEL,
     IntervalApproximation,
@@ -28,7 +29,6 @@ __all__ = [
     "ConvexHullFilter",
     "DEFAULT_INTERVAL_LEVEL",
     "HullFilterStats",
-    "InteriorFilter",
     "IntervalApproximation",
     "IntervalGrid",
     "IntervalIndex",

@@ -30,12 +30,17 @@ beyond the grid's edge.  Encodings carry a ``clipped`` flag and the pair
 test degrades to UNKNOWN in that (rare - dataset polygons are inside their
 dataset's world by construction) case rather than claim a false proof.
 
-Cell classification reuses the interior filter's sound construction: the
-conservative segment-footprint rasterizer marks every cell whose closed
-extent the boundary touches, and an even-odd scanline fill classifies the
-untouched cells (uniformly inside or outside, so the center decides).
-Both soundness arguments are property-tested against the exact software
+Cell classification is sound by construction: the conservative
+segment-footprint rasterizer marks every cell whose closed extent the
+boundary touches, and an even-odd scanline fill classifies the untouched
+cells (uniformly inside or outside, so the center decides).  Both
+soundness arguments are property-tested against the exact software
 predicate in ``tests/filters/test_intervals.py``.
+
+The paper's interior filter (section 4.1.1, Figure 9a) is the same
+encoding on a grid over the query polygon's own MBR: its interior tiles
+are the FULL cells, and :meth:`IntervalApproximation.covers` is its
+coverage test.
 
 The pair test is a vectorized merge of sorted half-open run lists (two
 ``searchsorted`` calls), replacing the retired ``raster_approx`` O(tiles_a
@@ -47,6 +52,7 @@ such merge per kind (Georgiadis et al.'s list-against-list join).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from enum import Enum
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
@@ -59,13 +65,17 @@ from ..gpu.raster_vector import (
     polygon_fill_coverage_mask,
     ring_boundary_coverage_mask,
 )
-from .interior import _BOUNDARY_FOOTPRINT
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
     from ..datasets.dataset import SpatialDataset
 
 #: Default grid refinement: 2^8 x 2^8 cells over the shared world.
 DEFAULT_INTERVAL_LEVEL = 8
+
+#: Width (in cell units) of the conservative boundary footprint.  Any value
+#: > 0 covers all cells the segment touches; keep it tiny so no cell
+#: adjacent to the boundary is given up as PARTIAL unnecessarily.
+_BOUNDARY_FOOTPRINT = 1e-9
 
 #: Largest cell coordinate rasterized: the footprint test's rounding (~2^24 *
 #: 2^-51) stays inside ``COVERAGE_EPS`` (1e-7).  Beyond it (from ~1e152 the
@@ -277,6 +287,29 @@ class IntervalApproximation:
     def full_cell_count(self) -> int:
         """Number of FULL (certified-interior) cells."""
         return int((self.full_ends - self.full_starts).sum())
+
+    def covers(self, rect: Rect) -> bool:
+        """True when every cell of ``rect``'s closed cell range is FULL.
+
+        The range is :meth:`IntervalGrid.cell_range`'s: closed, so an MBR
+        side lying on a cell edge reaches the cell beyond it.  A ``rect``
+        not inside the grid world is never covered.  True proves ``rect``
+        lies in the polygon's open interior (the interior filter's
+        positive); False proves nothing.  The cells of one grid row form
+        one id range, which lies in one maximal FULL run or is not all FULL.
+        """
+        if not self.grid.world.contains_rect(rect):
+            return False
+        rng = self.grid.cell_range(rect)
+        if rng is None:
+            return False
+        ix0, iy0, ix1, iy1 = rng
+        n = self.grid.cells_per_side
+        for row in range(iy0 * n, iy1 * n + 1, n):
+            k = bisect_right(self.full_starts, row + ix0) - 1
+            if k < 0 or self.full_ends[k] <= row + ix1:
+                return False
+        return True
 
     def cell_ids(self) -> np.ndarray:
         """All non-EMPTY cell ids, expanded (for tests and diagnostics)."""

@@ -150,23 +150,18 @@ def boundaries_intersect(
             stats.edges_processed += processed
 
 
-def polygons_intersect(
-    a: Polygon,
-    b: Polygon,
-    restrict_search_space: bool = True,
-    stats: Optional[SweepStats] = None,
-) -> bool:
+def polygons_intersect(a: Polygon, b: Polygon) -> bool:
     """Full software intersection test: point-in-polygon plus boundary sweep.
 
     This is the reference software algorithm of the paper's section 3.1:
     first the linear point-in-polygon step (which also resolves containment),
-    then the plane sweep over (restricted) boundary edges.
+    then the plane sweep over the restricted boundary edges.
     """
     if not a.mbr.intersects(b.mbr):
         return False
     if either_contains(a, b):
         return True
-    return boundaries_intersect(a, b, restrict_search_space, stats)
+    return boundaries_intersect(a, b)
 
 
 def any_segments_intersect(

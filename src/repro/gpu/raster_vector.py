@@ -3,10 +3,10 @@
 Neither kernel is a draw of the simulated card - at query time the card
 draws anti-aliased edge arrays and nothing else
 (:mod:`repro.gpu.pipeline`).  Both run once per object, when a filter is
-*built*: the interior filter (:mod:`repro.filters.interior`) and the raster
-interval index (:mod:`repro.filters.intervals`) rasterize each polygon over
-its own cell grid, the way the related work rasterizes at index time and
-joins lists at query time.
+*built*: the raster interval encodings (:mod:`repro.filters.intervals`),
+the interior filter's tiling of a query polygon among them, rasterize each
+polygon over its own cell grid, the way the related work rasterizes at
+index time and joins lists at query time.
 
 * :func:`ring_boundary_coverage_mask` - the conservative anti-aliased
   footprint of a closed ring, evaluated arc by arc through

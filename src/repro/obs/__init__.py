@@ -5,11 +5,12 @@ cannot keep a hot path fast without machine-readable evidence of where
 time goes and a gate that fails when it regresses.
 
 * :mod:`repro.obs.scope` - the ambient :class:`ObsScope` (tracer, metrics
-  registry, command recorder, request context) behind one ``ContextVar``:
+  registry, command recorder) behind one ``ContextVar``:
   every instrumented layer reads it with :func:`current_scope`, callers
   set it with :func:`use_scope` (zero overhead when a facility is off);
 * :mod:`repro.obs.trace` - :class:`Tracer` / :class:`Span` /
-  :class:`JsonLinesExporter`, the per-stage span collector;
+  :class:`JsonLinesExporter`, the per-stage span collector, and
+  :func:`new_trace_id`, the id one request's spans share;
 * :mod:`repro.obs.metrics` - a :class:`MetricsRegistry` of counters,
   gauges, and exactly-mergeable log-bucketed histograms;
 * :mod:`repro.obs.report` - trace-tree analysis of
@@ -23,9 +24,6 @@ time goes and a gate that fails when it regresses.
   its deterministic replayer (``python -m repro.obs replay cap.jsonl``);
 * :mod:`repro.obs.explain` - per-query EXPLAIN ANALYZE funnels over the
   filter/refine pipeline (``python -m repro.obs explain report.json``);
-* :mod:`repro.obs.context` - the per-request :class:`RequestContext`
-  (trace id, attributes, optional deadline) propagated through the
-  serving stack;
 * :mod:`repro.obs.timeline` - Chrome trace-event export of span files
   with one lane per engine worker (``python -m repro.obs timeline trace.jsonl``);
 * :mod:`repro.obs.window` - rolling-window views (epoch-aligned rings of
@@ -48,11 +46,9 @@ from .capture import (
     replay_events,
 )
 from .compare import Comparison, Finding, compare_reports
-from .context import RequestContext, new_trace_id
 from .explain import (
     EXPLAIN_SCHEMA,
     QueryFunnel,
-    explain_run,
     funnels_from_snapshot,
     render_funnel,
     render_funnels,
@@ -97,7 +93,7 @@ from .runreport import (
     load_run_report,
     write_run_report,
 )
-from .trace import JsonLinesExporter, Span, Tracer
+from .trace import JsonLinesExporter, Span, Tracer, new_trace_id
 
 __all__ = [
     "ALERTS_SCHEMA",
@@ -116,7 +112,6 @@ __all__ = [
     "RUN_REPORT_SCHEMA",
     "ReplayResult",
     "RecordLog",
-    "RequestContext",
     "SLOConfig",
     "SLObjective",
     "SLOTracker",
@@ -135,7 +130,6 @@ __all__ = [
     "default_objectives",
     "environment_fingerprint",
     "experiment_entry",
-    "explain_run",
     "funnels_from_snapshot",
     "load_alert_log",
     "load_capture",

@@ -59,10 +59,15 @@ violation):
 * ``sw_exact == sw_direct + threshold_skipped + hw_needs_sweep
   + hw_overflow_fallbacks``
 
+A run's funnel has one builder: the pipeline's
+:class:`~repro.obs.instrument.PipelineObserver` calls
+:func:`funnel_from_deltas` whenever a metrics registry is in scope and
+hands the funnel back on the result (``result.funnel``); a caller with no
+registry in scope runs the query under a private one.
+
 Like the rest of :mod:`repro.obs`, this module imports nothing from the
 rest of :mod:`repro`; engines and costs are duck-typed through
-``__dataclass_fields__``, so any layer may call :func:`explain_run`
-without import cycles.
+``__dataclass_fields__``, so any layer may use it without import cycles.
 """
 
 from __future__ import annotations
@@ -70,7 +75,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from .metrics import parse_key
 
@@ -95,20 +100,6 @@ FUNNEL_STAGES = (
     "hw_overflow_fallbacks",
     "hw_false_positives",
     "results",
-)
-
-#: RefinementStats fields snapshotted by :func:`explain_run`.
-_STAT_FIELDS = (
-    "pairs_tested",
-    "prefilter_drops",
-    "pip_hits",
-    "threshold_bypasses",
-    "hw_tests",
-    "hw_rejects",
-    "width_limit_fallbacks",
-    "sw_segment_tests",
-    "sw_distance_tests",
-    "hw_false_positives",
 )
 
 
@@ -264,28 +255,6 @@ def funnel_from_deltas(
     return funnel
 
 
-def explain_run(
-    pipeline: str, engine: Any, run: Callable[[], Any]
-) -> Tuple[Any, QueryFunnel]:
-    """EXPLAIN ANALYZE one query: run it, return (result, funnel).
-
-    ``engine`` is any object with a ``stats`` RefinementStats; ``run`` is
-    a zero-argument callable executing the query (e.g.
-    ``lambda: selection.run(query)``) whose result carries a ``cost``
-    CostBreakdown.  The funnel is the engine's stats *delta* over the run,
-    so a long-lived engine shared by many queries attributes each query's
-    work to that query.
-    """
-    before = {name: getattr(engine.stats, name, 0) for name in _STAT_FIELDS}
-    result = run()
-    deltas = {
-        name: getattr(engine.stats, name, 0) - start
-        for name, start in before.items()
-    }
-    cost = getattr(result, "cost", None)
-    return result, funnel_from_deltas(pipeline, deltas, cost, engine)
-
-
 # -- building funnels from recorded metric snapshots -------------------------
 
 
@@ -413,7 +382,6 @@ __all__ = [
     "QueryFunnel",
     "dataclass_values",
     "explain_document",
-    "explain_run",
     "funnel_from_deltas",
     "funnels_from_snapshot",
     "render_funnel",

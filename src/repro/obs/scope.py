@@ -1,7 +1,7 @@
 """The ambient observability scope: one ``ContextVar`` for every facility.
 
 Instrumentation sites never receive a tracer, a metrics registry, a GPU
-command recorder or a request context as an argument; they read the
+command recorder as an argument; they read the
 :class:`ObsScope` of the control flow they run in and take the fields they
 need::
 
@@ -9,7 +9,7 @@ need::
     if scope.registry is not None:
         scope.registry.counter("hw_tests").inc()
 
-A facility that is ``None`` is off, which is the default for all four: the
+A facility that is ``None`` is off, which is the default for all three: the
 cost of disabled observability is one ``ContextVar`` read and a ``None``
 check per site.
 
@@ -38,7 +38,6 @@ from typing import TYPE_CHECKING, Any, ContextManager, Iterator, Optional
 
 if TYPE_CHECKING:
     from .capture import CommandRecorder
-    from .context import RequestContext
     from .metrics import MetricsRegistry
     from .trace import Tracer
 
@@ -50,7 +49,6 @@ class ObsScope:
     tracer: Optional[Tracer] = None
     registry: Optional[MetricsRegistry] = None
     recorder: Optional[CommandRecorder] = None
-    request: Optional[RequestContext] = None
 
 
 _BLANK = ObsScope()

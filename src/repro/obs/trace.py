@@ -32,9 +32,15 @@ from __future__ import annotations
 
 import json
 import time
+import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterator, List, Optional, Union
+
+
+def new_trace_id() -> str:
+    """A fresh 16-hex-digit trace id (collision-safe per process lifetime)."""
+    return uuid.uuid4().hex[:16]
 
 
 @dataclass

@@ -16,6 +16,7 @@ from typing import List, Optional
 
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
+from ..filters.intervals import check_interval_level
 from ..geometry.polygon import Polygon
 from ..index.str_pack import str_bulk_load
 from ..obs.explain import QueryFunnel
@@ -43,8 +44,8 @@ class ContainmentSelection:
         engine: RefinementEngine,
         interior_level: Optional[int] = None,
     ) -> None:
-        if interior_level is not None and interior_level < 0:
-            raise ValueError("interior_level must be >= 0")
+        if interior_level is not None:
+            check_interval_level(interior_level, "interior_level")
         self.dataset = dataset
         self.engine = engine
         self.interior_level = interior_level

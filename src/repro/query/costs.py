@@ -112,20 +112,13 @@ class CostBreakdown:
             if tracer is not None
             else nullcontext()
         )
-        with span as live_span:
+        with span:
             start = time.perf_counter()
             try:
                 yield
             finally:
                 elapsed = time.perf_counter() - start
                 setattr(self, attr, getattr(self, attr) + elapsed)
-                # Under a traced request whose RequestContext carries a
-                # deadline, mark stages that finished past it - the
-                # slow-query forensics log points at the first such span.
-                if live_span is not None:
-                    context = scope.request
-                    if context is not None and context.expired():
-                        live_span.attributes["over_deadline"] = True
                 if registry is not None:
                     registry.histogram("stage_duration_s", stage=stage).observe(
                         elapsed

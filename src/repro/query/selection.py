@@ -21,7 +21,11 @@ from typing import List, Optional
 
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
-from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, IntervalIndex
+from ..filters.intervals import (
+    DEFAULT_INTERVAL_LEVEL,
+    IntervalIndex,
+    check_interval_level,
+)
 from ..geometry.polygon import Polygon
 from ..index.str_pack import str_bulk_load
 from ..obs.explain import QueryFunnel
@@ -55,8 +59,8 @@ class IntersectionSelection:
         use_intervals: bool = False,
         interval_level: int = DEFAULT_INTERVAL_LEVEL,
     ) -> None:
-        if interior_level is not None and interior_level < 0:
-            raise ValueError("interior_level must be >= 0")
+        if interior_level is not None:
+            check_interval_level(interior_level, "interior_level")
         self.dataset = dataset
         self.engine = engine
         self.interior_level = interior_level

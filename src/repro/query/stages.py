@@ -15,8 +15,12 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from ..core.engine import RefinementEngine
 from ..core.refine import WorkItem
-from ..filters.interior import InteriorFilter
-from ..filters.intervals import IntervalIndex, IntervalVerdict
+from ..filters.intervals import (
+    IntervalApproximation,
+    IntervalGrid,
+    IntervalIndex,
+    IntervalVerdict,
+)
 from ..geometry.polygon import Polygon
 from ..geometry.rect import Rect
 from .costs import CostBreakdown
@@ -31,12 +35,14 @@ def interior_stage(
 ) -> Tuple[List[int], List[int]]:
     """Split ``candidates`` into (proven inside ``query``, still open).
 
-    Interior tiles lie in the open interior of ``query``, so a covered MBR
+    The interior tiles of the paper's ``2^level x 2^level`` tiling of the
+    query's MBR are the FULL cells of the query's interval encoding on that
+    grid.  They lie in the open interior of ``query``, so a covered MBR
     certifies intersection and proper containment alike, without geometry
     access.
     """
     with cost.time_stage("intermediate_filter"):
-        interior = InteriorFilter(query, level)
+        interior = IntervalApproximation.build(query, IntervalGrid(query.mbr, level))
         positives: List[int] = []
         remaining: List[int] = []
         for i in candidates:

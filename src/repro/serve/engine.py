@@ -99,8 +99,6 @@ class WorkloadConfig:
     #: Memoization layers, resolved here - never from the process default -
     #: so every pool engine is built with the same pinned behavior.
     cache: CacheConfig = CacheConfig.disabled()
-    #: Selection intermediate filter level (None = off, the default).
-    interior_level: Optional[int] = None
     #: Raster-interval second filter on the intersection selection/join
     #: pipelines (off by default; results are bit-identical either way).
     use_intervals: bool = False
@@ -169,7 +167,6 @@ class ServingEngine:
         self.selection = IntersectionSelection(
             workload.selection_data,
             self.engine,
-            interior_level=config.interior_level,
             use_intervals=config.use_intervals,
             interval_level=config.interval_level,
         )

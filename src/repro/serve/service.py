@@ -33,7 +33,9 @@ Per-request observability rides the same submit path:
   ``request`` root span, a ``queue_wait`` span, an ``execute`` span under
   which the pipelines' :meth:`~repro.query.costs.CostBreakdown.time_stage`
   spans parent - and the response echoes the ``trace_id``
-  (client-supplied or minted).  Each finished trace is one record (its
+  (client-supplied or minted).  With an admission deadline, a stage span
+  that finished past it carries ``over_deadline: True``, set here once the
+  request is done.  Each finished trace is one record (its
   span dicts) of a bounded :class:`~repro.obs.records.RecordLog`,
   exportable as flat span JSONL via :meth:`QueryService.export_traces`.
 * Tracer scoping is **unconditional**: a tracer is single-control-flow, so
@@ -60,11 +62,10 @@ import time
 from contextlib import nullcontext
 from typing import IO, Any, Dict, Optional, Sequence, Set, Tuple, Union
 
-from ..obs.context import RequestContext, new_trace_id
 from ..obs.metrics import MetricsRegistry
 from ..obs.records import RecordLog
 from ..obs.scope import use_scope
-from ..obs.trace import Tracer
+from ..obs.trace import Tracer, new_trace_id
 from .engine import (
     AdmissionConfig,
     EnginePool,
@@ -86,7 +87,6 @@ class QueryService:
         workload: Optional[WorkloadConfig] = None,
         workers: int = 2,
         admission: Optional[AdmissionConfig] = None,
-        registry: Optional[MetricsRegistry] = None,
         warm: bool = False,
         trace: bool = False,
         slowlog: Optional[SlowLogConfig] = None,
@@ -96,7 +96,7 @@ class QueryService:
         self.admission_config = (
             admission if admission is not None else AdmissionConfig()
         )
-        self.registry = registry if registry is not None else MetricsRegistry()
+        self.registry = MetricsRegistry()
         #: Trace every request (one tracer per request, trace_id echoed on
         #: the response).  Off by default: the no-tracer fast path stays
         #: the zero-overhead default the batch layers rely on.
@@ -202,28 +202,26 @@ class QueryService:
         admitted: Tuple[Optional[ServingEngine], Optional[str]],
     ) -> QueryResponse:
         """One request's life after its arrival decision: scope,
-        tracing, execution, accounting, slow-query log."""
-        tracing_on = self.trace
-        forensics = tracing_on or self.slowlog is not None
+        tracing, execution, accounting, slow-query log.
+
+        A traced request's stage spans that finished past its deadline
+        (arrival + ``timeout_s``) are marked ``over_deadline``; the
+        slow-query record lists them.
+        """
+        forensics = self.trace or self.slowlog is not None
         trace_id = (request.trace_id or new_trace_id()) if forensics else None
-        tracer = Tracer(trace_id=trace_id) if tracing_on else None
-        context = None
-        if forensics:
+        tracer = deadline_unix_s = None
+        if self.trace:
+            tracer = Tracer(trace_id=trace_id)
             timeout_s = self.admission_config.timeout_s
-            context = RequestContext(
-                trace_id=trace_id,  # type: ignore[arg-type]
-                attributes={"op": request.op},
-                deadline_unix_s=(
-                    time.time() - (time.perf_counter() - start) + timeout_s
-                    if timeout_s is not None
-                    else None
-                ),
-            )
+            if timeout_s is not None:
+                # On the tracer's wall clock, read next to its anchors.
+                deadline_unix_s = time.time() - (time.perf_counter() - start) + timeout_s
         # The tracer is named even when tracing is off: a Tracer is
         # single-control-flow, so concurrent serving threads must never
         # share one.  The per-request tracer - or an explicit None -
         # shields this request from a tracer the caller has in scope.
-        with use_scope(tracer=tracer, registry=self.registry, request=context):
+        with use_scope(tracer=tracer, registry=self.registry):
             if tracer is not None:
                 with tracer.span("request", op=request.op) as root:
                     response, execution = self._submit_core(
@@ -240,6 +238,13 @@ class QueryService:
             response.trace_id = trace_id
         spans: Sequence[Dict[str, Any]] = ()
         if tracer is not None:
+            if deadline_unix_s is not None:
+                for span in tracer.spans:
+                    if (
+                        span.attributes.get("kind") == "stage"
+                        and span.start_unix_s + span.duration_s > deadline_unix_s
+                    ):
+                        span.attributes["over_deadline"] = True
             spans = [span.to_dict() for span in tracer.spans]
             self.traces.append(spans)
         slow = self.slowlog_config

@@ -178,13 +178,8 @@ def run_top(
     once: bool = False,
     as_json: bool = False,
     timeout: Optional[float] = 30.0,
-    max_frames: Optional[int] = None,
 ) -> int:
-    """Poll and render until interrupted (or once).  Returns an exit code.
-
-    ``max_frames`` exists for tests; interactive runs stop on Ctrl-C.
-    """
-    frames = 0
+    """Poll and render until interrupted (or once).  Returns an exit code."""
     try:
         while True:
             try:
@@ -199,9 +194,6 @@ def run_top(
                     print(render(doc, now=time.time()))
                 return 0 if doc["health"].get("ready") else 1
             print(CLEAR + render(doc, now=time.time()), flush=True)
-            frames += 1
-            if max_frames is not None and frames >= max_frames:
-                return 0
             time.sleep(interval_s)
     except KeyboardInterrupt:
         return 0

@@ -3,7 +3,9 @@
 The funnel is only worth printing if it is *exact*: every stage count must
 agree with the engine's RefinementStats, the identities must hold for
 serial and batched execution of the same query set, and the two execution
-modes must produce the same funnel.
+modes must produce the same funnel.  A run's funnel is the one its
+pipeline's observer publishes (``result.funnel``); :func:`explained` runs a
+query under a private registry to get it.
 """
 
 import json
@@ -19,7 +21,6 @@ from repro.obs.explain import (
     EXPLAIN_SCHEMA,
     FUNNEL_STAGES,
     QueryFunnel,
-    explain_run,
     funnel_from_deltas,
     funnels_from_snapshot,
     render_funnel,
@@ -38,6 +39,13 @@ from tests.obs.test_runreport import make_result
 
 def hw_engine(**kwargs):
     return HardwareEngine(HardwareConfig(resolution=8, **kwargs))
+
+
+def explained(run):
+    """``run()`` under a private metrics registry: (result, its funnel)."""
+    with use_registry(MetricsRegistry()):
+        result = run()
+    return result, result.funnel
 
 
 class TestQueryFunnelUnits:
@@ -166,10 +174,8 @@ class TestExplainRunConsistency:
             if mode == "serial"
             else hw_engine()
         )
-        result, funnel = explain_run(
-            "join",
-            engine,
-            lambda: IntersectionJoin(dataset_a, dataset_b, engine).run(),
+        result, funnel = explained(
+            lambda: IntersectionJoin(dataset_a, dataset_b, engine).run()
         )
         return engine, result, funnel
 
@@ -192,19 +198,13 @@ class TestExplainRunConsistency:
         self, dataset_a, dataset_b
     ):
         engine = hw_engine()
-        _, wd = explain_run(
-            "within_distance_join",
-            engine,
-            lambda: WithinDistanceJoin(dataset_a, dataset_b, engine).run(1.5),
+        _, wd = explained(
+            lambda: WithinDistanceJoin(dataset_a, dataset_b, engine).run(1.5)
         )
         assert_funnel_matches_stats(wd, engine.stats)
         engine2 = hw_engine()
         selection = ContainmentSelection(dataset_b, engine2)
-        _, ct = explain_run(
-            "containment",
-            engine2,
-            lambda: selection.run(dataset_a.polygons[0]),
-        )
+        _, ct = explained(lambda: selection.run(dataset_a.polygons[0]))
         assert_funnel_matches_stats(ct, engine2.stats)
 
     def test_long_lived_engine_attributes_deltas(self, dataset_a, dataset_b):
@@ -212,8 +212,8 @@ class TestExplainRunConsistency:
         # not the cumulative stats.
         engine = hw_engine()
         run = lambda: IntersectionJoin(dataset_a, dataset_b, engine).run()  # noqa: E731
-        _, first = explain_run("join", engine, run)
-        _, second = explain_run("join", engine, run)
+        _, first = explained(run)
+        _, second = explained(run)
         assert first == second
 
 
@@ -237,7 +237,7 @@ class TestEveryCandidateHasAStage:
     def test_hull_filter_drops_are_a_stage(self, dataset_a, dataset_b):
         engine = hw_engine()
         join = IntersectionJoin(dataset_a, dataset_b, engine, use_hull_filter=True)
-        result, funnel = explain_run("join", engine, join.run)
+        result, funnel = explained(join.run)
         assert funnel.check() == []
         assert funnel.hull_proven_disjoint == result.cost.hull_drops > 0
         assert funnel.hull_proven_disjoint == funnel.candidates - funnel.refined
@@ -248,13 +248,17 @@ class TestEveryCandidateHasAStage:
         # An exact test no hardware outcome accounts for must not be
         # absorbed by ``sw_direct``: that stage is zero for a hardware engine.
         engine = hw_engine()
+        refine = engine.refine
 
-        def run():
-            result = IntersectionJoin(dataset_a, dataset_b, engine).run()
+        def refine_and_miscount(*args, **kwargs):
+            keys = refine(*args, **kwargs)
             engine.stats.sw_segment_tests += 1
-            return result
+            return keys
 
-        _, funnel = explain_run("join", engine, run)
+        engine.refine = refine_and_miscount
+        _, funnel = explained(
+            lambda: IntersectionJoin(dataset_a, dataset_b, engine).run()
+        )
         assert funnel.sw_direct == 0
         assert any("sw_exact ==" in v for v in funnel.check())
 
@@ -336,10 +340,8 @@ class TestLineWidthOverflow:
 class TestExplainDocument:
     def test_write_explain_round_trip(self, tmp_path, dataset_a, dataset_b):
         engine = hw_engine()
-        _, funnel = explain_run(
-            "join",
-            engine,
-            lambda: IntersectionJoin(dataset_a, dataset_b, engine).run(),
+        _, funnel = explained(
+            lambda: IntersectionJoin(dataset_a, dataset_b, engine).run()
         )
         path = tmp_path / "explain.json"
         doc = write_explain(str(path), {"join": funnel}, source="test")

@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.obs import ObsScope, current_scope, use_scope
 
-FIELDS = ("tracer", "registry", "recorder", "request")
+FIELDS = ("tracer", "registry", "recorder")
 BLANK = dict.fromkeys(FIELDS)
 JOIN_TIMEOUT_S = 30.0
 
@@ -97,7 +97,7 @@ def run_in_tasks(plans, base):
 @given(concurrent_plans())
 @example([[(False, {"tracer": None})], [(True, {})]])
 def test_every_flow_sees_exactly_its_own_nest(plans):
-    outer = {"tracer": "t", "registry": "m", "recorder": "r", "request": "q"}
+    outer = {"tracer": "t", "registry": "m", "recorder": "r"}
     with use_scope(**outer):
         run_in_threads(plans)
         assert view() == outer

@@ -14,7 +14,9 @@ Each public function here is registered with its production twin in
   half-open spans, and as a per-pixel parity count;
 * the atlas batch's per-tile projections and its cull, one tile at a time
   in Python floats;
-* the interval filter's pair verdicts, one pair at a time.
+* the interval filter's pair verdicts, one pair at a time;
+* the interior filter's tiling as a bitmap and its cover as a 2D prefix
+  sum over it.
 """
 
 from __future__ import annotations
@@ -27,7 +29,11 @@ import numpy as np
 from repro.filters import IntervalApproximation, classify_intervals
 from repro.geometry import edge_bounds
 from repro.gpu.raster_bulk import COVERAGE_EPS
-from repro.gpu.raster_vector import scanline_row_bounds
+from repro.gpu.raster_vector import (
+    polygon_fill_coverage_mask,
+    ring_boundary_coverage_mask,
+    scanline_row_bounds,
+)
 
 # -- anti-aliased lines and wide points --------------------------------------
 
@@ -376,3 +382,46 @@ def classify_pairs_one_by_one(grid, pairs):
         )
         for a, b in pairs
     ]
+
+
+def interior_tiles_by_prefix_sum(query, level, probes):
+    """``(ids, covered)``: the interior tiles of the ``2^level x 2^level``
+    tiling of ``query``'s MBR - tiles whose centre the even-odd fill holds
+    and no boundary footprint (width 1e-9 tiles) touches - as row-major ids
+    of a bitmap, and per probe rect whether a 2D prefix sum over the bitmap
+    counts every tile of its closed, clamped tile range interior (a probe
+    not inside the MBR, or a degenerate MBR, is never covered)."""
+    n = 2**level
+    mbr = query.mbr
+    tile_w = mbr.width / n if mbr.width else 0.0
+    tile_h = mbr.height / n if mbr.height else 0.0
+    coords = query.coords_array
+    arr = np.zeros(coords.shape, dtype=np.float64)
+    if tile_w:
+        arr[:, 0] = (coords[:, 0] - mbr.xmin) / tile_w
+    if tile_h:
+        arr[:, 1] = (coords[:, 1] - mbr.ymin) / tile_h
+    interior = polygon_fill_coverage_mask((n, n), arr) & ~ring_boundary_coverage_mask(
+        (n, n), arr, 1e-9
+    )
+    prefix = np.zeros((n + 1, n + 1), dtype=np.int64)
+    prefix[1:, 1:] = np.cumsum(np.cumsum(interior.astype(np.int64), axis=0), axis=1)
+
+    def tile(v: float, lo: float, size: float) -> int:
+        return min(max(math.floor((v - lo) / size), 0), n - 1)
+
+    covered = []
+    for rect in probes:
+        if not mbr.contains_rect(rect) or tile_w == 0.0 or tile_h == 0.0:
+            covered.append(False)
+            continue
+        ix0, ix1 = tile(rect.xmin, mbr.xmin, tile_w), tile(rect.xmax, mbr.xmin, tile_w)
+        iy0, iy1 = tile(rect.ymin, mbr.ymin, tile_h), tile(rect.ymax, mbr.ymin, tile_h)
+        have = (
+            prefix[iy1 + 1, ix1 + 1]
+            - prefix[iy0, ix1 + 1]
+            - prefix[iy1 + 1, ix0]
+            + prefix[iy0, ix0]
+        )
+        covered.append(int(have) == (ix1 - ix0 + 1) * (iy1 - iy0 + 1))
+    return np.flatnonzero(interior).tolist(), covered

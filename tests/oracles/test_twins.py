@@ -28,6 +28,7 @@ from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 from repro.datasets import GeneratorConfig, SpatialDataset, VertexCountModel, generate_layer
 from repro.datasets.dataset import base_distance
 from repro.filters import (
+    IntervalApproximation,
     IntervalGrid,
     IntervalIndex,
     one_object_upper_bound,
@@ -325,6 +326,40 @@ def _gathered(oracle, twin, args):
         assert submitted == sum(len(e) for e in edge_sets)
 
 
+@st.composite
+def interior_probes(draw):
+    """``(query, level, probes)``: a corpus polygon, a level in 0-8 and
+    rects inside its MBR whose sides sit on fractions of it (on tile edges
+    at the low levels), plus rects anywhere."""
+    query = draw(st.one_of(
+        star_polygons(),
+        arbitrary_polygons(),
+        lattices.flatmap(lambda cells: adversarial_rings(cells).map(Polygon)),
+    ))
+    mbr = query.mbr
+    fractions = st.sampled_from([0.0, 0.25, 0.375, 0.4, 0.5, 0.55, 0.625, 0.75, 1.0])
+    probes = []
+    for _ in range(draw(st.integers(1, 6))):
+        x0, x1 = sorted(draw(st.tuples(fractions, fractions)))
+        y0, y1 = sorted(draw(st.tuples(fractions, fractions)))
+        probes.append(Rect(
+            mbr.xmin + x0 * mbr.width, mbr.ymin + y0 * mbr.height,
+            mbr.xmin + x1 * mbr.width, mbr.ymin + y1 * mbr.height,
+        ))
+    probes += draw(st.lists(rects(), max_size=3))
+    return query, draw(st.integers(0, 8)), probes
+
+
+def _interior_cover(oracle, twin, args):
+    """The FULL cells of the query's encoding on a grid over its own MBR are
+    the oracle's interior bitmap, and ``covers`` is its prefix-sum cover."""
+    query, level, probes = args
+    encoding = IntervalApproximation.build(query, IntervalGrid(query.mbr, level))
+    ids, covered = oracle(query, level, probes)
+    assert encoding.full_cell_ids().tolist() == ids
+    assert [twin(encoding, rect) for rect in probes] == covered
+
+
 def _batch_classify(oracle, twin, args):
     grid, pairs = args
     assert twin(IntervalIndex(grid), pairs) == oracle(grid, pairs)
@@ -586,6 +621,21 @@ TWINS = {
                 for a, b in LITERAL_PAIRS
             ),
             _batch_classify,
+        ),
+        Twin(
+            raster.interior_tiles_by_prefix_sum,
+            IntervalApproximation.covers,
+            interior_probes(),
+            (
+                # The square's tile edges at level 2 are x = 1, 2, 3.
+                (SQUARE, 2, [Rect(1.5, 1.5, 2.5, 2.5), Rect(1.5, 1.5, 3.0, 2.5),
+                             Rect(1.0, 1.0, 3.0, 3.0), Rect(2.0, 2.0, 2.0, 2.0)]),
+                (SQUARE, 0, [SQUARE.mbr, Rect(1.0, 1.0, 2.0, 2.0)]),
+                (SQUARE, 8, [Rect(0.5, 0.5, 3.5, 3.5), Rect(-1.0, 1.0, 2.0, 2.0)]),
+                (ZERO_AREA, 3, [ZERO_AREA.mbr, Rect(2.0, 2.0, 2.0, 2.0)]),
+                (COLLINEAR, 4, [Rect(3.0, 5.0, 5.0, 7.0), COLLINEAR.mbr]),
+            ),
+            _interior_cover,
         ),
         # -- index
         Twin(

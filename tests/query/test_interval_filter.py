@@ -17,9 +17,10 @@ import pytest
 
 from repro.bench.experiments import per_pair_engine
 from repro.core import OVERLAP_METHODS, HardwareConfig, HardwareEngine
-from repro.obs.explain import explain_run, funnels_from_snapshot
+from repro.obs.explain import funnels_from_snapshot
 from repro.obs import MetricsRegistry, use_registry
 from repro.query import IntersectionJoin, IntersectionSelection
+from tests.obs.test_explain import explained
 
 RESOLUTION = 8
 LEVEL = 6
@@ -68,7 +69,7 @@ class TestAnswersUnchanged:
             join = _join_pipeline(
                 dataset_a, dataset_b, engine, use_intervals
             )
-            _, funnel = explain_run("join", engine, join.run)
+            _, funnel = explained(join.run)
             assert not funnel.check(), funnel.check()
             if use_intervals:
                 assert (
@@ -84,9 +85,7 @@ class TestAnswersUnchanged:
             selection = _selection_pipeline(
                 dataset_a, engine, use_intervals
             )
-            _, funnel = explain_run(
-                "selection", engine, lambda: selection.run(query)
-            )
+            _, funnel = explained(lambda: selection.run(query))
             assert not funnel.check(), funnel.check()
 
 

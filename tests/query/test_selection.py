@@ -48,6 +48,13 @@ class TestCorrectness:
         with pytest.raises(ValueError):
             IntersectionSelection(dataset_a, SoftwareEngine(), interior_level=-1)
 
+    @pytest.mark.parametrize("level", [13, 2.5, True])
+    def test_rejects_interior_level_at_construction(self, dataset_a, level):
+        # A level the filter's grid cannot take is refused here, not at
+        # the first run(); a bool is not a level.
+        with pytest.raises(ValueError, match="interior_level"):
+            IntersectionSelection(dataset_a, SoftwareEngine(), interior_level=level)
+
 
 class TestCostAccounting:
     def test_stage_counts(self, dataset_a, queries):

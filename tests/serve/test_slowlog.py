@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs.explain import explain_run
+from tests.obs.test_explain import explained
 from repro.obs.records import MAX_RECORDS
 from repro.serve import (
     AdmissionConfig,
@@ -149,8 +149,9 @@ class TestRecords:
 class TestFunnelIdentity:
     def test_slowlog_funnel_equals_explain_run_on_a_fresh_engine(self):
         """Every request's slowlog funnel - the one its pipeline's observer
-        published - equals ``explain_run``'s funnel of the same request on
-        a fresh engine, stage by stage and label by label."""
+        published - equals the funnel of the same request on a fresh
+        engine under a private registry, stage by stage and label by
+        label."""
         svc = QueryService(workers=1, slowlog=SlowLogConfig(threshold_s=0.0))
         workload = svc.workload
         requests = [QueryRequest(op="selection", query_index=i) for i in range(6)]
@@ -163,20 +164,14 @@ class TestFunnelIdentity:
                 assert svc.submit(request).status == "ok"
                 record = svc.slowlog.records()[-1]
                 fresh = ServingEngine(0, workload)
-                pipeline, run = {
-                    "selection": (
-                        "selection",
-                        lambda: fresh.selection.run(
-                            workload.queries[request.query_index]
-                        ),
+                run = {
+                    "selection": lambda: fresh.selection.run(
+                        workload.queries[request.query_index]
                     ),
-                    "join": ("join", fresh.join.run),
-                    "within_distance": (
-                        "within_distance_join",
-                        lambda: fresh.within.run(request.distance),
-                    ),
+                    "join": fresh.join.run,
+                    "within_distance": lambda: fresh.within.run(request.distance),
                 }[request.op]
-                _, funnel = explain_run(pipeline, fresh.engine, run)
+                _, funnel = explained(run)
                 assert record["funnel"] == funnel.to_dict(), request
                 assert record["funnel_violations"] == []
         finally:

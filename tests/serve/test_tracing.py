@@ -13,11 +13,12 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.obs import Tracer, use_tracer
+from repro.obs import Tracer, load_spans, use_tracer
 from repro.serve import (
     AdmissionConfig,
     QueryRequest,
     QueryService,
+    SlowLogConfig,
     canonical_results,
 )
 
@@ -201,3 +202,55 @@ class TestTraceStoreExport:
         }
         assert labels <= {"engine worker 0", "engine worker 1"}
         assert doc["metadata"]["orphans"] == 0
+
+
+class TestDeadlineMarking:
+    """A traced request's stage spans that finished past its admission
+    deadline are marked ``over_deadline``, and its slow-query record lists
+    them; without a deadline nothing is marked."""
+
+    def served(self, timeout_s, tmp_path):
+        svc = QueryService(
+            workers=1,
+            admission=AdmissionConfig(timeout_s=timeout_s),
+            trace=True,
+            slowlog=SlowLogConfig(threshold_s=0.0),
+        )
+        try:
+            # The engine is free, so the request runs at once - and with a
+            # microsecond deadline every stage ends past it.
+            response = svc.submit(QueryRequest(op="selection", query_index=0))
+            out = tmp_path / "spans.jsonl"
+            svc.export_traces(str(out))
+            spans = load_spans(str(out))
+            return response, spans, svc.slowlog.records()
+        finally:
+            svc.close()
+
+    def test_stages_past_the_deadline_are_marked(self, tmp_path):
+        response, spans, records = self.served(1e-6, tmp_path)
+        assert response.status == "ok"
+        stages = [s for s in spans if s["attributes"].get("kind") == "stage"]
+        assert {s["name"] for s in stages} >= {"mbr_filter", "geometry"}
+        assert all(s["attributes"].get("over_deadline") is True for s in stages)
+        other = [s for s in spans if s["attributes"].get("kind") != "stage"]
+        assert not any("over_deadline" in s["attributes"] for s in other)
+        (record,) = records
+        assert record["status"] == "ok"
+        assert record["over_deadline_stages"] == sorted({s["name"] for s in stages})
+
+    def test_stages_before_the_deadline_are_not_marked(self, tmp_path):
+        response, spans, records = self.served(60.0, tmp_path)
+        assert response.status == "ok"
+        assert any(s["attributes"].get("kind") == "stage" for s in spans)
+        assert not any("over_deadline" in s["attributes"] for s in spans)
+        (record,) = records
+        assert record["over_deadline_stages"] == []
+
+    def test_no_deadline_marks_nothing(self, tmp_path):
+        response, spans, records = self.served(None, tmp_path)
+        assert response.status == "ok"
+        assert any(s["attributes"].get("kind") == "stage" for s in spans)
+        assert not any("over_deadline" in s["attributes"] for s in spans)
+        (record,) = records
+        assert record["over_deadline_stages"] == []

@@ -15,10 +15,12 @@ running one literal against the edited module:
    and the batched classifier, two polygons that meet only outside the
    world read DISJOINT;
 3. the interior filter's cover - the closed tile range of the object's
-   MBR: a half-open range (``<`` for ``<=`` at the upper tile edge) stops
-   an MBR side lying on a tile edge from reaching the tile beyond it.  That
-   answer would still be sound (the shared side belongs to the interior
-   tile), so the literal pins the cover's stated rule, not a false positive;
+   MBR (``IntervalGrid.cell_range``, read by ``IntervalApproximation.covers``
+   on the query's own grid): a half-open range (``<`` for ``<=`` at the
+   upper tile edge) stops an MBR side lying on a tile edge from reaching
+   the tile beyond it.  That answer would still be sound (the shared side
+   belongs to the interior tile), so the literal pins the cover's stated
+   rule, not a false positive;
 5. the 1-Object upper bound - the larger of a side's two corner distances:
    a corner omitted makes the bound smaller than the true distance.
 """
@@ -28,7 +30,7 @@ import math
 import numpy as np
 import pytest
 
-from repro.filters import interior, intervals, object_filters
+from repro.filters import intervals, object_filters
 from repro.geometry import Polygon, Rect
 from repro.gpu import raster_bulk
 from tests.oracles.geometry import polygon_distance_brute_force
@@ -86,7 +88,7 @@ QUERY = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
 
 
 def cover_is_the_closed_tile_range(module):
-    f = module.InteriorFilter(QUERY, level=2)
+    f = module.IntervalApproximation.build(QUERY, module.IntervalGrid(QUERY.mbr, level=2))
     assert f.covers(Rect(1.5, 1.5, 2.5, 2.5))
     # xmax on the edge between interior tile 2 and boundary tile 3.
     assert not f.covers(Rect(1.5, 1.5, 3.0, 2.5))
@@ -127,10 +129,10 @@ MUTANTS = {
         both_clipped_pair_is_unknown,
     ),
     "cover_upper_tile_half_open": (
-        interior,
+        intervals,
         [(
-            "ix1 = min(max(math.floor((mbr.xmax - self.mbr.xmin) / self._tile_w), 0), n - 1)",
-            "ix1 = min(max(math.ceil((mbr.xmax - self.mbr.xmin) / self._tile_w) - 1, 0), n - 1)",
+            "ix1 = math.floor(min(max((window.xmax - self.world.xmin) / self.cell_w, -1.0), n))",
+            "ix1 = math.ceil(min(max((window.xmax - self.world.xmin) / self.cell_w, -1.0), n)) - 1",
         )],
         cover_is_the_closed_tile_range,
     ),

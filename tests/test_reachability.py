@@ -38,7 +38,6 @@ KEPT = {
     "write_events": "outside-data door",
     "RefinementEngine.contains_properly": "read by tests of the containment stage's per-pair protocol",
     "_StagedEngine.contains_properly": "read by tests of the containment stage's per-pair protocol",
-    "InteriorFilter.interior_tile_count": "read by tests of the interior filter's tiling",
     "IntervalApproximation.cell_ids": "read by tests of the interval lists against cell sets",
     "IntervalApproximation.full_cell_ids": "read by tests of the interval lists against cell sets",
     "IntervalApproximation.full_cell_count": "read by tests of the interval lists against cell sets",
