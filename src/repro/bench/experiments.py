@@ -1013,7 +1013,7 @@ def interval_filter(ctx, resolution=8, level=DEFAULT_INTERVAL_LEVEL):
 
     Runs LANDC |><| LANDO twice on otherwise identical hardware engines -
     intervals off, then on - and checks each run's EXPLAIN funnel
-    (``result.funnel``, published into the run's registry, or into a
+    (``result.funnel``, committed to the run's registry, or to a
     private one when none is in scope).  Join pairs are
     asserted bit-identical; the rows report how many candidates the
     precomputed interval encodings settled without rendering and what

@@ -20,9 +20,9 @@ which a hit still is - so cache-on runs are bit-identical to cache-off
 runs in results, RefinementStats, and the derived explain funnels; only
 the work executed (GPU cost counters, sweep/minDist step counts, wall
 time) shrinks.  :class:`CacheConfig` is the switch (off by default; see
-``--cache`` on ``python -m repro.bench``); lookups publish ``cache_hits``
+``--cache`` on ``python -m repro.bench``); lookups commit ``cache_hits``
 / ``cache_misses`` / ``cache_evictions{cache,op}`` counters and a
-``cache_occupancy{cache}`` gauge into the ambient metrics registry.
+``cache_occupancy{cache}`` gauge to the ambient metrics registry.
 
 This package imports nothing from :mod:`repro.core`, :mod:`repro.gpu`, or
 :mod:`repro.geometry` - keys and values are opaque here - and the

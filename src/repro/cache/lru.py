@@ -7,7 +7,7 @@ right default for the workloads the caches target (repeated query polygons,
 skewed joins: the hot keys are the recently-touched ones by construction).
 
 Hit/miss/eviction tallies are kept as plain integers on the cache itself
-(always, they are just increments) and additionally published into the
+(always, they are just increments) and additionally committed to the
 metrics registry of the ambient :func:`~repro.obs.scope.current_scope` when
 it has one - the same zero-overhead-by-default pattern the rest of the instrumentation
 uses.
@@ -15,9 +15,11 @@ uses.
 
 from __future__ import annotations
 
+import functools
 from collections import OrderedDict
 from typing import Any, Callable, Hashable
 
+from ..obs.metrics import metric_key
 from ..obs.scope import current_scope
 
 #: Returned by :meth:`LruCache.get` on a miss; never a legal cached value
@@ -72,27 +74,42 @@ class LruCache:
         return False
 
 
+@functools.lru_cache(maxsize=None)
+def _keys(label: str, op: str):
+    """The metric keys of one ``(cache, op)``: miss, hit, eviction, occupancy."""
+    return (
+        metric_key("cache_misses", cache=label, op=op),
+        metric_key("cache_hits", cache=label, op=op),
+        metric_key("cache_evictions", cache=label, op=op),
+        metric_key("cache_occupancy", cache=label),
+    )
+
+
 def publish_lookup(label: str, op: str, hit: bool) -> None:
-    """Record one lookup outcome into the ambient metrics registry."""
+    """Commit one lookup outcome to the ambient metrics registry."""
     registry = current_scope().registry
     if registry is None:
         return
-    name = "cache_hits" if hit else "cache_misses"
-    registry.counter(name, cache=label, op=op).inc()
+    acc = registry.accumulator()
+    with acc.lock:
+        acc.add(_keys(label, op)[hit])
 
 
 def publish_store(label: str, op: str, evicted: bool, occupancy: int) -> None:
-    """Record one store (and its possible eviction) into the registry."""
+    """Commit one store (and its possible eviction) to the registry."""
     registry = current_scope().registry
     if registry is None:
         return
-    if evicted:
-        registry.counter("cache_evictions", cache=label, op=op).inc()
-    registry.gauge("cache_occupancy", cache=label).set(occupancy)
+    _, _, evictions, occupancy_key = _keys(label, op)
+    acc = registry.accumulator()
+    with acc.lock:
+        if evicted:
+            acc.add(evictions)
+        acc.set(occupancy_key, occupancy)
 
 
 class MemoCache(LruCache):
-    """One labelled memo table: an :class:`LruCache` that publishes.
+    """One labelled memo table: an :class:`LruCache` that commits metrics.
 
     Keys are namespaced by ``op``; every lookup and store lands in the
     ``cache_hits|misses|evictions{cache=label,op}`` counters and the

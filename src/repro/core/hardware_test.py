@@ -35,6 +35,7 @@ configured method's own buffers for the per-pair ones.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from enum import Enum
@@ -48,6 +49,7 @@ from ..geometry.rect import Rect
 from ..gpu.pipeline import GraphicsPipeline, window_columns, window_scales
 from ..gpu.state import DEFAULT_AA_LINE_WIDTH, EDGE_COLOR
 from ..gpu.tiled import TiledPipeline
+from ..obs.metrics import metric_key
 from ..obs.scope import current_scope
 from .config import OVERLAP_THRESHOLD, HardwareConfig
 
@@ -67,6 +69,18 @@ class HardwareVerdict(Enum):
     #: The test could not run within device limits (line width too large);
     #: the caller must use the software path.
     UNSUPPORTED = "unsupported"
+
+
+@functools.lru_cache(maxsize=None)
+def _hw_keys(op: str, method: str):
+    """The metric keys one ``(op, method)`` batch commits under: line-width
+    overflows, atlas batch seconds, per-pair edges, per-verdict counts."""
+    return (
+        metric_key("hw_line_width_overflow", op=op, method=method),
+        metric_key("hw_batch_duration_s", op=op),
+        metric_key("hw_test_edges", op=op),
+        {v: metric_key("hw_verdicts", op=op, verdict=v.value) for v in HardwareVerdict},
+    )
 
 
 class HardwareSegmentTest:
@@ -268,6 +282,7 @@ class HardwareSegmentTest:
             return []
         registry = current_scope().registry
         start = time.perf_counter()
+        overflows = 0
         cache = self.caches.verdict
         limits = self.config.limits
         verdicts: List[Optional[HardwareVerdict]] = [None] * len(pairs)
@@ -284,10 +299,7 @@ class HardwareSegmentTest:
                 # to save - never cached, so hw_line_width_overflow stays
                 # on this one path.
                 verdicts[k] = HardwareVerdict.UNSUPPORTED
-                if registry is not None:
-                    registry.counter(
-                        "hw_line_width_overflow", op=op, method=method
-                    ).inc()
+                overflows += 1
                 continue
             if cache is not None:
                 key = keys[k] = verdict_key(
@@ -320,18 +332,18 @@ class HardwareSegmentTest:
                     for j in followers.get(k, ()):
                         verdicts[j] = verdict
         if registry is not None:
-            # Bound methods are equal, never identical, across accesses.
-            if render == self._render_atlas:
-                registry.histogram("hw_batch_duration_s", op=op).observe(
-                    time.perf_counter() - start
-                )
-            for (a, b, _), verdict in zip(pairs, verdicts):
-                registry.counter(
-                    "hw_verdicts", op=op, verdict=verdict.value
-                ).inc()
-                registry.histogram("hw_test_edges", op=op).observe(
-                    a.num_vertices + b.num_vertices
-                )
+            elapsed = time.perf_counter() - start
+            overflow_key, batch_key, edges_key, verdict_keys = _hw_keys(op, method)
+            acc = registry.accumulator()
+            with acc.lock:
+                if overflows:
+                    acc.add(overflow_key, overflows)
+                # Bound methods are equal, never identical, across accesses.
+                if render == self._render_atlas:
+                    acc.observe(batch_key, elapsed)
+                for (a, b, _), verdict in zip(pairs, verdicts):
+                    acc.add(verdict_keys[verdict])
+                    acc.observe(edges_key, a.num_vertices + b.num_vertices)
         return verdicts  # type: ignore[return-value]
 
     # -- the two renderers -------------------------------------------------
@@ -374,6 +386,7 @@ class HardwareSegmentTest:
         the distance-field test, each timed into ``hw_test_duration_s``."""
         registry = current_scope().registry
         verdicts = []
+        seconds = []
         for k, (a, b, window) in enumerate(pairs):
             start = time.perf_counter()
             if method == "field":
@@ -386,11 +399,14 @@ class HardwareSegmentTest:
                 verdict = self._render_and_search(
                     a, b, window, widths[k], cap_points=True
                 )
-            if registry is not None:
-                registry.histogram(
-                    "hw_test_duration_s", op=op, method=method
-                ).observe(time.perf_counter() - start)
+            seconds.append(time.perf_counter() - start)
             verdicts.append(verdict)
+        if registry is not None:
+            key = metric_key("hw_test_duration_s", op=op, method=method)
+            acc = registry.accumulator()
+            with acc.lock:
+                for elapsed in seconds:
+                    acc.observe(key, elapsed)
         return verdicts
 
     def _distance_field_impl(

@@ -44,6 +44,7 @@ import numpy as np
 
 from ..geometry.edge_store import EdgeStore
 from ..geometry.rect import Rect
+from ..obs.metrics import metric_key
 from ..obs.scope import current_scope
 from .framebuffer import Framebuffer
 from .pipeline import (
@@ -60,6 +61,8 @@ EdgeRow = Tuple[EdgeStore, int]
 
 #: Gray level each boundary is rendered with (Algorithm 3.1's 0.5).
 _EDGE_COLOR = np.float32(0.5)
+_TILES_KEY = metric_key("tiles_per_batch")
+_OCCUPANCY_KEY = metric_key("atlas_occupancy")
 
 
 class TiledPipeline:
@@ -180,10 +183,10 @@ class TiledPipeline:
                 # the candidate stream.  These depend on how the caller
                 # slices the candidate list, so per-pair calls bucket them
                 # differently than one batched call.
-                registry.histogram("tiles_per_batch").observe(stop - start)
-                registry.histogram("atlas_occupancy").observe(
-                    (stop - start) / self.capacity
-                )
+                acc = registry.accumulator()
+                with acc.lock:
+                    acc.observe(_TILES_KEY, stop - start)
+                    acc.observe(_OCCUPANCY_KEY, (stop - start) / self.capacity)
         return flags
 
     def _run_batch(

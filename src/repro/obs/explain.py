@@ -59,10 +59,11 @@ violation):
 * ``sw_exact == sw_direct + threshold_skipped + hw_needs_sweep
   + hw_overflow_fallbacks``
 
-A run's funnel has one builder: the pipeline's
-:class:`~repro.obs.instrument.PipelineObserver` calls
-:func:`funnel_from_deltas` whenever a metrics registry is in scope and
-hands the funnel back on the result (``result.funnel``); a caller with no
+A run's funnel has one builder, :func:`funnel_from_deltas`, over the
+record the pipeline's :class:`~repro.obs.instrument.PipelineObserver`
+committed whenever a metrics registry is in scope: the result's
+``result.funnel`` builds it on first access, the registry's read builds
+the ``funnel`` counters from the summed records.  A caller with no
 registry in scope runs the query under a private one.
 
 Like the rest of :mod:`repro.obs`, this module imports nothing from the
@@ -75,31 +76,19 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Mapping, Optional
 
 from .metrics import parse_key
 
 #: Version tag of the explain JSON document.
 EXPLAIN_SCHEMA = "repro.obs/explain@1"
 
-#: Funnel stage names, in report order.
-FUNNEL_STAGES = (
-    "candidates",
-    "hull_proven_disjoint",
-    "interior_filter_hits",
-    "interval_proven_intersecting",
-    "interval_proven_disjoint",
-    "refined",
-    "prefilter_drops",
-    "pip_resolved",
-    "hw_proven_disjoint",
-    "sw_exact",
-    "sw_direct",
-    "threshold_skipped",
-    "hw_needs_sweep",
-    "hw_overflow_fallbacks",
-    "hw_false_positives",
-    "results",
+#: The three identities: each stage is the sum of the stages it splits into.
+_SPLITS = (
+    ("candidates", ("hull_proven_disjoint", "interior_filter_hits",
+                    "interval_proven_intersecting", "interval_proven_disjoint", "refined")),
+    ("refined", ("prefilter_drops", "pip_resolved", "hw_proven_disjoint", "sw_exact")),
+    ("sw_exact", ("sw_direct", "threshold_skipped", "hw_needs_sweep", "hw_overflow_fallbacks")),
 )
 
 
@@ -112,6 +101,7 @@ class QueryFunnel:
     """One query pipeline's funnel: the stage counts."""
 
     pipeline: str
+    # The stages, in report order (:data:`FUNNEL_STAGES`).
     candidates: float = 0
     hull_proven_disjoint: float = 0
     interior_filter_hits: float = 0
@@ -120,13 +110,13 @@ class QueryFunnel:
     refined: float = 0
     prefilter_drops: float = 0
     pip_resolved: float = 0
+    hw_proven_disjoint: float = 0
+    sw_exact: float = 0
     sw_direct: float = 0
     threshold_skipped: float = 0
-    hw_proven_disjoint: float = 0
     hw_needs_sweep: float = 0
     hw_overflow_fallbacks: float = 0
     hw_false_positives: float = 0
-    sw_exact: float = 0
     results: float = 0
 
     @property
@@ -149,42 +139,16 @@ class QueryFunnel:
 
     def check(self) -> List[str]:
         """Violated funnel identities (empty when the funnel is exact)."""
-        identities: Tuple[Tuple[str, float, float], ...] = (
-            (
-                "candidates == hull_proven_disjoint + interior_filter_hits"
-                " + interval_proven_intersecting"
-                " + interval_proven_disjoint + refined",
-                self.candidates,
-                self.hull_proven_disjoint
-                + self.interior_filter_hits
-                + self.interval_proven_intersecting
-                + self.interval_proven_disjoint
-                + self.refined,
-            ),
-            (
-                "refined == prefilter_drops + pip_resolved"
-                " + hw_proven_disjoint + sw_exact",
-                self.refined,
-                self.prefilter_drops
-                + self.pip_resolved
-                + self.hw_proven_disjoint
-                + self.sw_exact,
-            ),
-            (
-                "sw_exact == sw_direct + threshold_skipped + hw_needs_sweep"
-                " + hw_overflow_fallbacks",
-                self.sw_exact,
-                self.sw_direct
-                + self.threshold_skipped
-                + self.hw_needs_sweep
-                + self.hw_overflow_fallbacks,
-            ),
-            (
-                "hw_false_positives <= hw_needs_sweep",
-                min(self.hw_false_positives, self.hw_needs_sweep),
-                self.hw_false_positives,
-            ),
-        )
+        identities = [
+            (f"{whole} == {' + '.join(parts)}", getattr(self, whole),
+             sum(getattr(self, part) for part in parts))
+            for whole, parts in _SPLITS
+        ]
+        identities.append((
+            "hw_false_positives <= hw_needs_sweep",
+            min(self.hw_false_positives, self.hw_needs_sweep),
+            self.hw_false_positives,
+        ))
         return [
             f"{self.pipeline}: {name} (lhs={lhs!r}, rhs={rhs!r})"
             for name, lhs, rhs in identities
@@ -200,28 +164,26 @@ class QueryFunnel:
         return doc
 
 
-def dataclass_values(container: Any) -> Dict[str, Any]:
-    """Field name -> current value of a (duck-typed) dataclass instance."""
-    return {
-        name: getattr(container, name)
-        for name in type(container).__dataclass_fields__
-    }
+#: Funnel stage names, in report order.
+FUNNEL_STAGES = tuple(QueryFunnel.__dataclass_fields__)[1:]
 
 
 def funnel_from_deltas(
     pipeline: str,
     deltas: Mapping[str, float],
-    cost: Optional[Any] = None,
-    engine: Optional[Any] = None,
+    cost: Optional[Mapping[str, float]] = None,
+    software: bool = False,
 ) -> QueryFunnel:
-    """Build a funnel from RefinementStats deltas (and an optional cost).
+    """Build a funnel from RefinementStats deltas (and optional cost counts).
 
-    Without a :class:`~repro.query.costs.CostBreakdown`, the refinement
-    loop *is* the whole funnel: candidates equal the pairs tested and no
-    interior-filter stage exists.  ``engine`` is the engine the deltas came
-    from: one whose ``hw`` is ``None`` has no hardware stage, so its exact
-    tests are ``sw_direct`` - read off the engine, never a residual, which
-    keeps the third identity as strict as before for hardware runs.
+    Without the :class:`~repro.query.costs.CostBreakdown` counts, the
+    refinement loop *is* the whole funnel: candidates equal the pairs
+    tested and no interior-filter stage exists.  ``software`` says the
+    engine has no hardware stage, so its exact tests are ``sw_direct`` -
+    read off the engine, never a residual, which keeps the third identity
+    as strict as before for hardware runs.  Every stage is a sum of
+    deltas and counts, so the funnel of summed runs is the sum of their
+    funnels.
     """
     refined = deltas.get("pairs_tested", 0)
     sw_exact = deltas.get("sw_segment_tests", 0) + deltas.get("sw_distance_tests", 0)
@@ -231,7 +193,7 @@ def funnel_from_deltas(
         refined=refined,
         prefilter_drops=deltas.get("prefilter_drops", 0),
         pip_resolved=deltas.get("pip_hits", 0),
-        sw_direct=sw_exact if engine is not None and engine.hw is None else 0,
+        sw_direct=sw_exact if software else 0,
         threshold_skipped=deltas.get("threshold_bypasses", 0),
         hw_proven_disjoint=deltas.get("hw_rejects", 0),
         hw_needs_sweep=(
@@ -245,13 +207,13 @@ def funnel_from_deltas(
         results=deltas.get("positives", 0),
     )
     if cost is not None:
-        funnel.candidates = cost.candidates_after_mbr
-        funnel.hull_proven_disjoint = getattr(cost, "hull_drops", 0)
-        funnel.interior_filter_hits = cost.filter_positives
-        funnel.interval_proven_intersecting = getattr(cost, "interval_hits", 0)
-        funnel.interval_proven_disjoint = getattr(cost, "interval_drops", 0)
-        funnel.refined = cost.pairs_compared
-        funnel.results = cost.results
+        funnel.candidates = cost["candidates_after_mbr"]
+        funnel.hull_proven_disjoint = cost["hull_drops"]
+        funnel.interior_filter_hits = cost["filter_positives"]
+        funnel.interval_proven_intersecting = cost["interval_hits"]
+        funnel.interval_proven_disjoint = cost["interval_drops"]
+        funnel.refined = cost["pairs_compared"]
+        funnel.results = cost["results"]
     return funnel
 
 
@@ -263,8 +225,8 @@ def funnels_from_snapshot(
 ) -> Dict[str, QueryFunnel]:
     """Reconstruct per-pipeline funnels from metrics snapshots.
 
-    Reads the ``funnel{pipeline=...,stage=...}`` counter family the
-    :class:`~repro.obs.instrument.PipelineObserver` publishes, summed over
+    Reads the ``funnel{pipeline=...,stage=...}`` counter family a read
+    names from the :class:`~repro.obs.instrument.PipelineObserver` records, summed over
     every snapshot given (a RunReport's entries merge this way); a snapshot
     without it yields no funnels.
     """
@@ -380,7 +342,6 @@ __all__ = [
     "EXPLAIN_SCHEMA",
     "FUNNEL_STAGES",
     "QueryFunnel",
-    "dataclass_values",
     "explain_document",
     "funnel_from_deltas",
     "funnels_from_snapshot",

@@ -1,12 +1,5 @@
 """Unified metrics: counters, gauges, and exactly-mergeable histograms.
 
-The repo's telemetry was previously fragmented across ad-hoc containers
-(:class:`~repro.query.costs.CostBreakdown`,
-:class:`~repro.core.stats.RefinementStats`,
-:class:`~repro.gpu.counters.CostCounters`, tracer spans) with no
-distributions and no single mergeable artifact.  This module is the common
-substrate those layers now also report into:
-
 * :class:`Counter` - monotonically accumulating value (int or float);
 * :class:`Gauge` - last-set value;
 * :class:`Histogram` - **log-bucketed** distribution with *fixed* bucket
@@ -15,17 +8,17 @@ substrate those layers now also report into:
   *exactly*: merged bucket counts are integer sums, and the running sum is
   kept as Shewchuk-style exact partials, making ``merge(h1, h2)``
   indistinguishable from observing the concatenated stream - in any order;
-* :class:`MetricsRegistry` - named instruments with label support
-  (``registry.histogram("hw_test_duration_s", method="accum")``),
-  a snapshot, a JSON exporter, and a scrape-safe
-  Prometheus text exposition (``# HELP`` / ``# TYPE`` lines, label
-  values quoted and escaped per the exposition format).
+* :class:`MetricsRegistry` - named instruments with label support, a
+  snapshot, a JSON exporter, and a scrape-safe Prometheus text exposition.
 
-Instrumentation sites find the registry of the run they belong to in the
-ambient :class:`~repro.obs.scope.ObsScope` (``current_scope().registry``)
-and stay zero-overhead by default: with no registry in scope, the hot path
-performs one ``ContextVar`` read and a ``None`` check - no allocations, no
-dict lookups.
+Writers commit one record; the registry folds on read.  A site finds its
+run's registry in the ambient :class:`~repro.obs.scope.ObsScope` and
+commits each whole record - a run, a request, a batch - to its thread's
+:class:`Accumulator` under one lock acquire, keyed by labels built once per
+call site.  Every read (``snapshot``, ``prometheus_text``, ``exposition``,
+``counter``/``gauge``/``histogram``) folds the pending aggregates into the
+named instruments first, so it sees each record whole.  With no registry
+in scope, a site costs one ``ContextVar`` read and a ``None`` check.
 
 The module deliberately imports nothing from the rest of :mod:`repro`, so
 every layer (gpu, core, query, bench) may depend on it without cycles.
@@ -35,8 +28,9 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import threading
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 #: Version tag of the snapshot schema (bump on incompatible change).
 SNAPSHOT_SCHEMA = "repro.obs/metrics@1"
@@ -57,8 +51,6 @@ def _partials_add(partials: List[float], x: float) -> None:
     associative and commutative - the property the histogram merge
     guarantees lean on.
     """
-    if not math.isfinite(x):
-        raise ValueError(f"observations must be finite, got {x!r}")
     i = 0
     for y in partials:
         if abs(x) < abs(y):
@@ -96,11 +88,8 @@ def _canonical_partials(partials: List[float]) -> List[float]:
 class Counter:
     """A monotonically accumulating value.
 
-    Thread-safe: ``value += amount`` is a read-modify-write, and the
-    threaded query service increments shared counters from many worker
-    threads at once - an unguarded update loses counts.  Each instrument
-    owns a lock; uncontended acquisition is cheap, and the
-    no-registry-installed fast path never reaches an instrument at all.
+    Thread-safe (``value += amount`` is a read-modify-write): the registry's
+    fold and direct callers may increment one counter at once.
     """
 
     __slots__ = ("value", "_lock")
@@ -157,21 +146,30 @@ class Histogram:
         self._lock = threading.Lock()
 
     def observe(self, value: Union[int, float]) -> None:
+        with self._lock:
+            self._add(value)
+
+    def _add(self, value: Union[int, float]) -> None:
+        """:meth:`observe` for a caller that holds the lock or owns the
+        histogram outright (an :class:`Accumulator`)."""
         value = float(value)
-        if value < 0.0 or not math.isfinite(value):
+        if not 0.0 <= value < math.inf:
             raise ValueError(
                 f"histogram observations must be finite and >= 0, got {value!r}"
             )
-        with self._lock:
-            self.count += 1
-            if value == 0.0:
-                self.zeros += 1
-            else:
-                e = math.frexp(value)[1]
-                self.buckets[e] = self.buckets.get(e, 0) + 1
-                _partials_add(self._partials, value)
-            self.min = value if self.min is None else min(self.min, value)
-            self.max = value if self.max is None else max(self.max, value)
+        self.count += 1
+        if value:
+            e = math.frexp(value)[1]
+            self.buckets[e] = self.buckets.get(e, 0) + 1
+            _partials_add(self._partials, value)
+        else:
+            self.zeros += 1
+        if self.min is None:
+            self.min = self.max = value
+        elif value < self.min:
+            self.min = value
+        elif value > self.max:  # type: ignore[operator]
+            self.max = value
 
     @property
     def sum(self) -> float:
@@ -259,6 +257,8 @@ class Histogram:
                 e = int(key)
                 self.buckets[e] = self.buckets.get(e, 0) + n
             for part in snap["sum_parts"]:
+                if not math.isfinite(part):
+                    raise ValueError(f"sum parts must be finite, got {part!r}")
                 _partials_add(self._partials, part)
             if "min" in snap:
                 self.min = (
@@ -307,123 +307,216 @@ def parse_key(key: str) -> MetricKey:
     return name, tuple(labels)
 
 
+def metric_key(name: str, **labels: Any) -> MetricKey:
+    """The ``(name, sorted labels)`` key a call site builds once and
+    commits under (see :class:`Accumulator`)."""
+    return name, _label_items(labels)
+
+
+class Accumulator:
+    """One writer thread's pending writes to one registry.
+
+    A single-writer table of aggregates keyed by :func:`metric_key` tuples:
+    counter sums, histograms, last-set gauges, and *vectors* - element-wise
+    sums of fixed-shape records whose site names their counters at fold
+    time (``site.counters(sums)`` yields ``(key, amount)``).  The writer
+    commits a whole record under one ``with acc.lock:``; the fold takes the
+    lock only to swap the tables out.  Aggregates, not a log: its size is
+    bounded by its series, not by its writes.
+    """
+
+    __slots__ = ("lock", "thread", "counters", "gauges", "histograms", "vectors")
+
+    def __init__(self) -> None:
+        self.lock = threading.Lock()
+        self.thread = threading.current_thread()
+        self.counters, self.gauges, self.histograms, self.vectors = {}, {}, {}, {}
+
+    def add(self, key: MetricKey, amount: Union[int, float] = 1) -> None:
+        counters = self.counters
+        counters[key] = counters.get(key, 0) + amount
+
+    def observe(self, key: MetricKey, value: Union[int, float]) -> None:
+        hist = self.histograms.get(key)
+        if hist is None:
+            hist = self.histograms[key] = Histogram()
+        hist._add(value)
+
+    def set(self, key: MetricKey, value: Union[int, float]) -> None:
+        self.gauges[key] = value
+
+    def add_vector(self, site: Any, values: Iterable[Union[int, float]]) -> None:
+        sums = self.vectors.get(site)
+        if sums is None:
+            self.vectors[site] = list(values)
+        else:
+            sums[:] = map(operator.add, sums, values)
+
+    def _take(self) -> Tuple[Dict, Dict, Dict, Dict]:
+        """Hand the pending tables to the fold and start empty ones."""
+        with self.lock:
+            tables = self.counters, self.gauges, self.histograms, self.vectors
+            self.counters, self.gauges, self.histograms, self.vectors = {}, {}, {}, {}
+        return tables
+
+
+GaugeSource = Callable[[], Iterable[Tuple[MetricKey, Union[int, float]]]]
+
+
 class MetricsRegistry:
     """Named counters, gauges, and histograms with label support.
 
-    Instruments are created on first use and addressed by
-    ``(name, sorted labels)``; asking for an existing name with a different
-    instrument kind raises (one family, one kind).
+    Instruments are addressed by ``(name, sorted labels)``; a family has one
+    kind (a conflict raises).  Writers commit to their thread's
+    :meth:`accumulator`; every read folds the accumulators and the gauge
+    sources in under the registry's lock, so it sees whole records and the
+    gauges of one moment.
     """
 
     def __init__(self) -> None:
         self._metrics: Dict[MetricKey, Instrument] = {}
-        # Guards instrument creation and the snapshot's copy of the
-        # instrument table; the instruments themselves carry their
-        # own locks for value updates, so hot-path increments never
-        # contend on the registry.
         self._lock = threading.RLock()
+        self._local = threading.local()
+        self._accumulators: List[Accumulator] = []
+        self._sources: List[GaugeSource] = []
 
-    # -- instrument access -----------------------------------------------
+    # -- writing ------------------------------------------------------------
 
-    def _get(self, cls, name: str, labels: Mapping[str, Any]) -> Instrument:
-        key = (name, _label_items(labels))
+    def accumulator(self) -> Accumulator:
+        """The calling thread's private accumulator on this registry."""
+        try:
+            return self._local.accumulator
+        except AttributeError:
+            acc = self._local.accumulator = Accumulator()
+            with self._lock:
+                self._accumulators.append(acc)
+            return acc
+
+    def add_source(self, source: GaugeSource) -> None:
+        """Call ``source()`` on every read, under the registry's lock, and
+        set the ``(key, value)`` gauges it returns from its owner's state."""
         with self._lock:
-            found = self._metrics.get(key)
-            if found is None:
-                found = cls()
-                self._metrics[key] = found
-                return found
-        if type(found) is not cls:
+            self._sources.append(source)
+
+    # -- reading --------------------------------------------------------------
+
+    def _instrument(self, cls, key: MetricKey) -> Instrument:
+        found = self._metrics.get(key)
+        if found is None:
+            found = self._metrics[key] = cls()
+        elif type(found) is not cls:
             raise TypeError(
                 f"metric {format_key(*key)!r} is a {_KIND_NAMES[type(found)]},"
                 f" not a {_KIND_NAMES[cls]}"
             )
         return found
 
+    def _fold(self) -> None:
+        """Fold the accumulators and gauge sources in (lock held).  Sums and
+        exact merges do not depend on which thread committed what, or when;
+        a gauge takes the last value folded.  A dead thread's accumulator is
+        dropped once folded."""
+        live = []
+        for acc in self._accumulators:
+            if acc.thread.is_alive():  # asked first: a dead writer writes no more
+                live.append(acc)
+            counters, gauges, histograms, vectors = acc._take()
+            for key, amount in counters.items():
+                self._instrument(Counter, key).inc(amount)
+            for site, sums in vectors.items():
+                for key, amount in site.counters(sums):
+                    self._instrument(Counter, key).inc(amount)
+            for key, hist in histograms.items():
+                self._instrument(Histogram, key)._merge(hist)
+            for key, value in gauges.items():
+                self._instrument(Gauge, key).set(value)
+        self._accumulators = live
+        for source in self._sources:
+            for key, value in source():
+                self._instrument(Gauge, key).set(value)
+
+    def _read(self, cls, name: str, labels: Mapping[str, Any]) -> Instrument:
+        with self._lock:
+            self._fold()
+            return self._instrument(cls, (name, _label_items(labels)))
+
     def counter(self, name: str, **labels: Any) -> Counter:
-        return self._get(Counter, name, labels)  # type: ignore[return-value]
+        return self._read(Counter, name, labels)  # type: ignore[return-value]
 
     def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._get(Gauge, name, labels)  # type: ignore[return-value]
+        return self._read(Gauge, name, labels)  # type: ignore[return-value]
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._get(Histogram, name, labels)  # type: ignore[return-value]
+        return self._read(Histogram, name, labels)  # type: ignore[return-value]
 
-    # -- snapshot ---------------------------------------------------------
+    def _rows(self) -> List[Tuple[MetricKey, type, Any]]:
+        """One fold, then ``(key, kind, value)`` per series (a histogram's
+        value is its snapshot entry)."""
+        with self._lock:
+            self._fold()
+            return [
+                (key, type(m), m._snapshot() if type(m) is Histogram else m.value)
+                for key, m in sorted(self._metrics.items(), key=lambda kv: kv[0])
+            ]
 
     def snapshot(self) -> Dict[str, Any]:
         """A JSON-able, versioned snapshot of every instrument."""
-        counters: Dict[str, Any] = {}
-        gauges: Dict[str, Any] = {}
-        histograms: Dict[str, Any] = {}
-        with self._lock:
-            metrics = dict(self._metrics)
-        for key in sorted(metrics):
-            metric = metrics[key]
-            skey = format_key(*key)
-            if isinstance(metric, Counter):
-                counters[skey] = metric.value
-            elif isinstance(metric, Gauge):
-                gauges[skey] = metric.value
-            else:
-                histograms[skey] = metric._snapshot()
-        return {
-            "schema": SNAPSHOT_SCHEMA,
-            "counters": counters,
-            "gauges": gauges,
-            "histograms": histograms,
-        }
+        return _snapshot_of(self._rows())
 
-    # -- exporters ---------------------------------------------------------
+    def prometheus_text(self) -> str:
+        """Prometheus text exposition, safe to scrape (:func:`_prometheus_of`)."""
+        return _prometheus_of(self._rows())
+
+    def exposition(self) -> Tuple[Dict[str, Any], str]:
+        """The snapshot and the Prometheus text of one read, which agree."""
+        rows = self._rows()
+        return _snapshot_of(rows), _prometheus_of(rows)
 
     def to_json(self, indent: Optional[int] = None) -> str:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
-    def prometheus_text(self) -> str:
-        """Prometheus text exposition, safe to scrape.
 
-        Emits ``# HELP`` and ``# TYPE`` per family; label values are
-        quoted with backslash (``\\``), double-quote (``"``), and
-        newline escaped per the exposition format, so hostile label
-        values (paths, error messages) cannot corrupt the stream.
-        Histograms render cumulative ``_bucket{le="..."}`` series over
-        the fixed power-of-two boundaries actually populated, plus
-        ``_sum`` and ``_count``.
-        """
-        with self._lock:
-            metrics = dict(self._metrics)
-        by_family: Dict[str, List[Tuple[LabelItems, Instrument]]] = {}
-        for (name, labels), metric in sorted(metrics.items()):
-            by_family.setdefault(name, []).append((labels, metric))
-        lines: List[str] = []
-        for name, series in by_family.items():
-            kind = _KIND_NAMES[type(series[0][1])]
+_SECTIONS = {Counter: "counters", Gauge: "gauges", Histogram: "histograms"}
+
+
+def _snapshot_of(rows: List[Tuple[MetricKey, type, Any]]) -> Dict[str, Any]:
+    doc: Dict[str, Any] = {"schema": SNAPSHOT_SCHEMA, "counters": {}, "gauges": {}, "histograms": {}}
+    for key, kind, value in rows:
+        doc[_SECTIONS[kind]][format_key(*key)] = value
+    return doc
+
+
+def _prometheus_of(rows: List[Tuple[MetricKey, type, Any]]) -> str:
+    """Prometheus text exposition of one read's rows.
+
+    Emits ``# HELP`` and ``# TYPE`` per family; label values are
+    quoted with backslash (``\\``), double-quote (``"``), and
+    newline escaped per the exposition format, so hostile label
+    values (paths, error messages) cannot corrupt the stream.
+    Histograms render cumulative ``_bucket{le="..."}`` series over
+    the fixed power-of-two boundaries actually populated, plus
+    ``_sum`` and ``_count``.
+    """
+    lines: List[str] = []
+    family = None
+    for (name, labels), kind, value in rows:
+        if name != family:
+            family = name
             lines.append(f"# HELP {name} {_escape_help(metric_help(name))}")
-            lines.append(f"# TYPE {name} {kind}")
-            for labels, metric in series:
-                if isinstance(metric, (Counter, Gauge)):
-                    lines.append(
-                        f"{_prom_series(name, labels)} {_fmt_num(metric.value)}"
-                    )
-                    continue
-                cumulative = metric.zeros
-                for e in sorted(metric.buckets):
-                    cumulative += metric.buckets[e]
-                    le = labels + (("le", _fmt_num(2.0**e)),)
-                    lines.append(
-                        f"{_prom_series(name + '_bucket', le)} {cumulative}"
-                    )
-                inf = labels + (("le", "+Inf"),)
-                lines.append(
-                    f"{_prom_series(name + '_bucket', inf)} {metric.count}"
-                )
-                lines.append(
-                    f"{_prom_series(name + '_sum', labels)} {_fmt_num(metric.sum)}"
-                )
-                lines.append(
-                    f"{_prom_series(name + '_count', labels)} {metric.count}"
-                )
-        return "\n".join(lines) + ("\n" if lines else "")
+            lines.append(f"# TYPE {name} {_KIND_NAMES[kind]}")
+        if kind is not Histogram:
+            lines.append(f"{_prom_series(name, labels)} {_fmt_num(value)}")
+            continue
+        cumulative = value["zeros"]
+        for e, n in sorted((int(e), n) for e, n in value["buckets"].items()):
+            cumulative += n
+            le = labels + (("le", _fmt_num(2.0**e)),)
+            lines.append(f"{_prom_series(name + '_bucket', le)} {cumulative}")
+        inf = labels + (("le", "+Inf"),)
+        lines.append(f"{_prom_series(name + '_bucket', inf)} {value['count']}")
+        lines.append(f"{_prom_series(name + '_sum', labels)} {_fmt_num(value['sum'])}")
+        lines.append(f"{_prom_series(name + '_count', labels)} {value['count']}")
+    return "\n".join(lines) + ("\n" if lines else "")
 
 
 def _fmt_num(value: Union[int, float]) -> str:

@@ -19,20 +19,17 @@ from ..datasets.dataset import SpatialDataset
 from ..filters.intervals import check_interval_level
 from ..geometry.polygon import Polygon
 from ..index.str_pack import str_bulk_load
-from ..obs.explain import QueryFunnel
-from ..obs.instrument import observe_pipeline
+from ..obs.instrument import Observed, observe_pipeline
 from .costs import CostBreakdown
 from .stages import geometry_stage, interior_stage
 
 
 @dataclass
-class ContainmentResult:
+class ContainmentResult(Observed):
     """Ids of properly-contained objects plus the cost breakdown."""
 
     ids: List[int]
     cost: CostBreakdown
-    #: The run's EXPLAIN funnel (None when no metrics registry is in scope).
-    funnel: Optional[QueryFunnel] = None
 
 
 class ContainmentSelection:
@@ -79,5 +76,5 @@ class ContainmentSelection:
 
         positives.sort()
         cost.results = len(positives)
-        funnel = obs.finish(cost) if obs is not None else None
-        return ContainmentResult(ids=positives, cost=cost, funnel=funnel)
+        run = obs.finish(cost) if obs is not None else None
+        return ContainmentResult(ids=positives, cost=cost, run=run)

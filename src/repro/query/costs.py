@@ -10,10 +10,10 @@ experiments can print the same rows the paper plots.
 from __future__ import annotations
 
 import time
-from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Tuple
 
+from ..obs.metrics import metric_key
 from ..obs.scope import current_scope
 
 
@@ -86,14 +86,14 @@ class CostBreakdown:
             if name.endswith("_s")
         )
 
-    @contextmanager
-    def time_stage(self, stage: str) -> Iterator[None]:
-        """Accumulate wall-clock time into ``<stage>_s``.
+    def time_stage(self, stage: str) -> "_StageTimer":
+        """A context manager that accumulates wall-clock time into
+        ``<stage>_s``.
 
         When the ambient scope (:mod:`repro.obs.scope`) has a tracer, a
         span named after the stage is emitted as well, so every pipeline
         gets per-stage tracing with no call-site changes.  Likewise, when
-        it has a metrics registry, the stage time is observed into the
+        it has a metrics registry, the stage time is committed to the
         ``stage_duration_s{stage=...}`` histogram - and with neither, the
         block costs one scope read and nothing else.
         Only writable stage *fields* are accepted: read-only aggregates
@@ -105,21 +105,42 @@ class CostBreakdown:
             raise ValueError(
                 f"unknown stage {stage!r}; expected one of {self.stage_names()}"
             )
+        return _StageTimer(self, stage, attr)
+
+
+class _StageTimer:
+    """One :meth:`CostBreakdown.time_stage` block (a class, not a
+    generator: it runs a few times per query on the serving path)."""
+
+    __slots__ = ("cost", "stage", "attr", "registry", "span", "start")
+
+    def __init__(self, cost: CostBreakdown, stage: str, attr: str) -> None:
+        self.cost, self.stage, self.attr = cost, stage, attr
+
+    def __enter__(self) -> None:
         scope = current_scope()
-        tracer, registry = scope.tracer, scope.registry
-        span = (
-            tracer.span(stage, kind="stage")
-            if tracer is not None
-            else nullcontext()
+        self.registry = scope.registry
+        self.span = (
+            scope.tracer.span(self.stage, kind="stage")
+            if scope.tracer is not None
+            else None
         )
-        with span:
-            start = time.perf_counter()
-            try:
-                yield
-            finally:
-                elapsed = time.perf_counter() - start
-                setattr(self, attr, getattr(self, attr) + elapsed)
-                if registry is not None:
-                    registry.histogram("stage_duration_s", stage=stage).observe(
-                        elapsed
-                    )
+        if self.span is not None:
+            self.span.__enter__()
+        self.start = time.perf_counter()
+
+    def __exit__(self, *exc_info: object) -> None:
+        elapsed = time.perf_counter() - self.start
+        setattr(self.cost, self.attr, getattr(self.cost, self.attr) + elapsed)
+        if self.registry is not None:
+            acc = self.registry.accumulator()
+            with acc.lock:
+                acc.observe(_STAGE_KEYS[self.stage], elapsed)
+        if self.span is not None:
+            self.span.__exit__(*exc_info)
+
+
+_STAGE_KEYS = {
+    stage: metric_key("stage_duration_s", stage=stage)
+    for stage in CostBreakdown.stage_names()
+}

@@ -28,20 +28,17 @@ from ..datasets.dataset import SpatialDataset
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, IntervalIndex
 from ..filters.progressive import ConvexHullFilter
 from ..index.mbr_join import plane_sweep_mbr_join
-from ..obs.explain import QueryFunnel
-from ..obs.instrument import observe_pipeline
+from ..obs.instrument import Observed, observe_pipeline
 from .costs import CostBreakdown
 from .stages import geometry_stage, interval_stage
 
 
 @dataclass
-class JoinResult:
+class JoinResult(Observed):
     """Matching index pairs plus the per-stage cost breakdown."""
 
     pairs: List[Tuple[int, int]]
     cost: CostBreakdown
-    #: The run's EXPLAIN funnel (None when no metrics registry is in scope).
-    funnel: Optional[QueryFunnel] = None
 
 
 class IntersectionJoin:
@@ -107,5 +104,5 @@ class IntersectionJoin:
 
         results.sort()
         cost.results = len(results)
-        funnel = obs.finish(cost) if obs is not None else None
-        return JoinResult(pairs=results, cost=cost, funnel=funnel)
+        run = obs.finish(cost) if obs is not None else None
+        return JoinResult(pairs=results, cost=cost, run=run)

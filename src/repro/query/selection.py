@@ -28,20 +28,17 @@ from ..filters.intervals import (
 )
 from ..geometry.polygon import Polygon
 from ..index.str_pack import str_bulk_load
-from ..obs.explain import QueryFunnel
-from ..obs.instrument import observe_pipeline
+from ..obs.instrument import Observed, observe_pipeline
 from .costs import CostBreakdown
 from .stages import geometry_stage, interior_stage, interval_stage
 
 
 @dataclass
-class SelectionResult:
+class SelectionResult(Observed):
     """Result ids (dataset indexes) plus the per-stage cost breakdown."""
 
     ids: List[int]
     cost: CostBreakdown
-    #: The run's EXPLAIN funnel (None when no metrics registry is in scope).
-    funnel: Optional[QueryFunnel] = None
 
 
 class IntersectionSelection:
@@ -101,8 +98,8 @@ class IntersectionSelection:
 
         positives.sort()
         cost.results = len(positives)
-        funnel = obs.finish(cost) if obs is not None else None
-        return SelectionResult(ids=positives, cost=cost, funnel=funnel)
+        run = obs.finish(cost) if obs is not None else None
+        return SelectionResult(ids=positives, cost=cost, run=run)
 
     def run_query_set(self, queries: List[Polygon]) -> CostBreakdown:
         """Run all queries and return the *average* cost per query.

@@ -15,26 +15,23 @@ The paper's third query class (section 4.4).  Stages per Figure 8:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
 from ..filters.object_filters import one_object_upper_bound, zero_object_upper_bound
 from ..index.mbr_join import plane_sweep_mbr_join
-from ..obs.explain import QueryFunnel
-from ..obs.instrument import observe_pipeline
+from ..obs.instrument import Observed, observe_pipeline
 from .costs import CostBreakdown
 from .stages import geometry_stage
 
 
 @dataclass
-class WithinDistanceResult:
+class WithinDistanceResult(Observed):
     """Matching index pairs plus the per-stage cost breakdown."""
 
     pairs: List[Tuple[int, int]]
     cost: CostBreakdown
-    #: The run's EXPLAIN funnel (None when no metrics registry is in scope).
-    funnel: Optional[QueryFunnel] = None
 
 
 class WithinDistanceJoin:
@@ -91,5 +88,5 @@ class WithinDistanceJoin:
 
         results.sort()
         cost.results = len(results)
-        funnel = obs.finish(cost) if obs is not None else None
-        return WithinDistanceResult(pairs=results, cost=cost, funnel=funnel)
+        run = obs.finish(cost) if obs is not None else None
+        return WithinDistanceResult(pairs=results, cost=cost, run=run)

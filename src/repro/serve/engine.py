@@ -39,7 +39,7 @@ import threading
 import time
 from collections import deque
 from dataclasses import dataclass
-from typing import Any, Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..bench.scales import get_scale
 from ..cache import CacheConfig
@@ -47,8 +47,8 @@ from ..core.config import HardwareConfig
 from ..core.engine import HardwareEngine, RefinementEngine, SoftwareEngine
 from ..datasets import base_distance
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, check_interval_level
-from ..obs.explain import QueryFunnel
-from ..obs.metrics import MetricsRegistry
+from ..obs.instrument import PipelineObserver
+from ..obs.metrics import MetricKey, MetricsRegistry, metric_key
 from ..query.costs import CostBreakdown
 from ..query.join import IntersectionJoin
 from ..query.selection import IntersectionSelection
@@ -81,8 +81,9 @@ class Execution(NamedTuple):
 
     results: List[Any]
     cost: CostBreakdown
-    #: The EXPLAIN funnel the pipeline's observer published for this run.
-    funnel: Optional[QueryFunnel]
+    #: The pipeline's finished observer: the run's committed record, whose
+    #: ``funnel`` is built on first access.
+    run: Optional[PipelineObserver]
     #: Hit/miss/eviction movement of each enabled cache layer (label keyed).
     cache_delta: Dict[str, Dict[str, int]]
 
@@ -184,9 +185,9 @@ class ServingEngine:
 
         The result payload is exactly what the underlying pipeline
         returns - the serving layer never re-orders or re-encodes it -
-        so responses stay bit-identical to direct engine calls.  The
-        funnel is the one the pipeline's observer published (the
-        service's registry is in scope); the cache deltas are safe to
+        so responses stay bit-identical to direct engine calls.  The run
+        is the record the pipeline's observer committed (the service's
+        registry is in scope); the cache deltas are safe to
         attribute to this request alone because the pool checks an
         engine out to exactly one request at a time.
         """
@@ -219,12 +220,18 @@ class ServingEngine:
             }
             for label, s in self.engine.caches.stats().items()
         }
-        return Execution(results, res.cost, res.funnel, cache_delta)
+        return Execution(results, res.cost, res.run, cache_delta)
 
     def warm(self) -> None:
         """Prime the caches/pipelines with one cheap request per op."""
         if self.workload.queries:
             self.execute(QueryRequest(op="selection", query_index=0))
+
+
+_POOL_GAUGES = [
+    metric_key(name)
+    for name in ("serve_queue_depth", "serve_inflight", "serve_workers", "serve_queue_capacity")
+]
 
 
 class EnginePool:
@@ -254,10 +261,12 @@ class EnginePool:
 
     Execution itself is never preempted: a checked-out engine serves its
     one request to completion (engines accumulate stats and own mutable
-    pipeline state).  The ``serve_queue_depth`` and ``serve_inflight``
-    gauges are set under the same lock as the state they report, so they
-    land in the order of the state changes and read exactly 0 after a
-    drained run - a property the CI regression baseline relies on.
+    pipeline state).  The pool writes no metric per request: the
+    ``serve_queue_depth``, ``serve_inflight``, ``serve_workers`` and
+    ``serve_queue_capacity`` gauges are read from its state, under its
+    lock, whenever the registry is read - so they always describe one
+    moment, and read exactly 0 after a drained run (the CI regression
+    baseline relies on it).
     """
 
     def __init__(
@@ -281,12 +290,12 @@ class EnginePool:
         self._waiting = 0
         self._closed = False
         self._cond = threading.Condition()
-        self._depth_gauge = registry.gauge("serve_queue_depth")
-        self._inflight_gauge = registry.gauge("serve_inflight")
+        registry.add_source(self._gauges)
 
-    def _publish(self) -> None:
-        self._depth_gauge.set(self._waiting)
-        self._inflight_gauge.set(self.inflight)
+    def _gauges(self) -> Iterable[Tuple[MetricKey, int]]:
+        with self._cond:
+            values = (self._waiting, self.inflight, self.size, self.admission.max_queue)
+        return zip(_POOL_GAUGES, values)
 
     def admit(self) -> Tuple[Optional[ServingEngine], Optional[str]]:
         """Decide one request at its arrival, without blocking.
@@ -299,13 +308,10 @@ class EnginePool:
             if self._closed:
                 return None, "closed"
             if len(self._free) > self._waiting:
-                engine = self._free.popleft()
-                self._publish()
-                return engine, None
+                return self._free.popleft(), None
             if self._waiting >= self.admission.max_queue:
                 return None, "shed"
             self._waiting += 1
-            self._publish()
         return None, "queued"
 
     def wait(
@@ -333,13 +339,11 @@ class EnginePool:
                 engine, refusal = self._free.popleft(), None
             else:
                 engine, refusal = None, "timeout"
-            self._publish()
         return engine, refusal
 
     def release(self, engine: ServingEngine) -> None:
         with self._cond:
             self._free.append(engine)
-            self._publish()
             self._cond.notify()
 
     @property

@@ -12,7 +12,7 @@ Envelope kinds:
 
 * ``query`` - execute the attached :class:`~repro.serve.schema.QueryRequest`;
 * ``metrics`` - the service registry, both Prometheus text and the JSON
-  snapshot;
+  snapshot, rendered from one read;
 * ``health`` - readiness verdict, queue depth / inflight, per-op windowed
   latency and rates, SLO burn rates, firing alerts, worker heartbeats
   (:mod:`repro.serve.health`); always answerable, richest when the
@@ -142,11 +142,8 @@ class ServeFrontend:
         if kind == "describe":
             return {"kind": "describe", "info": self.service.describe()}
         if kind == "metrics":
-            return {
-                "kind": "metrics",
-                "text": self.service.metrics_text(),
-                "snapshot": self.service.metrics_snapshot(),
-            }
+            snapshot, text = self.service.registry.exposition()
+            return {"kind": "metrics", "text": text, "snapshot": snapshot}
         if kind == "health":
             return {"kind": "health", "health": self.service.health()}
         if kind == "shutdown":

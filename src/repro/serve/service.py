@@ -13,18 +13,16 @@ one :meth:`asubmit` await on an event loop - is one request's whole life:
 2. **execution** - the checked-out :class:`~repro.serve.engine.ServingEngine`
    runs the exact batch-path pipeline, the same way for every request;
    results are bit-identical to a direct engine call;
-3. **accounting** - every outcome increments
-   ``serve_requests{op,status}``; latency splits land in the
-   ``serve_wait_duration_s`` / ``serve_exec_duration_s`` /
-   ``serve_request_duration_s`` histograms (per op); queue depth and
-   inflight ride the ``serve_queue_depth`` / ``serve_inflight`` gauges.
-
-The service owns a :class:`~repro.obs.metrics.MetricsRegistry` and puts it
-in every request's :func:`~repro.obs.scope.use_scope`, so the
-existing pipeline instrumentation (funnel counters, stage seconds,
-refinement stats) publishes into it from every worker thread concurrently -
-which is exactly the load that required making the registry thread-safe
-and the scope contextvar-held.
+3. **accounting** - commit one record, fold on read: every outcome
+   commits its op, status and three durations to the thread's
+   accumulator of the service's :class:`~repro.obs.metrics.MetricsRegistry`
+   in one lock acquire; a read names them ``serve_requests{op,status}``
+   and the per-op ``serve_wait_duration_s`` / ``serve_exec_duration_s`` /
+   ``serve_request_duration_s`` histograms, and reads the queue depth and
+   inflight gauges from the pool.  The registry is in every request's
+   :func:`~repro.obs.scope.use_scope`, so the pipeline instrumentation
+   (funnel, stage seconds, refinement stats) commits its run records the
+   same way, from every thread at once.
 
 Per-request observability rides the same submit path:
 
@@ -62,7 +60,7 @@ import time
 from contextlib import nullcontext
 from typing import IO, Any, Dict, Optional, Sequence, Set, Tuple, Union
 
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import MetricKey, MetricsRegistry, metric_key
 from ..obs.records import RecordLog
 from ..obs.scope import use_scope
 from ..obs.trace import Tracer, new_trace_id
@@ -75,8 +73,21 @@ from .engine import (
     WorkloadConfig,
 )
 from .health import HealthConfig, ServiceHealth, build_health
-from .schema import QueryRequest, QueryResponse
+from .schema import SERVE_OPS, STATUSES, QueryRequest, QueryResponse
 from .slowlog import SlowLogConfig, build_record
+
+
+#: ``(op, status)`` -> the keys its request record commits under: outcome
+#: count, wait / exec / total seconds, slow-log count.
+_REQUEST_KEYS: Dict[Tuple[str, str], Tuple[MetricKey, ...]] = {
+    (op, status): (
+        metric_key("serve_requests", op=op, status=status),
+        *(metric_key(f"serve_{part}_duration_s", op=op) for part in ("wait", "exec", "request")),
+        metric_key("serve_slow_requests", op=op, status=status),
+    )
+    for op in SERVE_OPS
+    for status in STATUSES
+}
 
 
 class QueryService:
@@ -124,9 +135,6 @@ class QueryService:
         #: never changes and the set only grows (``add`` and ``in`` are
         #: each atomic under the GIL).
         self._settled_by_mbr: Set[int] = set()
-        reg = self.registry
-        reg.gauge("serve_workers").set(workers)
-        reg.gauge("serve_queue_capacity").set(self.admission_config.max_queue)
 
     # -- capacity (how many threads a front-end may need) -----------------
 
@@ -247,8 +255,7 @@ class QueryService:
                         span.attributes["over_deadline"] = True
             spans = [span.to_dict() for span in tracer.spans]
             self.traces.append(spans)
-        slow = self.slowlog_config
-        if slow is not None and slow.should_log(response.status, response.total_s):
+        if self._slow(response.status, response.total_s):
             self.slowlog.append(  # type: ignore[union-attr]
                 build_record(
                     request,
@@ -258,9 +265,6 @@ class QueryService:
                     queue_depth=self.pool.queue_depth,
                 )
             )
-            self.registry.counter(
-                "serve_slow_requests", op=request.op, status=response.status
-            ).inc()
         return response
 
     def _submit_core(
@@ -282,15 +286,15 @@ class QueryService:
         engine, refusal = admitted
         if refusal == "queued":
             engine, refusal = self.pool.wait(start)
-        wait_s = time.perf_counter() - start
         if refusal == "closed":
             return self._finish(request, "error", start, error="service is closed"), None
         if refusal == "shed":
             return self._finish(request, "shed", start), None
+        wait_s = time.perf_counter() - start
         if tracer is not None:
             tracer.record("queue_wait", wait_s)
         if engine is None:
-            return self._finish(request, "timeout", start, wait_s=wait_s), None
+            return self._finish(request, "timeout", start, wait_s), None
         try:
             exec_start = time.perf_counter()
             exec_span = (
@@ -302,34 +306,13 @@ class QueryService:
                 execution = engine.execute(request)
             exec_s = time.perf_counter() - exec_start
         except Exception as exc:
-            return (
-                self._finish(
-                    request,
-                    "error",
-                    start,
-                    wait_s=wait_s,
-                    worker=engine.worker_id,
-                    error=f"{type(exc).__name__}: {exc}",
-                ),
-                None,
-            )
+            error = f"{type(exc).__name__}: {exc}"
+            return self._finish(request, "error", start, wait_s, engine=engine, error=error), None
         finally:
             self.pool.release(engine)
         if request.op == "selection" and not execution.cost.candidates_after_mbr:
             self._settled_by_mbr.add(request.query_index)
-        return (
-            self._finish(
-                request,
-                "ok",
-                start,
-                results=execution.results,
-                wait_s=wait_s,
-                exec_s=exec_s,
-                worker=engine.worker_id,
-                attributes={"pairs_compared": execution.cost.pairs_compared},
-            ),
-            execution,
-        )
+        return self._finish(request, "ok", start, wait_s, exec_s, engine, execution), execution
 
     def export_traces(self, target: Union[str, IO[str]]) -> int:
         """Write every retained request trace as span JSONL; returns count.
@@ -363,37 +346,50 @@ class QueryService:
         request: QueryRequest,
         status: str,
         start: float,
-        results: Optional[list] = None,
         wait_s: float = 0.0,
         exec_s: float = 0.0,
-        worker: Optional[int] = None,
+        engine: Optional[ServingEngine] = None,
+        execution: Optional[Execution] = None,
         error: Optional[str] = None,
-        attributes: Optional[Dict[str, Any]] = None,
     ) -> QueryResponse:
+        """The response, after committing its record: the outcome, its
+        durations and its slow-log count, in one lock acquire."""
         total_s = time.perf_counter() - start
-        reg = self.registry
-        reg.counter("serve_requests", op=request.op, status=status).inc()
-        if status == "ok":
-            reg.histogram("serve_wait_duration_s", op=request.op).observe(wait_s)
-            reg.histogram("serve_exec_duration_s", op=request.op).observe(exec_s)
-            reg.histogram("serve_request_duration_s", op=request.op).observe(
-                total_s
-            )
+        worker = None if engine is None else engine.worker_id
+        requests, waited, executed, total, slow = _REQUEST_KEYS[request.op, status]
+        acc = self.registry.accumulator()
+        with acc.lock:
+            acc.add(requests)
+            if status == "ok":
+                acc.observe(waited, wait_s)
+                acc.observe(executed, exec_s)
+                acc.observe(total, total_s)
+            if self._slow(status, total_s):
+                acc.add(slow)
         monitor = self.health_monitor
         if monitor is not None:
             monitor.record(request.op, status, total_s, worker=worker)
         return QueryResponse(
             status=status,
             op=request.op,
-            results=results,
+            results=None if execution is None else execution.results,
             request_id=request.request_id,
             worker=worker,
             wait_s=wait_s,
             exec_s=exec_s,
             total_s=total_s,
             error=error,
-            attributes=dict(attributes) if attributes else {},
+            attributes=(
+                {} if execution is None
+                else {"pairs_compared": execution.cost.pairs_compared}
+            ),
         )
+
+    def _slow(self, status: str, total_s: float) -> bool:
+        """Whether the slow-query log takes this outcome (a pure function
+        of it: the record's count and the log's append agree)."""
+        slow = self.slowlog_config
+        return slow is not None and slow.should_log(status, total_s)
 
     # -- introspection / lifecycle ----------------------------------------
 
@@ -408,10 +404,6 @@ class QueryService:
             windowed=self.health_monitor is not None,
         )
         return info
-
-    def metrics_text(self) -> str:
-        """Prometheus-style exposition of the service registry."""
-        return self.registry.prometheus_text()
 
     def metrics_snapshot(self) -> Dict[str, Any]:
         return self.registry.snapshot()

@@ -70,7 +70,7 @@ def build_record(
     the request's span dicts; ``execution`` is the request's
     :class:`~repro.serve.engine.Execution` (``None`` when it never ran):
     its :class:`~repro.query.costs.CostBreakdown`, its cache deltas and
-    its :class:`~repro.obs.explain.QueryFunnel`, whose identity checks
+    its run's :class:`~repro.obs.explain.QueryFunnel`, whose identity checks
     are re-run here and any violations stored - a slowlog whose funnels
     fail the Fig-13 identities is itself a bug report.
     """
@@ -101,9 +101,9 @@ def build_record(
             }
         )
     if execution is not None:
-        if execution.funnel is not None:
-            record["funnel"] = execution.funnel.to_dict()
-            record["funnel_violations"] = execution.funnel.check()
+        if execution.run is not None:
+            record["funnel"] = execution.run.funnel.to_dict()
+            record["funnel_violations"] = execution.run.funnel.check()
         cost = execution.cost
         record["cost"] = {
             name: getattr(cost, name)

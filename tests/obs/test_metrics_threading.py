@@ -2,7 +2,8 @@
 
 The serving path has many threads updating one registry at once; these
 tests hammer the read-modify-write paths (counter inc, gauge add,
-histogram observe, registry instrument creation) and pin down the
+histogram observe, registry instrument creation, accumulator commits
+against a folding reader) and pin down the
 contextvar scoping semantics of ``use_registry`` under nesting and
 threads.
 """
@@ -12,6 +13,7 @@ import threading
 import pytest
 
 from repro.obs import MetricsRegistry, current_scope, use_registry
+from repro.obs.metrics import metric_key
 
 
 def _hammer(n_threads: int, per_thread: int, fn) -> None:
@@ -68,6 +70,45 @@ class TestThreadedUpdates:
         finally:
             stop.set()
             t.join()
+
+
+class TestAccumulatorWrites:
+    def test_writers_commit_while_a_reader_folds(self):
+        # Eight writers commit two-part records to their own accumulators
+        # while a reader folds through counter() and snapshot(): every
+        # read sees whole records, and the totals end exact.
+        registry = MetricsRegistry()
+        hits, latency = metric_key("hits", op="x"), metric_key("latency")
+        stop = threading.Event()
+        reads = []
+
+        def write() -> None:
+            acc = registry.accumulator()
+            with acc.lock:
+                acc.add(hits)
+                acc.observe(latency, 0.5)
+
+        def read() -> None:
+            while not stop.is_set():
+                snap = registry.snapshot()
+                count = snap["histograms"].get("latency", {}).get("count", 0)
+                reads.append((snap["counters"].get("hits{op=x}", 0), count))
+                registry.counter("hits", op="x")
+
+        reader = threading.Thread(target=read)
+        reader.start()
+        try:
+            _hammer(8, 2500, write)
+        finally:
+            stop.set()
+            reader.join()
+        assert reads and all(c == n for c, n in reads)
+        assert [c for c, _ in reads] == sorted(c for c, _ in reads)
+        assert registry.counter("hits", op="x").value == 8 * 2500
+        hist = registry.histogram("latency")
+        assert (hist.count, hist.sum) == (8 * 2500, 0.5 * 8 * 2500)
+        # The writers' threads have ended: the fold dropped their tables.
+        assert registry._accumulators == []
 
 
 class TestScopedRegistry:

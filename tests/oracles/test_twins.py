@@ -1,7 +1,7 @@
 """One differential harness: every oracle against its production twin.
 
 ``TWINS`` registers each public function of ``tests/oracles/geometry.py``,
-``raster.py`` and ``index.py`` once, with the production function it is the
+``raster.py``, ``index.py`` and ``accounting.py`` once, with the production function it is the
 reference for, the cases it runs on - ``tests/strategies.py``'s corpus plus
 the literals below - and how the two answers are compared (``==`` unless an
 entry says otherwise).  :func:`test_twin_agrees` runs every entry, and fails
@@ -13,8 +13,13 @@ interval configuration against the brute-force oracles.
 
 from __future__ import annotations
 
+import asyncio
 import inspect
 import math
+import random
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Tuple
 
@@ -56,7 +61,8 @@ from repro.gpu.raster_bulk import edges_coverage_mask, edges_coverage_masks_grou
 from repro.gpu.tiled import _gather
 from repro.index import plane_sweep_mbr_join, rtree_nearest, str_bulk_load
 from repro.query import IntersectionJoin, WithinDistanceJoin
-from tests.oracles import geometry, index, raster
+from repro.serve import AdmissionConfig, QueryRequest, QueryService, SlowLogConfig
+from tests.oracles import accounting, geometry, index, raster
 from tests.strategies import HYPOT_FAR, HYPOT_NEAR
 from tests.strategies import (
     adversarial_rings,
@@ -384,6 +390,97 @@ def _nearest_distances(oracle, twin, args):
     assert [d for d, _ in twin(tree, query, fn, k)] == expected
 
 
+def _serve_mix(seed):
+    """A seeded ok / shed / timeout / error mix through one fresh service;
+    returns the service and its ``(request, response)`` outcomes.
+
+    With both engines held, two arrivals queue and time out and the next
+    ones are shed.  Then two threads call ``submit`` and an event loop
+    awaits ``asubmit`` for the rest at once: selections, a join, a
+    within-distance query and out-of-range selections (errors).
+    """
+    rng = random.Random(seed)
+    service = QueryService(
+        workers=2,
+        admission=AdmissionConfig(max_queue=2, timeout_s=0.05),
+        slowlog=SlowLogConfig(threshold_s=0.01),
+    )
+    outcomes = []
+    queries = len(service.workload.queries)
+
+    def serve(requests):
+        for request in requests:
+            outcomes.append((request, service.submit(request)))
+
+    def selection(index):
+        return QueryRequest(op="selection", query_index=index)
+
+    held = [service.pool.admit()[0] for _ in range(2)]
+    queued = [threading.Thread(target=serve, args=([selection(i)],)) for i in (0, 1)]
+    for thread in queued:
+        thread.start()
+    while service.pool.queue_depth < 2:
+        time.sleep(0.001)
+    serve([selection(rng.randrange(queries)) for _ in range(rng.randint(1, 3))])
+    for thread in queued:
+        thread.join()
+    for engine in held:
+        service.pool.release(engine)
+
+    requests = [selection(rng.randrange(queries)) for _ in range(24)]
+    requests += [selection(queries + rng.randrange(5)) for _ in range(3)]
+    requests += [
+        QueryRequest(op="join"),
+        QueryRequest(
+            op="within_distance",
+            distance=rng.choice([0.5, 1.0, 2.0]) * service.workload.base_distance,
+        ),
+    ]
+    rng.shuffle(requests)
+
+    async def asubmit_all(batch):
+        with ThreadPoolExecutor(max_workers=service.capacity) as executor:
+            responses = await asyncio.gather(
+                *(service.asubmit(request, executor) for request in batch)
+            )
+        outcomes.extend(zip(batch, responses))
+
+    threads = [
+        threading.Thread(target=serve, args=(requests[0::3],)),
+        threading.Thread(target=serve, args=(requests[1::3],)),
+        threading.Thread(target=asyncio.run, args=(asubmit_all(requests[2::3]),)),
+    ]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    return service, outcomes
+
+
+def _accounting_view(snapshot):
+    """A snapshot with each timing histogram (``*_s``) cut to its count."""
+    view = dict(snapshot)
+    view["histograms"] = {
+        key: {"count": hist["count"]} if key.split("{")[0].endswith("_s") else hist
+        for key, hist in snapshot["histograms"].items()
+    }
+    return view
+
+
+def _same_accounting(oracle, twin, args):
+    """The service's folded registry equals the direct writes' replay."""
+    service, outcomes = _serve_mix(*args)
+    try:
+        assert {response.status for _, response in outcomes} == {
+            "ok", "shed", "timeout", "error"
+        }
+        assert _accounting_view(twin(service)) == _accounting_view(
+            oracle(service, outcomes)
+        )
+    finally:
+        service.close()
+
+
 # -- the registry ------------------------------------------------------------
 
 
@@ -653,6 +750,14 @@ TWINS = {
             ),
             _same_pair_set,
         ),
+        # -- accounting
+        Twin(
+            accounting.account_directly,
+            QueryService.metrics_snapshot,
+            st.sampled_from([(5,), (23,)]),
+            ((41,),),
+            _same_accounting,
+        ),
         Twin(
             index.linear_nearest,
             rtree_nearest,
@@ -687,7 +792,7 @@ def test_every_oracle_is_registered():
     """Each public function of an oracle module is one ``TWINS`` entry."""
     public = {
         f"{module.__name__}.{name}"
-        for module in (geometry, raster, index)
+        for module in (accounting, geometry, raster, index)
         for name, value in vars(module).items()
         if inspect.isfunction(value) and value.__module__ == module.__name__
         and not name.startswith("_")

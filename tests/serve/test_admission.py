@@ -171,19 +171,27 @@ class TestAdmissionController:
         assert pool.queue_depth == 0 and pool.inflight == 0
 
     def test_gauges_published_under_lock(self, pool_of):
+        # The gauges are read from the pool's state, under its lock, on
+        # every registry read: each read sees the state of that moment.
         registry = MetricsRegistry()
         pool = pool_of(size=1, registry=registry, max_queue=8)
-        depth = registry.gauge("serve_queue_depth")
-        inflight = registry.gauge("serve_inflight")
+
+        def gauges():
+            snap = registry.snapshot()["gauges"]
+            return snap["serve_queue_depth"], snap["serve_inflight"]
+
+        assert gauges() == (0, 0)
+        assert registry.gauge("serve_workers").value == 1
+        assert registry.gauge("serve_queue_capacity").value == 8
         held, _ = _acquire(pool)
-        assert (depth.value, inflight.value) == (0, 1)
+        assert gauges() == (0, 1)
         threads, outcomes = _waiters(pool, 1)
-        _until(lambda: depth.value == 1)
+        _until(lambda: gauges()[0] == 1)
         pool.release(held)
         _join(threads)
-        assert (depth.value, inflight.value) == (0, 1)
+        assert gauges() == (0, 1)
         pool.release(outcomes[0][0])
-        assert (depth.value, inflight.value) == (0, 0)
+        assert gauges() == (0, 0)
 
     def test_gauges_drain_to_zero_under_concurrency(self, pool_of):
         # The property the CI baseline depends on: after every admitted

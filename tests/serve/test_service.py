@@ -1,6 +1,8 @@
 """QueryService behavior: statuses, accounting, metrics, lifecycle."""
 
 import asyncio
+import json
+import math
 import sys
 import threading
 import time
@@ -8,6 +10,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
+from repro.obs import MetricsRegistry, use_registry
 from repro.serve import (
     AdmissionConfig,
     QueryRequest,
@@ -206,9 +209,182 @@ class TestAccounting:
 
     def test_prometheus_text_exposition(self, service):
         service.submit(QueryRequest(op="join"))
-        text = service.metrics_text()
+        text = service.registry.prometheus_text()
         assert "serve_requests" in text
         assert "serve_request_duration_s" in text
+
+
+class _BlockingMath:
+    """``math`` for :mod:`repro.obs.metrics` whose ``frexp`` - the bucket
+    of a histogram observation - blocks one chosen thread once, mid-record,
+    until released."""
+
+    def __init__(self, writer_name):
+        self.writer_name = writer_name
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def __getattr__(self, name):
+        return getattr(math, name)
+
+    def frexp(self, value):
+        if threading.current_thread().name == self.writer_name and not self.reached.is_set():
+            self.reached.set()
+            self.release.wait(10.0)
+        return math.frexp(value)
+
+
+class _BlockingStages:
+    """``FUNNEL_STAGES`` for :mod:`repro.obs.instrument` whose iteration
+    blocks one chosen thread once, after the ``candidates`` stage."""
+
+    def __init__(self, stages, writer_name):
+        self.stages = stages
+        self.writer_name = writer_name
+        self.reached = threading.Event()
+        self.release = threading.Event()
+
+    def __iter__(self):
+        for stage in self.stages:
+            yield stage
+            if (
+                stage == "candidates"
+                and threading.current_thread().name == self.writer_name
+                and not self.reached.is_set()
+            ):
+                self.reached.set()
+                self.release.wait(10.0)
+
+
+def _read_mid_record(write, registry, blocker):
+    """Run ``write`` on the blocker's writer thread, snapshot ``registry``
+    from another thread while the writer is blocked mid-record (or done, if
+    it never reaches the block), then release it; returns the snapshot."""
+    writer = threading.Thread(target=write, name=blocker.writer_name)
+    writer.start()
+    while not blocker.reached.is_set() and writer.is_alive():
+        time.sleep(0.001)
+    snapshots = []
+    reader = threading.Thread(target=lambda: snapshots.append(registry.snapshot()))
+    reader.start()
+    reader.join(0.2)
+    blocker.release.set()
+    writer.join(10.0)
+    reader.join(10.0)
+    assert not writer.is_alive() and not reader.is_alive()
+    return snapshots[0]
+
+
+class TestWholeRecords:
+    """A read sees each record whole: a request's outcome count with its
+    durations, a run's funnel with all of its stages."""
+
+    def test_request_outcome_and_its_durations_land_together(self, monkeypatch):
+        from repro.obs import metrics
+
+        svc = QueryService(workers=1)
+        try:
+            request = QueryRequest(op="selection", query_index=0)
+
+            def write():
+                svc._finish(request, "ok", time.perf_counter(), wait_s=1e-3, exec_s=2e-3)
+
+            blocker = _BlockingMath("request-writer")
+            monkeypatch.setattr(metrics, "math", blocker)
+            snap = _read_mid_record(write, svc.registry, blocker)
+        finally:
+            svc.close()
+        ok = snap["counters"].get("serve_requests{op=selection,status=ok}", 0)
+        for family in ("wait", "exec", "request"):
+            hist = snap["histograms"].get(f"serve_{family}_duration_s{{op=selection}}", {})
+            assert hist.get("count", 0) == ok
+
+    def test_a_scraped_funnel_is_whole(self, monkeypatch, workload):
+        from repro.obs import instrument
+        from repro.obs.explain import funnels_from_snapshot
+
+        registry = MetricsRegistry()
+        engine = ServingEngine(0, workload)
+
+        def write():
+            with use_registry(registry):
+                engine.join.run()
+
+        blocker = _BlockingStages(instrument.FUNNEL_STAGES, "run-writer")
+        monkeypatch.setattr(instrument, "FUNNEL_STAGES", blocker)
+        snap = _read_mid_record(write, registry, blocker)
+        for funnel in funnels_from_snapshot(snap).values():
+            assert funnel.check() == []
+        assert funnels_from_snapshot(registry.snapshot())["join"].candidates > 0
+
+    def test_metrics_envelope_renders_text_and_snapshot_from_one_read(self, monkeypatch):
+        from repro.obs import metrics
+        from repro.serve.server import ServeFrontend
+
+        svc = QueryService(workers=1)
+        frontend = ServeFrontend(svc)
+        request = QueryRequest(op="selection", query_index=0)
+        svc.submit(request)
+
+        def then_serve(render):
+            def rendered(*args):
+                text = render(*args)
+                svc.submit(request)  # a writer between the two renders
+                return text
+
+            return rendered
+
+        monkeypatch.setattr(
+            MetricsRegistry, "prometheus_text", then_serve(MetricsRegistry.prometheus_text)
+        )
+        if hasattr(metrics, "_prometheus_of"):
+            monkeypatch.setattr(metrics, "_prometheus_of", then_serve(metrics._prometheus_of))
+        try:
+            reply = asyncio.run(frontend._dispatch(json.dumps({"kind": "metrics"})))
+        finally:
+            frontend._executor.shutdown()
+            svc.close()
+        series = 'serve_requests{op="selection",status="ok"} '
+        (line,) = [x for x in reply["text"].splitlines() if x.startswith(series)]
+        counters = reply["snapshot"]["counters"]
+        assert int(line[len(series):]) == counters["serve_requests{op=selection,status=ok}"]
+
+    def test_accumulators_stay_bounded_without_reads(self):
+        svc = QueryService(workers=1)
+        try:
+            engine = svc.pool.engines[0]
+            settled = [
+                QueryRequest(op="selection", query_index=i)
+                for i in range(len(svc.workload.queries))
+                if not engine.execute(QueryRequest(op="selection", query_index=i)).cost.candidates_after_mbr
+            ]
+            svc.registry.snapshot()  # fold the probe runs away
+
+            def submit(n):
+                for i in range(n):
+                    svc.submit(settled[i % len(settled)])
+                (acc,) = svc.registry._accumulators
+                return (
+                    {key: len(sums) for key, sums in acc.vectors.items()},
+                    sorted(acc.counters),
+                    {
+                        key: (len(hist.buckets), len(hist._partials))
+                        for key, hist in acc.histograms.items()
+                    },
+                    acc.counters[("serve_requests", (("op", "selection"), ("status", "ok")))],
+                )
+
+            vectors, counters, histograms, count = submit(1_000)
+            assert count == 1_000
+            later = submit(99_000)
+            assert later[3] == 100_000
+            assert (later[0], later[1]) == (vectors, counters)
+            assert later[2].keys() == histograms.keys()
+            # Power-of-two buckets and non-overlapping partials: bounded by
+            # the float range, not by the observation count.
+            assert all(b <= 64 and p <= 40 for b, p in later[2].values())
+        finally:
+            svc.close()
 
 
 def _mbr_candidates(workload):
