@@ -11,7 +11,6 @@ from .dataset import DatasetStats, SpatialDataset, base_distance
 from .generator import (
     GeneratorConfig,
     VertexCountModel,
-    bowtie_twist,
     generate_layer,
     star_polygon,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "VertexCountModel",
     "WYOMING",
     "base_distance",
-    "bowtie_twist",
     "generate_layer",
     "load",
     "load_dataset",

@@ -68,7 +68,6 @@ class CatalogEntry:
     coverage: float = 1.0
     elongation: float = 1.0
     orientation_correlation: float = 0.0
-    nonsimple_fraction: float = 0.0
 
 
 CATALOG: Dict[str, CatalogEntry] = {
@@ -192,7 +191,6 @@ def load(
             orientation_correlation=entry.orientation_correlation,
             cluster_count=max(1, round(entry.cluster_count * math.sqrt(n_scale))),
             roughness=entry.roughness,
-            nonsimple_fraction=entry.nonsimple_fraction,
         )
         layer = generate_layer(blob_config, actual_seed)
     suffix = "" if n_scale == 1.0 and v_scale == 1.0 else f"@n{n_scale:g}v{v_scale:g}"

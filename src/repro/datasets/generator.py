@@ -11,8 +11,9 @@ Construction: each polygon is a *star-shaped* ring around a center - a
 radial function built from a random low-order Fourier series, sampled at
 strictly increasing angles.  Star-shapedness guarantees simplicity while the
 Fourier roughness produces the deep concavities visible in the paper's
-Figure 1.  An optional fraction of "bowtie" twists produces the non-simple
-polygons the paper's footnote 1 observes in real data.
+Figure 1.  The non-simple polygons the paper's footnote 1 observes in real
+data are not generated; the library's predicates stay well-defined on such
+rings (even-odd semantics), which the tests exercise with bow-tie rings.
 """
 
 from __future__ import annotations
@@ -222,29 +223,6 @@ def stretch_polygon(
     return Polygon(np.column_stack((ctr.x + c * u - s * v, ctr.y + s * u + c * v)))
 
 
-def bowtie_twist(polygon: Polygon, rng: random.Random) -> Polygon:
-    """Swap two adjacent vertices to create a self-intersection.
-
-    Models the non-simple polygons of the paper's footnote 1.  A swap in a
-    locally concave stretch can leave the ring simple, so several positions
-    are tried and the first twist that actually crosses is returned; all
-    predicates in this library remain well-defined on the result (even-odd
-    semantics).
-    """
-    n = polygon.num_vertices
-    if n < 5:
-        return polygon
-    last_attempt = polygon
-    for _ in range(8):
-        i = rng.randrange(0, n - 1)
-        twisted = polygon.coords_array.copy()
-        twisted[[i, i + 1]] = twisted[[i + 1, i]]
-        last_attempt = Polygon(twisted)
-        if not last_attempt.is_simple():
-            return last_attempt
-    return last_attempt
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     """Layout parameters for one synthetic layer.
@@ -276,7 +254,6 @@ class GeneratorConfig:
     #: with many edges but clearly separated boundaries, the expensive
     #: negatives the hardware filter targets.  0.0 = independent angles.
     orientation_correlation: float = 0.0
-    nonsimple_fraction: float = 0.0
 
 
 def generate_layer(config: GeneratorConfig, seed: int) -> List[Polygon]:
@@ -337,7 +314,5 @@ def generate_layer(config: GeneratorConfig, seed: int) -> List[Polygon]:
                 n / config.vertex_model.mean
             ) ** 0.45
             poly = stretch_polygon(poly, rng, size_elongation, angle=axis)
-        if config.nonsimple_fraction > 0.0 and rng.random() < config.nonsimple_fraction:
-            poly = bowtie_twist(poly, rng)
         polygons.append(poly)
     return polygons

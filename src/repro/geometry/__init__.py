@@ -2,8 +2,8 @@
 
 Everything the refinement step needs, implemented from scratch: primitive
 types (:class:`Point`, :class:`Rect`, :class:`Polygon`),
-exact predicates, the ray-crossing point-in-polygon test, the boundary
-plane sweep (red-blue for intersection, single-set for simplicity), and the
+exact predicates, the ray-crossing point-in-polygon test, the red-blue
+boundary plane sweep, and the
 frontier-chain polygon distance (minDist).  The brute-force references they
 are tested against (quadratic edge-pair sweeps and distances, the scalar
 point-segment distance, the edge-by-edge point-in-polygon scan) are test
@@ -36,9 +36,7 @@ from .predicates import (
 from .rect import Rect
 from .sweep import (
     SweepStats,
-    any_segments_intersect,
     boundaries_intersect,
-    polygon_is_simple,
     polygons_intersect,
 )
 
@@ -49,7 +47,6 @@ __all__ = [
     "Polygon",
     "Rect",
     "SweepStats",
-    "any_segments_intersect",
     "boundaries_intersect",
     "convex_hull",
     "cross",
@@ -60,7 +57,6 @@ __all__ = [
     "on_segment",
     "point_to_boundary_distance",
     "point_to_polygon_distance",
-    "polygon_is_simple",
     "polygons_intersect",
     "polygons_within_distance",
     "segments_intersect",

@@ -3,8 +3,7 @@
 The paper's datasets contain concave and occasionally non-simple polygons
 (footnote 1): self-intersecting boundaries and repeated vertices occur in the
 real land-cover data.  ``Polygon`` therefore makes no simplicity assumption;
-predicates that require simplicity say so explicitly, and
-:meth:`Polygon.is_simple` is available to check.
+predicates that require simplicity say so explicitly.
 """
 
 from __future__ import annotations
@@ -300,17 +299,6 @@ class Polygon:
     def contains_point(self, p: Point) -> bool:
         """True when ``p`` is inside or on the boundary (even-odd rule)."""
         return locate_point(p, self.vertices) is not PointLocation.OUTSIDE
-
-    def is_simple(self) -> bool:
-        """True when no two non-adjacent edges intersect and adjacent edges
-        meet only at their shared endpoint.
-
-        Delegates to the single-set plane sweep; imported lazily to avoid a
-        module cycle (the sweep operates on polygons' edges).
-        """
-        from .sweep import polygon_is_simple
-
-        return polygon_is_simple(self)
 
     # -- derived polygons ----------------------------------------------------------
 

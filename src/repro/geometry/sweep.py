@@ -13,31 +13,24 @@ a neighbor-only Shamos-Hoey status walk, this formulation is insensitive to
 the degeneracies real GIS polygons exhibit (shared endpoints, collinear
 edges, self-intersections of non-simple rings) because every candidate pair
 gets the exact closed-segment test.
-
-The same sweep over a single set of segments (:func:`any_segments_intersect`)
-decides polygon simplicity (:func:`polygon_is_simple`, the paper's footnote
-1); like the red-blue form it costs O(n * active) when many edges span the
-sweep line at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from .distance import either_contains
 from .point import Point
 from .polygon import Polygon
-from .predicates import on_segment, segments_intersect
+from .predicates import segments_intersect
 from .rect import Rect
 
 # Edge record (xmin, xmax, ymin, ymax, ax, ay, bx, by) of Python floats: a
 # list from a Polygon.sweep_records column.
 _Edge = Sequence[float]
-
-IgnorePair = Callable[[int, int], bool]
 
 
 @dataclass
@@ -162,76 +155,3 @@ def polygons_intersect(a: Polygon, b: Polygon) -> bool:
     if either_contains(a, b):
         return True
     return boundaries_intersect(a, b)
-
-
-def any_segments_intersect(
-    segments: Sequence[Tuple[Point, Point]],
-    ignore: Optional[IgnorePair] = None,
-) -> Optional[Tuple[int, int]]:
-    """Return the indices of one intersecting pair, or None when none intersect.
-
-    ``ignore(i, j)`` may exempt specific pairs (it is consulted with the
-    original indices into ``segments``, in either order).  Zero-length
-    segments are treated as points and participate normally.
-    """
-    # (xmin, xmax, ymin, ymax, index), swept in xmin order like the red-blue
-    # form, with one active list: every arrival meets every earlier survivor.
-    arrivals = sorted(
-        (min(p.x, q.x), max(p.x, q.x), min(p.y, q.y), max(p.y, q.y), i)
-        for i, (p, q) in enumerate(segments)
-    )
-    active: List[Tuple[float, float, float, float, int]] = []
-    for arrival in arrivals:
-        x, _, ymin, ymax, i = arrival
-        kept = []
-        for other in active:
-            if other[1] < x:
-                continue
-            kept.append(other)
-            j = other[4]
-            if (
-                other[2] <= ymax
-                and ymin <= other[3]
-                and not (ignore is not None and ignore(i, j))
-                and segments_intersect(*segments[i], *segments[j])
-            ):
-                return (i, j)
-        kept.append(arrival)
-        active = kept
-    return None
-
-
-def polygon_is_simple(polygon: Polygon) -> bool:
-    """Simplicity check per the paper's footnote 1.
-
-    A polygon is simple when its boundary neither self-intersects nor visits
-    any vertex more than twice: adjacent edges may share exactly their common
-    endpoint, and nothing else may touch.  Repeated consecutive vertices
-    (zero-length edges) make a polygon non-simple.
-    """
-    n = polygon.num_vertices
-    ax, ay, bx, by = polygon.edges_array.T
-    if ((ax == bx) & (ay == by)).any():
-        return False
-
-    edges: List[Tuple[Point, Point]] = list(polygon.edges())
-
-    def adjacent_ok(i: int, j: int) -> bool:
-        """Exempt adjacent edges - but only if they touch at just the shared
-        vertex.  A fold-back (far endpoint on the neighbor) is detected here
-        and reported as a conflict by *not* exempting the pair."""
-        if (j + 1) % n == i:
-            i, j = j, i
-        elif (i + 1) % n != j:
-            return False
-        # Edge i is (a, v), edge j is (v, b); conflict beyond v?
-        a, v = edges[i]
-        v2, b = edges[j]
-        assert v == v2
-        if on_segment(b, a, v) and b != v:
-            return False
-        if on_segment(a, v, b) and a != v:
-            return False
-        return True
-
-    return any_segments_intersect(edges, ignore=adjacent_ok) is None

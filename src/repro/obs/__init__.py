@@ -11,8 +11,10 @@ time goes and a gate that fails when it regresses.
 * :mod:`repro.obs.trace` - :class:`Tracer` / :class:`Span` /
   :class:`JsonLinesExporter`, the per-stage span collector, and
   :func:`new_trace_id`, the id one request's spans share;
-* :mod:`repro.obs.metrics` - a :class:`MetricsRegistry` of counters,
-  gauges, and exactly-mergeable log-bucketed histograms;
+* :mod:`repro.obs.metrics` - the one aggregate table (counter sums,
+  last-set gauges, exactly-mergeable log-bucketed histograms) with its one
+  merge, and the :class:`MetricsRegistry` that folds writers' tables on
+  read;
 * :mod:`repro.obs.report` - trace-tree analysis of
   :mod:`repro.obs.trace` spans: per-stage rollups (self vs child time)
   and the critical path;
@@ -26,11 +28,11 @@ time goes and a gate that fails when it regresses.
   filter/refine pipeline (``python -m repro.obs explain report.json``);
 * :mod:`repro.obs.timeline` - Chrome trace-event export of span files
   with one lane per engine worker (``python -m repro.obs timeline trace.jsonl``);
-* :mod:`repro.obs.window` - rolling-window views (epoch-aligned rings of
-  the exact histograms/counters, injectable clock) for "happening now"
+* :mod:`repro.obs.window` - the rolling window (one epoch-aligned ring of
+  those tables, exact retirement, injectable clock) for "happening now"
   telemetry the cumulative registry cannot express;
 * :mod:`repro.obs.slo` - SLO objectives, error-budget burn rates over
-  fast/slow windows, and the firing/resolved alert state machine whose
+  a fast and a slow ring, and the firing/resolved alert state machine whose
   transitions (``repro.obs/alerts@1``) land in a record log;
 * :mod:`repro.obs.records` - the one bounded, counted, JSONL-exportable
   :class:`RecordLog` every retained serve record lives in, and
@@ -54,7 +56,7 @@ from .explain import (
     render_funnels,
     write_explain,
 )
-from .metrics import Counter, Gauge, Histogram, MetricsRegistry
+from .metrics import Histogram, MetricsRegistry
 from .records import RecordLog, read_jsonl
 from .report import TraceReport, analyze, load_spans, render_report
 from .scope import (
@@ -73,12 +75,7 @@ from .slo import (
     default_objectives,
     load_alert_log,
 )
-from .window import (
-    WindowConfig,
-    WindowedCounter,
-    WindowedHistogram,
-    WindowedRegistry,
-)
+from .window import WindowConfig
 from .timeline import (
     TIMELINE_SCHEMA,
     summarize_timeline,
@@ -100,10 +97,8 @@ __all__ = [
     "CAPTURE_SCHEMA",
     "CommandRecorder",
     "Comparison",
-    "Counter",
     "EXPLAIN_SCHEMA",
     "Finding",
-    "Gauge",
     "Histogram",
     "JsonLinesExporter",
     "MetricsRegistry",
@@ -120,9 +115,6 @@ __all__ = [
     "TraceReport",
     "Tracer",
     "WindowConfig",
-    "WindowedCounter",
-    "WindowedHistogram",
-    "WindowedRegistry",
     "analyze",
     "build_run_report",
     "compare_reports",

@@ -1,24 +1,28 @@
-"""Unified metrics: counters, gauges, and exactly-mergeable histograms.
+"""Unified metrics: one aggregate table, exactly-mergeable histograms.
 
-* :class:`Counter` - monotonically accumulating value (int or float);
-* :class:`Gauge` - last-set value;
 * :class:`Histogram` - **log-bucketed** distribution with *fixed* bucket
   boundaries (powers of two, derived from the value's binary exponent), so
   two histograms of the same family always share boundaries and merge
   *exactly*: merged bucket counts are integer sums, and the running sum is
   kept as Shewchuk-style exact partials, making ``merge(h1, h2)``
   indistinguishable from observing the concatenated stream - in any order;
-* :class:`MetricsRegistry` - named instruments with label support, a
-  snapshot, a JSON exporter, and a scrape-safe Prometheus text exposition.
+* :class:`Aggregates` - the one representation of an aggregate: counter
+  sums, last-set gauges and histograms keyed by :func:`metric_key` tuples,
+  with one :meth:`~Aggregates.merge`.  A writer's :class:`Accumulator`, the
+  registry's folded state and each bucket of a rolling window
+  (:mod:`repro.obs.window`) are these tables;
+* :class:`MetricsRegistry` - label-addressed series, a snapshot, a JSON
+  exporter, and a scrape-safe Prometheus text exposition.
 
 Writers commit one record; the registry folds on read.  A site finds its
 run's registry in the ambient :class:`~repro.obs.scope.ObsScope` and
 commits each whole record - a run, a request, a batch - to its thread's
 :class:`Accumulator` under one lock acquire, keyed by labels built once per
 call site.  Every read (``snapshot``, ``prometheus_text``, ``exposition``,
-``counter``/``gauge``/``histogram``) folds the pending aggregates into the
-named instruments first, so it sees each record whole.  With no registry
-in scope, a site costs one ``ContextVar`` read and a ``None`` check.
+``counter``/``gauge``/``histogram``) merges the pending tables into the
+registry's state first, so it sees each record whole; a read hands out
+values and detached copies, never a live table.  With no registry in
+scope, a site costs one ``ContextVar`` read and a ``None`` check.
 
 The module deliberately imports nothing from the rest of :mod:`repro`, so
 every layer (gpu, core, query, bench) may depend on it without cycles.
@@ -26,6 +30,7 @@ every layer (gpu, core, query, bench) may depend on it without cycles.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 import operator
@@ -82,41 +87,7 @@ def _canonical_partials(partials: List[float]) -> List[float]:
         _partials_add(rest, -s)
 
 
-# -- instruments -------------------------------------------------------------
-
-
-class Counter:
-    """A monotonically accumulating value.
-
-    Thread-safe (``value += amount`` is a read-modify-write): the registry's
-    fold and direct callers may increment one counter at once.
-    """
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self.value: Union[int, float] = 0
-        self._lock = threading.Lock()
-
-    def inc(self, amount: Union[int, float] = 1) -> None:
-        if amount < 0:
-            raise ValueError(f"counters only go up; got {amount!r}")
-        with self._lock:
-            self.value += amount
-
-
-class Gauge:
-    """A last-set value."""
-
-    __slots__ = ("value", "_lock")
-
-    def __init__(self) -> None:
-        self.value: Union[int, float] = 0
-        self._lock = threading.Lock()
-
-    def set(self, value: Union[int, float]) -> None:
-        with self._lock:
-            self.value = value
+# -- the histogram ----------------------------------------------------------
 
 
 class Histogram:
@@ -269,12 +240,7 @@ class Histogram:
                 )
 
 
-Instrument = Union[Counter, Gauge, Histogram]
-
-_KIND_NAMES = {Counter: "counter", Gauge: "gauge", Histogram: "histogram"}
-
-
-# -- the registry ------------------------------------------------------------
+# -- keys, the aggregate table, the registry --------------------------------
 
 
 def _label_items(labels: Mapping[str, Any]) -> LabelItems:
@@ -313,23 +279,24 @@ def metric_key(name: str, **labels: Any) -> MetricKey:
     return name, _label_items(labels)
 
 
-class Accumulator:
-    """One writer thread's pending writes to one registry.
+_SECTIONS = ("counters", "gauges", "histograms")
 
-    A single-writer table of aggregates keyed by :func:`metric_key` tuples:
-    counter sums, histograms, last-set gauges, and *vectors* - element-wise
-    sums of fixed-shape records whose site names their counters at fold
-    time (``site.counters(sums)`` yields ``(key, amount)``).  The writer
-    commits a whole record under one ``with acc.lock:``; the fold takes the
-    lock only to swap the tables out.  Aggregates, not a log: its size is
-    bounded by its series, not by its writes.
+
+class Aggregates:
+    """The one representation of an aggregate in :mod:`repro.obs`.
+
+    Tables keyed by :func:`metric_key` tuples: ``counters`` (sums),
+    ``gauges`` (last-set values), ``histograms`` and ``vectors`` -
+    element-wise sums of records whose site names their counters when
+    merged (``site.counters(sums)`` yields ``(key, amount)``).  A writer's
+    :class:`Accumulator`, the registry's state and each bucket of a
+    :class:`~repro.obs.window.Ring` are these tables, with :meth:`merge`
+    their one merge; the owner of a table guards it.
     """
 
-    __slots__ = ("lock", "thread", "counters", "gauges", "histograms", "vectors")
+    __slots__ = ("counters", "gauges", "histograms", "vectors")
 
     def __init__(self) -> None:
-        self.lock = threading.Lock()
-        self.thread = threading.current_thread()
         self.counters, self.gauges, self.histograms, self.vectors = {}, {}, {}, {}
 
     def add(self, key: MetricKey, amount: Union[int, float] = 1) -> None:
@@ -352,29 +319,79 @@ class Accumulator:
         else:
             sums[:] = map(operator.add, sums, values)
 
-    def _take(self) -> Tuple[Dict, Dict, Dict, Dict]:
+    def merge(self, other: "Aggregates") -> None:
+        """Fold ``other`` in: counters add (its vectors as the counters their
+        site names), histograms merge exactly, gauges take ``other``'s
+        value.  Neither sums nor exact merges depend on merge order.  A
+        negative counter amount raises ``ValueError``, and a key held under
+        two kinds raises ``TypeError``: a series has one kind."""
+        counters = self.counters
+        named = (kv for site, sums in other.vectors.items() for kv in site.counters(sums))
+        for key, amount in itertools.chain(other.counters.items(), named):
+            if amount < 0:
+                raise ValueError(f"counters only go up; {format_key(*key)!r} got {amount!r}")
+            if key not in counters:
+                self._claim(key, "counters")
+            counters[key] = counters.get(key, 0) + amount
+        for key, hist in other.histograms.items():
+            mine = self.histograms.get(key)
+            if mine is None:
+                self._claim(key, "histograms")
+                mine = self.histograms[key] = Histogram()
+            mine._merge(hist)
+        for key, value in other.gauges.items():
+            if key not in self.gauges:
+                self._claim(key, "gauges")
+            self.gauges[key] = value
+
+    def _claim(self, key: MetricKey, section: str) -> None:
+        """Refuse ``key`` for ``section`` when another section holds it."""
+        for other in _SECTIONS:
+            if other != section and key in getattr(self, other):
+                raise TypeError(
+                    f"metric {format_key(*key)!r} is a {other[:-1]}, not a {section[:-1]}"
+                )
+
+
+class Accumulator(Aggregates):
+    """One writer thread's pending writes to one registry: the writer
+    commits a whole record under one ``with acc.lock:``, and the fold takes
+    the lock only to swap the tables out."""
+
+    __slots__ = ("lock", "thread")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.lock = threading.Lock()
+        self.thread = threading.current_thread()
+
+    def _take(self) -> Aggregates:
         """Hand the pending tables to the fold and start empty ones."""
+        taken = Aggregates()
         with self.lock:
-            tables = self.counters, self.gauges, self.histograms, self.vectors
-            self.counters, self.gauges, self.histograms, self.vectors = {}, {}, {}, {}
-        return tables
+            taken.counters, taken.gauges = self.counters, self.gauges
+            taken.histograms, taken.vectors = self.histograms, self.vectors
+            Aggregates.__init__(self)
+        return taken
 
 
 GaugeSource = Callable[[], Iterable[Tuple[MetricKey, Union[int, float]]]]
+
+Row = Tuple[MetricKey, str, Any]
 
 
 class MetricsRegistry:
     """Named counters, gauges, and histograms with label support.
 
-    Instruments are addressed by ``(name, sorted labels)``; a family has one
+    Series are addressed by ``(name, sorted labels)``; a series has one
     kind (a conflict raises).  Writers commit to their thread's
-    :meth:`accumulator`; every read folds the accumulators and the gauge
-    sources in under the registry's lock, so it sees whole records and the
-    gauges of one moment.
+    :meth:`accumulator`; every read merges the accumulators and the gauge
+    sources into the registry's own :class:`Aggregates` under its lock, so
+    it sees whole records and the gauges of one moment.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[MetricKey, Instrument] = {}
+        self._state = Aggregates()
         self._lock = threading.RLock()
         self._local = threading.local()
         self._accumulators: List[Accumulator] = []
@@ -400,67 +417,62 @@ class MetricsRegistry:
 
     # -- reading --------------------------------------------------------------
 
-    def _instrument(self, cls, key: MetricKey) -> Instrument:
-        found = self._metrics.get(key)
-        if found is None:
-            found = self._metrics[key] = cls()
-        elif type(found) is not cls:
-            raise TypeError(
-                f"metric {format_key(*key)!r} is a {_KIND_NAMES[type(found)]},"
-                f" not a {_KIND_NAMES[cls]}"
-            )
-        return found
-
     def _fold(self) -> None:
-        """Fold the accumulators and gauge sources in (lock held).  Sums and
-        exact merges do not depend on which thread committed what, or when;
-        a gauge takes the last value folded.  A dead thread's accumulator is
-        dropped once folded."""
-        live = []
+        """Merge the accumulators, then the gauge sources, into the state
+        (lock held): a gauge takes the last value merged.  A dead thread's
+        accumulator is dropped once folded."""
+        state, live = self._state, []
         for acc in self._accumulators:
             if acc.thread.is_alive():  # asked first: a dead writer writes no more
                 live.append(acc)
-            counters, gauges, histograms, vectors = acc._take()
-            for key, amount in counters.items():
-                self._instrument(Counter, key).inc(amount)
-            for site, sums in vectors.items():
-                for key, amount in site.counters(sums):
-                    self._instrument(Counter, key).inc(amount)
-            for key, hist in histograms.items():
-                self._instrument(Histogram, key)._merge(hist)
-            for key, value in gauges.items():
-                self._instrument(Gauge, key).set(value)
+            state.merge(acc._take())
         self._accumulators = live
+        sourced = Aggregates()
         for source in self._sources:
-            for key, value in source():
-                self._instrument(Gauge, key).set(value)
+            sourced.gauges.update(source())
+        state.merge(sourced)
 
-    def _read(self, cls, name: str, labels: Mapping[str, Any]) -> Instrument:
+    def _read(self, section: str, name: str, labels: Mapping[str, Any]) -> Any:
+        key = (name, _label_items(labels))
         with self._lock:
             self._fold()
-            return self._instrument(cls, (name, _label_items(labels)))
+            self._state._claim(key, section)
+            found = getattr(self._state, section).get(key)
+            if section != "histograms":
+                return 0 if found is None else found
+            copy = Histogram()
+            if found is not None:
+                copy._merge(found)
+            return copy
 
-    def counter(self, name: str, **labels: Any) -> Counter:
-        return self._read(Counter, name, labels)  # type: ignore[return-value]
+    def counter(self, name: str, **labels: Any) -> Union[int, float]:
+        """One counter's folded sum (0 before its first write)."""
+        return self._read("counters", name, labels)
 
-    def gauge(self, name: str, **labels: Any) -> Gauge:
-        return self._read(Gauge, name, labels)  # type: ignore[return-value]
+    def gauge(self, name: str, **labels: Any) -> Union[int, float]:
+        """One gauge's folded value (0 before its first write)."""
+        return self._read("gauges", name, labels)
 
     def histogram(self, name: str, **labels: Any) -> Histogram:
-        return self._read(Histogram, name, labels)  # type: ignore[return-value]
+        """A detached copy of one folded histogram (empty before its first
+        write): writing to it changes nothing in the registry."""
+        return self._read("histograms", name, labels)
 
-    def _rows(self) -> List[Tuple[MetricKey, type, Any]]:
-        """One fold, then ``(key, kind, value)`` per series (a histogram's
-        value is its snapshot entry)."""
+    def _rows(self) -> List[Row]:
+        """One fold, then ``(key, section, value)`` per series in key order
+        (a histogram's value is its snapshot entry)."""
         with self._lock:
             self._fold()
-            return [
-                (key, type(m), m._snapshot() if type(m) is Histogram else m.value)
-                for key, m in sorted(self._metrics.items(), key=lambda kv: kv[0])
+            rows = [
+                (key, section, value._snapshot() if section == "histograms" else value)
+                for section in _SECTIONS
+                for key, value in getattr(self._state, section).items()
             ]
+        rows.sort(key=lambda row: row[0])
+        return rows
 
     def snapshot(self) -> Dict[str, Any]:
-        """A JSON-able, versioned snapshot of every instrument."""
+        """A JSON-able, versioned snapshot of every series."""
         return _snapshot_of(self._rows())
 
     def prometheus_text(self) -> str:
@@ -476,17 +488,14 @@ class MetricsRegistry:
         return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
 
-_SECTIONS = {Counter: "counters", Gauge: "gauges", Histogram: "histograms"}
-
-
-def _snapshot_of(rows: List[Tuple[MetricKey, type, Any]]) -> Dict[str, Any]:
+def _snapshot_of(rows: List[Row]) -> Dict[str, Any]:
     doc: Dict[str, Any] = {"schema": SNAPSHOT_SCHEMA, "counters": {}, "gauges": {}, "histograms": {}}
-    for key, kind, value in rows:
-        doc[_SECTIONS[kind]][format_key(*key)] = value
+    for key, section, value in rows:
+        doc[section][format_key(*key)] = value
     return doc
 
 
-def _prometheus_of(rows: List[Tuple[MetricKey, type, Any]]) -> str:
+def _prometheus_of(rows: List[Row]) -> str:
     """Prometheus text exposition of one read's rows.
 
     Emits ``# HELP`` and ``# TYPE`` per family; label values are
@@ -499,12 +508,12 @@ def _prometheus_of(rows: List[Tuple[MetricKey, type, Any]]) -> str:
     """
     lines: List[str] = []
     family = None
-    for (name, labels), kind, value in rows:
+    for (name, labels), section, value in rows:
         if name != family:
             family = name
             lines.append(f"# HELP {name} {_escape_help(metric_help(name))}")
-            lines.append(f"# TYPE {name} {_KIND_NAMES[kind]}")
-        if kind is not Histogram:
+            lines.append(f"# TYPE {name} {section[:-1]}")
+        if section != "histograms":
             lines.append(f"{_prom_series(name, labels)} {_fmt_num(value)}")
             continue
         cumulative = value["zeros"]

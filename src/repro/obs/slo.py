@@ -9,12 +9,13 @@ SRE workbook pages on) over :mod:`repro.obs.window` rings:
   events (``availability``: the request succeeded; ``latency``: the
   request succeeded within ``threshold_s``), optionally scoped to one
   op.  The error budget is ``1 - target``;
-* :class:`SLOTracker` - per-objective good/bad counts over a **fast**
-  window and a **slow** window (1 m / 1 h shaped in production, scaled
-  way down in tests - both run off the injected clock, never wall time).
-  The burn rate of a window is ``bad_fraction / budget``: burn 1.0
-  spends exactly the whole budget by the end of the SLO period, burn 10
-  spends it ten times too fast;
+* :class:`SLOTracker` - one **fast** ring and one **slow** ring
+  (:class:`~repro.obs.window.Ring`; 1 m / 1 h shaped in production,
+  scaled way down in tests - both run off the injected clock, never wall
+  time) holding every objective's good/bad counts, each outcome committed
+  to both under one lock.  The burn rate of a window is
+  ``bad_fraction / budget``: burn 1.0 spends exactly the whole budget by
+  the end of the SLO period, burn 10 spends it ten times too fast;
 * the **alert state machine** - an objective *fires* when both windows
   burn above ``burn_threshold`` (the fast window says "happening now",
   the slow window says "not just a blip") and *resolves* when the fast
@@ -39,7 +40,8 @@ from dataclasses import dataclass, field
 from typing import IO, Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from .records import RecordLog, read_jsonl, schema_check
-from .window import Clock, WindowConfig, WindowedCounter
+from .metrics import Aggregates, metric_key
+from .window import Clock, Ring, WindowConfig
 
 #: Version tag of the alert-event schema (bump on incompatible change).
 ALERTS_SCHEMA = "repro.obs/alerts@1"
@@ -176,22 +178,20 @@ def load_alert_log(source: Union[str, IO[str]]) -> List[Dict[str, Any]]:
 
 
 class _ObjectiveState:
-    """One objective's windows and alert state."""
+    """One objective's ring keys and alert state."""
 
-    __slots__ = ("objective", "fast_good", "fast_bad", "slow_good", "slow_bad", "state")
+    __slots__ = ("objective", "good", "bad", "state")
 
-    def __init__(self, objective: SLObjective, config: SLOConfig) -> None:
+    def __init__(self, objective: SLObjective) -> None:
         self.objective = objective
-        self.fast_good = WindowedCounter(config.fast)
-        self.fast_bad = WindowedCounter(config.fast)
-        self.slow_good = WindowedCounter(config.slow)
-        self.slow_bad = WindowedCounter(config.slow)
+        self.good = metric_key(objective.name, verdict="good")
+        self.bad = metric_key(objective.name, verdict="bad")
         self.state = "ok"
 
-    def burn(self, good: WindowedCounter, bad: WindowedCounter) -> Tuple[float, int]:
-        """(burn rate, events) of one window right now."""
-        n_bad = bad.total()
-        events = good.total() + n_bad
+    def burn(self, window: Aggregates) -> Tuple[float, int]:
+        """(burn rate, events) of one merged window."""
+        n_bad = window.counters.get(self.bad, 0)
+        events = window.counters.get(self.good, 0) + n_bad
         if events == 0:
             return 0.0, 0
         return (n_bad / events) / self.objective.budget, int(events)
@@ -220,11 +220,22 @@ class SLOTracker:
         self.config = config if config is not None else SLOConfig()
         #: Every firing/resolved transition, oldest first.
         self.alert_log = RecordLog()
-        self._states = [_ObjectiveState(o, self.config) for o in objectives]
-        self._lock = threading.Lock()
+        self._states = [_ObjectiveState(o) for o in objectives]
+        #: Held over every commit to and read of the rings; a monitor that
+        #: commits to rings of its own with each outcome shares it.
+        self.lock = threading.Lock()
+        self._fast = Ring(self.config.fast)
+        self._slow = Ring(self.config.slow)
 
     def record(self, op: str, status: str, latency_s: float) -> List[Dict[str, Any]]:
         """Account one request outcome; returns any alert transitions."""
+        with self.lock:
+            self.count(op, status, latency_s)
+        return self.evaluate()
+
+    def count(self, op: str, status: str, latency_s: float) -> None:
+        """Commit one outcome's verdicts to both rings (:attr:`lock` held)."""
+        fast, slow = self._fast.bucket(), self._slow.bucket()
         for state in self._states:
             objective = state.objective
             if objective.op is not None and objective.op != op:
@@ -232,22 +243,21 @@ class SLOTracker:
             verdict = objective.classify(status, latency_s)
             if verdict is None:
                 continue
-            if verdict:
-                state.fast_good.inc()
-                state.slow_good.inc()
-            else:
-                state.fast_bad.inc()
-                state.slow_bad.inc()
-        return self.evaluate()
+            key = state.good if verdict else state.bad
+            fast.add(key)
+            slow.add(key)
+
+    def _burns(self) -> List[Tuple[_ObjectiveState, Tuple[float, int], Tuple[float, int]]]:
+        """Each objective's fast and slow (burn rate, events) now (lock held)."""
+        fast, slow = self._fast.merged(), self._slow.merged()
+        return [(state, state.burn(fast), state.burn(slow)) for state in self._states]
 
     def evaluate(self) -> List[Dict[str, Any]]:
         """Advance the state machine; returns new firing/resolved events."""
         threshold = self.config.burn_threshold
         transitions: List[Dict[str, Any]] = []
-        with self._lock:
-            for state in self._states:
-                fast_burn, fast_events = state.burn(state.fast_good, state.fast_bad)
-                slow_burn, _ = state.burn(state.slow_good, state.slow_bad)
+        with self.lock:
+            for state, (fast_burn, fast_events), (slow_burn, _) in self._burns():
                 if state.state == "ok":
                     if (
                         fast_events >= self.config.min_events
@@ -288,10 +298,8 @@ class SLOTracker:
     def burn_rates(self) -> Dict[str, Dict[str, Any]]:
         """Live per-objective burn rates and alert states (JSON-able)."""
         out: Dict[str, Dict[str, Any]] = {}
-        with self._lock:
-            for state in self._states:
-                fast_burn, fast_events = state.burn(state.fast_good, state.fast_bad)
-                slow_burn, slow_events = state.burn(state.slow_good, state.slow_bad)
+        with self.lock:
+            for state, (fast_burn, fast_events), (slow_burn, slow_events) in self._burns():
                 out[state.objective.name] = {
                     "objective": state.objective.to_dict(),
                     "budget": state.objective.budget,
@@ -305,7 +313,7 @@ class SLOTracker:
 
     def firing(self) -> List[str]:
         """Names of objectives currently in the ``firing`` state."""
-        with self._lock:
+        with self.lock:
             return [
                 s.objective.name for s in self._states if s.state == "firing"
             ]

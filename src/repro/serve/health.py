@@ -14,11 +14,13 @@ front-end serves and ``python -m repro.serve top`` renders:
   CI-gated serving baseline) is bit-identical to a pre-health build;
 * :class:`ServiceHealth` - the per-service monitor
   :meth:`~repro.serve.service.QueryService.submit` reports every outcome
-  into: windowed ``serve_window_request_duration_s{op}`` /
-  ``serve_window_requests{op,status}`` families alongside the cumulative
-  ones, the :class:`~repro.obs.slo.SLOTracker` and per-worker
-  heartbeats.  It publishes nothing into the service registry: turning
-  health on leaves the CI-gated snapshot unchanged;
+  into, committing each request whole under the
+  :class:`~repro.obs.slo.SLOTracker`'s lock: the outcome count and
+  duration (``serve_window_requests{op,status}`` /
+  ``serve_window_request_duration_s{op}``) in one
+  :class:`~repro.obs.window.Ring`, each objective's good/bad in the
+  tracker's rings, and the worker's heartbeat.  It publishes nothing into
+  the service registry, so the CI-gated snapshot is unchanged;
 * :func:`build_health` - the envelope itself: a ``ready``/``degraded``
   verdict (degraded while any SLO alert fires or admission is at the
   shed point), queue depth / inflight, per-op windowed p50/p95/p99 and
@@ -32,8 +34,9 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from ..obs.metrics import metric_key
 from ..obs.slo import SLOConfig, SLObjective, SLOTracker, default_objectives
-from ..obs.window import WindowConfig, WindowedRegistry
+from ..obs.window import Ring, WindowConfig
 from .schema import HEALTH_SCHEMA
 
 #: Health verdicts, from best to worst.
@@ -78,7 +81,7 @@ class ServiceHealth:
 
     def __init__(self, config: HealthConfig) -> None:
         self.config = config
-        self.windows = WindowedRegistry(
+        self.window = Ring(
             WindowConfig(
                 width_s=config.window_width_s,
                 buckets=config.window_buckets,
@@ -107,24 +110,27 @@ class ServiceHealth:
         total_s: float,
         worker: Optional[int] = None,
     ) -> None:
-        """Account one finished request (windows + SLO + heartbeat)."""
-        self.windows.counter("serve_window_requests", op=op, status=status).inc()
-        if status == "ok":
-            self.windows.histogram(
-                "serve_window_request_duration_s", op=op
-            ).observe(total_s)
-        if worker is not None:
-            self._heartbeats[worker] = self.config.clock()
-        self.slo.record(op, status, total_s)
+        """Commit one finished request whole, then advance the alerts."""
+        with self.slo.lock:
+            bucket = self.window.bucket()
+            bucket.add(metric_key("serve_window_requests", op=op, status=status))
+            if status == "ok":
+                bucket.observe(metric_key("serve_window_request_duration_s", op=op), total_s)
+            self.slo.count(op, status, total_s)
+            if worker is not None:
+                self._heartbeats[worker] = self.config.clock()
+        self.slo.evaluate()
 
     # -- views -------------------------------------------------------------
 
     def heartbeats(self) -> Dict[int, Dict[str, float]]:
         """Per-worker last-served timestamps, as ages against the clock."""
         now = self.config.clock()
+        with self.slo.lock:
+            beats = sorted(self._heartbeats.items())
         return {
             worker: {"last_seen_s_ago": max(0.0, now - at), "last_seen_at": at}
-            for worker, at in sorted(self._heartbeats.items())
+            for worker, at in beats
         }
 
 
@@ -168,7 +174,8 @@ def build_health(
             beat = heartbeats.get(entry.get("worker"))
             if beat is not None:
                 entry.update(beat)
-        doc["window"] = monitor.windows.summary()
+        with monitor.slo.lock:
+            doc["window"] = monitor.window.summary()
         doc["slo"] = monitor.slo.burn_rates()
         doc["firing_alerts"] = firing
         doc["alert_log"] = {

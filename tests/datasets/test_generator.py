@@ -9,11 +9,11 @@ from hypothesis import strategies as st
 from repro.datasets import (
     GeneratorConfig,
     VertexCountModel,
-    bowtie_twist,
     generate_layer,
     star_polygon,
 )
 from repro.geometry import Point, Rect
+from tests.geometry.test_simplicity import simple_by_definition
 
 
 class TestVertexCountModel:
@@ -74,7 +74,7 @@ class TestStarPolygon:
         rng = random.Random(seed)
         poly = star_polygon(rng, Point(5, 5), 2.0, n)
         assert poly.num_vertices == n
-        assert poly.is_simple()
+        assert simple_by_definition(poly)
 
     @settings(max_examples=40)
     @given(st.integers(0, 10_000))
@@ -95,31 +95,14 @@ class TestStarPolygon:
         assert max(abs(mbr.xmin), abs(mbr.xmax), abs(mbr.ymin), abs(mbr.ymax)) <= 2.5 * r
 
 
-class TestBowtieTwist:
-    def test_small_polygons_unchanged(self):
-        rng = random.Random(0)
-        tri = star_polygon(rng, Point(0, 0), 1.0, 4)
-        assert bowtie_twist(tri, rng) == tri
-
-    def test_usually_nonsimple(self):
-        rng = random.Random(7)
-        twisted_nonsimple = 0
-        for seed in range(20):
-            poly = star_polygon(random.Random(seed), Point(0, 0), 2.0, 12)
-            if not bowtie_twist(poly, rng).is_simple():
-                twisted_nonsimple += 1
-        assert twisted_nonsimple >= 15  # most swaps create a crossing
-
-
 class TestGenerateLayer:
-    def _config(self, count=30, nonsimple=0.0):
+    def _config(self, count=30):
         return GeneratorConfig(
             world=Rect(0, 0, 50, 50),
             count=count,
             vertex_model=VertexCountModel(vmin=3, vmax=64, mean=10),
             coverage=1.0,
             cluster_count=4,
-            nonsimple_fraction=nonsimple,
         )
 
     def test_count(self):
@@ -144,11 +127,6 @@ class TestGenerateLayer:
         )
         for poly in layer:
             assert grown.intersects(poly.mbr)
-
-    def test_nonsimple_fraction_produces_some(self):
-        layer = generate_layer(self._config(count=200, nonsimple=0.2), seed=3)
-        nonsimple = sum(1 for p in layer if not p.is_simple())
-        assert nonsimple > 0
 
     def test_density_preserved_across_scales(self):
         """The coverage knob: halving the count should roughly preserve

@@ -11,7 +11,7 @@ from repro.bench import ALL_EXPERIMENTS, run_experiment
 from repro.bench.runner import exact
 from repro.obs.__main__ import main as obs_main
 from repro.obs.compare import Finding, compare_reports
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, metric_key
 from repro.obs.runreport import build_run_report, experiment_entry
 from tests.obs.test_runreport import make_result, make_snapshot
 
@@ -152,7 +152,7 @@ class TestCompare:
 
     def test_timing_histogram_gates_on_count_only(self):
         reg = MetricsRegistry()
-        reg.histogram("stage_duration_s", stage="geometry").observe(0.5)
+        reg.accumulator().observe(metric_key("stage_duration_s", stage="geometry"), 0.5)
         entry = experiment_entry(make_result(), reg.snapshot(), wall_s=1.0)
         baseline = build_run_report([entry], scale="tiny")
         current = copy.deepcopy(baseline)

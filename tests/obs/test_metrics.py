@@ -1,4 +1,4 @@
-"""Tests for the metrics registry: instruments, snapshots, exact merging."""
+"""Tests for the metrics registry: the aggregate table, snapshots, exact merging."""
 
 import json
 import math
@@ -8,33 +8,40 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.obs import current_scope, use_registry
-from repro.obs.metrics import Histogram, MetricsRegistry, format_key, parse_key
+from repro.obs.metrics import Histogram, MetricsRegistry, format_key, metric_key, parse_key
 
 
 class TestCounter:
     def test_accumulates(self):
         reg = MetricsRegistry()
-        reg.counter("runs").inc()
-        reg.counter("runs").inc(4)
+        acc = reg.accumulator()
+        acc.add(metric_key("runs"))
+        acc.add(metric_key("runs"), 4)
         assert reg.snapshot()["counters"]["runs"] == 5
+        assert reg.counter("runs") == 5
 
     def test_rejects_negative(self):
         reg = MetricsRegistry()
+        reg.accumulator().add(metric_key("runs"), -1)
         with pytest.raises(ValueError):
-            reg.counter("runs").inc(-1)
+            reg.snapshot()
 
     def test_float_amounts(self):
         reg = MetricsRegistry()
-        reg.counter("seconds").inc(0.25)
-        reg.counter("seconds").inc(0.5)
+        acc = reg.accumulator()
+        acc.add(metric_key("seconds"), 0.25)
+        reg.snapshot()  # two folds sum as one
+        acc.add(metric_key("seconds"), 0.5)
         assert reg.snapshot()["counters"]["seconds"] == 0.75
 
 
 class TestGauge:
     def test_last_set_wins(self):
         reg = MetricsRegistry()
-        reg.gauge("workers").set(4)
-        reg.gauge("workers").set(2)
+        acc = reg.accumulator()
+        acc.set(metric_key("workers"), 4)
+        assert reg.gauge("workers") == 4
+        acc.set(metric_key("workers"), 2)
         assert reg.snapshot()["gauges"]["workers"] == 2
 
 
@@ -145,36 +152,55 @@ class TestHistogramQuantiles:
 class TestRegistry:
     def test_labels_address_distinct_series(self):
         reg = MetricsRegistry()
-        reg.counter("verdicts", op="intersect").inc()
-        reg.counter("verdicts", op="within").inc(2)
+        acc = reg.accumulator()
+        acc.add(metric_key("verdicts", op="intersect"))
+        acc.add(metric_key("verdicts", op="within"), 2)
         snap = reg.snapshot()["counters"]
         assert snap["verdicts{op=intersect}"] == 1
         assert snap["verdicts{op=within}"] == 2
 
     def test_label_order_is_canonical(self):
         reg = MetricsRegistry()
-        reg.counter("x", b="2", a="1").inc()
-        reg.counter("x", a="1", b="2").inc()
+        acc = reg.accumulator()
+        acc.add(metric_key("x", b="2", a="1"))
+        acc.add(metric_key("x", a="1", b="2"))
         assert reg.snapshot()["counters"] == {"x{a=1,b=2}": 2}
 
     def test_kind_conflict_raises(self):
         reg = MetricsRegistry()
-        reg.counter("thing").inc()
-        with pytest.raises(TypeError):
+        reg.accumulator().add(metric_key("thing"))
+        with pytest.raises(TypeError, match="is a counter, not a histogram"):
             reg.histogram("thing")
+        # The fold that first sees a second kind raises too.
+        reg.accumulator().observe(metric_key("thing"), 1.0)
+        with pytest.raises(TypeError, match="is a counter, not a histogram"):
+            reg.snapshot()
+
+    def test_reads_are_detached(self):
+        reg = MetricsRegistry()
+        assert reg.counter("runs") == 0 and reg.gauge("workers") == 0
+        reg.accumulator().observe(metric_key("dur"), 0.5)
+        reg.histogram("dur").observe(1.0)  # a copy: the registry is untouched
+        reg.histogram("missing").observe(1.0)
+        snap = reg.snapshot()
+        assert snap["counters"] == snap["gauges"] == {}
+        assert list(snap["histograms"]) == ["dur"]
+        assert snap["histograms"]["dur"]["count"] == 1
 
     def test_json_round_trip(self):
         reg = MetricsRegistry()
-        reg.counter("runs", kind="join").inc(3)
-        reg.gauge("capacity").set(256)
-        reg.histogram("dur", stage="geometry").observe(0.125)
+        acc = reg.accumulator()
+        acc.add(metric_key("runs", kind="join"), 3)
+        acc.set(metric_key("capacity"), 256)
+        acc.observe(metric_key("dur", stage="geometry"), 0.125)
         assert json.loads(reg.to_json()) == reg.snapshot()
 
     def test_prometheus_text(self):
         reg = MetricsRegistry()
-        reg.counter("runs", pipeline="join").inc(2)
-        reg.histogram("dur").observe(1.5)
-        reg.histogram("dur").observe(3.0)
+        acc = reg.accumulator()
+        acc.add(metric_key("runs", pipeline="join"), 2)
+        acc.observe(metric_key("dur"), 1.5)
+        acc.observe(metric_key("dur"), 3.0)
         text = reg.prometheus_text()
         assert "# HELP runs " in text
         assert "# TYPE runs counter" in text
@@ -189,7 +215,7 @@ class TestRegistry:
         # A scraper must get exactly one series line back out of each of
         # these; the exposition-format escapes are \\, \", and \n.
         reg = MetricsRegistry()
-        reg.counter("runs", path='C:\\tmp\\"x"\nrest').inc(1)
+        reg.accumulator().add(metric_key("runs", path='C:\\tmp\\"x"\nrest'))
         text = reg.prometheus_text()
         assert 'runs{path="C:\\\\tmp\\\\\\"x\\"\\nrest"} 1' in text
         for line in text.splitlines():
@@ -201,7 +227,7 @@ class TestRegistry:
         from repro.obs.metrics import METRIC_HELP
 
         reg = MetricsRegistry()
-        reg.counter("weird_family").inc()
+        reg.accumulator().add(metric_key("weird_family"))
         monkeypatch.setitem(METRIC_HELP, "weird_family", "line one\nline two \\ slash")
         text = reg.prometheus_text()
         assert "# HELP weird_family line one\\nline two \\\\ slash" in text
@@ -294,7 +320,7 @@ class TestMergeExactness:
         # sent as JSON; exactness must survive the wire.
         registry = MetricsRegistry()
         for v in (0.1, 0.2, 0.30000000000000004, 1e-12):
-            registry.histogram("h").observe(v)
+            registry.accumulator().observe(metric_key("h"), v)
         wire = json.loads(json.dumps(registry.snapshot()))
         rebuilt = Histogram.from_snapshot(wire["histograms"]["h"])
         assert rebuilt._snapshot() == registry.snapshot()["histograms"]["h"]

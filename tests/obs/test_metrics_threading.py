@@ -1,9 +1,9 @@
 """Concurrency tests for the metrics layer.
 
 The serving path has many threads updating one registry at once; these
-tests hammer the read-modify-write paths (counter inc, gauge add,
-histogram observe, registry instrument creation, accumulator commits
-against a folding reader) and pin down the
+tests hammer the write paths (accumulator commits from many threads, a
+series first written by many threads at once, a shared histogram's
+observe, commits against a folding reader) and pin down the
 contextvar scoping semantics of ``use_registry`` under nesting and
 threads.
 """
@@ -13,7 +13,13 @@ import threading
 import pytest
 
 from repro.obs import MetricsRegistry, current_scope, use_registry
-from repro.obs.metrics import metric_key
+from repro.obs.metrics import Histogram, metric_key
+
+
+def _commit_add(registry, key) -> None:
+    acc = registry.accumulator()
+    with acc.lock:
+        acc.add(key)
 
 
 def _hammer(n_threads: int, per_thread: int, fn) -> None:
@@ -34,20 +40,19 @@ def _hammer(n_threads: int, per_thread: int, fn) -> None:
 class TestThreadedUpdates:
     def test_counter_increments_sum_exactly(self):
         registry = MetricsRegistry()
-        counter = registry.counter("hits")
-        _hammer(8, 2500, counter.inc)
-        assert counter.value == 8 * 2500
+        hits = metric_key("hits")
+        _hammer(8, 2500, lambda: _commit_add(registry, hits))
+        assert registry.counter("hits") == 8 * 2500
 
     def test_counter_labeled_series_created_concurrently(self):
-        # Instrument creation itself races when threads first touch a
-        # series; every increment must land on the one shared instrument.
+        # Eight threads first write one series at once, each building its
+        # key per call; the fold must merge them into the one series.
         registry = MetricsRegistry()
-        _hammer(8, 1000, lambda: registry.counter("hits", op="x").inc())
-        assert registry.counter("hits", op="x").value == 8 * 1000
+        _hammer(8, 1000, lambda: _commit_add(registry, metric_key("hits", op="x")))
+        assert registry.counter("hits", op="x") == 8 * 1000
 
     def test_histogram_observations_all_land(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency")
+        hist = Histogram()
         _hammer(8, 1500, lambda: hist.observe(1.0))
         assert hist.count == 8 * 1500
         assert hist.sum == float(8 * 1500)  # 1.0-sums are exact
@@ -56,10 +61,14 @@ class TestThreadedUpdates:
         registry = MetricsRegistry()
         stop = threading.Event()
 
+        counts, latency = metric_key("c", shard="w"), metric_key("h")
+
         def writer() -> None:
+            acc = registry.accumulator()
             while not stop.is_set():
-                registry.counter("c", shard="w").inc()
-                registry.histogram("h").observe(0.5)
+                with acc.lock:
+                    acc.add(counts)
+                    acc.observe(latency, 0.5)
 
         t = threading.Thread(target=writer)
         t.start()
@@ -104,7 +113,7 @@ class TestAccumulatorWrites:
             reader.join()
         assert reads and all(c == n for c, n in reads)
         assert [c for c, _ in reads] == sorted(c for c, _ in reads)
-        assert registry.counter("hits", op="x").value == 8 * 2500
+        assert registry.counter("hits", op="x") == 8 * 2500
         hist = registry.histogram("latency")
         assert (hist.count, hist.sum) == (8 * 2500, 0.5 * 8 * 2500)
         # The writers' threads have ended: the fold dropped their tables.
@@ -137,7 +146,7 @@ class TestScopedRegistry:
             with use_registry(registries[idx]):
                 barrier.wait()  # all four scopes open simultaneously
                 for _ in range(500):
-                    current_scope().registry.counter("mine").inc()
+                    _commit_add(current_scope().registry, metric_key("mine"))
 
         threads = [
             threading.Thread(target=worker, args=(i,)) for i in range(4)
@@ -147,7 +156,7 @@ class TestScopedRegistry:
         for t in threads:
             t.join()
         for registry in registries:
-            assert registry.counter("mine").value == 500
+            assert registry.counter("mine") == 500
 
     def test_concurrent_scopes_do_not_stomp_on_exit(self):
         # A swap-a-global-and-swap-back implementation is
@@ -174,8 +183,7 @@ class TestScopedRegistry:
 
 class TestHistogramSummary:
     def test_quantile_is_conservative_upper_bound(self):
-        registry = MetricsRegistry()
-        hist = registry.histogram("latency")
+        hist = Histogram()
         for v in [0.001, 0.002, 0.004, 0.1, 0.2]:
             hist.observe(v)
         # Bucketed quantiles upper-bound the true value but never exceed
@@ -185,11 +193,11 @@ class TestHistogramSummary:
         assert hist.quantile(0.99) <= hist.max
 
     def test_quantile_empty_is_zero(self):
-        hist = MetricsRegistry().histogram("empty")
+        hist = MetricsRegistry().histogram("empty")  # an unwritten series
         assert hist.quantile(0.5) == 0.0
 
     def test_summary_fields(self):
-        hist = MetricsRegistry().histogram("latency")
+        hist = Histogram()
         for v in [1.0, 2.0, 3.0]:
             hist.observe(v)
         summary = hist.summary()

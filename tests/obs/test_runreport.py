@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bench.result import ExperimentResult
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, metric_key
 from repro.obs.runreport import (
     RUN_REPORT_SCHEMA,
     build_run_report,
@@ -26,13 +26,14 @@ def make_result(exp_id="fig12"):
 
 def make_snapshot():
     reg = MetricsRegistry()
-    reg.histogram("stage_duration_s", stage="mbr_filter").observe(0.125)
-    reg.histogram("stage_duration_s", stage="geometry").observe(1.5)
-    reg.counter("funnel", pipeline="join", stage="refined").inc(420)
-    reg.counter("refinement", field="hw_tests").inc(300)
-    reg.counter("gpu", counter="draw_calls").inc(600)
-    reg.counter("unrelated").inc(7)
-    reg.histogram("pairs_compared", pipeline="join").observe(420)
+    acc = reg.accumulator()
+    acc.observe(metric_key("stage_duration_s", stage="mbr_filter"), 0.125)
+    acc.observe(metric_key("stage_duration_s", stage="geometry"), 1.5)
+    acc.add(metric_key("funnel", pipeline="join", stage="refined"), 420)
+    acc.add(metric_key("refinement", field="hw_tests"), 300)
+    acc.add(metric_key("gpu", counter="draw_calls"), 600)
+    acc.add(metric_key("unrelated"), 7)
+    acc.observe(metric_key("pairs_compared", pipeline="join"), 420)
     return reg.snapshot()
 
 

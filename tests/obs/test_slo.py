@@ -1,6 +1,7 @@
 """SLO burn rates and the alert state machine, driven by a fake clock."""
 
 import io
+import threading
 
 import pytest
 
@@ -196,6 +197,72 @@ class TestStateMachine:
         assert entry["burn_slow"] == pytest.approx(5.0)
         assert entry["fast_events"] == 2
         assert entry["state"] in ("ok", "firing")
+
+
+class PausedWriter:
+    """Pauses a write at each of its calls to :meth:`hook` in turn while
+    another thread reads: the harness of the whole-record tests."""
+
+    def __init__(self):
+        self.writer = self.pause_at = None
+        self.calls = 0
+        self.reached, self.release = threading.Event(), threading.Event()
+
+    def hook(self):
+        if threading.current_thread() is self.writer:
+            self.calls += 1
+            if self.calls == self.pause_at:
+                self.reached.set()
+                assert self.release.wait(10)
+
+    def reads(self, build, write, read):
+        """``(pause point, read(target))`` for each call ``write(target)``
+        makes to :meth:`hook`, each on a fresh ``target = build()``."""
+        target = build()
+        self.writer, self.calls = threading.current_thread(), 0
+        write(target)
+        points, self.writer = self.calls, None
+        assert points >= 2
+        for self.pause_at in range(1, points + 1):
+            target = build()
+            self.reached.clear()
+            self.release.clear()
+            self.calls = 0
+            self.writer = threading.Thread(target=write, args=(target,))
+            self.writer.start()
+            assert self.reached.wait(10)
+            results = []
+            reader = threading.Thread(target=lambda: results.append(read(target)))
+            reader.start()
+            reader.join(0.2)  # a read that waits for the record waits here
+            self.release.set()
+            self.writer.join(10)
+            reader.join(10)
+            assert not self.writer.is_alive() and not reader.is_alive()
+            yield self.pause_at, results[0]
+
+
+class TestWholeRecords:
+    def test_burn_rates_while_record_is_paused_see_whole_outcomes(self):
+        # The writer pauses at each clock read it makes while recording an
+        # outcome: under the frozen clock each objective's fast and slow
+        # windows always hold the same events.
+        paused = PausedWriter()
+
+        def clock():
+            paused.hook()
+            return 1.0
+
+        def build():
+            tracker = _tracker(clock, default_objectives())
+            tracker.record("selection", "ok", 0.01)
+            return tracker
+
+        for point, rates in paused.reads(
+            build, lambda t: t.record("selection", "error", 0.0), lambda t: t.burn_rates()
+        ):
+            for name, entry in rates.items():
+                assert entry["fast_events"] == entry["slow_events"], (point, name, entry)
 
 
 class TestAlertLog:

@@ -1,17 +1,12 @@
-"""Rolling-window instruments: exact retirement, bit-identical aggregates."""
+"""The rolling-window ring: exact retirement, bit-identical aggregates."""
 
 import math
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.obs.metrics import Histogram
-from repro.obs.window import (
-    WindowConfig,
-    WindowedCounter,
-    WindowedHistogram,
-    WindowedRegistry,
-)
+from repro.obs.metrics import Histogram, metric_key
+from repro.obs.window import Ring, WindowConfig
 
 import pytest
 
@@ -54,51 +49,64 @@ class TestWindowConfig:
         assert cfg.epoch(1.999) == 0
 
 
+REQS = metric_key("reqs", op="selection")
+DUR = metric_key("dur", op="selection")
+
+
+def _total(ring, key=REQS):
+    return ring.merged().counters.get(key, 0)
+
+
 class TestWindowedCounter:
+    """A counter series in a ring: a count over the last window, with a rate."""
+
     def test_counts_within_window(self):
         clock = FakeClock()
-        c = WindowedCounter(_config(clock))
-        c.inc()
-        c.inc(2)
-        assert c.total() == 3
-        assert c.rate() == pytest.approx(3 / 4.0)
+        ring = Ring(_config(clock))
+        ring.bucket().add(REQS)
+        ring.bucket().add(REQS, 2)
+        assert _total(ring) == 3
+        assert ring.summary()["counters"]["reqs{op=selection}"]["rate"] == pytest.approx(3 / 4.0)
 
     def test_exact_retirement(self):
         clock = FakeClock()
-        c = WindowedCounter(_config(clock, width_s=1.0, buckets=2))
-        c.inc(5)
+        ring = Ring(_config(clock, width_s=1.0, buckets=2))
+        ring.bucket().add(REQS, 5)
         clock.advance(1.0)  # next epoch: old bucket still in window
-        c.inc(1)
-        assert c.total() == 6
+        ring.bucket().add(REQS, 1)
+        assert _total(ring) == 6
         clock.advance(1.0)  # first bucket falls off, exactly
-        assert c.total() == 1
+        assert _total(ring) == 1
         clock.advance(10.0)  # a step past the whole ring empties it
-        assert c.total() == 0
+        assert _total(ring) == 0
 
     def test_negative_rejected(self):
-        c = WindowedCounter(_config(FakeClock()))
+        ring = Ring(_config(FakeClock()))
+        ring.bucket().add(REQS, -1)
         with pytest.raises(ValueError):
-            c.inc(-1)
+            ring.merged()
 
 
 class TestWindowedHistogram:
+    """A histogram series in a ring: the distribution of the last window."""
+
     def test_quantiles_over_window_only(self):
         clock = FakeClock()
-        h = WindowedHistogram(_config(clock, width_s=1.0, buckets=2))
+        ring = Ring(_config(clock, width_s=1.0, buckets=2))
         for _ in range(100):
-            h.observe(10.0)  # a bad old burst
+            ring.bucket().observe(DUR, 10.0)  # a bad old burst
         clock.advance(2.0)  # burst retires
         for _ in range(10):
-            h.observe(0.01)
-        merged = h.merged()
+            ring.bucket().observe(DUR, 0.01)
+        merged = ring.merged().histograms[DUR]
         assert merged.count == 10
         assert merged.quantile(0.99) < 1.0
 
     def test_summary_has_rate_and_window(self):
         clock = FakeClock()
-        h = WindowedHistogram(_config(clock))
-        h.observe(1.0)
-        s = h.summary()
+        ring = Ring(_config(clock))
+        ring.bucket().observe(DUR, 1.0)
+        s = ring.summary()["histograms"]["dur{op=selection}"]
         assert s["count"] == 1
         assert s["window_s"] == 4.0
         assert s["rate"] == pytest.approx(0.25)
@@ -135,7 +143,7 @@ def _windowed_runs(draw):
 
 
 class TestBitIdenticalProperty:
-    """The tentpole property: a windowed histogram across arbitrary clock
+    """The tentpole property: a ring's histogram across arbitrary clock
     steps and retirements is bit-identical (count, sum parts, buckets,
     zeros, min, max) to a fresh histogram fed only the observations whose
     epochs are still inside the window."""
@@ -146,17 +154,18 @@ class TestBitIdenticalProperty:
         width, buckets, steps = run
         clock = FakeClock()
         cfg = WindowConfig(width_s=width, buckets=buckets, clock=clock)
-        wh = WindowedHistogram(cfg)
+        ring = Ring(cfg)
         log = []  # (epoch, value) of every observation ever made
         for advance, values in steps:
             clock.advance(advance)
             for v in values:
-                wh.observe(v)
+                ring.bucket().observe(DUR, v)
                 log.append((cfg.epoch(), v))
         oldest = cfg.epoch() - buckets + 1
         in_window = [v for e, v in log if e >= oldest]
-        assert wh.merged()._snapshot() == _fresh_from(in_window)._snapshot()
-        assert wh.merged().count == len(in_window)
+        merged = ring.merged().histograms.get(DUR, Histogram())
+        assert merged._snapshot() == _fresh_from(in_window)._snapshot()
+        assert merged.count == len(in_window)
 
     @settings(max_examples=100, deadline=None)
     @given(
@@ -171,36 +180,38 @@ class TestBitIdenticalProperty:
     def test_counter_total_equals_live_sum(self, steps):
         clock = FakeClock()
         cfg = WindowConfig(width_s=1.0, buckets=3, clock=clock)
-        wc = WindowedCounter(cfg)
+        ring = Ring(cfg)
         log = []
         for advance, n in steps:
             clock.advance(advance)
             if n:
-                wc.inc(n)
+                ring.bucket().add(REQS, n)
                 log.append((cfg.epoch(), n))
         oldest = cfg.epoch() - cfg.buckets + 1
-        assert wc.total() == sum(n for e, n in log if e >= oldest)
+        assert _total(ring) == sum(n for e, n in log if e >= oldest)
 
 
 class TestWindowedRegistry:
+    """The ring's named series and their summary."""
+
     def test_addressing_and_kinds(self):
         clock = FakeClock()
-        reg = WindowedRegistry(_config(clock))
-        c = reg.counter("reqs", op="selection")
-        assert reg.counter("reqs", op="selection") is c
-        assert reg.counter("reqs", op="join") is not c
-        with pytest.raises(TypeError):
-            reg.histogram("reqs", op="selection")
-        assert list(reg.summary()["counters"]) == [
+        ring = Ring(_config(clock))
+        ring.bucket().add(REQS)
+        ring.bucket().add(metric_key("reqs", op="join"))
+        assert list(ring.summary()["counters"]) == [
             "reqs{op=join}", "reqs{op=selection}"
         ]
+        ring.bucket().observe(REQS, 1.0)
+        with pytest.raises(TypeError, match="is a counter, not a histogram"):
+            ring.summary()
 
     def test_summary_shape(self):
         clock = FakeClock()
-        reg = WindowedRegistry(_config(clock))
-        reg.counter("reqs", op="selection").inc(3)
-        reg.histogram("dur", op="selection").observe(0.5)
-        s = reg.summary()
+        ring = Ring(_config(clock))
+        ring.bucket().add(REQS, 3)
+        ring.bucket().observe(DUR, 0.5)
+        s = ring.summary()
         assert s["window_s"] == 4.0
         assert s["bucket_width_s"] == 1.0
         assert s["counters"]["reqs{op=selection}"]["total"] == 3
@@ -211,6 +222,18 @@ class TestWindowedRegistry:
         import json
 
         clock = FakeClock()
-        reg = WindowedRegistry(_config(clock))
-        reg.histogram("dur").observe(math.pi)
-        json.dumps(reg.summary())
+        ring = Ring(_config(clock))
+        ring.bucket().observe(metric_key("dur"), math.pi)
+        json.dumps(ring.summary())
+
+    def test_a_drained_series_stays_listed_at_zero(self):
+        clock = FakeClock()
+        ring = Ring(_config(clock, width_s=1.0, buckets=2))
+        ring.bucket().add(REQS, 4)
+        ring.bucket().observe(DUR, 0.5)
+        clock.advance(5.0)
+        s = ring.summary()
+        assert s["counters"]["reqs{op=selection}"] == {"window_s": 2.0, "total": 0, "rate": 0.0}
+        assert s["histograms"]["dur{op=selection}"] == {
+            **Histogram().summary(), "rate": 0.0, "window_s": 2.0
+        }

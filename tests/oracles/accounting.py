@@ -2,8 +2,8 @@
 committed records are folded against.
 
 Before records, a pipeline run and a served request each wrote straight
-to the registry's instruments at the moment a value was known - one
-labelled lookup and one ``inc`` or ``observe`` per value, the funnel one
+to the registry at the moment a value was known - one labelled key and
+one ``add``, ``observe`` or ``set`` per value, the funnel one
 stage at a time, the pool's gauges on every state change.  This module
 keeps that accounting.  :func:`account_directly` replays a served mix
 with it: it re-executes every ok request under :class:`DirectObserver`
@@ -18,7 +18,7 @@ from typing import Any, Dict, List, Tuple
 from unittest import mock
 
 from repro.obs.explain import FUNNEL_STAGES, QueryFunnel, funnel_from_deltas
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import MetricsRegistry, metric_key
 from repro.obs.scope import use_scope
 from repro.query import containment, join, selection, within_distance
 from repro.serve import QueryRequest, QueryResponse, QueryService, ServingEngine
@@ -41,30 +41,30 @@ class DirectObserver:
         self.funnel: QueryFunnel
 
     def finish(self, cost: Any) -> "DirectObserver":
-        reg = self.registry
-        reg.histogram("candidates_after_mbr", pipeline=self.pipeline).observe(
-            cost.candidates_after_mbr
+        acc = self.registry.accumulator()
+        acc.observe(
+            metric_key("candidates_after_mbr", pipeline=self.pipeline), cost.candidates_after_mbr
         )
-        reg.histogram("pairs_compared", pipeline=self.pipeline).observe(cost.pairs_compared)
+        acc.observe(metric_key("pairs_compared", pipeline=self.pipeline), cost.pairs_compared)
         deltas = {
             name: getattr(self.engine.stats, name) - before
             for name, before in self.stats_before.items()
         }
         for name, delta in deltas.items():
             if delta:
-                reg.counter("refinement", field=name).inc(delta)
+                acc.add(metric_key("refinement", field=name), delta)
         self.funnel = funnel_from_deltas(
             self.pipeline, deltas, _values(cost), software=self.engine.hw is None
         )
         for stage in FUNNEL_STAGES:
             value = getattr(self.funnel, stage)
             if value:
-                reg.counter("funnel", pipeline=self.pipeline, stage=stage).inc(value)
+                acc.add(metric_key("funnel", pipeline=self.pipeline, stage=stage), value)
         if self.gpu_before is not None:
             for name, before in self.gpu_before.items():
                 delta = getattr(self.engine.gpu_counters, name) - before
                 if delta:
-                    reg.counter("gpu", counter=name).inc(delta)
+                    acc.add(metric_key("gpu", counter=name), delta)
         return self
 
 
@@ -76,10 +76,11 @@ def account_directly(
     re-executed on a fresh engine over the same resident data, and each
     response's outcome, durations and slow-log count."""
     registry = MetricsRegistry()
-    registry.gauge("serve_workers").set(service.pool.size)
-    registry.gauge("serve_queue_capacity").set(service.admission_config.max_queue)
-    registry.gauge("serve_queue_depth").set(0)
-    registry.gauge("serve_inflight").set(0)
+    acc = registry.accumulator()
+    acc.set(metric_key("serve_workers"), service.pool.size)
+    acc.set(metric_key("serve_queue_capacity"), service.admission_config.max_queue)
+    acc.set(metric_key("serve_queue_depth"), 0)
+    acc.set(metric_key("serve_inflight"), 0)
     engine = ServingEngine(0, service.workload)
 
     def observe(pipeline: str, run_engine: Any) -> DirectObserver:
@@ -95,11 +96,11 @@ def account_directly(
     slow = service.slowlog_config
     for request, response in outcomes:
         op, status = request.op, response.status
-        registry.counter("serve_requests", op=op, status=status).inc()
+        acc.add(metric_key("serve_requests", op=op, status=status))
         if status == "ok":
-            registry.histogram("serve_wait_duration_s", op=op).observe(response.wait_s)
-            registry.histogram("serve_exec_duration_s", op=op).observe(response.exec_s)
-            registry.histogram("serve_request_duration_s", op=op).observe(response.total_s)
+            acc.observe(metric_key("serve_wait_duration_s", op=op), response.wait_s)
+            acc.observe(metric_key("serve_exec_duration_s", op=op), response.exec_s)
+            acc.observe(metric_key("serve_request_duration_s", op=op), response.total_s)
         if slow is not None and slow.should_log(status, response.total_s):
-            registry.counter("serve_slow_requests", op=op, status=status).inc()
+            acc.add(metric_key("serve_slow_requests", op=op, status=status))
     return registry.snapshot()

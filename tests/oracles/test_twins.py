@@ -1,7 +1,7 @@
 """One differential harness: every oracle against its production twin.
 
 ``TWINS`` registers each public function of ``tests/oracles/geometry.py``,
-``raster.py``, ``index.py`` and ``accounting.py`` once, with the production function it is the
+``raster.py``, ``index.py``, ``accounting.py`` and ``health.py`` once, with the production function it is the
 reference for, the cases it runs on - ``tests/strategies.py``'s corpus plus
 the literals below - and how the two answers are compared (``==`` unless an
 entry says otherwise).  :func:`test_twin_agrees` runs every entry, and fails
@@ -14,6 +14,7 @@ interval configuration against the brute-force oracles.
 from __future__ import annotations
 
 import asyncio
+import dataclasses
 import inspect
 import math
 import random
@@ -61,8 +62,16 @@ from repro.gpu.raster_bulk import edges_coverage_mask, edges_coverage_masks_grou
 from repro.gpu.tiled import _gather
 from repro.index import plane_sweep_mbr_join, rtree_nearest, str_bulk_load
 from repro.query import IntersectionJoin, WithinDistanceJoin
-from repro.serve import AdmissionConfig, QueryRequest, QueryService, SlowLogConfig
-from tests.oracles import accounting, geometry, index, raster
+from repro.serve import (
+    AdmissionConfig,
+    HealthConfig,
+    QueryRequest,
+    QueryService,
+    ServiceHealth,
+    SlowLogConfig,
+    build_health,
+)
+from tests.oracles import accounting, geometry, health, index, raster
 from tests.strategies import HYPOT_FAR, HYPOT_NEAR
 from tests.strategies import (
     adversarial_rings,
@@ -481,6 +490,49 @@ def _same_accounting(oracle, twin, args):
         service.close()
 
 
+#: A 3 s telemetry window of 1 s buckets; 4 s / 24 s burn-rate windows.
+HEALTH = HealthConfig(window_width_s=1.0, window_buckets=3, slo_fast_s=4.0, slo_slow_s=24.0)
+
+
+def _health_steps(seed):
+    """A seeded, clock-driven ok / shed / timeout / error sequence of
+    ``(advance_s, outcomes)`` steps.  Steps of 1 s and 2 s retire single
+    buckets, a 30 s step skips every ring whole, and the only timeouts
+    come first, so their series drains and stays listed at zero.  Latencies
+    straddle the stock 2.5 s latency objective, and error runs burn the
+    availability budget, so alerts fire and resolve."""
+    rng = random.Random(seed)
+
+    def outcomes(statuses):
+        return [
+            (rng.choice(["selection", "join"]), status, rng.choice([0.0, 0.01, 0.5, 3.0, 7.25]))
+            for status in statuses
+        ]
+
+    steps = [(0.0, outcomes(["timeout", "ok", "error", "timeout"]))]
+    for _ in range(rng.randint(6, 10)):
+        statuses = rng.choices(["ok", "ok", "ok", "shed", "error"], k=rng.randint(0, 6))
+        steps.append((rng.choice([0.0, 0.25, 1.0, 1.0, 2.0]), outcomes(statuses)))
+    steps += [(30.0, []), (0.5, outcomes(["ok", "shed", "error"]))]
+    return steps
+
+
+def _same_health(oracle, twin, args):
+    """After each step, the monitor's health read reports the ``window``
+    and ``slo`` sections the per-series instruments do."""
+    steps = _health_steps(*args)
+    now = [0.0]
+    monitor = ServiceHealth(dataclasses.replace(HEALTH, clock=lambda: now[0]))
+    sections = []
+    for advance_s, outcomes in steps:
+        now[0] += advance_s
+        for op, status, total_s in outcomes:
+            monitor.record(op, status, total_s)
+        doc = twin(monitor, queue_depth=0, inflight=0, max_queue=0, workers=[])
+        sections.append({"window": doc["window"], "slo": doc["slo"]})
+    assert sections == oracle(HEALTH, steps)
+
+
 # -- the registry ------------------------------------------------------------
 
 
@@ -759,6 +811,13 @@ TWINS = {
             _same_accounting,
         ),
         Twin(
+            health.health_directly,
+            build_health,
+            st.tuples(st.integers(0, 2**16)),
+            ((2003,),),
+            _same_health,
+        ),
+        Twin(
             index.linear_nearest,
             rtree_nearest,
             st.tuples(st.lists(rects(), min_size=1, max_size=30), points, st.integers(1, 4)),
@@ -792,7 +851,7 @@ def test_every_oracle_is_registered():
     """Each public function of an oracle module is one ``TWINS`` entry."""
     public = {
         f"{module.__name__}.{name}"
-        for module in (accounting, geometry, raster, index)
+        for module in (accounting, geometry, health, raster, index)
         for name, value in vars(module).items()
         if inspect.isfunction(value) and value.__module__ == module.__name__
         and not name.startswith("_")

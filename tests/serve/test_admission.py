@@ -181,8 +181,8 @@ class TestAdmissionController:
             return snap["serve_queue_depth"], snap["serve_inflight"]
 
         assert gauges() == (0, 0)
-        assert registry.gauge("serve_workers").value == 1
-        assert registry.gauge("serve_queue_capacity").value == 8
+        assert registry.gauge("serve_workers") == 1
+        assert registry.gauge("serve_queue_capacity") == 8
         held, _ = _acquire(pool)
         assert gauges() == (0, 1)
         threads, outcomes = _waiters(pool, 1)
@@ -221,5 +221,5 @@ class TestAdmissionController:
         assert refusals == [None] * 1600
         assert pool.queue_depth == 0
         assert pool.inflight == 0
-        assert registry.gauge("serve_queue_depth").value == 0
-        assert registry.gauge("serve_inflight").value == 0
+        assert registry.gauge("serve_queue_depth") == 0
+        assert registry.gauge("serve_inflight") == 0

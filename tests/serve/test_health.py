@@ -8,11 +8,12 @@ inflated - with ``top`` rendering both all along.
 """
 
 import asyncio
+import sys
 import threading
 
 import pytest
 
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry, metric_key
 from repro.obs.slo import load_alert_log
 from repro.serve import (
     AdmissionConfig,
@@ -25,6 +26,7 @@ from repro.serve import (
     build_health,
 )
 from repro.serve.top import fetch_snapshot, render, run_top
+from tests.obs.test_slo import PausedWriter
 
 
 class FakeClock:
@@ -58,11 +60,10 @@ class _Harness:
         self.monitor = _monitor(clock)
 
     def record(self, status, total_s, op="selection", worker=0):
-        self.registry.counter("serve_requests", op=op, status=status).inc()
+        acc = self.registry.accumulator()
+        acc.add(metric_key("serve_requests", op=op, status=status))
         if status == "ok":
-            self.registry.histogram(
-                "serve_request_duration_s", op=op
-            ).observe(total_s)
+            acc.observe(metric_key("serve_request_duration_s", op=op), total_s)
         self.monitor.record(op, status, total_s, worker=worker)
 
     def health(self, queue_depth=0, inflight=0, max_queue=64):
@@ -207,6 +208,80 @@ class TestAcceptanceScenario:
         (entry,) = doc["workers"]
         assert entry["worker"] == 0
         assert entry["last_seen_s_ago"] == pytest.approx(1.5)
+
+
+class TestWholeRecords:
+    """A health read sees whole request records."""
+
+    def test_a_read_while_the_writer_is_paused_mid_record(self, monkeypatch):
+        # The writer pauses at each clock read and each histogram write it
+        # makes while recording an ok request.  Under the frozen clock every
+        # record stays in every window, so a whole record keeps each op's
+        # windowed ok total equal to its duration count and each objective's
+        # fast events equal to its slow events.
+        paused = PausedWriter()
+
+        def clock():
+            paused.hook()
+            return 5.0
+
+        histogram_add = Histogram._add
+
+        def add(hist, value):
+            paused.hook()
+            histogram_add(hist, value)
+
+        monkeypatch.setattr(Histogram, "_add", add)
+
+        def build():
+            monitor = _monitor(clock)
+            monitor.record("selection", "ok", 0.01, worker=0)
+            return monitor
+
+        def health(monitor):
+            return build_health(monitor, queue_depth=0, inflight=0, max_queue=64, workers=[])
+
+        for point, doc in paused.reads(
+            build, lambda m: m.record("selection", "ok", 3.0, worker=0), health
+        ):
+            window = doc["window"]
+            ok = window["counters"]["serve_window_requests{op=selection,status=ok}"]["total"]
+            durations = window["histograms"]["serve_window_request_duration_s{op=selection}"]
+            assert ok == durations["count"], (point, window)
+            for name, entry in doc["slo"].items():
+                assert entry["fast_events"] == entry["slow_events"], (point, name, entry)
+
+    def test_concurrent_records_all_land(self):
+        # Eight writers record at once with a short switch interval: under
+        # the frozen clock nothing retires, so every count ends exact.
+        monitor = _monitor(FakeClock(5.0))
+        barrier = threading.Barrier(8)
+
+        def write():
+            barrier.wait()
+            for _ in range(300):
+                monitor.record("selection", "ok", 0.01, worker=0)
+                monitor.record("join", "error", 0.0, worker=1)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=write) for _ in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        doc = build_health(monitor, queue_depth=0, inflight=0, max_queue=64, workers=[])
+        counters = doc["window"]["counters"]
+        assert counters["serve_window_requests{op=selection,status=ok}"]["total"] == 2400
+        assert counters["serve_window_requests{op=join,status=error}"]["total"] == 2400
+        assert doc["window"]["histograms"]["serve_window_request_duration_s{op=selection}"]["count"] == 2400
+        events = {name: entry["fast_events"] for name, entry in doc["slo"].items()}
+        assert events == {"availability": 4800, "latency": 2400}
+        assert all(entry["slow_events"] == entry["fast_events"] for entry in doc["slo"].values())
 
 
 class TestServiceIntegration:
