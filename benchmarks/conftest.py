@@ -19,7 +19,7 @@ from pathlib import Path
 import pytest
 
 from repro.bench import get_scale, run_experiment
-from repro.obs import JsonLinesExporter, Tracer, use_tracer
+from repro.obs import Tracer, use_tracer
 
 RESULTS_DIR = Path(__file__).parent / "results"
 
@@ -38,7 +38,7 @@ def pytest_addoption(parser):
 
 @pytest.fixture(scope="session", autouse=True)
 def trace_session(request):
-    """Run the session under a tracer streaming spans to ``--trace-out``.
+    """Run the session under a tracer exported to ``--trace-out`` at teardown.
 
     Every :meth:`CostBreakdown.time_stage` call in every pipeline emits
     spans into it automatically (zero call-site changes); the hardware
@@ -49,10 +49,12 @@ def trace_session(request):
     if not path:
         yield None
         return
-    with JsonLinesExporter(path) as exporter:
-        tracer = Tracer(exporter=exporter)
+    tracer = Tracer()
+    try:
         with use_tracer(tracer):
             yield tracer
+    finally:
+        tracer.export(path)
 
 
 @pytest.fixture(scope="session")

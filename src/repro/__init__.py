@@ -41,7 +41,7 @@ from .core import (
 from .datasets import SpatialDataset, base_distance
 from .geometry import Point, Polygon, Rect
 from .gpu import DeviceLimits, GraphicsPipeline
-from .obs import JsonLinesExporter, Tracer, use_tracer
+from .obs import Tracer, use_tracer
 from .query import (
     ContainmentSelection,
     CostBreakdown,
@@ -64,7 +64,6 @@ __all__ = [
     "HardwareVerdict",
     "IntersectionJoin",
     "IntersectionSelection",
-    "JsonLinesExporter",
     "NearestNeighborQuery",
     "OVERLAP_METHODS",
     "PLATFORM_2003",

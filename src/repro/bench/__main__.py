@@ -90,8 +90,8 @@ def main(argv=None) -> int:
     # Metric collection is opt-in: with no report requested, no registry
     # is in scope and the instrumented layers stay on their zero-overhead
     # path.  Likewise capture: the flight recorder only exists (and only
-    # costs anything) when --capture-out names a stream.
-    recorder = CommandRecorder(stream=args.capture_out) if args.capture_out else None
+    # costs anything) when --capture-out names a file.
+    recorder = CommandRecorder(args.capture_out) if args.capture_out else None
     cache = CacheConfig() if args.cache else CacheConfig.disabled()
     entries = []
 
@@ -111,11 +111,10 @@ def main(argv=None) -> int:
         outputs.append(text)
 
     if recorder is not None:
-        recorder.close()
+        log = recorder.log
         print(
-            f"capture written to {args.capture_out}"
-            f" ({len(recorder.events)} event(s) in memory,"
-            f" {recorder.dropped} dropped)"
+            f"capture written to {args.capture_out} ({log.added} event(s)"
+            f" written, {log.added - log.evicted} kept in memory)"
         )
 
     if args.out:

@@ -91,6 +91,9 @@ def _prefilter_within(
     if not a.mbr.within_distance(b.mbr, d):
         return False
     if a.mbr.intersects(b.mbr):
+        # Both scans are charged, but either_contains stops at its first hit, so
+        # that hit charges a scan never run; the fix moves wd-ll's modeled cost
+        # and its replay in benchmarks/perf together (ROADMAP item 20(b)).
         if b.mbr.contains_point(a.vertices[0]):
             stats.pip_edges += b.num_vertices
         if a.mbr.contains_point(b.vertices[0]):

@@ -8,9 +8,9 @@ time goes and a gate that fails when it regresses.
   registry, command recorder) behind one ``ContextVar``:
   every instrumented layer reads it with :func:`current_scope`, callers
   set it with :func:`use_scope` (zero overhead when a facility is off);
-* :mod:`repro.obs.trace` - :class:`Tracer` / :class:`Span` /
-  :class:`JsonLinesExporter`, the per-stage span collector, and
-  :func:`new_trace_id`, the id one request's spans share;
+* :mod:`repro.obs.trace` - :class:`Tracer` / :class:`Span`, the
+  per-stage span collector (``tracer.export(path)`` writes span JSONL),
+  and :func:`new_trace_id`, the id one request's spans share;
 * :mod:`repro.obs.metrics` - the one aggregate table (counter sums,
   last-set gauges, exactly-mergeable log-bucketed histograms) with its one
   merge, and the :class:`MetricsRegistry` that folds writers' tables on
@@ -35,8 +35,9 @@ time goes and a gate that fails when it regresses.
   a fast and a slow ring, and the firing/resolved alert state machine whose
   transitions (``repro.obs/alerts@1``) land in a record log;
 * :mod:`repro.obs.records` - the one bounded, counted, JSONL-exportable
-  :class:`RecordLog` every retained serve record lives in, and
-  :func:`read_jsonl`, the one reader of every JSONL artifact.
+  :class:`RecordLog` every retained record lives in (serve traces, slow
+  queries, alerts, the flight recorder's events), and the one writer and
+  :func:`read_jsonl`, the one reader, of every JSONL artifact.
 """
 
 from .capture import (
@@ -90,7 +91,7 @@ from .runreport import (
     load_run_report,
     write_run_report,
 )
-from .trace import JsonLinesExporter, Span, Tracer, new_trace_id
+from .trace import Span, Tracer, new_trace_id
 
 __all__ = [
     "ALERTS_SCHEMA",
@@ -100,7 +101,6 @@ __all__ = [
     "EXPLAIN_SCHEMA",
     "Finding",
     "Histogram",
-    "JsonLinesExporter",
     "MetricsRegistry",
     "ObsScope",
     "QueryFunnel",

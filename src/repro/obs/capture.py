@@ -6,12 +6,13 @@ every :class:`~repro.gpu.pipeline.GraphicsPipeline`
 operation - data-window sets, raster-state changes, buffer clears,
 accumulation transfers, draw calls, Minmax queries, readbacks - and every
 :class:`~repro.gpu.tiled.TiledPipeline` atlas submission is appended to an
-event stream as a plain JSON-able dict.  :func:`replay_events` re-executes
-a captured stream against freshly constructed pipelines and verifies, at
-every point the original run observed its buffers, that the replay sees
-**bit-identical** contents: Minmax answers compare exactly, and buffer
-digests (SHA-256 over dtype, shape, and raw bytes) compare at each Minmax,
-readback, coverage-mask, distance-field, and atlas event.
+event log (a :class:`~repro.obs.records.RecordLog`) as a plain JSON-able
+dict.  :func:`replay_events` re-executes a captured stream against freshly
+constructed pipelines and verifies, at every point the original run
+observed its buffers, that the replay sees **bit-identical** contents:
+Minmax answers compare exactly, and buffer digests (SHA-256 over dtype,
+shape, and raw bytes) compare at each Minmax, readback, coverage-mask,
+distance-field, and atlas event.
 
 Like :mod:`.metrics`, the recorder follows the zero-overhead-when-disabled
 pattern: instrumentation sites perform one scope read and a ``None``
@@ -28,26 +29,28 @@ Capture semantics worth knowing:
   preceded, within the capture, by a clear of that plane, which holds for
   every overlap-search method in :mod:`repro.core.hardware_test`;
 * events are self-contained (edge arrays are stored as nested float
-  lists, which round-trip JSON bit-exactly), so a capture streamed to a
-  file or written with :func:`write_events` replays in a different process;
+  lists, which round-trip JSON bit-exactly), so a capture file replays in
+  a different process; the recorder keeps only the last
+  :data:`~repro.obs.records.MAX_RECORDS` events in memory, so a long run
+  replays from its file;
 * a capture file is outside data: the replayer executes only commands the
   recorder can emit (:func:`_check_event`) and reports anything else as an
   *error* - a third outcome beside MATCH and DIVERGED.
 
-The module imports only the standard library and numpy at module level;
-the replayer imports the gpu layer lazily, keeping :mod:`repro.obs` free
-of import cycles (``repro.gpu`` imports this module).
+The module imports only the standard library, numpy and
+:mod:`repro.obs.records` at module level; the replayer imports the gpu
+layer lazily, keeping :mod:`repro.obs` free of import cycles
+(``repro.gpu`` imports this module).
 """
 
 from __future__ import annotations
 
 import hashlib
-import json
-from typing import IO, Any, Dict, List, Mapping, Optional, Sequence, Union
+from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 import numpy as np
 
-from .records import read_jsonl
+from .records import RecordLog, read_jsonl, write_jsonl
 from .scope import use_scope
 
 #: Version tag of the capture event schema (bump on incompatible change).
@@ -112,71 +115,40 @@ def _rect_list(window: Any) -> List[float]:
 
 
 class CommandRecorder:
-    """Records pipeline commands as structured events.
+    """Records pipeline commands as structured events in one :class:`RecordLog`.
 
-    ``max_events`` bounds the in-memory ring: when full, the oldest events
-    drop (counted in :attr:`dropped`) - a truncated capture still shows
-    the recent command history but may no longer replay from the top.
-    ``stream`` optionally names a JSONL file every event is appended to as
-    it happens (the flight-recorder-to-disk mode ``--capture-out`` uses);
-    streamed events survive even if the process dies mid-run.
+    Memory holds the last :data:`~repro.obs.records.MAX_RECORDS` events
+    (:attr:`events`; evictions are the log's ``evicted`` count) - a
+    truncated ring still shows the recent command history but may no
+    longer replay from the top.  ``path`` names a JSONL capture file
+    (the flight-recorder-to-disk mode ``--capture-out`` uses): it is
+    truncated to the schema header line, then every event is appended as
+    it happens, so the file is whole and survives a process that dies
+    mid-run.
     """
 
-    def __init__(
-        self,
-        max_events: Optional[int] = None,
-        stream: Optional[Union[str, IO[str]]] = None,
-    ) -> None:
-        if max_events is not None and max_events < 1:
-            raise ValueError(f"max_events must be >= 1, got {max_events}")
-        self.events: List[Dict[str, Any]] = []
-        self.max_events = max_events
-        self.dropped = 0
+    def __init__(self, path: Optional[str] = None) -> None:
+        if path is not None:
+            write_jsonl(path, [{"schema": CAPTURE_SCHEMA}])
+        #: The event ring, and the capture file's writer when given a path.
+        self.log = RecordLog(path)
         self._next_seq = 0
         self._next_pid = 0
         self._pids: Dict[int, str] = {}
         #: Strong refs so id() reuse after GC cannot alias two pipelines.
         self._pinned: List[Any] = []
         self._last_state: Dict[str, Dict[str, Any]] = {}
-        self._stream_path: Optional[str] = stream if isinstance(stream, str) else None
-        self._stream_file: Optional[IO[str]] = (
-            None if isinstance(stream, str) or stream is None else stream
-        )
-        self._owns_stream = self._stream_path is not None
-        self._stream_header_written = False
+
+    @property
+    def events(self) -> List[Dict[str, Any]]:
+        """The events memory still holds, oldest first."""
+        return self.log.records()
 
     # -- event plumbing ---------------------------------------------------
 
-    def _emit(self, cmd: str, **fields: Any) -> Dict[str, Any]:
-        event = {"seq": self._next_seq, "cmd": cmd, **fields}
+    def _emit(self, cmd: str, **fields: Any) -> None:
+        self.log.append({"seq": self._next_seq, "cmd": cmd, **fields})
         self._next_seq += 1
-        self.events.append(event)
-        if self.max_events is not None and len(self.events) > self.max_events:
-            overflow = len(self.events) - self.max_events
-            del self.events[:overflow]
-            self.dropped += overflow
-        self._write_stream(event)
-        return event
-
-    def _write_stream(self, event: Mapping[str, Any]) -> None:
-        if self._stream_path is None and self._stream_file is None:
-            return
-        if self._stream_file is None:
-            assert self._stream_path is not None
-            self._stream_file = open(self._stream_path, "w", encoding="utf-8")
-        if not self._stream_header_written:
-            self._stream_file.write(
-                json.dumps({"schema": CAPTURE_SCHEMA}, sort_keys=True) + "\n"
-            )
-            self._stream_header_written = True
-        self._stream_file.write(json.dumps(event, sort_keys=True) + "\n")
-        self._stream_file.flush()
-
-    def close(self) -> None:
-        """Close the stream file (only if this recorder opened it)."""
-        if self._owns_stream and self._stream_file is not None:
-            self._stream_file.close()
-            self._stream_file = None
 
     def _pid(self, pipeline: Any) -> str:
         pid = self._pids.get(id(pipeline))
@@ -332,14 +304,6 @@ class CommandRecorder:
                 plane: array_digest(getattr(fb, plane)) for plane in _PLANES
             },
         )
-
-
-def write_events(path: str, events: Sequence[Mapping[str, Any]]) -> None:
-    """Write an event stream as JSONL with a schema header line."""
-    with open(path, "w", encoding="utf-8") as f:
-        f.write(json.dumps({"schema": CAPTURE_SCHEMA}, sort_keys=True) + "\n")
-        for event in events:
-            f.write(json.dumps(event, sort_keys=True) + "\n")
 
 
 def load_capture(path: str) -> List[Dict[str, Any]]:
@@ -602,5 +566,4 @@ __all__ = [
     "load_capture",
     "replay_capture",
     "replay_events",
-    "write_events",
 ]

@@ -11,8 +11,8 @@
   with one :meth:`~Aggregates.merge`.  A writer's :class:`Accumulator`, the
   registry's folded state and each bucket of a rolling window
   (:mod:`repro.obs.window`) are these tables;
-* :class:`MetricsRegistry` - label-addressed series, a snapshot, a JSON
-  exporter, and a scrape-safe Prometheus text exposition.
+* :class:`MetricsRegistry` - label-addressed series, a JSON-able
+  snapshot, and a scrape-safe Prometheus text exposition.
 
 Writers commit one record; the registry folds on read.  A site finds its
 run's registry in the ambient :class:`~repro.obs.scope.ObsScope` and
@@ -31,7 +31,6 @@ every layer (gpu, core, query, bench) may depend on it without cycles.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 import operator
 import threading
@@ -483,9 +482,6 @@ class MetricsRegistry:
         """The snapshot and the Prometheus text of one read, which agree."""
         rows = self._rows()
         return _snapshot_of(rows), _prometheus_of(rows)
-
-    def to_json(self, indent: Optional[int] = None) -> str:
-        return json.dumps(self.snapshot(), indent=indent, sort_keys=True)
 
 
 def _snapshot_of(rows: List[Row]) -> Dict[str, Any]:

@@ -1,15 +1,18 @@
-"""One bounded record log and one JSONL reader for every retained record.
+"""One bounded record log, one JSONL writer and one JSONL reader.
 
-A long-lived serving process retains three kinds of record - finished
-request span trees, slow-query forensics and SLO alert transitions - and
-each must be bounded (retaining everything is a slow OOM), counted (an
-eviction is never silent) and exportable as JSON lines.  They share one
-mechanism:
+The package retains four kinds of record - finished request span trees,
+slow-query forensics, SLO alert transitions and the flight recorder's GPU
+command events - and each must be bounded (retaining everything is a slow
+OOM), counted (an eviction is never silent) and written as JSON lines.
+They share one mechanism:
 
 * :class:`RecordLog` - a thread-safe ring of JSON-able records with
   ``added`` / ``evicted`` counts, :meth:`~RecordLog.export`, and an
   optional file each record is appended to as it arrives (under the lock,
   so concurrent worker threads never interleave partial lines);
+* :func:`write_jsonl` - the one writer of every JSONL artifact line the
+  package produces (a log's file and export, span exports, the capture
+  header): ``json.dumps(record, sort_keys=True)`` per line;
 * :func:`read_jsonl` - the one reader of every JSONL artifact the package
   writes (spans, slowlog, alerts, captures).  Those files are outside
   data: a bad line is a :class:`ValueError` naming the file and line,
@@ -21,17 +24,35 @@ from __future__ import annotations
 import json
 import threading
 from collections import deque
-from typing import IO, Any, Callable, Deque, List, Optional, Union
+from typing import IO, Any, Callable, Deque, Iterable, List, Optional, Union
 
 #: Records a :class:`RecordLog` retains before evicting the oldest.
 MAX_RECORDS = 10_000
+
+
+def _line(record: Any) -> str:
+    return json.dumps(record, sort_keys=True) + "\n"
+
+
+def write_jsonl(target: Union[str, IO[str]], records: Iterable[Any]) -> int:
+    """Write records as JSON lines to a path (truncated) or an open text
+    file; returns the count."""
+    if isinstance(target, str):
+        with open(target, "w", encoding="utf-8") as f:
+            return write_jsonl(f, records)
+    count = 0
+    for record in records:
+        target.write(_line(record))
+        count += 1
+    return count
 
 
 class RecordLog:
     """Thread-safe bounded ring of JSON-able records, optionally file-backed."""
 
     def __init__(self, path: Optional[str] = None) -> None:
-        #: Append every record to this JSONL file as it arrives.
+        #: Append every record to this JSONL file as it arrives (after
+        #: whatever the file already holds).
         self.path = path
         self._records: Deque[Any] = deque(maxlen=MAX_RECORDS)
         self._lock = threading.Lock()
@@ -40,7 +61,7 @@ class RecordLog:
 
     def append(self, record: Any) -> None:
         """Retain one record (evicting the oldest when full)."""
-        line = json.dumps(record, sort_keys=True) + "\n" if self.path else ""
+        line = _line(record) if self.path else ""
         with self._lock:
             if len(self._records) == MAX_RECORDS:
                 self.evicted += 1
@@ -61,13 +82,7 @@ class RecordLog:
 
     def export(self, target: Union[str, IO[str]]) -> int:
         """Write the retained records as JSON lines; returns the count."""
-        if isinstance(target, str):
-            with open(target, "w", encoding="utf-8") as f:
-                return self.export(f)
-        records = self.records()
-        for record in records:
-            target.write(json.dumps(record, sort_keys=True) + "\n")
-        return len(records)
+        return write_jsonl(target, self.records())
 
 
 def read_jsonl(
@@ -110,4 +125,4 @@ def schema_check(kind: str, schema: str) -> Callable[[Any], Optional[str]]:
     return check
 
 
-__all__ = ["MAX_RECORDS", "RecordLog", "read_jsonl", "schema_check"]
+__all__ = ["MAX_RECORDS", "RecordLog", "read_jsonl", "schema_check", "write_jsonl"]

@@ -1,4 +1,4 @@
-"""Lightweight per-stage tracing: spans and a JSON-lines exporter.
+"""Lightweight per-stage tracing: spans, a collector and a JSON-lines export.
 
 The adaptive-filter literature (Kipf et al., "Adaptive Geospatial Joins for
 Modern Hardware") makes per-stage cost *visibility* the prerequisite for
@@ -8,18 +8,19 @@ observability layer for the query pipelines:
 * :class:`Span` - one timed operation (a pipeline stage, or a hardware
   batch inside a stage), with a parent link so traces form a tree;
 * :class:`Tracer` - collects spans; nested ``tracer.span(...)`` context
-  managers parent automatically, and :meth:`Tracer.record` admits spans
-  timed elsewhere (e.g. a serve request's queue wait);
-* :class:`JsonLinesExporter` - streams finished spans to a file as one JSON
-  object per line.
+  managers parent automatically, :meth:`Tracer.record` admits spans
+  timed elsewhere (e.g. a serve request's queue wait), and
+  :meth:`Tracer.export` writes them as one JSON object per line through
+  :func:`repro.obs.records.write_jsonl`.
 
 Instrumentation finds the tracer of the run it belongs to in the ambient
 :class:`~repro.obs.scope.ObsScope` (``current_scope().tracer``), which is
 how :meth:`repro.query.costs.CostBreakdown.time_stage` emits spans with
 zero call-site changes in the pipelines.
 
-The module deliberately imports nothing from the rest of :mod:`repro`, so
-any layer (queries, engines, benchmarks) may depend on it without cycles.
+The module imports nothing from :mod:`repro` but :mod:`repro.obs.records`
+(standard library only), so any layer (queries, engines, benchmarks) may
+depend on it without cycles.
 
 Span JSON schema (one line per span)::
 
@@ -30,12 +31,13 @@ Span JSON schema (one line per span)::
 
 from __future__ import annotations
 
-import json
 import time
 import uuid
 from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import IO, Any, Dict, Iterator, List, Optional, Union
+
+from .records import write_jsonl
 
 
 def new_trace_id() -> str:
@@ -74,63 +76,18 @@ class Span:
             out["trace_id"] = self.trace_id
         return out
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-
-class JsonLinesExporter:
-    """Writes each finished span as one JSON line.
-
-    Accepts an open text file object or a path (opened lazily: truncating
-    on first use, appending after a :meth:`close`/reuse cycle - a stray
-    export after close must not silently wipe the spans already written).
-    Usable as a context manager; :meth:`close` only closes files this
-    exporter itself opened.
-    """
-
-    def __init__(self, target: Union[str, IO[str]]) -> None:
-        self._path: Optional[str] = target if isinstance(target, str) else None
-        self._file: Optional[IO[str]] = None if self._path else target  # type: ignore[assignment]
-        self._owns_file = self._path is not None
-        self._opened_once = False
-
-    def __call__(self, span: Span) -> None:
-        if self._file is None:
-            assert self._path is not None
-            mode = "a" if self._opened_once else "w"
-            self._file = open(self._path, mode, encoding="utf-8")
-            self._opened_once = True
-        self._file.write(span.to_json() + "\n")
-        self._file.flush()
-
-    def close(self) -> None:
-        if self._owns_file and self._file is not None:
-            self._file.close()
-            self._file = None
-
-    def __enter__(self) -> "JsonLinesExporter":
-        return self
-
-    def __exit__(self, *exc_info: object) -> None:
-        self.close()
-
 
 class Tracer:
-    """Collects spans; optionally streams them through an exporter.
+    """Collects spans in memory; :meth:`export` writes them out.
 
     Not thread-safe by design: one tracer belongs to one control flow.
     """
 
-    def __init__(
-        self,
-        exporter: Optional[JsonLinesExporter] = None,
-        trace_id: Optional[str] = None,
-    ) -> None:
+    def __init__(self, trace_id: Optional[str] = None) -> None:
         self.spans: List[Span] = []
         #: When set (the per-request tracers of :mod:`repro.serve`), every
         #: span this tracer finishes is stamped with it.
         self.trace_id = trace_id
-        self._exporter = exporter
         self._stack: List[int] = []
         self._next_id = 1
         # One consistent clock pair, captured once: every span timestamp is
@@ -167,7 +124,7 @@ class Tracer:
         finally:
             span.duration_s = time.perf_counter() - start
             self._stack.pop()
-            self._finish(span)
+            self.spans.append(span)
 
     def record(
         self,
@@ -206,29 +163,15 @@ class Tracer:
             trace_id=self.trace_id,
         )
         self._next_id += 1
-        self._finish(span)
-        return span
-
-    def _finish(self, span: Span) -> None:
         self.spans.append(span)
-        if self._exporter is not None:
-            self._exporter(span)
+        return span
 
     # -- inspection -------------------------------------------------------
 
-    def export(self, target: Union[str, IO[str], JsonLinesExporter]) -> None:
-        """Write all collected spans to ``target`` as JSON lines.
-
-        ``target`` may be a path, an open text file, or an existing
-        :class:`JsonLinesExporter` (left open for the caller to close).
-        """
-        if isinstance(target, JsonLinesExporter):
-            for span in self.spans:
-                target(span)
-            return
-        with JsonLinesExporter(target) as exporter:
-            for span in self.spans:
-                exporter(span)
+    def export(self, target: Union[str, IO[str]]) -> int:
+        """Write all collected spans as JSON lines to a path (truncated) or
+        an open text file; returns the count."""
+        return write_jsonl(target, (span.to_dict() for span in self.spans))
 
     def find(self, name: str) -> List[Span]:
         """All finished spans with the given name."""

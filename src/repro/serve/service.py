@@ -55,13 +55,12 @@ Per-request observability rides the same submit path:
 from __future__ import annotations
 
 import asyncio
-import json
 import time
 from contextlib import nullcontext
 from typing import IO, Any, Dict, Optional, Sequence, Set, Tuple, Union
 
 from ..obs.metrics import MetricKey, MetricsRegistry, metric_key
-from ..obs.records import RecordLog
+from ..obs.records import RecordLog, write_jsonl
 from ..obs.scope import use_scope
 from ..obs.trace import Tracer, new_trace_id
 from .engine import (
@@ -324,20 +323,19 @@ class QueryService:
         each request, but two requests' spans never alias each other in
         downstream tree rebuilds.
         """
-        if isinstance(target, str):
-            with open(target, "w", encoding="utf-8") as f:
-                return self.export_traces(f)
-        count = 0
-        for spans in self.traces.records():
-            for span in spans:
-                doc = dict(span)
-                prefix = doc["trace_id"]
-                doc["span_id"] = f"{prefix}:{doc['span_id']}"
-                if doc["parent_id"] is not None:
-                    doc["parent_id"] = f"{prefix}:{doc['parent_id']}"
-                target.write(json.dumps(doc, sort_keys=True) + "\n")
-                count += 1
-        return count
+
+        def namespaced(span: Dict[str, Any]) -> Dict[str, Any]:
+            doc = dict(span)
+            prefix = doc["trace_id"]
+            doc["span_id"] = f"{prefix}:{doc['span_id']}"
+            if doc["parent_id"] is not None:
+                doc["parent_id"] = f"{prefix}:{doc['parent_id']}"
+            return doc
+
+        return write_jsonl(
+            target,
+            (namespaced(span) for spans in self.traces.records() for span in spans),
+        )
 
     # -- bookkeeping ------------------------------------------------------
 

@@ -1,11 +1,10 @@
-"""Tests for the span tracer and its JSON-lines exporter."""
+"""Tests for the span tracer and its JSON-lines export."""
 
 import io
 import json
 import time
 
 from repro.obs import (
-    JsonLinesExporter,
     Span,
     Tracer,
     current_scope,
@@ -126,67 +125,19 @@ class TestJsonLinesExport:
                 "attributes",
             }
 
-    def test_streaming_exporter(self):
-        buf = io.StringIO()
-        t = Tracer(exporter=JsonLinesExporter(buf))
-        with t.span("stage"):
-            pass
-        assert json.loads(buf.getvalue())["name"] == "stage"
-
     def test_exporter_to_path(self, tmp_path):
         path = tmp_path / "trace.jsonl"
-        with JsonLinesExporter(str(path)) as exporter:
-            exporter(
-                Span(
-                    span_id=1,
-                    parent_id=None,
-                    name="s",
-                    start_unix_s=0.0,
-                    duration_s=1.0,
-                )
-            )
+        t = Tracer()
+        t.record("s", 1.0)
+        assert t.export(str(path)) == 1
         assert json.loads(path.read_text())["name"] == "s"
-
-    def test_reuse_after_close_appends(self, tmp_path):
-        # A close/reuse cycle must not truncate earlier spans: the first
-        # open truncates, later reopens append.
-        path = tmp_path / "trace.jsonl"
-        exporter = JsonLinesExporter(str(path))
-
-        def emit(span_id, name):
-            exporter(
-                Span(
-                    span_id=span_id,
-                    parent_id=None,
-                    name=name,
-                    start_unix_s=0.0,
-                    duration_s=1.0,
-                )
-            )
-
-        emit(1, "first")
-        exporter.close()
-        emit(2, "second")
-        exporter.close()
-        names = [
-            json.loads(line)["name"]
-            for line in path.read_text().strip().splitlines()
-        ]
-        assert names == ["first", "second"]
 
     def test_fresh_exporter_truncates(self, tmp_path):
         path = tmp_path / "trace.jsonl"
         path.write_text("stale line\n")
-        with JsonLinesExporter(str(path)) as exporter:
-            exporter(
-                Span(
-                    span_id=1,
-                    parent_id=None,
-                    name="new",
-                    start_unix_s=0.0,
-                    duration_s=1.0,
-                )
-            )
+        t = Tracer()
+        t.record("new", 1.0)
+        t.export(str(path))
         lines = path.read_text().strip().splitlines()
         assert len(lines) == 1
         assert json.loads(lines[0])["name"] == "new"
@@ -225,17 +176,18 @@ class TestGlobalTracer:
 
 
 class TestExportTargets:
-    """Tracer.export accepts a path, an open file, or an exporter."""
+    """Tracer.export accepts a path or an open file, and writes the same."""
 
-    def test_export_accepts_existing_exporter(self, tmp_path):
-        tracer = Tracer()
-        tracer.record("stage", 0.5)
+    def test_export_to_path_or_open_file_writes_the_same_lines(self, tmp_path):
+        tracer = Tracer(trace_id="t1")
+        with tracer.span("outer"):
+            tracer.record("stage", 0.5, pairs=3)
         out = tmp_path / "spans.jsonl"
-        exporter = JsonLinesExporter(str(out))
-        tracer.export(exporter)
-        # Left open for the caller: a second export appends nothing new
-        # to the caller's lifecycle management.
-        exporter.close()
-        lines = out.read_text().splitlines()
-        assert len(lines) == 1
-        assert json.loads(lines[0])["name"] == "stage"
+        assert tracer.export(str(out)) == 2
+        buf = io.StringIO()
+        assert tracer.export(buf) == 2
+        assert out.read_text() == buf.getvalue()
+        lines = buf.getvalue().splitlines()
+        # One sorted-key JSON object per span, in finish order.
+        assert lines == [json.dumps(s.to_dict(), sort_keys=True) for s in tracer.spans]
+        assert [json.loads(line)["name"] for line in lines] == ["stage", "outer"]

@@ -26,8 +26,8 @@ from repro.obs import (
     replay_events,
     use_recorder,
 )
+from repro.obs import records
 from repro.obs.__main__ import main as obs_main
-from repro.obs.capture import write_events
 from repro.query import IntersectionJoin, IntersectionSelection
 
 from ..strategies import polygon_pairs_nearby
@@ -43,10 +43,10 @@ def pair_window(a, b):
     return a.mbr.union(b.mbr).expand(1.0)
 
 
-def record_pair_test(method, a, b, snapshot=True):
+def record_pair_test(method, a, b, snapshot=True, path=None):
     """One per-pair hardware test under a fresh recorder."""
     test = hw_test(method)
-    recorder = CommandRecorder()
+    recorder = CommandRecorder(path)
     with use_recorder(recorder):
         verdict = test.intersection_verdict(a, b, pair_window(a, b))
         plane = "stencil" if method == "stencil" else "color"
@@ -104,22 +104,27 @@ class TestZeroOverheadDefault:
 
 
 class TestRecorderRing:
-    def test_max_events_bounds_memory(self, dataset_a, dataset_b):
-        recorder = CommandRecorder(max_events=5)
+    def test_max_events_bounds_memory(self, tmp_path, monkeypatch, dataset_a, dataset_b):
+        """A streamed capture is bounded in memory and whole on disk."""
+        monkeypatch.setattr(records, "MAX_RECORDS", 5)
         a, b = dataset_a.polygons[0], dataset_b.polygons[0]
-        test = hw_test()
-        with use_recorder(recorder):
-            test.intersection_verdict(a, b, pair_window(a, b))
-        assert len(recorder.events) == 5
-        assert recorder.dropped > 0
-        # Sequence numbers stay global: the tail of the full stream.
-        seqs = [e["seq"] for e in recorder.events]
-        assert seqs == sorted(seqs)
-        assert seqs[-1] == recorder.dropped + len(recorder.events) - 1
-
-    def test_bad_max_events_rejected(self):
-        with pytest.raises(ValueError):
-            CommandRecorder(max_events=0)
+        path = tmp_path / "ring.jsonl"
+        for _ in range(2):  # the second capture to the path starts it empty
+            recorder = CommandRecorder(str(path))
+            with use_recorder(recorder):
+                hw_test().intersection_verdict(a, b, pair_window(a, b))
+            log = recorder.log
+            assert len(recorder.events) == 5
+            assert log.evicted == log.added - 5 > 0
+            # Sequence numbers stay global: the tail of the full stream.
+            seqs = [e["seq"] for e in recorder.events]
+            assert seqs == list(range(log.evicted, log.added))
+            on_disk = load_capture(str(path))
+            assert [e["seq"] for e in on_disk] == list(range(log.added))
+            assert on_disk[-5:] == json.loads(json.dumps(recorder.events))
+            replay = replay_capture(str(path))
+            replay.assert_ok()
+            assert replay.events_replayed == log.added
 
     def test_truncated_capture_fails_loudly_on_replay(self, dataset_a):
         a, b = dataset_a.polygons[0], dataset_a.polygons[1]
@@ -132,9 +137,8 @@ class TestRecorderRing:
 class TestPersistence:
     def test_jsonl_round_trip(self, tmp_path, dataset_a):
         a, b = dataset_a.polygons[0], dataset_a.polygons[1]
-        recorder, _ = record_pair_test("accum", a, b)
         path = tmp_path / "cap.jsonl"
-        write_events(str(path), recorder.events)
+        recorder, _ = record_pair_test("accum", a, b, path=str(path))
         loaded = load_capture(str(path))
         assert loaded == json.loads(json.dumps(recorder.events))
         replay_events(loaded).assert_ok()
@@ -150,9 +154,9 @@ class TestPersistence:
 
     def test_schema_header_written_and_checked(self, tmp_path):
         path = tmp_path / "cap.jsonl"
-        write_events(str(path), CommandRecorder().events)
-        first = path.read_text().splitlines()[0]
-        assert json.loads(first) == {"schema": CAPTURE_SCHEMA}
+        path.write_text("stale line\n")
+        CommandRecorder(str(path))
+        assert path.read_text() == json.dumps({"schema": CAPTURE_SCHEMA}) + "\n"
         path.write_text('{"schema": "repro.obs/capture@99"}\n')
         with pytest.raises(ValueError, match="schema"):
             load_capture(str(path))
@@ -168,11 +172,10 @@ class TestPersistence:
     def test_streaming_capture_replayable(self, tmp_path, dataset_a):
         a, b = dataset_a.polygons[0], dataset_a.polygons[1]
         path = tmp_path / "stream.jsonl"
-        recorder = CommandRecorder(stream=str(path))
+        recorder = CommandRecorder(str(path))
         test = hw_test()
         with use_recorder(recorder):
             test.intersection_verdict(a, b, pair_window(a, b))
-        recorder.close()
         assert load_capture(str(path)) == json.loads(
             json.dumps(recorder.events)
         )
@@ -316,12 +319,11 @@ class TestQueryCaptureReplay:
         engine = HardwareEngine(HardwareConfig(resolution=8))
         selection = IntersectionSelection(dataset_b, engine)
         query = dataset_a.polygons[0]
-        recorder = CommandRecorder()
+        path = tmp_path / "selection.jsonl"
+        recorder = CommandRecorder(str(path))
         with use_recorder(recorder):
             result = selection.run(query)
         assert recorder.events  # the query actually reached the hardware
-        path = tmp_path / "selection.jsonl"
-        write_events(str(path), recorder.events)
         replay = replay_capture(str(path))
         replay.assert_ok()
         assert replay.checks > 0

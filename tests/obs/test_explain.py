@@ -15,8 +15,8 @@ import pytest
 from repro.bench.experiments import per_pair_engine
 from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 from repro.obs.__main__ import main as obs_main
-from repro.obs import CommandRecorder, use_recorder
-from repro.obs.capture import write_events
+from repro.obs import CAPTURE_SCHEMA, CommandRecorder, use_recorder
+from repro.obs.records import write_jsonl
 from repro.obs.explain import (
     EXPLAIN_SCHEMA,
     FUNNEL_STAGES,
@@ -432,17 +432,16 @@ class TestCli:
         assert obs_main(["explain", str(tmp_path / "nope.json")]) == 2
 
     def test_replay_cli_round_trip(self, tmp_path, capsys, dataset_a, dataset_b):
-        recorder = CommandRecorder()
+        path = tmp_path / "cap.jsonl"
+        recorder = CommandRecorder(str(path))
         with use_recorder(recorder):
             IntersectionJoin(dataset_a, dataset_b, hw_engine()).run()
-        path = tmp_path / "cap.jsonl"
-        write_events(str(path), recorder.events)
         assert obs_main(["replay", str(path)]) == 0
         assert "MATCH" in capsys.readouterr().out
         events = json.loads(json.dumps(recorder.events))
         tampered = [e for e in events if e["cmd"] == "tile_batch"]
         assert tampered
         tampered[0]["atlas_digest"] = "0" * 64
-        write_events(str(path), events)
+        write_jsonl(str(path), [{"schema": CAPTURE_SCHEMA}, *events])
         assert obs_main(["replay", str(path)]) == 1
         assert "DIVERGED" in capsys.readouterr().out

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from repro.obs import JsonLinesExporter, Tracer
+from repro.obs import Tracer
 from repro.obs.__main__ import main as obs_main
 from repro.obs.report import (
     analyze,
@@ -39,9 +39,10 @@ SAMPLE = [
 class TestLoadSpans:
     def test_reads_jsonl(self, tmp_path):
         path = tmp_path / "spans.jsonl"
-        tracer = Tracer(JsonLinesExporter(str(path)))
+        tracer = Tracer()
         with tracer.span("outer"):
             tracer.record("inner", 0.01)
+        tracer.export(str(path))
         spans = load_spans(str(path))
         assert [s["name"] for s in spans] == ["inner", "outer"]
 
@@ -152,7 +153,9 @@ class TestTopSelf:
 class TestCli:
     def test_report_command(self, tmp_path, capsys):
         path = tmp_path / "spans.jsonl"
-        Tracer(JsonLinesExporter(str(path))).record("stage", 0.02)
+        tracer = Tracer()
+        tracer.record("stage", 0.02)
+        tracer.export(str(path))
         assert obs_main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "stage" in out
@@ -164,9 +167,10 @@ class TestCli:
 
     def test_report_command_top(self, tmp_path, capsys):
         path = tmp_path / "spans.jsonl"
-        tracer = Tracer(JsonLinesExporter(str(path)))
+        tracer = Tracer()
         tracer.record("fast", 0.01)
         tracer.record("slow", 0.5)
+        tracer.export(str(path))
         assert obs_main(["report", str(path), "--top", "1"]) == 0
         out = capsys.readouterr().out
         assert "== top 1 by self time ==" in out
@@ -176,7 +180,9 @@ class TestCli:
     def test_report_limit_must_be_positive(self, tmp_path, capsys, limit):
         # Passed to the slice, 0 would print every row and -1 drop the last.
         path = tmp_path / "spans.jsonl"
-        Tracer(JsonLinesExporter(str(path))).record("stage", 0.02)
+        tracer = Tracer()
+        tracer.record("stage", 0.02)
+        tracer.export(str(path))
         with pytest.raises(SystemExit) as exc:
             obs_main(["report", str(path), "--limit", limit])
         assert exc.value.code == 2

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import JsonLinesExporter, Tracer
+from repro.obs import Tracer
 from repro.obs.__main__ import main as obs_main
 from repro.obs.timeline import (
     TIMELINE_SCHEMA,
@@ -114,8 +114,9 @@ class TestWriteAndSummary:
 
     def test_write_timeline_from_span_file(self, tmp_path):
         trace = tmp_path / "spans.jsonl"
-        tracer = Tracer(JsonLinesExporter(str(trace)))
+        tracer = Tracer()
         tracer.record("stage", 0.02)
+        tracer.export(str(trace))
         doc = write_timeline(str(tmp_path / "t.json"), str(trace))
         assert doc["metadata"]["spans"] == 1
 
@@ -128,9 +129,10 @@ class TestWriteAndSummary:
 class TestCli:
     def test_timeline_command(self, tmp_path, capsys):
         trace = tmp_path / "spans.jsonl"
-        tracer = Tracer(JsonLinesExporter(str(trace)))
+        tracer = Tracer()
         with tracer.span("request"):
             tracer.record("stage", 0.01)
+        tracer.export(str(trace))
         out = tmp_path / "timeline.json"
         assert obs_main(["timeline", str(trace), "--out", str(out)]) == 0
         stdout = capsys.readouterr().out

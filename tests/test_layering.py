@@ -4,8 +4,10 @@
   never import the serving layer (``repro.serve``) above them;
 * the simulated card (``repro.gpu``) knows nothing about memoization
   (``repro.cache``);
-* the ambient scope, the tracer and the metrics registry import nothing
-  from the rest of ``repro`` at run time, so every layer may import them.
+* the ambient scope, the tracer, the metrics registry and the record
+  writer import nothing from the rest of ``repro`` at run time but each
+  other (the tracer writes its JSONL through the record writer), so every
+  layer may import them.
 """
 
 import ast
@@ -13,7 +15,8 @@ from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 LOWER_LAYERS = ("geometry", "gpu", "core", "filters", "index", "cache")
-LEAF_MODULES = ("obs/scope.py", "obs/trace.py", "obs/metrics.py")
+LEAF_MODULES = ("obs/scope.py", "obs/trace.py", "obs/metrics.py", "obs/records.py")
+LEAF_NAMES = tuple("repro." + leaf[: -len(".py")].replace("/", ".") for leaf in LEAF_MODULES)
 
 
 def _is_type_checking_block(node):
@@ -85,6 +88,6 @@ def test_scope_trace_and_metrics_are_leaves():
             SRC / "repro" / leaf,
             ast.parse((SRC / "repro" / leaf).read_text(encoding="utf-8")),
         )
-        if _within(name, "repro")
+        if _within(name, "repro") and not any(_within(name, ok) for ok in LEAF_NAMES)
     ]
     assert not offenders, offenders

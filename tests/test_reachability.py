@@ -35,7 +35,6 @@ KEPT = {
     "load_dataset_wkt": "outside-data door",
     "save_dataset_wkt": "outside-data door",
     "load_alert_log": "outside-data door",
-    "write_events": "outside-data door",
     "RefinementEngine.contains_properly": "read by tests of the containment stage's per-pair protocol",
     "_StagedEngine.contains_properly": "read by tests of the containment stage's per-pair protocol",
     "IntervalApproximation.cell_ids": "read by tests of the interval lists against cell sets",
