@@ -20,6 +20,7 @@ import time
 
 from ..cache import CacheConfig
 from ..obs.capture import CommandRecorder
+from ..obs.cli import run_main
 from ..obs.metrics import MetricsRegistry
 from ..obs.runreport import (
     build_run_report,
@@ -132,4 +133,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_main(main))

@@ -29,9 +29,11 @@ import numpy as np
 
 from .point_in_polygon import edge_bounds
 from .runs import expand_runs
+from .workspace import Workspace
 
 #: Edges per block box (16 and 64 cull slower on the join workloads).
 BLOCK = 32
+_LANES = np.arange(BLOCK)
 
 
 def boxes_meet(boxes: np.ndarray, cull: np.ndarray) -> np.ndarray:
@@ -103,20 +105,48 @@ class EdgeStore:
         """How many edges each of ``rows`` holds."""
         return self.offsets.take(rows + 1) - self.offsets.take(rows)
 
-    def cull(self, rows: np.ndarray, boxes: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    def cull(
+        self, rows: np.ndarray, boxes: np.ndarray, ws: Workspace
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """``(tile, edge)``: the edges of row ``rows[t]`` whose box meets
         ``boxes[:, t]`` (``lo_x, lo_y, hi_x, hi_y``), tile by tile and in row
         order within a tile - one block test over the rows' block ranges,
-        then one edge test over the blocks that pass."""
+        then one edge test over the :data:`BLOCK` lanes of every block that
+        passes.  The two results are views of ``ws``, taken in the caller's
+        frame."""
         first = self.block_offsets.take(rows)
         tile, block = expand_runs(first, self.block_offsets.take(rows + 1) - first)
-        near = boxes_meet(self.block_boxes.take(block, axis=1), boxes.take(tile, axis=1))
+        m = block.shape[0]
+        with ws.frame():
+            near = boxes_meet(
+                self.block_boxes.take(block, axis=1, out=ws.array((4, m)), mode="clip"),
+                boxes.take(tile, axis=1, out=ws.array((4, m)), mode="clip"),
+            )
         tile, block = tile.compress(near), block.compress(near)
+        # Lane j of a block is its j-th edge, live below the block's edge
+        # count; a dead lane past the store's last edge reads that edge.
         start = self.block_edges.take(block)
-        run, edge = expand_runs(start, self.block_edges.take(block + 1) - start)
-        tile = tile.take(run)
-        near = boxes_meet(self.bounds.take(edge, axis=1), boxes.take(tile, axis=1))
-        return tile.compress(near), edge.compress(near)
+        b = block.shape[0]
+        with ws.frame():
+            lanes = np.add(start[:, None], _LANES, out=ws.array((b, BLOCK), np.intp))
+            near = boxes_meet(
+                self.bounds.take(lanes, axis=1, out=ws.array((4, b, BLOCK)), mode="clip"),
+                boxes.take(tile, axis=1)[:, :, None],
+            )
+            near &= np.less(
+                _LANES,
+                (self.block_edges.take(block + 1) - start)[:, None],
+                out=ws.array((b, BLOCK), bool),
+            )
+        # Entry b * BLOCK + j of ``near`` is lane j of block b; ``entry``
+        # is this call's own array, so it holds the lanes, then the tiles.
+        entry = np.flatnonzero(near)
+        tile_of, edge = ws.array((2, entry.shape[0]), np.intp)
+        block_of = np.floor_divide(entry, BLOCK, out=tile_of)
+        start.take(block_of, out=edge, mode="clip")
+        edge += np.remainder(entry, BLOCK, out=entry)
+        np.copyto(tile_of, tile.take(block_of, out=entry, mode="clip"))
+        return tile_of, edge
 
 
 __all__ = ["EdgeStore", "boxes_meet"]

@@ -37,6 +37,7 @@ import numpy as np
 from ..geometry.edge_store import boxes_meet
 from ..geometry.point_in_polygon import edge_bounds
 from ..geometry.rect import Rect
+from ..geometry.workspace import Workspace
 from ..obs.scope import current_scope
 from .counters import CostCounters
 from .framebuffer import Framebuffer
@@ -78,23 +79,32 @@ def window_scales(width: int, height: int, windows: np.ndarray) -> np.ndarray:
     return np.where(np.where(h > w, h, w) <= 0.0, 1.0, np.where(sy < sx, sy, sx))
 
 
-def clip_keep(edges: np.ndarray, pad, width: int, height: int) -> np.ndarray:
+def clip_keep(
+    edges: np.ndarray, pad, width: int, height: int, workspace: Optional[Workspace] = None
+) -> np.ndarray:
     """The clipping stage: which window-space edges can touch the viewport.
 
     ``edges`` is ``(E, 4)`` (x0 y0 x1 y1); an edge survives when its
     bounding box, grown by ``pad`` pixels (scalar, or one per edge) for
-    the widened footprint, meets the ``width x height`` pixel grid.
+    the widened footprint, meets the ``width x height`` pixel grid.  The
+    result is taken from ``workspace`` (a fresh one when None) in its
+    caller's frame.
     """
-    x_lo = np.minimum(edges[:, 0], edges[:, 2])
-    x_hi = np.maximum(edges[:, 0], edges[:, 2])
-    y_lo = np.minimum(edges[:, 1], edges[:, 3])
-    y_hi = np.maximum(edges[:, 1], edges[:, 3])
-    return (
-        (x_hi >= -pad)
-        & (x_lo <= width + pad)
-        & (y_hi >= -pad)
-        & (y_lo <= height + pad)
-    )
+    ws = Workspace() if workspace is None else workspace
+    n = edges.shape[0]
+    keep = ws.array(n, bool)
+    keep.fill(True)
+    with ws.frame():
+        lo, hi, limit = ws.array((3, n))
+        test = ws.array(n, bool)
+        np.negative(pad, out=limit)
+        for axis, size in ((0, width), (1, height)):
+            np.minimum(edges[:, axis], edges[:, axis + 2], out=lo)
+            np.maximum(edges[:, axis], edges[:, axis + 2], out=hi)
+            keep &= np.greater_equal(hi, limit, out=test)
+            np.add(pad, size, out=hi)
+            keep &= np.less_equal(lo, hi, out=test)
+    return keep
 
 
 def cull_boxes(

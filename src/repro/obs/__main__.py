@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import sys
 
+from .cli import run_main
 from .compare import compare_reports
 from .explain import funnels_from_snapshot, render_funnels, write_explain
 from .report import analyze, render_report
@@ -197,4 +198,4 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_main(main))

@@ -23,6 +23,7 @@ from typing import List, Optional
 from ..bench.scales import DEFAULT_SCALE, SCALES
 from ..cache import CacheConfig
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL
+from ..obs.cli import run_main
 from ..obs.runreport import write_run_report
 from ..obs.slo import default_objectives
 from .engine import AdmissionConfig, WorkloadConfig
@@ -419,4 +420,4 @@ def main(argv: Optional[List[str]] = None) -> int:
 
 
 if __name__ == "__main__":
-    raise SystemExit(main())
+    raise SystemExit(run_main(main))

@@ -1,6 +1,8 @@
 """Tests for the tiled batch-rendering layer (atlas packing, verdicts)."""
 
+import dataclasses
 import math
+import threading
 import types
 
 import numpy as np
@@ -9,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro.gpu.tiled as tiled_module
+from repro import HardwareConfig, HardwareEngine
 from repro.core import OVERLAP_THRESHOLD
 from repro.geometry import Rect
 from repro.geometry.edge_store import EdgeStore
@@ -16,6 +19,7 @@ from repro.gpu import (
     DeviceLimits,
     GraphicsPipeline,
     TiledPipeline,
+    raster_bulk,
 )
 from repro.gpu.pipeline import clip_keep, cull_boxes
 from repro.gpu.state import DEFAULT_AA_LINE_WIDTH
@@ -325,7 +329,9 @@ class TestCullBeforeTransform:
         spied = tiled_module.edges_coverage_masks_grouped
 
         def spy(shape, edges, group_sizes, *args, **kwargs):
-            rasterized.append((edges, list(group_sizes)))
+            # The draw's edges are a view of the pipeline's workspace,
+            # which the next draw overwrites: keep a copy.
+            rasterized.append((edges.copy(), list(group_sizes)))
             return spied(shape, edges, group_sizes, *args, **kwargs)
 
         tiled = make_tiled()
@@ -382,3 +388,117 @@ class TestCullBeforeTransform:
         assert clipped == [1, 0]  # far_x reached the clip; far_y never did
         assert tiled.counters.edges_clipped_away == 2
         assert tiled.counters.edges_rendered == 0
+
+
+# -- the pipeline's workspace and the k-tile atlas assembly ------------------
+
+
+def full_atlas_assembly(tiled, masks_a, masks_b):
+    """The atlas and per-tile maxima the way every tile used to be built:
+    a zeroed ``capacity``-tile stack, transposed into the whole atlas and
+    reduced in full (the oracle of ``TiledPipeline._accumulate``)."""
+    k = masks_a.shape[0]
+    tiles = np.zeros(
+        (tiled.capacity, tiled.tile_height, tiled.tile_width), dtype=np.float32
+    )
+    tiles[:k] = (masks_a.astype(np.float32) + masks_b.astype(np.float32)) * np.float32(0.5)
+    grid = (tiled.grid_rows, tiled.grid_cols, tiled.tile_height, tiled.tile_width)
+    atlas = tiles.reshape(grid).transpose(0, 2, 1, 3).reshape(tiled.fb.height, tiled.fb.width)
+    tile_max = (
+        atlas.reshape(tiled.grid_rows, tiled.tile_height, tiled.grid_cols, tiled.tile_width)
+        .max(axis=(1, 3))
+        .reshape(-1)[:k]
+    )
+    return atlas, tile_max
+
+
+def random_batch(rng, tiles, edges_per_side):
+    """``(edge sets a, edge sets b, windows, widths, caps)`` of one batch:
+    ``tiles`` pairs of up to ``edges_per_side`` edges around one window."""
+    windows, sides = [], ([], [])
+    for _ in range(tiles):
+        x, y = rng.uniform(-50.0, 50.0, 2)
+        size = rng.choice([0.0, 0.5, 8.0, 30.0])
+        windows.append(Rect(x, y, x + size, y + size * rng.uniform(0.5, 1.5)))
+        for side in sides:
+            n = int(rng.integers(0, edges_per_side + 1))
+            start = rng.uniform([x - 4, y - 4], [x + size + 4, y + size + 4], (n, 2))
+            end = start + rng.normal(0.0, size / 3 + 0.5, (n, 2))
+            if n and rng.random() < 0.2:
+                end[0] = start[0]  # a degenerate edge
+            side.append(np.hstack([start, end]))
+    widths = (
+        rng.uniform(0.5, 4.0, tiles) if rng.random() < 0.5 else DEFAULT_AA_LINE_WIDTH
+    )
+    return sides[0], sides[1], windows, widths, bool(rng.random() < 0.5)
+
+
+#: Batch shapes ``(tiles, edges per side)`` that grow and shrink the
+#: workspace: more tiles than one atlas holds, then fewer and smaller ones.
+SHAPES = [(3, 4), (40, 30), (1, 1), (300, 12), (7, 60), (2, 0), (60, 5)]
+
+
+def run_batch(tiled, batch):
+    edges_a, edges_b, windows, widths, caps = batch
+    before = dataclasses.asdict(tiled.counters)
+    flags = tiled.overlap_flags(
+        rows(edges_a), rows(edges_b), windows, widths_px=widths,
+        cap_points=caps, threshold=OVERLAP_THRESHOLD,
+    )
+    after = dataclasses.asdict(tiled.counters)
+    delta = {name: after[name] - before[name] for name in after}
+    return flags.tolist(), tiled.fb.color.tobytes(), delta
+
+
+def batches(seed):
+    rng = np.random.default_rng(seed)
+    return [random_batch(rng, *shape) for shape in SHAPES]
+
+
+class TestWorkspace:
+    @pytest.mark.parametrize("budget", [None, 1], ids=["budget", "budget-1"])
+    def test_a_reused_workspace_leaks_nothing(self, budget, monkeypatch):
+        # Batch by batch, one pipeline (and its workspace) must answer as a
+        # fresh one does: flags, the atlas bytes, the counter deltas.
+        if budget is not None:
+            monkeypatch.setattr(raster_bulk, "_CHUNK_BUDGET", budget)
+        shared = make_tiled(max_tiles=64)
+        for batch in batches(seed=44 if budget is None else 45):
+            assert run_batch(shared, batch) == run_batch(make_tiled(max_tiles=64), batch)
+
+    def test_engines_on_two_threads_match_their_serial_runs(self):
+        seeds = (7, 8)
+        serial = [
+            [run_batch(make_tiled(max_tiles=64), b) for b in batches(seed)]
+            for seed in seeds
+        ]
+        engines = [HardwareEngine(HardwareConfig(resolution=8, batch_tiles=64)) for _ in seeds]
+        results = [[], []]
+
+        def drive(i):
+            for _ in range(3):
+                results[i].append([run_batch(engines[i].hw.tiled, b) for b in batches(seeds[i])])
+
+        threads = [threading.Thread(target=drive, args=(i,)) for i in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        for i in range(2):
+            assert results[i] == [serial[i]] * 3
+
+    @pytest.mark.parametrize("max_tiles, limit", [(256, 4096), (10, 4096), (256, 40)])
+    def test_k_tile_assembly_matches_the_full_atlas(self, max_tiles, limit):
+        tiled = make_tiled(max_tiles=max_tiles, limits=DeviceLimits(max_viewport=limit))
+        rng = np.random.default_rng(max_tiles + limit)
+        cols = tiled.grid_cols
+        for k in sorted({1, cols - 1, cols, cols + 1, 2 * cols, tiled.capacity, 5} - {0}):
+            k = min(k, tiled.capacity)
+            shape = (k, tiled.tile_height, tiled.tile_width)
+            masks_a, masks_b = rng.random(shape) < 0.3, rng.random(shape) < 0.3
+            tiled.fb.color.fill(7.0)  # a stale atlas the clear must erase
+            tiled.fb.clear_color()
+            tile_max = tiled._accumulate(masks_a, masks_b)
+            atlas, expected_max = full_atlas_assembly(tiled, masks_a, masks_b)
+            assert tiled.fb.color.tobytes() == atlas.tobytes()
+            assert tile_max.tobytes() == expected_max.tobytes()
