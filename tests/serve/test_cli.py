@@ -1,8 +1,17 @@
-"""The serve CLI refuses an out-of-range flag as a usage error (exit 2)."""
+"""The serve CLI refuses an out-of-range flag as a usage error (exit 2),
+and a client command names a server that drops its connection."""
 
 import os
+import socket
+import struct
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.serve.__main__ import main as serve_main
 
@@ -83,3 +92,36 @@ def test_bad_client_flag_exits_2_naming_the_flag(case, capsys):
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err
     assert "Traceback" not in err
+
+
+def test_ping_names_a_server_that_drops_the_connection():
+    # The server accepts and resets the connection at once (SO_LINGER 0).
+    # The command fails with the socket's error on stderr: a dead server
+    # must not look like a stdout reader that stopped early.
+    with socket.create_server(("127.0.0.1", 0)) as listener:
+
+        def drop_one():
+            conn, _ = listener.accept()
+            conn.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER, struct.pack("ii", 1, 0))
+            conn.close()
+
+        dropper = threading.Thread(target=drop_one, daemon=True)
+        dropper.start()
+        src = str(Path(repro.__file__).resolve().parent.parent)
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro.serve", "ping",
+             "--port", str(listener.getsockname()[1]), "--timeout", "10"],
+            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path),
+            timeout=60,
+        )
+        dropper.join(timeout=10)
+    assert proc.returncode != 0
+    assert proc.stdout == b""
+    err = proc.stderr.decode()
+    assert "Traceback" in err, err
+    assert any(
+        name in err
+        for name in ("ConnectionResetError", "ConnectionError", "BrokenPipeError")
+    ), err
