@@ -21,11 +21,12 @@ positive result and skips geometry comparison entirely (paper section
 Both bounds are proven upper bounds (property-tested against the exact
 distance), so filter positives are always true positives.
 
-Neither walks ``Point`` objects.  The 0-Object bound takes ``math.hypot``
-once per distinct corner pair; the 1-Object bound ranks every (side, vertex)
-entry by squared distance over the coordinate array and takes ``math.hypot``
-only on the entries the squares cannot separate from the minimum
-(:mod:`repro.geometry.hypot_order`), so its value is the vertex loop's.
+Neither walks ``Point`` objects.  The 0-Object bound is 16 ``math.hypot``
+calls over the eight differences between the MBRs' sides; the 1-Object
+bound ranks every (side, vertex) entry by squared distance over the
+coordinate array and takes ``math.hypot`` only on the entries the squares
+cannot separate from the minimum (:mod:`repro.geometry.hypot_order`), so its
+value is the vertex loop's.
 """
 
 from __future__ import annotations
@@ -40,25 +41,41 @@ from ..geometry.rect import Rect
 
 
 #: Which x side and which y side (0 = min, 1 = max) each MBR corner takes,
-#: counter-clockwise from (xmin, ymin) as ``Rect.corners`` lists them.
+#: counter-clockwise from (xmin, ymin), and the two corners of each MBR side
+#: (side ``j`` joins corners ``j`` and ``j + 1``).
 _CORNERS = ((0, 0), (1, 0), (1, 1), (0, 1))
+_SIDE_CORNERS = tuple((_CORNERS[j], _CORNERS[j - 3]) for j in range(4))
 
 
 def zero_object_upper_bound(a: Rect, b: Rect) -> float:
     """Upper bound on the distance between objects with MBRs ``a`` and ``b``."""
-    # 16 side pairs, but only 16 distinct corner pairs between them.
-    cb = b.corners()
-    between = [[math.hypot(p.x - q.x, p.y - q.y) for q in cb] for p in a.corners()]
+    hypot = math.hypot
+    # xij: ``a``'s x side i minus ``b``'s x side j (0 = min, 1 = max).
+    x00, x01 = a.xmin - b.xmin, a.xmin - b.xmax
+    x10, x11 = a.xmax - b.xmin, a.xmax - b.xmax
+    y00, y01 = a.ymin - b.ymin, a.ymin - b.ymax
+    y10, y11 = a.ymax - b.ymin, a.ymax - b.ymax
+    # 16 side pairs, but only 16 distinct corner pairs between them:
+    # rows[i][j] is ``a``'s corner i to ``b``'s corner j.
+    rows = (
+        (hypot(x00, y00), hypot(x01, y00), hypot(x01, y01), hypot(x00, y01)),
+        (hypot(x10, y00), hypot(x11, y00), hypot(x11, y01), hypot(x10, y01)),
+        (hypot(x10, y10), hypot(x11, y10), hypot(x11, y11), hypot(x10, y11)),
+        (hypot(x00, y10), hypot(x01, y10), hypot(x01, y11), hypot(x00, y11)),
+    )
     best = math.inf
     for i in range(4):
-        row0 = between[i]
-        row1 = between[(i + 1) % 4]
-        for j in range(4):
-            k = (j + 1) % 4
-            # Max distance between the two sides = max endpoint pair.
-            side_max = max(row0[j], row0[k], row1[j], row1[k])
-            if side_max < best:
-                best = side_max
+        # Sides i of ``a`` and j of ``b``: the max distance between them is
+        # the max over their endpoint pairs, in the side-pair loop's order.
+        p0, p1, p2, p3 = rows[i]
+        q0, q1, q2, q3 = rows[i - 3]
+        best = min(
+            best,
+            max(p0, p1, q0, q1),
+            max(p1, p2, q1, q2),
+            max(p2, p3, q2, q3),
+            max(p3, p0, q3, q0),
+        )
     return best
 
 
@@ -69,28 +86,29 @@ def one_object_upper_bound(retrieved: Polygon, other_mbr: Rect) -> float:
     side iteration still works because coincident corners repeat.
     """
     r = other_mbr
-    x, y = retrieved.coords_array.T
+    n = len(retrieved.coords_array)
     with np.errstate(over="ignore"):
-        dxs = (x - r.xmin, x - r.xmax)
-        dys = (y - r.ymin, y - r.ymax)
-        x_squares = [d * d for d in dxs]
-        y_squares = [d * d for d in dys]
-        # squared[c, i]: vertex i to corner c, the first corner repeated to
-        # close the ring.  Side j joins corners j and j + 1, and an entry's
-        # bound is the larger of its two corner distances.
-        squared = np.empty((5, len(x)))
-        for c, (cx, cy) in enumerate(_CORNERS + _CORNERS[:1]):
-            np.add(x_squares[cx], y_squares[cy], out=squared[c])
-        side_max = np.maximum(squared[:4], squared[1:])
-
-    def to_corner(c: int, i: int) -> float:
-        cx, cy = _CORNERS[c % 4]
-        return math.hypot(dxs[cx][i], dys[cy][i])
+        # off[axis, s, i]: vertex i's x (axis 0) or y minus the MBR's min
+        # (s = 0) or max side on that axis.
+        sides = np.array(((r.xmin, r.xmax), (r.ymin, r.ymax)))
+        off = retrieved.coords_array.T[:, None, :] - sides[:, :, None]
+        squared = off * off
+        # side_max[j, i]: the larger of vertex i's squared distances to the
+        # two corners of side j.  A side holds one coordinate fixed, and
+        # rounding an addition is monotone, so ``max(x0 + y, x1 + y)`` is
+        # ``max(x0, x1) + y`` bit for bit: rows max_x + y0, x1 + max_y,
+        # max_x + y1, x0 + max_y.
+        far = np.maximum(squared[:, 0], squared[:, 1])
+        side_max = np.empty((4, n))
+        np.add(far[0], squared[1], out=side_max[0::2])
+        np.add(squared[0, ::-1], far[1], out=side_max[1::2])
 
     best = math.inf
     for entry in hypot_min_candidates(side_max).tolist():
-        j, i = divmod(entry, len(x))
-        bound = max(to_corner(j, i), to_corner(j + 1, i))
+        j, i = divmod(entry, n)
+        dxs, dys = off[:, :, i].tolist()
+        (x0, y0), (x1, y1) = _SIDE_CORNERS[j]
+        bound = max(math.hypot(dxs[x0], dys[y0]), math.hypot(dxs[x1], dys[y1]))
         if bound < best:
             best = bound
     return best

@@ -46,14 +46,20 @@ def segment_offsets(px, py, ax, ay, bx, by):
         denom = abx * abx + aby * aby
         t = (pax * abx + pay * aby) / denom
         huge = denom == np.inf
-        if huge.any():
+        if np.count_nonzero(huge):
             sx, sy, qx, qy = (np.ldexp(v, -OVERFLOW_SHIFT) for v in (abx, aby, pax, pay))
-            t = np.where(huge, (qx * sx + qy * sy) / (sx * sx + sy * sy), t)
+            np.copyto(t, (qx * sx + qy * sy) / (sx * sx + sy * sy), where=huge)
+        # The closest point: the projection, then ``b`` where ``t >= 1``,
+        # then ``a`` where ``t <= 0`` or the edge has no length - the
+        # scalar's branches, the later one winning.
         at_a = (denom == 0.0) | (t <= 0.0)
         at_b = t >= 1.0
-        dx = px - np.where(at_a, ax, np.where(at_b, bx, ax + t * abx))
-        dy = py - np.where(at_a, ay, np.where(at_b, by, ay + t * aby))
-    return dx, dy
+        cx = ax + t * abx
+        cy = ay + t * aby
+        for c, b, a in ((cx, bx, ax), (cy, by, ay)):
+            np.copyto(c, b, where=at_b)
+            np.copyto(c, a, where=at_a)
+        return px - cx, py - cy
 
 
 def point_to_boundary_distance(p: Point, polygon: Polygon) -> float:

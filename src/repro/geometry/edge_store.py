@@ -29,7 +29,7 @@ import numpy as np
 
 from .point_in_polygon import edge_bounds
 from .runs import expand_runs
-from .workspace import Workspace
+from .workspace import Workspace, compress
 
 #: Edges per block box (16 and 64 cull slower on the join workloads).
 BLOCK = 32
@@ -127,6 +127,9 @@ class EdgeStore:
         # count; a dead lane past the store's last edge reads that edge.
         start = self.block_edges.take(block)
         b = block.shape[0]
+        # At most every lane is a hit: the results are taken at that size
+        # in the caller's frame and cut to the hits.
+        tile_of, edge = ws.array((2, b * BLOCK), np.intp)
         with ws.frame():
             lanes = np.add(start[:, None], _LANES, out=ws.array((b, BLOCK), np.intp))
             near = boxes_meet(
@@ -138,15 +141,12 @@ class EdgeStore:
                 (self.block_edges.take(block + 1) - start)[:, None],
                 out=ws.array((b, BLOCK), bool),
             )
-        # Entry b * BLOCK + j of ``near`` is lane j of block b; ``entry``
-        # is this call's own array, so it holds the lanes, then the tiles.
-        entry = np.flatnonzero(near)
-        tile_of, edge = ws.array((2, entry.shape[0]), np.intp)
-        block_of = np.floor_divide(entry, BLOCK, out=tile_of)
-        start.take(block_of, out=edge, mode="clip")
-        edge += np.remainder(entry, BLOCK, out=entry)
-        np.copyto(tile_of, tile.take(block_of, out=entry, mode="clip"))
-        return tile_of, edge
+            tiles = ws.array((b, BLOCK), np.intp)
+            tiles[:] = tile[:, None]
+            # Lanes in order are blocks in order, each block's lanes in
+            # order: what is kept is tile by tile, in row order.
+            k = compress(near.ravel(), (tiles.ravel(), lanes.ravel()), (tile_of, edge))
+        return tile_of[:k], edge[:k]
 
 
 __all__ = ["EdgeStore", "boxes_meet"]

@@ -33,6 +33,8 @@ absolute error up to ``2**-1074``, negligible against ``2**-960`` and
 fatal against ``0.0``.  Outside ``[2**-960, 2**960]`` - a zero minimum,
 subnormal offsets, overflowing squares, a NaN - the band is simply
 everything: the same routine evaluates every entry with ``math.hypot``.
+One zero minimum needs no walk: a first zero square whose entry is an
+exact ``(0, 0)`` is the first strict minimum (:func:`_first_min`).
 """
 
 from __future__ import annotations
@@ -60,10 +62,13 @@ def hypot_min_candidates(squares: np.ndarray) -> np.ndarray:
     of the smallest square, so the first strict minimum over the returned
     set, in order, is the first strict minimum over all of them.
     """
-    s_min = squares.min()
+    flat = squares.ravel()
+    # ``argmin`` stops at the first NaN, so ``s_min`` is NaN exactly when
+    # ``min`` would be, and it is the cheaper call.
+    s_min = flat[flat.argmin()]
     if _TINY <= s_min <= _HUGE:
-        return np.flatnonzero(squares.ravel() <= s_min * SLACK)
-    return np.arange(squares.size)
+        return (flat <= s_min * SLACK).nonzero()[0]
+    return np.arange(flat.size)
 
 
 def first_min_hypot(dx: np.ndarray, dy: np.ndarray) -> Tuple[int, float]:
@@ -71,7 +76,42 @@ def first_min_hypot(dx: np.ndarray, dy: np.ndarray) -> Tuple[int, float]:
     what ``if d < best`` finds walking the columns in order (``(-1, inf)``
     when no entry compares below ``inf``, i.e. all are NaN)."""
     with np.errstate(over="ignore", invalid="ignore"):
-        ties = hypot_min_candidates(dx * dx + dy * dy)
+        squares = dx * dx + dy * dy
+    return _first_min(dx, dy, squares)
+
+
+def first_min_hypots(
+    dx: np.ndarray, dy: np.ndarray, cut: int
+) -> Tuple[Tuple[int, float], Tuple[int, float]]:
+    """:func:`first_min_hypot` of ``[:cut]`` and of ``[cut:]`` (indices
+    counted from each half's start), the squares computed once for both."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        squares = dx * dx + dy * dy
+    return (
+        _first_min(dx[:cut], dy[:cut], squares[:cut]),
+        _first_min(dx[cut:], dy[cut:], squares[cut:]),
+    )
+
+
+def _first_min(dx: np.ndarray, dy: np.ndarray, squares: np.ndarray) -> Tuple[int, float]:
+    """:func:`first_min_hypot` given the squares.
+
+    A zero minimum square whose entry is an exact ``(0, 0)`` is decided
+    there: ``hypot`` is zero only at ``(0, 0)``, nothing is below it, and
+    every exact zero squares to zero, so none comes before ``argmin``'s
+    first zero square.  A zero square that underflowed is evaluated like
+    every other guard regime.
+    """
+    first = int(squares.argmin())
+    s_min = squares[first]
+    if _TINY <= s_min <= _HUGE:
+        ties = (squares <= s_min * SLACK).nonzero()[0]
+        if ties.size == 1:
+            return first, math.hypot(dx[first], dy[first])
+    elif s_min == 0.0 and dx[first] == 0.0 and dy[first] == 0.0:
+        return first, 0.0
+    else:
+        ties = np.arange(squares.size)
     best_i, best = -1, math.inf
     for i, x, y in zip(ties.tolist(), dx.take(ties).tolist(), dy.take(ties).tolist()):
         d = math.hypot(x, y)
@@ -93,7 +133,7 @@ def hypot_at_most(dx: np.ndarray, dy: np.ndarray, bound: float) -> np.ndarray:
     limit = bound * bound
     if _TINY <= limit <= _HUGE:
         inside = squares <= limit * (2.0 - SLACK)
-        band = np.flatnonzero((squares <= limit * SLACK) & ~inside)
+        band = ((squares <= limit * SLACK) & ~inside).nonzero()[0]
     else:
         inside = np.zeros(squares.shape, dtype=bool)
         band = np.arange(squares.size)

@@ -35,8 +35,8 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .distance import either_contains, point_to_boundary_distance, segment_offsets
-from .hypot_order import first_min_hypot, hypot_at_most, hypots, min_hypot_columns
+from .distance import either_contains, segment_offsets
+from .hypot_order import first_min_hypots, hypot_at_most, hypots, min_hypot_columns
 from .polygon import Polygon
 from .predicates import segments_intersect_arrays
 from .rect import Rect
@@ -90,16 +90,38 @@ def _gaps_to_rect(xmin, ymin, xmax, ymax, r: Rect):
     return _box_gaps(xmin, ymin, xmax, ymax, r.xmin, r.ymin, r.xmax, r.ymax)
 
 
-def _initial_upper_bound(a: Polygon, b: Polygon) -> float:
-    """Distance from the vertex of ``a`` nearest ``b``'s MBR to ``b``'s boundary.
+def _initial_upper_bounds(a: Polygon, b: Polygon) -> Tuple[float, float]:
+    """minDist's seed both ways: the distance from the vertex of ``a``
+    nearest ``b``'s MBR to ``b``'s boundary, and from the vertex of ``b``
+    nearest ``a``'s MBR to ``a``'s boundary.
 
     Linear in ``len(a) + len(b)`` and usually tight enough to shrink the
-    frontier chains to short stretches of boundary.
+    frontier chains to short stretches of boundary.  Each step is one pass
+    over both polygons - the vertex gaps to the other MBR, then each
+    nearest vertex against the other's edges in one
+    :func:`segment_offsets` - and :func:`first_min_hypots` takes the
+    minimum of each half.
     """
-    x, y = a.coords_array.T
-    nearest, _ = first_min_hypot(*_gaps_to_rect(x, y, x, y, b.mbr))
-    assert nearest >= 0
-    return point_to_boundary_distance(a.vertices[nearest], b)
+    ca, cb = a.coords_array, b.coords_array
+    na, nb = len(ca), len(cb)
+    ra, rb = a.mbr, b.mbr
+    coords = np.concatenate((ca, cb))
+    lo, hi = np.empty_like(coords), np.empty_like(coords)
+    lo[:na] = rb.xmin, rb.ymin
+    hi[:na] = rb.xmax, rb.ymax
+    lo[na:] = ra.xmin, ra.ymin
+    hi[na:] = ra.xmax, ra.ymax
+    # A vertex is a box with min == max: ``_box_gaps``' expression.
+    gaps = np.maximum(np.maximum(coords - hi, 0.0), lo - coords)
+    (ia, _), (ib, _) = first_min_hypots(gaps[:, 0], gaps[:, 1], na)
+    assert ia >= 0 and ib >= 0
+    points = np.empty((nb + na, 2))
+    points[:nb] = ca[ia]
+    points[nb:] = cb[ib]
+    edges = np.concatenate((b.edges_array, a.edges_array))
+    dx, dy = segment_offsets(*points.T, *edges.T)
+    (_, from_a), (_, from_b) = first_min_hypots(dx, dy, nb)
+    return from_a, from_b
 
 
 def _chain(
@@ -116,7 +138,7 @@ def _chain(
     filter off.
     """
     xmin, ymin, xmax, ymax = bounds = polygon.edge_bounds
-    columns = np.concatenate((bounds, polygon.edges_array.T))
+    edges = polygon.edges_array
     keep = None
     if upper is not None:
         keep = hypot_at_most(*_gaps_to_rect(xmin, ymin, xmax, ymax, other_mbr), upper)
@@ -124,7 +146,10 @@ def _chain(
         ext = other_mbr.expand(radius)
         in_ext = (xmin <= ext.xmax) & (ext.xmin <= xmax) & (ymin <= ext.ymax) & (ext.ymin <= ymax)
         keep = in_ext if keep is None else keep & in_ext
-    return columns if keep is None else columns.compress(keep, axis=1)
+    if keep is None:
+        return np.concatenate((bounds, edges.T))
+    # Compress, then stack: on ``wd-ll`` about one edge in twelve survives.
+    return np.concatenate((bounds.compress(keep, axis=1), edges.compress(keep, axis=0).T))
 
 
 def _segment_distances(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -252,8 +277,7 @@ def min_boundary_distance(
         # Linear passes: flatten + initial bound scan both boundaries.
         stats.edges_scanned += 2 * (a.num_vertices + b.num_vertices)
 
-    upper = _initial_upper_bound(a, b)
-    upper = min(upper, _initial_upper_bound(b, a))
+    upper = min(*_initial_upper_bounds(a, b))
     target = early_exit_at if early_exit_at is not None else -math.inf
     if upper <= target:
         if stats is not None:

@@ -24,12 +24,16 @@ from __future__ import annotations
 
 import math
 import mmap
-from typing import Dict, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
 #: Every array starts on a multiple of this many bytes of the arena.
 _ALIGN = 64
+
+#: Mask entries :func:`compress` scans per step: its one temporary, the
+#: step's hit indices (at most 64 KiB), does not grow with the mask.
+_COMPRESS_STEP = 1 << 13
 
 
 class Workspace:
@@ -90,6 +94,28 @@ class Workspace:
         self._views.clear()
 
 
+def compress(
+    mask: np.ndarray, sources: Sequence[np.ndarray], outs: Sequence[np.ndarray]
+) -> int:
+    """Write ``source.compress(mask, axis=0)`` into the first rows of the
+    matching ``out`` (a 1-d ``mask`` over the sources' rows) and return
+    how many rows that is.
+
+    NumPy's ``compress`` and ``flatnonzero`` find the hits in a fresh index
+    array as long as the mask, which a batch-sized mask takes from newly
+    mapped pages; this finds them a step at a time.
+    """
+    at = 0
+    for start in range(0, mask.shape[0], _COMPRESS_STEP):
+        hits = mask[start : start + _COMPRESS_STEP].nonzero()[0]
+        hits += start
+        stop = at + hits.shape[0]
+        for source, out in zip(sources, outs):
+            source.take(hits, axis=0, out=out[at:stop], mode="clip")
+        at = stop
+    return at
+
+
 class _Frame:
     __slots__ = ("_ws", "_top")
 
@@ -106,4 +132,4 @@ class _Frame:
         self._ws._top = self._top
 
 
-__all__ = ["Workspace"]
+__all__ = ["Workspace", "compress"]

@@ -163,14 +163,25 @@ def edges_coverage_masks_grouped(
         raise ValueError(
             f"widths_px must be scalar or ({n_groups},), got {widths.shape}"
         )
-    hv = widths * 0.5 if widths.ndim == 0 else np.repeat(widths * 0.5, sizes)
+    filled = sizes > 0
+    starts = np.cumsum(sizes) - sizes
     with workspace.frame():
+        if widths.ndim == 0:
+            hv = widths * 0.5
+        else:
+            # ``np.repeat(widths * 0.5, sizes)`` in the workspace: each
+            # non-empty group's first edge steps the group index by the
+            # groups since the last one, and a running sum spreads it.
+            group = workspace.array(n_edges, np.intp)
+            group.fill(0)
+            ids = filled.nonzero()[0]
+            group.put(starts.take(ids), np.diff(ids, prepend=0))
+            np.cumsum(group, out=group)
+            hv = (widths * 0.5).take(group, out=workspace.array(n_edges), mode="clip")
         plane = _footprint_plane(shape, edges, hv, cap_points, workspace)
         folded = np.zeros((n_groups, height, plane.shape[2]), dtype=np.uint8)
         if n_edges:
             # Each group's edges are one contiguous run: one reduceat ORs them.
-            filled = sizes > 0
-            starts = np.cumsum(sizes) - sizes
             folded[filled] = np.bitwise_or.reduceat(
                 plane, starts[filled], axis=1
             ).transpose(1, 0, 2)

@@ -48,7 +48,7 @@ import numpy as np
 
 from ..geometry.edge_store import EdgeStore
 from ..geometry.rect import Rect
-from ..geometry.workspace import Workspace
+from ..geometry.workspace import Workspace, compress
 from ..obs.metrics import metric_key
 from ..obs.scope import current_scope
 from .framebuffer import Framebuffer
@@ -331,15 +331,15 @@ class TiledPipeline:
         if not placed.all():
             unplaced[gid.compress(~placed)] = True
             keep &= placed
-        drawn = np.flatnonzero(keep)
-        kept = drawn.shape[0]
+        kept = int(np.count_nonzero(keep))
         counters.edges_rendered += kept
         counters.edges_clipped_away += total - kept
         if kept == 0:
             return np.zeros(shape, dtype=bool), unplaced, total
         if kept < n:
-            edges = edges.take(drawn, axis=0, out=ws.array((kept, 4)), mode="clip")
-            gid = gid.take(drawn)
+            drawn = ws.array((kept, 4)), ws.array(kept, np.intp)
+            compress(keep, (edges, gid), drawn)
+            edges, gid = drawn
         masks = edges_coverage_masks_grouped(
             shape[1:],
             edges,

@@ -196,11 +196,6 @@ class ServingEngine:
         res: Any
         if request.op == "selection":
             assert request.query_index is not None
-            if request.query_index >= len(self.workload.queries):
-                raise IndexError(
-                    f"query_index {request.query_index} out of range "
-                    f"(resident query set has {len(self.workload.queries)})"
-                )
             res = self.selection.run(self.workload.queries[request.query_index])
             results = res.ids
         elif request.op == "join":

@@ -5,11 +5,13 @@ asyncio TCP server (:mod:`repro.serve.server`) and the in-process load
 generators (:mod:`repro.serve.loadgen`).  One :meth:`submit` call - or
 one :meth:`asubmit` await on an event loop - is one request's whole life:
 
-1. **decision** - at arrival the :class:`~repro.serve.engine.EnginePool`
-   runs the request on a free engine, queues it or sheds it (the wait
-   queue is full); a queued request times out with no engine by its
-   deadline.  :meth:`asubmit` takes this decision on the loop thread and
-   states the one rule that picks the thread a request executes on;
+1. **decision** - at arrival a selection of a query that is not resident
+   is an error, before the pool; otherwise the
+   :class:`~repro.serve.engine.EnginePool` runs the request on a free
+   engine, queues it or sheds it (the wait queue is full); a queued
+   request times out with no engine by its deadline.  :meth:`asubmit`
+   takes this decision on the loop thread and states the one rule that
+   picks the thread a request executes on;
 2. **execution** - the checked-out :class:`~repro.serve.engine.ServingEngine`
    runs the exact batch-path pipeline, the same way for every request;
    results are bit-identical to a direct engine call;
@@ -152,7 +154,7 @@ class QueryService:
         request cannot take down a serving thread.
         """
         start = time.perf_counter()
-        return self._serve(request, start, self.pool.admit())
+        return self._serve(request, start, self._admit(request))
 
     async def asubmit(
         self,
@@ -164,7 +166,8 @@ class QueryService:
         The pool's decision (:meth:`~repro.serve.engine.EnginePool.admit`)
         is taken here, on the loop thread, so shed, timeout, ``wait_s``
         and ``total_s`` all count from arrival.  A request refused at
-        arrival (shed, closed) executes nothing and is answered here.
+        arrival (unknown query, shed, closed) executes nothing and is
+        answered here.
 
         The one dispatch rule: a request **executes on the loop thread**
         iff (1) it is a ``selection``, (2) the last completed run of the
@@ -186,7 +189,7 @@ class QueryService:
         threads parked waiting for one.
         """
         start = time.perf_counter()
-        admitted = self.pool.admit()
+        admitted = self._admit(request)
         engine, outcome = admitted
         refused = engine is None and outcome != "queued"
         settled = (
@@ -201,6 +204,17 @@ class QueryService:
         return await asyncio.shield(
             loop.run_in_executor(executor, self._serve, request, start, admitted)
         )
+
+    def _admit(
+        self, request: QueryRequest
+    ) -> Tuple[Optional[ServingEngine], Optional[str]]:
+        """The arrival decision: a selection of a query that is not
+        resident is refused here (``"unknown_query"``), before the pool,
+        so it is an error whatever the load; every other request is the
+        pool's (:meth:`~repro.serve.engine.EnginePool.admit`)."""
+        if request.op == "selection" and request.query_index >= len(self.workload.queries):
+            return None, "unknown_query"
+        return self.pool.admit()
 
     def _serve(
         self,
@@ -287,6 +301,12 @@ class QueryService:
             engine, refusal = self.pool.wait(start)
         if refusal == "closed":
             return self._finish(request, "error", start, error="service is closed"), None
+        if refusal == "unknown_query":
+            error = (
+                f"IndexError: query_index {request.query_index} out of range "
+                f"(resident query set has {len(self.workload.queries)})"
+            )
+            return self._finish(request, "error", start, error=error), None
         if refusal == "shed":
             return self._finish(request, "shed", start), None
         wait_s = time.perf_counter() - start

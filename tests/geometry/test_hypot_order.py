@@ -15,8 +15,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.geometry.hypot_order import first_min_hypot, hypot_at_most
+from repro.geometry import hypot_order
+from repro.geometry.hypot_order import first_min_hypot, first_min_hypots, hypot_at_most
 from tests.oracles.geometry import first_min_hypot_loop
+from tests.oracles.mutants import mutant
 from tests.strategies import HYPOT_FAR as FAR
 from tests.strategies import HYPOT_NEAR as NEAR
 from tests.strategies import lattices
@@ -58,6 +60,21 @@ class TestFirstMinHypot:
         assert first_min_hypot(*columns((1e-170, 0.0), (0.0, 0.0), (1.0, 1.0))) == (1, 0.0)
         assert first_min_hypot(*columns((1e-170, 0.0), (2e-170, 0.0))) == (0, 1e-170)
 
+    def test_an_exact_zero_decides_the_minimum(self):
+        assert first_min_hypot(*columns((3.0, 4.0), (0.0, 0.0), (0.0, -0.0))) == (1, 0.0)
+        # The first zero square is an underflowed 1e-170: the exact zero
+        # after it is found by evaluating every entry.
+        assert first_min_hypot(*columns((1e-170, 0.0), (0.0, 0.0))) == (1, 0.0)
+
+    def test_mutant_taking_a_zero_square_as_exact_is_killed(self):
+        edited = mutant(
+            hypot_order,
+            "elif s_min == 0.0 and dx[first] == 0.0 and dy[first] == 0.0:",
+            "elif s_min == 0.0:",
+        )
+        assert edited.first_min_hypot(*columns((1e-170, 0.0), (2e-170, 0.0))) == (0, 0.0)
+        assert first_min_hypot(*columns((1e-170, 0.0), (2e-170, 0.0))) == (0, 1e-170)
+
     def test_nan_entries_are_skipped_like_the_loop(self):
         nan = math.nan
         assert first_min_hypot(*columns((nan, 1.0), (3.0, 4.0), (nan, nan))) == (1, 5.0)
@@ -71,6 +88,25 @@ class TestFirstMinHypot:
         dx = np.array([data.draw(cells) - origin for _ in range(n)])
         dy = np.array([data.draw(cells) - origin for _ in range(n)])
         assert first_min_hypot(dx, dy) == first_min_hypot_loop(dx, dy)
+
+
+class TestFirstMinHypots:
+    @given(st.data())
+    def test_each_half_equals_the_loop(self, data):
+        cells = data.draw(lattices)
+        n = data.draw(st.integers(2, 12))
+        origin = data.draw(cells)
+        dx = np.array([data.draw(cells) - origin for _ in range(n)])
+        dy = np.array([data.draw(cells) - origin for _ in range(n)])
+        cut = data.draw(st.integers(1, n - 1))
+        assert first_min_hypots(dx, dy, cut) == (
+            first_min_hypot_loop(dx[:cut], dy[:cut]),
+            first_min_hypot_loop(dx[cut:], dy[cut:]),
+        )
+
+    def test_mutant_without_slack_fails_the_inverted_pair_in_either_half(self, no_slack):
+        dx, dy = columns(FAR, NEAR, (3.0, 4.0), FAR, NEAR)
+        assert first_min_hypots(dx, dy, 3) == ((0, math.hypot(*FAR)), (0, math.hypot(*FAR)))
 
 
 class TestHypotAtMost:

@@ -20,7 +20,7 @@ from repro.geometry import (
 )
 from repro.geometry.distance import segment_offsets
 from repro.geometry import hypot_order, min_dist
-from repro.geometry.min_dist import _chain, _initial_upper_bound
+from repro.geometry.min_dist import _chain, _initial_upper_bounds
 from tests.oracles.geometry import (
     _edge_records,
     _edge_rect_distance,
@@ -183,13 +183,16 @@ class TestKernelsEqualTheirLoops:
         cells = data.draw(lattices)
         a = Polygon(data.draw(adversarial_rings(cells)))
         b = Polygon(data.draw(adversarial_rings(cells)))
-        assert _initial_upper_bound(a, b) == initial_upper_bound_loop(a, b)
-        assert _initial_upper_bound(b, a) == initial_upper_bound_loop(b, a)
+        assert _initial_upper_bounds(a, b) == (
+            initial_upper_bound_loop(a, b), initial_upper_bound_loop(b, a)
+        )
 
     @given(polygon_pairs_nearby())
     def test_initial_upper_bound_on_nearby_pairs(self, pair):
         a, b = pair
-        assert _initial_upper_bound(a, b) == initial_upper_bound_loop(a, b)
+        assert _initial_upper_bounds(a, b) == (
+            initial_upper_bound_loop(a, b), initial_upper_bound_loop(b, a)
+        )
 
     @given(polygon_pairs_nearby(), st.sampled_from(["at", "under", "over", "none"]),
            st.booleans(), st.booleans())
@@ -227,13 +230,22 @@ class TestSquaredOrderAndHypotOrderInvert:
     point MBR per kernel; the ``SLACK = 1.0`` mutant must get each wrong."""
 
     def test_nearest_vertex_to_the_mbr(self):
+        # The fused seed's first direction is ``a``'s vertex against the
+        # other ring, its second the other ring's vertex against ``a``:
+        # the case in either half.
         a = Polygon.from_coords([FAR_VERTEX, NEAR_VERTEX, (5.0, 5.0)])
         assert initial_upper_bound_loop(a, ORIGIN_RING) == math.hypot(*NEAR_VERTEX)
-        assert _initial_upper_bound(a, ORIGIN_RING) == math.hypot(*NEAR_VERTEX)
+        assert _initial_upper_bounds(a, ORIGIN_RING) == (
+            math.hypot(*NEAR_VERTEX), initial_upper_bound_loop(ORIGIN_RING, a)
+        )
+        assert _initial_upper_bounds(ORIGIN_RING, a) == (
+            initial_upper_bound_loop(ORIGIN_RING, a), math.hypot(*NEAR_VERTEX)
+        )
 
     def test_mutant_picks_the_wrong_vertex(self, no_slack):
         a = Polygon.from_coords([FAR_VERTEX, NEAR_VERTEX, (5.0, 5.0)])
-        assert _initial_upper_bound(a, ORIGIN_RING) == math.hypot(*FAR_VERTEX)
+        assert _initial_upper_bounds(a, ORIGIN_RING)[0] == math.hypot(*FAR_VERTEX)
+        assert _initial_upper_bounds(ORIGIN_RING, a)[1] == math.hypot(*FAR_VERTEX)
 
     def test_point_to_boundary(self):
         assert point_to_boundary_edge_loop(ORIGIN, TWO_SPIKES) == math.hypot(*NEAR_VERTEX)
@@ -272,8 +284,10 @@ class TestWhereSquaresUnderOrOverflow:
     def test_scaled_pair(self, scale):
         a = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)]).scaled(scale, ORIGIN)
         b = Polygon.from_coords([(7, 1), (9, 2), (8, 5), (6, 3)]).scaled(scale, ORIGIN)
+        assert _initial_upper_bounds(a, b) == (
+            initial_upper_bound_loop(a, b), initial_upper_bound_loop(b, a)
+        )
         for p, q in ((a, b), (b, a)):
-            assert _initial_upper_bound(p, q) == initial_upper_bound_loop(p, q)
             for v in p.vertices:
                 assert point_to_boundary_distance(v, q) == point_to_boundary_edge_loop(v, q)
         got, expected = MinDistStats(), MinDistStats()

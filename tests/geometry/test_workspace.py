@@ -3,7 +3,10 @@ share it, and a warm workspace hands out no fresh memory."""
 
 import numpy as np
 
-from repro.geometry.workspace import Workspace
+import pytest
+
+from repro.geometry import workspace
+from repro.geometry.workspace import Workspace, compress
 
 #: ``(shape, dtype)`` requests of one batch-like frame, nested as the
 #: kernel nests them.
@@ -77,3 +80,19 @@ def test_a_reserved_workspace_runs_its_first_batch_in_the_arena():
     with ws.frame():
         assert np.shares_memory(ws.array((1000, 1000)), again)
     assert not np.shares_memory(big, again)
+
+
+@pytest.mark.parametrize("density", [0.0, 0.03, 0.9, 1.0])
+def test_compress_writes_what_numpy_compress_returns(density):
+    # 20 011 mask entries: two full steps and a partial third.
+    rng = np.random.default_rng(7)
+    n = 2 * workspace._COMPRESS_STEP + 3627
+    mask = rng.random(n) < density
+    rows = rng.random((n, 4))
+    ids = rng.integers(0, 1 << 40, n)
+    outs = np.full((n + 5, 4), -1.0), np.full(n + 5, -1)
+    k = compress(mask, (rows, ids), outs)
+    assert k == np.count_nonzero(mask)
+    assert np.array_equal(outs[0][:k], rows.compress(mask, axis=0))
+    assert np.array_equal(outs[1][:k], ids.compress(mask))
+    assert (outs[0][k:] == -1.0).all() and (outs[1][k:] == -1).all()

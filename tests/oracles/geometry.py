@@ -282,7 +282,7 @@ def _box_meets(e, ext: Rect) -> bool:
 
 def point_to_boundary_edge_loop(p: Point, polygon: Polygon) -> float:
     """The edge-by-edge walk ``point_to_boundary_distance`` used to be (and
-    ``_initial_upper_bound`` repeated)."""
+    minDist's seed repeated)."""
     best = math.inf
     for a, b in polygon.edges():
         d = point_segment_distance(p, a, b)

@@ -108,6 +108,26 @@ GAP_A = Rect(0.0, 0.0, 0.1, 1.0)
 GAP_B = Rect(1.2999999999999998, 0.0, 2.3, 1.0)
 GAP_D = GAP_B.xmin - GAP_A.xmax
 
+#: MBRs at the ends of the range: sides at +-1e300 (differences near
+#: 2e300, squares overflow), infinite sides (``inf - inf`` differences are
+#: NaN, so ``max`` and the minimum meet NaN in the loops' order) and zero
+#: extent on one axis or both.
+ODD_MBRS = (
+    Rect(-1e300, -1e300, 1e300, 1e300),
+    Rect(1e300, 0.0, 1e300, 1e300),
+    Rect(-math.inf, -math.inf, math.inf, math.inf),
+    Rect(-math.inf, 0.0, math.inf, 0.0),
+    Rect(-math.inf, 1.0, math.inf, 1.0),
+    Rect(0.0, -math.inf, 2.0, 3.0),
+    Rect(2.0, 2.0, 2.0, 2.0),
+    Rect(0.0, 5.0, 4.0, 5.0),
+)
+#: Rings for the 1-Object bound against ``ODD_MBRS``: one at 1e300.
+ODD_RINGS = (
+    Polygon.from_coords([(0, 0), (1e300, 0), (1e300, 1e300)]),
+    Polygon.from_coords([(2, 2), (2, 2), (2, 2)]),
+)
+
 LITERAL_PAIRS = [
     (SQUARE, ZERO_AREA),
     (SQUARE, COLLINEAR),
@@ -260,6 +280,12 @@ def _column_distance(oracle, twin, args):
     columns = [np.array([[v.x], [v.y]]) for v in args]
     p, q = np.concatenate(columns[:2]), np.concatenate(columns[2:])
     assert twin(p, q).tolist() == [oracle(p1, p2, q1, q2)]
+
+
+def _both_directions(oracle, twin, args):
+    """A fused twin answers ``(oracle(a, b), oracle(b, a))``."""
+    a, b = args
+    assert twin(a, b) == (oracle(a, b), oracle(b, a))
 
 
 def _within_threshold(oracle, twin, args):
@@ -600,9 +626,10 @@ TWINS = {
         ),
         Twin(
             geometry.initial_upper_bound_loop,
-            min_dist._initial_upper_bound,
+            min_dist._initial_upper_bounds,
             polygon_pairs,
             PAIRS_BOTH_WAYS,
+            _both_directions,
         ),
         Twin(
             geometry.min_boundary_distance_loops,
@@ -650,13 +677,17 @@ TWINS = {
                 st.tuples(rects(), rects()),
                 polygon_pairs.map(lambda pair: (pair[0].mbr, pair[1].mbr)),
             ),
-            tuple((a.mbr, b.mbr) for a, b in PAIRS_BOTH_WAYS),
+            tuple((a.mbr, b.mbr) for a, b in PAIRS_BOTH_WAYS)
+            + tuple((a, b) for a in ODD_MBRS for b in ODD_MBRS + (SQUARE.mbr,))
+            + tuple((SQUARE.mbr, b) for b in ODD_MBRS),
         ),
         Twin(
             geometry.one_object_vertex_loop,
             one_object_upper_bound,
             polygon_pairs.map(lambda pair: (pair[0], pair[1].mbr)),
-            tuple((a, b.mbr) for a, b in PAIRS_BOTH_WAYS),
+            tuple((a, b.mbr) for a, b in PAIRS_BOTH_WAYS)
+            + tuple((a, r) for a in ODD_RINGS + (SQUARE, ZERO_AREA) for r in ODD_MBRS)
+            + tuple((a, b.mbr) for a in ODD_RINGS for b in (SQUARE, TOUCHING)),
         ),
         Twin(
             geometry.first_min_hypot_loop,

@@ -42,11 +42,37 @@ class TestSubmitOutcomes:
         assert resp.status == "ok"
         assert resp.result_count > 0
 
-    def test_execution_error_becomes_error_response(self, service):
-        resp = service.submit(QueryRequest(op="selection", query_index=10_000))
+    def test_execution_error_becomes_error_response(self, service, monkeypatch):
+        def raising(engine, request):
+            raise RuntimeError("engine failed")
+
+        monkeypatch.setattr(ServingEngine, "execute", raising)
+        resp = service.submit(QueryRequest(op="selection", query_index=0))
         assert resp.status == "error"
-        assert "IndexError" in resp.error
+        assert resp.error == "RuntimeError: engine failed"
         assert resp.results is None
+        assert resp.worker is not None
+
+    def test_unknown_query_is_an_error_at_arrival(self):
+        # With the only engine held and no queue, a resident selection is
+        # shed; one naming no resident query is an error all the same.
+        svc = QueryService(workers=1, admission=AdmissionConfig(max_queue=0))
+        try:
+            held, _ = svc.pool.admit()
+            queries = len(svc.workload.queries)
+            resp = svc.submit(QueryRequest(op="selection", query_index=queries))
+            assert resp.status == "error"
+            assert resp.error == (
+                f"IndexError: query_index {queries} out of range "
+                f"(resident query set has {queries})"
+            )
+            assert resp.worker is None and resp.results is None
+            assert svc.submit(QueryRequest(op="selection", query_index=0)).status == "shed"
+            resp = asyncio.run(svc.asubmit(QueryRequest(op="selection", query_index=10_000)))
+            assert resp.status == "error"
+            svc.pool.release(held)
+        finally:
+            svc.close()
 
     def test_request_id_echoed(self, service):
         resp = service.submit(

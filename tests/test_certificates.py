@@ -139,8 +139,8 @@ MUTANTS = {
     "one_object_corner_omitted": (
         object_filters,
         [(
-            "bound = max(to_corner(j, i), to_corner(j + 1, i))",
-            "bound = to_corner(j, i)",
+            "bound = max(math.hypot(dxs[x0], dys[y0]), math.hypot(dxs[x1], dys[y1]))",
+            "bound = math.hypot(dxs[x0], dys[y0])",
         )],
         one_object_bound_is_an_upper_bound,
     ),

@@ -46,6 +46,7 @@ KEPT = {
     "Polygon.is_ccw": "read by tests of convex-hull orientation",
     "Polygon.translated": "read by tests of nearby polygon pairs (tests/strategies.py)",
     "Rect.max_distance": "read by tests of the 0-Object upper bound",
+    "Rect.corners": "read by tests of the 0/1-Object bounds (their side-pair and vertex loops)",
     "TiledPipeline.tile_image": "read by tests of atlas tiles against per-pair renders",
     "RTree.check_invariants": "read by tests of STR packing and tree search",
     "CommandRecorder.snapshot_framebuffer": "read by tests of end-of-capture replay identity",
