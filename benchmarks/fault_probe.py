@@ -15,8 +15,18 @@ around each.  It prints JSON, per workload:
 * ``rest`` - everything else in the op.
 
 Each workload runs in a process of its own (what one workload leaves in
-the allocator changes the next one's count).  The split wraps those two
-module attributes for the measured ops only.
+the allocator changes the next one's count), and every measured process
+runs with glibc's allocator pinned (``MALLOC_ENV``): the mmap threshold
+fixed at 128 KiB, so each allocation that large is mapped afresh and a
+large temporary the code takes per op is counted every op, and the trim
+threshold at 1 GiB, so freed heap memory is not handed back and touched
+again.  With the default, dynamic thresholds one tree read either 0 or
+~300 faults per ``wd-ll`` op, depending on what the allocator had seen
+before; with the mmap threshold alone, one ``wd-ll`` process in ten read
+~1 240 instead of 0-60, all outside the atlas.  The probe starts its own
+child when it is not already running under that setting; the setting is
+the probe's, not the package's.  The split wraps those two module
+attributes for the measured ops only.
 ``--max-faults N`` exits 1 when a workload's ``minflt_per_op`` is above
 ``N``.  Linux only (``ru_minflt``).  Run from the repository root::
 
@@ -41,6 +51,9 @@ import repro.gpu.tiled as tiled  # noqa: E402
 
 #: The wrapped callees: split name -> module attribute of repro.gpu.tiled.
 SPLIT = {"gather": "_gather", "kernel": "edges_coverage_masks_grouped"}
+
+#: glibc's allocator settings every measured process runs under (see above).
+MALLOC_ENV = {"MALLOC_MMAP_THRESHOLD_": "131072", "MALLOC_TRIM_THRESHOLD_": "1073741824"}
 
 
 def minflt() -> int:
@@ -101,17 +114,22 @@ def main() -> int:
     parser.add_argument("--max-faults", type=float)
     args = parser.parse_args()
     names: List[str] = args.workload or sorted(direct._BUILDERS)
+    measured_here = len(names) == 1 and all(
+        os.environ.get(key) == value for key, value in MALLOC_ENV.items()
+    )
     report = {}
     for name in names:
         ops = args.ops or max(3, direct.WORKLOADS[name].ops_per_segment)
-        if len(names) == 1:
+        if measured_here:
             report[name] = probe(name, ops)
             continue
-        # One process per workload: what an earlier workload left in the
-        # allocator would hide a later one's faults.
+        # One process per workload, under the allocator setting: what an
+        # earlier workload left in the allocator would hide a later one's
+        # faults.
         child = subprocess.run(
             [sys.executable, __file__, "--workload", name, "--ops", str(ops)],
             check=True, capture_output=True, text=True,
+            env={**os.environ, **MALLOC_ENV},
         )
         report.update(json.loads(child.stdout))
     print(json.dumps(report, indent=2))

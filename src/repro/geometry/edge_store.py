@@ -23,7 +23,7 @@ tests blocks first and edges only inside the blocks that pass.  A polygon's
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -36,13 +36,23 @@ BLOCK = 32
 _LANES = np.arange(BLOCK)
 
 
-def boxes_meet(boxes: np.ndarray, cull: np.ndarray) -> np.ndarray:
-    """The closed cull test: does each ``(4, n)`` column ``xmin, ymin, xmax,
-    ymax`` of ``boxes`` meet the matching column ``lo_x, lo_y, hi_x, hi_y``
-    of ``cull`` (a ``(4, 1)`` cull box meets every column)?"""
+def boxes_meet(
+    boxes: np.ndarray, cull: np.ndarray, workspace: Optional[Workspace] = None
+) -> np.ndarray:
+    """The closed cull test: does each ``(4, ...)`` column ``xmin, ymin,
+    xmax, ymax`` of ``boxes`` meet the matching column ``lo_x, lo_y, hi_x,
+    hi_y`` of ``cull`` (which broadcasts against it: a ``(4, 1)`` cull box
+    meets every column)?  The answer and its one scratch plane are taken
+    from ``workspace`` (a fresh one when None) in its caller's frame."""
+    ws = Workspace() if workspace is None else workspace
     xmin, ymin, xmax, ymax = boxes
     lo_x, lo_y, hi_x, hi_y = cull
-    return (xmax >= lo_x) & (xmin <= hi_x) & (ymax >= lo_y) & (ymin <= hi_y)
+    near, test = ws.array((2, *xmin.shape), bool)
+    np.greater_equal(xmax, lo_x, out=near)
+    near &= np.less_equal(xmin, hi_x, out=test)
+    near &= np.greater_equal(ymax, lo_y, out=test)
+    near &= np.less_equal(ymin, hi_y, out=test)
+    return near
 
 
 class EdgeStore:
@@ -112,33 +122,37 @@ class EdgeStore:
         ``boxes[:, t]`` (``lo_x, lo_y, hi_x, hi_y``), tile by tile and in row
         order within a tile - one block test over the rows' block ranges,
         then one edge test over the :data:`BLOCK` lanes of every block that
-        passes.  The two results are views of ``ws``, taken in the caller's
-        frame."""
+        passes.  The block lists and the two results are views of ``ws``,
+        taken in the caller's frame."""
         first = self.block_offsets.take(rows)
-        tile, block = expand_runs(first, self.block_offsets.take(rows + 1) - first)
+        tile, block = expand_runs(first, self.block_offsets.take(rows + 1) - first, ws)
         m = block.shape[0]
+        passed = ws.array((2, m), np.intp)
         with ws.frame():
             near = boxes_meet(
                 self.block_boxes.take(block, axis=1, out=ws.array((4, m)), mode="clip"),
                 boxes.take(tile, axis=1, out=ws.array((4, m)), mode="clip"),
+                ws,
             )
-        tile, block = tile.compress(near), block.compress(near)
-        # Lane j of a block is its j-th edge, live below the block's edge
-        # count; a dead lane past the store's last edge reads that edge.
-        start = self.block_edges.take(block)
-        b = block.shape[0]
+            b = compress(near, (tile, block), passed)
+        tile, block = passed[:, :b]
         # At most every lane is a hit: the results are taken at that size
         # in the caller's frame and cut to the hits.
         tile_of, edge = ws.array((2, b * BLOCK), np.intp)
         with ws.frame():
-            lanes = np.add(start[:, None], _LANES, out=ws.array((b, BLOCK), np.intp))
+            # Lane j of a block is its j-th edge, live below the next
+            # block's first edge; a dead lane past the store's last edge
+            # reads that edge.
+            lanes = ws.array((b, BLOCK), np.intp)
+            np.add(self.block_edges.take(block)[:, None], _LANES, out=lanes)
             near = boxes_meet(
                 self.bounds.take(lanes, axis=1, out=ws.array((4, b, BLOCK)), mode="clip"),
-                boxes.take(tile, axis=1)[:, :, None],
+                boxes.take(tile, axis=1, out=ws.array((4, b)), mode="clip")[:, :, None],
+                ws,
             )
             near &= np.less(
-                _LANES,
-                (self.block_edges.take(block + 1) - start)[:, None],
+                lanes,
+                self.block_edges.take(block + 1)[:, None],
                 out=ws.array((b, BLOCK), bool),
             )
             tiles = ws.array((b, BLOCK), np.intp)

@@ -32,6 +32,10 @@ from .rect import Rect
 # list from a Polygon.sweep_records column.
 _Edge = Sequence[float]
 
+#: Merged events converted to Python lists at a time: a positive pair's
+#: sweep stops at its first crossing, so the events past it never are.
+_EVENT_CHUNK = 32
+
 
 @dataclass
 class SweepStats:
@@ -107,8 +111,8 @@ def boundaries_intersect(
         return False
     records = np.concatenate([red, blue], axis=1)
     order = np.argsort(records[0], kind="stable")
-    events: List[_Edge] = records.take(order, axis=1).T.tolist()
-    colors: List[bool] = (order >= n_red).tolist()  # True: blue
+    events = records.take(order, axis=1).T
+    blue_event = order >= n_red
 
     # Active sets: lists pruned lazily as the sweep advances.  Each arriving
     # edge is checked against the other color's active list.
@@ -116,26 +120,32 @@ def boundaries_intersect(
     tests = 0
     processed = 0
     try:
-        for edge, color in zip(events, colors):
-            processed += 1
-            x = edge[0]
-            others = active[1 - color]
-            if others:
-                # Prune expired edges in place while scanning for candidates.
-                kept: List[_Edge] = []
-                ymin, ymax = edge[2], edge[3]
-                for other in others:
-                    if other[1] < x:
-                        continue
-                    kept.append(other)
-                    if other[2] <= ymax and ymin <= other[3]:
-                        tests += 1
-                        if _edges_cross(edge, other):
-                            if stats is not None:
-                                stats.intersections_found += 1
-                            return True
-                active[1 - color] = kept
-            active[color].append(edge)
+        # A positive pair stops at its first crossing, so the events become
+        # Python lists only a chunk at a time, as the sweep reaches them.
+        for start in range(0, len(order), _EVENT_CHUNK):
+            stop = start + _EVENT_CHUNK
+            for edge, color in zip(
+                events[start:stop].tolist(), blue_event[start:stop].tolist()
+            ):
+                processed += 1
+                x = edge[0]
+                others = active[1 - color]
+                if others:
+                    # Prune expired edges in place while scanning for candidates.
+                    kept: List[_Edge] = []
+                    ymin, ymax = edge[2], edge[3]
+                    for other in others:
+                        if other[1] < x:
+                            continue
+                        kept.append(other)
+                        if other[2] <= ymax and ymin <= other[3]:
+                            tests += 1
+                            if _edges_cross(edge, other):
+                                if stats is not None:
+                                    stats.intersections_found += 1
+                                return True
+                    active[1 - color] = kept
+                active[color].append(edge)
         return False
     finally:
         if stats is not None:

@@ -22,9 +22,8 @@ one.  The module imports nothing from the rest of :mod:`repro`.
 
 from __future__ import annotations
 
-import math
 import mmap
-from typing import Dict, Sequence, Tuple
+from typing import List, Sequence
 
 import numpy as np
 
@@ -39,14 +38,14 @@ _COMPRESS_STEP = 1 << 13
 class Workspace:
     """A grow-only arena of array views; see the module docstring."""
 
-    __slots__ = ("_arena", "_views", "_top", "_peak")
+    __slots__ = ("_arena", "_marks", "_top", "_peak")
 
     def __init__(self, reserve: int = 0) -> None:
         """``reserve``: bytes of arena to map at once (0: none until a
         frame has outgrown the empty arena)."""
         self._arena = np.empty(0, dtype=np.uint8)
-        #: The arena as each dtype asked for: ``(itemsize, 1-d view)``.
-        self._views: Dict[object, Tuple[int, np.ndarray]] = {}
+        #: Where each open frame started.
+        self._marks: List[int] = []
         self._top = 0
         self._peak = 0
         if reserve:
@@ -56,28 +55,33 @@ class Workspace:
         """An uninitialized C-contiguous ``shape`` array of ``dtype``, valid
         until the frame it was taken in ends.  Past the end of the arena it
         is a fresh array; the next outermost frame grows the arena."""
-        entry = self._views.get(dtype)
-        if entry is None:
-            itemsize = np.dtype(dtype).itemsize
-            entry = self._views[dtype] = (itemsize, self._arena.view(dtype))
-        itemsize, view = entry
-        flat = not isinstance(shape, tuple)
-        count = int(shape) if flat else math.prod(shape)
         start = self._top
-        self._top = top = start + -(-count * itemsize // _ALIGN) * _ALIGN
+        out = None
+        if self._arena.size:
+            try:
+                out = np.ndarray(shape, dtype, self._arena, start)
+            except TypeError:  # the arena is too small for it
+                pass
+        if out is None:
+            out = np.empty(shape, dtype)
+        self._top = top = start + -(-out.nbytes // _ALIGN) * _ALIGN
         if top > self._peak:
             self._peak = top
-        if top > self._arena.size:
-            return np.empty(shape, dtype=dtype)
-        first = start // itemsize
-        out = view[first : first + count]
-        return out if flat else out.reshape(shape)
+        return out
 
-    def frame(self) -> "_Frame":
+    def frame(self) -> "Workspace":
         """A ``with`` block that gives back, on exit, every array taken
         inside it.  An outermost one first grows the arena to what the
         earlier ones needed, so a workspace used once never maps one."""
-        return _Frame(self)
+        return self
+
+    def __enter__(self) -> None:
+        self._marks.append(self._top)
+        if self._top == 0 and self._arena.size < self._peak:
+            self._grow()
+
+    def __exit__(self, *exc) -> None:
+        self._top = self._marks.pop()
 
     def _grow(self) -> None:
         # Twice the peak: a page nothing has touched takes no memory, and a
@@ -91,7 +95,6 @@ class Workspace:
         # (about 1.5 against 2.4 us on a 2-vCPU Linux VM).
         arena = mmap.mmap(-1, size, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
         self._arena = np.frombuffer(arena, dtype=np.uint8)
-        self._views.clear()
 
 
 def compress(
@@ -99,7 +102,8 @@ def compress(
 ) -> int:
     """Write ``source.compress(mask, axis=0)`` into the first rows of the
     matching ``out`` (a 1-d ``mask`` over the sources' rows) and return
-    how many rows that is.
+    how many rows that is.  A ``None`` source stands for the row numbers
+    themselves: its ``out`` gets ``mask.nonzero()[0]``.
 
     NumPy's ``compress`` and ``flatnonzero`` find the hits in a fresh index
     array as long as the mask, which a batch-sized mask takes from newly
@@ -111,25 +115,12 @@ def compress(
         hits += start
         stop = at + hits.shape[0]
         for source, out in zip(sources, outs):
-            source.take(hits, axis=0, out=out[at:stop], mode="clip")
+            if source is None:
+                out[at:stop] = hits
+            else:
+                source.take(hits, axis=0, out=out[at:stop], mode="clip")
         at = stop
     return at
-
-
-class _Frame:
-    __slots__ = ("_ws", "_top")
-
-    def __init__(self, ws: Workspace) -> None:
-        self._ws = ws
-
-    def __enter__(self) -> None:
-        ws = self._ws
-        self._top = ws._top
-        if ws._top == 0 and ws._arena.size < ws._peak:
-            ws._grow()
-
-    def __exit__(self, *exc) -> None:
-        self._ws._top = self._top
 
 
 __all__ = ["Workspace", "compress"]

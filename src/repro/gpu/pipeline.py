@@ -44,6 +44,11 @@ from .framebuffer import Framebuffer
 from .raster_bulk import edges_coverage_mask
 from .state import DeviceLimits, RasterState
 
+#: The cull box side of a side that does not verify: no cull there.
+_NO_CULL = np.array([[-math.inf], [-math.inf], [math.inf], [math.inf]])
+#: A row's four ``isfinite`` flags, read as one ``uint32``, when all are set.
+_ALL_FINITE = np.uint32(0x01010101)
+
 
 def window_columns(windows: Sequence[Rect]) -> np.ndarray:
     """Windows as one ``(4, k)`` array, rows ``xmin, ymin, xmax, ymax``."""
@@ -70,12 +75,15 @@ def window_scales(width: int, height: int, windows: np.ndarray) -> np.ndarray:
     scalar loop's in ``tests/oracles/raster.py``: the same operands in the
     same order, and ``min``'s and ``max``'s tie rule (the first argument
     wins)."""
-    xmin, ymin, xmax, ymax = windows
-    w = xmax - xmin
-    h = ymax - ymin
     with np.errstate(divide="ignore", over="ignore"):
-        sx = np.where(w > 0.0, width / w, math.inf)
-        sy = np.where(h > 0.0, height / h, math.inf)
+        return _scales(width, height, windows)
+
+
+def _scales(width: int, height: int, windows: np.ndarray) -> np.ndarray:
+    # Both axes at once: rows w, h of the extents and sx, sy of the fits.
+    extent = windows[2:] - windows[:2]
+    fit = np.where(extent > 0.0, np.divide([[width], [height]], extent), math.inf)
+    (w, h), (sx, sy) = extent, fit
     return np.where(np.where(h > w, h, w) <= 0.0, 1.0, np.where(sy < sx, sy, sx))
 
 
@@ -107,12 +115,27 @@ def clip_keep(
     return keep
 
 
-def cull_boxes(
-    xmin: np.ndarray, ymin: np.ndarray, scale: np.ndarray, pad, width: int, height: int
-) -> np.ndarray:
-    """Data-space boxes outside which :func:`clip_keep` provably rejects,
-    for the projections ``(v - min) * scale``: a ``(4, k)`` array, rows
-    ``lo_x, lo_y, hi_x, hi_y``, one column per tile.
+def placed_rows(edges: np.ndarray, workspace: Optional[Workspace] = None) -> np.ndarray:
+    """Which window-space ``(E, 4)`` edges the transform placed: those whose
+    four coordinates are all finite.  An unplaced edge is never drawn.
+    Each row's four ``isfinite`` flag bytes are read as one ``uint32``
+    and compared once with all four set.  The result is taken from
+    ``workspace`` (a fresh one when None) in its caller's frame."""
+    ws = Workspace() if workspace is None else workspace
+    n = edges.shape[0]
+    finite = np.isfinite(edges, out=ws.array((n, 4), bool))
+    return np.equal(finite.view(np.uint32).reshape(n), _ALL_FINITE, out=ws.array(n, bool))
+
+
+def tile_transforms(
+    width: int, height: int, windows: np.ndarray, pads
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``(scales, boxes)`` of ``(4, k)`` windows (rows ``xmin, ymin, xmax,
+    ymax``): each window's :func:`window_scales` scale, and the data-space
+    box outside which :func:`clip_keep` with ``pads`` (scalar, or one per
+    window) provably rejects for the projection ``(v - min) * scale`` - a
+    ``(4, k)`` array, rows ``lo_x, lo_y, hi_x, hi_y``.  One pass under one
+    ``errstate``, both axes at once.
 
     An edge with ``xmax < lo_x`` or ``xmin > hi_x`` (likewise in y) need not
     be transformed at all.  Each side starts one pixel beyond the clip limit
@@ -123,17 +146,17 @@ def cull_boxes(
     analysis, no tolerance.  A side that does not verify (a pixel below one
     ulp of the window, an overflowed scale) is infinite: no cull there.
     """
+    origin = windows[:2]
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        reach = (pad + 1.0) / scale
-        lo_x, lo_y = xmin - reach, ymin - reach
-        hi_x = xmin + (width + pad + 1.0) / scale
-        hi_y = ymin + (height + pad + 1.0) / scale
-        return np.stack([
-            np.where((lo_x - xmin) * scale < -pad, lo_x, -math.inf),
-            np.where((lo_y - ymin) * scale < -pad, lo_y, -math.inf),
-            np.where((hi_x - xmin) * scale > width + pad, hi_x, math.inf),
-            np.where((hi_y - ymin) * scale > height + pad, hi_y, math.inf),
-        ])
+        scales = _scales(width, height, windows)
+        limit = np.add(pads, [[width], [height]])
+        lo = origin - (pads + 1.0) / scales
+        hi = origin + (limit + 1.0) / scales
+        verified = np.concatenate(
+            [(lo - origin) * scales < -pads, (hi - origin) * scales > limit]
+        )
+        boxes = np.where(verified, np.concatenate([lo, hi]), _NO_CULL)
+    return scales, boxes
 
 
 class GraphicsPipeline:
@@ -299,14 +322,12 @@ class GraphicsPipeline:
             edges = (edges_data - self._offset4) * self._scale  # (E, 4): x0 y0 x1 y1
         pad = max(state.line_width, state.point_size) + 1.0
         keep = clip_keep(edges, pad, self.width, self.height)
-        if not np.isfinite(edges).all():
-            placed = np.isfinite(edges).all(axis=1)
+        placed = placed_rows(edges)
+        if np.count_nonzero(placed) < edges.shape[0]:
             # An edge the transform cannot place never reaches the raster;
             # counted if the atlas's cull would have let it in.
-            w = self._window
-            box = cull_boxes(
-                np.array([w.xmin]), np.array([w.ymin]), np.array([self._scale]),
-                pad, self.width, self.height,
+            _, box = tile_transforms(
+                self.width, self.height, window_columns([self._window]), pad
             )
             near = boxes_meet(edge_bounds(edges_data), box)
             self.unplaced_edges += int(np.count_nonzero(near & ~placed))

@@ -39,8 +39,8 @@ row test admits.  One ``bitwise_or.reduceat`` folds each group's
 contiguous run of edges, and one ``unpackbits`` expands the result to
 ``(G, H, W)``.  Every intermediate is a view of the caller's
 :class:`~repro.geometry.workspace.Workspace`, written with ``out=``, so
-a pipeline that keeps its workspace allocates per draw only the list of
-admitted entries, the folded groups and the masks it gets back.
+a pipeline that keeps its workspace allocates per draw only the folded
+groups and the masks it gets back.
 
 A pixel is colored iff its closed unit cell intersects the width-``w``
 bounding rectangle of some edge, or - with ``cap_points`` - the ``w x w``
@@ -58,7 +58,7 @@ from typing import Tuple
 
 import numpy as np
 
-from ..geometry.workspace import Workspace
+from ..geometry.workspace import Workspace, compress
 
 #: Slack added to every coverage comparison.  Rounding in the unit-vector
 #: computation can push an exact boundary touch (rect corner on cell corner)
@@ -147,24 +147,24 @@ def edges_coverage_masks_grouped(
     sizes = np.asarray(group_sizes, dtype=np.intp)
     if sizes.ndim != 1:
         raise ValueError("group_sizes must be a 1-d sequence")
-    if (sizes < 0).any():
+    if np.minimum.reduce(sizes, initial=0) < 0:
         raise ValueError("group sizes must be non-negative")
     n_groups = sizes.shape[0]
     n_edges = edges.shape[0]
-    if int(sizes.sum()) != n_edges:
-        raise ValueError(
-            f"group sizes sum to {int(sizes.sum())}, expected {n_edges} edges"
-        )
+    ends = np.cumsum(sizes)
+    total = int(ends[-1]) if n_groups else 0
+    if total != n_edges:
+        raise ValueError(f"group sizes sum to {total}, expected {n_edges} edges")
     widths = np.asarray(widths_px, dtype=np.float64)
     # Written so that NaN fails: a NaN width must not certify "no pixel".
-    if not (widths > 0.0).all():
+    if not np.minimum.reduce(widths, axis=None, initial=np.inf) > 0.0:
         raise ValueError("line width must be positive")
     if widths.ndim and widths.shape != (n_groups,):
         raise ValueError(
             f"widths_px must be scalar or ({n_groups},), got {widths.shape}"
         )
     filled = sizes > 0
-    starts = np.cumsum(sizes) - sizes
+    starts = ends - sizes
     with workspace.frame():
         if widths.ndim == 0:
             hv = widths * 0.5
@@ -246,66 +246,59 @@ def _footprint_bits(
     slice ``(H, E, nb)``.  Every array is a view of ``ws``, written with
     ``out=`` in the operand order of the per-edge rasterizer."""
     n, height = e.shape[0], cy.shape[0]
-    # What the rectangle test reads per admitted entry, gathered in one take.
-    per_edge = ws.array((6, n))
-    mx, ux, uy, bound_u, bound_v, bound_x = per_edge
+    # The per-edge terms, x and y rows computed together where the two
+    # axes take the same operation.  Rows 1-6 are what the rectangle test
+    # reads per admitted entry, gathered in one take.
+    terms = ws.array((8, n))
+    my, mx, ux, uy, bound_u, bound_v, bound_x, row_bound = terms
+    per_edge = terms[1:7]
     gy = ws.array((height, n))
     degenerate = ws.array(n, bool)
+    rows = ws.array((height, n), bool)
     with ws.frame():
-        # The terms only the bounds and the row test read.
         ends = ws.array((4, n))
         np.copyto(ends, e.T)
-        x0, y0, x1, y1 = ends
-        aux, auy, hu, cell, row_bound, term = ws.array((6, n))
-        with ws.frame():
-            dx, dy, length, safe_len = ws.array((4, n))
-            np.subtract(x1, x0, out=dx)
-            np.subtract(y1, y0, out=dy)
-            np.hypot(dx, dy, out=length)
-            np.equal(length, 0.0, out=degenerate)
-            np.copyto(safe_len, length)
-            np.copyto(safe_len, 1.0, where=degenerate)
-            np.divide(dx, safe_len, out=ux)
-            np.divide(dy, safe_len, out=uy)
-            np.multiply(length, 0.5, out=hu)
-        any_degenerate = bool(degenerate.any())
-        np.abs(ux, out=aux)
-        np.abs(uy, out=auy)
+        # (y, x) rows: the midpoints land as my, mx.
+        np.add(ends[1::-1], ends[3:1:-1], out=terms[:2])
+        terms[:2] *= 0.5
+        d, au = ws.array((2, 2, n))
+        length, safe_len, hu, cell = ws.array((4, n))
+        np.subtract(ends[2:], ends[:2], out=d)
+        np.hypot(d[0], d[1], out=length)
+        np.equal(length, 0.0, out=degenerate)
+        # length + 0.0 is length; a degenerate edge divides by 1.0.
+        np.add(length, degenerate, out=safe_len)
+        np.divide(d, safe_len, out=terms[2:4])
+        np.multiply(length, 0.5, out=hu)
+        any_degenerate = np.count_nonzero(degenerate) > 0
+        np.abs(terms[2:4], out=au)
+        aux, auy = au
         # |v| components mirror |u| (v is the left normal of u), and the
         # cell half-extent projects identically on the u and v axes.
         np.add(aux, auy, out=cell)
         np.multiply(cell, 0.5, out=cell)
+        # bound_x and the row bound: hu*|ux| + hv*|uy| and hu*|uy| +
+        # hv*|ux|, each + 0.5 + eps.
+        bounds_xy = terms[6:8]
+        np.multiply(hu, au, out=bounds_xy)
+        bounds_xy += np.multiply(hv, au[::-1], out=d)
+        bounds_xy += 0.5
+        bounds_xy += COVERAGE_EPS
+        np.add(hu, cell, out=bound_u)
+        np.add(hv, cell, out=bound_v)
+        terms[4:6] += COVERAGE_EPS
 
         # The row-only box condition admits the (row, edge) entries; a row
         # it rejects holds no pixel of that edge's rectangle.
-        np.add(y0, y1, out=term)
-        np.multiply(term, 0.5, out=term)
-        np.subtract(cy[:, None], term, out=gy)
-        np.multiply(hu, auy, out=row_bound)
-        np.multiply(hv, aux, out=term)
-        np.add(row_bound, term, out=row_bound)
-        np.add(row_bound, 0.5, out=row_bound)
-        np.add(row_bound, COVERAGE_EPS, out=row_bound)
-        rows = ws.array((height, n), bool)
-        with ws.frame():
-            gap = np.abs(gy, out=ws.array((height, n)))
-            np.less_equal(gap, row_bound, out=rows)
-        if any_degenerate:
-            # Degenerate edges fall back to the end-point square unconditionally.
-            rows[:, degenerate] = False
-        admitted = np.flatnonzero(rows)
-        if admitted.size:
-            np.add(x0, x1, out=mx)
-            np.multiply(mx, 0.5, out=mx)
-            np.add(hu, cell, out=bound_u)
-            np.add(bound_u, COVERAGE_EPS, out=bound_u)
-            np.add(hv, cell, out=bound_v)
-            np.add(bound_v, COVERAGE_EPS, out=bound_v)
-            np.multiply(hu, aux, out=bound_x)
-            np.multiply(hv, auy, out=term)
-            np.add(bound_x, term, out=bound_x)
-            np.add(bound_x, 0.5, out=bound_x)
-            np.add(bound_x, COVERAGE_EPS, out=bound_x)
+        np.subtract(cy[:, None], my, out=gy)
+        gap = np.abs(gy, out=ws.array((height, n)))
+        np.less_equal(gap, row_bound, out=rows)
+    if any_degenerate:
+        # Degenerate edges fall back to the end-point square unconditionally.
+        rows[:, degenerate] = False
+    # The admitted entries, as flat indices of the row plane.
+    admitted = ws.array(np.count_nonzero(rows), np.intp)
+    compress(rows.ravel(), (None,), (admitted,))
     gy = gy.ravel()
     step = max(1, _CHUNK_BUDGET // cx.shape[0])
     for start in range(0, admitted.size, step):

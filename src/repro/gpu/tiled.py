@@ -13,9 +13,10 @@ that batching layer for the simulated card:
   window, exactly as :meth:`~repro.gpu.pipeline.GraphicsPipeline.set_data_window`
   would compute it);
 * the clipping stage starts in data space: only the edges whose box meets
-  the tile's verified :func:`~repro.gpu.pipeline.cull_boxes` box are projected
-  and shown to :func:`~repro.gpu.pipeline.clip_keep` - against a large
-  feature nearly all of a submission lies outside the pair's window;
+  the tile's verified cull box (:func:`~repro.gpu.pipeline.tile_transforms`)
+  are projected and shown to :func:`~repro.gpu.pipeline.clip_keep` -
+  against a large feature nearly all of a submission lies outside the
+  pair's window;
 * a batch reads edge columns, not polygons: each side is a list of
   ``(store, row)`` of an :class:`~repro.geometry.edge_store.EdgeStore`, the
   per-tile transforms and cull boxes are array expressions, each store
@@ -27,8 +28,8 @@ that batching layer for the simulated card:
   pair's verdict at once;
 * the arrays whose size scales with the batch's edges come from the
   pipeline's own :class:`~repro.geometry.workspace.Workspace`: a warm
-  pipeline allocates per draw only the index lists ``flatnonzero``
-  returns and the masks.
+  pipeline allocates per draw only the cull's ``(tile, block)`` list and
+  the masks.
 
 Conservativeness is preserved tile by tile: a tile's pixels are exactly the
 pixels the per-pair pipeline would have rendered (tile-local coordinates,
@@ -42,7 +43,7 @@ from __future__ import annotations
 
 import math
 import time
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -55,9 +56,9 @@ from .framebuffer import Framebuffer
 from .pipeline import (
     GraphicsPipeline,
     clip_keep,
-    cull_boxes,
+    placed_rows,
+    tile_transforms,
     window_columns,
-    window_scales,
 )
 from .raster_bulk import edges_coverage_masks_grouped
 
@@ -73,6 +74,18 @@ _OCCUPANCY_KEY = metric_key("atlas_occupancy")
 #: pipeline's first batch already runs in it.  Only touched pages take
 #: memory; a larger draw grows it.
 _WORKSPACE_RESERVE = 32 << 20
+
+
+class _Tiles(NamedTuple):
+    """A batch's per-tile constants: cull boxes ``(4, k)``, rows ``lo_x,
+    lo_y, hi_x, hi_y``; the transform as ``(k, 4)`` rows an edge ``[x0, y0,
+    x1, y1]`` takes - ``offsets`` to subtract, ``scales`` to multiply by;
+    and the clip pads (scalar, or one per tile)."""
+
+    boxes: np.ndarray
+    offsets: np.ndarray
+    scales: np.ndarray
+    pads: np.ndarray
 
 
 class TiledPipeline:
@@ -152,16 +165,31 @@ class TiledPipeline:
             raise ValueError(
                 f"widths_px has {widths.shape[0]} entries for {n} pairs"
             )
+        # The per-tile constants, once for every sub-batch: each tile's
+        # viewport transform, exactly as set_data_window computes it for the
+        # per-pair path, as the rows its gathered edges take by tile id, and
+        # the data-space box outside which the tile's clip rejects.
         bounds = window_columns(windows)
+        pads = widths + 1.0
+        scales, boxes = tile_transforms(self.tile_width, self.tile_height, bounds, pads)
+        origin = bounds[:2].T
+        offsets = np.concatenate([origin, origin], axis=1)
+        scales = np.repeat(scales, 4).reshape(n, 4)
         flags = np.zeros(n, dtype=bool)
         for start in range(0, n, self.capacity):
             stop = min(start + self.capacity, n)
-            w = widths if widths.ndim == 0 else widths[start:stop]
+            tiles = slice(start, stop)
+            w = widths if widths.ndim == 0 else widths[tiles]
             began = time.perf_counter()
             sub_flags, edge_count = self._run_batch(
-                sides_a[start:stop],
-                sides_b[start:stop],
-                bounds[:, start:stop],
+                sides_a[tiles],
+                sides_b[tiles],
+                _Tiles(
+                    boxes[:, tiles],
+                    offsets[tiles],
+                    scales[tiles],
+                    pads[tiles] if pads.ndim else pads,
+                ),
                 w,
                 cap_points,
                 threshold,
@@ -207,35 +235,22 @@ class TiledPipeline:
         self,
         sides_a: Sequence[EdgeRow],
         sides_b: Sequence[EdgeRow],
-        windows: np.ndarray,
+        tiles: _Tiles,
         widths,
         cap_points: bool,
         threshold: float,
     ) -> Tuple[np.ndarray, int]:
-        """Render one atlas batch (<= capacity pairs) and reduce per tile.
-
-        ``windows`` is ``(4, k)``, rows ``xmin, ymin, xmax, ymax``.
-        """
-        k = windows.shape[1]
+        """Render one atlas batch (<= capacity pairs) and reduce per tile."""
+        k = len(sides_a)
         counters = self.base.counters
-        pads = widths + 1.0
-        # Per-tile viewport transforms, exactly as set_data_window computes
-        # them for the per-pair path, and the data-space box outside which
-        # each tile's clip rejects.
-        scales = window_scales(self.tile_width, self.tile_height, windows)
-        boxes = cull_boxes(
-            windows[0], windows[1], scales, pads, self.tile_width, self.tile_height
-        )
-        offsets = windows.take([0, 1, 0, 1], axis=0).T
-
         # Each draw's arrays are the workspace's until its frame ends.
         with self.workspace.frame():
             masks_a, unplaced_a, count_a = self._bulk_rasterize(
-                sides_a, boxes, scales, offsets, pads, widths, cap_points
+                sides_a, tiles, widths, cap_points
             )
         with self.workspace.frame():
             masks_b, unplaced_b, count_b = self._bulk_rasterize(
-                sides_b, boxes, scales, offsets, pads, widths, cap_points
+                sides_b, tiles, widths, cap_points
             )
 
         # Atlas assembly: clear once for the whole batch, then the two
@@ -281,14 +296,7 @@ class TiledPipeline:
         return np.concatenate(maxima)
 
     def _bulk_rasterize(
-        self,
-        side: Sequence[EdgeRow],
-        boxes: np.ndarray,
-        scales: np.ndarray,
-        offsets: np.ndarray,
-        pads,
-        widths,
-        cap_points: bool,
+        self, side: Sequence[EdgeRow], tiles: _Tiles, widths, cap_points: bool
     ) -> Tuple[np.ndarray, np.ndarray, int]:
         """One bulk draw call over all tiles' edges: ``(K, th, tw)`` masks,
         the tiles with an unplaced edge, and the count of submitted edges.
@@ -299,36 +307,32 @@ class TiledPipeline:
         gathered edge with that edge's tile projection - elementwise the
         same float operations the per-pair pipeline performs - and every
         surviving edge rasterizes in one grouped coverage pass.  A gathered
-        edge whose window coordinates are not finite is not drawn; its
-        tile is unplaced.  The counters speak of *submitted* edges, so
-        they cannot tell the cull happened.  Every per-edge array is taken
-        from the pipeline's workspace, in the caller's frame.
+        edge the transform does not place (:func:`placed_rows`) is not
+        drawn; its tile is unplaced.  The counters speak of *submitted*
+        edges, so they cannot tell the cull happened.  Every per-edge array
+        is taken from the pipeline's workspace, in the caller's frame.
         """
         k = len(side)
         counters = self.base.counters
         counters.draw_calls += 1
         shape = (k, self.tile_height, self.tile_width)
         ws = self.workspace
-        gid, edges, total = _gather(side, boxes, ws)
+        gid, edges, total = _gather(side, tiles.boxes, ws)
         n = gid.shape[0]
         # (take gathers rows several times faster than fancy indexing;
         # mode="clip" keeps a take into out= from copying through a fresh
         # buffer - the tile ids are in range.)
         with np.errstate(over="ignore", invalid="ignore"), ws.frame():
-            edges -= offsets.take(gid, axis=0, out=ws.array((n, 4)), mode="clip")
-            edges *= scales.take(gid, out=ws.array(n), mode="clip")[:, None]
+            edges -= tiles.offsets.take(gid, axis=0, out=ws.array((n, 4)), mode="clip")
+            edges *= tiles.scales.take(gid, axis=0, out=ws.array((n, 4)), mode="clip")
 
         # Clipping stage proper, per tile-local viewport.
-        if pads.ndim:
-            pad = pads.take(gid, out=ws.array(n), mode="clip")
-        else:
-            pad = pads
+        pads = tiles.pads
+        pad = pads.take(gid, out=ws.array(n), mode="clip") if pads.ndim else pads
         keep = clip_keep(edges, pad, self.tile_width, self.tile_height, ws)
-        placed = ws.array(n, bool)
-        with ws.frame():
-            np.isfinite(edges, out=ws.array((n, 4), bool)).all(axis=1, out=placed)
+        placed = placed_rows(edges, ws)
         unplaced = np.zeros(k, dtype=bool)
-        if not placed.all():
+        if np.count_nonzero(placed) < n:
             unplaced[gid.compress(~placed)] = True
             keep &= placed
         kept = int(np.count_nonzero(keep))
@@ -383,21 +387,22 @@ def _gather(
 
     Tiles are grouped by store; each store culls its tiles in one call.
     """
+    rows = np.array([row for _, row in side], dtype=np.intp)
+    stores = {store for store, _ in side}
+    if len(stores) == 1:
+        (store,) = stores
+        tile, edge = store.cull(rows, boxes, ws)
+        edges = store.edges.take(edge, axis=0, out=ws.array((edge.shape[0], 4)), mode="clip")
+        return tile, edges, int(store.edge_counts(rows).sum())
     tiles_of: Dict[EdgeStore, List[int]] = {}
     for t, (store, _) in enumerate(side):
         tiles_of.setdefault(store, []).append(t)
-    rows = np.fromiter((row for _, row in side), dtype=np.intp, count=len(side))
     culled, submitted = [], 0
     for store, group in tiles_of.items():
         group = np.array(group, dtype=np.intp)
         group_rows = rows.take(group)
         submitted += int(store.edge_counts(group_rows).sum())
         culled.append((store, group, *store.cull(group_rows, boxes.take(group, axis=1), ws)))
-    if len(culled) == 1:
-        # One store holds every tile, so its group is 0 .. k-1.
-        store, _, tile, edge = culled[0]
-        edges = store.edges.take(edge, axis=0, out=ws.array((edge.shape[0], 4)), mode="clip")
-        return tile, edges, submitted
     tile = np.concatenate([group.take(t) for _, group, t, _ in culled])
     edges = np.concatenate([store.edges.take(e, axis=0) for store, _, _, e in culled])
     # A tile belongs to one group, so a stable sort restores tile order.

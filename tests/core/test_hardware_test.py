@@ -13,10 +13,13 @@ from hypothesis import strategies as st
 from repro.core import HardwareConfig, HardwareSegmentTest, HardwareVerdict
 from repro.core.projection import distance_window, intersection_window
 from repro.geometry import Polygon
+from repro.gpu import pipeline, tiled
+from repro.gpu.pipeline import placed_rows
 from tests.oracles.geometry import (
     boundaries_intersect_brute_force,
     boundary_distance_brute_force,
 )
+from tests.oracles.mutants import ANY_FLAG_PLACED, mutant
 from tests.strategies import polygon_pairs_nearby
 
 SQUARE = Polygon.from_coords([(0, 0), (4, 0), (4, 4), (0, 4)])
@@ -274,6 +277,56 @@ class TestUnplacedEdges:
         hw = make_test(distance_mode="field")
         w = intersection_window(a.mbr, b.mbr)
         assert hw.distance_field_verdict(a, b, w, 0.5) is HardwareVerdict.MAYBE
+
+    def test_one_overflowing_tile_among_many(self):
+        """One atlas batch of 24 tiles, one of which holds an edge that
+        overflows: that tile alone reads unplaced (MAYBE), and every other
+        verdict and the drawn-edge counters equal the per-pair path's."""
+        pairs = [
+            (SQUARE.translated(10.0 * k, 0.0), other.translated(10.0 * k, 0.0))
+            for k, other in enumerate([SHIFTED, INNER, SQUARE] * 8)
+        ]
+        pairs[13] = _long_edge_through(1e-300)
+        items = [(a, b, intersection_window(a.mbr, b.mbr)) for a, b in pairs]
+        per_pair, batch = make_test(), make_test()
+        expected, unplaced = [], []
+        for a, b, w in items:
+            expected.append(per_pair.intersection_verdict(a, b, w))
+            unplaced.append(per_pair.pipeline.unplaced_edges > 0)
+        assert unplaced == [k == 13 for k in range(24)]
+        assert expected[13] is HardwareVerdict.MAYBE
+        assert HardwareVerdict.DISJOINT in expected
+        assert batch.intersection_verdicts_batch(items) == expected
+        assert batch.pipeline.counters.tile_batches == 1
+        for name in ("edges_rendered", "edges_clipped_away"):
+            assert getattr(per_pair.pipeline.counters, name) == getattr(
+                batch.pipeline.counters, name
+            ), name
+
+    def test_placed_reads_all_four_coordinates(self):
+        """Every pattern of finite and overflowed coordinates: a row is
+        placed only when all four are finite."""
+        patterns = np.array(
+            [[(k >> bit) & 1 for bit in range(4)] for k in range(16)], dtype=bool
+        )
+        rows = np.where(patterns, 1.0, np.inf)
+        rows[1::3] = np.where(patterns[1::3], 2.0, np.nan)
+        assert placed_rows(rows).tolist() == patterns.all(axis=1).tolist()
+
+    def test_the_any_flag_mutant_is_killed(self, monkeypatch):
+        """Read as placed when one coordinate is finite, the overflowing edge
+        is drawn and draws nothing: both paths call the crossing pair
+        DISJOINT, which ``test_crossing_boundaries_are_never_disjoint``
+        forbids."""
+        edited = mutant(pipeline, *ANY_FLAG_PLACED).placed_rows
+        monkeypatch.setattr(pipeline, "placed_rows", edited)
+        monkeypatch.setattr(tiled, "placed_rows", edited)
+        a, b = _long_edge_through(1e-300)
+        w = intersection_window(a.mbr, b.mbr)
+        hw = make_test()
+        with np.errstate(invalid="ignore"):
+            assert hw.intersection_verdict(a, b, w) is HardwareVerdict.DISJOINT
+            assert hw.intersection_verdicts_batch([(a, b, w)]) == [HardwareVerdict.DISJOINT]
 
     def test_an_unplaced_edge_outside_the_cull_box_decides_nothing(self):
         """A far edge that overflows is culled by the atlas, so the per-pair

@@ -21,10 +21,10 @@ from repro.gpu import (
     TiledPipeline,
     raster_bulk,
 )
-from repro.gpu.pipeline import clip_keep, cull_boxes
+from repro.gpu.pipeline import clip_keep, tile_transforms, window_columns
 from repro.gpu.state import DEFAULT_AA_LINE_WIDTH
 from repro.obs import Tracer, use_scope
-from tests.oracles.raster import tile_transform_loop, uniform_window_scale
+from tests.oracles.raster import tile_transform_loop
 from tests.strategies import lattices
 
 SQUARE_EDGES = np.array(
@@ -367,11 +367,9 @@ class TestCullBeforeTransform:
         # At x ~ 1e15 a pixel is below an ulp: no data-space x threshold can
         # be shown to fail the clip, so x culls nothing; y still does.
         window = Rect(1e15, 0.0, 1e15 + 0.125, 0.125)
-        scale = uniform_window_scale(8, 8, window)
         pad = DEFAULT_AA_LINE_WIDTH + 1.0
-        lo_x, lo_y, hi_x, hi_y = cull_boxes(
-            np.array([window.xmin]), np.array([window.ymin]), np.array([scale]), pad, 8, 8
-        )[:, 0]
+        _, boxes = tile_transforms(8, 8, window_columns([window]), pad)
+        lo_x, lo_y, hi_x, hi_y = boxes[:, 0]
         assert (lo_x, hi_x) == (-math.inf, math.inf)
         assert math.isfinite(lo_y) and math.isfinite(hi_y)
 

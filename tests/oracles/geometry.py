@@ -16,7 +16,8 @@ two compare with ``==``:
 * minDist: the seed, both chain filters and the best-first pair loop, with
   every ``MinDistStats`` counter;
 * the 0/1-Object upper bounds and ``first_min_hypot`` as loops over
-  ``math.hypot``.
+  ``math.hypot``;
+* CSR run expansion as one ``range`` per run.
 """
 
 from __future__ import annotations
@@ -416,3 +417,13 @@ def first_min_hypot_loop(dx, dy):
         if d < best:
             best_i, best = i, d
     return best_i, best
+
+
+def expand_runs_run_by_run(starts, counts):
+    """``(run, index)`` of every member of runs ``starts[i] ..
+    starts[i] + counts[i] - 1``, one ``range`` per run, as lists."""
+    run, index = [], []
+    for i, (start, count) in enumerate(zip(starts, counts)):
+        run += [i] * count
+        index += range(start, start + count)
+    return run, index

@@ -31,3 +31,11 @@ def mutant(module: types.ModuleType, old: str, new: str, *more: Tuple[str, str])
     finally:
         del sys.modules[name]
     return edited
+
+
+#: ``repro.gpu.pipeline.placed_rows`` reading a row as placed when any one of
+#: its four ``isfinite`` flags is set (a non-zero word), not all four.
+ANY_FLAG_PLACED = (
+    "np.equal(finite.view(np.uint32).reshape(n), _ALL_FINITE,",
+    "np.not_equal(finite.view(np.uint32).reshape(n), 0,",
+)

@@ -56,9 +56,10 @@ from repro.geometry import min_dist
 from repro.geometry.distance import segment_offsets
 from repro.geometry.hypot_order import first_min_hypot
 from repro.geometry.edge_store import EdgeStore
+from repro.geometry.runs import expand_runs
 from repro.geometry.workspace import Workspace
 from repro.gpu import polygon_fill_coverage_mask
-from repro.gpu.pipeline import GraphicsPipeline, cull_boxes, window_columns, window_scales
+from repro.gpu.pipeline import GraphicsPipeline, tile_transforms, window_columns
 from repro.gpu.raster_bulk import edges_coverage_mask, edges_coverage_masks_grouped
 from repro.gpu.tiled import _gather
 from repro.index import plane_sweep_mbr_join, rtree_nearest, str_bulk_load
@@ -136,6 +137,37 @@ LITERAL_PAIRS = [
 ]
 PAIRS_BOTH_WAYS = tuple(LITERAL_PAIRS + [(b, a) for a, b in LITERAL_PAIRS])
 
+
+def _comb(shift: float, closed_above: bool) -> Polygon:
+    """A 60-tooth zigzag, ``y = shift`` at even and ``shift + 1`` at odd
+    ``x``, closed by a rectangle below it (or above it)."""
+    side = 2.5 if closed_above else -1.0
+    teeth = [(float(x), (x % 2) + shift) for x in range(61)]
+    return Polygon.from_coords(teeth + [(60.0, side + shift), (0.0, side + shift)])
+
+
+def _on_tooth(x: float) -> Polygon:
+    """A small triangle whose base touches the tooth of ``_comb(0)`` at
+    ``x`` and reaches back past the tooth's first ``x``."""
+    rise = x - int(x)
+    y = rise if int(x) % 2 == 0 else 1.0 - rise
+    return Polygon.from_coords([(x - 0.125, y), (x + 0.125, y), (x, y + 0.5)])
+
+
+COMB = _comb(0.0, closed_above=False)
+#: The sweep's events become lists :data:`repro.geometry.sweep._EVENT_CHUNK`
+#: (32) at a time.  ``(a, b, restrict, SweepStats fields)``: unrestricted
+#: sweeps whose first crossing is event 31, 32 and 33 - both sides of the
+#: first chunk edge - and a comb 0.5 above ``COMB``, parallel to it, whose
+#: sweep exhausts 122 (restricted) and 126 events, four chunks, with no
+#: crossing.
+CHUNK_EDGE_SWEEPS = (
+    (COMB, _on_tooth(28.0625), False, (66, 66, 31, 1, 1)),
+    (COMB, _on_tooth(29.0625), False, (66, 66, 32, 1, 1)),
+    (COMB, _on_tooth(30.0625), False, (66, 66, 33, 1, 1)),
+    (COMB, _comb(0.5, closed_above=True), True, (126, 122, 122, 180, 0)),
+    (COMB, _comb(0.5, closed_above=True), False, (126, 126, 126, 180, 0)),
+)
 
 #: Edge pairs of the literals: zero-length, collinear overlap, touching at a
 #: vertex, crossing.
@@ -269,6 +301,21 @@ def _same_stats(stats_type):
     return compare
 
 
+def _run_columns(runs):
+    """``(starts, counts)`` arrays of ``(start, count)`` runs."""
+    return tuple(np.array([run[i] for run in runs], dtype=np.intp) for i in (0, 1))
+
+
+def _expanded_runs(oracle, twin, args):
+    """In a fresh workspace, and in an arena already holding an array."""
+    expected = oracle(*(a.tolist() for a in args))
+    ws = Workspace(reserve=1 << 16)
+    ws.array(3)
+    for workspace in (None, ws):
+        run, index = twin(*args, workspace)
+        assert (run.tolist(), index.tolist()) == expected
+
+
 def _offset_hypot(oracle, twin, args):
     p, a, b = args
     dx, dy = twin(*(np.array([v]) for v in (p.x, p.y, a.x, a.y, b.x, b.y)))
@@ -335,9 +382,7 @@ def _fill_mask(oracle, twin, args):
 
 def _tile_transforms(oracle, twin, args):
     width, height, windows, pads = args
-    bounds = window_columns(windows)
-    scales = twin(width, height, bounds)
-    boxes = cull_boxes(bounds[0], bounds[1], scales, np.array(pads), width, height)
+    scales, boxes = twin(width, height, window_columns(windows), np.array(pads))
     expected_scales, expected_boxes = oracle(width, height, windows, pads)
     assert scales.tolist() == expected_scales
     assert boxes.T.tolist() == [list(box) for box in expected_boxes]
@@ -666,8 +711,22 @@ TWINS = {
             geometry.boundaries_intersect_by_loops,
             boundaries_intersect,
             st.tuples(polygon_pairs, st.booleans()).map(lambda case: (*case[0], case[1])),
-            tuple((a, b, restrict) for a, b in PAIRS_BOTH_WAYS for restrict in (True, False)),
+            tuple((a, b, restrict) for a, b in PAIRS_BOTH_WAYS for restrict in (True, False))
+            + tuple((a, b, restrict) for a, b, restrict, _ in CHUNK_EDGE_SWEEPS),
             _same_stats(SweepStats),
+        ),
+        # -- geometry: CSR run expansion
+        Twin(
+            geometry.expand_runs_run_by_run,
+            expand_runs,
+            st.lists(st.tuples(st.integers(-50, 50), st.integers(0, 4)), max_size=8).map(
+                _run_columns
+            ),
+            (
+                (np.array([5, 9, 2], dtype=np.intp), np.array([0, 3, 0], dtype=np.intp)),
+                (np.array([7, 1], dtype=np.intp), np.array([2, 0], dtype=np.intp)),
+            ),
+            _expanded_runs,
         ),
         # -- geometry: distance bounds
         Twin(
@@ -768,7 +827,7 @@ TWINS = {
         ),
         Twin(
             raster.tile_transform_loop,
-            window_scales,
+            tile_transforms,
             tile_windows(),
             tuple((8, 8, [w, Rect(0.0, 0.0, 8.0, 8.0)], [2.5, 9.0]) for w in ODD_WINDOWS),
             _tile_transforms,
@@ -879,6 +938,17 @@ def test_twin_agrees(name):
 
     corpus()
     assert twin.literals and ran, f"{name} did not run"
+
+
+@pytest.mark.parametrize(
+    "a, b, restrict, fields", CHUNK_EDGE_SWEEPS, ids=["31", "32", "33", "neg-restricted", "neg"]
+)
+def test_sweep_chunk_edges(a, b, restrict, fields):
+    """The chunk literals sit where they say: all five counters, which the
+    twin above also holds to the loops."""
+    stats = SweepStats()
+    assert boundaries_intersect(a, b, restrict, stats) == bool(fields[-1])
+    assert dataclasses.astuple(stats) == fields
 
 
 def test_every_oracle_is_registered():
