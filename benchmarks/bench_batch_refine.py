@@ -9,8 +9,9 @@ submission counts.  The geometry wall columns are reported, not gated:
 their ratio depends on who else is on the host (EXPERIMENTS.md carries
 the ranges).
 
-Run with ``--trace-out spans.jsonl`` to capture the per-batch
-``geometry.hw_batch`` / ``gpu.tile_batch`` spans alongside the stage spans.
+Run with ``--trace-out spans.jsonl`` to capture refinement's stage spans
+(``geometry.pip``, ``geometry.hw_batch`` with its ``gpu.tile_batch``
+spans underneath, ``geometry.sweep``) under the pipeline stage spans.
 """
 
 #: (op) -> (per-pair draw calls, batched draw calls, atlas batches) at the

@@ -41,8 +41,9 @@ def trace_session(request):
     """Run the session under a tracer exported to ``--trace-out`` at teardown.
 
     Every :meth:`CostBreakdown.time_stage` call in every pipeline emits
-    spans into it automatically (zero call-site changes); the hardware
-    stage adds ``geometry.hw_batch`` and ``gpu.tile_batch`` child spans.
+    spans into it automatically (zero call-site changes); refinement adds
+    its ``geometry.pip`` / ``geometry.hw_batch`` (with ``gpu.tile_batch``
+    underneath) / ``geometry.sweep`` | ``geometry.mindist`` stage spans.
     No-op when the option is unset.
     """
     path = request.config.getoption("--trace-out")

@@ -133,12 +133,12 @@ class MemoCache(LruCache):
         evicted = self.put((op, key), value)
         publish_store(self.label, op, evicted, len(self))
 
-    def memo(self, op: str, key: Hashable, compute: Callable[[], Any]) -> Any:
-        """The value under ``(op, key)``, calling ``compute()`` (and
+    def memo(self, op: str, key: Hashable, compute: Callable[..., Any], *args: Any) -> Any:
+        """The value under ``(op, key)``, calling ``compute(*args)`` (and
         storing its result) only on a miss."""
         value = self.lookup(op, key)
         if value is MISSING:
-            value = compute()
+            value = compute(*args)
             self.store(op, key, value)
         return value
 

@@ -85,18 +85,24 @@ def point_to_polygon_distance(p: Point, polygon: Polygon) -> float:
     return point_to_boundary_distance(p, polygon)
 
 
-def either_contains(a: Polygon, b: Polygon) -> bool:
+def either_contains(a: Polygon, b: Polygon, stats=None) -> bool:
     """True when one polygon's interior contains a vertex of the other.
 
     Combined with a boundary-distance of zero check this resolves the
     region-distance-zero cases: overlapping interiors always put some vertex
-    of one polygon inside the other *or* make the boundaries cross.
+    of one polygon inside the other *or* make the boundaries cross.  Each
+    boundary scan is guarded by a free point-in-MBR test; ``stats.pip_edges``
+    (when given) is charged the edges of each scan actually run.
     """
     va = a.vertices[0]
     if b.mbr.contains_point(va):
+        if stats is not None:
+            stats.pip_edges += b.num_vertices
         if locate_point(va, b.vertices) is not PointLocation.OUTSIDE:
             return True
     vb = b.vertices[0]
     if not a.mbr.contains_point(vb):
         return False
+    if stats is not None:
+        stats.pip_edges += a.num_vertices
     return locate_point(vb, a.vertices) is not PointLocation.OUTSIDE

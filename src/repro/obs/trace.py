@@ -133,21 +133,15 @@ class Tracer:
         start_unix_s: Optional[float] = None,
         **attributes: Any,
     ) -> Span:
-        """Record a span timed externally (e.g. a hardware batch).
+        """Record a span timed externally (e.g. a serve request's queue
+        wait), parented to the currently open span of *this* tracer.
 
-        The span parents to the currently open span of *this* tracer, which
-        is how externally timed child spans land under their pipeline stage.
-
-        When no ``start_unix_s`` is given, the span is assumed to have just
-        ended, so its start is *now minus the duration* - recording the end
-        time as the start would shift externally-timed spans forward by
-        their own length and break start+duration interval math against
-        sibling spans.  "Now" is derived from the tracer's single
-        wall+monotonic clock pair, never a fresh ``time.time()`` read:
-        ``duration_s`` was measured on the monotonic clock, and
-        backdating a monotonic duration from an adjustable wall reading
-        would skew the span against its siblings whenever the system
-        clock steps.
+        It is added after its block, so it cannot parent the spans recorded
+        inside that block - they land beside it: time a block that holds
+        other spans with :meth:`span`.  Without ``start_unix_s`` the span
+        is taken to have just ended (start = now - duration), "now" from
+        the tracer's one wall+monotonic clock pair: a fresh ``time.time()``
+        would skew the span against its siblings whenever the clock steps.
         """
         span = Span(
             span_id=self._next_id,

@@ -297,8 +297,9 @@ class QueryService:
         settled its ``query_index``.
         """
         engine, refusal = admitted
-        if refusal == "queued":
-            engine, refusal = self.pool.wait(start)
+        with tracer.span("queue_wait") if tracer is not None else nullcontext():
+            if refusal == "queued":
+                engine, refusal = self.pool.wait(start)
         if refusal == "closed":
             return self._finish(request, "error", start, error="service is closed"), None
         if refusal == "unknown_query":
@@ -310,8 +311,6 @@ class QueryService:
         if refusal == "shed":
             return self._finish(request, "shed", start), None
         wait_s = time.perf_counter() - start
-        if tracer is not None:
-            tracer.record("queue_wait", wait_s)
         if engine is None:
             return self._finish(request, "timeout", start, wait_s), None
         try:
