@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import functools
 from collections import OrderedDict
-from typing import Any, Callable, Hashable
+from typing import Any, Hashable
 
 from ..obs.metrics import metric_key
 from ..obs.scope import current_scope
@@ -132,15 +132,6 @@ class MemoCache(LruCache):
     def store(self, op: str, key: Hashable, value: Any) -> None:
         evicted = self.put((op, key), value)
         publish_store(self.label, op, evicted, len(self))
-
-    def memo(self, op: str, key: Hashable, compute: Callable[..., Any], *args: Any) -> Any:
-        """The value under ``(op, key)``, calling ``compute(*args)`` (and
-        storing its result) only on a miss."""
-        value = self.lookup(op, key)
-        if value is MISSING:
-            value = compute(*args)
-            self.store(op, key, value)
-        return value
 
 
 __all__ = ["LruCache", "MISSING", "MemoCache", "publish_lookup", "publish_store"]

@@ -39,7 +39,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..cache import MemoCache
+from ..cache import MISSING, MemoCache
 from ..geometry.distance import either_contains
 from ..geometry.min_dist import MinDistStats, min_boundary_distance
 from ..geometry.point_in_polygon import PointLocation, locate_point
@@ -250,7 +250,10 @@ def refine_items(
                     # ``restrict`` changes work, never the answer; it is keyed
                     # so the cache never equates differently-configured runs.
                     key = (a.digest, b.digest, distance, restrict)
-                    meet = cache.memo(spec.memo, key, decide, *args)
+                    meet = cache.lookup(spec.memo, key)
+                    if meet is MISSING:
+                        meet = decide(*args)
+                        cache.store(spec.memo, key, meet)
                 if k in hw_maybe and not meet:
                     # A shared pixel but no actual contact: the conservative
                     # filter's false positive (it has no false negatives).

@@ -57,23 +57,19 @@ class TestMemoCache:
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
 
-    def test_memo_computes_once(self):
+    def test_falsy_values_are_cached(self):
         cache = MemoCache("predicate", capacity=8)
-        calls = []
-
-        def compute():
-            calls.append(1)
-            return False  # falsy results must be cached too
-
-        assert cache.memo("sweep", ("x",), compute) is False
-        assert cache.memo("sweep", ("x",), compute) is False
-        assert len(calls) == 1
+        assert cache.lookup("sweep", ("x",)) is MISSING
+        cache.store("sweep", ("x",), False)  # falsy results must be cached too
+        assert cache.lookup("sweep", ("x",)) is False
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_ops_namespace_keys(self):
         cache = MemoCache("predicate", capacity=8)
-        assert cache.memo("sweep", ("x",), lambda: 1) == 1
-        assert cache.memo("mindist", ("x",), lambda: 2) == 2
+        cache.store("sweep", ("x",), 1)
+        cache.store("mindist", ("x",), 2)
+        assert cache.lookup("sweep", ("x",)) == 1
+        assert cache.lookup("mindist", ("x",)) == 2
         assert len(cache) == 2
 
 
@@ -125,8 +121,9 @@ class TestCacheBundle:
 
     def test_stats_and_totals_aggregate(self):
         bundle = CacheBundle(CacheConfig())
-        bundle.predicate.memo("sweep", ("x",), lambda: True)
-        bundle.predicate.memo("sweep", ("x",), lambda: True)
+        assert bundle.predicate.lookup("sweep", ("x",)) is MISSING
+        bundle.predicate.store("sweep", ("x",), True)
+        assert bundle.predicate.lookup("sweep", ("x",)) is True
         assert bundle.verdict.lookup("intersect", ("k",)) is MISSING
         stats = bundle.stats()
         assert stats["predicate"].hits == 1
