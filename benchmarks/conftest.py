@@ -8,7 +8,9 @@ to the ``tiny`` scale so the whole suite finishes in a few minutes; set
 ``REPRO_BENCH_SCALE=small`` (or ``medium``) for closer-to-paper workloads.
 
 The formatted experiment tables are printed at the end of the run and also
-written to ``benchmarks/results/<experiment>.txt``.
+written to ``benchmarks/results/<experiment>.txt``.  ``--trace-out FILE``
+runs the whole session under one tracer and writes its spans to ``FILE``
+as JSON lines at teardown.
 """
 
 from __future__ import annotations
@@ -28,10 +30,10 @@ def pytest_addoption(parser):
     parser.addoption(
         "--trace-out",
         action="store",
-        default=os.environ.get("REPRO_TRACE_OUT"),
+        default=None,
         help=(
             "write per-stage trace spans (JSON lines) of all benchmark "
-            "queries to this file; also settable via REPRO_TRACE_OUT"
+            "queries to this file"
         ),
     )
 

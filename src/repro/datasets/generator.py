@@ -79,18 +79,18 @@ def star_polygon(
     mean_radius: float,
     n_vertices: int,
     roughness: float = 0.35,
-    harmonics: int = 8,
 ) -> Polygon:
     """A simple, generally concave polygon star-shaped around ``center``.
 
-    ``roughness`` in [0, ~0.45] scales the Fourier amplitudes; the radial
-    function is clamped to stay positive so the ring never degenerates.
+    ``roughness`` in [0, ~0.45] scales the Fourier amplitudes of at most
+    eight harmonics; the radial function is clamped to stay positive so
+    the ring never degenerates.
     """
     if n_vertices < 3:
         raise ValueError("polygon needs at least 3 vertices")
     if mean_radius <= 0.0:
         raise ValueError("mean_radius must be positive")
-    k_count = min(max(2, n_vertices // 3), harmonics)
+    k_count = min(max(2, n_vertices // 3), 8)
     amps = [
         roughness * rng.uniform(0.3, 1.0) / (k + 1) for k in range(k_count)
     ]

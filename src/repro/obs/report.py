@@ -187,9 +187,12 @@ def render_rollups(report: TraceReport, limit: Optional[int] = None) -> str:
     return "\n".join(lines)
 
 
-def render_tree(
-    report: TraceReport, max_depth: Optional[int] = None, max_children: int = 8
-) -> str:
+#: Children shown under each node of :func:`render_tree`; the rest are
+#: summed on one line.
+_TREE_CHILDREN = 8
+
+
+def render_tree(report: TraceReport) -> str:
     """An indented tree of the heaviest spans (children sorted by time)."""
     lines: List[str] = []
 
@@ -205,14 +208,12 @@ def render_tree(
             f"{indent}{node.name}  {_ms(node.duration_s)} ms"
             f" (self {_ms(node.self_s)} ms){suffix}"
         )
-        if max_depth is not None and depth + 1 >= max_depth:
-            return
         ordered = sorted(node.children, key=lambda n: n.duration_s, reverse=True)
-        for child in ordered[:max_children]:
+        for child in ordered[:_TREE_CHILDREN]:
             walk(child, depth + 1)
-        hidden = len(ordered) - max_children
+        hidden = len(ordered) - _TREE_CHILDREN
         if hidden > 0:
-            rest = sum(n.duration_s for n in ordered[max_children:])
+            rest = sum(n.duration_s for n in ordered[_TREE_CHILDREN:])
             lines.append(
                 f"{'  ' * (depth + 1)}... {hidden} more children"
                 f" ({_ms(rest)} ms)"

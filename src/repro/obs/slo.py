@@ -319,22 +319,12 @@ class SLOTracker:
             ]
 
 
-def default_objectives(
-    availability_target: float = 0.99,
-    latency_threshold_s: float = 2.5,
-    latency_target: float = 0.99,
-) -> Tuple[SLObjective, ...]:
-    """The serving layer's stock objectives (one availability, one latency)."""
+def default_objectives() -> Tuple[SLObjective, ...]:
+    """The serving layer's objectives: 99 % of requests ok, and 99 % of
+    the ok ones within 2.5 s."""
     return (
-        SLObjective(
-            name="availability", kind="availability", target=availability_target
-        ),
-        SLObjective(
-            name="latency",
-            kind="latency",
-            target=latency_target,
-            threshold_s=latency_threshold_s,
-        ),
+        SLObjective(name="availability", kind="availability", target=0.99),
+        SLObjective(name="latency", kind="latency", target=0.99, threshold_s=2.5),
     )
 
 

@@ -10,7 +10,7 @@ experiments can print the same rows the paper plots.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Tuple
 
 from ..obs.metrics import metric_key
@@ -45,16 +45,8 @@ class CostBreakdown:
 
     def merge(self, other: "CostBreakdown") -> None:
         """Accumulate another query's costs (for averaging query sets)."""
-        self.mbr_filter_s += other.mbr_filter_s
-        self.intermediate_filter_s += other.intermediate_filter_s
-        self.geometry_s += other.geometry_s
-        self.candidates_after_mbr += other.candidates_after_mbr
-        self.hull_drops += other.hull_drops
-        self.filter_positives += other.filter_positives
-        self.interval_hits += other.interval_hits
-        self.interval_drops += other.interval_drops
-        self.pairs_compared += other.pairs_compared
-        self.results += other.results
+        for f in fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
 
     def scaled(self, factor: float) -> "CostBreakdown":
         """A copy with every field multiplied by ``factor``.
@@ -65,16 +57,7 @@ class CostBreakdown:
         *averaged* timings would overstate per-query filtering work 50x.
         """
         return CostBreakdown(
-            mbr_filter_s=self.mbr_filter_s * factor,
-            intermediate_filter_s=self.intermediate_filter_s * factor,
-            geometry_s=self.geometry_s * factor,
-            candidates_after_mbr=self.candidates_after_mbr * factor,
-            hull_drops=self.hull_drops * factor,
-            filter_positives=self.filter_positives * factor,
-            interval_hits=self.interval_hits * factor,
-            interval_drops=self.interval_drops * factor,
-            pairs_compared=self.pairs_compared * factor,
-            results=self.results * factor,
+            **{f.name: getattr(self, f.name) * factor for f in fields(self)}
         )
 
     @classmethod

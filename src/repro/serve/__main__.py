@@ -22,10 +22,8 @@ from typing import List, Optional
 
 from ..bench.scales import DEFAULT_SCALE, SCALES
 from ..cache import CacheConfig
-from ..filters.intervals import DEFAULT_INTERVAL_LEVEL
 from ..obs.cli import run_main
 from ..obs.runreport import write_run_report
-from ..obs.slo import default_objectives
 from .engine import AdmissionConfig, WorkloadConfig
 from .loadgen import LoadgenConfig, LoadResult, run_open_loop
 from .health import HealthConfig
@@ -43,18 +41,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         help=f"workload scale preset (default: {DEFAULT_SCALE})",
     )
     parser.add_argument(
-        "--engine",
-        default="hardware",
-        choices=("hardware", "software"),
-        help="refinement engine kind (default: hardware)",
-    )
-    parser.add_argument(
-        "--resolution",
-        type=int,
-        default=8,
-        help="hardware window resolution (default: 8)",
-    )
-    parser.add_argument(
         "--workers",
         type=int,
         default=2,
@@ -65,13 +51,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="enable the raster-interval second filter on the selection "
         "and join pipelines (results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--interval-level",
-        type=int,
-        default=DEFAULT_INTERVAL_LEVEL,
-        help="interval-filter grid refinement: 2^level cells per side "
-        f"(default: {DEFAULT_INTERVAL_LEVEL})",
     )
     parser.add_argument(
         "--cache",
@@ -96,22 +75,11 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         "(default: wait forever)",
     )
     parser.add_argument(
-        "--warm",
-        action="store_true",
-        help="prime every pool engine with one request before serving",
-    )
-    parser.add_argument(
-        "--trace",
-        action="store_true",
-        help="per-request tracing: every request gets its own tracer and "
-        "a trace_id echoed on the response (default: off)",
-    )
-    parser.add_argument(
         "--trace-out",
         default=None,
         help="after the run, export retained request traces as span JSONL "
-        "(implies --trace; analyze with 'python -m repro.obs report' or "
-        "'python -m repro.obs timeline')",
+        "(turns per-request tracing on; analyze with 'python -m repro.obs "
+        "report' or 'python -m repro.obs timeline')",
     )
     parser.add_argument(
         "--slowlog-out",
@@ -132,48 +100,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         help="windowed per-op telemetry + SLO burn-rate alerting: enables "
         "the rich 'health' envelope and 'python -m repro.serve top' "
         "(default: off; the hot path then pays one None check)",
-    )
-    parser.add_argument(
-        "--window-width",
-        type=float,
-        default=10.0,
-        help="seconds per windowed-telemetry bucket (default: 10)",
-    )
-    parser.add_argument(
-        "--window-buckets",
-        type=int,
-        default=6,
-        help="buckets in the windowed-telemetry ring (default: 6)",
-    )
-    parser.add_argument(
-        "--slo-fast",
-        type=float,
-        default=60.0,
-        help="fast burn-rate window span, seconds (default: 60)",
-    )
-    parser.add_argument(
-        "--slo-slow",
-        type=float,
-        default=3600.0,
-        help="slow burn-rate window span, seconds (default: 3600)",
-    )
-    parser.add_argument(
-        "--slo-availability",
-        type=float,
-        default=0.99,
-        help="availability SLO target fraction (default: 0.99)",
-    )
-    parser.add_argument(
-        "--slo-latency",
-        type=float,
-        default=2.5,
-        help="latency SLO 'fast enough' bound, seconds (default: 2.5)",
-    )
-    parser.add_argument(
-        "--burn-threshold",
-        type=float,
-        default=2.0,
-        help="burn rate both SLO windows must exceed to fire (default: 2.0)",
     )
     parser.add_argument(
         "--alerts-out",
@@ -204,11 +130,8 @@ def _timeout_s(text: str) -> float:
 def _build_service(args: argparse.Namespace) -> QueryService:
     workload = WorkloadConfig(
         scale=args.scale,
-        engine=args.engine,
-        resolution=args.resolution,
         cache=CacheConfig() if args.cache else CacheConfig.disabled(),
         use_intervals=args.intervals,
-        interval_level=args.interval_level,
     )
     admission = AdmissionConfig(max_queue=args.max_queue, timeout_s=args.timeout)
     slowlog = (
@@ -216,41 +139,14 @@ def _build_service(args: argparse.Namespace) -> QueryService:
         if args.slowlog_out is not None
         else None
     )
-    health = None
-    if args.windowed or args.alerts_out is not None:
-        health = HealthConfig(
-            window_width_s=args.window_width,
-            window_buckets=args.window_buckets,
-            slo_fast_s=args.slo_fast,
-            slo_slow_s=args.slo_slow,
-            burn_threshold=args.burn_threshold,
-            objectives=default_objectives(
-                availability_target=args.slo_availability,
-                latency_threshold_s=args.slo_latency,
-            ),
-        )
+    windowed = args.windowed or args.alerts_out is not None
     return QueryService(
         workload=workload,
         workers=args.workers,
         admission=admission,
-        warm=args.warm,
-        trace=args.trace or args.trace_out is not None,
+        trace=args.trace_out is not None,
         slowlog=slowlog,
-        health=health,
-    )
-
-
-def _add_output_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--report-out",
-        default=None,
-        help="write a versioned RunReport JSON (gate with "
-        "'python -m repro.obs compare')",
-    )
-    parser.add_argument(
-        "--out",
-        default=None,
-        help="also append the formatted result table to this file",
+        health=HealthConfig() if windowed else None,
     )
 
 
@@ -263,9 +159,6 @@ def _emit(load: LoadResult, args: argparse.Namespace) -> None:
         f" (wall {load.wall_s:.1f} s)\n"
     )
     print(text)
-    if args.out:
-        with open(args.out, "a", encoding="utf-8") as f:
-            f.write(text + "\n")
     if args.report_out:
         write_run_report(args.report_out, load.run_report(scale=args.scale))
         print(f"run report written to {args.report_out}")
@@ -296,16 +189,27 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_serve = sub.add_parser("serve", help="run the TCP JSONL front-end")
+    # The service commands take no abbreviations, so a removed flag such
+    # as --trace is refused rather than read as a prefix of --trace-out.
+    p_serve = sub.add_parser(
+        "serve", help="run the TCP JSONL front-end", allow_abbrev=False
+    )
     _add_service_args(p_serve)
     p_serve.add_argument("--host", default="127.0.0.1")
     p_serve.add_argument("--port", type=int, default=8753)
 
     p_load = sub.add_parser(
-        "loadgen", help="open-loop fixed-arrival-rate load run (in-process)"
+        "loadgen",
+        help="open-loop fixed-arrival-rate load run (in-process)",
+        allow_abbrev=False,
     )
     _add_service_args(p_load)
-    _add_output_args(p_load)
+    p_load.add_argument(
+        "--report-out",
+        default=None,
+        help="write a versioned RunReport JSON (gate with "
+        "'python -m repro.obs compare')",
+    )
     p_load.add_argument(
         "--rate", type=float, default=8.0, help="arrivals per second"
     )
@@ -380,6 +284,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if reply.get("kind") == "pong" else 1
 
     if args.command == "top":
+        if args.json and not args.once:
+            p_top.error("argument --json: needs --once (the live loop draws ANSI frames)")
         timeout = None if args.timeout == 0 else args.timeout
         return run_top(
             args.host,

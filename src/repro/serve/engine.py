@@ -44,9 +44,8 @@ from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 from ..bench.scales import get_scale
 from ..cache import CacheConfig
 from ..core.config import HardwareConfig
-from ..core.engine import HardwareEngine, RefinementEngine, SoftwareEngine
+from ..core.engine import HardwareEngine
 from ..datasets import base_distance
-from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, check_interval_level
 from ..obs.instrument import PipelineObserver
 from ..obs.metrics import MetricKey, MetricsRegistry, metric_key
 from ..query.costs import CostBreakdown
@@ -90,35 +89,19 @@ class Execution(NamedTuple):
 
 @dataclass(frozen=True)
 class WorkloadConfig:
-    """What one serving process hosts, resolved once at startup."""
+    """What one serving process hosts, resolved once at startup.
+
+    Every engine is the default hardware engine (8 x 8 window) and the
+    interval filter, when on, runs at ``DEFAULT_INTERVAL_LEVEL``.
+    """
 
     scale: str = "tiny"
-    #: Refinement engine kind: "hardware" or "software".
-    engine: str = "hardware"
-    #: Hardware window resolution (ignored for the software engine).
-    resolution: int = 8
     #: Memoization layers, resolved here - never from the process default -
     #: so every pool engine is built with the same pinned behavior.
     cache: CacheConfig = CacheConfig.disabled()
     #: Raster-interval second filter on the intersection selection/join
     #: pipelines (off by default; results are bit-identical either way).
     use_intervals: bool = False
-    #: Grid refinement of the interval filter (2^level cells per side).
-    interval_level: int = DEFAULT_INTERVAL_LEVEL
-
-    def __post_init__(self) -> None:
-        if self.engine not in ("hardware", "software"):
-            raise ValueError(
-                f"unknown engine {self.engine!r}; expected hardware|software"
-            )
-        check_interval_level(self.interval_level, "interval_level")
-
-    def build_engine(self) -> RefinementEngine:
-        if self.engine == "software":
-            return SoftwareEngine(cache=self.cache)
-        return HardwareEngine(
-            HardwareConfig(resolution=self.resolution, cache=self.cache)
-        )
 
 
 class ServingWorkload:
@@ -141,7 +124,7 @@ class ServingWorkload:
     def describe(self) -> dict:
         return {
             "scale": self.config.scale,
-            "engine": self.config.engine,
+            "engine": "hardware",
             "use_intervals": self.config.use_intervals,
             "selection_objects": len(self.selection_data.polygons),
             "query_set": len(self.queries),
@@ -158,7 +141,7 @@ class ServingEngine:
         config = workload.config
         self.worker_id = worker_id
         self.workload = workload
-        self.engine = config.build_engine()
+        self.engine = HardwareEngine(HardwareConfig(cache=config.cache))
         #: Requests this engine has started executing (deterministic in
         #: total across the pool; the health envelope's worker roster
         #: reports it as a liveness signal alongside the heartbeats).
@@ -169,14 +152,12 @@ class ServingEngine:
             workload.selection_data,
             self.engine,
             use_intervals=config.use_intervals,
-            interval_level=config.interval_level,
         )
         self.join = IntersectionJoin(
             workload.join_a,
             workload.join_b,
             self.engine,
             use_intervals=config.use_intervals,
-            interval_level=config.interval_level,
         )
         self.within = WithinDistanceJoin(workload.join_a, workload.join_b, self.engine)
 

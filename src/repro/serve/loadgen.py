@@ -39,11 +39,12 @@ from ..obs.runreport import (
     environment_fingerprint,
     experiment_entry,
 )
-from .schema import SERVE_OPS, QueryRequest, QueryResponse
+from .schema import QueryRequest, QueryResponse
 from .service import QueryService
 
-#: Default op mix: selections dominate (they are the cheap, frequent
-#: query class), joins are occasional, within-distance is rare and heavy.
+#: The op mix every schedule draws from: selections dominate (they are the
+#: cheap, frequent query class), joins are occasional, within-distance is
+#: rare and heavy.
 DEFAULT_MIX: Mapping[str, float] = {
     "selection": 0.80,
     "join": 0.15,
@@ -73,19 +74,12 @@ class LoadgenConfig:
     duration_s: float = 10.0
     #: RNG seed for the op/parameter draw (same seed = same schedule).
     seed: int = 2003
-    #: Op mix weights (normalized; ops with weight 0 never appear).
-    mix: Mapping[str, float] = field(default_factory=lambda: dict(DEFAULT_MIX))
 
     def __post_init__(self) -> None:
         for name in ("rate", "duration_s"):
             value = getattr(self, name)
             if not 0 < value < math.inf:
                 raise ValueError(f"{name} must be positive and finite, got {value}")
-        unknown = set(self.mix) - set(SERVE_OPS)
-        if unknown:
-            raise ValueError(f"unknown op(s) in mix: {sorted(unknown)}")
-        if not any(w > 0 for w in self.mix.values()):
-            raise ValueError("mix must give positive weight to at least one op")
 
     @property
     def request_count(self) -> int:
@@ -111,8 +105,8 @@ def build_schedule(
     resident data.
     """
     rng = random.Random(config.seed)
-    ops = [op for op in SERVE_OPS if config.mix.get(op, 0.0) > 0]
-    weights = [config.mix[op] for op in ops]
+    ops = list(DEFAULT_MIX)
+    weights = list(DEFAULT_MIX.values())
     n = config.request_count
     schedule: List[ScheduledRequest] = []
     for i in range(n):
@@ -294,7 +288,7 @@ def run_open_loop(
         title="Open-loop serving: fixed-rate arrivals against repro.serve",
         params={
             "scale": service.workload_config.scale,
-            "engine": service.workload_config.engine,
+            "engine": "hardware",
             "workers": service.pool.size,
             "max_queue": service.admission_config.max_queue,
             "timeout_s": service.admission_config.timeout_s,

@@ -22,6 +22,7 @@ so it works in any terminal CI tails.
 from __future__ import annotations
 
 import json
+import sys
 import time
 from typing import Any, Dict, List, Mapping, Optional
 
@@ -185,7 +186,7 @@ def run_top(
             try:
                 doc = fetch_snapshot(host, port, timeout=timeout)
             except (OSError, ValueError) as exc:
-                print(f"error: {exc}")
+                print(f"error: {exc}", file=sys.stderr)
                 return 2
             if once:
                 if as_json:

@@ -56,6 +56,10 @@ class TestSLObjective:
                 name="x", kind="availability", target=0.9, threshold_s=1.0
             )
 
+    def test_target_above_one_refused(self):
+        with pytest.raises(ValueError, match="target must be in"):
+            SLObjective(name="a", kind="availability", target=1.5)
+
     def test_availability_classification(self):
         o = SLObjective(name="a", kind="availability", target=0.99)
         assert o.classify("ok", 10.0) is True

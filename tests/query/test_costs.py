@@ -1,6 +1,7 @@
 """Tests for the per-stage cost accounting."""
 
 import time
+from dataclasses import fields
 
 import pytest
 
@@ -31,6 +32,17 @@ class TestCostBreakdown:
         assert half.results == 3.5  # counts scale too (float means)
         assert c.mbr_filter_s == 2.0  # original untouched
         assert c.results == 7
+
+    def test_merge_and_scaled_cover_every_field(self):
+        # A field that merge or scaled forgot would keep its own value.
+        names = [f.name for f in fields(CostBreakdown)]
+        c = CostBreakdown(**{name: float(i + 1) for i, name in enumerate(names)})
+        doubled = CostBreakdown(**{name: getattr(c, name) for name in names})
+        doubled.merge(c)
+        tripled = c.scaled(3.0)
+        for i, name in enumerate(names):
+            assert getattr(doubled, name) == 2.0 * (i + 1), name
+            assert getattr(tripled, name) == 3.0 * (i + 1), name
 
     def test_scaled_two_query_average(self):
         # Regression: scaled() used to average only the timings while

@@ -1,5 +1,5 @@
-"""The serve CLI refuses an out-of-range flag as a usage error (exit 2),
-and a client command names a server that drops its connection."""
+"""The serve CLI refuses an out-of-range or removed flag as a usage error
+(exit 2), and a client command names a server that drops its connection."""
 
 import os
 import socket
@@ -15,25 +15,44 @@ import repro
 
 from repro.serve.__main__ import main as serve_main
 
+#: Flags the service no longer takes: no caller set any of them to a value
+#: other than its default, which is now fixed.  Each is refused by name.
+#: The keys of the value-checked ones name the value the flag once refused.
+REMOVED_FLAGS = {
+    "engine": ["--engine", "software"],
+    "warm": ["--warm"],
+    "trace": ["--trace"],
+    "out": ["--out", os.devnull],
+    "interval-level-13": ["--interval-level", "13"],
+    "resolution-0": ["--resolution", "0"],
+    "window-buckets-0": ["--window-buckets", "0"],
+    "slo-availability-1.5": ["--slo-availability", "1.5"],
+    "window-width-nan": ["--window-width", "nan"],
+    "window-width-inf": ["--window-width", "inf"],
+    "slo-fast-nan": ["--slo-fast", "nan"],
+    "slo-slow": ["--slo-slow", "60"],
+    "slo-latency-nan": ["--slo-latency", "nan"],
+    "burn-threshold-nan": ["--burn-threshold", "nan"],
+    "burn-threshold-inf": ["--burn-threshold", "inf"],
+}
+
 BAD_FLAGS = {
     "workers-0": (["--workers", "0"], "pool size"),
-    "interval-level-13": (["--interval-level", "13"], "interval_level"),
-    "resolution-0": (["--resolution", "0"], "resolution"),
     "max-queue-negative": (["--max-queue", "-1"], "max_queue"),
-    "window-buckets-0": (["--windowed", "--window-buckets", "0"], "window_buckets"),
-    "slo-availability-1.5": (["--windowed", "--slo-availability", "1.5"], "target"),
-    # NaN compares false with every bound: each of these used to pass and
-    # either crash every request or silently switch a facility off.
-    "window-width-nan": (["--windowed", "--window-width", "nan"], "window_width_s"),
-    "window-width-inf": (["--windowed", "--window-width", "inf"], "window_width_s"),
-    "slo-fast-nan": (["--windowed", "--slo-fast", "nan"], "slo_fast_s"),
-    "slo-latency-nan": (["--windowed", "--slo-latency", "nan"], "threshold_s"),
-    "burn-threshold-nan": (["--windowed", "--burn-threshold", "nan"], "burn_threshold"),
-    "burn-threshold-inf": (["--windowed", "--burn-threshold", "inf"], "burn_threshold"),
     "slow-threshold-nan": (
         ["--slowlog-out", os.devnull, "--slow-threshold", "nan"], "threshold_s"
     ),
+    # NaN compares false with every bound: the check must still refuse it.
     "timeout-nan": (["--timeout", "nan"], "timeout_s"),
+    # The trailing bad --max-queue makes a build that still took the
+    # removed flag exit at once, instead of serving or running a load.
+    **{
+        case: (
+            [*flags, "--max-queue", "-1"],
+            f"unrecognized arguments: {' '.join(flags)}",
+        )
+        for case, flags in REMOVED_FLAGS.items()
+    },
 }
 
 
@@ -92,6 +111,25 @@ def test_bad_client_flag_exits_2_naming_the_flag(case, capsys):
     err = capsys.readouterr().err
     assert f"argument {flag}:" in err
     assert "Traceback" not in err
+
+
+def test_top_json_without_once_is_a_usage_error(capsys):
+    # The live loop draws ANSI frames; --json would silently be ignored.
+    with pytest.raises(SystemExit) as exit_info:
+        serve_main(["top", "--json", "--port", "1"])
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --json:" in err
+    assert "Traceback" not in err
+
+
+def test_top_fetch_error_goes_to_stderr(capsys):
+    # --once --json output is parsed as JSON: an error line on stdout
+    # would turn a refused connection into a parse error downstream.
+    assert serve_main(["top", "--once", "--json", "--port", "1", "--timeout", "5"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 def test_ping_names_a_server_that_drops_the_connection():

@@ -84,10 +84,12 @@ class TestBitIdentityAcrossBackends:
         finally:
             svc.close()
 
-    def test_interval_level_validated(self):
-        for level in (13, -1, 8.5, True):
-            with pytest.raises(ValueError, match="interval_level"):
-                WorkloadConfig(interval_level=level)
+    @pytest.mark.parametrize("name", ["engine", "resolution", "interval_level"])
+    def test_fixed_settings_are_not_fields(self, name):
+        # The served engine is the 8 x 8 hardware engine, and the interval
+        # filter runs at the default level (IntervalGrid checks a level).
+        with pytest.raises(TypeError, match=name):
+            WorkloadConfig(**{name: None})
 
     def test_serial_backend_is_gone(self):
         # One refinement path: no geometry backend is selectable at all.

@@ -51,12 +51,6 @@ class TestSchedule:
             elif req.op == "within_distance":
                 assert req.distance >= 0
 
-    def test_mix_validation(self):
-        with pytest.raises(ValueError, match="unknown op"):
-            LoadgenConfig(mix={"teleport": 1.0})
-        with pytest.raises(ValueError, match="positive weight"):
-            LoadgenConfig(mix={"selection": 0.0})
-
 
 class TestExactQuantile:
     def test_picks_exact_sample(self):
