@@ -42,7 +42,7 @@ from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 from ..cache import MISSING, MemoCache
 from ..geometry.distance import either_contains
 from ..geometry.min_dist import MinDistStats, min_boundary_distance
-from ..geometry.point_in_polygon import PointLocation, locate_point
+from ..geometry.point_in_polygon import PointLocation, locate_xy
 from ..geometry.polygon import Polygon
 from ..geometry.sweep import SweepStats, boundaries_intersect
 from ..obs.scope import current_scope
@@ -77,9 +77,9 @@ def _prefilter_within(
         # Both scans are charged, but either_contains stops at its first hit, so
         # that hit charges a scan never run; the fix moves wd-ll's modeled cost
         # and its replay in benchmarks/perf together (ROADMAP item 20(b)).
-        if b.mbr.contains_point(a.vertices[0]):
+        if b.mbr.contains_xy(*a.coords_array[0].tolist()):
             stats.pip_edges += b.num_vertices
-        if a.mbr.contains_point(b.vertices[0]):
+        if a.mbr.contains_xy(*b.coords_array[0].tolist()):
             stats.pip_edges += a.num_vertices
         if either_contains(a, b):
             return True
@@ -95,7 +95,8 @@ def _prefilter_contains(
     if not a.mbr.contains_rect(b.mbr):
         return False
     stats.pip_edges += a.num_vertices
-    if locate_point(b.vertices[0], a.vertices) is not PointLocation.INSIDE:
+    x, y = b.coords_array[0].tolist()
+    if locate_xy(x, y, a.edge_slabs) is not PointLocation.INSIDE:
         return False
     return None
 

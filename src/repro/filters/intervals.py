@@ -61,6 +61,7 @@ import numpy as np
 from ..geometry.polygon import Polygon
 from ..geometry.rect import Rect
 from ..geometry.runs import expand_runs
+from ..geometry.workspace import Workspace
 from ..gpu.raster_vector import (
     polygon_fill_coverage_mask,
     ring_boundary_coverage_mask,
@@ -97,6 +98,11 @@ class IntervalVerdict(Enum):
 
 
 _VERDICTS = np.array(list(IntervalVerdict), dtype=object)
+
+#: Gathered runs :meth:`_PackedRuns.overlaps` merges per step.
+#: ``searchsorted`` takes no ``out=``, so its results are the step's size
+#: (at most 64 KiB each), which the heap reuses instead of mapping afresh.
+_OVERLAP_STEP = 1 << 13
 
 
 def check_interval_level(level: object, name: str = "level") -> None:
@@ -370,22 +376,33 @@ class _PackedRuns:
         self.offsets = _reserve(self.offsets, self.rows + 1)
         self.offsets[self.rows] = self.size
 
-    def overlaps(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+    def overlaps(self, rows_a: np.ndarray, rows_b: np.ndarray, ws: Workspace) -> np.ndarray:
         """Per pair ``k``: do rows ``rows_a[k]``, ``rows_b[k]`` share a cell?
-        Gathers the shorter row's runs, moved to the other row's keys."""
+        Gathers the shorter row's runs, moved to the other row's keys, into
+        ``ws`` and merges them :data:`_OVERLAP_STEP` at a time."""
         offsets = self.offsets
         count_a = offsets.take(rows_a + 1) - offsets.take(rows_a)
         count_b = offsets.take(rows_b + 1) - offsets.take(rows_b)
         a_shorter = count_a <= count_b
         counts = np.minimum(count_a, count_b)
-        pair, index = expand_runs(
-            offsets.take(np.where(a_shorter, rows_a, rows_b)), counts
-        )
         shift = np.where(a_shorter, rows_b - rows_a, rows_a - rows_b) * self.stride
-        shift = np.repeat(shift, counts)
         starts, ends = self.keyed[:, : self.size]
-        found = _runs_overlap(starts.take(index) + shift, ends.take(index) + shift, starts, ends)
-        return np.bincount(pair.compress(found), minlength=counts.size) > 0
+        met = np.zeros(counts.size, dtype=bool)
+        with ws.frame():
+            pair, index = expand_runs(
+                offsets.take(np.where(a_shorter, rows_a, rows_b)), counts, ws
+            )
+            query = ws.array((3, min(index.size, _OVERLAP_STEP)), np.int64)
+            for lo in range(0, index.size, _OVERLAP_STEP):
+                at, owner = index[lo : lo + _OVERLAP_STEP], pair[lo : lo + _OVERLAP_STEP]
+                q_starts, q_ends, q_shift = query[:, : at.size]
+                shift.take(owner, out=q_shift, mode="clip")
+                starts.take(at, out=q_starts, mode="clip")
+                ends.take(at, out=q_ends, mode="clip")
+                q_starts += q_shift
+                q_ends += q_shift
+                met.put(owner.compress(_runs_overlap(q_starts, q_ends, starts, ends)), True)
+        return met
 
 
 class IntervalIndex:
@@ -405,6 +422,8 @@ class IntervalIndex:
         self._any = _PackedRuns(grid.cells_per_side**2)
         self._full = _PackedRuns(grid.cells_per_side**2)
         self._clipped = np.zeros(0, dtype=bool)
+        #: :meth:`classify_batch`'s gathered runs: one owner, like the index.
+        self._workspace = Workspace()
 
     @classmethod
     def for_datasets(
@@ -466,10 +485,11 @@ class IntervalIndex:
         rows = np.fromiter((self._row(p) for ab in pairs for p in ab), np.int64, 2 * len(pairs))
         rows_a, rows_b = rows[0::2], rows[1::2]
         # Codes index _VERDICTS: 0 DISJOINT, 1 INTERSECTING, 2 UNKNOWN.
-        codes = np.where(self._full.overlaps(rows_a, rows_b), 1, 2)
+        ws = self._workspace
+        codes = np.where(self._full.overlaps(rows_a, rows_b, ws), 1, 2)
         both_clipped = self._clipped.take(rows_a) & self._clipped.take(rows_b)
         open_ = np.flatnonzero((codes == 2) & ~both_clipped)
-        meet = self._any.overlaps(rows_a.take(open_), rows_b.take(open_))
+        meet = self._any.overlaps(rows_a.take(open_), rows_b.take(open_), ws)
         codes[open_.compress(~meet)] = 0
         return _VERDICTS.take(codes).tolist()
 

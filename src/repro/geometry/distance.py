@@ -16,7 +16,7 @@ import numpy as np
 
 from .hypot_order import first_min_hypot
 from .point import Point
-from .point_in_polygon import PointLocation, locate_point
+from .point_in_polygon import PointLocation, locate_xy
 from .polygon import Polygon
 
 #: ``ab . ab`` overflows for an edge longer than about 1.34e154.  The
@@ -92,17 +92,19 @@ def either_contains(a: Polygon, b: Polygon, stats=None) -> bool:
     region-distance-zero cases: overlapping interiors always put some vertex
     of one polygon inside the other *or* make the boundaries cross.  Each
     boundary scan is guarded by a free point-in-MBR test; ``stats.pip_edges``
-    (when given) is charged the edges of each scan actually run.
+    (when given) is charged the edges of each scan actually run.  Vertex 0
+    is read from ``coords_array`` as two floats, and each scan is one
+    :func:`locate_xy` over the other polygon's slabs.
     """
-    va = a.vertices[0]
-    if b.mbr.contains_point(va):
+    x, y = a.coords_array[0].tolist()
+    if b.mbr.contains_xy(x, y):
         if stats is not None:
             stats.pip_edges += b.num_vertices
-        if locate_point(va, b.vertices) is not PointLocation.OUTSIDE:
+        if locate_xy(x, y, b.edge_slabs) is not PointLocation.OUTSIDE:
             return True
-    vb = b.vertices[0]
-    if not a.mbr.contains_point(vb):
+    x, y = b.coords_array[0].tolist()
+    if not a.mbr.contains_xy(x, y):
         return False
     if stats is not None:
         stats.pip_edges += a.num_vertices
-    return locate_point(vb, a.vertices) is not PointLocation.OUTSIDE
+    return locate_xy(x, y, a.edge_slabs) is not PointLocation.OUTSIDE

@@ -46,34 +46,43 @@ def edge_bounds(edges: np.ndarray) -> np.ndarray:
 
 
 class EdgeSlabs:
-    """A ring's edge rows bucketed into equal horizontal slabs.
+    """A ring's edges bucketed into equal horizontal slabs, as columns.
 
-    Slab ``s`` is ``rows[offsets[s]:offsets[s + 1]]``: in boundary order,
-    every edge whose closed y-range meets ``[y0 + s * height, y0 + (s + 1) *
-    height]``, so an edge spanning several slabs appears in each.  With
-    ``height == inf`` there is one slab, holding every row.
+    Slab ``s`` is entries ``offsets[s]:offsets[s + 1]`` of ``columns``, the
+    rows ``ax, ay, bx - ax, by - ay, by``, and of ``descending``, the flags
+    ``by < ay``: in boundary order, every edge whose closed y-range meets
+    ``[y0 + s * height, y0 + (s + 1) * height]``, so an edge spanning
+    several slabs appears in each.  With ``height == inf`` there is one
+    slab, holding every edge.  ``edges`` is the ring's ``(n, 4)`` rows (the
+    polygon's own view, not a copy), which only the boundary test reads.
     """
 
-    __slots__ = ("y0", "height", "offsets", "rows")
+    __slots__ = ("y0", "height", "offsets", "columns", "descending", "edges")
 
-    def __init__(self, y0: float, height: float, offsets: List[int], rows: np.ndarray) -> None:
+    def __init__(
+        self, y0: float, height: float, offsets: List[int], members: np.ndarray,
+        edges: np.ndarray,
+    ) -> None:
+        """``members``: the ring's edge numbers, slab by slab."""
         self.y0 = y0
         self.height = height
         self.offsets = offsets
-        self.rows = rows
-
-    def rows_at(self, y: float) -> np.ndarray:
-        """The rows of slab ``clamp(floor((y - y0) / height), 0, k - 1)``.
-
-        Clamping before truncating makes ``int`` the floor, and sends an
-        infinite or NaN quotient to an end slab instead of raising; no edge
-        can reach such a ``y`` anyway."""
-        s = int(min(max(0.0, (y - self.y0) / self.height), len(self.offsets) - 2))
-        return self.rows[self.offsets[s]:self.offsets[s + 1]]
+        self.edges = edges
+        # Row by row, so the build holds one column of scratch, not a copy
+        # of the rows.
+        self.columns = columns = np.empty((5, len(members)))
+        ax, ay, run, rise, by = columns
+        for c, out in ((0, ax), (1, ay), (2, run), (3, by)):
+            edges[:, c].take(members, out=out, mode="clip")
+        run -= ax
+        np.subtract(by, ay, out=rise)
+        self.descending = by < ay
+        columns.setflags(write=False)
+        self.descending.setflags(write=False)
 
 
 def _one_slab(edges: np.ndarray) -> EdgeSlabs:
-    return EdgeSlabs(0.0, math.inf, [0, len(edges)], edges)
+    return EdgeSlabs(0.0, math.inf, [0, len(edges)], np.arange(len(edges)), edges)
 
 
 def edge_slabs(edges: np.ndarray) -> EdgeSlabs:
@@ -81,7 +90,7 @@ def edge_slabs(edges: np.ndarray) -> EdgeSlabs:
     over the ring's y extent; one slab when that height is zero or overflows.
 
     Each edge goes into slabs ``s(min(ay, by))`` through ``s(max(ay, by))``,
-    ``s`` being :meth:`EdgeSlabs.rows_at`'s expression evaluated as float64
+    ``s`` being :func:`locate_xy`'s slab expression evaluated as float64
     ufuncs - the same IEEE operations, so build and query round alike.
     """
     n = len(edges)
@@ -99,13 +108,21 @@ def edge_slabs(edges: np.ndarray) -> EdgeSlabs:
     edge_of, slab_of = expand_runs(first, last - first + 1)
     order = np.argsort(slab_of, kind="stable")
     offsets = np.concatenate([[0], np.cumsum(np.bincount(slab_of, minlength=k))])
-    rows = edges.take(edge_of.take(order), axis=0)
-    rows.setflags(write=False)
-    return EdgeSlabs(y0, height, offsets.tolist(), rows)
+    return EdgeSlabs(y0, height, offsets.tolist(), edge_of.take(order), edges)
 
 
-def locate_point(p: Point, vertices: Sequence[Point]) -> PointLocation:
-    """Classify ``p`` against the polygon given by ``vertices``.
+def _on_boundary(px: float, py: float, edges: np.ndarray) -> bool:
+    """Does an edge row hold ``(px, py)``: collinear with its line, in its box."""
+    ax, ay, bx, by = edges.T
+    collinear = (bx - ax) * (py - ay) == (by - ay) * (px - ax)
+    on_line = edges.compress(collinear, axis=0)
+    starts, ends = on_line[:, :2], on_line[:, 2:]
+    in_box = (np.minimum(starts, ends) <= (px, py)) & ((px, py) <= np.maximum(starts, ends))
+    return bool(in_box.all(axis=1).any())
+
+
+def locate_xy(px: float, py: float, slabs: EdgeSlabs) -> PointLocation:
+    """Classify the point ``(px, py)`` against the ring of ``slabs``.
 
     Uses the even-odd (crossing-number) rule, which is the conventional
     interpretation for possibly non-simple GIS polygons: a point is inside
@@ -114,16 +131,14 @@ def locate_point(p: Point, vertices: Sequence[Point]) -> PointLocation:
     the intersection test treats as intersecting (safe for spatial
     predicates).
 
-    ``Polygon.vertices`` is scanned through the polygon's cached
-    :class:`EdgeSlabs`, and only the slab holding ``p.y``; any other
-    sequence of points is converted to one slab of its own ring.  The scan
-    is whole-array, one float64 ufunc per product, difference and comparison
-    of the edge-by-edge formulation, so it decides exactly as that loop
-    would over every edge.  Scanning one slab loses nothing:
+    Only the slab holding ``py`` is scanned, whole-array: one float64 ufunc
+    per product, difference and comparison of the edge-by-edge formulation,
+    so it decides exactly as that loop would over every edge.  Scanning one
+    slab loses nothing:
 
     - An edge can only contribute if its closed y-range holds ``py``: the
       crossing test needs ``min(ay, by) <= py < max(ay, by)``, the boundary
-      test needs the edge's box to hold ``p``.
+      test needs the edge's box to hold the point.
     - The slab index ``s(y) = clamp(floor((y - y0) / h), 0, k - 1)`` is
       monotone in IEEE arithmetic: subtracting a constant, dividing by a
       positive constant (rounded to nearest), ``floor`` and clamping each
@@ -132,31 +147,43 @@ def locate_point(p: Point, vertices: Sequence[Point]) -> PointLocation:
       Build and query evaluate the same expression (a division, never a
       multiplication by ``1 / h``), so they round identically.
     - The slab is therefore a superset of the contributing edges whose
-      extra rows neither box ``p`` nor cross its ray; the boundary test is
-      an "any" and the location a parity, and neither changes.
+      extra rows neither box the point nor cross its ray; the boundary test
+      is an "any" and the location a parity, and neither changes.
+
+    A slab entry collinear with the point sends the boundary test to the
+    ring's rows, where the box needs ``bx``; an edge outside the slab
+    cannot box the point, so the answer is the slab's.
     """
+    offsets = slabs.offsets
+    # Clamping before truncating makes ``int`` the floor, and sends an
+    # infinite or NaN quotient to an end slab instead of raising; no edge
+    # can reach such a ``py`` anyway.
+    s = int(min(max(0.0, (py - slabs.y0) / slabs.height), len(offsets) - 2))
+    lo, hi = offsets[s], offsets[s + 1]
+    ax, ay, run, rise, by = slabs.columns[:, lo:hi]
+    run_rise = run * (py - ay)
+    rise_run = rise * (px - ax)
+    # Boundary first: an exact on-edge point must not depend on the crossing
+    # arithmetic.  Collinear with an edge's line and inside its box = on it.
+    if np.count_nonzero(run_rise == rise_run) and _on_boundary(px, py, slabs.edges):
+        return PointLocation.BOUNDARY
+    # Half-open rule [ay, by): each non-horizontal edge is counted once, and
+    # vertices never double-count.  The edge's x at height py is compared to
+    # px without division (sign-corrected by the edge direction):
+    # ``rise_run < run_rise`` is ``rise_run - run_rise < 0`` for every pair
+    # of doubles (DESIGN.md, point in polygon).
+    crossing = (ay > py) != (by > py)
+    crossing &= np.less(rise_run, run_rise) != slabs.descending[lo:hi]
+    return PointLocation.INSIDE if np.count_nonzero(crossing) & 1 else PointLocation.OUTSIDE
+
+
+def locate_point(p: Point, vertices: Sequence[Point]) -> PointLocation:
+    """Classify ``p`` against the polygon given by ``vertices``:
+    :func:`locate_xy` over ``Polygon.vertices``' cached
+    :class:`EdgeSlabs`, or over one slab of any other sequence's ring."""
     slabs = getattr(vertices, "edge_slabs", None)
     if slabs is None:
         if len(vertices) < 3:
             raise ValueError("polygon needs at least 3 vertices")
         slabs = _one_slab(ring_edges(np.array([(v.x, v.y) for v in vertices], dtype=np.float64)))
-    px, py = p.x, p.y
-    edges = slabs.rows_at(py)
-    ax, ay, bx, by = edges.T
-    run_rise = (bx - ax) * (py - ay)
-    rise_run = (by - ay) * (px - ax)
-    # Boundary first: an exact on-edge point must not depend on the crossing
-    # arithmetic.  Collinear with an edge's line and inside its box = on it.
-    collinear = run_rise == rise_run
-    if collinear.any():
-        on_line = edges.compress(collinear, axis=0)
-        starts, ends = on_line[:, :2], on_line[:, 2:]
-        in_box = (np.minimum(starts, ends) <= (px, py)) & ((px, py) <= np.maximum(starts, ends))
-        if in_box.all(axis=1).any():
-            return PointLocation.BOUNDARY
-    # Half-open rule [ay, by): each non-horizontal edge is counted once, and
-    # vertices never double-count.  The edge's x at height py is compared to
-    # px without division (sign-corrected by the edge direction).
-    crossing = ((ay > py) != (by > py)) & ((rise_run - run_rise < 0) != (by < ay))
-    inside = np.count_nonzero(crossing) & 1
-    return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
+    return locate_xy(p.x, p.y, slabs)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .edge_store import EdgeStore
 from .point import Point
-from .point_in_polygon import EdgeSlabs, PointLocation, edge_slabs, locate_point
+from .point_in_polygon import EdgeSlabs, PointLocation, edge_slabs, locate_xy
 from .rect import Rect
 
 
@@ -294,11 +294,11 @@ class Polygon:
 
     def locate_point(self, p: Point) -> PointLocation:
         """Classify ``p`` as inside / outside / on the boundary."""
-        return locate_point(p, self.vertices)
+        return locate_xy(p.x, p.y, self.edge_slabs)
 
     def contains_point(self, p: Point) -> bool:
         """True when ``p`` is inside or on the boundary (even-odd rule)."""
-        return locate_point(p, self.vertices) is not PointLocation.OUTSIDE
+        return locate_xy(p.x, p.y, self.edge_slabs) is not PointLocation.OUTSIDE
 
     # -- derived polygons ----------------------------------------------------------
 

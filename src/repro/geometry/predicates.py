@@ -33,38 +33,51 @@ def on_segment(p: Point, a: Point, b: Point) -> bool:
     """
     if cross(a, b, p) != 0.0:
         return False
-    return (
-        min(a.x, b.x) <= p.x <= max(a.x, b.x)
-        and min(a.y, b.y) <= p.y <= max(a.y, b.y)
-    )
+    return _in_box(p.x, p.y, a.x, a.y, b.x, b.y)
 
 
 def segments_intersect(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+    """True when closed segments ``p1p2`` and ``q1q2`` share at least a point:
+    :func:`segments_intersect_xy` of their coordinates."""
+    return segments_intersect_xy(p1.x, p1.y, p2.x, p2.y, q1.x, q1.y, q2.x, q2.y)
+
+
+def segments_intersect_xy(
+    p1x: float, p1y: float, p2x: float, p2y: float,
+    q1x: float, q1y: float, q2x: float, q2y: float,
+) -> bool:
     """True when closed segments ``p1p2`` and ``q1q2`` share at least a point.
 
     This is the *improper* test: touching at endpoints and collinear overlap
     both count.  This matches the spatial-database notion of boundary
-    intersection used in the refinement step.
+    intersection used in the refinement step.  The four orientations are
+    :func:`cross`'s, ``d1 = cross(q1, q2, p1)`` and so on, in its operand
+    order; a zero one is :func:`on_segment`'s collinearity, so only that
+    predicate's box test is left to run.
     """
-    d1 = cross(q1, q2, p1)
-    d2 = cross(q1, q2, p2)
-    d3 = cross(p1, p2, q1)
-    d4 = cross(p1, p2, q2)
+    d1 = (q2x - q1x) * (p1y - q1y) - (q2y - q1y) * (p1x - q1x)
+    d2 = (q2x - q1x) * (p2y - q1y) - (q2y - q1y) * (p2x - q1x)
+    d3 = (p2x - p1x) * (q1y - p1y) - (p2y - p1y) * (q1x - p1x)
+    d4 = (p2x - p1x) * (q2y - p1y) - (p2y - p1y) * (q2x - p1x)
 
     if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
         (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
     ):
         return True
 
-    if d1 == 0 and on_segment(p1, q1, q2):
+    if d1 == 0 and _in_box(p1x, p1y, q1x, q1y, q2x, q2y):
         return True
-    if d2 == 0 and on_segment(p2, q1, q2):
+    if d2 == 0 and _in_box(p2x, p2y, q1x, q1y, q2x, q2y):
         return True
-    if d3 == 0 and on_segment(q1, p1, p2):
+    if d3 == 0 and _in_box(q1x, q1y, p1x, p1y, p2x, p2y):
         return True
-    if d4 == 0 and on_segment(q2, p1, p2):
+    if d4 == 0 and _in_box(q2x, q2y, p1x, p1y, p2x, p2y):
         return True
     return False
+
+
+def _in_box(px: float, py: float, ax: float, ay: float, bx: float, by: float) -> bool:
+    return min(ax, bx) <= px <= max(ax, bx) and min(ay, by) <= py <= max(ay, by)
 
 
 def _cross_arrays(ox, oy, ax, ay, bx, by):

@@ -107,7 +107,11 @@ class Rect:
 
     def contains_point(self, p: Point) -> bool:
         """True if ``p`` lies in the closed rectangle."""
-        return self.xmin <= p.x <= self.xmax and self.ymin <= p.y <= self.ymax
+        return self.contains_xy(p.x, p.y)
+
+    def contains_xy(self, x: float, y: float) -> bool:
+        """True if the point ``(x, y)`` lies in the closed rectangle."""
+        return self.xmin <= x <= self.xmax and self.ymin <= y <= self.ymax
 
     def contains_rect(self, other: "Rect") -> bool:
         """True if ``other`` lies entirely within this (closed) rectangle."""

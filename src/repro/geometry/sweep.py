@@ -23,10 +23,8 @@ from typing import List, Optional, Sequence
 import numpy as np
 
 from .distance import either_contains
-from .point import Point
 from .polygon import Polygon
-from .predicates import segments_intersect
-from .rect import Rect
+from .predicates import segments_intersect_xy
 
 # Edge record (xmin, xmax, ymin, ymax, ax, ay, bx, by) of Python floats: a
 # list from a Polygon.sweep_records column.
@@ -53,29 +51,21 @@ class SweepStats:
     intersections_found: int = 0
 
 
-def _restricted(records: np.ndarray, window: Rect) -> np.ndarray:
-    """The columns of ``(8, n)`` sweep records whose edge box meets ``window``.
+def _restricted(
+    records: np.ndarray, xmin: float, ymin: float, xmax: float, ymax: float
+) -> np.ndarray:
+    """The columns of ``(8, n)`` sweep records whose edge box meets the
+    closed window ``[xmin, xmax] x [ymin, ymax]``.
 
     Every boundary crossing lies in the window (the intersection of the two
     object MBRs), so restriction never loses a crossing.
     """
-    xmin, xmax, ymin, ymax = records[:4]
-    keep = (
-        (xmin <= window.xmax)
-        & (window.xmin <= xmax)
-        & (ymin <= window.ymax)
-        & (window.ymin <= ymax)
-    )
+    lo_x, hi_x, lo_y, hi_y = records[:4]
+    keep = lo_x <= xmax
+    keep &= xmin <= hi_x
+    keep &= lo_y <= ymax
+    keep &= ymin <= hi_y
     return records.compress(keep, axis=1)
-
-
-def _edges_cross(e: _Edge, f: _Edge) -> bool:
-    return segments_intersect(
-        Point(e[4], e[5]),
-        Point(e[6], e[7]),
-        Point(f[4], f[5]),
-        Point(f[6], f[7]),
-    )
 
 
 def boundaries_intersect(
@@ -94,16 +84,21 @@ def boundaries_intersect(
     Each polygon's records arrive presorted (``Polygon.sweep_records``) and
     the restriction keeps that order, so red (``a``) and blue (``b``) merge
     into the event sequence with one stable sort on ``xmin``: equal keys
-    keep red before blue, then each colour's own order.
+    keep red before blue, then each colour's own order.  A candidate pair
+    is tested with :func:`segments_intersect_xy` of the two records'
+    endpoint coordinates.
     """
     if stats is not None:
         stats.edges_considered += a.num_vertices + b.num_vertices
     red, blue = a.sweep_records, b.sweep_records
     if restrict_search_space:
-        window = a.mbr.intersection(b.mbr)
-        if window is None:
+        # The MBRs' common window, as Rect.intersection computes it.
+        ra, rb = a.mbr, b.mbr
+        x0, y0 = max(ra.xmin, rb.xmin), max(ra.ymin, rb.ymin)
+        x1, y1 = min(ra.xmax, rb.xmax), min(ra.ymax, rb.ymax)
+        if x0 > x1 or y0 > y1:
             return False
-        red, blue = _restricted(red, window), _restricted(blue, window)
+        red, blue = _restricted(red, x0, y0, x1, y1), _restricted(blue, x0, y0, x1, y1)
     n_red = red.shape[1]
     if stats is not None:
         stats.edges_after_restriction += n_red + blue.shape[1]
@@ -140,7 +135,10 @@ def boundaries_intersect(
                         kept.append(other)
                         if other[2] <= ymax and ymin <= other[3]:
                             tests += 1
-                            if _edges_cross(edge, other):
+                            if segments_intersect_xy(
+                                edge[4], edge[5], edge[6], edge[7],
+                                other[4], other[5], other[6], other[7],
+                            ):
                                 if stats is not None:
                                     stats.intersections_found += 1
                                 return True

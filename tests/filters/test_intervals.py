@@ -316,6 +316,20 @@ class TestBatchEqualsPerPair:
         assert sum(pieces, []) == classify_pairs_one_by_one(grid, pairs)
         assert len(index) == len({p.digest for pair in pairs for p in pair})
 
+    @settings(max_examples=30, deadline=None)
+    @given(candidate_lists(), st.sampled_from([1, 2, 3, 7]))
+    def test_merge_steps_and_a_reused_workspace(self, case, step):
+        """Gathered runs merged a few at a time, a pair's runs split across
+        steps, answer what one step answers - twice, the second batch in
+        the workspace the first one grew."""
+        grid, pairs = case
+        index = IntervalIndex(grid)
+        expected = classify_pairs_one_by_one(grid, pairs)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(intervals, "_OVERLAP_STEP", step)
+            assert index.classify_batch(pairs) == expected
+            assert index.classify_batch(pairs[::-1]) == expected[::-1]
+
 
 # Row-keyed merge literal, on a 4 x 4 grid of unit cells (M = 16 cells):
 # row 0 holds a run ending at cell M, row 2 one starting at cell 0, and

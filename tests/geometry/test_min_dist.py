@@ -36,6 +36,7 @@ from tests.oracles.geometry import (
 from tests.oracles.mutants import mutant
 from tests.strategies import HYPOT_FAR as FAR_VERTEX
 from tests.strategies import HYPOT_NEAR as NEAR_VERTEX
+from tests.strategies import ROUNDED_CROSSING
 from tests.strategies import (
     adversarial_rings,
     lattices,
@@ -329,17 +330,6 @@ class TestEdgeRecords:
         assert stats.edge_pairs_total == a.num_vertices * b.num_vertices
         assert stats.edges_scanned == 2 * (a.num_vertices + b.num_vertices)
 
-
-#: Nearly collinear edges whose boxes are 0.02 apart, yet whose rounded
-#: cross products read as a proper crossing: ``segments_intersect`` says
-#: True and the loop takes 0.0.  A kernel that ran the crossing test only on
-#: pairs with zero box gaps would return their endpoint distance instead.
-ROUNDED_CROSSING = (
-    (2.7181066959490896, -1.7266770190427043),
-    (1.7973260033928469, -0.6679582561546921),
-    (1.7769064486921016, -0.6444797385594977),
-    (1.6707590790984816, -0.5224309024702142),
-)
 
 #: Two edges a parallel 0.6504… apart: of their four endpoint offsets the
 #: smallest square (the third, ``q1`` against ``p``) has the larger

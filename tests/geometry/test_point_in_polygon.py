@@ -1,6 +1,7 @@
 """Tests for the ray-crossing point-in-polygon test."""
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -8,9 +9,16 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.geometry import Point, PointLocation, Polygon, locate_point
+from repro.geometry import point_in_polygon
 from repro.geometry import polygon as polygon_module
-from repro.geometry.point_in_polygon import EdgeSlabs, edge_slabs
-from tests.oracles.geometry import locate_point_by_sampling, locate_point_edge_by_edge
+from repro.geometry.point_in_polygon import EdgeSlabs, edge_slabs, locate_xy
+from tests.oracles.geometry import (
+    locate_point_by_sampling,
+    locate_point_edge_by_edge,
+    locate_xy_over_rows,
+)
+from tests.oracles.mutants import LESS_EQUAL_CROSSING, mutant
+from tests.oracles.test_twins import PIP_LITERALS
 from tests.strategies import (
     adversarial_rings,
     arbitrary_polygons,
@@ -230,12 +238,15 @@ class TestSlabsAgainstTheFullScan:
         lo = np.minimum(edges[:, 1], edges[:, 3])
         hi = np.maximum(edges[:, 1], edges[:, 3])
         for s in range(k):
-            rows = slabs.rows[slabs.offsets[s]:slabs.offsets[s + 1]]
+            entries = slice(slabs.offsets[s], slabs.offsets[s + 1])
             members = [
                 i for i in range(len(edges))
                 if _slab_of(slabs, lo[i]) <= s <= _slab_of(slabs, hi[i])
             ]
-            assert np.array_equal(rows, edges.take(members, axis=0))
+            ax, ay, bx, by = edges.take(members, axis=0).T
+            expected = np.array([ax, ay, bx - ax, by - ay, by]).reshape(5, -1)
+            assert np.array_equal(slabs.columns[:, entries], expected)
+            assert np.array_equal(slabs.descending[entries], by < ay)
 
     def test_horizontal_edge_on_a_slab_boundary(self):
         comb = Polygon.from_coords(COMB)
@@ -273,8 +284,7 @@ def _ymin_slab_only(edges):
     ymin = np.minimum(edges[:, 1], edges[:, 3])
     slab = np.clip(np.floor((ymin - slabs.y0) / slabs.height), 0, k - 1).astype(np.intp)
     offsets = [0, *np.cumsum(np.bincount(slab, minlength=k)).tolist()]
-    rows = edges.take(np.argsort(slab, kind="stable"), axis=0)
-    return EdgeSlabs(slabs.y0, slabs.height, offsets, rows)
+    return EdgeSlabs(slabs.y0, slabs.height, offsets, np.argsort(slab, kind="stable"), edges)
 
 
 @pytest.fixture
@@ -289,3 +299,69 @@ def test_mutant_misses_an_edge_spanning_slabs(ymin_slab_only):
     p = Point(7, 3)
     assert _locate_point_full_scan(p, comb) is PointLocation.INSIDE
     assert locate_point(p, comb.vertices) is not PointLocation.INSIDE
+
+
+DBL_MAX = sys.float_info.max
+DBL_MIN = sys.float_info.min  # the smallest normal
+TINY = math.ulp(0.0)  # the smallest subnormal
+
+#: ``(a, b, a < b)``: the crossing compare ``rise_run < run_rise`` against
+#: the difference form ``rise_run - run_rise < 0`` it replaced.  Rounding
+#: keeps the sign of a nonzero difference (gradual underflow makes a
+#: difference of distinct doubles nonzero, and an overflowing one is an
+#: infinity of its sign); ``inf - inf`` is NaN and ``inf < inf`` false; a
+#: NaN operand makes both false; ``0.0 - -0.0`` is ``0.0``.
+LESS_TABLE = (
+    (1.0, 2.0, True),
+    (2.0, 1.0, False),
+    (1.0, 1.0, False),
+    (0.0, -0.0, False),
+    (-0.0, 0.0, False),
+    (0.0, TINY, True),
+    (-TINY, 0.0, True),
+    (TINY, 2 * TINY, True),
+    (DBL_MIN, DBL_MIN + TINY, True),
+    (DBL_MIN + TINY, DBL_MIN, False),
+    (-DBL_MAX, DBL_MAX, True),
+    (DBL_MAX, -DBL_MAX, False),
+    (DBL_MAX, math.inf, True),
+    (-math.inf, -DBL_MAX, True),
+    (math.inf, math.inf, False),
+    (-math.inf, -math.inf, False),
+    (-math.inf, math.inf, True),
+    (math.inf, -math.inf, False),
+    (math.nan, 1.0, False),
+    (1.0, math.nan, False),
+    (math.nan, math.nan, False),
+    (-math.inf, math.nan, False),
+)
+
+
+@pytest.mark.parametrize("a, b, less", LESS_TABLE)
+def test_less_is_the_sign_of_the_difference(a, b, less):
+    with np.errstate(over="ignore", invalid="ignore"):
+        pair = np.array([a]), np.array([b])
+        assert bool(np.less(*pair)[0]) is less
+        assert bool((np.subtract(*pair) < 0)[0]) is less
+    assert (a < b) is less and (a - b < 0) is less
+
+
+def test_less_and_the_difference_agree_on_every_special_pair():
+    values = [v for a, b, _ in LESS_TABLE for v in (a, b)] + [-DBL_MIN, 0.5, -1.0]
+    x, y = np.meshgrid(np.array(values), np.array(values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.array_equal(np.less(x, y), np.subtract(x, y) < 0)
+
+
+def test_less_equal_crossing_mutant_is_killed():
+    """The mutant reads the overflowing edge of ``PIP_LITERALS`` as crossed;
+    production and the row-by-row oracle do not."""
+    locate = mutant(point_in_polygon, *LESS_EQUAL_CROSSING).locate_xy
+    killed = []
+    with np.errstate(over="ignore", invalid="ignore"):
+        for x, y, slabs in PIP_LITERALS:
+            expected = locate_xy_over_rows(x, y, slabs)
+            assert locate_xy(x, y, slabs) is expected
+            if locate(x, y, slabs) is not expected:
+                killed.append((x, y))
+    assert (1.5e300, 0.0) in killed

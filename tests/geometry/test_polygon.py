@@ -183,13 +183,14 @@ class TestAccessors:
         slabs, records = ring.edge_slabs, ring.sweep_records
         assert ring.edge_slabs is slabs and ring.sweep_records is records
         assert records.shape == (8, 5) and records.dtype == np.float64
-        for array in (slabs.rows, records):
+        for array in (slabs.columns, records):
             with pytest.raises(ValueError):
                 array[0, 0] = 99.0
         clone = pickle.loads(pickle.dumps(ring))
         assert clone._edge_slabs is None and clone._sweep_records is None
         assert np.array_equal(clone.sweep_records, records)
-        assert np.array_equal(clone.edge_slabs.rows, slabs.rows)
+        assert np.array_equal(clone.edge_slabs.columns, slabs.columns)
+        assert np.array_equal(clone.edge_slabs.descending, slabs.descending)
 
 
 class TestMeasures:

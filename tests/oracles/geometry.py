@@ -10,7 +10,9 @@ two compare with ``==``:
 * distances: the point-segment and segment-segment distances, the quadratic
   boundary and region distances, the within-distance predicate;
 * point in polygon: an on-segment scan with a second crossing formulation,
-  and the edge-by-edge scan ``locate_point`` used to be;
+  and the edge-by-edge scan ``locate_point`` used to be, over ``Point``s and
+  over a ring's full edge rows;
+* segments: the ``Point``-form closed-segment predicate;
 * boundary intersection: every edge pair, and the red-blue sweep over
   records flattened and sorted per call, with its ``SweepStats``;
 * minDist: the seed, both chain filters and the best-first pair loop, with
@@ -31,11 +33,10 @@ from repro.geometry import (
     Polygon,
     Rect,
     SweepStats,
+    cross,
     on_segment,
-    segments_intersect,
 )
 from repro.geometry.distance import OVERFLOW_SHIFT, either_contains
-from repro.geometry.sweep import _edges_cross
 
 
 def _dot(u: Point, v: Point) -> float:
@@ -79,7 +80,7 @@ def segment_segment_distance(p1: Point, p2: Point, q1: Point, q2: Point) -> floa
     endpoint of one of the segments against the other segment, so four
     point-segment distances suffice.
     """
-    if segments_intersect(p1, p2, q1, q2):
+    if segments_intersect_points(p1, p2, q1, q2):
         return 0.0
     return min(
         point_segment_distance(p1, q1, q2),
@@ -166,6 +167,55 @@ def locate_point_edge_by_edge(p: Point, vertices) -> PointLocation:
     return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
 
 
+def locate_xy_over_rows(px: float, py: float, slabs) -> PointLocation:
+    """``locate_xy`` as one edge at a time over every ``(n, 4)`` row of the
+    ring (``slabs.edges``), not a slab's columns: the boundary test on the
+    row's own box, and the crossing decided on the sign of the difference
+    ``t < 0``, as the edge-by-edge scan did."""
+    inside = False
+    for ax, ay, bx, by in slabs.edges.tolist():
+        if (
+            min(ax, bx) <= px <= max(ax, bx)
+            and min(ay, by) <= py <= max(ay, by)
+            and (bx - ax) * (py - ay) == (by - ay) * (px - ax)
+        ):
+            return PointLocation.BOUNDARY
+        if (ay > py) != (by > py):
+            t = (by - ay) * (px - ax) - (bx - ax) * (py - ay)
+            if (t < 0) != (by < ay):
+                inside = not inside
+    return PointLocation.INSIDE if inside else PointLocation.OUTSIDE
+
+
+# -- segments ----------------------------------------------------------------
+
+
+def segments_intersect_points(p1: Point, p2: Point, q1: Point, q2: Point) -> bool:
+    """The closed-segment test over ``Point`` objects: four ``cross``
+    orientations, a proper crossing, then ``on_segment`` for each zero one."""
+    d1 = cross(q1, q2, p1)
+    d2 = cross(q1, q2, p2)
+    d3 = cross(p1, p2, q1)
+    d4 = cross(p1, p2, q2)
+    if ((d1 > 0 and d2 < 0) or (d1 < 0 and d2 > 0)) and (
+        (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
+    ):
+        return True
+    return (
+        (d1 == 0 and on_segment(p1, q1, q2))
+        or (d2 == 0 and on_segment(p2, q1, q2))
+        or (d3 == 0 and on_segment(q1, p1, p2))
+        or (d4 == 0 and on_segment(q2, p1, p2))
+    )
+
+
+def _edges_cross(e, f) -> bool:
+    """Do two records ``(xmin, xmax, ymin, ymax, ax, ay, bx, by)`` meet?"""
+    return segments_intersect_points(
+        Point(e[4], e[5]), Point(e[6], e[7]), Point(f[4], f[5]), Point(f[6], f[7])
+    )
+
+
 # -- boundary intersection ---------------------------------------------------
 
 
@@ -174,7 +224,7 @@ def boundaries_intersect_brute_force(a: Polygon, b: Polygon) -> bool:
     edges_b = list(b.edges())
     for pa, pb in a.edges():
         for qa, qb in edges_b:
-            if segments_intersect(pa, pb, qa, qb):
+            if segments_intersect_points(pa, pb, qa, qb):
                 return True
     return False
 

@@ -39,3 +39,11 @@ ANY_FLAG_PLACED = (
     "np.equal(finite.view(np.uint32).reshape(n), _ALL_FINITE,",
     "np.not_equal(finite.view(np.uint32).reshape(n), 0,",
 )
+
+#: ``repro.geometry.point_in_polygon.locate_xy`` deciding an edge's crossing
+#: with ``<=``: an edge whose two products are equal (collinear) but whose
+#: box misses the point counts as crossed.
+LESS_EQUAL_CROSSING = (
+    "np.less(rise_run, run_rise)",
+    "np.less_equal(rise_run, run_rise)",
+)

@@ -54,6 +54,8 @@ from repro.geometry import (
 )
 from repro.geometry import min_dist
 from repro.geometry.distance import segment_offsets
+from repro.geometry.point_in_polygon import locate_xy
+from repro.geometry.predicates import segments_intersect_xy
 from repro.geometry.hypot_order import first_min_hypot
 from repro.geometry.edge_store import EdgeStore
 from repro.geometry.runs import expand_runs
@@ -74,7 +76,7 @@ from repro.serve import (
     build_health,
 )
 from tests.oracles import accounting, geometry, health, index, raster
-from tests.strategies import HYPOT_FAR, HYPOT_NEAR
+from tests.strategies import HYPOT_FAR, HYPOT_NEAR, ROUNDED_CROSSING
 from tests.strategies import (
     adversarial_rings,
     arbitrary_polygons,
@@ -176,6 +178,50 @@ LITERAL_SEGMENT_PAIRS = (
     (Point(0, 4), Point(4, 4), Point(2, 4), Point(6, 4)),
     (Point(4, 0), Point(4, 4), Point(4, 4), Point(6, 5)),
     (Point(1, 2), Point(6, 2), Point(4, 0), Point(4, 4)),
+)
+
+#: The adversarial corpus of the float predicates: magnitudes where every
+#: product rounds (1e15) or overflows (near 1e154 and 1e300), PR 34's
+#: ``ROUNDED_CROSSING`` (rounding reads the apart segments as crossing),
+#: shared and repeated vertices, and ``-0.0`` beside ``0.0``.
+ADVERSARIAL_RINGS = (
+    [(1e15 + x, 1e15 + y) for x, y in ((0, 0), (3, 0.125), (2.875, 3), (0.125, 2))],
+    [(0.0, 0.0), (3e154, 1e154), (1e154, 3e154)],
+    [(-1e300, -1e300), (1e300, -5e299), (0.0, 1e300)],
+    #: Edge (0, -1e300) -> (1e300, 1e300) gives the point (1.5e300, 0) two
+    #: products that both overflow to +inf: equal, so collinear, and out of
+    #: the edge's box; ``<`` of the two says no crossing, ``<=`` says one.
+    [(0.0, -1e300), (1e300, 1e300), (0.0, 1e300)],
+    list(ROUNDED_CROSSING),
+    [(0, 0), (4, 0), (4, 4), (0, 0), (4, 0), (4, 4)],
+    [(-0.0, 1.0), (1.0, -0.0), (-0.0, -0.0), (-0.0, 3.0)],
+)
+ADVERSARIAL_POINTS = (
+    (1e15 + 1.5, 1e15 + 0.0625), (1e15 + 1, 1e15 + 1), (1e15 + 2.875, 1e15 + 1.5),
+    (2e154, 2e154), (1e154, 1e154), (2.5e154, 1e154), (1e154, 0.0),
+    (0.0, 0.0), (1e300, 0.0), (1.5e300, 0.0), (-1e300, 0.0), (5e299, 5e299),
+    *ROUNDED_CROSSING, (2.0, -1.0), (1.7769064486921016, -0.6),
+    (2.0, 2.0), (4.0, 4.0), (4.0, 2.0), (0.0, 1.0), (-0.0, 0.5), (0.5, -0.0), (-0.0, 3.0),
+)
+PIP_LITERALS = tuple(
+    (x, y, Polygon.from_coords(ring).edge_slabs)
+    for ring in ADVERSARIAL_RINGS
+    for x, y in ADVERSARIAL_POINTS + tuple(ring)
+)
+ADVERSARIAL_SEGMENT_PAIRS = tuple(
+    tuple(Point(*v) for v in pair)
+    for pair in (
+        ROUNDED_CROSSING,
+        ((1e15, 1e15), (1e15 + 3, 1e15 + 0.125), (1e15 + 1, 1e15 - 1), (1e15 + 2, 1e15 + 1)),
+        ((0.0, 0.0), (2e154, 2e154), (0.0, 2e154), (2e154, 0.0)),
+        ((0.0, 0.0), (3e154, 1e154), (1e154, 3e154), (2e154, -1e154)),
+        ((-1e300, 0.0), (1e300, 0.0), (0.0, -1e300), (0.0, 1e300)),
+        ((0.0, -1e300), (1e300, 1e300), (1.5e300, 0.0), (1.5e300, 1e300)),
+        ((0, 0), (1, 1), (1, 1), (2, 0)),
+        ((0, 0), (4, 0), (4, 0), (0, 0)),
+        ((-0.0, 0.0), (1, 1), (0.0, -0.0), (1, -1)),
+        ((-0.0, -0.0), (0.0, 2.0), (0.0, 1.0), (-0.0, 3.0)),
+    )
 )
 
 # -- cases -------------------------------------------------------------------
@@ -288,6 +334,11 @@ def culled_tiles(draw):
 
 def _equal(oracle, twin, args):
     assert twin(*args) == oracle(*args)
+
+
+def _coordinates(oracle, twin, args):
+    """The twin takes the coordinates of the oracle's ``Point`` arguments."""
+    assert twin(*(v for p in args for v in (p.x, p.y))) == oracle(*args)
 
 
 def _same_stats(stats_type):
@@ -699,6 +750,23 @@ TWINS = {
             locate_point,
             rings_with_query_point().map(lambda case: (case[1], case[0])),
             tuple((v, a.vertices) for a, b in PAIRS_BOTH_WAYS for v in b.vertices),
+        ),
+        Twin(
+            geometry.locate_xy_over_rows,
+            locate_xy,
+            st.one_of(
+                rings_with_query_point().map(lambda case: (case[1], Polygon(case[0]))),
+                st.tuples(points, star_polygons(3, 40)),
+            ).map(lambda case: (case[0].x, case[0].y, case[1].edge_slabs)),
+            PIP_LITERALS,
+        ),
+        # -- geometry: segments
+        Twin(
+            geometry.segments_intersect_points,
+            segments_intersect_xy,
+            segment_pairs,
+            LITERAL_SEGMENT_PAIRS + ADVERSARIAL_SEGMENT_PAIRS,
+            _coordinates,
         ),
         # -- geometry: boundary intersection
         Twin(

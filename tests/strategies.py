@@ -31,6 +31,17 @@ points = st.builds(Point, coordinates, coordinates)
 HYPOT_NEAR = (0.628659352285357, 0.6598426200294377)
 HYPOT_FAR = (0.7056733717285377, 0.5767408056106612)
 
+#: Nearly collinear edges whose boxes are 0.02 apart, yet whose rounded
+#: cross products read as a proper crossing: ``segments_intersect`` says
+#: True and the loop takes 0.0.  A kernel that ran the crossing test only on
+#: pairs with zero box gaps would return their endpoint distance instead.
+ROUNDED_CROSSING = (
+    (2.7181066959490896, -1.7266770190427043),
+    (1.7973260033928469, -0.6679582561546921),
+    (1.7769064486921016, -0.6444797385594977),
+    (1.6707590790984816, -0.5224309024702142),
+)
+
 
 @st.composite
 def rects(draw) -> Rect:

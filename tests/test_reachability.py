@@ -42,6 +42,8 @@ KEPT = {
     "IntervalApproximation.full_cell_count": "read by tests of the interval lists against cell sets",
     "IntervalGrid.cell_rect": "read by tests of FULL cells against polygon containment",
     "Point.midpoint": "read by tests of adversarial rings (tests/strategies.py)",
+    "segments_intersect": "read by tests of the segment predicate on Points and by the oracles",
+    "on_segment": "read by tests of point-on-segment and by the oracles' Point-form predicate",
     "Polygon.centroid": "read by tests of nearest-neighbour queries",
     "Polygon.is_ccw": "read by tests of convex-hull orientation",
     "Polygon.translated": "read by tests of nearby polygon pairs (tests/strategies.py)",
