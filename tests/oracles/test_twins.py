@@ -188,9 +188,9 @@ ADVERSARIAL_RINGS = (
     [(1e15 + x, 1e15 + y) for x, y in ((0, 0), (3, 0.125), (2.875, 3), (0.125, 2))],
     [(0.0, 0.0), (3e154, 1e154), (1e154, 3e154)],
     [(-1e300, -1e300), (1e300, -5e299), (0.0, 1e300)],
-    #: Edge (0, -1e300) -> (1e300, 1e300) gives the point (1.5e300, 0) two
-    #: products that both overflow to +inf: equal, so collinear, and out of
-    #: the edge's box; ``<`` of the two says no crossing, ``<=`` says one.
+    # Edge (0, -1e300) -> (1e300, 1e300) gives the point (1.5e300, 0) two
+    # products that both overflow to +inf: equal, so collinear, and out of
+    # the edge's box; ``<`` of the two says no crossing, ``<=`` says one.
     [(0.0, -1e300), (1e300, 1e300), (0.0, 1e300)],
     list(ROUNDED_CROSSING),
     [(0, 0), (4, 0), (4, 4), (0, 0), (4, 0), (4, 4)],
