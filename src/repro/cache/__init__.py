@@ -19,10 +19,25 @@ Every cached value is a deterministic pure function of its key, and
 which a hit still is - so cache-on runs are bit-identical to cache-off
 runs in results, RefinementStats, and the derived explain funnels; only
 the work executed (GPU cost counters, sweep/minDist step counts, wall
-time) shrinks.  :class:`CacheConfig` is the switch (off by default; see
-``--cache`` on ``python -m repro.bench``); lookups commit ``cache_hits``
-/ ``cache_misses`` / ``cache_evictions{cache,op}`` counters and a
-``cache_occupancy{cache}`` gauge to the ambient metrics registry.
+time) shrinks.  Lookups commit ``cache_hits`` / ``cache_misses`` /
+``cache_evictions{cache,op}`` counters and a ``cache_occupancy{cache}``
+gauge to the ambient metrics registry.
+
+Who memoizes:
+
+* a **serving pool** always does, through one bundle whose tables every
+  engine of the process shares (:meth:`CacheBundle.share` gives each
+  engine its own handles, so a request's own lookups stay countable).
+  The tables are thread-safe and single-flight: a key one request is
+  computing is never computed by a second at the same time - the second
+  leaves it out of its own hardware batch or sweep, finishes its own
+  misses, then waits for the value and counts a hit.  One table makes the
+  served counters independent of which engine a request lands on;
+* a **direct engine** does only when its caller passes an enabled
+  :class:`CacheConfig` (``--cache`` on ``python -m repro.bench``).  Off
+  is the default, so the paper's experiments count the work each
+  operation does and every modeled clock stays that of the paper's
+  algorithm.
 
 This package imports nothing from :mod:`repro.core`, :mod:`repro.gpu`, or
 :mod:`repro.geometry` - keys and values are opaque here - and the
@@ -35,7 +50,7 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from .keys import verdict_key, window_key
-from .lru import MISSING, LruCache, MemoCache
+from .lru import MISSING, PENDING, LruCache, MemoCache
 
 #: Entries each memo table may retain before evicting least-recently-used.
 CAPACITY = 4096
@@ -77,10 +92,12 @@ class CacheStats:
 
 
 class CacheBundle:
-    """The per-engine memo tables built from one :class:`CacheConfig`.
+    """An engine's handles on the two memo tables of one :class:`CacheConfig`.
 
     Both are ``None`` when caching is off so call sites can gate on a
-    single attribute test (the zero-overhead path).
+    single attribute test (the zero-overhead path).  :meth:`stats` counts
+    the lookups made through these handles: on a shared table, this
+    engine's own.
     """
 
     __slots__ = ("config", "verdict", "predicate")
@@ -94,6 +111,14 @@ class CacheBundle:
         self.predicate: Optional[MemoCache] = (
             MemoCache("predicate", CAPACITY) if on else None
         )
+
+    def share(self) -> "CacheBundle":
+        """Another engine's bundle on these same tables, its tallies zero."""
+        twin = CacheBundle.__new__(CacheBundle)
+        twin.config = self.config
+        twin.verdict = None if self.verdict is None else self.verdict.share()
+        twin.predicate = None if self.predicate is None else self.predicate.share()
+        return twin
 
     def _tables(self):
         return (self.verdict, self.predicate) if self.config.enabled else ()
@@ -123,6 +148,7 @@ __all__ = [
     "LruCache",
     "MISSING",
     "MemoCache",
+    "PENDING",
     "verdict_key",
     "window_key",
 ]

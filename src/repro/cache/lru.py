@@ -1,4 +1,4 @@
-"""A bounded LRU mapping, and the labelled memo table built on it.
+"""A bounded LRU mapping, and the shared, single-flight memo table on it.
 
 The cache subsystem never caps correctness - every cached value is a
 deterministic function of its key - so the only policy decision is *what to
@@ -6,25 +6,38 @@ forget* when the capacity bound is hit, and plain least-recently-used is the
 right default for the workloads the caches target (repeated query polygons,
 skewed joins: the hot keys are the recently-touched ones by construction).
 
-Hit/miss/eviction tallies are kept as plain integers on the cache itself
-(always, they are just increments) and additionally committed to the
-metrics registry of the ambient :func:`~repro.obs.scope.current_scope` when
-it has one - the same zero-overhead-by-default pattern the rest of the instrumentation
-uses.
+A memo table may be shared by several engines on several threads (a
+serving pool's engines share one).  Its entries, the keys being computed
+and its occupancy live under one lock; each engine holds its own
+:class:`MemoCache` handle on the table, which tallies that engine's
+lookups.  A key is computed once: the first handle to miss it *claims*
+it, and a handle that meets a claimed key leaves it out of its own work,
+waits for the value after finishing that work, and counts a hit.
+
+Hit/miss/eviction tallies are kept as plain integers on the table and on
+each handle and additionally committed to the metrics registry of the
+ambient :func:`~repro.obs.scope.current_scope` when it has one - the same
+zero-overhead-by-default pattern the rest of the instrumentation uses.
 """
 
 from __future__ import annotations
 
 import functools
+import threading
 from collections import OrderedDict
-from typing import Any, Hashable
+from typing import Any, Dict, Hashable, List, Sequence, Tuple
 
-from ..obs.metrics import metric_key
+from ..obs.metrics import MetricKey, metric_key
 from ..obs.scope import current_scope
 
-#: Returned by :meth:`LruCache.get` on a miss; never a legal cached value
-#: (``None`` and ``False`` are legal - verdicts and predicate results).
+#: Returned by :meth:`LruCache.get` on a miss, and by :meth:`MemoCache.claim`
+#: for a key the caller now computes; never a legal cached value (``None``
+#: and ``False`` are legal - verdicts and predicate results).
 MISSING = object()
+
+#: Returned by :meth:`MemoCache.claim` for a key another handle is
+#: computing: leave it out, then :meth:`MemoCache.wait` for it.
+PENDING = object()
 
 
 class LruCache:
@@ -32,7 +45,7 @@ class LruCache:
 
     ``get`` refreshes recency; ``put`` evicts the least recently used entry
     once ``capacity`` is exceeded.  Counts its own hits, misses, and
-    evictions.
+    evictions.  Not synchronized: :class:`MemoCache` guards one.
     """
 
     __slots__ = ("capacity", "hits", "misses", "evictions", "_entries")
@@ -85,14 +98,14 @@ def _keys(label: str, op: str):
     )
 
 
-def publish_lookup(label: str, op: str, hit: bool) -> None:
-    """Commit one lookup outcome to the ambient metrics registry."""
+def publish_lookup(label: str, op: str, hit: bool, count: int = 1) -> None:
+    """Commit ``count`` lookup outcomes to the ambient metrics registry."""
     registry = current_scope().registry
     if registry is None:
         return
     acc = registry.accumulator()
     with acc.lock:
-        acc.add(_keys(label, op)[hit])
+        acc.add(_keys(label, op)[hit], count)
 
 
 def publish_store(label: str, op: str, evicted: bool, occupancy: int) -> None:
@@ -108,30 +121,170 @@ def publish_store(label: str, op: str, evicted: bool, occupancy: int) -> None:
         acc.set(occupancy_key, occupancy)
 
 
-class MemoCache(LruCache):
-    """One labelled memo table: an :class:`LruCache` that commits metrics.
+class _Table(LruCache):
+    """What every handle of one memo table shares: the entries, the
+    claimed keys (``(op, key) -> owning handle``) and the table-wide
+    tallies, all under ``cond``'s lock."""
 
-    Keys are namespaced by ``op``; every lookup and store lands in the
-    ``cache_hits|misses|evictions{cache=label,op}`` counters and the
-    ``cache_occupancy{cache=label}`` gauge of the ambient registry.
-    ``None`` and ``False`` are legal values, so a miss is :data:`MISSING`.
-    """
-
-    __slots__ = ("label",)
+    __slots__ = ("label", "cond", "claims")
 
     def __init__(self, label: str, capacity: int) -> None:
         super().__init__(capacity)
         self.label = label
+        self.cond = threading.Condition()
+        self.claims: Dict[Tuple[str, Hashable], "MemoCache"] = {}
+
+
+class MemoCache:
+    """One engine's handle on a labelled, thread-safe memo table.
+
+    ``MemoCache(label, capacity)`` makes a table and its first handle;
+    :meth:`share` makes another handle on the same table.  Keys are
+    namespaced by ``op``; every lookup and store lands in the
+    ``cache_hits|misses|evictions{cache=label,op}`` counters and the
+    ``cache_occupancy{cache=label}`` gauge of the ambient registry, and in
+    the tallies of both the table and the handle that made it.  ``None``
+    and ``False`` are legal values.
+
+    Single flight: :meth:`claim` answers each key with its value (a hit),
+    :data:`MISSING` (a miss: the key is now this handle's to
+    :meth:`store`, or to :meth:`release` on failure) or :data:`PENDING`
+    (another handle holds it; not tallied yet).  A handle waits only
+    after storing or releasing every key it holds, so no two handles ever
+    wait on each other.  A key this handle already holds answers
+    :data:`MISSING` again (a duplicate within one batch).  One handle is
+    used by one thread at a time.
+    """
+
+    __slots__ = ("table", "hits", "misses", "evictions")
+
+    def __init__(self, label: str, capacity: int) -> None:
+        self._attach(_Table(label, capacity))
+
+    def _attach(self, table: _Table) -> None:
+        self.table = table
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
+
+    def share(self) -> "MemoCache":
+        """A new handle on this table, with its own (zero) tallies."""
+        handle = MemoCache.__new__(MemoCache)
+        handle._attach(self.table)
+        return handle
+
+    @property
+    def label(self) -> str:
+        return self.table.label
+
+    @property
+    def capacity(self) -> int:
+        return self.table.capacity
+
+    def __len__(self) -> int:
+        return len(self.table)
+
+    def occupancy_gauge(self) -> Tuple[MetricKey, int]:
+        """``(cache_occupancy{cache=label}, entries)``, read under the lock."""
+        table = self.table
+        with table.cond:
+            return metric_key("cache_occupancy", cache=table.label), len(table)
+
+    def claim(self, op: str, keys: Sequence[Hashable]) -> List[Any]:
+        """Each key's value, :data:`MISSING` or :data:`PENDING`, all decided
+        at once under the table's lock."""
+        with self.table.cond:
+            out, hits, misses = self._claim(op, keys)
+        self._publish(op, hits, misses)
+        return out
 
     def lookup(self, op: str, key: Hashable) -> Any:
-        """The value stored under ``(op, key)``, or :data:`MISSING`."""
-        value = self.get((op, key))
-        publish_lookup(self.label, op, hit=value is not MISSING)
-        return value
+        """:meth:`claim` of one key."""
+        return self.claim(op, (key,))[0]
+
+    def wait(self, op: str, keys: Sequence[Hashable]) -> List[Any]:
+        """Block until no other handle holds any of ``keys``, then claim
+        them: a stored key is a hit, and a released (or evicted) one is a
+        miss this handle now holds.  Never :data:`PENDING`."""
+        table = self.table
+        claims = table.claims
+        slots = [(op, key) for key in keys]
+        with table.cond:
+            table.cond.wait_for(
+                lambda: all(claims.get(slot, self) is self for slot in slots)
+            )
+            out, hits, misses = self._claim(op, keys)
+        self._publish(op, hits, misses)
+        return out
 
     def store(self, op: str, key: Hashable, value: Any) -> None:
-        evicted = self.put((op, key), value)
-        publish_store(self.label, op, evicted, len(self))
+        """Store ``value`` under a key this handle computed; wakes waiters."""
+        registry = current_scope().registry
+        if registry is not None:
+            # Made before the table's lock is taken: a registry read holds
+            # the registry's lock while it reads the occupancy under ours.
+            registry.accumulator()
+        table = self.table
+        slot = (op, key)
+        with table.cond:
+            evicted = table.put(slot, value)
+            if evicted:
+                self.evictions += 1
+            if table.claims.get(slot) is self:
+                del table.claims[slot]
+            table.cond.notify_all()
+            publish_store(table.label, op, evicted, len(table))
+
+    def release(self, op: str, keys: Sequence[Hashable]) -> None:
+        """Give up the keys this handle holds among ``keys`` unstored (its
+        computation failed): a waiter then computes them itself."""
+        table = self.table
+        claims = table.claims
+        with table.cond:
+            for key in keys:
+                slot = (op, key)
+                if claims.get(slot) is self:
+                    del claims[slot]
+            table.cond.notify_all()
+
+    def _claim(self, op: str, keys: Sequence[Hashable]) -> Tuple[List[Any], int, int]:
+        """:meth:`claim` with the table's lock held: the answers and the
+        hits and misses, already tallied on the handle and the table."""
+        table = self.table
+        entries, claims = table._entries, table.claims
+        out: List[Any] = []
+        hits = misses = 0
+        for key in keys:
+            slot = (op, key)
+            value = entries.get(slot, MISSING)
+            if value is not MISSING:
+                entries.move_to_end(slot)
+                hits += 1
+            elif claims.setdefault(slot, self) is self:
+                misses += 1
+            else:
+                value = PENDING
+            out.append(value)
+        self.hits += hits
+        self.misses += misses
+        table.hits += hits
+        table.misses += misses
+        return out, hits, misses
+
+    def _publish(self, op: str, hits: int, misses: int) -> None:
+        """Commit the tallies after the table's lock is released."""
+        label = self.table.label
+        if hits:
+            publish_lookup(label, op, True, hits)
+        if misses:
+            publish_lookup(label, op, False, misses)
 
 
-__all__ = ["LruCache", "MISSING", "MemoCache", "publish_lookup", "publish_store"]
+__all__ = [
+    "LruCache",
+    "MISSING",
+    "MemoCache",
+    "PENDING",
+    "publish_lookup",
+    "publish_store",
+]

@@ -138,15 +138,20 @@ class SoftwareEngine(_StagedEngine):
 class HardwareEngine(_StagedEngine):
     """Hardware-assisted refinement (Algorithm 3.1 + distance extension)."""
 
-    def __init__(self, config: Optional[HardwareConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[HardwareConfig] = None,
+        caches: Optional[CacheBundle] = None,
+    ) -> None:
         super().__init__()
         self.config = config if config is not None else HardwareConfig()
         self.name = f"hardware[{self.config.resolution}x{self.config.resolution}]"
-        self.hw = HardwareSegmentTest(self.config)
+        self.hw = HardwareSegmentTest(self.config, caches)
 
     @property
     def caches(self) -> CacheBundle:
-        """The tester's memoization layers (one bundle per GL context)."""
+        """The tester's memoization layers (one bundle per GL context; a
+        serving pool's engines hold shares of one set of tables)."""
         return self.hw.caches
 
     @property

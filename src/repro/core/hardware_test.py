@@ -39,11 +39,11 @@ import functools
 import math
 import time
 from enum import Enum
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cache import MISSING, CacheBundle, verdict_key
+from ..cache import MISSING, PENDING, CacheBundle, verdict_key
 from ..geometry.polygon import Polygon
 from ..geometry.rect import Rect
 from ..gpu.pipeline import GraphicsPipeline, window_columns, window_scales
@@ -91,7 +91,11 @@ class HardwareSegmentTest:
     mirroring how the paper's implementation keeps a single OpenGL context.
     """
 
-    def __init__(self, config: Optional[HardwareConfig] = None) -> None:
+    def __init__(
+        self,
+        config: Optional[HardwareConfig] = None,
+        caches: Optional[CacheBundle] = None,
+    ) -> None:
         self.config = config if config is not None else HardwareConfig()
         self.pipeline = GraphicsPipeline(
             self.config.resolution,
@@ -103,8 +107,10 @@ class HardwareSegmentTest:
         st.color = EDGE_COLOR
         self._tiled: Optional[TiledPipeline] = None
         #: Memo tables (:mod:`repro.cache`): ``verdict`` short-circuits
-        #: whole tests here, ``predicate`` serves the software stage.
-        self.caches = CacheBundle(self.config.cache)
+        #: whole tests here, ``predicate`` serves the software stage.  A
+        #: serving pool passes its engines' shares of one bundle; otherwise
+        #: the engine's own, from ``config.cache``.
+        self.caches = caches if caches is not None else CacheBundle(self.config.cache)
 
     @property
     def tiled(self) -> TiledPipeline:
@@ -271,6 +277,12 @@ class HardwareSegmentTest:
         method, pairs, d, widths)`` decides the pairs no earlier step
         settled: :meth:`_render_atlas` or :meth:`_render_each`.
 
+        With the verdict table on, the batch claims its keys at once
+        (:meth:`~repro.cache.MemoCache.claim`): hits replay, misses render,
+        and a key another request sharing the table is rendering is left
+        out and waited for after this batch's own render, as a hit.  A
+        failed render releases the keys it held.
+
         Per-pair families (``hw_verdicts``, ``hw_test_edges``) are additive
         over pairs, so per-pair, batched and cached runs of the same
         workload report identical totals.  An atlas submission's
@@ -286,11 +298,8 @@ class HardwareSegmentTest:
         cache = self.caches.verdict
         limits = self.config.limits
         verdicts: List[Optional[HardwareVerdict]] = [None] * len(pairs)
-        keys: List[object] = [None] * len(pairs)
-        render_idx: List[int] = []
-        leader_of: dict = {}
-        followers: dict = {}
-        for k, (a, b, window) in enumerate(pairs):
+        todo: List[int] = []
+        for k in range(len(pairs)):
             if widths is not None and not (
                 limits.supports_line_width(widths[k])
                 and limits.supports_point_size(widths[k])
@@ -300,37 +309,57 @@ class HardwareSegmentTest:
                 # on this one path.
                 verdicts[k] = HardwareVerdict.UNSUPPORTED
                 overflows += 1
-                continue
+            else:
+                todo.append(k)
+
+        keys: Dict[int, object] = {}
+        if cache is not None:
+            resolution = self.config.resolution
+            for k in todo:
+                a, b, window = pairs[k]
+                keys[k] = verdict_key(op, method, a, b, window, d, resolution)
+            states = cache.claim(op, [keys[k] for k in todo])
+        while todo:
+            # One round: the misses this call holds render in one
+            # submission; keys another request is rendering wait for it.
+            render_idx, waiting, followers = todo, [], {}
             if cache is not None:
-                key = keys[k] = verdict_key(
-                    op, method, a, b, window, d, self.config.resolution
-                )
-                verdict = cache.lookup(op, key)
-                if verdict is not MISSING:
+                render_idx, leader_of = [], {}
+                for k, state in zip(todo, states):
+                    if state is PENDING:
+                        waiting.append(k)
+                    elif state is not MISSING:
+                        verdicts[k] = state
+                    elif leader_of.setdefault(keys[k], k) != k:
+                        # Duplicate key within the batch: the width is a
+                        # pure function of (window, d), so sharing the
+                        # leader's verdict is exact.
+                        followers.setdefault(leader_of[keys[k]], []).append(k)
+                    else:
+                        render_idx.append(k)
+            if render_idx:
+                try:
+                    rendered = render(
+                        op,
+                        method,
+                        [pairs[k] for k in render_idx],
+                        d,
+                        None if widths is None else [widths[k] for k in render_idx],
+                    )
+                except BaseException:
+                    if cache is not None:
+                        # A waiter renders these keys itself.
+                        cache.release(op, [keys[k] for k in render_idx])
+                    raise
+                for k, verdict in zip(render_idx, rendered):
                     verdicts[k] = verdict
-                    continue
-                leader = leader_of.setdefault(key, k)
-                if leader != k:
-                    # Duplicate key within the batch: the width is a pure
-                    # function of (window, d), so sharing the leader's
-                    # verdict is exact.
-                    followers.setdefault(leader, []).append(k)
-                    continue
-            render_idx.append(k)
-        if render_idx:
-            rendered = render(
-                op,
-                method,
-                [pairs[k] for k in render_idx],
-                d,
-                None if widths is None else [widths[k] for k in render_idx],
-            )
-            for k, verdict in zip(render_idx, rendered):
-                verdicts[k] = verdict
-                if cache is not None:
-                    cache.store(op, keys[k], verdict)
-                    for j in followers.get(k, ()):
-                        verdicts[j] = verdict
+                    if cache is not None:
+                        cache.store(op, keys[k], verdict)
+                        for j in followers.get(k, ()):
+                            verdicts[j] = verdict
+            todo = waiting
+            if todo:
+                states = cache.wait(op, [keys[k] for k in todo])
         if registry is not None:
             elapsed = time.perf_counter() - start
             overflow_key, batch_key, edges_key, verdict_keys = _hw_keys(op, method)

@@ -39,7 +39,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..cache import MISSING, MemoCache
+from ..cache import MISSING, PENDING, MemoCache
 from ..geometry.distance import either_contains
 from ..geometry.min_dist import MinDistStats, min_boundary_distance
 from ..geometry.point_in_polygon import PointLocation, locate_xy
@@ -166,6 +166,20 @@ def _untraced(name: str, **attributes: Any) -> nullcontext:
     return nullcontext()
 
 
+def _decide_held(
+    cache: MemoCache, memo: str, key: Any, decide: Callable[..., bool], args: tuple
+) -> bool:
+    """Decide a key this call holds in ``cache`` and store the answer; a
+    failure releases the key so a waiting request decides it instead."""
+    try:
+        meet = decide(*args)
+    except BaseException:
+        cache.release(memo, [key])
+        raise
+    cache.store(memo, key, meet)
+    return meet
+
+
 def refine_items(
     op: str,
     items: Sequence[WorkItem],
@@ -183,7 +197,9 @@ def refine_items(
     ``cache`` memoizes the stage-3 booleans by polygon content; a hit
     still counts as a decision in ``stats`` but adds nothing to the
     sweep/minDist work counters.  Stage 3 visits the items the prefilter
-    sent to software first, then the hardware survivors in batch order.
+    sent to software first, then the hardware survivors in batch order;
+    a key another request sharing the table is deciding is taken last,
+    as a hit, once this call has decided its own.
     With no tracer in scope a call reads the scope once and opens no span.
     """
     spec = _OPS.get(op)
@@ -242,6 +258,7 @@ def refine_items(
             decide, restrict = spec.decide, bool(restrict_search_space)
             tests = getattr(stats, spec.counter) + len(soft_idx)
             setattr(stats, spec.counter, tests)
+            waiting: List[Tuple[int, Any, tuple]] = []
             for k in soft_idx:
                 _, a, b = items[k]
                 args = (a, b, distance, restrict, sweep_stats, mindist_stats)
@@ -252,13 +269,25 @@ def refine_items(
                     # so the cache never equates differently-configured runs.
                     key = (a.digest, b.digest, distance, restrict)
                     meet = cache.lookup(spec.memo, key)
+                    if meet is PENDING:
+                        # Another request is deciding it: wait after our own.
+                        waiting.append((k, key, args))
+                        continue
                     if meet is MISSING:
-                        meet = decide(*args)
-                        cache.store(spec.memo, key, meet)
+                        meet = _decide_held(cache, spec.memo, key, decide, args)
                 if k in hw_maybe and not meet:
                     # A shared pixel but no actual contact: the conservative
                     # filter's false positive (it has no false negatives).
                     stats.hw_false_positives += 1
                 decisions[k] = bool(meet) is not spec.disjoint
+            if waiting:
+                found = cache.wait(spec.memo, [key for _, key, _ in waiting])
+                for (k, key, args), meet in zip(waiting, found):
+                    if meet is MISSING:
+                        # Its decider failed and released it.
+                        meet = _decide_held(cache, spec.memo, key, decide, args)
+                    if k in hw_maybe and not meet:
+                        stats.hw_false_positives += 1
+                    decisions[k] = bool(meet) is not spec.disjoint
     stats.positives += sum(decisions)
     return [item[0] for item, hit in zip(items, decisions) if hit]

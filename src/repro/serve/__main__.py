@@ -21,7 +21,6 @@ import sys
 from typing import List, Optional
 
 from ..bench.scales import DEFAULT_SCALE, SCALES
-from ..cache import CacheConfig
 from ..obs.cli import run_main
 from ..obs.runreport import write_run_report
 from .engine import AdmissionConfig, WorkloadConfig
@@ -51,13 +50,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="enable the raster-interval second filter on the selection "
         "and join pipelines (results are bit-identical either way)",
-    )
-    parser.add_argument(
-        "--cache",
-        action="store_true",
-        help="enable the repro.cache memoization layers (default: off; "
-        "note: cache hits depend on request-to-engine assignment, so "
-        "reports are only counter-deterministic with caching off)",
     )
     parser.add_argument(
         "--max-queue",
@@ -130,7 +122,6 @@ def _timeout_s(text: str) -> float:
 def _build_service(args: argparse.Namespace) -> QueryService:
     workload = WorkloadConfig(
         scale=args.scale,
-        cache=CacheConfig() if args.cache else CacheConfig.disabled(),
         use_intervals=args.intervals,
     )
     admission = AdmissionConfig(max_queue=args.max_queue, timeout_s=args.timeout)

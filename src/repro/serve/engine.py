@@ -9,11 +9,14 @@ queries:
   shared read-only by every worker;
 * each worker owns one :class:`ServingEngine`: a private refinement
   engine (one simulated GL context per worker, the
-  one-context-per-thread rule real drivers impose), the
-  STR-packed R-tree of the selection pipeline pre-built at startup, and
-  the :mod:`repro.cache` layers resolved from the workload's
-  :class:`~repro.cache.CacheConfig` - warm across requests instead of
-  rebuilt per query;
+  one-context-per-thread rule real drivers impose) and the STR-packed
+  R-tree of the selection pipeline pre-built at startup - warm across
+  requests instead of rebuilt per query;
+* the pool owns one :class:`~repro.cache.CacheBundle`, the process's
+  ``verdict`` and ``predicate`` memo tables, and every engine memoizes
+  through its own share of it: a resident query or join repeated on any
+  engine replays its verdicts and sweeps instead of redoing them, and the
+  served counters do not depend on which engine a request lands on;
 * :class:`EnginePool` is the service's one admission gate: it decides at
   arrival whether each request runs on a free engine, queues or is shed,
   times a queued one out, and hands engines out one request at a time
@@ -42,8 +45,7 @@ from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from ..bench.scales import get_scale
-from ..cache import CacheConfig
-from ..core.config import HardwareConfig
+from ..cache import CacheBundle, CacheConfig
 from ..core.engine import HardwareEngine
 from ..datasets import base_distance
 from ..obs.instrument import PipelineObserver
@@ -83,7 +85,7 @@ class Execution(NamedTuple):
     #: The pipeline's finished observer: the run's committed record, whose
     #: ``funnel`` is built on first access.
     run: Optional[PipelineObserver]
-    #: Hit/miss/eviction movement of each enabled cache layer (label keyed).
+    #: This request's own hits/misses/evictions per memo table (label keyed).
     cache_delta: Dict[str, Dict[str, int]]
 
 
@@ -91,14 +93,12 @@ class Execution(NamedTuple):
 class WorkloadConfig:
     """What one serving process hosts, resolved once at startup.
 
-    Every engine is the default hardware engine (8 x 8 window) and the
-    interval filter, when on, runs at ``DEFAULT_INTERVAL_LEVEL``.
+    Every engine is the default hardware engine (8 x 8 window), every
+    pool memoizes through one shared bundle, and the interval filter, when
+    on, runs at ``DEFAULT_INTERVAL_LEVEL``.
     """
 
     scale: str = "tiny"
-    #: Memoization layers, resolved here - never from the process default -
-    #: so every pool engine is built with the same pinned behavior.
-    cache: CacheConfig = CacheConfig.disabled()
     #: Raster-interval second filter on the intersection selection/join
     #: pipelines (off by default; results are bit-identical either way).
     use_intervals: bool = False
@@ -135,13 +135,22 @@ class ServingWorkload:
 
 
 class ServingEngine:
-    """One worker's private engine plus its three warm pipelines."""
+    """One worker's private engine plus its three warm pipelines.
 
-    def __init__(self, worker_id: int, workload: ServingWorkload) -> None:
+    ``caches`` is the engine's share of its pool's memo tables; without
+    one the engine memoizes nothing, as a direct engine does.
+    """
+
+    def __init__(
+        self,
+        worker_id: int,
+        workload: ServingWorkload,
+        caches: Optional[CacheBundle] = None,
+    ) -> None:
         config = workload.config
         self.worker_id = worker_id
         self.workload = workload
-        self.engine = HardwareEngine(HardwareConfig(cache=config.cache))
+        self.engine = HardwareEngine(caches=caches)
         #: Requests this engine has started executing (deterministic in
         #: total across the pool; the health envelope's worker roster
         #: reports it as a liveness signal alongside the heartbeats).
@@ -160,6 +169,9 @@ class ServingEngine:
             use_intervals=config.use_intervals,
         )
         self.within = WithinDistanceJoin(workload.join_a, workload.join_b, self.engine)
+        #: The engine's memo handles, whose tallies give each request's deltas.
+        bundle = self.engine.caches
+        self._memo = tuple(t for t in (bundle.verdict, bundle.predicate) if t is not None)
 
     def execute(self, request: QueryRequest) -> Execution:
         """Run one validated request: its results and its measurement.
@@ -168,12 +180,14 @@ class ServingEngine:
         returns - the serving layer never re-orders or re-encodes it -
         so responses stay bit-identical to direct engine calls.  The run
         is the record the pipeline's observer committed (the service's
-        registry is in scope); the cache deltas are safe to
-        attribute to this request alone because the pool checks an
-        engine out to exactly one request at a time.
+        registry is in scope); the cache deltas count the lookups made
+        through this engine's own handles, which are this request's
+        alone because the pool checks an engine out to exactly one
+        request at a time.
         """
         self.requests_served += 1
-        caches_before = self.engine.caches.stats()
+        memo = self._memo
+        before = [(t.hits, t.misses, t.evictions) for t in memo]
         res: Any
         if request.op == "selection":
             assert request.query_index is not None
@@ -189,17 +203,13 @@ class ServingEngine:
         else:
             raise ValueError(f"unknown op {request.op!r}")
         cache_delta = {
-            label: {
-                "hits": s.hits - caches_before[label].hits,
-                "misses": s.misses - caches_before[label].misses,
-                "evictions": s.evictions - caches_before[label].evictions,
-            }
-            for label, s in self.engine.caches.stats().items()
+            t.label: {"hits": t.hits - h, "misses": t.misses - m, "evictions": t.evictions - e}
+            for t, (h, m, e) in zip(memo, before)
         }
         return Execution(results, res.cost, res.run, cache_delta)
 
     def warm(self) -> None:
-        """Prime the caches/pipelines with one cheap request per op."""
+        """Prime the pipelines with one cheap request."""
         if self.workload.queries:
             self.execute(QueryRequest(op="selection", query_index=0))
 
@@ -242,7 +252,9 @@ class EnginePool:
     ``serve_queue_capacity`` gauges are read from its state, under its
     lock, whenever the registry is read - so they always describe one
     moment, and read exactly 0 after a drained run (the CI regression
-    baseline relies on it).
+    baseline relies on it).  The memo tables' ``cache_occupancy`` gauges
+    are read the same way, so the last store of a concurrent run cannot
+    be overwritten by an earlier one's.
     """
 
     def __init__(
@@ -258,7 +270,12 @@ class EnginePool:
         self.workload = workload
         self.size = size
         self.admission = admission
-        self.engines = [ServingEngine(i, workload) for i in range(size)]
+        #: The process's memo tables; each engine memoizes through its own
+        #: share (:meth:`~repro.cache.CacheBundle.share`).
+        self.caches = CacheBundle(CacheConfig())
+        self.engines = [
+            ServingEngine(i, workload, self.caches.share()) for i in range(size)
+        ]
         if warm:
             for engine in self.engines:
                 engine.warm()
@@ -271,7 +288,9 @@ class EnginePool:
     def _gauges(self) -> Iterable[Tuple[MetricKey, int]]:
         with self._cond:
             values = (self._waiting, self.inflight, self.size, self.admission.max_queue)
-        return zip(_POOL_GAUGES, values)
+        caches = self.caches
+        tables = (caches.verdict.occupancy_gauge(), caches.predicate.occupancy_gauge())
+        return [*zip(_POOL_GAUGES, values), *tables]
 
     def admit(self) -> Tuple[Optional[ServingEngine], Optional[str]]:
         """Decide one request at its arrival, without blocking.

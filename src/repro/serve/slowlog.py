@@ -14,7 +14,7 @@ assign blame:
 * the request's span tree (when tracing is on), its EXPLAIN funnel with
   the exact Fig-13 identities re-checked per record, the
   :class:`~repro.query.costs.CostBreakdown` stage seconds, and the
-  cache hit/miss deltas of the serving engine across the request.
+  request's own memo-table hits, misses and evictions.
 
 Records are JSON lines (schema-tagged ``repro.serve/slowlog@1``) kept in
 the service's :class:`~repro.obs.records.RecordLog`, which appends each

@@ -17,6 +17,7 @@ from contextlib import ExitStack
 from typing import Any, Dict, List, Tuple
 from unittest import mock
 
+from repro.cache import CacheBundle, CacheConfig
 from repro.obs.explain import FUNNEL_STAGES, QueryFunnel, funnel_from_deltas
 from repro.obs.metrics import MetricsRegistry, metric_key
 from repro.obs.scope import use_scope
@@ -73,15 +74,17 @@ def account_directly(
 ) -> Dict[str, Any]:
     """The snapshot direct writes leave for ``outcomes`` served by
     ``service``: its gauges as a drained pool sets them, each ok request
-    re-executed on a fresh engine over the same resident data, and each
-    response's outcome, durations and slow-log count."""
+    re-executed on a fresh engine over the same resident data - memoizing
+    through fresh memo tables of its own, as the pool's engines do through
+    their shared ones - and each response's outcome, durations and
+    slow-log count."""
     registry = MetricsRegistry()
     acc = registry.accumulator()
     acc.set(metric_key("serve_workers"), service.pool.size)
     acc.set(metric_key("serve_queue_capacity"), service.admission_config.max_queue)
     acc.set(metric_key("serve_queue_depth"), 0)
     acc.set(metric_key("serve_inflight"), 0)
-    engine = ServingEngine(0, service.workload)
+    engine = ServingEngine(0, service.workload, CacheBundle(CacheConfig()))
 
     def observe(pipeline: str, run_engine: Any) -> DirectObserver:
         return DirectObserver(registry, pipeline, run_engine)

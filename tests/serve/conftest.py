@@ -1,8 +1,9 @@
 """Shared fixtures for the serving tests.
 
 Workloads and services are session-scoped: dataset loading and engine
-construction dominate test time, and the service is stateless across
-requests by design (that is what the determinism tests verify).
+construction dominate test time, and a service's answers do not depend
+on the requests before them (the pool memoizes work, never answers:
+that is what the determinism tests verify).
 """
 
 import pytest

@@ -21,6 +21,7 @@ from repro.serve.__main__ import main as serve_main
 REMOVED_FLAGS = {
     "engine": ["--engine", "software"],
     "warm": ["--warm"],
+    "cache": ["--cache"],
     "trace": ["--trace"],
     "out": ["--out", os.devnull],
     "interval-level-13": ["--interval-level", "13"],

@@ -84,10 +84,11 @@ class TestBitIdentityAcrossBackends:
         finally:
             svc.close()
 
-    @pytest.mark.parametrize("name", ["engine", "resolution", "interval_level"])
+    @pytest.mark.parametrize("name", ["engine", "resolution", "interval_level", "cache"])
     def test_fixed_settings_are_not_fields(self, name):
-        # The served engine is the 8 x 8 hardware engine, and the interval
-        # filter runs at the default level (IntervalGrid checks a level).
+        # The served engine is the 8 x 8 hardware engine, the interval
+        # filter runs at the default level (IntervalGrid checks a level),
+        # and the pool always memoizes through one shared bundle.
         with pytest.raises(TypeError, match=name):
             WorkloadConfig(**{name: None})
 

@@ -627,8 +627,11 @@ class TestAsyncFacade:
             QueryRequest(op="selection", query_index=settled),
             QueryRequest(op="selection", query_index=dear),
         ]
-        svc = QueryService(
-            workers=2, trace=True, slowlog=SlowLogConfig(threshold_s=0.0)
+        # Two services, so each request's submit() twin runs as cold as
+        # its asubmit(): a pool memoizes, and a repeat renders nothing.
+        svc, twin = (
+            QueryService(workers=2, trace=True, slowlog=SlowLogConfig(threshold_s=0.0))
+            for _ in range(2)
         )
         try:
 
@@ -638,23 +641,25 @@ class TestAsyncFacade:
 
             served, loop_thread = asyncio.run(run())
             placements = _on_loop(execute_threads, loop_thread)
-            direct = [svc.submit(request) for request in requests]
+            direct = [twin.submit(request) for request in requests]
         finally:
             svc.close()
+            twin.close()
         assert placements == [("selection", settled)]
         for resp, want in zip(served, direct):
             assert resp.status == want.status == "ok"
             assert resp.results == want.results
-        traces = svc.traces.records()
-        records = svc.slowlog.records()
-        assert len(traces) == len(records) == 2 * len(requests)
+        traces, twin_traces = svc.traces.records(), twin.traces.records()
+        records, twin_records = svc.slowlog.records(), twin.slowlog.records()
+        assert len(traces) == len(records) == len(twin_traces) == len(requests)
         for i in range(len(requests)):
-            placed, synced = traces[i], traces[i + len(requests)]
+            placed, synced = traces[i], twin_traces[i]
             assert _tree(placed) == _tree(synced)
             assert {"request", "queue_wait", "execute", "mbr_filter"} <= {
                 name for name, _ in _tree(placed)
             }
-            assert records[i]["funnel"] == records[i + len(requests)]["funnel"]
+            assert records[i]["funnel"] == twin_records[i]["funnel"]
+            assert records[i]["cache_delta"] == twin_records[i]["cache_delta"]
             assert records[i]["funnel_violations"] == []
 
 

@@ -52,6 +52,24 @@ class TestPolicy:
             svc.close()
 
 
+def _registry_delta(before, svc):
+    """Each memo table's hits/misses/evictions committed since ``before``."""
+    after = svc.metrics_snapshot()["counters"]
+
+    def moved(kind, label):
+        prefix = f"cache_{kind}{{cache={label},"
+        return sum(
+            value - before.get(key, 0)
+            for key, value in after.items()
+            if key.startswith(prefix)
+        )
+
+    return {
+        label: {kind: moved(kind, label) for kind in ("hits", "misses", "evictions")}
+        for label in ("verdict", "predicate")
+    }
+
+
 @pytest.fixture(scope="module")
 def forensic_service(tmp_path_factory):
     path = tmp_path_factory.mktemp("slowlog") / "slow.jsonl"
@@ -68,6 +86,7 @@ def forensic_service(tmp_path_factory):
 class TestRecords:
     def test_ok_record_bundles_the_forensics(self, forensic_service):
         svc, _ = forensic_service
+        before = svc.metrics_snapshot()["counters"]
         response = svc.submit(QueryRequest(op="selection", query_index=0))
         assert response.status == "ok"
         record = svc.slowlog.records()[-1]
@@ -89,12 +108,30 @@ class TestRecords:
         ] + record["funnel"]["refined"]
         # CostBreakdown stage seconds are attached.
         assert "mbr_filter_s" in record["cost"]
-        # Caches are disabled in the default workload: empty delta map.
-        assert record["cache_delta"] == {}
+        # The pool memoizes: the delta holds this request's own lookups
+        # in each table, exactly what it committed to the registry.
+        assert record["cache_delta"] == _registry_delta(before, svc)
+        assert set(record["cache_delta"]) == {"verdict", "predicate"}
         # Accounted in the metrics registry (family exists only when the
         # slowlog is enabled, so the baseline-gated CI run never sees it).
         snap = svc.metrics_snapshot()["counters"]
         assert snap["serve_slow_requests{op=selection,status=ok}"] >= 1
+
+    def test_cache_delta_counts_the_request_own_lookups(self, forensic_service):
+        # The second of two identical joins replays every lookup the first
+        # made: its misses are the first one's hits + misses.
+        svc, _ = forensic_service
+        deltas = []
+        for _ in range(2):
+            before = svc.metrics_snapshot()["counters"]
+            assert svc.submit(QueryRequest(op="join")).status == "ok"
+            deltas.append(svc.slowlog.records()[-1]["cache_delta"])
+            assert deltas[-1] == _registry_delta(before, svc)
+        first, second = deltas
+        for label in ("verdict", "predicate"):
+            looked_up = first[label]["hits"] + first[label]["misses"]
+            assert second[label] == {"hits": looked_up, "misses": 0, "evictions": 0}
+        assert first["verdict"]["misses"] > 0 and first["predicate"]["misses"] > 0
 
     def test_error_record_logged_with_message(self, forensic_service):
         svc, _ = forensic_service
