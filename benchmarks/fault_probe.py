@@ -10,10 +10,15 @@ join), so every query has run once - and then ``--ops`` ops, reading
 ``resource.getrusage`` around each.  It prints JSON, per workload:
 
 * ``minflt_per_op`` - minor faults per op, the whole op;
-* ``gather`` / ``kernel`` - the part taken inside the atlas's edge gather
-  (``repro.gpu.tiled._gather``) and its coverage kernel (the
-  ``edges_coverage_masks_grouped`` the atlas calls);
-* ``rest`` - everything else in the op.
+* one entry per stage span of :data:`SPANS` - the faults taken inside the
+  pipeline's ``mbr_filter`` and ``intermediate_filter`` stages and inside
+  refinement's stage spans (``geometry.pip``, ``geometry.hw_batch``,
+  ``geometry.sweep``, ``geometry.mindist``), read at span enter and exit
+  by a stand-in tracer that keeps no span;
+* ``gather`` / ``kernel`` - the part of ``geometry.hw_batch`` taken inside
+  the atlas's edge gather (``repro.gpu.tiled._gather``) and its coverage
+  kernel (the ``edges_coverage_masks_grouped`` the atlas calls);
+* ``rest`` - everything else in the op (outside every span above).
 
 Each workload runs in a process of its own (what one workload leaves in
 the allocator changes the next one's count), and every measured process
@@ -42,13 +47,25 @@ import os
 import resource
 import subprocess
 import sys
-from typing import Any, Callable, Dict, List
+from contextlib import contextmanager
+from typing import Any, Callable, Dict, Iterator, List
 
 sys.path.insert(0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "perf"))
 
 import direct  # noqa: E402  (benchmarks/perf, on the path above)
 
 import repro.gpu.tiled as tiled  # noqa: E402
+from repro import use_tracer  # noqa: E402
+
+#: The stage spans bracketed, in pipeline order; none nests in another.
+SPANS = (
+    "mbr_filter",
+    "intermediate_filter",
+    "geometry.pip",
+    "geometry.hw_batch",
+    "geometry.sweep",
+    "geometry.mindist",
+)
 
 #: The wrapped callees: split name -> module attribute of repro.gpu.tiled.
 SPLIT = {"gather": "_gather", "kernel": "edges_coverage_masks_grouped"}
@@ -74,6 +91,26 @@ def counting(fn: Callable[..., Any], tally: Dict[str, int], name: str) -> Callab
     return wrapped
 
 
+class FaultSpans:
+    """A tracer stand-in: each span of :data:`SPANS` adds the minor faults
+    taken inside it to ``tally[name]``; nothing is recorded."""
+
+    def __init__(self, tally: Dict[str, int]) -> None:
+        self.tally = tally
+
+    @contextmanager
+    def span(self, name: str, **attributes: Any) -> Iterator[None]:
+        before = minflt()
+        try:
+            yield None
+        finally:
+            if name in self.tally:
+                self.tally[name] += minflt() - before
+
+    def record(self, name: str, duration_s: float, **attributes: Any) -> None:
+        """The atlas's ``gpu.tile_batch`` records: inside a bracketed span."""
+
+
 def probe(name: str, ops: int) -> Dict[str, Any]:
     instance = direct.build(name, 1)
     instance.build_oracle()
@@ -82,24 +119,27 @@ def probe(name: str, ops: int) -> Dict[str, Any]:
     warm = instance.distinct_ops()
     for k in range(1, 1 + warm):
         instance.run_op(k)
+    spans = {span: 0 for span in SPANS}
     tally = {split: 0 for split in SPLIT}
     originals = {split: getattr(tiled, attr) for split, attr in SPLIT.items()}
     for split, attr in SPLIT.items():
         setattr(tiled, attr, counting(originals[split], tally, split))
     try:
-        before = minflt()
-        for k in range(1 + warm, 1 + warm + ops):
-            result, _ = instance.run_op(k)
-            if result != instance.expected(k):
-                raise RuntimeError(f"{name}: op {k} disagrees with the oracle")
-        total = minflt() - before
+        with use_tracer(FaultSpans(spans)):
+            before = minflt()
+            for k in range(1 + warm, 1 + warm + ops):
+                result, _ = instance.run_op(k)
+                if result != instance.expected(k):
+                    raise RuntimeError(f"{name}: op {k} disagrees with the oracle")
+            total = minflt() - before
     finally:
         for split, attr in SPLIT.items():
             setattr(tiled, attr, originals[split])
         instance.close()
     row = {"ops": ops, "minflt_per_op": round(total / ops, 1)}
+    row.update({span: round(n / ops, 1) for span, n in spans.items()})
     row.update({split: round(n / ops, 1) for split, n in tally.items()})
-    row["rest"] = round((total - sum(tally.values())) / ops, 1)
+    row["rest"] = round((total - sum(spans.values())) / ops, 1)
     return row
 
 

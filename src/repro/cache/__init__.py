@@ -13,12 +13,19 @@ caching on holds two :class:`~repro.cache.lru.MemoCache` tables:
 * ``predicate`` - exact software decisions (plane sweep, ``minDist <= D``)
   keyed by digests + parameters.  The early exit changes the reported
   distance, never which side of ``D`` it falls on, so the boolean memoizes.
+  It also holds the prefilter's answers (op ``pip``, keyed by the refine
+  op, the digests and ``D``), each with the ``pip_edges`` its scans
+  charged, which a hit adds to :class:`~repro.core.stats.RefinementStats`.
+
+Every stage memoizes a whole batch through one routine,
+:meth:`~repro.cache.lru.MemoCache.memoize`.
 
 Every cached value is a deterministic pure function of its key, and
 :class:`~repro.core.stats.RefinementStats` counts decisions *requested*,
-which a hit still is - so cache-on runs are bit-identical to cache-off
-runs in results, RefinementStats, and the derived explain funnels; only
-the work executed (GPU cost counters, sweep/minDist step counts, wall
+which a hit still is (and a prefilter hit replays its charge) - so
+cache-on runs are bit-identical to cache-off runs in results,
+RefinementStats, and the derived explain funnels; only the work executed
+(GPU cost counters, sweep/minDist step counts, point locations, wall
 time) shrinks.  Lookups commit ``cache_hits`` / ``cache_misses`` /
 ``cache_evictions{cache,op}`` counters and a ``cache_occupancy{cache}``
 gauge to the ambient metrics registry.
@@ -30,8 +37,8 @@ Who memoizes:
   engine its own handles, so a request's own lookups stay countable).
   The tables are thread-safe and single-flight: a key one request is
   computing is never computed by a second at the same time - the second
-  leaves it out of its own hardware batch or sweep, finishes its own
-  misses, then waits for the value and counts a hit.  One table makes the
+  leaves it out of its own prefilter, hardware batch or sweep, finishes
+  its own misses, then waits for the value and counts a hit.  One table makes the
   served counters independent of which engine a request lands on;
 * a **direct engine** does only when its caller passes an enabled
   :class:`CacheConfig` (``--cache`` on ``python -m repro.bench``).  Off

@@ -25,7 +25,7 @@ from __future__ import annotations
 import functools
 import threading
 from collections import OrderedDict
-from typing import Any, Dict, Hashable, List, Sequence, Tuple
+from typing import Any, Callable, Dict, Hashable, Iterable, List, Sequence, Tuple
 
 from ..obs.metrics import MetricKey, metric_key
 from ..obs.scope import current_scope
@@ -152,8 +152,9 @@ class MemoCache:
     (another handle holds it; not tallied yet).  A handle waits only
     after storing or releasing every key it holds, so no two handles ever
     wait on each other.  A key this handle already holds answers
-    :data:`MISSING` again (a duplicate within one batch).  One handle is
-    used by one thread at a time.
+    :data:`MISSING` again (a duplicate within one batch).  :meth:`memoize`
+    is that protocol over one batch, and the only way the refinement
+    stages use a table.  One handle is used by one thread at a time.
     """
 
     __slots__ = ("table", "hits", "misses", "evictions")
@@ -198,9 +199,68 @@ class MemoCache:
         self._publish(op, hits, misses)
         return out
 
-    def lookup(self, op: str, key: Hashable) -> Any:
-        """:meth:`claim` of one key."""
-        return self.claim(op, (key,))[0]
+    def memoize(
+        self,
+        op: str,
+        keys: Sequence[Hashable],
+        compute: Callable[[List[int]], Iterable[Any]],
+        claim_repeats: bool = False,
+    ) -> List[Any]:
+        """Each key's value: the whole batch claimed at once, the keys this
+        handle holds computed, the keys other handles hold waited for.
+
+        ``compute(positions)`` yields the values of ``keys[i]`` for those
+        positions, in order; each is stored as it comes, and a failure
+        releases the keys not stored yet (a waiter computes them) before it
+        propagates.  Then the keys another handle held are waited for - a
+        hit, or, released, computed here in one more round.
+
+        A key repeated within ``keys`` is computed once, by its first
+        position.  By default a repeat is looked up once its first position
+        is resolved (a hit, as a second lookup in a loop would be); with
+        ``claim_repeats`` it is claimed beside it and tallied like it.
+        """
+        first: Dict[Hashable, int] = {}
+        for i, key in enumerate(keys):
+            first.setdefault(key, i)
+        values: List[Any] = [MISSING] * len(keys)
+        todo = list(range(len(keys))) if claim_repeats else list(first.values())
+        states = self.claim(op, [keys[i] for i in todo])
+        while todo:
+            held: List[int] = []
+            waiting: List[int] = []
+            for i, state in zip(todo, states):
+                if state is PENDING:
+                    waiting.append(i)
+                elif state is not MISSING:
+                    values[i] = state
+                elif first[keys[i]] == i:
+                    held.append(i)
+            if held:
+                try:
+                    for i, value in zip(held, compute(held)):
+                        self.store(op, keys[i], value)
+                        values[i] = value
+                except BaseException:
+                    self.release(op, [keys[i] for i in held])
+                    raise
+            todo = waiting
+            if todo:
+                states = self.wait(op, [keys[i] for i in todo])
+        repeats = (
+            [i for i, key in enumerate(keys) if first[key] != i]
+            if len(first) < len(keys)
+            else []
+        )
+        if repeats and not claim_repeats:
+            found = self.claim(op, [keys[i] for i in repeats])
+            for i, state in zip(repeats, found):
+                if state is MISSING:
+                    # Evicted since its first position stored it.
+                    self.store(op, keys[i], values[first[keys[i]]])
+        for i in repeats:
+            values[i] = values[first[keys[i]]]
+        return values
 
     def wait(self, op: str, keys: Sequence[Hashable]) -> List[Any]:
         """Block until no other handle holds any of ``keys``, then claim

@@ -39,11 +39,11 @@ import functools
 import math
 import time
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..cache import MISSING, PENDING, CacheBundle, verdict_key
+from ..cache import CacheBundle, verdict_key
 from ..geometry.polygon import Polygon
 from ..geometry.rect import Rect
 from ..gpu.pipeline import GraphicsPipeline, window_columns, window_scales
@@ -277,11 +277,11 @@ class HardwareSegmentTest:
         method, pairs, d, widths)`` decides the pairs no earlier step
         settled: :meth:`_render_atlas` or :meth:`_render_each`.
 
-        With the verdict table on, the batch claims its keys at once
-        (:meth:`~repro.cache.MemoCache.claim`): hits replay, misses render,
-        and a key another request sharing the table is rendering is left
-        out and waited for after this batch's own render, as a hit.  A
-        failed render releases the keys it held.
+        With the verdict table on, the batch goes through one
+        :meth:`~repro.cache.MemoCache.memoize`: hits replay, misses render
+        in one call, and a key another request sharing the table is
+        rendering is left out and waited for after this batch's own
+        render, as a hit.  A failed render releases the keys it held.
 
         Per-pair families (``hw_verdicts``, ``hw_test_edges``) are additive
         over pairs, so per-pair, batched and cached runs of the same
@@ -312,54 +312,31 @@ class HardwareSegmentTest:
             else:
                 todo.append(k)
 
-        keys: Dict[int, object] = {}
-        if cache is not None:
-            resolution = self.config.resolution
-            for k in todo:
-                a, b, window = pairs[k]
-                keys[k] = verdict_key(op, method, a, b, window, d, resolution)
-            states = cache.claim(op, [keys[k] for k in todo])
-        while todo:
-            # One round: the misses this call holds render in one
-            # submission; keys another request is rendering wait for it.
-            render_idx, waiting, followers = todo, [], {}
-            if cache is not None:
-                render_idx, leader_of = [], {}
-                for k, state in zip(todo, states):
-                    if state is PENDING:
-                        waiting.append(k)
-                    elif state is not MISSING:
-                        verdicts[k] = state
-                    elif leader_of.setdefault(keys[k], k) != k:
-                        # Duplicate key within the batch: the width is a
-                        # pure function of (window, d), so sharing the
-                        # leader's verdict is exact.
-                        followers.setdefault(leader_of[keys[k]], []).append(k)
-                    else:
-                        render_idx.append(k)
-            if render_idx:
-                try:
-                    rendered = render(
-                        op,
-                        method,
-                        [pairs[k] for k in render_idx],
-                        d,
-                        None if widths is None else [widths[k] for k in render_idx],
-                    )
-                except BaseException:
-                    if cache is not None:
-                        # A waiter renders these keys itself.
-                        cache.release(op, [keys[k] for k in render_idx])
-                    raise
-                for k, verdict in zip(render_idx, rendered):
-                    verdicts[k] = verdict
-                    if cache is not None:
-                        cache.store(op, keys[k], verdict)
-                        for j in followers.get(k, ()):
-                            verdicts[j] = verdict
-            todo = waiting
-            if todo:
-                states = cache.wait(op, [keys[k] for k in todo])
+        if todo:
+
+            def rendered(positions: Sequence[int]) -> List[HardwareVerdict]:
+                ks = [todo[i] for i in positions]
+                return render(
+                    op,
+                    method,
+                    [pairs[k] for k in ks],
+                    d,
+                    None if widths is None else [widths[k] for k in ks],
+                )
+
+            if cache is None:
+                found = rendered(range(len(todo)))
+            else:
+                # A repeated key is claimed beside its first occurrence,
+                # tallied like it, and shares its verdict: the width is a
+                # pure function of (window, d), so that is exact.
+                resolution = self.config.resolution
+                keys = [
+                    verdict_key(op, method, *pairs[k], d, resolution) for k in todo
+                ]
+                found = cache.memoize(op, keys, rendered, claim_repeats=True)
+            for k, verdict in zip(todo, found):
+                verdicts[k] = verdict
         if registry is not None:
             elapsed = time.perf_counter() - start
             overflow_key, batch_key, edges_key, verdict_keys = _hw_keys(op, method)

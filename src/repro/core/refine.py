@@ -32,6 +32,12 @@ inside ``a``, so ``b`` is contained with no sweep at all).
 pairs, so one call over N items and N one-item calls report identical
 totals; only the number of hardware submissions -
 the fixed per-test overhead ``sw_threshold`` exists to dodge - changes.
+
+With a memo table (a serving pool's engines, or ``--cache``), stages 1
+and 3 each claim their whole batch in one
+:meth:`~repro.cache.MemoCache.memoize`, and stage 2 does the same inside
+the hardware test; a hit replays what the stage would have counted, so
+the totals above do not move.
 """
 
 from __future__ import annotations
@@ -39,7 +45,7 @@ from __future__ import annotations
 from contextlib import nullcontext
 from typing import Any, Callable, List, NamedTuple, Optional, Sequence, Tuple
 
-from ..cache import MISSING, PENDING, MemoCache
+from ..cache import MemoCache
 from ..geometry.distance import either_contains
 from ..geometry.min_dist import MinDistStats, min_boundary_distance
 from ..geometry.point_in_polygon import PointLocation, locate_xy
@@ -133,7 +139,7 @@ class _Op(NamedTuple):
     window: Callable[..., Any]
     verdicts: Callable[..., List[HardwareVerdict]]
     #: Stage 3, ``(a, b, d, restrict, sweep_stats, mindist_stats)``: do the
-    #: boundaries meet?  Memoized in table ``memo``, timed as span
+    #: boundaries meet?  Memoized as op ``memo``, timed as span
     #: ``span``, counted in the :class:`RefinementStats` field ``counter``.
     decide: Callable[..., bool]
     memo: str
@@ -166,18 +172,28 @@ def _untraced(name: str, **attributes: Any) -> nullcontext:
     return nullcontext()
 
 
-def _decide_held(
-    cache: MemoCache, memo: str, key: Any, decide: Callable[..., bool], args: tuple
-) -> bool:
-    """Decide a key this call holds in ``cache`` and store the answer; a
-    failure releases the key so a waiting request decides it instead."""
-    try:
-        meet = decide(*args)
-    except BaseException:
-        cache.release(memo, [key])
-        raise
-    cache.store(memo, key, meet)
-    return meet
+def _memo_prefilter(
+    cache: MemoCache,
+    op: str,
+    prefilter: Callable[..., Optional[bool]],
+    items: Sequence[WorkItem],
+    distance: Optional[float],
+) -> List[Tuple[Optional[bool], int]]:
+    """Stage 1 through the ``pip`` memo: each item's answer and the
+    ``pip_edges`` its scans charged, which a hit replays.  The op and the
+    distance are keyed: the three prefilters differ, and so does one
+    prefilter at two distances."""
+    charges = RefinementStats()
+
+    def compute(positions: List[int]):
+        for i in positions:
+            _, a, b = items[i]
+            before = charges.pip_edges
+            settled = prefilter(a, b, distance, charges)
+            yield settled, charges.pip_edges - before
+
+    keys = [(op, a.digest, b.digest, distance) for _, a, b in items]
+    return cache.memoize("pip", keys, compute)
 
 
 def refine_items(
@@ -194,13 +210,13 @@ def refine_items(
     """Decide ``op`` for every ``(key, a, b)`` item; return matching keys.
 
     Keys return in item order.  ``hw=None`` runs stages 1 and 3 only.
-    ``cache`` memoizes the stage-3 booleans by polygon content; a hit
-    still counts as a decision in ``stats`` but adds nothing to the
-    sweep/minDist work counters.  Stage 3 visits the items the prefilter
-    sent to software first, then the hardware survivors in batch order;
-    a key another request sharing the table is deciding is taken last,
-    as a hit, once this call has decided its own.
-    With no tracer in scope a call reads the scope once and opens no span.
+    ``cache`` (the ``predicate`` table) memoizes stage 1's answers with
+    the ``pip_edges`` they charged and stage 3's booleans, by polygon
+    content, each stage through one :meth:`~repro.cache.MemoCache.memoize`
+    of its batch; a hit still counts as a decision in ``stats`` (and
+    replays its charge) but adds nothing to the sweep/minDist work
+    counters.  With no tracer in scope a call reads the scope once and
+    opens no span.
     """
     spec = _OPS.get(op)
     if spec is None:
@@ -221,8 +237,17 @@ def refine_items(
         with span("geometry.pip"):
             prefilter, window = spec.prefilter, spec.window
             stats.pairs_tested += len(items)
+            answers = (
+                None
+                if cache is None
+                else _memo_prefilter(cache, op, prefilter, items, distance)
+            )
             for k, (_, a, b) in enumerate(items):
-                settled = prefilter(a, b, distance, stats)
+                if answers is None:
+                    settled = prefilter(a, b, distance, stats)
+                else:
+                    settled, charged = answers[k]
+                    stats.pip_edges += charged
                 if settled is False:
                     stats.prefilter_drops += 1
                 elif settled:
@@ -258,36 +283,27 @@ def refine_items(
             decide, restrict = spec.decide, bool(restrict_search_space)
             tests = getattr(stats, spec.counter) + len(soft_idx)
             setattr(stats, spec.counter, tests)
-            waiting: List[Tuple[int, Any, tuple]] = []
-            for k in soft_idx:
-                _, a, b = items[k]
-                args = (a, b, distance, restrict, sweep_stats, mindist_stats)
-                if cache is None:
-                    meet = decide(*args)
-                else:
-                    # ``restrict`` changes work, never the answer; it is keyed
-                    # so the cache never equates differently-configured runs.
-                    key = (a.digest, b.digest, distance, restrict)
-                    meet = cache.lookup(spec.memo, key)
-                    if meet is PENDING:
-                        # Another request is deciding it: wait after our own.
-                        waiting.append((k, key, args))
-                        continue
-                    if meet is MISSING:
-                        meet = _decide_held(cache, spec.memo, key, decide, args)
+
+            def meets(positions: Sequence[int]):
+                for i in positions:
+                    _, a, b = items[soft_idx[i]]
+                    yield decide(a, b, distance, restrict, sweep_stats, mindist_stats)
+
+            if cache is None:
+                found = meets(range(len(soft_idx)))
+            else:
+                # ``restrict`` changes work, never the answer; it is keyed
+                # so the cache never equates differently-configured runs.
+                keys = [
+                    (items[k][1].digest, items[k][2].digest, distance, restrict)
+                    for k in soft_idx
+                ]
+                found = cache.memoize(spec.memo, keys, meets)
+            for k, meet in zip(soft_idx, found):
                 if k in hw_maybe and not meet:
                     # A shared pixel but no actual contact: the conservative
                     # filter's false positive (it has no false negatives).
                     stats.hw_false_positives += 1
                 decisions[k] = bool(meet) is not spec.disjoint
-            if waiting:
-                found = cache.wait(spec.memo, [key for _, key, _ in waiting])
-                for (k, key, args), meet in zip(waiting, found):
-                    if meet is MISSING:
-                        # Its decider failed and released it.
-                        meet = _decide_held(cache, spec.memo, key, decide, args)
-                    if k in hw_maybe and not meet:
-                        stats.hw_false_positives += 1
-                    decisions[k] = bool(meet) is not spec.disjoint
     stats.positives += sum(decisions)
     return [item[0] for item, hit in zip(items, decisions) if hit]

@@ -51,25 +51,25 @@ class TestMemoCache:
         a, b = _polygons()
         cache = MemoCache("verdict", capacity=8)
         key = verdict_key("intersect", "accum", a, b, a.mbr, 0.0, 32)
-        assert cache.lookup("intersect", key) is MISSING
+        assert cache.claim("intersect", [key])[0] is MISSING
         cache.store("intersect", key, HardwareVerdict.MAYBE)
-        assert cache.lookup("intersect", key) is HardwareVerdict.MAYBE
+        assert cache.claim("intersect", [key])[0] is HardwareVerdict.MAYBE
         assert (cache.hits, cache.misses) == (1, 1)
         assert len(cache) == 1
 
     def test_falsy_values_are_cached(self):
         cache = MemoCache("predicate", capacity=8)
-        assert cache.lookup("sweep", ("x",)) is MISSING
+        assert cache.claim("sweep", [("x",)])[0] is MISSING
         cache.store("sweep", ("x",), False)  # falsy results must be cached too
-        assert cache.lookup("sweep", ("x",)) is False
+        assert cache.claim("sweep", [("x",)])[0] is False
         assert (cache.hits, cache.misses) == (1, 1)
 
     def test_ops_namespace_keys(self):
         cache = MemoCache("predicate", capacity=8)
         cache.store("sweep", ("x",), 1)
         cache.store("mindist", ("x",), 2)
-        assert cache.lookup("sweep", ("x",)) == 1
-        assert cache.lookup("mindist", ("x",)) == 2
+        assert cache.claim("sweep", [("x",)])[0] == 1
+        assert cache.claim("mindist", [("x",)])[0] == 2
         assert len(cache) == 2
 
 
@@ -121,10 +121,10 @@ class TestCacheBundle:
 
     def test_stats_and_totals_aggregate(self):
         bundle = CacheBundle(CacheConfig())
-        assert bundle.predicate.lookup("sweep", ("x",)) is MISSING
+        assert bundle.predicate.claim("sweep", [("x",)])[0] is MISSING
         bundle.predicate.store("sweep", ("x",), True)
-        assert bundle.predicate.lookup("sweep", ("x",)) is True
-        assert bundle.verdict.lookup("intersect", ("k",)) is MISSING
+        assert bundle.predicate.claim("sweep", [("x",)])[0] is True
+        assert bundle.verdict.claim("intersect", [("k",)])[0] is MISSING
         stats = bundle.stats()
         assert stats["predicate"].hits == 1
         assert stats["predicate"].misses == 1

@@ -8,13 +8,18 @@ must come out identical in every execution mode.  These tests compare
 cache-on engines against fresh cache-off engines over the same inputs - per
 overlap method, for all three predicates, through the paper-literal
 per-pair tester and the batched path - and check that repeating work
-actually registers cache hits.
+actually registers cache hits, down to the prefilter: a warm repeat
+locates no point at all, and the prefilter's memo keys its op and
+distance (two named key mutants must fail that check).
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.core.engine as engine_module
+import repro.core.refine as refine_module
+import repro.geometry.distance as distance_module
 from repro.bench.experiments import per_pair_engine
 from repro.cache import CacheConfig
 from repro.core import (
@@ -34,7 +39,8 @@ from repro.datasets import (
 from repro.geometry import Polygon, Rect
 from repro.obs.explain import funnels_from_snapshot
 from repro.obs import MetricsRegistry, use_registry
-from repro.query import IntersectionSelection
+from repro.query import IntersectionJoin, IntersectionSelection, WithinDistanceJoin
+from tests.oracles.mutants import mutant
 from tests.strategies import polygon_pairs_nearby
 
 DISTANCE = 1.5
@@ -255,3 +261,122 @@ class TestSelectionFunnels:
         # ...and repeating the queries actually hit the caches.
         assert _cache_hits(snapshot_on) > hits_before_repeat
         assert _cache_hits(snapshot_off) == 0
+
+
+def _spy_point_location(monkeypatch):
+    """Count the prefilter's point-location calls: ``either_contains`` and
+    ``locate_xy`` as :mod:`repro.core.refine` imports them, and the
+    ``locate_xy`` that ``either_contains`` reaches."""
+    calls = []
+
+    def counting(module, name):
+        fn = getattr(module, name)
+
+        def wrapped(*args, **kwargs):
+            calls.append(name)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapped)
+
+    counting(refine_module, "either_contains")
+    counting(refine_module, "locate_xy")
+    counting(distance_module, "locate_xy")
+    return calls
+
+
+def _selection(layers):
+    ds, query_ds = layers
+    return lambda engine: [
+        IntersectionSelection(ds, engine).run(q).ids for q in query_ds.polygons[:4]
+    ]
+
+
+def _join(layers):
+    return lambda engine: IntersectionJoin(*layers, engine).run().pairs
+
+
+def _within_distance(layers):
+    return lambda engine: WithinDistanceJoin(*layers, engine).run(DISTANCE).pairs
+
+
+#: A square, a square inside it, and a square 10 units off: the inner pair
+#: is settled by the intersect prefilter and left open by the containment
+#: one; the far pair is dropped at distance 1 and kept at 15.
+_OUTER = Polygon.from_coords([(0, 0), (10, 0), (10, 10), (0, 10)])
+SEPARATION_ITEMS = [
+    ("inner", _OUTER, Polygon.from_coords([(4, 4), (6, 4), (6, 6), (4, 6)])),
+    ("far", _OUTER, Polygon.from_coords([(20, 0), (22, 0), (22, 2), (20, 2)])),
+]
+SEPARATION_CALLS = [
+    ("contains", None),
+    ("intersect", None),
+    ("within_distance", 1.0),
+    ("within_distance", 15.0),
+]
+
+#: The stage-1 memo key with the refine op, or the distance, left out.
+KEY_MUTANTS = {
+    "no_op": (
+        "keys = [(op, a.digest, b.digest, distance) for _, a, b in items]",
+        "keys = [(a.digest, b.digest, distance) for _, a, b in items]",
+    ),
+    "no_distance": (
+        "keys = [(op, a.digest, b.digest, distance) for _, a, b in items]",
+        "keys = [(op, a.digest, b.digest) for _, a, b in items]",
+    ),
+}
+
+
+def _separation_mismatches(off, on):
+    """The calls of :data:`SEPARATION_CALLS`, one after another on both
+    engines, whose answers or running stats differ."""
+    mismatches = []
+    for op, d in SEPARATION_CALLS:
+        answers = [engine.refine(op, SEPARATION_ITEMS, d) for engine in (off, on)]
+        if answers[0] != answers[1] or off.stats != on.stats:
+            mismatches.append((op, d, answers))
+    return mismatches
+
+
+class TestMemoizedPrefilter:
+    """Stage 1 memoizes its answer with the ``pip_edges`` it charged."""
+
+    @pytest.mark.parametrize("pipeline", [_selection, _join, _within_distance])
+    def test_warm_repeat_locates_no_point_and_counts_the_same(
+        self, pipeline, monkeypatch
+    ):
+        run = pipeline(_layers())
+        off, on = engine_pair(resolution=16)
+        calls = _spy_point_location(monkeypatch)
+        cold = run(on)
+        assert "locate_xy" in calls  # the spy sees the prefilter
+        on.reset_stats()
+        del calls[:]
+        registry_on, registry_off = MetricsRegistry(), MetricsRegistry()
+        with use_registry(registry_on):
+            warm = run(on)
+        assert calls == []
+        with use_registry(registry_off):
+            fresh = run(off)
+        assert warm == cold == fresh
+        assert on.stats == off.stats
+        assert on.stats.pip_edges > 0
+        assert funnels_from_snapshot(registry_on.snapshot()) == funnels_from_snapshot(
+            registry_off.snapshot()
+        )
+        assert registry_on.snapshot()["counters"][
+            "cache_hits{cache=predicate,op=pip}"
+        ] > 0
+
+    def test_ops_and_distances_keep_their_own_entries(self):
+        off, on = engine_pair()
+        assert _separation_mismatches(off, on) == []
+        pip = [slot for slot in on.caches.predicate.table._entries if slot[0] == "pip"]
+        assert len(pip) == len(SEPARATION_CALLS) * len(SEPARATION_ITEMS)
+
+    @pytest.mark.parametrize("name", sorted(KEY_MUTANTS))
+    def test_key_mutant_is_killed(self, name, monkeypatch):
+        edited = mutant(refine_module, *KEY_MUTANTS[name])
+        monkeypatch.setattr(engine_module, "refine_items", edited.refine_items)
+        off, on = engine_pair()
+        assert _separation_mismatches(off, on) != []
