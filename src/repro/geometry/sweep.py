@@ -17,6 +17,7 @@ gets the exact closed-segment test.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
@@ -25,6 +26,7 @@ import numpy as np
 from .distance import either_contains
 from .polygon import Polygon
 from .predicates import segments_intersect_xy
+from .workspace import Workspace
 
 # Edge record (xmin, xmax, ymin, ymax, ax, ay, bx, by) of Python floats: a
 # list from a Polygon.sweep_records column.
@@ -33,6 +35,19 @@ _Edge = Sequence[float]
 #: Merged events converted to Python lists at a time: a positive pair's
 #: sweep stops at its first crossing, so the events past it never are.
 _EVENT_CHUNK = 32
+
+
+class _PerThread(threading.local):
+    """Each thread's workspace for the sweep's event tables, made on the
+    thread's first sweep.  One per thread, not per engine: a served engine
+    sweeps on an event loop's thread while others sweep on executor
+    threads, and a :class:`Workspace` has one owner and no lock."""
+
+    def __init__(self) -> None:
+        self.workspace = Workspace()
+
+
+_per_thread = _PerThread()
 
 
 @dataclass
@@ -51,21 +66,22 @@ class SweepStats:
     intersections_found: int = 0
 
 
-def _restricted(
+def _kept(
     records: np.ndarray, xmin: float, ymin: float, xmax: float, ymax: float
 ) -> np.ndarray:
-    """The columns of ``(8, n)`` sweep records whose edge box meets the
-    closed window ``[xmin, xmax] x [ymin, ymax]``.
+    """The indices, in order, of the ``(8, n)`` sweep records (columns)
+    whose edge box meets the closed window ``[xmin, xmax] x [ymin, ymax]``.
 
     Every boundary crossing lies in the window (the intersection of the two
     object MBRs), so restriction never loses a crossing.
     """
-    lo_x, hi_x, lo_y, hi_y = records[:4]
-    keep = lo_x <= xmax
-    keep &= xmin <= hi_x
+    # The records are sorted on xmin, so ``xmin <= xmax`` holds on a prefix.
+    stop = records[0].searchsorted(xmax, "right")
+    _, hi_x, lo_y, hi_y = records[:4, :stop]
+    keep = xmin <= hi_x
     keep &= lo_y <= ymax
     keep &= ymin <= hi_y
-    return records.compress(keep, axis=1)
+    return keep.nonzero()[0]
 
 
 def boundaries_intersect(
@@ -86,7 +102,9 @@ def boundaries_intersect(
     into the event sequence with one stable sort on ``xmin``: equal keys
     keep red before blue, then each colour's own order.  A candidate pair
     is tested with :func:`segments_intersect_xy` of the two records'
-    endpoint coordinates.
+    endpoint coordinates.  The kept records and the sorted events are
+    gathered into this thread's workspace, so a warm thread takes no fresh
+    memory for them.
     """
     if stats is not None:
         stats.edges_considered += a.num_vertices + b.num_vertices
@@ -98,57 +116,73 @@ def boundaries_intersect(
         x1, y1 = min(ra.xmax, rb.xmax), min(ra.ymax, rb.ymax)
         if x0 > x1 or y0 > y1:
             return False
-        red, blue = _restricted(red, x0, y0, x1, y1), _restricted(blue, x0, y0, x1, y1)
-    n_red = red.shape[1]
+        red_kept, blue_kept = _kept(red, x0, y0, x1, y1), _kept(blue, x0, y0, x1, y1)
+    else:
+        red_kept, blue_kept = np.arange(red.shape[1]), np.arange(blue.shape[1])
+    n_red, n_blue = red_kept.shape[0], blue_kept.shape[0]
     if stats is not None:
-        stats.edges_after_restriction += n_red + blue.shape[1]
-    if not n_red or not blue.shape[1]:
+        stats.edges_after_restriction += n_red + n_blue
+    if not n_red or not n_blue:
         return False
-    records = np.concatenate([red, blue], axis=1)
-    order = np.argsort(records[0], kind="stable")
-    events = records.take(order, axis=1).T
-    blue_event = order >= n_red
+    ws = _per_thread.workspace
+    with ws.frame():
+        # The merged records (red then blue) and the same in event order.
+        # The kept records of each colour are gathered where the events
+        # go, which only the last take overwrites.
+        records, events = ws.array((2, 8, n_red + n_blue))
+        gathered = events.reshape(-1)
+        red = red.take(red_kept, axis=1, out=gathered[: 8 * n_red].reshape(8, n_red), mode="clip")
+        blue = blue.take(
+            blue_kept, axis=1, out=gathered[8 * n_red :].reshape(8, n_blue), mode="clip"
+        )
+        np.concatenate((red, blue), axis=1, out=records)
+        order = np.argsort(records[0], kind="stable")
+        records.take(order, axis=1, out=events, mode="clip")
+        events = events.T
+        blue_event = order >= n_red
 
-    # Active sets: lists pruned lazily as the sweep advances.  Each arriving
-    # edge is checked against the other color's active list.
-    active: List[List[_Edge]] = [[], []]
-    tests = 0
-    processed = 0
-    try:
-        # A positive pair stops at its first crossing, so the events become
-        # Python lists only a chunk at a time, as the sweep reaches them.
-        for start in range(0, len(order), _EVENT_CHUNK):
-            stop = start + _EVENT_CHUNK
-            for edge, color in zip(
-                events[start:stop].tolist(), blue_event[start:stop].tolist()
-            ):
-                processed += 1
-                x = edge[0]
-                others = active[1 - color]
-                if others:
-                    # Prune expired edges in place while scanning for candidates.
-                    kept: List[_Edge] = []
-                    ymin, ymax = edge[2], edge[3]
-                    for other in others:
-                        if other[1] < x:
-                            continue
-                        kept.append(other)
-                        if other[2] <= ymax and ymin <= other[3]:
-                            tests += 1
-                            if segments_intersect_xy(
-                                edge[4], edge[5], edge[6], edge[7],
-                                other[4], other[5], other[6], other[7],
-                            ):
-                                if stats is not None:
-                                    stats.intersections_found += 1
-                                return True
-                    active[1 - color] = kept
-                active[color].append(edge)
-        return False
-    finally:
-        if stats is not None:
-            stats.candidate_tests += tests
-            stats.edges_processed += processed
+        # Active sets: lists pruned lazily as the sweep advances.  Each
+        # arriving edge is checked against the other color's active list.
+        active: List[List[_Edge]] = [[], []]
+        tests = 0
+        processed = 0
+        try:
+            # A positive pair stops at its first crossing, so the events
+            # become Python lists only a chunk at a time, as the sweep
+            # reaches them.
+            for start in range(0, len(order), _EVENT_CHUNK):
+                stop = start + _EVENT_CHUNK
+                for edge, color in zip(
+                    events[start:stop].tolist(), blue_event[start:stop].tolist()
+                ):
+                    processed += 1
+                    x = edge[0]
+                    others = active[1 - color]
+                    if others:
+                        # Prune expired edges in place while scanning for
+                        # candidates.
+                        kept: List[_Edge] = []
+                        ymin, ymax = edge[2], edge[3]
+                        for other in others:
+                            if other[1] < x:
+                                continue
+                            kept.append(other)
+                            if other[2] <= ymax and ymin <= other[3]:
+                                tests += 1
+                                if segments_intersect_xy(
+                                    edge[4], edge[5], edge[6], edge[7],
+                                    other[4], other[5], other[6], other[7],
+                                ):
+                                    if stats is not None:
+                                        stats.intersections_found += 1
+                                    return True
+                        active[1 - color] = kept
+                    active[color].append(edge)
+            return False
+        finally:
+            if stats is not None:
+                stats.candidate_tests += tests
+                stats.edges_processed += processed
 
 
 def polygons_intersect(a: Polygon, b: Polygon) -> bool:

@@ -16,8 +16,10 @@ heap and again in the first grown arena.
 
 A workspace has one owner and no lock.  The atlas
 (:class:`~repro.gpu.tiled.TiledPipeline`) owns one, so each engine has its
-own and no two threads share one; a caller with no pipeline passes a fresh
-one.  The module imports nothing from the rest of :mod:`repro`.
+own and no two threads share one; the plane sweep
+(:func:`~repro.geometry.sweep.boundaries_intersect`) keeps one per thread;
+a caller with no pipeline passes a fresh one.  The module imports nothing
+from the rest of :mod:`repro`.
 """
 
 from __future__ import annotations

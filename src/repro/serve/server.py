@@ -21,14 +21,29 @@ Envelope kinds:
 * ``ping`` - liveness (answers ``pong``);
 * ``shutdown`` - acknowledge, then stop accepting connections.
 
-The event loop parses, routes and takes each query's admission decision
-at its arrival (:meth:`~repro.serve.service.QueryService.asubmit`, which
-states the dispatch rule): a refusal is answered on the loop, a selection
-the MBR filter settled on its last run executes there on a free engine,
-and every other query runs on a thread pool sized to the service's
-:attr:`~repro.serve.service.QueryService.capacity`.  So slow pipeline
-work never blocks other connections' admission (which is how a shed
-response can overtake a long-running query on the same socket server).
+Each connection is one :class:`asyncio.Protocol`, with no task and no
+stream: ``data_received`` splits the bytes into lines, and the event loop
+parses, routes and takes each query's admission decision at its arrival
+(:meth:`~repro.serve.service.QueryService.dispatch`, which states the
+dispatch rule).  A reply the loop can give - every non-query envelope, a
+refusal, a selection whose last run computed nothing, on a free engine -
+is decided, executed and written in that same callback.  Every other
+query runs on a thread pool sized to the service's
+:attr:`~repro.serve.service.QueryService.capacity`; its reply is written
+from its future's done-callback, and the connection then answers the
+lines that arrived behind it, so replies keep their per-connection order.
+Slow pipeline work never blocks other connections' admission (which is
+how a shed response can overtake a long-running query on the same socket
+server).
+
+A connection stops reading while its unwritten replies are above the
+transport's high-water mark, and while it holds more than
+``MAX_LINE_BYTES`` of lines waiting behind an offloaded query.  A line
+over ``MAX_LINE_BYTES`` is answered with an error envelope, and the
+connection is closed.  At end of input an unterminated last line is still
+answered, then the connection closes once every reply is written.  A
+client that goes away is dropped quietly: a reply owed to it is not
+written.
 """
 
 from __future__ import annotations
@@ -36,10 +51,12 @@ from __future__ import annotations
 import asyncio
 import json
 import socket
+import weakref
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Deque, Dict, Optional, Tuple, Union
 
-from .schema import QueryRequest
+from .schema import QueryRequest, QueryResponse
 from .service import QueryService
 
 #: Envelope kinds the front-end answers.
@@ -51,6 +68,11 @@ MAX_LINE_BYTES = 1 << 20
 #: Upper bound on the query offload threads (they are sized to the
 #: service's capacity below it).
 MAX_OFFLOAD_THREADS = 128
+
+
+#: What :meth:`ServeFrontend._reply` gives for one line: no reply (a blank
+#: line), an envelope to write now, or the future of an offloaded query.
+_Reply = Union[None, Dict[str, Any], "asyncio.Future[QueryResponse]"]
 
 
 class ServeFrontend:
@@ -71,13 +93,17 @@ class ServeFrontend:
             thread_name_prefix="serve-exec",
         )
         self._shutdown = asyncio.Event()
+        #: The open connections, closed by :meth:`stop` (a closed one
+        #: drops out on its own).
+        self._connections: "weakref.WeakSet[_Connection]" = weakref.WeakSet()
 
     # -- lifecycle --------------------------------------------------------
 
     async def start(self) -> Tuple[str, int]:
         """Bind and listen; returns the bound (host, port)."""
-        self._server = await asyncio.start_server(
-            self._handle_connection, self.host, self.port, limit=MAX_LINE_BYTES
+        loop = asyncio.get_running_loop()
+        self._server = await loop.create_server(
+            lambda: _Connection(self), self.host, self.port
         )
         sockname = self._server.sockets[0].getsockname()
         self.host, self.port = sockname[0], sockname[1]
@@ -95,41 +121,18 @@ class ServeFrontend:
         self._shutdown.set()
         if self._server is not None:
             self._server.close()
+            for connection in list(self._connections):
+                connection._transport.close()
             await self._server.wait_closed()
         self._executor.shutdown(wait=True)
 
-    # -- connection handling ----------------------------------------------
+    # -- one line ---------------------------------------------------------
 
-    async def _handle_connection(
-        self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
-    ) -> None:
-        try:
-            while not self._shutdown.is_set():
-                try:
-                    line = await reader.readline()
-                except ValueError:  # how readline() reports a line over its limit
-                    await self._send(writer, _error("request line too long"))
-                    break
-                if not line:
-                    break
-                text = line.decode("utf-8", errors="replace").strip()
-                if not text:
-                    continue
-                reply = await self._dispatch(text)
-                await self._send(writer, reply)
-                if reply.get("kind") == "shutdown-ack":
-                    self._shutdown.set()
-                    break
-        except ConnectionError:
-            pass  # the client went away mid-read or mid-reply: nobody to answer
-        finally:
-            try:
-                writer.close()
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _dispatch(self, text: str) -> Dict[str, Any]:
+    def _reply(self, line: bytes) -> _Reply:
+        """Route one line on the loop thread (see :data:`_Reply`)."""
+        text = line.decode("utf-8", errors="replace").strip()
+        if not text:
+            return None
         try:
             envelope = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -147,20 +150,145 @@ class ServeFrontend:
         if kind == "health":
             return {"kind": "health", "health": self.service.health()}
         if kind == "shutdown":
+            self._shutdown.set()
             return {"kind": "shutdown-ack"}
         if kind == "query":
             try:
                 request = QueryRequest.from_dict(envelope.get("request", {}))
             except (ValueError, TypeError) as exc:
                 return _error(f"bad request: {exc}")
-            response = await self.service.asubmit(request, self._executor)
-            return {"kind": "response", "response": response.to_dict()}
+            placed = self.service.dispatch(request, self._executor)
+            if isinstance(placed, QueryResponse):
+                return _response(placed)
+            return placed
         return _error(f"unknown kind {kind!r}; expected one of {KINDS}")
 
-    @staticmethod
-    async def _send(writer: asyncio.StreamWriter, payload: Dict[str, Any]) -> None:
-        writer.write(json.dumps(payload).encode("utf-8") + b"\n")
-        await writer.drain()
+
+class _Connection(asyncio.Protocol):
+    """One client connection: its lines answered in arrival order, one
+    reply each, from the loop's callbacks."""
+
+    def __init__(self, frontend: ServeFrontend) -> None:
+        self._frontend = frontend
+        self._transport: Any = None
+        #: Received bytes after the last newline.
+        self._partial = bytearray()
+        #: Complete lines not answered yet; ``None`` stands for a line over
+        #: ``MAX_LINE_BYTES``, after which nothing more is read.
+        self._lines: Deque[Optional[bytes]] = deque()
+        #: Bytes of the lines in ``_lines``.
+        self._held = 0
+        #: An offloaded query's reply is owed: the lines behind it wait.
+        self._owed = False
+        self._write_paused = False
+        self._done_reading = False
+
+    # -- transport callbacks ----------------------------------------------
+
+    def connection_made(self, transport: Any) -> None:
+        self._transport = transport
+        self._frontend._connections.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        if self._done_reading:
+            return
+        buf = self._partial
+        seen = len(buf)
+        buf += data
+        start = 0
+        end = buf.find(b"\n", seen)
+        while end >= 0 and self._push(buf[start:end]):
+            start = end + 1
+            end = buf.find(b"\n", start)
+        if not self._done_reading:
+            del buf[:start]
+            if len(buf) > MAX_LINE_BYTES:
+                self._push(buf)
+        self._answer()
+
+    def eof_received(self) -> bool:
+        # An unterminated last line is answered as if it were terminated.
+        self.data_received(b"\n")
+        self._done_reading = True
+        self._answer()
+        return True  # keep the transport: _answer closes it when all is written
+
+    def pause_writing(self) -> None:
+        self._write_paused = True
+        self._pace()
+
+    def resume_writing(self) -> None:
+        self._write_paused = False
+        self._answer()
+
+    # -- answering --------------------------------------------------------
+
+    def _push(self, line: bytearray) -> bool:
+        """Queue one line; False (and no more reading) when it is too long."""
+        if len(line) > MAX_LINE_BYTES:
+            self._lines.append(None)
+            self._done_reading = True
+            self._partial.clear()
+            return False
+        self._lines.append(bytes(line))
+        self._held += len(line)
+        return True
+
+    def _answer(self) -> None:
+        """Answer the waiting lines in order until one is offloaded, the
+        replies back up or the connection closes; close it once the input
+        has ended and every reply is written."""
+        transport, lines = self._transport, self._lines
+        while lines and not (self._owed or self._write_paused or transport.is_closing()):
+            line = lines.popleft()
+            if line is None:
+                self._send(_error("request line too long"))
+                transport.close()
+                return
+            self._held -= len(line)
+            reply = self._frontend._reply(line)
+            if isinstance(reply, asyncio.Future):
+                self._owed = True
+                reply.add_done_callback(self._offloaded)
+            elif reply is not None:
+                self._send(reply)
+                if reply["kind"] == "shutdown-ack":
+                    transport.close()
+        if self._done_reading and not lines and not self._owed:
+            transport.close()
+        self._pace()
+
+    def _offloaded(self, future: "asyncio.Future[QueryResponse]") -> None:
+        """An offloaded query's done-callback: its reply, then the lines
+        that arrived behind it."""
+        self._owed = False
+        try:
+            reply = _response(future.result())
+        except Exception as exc:  # the service failed, not the request
+            reply = _error(f"{type(exc).__name__}: {exc}")
+        if not self._transport.is_closing():  # the client may have gone
+            self._send(reply)
+        self._answer()
+
+    def _send(self, payload: Dict[str, Any]) -> None:
+        self._transport.write(json.dumps(payload).encode("utf-8") + b"\n")
+
+    def _pace(self) -> None:
+        """Read only while the replies are below the transport's
+        high-water mark and the lines held behind an offloaded query are
+        within ``MAX_LINE_BYTES``."""
+        transport = self._transport
+        if self._done_reading or transport.is_closing():
+            return
+        full = self._write_paused or self._held > MAX_LINE_BYTES
+        if full and transport.is_reading():
+            transport.pause_reading()
+        elif not full and not transport.is_reading():
+            transport.resume_reading()
+
+
+def _response(response: QueryResponse) -> Dict[str, Any]:
+    return {"kind": "response", "response": response.to_dict()}
 
 
 def _error(message: str) -> Dict[str, Any]:

@@ -3,13 +3,13 @@
 :class:`QueryService` is the thread-safe core both front-ends share - the
 asyncio TCP server (:mod:`repro.serve.server`) and the in-process load
 generators (:mod:`repro.serve.loadgen`).  One :meth:`submit` call - or
-one :meth:`asubmit` await on an event loop - is one request's whole life:
+one :meth:`dispatch` on an event loop - is one request's whole life:
 
 1. **decision** - at arrival a selection of a query that is not resident
    is an error, before the pool; otherwise the
    :class:`~repro.serve.engine.EnginePool` runs the request on a free
    engine, queues it or sheds it (the wait queue is full); a queued
-   request times out with no engine by its deadline.  :meth:`asubmit`
+   request times out with no engine by its deadline.  :meth:`dispatch`
    takes this decision on the loop thread and states the one rule that
    picks the thread a request executes on;
 2. **execution** - the checked-out :class:`~repro.serve.engine.ServingEngine`
@@ -59,7 +59,7 @@ from __future__ import annotations
 import asyncio
 import time
 from contextlib import nullcontext
-from typing import IO, Any, Dict, Optional, Sequence, Set, Tuple, Union
+from typing import IO, Any, Dict, Optional, Sequence, Tuple, Union
 
 from ..obs.metrics import MetricKey, MetricsRegistry, metric_key
 from ..obs.records import RecordLog, write_jsonl
@@ -130,12 +130,13 @@ class QueryService:
         self.pool = EnginePool(
             self.workload, workers, self.admission_config, self.registry, warm=warm
         )
-        #: The dispatch rule's input (:meth:`asubmit`): resident query
-        #: indices whose last completed selection found no MBR candidate.
-        #: The resident data is read-only, so an index's candidate count
-        #: never changes and the set only grows (``add`` and ``in`` are
-        #: each atomic under the GIL).
-        self._settled_by_mbr: Set[int] = set()
+        #: The dispatch rule's input (:meth:`dispatch`): each resident
+        #: query index whose last completed selection computed nothing,
+        #: mapped to ``None`` when its MBR filter found no candidate, else
+        #: to the pool tables' eviction tally read when that memo-served
+        #: run started.  Written from every serving thread, read on the
+        #: loop; each ``dict`` operation is atomic under the GIL.
+        self._computes_nothing: Dict[int, Optional[int]] = {}
 
     # -- capacity (how many threads a front-end may need) -----------------
 
@@ -156,30 +157,51 @@ class QueryService:
         start = time.perf_counter()
         return self._serve(request, start, self._admit(request))
 
-    async def asubmit(
+    def dispatch(
         self,
         request: QueryRequest,
         executor: Any = None,
-    ) -> QueryResponse:
-        """Decide one request on the event loop at its arrival, then serve it.
+    ) -> Union[QueryResponse, "asyncio.Future[QueryResponse]"]:
+        """Decide one request at its arrival, on the running event loop's
+        thread: its response when the loop answers it, else the future of
+        its run on ``executor``.
 
         The pool's decision (:meth:`~repro.serve.engine.EnginePool.admit`)
-        is taken here, on the loop thread, so shed, timeout, ``wait_s``
-        and ``total_s`` all count from arrival.  A request refused at
-        arrival (unknown query, shed, closed) executes nothing and is
-        answered here.
+        is taken here, so shed, timeout, ``wait_s`` and ``total_s`` all
+        count from arrival.  A request refused at arrival (unknown query,
+        shed, closed) executes nothing and is answered here.
 
         The one dispatch rule: a request **executes on the loop thread**
-        iff (1) it is a ``selection``, (2) the last completed run of the
-        same resident ``query_index`` on this service had
-        ``cost.candidates_after_mbr == 0`` - the MBR filter settled it -
-        and (3) the pool handed it a free engine at arrival.  Every other
-        admitted request runs on ``executor``: with its engine already
-        checked out, or waiting for one in the pool.  Both placements
-        serve through the same code as :meth:`submit`, so a request placed
-        on the loop - like a refused one - also does its accounting there,
-        including the slow-query log's append to its file (one short line,
-        under a lock the executor threads take for theirs too).
+        iff it is a ``selection``, the pool handed it a free engine at
+        arrival, and the last completed run of the same resident
+        ``query_index`` on this service computed nothing - either
+
+        * its MBR filter found no candidate
+          (``cost.candidates_after_mbr == 0``), or
+        * it was memo-served: its ``Execution.cache_delta`` shows no miss
+          in either pool table, and neither table has evicted an entry
+          since that run started (the tables' table-wide ``evictions``
+          tallies, read at each execution's start, have not moved).
+
+        Joins and within-distance queries never run on the loop.  Every
+        other admitted request runs on ``executor``: with its engine
+        already checked out, or waiting for one in the pool.  Both
+        placements serve through the same code as :meth:`submit`, so a
+        request placed on the loop - like a refused one - also does its
+        accounting there, including the slow-query log's append to its
+        file (one short line, under a lock the executor threads take for
+        theirs too).
+
+        One race remains: after this check, an executor thread's store
+        can evict a key the loop-placed run is about to look up.  The
+        loop then computes that key itself (or waits for the thread that
+        claimed it), and the run's miss sends that selection's next
+        arrivals back to the executor.  So one eviction puts on the loop
+        at most the evicted share of one selection's cold run - never a
+        join's or a within-distance query's work.  On the resident sets
+        the costliest cold selection (query 1) executes in about 13 ms at
+        ``--scale small`` and 4.5 ms at ``tiny``, against 50 and 13 ms for
+        the join (a 2-vCPU x86-64 guest, CPython 3.11).
 
         ``executor`` should be sized to the service's :attr:`capacity` so
         the offload pool is never the bottleneck (the TCP front-end does
@@ -192,18 +214,38 @@ class QueryService:
         admitted = self._admit(request)
         engine, outcome = admitted
         refused = engine is None and outcome != "queued"
-        settled = (
-            request.op == "selection"
-            and request.query_index in self._settled_by_mbr
-        )
-        if refused or (engine is not None and settled):
+        if refused or (engine is not None and self._computes_nothing_now(request)):
             return self._serve(request, start, admitted)
         loop = asyncio.get_running_loop()
+        return loop.run_in_executor(executor, self._serve, request, start, admitted)
+
+    async def asubmit(
+        self,
+        request: QueryRequest,
+        executor: Any = None,
+    ) -> QueryResponse:
+        """Serve one request through :meth:`dispatch` and await its
+        response on the event loop: the same decision and placement, for
+        in-process callers (the TCP front-end dispatches directly)."""
+        placed = self.dispatch(request, executor)
+        if isinstance(placed, QueryResponse):
+            return placed
         # Shielded: the request already holds an engine or a queue slot,
         # so a cancelled caller must not cancel it before a thread runs it.
-        return await asyncio.shield(
-            loop.run_in_executor(executor, self._serve, request, start, admitted)
-        )
+        return await asyncio.shield(placed)
+
+    def _computes_nothing_now(self, request: QueryRequest) -> bool:
+        """The dispatch rule's condition on the request's own history."""
+        if request.op != "selection":
+            return False
+        # -1: no run recorded (a tally is never negative).
+        mark = self._computes_nothing.get(request.query_index, -1)
+        return mark is None or mark == self._evictions()
+
+    def _evictions(self) -> int:
+        """Entries the pool's two tables have evicted so far."""
+        caches = self.pool.caches
+        return caches.verdict.table.evictions + caches.predicate.table.evictions
 
     def _admit(
         self, request: QueryRequest
@@ -293,8 +335,8 @@ class QueryService:
         Returns the response and, for a request that ran to completion,
         its :class:`~repro.serve.engine.Execution` (the slow-query log
         reads its cost, funnel and cache deltas).  A finished selection
-        also updates the dispatch rule's input: whether the MBR filter
-        settled its ``query_index``.
+        also updates the dispatch rule's input: whether its run computed
+        nothing (:meth:`dispatch`).
         """
         engine, refusal = admitted
         with tracer.span("queue_wait") if tracer is not None else nullcontext():
@@ -315,6 +357,7 @@ class QueryService:
             return self._finish(request, "timeout", start, wait_s), None
         try:
             exec_start = time.perf_counter()
+            evictions = self._evictions()
             exec_span = (
                 tracer.span("execute", worker=engine.worker_id)
                 if tracer is not None
@@ -328,8 +371,14 @@ class QueryService:
             return self._finish(request, "error", start, wait_s, engine=engine, error=error), None
         finally:
             self.pool.release(engine)
-        if request.op == "selection" and not execution.cost.candidates_after_mbr:
-            self._settled_by_mbr.add(request.query_index)
+        if request.op == "selection":
+            computes_nothing = self._computes_nothing
+            if not execution.cost.candidates_after_mbr:
+                computes_nothing[request.query_index] = None
+            elif not any(delta["misses"] for delta in execution.cache_delta.values()):
+                computes_nothing[request.query_index] = evictions
+            else:
+                computes_nothing.pop(request.query_index, None)
         return self._finish(request, "ok", start, wait_s, exec_s, engine, execution), execution
 
     def export_traces(self, target: Union[str, IO[str]]) -> int:

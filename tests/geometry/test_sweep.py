@@ -13,7 +13,7 @@ from repro.geometry import (
     polygons_intersect,
 )
 from repro.geometry import sweep
-from repro.geometry.sweep import _restricted
+from repro.geometry.sweep import _kept
 from tests.oracles.geometry import (
     _flatten_edges_edge_by_edge,
     boundaries_intersect_brute_force,
@@ -166,7 +166,7 @@ class TestFlattenAgainstTheEdgeByEdgeLoop:
     def test_identical_records_with_and_without_a_window(self, case):
         a, _, window = case
         for w in (None, window, a.mbr):
-            records = a.sweep_records if w is None else _restricted(a.sweep_records, *w)
+            records = a.sweep_records if w is None else a.sweep_records[:, _kept(a.sweep_records, *w)]
             assert _columns(records) == sorted(_flatten_edges_edge_by_edge(a, w))
             # Plain Python floats: what the sweep's loop compares.
             assert all(type(v) is float for row in records.tolist() for v in row)
@@ -189,10 +189,10 @@ class TestFlattenAgainstTheEdgeByEdgeLoop:
 
     def test_window_sides_are_closed(self):
         # Edges that only touch the window's side or corner survive.
-        records = _restricted(SQUARE.sweep_records, 4, 4, 6, 6)
+        records = SQUARE.sweep_records[:, _kept(SQUARE.sweep_records, 4, 4, 6, 6)]
         assert _columns(records) == sorted(_flatten_edges_edge_by_edge(SQUARE, Rect(4, 4, 6, 6)))
         assert records.shape == (8, 2)
-        assert _restricted(SQUARE.sweep_records, 5, 5, 6, 6).shape == (8, 0)
+        assert _kept(SQUARE.sweep_records, 5, 5, 6, 6).shape == (0,)
 
 
 #: Two lattice triangles whose sweeps meet equal ``xmin`` keys across

@@ -13,11 +13,13 @@ from repro.serve import AdmissionConfig, QueryService, ServeFrontend, send_envel
 from repro.serve.server import MAX_LINE_BYTES
 
 
-def _with_frontend(service, client_fn):
+def _with_frontend(service, client_fn, frontends=None):
     """Run the frontend in an event loop, the client in a thread.
 
-    Whatever reaches the loop's exception handler (an unhandled exception
-    in a connection task, say) is collected under ``"loop_errors"``.
+    Whatever reaches the loop's exception handler (an exception raised in
+    a connection's callback, say) is collected under ``"loop_errors"``.
+    ``frontends``, when given, is a list the frontend is appended to
+    before the client starts.
     """
     results = {"loop_errors": []}
 
@@ -26,6 +28,8 @@ def _with_frontend(service, client_fn):
             lambda loop, context: results["loop_errors"].append(context)
         )
         frontend = ServeFrontend(service)
+        if frontends is not None:
+            frontends.append(frontend)
         host, port = await frontend.start()
         thread = threading.Thread(
             target=lambda: results.update(client_fn(host, port))
@@ -362,6 +366,120 @@ class TestFrontEndFaults:
         assert _settled(service) == before
         assert service.health()["verdict"] == "ready"
 
+
+
+class TestPipelining:
+    """One connection, many envelopes in flight: one reply per line, in
+    order, whichever thread each query executes on."""
+
+    def test_pipelined_envelopes_are_answered_in_order(self, service):
+        from repro.serve import QueryRequest, canonical_results
+
+        counts = [
+            service.submit(QueryRequest(op="selection", query_index=i)).attributes[
+                "pairs_compared"
+            ]
+            for i in range(len(service.workload.queries))
+        ]
+        settled, dear = counts.index(0), counts.index(max(counts))
+
+        def query(request_id, **request):
+            return _line({"kind": "query", "request": {"request_id": request_id, **request}})
+
+        lines = [
+            _line({"kind": "ping"}),
+            query("a", op="selection", query_index=settled),
+            query("b", op="join"),  # offloaded: the lines behind it wait
+            query("c", op="selection", query_index=dear),
+            b"\n",  # a blank line gets no reply
+            _line({"kind": "describe"}),
+            b"not json\n",
+            query("d", op="selection", query_index=settled),
+            query("e", op="selection", query_index=10_000),
+            _line({"kind": "ping"}),
+        ]
+
+        def client(host, port):
+            with socket.create_connection((host, port), timeout=30) as conn:
+                conn.sendall(b"".join(lines))
+                conn.shutdown(socket.SHUT_WR)
+                replies = [json.loads(line) for line in conn.makefile().readlines()]
+            send_envelope(host, port, {"kind": "shutdown"})
+            return {"replies": replies}
+
+        res = _with_frontend(service, client)
+        replies = res["replies"]
+        assert [r["kind"] for r in replies] == [
+            "pong", "response", "response", "response", "describe", "error",
+            "response", "response", "pong",
+        ]
+        responses = [r["response"] for r in replies if r["kind"] == "response"]
+        assert [r["request_id"] for r in responses] == ["a", "b", "c", "d", "e"]
+        assert [r["status"] for r in responses] == ["ok"] * 4 + ["error"]
+        direct = {
+            index: canonical_results(
+                service.submit(QueryRequest(op="selection", query_index=index)).results
+            )
+            for index in (settled, dear)
+        }
+        assert responses[0]["results"] == responses[3]["results"] == direct[settled]
+        assert responses[2]["results"] == direct[dear]
+        assert res["loop_errors"] == []
+
+    def test_a_client_that_stops_reading_is_paused_and_others_are_answered(
+        self, service
+    ):
+        from repro.serve import QueryRequest
+
+        # Some traffic, so each metrics reply is several KiB: a thousand of
+        # them outgrow the socket buffers and the transport's high-water mark.
+        service.submit(QueryRequest(op="selection", query_index=1))
+        sent = 1000
+        frontends = []
+
+        def paused(frontend, stalled_port):
+            for connection in list(frontend._connections):
+                transport = connection._transport
+                peer = transport.get_extra_info("peername")
+                if peer is not None and peer[1] == stalled_port:
+                    return not transport.is_reading()
+            return None
+
+        def client(host, port):
+            out = {}
+            stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            stalled.settimeout(30)
+            stalled.connect((host, port))
+            stalled_port = stalled.getsockname()[1]
+            sender = threading.Thread(
+                target=stalled.sendall,
+                args=(_line({"kind": "metrics"}) * sent,),
+                daemon=True,
+            )
+            sender.start()
+            deadline = time.monotonic() + 30
+            while not paused(frontends[0], stalled_port) and time.monotonic() < deadline:
+                time.sleep(0.01)
+            out["paused"] = paused(frontends[0], stalled_port)
+            out["other"] = send_envelope(host, port, {"kind": "ping"})
+            out["still_paused"] = paused(frontends[0], stalled_port)
+            reader = stalled.makefile()
+            out["kinds"] = [json.loads(reader.readline())["kind"] for _ in range(sent)]
+            sender.join(30)
+            out["resumed"] = paused(frontends[0], stalled_port) is False
+            reader.close()
+            stalled.close()
+            send_envelope(host, port, {"kind": "shutdown"})
+            return out
+
+        res = _with_frontend(service, client, frontends)
+        assert res["paused"] is True
+        assert res["other"] == {"kind": "pong"}
+        assert res["still_paused"] is True
+        assert res["kinds"] == ["metrics"] * sent
+        assert res["resumed"]
+        assert res["loop_errors"] == []
 
 class TestConcurrentConnections:
     def test_parallel_clients(self, service):

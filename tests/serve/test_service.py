@@ -366,7 +366,7 @@ class TestWholeRecords:
         if hasattr(metrics, "_prometheus_of"):
             monkeypatch.setattr(metrics, "_prometheus_of", then_serve(metrics._prometheus_of))
         try:
-            reply = asyncio.run(frontend._dispatch(json.dumps({"kind": "metrics"})))
+            reply = frontend._reply(json.dumps({"kind": "metrics"}).encode())
         finally:
             frontend._executor.shutdown()
             svc.close()
@@ -444,8 +444,10 @@ def _tree(spans):
 
 
 class TestDispatchRule:
-    """``QueryService.asubmit``'s one rule: a selection executes on the loop
-    thread iff its last run found no MBR candidate and an engine is free."""
+    """``QueryService.dispatch``'s one rule: a selection executes on the
+    loop thread iff an engine is free and its last run computed nothing -
+    it found no MBR candidate, or it was memo-served and no table has
+    evicted since."""
 
     def test_only_settled_selections_run_on_the_loop(self, workload, execute_threads):
         counts = _mbr_candidates(workload)
@@ -473,9 +475,85 @@ class TestDispatchRule:
             svc.close()
         assert statuses == ["ok"] * 12
         assert len(execute_threads) == 12
-        # The first run of the settled selection is offloaded (nothing is
-        # known about it yet); its second and third run on the loop.
-        assert _on_loop(execute_threads, loop_thread) == [("selection", settled)] * 2
+        # Nothing is known about a first run, so it is offloaded.  The
+        # selection the MBR filter settles runs on the loop from its second
+        # run; the one with candidates misses on its first run, is
+        # memo-served on its second, and runs on the loop from its third.
+        assert _on_loop(execute_threads, loop_thread) == [
+            ("selection", settled),
+            ("selection", settled),
+            ("selection", dear),
+        ]
+
+    def test_joins_and_within_distance_never_run_on_the_loop(
+        self, workload, execute_threads
+    ):
+        requests = [
+            QueryRequest(op="join"),
+            QueryRequest(op="within_distance", distance=workload.base_distance),
+        ]
+        svc = QueryService(workers=1)
+        tables = (svc.pool.caches.verdict.table, svc.pool.caches.predicate.table)
+        try:
+
+            async def run():
+                for _ in range(2):
+                    for request in requests:
+                        assert (await svc.asubmit(request)).status == "ok"
+                misses = [table.misses for table in tables]
+                for request in requests:
+                    assert (await svc.asubmit(request)).status == "ok"
+                memo_served = misses == [table.misses for table in tables]
+                return memo_served, threading.get_ident()
+
+            memo_served, loop_thread = asyncio.run(run())
+        finally:
+            svc.close()
+        # Their third runs missed nothing, and still ran on the executor.
+        assert memo_served
+        assert len(execute_threads) == 6
+        assert _on_loop(execute_threads, loop_thread) == []
+
+    def test_memo_served_selection_offloads_after_an_eviction(
+        self, workload, execute_threads, monkeypatch
+    ):
+        import repro.cache
+
+        counts = _mbr_candidates(workload)
+        dear, other = sorted(range(len(counts)), key=counts.__getitem__)[-2:]
+        # Tables just large enough for one run of ``dear``: ``other``'s
+        # stores then evict.
+        probe = QueryService(workers=1)
+        try:
+            probe.submit(QueryRequest(op="selection", query_index=dear))
+            caches = probe.pool.caches
+            capacity = max(len(caches.verdict), len(caches.predicate))
+        finally:
+            probe.close()
+        monkeypatch.setattr(repro.cache, "CAPACITY", capacity)
+        svc = QueryService(workers=1)
+        tables = (svc.pool.caches.verdict.table, svc.pool.caches.predicate.table)
+        del execute_threads[:]
+        order = [dear, dear, dear, other, dear]
+        try:
+
+            async def run():
+                evictions = []
+                for index in order:
+                    request = QueryRequest(op="selection", query_index=index)
+                    assert (await svc.asubmit(request)).status == "ok"
+                    evictions.append(sum(table.evictions for table in tables))
+                return evictions, threading.get_ident()
+
+            evictions, loop_thread = asyncio.run(run())
+        finally:
+            svc.close()
+        assert svc.pool.caches.verdict.capacity == capacity
+        assert evictions[:3] == [0, 0, 0] and evictions[3] > 0
+        placed = [thread == loop_thread for _, _, thread in execute_threads]
+        # Memo-served from its second run, so on the loop for its third;
+        # after ``other`` evicted, back on the executor.
+        assert placed == [False, False, True, False, False]
 
     def test_settled_selection_offloads_when_no_engine_is_free(
         self, workload, execute_threads
@@ -615,6 +693,49 @@ class TestDispatchRule:
         gauges = svc.metrics_snapshot()["gauges"]
         assert (gauges["serve_queue_depth"], gauges["serve_inflight"]) == (0, 0)
 
+
+    @pytest.mark.parametrize("history", ["no_candidate", "memo_served"])
+    def test_engine_fault_on_the_loop_ends_in_error(
+        self, workload, monkeypatch, history
+    ):
+        counts = _mbr_candidates(workload)
+        if history == "no_candidate":
+            index, learning_runs = counts.index(0), 1
+        else:
+            index, learning_runs = next(i for i, c in enumerate(counts) if c), 2
+        request = QueryRequest(op="selection", query_index=index)
+        threads = []
+
+        def raising(engine, request):
+            threads.append(threading.get_ident())
+            raise RuntimeError("engine failed")
+
+        svc = QueryService(workers=1)
+        try:
+
+            async def run():
+                learned = [await svc.asubmit(request) for _ in range(learning_runs)]
+                monkeypatch.setattr(ServingEngine, "execute", raising)
+                failed = await svc.asubmit(request)
+                return learned, failed, threading.get_ident()
+
+            learned, failed, loop_thread = asyncio.run(run())
+            assert [r.status for r in learned] == ["ok"] * learning_runs
+            assert threads == [loop_thread]
+            assert failed.status == "error"
+            assert failed.error == "RuntimeError: engine failed"
+            assert failed.results is None
+            assert (svc.pool.queue_depth, svc.pool.inflight) == (0, 0)
+            counters = svc.metrics_snapshot()["counters"]
+            assert counters["serve_requests{op=selection,status=error}"] == 1
+            settled = sum(
+                counters.get(f"serve_requests{{op=selection,status={status}}}", 0)
+                for status in ("ok", "shed", "timeout", "error")
+            )
+            assert settled == learning_runs + 1  # == arrivals
+            assert svc.health()["verdict"] == "ready"
+        finally:
+            svc.close()
 
 class TestAsyncFacade:
     def test_asubmit_matches_submit(self, workload, execute_threads):

@@ -52,8 +52,11 @@ KEPT = {
     "TiledPipeline.tile_image": "read by tests of atlas tiles against per-pair renders",
     "RTree.check_invariants": "read by tests of STR packing and tree search",
     "CommandRecorder.snapshot_framebuffer": "read by tests of end-of-capture replay identity",
-    "Tracer.find": "read by tests of the tracer and of gpu spans",
     "MetricsRegistry.gauge": "read by tests of the engine pool's gauge source",
+    "_Connection.connection_made": "outside-data door",
+    "_Connection.eof_received": "outside-data door",
+    "_Connection.pause_writing": "outside-data door",
+    "_Connection.resume_writing": "outside-data door",
 }
 
 
