@@ -10,6 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, List, Optional, Sequence
 
+import numpy as np
+
 from ..geometry.polygon import Polygon, pack_polygons
 from ..geometry.rect import Rect
 
@@ -46,6 +48,9 @@ class SpatialDataset:
         self.name = name
         self.polygons: List[Polygon] = list(polygons)
         self.mbrs: List[Rect] = [p.mbr for p in self.polygons]
+        #: The same MBRs as one read-only ``(n, 4)`` float64 block: the
+        #: MBR join's input, whose candidate lists index its rows.
+        self.mbr_array: np.ndarray = Rect.array_of(self.mbrs)
         self.world = world if world is not None else Rect.union_all(self.mbrs)
         # Every polygon's edges in one packed store (each polygon's
         # ``edge_row``): the atlas batch reads these columns.

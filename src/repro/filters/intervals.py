@@ -99,6 +99,10 @@ class IntervalVerdict(Enum):
 
 _VERDICTS = np.array(list(IntervalVerdict), dtype=object)
 
+#: :meth:`IntervalIndex.classify_rows`' codes: each verdict's position in
+#: :class:`IntervalVerdict`.
+DISJOINT, INTERSECTING, UNKNOWN = range(3)
+
 #: Gathered runs :meth:`_PackedRuns.overlaps` merges per step.
 #: ``searchsorted`` takes no ``out=``, so its results are the step's size
 #: (at most 64 KiB each), which the heap reuses instead of mapping afresh.
@@ -422,8 +426,12 @@ class IntervalIndex:
         self._any = _PackedRuns(grid.cells_per_side**2)
         self._full = _PackedRuns(grid.cells_per_side**2)
         self._clipped = np.zeros(0, dtype=bool)
-        #: :meth:`classify_batch`'s gathered runs: one owner, like the index.
+        #: :meth:`classify_rows`'s gathered runs: one owner, like the index.
         self._workspace = Workspace()
+        #: Per dataset :meth:`for_datasets` pre-encoded, in its order: the
+        #: read-only row of each of its polygons, which a candidate list's
+        #: index arrays ``take``.
+        self.dataset_rows: Tuple[np.ndarray, ...] = ()
 
     @classmethod
     def for_datasets(
@@ -443,9 +451,12 @@ class IntervalIndex:
             raise ValueError("IntervalIndex needs at least one dataset")
         world = Rect.union_all([ds.world for ds in datasets])
         index = cls(IntervalGrid(world, level))
+        rows = []
         for ds in datasets:
-            for polygon in ds.polygons:
-                index.encode(polygon)
+            block = np.fromiter(map(index.row, ds.polygons), np.intp, len(ds))
+            block.setflags(write=False)
+            rows.append(block)
+        index.dataset_rows = tuple(rows)
         return index
 
     def __len__(self) -> int:
@@ -453,9 +464,10 @@ class IntervalIndex:
 
     def encode(self, polygon: Polygon) -> IntervalApproximation:
         """The polygon's encoding on this index's grid (memoized)."""
-        return self._encodings[self._row(polygon)]
+        return self._encodings[self.row(polygon)]
 
-    def _row(self, polygon: Polygon) -> int:
+    def row(self, polygon: Polygon) -> int:
+        """The polygon's row in the packed stores, encoding it on first sight."""
         row = self._rows.get(polygon.digest)
         if row is None:
             encoding = IntervalApproximation.build(polygon, self.grid)
@@ -471,8 +483,17 @@ class IntervalIndex:
         self, pairs: Sequence[Tuple[Polygon, Polygon]]
     ) -> List[IntervalVerdict]:
         """``[classify_intervals(encode(a), encode(b)) for a, b in pairs]``:
-        FULL runs, then non-EMPTY runs of pairs not INTERSECTING and not
-        both clipped, one merge each.  Equal by construction: with ``M`` the
+        :meth:`classify_rows` of the pairs' rows, as verdicts."""
+        rows = np.fromiter((self.row(p) for ab in pairs for p in ab), np.intp, 2 * len(pairs))
+        return _VERDICTS.take(self.classify_rows(rows[0::2], rows[1::2])).tolist()
+
+    def classify_rows(self, rows_a: np.ndarray, rows_b: np.ndarray) -> np.ndarray:
+        """Per pair ``k``, the verdict code (:data:`INTERSECTING`,
+        :data:`DISJOINT` or :data:`UNKNOWN`) of rows ``rows_a[k]`` and
+        ``rows_b[k]``: FULL runs, then non-EMPTY runs of pairs not
+        INTERSECTING and not both clipped, one merge each.
+
+        Equal to :func:`classify_intervals` by construction: with ``M`` the
         cell count, a query run ``[s, e)`` (``0 <= s < e <= M``) of one side
         is searched as ``[s + t*M, e + t*M)``, ``t`` the other side's row, in
         the keyed store, one sorted list of disjoint half-open runs.  A row
@@ -482,16 +503,13 @@ class IntervalIndex:
         same ``t*M``, overlap it iff they do unshifted: the per-pair merge,
         which is symmetric in the side gathered.
         """
-        rows = np.fromiter((self._row(p) for ab in pairs for p in ab), np.int64, 2 * len(pairs))
-        rows_a, rows_b = rows[0::2], rows[1::2]
-        # Codes index _VERDICTS: 0 DISJOINT, 1 INTERSECTING, 2 UNKNOWN.
         ws = self._workspace
-        codes = np.where(self._full.overlaps(rows_a, rows_b, ws), 1, 2)
+        codes = np.where(self._full.overlaps(rows_a, rows_b, ws), INTERSECTING, UNKNOWN)
         both_clipped = self._clipped.take(rows_a) & self._clipped.take(rows_b)
-        open_ = np.flatnonzero((codes == 2) & ~both_clipped)
+        open_ = np.flatnonzero((codes == UNKNOWN) & ~both_clipped)
         meet = self._any.overlaps(rows_a.take(open_), rows_b.take(open_), ws)
-        codes[open_.compress(~meet)] = 0
-        return _VERDICTS.take(codes).tolist()
+        codes.put(open_.compress(~meet), DISJOINT)
+        return codes
 
 
 __all__ = [

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from typing import Iterator, List, Sequence, Tuple
 
+import numpy as np
+
 from .point import Point
 
 
@@ -51,6 +53,14 @@ class Rect:
         xmax = max(r.xmax for r in rects)
         ymax = max(r.ymax for r in rects)
         return Rect(xmin, ymin, xmax, ymax)
+
+    @staticmethod
+    def array_of(rects: Sequence["Rect"]) -> np.ndarray:
+        """The rectangles as one read-only ``(n, 4)`` float64 block of rows
+        ``(xmin, ymin, xmax, ymax)``."""
+        block = np.array([r.as_tuple() for r in rects], dtype=np.float64).reshape(-1, 4)
+        block.setflags(write=False)
+        return block
 
     # -- value semantics ---------------------------------------------------
 

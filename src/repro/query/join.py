@@ -3,7 +3,9 @@
 The paper's second query class (section 4.3): all pairs (a, b) whose
 polygons intersect.  Stages per Figure 8:
 
-1. **MBR filtering** - the plane-sweep MBR join produces candidate pairs;
+1. **MBR filtering** - the plane-sweep MBR join produces the candidate
+   pairs as two index arrays into the datasets' MBR blocks; ``(key, a, b)``
+   work items are built only for the pairs that reach refinement;
 2. **intermediate filtering** (optional) - the progressive convex-hull
    filter (``use_hull_filter``) and/or the raster-interval second filter
    (``use_intervals``): precomputed sorted-interval encodings on a
@@ -23,11 +25,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
 from ..filters.intervals import DEFAULT_INTERVAL_LEVEL, IntervalIndex
 from ..filters.progressive import ConvexHullFilter
-from ..index.mbr_join import plane_sweep_mbr_join
+from ..index.mbr_join import mbr_join_indices
 from ..obs.instrument import Observed, observe_pipeline
 from .costs import CostBreakdown
 from .stages import geometry_stage, interval_stage
@@ -79,27 +83,35 @@ class IntersectionJoin:
         obs = observe_pipeline("join", self.engine)
 
         with cost.time_stage("mbr_filter"):
-            candidates = plane_sweep_mbr_join(
-                self.dataset_a.mbrs, self.dataset_b.mbrs
+            ia, ib = mbr_join_indices(
+                self.dataset_a.mbr_array, self.dataset_b.mbr_array
             )
-        cost.candidates_after_mbr = len(candidates)
+        cost.candidates_after_mbr = ia.size
 
         if self.use_hull_filter:
             assert self.hulls_a is not None and self.hulls_b is not None
             with cost.time_stage("intermediate_filter"):
-                candidates = [
-                    (i, j)
-                    for i, j in candidates
-                    if self.hulls_a.may_intersect(i, self.hulls_b, j)
-                ]
-            cost.hull_drops = cost.candidates_after_mbr - len(candidates)
+                may = self.hulls_a.may_intersect
+                kept = np.fromiter(
+                    (may(i, self.hulls_b, j) for i, j in zip(ia.tolist(), ib.tolist())),
+                    bool,
+                    ia.size,
+                )
+                ia, ib = ia.compress(kept), ib.compress(kept)
+            cost.hull_drops = cost.candidates_after_mbr - ia.size
+
+        results: List[Tuple[int, int]] = []
+        if self.intervals is not None:
+            rows_a, rows_b = self.intervals.dataset_rows
+            hits, undecided = interval_stage(
+                self.intervals, rows_a.take(ia), rows_b.take(ib), cost
+            )
+            results = list(zip(ia.take(hits).tolist(), ib.take(hits).tolist()))
+            ia, ib = ia.take(undecided), ib.take(undecided)
 
         polys_a = self.dataset_a.polygons
         polys_b = self.dataset_b.polygons
-        items = [((i, j), polys_a[i], polys_b[j]) for i, j in candidates]
-        results: List[Tuple[int, int]] = []
-        if self.intervals is not None:
-            results, items = interval_stage(self.intervals, items, cost)
+        items = [((i, j), polys_a[i], polys_b[j]) for i, j in zip(ia.tolist(), ib.tolist())]
         results.extend(geometry_stage(self.engine, "intersect", items, cost))
 
         results.sort()

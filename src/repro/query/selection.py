@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Optional
 
+import numpy as np
+
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
 from ..filters.intervals import (
@@ -90,10 +92,12 @@ class IntersectionSelection:
                 query, self.interior_level, self.dataset.mbrs, candidates, cost
             )
 
-        items = [(i, query, self.dataset.polygons[i]) for i in remaining]
         if self.intervals is not None:
-            hits, items = interval_stage(self.intervals, items, cost)
-            positives.extend(hits)
+            rows = self.intervals.dataset_rows[0].take(np.array(remaining, dtype=np.intp))
+            hits, undecided = interval_stage(self.intervals, query, rows, cost)
+            positives.extend([remaining[k] for k in hits.tolist()])
+            remaining = [remaining[k] for k in undecided.tolist()]
+        items = [(i, query, self.dataset.polygons[i]) for i in remaining]
         positives.extend(geometry_stage(self.engine, "intersect", items, cost))
 
         positives.sort()

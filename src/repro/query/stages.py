@@ -5,21 +5,25 @@ once: the pipelines (:mod:`.selection`, :mod:`.join`,
 :mod:`.within_distance`, :mod:`.containment`) differ in how they find
 candidates and which predicate they ask for, not in how a filter is
 applied or how the surviving candidates reach the refinement engine.
-Candidates travel as ``(key, a, b)`` work items - the key is whatever the
-pipeline reports (an object id, an index pair).
+Candidates travel as index arrays through the filters and as ``(key, a,
+b)`` work items into refinement - the key is whatever the pipeline reports
+(an object id, an index pair), built only for the items that reach it.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from typing import Any, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 from ..core.engine import RefinementEngine
 from ..core.refine import WorkItem
 from ..filters.intervals import (
+    INTERSECTING,
+    UNKNOWN,
     IntervalApproximation,
     IntervalGrid,
     IntervalIndex,
-    IntervalVerdict,
 )
 from ..geometry.polygon import Polygon
 from ..geometry.rect import Rect
@@ -55,26 +59,29 @@ def interior_stage(
 
 
 def interval_stage(
-    intervals: IntervalIndex, items: Sequence[WorkItem], cost: CostBreakdown
-) -> Tuple[List[Any], List[WorkItem]]:
+    intervals: IntervalIndex,
+    rows_a: Union[np.ndarray, Polygon],
+    rows_b: np.ndarray,
+    cost: CostBreakdown,
+) -> Tuple[np.ndarray, np.ndarray]:
     """Settle intersection candidates with the precomputed encodings.
 
-    Returns (keys proven INTERSECTING, items still UNKNOWN); DISJOINT
-    items are dropped.  Render-free, one batch classify for the whole
-    list, and run before the geometry stage so every way of cutting the
-    candidates into engine calls refines the identical UNKNOWN set.
+    The candidates are two arrays of ``intervals`` rows, pair by pair; a
+    polygon for ``rows_a`` stands for its own row in every pair (a
+    selection's query, encoded on first sight).  Returns the positions of
+    the candidates proven INTERSECTING and of those still UNKNOWN;
+    DISJOINT ones are dropped.  Render-free, one rows classify for the
+    whole list, and run before the geometry stage so every way of cutting
+    the candidates into engine calls refines the identical UNKNOWN set.
     """
-    hits: List[Any] = []
-    undecided: List[WorkItem] = []
     with cost.time_stage("intermediate_filter"):
-        verdicts = intervals.classify_batch([item[1:] for item in items])
-        for item, verdict in zip(items, verdicts):
-            if verdict is IntervalVerdict.INTERSECTING:
-                hits.append(item[0])
-            elif verdict is IntervalVerdict.UNKNOWN:
-                undecided.append(item)
-    cost.interval_hits += len(hits)
-    cost.interval_drops += len(items) - len(hits) - len(undecided)
+        if isinstance(rows_a, Polygon):
+            rows_a = np.full(rows_b.size, intervals.row(rows_a), dtype=np.intp)
+        codes = intervals.classify_rows(rows_a, rows_b)
+        hits = (codes == INTERSECTING).nonzero()[0]
+        undecided = (codes == UNKNOWN).nonzero()[0]
+    cost.interval_hits += hits.size
+    cost.interval_drops += codes.size - hits.size - undecided.size
     return hits, undecided
 
 

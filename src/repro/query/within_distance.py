@@ -20,7 +20,7 @@ from typing import List, Tuple
 from ..core.engine import RefinementEngine
 from ..datasets.dataset import SpatialDataset
 from ..filters.object_filters import one_object_upper_bound, zero_object_upper_bound
-from ..index.mbr_join import plane_sweep_mbr_join
+from ..index.mbr_join import mbr_join_indices
 from ..obs.instrument import Observed, observe_pipeline
 from .costs import CostBreakdown
 from .stages import geometry_stage
@@ -58,13 +58,15 @@ class WithinDistanceJoin:
         polys_b = self.dataset_b.polygons
 
         with cost.time_stage("mbr_filter"):
-            candidates = plane_sweep_mbr_join(mbrs_a, mbrs_b, distance=d)
-        cost.candidates_after_mbr = len(candidates)
+            ia, ib = mbr_join_indices(
+                self.dataset_a.mbr_array, self.dataset_b.mbr_array, d
+            )
+        cost.candidates_after_mbr = ia.size
 
         results: List[Tuple[int, int]] = []
         remaining: List[Tuple[int, int]] = []
         with cost.time_stage("intermediate_filter"):
-            for i, j in candidates:
+            for i, j in zip(ia.tolist(), ib.tolist()):
                 ra, rb = mbrs_a[i], mbrs_b[j]
                 if zero_object_upper_bound(ra, rb) <= d:
                     results.append((i, j))

@@ -366,7 +366,11 @@ class QueryService:
             with exec_span:
                 execution = engine.execute(request)
             exec_s = time.perf_counter() - exec_start
-        except Exception as exc:
+        except KeyboardInterrupt:
+            raise
+        except BaseException as exc:
+            # A worker that dies (SystemExit, say) fails its request, not
+            # the server: only Ctrl-C stops it.
             error = f"{type(exc).__name__}: {exc}"
             return self._finish(request, "error", start, wait_s, engine=engine, error=error), None
         finally:

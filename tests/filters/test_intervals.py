@@ -256,6 +256,24 @@ class TestIndex:
         ]
         assert index.classify_batch([]) == []
 
+    def test_for_datasets_keeps_each_datasets_rows(self):
+        """Each pre-encoded dataset's read-only row array, in order: a
+        polygon repeated across datasets shares its row, and the rows
+        classify as the polygons do."""
+        first = SpatialDataset("first", [SQUARE, FAR])
+        second = SpatialDataset("second", [OVERLAPPING, SQUARE, FAR])
+        index = IntervalIndex.for_datasets([first, second], level=4)
+        rows_a, rows_b = index.dataset_rows
+        assert rows_a.tolist() == [0, 1] and rows_b.tolist() == [2, 0, 1]
+        assert len(index) == 3
+        with pytest.raises(ValueError):
+            rows_a[0] = 1
+        codes = index.classify_rows(rows_a.take([0, 0, 1]), rows_b.take([0, 2, 2]))
+        assert intervals._VERDICTS.take(codes).tolist() == index.classify_batch(
+            [(SQUARE, OVERLAPPING), (SQUARE, FAR), (FAR, FAR)]
+        )
+        assert IntervalIndex(index.grid).dataset_rows == ()
+
     def test_for_datasets_requires_data(self):
         with pytest.raises(ValueError):
             IntervalIndex.for_datasets([])

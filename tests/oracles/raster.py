@@ -14,7 +14,8 @@ Each public function here is registered with its production twin in
   half-open spans, and as a per-pixel parity count;
 * the atlas batch's per-tile projections and its cull, one tile at a time
   in Python floats;
-* the interval filter's pair verdicts, one pair at a time;
+* the interval filter's pair verdicts, one pair at a time, for polygon
+  pairs and for rows of an index;
 * the interior filter's tiling as a bitmap and its cover as a 2D prefix
   sum over it.
 """
@@ -26,7 +27,7 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from repro.filters import IntervalApproximation, classify_intervals
+from repro.filters import IntervalApproximation, IntervalVerdict, classify_intervals
 from repro.geometry import edge_bounds
 from repro.gpu.raster_bulk import COVERAGE_EPS
 from repro.gpu.raster_vector import (
@@ -381,6 +382,20 @@ def classify_pairs_one_by_one(grid, pairs):
             IntervalApproximation.build(a, grid), IntervalApproximation.build(b, grid)
         )
         for a, b in pairs
+    ]
+
+
+def classify_rows_one_by_one(grid, polygons, rows_a, rows_b):
+    """Per pair ``k``, the code (the verdict's position in
+    ``IntervalVerdict``) of ``classify_intervals`` on independently built
+    encodings of ``polygons[rows_a[k]]`` and ``polygons[rows_b[k]]``."""
+    verdicts = list(IntervalVerdict)
+    return [
+        verdicts.index(classify_intervals(
+            IntervalApproximation.build(polygons[i], grid),
+            IntervalApproximation.build(polygons[j], grid),
+        ))
+        for i, j in zip(rows_a, rows_b)
     ]
 
 

@@ -82,6 +82,7 @@ from tests.strategies import (
     arbitrary_polygons,
     candidate_lists,
     lattices,
+    mbr_join_cases,
     points,
     polygon_pairs_nearby,
     rects,
@@ -110,6 +111,27 @@ TIE_D = TIE_A.mbr.min_distance(TIE_B.mbr)
 GAP_A = Rect(0.0, 0.0, 0.1, 1.0)
 GAP_B = Rect(1.2999999999999998, 0.0, 2.3, 1.0)
 GAP_D = GAP_B.xmin - GAP_A.xmax
+
+#: Item 19's distance tie: unit squares a diagonal gap apart whose
+#: ``math.hypot`` reads "within" ``HYPOT_TIE_D`` though exact arithmetic
+#: puts them farther by less than an ulp.
+HYPOT_TIE_A = Rect(0.0, 0.0, 1.0, 1.0)
+HYPOT_TIE_B = Rect(1.0 + 1.8724760677202088, 1.0 + 2.2279430978895807,
+                   2.0 + 1.8724760677202088, 2.0 + 2.2279430978895807)
+HYPOT_TIE_D = 2.910308758812157
+#: An x gap that rounds to ``REACH_D`` or below while ``xmax + REACH_D``
+#: rounds below the later box's ``xmin``: the join's reach is widened.
+REACH_EARLIER = Rect(-3.6008966690384145, 0.0, -2.6008966690384145, 1.0)
+REACH_LATER = Rect(0.41870352394255766, 0.0, 1.4187035239425577, 1.0)
+REACH_D = 3.019600192980972
+#: Gaps ``inf - inf``: the builtin ``max`` keeps ``0.0`` over a NaN third
+#: argument, so a box at ``x = inf`` meets one whose ``xmax`` is ``inf``.
+INFINITE_SIDES = (
+    Rect(0.0, 0.0, math.inf, 1.0),
+    Rect(math.inf, 0.0, math.inf, 1.0),
+    Rect(-math.inf, 0.0, -math.inf, 1.0),
+    Rect(-math.inf, 0.0, 5.0, 1.0),
+)
 
 #: MBRs at the ends of the range: sides at +-1e300 (differences near
 #: 2e300, squares overflow), infinite sides (``inf - inf`` differences are
@@ -510,6 +532,18 @@ def _same_pair_set(oracle, twin, args):
     expected = sorted(oracle(mbrs_a, mbrs_b, d))
     assert sorted(twin(mbrs_a, mbrs_b, d)) == expected
     assert sorted((i, j) for j, i in twin(mbrs_b, mbrs_a, d)) == expected
+
+
+def _rows_classify(oracle, twin, args):
+    """The rows kernel on an index's rows of the pairs' polygons, against
+    the per-pair verdicts of the same polygons encoded one by one."""
+    grid, pairs = args
+    index = IntervalIndex(grid)
+    rows_a = np.array([index.row(a) for a, _ in pairs], dtype=np.intp)
+    rows_b = np.array([index.row(b) for _, b in pairs], dtype=np.intp)
+    polygons = {index.row(p): p for pair in pairs for p in pair}
+    expected = oracle(grid, [polygons[r] for r in range(len(index))], rows_a, rows_b)
+    assert twin(index, rows_a, rows_b).tolist() == expected
 
 
 def _nearest_distances(oracle, twin, args):
@@ -933,6 +967,16 @@ TWINS = {
             _batch_classify,
         ),
         Twin(
+            raster.classify_rows_one_by_one,
+            IntervalIndex.classify_rows,
+            candidate_lists(),
+            tuple(
+                (IntervalGrid(a.mbr.union(b.mbr), 3), [(a, b), (b, a), (a, a), (b, b)])
+                for a, b in LITERAL_PAIRS
+            ),
+            _rows_classify,
+        ),
+        Twin(
             raster.interior_tiles_by_prefix_sum,
             IntervalApproximation.covers,
             interior_probes(),
@@ -962,6 +1006,24 @@ TWINS = {
                 ([a.mbr for a, _ in LITERAL_PAIRS], [b.mbr for _, b in LITERAL_PAIRS], 0.0),
             ),
             _same_pair_set,
+        ),
+        Twin(
+            index.plane_sweep_loop,
+            plane_sweep_mbr_join,
+            mbr_join_cases(),
+            (
+                ([GAP_A], [GAP_B], GAP_D),
+                ([GAP_B], [GAP_A], GAP_D),
+                ([TIE_A.mbr], [TIE_B.mbr], TIE_D),
+                ([REACH_EARLIER], [REACH_LATER], REACH_D),
+                ([REACH_LATER], [REACH_EARLIER], REACH_D),
+                (list(INFINITE_SIDES), list(INFINITE_SIDES[::-1]), 0.0),
+                ([HYPOT_TIE_A], [HYPOT_TIE_B], HYPOT_TIE_D),
+                ([HYPOT_TIE_B], [HYPOT_TIE_A], HYPOT_TIE_A.min_distance(HYPOT_TIE_B)),
+                (list(ODD_MBRS), list(ODD_MBRS) + [SQUARE.mbr], 0.0),
+                (list(ODD_MBRS), list(ODD_MBRS), 1e300),
+                (list(ODD_MBRS), list(ODD_MBRS)[::-1], math.inf),
+            ),
         ),
         # -- accounting
         Twin(

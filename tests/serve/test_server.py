@@ -607,5 +607,87 @@ class TestArrivalAdmission:
         assert res["loop_errors"] == []
 
 
+def _dying(svc, monkeypatch, op, threads):
+    """Make every engine of ``svc`` raise ``SystemExit`` on an ``op``
+    request, appending to ``threads`` the thread each death happens on."""
+    for engine in svc.pool.engines:
+
+        def dying(request, execute=engine.execute):
+            if request.op != op:
+                return execute(request)
+            threads.append(threading.get_ident())
+            raise SystemExit("worker died")
+
+        monkeypatch.setattr(engine, "execute", dying)
+
+
+class TestWorkerDeath:
+    """An engine worker that dies mid-request (``SystemExit``) fails that
+    request: an ``error`` response, counted once, its engine released, and
+    the server goes on answering."""
+
+    @staticmethod
+    def _survived(svc, res, settled):
+        response = res["died"]["response"]
+        assert (response["status"], response["error"]) == ("error", "SystemExit: worker died")
+        assert res["after"] == {"kind": "pong"}
+        assert res["loop_errors"] == []
+        # ok + shed + timeout + error == arrivals.
+        assert _settled(svc) == settled
+        gauges = svc.metrics_snapshot()["gauges"]
+        assert (gauges["serve_inflight"], gauges["serve_queue_depth"]) == (0, 0)
+        assert svc.health()["verdict"] == "ready"
+
+    @staticmethod
+    def _client(*envelopes):
+        def client(host, port):
+            out = {"before": [send_envelope(host, port, e) for e in envelopes[:-1]]}
+            out["died"] = send_envelope(host, port, envelopes[-1])
+            out["after"] = send_envelope(host, port, {"kind": "ping"})
+            send_envelope(host, port, {"kind": "shutdown"})
+            return out
+
+        return client
+
+    def test_an_offloaded_join(self, monkeypatch):
+        svc, threads = QueryService(workers=1), []
+        try:
+            _dying(svc, monkeypatch, "join", threads)
+            res = _with_frontend(svc, self._client(JOIN))
+            self._survived(svc, res, {"serve_requests{op=join,status=error}": 1})
+        finally:
+            svc.close()
+        assert len(threads) == 1 and threads[0] != threading.get_ident()
+
+    def test_a_selection_placed_on_the_loop(self, monkeypatch):
+        svc, threads = QueryService(workers=1), []
+        try:
+            mbrs = svc.workload.selection_data.mbrs
+            settled = next(
+                k for k, query in enumerate(svc.workload.queries)
+                if not any(query.mbr.intersects(mbr) for mbr in mbrs)
+            )
+            selection = {"kind": "query", "request": {"op": "selection", "query_index": settled}}
+
+            def die_on_second_run(host, port):
+                # The first run finds no candidate; the second is placed
+                # on the loop and dies there.
+                out = {"first": send_envelope(host, port, selection)}
+                _dying(svc, monkeypatch, "selection", threads)
+                out.update(self._client(selection)(host, port))
+                return out
+
+            res = _with_frontend(svc, die_on_second_run)
+            self._survived(svc, res, {
+                "serve_requests{op=selection,status=ok}": 1,
+                "serve_requests{op=selection,status=error}": 1,
+            })
+        finally:
+            svc.close()
+        assert res["first"]["response"]["status"] == "ok"
+        # asyncio.run() ran the loop on this thread.
+        assert threads == [threading.get_ident()]
+
+
 def test_max_line_bytes_constant_is_sane():
     assert MAX_LINE_BYTES >= 65536

@@ -130,6 +130,32 @@ lattices = st.sampled_from(
 
 
 @st.composite
+def lattice_rects(draw, cells) -> Rect:
+    """A box with corners on ``cells``: zero width or height, shared sides
+    and shared corners are common."""
+    x0, x1 = sorted(draw(st.tuples(cells, cells)))
+    y0, y1 = sorted(draw(st.tuples(cells, cells)))
+    return Rect(x0, y0, x1, y1)
+
+
+@st.composite
+def mbr_join_cases(draw):
+    """``(mbrs_a, mbrs_b, distance)`` for the MBR join: boxes on one of the
+    ``lattices`` (equal ``xmin`` within a side and across the two, zero
+    width or height, boxes touching at an edge or a corner, offsets near
+    1e15), sometimes mixed with ``rects()``, and a distance of 0, a few
+    lattice steps or ``inf``."""
+    cells = draw(lattices)
+    boxes = st.one_of(lattice_rects(cells), rects()) if draw(st.booleans()) else lattice_rects(cells)
+    a = draw(st.lists(boxes, max_size=14))
+    b = draw(st.lists(boxes, max_size=14))
+    if a and draw(st.booleans()):
+        b.insert(draw(st.integers(0, len(b))), a[draw(st.integers(0, len(a) - 1))])
+    distance = draw(st.sampled_from([0.0, 0.0, 0.125, 0.25, 1.0, 2.5, math.inf]))
+    return a, b, distance
+
+
+@st.composite
 def adversarial_rings(draw, cells=None, min_vertices: int = 3, max_vertices: int = 9):
     """Raw vertex rings on one small lattice: bow-ties, repeated vertices,
     collinear runs and horizontal edges (paper footnote 1) are the norm."""

@@ -40,6 +40,7 @@ KEPT = {
     "IntervalApproximation.cell_ids": "read by tests of the interval lists against cell sets",
     "IntervalApproximation.full_cell_ids": "read by tests of the interval lists against cell sets",
     "IntervalApproximation.full_cell_count": "read by tests of the interval lists against cell sets",
+    "IntervalIndex.classify_batch": "read by tests of the rows kernel on polygon pairs and of the certificate mutants",
     "IntervalGrid.cell_rect": "read by tests of FULL cells against polygon containment",
     "Point.midpoint": "read by tests of adversarial rings (tests/strategies.py)",
     "segments_intersect": "read by tests of the segment predicate on Points and by the oracles",
