@@ -17,7 +17,7 @@ time goes and a gate that fails when it regresses.
   read;
 * :mod:`repro.obs.report` - trace-tree analysis of
   :mod:`repro.obs.trace` spans: per-stage rollups (self vs child time)
-  and the critical path;
+  and the span tree (``python -m repro.obs report trace.jsonl``);
 * :mod:`repro.obs.runreport` - the versioned RunReport JSON artifact one
   benchmark run emits (``python -m repro.bench <exp> --report-out``);
 * :mod:`repro.obs.compare` - the exact gate between two RunReports
@@ -26,8 +26,6 @@ time goes and a gate that fails when it regresses.
   its deterministic replayer (``python -m repro.obs replay cap.jsonl``);
 * :mod:`repro.obs.explain` - per-query EXPLAIN ANALYZE funnels over the
   filter/refine pipeline (``python -m repro.obs explain report.json``);
-* :mod:`repro.obs.timeline` - Chrome trace-event export of span files
-  with one lane per engine worker (``python -m repro.obs timeline trace.jsonl``);
 * :mod:`repro.obs.window` - the rolling window (one epoch-aligned ring of
   those tables, exact retirement, injectable clock) for "happening now"
   telemetry the cumulative registry cannot express;
@@ -50,12 +48,10 @@ from .capture import (
 )
 from .compare import Comparison, Finding, compare_reports
 from .explain import (
-    EXPLAIN_SCHEMA,
     QueryFunnel,
     funnels_from_snapshot,
     render_funnel,
     render_funnels,
-    write_explain,
 )
 from .metrics import Histogram, MetricsRegistry
 from .records import RecordLog, read_jsonl
@@ -77,12 +73,6 @@ from .slo import (
     load_alert_log,
 )
 from .window import WindowConfig
-from .timeline import (
-    TIMELINE_SCHEMA,
-    summarize_timeline,
-    timeline_from_spans,
-    write_timeline,
-)
 from .runreport import (
     RUN_REPORT_SCHEMA,
     build_run_report,
@@ -98,7 +88,6 @@ __all__ = [
     "CAPTURE_SCHEMA",
     "CommandRecorder",
     "Comparison",
-    "EXPLAIN_SCHEMA",
     "Finding",
     "Histogram",
     "MetricsRegistry",
@@ -111,7 +100,6 @@ __all__ = [
     "SLObjective",
     "SLOTracker",
     "Span",
-    "TIMELINE_SCHEMA",
     "TraceReport",
     "Tracer",
     "WindowConfig",
@@ -134,13 +122,9 @@ __all__ = [
     "render_report",
     "replay_capture",
     "replay_events",
-    "summarize_timeline",
-    "timeline_from_spans",
     "use_recorder",
     "use_registry",
     "use_scope",
     "use_tracer",
-    "write_explain",
     "write_run_report",
-    "write_timeline",
 ]

@@ -3,10 +3,9 @@
 Examples::
 
     python -m repro.obs report trace.jsonl
-    python -m repro.obs report trace.jsonl --tree --limit 20 --top 5
-    python -m repro.obs timeline trace.jsonl --out timeline.json
+    python -m repro.obs report trace.jsonl --tree --limit 20
     python -m repro.obs compare baseline.json current.json
-    python -m repro.obs explain run-report.json --json explain.json
+    python -m repro.obs explain run-report.json
     python -m repro.obs replay capture.jsonl
 """
 
@@ -17,7 +16,7 @@ import sys
 
 from .cli import run_main
 from .compare import compare_reports
-from .explain import funnels_from_snapshot, render_funnels, write_explain
+from .explain import funnels_from_snapshot, render_funnels
 from .report import analyze, render_report
 from .runreport import load_run_report
 
@@ -37,26 +36,11 @@ def _at_least(minimum: int):
 def _cmd_report(args: argparse.Namespace) -> int:
     try:
         report = analyze(args.trace)
-        rendered = render_report(
-            report, tree=args.tree, limit=args.limit, top=args.top
-        )
+        rendered = render_report(report, tree=args.tree, limit=args.limit)
     except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     print(rendered)
-    return 0
-
-
-def _cmd_timeline(args: argparse.Namespace) -> int:
-    from .timeline import summarize_timeline, write_timeline
-
-    try:
-        doc = write_timeline(args.out, args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(summarize_timeline(doc))
-    print(f"timeline written to {args.out} (load in chrome://tracing)")
     return 0
 
 
@@ -91,14 +75,9 @@ def _cmd_explain(args: argparse.Namespace) -> int:
             return 2
     funnels = funnels_from_snapshot(*(e.get("metrics", {}) for e in entries))
     print(render_funnels(funnels))
-    if args.json is not None:
-        doc = write_explain(args.json, funnels, source=args.report)
-        print(f"explain JSON written to {args.json}")
-    else:
-        doc = {"ok": not [v for f in funnels.values() for v in f.check()]}
     if not funnels:
         return 2
-    return 0 if doc["ok"] else 1
+    return 1 if any(f.check() for f in funnels.values()) else 0
 
 
 def _cmd_replay(args: argparse.Namespace) -> int:
@@ -125,7 +104,7 @@ def main(argv=None) -> int:
     sub = parser.add_subparsers(dest="command", required=True)
 
     report = sub.add_parser(
-        "report", help="analyze a JSON-lines trace (rollups + critical path)"
+        "report", help="analyze a JSON-lines trace (per-stage rollups)"
     )
     report.add_argument("trace", help="span file written by --trace-out (JSONL)")
     report.add_argument(
@@ -137,28 +116,7 @@ def main(argv=None) -> int:
         default=None,
         help="rollup rows to show (default all)",
     )
-    report.add_argument(
-        "--top",
-        type=int,
-        default=None,
-        help="also print the N heaviest span names by self time "
-        "(keeps serve-scale rollups readable)",
-    )
     report.set_defaults(func=_cmd_report)
-
-    timeline = sub.add_parser(
-        "timeline",
-        help="export a span JSONL as chrome://tracing-loadable trace-event JSON",
-    )
-    timeline.add_argument(
-        "trace", help="span file (JSONL) from --trace-out or serve --trace-out"
-    )
-    timeline.add_argument(
-        "--out",
-        default="timeline.json",
-        help="output path for the catapult JSON (default: timeline.json)",
-    )
-    timeline.set_defaults(func=_cmd_timeline)
 
     compare = sub.add_parser(
         "compare", help="diff two RunReports; exit 1 on any deterministic drift"
@@ -175,9 +133,6 @@ def main(argv=None) -> int:
         "--experiment",
         default=None,
         help="explain one experiment's entry instead of every entry merged",
-    )
-    explain.add_argument(
-        "--json", default=None, help="also write the explain document here"
     )
     explain.set_defaults(func=_cmd_explain)
 

@@ -73,15 +73,11 @@ rest of :mod:`repro`; engines and costs are duck-typed through
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional
 
 from .metrics import parse_key
-
-#: Version tag of the explain JSON document.
-EXPLAIN_SCHEMA = "repro.obs/explain@1"
 
 #: The three identities: each stage is the sum of the stages it splits into.
 _SPLITS = (
@@ -312,40 +308,11 @@ def render_funnels(funnels: Mapping[str, QueryFunnel]) -> str:
     return "\n\n".join(render_funnel(f) for _, f in sorted(funnels.items()))
 
 
-def explain_document(
-    funnels: Mapping[str, QueryFunnel], source: Optional[str] = None
-) -> Dict[str, Any]:
-    """The versioned JSON artifact ``python -m repro.obs explain --json`` writes."""
-    violations = [v for f in funnels.values() for v in f.check()]
-    doc: Dict[str, Any] = {
-        "schema": EXPLAIN_SCHEMA,
-        "funnels": {name: f.to_dict() for name, f in sorted(funnels.items())},
-        "violations": violations,
-        "ok": not violations,
-    }
-    if source is not None:
-        doc["source"] = source
-    return doc
-
-
-def write_explain(
-    path: str, funnels: Mapping[str, QueryFunnel], source: Optional[str] = None
-) -> Dict[str, Any]:
-    doc = explain_document(funnels, source)
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2, sort_keys=True)
-        f.write("\n")
-    return doc
-
-
 __all__ = [
-    "EXPLAIN_SCHEMA",
     "FUNNEL_STAGES",
     "QueryFunnel",
-    "explain_document",
     "funnel_from_deltas",
     "funnels_from_snapshot",
     "render_funnel",
     "render_funnels",
-    "write_explain",
 ]

@@ -189,14 +189,6 @@ class Histogram:
             "p99": self.quantile(0.99),
         }
 
-    @classmethod
-    def from_snapshot(cls, snap: Mapping[str, Any]) -> "Histogram":
-        """The histogram one snapshot entry describes (``serve top`` reads
-        the server's histograms this way)."""
-        hist = cls()
-        hist._merge_snapshot(snap)
-        return hist
-
     def _merge(self, other: "Histogram") -> None:
         self._merge_snapshot(other._snapshot())
 

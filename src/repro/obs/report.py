@@ -1,4 +1,4 @@
-"""Trace-tree analysis: per-stage rollups and the critical path.
+"""Trace-tree analysis: per-stage rollups and the span tree.
 
 :mod:`repro.obs.trace` collects spans as a flat list (live) or as JSON
 lines (exported).  This module rebuilds the parent tree and answers the
@@ -8,9 +8,7 @@ questions the paper's per-stage cost figures ask of a run:
   minus direct children) and child time.  Self time is what the stage
   itself cost; a stage whose children carry nearly all its time is pure
   orchestration.  Self time is reported as measured, never clamped;
-* **critical path** - from the heaviest root down through the heaviest
-  child at each level: the chain of spans an optimizer must shorten to
-  shorten the run.
+* **tree** - each root with its heaviest children, indented.
 
 Exposed on the command line as ``python -m repro.obs report trace.jsonl``.
 """
@@ -99,7 +97,6 @@ class TraceReport:
 
     roots: List[SpanNode]
     rollups: List[NameRollup]
-    critical_path: List[SpanNode]
     orphans: int = 0
 
     @property
@@ -108,7 +105,7 @@ class TraceReport:
 
 
 def build_tree(spans: Iterable[Any]) -> TraceReport:
-    """Rebuild the span tree and compute rollups and the critical path.
+    """Rebuild the span tree and compute the per-name rollups.
 
     Spans whose ``parent_id`` never appears (e.g. a truncated export) are
     promoted to roots and counted in ``orphans``.
@@ -132,17 +129,7 @@ def build_tree(spans: Iterable[Any]) -> TraceReport:
     for node in nodes.values():
         by_name.setdefault(node.name, NameRollup(node.name)).add(node)
     rollups = sorted(by_name.values(), key=lambda r: r.total_s, reverse=True)
-
-    critical: List[SpanNode] = []
-    if roots:
-        cursor = max(roots, key=lambda n: n.duration_s)
-        critical.append(cursor)
-        while cursor.children:
-            cursor = max(cursor.children, key=lambda n: n.duration_s)
-            critical.append(cursor)
-    return TraceReport(
-        roots=roots, rollups=rollups, critical_path=critical, orphans=orphans
-    )
+    return TraceReport(roots=roots, rollups=rollups, orphans=orphans)
 
 
 def analyze(source: Union[str, IO[str], Iterable[Any]]) -> TraceReport:
@@ -224,63 +211,18 @@ def render_tree(report: TraceReport) -> str:
     return "\n".join(lines)
 
 
-def render_top_self(report: TraceReport, n: int) -> str:
-    """The ``n`` heaviest span names by **self** time (not total).
-
-    Total time double-counts parents of expensive children; self time is
-    where the run actually burned its cycles, which is what keeps rollups
-    readable on serve-scale traces (thousands of request trees): the top
-    table points straight at the stage to optimize.
-    """
-    if n < 1:
-        raise ValueError(f"top must be >= 1, got {n}")
-    ranked = sorted(report.rollups, key=lambda r: r.self_s, reverse=True)[:n]
-    total_self = sum(r.self_s for r in report.rollups) or 1.0
-    lines = []
-    for rank, r in enumerate(ranked, start=1):
-        lines.append(
-            f"{rank}. {r.name}  self {_ms(r.self_s)} ms"
-            f" ({r.self_s / total_self:.0%} of self time,"
-            f" {r.calls} call(s), total {_ms(r.total_s)} ms)"
-        )
-    return "\n".join(lines) if lines else "(no spans)"
-
-
-def render_critical_path(report: TraceReport) -> str:
-    """The heaviest root-to-leaf chain, one hop per line."""
-    lines = []
-    for node in report.critical_path:
-        share = (
-            node.duration_s / report.critical_path[0].duration_s
-            if report.critical_path[0].duration_s
-            else 0.0
-        )
-        lines.append(
-            f"{node.name}  {_ms(node.duration_s)} ms  ({share:.0%} of root)"
-        )
-    return " ->\n".join(lines) if lines else "(no spans)"
-
-
 def render_report(
-    report: TraceReport,
-    tree: bool = False,
-    limit: Optional[int] = None,
-    top: Optional[int] = None,
+    report: TraceReport, tree: bool = False, limit: Optional[int] = None
 ) -> str:
-    """The full text report (rollups + critical path, optionally the tree)."""
+    """The full text report (rollups, optionally the tree)."""
     sections: List[str] = []
     sections.append(
         f"spans: {sum(r.calls for r in report.rollups)}"
         f"  roots: {len(report.roots)}  root total: {_ms(report.total_s)} ms"
         + (f"  orphans: {report.orphans}" if report.orphans else "")
     )
-    if top is not None:
-        sections.append(f"== top {top} by self time ==")
-        sections.append(render_top_self(report, top))
     sections.append("== per-stage rollup ==")
     sections.append(render_rollups(report, limit=limit))
-    sections.append("== critical path ==")
-    sections.append(render_critical_path(report))
     if tree:
         sections.append("== span tree ==")
         sections.append(render_tree(report))
@@ -294,9 +236,7 @@ __all__: Sequence[str] = (
     "analyze",
     "build_tree",
     "load_spans",
-    "render_critical_path",
     "render_report",
     "render_rollups",
-    "render_top_self",
     "render_tree",
 )

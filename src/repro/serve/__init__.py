@@ -17,14 +17,12 @@ Layers (each its own module):
   together, accounting every request into the metrics registry and
   retaining per-request span trees when tracing is on;
 * :mod:`~repro.serve.slowlog` - slow-query forensics records (span tree,
-  EXPLAIN funnel, cost stages, cache deltas) and their offline summary;
+  EXPLAIN funnel, cost stages, cache deltas);
 * :mod:`~repro.serve.health` - windowed per-op telemetry, SLO burn-rate
   alerting, worker heartbeats, and the ``health`` envelope verdict;
 * :mod:`~repro.serve.server` - the asyncio TCP JSON-lines front-end;
 * :mod:`~repro.serve.loadgen` - the open-loop load generator emitting
-  RunReports for CI gating;
-* :mod:`~repro.serve.top` - the live terminal dashboard polling
-  ``metrics`` + ``health`` (``python -m repro.serve top``).
+  RunReports for CI gating.
 """
 
 from .engine import (
@@ -56,14 +54,7 @@ from .schema import (
 )
 from .server import ServeFrontend, run_server, send_envelope
 from .service import QueryService
-from .top import fetch_snapshot, render, run_top
-from .slowlog import (
-    SLOWLOG_SCHEMA,
-    SlowLogConfig,
-    build_record,
-    load_slowlog,
-    summarize_slowlog,
-)
+from .slowlog import SLOWLOG_SCHEMA, SlowLogConfig, build_record
 
 __all__ = [
     "AdmissionConfig",
@@ -93,12 +84,7 @@ __all__ = [
     "build_record",
     "build_schedule",
     "canonical_results",
-    "fetch_snapshot",
-    "load_slowlog",
-    "render",
     "run_open_loop",
     "run_server",
-    "run_top",
     "send_envelope",
-    "summarize_slowlog",
 ]

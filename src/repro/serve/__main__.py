@@ -5,11 +5,9 @@ Examples::
     python -m repro.serve serve --port 8753 --workers 2
     python -m repro.serve loadgen --rate 6 --duration 30 --report-out run.json
     python -m repro.serve loadgen --trace-out spans.jsonl --slowlog-out slow.jsonl
-    python -m repro.serve slowlog slow.jsonl --top 5
     python -m repro.serve ping --port 8753 --timeout 5
     python -m repro.serve serve --windowed --alerts-out alerts.jsonl
-    python -m repro.serve top --port 8753            # live dashboard
-    python -m repro.serve top --once --json          # one machine-readable poll
+    python -m repro.serve top --port 8753    # one health + metrics poll, as JSON
 """
 
 from __future__ import annotations
@@ -28,8 +26,7 @@ from .loadgen import LoadgenConfig, LoadResult, run_open_loop
 from .health import HealthConfig
 from .server import run_server, send_envelope
 from .service import QueryService
-from .slowlog import SlowLogConfig, load_slowlog, summarize_slowlog
-from .top import run_top
+from .slowlog import SlowLogConfig
 
 
 def _add_service_args(parser: argparse.ArgumentParser) -> None:
@@ -71,13 +68,13 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         help="after the run, export retained request traces as span JSONL "
         "(turns per-request tracing on; analyze with 'python -m repro.obs "
-        "report' or 'python -m repro.obs timeline')",
+        "report')",
     )
     parser.add_argument(
         "--slowlog-out",
         default=None,
-        help="append slow-query forensics records (JSONL) here; "
-        "summarize with 'python -m repro.serve slowlog'",
+        help="append slow-query forensics records (JSONL, schema "
+        "repro.serve/slowlog@1) here",
     )
     parser.add_argument(
         "--slow-threshold",
@@ -90,7 +87,7 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         "--windowed",
         action="store_true",
         help="windowed per-op telemetry + SLO burn-rate alerting: enables "
-        "the rich 'health' envelope and 'python -m repro.serve top' "
+        "the windowed and SLO sections of the 'health' envelope "
         "(default: off; the hot path then pays one None check)",
     )
     parser.add_argument(
@@ -99,14 +96,6 @@ def _add_service_args(parser: argparse.ArgumentParser) -> None:
         help="after the run, export SLO alert transitions as JSONL here "
         "(implies --windowed; schema repro.obs/alerts@1)",
     )
-
-
-def _positive_s(text: str) -> float:
-    """An argparse type: seconds that are positive and finite."""
-    value = float(text)
-    if not 0 < value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be positive and finite, got {text}")
-    return value
 
 
 def _timeout_s(text: str) -> float:
@@ -222,26 +211,12 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
 
     p_top = sub.add_parser(
-        "top", help="live dashboard over a running server's health + metrics"
+        "top",
+        help="print a running server's health + metrics as one JSON document "
+        "(exit 0 = ready, 1 = degraded, 2 = unreachable)",
     )
     p_top.add_argument("--host", default="127.0.0.1")
     p_top.add_argument("--port", type=int, default=8753)
-    p_top.add_argument(
-        "--interval",
-        type=_positive_s,
-        default=2.0,
-        help="seconds between polls in the live loop (default: 2)",
-    )
-    p_top.add_argument(
-        "--once",
-        action="store_true",
-        help="render a single frame and exit (0 = ready, 1 = degraded)",
-    )
-    p_top.add_argument(
-        "--json",
-        action="store_true",
-        help="with --once: print the raw health+metrics document instead",
-    )
     p_top.add_argument(
         "--timeout",
         type=_timeout_s,
@@ -249,24 +224,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="socket timeout in seconds; 0 = wait forever (default: 30)",
     )
 
-    p_slow = sub.add_parser(
-        "slowlog", help="summarize a slow-query forensics log (JSONL)"
-    )
-    p_slow.add_argument("log", help="file written by --slowlog-out")
-    p_slow.add_argument(
-        "--top", type=int, default=5, help="slowest requests to show (default: 5)"
-    )
-
     args = parser.parse_args(argv)
-
-    if args.command == "slowlog":
-        try:
-            records = load_slowlog(args.log)
-            print(summarize_slowlog(records, top=args.top))
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        return 0
 
     if args.command == "ping":
         timeout = None if args.timeout == 0 else args.timeout
@@ -275,17 +233,22 @@ def main(argv: Optional[List[str]] = None) -> int:
         return 0 if reply.get("kind") == "pong" else 1
 
     if args.command == "top":
-        if args.json and not args.once:
-            p_top.error("argument --json: needs --once (the live loop draws ANSI frames)")
+        # One poll of the health and metrics envelopes.  A fetch error
+        # goes to stderr, so stdout holds only the JSON document.
         timeout = None if args.timeout == 0 else args.timeout
-        return run_top(
-            args.host,
-            args.port,
-            interval_s=args.interval,
-            once=args.once,
-            as_json=args.json,
-            timeout=timeout,
-        )
+        try:
+            health = send_envelope(args.host, args.port, {"kind": "health"}, timeout=timeout)
+            metrics = send_envelope(args.host, args.port, {"kind": "metrics"}, timeout=timeout)
+            if health.get("kind") != "health":
+                raise ValueError(f"unexpected reply to health poll: {health!r}")
+            if metrics.get("kind") != "metrics":
+                raise ValueError(f"unexpected reply to metrics poll: {metrics!r}")
+        except (OSError, ValueError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 2
+        doc = {"health": health["health"], "metrics": metrics["snapshot"]}
+        print(json.dumps(doc, indent=2, sort_keys=True))
+        return 0 if doc["health"].get("ready") else 1
 
     load_config = None
     try:

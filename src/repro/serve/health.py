@@ -4,7 +4,7 @@ The cumulative registry answers "what has this process done since it
 started"; this module answers the operator's question - "is the service
 healthy *right now*" - and packages the answer as the versioned
 ``health`` envelope (:data:`~repro.serve.schema.HEALTH_SCHEMA`) the TCP
-front-end serves and ``python -m repro.serve top`` renders:
+front-end serves and ``python -m repro.serve top`` prints:
 
 * :class:`HealthConfig` - the opt-in: windowed per-op latency/outcome
   families (:mod:`repro.obs.window`), the SLO objectives and burn-rate

@@ -154,7 +154,7 @@ class QueryResponse:
     attributes: Dict[str, Any] = field(default_factory=dict)
     #: Server-side trace id of this request (set whenever the service ran
     #: with tracing or slow-query forensics enabled): the key joining the
-    #: response to its span tree, timeline lanes, and slowlog record.
+    #: response to its span tree and slowlog record.
     trace_id: Optional[str] = None
 
     def __post_init__(self) -> None:

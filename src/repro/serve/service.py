@@ -389,7 +389,7 @@ class QueryService:
         """Write every retained request trace as span JSONL; returns count.
 
         The output is the flat span format ``python -m repro.obs report``
-        and ``python -m repro.obs timeline`` consume.  Every request's
+        consumes.  Every request's
         tracer numbered its spans from 1, so ids are namespaced per trace
         (``"<trace_id>:<span_id>"``): parent links still resolve within
         each request, but two requests' spans never alias each other in

@@ -19,16 +19,13 @@ assign blame:
 Records are JSON lines (schema-tagged ``repro.serve/slowlog@1``) kept in
 the service's :class:`~repro.obs.records.RecordLog`, which appends each
 one to the ``--slowlog-out`` file as it arrives.
-``python -m repro.serve slowlog FILE --top K`` summarizes a log offline.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import IO, Any, Dict, List, Optional, Sequence, Union
-
-from ..obs.records import read_jsonl, schema_check
+from typing import Any, Dict, Optional, Sequence
 
 #: Version tag of one slowlog record (bump on incompatible change).
 SLOWLOG_SCHEMA = "repro.serve/slowlog@1"
@@ -113,74 +110,8 @@ def build_record(
     return record
 
 
-# -- offline analysis ---------------------------------------------------------
-
-
-def load_slowlog(source: Union[str, IO[str]]) -> List[Dict[str, Any]]:
-    """Read slowlog records from a JSONL path or open text file."""
-    return read_jsonl(source, schema_check("slowlog", SLOWLOG_SCHEMA))
-
-
-def summarize_slowlog(
-    records: Sequence[Dict[str, Any]], top: int = 5
-) -> str:
-    """Human summary: status/op breakdown plus the top-K slowest requests."""
-    if top < 1:
-        raise ValueError(f"top must be >= 1, got {top}")
-    if not records:
-        return "slowlog: no records"
-    by_status: Dict[str, int] = {}
-    by_op: Dict[str, int] = {}
-    violations = 0
-    for r in records:
-        by_status[r.get("status", "?")] = by_status.get(r.get("status", "?"), 0) + 1
-        by_op[r.get("op", "?")] = by_op.get(r.get("op", "?"), 0) + 1
-        if r.get("funnel_violations"):
-            violations += 1
-    lines = [
-        f"slowlog: {len(records)} record(s)  "
-        + "  ".join(f"{k}={v}" for k, v in sorted(by_status.items()))
-        + "  |  "
-        + "  ".join(f"{k}={v}" for k, v in sorted(by_op.items()))
-    ]
-    if violations:
-        lines.append(
-            f"!! {violations} record(s) with funnel identity violations"
-        )
-    ranked = sorted(
-        records, key=lambda r: r.get("total_s", 0.0), reverse=True
-    )[:top]
-    lines.append(f"== top {min(top, len(records))} by total_s ==")
-    for rank, r in enumerate(ranked, start=1):
-        wait = r.get("wait_s", 0.0)
-        execute = r.get("exec_s", 0.0)
-        total = r.get("total_s", 0.0)
-        stages = ""
-        cost = r.get("cost") or {}
-        stage_parts = [
-            f"{name[: -len('_s')]}={cost[name] * 1e3:.2f}ms"
-            for name in ("mbr_filter_s", "intermediate_filter_s", "geometry_s")
-            if cost.get(name)
-        ]
-        if stage_parts:
-            stages = "  [" + " ".join(stage_parts) + "]"
-        over = r.get("over_deadline_stages") or []
-        lines.append(
-            f"{rank}. trace={r.get('trace_id')} op={r.get('op')}"
-            f" status={r.get('status')}"
-            f" total={total * 1e3:.2f}ms"
-            f" (wait {wait * 1e3:.2f}ms + exec {execute * 1e3:.2f}ms)"
-            f" worker={r.get('worker', '-')}{stages}"
-            + (f" over_deadline={','.join(over)}" if over else "")
-            + (f" error={r.get('error')!r}" if r.get("error") else "")
-        )
-    return "\n".join(lines)
-
-
 __all__ = [
     "SLOWLOG_SCHEMA",
     "SlowLogConfig",
     "build_record",
-    "load_slowlog",
-    "summarize_slowlog",
 ]

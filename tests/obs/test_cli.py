@@ -1,12 +1,16 @@
-"""A command whose stdout reader stops early ends quietly (``obs.cli``)."""
+"""A command whose stdout reader stops early ends quietly (``obs.cli``), and
+a removed command or flag is a usage error."""
 
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import repro
 from repro import Tracer
+from repro.obs.__main__ import main as obs_main
 
 SRC = str(Path(repro.__file__).resolve().parent.parent)
 
@@ -57,3 +61,25 @@ def test_a_broken_pipe_that_is_not_stdout_keeps_its_traceback():
     assert proc.stdout == b"before\n"
     err = proc.stderr.decode()
     assert "Traceback" in err and "BrokenPipeError" in err, err
+
+
+#: Surface that is gone: the trace-event timeline export, the report's
+#: self-time ranking and the explain JSON document.  Each is refused while
+#: parsing; a build that still took one would return 2 for the missing
+#: input file instead of exiting.
+REMOVED_ARGS = {
+    "timeline": (["timeline", "no-such.jsonl"], "invalid choice: 'timeline'"),
+    "report-top": (["report", "no-such.jsonl", "--top", "5"], "unrecognized arguments: --top 5"),
+    "explain-json": (["explain", "no-such.json", "--json", "x"], "unrecognized arguments: --json x"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(REMOVED_ARGS))
+def test_removed_command_or_flag_exits_2(case, capsys):
+    argv, message = REMOVED_ARGS[case]
+    with pytest.raises(SystemExit) as exit_info:
+        obs_main(argv)
+    assert exit_info.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err

@@ -18,14 +18,12 @@ from repro.obs.__main__ import main as obs_main
 from repro.obs import CAPTURE_SCHEMA, CommandRecorder, use_recorder
 from repro.obs.records import write_jsonl
 from repro.obs.explain import (
-    EXPLAIN_SCHEMA,
     FUNNEL_STAGES,
     QueryFunnel,
     funnel_from_deltas,
     funnels_from_snapshot,
     render_funnel,
     render_funnels,
-    write_explain,
 )
 from repro.obs import MetricsRegistry, use_registry
 from repro.obs.runreport import build_run_report, experiment_entry, write_run_report
@@ -337,22 +335,6 @@ class TestLineWidthOverflow:
         assert "line-width overflow" in render_funnel(funnel)
 
 
-class TestExplainDocument:
-    def test_write_explain_round_trip(self, tmp_path, dataset_a, dataset_b):
-        engine = hw_engine()
-        _, funnel = explained(
-            lambda: IntersectionJoin(dataset_a, dataset_b, engine).run()
-        )
-        path = tmp_path / "explain.json"
-        doc = write_explain(str(path), {"join": funnel}, source="test")
-        assert doc["ok"]
-        loaded = json.loads(path.read_text())
-        assert loaded["schema"] == EXPLAIN_SCHEMA
-        assert loaded["source"] == "test"
-        assert loaded["funnels"]["join"]["refined"] == funnel.refined
-        assert loaded["violations"] == []
-
-
 class TestCli:
     def report_file(self, tmp_path, runs):
         """A RunReport with one entry per (experiment id -> query run)."""
@@ -373,12 +355,24 @@ class TestCli:
             tmp_path,
             {"j": lambda: IntersectionJoin(dataset_a, dataset_b, hw_engine()).run()},
         )
-        out = tmp_path / "explain.json"
-        assert obs_main(["explain", str(path), "--json", str(out)]) == 0
+        assert obs_main(["explain", str(path)]) == 0
         printed = capsys.readouterr().out
         assert "EXPLAIN ANALYZE: join" in printed
         assert "funnel identities: OK" in printed
-        assert json.loads(out.read_text())["ok"] is True
+
+    def test_explain_cli_exits_1_on_a_broken_identity(
+        self, tmp_path, capsys, dataset_a, dataset_b
+    ):
+        path = self.report_file(
+            tmp_path,
+            {"j": lambda: IntersectionJoin(dataset_a, dataset_b, hw_engine()).run()},
+        )
+        report = json.loads(path.read_text())
+        counters = report["experiments"][0]["metrics"]["counters"]
+        counters["funnel{pipeline=join,stage=candidates}"] += 1
+        path.write_text(json.dumps(report))
+        assert obs_main(["explain", str(path)]) == 1
+        assert "IDENTITY VIOLATED: join: candidates ==" in capsys.readouterr().out
 
     def test_explain_merges_every_entry(self, tmp_path, capsys, dataset_a, dataset_b):
         # The report stores no run totals: explain merges the entries, and
@@ -395,22 +389,26 @@ class TestCli:
             },
         )
 
-        def funnels(*experiment):
-            out = tmp_path / "explain.json"
-            argv = ["explain", str(path), "--json", str(out), *experiment]
-            assert obs_main(argv) == 0
-            return json.loads(out.read_text())["funnels"]
-
-        merged = funnels()
-        a = funnels("--experiment", "a")
-        b = funnels("--experiment", "b")
-        entries = json.loads(path.read_text())["experiments"]
-        assert merged == {
-            name: funnel.to_dict()
-            for name, funnel in funnels_from_snapshot(
-                *(entry["metrics"] for entry in entries)
-            ).items()
+        entries = {
+            entry["experiment_id"]: entry["metrics"]
+            for entry in json.loads(path.read_text())["experiments"]
         }
+
+        def printed(*experiment, snapshots):
+            # The command prints the funnels of the entries it reads.
+            capsys.readouterr()
+            assert obs_main(["explain", str(path), *experiment]) == 0
+            assert capsys.readouterr().out == render_funnels(
+                funnels_from_snapshot(*snapshots)
+            ) + "\n"
+            return {
+                name: funnel.to_dict()
+                for name, funnel in funnels_from_snapshot(*snapshots).items()
+            }
+
+        merged = printed(snapshots=entries.values())
+        a = printed("--experiment", "a", snapshots=[entries["a"]])
+        b = printed("--experiment", "b", snapshots=[entries["b"]])
         assert set(merged) == {"join", "within_distance_join"} == set(a) | set(b)
         for pipeline, funnel in merged.items():
             for stage in FUNNEL_STAGES:

@@ -316,11 +316,12 @@ class TestMergeExactness:
         assert forward._snapshot() == backward._snapshot()
 
     def test_snapshot_merge_round_trips_through_json(self):
-        # ``serve top`` rebuilds the server's histograms from a snapshot
-        # sent as JSON; exactness must survive the wire.
+        # The metrics envelope sends the registry's histograms as JSON;
+        # exactness must survive the wire.
         registry = MetricsRegistry()
         for v in (0.1, 0.2, 0.30000000000000004, 1e-12):
             registry.accumulator().observe(metric_key("h"), v)
         wire = json.loads(json.dumps(registry.snapshot()))
-        rebuilt = Histogram.from_snapshot(wire["histograms"]["h"])
+        rebuilt = Histogram()
+        rebuilt._merge_snapshot(wire["histograms"]["h"])
         assert rebuilt._snapshot() == registry.snapshot()["histograms"]["h"]

@@ -12,7 +12,6 @@ from repro.obs.capture import load_capture
 from repro.obs.records import MAX_RECORDS, RecordLog, read_jsonl
 from repro.obs.report import load_spans
 from repro.obs.slo import load_alert_log
-from repro.serve import load_slowlog
 
 
 class TestRecordLog:
@@ -78,21 +77,11 @@ class TestRecordLog:
 
 
 # One line each format's writer produced before the formats shared a writer
-# and a reader (a shed request, so the slowlog record is short).
+# and a reader.
 SPAN = (
     '{"attributes": {"op": "join", "status": "shed"}, "duration_s": 2.3399999918183312e-05,'
     ' "name": "request", "parent_id": null, "span_id": "5eed0000c0ffee00:1",'
     ' "start_unix_s": 1792107027.5535486, "trace_id": "5eed0000c0ffee00"}'
-)
-SLOWLOG = (
-    '{"exec_s": 0.0, "logged_unix_s": 1792107027.553597, "op": "join",'
-    ' "over_deadline_stages": [], "queue_depth": 0, "request": {"op": "join",'
-    ' "schema": "repro.serve/request@1", "trace_id": "5eed0000c0ffee00"},'
-    ' "schema": "repro.serve/slowlog@1", "spans": [{"attributes": {"op": "join",'
-    ' "status": "shed"}, "duration_s": 2.3399999918183312e-05, "name": "request",'
-    ' "parent_id": null, "span_id": 1, "start_unix_s": 1792107027.5535486,'
-    ' "trace_id": "5eed0000c0ffee00"}], "status": "shed", "total_s": 5.825100015499629e-05,'
-    ' "trace_id": "5eed0000c0ffee00", "wait_s": 0.0}'
 )
 ALERT = (
     '{"at_s": 12.5, "burn_fast": 99.99999999999991, "burn_slow": 99.99999999999991,'
@@ -107,10 +96,6 @@ CAPTURE_EVENT = '{"buffer": "color", "cmd": "clear", "pid": "p0", "seq": 1, "val
 #: that breaks the format's own check with the complaint it raises.
 FORMATS = {
     "spans": (load_spans, [SPAN], [SPAN], '{"span_id": 1}', "span missing keys"),
-    "slowlog": (
-        load_slowlog, [SLOWLOG], [SLOWLOG], '{"schema": "other"}',
-        "unsupported slowlog schema 'other'",
-    ),
     "alerts": (
         load_alert_log, [ALERT], [ALERT], '{"transition": "firing"}',
         "unsupported alert schema None",

@@ -12,7 +12,6 @@ from repro.obs.report import (
     load_spans,
     render_report,
     render_rollups,
-    render_top_self,
 )
 
 
@@ -86,15 +85,6 @@ class TestTree:
         # Heaviest total first.
         assert report.rollups[0].name == "query"
 
-    def test_critical_path_follows_heaviest_child(self):
-        report = build_tree(SAMPLE)
-        assert [n.name for n in report.critical_path] == [
-            "query",
-            "geometry",
-            "geometry.hw_batch",
-        ]
-        assert report.critical_path[-1].duration_s == pytest.approx(0.4)
-
     def test_orphans_promoted_to_roots(self):
         report = build_tree([span(7, "stray", 0.1, parent_id=99)])
         assert report.orphans == 1
@@ -114,7 +104,6 @@ class TestRendering:
     def test_report_sections(self):
         text = render_report(build_tree(SAMPLE), tree=True)
         assert "per-stage rollup" in text
-        assert "critical path" in text
         assert "span tree" in text
         assert "geometry.hw_batch" in text
 
@@ -122,32 +111,6 @@ class TestRendering:
         text = render_rollups(build_tree(SAMPLE), limit=1)
         assert "query" in text
         assert "mbr_filter" not in text
-
-
-class TestTopSelf:
-    # Self times in SAMPLE: geometry.hw_batch 0.65, mbr_filter 0.2,
-    # query 0.1 (1.0 - 0.9 of children), geometry 0.05 (0.7 - 0.65).
-    def test_ranked_by_self_time_not_total(self):
-        lines = render_top_self(build_tree(SAMPLE), 3).splitlines()
-        assert lines[0].startswith("1. geometry.hw_batch")
-        assert lines[1].startswith("2. mbr_filter")
-        # "query" has the largest *total* but only 0.1 s of self time.
-        assert lines[2].startswith("3. query")
-
-    def test_truncates_to_n(self):
-        assert len(render_top_self(build_tree(SAMPLE), 1).splitlines()) == 1
-
-    def test_rejects_nonpositive_n(self):
-        with pytest.raises(ValueError):
-            render_top_self(build_tree(SAMPLE), 0)
-
-    def test_empty_report(self):
-        assert render_top_self(build_tree([]), 5) == "(no spans)"
-
-    def test_render_report_top_section(self):
-        text = render_report(build_tree(SAMPLE), top=2)
-        assert "== top 2 by self time ==" in text
-        assert text.index("top 2 by self time") < text.index("per-stage rollup")
 
 
 class TestCli:
@@ -159,22 +122,11 @@ class TestCli:
         assert obs_main(["report", str(path)]) == 0
         out = capsys.readouterr().out
         assert "stage" in out
-        assert "critical path" in out
+        assert "== per-stage rollup ==" in out
 
     def test_report_command_missing_file(self, tmp_path, capsys):
         assert obs_main(["report", str(tmp_path / "nope.jsonl")]) == 2
         assert "error" in capsys.readouterr().err
-
-    def test_report_command_top(self, tmp_path, capsys):
-        path = tmp_path / "spans.jsonl"
-        tracer = Tracer()
-        tracer.record("fast", 0.01)
-        tracer.record("slow", 0.5)
-        tracer.export(str(path))
-        assert obs_main(["report", str(path), "--top", "1"]) == 0
-        out = capsys.readouterr().out
-        assert "== top 1 by self time ==" in out
-        assert "1. slow" in out
 
     @pytest.mark.parametrize("limit", ["0", "-1"])
     def test_report_limit_must_be_positive(self, tmp_path, capsys, limit):

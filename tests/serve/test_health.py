@@ -1,13 +1,14 @@
-"""The health layer: windowed families, SLO verdicts, the dashboard.
+"""The health layer: windowed families, SLO verdicts, the ``top`` poll.
 
 The acceptance scenario lives in :class:`TestAcceptanceScenario`: a
 clock-controlled error/latency burst drives the SLO state machine through
 firing -> resolved, the health verdict through ready -> degraded -> ready,
 and shows the windowed p99 recovering while the cumulative histogram stays
-inflated - with ``top`` rendering both all along.
+inflated.
 """
 
 import asyncio
+import json
 import sys
 import threading
 
@@ -25,7 +26,7 @@ from repro.serve import (
     ServiceHealth,
     build_health,
 )
-from repro.serve.top import fetch_snapshot, render, run_top
+from repro.serve.__main__ import main as serve_main
 from tests.obs.test_slo import PausedWriter
 
 
@@ -74,9 +75,6 @@ class _Harness:
             max_queue=max_queue,
             workers=[{"worker": 0, "requests_served": 0}],
         )
-
-    def doc(self):
-        return {"health": self.health(), "metrics": self.registry.snapshot()}
 
 
 class TestHealthConfig:
@@ -134,8 +132,6 @@ class TestAcceptanceScenario:
         doc = h.health()
         assert doc["verdict"] == "ready"
         assert doc["firing_alerts"] == []
-        frame = render(h.doc())
-        assert "[READY]" in frame
 
         # -- phase 2: error + latency burst --------------------------------
         for _ in range(10):
@@ -150,9 +146,6 @@ class TestAcceptanceScenario:
             "serve_window_request_duration_s{op=selection}"
         ]
         assert win["p99"] >= 5.0  # the windowed view shows the burst
-        frame = render(h.doc())
-        assert "[DEGRADED]" in frame
-        assert "availability" in frame and "latency" in frame
 
         # -- phase 3: bleeding stops, clock leaves the fast window ---------
         clock.advance(3.0)
@@ -170,8 +163,6 @@ class TestAcceptanceScenario:
             "serve_request_duration_s", op="selection"
         )
         assert cumulative.quantile(0.99) >= 4.0  # ...the lifetime one did not
-        frame = render(h.doc())
-        assert "[READY]" in frame
 
         # -- the alert log kept the whole story, exportable ----------------
         transitions = [
@@ -412,110 +403,31 @@ class TestTopDashboard:
             svc.submit(QueryRequest(op="selection", query_index=0))
 
             def client(host, port):
-                out = {}
-                out["doc"] = fetch_snapshot(host, port)
-                out["rc"] = run_top(host, port, once=True)
-                out["rc_json"] = run_top(host, port, once=True, as_json=True)
+                out = {"rc": serve_main(["top", "--port", str(port)])}
+                out["health"] = send_envelope(host, port, {"kind": "health"})["health"]
+                out["metrics"] = send_envelope(host, port, {"kind": "metrics"})["snapshot"]
                 send_envelope(host, port, {"kind": "shutdown"})
                 return out
 
             res = self._with_frontend(svc, client)
         finally:
             svc.close()
-        assert res["doc"]["health"]["windowed"] is True
-        assert "serve_requests" in str(res["doc"]["metrics"]["counters"])
         assert res["rc"] == 0  # ready
-        assert res["rc_json"] == 0
         out = capsys.readouterr().out
-        assert "[READY]" in out  # the rendered frame
-        assert '"health"' in out  # the --json document
-        assert "selection" in out
+        # stdout is one JSON document: the two envelopes' bodies.
+        doc = json.loads(out)
+        assert sorted(doc) == ["health", "metrics"]
+        assert out == json.dumps(doc, indent=2, sort_keys=True) + "\n"
+        assert doc["health"]["windowed"] is True
+        assert doc["metrics"] == res["metrics"]
+        assert doc["metrics"]["counters"]["serve_requests{op=selection,status=ok}"] == 1
+        # Nothing moved between the polls but the heartbeat's age.
+        for entry in doc["health"]["workers"] + res["health"]["workers"]:
+            entry.pop("last_seen_s_ago", None)
+        assert doc["health"] == res["health"]
 
-    def test_top_connection_refused_is_exit_2(self):
-        assert run_top("127.0.0.1", 1, once=True, timeout=0.5) == 2
-
-    def test_render_degraded_frame_shows_reasons(self):
-        clock = FakeClock()
-        h = _Harness(clock)
-        for _ in range(10):
-            h.record("error", 0.0)
-        frame = render(h.doc())
-        assert "[DEGRADED]" in frame
-        assert "!!" in frame
-        assert "burn_fast" in frame
-
-    def test_render_of_a_fixed_snapshot_is_pinned(self):
-        # The cumulative columns are Histogram.quantile over the snapshot
-        # entries: zero bucket, six log buckets, clamping to max (40 ms), and
-        # an op with requests but no latency histogram.
-        doc = {
-            "health": {
-                "verdict": "degraded",
-                "degraded_reasons": ["SLO burn-rate alert firing: availability"],
-                "queue_depth": 3,
-                "max_queue": 64,
-                "inflight": 2,
-                "windowed": True,
-                "window": {
-                    "window_s": 2.0,
-                    "counters": {
-                        "serve_window_requests{op=selection,status=ok}": {"rate": 20.5},
-                        "serve_window_requests{op=selection,status=shed}": {"rate": 0.5},
-                        "serve_window_requests{op=join,status=ok}": {"rate": 1.5},
-                    },
-                    "histograms": {
-                        "serve_window_request_duration_s{op=selection}": {
-                            "p50": 0.03125, "p95": 0.04, "p99": 0.04
-                        },
-                        "serve_window_request_duration_s{op=join}": {
-                            "p50": 2.0, "p95": 2.0, "p99": 2.0
-                        },
-                    },
-                },
-                "slo": {
-                    "availability": {
-                        "state": "firing", "burn_fast": 4.35, "burn_slow": 4.35, "budget": 0.01
-                    }
-                },
-                "firing_alerts": ["availability"],
-                "alert_log": {"events": 1},
-                "workers": [{"worker": 0, "requests_served": 45, "last_seen_s_ago": 0.25}],
-            },
-            "metrics": {
-                "counters": {
-                    "serve_requests{op=selection,status=ok}": 41,
-                    "serve_requests{op=selection,status=shed}": 1,
-                    "serve_requests{op=join,status=ok}": 3,
-                    "serve_requests{op=within_distance,status=error}": 1,
-                },
-                "histograms": {
-                    # One zero, then 40 observations spread over six buckets.
-                    "serve_request_duration_s{op=selection}": {
-                        "count": 41, "zeros": 1, "min": 0.0, "max": 0.04,
-                        "buckets": {"-9": 1, "-8": 2, "-7": 4, "-6": 8, "-5": 16, "-4": 9},
-                        "sum": 0.82, "sum_parts": [0.82],
-                    },
-                    "serve_request_duration_s{op=join}": {
-                        "count": 3, "zeros": 0, "min": 2.0, "max": 2.0,
-                        "buckets": {"2": 3}, "sum": 6.0, "sum_parts": [6.0],
-                    },
-                },
-            },
-        }
-        assert render(doc).split("\n") == [
-            "repro.serve  [DEGRADED]",
-            "  !! SLO burn-rate alert firing: availability",
-            "queue 3/64   inflight 2   windowed on",
-            "",
-            "op                rate/s    w_p50    w_p95    w_p99 |   total    c_p50    c_p95    c_p99  (2s window, latencies ms)",
-            "join                1.50   2000.0   2000.0   2000.0 |       3   2000.0   2000.0   2000.0",
-            "selection          21.00     31.2     40.0     40.0 |      42     31.2     40.0     40.0",
-            "within_distance     0.00      0.0      0.0      0.0 |       1      0.0      0.0      0.0",
-            "",
-            "SLO              state    burn_fast burn_slow  budget",
-            "availability     firing        4.35      4.35   0.010",
-            "alerts firing: availability   (log: 1 event(s))",
-            "",
-            "worker     served  last seen",
-            "0              45     0.2s ago",
-        ]
+    def test_top_connection_refused_is_exit_2(self, capsys):
+        assert serve_main(["top", "--port", "1", "--timeout", "0.5"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ")

@@ -1,21 +1,16 @@
-"""Tests for slow-query forensics: capture policy, record contents, CLI."""
-
-import json
+"""Tests for slow-query forensics: capture policy and record contents."""
 
 import pytest
 
 from tests.obs.test_explain import explained
-from repro.obs.records import MAX_RECORDS
+from repro.obs.records import MAX_RECORDS, read_jsonl
 from repro.serve import (
     AdmissionConfig,
     QueryRequest,
     QueryService,
     ServingEngine,
     SlowLogConfig,
-    load_slowlog,
-    summarize_slowlog,
 )
-from repro.serve.__main__ import main as serve_main
 
 
 class TestPolicy:
@@ -47,7 +42,7 @@ class TestPolicy:
                 svc.slowlog.append({"schema": "repro.serve/slowlog@1", "i": i})
             assert len(svc.slowlog) == MAX_RECORDS
             assert svc.slowlog.evicted == 3
-            assert [r["i"] for r in load_slowlog(str(path))] == list(range(MAX_RECORDS + 3))
+            assert [r["i"] for r in read_jsonl(str(path))] == list(range(MAX_RECORDS + 3))
         finally:
             svc.close()
 
@@ -145,7 +140,7 @@ class TestRecords:
     def test_jsonl_file_round_trips(self, forensic_service):
         svc, path = forensic_service
         svc.submit(QueryRequest(op="join"))
-        records = load_slowlog(path)
+        records = read_jsonl(path)
         assert len(records) == svc.slowlog.added
         assert all(r["schema"] == "repro.serve/slowlog@1" for r in records)
 
@@ -213,42 +208,3 @@ class TestFunnelIdentity:
                 assert record["funnel_violations"] == []
         finally:
             svc.close()
-
-
-class TestSummaryAndCli:
-    def test_summarize_ranks_by_total(self):
-        records = [
-            {"schema": "x", "status": "ok", "op": "join", "trace_id": f"t{i}",
-             "wait_s": 0.0, "exec_s": t, "total_s": t}
-            for i, t in enumerate((0.1, 0.9, 0.5))
-        ]
-        text = summarize_slowlog(records, top=2)
-        lines = text.splitlines()
-        assert "3 record(s)" in lines[0]
-        assert "trace=t1" in lines[-2]
-        assert "trace=t2" in lines[-1]
-
-    def test_summarize_empty(self):
-        assert summarize_slowlog([]) == "slowlog: no records"
-
-    def test_summarize_rejects_bad_top(self):
-        with pytest.raises(ValueError):
-            summarize_slowlog([{"total_s": 1.0}], top=0)
-
-    def test_load_rejects_foreign_schema(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(json.dumps({"schema": "other"}) + "\n")
-        with pytest.raises(ValueError, match="unsupported slowlog schema"):
-            load_slowlog(str(path))
-
-    def test_cli_smoke(self, forensic_service, capsys):
-        svc, path = forensic_service
-        svc.submit(QueryRequest(op="selection", query_index=1))
-        assert serve_main(["slowlog", path, "--top", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "slowlog:" in out
-        assert "== top 2 by total_s ==" in out
-
-    def test_cli_missing_file(self, tmp_path, capsys):
-        assert serve_main(["slowlog", str(tmp_path / "nope.jsonl")]) == 2
-        assert "error" in capsys.readouterr().err

@@ -188,31 +188,28 @@ class TestTraceStoreExport:
         for doc in docs:
             assert doc["span_id"].startswith(doc["trace_id"] + ":")
 
-    def test_exported_spans_drive_the_timeline(self, traced_service, tmp_path):
-        traced_service.submit(QueryRequest(op="selection", query_index=0))
+    def test_exported_spans_form_whole_request_trees(self, traced_service, tmp_path):
+        ran = traced_service.submit(QueryRequest(op="selection", query_index=0))
+        # An unknown query is refused at arrival, before any engine.
+        refused = traced_service.submit(QueryRequest(op="selection", query_index=10**6))
+        assert ran.worker is not None and refused.worker is None
         out = tmp_path / "spans.jsonl"
         traced_service.export_traces(str(out))
-        from repro.obs.timeline import write_timeline
+        from repro.obs.report import build_tree, load_spans
 
-        doc = write_timeline(str(tmp_path / "timeline.json"), str(out))
-        labels = {
-            e["args"]["name"]
-            for e in doc["traceEvents"]
-            if e["ph"] == "M" and e["name"] == "process_name"
-        }
-        # A request that ran is on its engine's lane; one refused at
-        # arrival (an unknown query, served earlier on this fixture) has
-        # no engine and is on the main lane.
-        workers = {
-            span["attributes"].get("worker")
-            for spans in traced_service.traces.records()
-            for span in spans
-            if span["name"] == "request"
-        }
-        assert labels == {
-            "main" if worker is None else f"engine worker {worker}" for worker in workers
-        }
-        assert doc["metadata"]["orphans"] == 0
+        report = build_tree(load_spans(str(out)))
+        assert report.orphans == 0
+        # Every root is a request; one that ran carries its engine's
+        # worker, one refused at arrival carries none.
+        roots = {root.span["trace_id"]: root.span for root in report.roots}
+        assert {span["name"] for span in roots.values()} == {"request"}
+        assert roots[ran.trace_id]["attributes"]["worker"] == ran.worker
+        assert "worker" not in roots[refused.trace_id]["attributes"]
+        # The worker on a root is the one its execute span ran on.
+        for root in report.roots:
+            worker = root.span["attributes"].get("worker")
+            executes = [c.span["attributes"]["worker"] for c in root.children if c.name == "execute"]
+            assert executes == ([] if worker is None else [worker]), root.span
 
 
 class TestDeadlineMarking:
