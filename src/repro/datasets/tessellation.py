@@ -16,10 +16,11 @@ Construction:
    original seed's region is then finite and inside the world);
 2. every Voronoi edge is replaced by a fractal midpoint-displacement
    polyline whose detail length is chosen so the layer hits a target mean
-   vertex count.  The displacement RNG is seeded from the *undirected*
-   edge's endpoints, so the two cells sharing an edge get the identical
-   polyline and the layer remains a gap-free tessellation even though each
-   cell is generated independently.
+   vertex count.  Each border is displaced once per build, traced by both
+   cells: the second cell reads the first's polyline reversed, so the layer
+   remains a gap-free tessellation.  The displacement RNG is seeded from
+   the *undirected* border's endpoints, so the curve does not depend on
+   which cell meets the border first.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.spatial import Voronoi
@@ -105,15 +106,18 @@ def _clustered_seeds(config: TessellationConfig, rng: random.Random) -> np.ndarr
 
 def _bounded_voronoi_cells(
     seeds: np.ndarray, world: Rect
-) -> List[List[Tuple[float, float]]]:
-    """Finite Voronoi cell rings for each seed, bounded by the world rect.
+) -> Tuple[Sequence[Sequence[float]], List[List[int]]]:
+    """The Voronoi vertices, and each seed's finite cell as a ring of vertex
+    ids, bounded by the world rect.
 
     Uses the reflection trick: mirroring every seed across each world edge
-    makes each original region finite and clipped to the world.
+    makes each original region finite and clipped to the world.  The
+    vertices are SciPy's ``(V, 2)`` array; a single seed's cell is the
+    world's four corners, as Python floats.
     """
     if len(seeds) == 1:
-        return [[(world.xmin, world.ymin), (world.xmax, world.ymin),
-                 (world.xmax, world.ymax), (world.xmin, world.ymax)]]
+        return [(world.xmin, world.ymin), (world.xmax, world.ymin),
+                (world.xmax, world.ymax), (world.xmin, world.ymax)], [[0, 1, 2, 3]]
     mirrored = [seeds]
     for axis, value in (
         (0, world.xmin),
@@ -126,29 +130,11 @@ def _bounded_voronoi_cells(
         mirrored.append(reflected)
     all_points = np.vstack(mirrored)
     vor = Voronoi(all_points)
-    cells: List[List[Tuple[float, float]]] = []
-    for i in range(len(seeds)):
-        region_index = vor.point_region[i]
-        region = vor.regions[region_index]
-        ring = [tuple(vor.vertices[v]) for v in region if v != -1]
-        cells.append(ring)
-    return cells
-
-
-def _edge_rng(
-    p: Tuple[float, float], q: Tuple[float, float], layer_seed: int
-) -> Tuple[random.Random, bool]:
-    """Deterministic RNG for an undirected edge, plus orientation flag.
-
-    Endpoints are rounded to a fine grid before hashing so the float noise
-    of Voronoi vertices shared between cells cannot desynchronize the seed.
-    """
-    a = (round(p[0], 9), round(p[1], 9))
-    b = (round(q[0], 9), round(q[1], 9))
-    flipped = b < a
-    lo, hi = (b, a) if flipped else (a, b)
-    seed = hash((lo, hi, layer_seed))
-    return random.Random(seed), flipped
+    rings = [
+        [v for v in vor.regions[vor.point_region[i]] if v != -1]
+        for i in range(len(seeds))
+    ]
+    return vor.vertices, rings
 
 
 def _displaced_polyline(
@@ -160,62 +146,130 @@ def _displaced_polyline(
 ) -> List[Tuple[float, float]]:
     """Fractal polyline from ``p`` to ``q`` (excluding ``q``).
 
-    Recursive midpoint displacement: each level perturbs the midpoint
-    perpendicular to the chord, with amplitude proportional to the chord
-    length - straight Voronoi borders become digitized-looking boundaries
-    with detail at every scale down to ``detail_len``.
+    Midpoint displacement: a chord longer than ``detail_len`` has its
+    midpoint perturbed perpendicular to it, with amplitude proportional to
+    its length, and both halves are displaced in turn - straight Voronoi
+    borders become digitized-looking boundaries with detail at every scale
+    down to ``detail_len``.  The stack pops a chord's first half before its
+    second, so the offsets draw from ``rng`` in the pre-order of the
+    recursive definition (``tests/oracles/datasets.py``).
     """
-    dx = q[0] - p[0]
-    dy = q[1] - p[1]
-    length = math.hypot(dx, dy)
-    if length <= detail_len:
-        return [p]
-    offset = rng.gauss(0.0, roughness * length * 0.45)
-    # Clamp so adjacent chords cannot fold back over each other.
-    limit = 0.35 * length
-    offset = max(-limit, min(limit, offset))
-    mx = (p[0] + q[0]) * 0.5 - dy / length * offset
-    my = (p[1] + q[1]) * 0.5 + dx / length * offset
-    mid = (mx, my)
-    return (
-        _displaced_polyline(p, mid, detail_len, roughness, rng)
-        + _displaced_polyline(mid, q, detail_len, roughness, rng)
-    )
+    out: List[Tuple[float, float]] = []
+    stack = [(p[0], p[1], q[0], q[1])]
+    pop, push, gauss = stack.pop, stack.append, rng.gauss
+    while stack:
+        px, py, qx, qy = pop()
+        dx = qx - px
+        dy = qy - py
+        length = math.hypot(dx, dy)
+        if length <= detail_len:
+            out.append((px, py))
+            continue
+        offset = gauss(0.0, roughness * length * 0.45)
+        # Clamp so adjacent chords cannot fold back over each other.
+        limit = 0.35 * length
+        offset = max(-limit, min(limit, offset))
+        mx = (px + qx) * 0.5 - dy / length * offset
+        my = (py + qy) * 0.5 + dx / length * offset
+        push((mx, my, qx, qy))
+        push((px, py, mx, my))
+    return out
 
 
-def _detail_polyline(
-    p: Tuple[float, float],
-    q: Tuple[float, float],
-    detail_len: float,
-    roughness: float,
-    layer_seed: int,
-) -> List[Tuple[float, float]]:
-    """The shared fractal polyline of an undirected cell border.
+class _BorderTable:
+    """One build's fractal borders, each undirected border displaced once.
 
-    Generated in a canonical orientation and flipped as needed, so the two
-    cells sharing the border trace the identical curve in opposite
-    directions (gap-free tessellation).
+    A border is displaced from its canonical end - the one whose rounded
+    key sorts first - and stored with both ends, keyed by the canonical
+    pair of vertex ids, i.e. by the exact endpoint floats (ids, not float
+    values, because ``-0.0 == 0.0``).  The cell that meets it second reads
+    it reversed, so the two cells sharing it trace the identical curve in
+    opposite directions (gap-free tessellation).  Its RNG is seeded from
+    the *undirected* border's rounded keys, so a border traced from either
+    end on a miss is the same curve.
     """
-    rng, flipped = _edge_rng(p, q, layer_seed)
-    if flipped:
-        pts = _displaced_polyline(q, p, detail_len, roughness, rng)
-        pts = pts + [p]
-        pts.reverse()
-        return pts[:-1]  # now starts at p, excludes q
-    return _displaced_polyline(p, q, detail_len, roughness, rng)
+
+    __slots__ = ("xy", "keys", "detail_len", "roughness", "layer_seed", "borders")
+
+    def __init__(
+        self,
+        xy: Dict[int, Tuple[float, float]],
+        keys: Dict[int, Tuple[float, float]],
+        detail_len: float,
+        roughness: float,
+        layer_seed: int,
+    ) -> None:
+        self.xy = xy
+        #: Each vertex rounded to a fine grid before hashing, so the float
+        #: noise of Voronoi vertices shared between cells cannot
+        #: desynchronize the seed.
+        self.keys = keys
+        self.detail_len = detail_len
+        self.roughness = roughness
+        self.layer_seed = layer_seed
+        self.borders: Dict[Tuple[int, int], List[Tuple[float, float]]] = {}
+
+    def trace(self, a: int, b: int) -> List[Tuple[float, float]]:
+        """The border from vertex ``a`` to vertex ``b``, ``b`` excluded."""
+        keys = self.keys
+        flipped = keys[b] < keys[a]
+        lo, hi = (b, a) if flipped else (a, b)
+        border = self.borders.get((lo, hi))
+        if border is None:
+            rng = random.Random(hash((keys[lo], keys[hi], self.layer_seed)))
+            border = _displaced_polyline(
+                self.xy[lo], self.xy[hi], self.detail_len, self.roughness, rng
+            )
+            border.append(self.xy[hi])
+            self.borders[lo, hi] = border
+        return border[:0:-1] if flipped else border[:-1]
+
+
+def _clamped_ring(
+    coords: List[Tuple[float, float]], low: np.ndarray, high: np.ndarray
+) -> Optional[np.ndarray]:
+    """``coords`` clamped to the box ``[low, high]``, consecutive duplicates
+    dropped, and the closing duplicate too; None when fewer than three
+    points remain.
+
+    Displacement may push border detail outside the world rectangle;
+    clamping is applied identically by both cells sharing a border, so the
+    tessellation stays gap-free, and it can collapse consecutive detail
+    points onto the world border, which would leave degenerate edges.  The
+    clamp takes ``low`` only where it is greater and ``high`` only where
+    it is less, the choice ``min(max(v, low), high)`` makes on ties.
+    """
+    c = np.array(coords, dtype=np.float64).reshape(-1, 2)
+    c = np.where(low > c, low, c)
+    c = np.where(high < c, high, c)
+    keep = np.ones(len(c), dtype=bool)
+    np.any(c[1:] != c[:-1], axis=1, out=keep[1:])
+    c = c[keep]
+    if len(c) > 1 and (c[0] == c[-1]).all():
+        c = c[:-1]
+    return c if len(c) >= 3 else None
 
 
 def generate_tessellation(config: TessellationConfig, seed: int) -> List[Polygon]:
     """Generate the tessellation layer (deterministic per seed)."""
     rng = random.Random(seed)
     seeds = _clustered_seeds(config, rng)
-    rings = _bounded_voronoi_cells(seeds, config.world)
+    vertices, rings = _bounded_voronoi_cells(seeds, config.world)
+    # Once per layer, for each vertex a ring uses: its coordinates, and its
+    # hash key, rounded from the vertex's own scalars (NumPy's round for
+    # Voronoi vertices, which can differ from Python's in the last bit).
+    xy: Dict[int, Tuple[float, float]] = {}
+    keys: Dict[int, Tuple[float, float]] = {}
+    for v in {v for ring in rings for v in ring}:
+        x, y = vertices[v]
+        xy[v] = (float(x), float(y))
+        keys[v] = (float(round(x, 9)), float(round(y, 9)))
 
     total_perimeter = 0.0
     for ring in rings:
         for k in range(len(ring)):
-            p = ring[k]
-            q = ring[(k + 1) % len(ring)]
+            p = xy[ring[k]]
+            q = xy[ring[(k + 1) % len(ring)]]
             total_perimeter += math.hypot(q[0] - p[0], q[1] - p[1])
     # Each border is traced by two cells; mean vertices per cell is
     # (perimeter / detail_len) so detail_len follows from the target.
@@ -223,48 +277,25 @@ def generate_tessellation(config: TessellationConfig, seed: int) -> List[Polygon
     detail_len = max(total_perimeter / wanted_total_vertices, 1e-12)
 
     world = config.world
-
-    def clamp(pt: Tuple[float, float]) -> Tuple[float, float]:
-        # Displacement may push border detail outside the world rectangle;
-        # clamping is applied identically by both cells sharing a border,
-        # so the tessellation stays gap-free.
-        return (
-            min(max(pt[0], world.xmin), world.xmax),
-            min(max(pt[1], world.ymin), world.ymax),
-        )
+    low = np.array([world.xmin, world.ymin])
+    high = np.array([world.xmax, world.ymax])
 
     def build(dl: float) -> List[Polygon]:
+        table = _BorderTable(xy, keys, dl, config.roughness, seed)
         out: List[Polygon] = []
         for ring in rings:
             coords: List[Tuple[float, float]] = []
             n = len(ring)
             for k in range(n):
-                coords.extend(
-                    clamp(pt)
-                    for pt in _detail_polyline(
-                        ring[k],
-                        ring[(k + 1) % n],
-                        dl,
-                        config.roughness,
-                        layer_seed=seed,
-                    )
-                )
-            # Clamping can collapse consecutive detail points onto the world
-            # border; drop exact duplicates to keep edges non-degenerate.
-            deduped: List[Tuple[float, float]] = []
-            for pt in coords:
-                if not deduped or deduped[-1] != pt:
-                    deduped.append(pt)
-            if len(deduped) > 1 and deduped[0] == deduped[-1]:
-                deduped.pop()
-            if len(deduped) < 3:
-                deduped = list(ring)
-            out.append(Polygon.from_coords(deduped))
+                coords += table.trace(ring[k], ring[(k + 1) % n])
+            cell = _clamped_ring(coords, low, high)
+            out.append(Polygon([xy[v] for v in ring] if cell is None else cell))
         return out
 
     # Midpoint displacement lengthens the borders, so a first build
     # overshoots the vertex target; one corrective pass recalibrates the
-    # detail length (deterministic: same per-edge RNG seeds).
+    # detail length with a table of its own (deterministic: same per-border
+    # RNG seeds).
     polygons = build(detail_len)
     measured_mean = sum(p.num_vertices for p in polygons) / len(polygons)
     if measured_mean > config.mean_vertices * 1.15:

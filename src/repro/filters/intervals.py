@@ -64,7 +64,7 @@ from ..geometry.runs import expand_runs
 from ..geometry.workspace import Workspace
 from ..gpu.raster_vector import (
     polygon_fill_coverage_mask,
-    ring_boundary_coverage_mask,
+    rings_boundary_coverage_masks,
 )
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard for annotations
@@ -240,37 +240,66 @@ class IntervalApproximation:
 
     @classmethod
     def build(cls, polygon: Polygon, grid: IntervalGrid) -> "IntervalApproximation":
-        """Rasterize ``polygon`` onto ``grid`` and compress to runs.
+        """Rasterize ``polygon`` onto ``grid`` and compress to runs: a
+        :meth:`build_all` of one."""
+        return cls.build_all([polygon], grid)[0]
 
-        Work is proportional to the polygon's footprint on the grid (its
-        MBR cell range), not to the whole ``2^level`` square, so a
-        dataset-wide build at level 8 stays cheap for small objects.
+    @classmethod
+    def build_all(
+        cls, polygons: Sequence[Polygon], grid: IntervalGrid
+    ) -> List["IntervalApproximation"]:
+        """Rasterize each polygon onto ``grid`` and compress to runs.
+
+        Work is proportional to a polygon's footprint on the grid (its MBR
+        cell range), not to the whole ``2^level`` square, so a dataset-wide
+        build at level 8 stays cheap for small objects.  The boundaries of
+        all the polygons are one
+        :func:`~repro.gpu.raster_vector.rings_boundary_coverage_masks` call.
         """
-        mbr = polygon.mbr
-        clipped = not grid.world.contains_rect(mbr)
-        rng = grid.cell_range(mbr)
-        if rng is None:
+        windows: List[Optional[Tuple[int, int, Tuple[int, int], Optional[np.ndarray]]]] = []
+        shapes: List[Tuple[int, int]] = []
+        rings: List[np.ndarray] = []
+        for polygon in polygons:
+            rng = grid.cell_range(polygon.mbr)
+            if rng is None:
+                windows.append(None)
+                continue
+            ix0, iy0, ix1, iy1 = rng
+            shape = (iy1 - iy0 + 1, ix1 - ix0 + 1)
+            # Vertices in local cell coordinates of the footprint window; the
+            # rasterizers clip to the buffer, so out-of-window (clipped)
+            # geometry still marks every in-window cell it touches.
+            with np.errstate(over="ignore"):
+                coords = (
+                    polygon.coords_array - (grid.world.xmin, grid.world.ymin)
+                ) / (grid.cell_w, grid.cell_h) - (ix0, iy0)
+            if np.abs(coords).max() <= _MAX_CELL_COORD:
+                shapes.append(shape)
+                rings.append(coords)
+            else:  # every cell PARTIAL: sound, where no cells is a false DISJOINT
+                coords = None
+            windows.append((ix0, iy0, shape, coords))
+        boundaries = iter(rings_boundary_coverage_masks(shapes, rings, _BOUNDARY_FOOTPRINT))
+        return [
+            cls._from_window(polygon, grid, window, boundaries)
+            for polygon, window in zip(polygons, windows)
+        ]
+
+    @classmethod
+    def _from_window(cls, polygon, grid, window, boundaries) -> "IntervalApproximation":
+        """One polygon's encoding from its footprint window, taking its
+        boundary mask from ``boundaries`` when the window was drawn."""
+        if window is None:
             # Entirely outside the grid (or a degenerate world): nothing
             # of the region is representable, so the encoding proves
             # nothing on its own.
             return cls(grid, *_EMPTY_RUNS, *_EMPTY_RUNS, clipped=True)
-        ix0, iy0, ix1, iy1 = rng
-        width = ix1 - ix0 + 1
-        height = iy1 - iy0 + 1
-        # Vertices in local cell coordinates of the footprint window; the
-        # rasterizers clip to the buffer, so out-of-window (clipped)
-        # geometry still marks every in-window cell it touches.
-        with np.errstate(over="ignore"):
-            coords = (
-                polygon.coords_array - (grid.world.xmin, grid.world.ymin)
-            ) / (grid.cell_w, grid.cell_h) - (ix0, iy0)
-        if np.abs(coords).max() <= _MAX_CELL_COORD:
-            inside = polygon_fill_coverage_mask((height, width), coords)
-            touched_mask = ring_boundary_coverage_mask(
-                (height, width), coords, _BOUNDARY_FOOTPRINT
-            )
-        else:  # every cell PARTIAL: sound, where no cells is a false DISJOINT
-            inside = np.zeros((height, width), dtype=bool)
+        ix0, iy0, shape, coords = window
+        if coords is not None:
+            inside = polygon_fill_coverage_mask(shape, coords)
+            touched_mask = next(boundaries)
+        else:
+            inside = np.zeros(shape, dtype=bool)
             touched_mask = ~inside
         full_mask = inside & ~touched_mask
         n = grid.cells_per_side
@@ -285,7 +314,7 @@ class IntervalApproximation:
             grid,
             *_runs_from_ids(ids),
             *_runs_from_ids(full_ids),
-            clipped=clipped,
+            clipped=not grid.world.contains_rect(polygon.mbr),
         )
 
     @property
@@ -421,7 +450,7 @@ class IntervalIndex:
 
     def __init__(self, grid: IntervalGrid) -> None:
         self.grid = grid
-        self._rows: Dict[str, int] = {}
+        self._rows: Dict[bytes, int] = {}
         self._encodings: List[IntervalApproximation] = []
         self._any = _PackedRuns(grid.cells_per_side**2)
         self._full = _PackedRuns(grid.cells_per_side**2)
@@ -451,6 +480,7 @@ class IntervalIndex:
             raise ValueError("IntervalIndex needs at least one dataset")
         world = Rect.union_all([ds.world for ds in datasets])
         index = cls(IntervalGrid(world, level))
+        index._encode_all([p for ds in datasets for p in ds.polygons])
         rows = []
         for ds in datasets:
             block = np.fromiter(map(index.row, ds.polygons), np.intp, len(ds))
@@ -470,13 +500,30 @@ class IntervalIndex:
         """The polygon's row in the packed stores, encoding it on first sight."""
         row = self._rows.get(polygon.digest)
         if row is None:
-            encoding = IntervalApproximation.build(polygon, self.grid)
-            row = self._rows[polygon.digest] = len(self._encodings)
-            self._encodings.append(encoding)
-            self._any.append(encoding.starts, encoding.ends)
-            self._full.append(encoding.full_starts, encoding.full_ends)
-            self._clipped = _reserve(self._clipped, row + 1)
-            self._clipped[row] = encoding.clipped
+            row = self._append(
+                polygon.digest, IntervalApproximation.build(polygon, self.grid)
+            )
+        return row
+
+    def _encode_all(self, polygons: Sequence[Polygon]) -> None:
+        """Encode the polygons not yet in the index in one
+        :meth:`IntervalApproximation.build_all`, rows in first-seen order."""
+        fresh: Dict[bytes, Polygon] = {}
+        for polygon in polygons:
+            if polygon.digest not in self._rows:
+                fresh.setdefault(polygon.digest, polygon)
+        encodings = IntervalApproximation.build_all(list(fresh.values()), self.grid)
+        for digest, encoding in zip(fresh, encodings):
+            self._append(digest, encoding)
+
+    def _append(self, digest: bytes, encoding: IntervalApproximation) -> int:
+        """Store ``encoding`` as the next row, under ``digest``."""
+        row = self._rows[digest] = len(self._encodings)
+        self._encodings.append(encoding)
+        self._any.append(encoding.starts, encoding.ends)
+        self._full.append(encoding.full_starts, encoding.full_ends)
+        self._clipped = _reserve(self._clipped, row + 1)
+        self._clipped[row] = encoding.clipped
         return row
 
     def classify_batch(

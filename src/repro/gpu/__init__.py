@@ -22,7 +22,7 @@ from .pipeline import GraphicsPipeline
 from .raster_bulk import edges_coverage_mask, edges_coverage_masks_grouped
 from .raster_vector import (
     polygon_fill_coverage_mask,
-    ring_boundary_coverage_mask,
+    rings_boundary_coverage_masks,
     scanline_row_bounds,
 )
 from .tiled import TiledPipeline
@@ -51,6 +51,6 @@ __all__ = [
     "edges_coverage_masks_grouped",
     "site_distances_at",
     "polygon_fill_coverage_mask",
-    "ring_boundary_coverage_mask",
+    "rings_boundary_coverage_masks",
     "scanline_row_bounds",
 ]

@@ -6,9 +6,8 @@ import pytest
 
 from repro.datasets.tessellation import (
     TessellationConfig,
-    _detail_polyline,
+    _BorderTable,
     _displaced_polyline,
-    _edge_rng,
     generate_tessellation,
 )
 from repro.geometry import Point, Rect
@@ -96,28 +95,39 @@ class TestStructure:
         assert size_spread(tight) > size_spread(uniform)
 
 
+def border_table(p, q, layer_seed):
+    """A border table over the two vertices ``p`` (id 0) and ``q`` (id 1)."""
+    xy = {0: p, 1: q}
+    keys = {v: (round(x, 9), round(y, 9)) for v, (x, y) in xy.items()}
+    return _BorderTable(xy, keys, 0.5, 0.2, layer_seed)
+
+
 class TestSharedBorders:
     def test_edge_rng_orientation_independent(self):
+        """A border displaced from either end, each on a miss, is the same
+        curve: its RNG is seeded from the undirected border."""
         p, q = (1.0, 2.0), (5.0, 3.0)
-        rng1, flip1 = _edge_rng(p, q, layer_seed=42)
-        rng2, flip2 = _edge_rng(q, p, layer_seed=42)
-        assert flip1 != flip2
-        assert rng1.random() == rng2.random()
+        fwd = border_table(p, q, layer_seed=42).trace(0, 1)
+        bwd = border_table(p, q, layer_seed=42).trace(1, 0)
+        assert fwd + [q] == list(reversed(bwd + [p]))
 
     def test_detail_polyline_reverses_exactly(self):
         p, q = (0.0, 0.0), (10.0, 4.0)
-        fwd = _detail_polyline(p, q, 0.5, 0.2, layer_seed=9)
-        bwd = _detail_polyline(q, p, 0.5, 0.2, layer_seed=9)
+        table = border_table(p, q, layer_seed=9)
+        fwd = table.trace(0, 1)
+        bwd = table.trace(1, 0)
         # fwd runs p..q (q excluded); bwd runs q..p (p excluded).  Together
-        # they must trace the same curve in opposite directions.
+        # they must trace the same curve in opposite directions, and the
+        # second cell reads the first's border instead of displacing anew.
         full_fwd = fwd + [q]
         full_bwd = bwd + [p]
         assert full_fwd == list(reversed(full_bwd))
+        assert len(table.borders) == 1
 
     def test_different_layer_seeds_differ(self):
         p, q = (0.0, 0.0), (10.0, 4.0)
-        a = _detail_polyline(p, q, 0.5, 0.2, layer_seed=1)
-        b = _detail_polyline(p, q, 0.5, 0.2, layer_seed=2)
+        a = border_table(p, q, layer_seed=1).trace(0, 1)
+        b = border_table(p, q, layer_seed=2).trace(0, 1)
         assert a != b
 
     def test_tessellation_is_gap_free(self):

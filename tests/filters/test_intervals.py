@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
+from repro.datasets import load
 from repro.datasets.dataset import SpatialDataset
 from repro.filters import (
     IntervalApproximation,
@@ -27,7 +28,7 @@ from repro.filters import intervals
 from repro.filters.intervals import _runs_overlap
 from repro.geometry import Polygon, Rect
 from repro.query import IntersectionSelection
-from tests.oracles.raster import classify_pairs_one_by_one
+from tests.oracles.raster import classify_pairs_one_by_one, interval_runs_one_by_one
 from tests.strategies import candidate_lists, polygon_pairs_nearby, star_polygons
 
 SQUARE = Polygon.from_coords([(0, 0), (8, 0), (8, 8), (0, 8)])
@@ -273,6 +274,20 @@ class TestIndex:
             [(SQUARE, OVERLAPPING), (SQUARE, FAR), (FAR, FAR)]
         )
         assert IntervalIndex(index.grid).dataset_rows == ()
+
+    def test_for_datasets_on_the_join_layers_equals_one_by_one(self):
+        """The ``join-wp-intervals`` benchmark's layers at level 8: every
+        encoding's runs are those of its polygon built alone, with the
+        boundary drawn arc by arc."""
+        layers = [load("WATER", n_scale=0.003), load("PRISM", n_scale=0.03)]
+        index = IntervalIndex.for_datasets(layers, level=8)
+        polygons = [p for ds in layers for p in ds.polygons]
+        got = [
+            (e.starts.tolist(), e.ends.tolist(), e.full_starts.tolist(),
+             e.full_ends.tolist(), e.clipped)
+            for e in map(index.encode, polygons)
+        ]
+        assert got == interval_runs_one_by_one(polygons, index.grid)
 
     def test_for_datasets_requires_data(self):
         with pytest.raises(ValueError):

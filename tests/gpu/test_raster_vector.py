@@ -27,7 +27,7 @@ from repro.geometry.point_in_polygon import ring_edges
 from repro.gpu import (
     GraphicsPipeline,
     polygon_fill_coverage_mask,
-    ring_boundary_coverage_mask,
+    rings_boundary_coverage_masks,
     scanline_row_bounds,
 )
 from tests.oracles.raster import brute_force_evenodd, draw_edges, polygon_coverage_mask
@@ -116,6 +116,11 @@ class TestPolygonBitIdentity:
                 star = n / 2.0 + radii[:, None] * rays
                 got = polygon_fill_coverage_mask((n, n), star)
                 assert np.array_equal(got, polygon_coverage_mask((n, n), star))
+
+
+def ring_boundary_coverage_mask(shape, vertices, width_px):
+    """The boundary kernel on a batch of one ring."""
+    return rings_boundary_coverage_masks([shape], [vertices], width_px)[0]
 
 
 class TestRingBoundary:

@@ -10,11 +10,14 @@ Each public function here is registered with its production twin in
   bounding box;
 * the per-edge draw loop over a whole edge array, and the dense
   ``(H, W, E)`` cube of the same test over a whole grouped draw;
+* a ring's boundary footprint drawn one 32-edge arc at a time, each over
+  its own clipped box;
 * the even-odd polygon fill (section 2.2.3) as a scanline loop of sorted
   half-open spans, and as a per-pixel parity count;
 * the atlas batch's per-tile projections and its cull, one tile at a time
   in Python floats;
-* the interval filter's pair verdicts, one pair at a time, for polygon
+* the interval filter's encodings, one polygon at a time with that
+  per-arc boundary, and its pair verdicts, one pair at a time, for polygon
   pairs and for rows of an index;
 * the interior filter's tiling as a bitmap and its cover as a 2D prefix
   sum over it.
@@ -28,13 +31,10 @@ from typing import Sequence, Tuple
 import numpy as np
 
 from repro.filters import IntervalApproximation, IntervalVerdict, classify_intervals
+from repro.filters.intervals import _BOUNDARY_FOOTPRINT, _MAX_CELL_COORD
 from repro.geometry import edge_bounds
-from repro.gpu.raster_bulk import COVERAGE_EPS
-from repro.gpu.raster_vector import (
-    polygon_fill_coverage_mask,
-    ring_boundary_coverage_mask,
-    scanline_row_bounds,
-)
+from repro.gpu.raster_bulk import COVERAGE_EPS, edges_coverage_mask
+from repro.gpu.raster_vector import polygon_fill_coverage_mask, scanline_row_bounds
 
 # -- anti-aliased lines and wide points --------------------------------------
 
@@ -231,6 +231,31 @@ def cube_masks(shape, edges, sizes, widths_px, cap_points):
     return masks
 
 
+def ring_boundary_arc_by_arc(shape, vertices, width_px: float) -> np.ndarray:
+    """A closed ring's footprint: each run of 32 consecutive closing edges
+    drawn by ``edges_coverage_mask`` over its own box, padded by half the
+    width plus one cell and clipped to the buffer, shifted to the box's
+    corner and ORed in."""
+    height, width = shape
+    arr = np.asarray(vertices, dtype=np.float64)
+    edges = np.hstack([np.roll(arr, 1, axis=0), arr])
+    mask = np.zeros((height, width), dtype=bool)
+    pad = width_px * 0.5 + 1.0
+    for start in range(0, edges.shape[0], 32):
+        e = edges[start : start + 32]
+        xs = e[:, [0, 2]]
+        ys = e[:, [1, 3]]
+        bx0 = max(math.floor(xs.min() - pad), 0)
+        bx1 = min(math.ceil(xs.max() + pad), width)
+        by0 = max(math.floor(ys.min() - pad), 0)
+        by1 = min(math.ceil(ys.max() + pad), height)
+        if bx0 >= bx1 or by0 >= by1:
+            continue
+        shifted = e - np.array([bx0, by0, bx0, by0], dtype=np.float64)
+        mask[by0:by1, bx0:bx1] |= edges_coverage_mask((by1 - by0, bx1 - bx0), shifted, width_px)
+    return mask
+
+
 # -- even-odd polygon fill ---------------------------------------------------
 
 
@@ -374,6 +399,50 @@ def cull_loop(edge_sets, boxes):
 # -- interval filter ---------------------------------------------------------
 
 
+def _runs(ids):
+    """Maximal half-open runs ``[start, end)`` of sorted cell ids, as lists."""
+    starts, ends = [], []
+    for cell in ids:
+        if ends and ends[-1] == cell:
+            ends[-1] += 1
+        else:
+            starts.append(cell)
+            ends.append(cell + 1)
+    return starts, ends
+
+
+def interval_runs_one_by_one(polygons, grid):
+    """Per polygon, ``(starts, ends, full_starts, full_ends, clipped)`` of
+    its encoding on ``grid``, built alone: the even-odd fill and
+    :func:`ring_boundary_arc_by_arc` over its MBR's cell window, every cell
+    PARTIAL when a coordinate lies beyond ``_MAX_CELL_COORD`` cells."""
+    out = []
+    n = grid.cells_per_side
+    for polygon in polygons:
+        clipped = not grid.world.contains_rect(polygon.mbr)
+        window = grid.cell_range(polygon.mbr)
+        if window is None:
+            out.append(([], [], [], [], True))
+            continue
+        ix0, iy0, ix1, iy1 = window
+        shape = (iy1 - iy0 + 1, ix1 - ix0 + 1)
+        with np.errstate(over="ignore"):
+            coords = (polygon.coords_array - (grid.world.xmin, grid.world.ymin)) / (
+                grid.cell_w, grid.cell_h
+            ) - (ix0, iy0)
+        if np.abs(coords).max() <= _MAX_CELL_COORD:
+            inside = polygon_fill_coverage_mask(shape, coords)
+            touched = ring_boundary_arc_by_arc(shape, coords, _BOUNDARY_FOOTPRINT)
+        else:
+            inside = np.zeros(shape, dtype=bool)
+            touched = ~inside
+        full = inside & ~touched
+        ids = [(iy0 + j) * n + ix0 + i for j, i in zip(*np.nonzero(full | touched))]
+        full_ids = [(iy0 + j) * n + ix0 + i for j, i in zip(*np.nonzero(full))]
+        out.append((*_runs(ids), *_runs(full_ids), clipped))
+    return out
+
+
 def classify_pairs_one_by_one(grid, pairs):
     """Each pair through ``classify_intervals`` on encodings built
     independently of any index."""
@@ -416,7 +485,7 @@ def interior_tiles_by_prefix_sum(query, level, probes):
         arr[:, 0] = (coords[:, 0] - mbr.xmin) / tile_w
     if tile_h:
         arr[:, 1] = (coords[:, 1] - mbr.ymin) / tile_h
-    interior = polygon_fill_coverage_mask((n, n), arr) & ~ring_boundary_coverage_mask(
+    interior = polygon_fill_coverage_mask((n, n), arr) & ~ring_boundary_arc_by_arc(
         (n, n), arr, 1e-9
     )
     prefix = np.zeros((n + 1, n + 1), dtype=np.int64)

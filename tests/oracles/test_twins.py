@@ -1,7 +1,8 @@
 """One differential harness: every oracle against its production twin.
 
 ``TWINS`` registers each public function of ``tests/oracles/geometry.py``,
-``raster.py``, ``index.py``, ``accounting.py`` and ``health.py`` once, with the production function it is the
+``raster.py``, ``index.py``, ``datasets.py``, ``accounting.py`` and
+``health.py`` once, with the production function it is the
 reference for, the cases it runs on - ``tests/strategies.py``'s corpus plus
 the literals below - and how the two answers are compared (``==`` unless an
 entry says otherwise).  :func:`test_twin_agrees` runs every entry, and fails
@@ -33,6 +34,12 @@ from repro.cache import CacheConfig
 from repro.core import HardwareConfig, HardwareEngine, SoftwareEngine
 from repro.datasets import GeneratorConfig, SpatialDataset, VertexCountModel, generate_layer
 from repro.datasets.dataset import base_distance
+from repro.datasets.tessellation import (
+    TessellationConfig,
+    _BorderTable,
+    _displaced_polyline,
+    generate_tessellation,
+)
 from repro.filters import (
     IntervalApproximation,
     IntervalGrid,
@@ -60,7 +67,7 @@ from repro.geometry.hypot_order import first_min_hypot
 from repro.geometry.edge_store import EdgeStore
 from repro.geometry.runs import expand_runs
 from repro.geometry.workspace import Workspace
-from repro.gpu import polygon_fill_coverage_mask
+from repro.gpu import polygon_fill_coverage_mask, rings_boundary_coverage_masks
 from repro.gpu.pipeline import GraphicsPipeline, tile_transforms, window_columns
 from repro.gpu.raster_bulk import edges_coverage_mask, edges_coverage_masks_grouped
 from repro.gpu.tiled import _gather
@@ -75,7 +82,7 @@ from repro.serve import (
     SlowLogConfig,
     build_health,
 )
-from tests.oracles import accounting, geometry, health, index, raster
+from tests.oracles import accounting, datasets, geometry, health, index, raster
 from tests.strategies import HYPOT_FAR, HYPOT_NEAR, ROUNDED_CROSSING
 from tests.strategies import (
     adversarial_rings,
@@ -309,6 +316,62 @@ def grouped_draws(draw):
     return draw(shapes), edges, sizes, np.asarray(w, dtype=np.float64), draw(st.booleans())
 
 
+@st.composite
+def boundary_batches(draw):
+    """``(shapes, rings, width)`` of one boundary build: up to four rings of
+    2-80 vertices, each a walk from anywhere around its buffer (so arcs
+    leave it or miss it) in steps that may be zero (zero-length edges),
+    some with a vertex beyond ``2**24`` cells."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes_, rings = [], []
+    for _ in range(draw(st.integers(1, 4))):
+        height, width = draw(st.sampled_from([(8, 8), (5, 9), (1, 7), (16, 16), (40, 70), (3, 300)]))
+        n = draw(st.integers(2, 80))
+        start = rng.uniform(-12.0, max(height, width) + 12.0, size=2)
+        steps = rng.choice([-3.0, -1.5, -0.5, 0.0, 0.0, 0.25, 1.0, 2.5], size=(n, 2))
+        if draw(st.booleans()):
+            steps = steps + rng.uniform(-0.5, 0.5, size=(n, 2))
+        ring = start + np.cumsum(steps, axis=0)
+        if draw(st.booleans()):
+            ring[rng.integers(n)] = rng.choice([-1e30, 3e7, 1e30], size=2)
+        shapes_.append((height, width))
+        rings.append(ring)
+    return shapes_, rings, draw(st.sampled_from([1e-9, 0.5, 1.5]))
+
+
+_ANGLES = np.linspace(0.0, 2.0 * np.pi, 120, endpoint=False)
+_CIRCLE = np.round(8.0 * (16.0 + 12.0 * np.stack([np.cos(_ANGLES), np.sin(_ANGLES)], axis=1))) / 8.0
+#: Boundary literals: a 120-vertex circle (four arcs), a ring off the
+#: buffer, zero-length edges, a vertex beyond ``2**24`` cells, and all of
+#: them in one batch.
+BOUNDARY_LITERALS = (
+    ([(32, 32)], [_CIRCLE], 1e-9),
+    ([(8, 8)], [np.array([[-20.0, -20.0], [-10.0, -20.0], [-15.0, -10.0]])], 1.0),
+    ([(8, 8)], [np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 1.0], [5.0, 5.0], [5.0, 5.0]])], 1e-9),
+    ([(8, 8)], [np.array([[2.0, 2.0], [1e30, 2.0], [2.0, 6.0]])], 0.5),
+    (
+        [(32, 32), (8, 8), (8, 8), (5, 9)],
+        [_CIRCLE, np.array([[1.0, 1.0], [1.0, 1.0], [5.0, 1.0], [5.0, 5.0]]),
+         np.array([[2.0, 2.0], [1e30, 2.0], [2.0, 6.0]]), np.array([[-3.0, 2.0], [12.0, 4.5]])],
+        1e-9,
+    ),
+)
+#: Encoding literals on an 8 x 8 world at level 3: the literal polygons, a
+#: vertex at 1e300 (all PARTIAL), one straddling the world's side (arcs
+#: clipped out of the window), one outside, a repeated vertex, and a
+#: duplicate.
+ENCODING_LITERALS = (
+    (
+        [SQUARE, ZERO_AREA, COLLINEAR, TOUCHING, ODD_RINGS[0],
+         Polygon.from_coords([(-6, 1), (3, 2), (-6, 7)]),
+         Polygon.from_coords([(20, 20), (24, 20), (22, 23)]),
+         Polygon.from_coords([(1, 1), (1, 1), (6, 2), (2, 6)]),
+         SQUARE],
+        IntervalGrid(Rect(0.0, 0.0, 8.0, 8.0), 3),
+    ),
+)
+
+
 #: Windows whose scale overflows (extents below 8 / DBL_MAX), whose pixel is
 #: near one ulp, and whose extent is zero on one axis or both.
 ODD_WINDOWS = (
@@ -349,6 +412,45 @@ def culled_tiles(draw):
         edge_sets.append(rng.choice(grid, size=(n, 4)))
         boxes.append((draw(lo), draw(lo), draw(hi), draw(hi)))
     return edge_sets, boxes
+
+
+#: Tessellation worlds: one with sides on 0.0 (signed zeros meet the clamp)
+#: and the Wyoming extent the LANDC / LANDO layers use.
+TESSELLATION_WORLDS = (Rect(0.0, 0.0, 100.0, 60.0), Rect(-111.05, 40.99, -104.05, 45.01))
+roughnesses = st.sampled_from([0.0, 0.1, 0.22, 0.45])
+border_ends = st.tuples(
+    st.floats(-120.0, 120.0, allow_nan=False), st.floats(-120.0, 120.0, allow_nan=False)
+)
+#: ``(p, q, detail_len, roughness, seed)``: at most 2^10 chords.
+border_cases = st.tuples(
+    border_ends, border_ends, st.floats(0.5, 40.0), roughnesses, st.integers(0, 2**32)
+)
+tessellation_configs = st.builds(
+    TessellationConfig,
+    world=st.sampled_from(TESSELLATION_WORLDS),
+    cell_count=st.integers(1, 24),
+    mean_vertices=st.floats(4.0, 60.0),
+    roughness=roughnesses,
+    cluster_count=st.integers(1, 6),
+    cluster_tightness=st.sampled_from([0.3, 1.0]),
+    band_elongation=st.sampled_from([1.0, 2.5]),
+)
+#: Literal layers: the generator tests' default, zero roughness, one cell,
+#: the roughest borders (clamped onto the world's sides; in the two-cell
+#: layer the clamp collapses four runs of points), and LANDC at ``n_scale``
+#: 0.003.
+TESSELLATION_LITERALS = tuple(
+    (TessellationConfig(world=world, cell_count=cells, mean_vertices=mean, roughness=rough,
+                        cluster_count=clusters, cluster_tightness=tight), seed)
+    for world, cells, mean, rough, clusters, tight, seed in (
+        (TESSELLATION_WORLDS[0], 40, 30.0, 0.15, 6, 1.0, 11),
+        (TESSELLATION_WORLDS[0], 40, 30.0, 0.0, 6, 1.0, 5),
+        (TESSELLATION_WORLDS[0], 1, 30.0, 0.15, 6, 1.0, 1),
+        (TESSELLATION_WORLDS[0], 12, 60.0, 0.45, 2, 1.0, 3),
+        (TESSELLATION_WORLDS[0], 2, 200.0, 0.45, 2, 1.0, 7),
+        (TESSELLATION_WORLDS[1], 44, 192.0, 0.22, 2, 0.3, 1001),
+    )
+)
 
 
 # -- comparisons -------------------------------------------------------------
@@ -417,6 +519,31 @@ def _within_threshold(oracle, twin, args):
         assert not twin(a, b, math.nextafter(d, 0.0))
 
 
+def _seeded(oracle, twin, args):
+    """Both draw from a fresh ``random.Random`` of the case's seed."""
+    *head, seed = args
+    assert twin(*head, random.Random(seed)) == oracle(*head, random.Random(seed))
+
+
+def _border_lookups(oracle, twin, args):
+    """A table over ``p`` and ``q`` traces the border both ways round, the
+    first a miss and the second a hit, starting from either end."""
+    p, q, detail_len, roughness, seed = args
+    xy = {0: p, 1: q}
+    keys = {v: (round(x, 9), round(y, 9)) for v, (x, y) in xy.items()}
+    for first in (0, 1):
+        table = _BorderTable(xy, keys, detail_len, roughness, seed)
+        for a in (first, 1 - first):
+            b = 1 - a
+            assert twin(table, a, b) == oracle(xy[a], xy[b], detail_len, roughness, seed)
+
+
+def _same_layer(oracle, twin, args):
+    """Every cell's coordinates, to the bit (signed zeros included)."""
+    got = [p.coords_array.tobytes() for p in twin(*args)]
+    assert got == [p.coords_array.tobytes() for p in oracle(*args)]
+
+
 def _first_min(oracle, twin, args):
     dx, dy = args
     assert twin(np.array(dx, dtype=np.float64), np.array(dy, dtype=np.float64)) == oracle(dx, dy)
@@ -451,6 +578,25 @@ def _fill_mask(oracle, twin, args):
     mask = twin(shape, vertices)
     assert np.array_equal(buffer > 0, mask)
     assert written == np.count_nonzero(mask)
+
+
+def _ring_masks(oracle, twin, args):
+    """One call over the batch, each ring's mask drawn alone by the oracle."""
+    shapes_, rings, width = args
+    got = twin(shapes_, rings, width)
+    assert len(got) == len(rings)
+    for mask, shape, ring in zip(got, shapes_, rings):
+        assert np.array_equal(mask, oracle(shape, ring, width))
+
+
+def _encoding_columns(oracle, twin, args):
+    """Every encoding's four run columns and clipped flag."""
+    polygons, grid = args
+    got = [
+        (e.starts.tolist(), e.ends.tolist(), e.full_starts.tolist(), e.full_ends.tolist(), e.clipped)
+        for e in twin(polygons, grid)
+    ]
+    assert got == oracle(polygons, grid)
 
 
 def _tile_transforms(oracle, twin, args):
@@ -862,6 +1008,38 @@ TWINS = {
             ),
             _first_min,
         ),
+        # -- datasets
+        Twin(
+            datasets.displaced_polyline,
+            _displaced_polyline,
+            border_cases,
+            (
+                ((0.0, 0.0), (16.0, 0.0), 1.0, 0.0, 2),
+                ((0.0, 0.0), (10.0, 4.0), 0.5, 0.2, 9),
+                ((0.0, 0.0), (1.0, 0.0), 2.0, 0.2, 1),
+            ),
+            _seeded,
+        ),
+        Twin(
+            datasets.detail_polyline,
+            _BorderTable.trace,
+            border_cases,
+            (
+                ((0.0, 0.0), (10.0, 4.0), 0.5, 0.2, 9),
+                ((0.0, 0.0), (16.0, 0.0), 1.0, 0.0, 2),
+                # The ends round to one key: each direction is its own border.
+                ((1.0, 1.0), (1.0 + 1e-12, 1.0), 1e-13, 0.2, 3),
+                ((-0.0, 0.0), (0.0, 60.0), 0.5, 0.45, 4),
+            ),
+            _border_lookups,
+        ),
+        Twin(
+            datasets.tessellation_cell_by_cell,
+            generate_tessellation,
+            st.tuples(tessellation_configs, st.integers(0, 2**16)),
+            TESSELLATION_LITERALS,
+            _same_layer,
+        ),
         # -- raster
         Twin(
             raster.rasterize_point_conservative,
@@ -901,6 +1079,13 @@ TWINS = {
                 ((8, 8), np.empty((0, 4)), [0], 1.0, False),
             ),
             _same_mask,
+        ),
+        Twin(
+            raster.ring_boundary_arc_by_arc,
+            rings_boundary_coverage_masks,
+            boundary_batches(),
+            BOUNDARY_LITERALS,
+            _ring_masks,
         ),
         Twin(
             raster.rasterize_polygon_evenodd,
@@ -955,6 +1140,13 @@ TWINS = {
                 ),
             ),
             _gathered,
+        ),
+        Twin(
+            raster.interval_runs_one_by_one,
+            IntervalApproximation.build_all,
+            candidate_lists().map(lambda case: ([p for ab in case[1] for p in ab], case[0])),
+            ENCODING_LITERALS,
+            _encoding_columns,
         ),
         Twin(
             raster.classify_pairs_one_by_one,
@@ -1085,7 +1277,7 @@ def test_every_oracle_is_registered():
     """Each public function of an oracle module is one ``TWINS`` entry."""
     public = {
         f"{module.__name__}.{name}"
-        for module in (accounting, geometry, health, raster, index)
+        for module in (accounting, datasets, geometry, health, raster, index)
         for name, value in vars(module).items()
         if inspect.isfunction(value) and value.__module__ == module.__name__
         and not name.startswith("_")

@@ -2,10 +2,15 @@
 
 import asyncio
 import json
+import os
 import socket
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 import time
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +24,19 @@ def _with_frontend(service, client_fn, frontends=None):
     Whatever reaches the loop's exception handler (an exception raised in
     a connection's callback, say) is collected under ``"loop_errors"``.
     ``frontends``, when given, is a list the frontend is appended to
-    before the client starts.
+    before the client starts.  The client thread is always joined.  An
+    exception other than ``KeyboardInterrupt`` that escapes the loop - a
+    ``SystemExit`` from a callback, say - fails this test alone, and so
+    does one the client raised.
     """
     results = {"loop_errors": []}
+    clients, client_errors = [], []
+
+    def client(host, port):
+        try:
+            results.update(client_fn(host, port))
+        except BaseException as exc:  # re-raised on the test's thread
+            client_errors.append(exc)
 
     async def main():
         asyncio.get_running_loop().set_exception_handler(
@@ -31,12 +46,15 @@ def _with_frontend(service, client_fn, frontends=None):
         if frontends is not None:
             frontends.append(frontend)
         host, port = await frontend.start()
-        thread = threading.Thread(
-            target=lambda: results.update(client_fn(host, port))
-        )
+        thread = threading.Thread(target=client, args=(host, port))
+        clients.append(thread)
         thread.start()
-        await asyncio.wait_for(frontend.serve_until_shutdown(), timeout=60)
-        await frontend.stop()
+        try:
+            await asyncio.wait_for(frontend.serve_until_shutdown(), timeout=60)
+        finally:
+            # Also when asyncio.run() cancels this task after an exception
+            # escaped the loop: the client's connection closes.
+            await frontend.stop()
         thread.join()
         # Let connection tasks end on their own: asyncio.run() would cancel
         # them, and a cancelled one lands in the exception handler too.
@@ -44,7 +62,17 @@ def _with_frontend(service, client_fn, frontends=None):
         if others:
             await asyncio.wait(others, timeout=30)
 
-    asyncio.run(main())
+    try:
+        asyncio.run(main())
+    except KeyboardInterrupt:
+        raise
+    except BaseException as exc:
+        for thread in clients:
+            thread.join(timeout=60)
+        alive = [thread for thread in clients if thread.is_alive()]
+        pytest.fail(f"the event loop raised {exc!r}" + (" (client still running)" if alive else ""))
+    if client_errors:
+        raise client_errors[0]
     return results
 
 
@@ -687,6 +715,51 @@ class TestWorkerDeath:
         assert res["first"]["response"]["status"] == "ok"
         # asyncio.run() ran the loop on this thread.
         assert threads == [threading.get_ident()]
+
+
+#: A session of its own for :func:`test_a_loop_side_exit_fails_one_test`:
+#: a ``SystemExit`` raised in a connection's callback, then a test that
+#: finds the client thread gone.
+_LOOP_EXIT_SESSION = """
+import threading
+
+from repro.serve import QueryService, ServeFrontend, send_envelope
+from tests.serve.test_server import _with_frontend
+
+
+def test_loop_side_exit(monkeypatch):
+    svc = QueryService(workers=1)
+    try:
+        def die(self, line):
+            raise SystemExit("loop died")
+
+        monkeypatch.setattr(ServeFrontend, "_reply", die)
+        _with_frontend(svc, lambda host, port: {"reply": send_envelope(host, port, {"kind": "ping"})})
+    finally:
+        svc.close()
+
+
+def test_the_session_goes_on():
+    assert not [t for t in threading.enumerate() if t.name.endswith("(client)")]
+"""
+
+
+def test_a_loop_side_exit_fails_one_test(tmp_path):
+    """``_with_frontend`` runs the loop on the test's own thread: a
+    ``SystemExit`` escaping it fails that test alone, with the client
+    thread joined and its error kept off the thread excepthook."""
+    root = Path(__file__).resolve().parents[2]
+    (tmp_path / "test_loop_exit.py").write_text(textwrap.dedent(_LOOP_EXIT_SESSION))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(root / "src"), str(root)]))
+    run = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+         "-W", "error::pytest.PytestUnhandledThreadExceptionWarning", str(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    out = run.stdout + run.stderr
+    assert "INTERNALERROR" not in out
+    assert "the event loop raised SystemExit('loop died')" in out
+    assert "1 failed, 1 passed" in out
 
 
 def test_max_line_bytes_constant_is_sane():
